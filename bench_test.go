@@ -147,7 +147,7 @@ func lookupBenchSegment() *index.Segment {
 }
 
 // BenchmarkSegmentLookupCold measures a one-term query against a freshly
-// decoded 5k-term segment: decode + single lookup. The v2 lazy format
+// decoded 5k-term segment: decode + single lookup. The lazy format
 // only parses the header and block index and decodes the one requested
 // posting list, instead of materializing all 5k lists.
 func BenchmarkSegmentLookupCold(b *testing.B) {
@@ -409,8 +409,8 @@ func BenchmarkIngestPipeline(b *testing.B) {
 // segment format tiering landed) must hold compacted_B/round flat —
 // each ingested byte is rewritten about once per tier promotion, i.e.
 // O(log rounds) — where the monolithic policy rewrites the whole chain
-// every firing and grows linearly (BENCH_ingest.json records the
-// measured gap; E19 sweeps it across run lengths).
+// every firing and grows linearly (E19 sweeps the gap across run
+// lengths).
 func BenchmarkCompaction(b *testing.B) {
 	const rounds, docsPerRound = 32, 16
 	for _, mono := range []bool{false, true} {
@@ -515,9 +515,9 @@ func scalingCorpusEngine(tb testing.TB, ndocs int, opts ...Option) (*Engine, *co
 // scoring work scales: with block-max early termination the executor
 // decodes only the blocks whose score bound can still beat the top-10
 // threshold, so postings_scanned must grow far slower than the corpus
-// (TestSearchScalingSublinear asserts ≤ 10× at 100×, and BENCH_search
-// .json records the measured points). blocks_skipped counts the skip
-// pointers taken; sim_ms is the simulated network cost per query.
+// (TestSearchScalingSublinear asserts ≤ 10× at 100×). blocks_skipped
+// counts the skip pointers taken; sim_ms is the simulated network cost
+// per query.
 func BenchmarkSearchScaling(b *testing.B) {
 	for _, ndocs := range []int{48, 480, 4800} {
 		b.Run(fmt.Sprintf("docs=%d", ndocs), func(b *testing.B) {

@@ -121,14 +121,14 @@ func (b *QueryBuilder) All() *QueryBuilder {
 }
 
 // Any switches to the flat disjunctive mode: any analyzed term may
-// match (what SearchAny always did).
+// match.
 func (b *QueryBuilder) Any() *QueryBuilder {
 	b.mode = core.PlanAny
 	return b
 }
 
 // Phrase switches to the flat phrase mode: the analyzed terms must
-// appear adjacent and in order (what SearchPhrase always did).
+// appear adjacent and in order (positional postings).
 func (b *QueryBuilder) Phrase() *QueryBuilder {
 	b.mode = core.PlanPhrase
 	return b

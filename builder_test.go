@@ -93,23 +93,31 @@ func TestQueryBuilderErrors(t *testing.T) {
 
 func TestQueryBuilderFlatModes(t *testing.T) {
 	e := energyEngine(t)
-	// Flat Any mode treats OR as a stopword-stripped term list; results
-	// must match the legacy SearchAny wrapper exactly.
-	br, err := e.Query("sunlight turbines").Any().Run()
+	// Flat All mode is what the Search wrapper runs: results must match
+	// it exactly.
+	br, err := e.Query("convert electricity").All().Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, _, err := e.SearchAny("sunlight turbines", 10)
+	wrapped, _, err := e.Search("convert electricity", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(br.Results) != len(legacy) {
-		t.Fatalf("builder Any %d results vs wrapper %d", len(br.Results), len(legacy))
+	if len(wrapped) != 2 || len(br.Results) != len(wrapped) {
+		t.Fatalf("builder All %d results vs wrapper %d, want 2", len(br.Results), len(wrapped))
 	}
-	for i := range legacy {
-		if br.Results[i] != legacy[i] {
-			t.Fatalf("builder/wrapper diverge at %d: %+v vs %+v", i, br.Results[i], legacy[i])
+	for i := range wrapped {
+		if br.Results[i] != wrapped[i] {
+			t.Fatalf("builder/wrapper diverge at %d: %+v vs %+v", i, br.Results[i], wrapped[i])
 		}
+	}
+	// Flat Any mode ORs the analyzed terms.
+	ar, err := e.Query("sunlight turbines").Any().Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := urlSet(ar.Results); len(got) != 2 || !got["dweb://energy/solar"] || !got["dweb://energy/wind"] {
+		t.Fatalf("any results = %+v", ar.Results)
 	}
 	// Phrase mode through the builder.
 	pr, err := e.Query("convert sunlight").Phrase().Run()

@@ -41,14 +41,15 @@
 // the plan tree with per-node candidate counts and the simulated
 // network cost of each stage. Parse and planning failures surface as
 // the typed sentinels ErrEmptyQuery, ErrBadSyntax and
-// ErrShardUnavailable (match with errors.Is); the legacy Search,
-// SearchAny, SearchPhrase and SearchSnippets remain as thin wrappers
-// over the same pipeline.
+// ErrShardUnavailable (match with errors.Is). The builder's All, Any and
+// Phrase switch to flat modes that treat operators as plain text, and
+// Search(q, k) remains as the one convenience wrapper (flat AND) over
+// the same pipeline.
 //
 // # Query hot path
 //
 // The read side is built to stay allocation-light under heavy query
-// traffic. Index segments are serialized in a block-max v3 format
+// traffic. Index segments are serialized in one block-max format
 // (docs/segment-format.md): a sorted term dictionary whose entries
 // carry per-8-posting-block skip data — last DocID, byte offset, and an
 // exact block-max score frontier — over a postings region that switches
@@ -76,8 +77,8 @@
 // legacy single-stream draws for golden-cost comparisons). Shard waves
 // execute as true goroutine fan-outs, concurrent fetches of the same
 // segment digest collapse into one DHT read (singleflight), and both
-// frontend caches are byte-budgeted LRUs (WithCacheBudget) so a
-// long-lived serving deployment stays bounded under publish churn.
+// frontend caches are byte-budgeted LRUs so a long-lived serving
+// deployment stays bounded under publish churn.
 // cmd/queenbeed serves /search, /explain, /healthz and /stats over HTTP
 // against one shared engine on exactly this contract; write-side
 // methods remain a single deterministic driver.
@@ -94,9 +95,9 @@
 // first reply wins the latency, both replies pay bytes, and a failed
 // primary fetch is rescued by the hedge.
 //
-// Every query carries a request lifecycle: context.Context (SearchCtx,
-// QueryCtx) plus a simulated deadline (Deadline, WithDefaultDeadline)
-// thread through the shard, statistics and snippet waves down to the
+// Every query carries a request lifecycle: context.Context (QueryCtx)
+// plus a simulated deadline (Deadline, WithDefaultDeadline) thread
+// through the shard, statistics and snippet waves down to the
 // simulated network, whose CallCtx short-circuits cancelled calls
 // without consuming RNG draws — cancellation never desyncs per-seed
 // determinism. A stopped query abandons its remaining wave members,
@@ -109,11 +110,11 @@
 //
 // The swarm is made of personal devices that crash, lose connectivity
 // and return without warning (docs/robustness.md has the full design).
-// WithFaultPlan installs a deterministic churn schedule — crashes,
-// recoveries, partitions, lossy-link episodes — that advances with the
-// chain, firing the same events on the same victims every run. Beneath
-// it, the DHT call layer retries transient failures (dropped messages,
-// overload shedding — netsim.Retryable) with deterministic
+// Engine.Cluster.SetFaultPlan installs a deterministic churn schedule —
+// crashes, recoveries, partitions, lossy-link episodes — that advances
+// with the chain, firing the same events on the same victims every run.
+// Beneath it, the DHT call layer retries transient failures (dropped
+// messages, overload shedding — netsim.Retryable) with deterministic
 // backoff+jitter, and iterative lookups widen their shortlist from the
 // full routing table when churn has eaten it. WithMaintenance runs a
 // self-healing pass after every round: under-replicated shard pointers

@@ -70,10 +70,6 @@ type Config struct {
 	// no deadline of their own (see Query.Deadline). Zero means none.
 	DefaultDeadline time.Duration
 
-	// FaultPlan, when set, scripts churn against the cluster: the plan
-	// advances on every Seal using the cluster's simulated clock (epoch =
-	// boot), so "50% of peers crash mid-round" is a replayable schedule.
-	FaultPlan *netsim.FaultPlan
 	// Maintenance runs the self-healing pass (republish, re-seed, repair,
 	// reprovide — see RunMaintenance) at the end of every processed round.
 	Maintenance bool
@@ -225,11 +221,6 @@ func NewCluster(cfg Config) *Cluster {
 		c.AddBee(fmt.Sprintf("bee-%03d", i))
 	}
 	c.Seal()
-	// A config-supplied fault plan starts its clock now — after boot — so
-	// event times are relative to the healthy, bootstrapped deployment.
-	if cfg.FaultPlan != nil {
-		c.SetFaultPlan(cfg.FaultPlan)
-	}
 	return c
 }
 
@@ -324,8 +315,11 @@ func (c *Cluster) Seal() *chain.Block {
 	return b
 }
 
-// SetFaultPlan attaches a churn schedule whose event times are measured
-// from now; due events fire on each subsequent Seal.
+// SetFaultPlan attaches a churn schedule — crashes, recoveries,
+// partitions, lossy-link episodes — whose event times are measured from
+// now on the cluster's simulated clock; due events fire on each
+// subsequent Seal, so "50% of peers crash mid-round" is a replayable
+// schedule.
 func (c *Cluster) SetFaultPlan(p *netsim.FaultPlan) {
 	c.faultPlan = p
 	c.faultEpoch = c.Clock.Now()

@@ -25,12 +25,12 @@ const (
 	// PlanParsed runs the full query language: AND/OR/NOT operators,
 	// quoted phrases, site: prefix filters, parentheses.
 	PlanParsed PlanMode = iota
-	// PlanAll ANDs every analyzed term (flat legacy Search).
+	// PlanAll ANDs every analyzed term (flat; what Search runs).
 	PlanAll
-	// PlanAny ORs every analyzed term (flat legacy SearchAny).
+	// PlanAny ORs every analyzed term (flat).
 	PlanAny
 	// PlanPhrase matches every analyzed term as one adjacent phrase
-	// (flat legacy SearchPhrase).
+	// (flat, positional postings).
 	PlanPhrase
 )
 
@@ -265,9 +265,8 @@ func (f *Frontend) ExecuteCtx(ctx context.Context, q Query) (SearchResponse, err
 	if err := bud.check(resp.Cost.Latency); err != nil {
 		return partialTrace(nil, 0, loadCost, netsim.Cost{}, err)
 	}
-	// Options are snapshotted once per query: concurrent SetUseGallop-
-	// Intersection / SetUseBlockMax calls can never race a plan
-	// mid-execution.
+	// The executor choice is snapshotted once per query: a concurrent
+	// SetUseBlockMax call can never race a plan mid-execution.
 	useWAND := f.UseBlockMax()
 
 	var merged map[string]index.PostingList
@@ -296,7 +295,7 @@ func (f *Frontend) ExecuteCtx(ctx context.Context, q Query) (SearchResponse, err
 				merged[term] = seg.Postings(term)
 			}
 		}
-		ev := &evaluator{f: f, merged: merged, explain: q.Explain, gallop: f.UseGallopIntersection()}
+		ev := &evaluator{f: f, merged: merged, explain: q.Explain}
 		if query.HasSite(root) {
 			ev.urls = f.docURLView()
 		}
@@ -344,8 +343,8 @@ func (f *Frontend) ExecuteCtx(ctx context.Context, q Query) (SearchResponse, err
 
 // compileAST turns the raw query string into the boolean AST, either
 // through the parser (PlanParsed) or as one flat operator over the
-// analyzed terms (the legacy Search/SearchAny/SearchPhrase semantics,
-// which treat operators and quotes as plain text).
+// analyzed terms (the flat PlanAll/PlanAny/PlanPhrase modes, which treat
+// operators and quotes as plain text).
 func compileAST(q Query) (*query.Node, error) {
 	if q.Mode == PlanParsed {
 		return query.Parse(q.Raw)
@@ -378,7 +377,6 @@ type evaluator struct {
 	merged  map[string]index.PostingList
 	urls    map[index.DocID]string // DocID→URL snapshot; set iff the tree has site: filters
 	explain bool
-	gallop  bool // intersection kernel, snapshotted at query start
 }
 
 // node builds an ExplainNode, or nil when tracing is off.
@@ -491,7 +489,7 @@ func (ev *evaluator) evalAnd(n *query.Node) ([]index.DocID, *ExplainNode) {
 			}
 		}
 	}
-	docs := ev.intersect(lists)
+	docs := intersect(lists)
 	for _, x := range exclusions {
 		if len(docs) == 0 {
 			break
@@ -507,19 +505,15 @@ func (ev *evaluator) evalAnd(n *query.Node) ([]index.DocID, *ExplainNode) {
 	return docs, ev.node("and", "", len(docs), kids)
 }
 
-// intersect runs the configured kernel (ablation A1) over the positive
-// conjunction legs.
-func (ev *evaluator) intersect(lists [][]index.DocID) []index.DocID {
+// intersect gallops over the positive conjunction legs.
+func intersect(lists [][]index.DocID) []index.DocID {
 	switch len(lists) {
 	case 0:
 		return nil
 	case 1:
 		return lists[0]
 	}
-	if ev.gallop {
-		return index.IntersectGallop(lists)
-	}
-	return index.IntersectMerge(lists)
+	return index.IntersectGallop(lists)
 }
 
 // filterSite keeps (or, when keep is false, drops) the candidates whose

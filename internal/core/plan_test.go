@@ -250,12 +250,12 @@ func TestQueryFailedWaveAccounting(t *testing.T) {
 	}
 }
 
-// TestQueryFlatModesMatchLegacy pins the wrapper contract: SearchWith's
-// flat modes and the planner agree, and operators are plain text there.
+// TestQueryFlatModesMatchLegacy pins the flat-mode contract: operators
+// are plain text there, while the parser gives them meaning.
 func TestQueryFlatModesMatchLegacy(t *testing.T) {
 	_, fe := queryCluster(t)
 	// In flat AND mode, "OR" is a stopword and "-" is punctuation.
-	resp, err := fe.SearchWith("orchard OR streets", SearchOptions{Mode: ModeAND, K: 10})
+	resp, err := fe.Search("orchard OR streets", 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,70 +8,6 @@ import (
 	"repro/internal/netsim"
 )
 
-// QueryMode selects the boolean semantics of a flat (legacy) search.
-// The structured query language (see Execute and internal/query) is the
-// richer surface; these modes survive as the thin Search* wrappers.
-type QueryMode int
-
-// Query modes.
-const (
-	// ModeAND returns documents containing every term (default).
-	ModeAND QueryMode = iota
-	// ModeOR returns documents containing any term.
-	ModeOR
-	// ModePhrase returns documents containing the terms as an exact
-	// adjacent phrase (positional postings).
-	ModePhrase
-)
-
-// String implements fmt.Stringer.
-func (m QueryMode) String() string {
-	switch m {
-	case ModeAND:
-		return "AND"
-	case ModeOR:
-		return "OR"
-	case ModePhrase:
-		return "PHRASE"
-	default:
-		return fmt.Sprintf("QueryMode(%d)", int(m))
-	}
-}
-
-// SearchOptions tunes one flat query.
-type SearchOptions struct {
-	Mode QueryMode
-	K    int
-	// Snippets controls whether each result carries a text snippet
-	// around the first match (requires fetching the document content,
-	// which costs extra simulated time).
-	Snippets bool
-}
-
-// planMode maps a legacy flat mode onto the planner's equivalent.
-func (m QueryMode) planMode() PlanMode {
-	switch m {
-	case ModeOR:
-		return PlanAny
-	case ModePhrase:
-		return PlanPhrase
-	default:
-		return PlanAll
-	}
-}
-
-// SearchWith runs the frontend pipeline with explicit flat-mode
-// options: a thin wrapper over Execute that ANDs/ORs/phrase-matches
-// every analyzed term, treating operators and quotes as plain text.
-func (f *Frontend) SearchWith(raw string, opts SearchOptions) (SearchResponse, error) {
-	return f.Execute(Query{
-		Raw:      raw,
-		Mode:     opts.Mode.planMode(),
-		Limit:    opts.K,
-		Snippets: opts.Snippets,
-	})
-}
-
 // attachSnippets fetches each result's content and extracts a snippet
 // around the first matched term. The per-result fetches are independent
 // of each other, so — like the shard loads — they are costed as one

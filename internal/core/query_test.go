@@ -28,7 +28,7 @@ func queryCluster(t *testing.T) (*Cluster, *Frontend) {
 
 func TestSearchModeOR(t *testing.T) {
 	_, fe := queryCluster(t)
-	resp, err := fe.SearchWith("orchard streets", SearchOptions{Mode: ModeOR, K: 10})
+	resp, err := fe.Execute(Query{Raw: "orchard streets", Mode: PlanAny})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestSearchModeOR(t *testing.T) {
 
 func TestSearchModeORWithMissingTerm(t *testing.T) {
 	_, fe := queryCluster(t)
-	resp, err := fe.SearchWith("orchard zzznonexistent", SearchOptions{Mode: ModeOR, K: 10})
+	resp, err := fe.Execute(Query{Raw: "orchard zzznonexistent", Mode: PlanAny})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestSearchModePhrase(t *testing.T) {
 	_, fe := queryCluster(t)
 	// "red apples" adjacent: q1 ("red apples grow") and q3 ("to red
 	// apples"); q2 has "red" but no adjacent "apples".
-	resp, err := fe.SearchWith("red apples", SearchOptions{Mode: ModePhrase, K: 10})
+	resp, err := fe.Execute(Query{Raw: "red apples", Mode: PlanPhrase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSearchModePhrase(t *testing.T) {
 
 	// AND would also match nothing extra here, but phrase must reject
 	// non-adjacent orders: "apples red" never occurs.
-	resp, err = fe.SearchWith("apples red", SearchOptions{Mode: ModePhrase, K: 10})
+	resp, err = fe.Execute(Query{Raw: "apples red", Mode: PlanPhrase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,18 +90,19 @@ func TestSearchModeAndDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	with, err := fe.SearchWith("red apples", SearchOptions{K: 10})
+	// The parser's implicit AND is the same conjunction.
+	parsed, err := fe.Execute(Query{Raw: "red apples"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(and.Results) != len(with.Results) {
-		t.Fatal("Search and SearchWith(default) disagree")
+	if len(and.Results) == 0 || len(and.Results) != len(parsed.Results) {
+		t.Fatalf("flat AND %v and parsed AND %v disagree", urlsOf(and), urlsOf(parsed))
 	}
 }
 
-func TestSearchSnippets(t *testing.T) {
+func TestSnippetsAttached(t *testing.T) {
 	_, fe := queryCluster(t)
-	resp, err := fe.SearchWith("orchard", SearchOptions{K: 5, Snippets: true})
+	resp, err := fe.Execute(Query{Raw: "orchard", Mode: PlanAll, Limit: 5, Snippets: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,18 +139,19 @@ func TestSnippetFunction(t *testing.T) {
 	}
 }
 
-func TestQueryModeString(t *testing.T) {
-	if ModeAND.String() != "AND" || ModeOR.String() != "OR" || ModePhrase.String() != "PHRASE" {
+func TestPlanModeString(t *testing.T) {
+	if PlanParsed.String() != "parsed" || PlanAll.String() != "all" ||
+		PlanAny.String() != "any" || PlanPhrase.String() != "phrase" {
 		t.Fatal("mode names wrong")
 	}
-	if QueryMode(99).String() == "" {
+	if PlanMode(99).String() == "" {
 		t.Fatal("unknown mode should still render")
 	}
 }
 
 func TestSearchKDefaults(t *testing.T) {
 	_, fe := queryCluster(t)
-	resp, err := fe.SearchWith("red", SearchOptions{}) // K unset → 10
+	resp, err := fe.Search("red", 0) // k unset → 10
 	if err != nil {
 		t.Fatal(err)
 	}

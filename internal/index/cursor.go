@@ -6,8 +6,8 @@ import (
 )
 
 // cursorMeta is a segment's memoized per-term skip metadata: the parsed
-// block skips plus either a materialized posting list (built, v1, v2, or
-// already-decoded terms) or a lazy v3 block source. It is immutable once
+// block skips plus either a materialized posting list (built segments and
+// already-decoded terms) or a lazy block source. It is immutable once
 // built; TermCursor instances reference it but keep their own position
 // state, so one query's cursor never perturbs another's.
 type cursorMeta struct {
@@ -28,9 +28,9 @@ type lazyTermSource struct {
 
 // Cursor returns a fresh block-max cursor over a term's postings, or nil
 // if the term is absent. The underlying skip metadata is parsed (lazy
-// v3) or computed (materialized lists) once per term and memoized on the
-// segment; each call returns an independent cursor so concurrent queries
-// never share position state.
+// segments) or computed (materialized lists) once per term and memoized
+// on the segment; each call returns an independent cursor so concurrent
+// queries never share position state.
 func (s *Segment) Cursor(term string) *TermCursor {
 	s.mu.RLock()
 	m, ok := s.cursors[term]
@@ -54,10 +54,10 @@ func (s *Segment) Cursor(term string) *TermCursor {
 	return &TermCursor{df: m.df, skips: m.skips, pl: m.pl, src: m.src, decoded: -1, boundBi: -1}
 }
 
-// buildCursorMeta assembles a term's skip metadata. Lazy v3 segments
-// parse the skip entries straight out of the dictionary (no posting
-// decode); every other source materializes the list via Postings and
-// derives equivalent skips from it.
+// buildCursorMeta assembles a term's skip metadata. Lazy segments parse
+// the skip entries straight out of the dictionary (no posting decode);
+// built segments and already-decoded terms derive equivalent skips from
+// the materialized list.
 func (s *Segment) buildCursorMeta(term string) *cursorMeta {
 	s.mu.RLock()
 	lazy := s.lazy
@@ -68,7 +68,7 @@ func (s *Segment) buildCursorMeta(term string) *cursorMeta {
 	}
 	s.mu.RUnlock()
 
-	if lazy != nil && lazy.v3 && !inCache {
+	if lazy != nil && !inCache {
 		e, blob, found, err := lazy.findV3(term)
 		if err != nil || !found {
 			return nil
@@ -102,11 +102,12 @@ func (s *Segment) buildCursorMeta(term string) *cursorMeta {
 	return &cursorMeta{df: len(pl), skips: computeSkips(pl, s.DocLens), pl: pl}
 }
 
-// computeSkips derives v3-equivalent skip entries from a materialized
-// posting list: per 32-posting block, the last DocID and the canonical
-// (TF, docLen) frontier. End offsets are unused for materialized
-// sources. Missing docLens entries fall back to length 0, matching the
-// encoder rule (a zero length only inflates the bound — still safe).
+// computeSkips derives the encoder's skip entries from a materialized
+// posting list: per postingsBlockSize-posting block, the last DocID and
+// the canonical (TF, docLen) frontier. End offsets are unused for
+// materialized sources. Missing docLens entries fall back to length 0,
+// matching the encoder rule (a zero length only inflates the bound —
+// still safe).
 func computeSkips(pl PostingList, docLens map[DocID]uint32) []BlockSkip {
 	nblocks := (len(pl) + postingsBlockSize - 1) / postingsBlockSize
 	skips := make([]BlockSkip, 0, nblocks)
@@ -253,14 +254,6 @@ func (c *TermCursor) ensureDecoded() bool {
 	c.scan = 0
 	c.scanned += int64(n)
 	return true
-}
-
-// advanceBlock moves to the next block without decoding the current one.
-func (c *TermCursor) advanceBlock(skippedCurrent bool) {
-	if skippedCurrent && c.decoded != c.bi {
-		c.skippedBlocks++
-	}
-	c.bi++
 }
 
 // decodeBlock parses block bi's postings out of the lazy source. For

@@ -1,8 +1,6 @@
 package index
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 )
@@ -46,72 +44,6 @@ func (pl PostingList) sortCheck() error {
 		}
 	}
 	return nil
-}
-
-var errCorruptPostings = errors.New("index: corrupt postings encoding")
-
-// Encode serializes the list with delta-varint compression: doc gaps,
-// term frequencies, and position gaps.
-func (pl PostingList) Encode() []byte {
-	out := binary.AppendUvarint(nil, uint64(len(pl)))
-	prevDoc := uint64(0)
-	for _, p := range pl {
-		out = binary.AppendUvarint(out, uint64(p.Doc)-prevDoc)
-		prevDoc = uint64(p.Doc)
-		out = binary.AppendUvarint(out, uint64(p.TF))
-		out = binary.AppendUvarint(out, uint64(len(p.Positions)))
-		prevPos := uint64(0)
-		for _, pos := range p.Positions {
-			out = binary.AppendUvarint(out, uint64(pos)-prevPos)
-			prevPos = uint64(pos)
-		}
-	}
-	return out
-}
-
-// DecodePostings parses an encoded posting list and returns the remaining
-// bytes.
-func DecodePostings(data []byte) (PostingList, []byte, error) {
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, nil, errCorruptPostings
-	}
-	data = data[n:]
-	pl := make(PostingList, 0, count)
-	prevDoc := uint64(0)
-	for i := uint64(0); i < count; i++ {
-		gap, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, nil, errCorruptPostings
-		}
-		data = data[n:]
-		doc := prevDoc + gap
-		prevDoc = doc
-		tf, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, nil, errCorruptPostings
-		}
-		data = data[n:]
-		npos, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, nil, errCorruptPostings
-		}
-		data = data[n:]
-		var positions []uint32
-		prevPos := uint64(0)
-		for j := uint64(0); j < npos; j++ {
-			pgap, n := binary.Uvarint(data)
-			if n <= 0 {
-				return nil, nil, errCorruptPostings
-			}
-			data = data[n:]
-			pos := prevPos + pgap
-			prevPos = pos
-			positions = append(positions, uint32(pos))
-		}
-		pl = append(pl, Posting{Doc: DocID(doc), TF: uint32(tf), Positions: positions})
-	}
-	return pl, data, nil
 }
 
 // mergePostingLists unions two lists; on DocID collision the posting from

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -20,22 +19,22 @@ import (
 //
 // Segments exist in two physical states behind one API:
 //
-//   - built: Terms holds every posting list in memory (Builder, Merge, and
-//     v1 decoding produce these);
-//   - lazy: the segment was decoded from the v2 block-structured format
-//     and holds only the raw bytes plus a block index; Postings decodes a
-//     single term's list on first use and memoizes it.
+//   - built: Terms holds every posting list in memory (Builder, Merge and
+//     Restrict produce these);
+//   - lazy: the segment was decoded from its encoded bytes and holds only
+//     those bytes plus a block index; Postings decodes a single term's
+//     list on first use and memoizes it.
 //
 // Both states are safe for concurrent readers. A segment must not be
 // mutated after it is shared (the memoized views assume immutability).
 type Segment struct {
 	Gen     uint64
-	Terms   map[string]PostingList // materialized postings; nil for lazy v2 segments
+	Terms   map[string]PostingList // materialized postings; nil for lazy segments
 	DocLens map[DocID]uint32       // analyzed token count per covered document
 
 	mu      sync.RWMutex
 	sorted  []string               // memoized TermsSorted result
-	lazy    *lazySegment           // non-nil iff decoded from the v2/v3 format
+	lazy    *lazySegment           // non-nil iff decoded from encoded bytes
 	size    int64                  // memoized SizeBytes result (0 = not yet computed)
 	cursors map[string]*cursorMeta // memoized per-term skip metadata (Cursor)
 }
@@ -114,20 +113,11 @@ func (s *Segment) TermsSorted() []string {
 		out = make([]string, 0, s.lazy.nterms)
 		dict := s.lazy.dict
 		for len(dict) > 0 {
-			var term []byte
-			var rest []byte
-			var err error
-			if s.lazy.v3 {
-				var e dictEntryV3
-				e, rest, err = nextDictEntryV3(dict)
-				term = e.term
-			} else {
-				term, _, rest, err = nextDictEntry(dict)
-			}
+			e, rest, err := nextDictEntryV3(dict)
 			if err != nil {
 				break // dict region is validated at decode; defensive only
 			}
-			out = append(out, string(term))
+			out = append(out, string(e.term))
 			dict = rest
 		}
 	} else {
@@ -153,7 +143,7 @@ func (s *Segment) NumTerms() int {
 }
 
 // Postings returns the posting list for a term (nil if absent). On a lazy
-// v2 segment only the requested term's list is decoded; the result is
+// segment only the requested term's list is decoded; the result is
 // memoized so repeated lookups are map-hit cheap. Decode errors are
 // unreachable for segments produced by DecodeSegment (which structurally
 // validates both regions up front); defensively they surface as an absent
@@ -227,15 +217,15 @@ const (
 
 // SizeBytes estimates the segment's resident memory footprint. Cache
 // eviction budgets are charged against it, so it is deliberately cheap
-// and stable: a lazy v2/v3 segment is charged its raw encoding (posting
+// and stable: a lazy segment is charged its raw encoding (posting
 // lists or blocks a query later decodes and memoizes are NOT tracked —
 // they can exceed the varint-packed raw bytes by a small constant
 // factor, so the budget bounds the encoded working set, not every
 // decoded view), a built segment its materialized posting lists. A lazy
-// v3 segment additionally carries the materialized sorted-doc slice
-// (bitmap ordinal → DocID) for block-granular decoding, so that is
-// charged too. Segments are immutable once shared, so the walk runs once
-// and is memoized.
+// segment additionally carries the materialized sorted-doc slice (bitmap
+// ordinal → DocID) for block-granular decoding, so that is charged too.
+// Segments are immutable once shared, so the walk runs once and is
+// memoized.
 func (s *Segment) SizeBytes() int64 {
 	s.mu.RLock()
 	size := s.size
@@ -268,18 +258,13 @@ func (s *Segment) SizeBytes() int64 {
 
 var errCorruptSegment = errors.New("index: corrupt segment encoding")
 
-const (
-	segmentMagic   = 0x5153 // "QS": v1, eager layout (decode compatibility only)
-	segmentMagicV2 = 0x5154 // "QT": v2, block-structured lazy layout
+// dictBlockSize is the number of terms per dictionary block. Lookups
+// binary-search the block index, then scan at most one block; postings
+// byte offsets accumulate within the block.
+const dictBlockSize = 64
 
-	// dictBlockSize is the number of terms per dictionary block in the v2
-	// layout. Lookups binary-search the block index, then scan at most one
-	// block; postings byte offsets accumulate within the block.
-	dictBlockSize = 64
-)
-
-// appendDocLens emits the shared docs region: sorted doc IDs,
-// delta-encoded, each followed by its analyzed length.
+// appendDocLens emits the docs region: sorted doc IDs, delta-encoded,
+// each followed by its analyzed length.
 func appendDocLens(out []byte, docLens map[DocID]uint32) []byte {
 	docs := sortedDocIDs(docLens)
 	out = binary.AppendUvarint(out, uint64(len(docs)))
@@ -292,38 +277,12 @@ func appendDocLens(out []byte, docLens map[DocID]uint32) []byte {
 	return out
 }
 
-// decodeDocLens parses the docs region, returning the remaining bytes.
-func decodeDocLens(data []byte, into map[DocID]uint32) ([]byte, error) {
-	ndocs, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, errCorruptSegment
-	}
-	data = data[n:]
-	prev := uint64(0)
-	for i := uint64(0); i < ndocs; i++ {
-		gap, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, errCorruptSegment
-		}
-		data = data[n:]
-		doc := prev + gap
-		prev = doc
-		dl, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, errCorruptSegment
-		}
-		data = data[n:]
-		into[DocID(doc)] = uint32(dl)
-	}
-	return data, nil
-}
-
 // Encode serializes the segment deterministically (sorted terms and doc
-// IDs) in the current v3 block-max layout, so that every honest worker
-// bee produces byte-identical segments — the property commit–reveal
-// voting relies on. A lazily decoded segment returns a copy of its
-// original bytes regardless of its version (decode → encode is exactly
-// the identity). See docs/segment-format.md for the byte layout.
+// IDs) in the block-max layout, so that every honest worker bee produces
+// byte-identical segments — the property commit–reveal voting relies on.
+// A lazily decoded segment returns a copy of its original bytes (decode →
+// encode is exactly the identity). See docs/segment-format.md for the
+// byte layout.
 func (s *Segment) Encode() []byte {
 	s.mu.RLock()
 	if s.lazy != nil {
@@ -335,152 +294,29 @@ func (s *Segment) Encode() []byte {
 	return s.encodeV3()
 }
 
-// EncodeV2 serializes the segment in the v2 block-structured layout.
-// Kept so tests can prove v2 bytes still decode to the same logical
-// segment; new writers always emit v3. (A lazily decoded v2 segment's
-// Encode already returns its original bytes.)
-func (s *Segment) EncodeV2() []byte {
-	out := binary.AppendUvarint(nil, segmentMagicV2)
-	out = binary.AppendUvarint(out, s.Gen)
-	out = appendDocLens(out, s.DocLens)
-
-	terms := s.TermsSorted()
-	out = binary.AppendUvarint(out, uint64(len(terms)))
-	if len(terms) == 0 {
-		return out
-	}
-
-	var dict, posts []byte
-	type blockMeta struct {
-		firstTerm string
-		dictOff   int
-		postOff   int
-	}
-	blocks := make([]blockMeta, 0, (len(terms)+dictBlockSize-1)/dictBlockSize)
-	for i, t := range terms {
-		if i%dictBlockSize == 0 {
-			blocks = append(blocks, blockMeta{t, len(dict), len(posts)})
-		}
-		enc := s.Postings(t).Encode()
-		dict = binary.AppendUvarint(dict, uint64(len(t)))
-		dict = append(dict, t...)
-		dict = binary.AppendUvarint(dict, uint64(len(enc)))
-		posts = append(posts, enc...)
-	}
-	out = binary.AppendUvarint(out, uint64(len(blocks)))
-	for _, b := range blocks {
-		out = binary.AppendUvarint(out, uint64(len(b.firstTerm)))
-		out = append(out, b.firstTerm...)
-		out = binary.AppendUvarint(out, uint64(b.dictOff))
-		out = binary.AppendUvarint(out, uint64(b.postOff))
-	}
-	out = binary.AppendUvarint(out, uint64(len(dict)))
-	out = append(out, dict...)
-	out = binary.AppendUvarint(out, uint64(len(posts)))
-	out = append(out, posts...)
-	return out
-}
-
-// EncodeV1 serializes the segment in the legacy eager layout. Kept so
-// tests can prove v1 bytes still decode to the same logical segment; new
-// writers always emit v2.
-func (s *Segment) EncodeV1() []byte {
-	out := binary.AppendUvarint(nil, segmentMagic)
-	out = binary.AppendUvarint(out, s.Gen)
-	out = appendDocLens(out, s.DocLens)
-
-	terms := s.TermsSorted()
-	out = binary.AppendUvarint(out, uint64(len(terms)))
-	for _, t := range terms {
-		out = binary.AppendUvarint(out, uint64(len(t)))
-		out = append(out, t...)
-		enc := s.Postings(t).Encode()
-		out = binary.AppendUvarint(out, uint64(len(enc)))
-		out = append(out, enc...)
-	}
-	return out
-}
-
-// DecodeSegment parses an encoded segment. v3 bytes (the current format)
-// and v2 bytes produce lazy segments whose posting lists decode on
-// demand; v1 bytes are still accepted and decode eagerly.
+// DecodeSegment parses an encoded segment into a lazy one whose posting
+// lists decode on demand. There is one format: bytes that do not start
+// with its magic — including the retired 0x5153/0x5154 layouts — fail
+// loudly rather than being guessed at.
 func DecodeSegment(data []byte) (*Segment, error) {
 	magic, n := binary.Uvarint(data)
-	if n <= 0 {
+	if n <= 0 || magic != segmentMagic {
 		return nil, errCorruptSegment
 	}
-	switch magic {
-	case segmentMagic:
-		return decodeSegmentV1(data[n:])
-	case segmentMagicV2:
-		return decodeSegmentV2(data, data[n:])
-	case segmentMagicV3:
-		return decodeSegmentV3(data, data[n:])
-	default:
-		return nil, errCorruptSegment
-	}
+	return decodeSegmentV3(data, data[n:])
 }
 
-// decodeSegmentV1 parses the legacy eager layout (magic already consumed).
-func decodeSegmentV1(data []byte) (*Segment, error) {
-	gen, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, errCorruptSegment
-	}
-	data = data[n:]
-
-	seg := NewSegment(gen)
-	data, err := decodeDocLens(data, seg.DocLens)
-	if err != nil {
-		return nil, err
-	}
-
-	nterms, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, errCorruptSegment
-	}
-	data = data[n:]
-	for i := uint64(0); i < nterms; i++ {
-		tlen, n := binary.Uvarint(data)
-		if n <= 0 || uint64(len(data)-n) < tlen {
-			return nil, errCorruptSegment
-		}
-		data = data[n:]
-		term := string(data[:tlen])
-		data = data[tlen:]
-		plen, n := binary.Uvarint(data)
-		if n <= 0 || uint64(len(data)-n) < plen {
-			return nil, errCorruptSegment
-		}
-		data = data[n:]
-		pl, rest, err := DecodePostings(data[:plen])
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) != 0 {
-			return nil, errCorruptSegment
-		}
-		if err := pl.sortCheck(); err != nil {
-			return nil, err
-		}
-		data = data[plen:]
-		seg.Terms[term] = pl
-	}
-	return seg, nil
-}
-
-// lazySegment is the in-memory view of a v2-encoded segment: raw bytes, a
+// lazySegment is the in-memory view of an encoded segment: raw bytes, a
 // parsed block index, and sub-slices for the dictionary and postings
 // regions. Individual posting lists are decoded on demand.
 type lazySegment struct {
 	raw    []byte // the full original encoding (Encode returns a copy)
 	blocks []lazyBlock
-	dict   []byte // dictionary region: (termLen, term, postingsLen)* (v3: see nextDictEntryV3)
+	dict   []byte // dictionary region (see nextDictEntryV3)
 	posts  []byte // postings region: concatenated posting blobs
 	nterms int
 
-	v3         bool    // raw is the v3 block-max layout
-	docsSorted []DocID // v3 only: covered docs ascending (bitmap ordinals)
+	docsSorted []DocID // covered docs ascending (bitmap ordinals)
 
 	cache map[string]PostingList // memoized decoded lists (guarded by Segment.mu)
 }
@@ -489,215 +325,6 @@ type lazyBlock struct {
 	firstTerm []byte // aliases raw
 	dictOff   int    // byte offset of the block's first dict entry
 	postOff   int    // byte offset of the block's first postings blob
-}
-
-// decodeSegmentV2 parses the v2 layout. raw is the full encoding
-// (including magic); data starts after the magic.
-func decodeSegmentV2(raw, data []byte) (*Segment, error) {
-	gen, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, errCorruptSegment
-	}
-	data = data[n:]
-
-	docLens := make(map[DocID]uint32)
-	data, err := decodeDocLens(data, docLens)
-	if err != nil {
-		return nil, err
-	}
-
-	nterms, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, errCorruptSegment
-	}
-	data = data[n:]
-	if nterms == 0 {
-		if len(data) != 0 {
-			return nil, errCorruptSegment
-		}
-		seg := NewSegment(gen)
-		seg.DocLens = docLens
-		return seg, nil
-	}
-	// Counts are untrusted until the regions are walked: bound them by
-	// what the remaining bytes could possibly hold (a dict entry is ≥ 2
-	// bytes, a block-index record ≥ 3) before any count-sized allocation.
-	if nterms > uint64(len(data))/2 {
-		return nil, errCorruptSegment
-	}
-
-	nblocks, n := binary.Uvarint(data)
-	if n <= 0 || nblocks == 0 || nblocks > nterms || nblocks > uint64(len(data))/3 {
-		return nil, errCorruptSegment
-	}
-	data = data[n:]
-	blocks := make([]lazyBlock, 0, nblocks)
-	for i := uint64(0); i < nblocks; i++ {
-		tlen, n := binary.Uvarint(data)
-		if n <= 0 || uint64(len(data)-n) < tlen {
-			return nil, errCorruptSegment
-		}
-		first := data[n : n+int(tlen)]
-		data = data[n+int(tlen):]
-		dictOff, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, errCorruptSegment
-		}
-		data = data[n:]
-		postOff, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, errCorruptSegment
-		}
-		data = data[n:]
-		blocks = append(blocks, lazyBlock{firstTerm: first, dictOff: int(dictOff), postOff: int(postOff)})
-	}
-
-	dictLen, n := binary.Uvarint(data)
-	if n <= 0 || uint64(len(data)-n) < dictLen {
-		return nil, errCorruptSegment
-	}
-	dict := data[n : n+int(dictLen)]
-	data = data[n+int(dictLen):]
-	postLen, n := binary.Uvarint(data)
-	if n <= 0 || uint64(len(data)-n) < postLen {
-		return nil, errCorruptSegment
-	}
-	posts := data[n : n+int(postLen)]
-	if len(data[n+int(postLen):]) != 0 {
-		return nil, errCorruptSegment
-	}
-
-	if err := validateLazyRegions(dict, posts, int(nterms), blocks); err != nil {
-		return nil, err
-	}
-
-	return &Segment{
-		Gen:     gen,
-		DocLens: docLens,
-		lazy: &lazySegment{
-			raw:    raw,
-			blocks: blocks,
-			dict:   dict,
-			posts:  posts,
-			nterms: int(nterms),
-		},
-	}, nil
-}
-
-// nextDictEntry parses one v2 dictionary entry — (termLen, term bytes,
-// postingsLen) — returning the term (aliasing dict), the posting list's
-// byte length, and the remaining dictionary bytes.
-func nextDictEntry(dict []byte) (term []byte, plen int, rest []byte, err error) {
-	tlen, n := binary.Uvarint(dict)
-	if n <= 0 || uint64(len(dict)-n) < tlen {
-		return nil, 0, nil, errCorruptSegment
-	}
-	term = dict[n : n+int(tlen)]
-	dict = dict[n+int(tlen):]
-	p, n := binary.Uvarint(dict)
-	if n <= 0 || p > 1<<31 {
-		return nil, 0, nil, errCorruptSegment
-	}
-	return term, int(p), dict[n:], nil
-}
-
-// validateLazyRegions walks the dictionary and postings regions once at
-// decode time: dictionary entries must parse with strictly sorted terms
-// and a count matching nterms, postings lengths must tile the postings
-// region exactly, every posting list must scan as well-formed varints
-// with strictly ascending doc IDs, and each block-index record must agree
-// exactly with the walk (its first term and both offsets land on the
-// entry the walk reaches at that stride) so lookups can trust the index.
-// The scan allocates nothing and builds nothing — it only proves the
-// bytes are decodable — so DecodeSegment keeps v1's fail-loud contract
-// for corrupt input (a byzantine worker's digest covers its corrupt
-// bytes, so hash verification alone can't) while first-use decoding
-// keeps the allocation win.
-func validateLazyRegions(dict, posts []byte, nterms int, blocks []lazyBlock) error {
-	var prev []byte
-	count, postOff := 0, 0
-	dictLen := len(dict)
-	for len(dict) > 0 {
-		dictOff := dictLen - len(dict)
-		term, plen, rest, err := nextDictEntry(dict)
-		if err != nil {
-			return err
-		}
-		if count%dictBlockSize == 0 {
-			bi := count / dictBlockSize
-			if bi >= len(blocks) {
-				return errCorruptSegment
-			}
-			b := blocks[bi]
-			if b.dictOff != dictOff || b.postOff != postOff || !bytes.Equal(b.firstTerm, term) {
-				return errCorruptSegment
-			}
-		}
-		if count > 0 && bytes.Compare(prev, term) >= 0 {
-			return errCorruptSegment
-		}
-		if postOff+plen > len(posts) {
-			return errCorruptSegment
-		}
-		if err := scanPostings(posts[postOff : postOff+plen]); err != nil {
-			return err
-		}
-		prev = term
-		count++
-		postOff += plen
-		dict = rest
-	}
-	if count != nterms || postOff != len(posts) {
-		return errCorruptSegment
-	}
-	if (count+dictBlockSize-1)/dictBlockSize != len(blocks) {
-		return errCorruptSegment
-	}
-	return nil
-}
-
-// scanPostings structurally validates one encoded posting list without
-// materializing it: every varint parses, doc IDs are strictly ascending
-// and fit in 32 bits (truncation on decode would silently break the
-// ordering the lookup path relies on), and the list consumes its window
-// exactly.
-func scanPostings(b []byte) error {
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return errCorruptPostings
-	}
-	b = b[n:]
-	doc := uint64(0)
-	for i := uint64(0); i < count; i++ {
-		gap, n := binary.Uvarint(b)
-		if n <= 0 || (i > 0 && gap == 0) || gap > 1<<32-1 {
-			return errCorruptPostings
-		}
-		doc += gap // cannot wrap: both operands stay below 2^32
-		if doc > 1<<32-1 {
-			return errCorruptPostings
-		}
-		b = b[n:]
-		if _, n = binary.Uvarint(b); n <= 0 { // TF
-			return errCorruptPostings
-		}
-		b = b[n:]
-		npos, n := binary.Uvarint(b)
-		if n <= 0 {
-			return errCorruptPostings
-		}
-		b = b[n:]
-		for j := uint64(0); j < npos; j++ {
-			if _, n = binary.Uvarint(b); n <= 0 {
-				return errCorruptPostings
-			}
-			b = b[n:]
-		}
-	}
-	if len(b) != 0 {
-		return errCorruptPostings
-	}
-	return nil
 }
 
 // cmpBytesString compares b to s lexicographically without allocating.
@@ -721,94 +348,6 @@ func cmpBytesString(b []byte, s string) int {
 		return 1
 	}
 	return 0
-}
-
-// lookup binary-searches the block index for the term's block, then scans
-// that block's dictionary entries, accumulating the postings byte offset,
-// and decodes exactly one posting list on a hit.
-func (l *lazySegment) lookup(term string) (PostingList, bool, error) {
-	if l.v3 {
-		return l.lookupV3(term)
-	}
-	// Last block whose first term is <= term.
-	bi := sort.Search(len(l.blocks), func(i int) bool {
-		return cmpBytesString(l.blocks[i].firstTerm, term) > 0
-	}) - 1
-	if bi < 0 {
-		return nil, false, nil
-	}
-	b := l.blocks[bi]
-	dictEnd := len(l.dict)
-	if bi+1 < len(l.blocks) {
-		dictEnd = l.blocks[bi+1].dictOff
-	}
-	dict := l.dict[b.dictOff:dictEnd]
-	postOff := b.postOff
-	for len(dict) > 0 {
-		tb, plen, rest, err := nextDictEntry(dict)
-		if err != nil {
-			return nil, false, err
-		}
-		dict = rest
-		switch c := cmpBytesString(tb, term); {
-		case c == 0:
-			if postOff+plen > len(l.posts) {
-				return nil, false, errCorruptSegment
-			}
-			pl, rest, err := DecodePostings(l.posts[postOff : postOff+plen])
-			if err != nil {
-				return nil, false, err
-			}
-			if len(rest) != 0 {
-				return nil, false, errCorruptSegment
-			}
-			if err := pl.sortCheck(); err != nil {
-				return nil, false, err
-			}
-			return pl, true, nil
-		case c > 0:
-			return nil, false, nil // dictionary is sorted: term absent
-		}
-		postOff += plen
-	}
-	return nil, false, nil
-}
-
-// decodeAll decodes every posting list in dictionary order. Caller holds
-// the owning Segment's write lock.
-func (l *lazySegment) decodeAll() (map[string]PostingList, error) {
-	if l.v3 {
-		return l.decodeAllV3()
-	}
-	m := make(map[string]PostingList, l.nterms)
-	dict := l.dict
-	postOff := 0
-	for len(dict) > 0 {
-		tb, plen, rest, err := nextDictEntry(dict)
-		if err != nil {
-			return nil, err
-		}
-		dict = rest
-		if postOff+plen > len(l.posts) {
-			return nil, errCorruptSegment
-		}
-		pl, prest, err := DecodePostings(l.posts[postOff : postOff+plen])
-		if err != nil {
-			return nil, err
-		}
-		if len(prest) != 0 {
-			return nil, errCorruptSegment
-		}
-		if err := pl.sortCheck(); err != nil {
-			return nil, err
-		}
-		m[string(tb)] = pl
-		postOff += plen
-	}
-	if len(m) != l.nterms {
-		return nil, errCorruptSegment
-	}
-	return m, nil
 }
 
 // Validate checks internal consistency: decodable, sorted postings and

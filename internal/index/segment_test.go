@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -130,9 +131,22 @@ func TestDecodeSegmentCorrupt(t *testing.T) {
 	}
 	seg := buildSeg(1, map[DocID]string{1: "hello world"})
 	enc := seg.Encode()
+	// The retired v1/v2 magics must fail loudly, not be guessed at — even
+	// in front of an otherwise valid body.
+	for _, magic := range []uint64{0x5153, 0x5154} {
+		if _, err := DecodeSegment(retagged(enc, magic)); err == nil {
+			t.Fatalf("retired magic %#x should fail", magic)
+		}
+	}
 	if _, err := DecodeSegment(enc[:len(enc)/2]); err == nil {
 		t.Fatal("truncated segment should fail")
 	}
+}
+
+// retagged returns enc with its leading magic varint replaced.
+func retagged(enc []byte, magic uint64) []byte {
+	_, n := binary.Uvarint(enc)
+	return append(binary.AppendUvarint(nil, magic), enc[n:]...)
 }
 
 func TestMergeNewerGenerationWins(t *testing.T) {
@@ -181,21 +195,45 @@ func TestMergeEmpty(t *testing.T) {
 	}
 }
 
+// roundTripPostings sends one posting list through the segment codec —
+// the only encoding posting lists have — as a single-term segment. A
+// term in every covered doc takes the bitmap encoding; sparse pads the
+// segment with more than 8 other covered docs per posting, which keeps
+// the term below the bitmap threshold so delta gaps carry it.
+func roundTripPostings(pl PostingList, sparse bool) (PostingList, error) {
+	seg := NewSegment(1)
+	if len(pl) > 0 {
+		seg.Terms["t"] = pl
+	}
+	for _, p := range pl {
+		seg.DocLens[p.Doc] = p.TF
+	}
+	for d := DocID(0); sparse && len(seg.DocLens) <= 9*len(pl); d++ {
+		if !seg.Covers(d) {
+			seg.DocLens[d] = 1
+		}
+	}
+	dec, err := DecodeSegment(seg.Encode())
+	if err != nil {
+		return nil, err
+	}
+	return dec.Postings("t"), nil
+}
+
 func TestPostingsEncodeDecodeRoundTrip(t *testing.T) {
 	pl := PostingList{
 		{Doc: 3, TF: 2, Positions: []uint32{0, 9}},
 		{Doc: 100, TF: 1, Positions: []uint32{4}},
 		{Doc: 4000000, TF: 3, Positions: []uint32{1, 2, 3}},
 	}
-	dec, rest, err := DecodePostings(pl.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rest) != 0 {
-		t.Fatalf("trailing bytes: %d", len(rest))
-	}
-	if len(dec) != 3 || dec[2].Doc != 4000000 || dec[0].Positions[1] != 9 {
-		t.Fatalf("decoded = %+v", dec)
+	for _, sparse := range []bool{false, true} {
+		dec, err := roundTripPostings(pl, sparse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dec) != 3 || dec[2].Doc != 4000000 || dec[0].Positions[1] != 9 {
+			t.Fatalf("sparse=%v decoded = %+v", sparse, dec)
+		}
 	}
 }
 
@@ -229,13 +267,15 @@ func TestPostingsRoundTripProperty(t *testing.T) {
 			}
 			pl = append(pl, Posting{Doc: DocID(d), TF: tf, Positions: positions})
 		}
-		dec, rest, err := DecodePostings(pl.Encode())
-		if err != nil || len(rest) != 0 || len(dec) != len(pl) {
-			return false
-		}
-		for i := range pl {
-			if dec[i].Doc != pl[i].Doc || dec[i].TF != pl[i].TF {
+		for _, sparse := range []bool{false, true} {
+			dec, err := roundTripPostings(pl, sparse)
+			if err != nil || len(dec) != len(pl) {
 				return false
+			}
+			for i := range pl {
+				if dec[i].Doc != pl[i].Doc || dec[i].TF != pl[i].TF {
+					return false
+				}
 			}
 		}
 		return true

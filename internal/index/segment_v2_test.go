@@ -29,8 +29,8 @@ func randomDocSegment(seed uint64, gen uint64) *Segment {
 }
 
 // segmentsLogicallyEqual compares two segments term by term through the
-// public API, so an eager (v1-decoded) and a lazy (v2-decoded) segment can
-// be checked against each other.
+// public API, so a built and a lazily decoded segment can be checked
+// against each other.
 func segmentsLogicallyEqual(t *testing.T, a, b *Segment) {
 	t.Helper()
 	if a.Gen != b.Gen {
@@ -72,10 +72,9 @@ func segmentsLogicallyEqual(t *testing.T, a, b *Segment) {
 	}
 }
 
-// TestSegmentV2RoundTripProperty: for random segments, v2 encode → decode
-// → re-encode is byte-identical (determinism commit–reveal voting needs),
-// and the lazy v2 decoding agrees logically with the eager v1 decoding of
-// the same segment.
+// TestSegmentV2RoundTripProperty: for random segments, encode → decode →
+// re-encode is byte-identical (determinism commit–reveal voting needs),
+// and the lazy decoding agrees logically with the built segment.
 func TestSegmentV2RoundTripProperty(t *testing.T) {
 	f := func(seed uint16, genRaw uint8) bool {
 		seg := randomDocSegment(uint64(seed), uint64(genRaw))
@@ -83,34 +82,22 @@ func TestSegmentV2RoundTripProperty(t *testing.T) {
 		enc := seg.Encode()
 		dec, err := DecodeSegment(enc)
 		if err != nil {
-			t.Logf("decode v2: %v", err)
+			t.Logf("decode: %v", err)
 			return false
 		}
 		if !bytes.Equal(dec.Encode(), enc) {
-			t.Log("v2 decode → encode not byte-identical")
+			t.Log("decode → encode not byte-identical")
 			return false
 		}
 		if !bytes.Equal(seg.Encode(), enc) {
-			t.Log("v2 encode not deterministic across calls")
+			t.Log("encode not deterministic across calls")
 			return false
 		}
 		segmentsLogicallyEqual(t, seg, dec)
-
-		v1 := seg.EncodeV1()
-		decV1, err := DecodeSegment(v1)
-		if err != nil {
-			t.Logf("decode v1: %v", err)
-			return false
-		}
-		if decV1.lazy != nil {
-			t.Log("v1 bytes decoded into a lazy segment")
-			return false
-		}
 		if dec.lazy == nil && dec.NumTerms() > 0 {
-			t.Log("v2 bytes decoded into an eager segment")
+			t.Log("a non-empty segment decoded eagerly")
 			return false
 		}
-		segmentsLogicallyEqual(t, decV1, dec)
 		if err := dec.Validate(); err != nil {
 			t.Logf("validate: %v", err)
 			return false
@@ -154,7 +141,7 @@ func TestSegmentV2LargeDictionary(t *testing.T) {
 	}
 }
 
-// TestSegmentV2MergeAgreesWithEager: merging lazy v2-decoded segments must
+// TestSegmentV2MergeAgreesWithEager: merging lazily decoded segments must
 // produce the same bytes as merging their eager builder-built originals.
 func TestSegmentV2MergeAgreesWithEager(t *testing.T) {
 	var eager, lazy []*Segment
@@ -198,54 +185,57 @@ func TestMergeSkipsCorruptSegment(t *testing.T) {
 	}
 }
 
-// TestDecodeHostileCounts: a tiny segment claiming absurd term/block
-// counts must be rejected with an error, not panic on a count-sized
-// allocation.
-func TestDecodeHostileCounts(t *testing.T) {
-	hostile := binary.AppendUvarint(nil, segmentMagicV2)
-	hostile = binary.AppendUvarint(hostile, 1)     // gen
-	hostile = binary.AppendUvarint(hostile, 0)     // ndocs
-	hostile = binary.AppendUvarint(hostile, 1<<62) // nterms
-	hostile = binary.AppendUvarint(hostile, 1<<62) // nblocks
-	if _, err := DecodeSegment(hostile); err == nil {
-		t.Fatal("hostile counts should fail decode")
-	}
-}
-
-// TestDecodeRejectsDocOverflow: a posting list whose accumulated doc IDs
+// TestDecodeRejectsDocOverflow: a delta term whose accumulated doc IDs
 // exceed 32 bits would truncate into non-ascending order on decode; the
-// decode-time scan must reject it instead of letting lookups silently
-// fail later.
+// decode-time walk must reject it — whether a single gap is too wide or
+// the running sum is — instead of letting lookups silently fail later.
+// The skip entry claims the truncated last DocID, so only the postings
+// walk can catch the lie; the same hand-built bytes with a small gap
+// decode, which pins the rejection on the overflow.
 func TestDecodeRejectsDocOverflow(t *testing.T) {
-	var posts []byte
-	posts = binary.AppendUvarint(posts, 2)     // 2 postings
-	posts = binary.AppendUvarint(posts, 1)     // doc 1
-	posts = binary.AppendUvarint(posts, 1)     // TF
-	posts = binary.AppendUvarint(posts, 0)     // no positions
-	posts = binary.AppendUvarint(posts, 1<<32) // gap → doc truncates to 1
-	posts = binary.AppendUvarint(posts, 1)     // TF
-	posts = binary.AppendUvarint(posts, 0)     // no positions
+	build := func(gap, claimedLast uint64) []byte {
+		var blob []byte
+		blob = binary.AppendUvarint(blob, 1)   // doc 1
+		blob = binary.AppendUvarint(blob, 1)   // TF
+		blob = binary.AppendUvarint(blob, 0)   // no positions
+		blob = binary.AppendUvarint(blob, gap) // second doc
+		blob = binary.AppendUvarint(blob, 1)   // TF
+		blob = binary.AppendUvarint(blob, 0)   // no positions
 
-	enc := binary.AppendUvarint(nil, segmentMagicV2)
-	enc = binary.AppendUvarint(enc, 1) // gen
-	enc = binary.AppendUvarint(enc, 0) // ndocs
-	enc = binary.AppendUvarint(enc, 1) // nterms
-	enc = binary.AppendUvarint(enc, 1) // nblocks
-	enc = binary.AppendUvarint(enc, 1) // block firstTermLen
-	enc = append(enc, 'x')
-	enc = binary.AppendUvarint(enc, 0) // block dictOff
-	enc = binary.AppendUvarint(enc, 0) // block postOff
-	var dict []byte
-	dict = binary.AppendUvarint(dict, 1)
-	dict = append(dict, 'x')
-	dict = binary.AppendUvarint(dict, uint64(len(posts)))
-	enc = binary.AppendUvarint(enc, uint64(len(dict)))
-	enc = append(enc, dict...)
-	enc = binary.AppendUvarint(enc, uint64(len(posts)))
-	enc = append(enc, posts...)
+		var dict []byte
+		dict = binary.AppendUvarint(dict, 1) // termLen
+		dict = append(dict, 'x')
+		dict = binary.AppendUvarint(dict, 0)                 // enc: delta
+		dict = binary.AppendUvarint(dict, 2)                 // df
+		dict = binary.AppendUvarint(dict, uint64(len(blob))) // blobLen
+		dict = binary.AppendUvarint(dict, claimedLast)       // skip: last DocID
+		dict = binary.AppendUvarint(dict, uint64(len(blob))) // skip: end offset
+		dict = binary.AppendUvarint(dict, 1)                 // skip: one frontier pair
+		dict = binary.AppendUvarint(dict, 1)                 // pair TF
+		dict = binary.AppendUvarint(dict, 0)                 // pair DL (docs uncovered)
 
-	if _, err := DecodeSegment(enc); err == nil {
-		t.Fatal("doc-ID overflow should fail decode")
+		enc := binary.AppendUvarint(nil, segmentMagic)
+		enc = binary.AppendUvarint(enc, 1) // gen
+		enc = binary.AppendUvarint(enc, 0) // ndocs
+		enc = binary.AppendUvarint(enc, 1) // nterms
+		enc = binary.AppendUvarint(enc, 1) // nblocks
+		enc = binary.AppendUvarint(enc, 1) // block firstTermLen
+		enc = append(enc, 'x')
+		enc = binary.AppendUvarint(enc, 0) // block dictOff
+		enc = binary.AppendUvarint(enc, 0) // block postOff
+		enc = binary.AppendUvarint(enc, uint64(len(dict)))
+		enc = append(enc, dict...)
+		enc = binary.AppendUvarint(enc, uint64(len(blob)))
+		return append(enc, blob...)
+	}
+	if _, err := DecodeSegment(build(2, 3)); err != nil {
+		t.Fatalf("hand-built control segment should decode: %v", err)
+	}
+	if _, err := DecodeSegment(build(1<<32, 1)); err == nil {
+		t.Fatal("a doc gap wider than 32 bits should fail decode")
+	}
+	if _, err := DecodeSegment(build(1<<32-1, 0)); err == nil {
+		t.Fatal("an accumulated doc ID past 32 bits should fail decode")
 	}
 }
 
@@ -360,15 +350,17 @@ func TestTopKMatchesFullSort(t *testing.T) {
 }
 
 // FuzzDecodeSegment: arbitrary bytes must never panic the decoder, every
-// successful decode must validate or fail cleanly, and a v2 decode must
-// re-encode to the exact input bytes.
+// successful decode must validate or fail cleanly, and a lazy decode must
+// re-encode to the exact input bytes. The retired v1/v2 magics are seeded
+// one byte away from a valid segment, so the corpus sits on both sides of
+// the format check.
 func FuzzDecodeSegment(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte{0xFF, 0xFF, 0x01})
 	seed := randomDocSegment(11, 2)
 	f.Add(seed.Encode())
-	f.Add(seed.EncodeV1())
-	f.Add(seed.EncodeV2())
+	f.Add(retagged(seed.Encode(), 0x5153))
+	f.Add(retagged(seed.Encode(), 0x5154))
 	f.Add(denseSparseSegment(40).Encode())
 	empty := NewSegment(0)
 	f.Add(empty.Encode())
@@ -379,7 +371,7 @@ func FuzzDecodeSegment(f *testing.F) {
 		}
 		if seg.lazy != nil {
 			if !bytes.Equal(seg.Encode(), data) {
-				t.Fatal("v2 decode → encode not byte-identical")
+				t.Fatal("decode → encode not byte-identical")
 			}
 		}
 		// Decode structurally validates both regions up front; Validate

@@ -7,16 +7,17 @@ import (
 	"sort"
 )
 
-// Segment format v3: the block-max layout. The outer shell is identical
-// to v2 (magic, gen, docs region, 64-term dictionary index, dict region,
-// postings region), but each dictionary entry now carries per-block skip
-// metadata — last DocID, end byte offset, and the Pareto frontier of
-// (TF, docLen) pairs from which a block-max term score bound can be
-// computed for any corpus stats — and dense terms (df ≥ ndocs/8) switch
-// from delta-varint postings to a bitmap over the segment's sorted doc
-// ordinals. See docs/segment-format.md for the byte layout.
+// The segment format: the block-max layout. The shell is magic, gen, docs
+// region, 64-term dictionary index, dict region, postings region; each
+// dictionary entry carries per-block skip metadata — last DocID, end byte
+// offset, and the Pareto frontier of (TF, docLen) pairs from which a
+// block-max term score bound can be computed for any corpus stats — and
+// dense terms (df ≥ ndocs/8) switch from delta-varint postings to a
+// bitmap over the segment's sorted doc ordinals. Identifiers call it v3:
+// it is the third layout this index has had, and the only one left. See
+// docs/segment-format.md for the byte layout.
 const (
-	segmentMagicV3 = 0x5155 // "QU": v3, block-max skip layout
+	segmentMagic = 0x5155 // "QU"
 
 	// postingsBlockSize is the number of postings per skip block. Skip
 	// entries and block-max bounds are kept per block; WAND decodes or
@@ -108,12 +109,12 @@ func blockFrontier(pairs []TFDL) []TFDL {
 }
 
 // appendTermV3 encodes one term's dictionary entry and postings blob.
-// Delta terms chain doc gaps across block boundaries (the blob is the
-// v1/v2 posting encoding minus the leading count); bitmap terms emit a
-// bitmap over the segment's doc ordinals followed by a (TF, positions)
-// stream. docLen for frontier pairs falls back to 0 when the doc is not
-// covered (Validate rejects such segments separately; 0 only inflates
-// the bound, which stays safe).
+// Delta terms chain doc gaps across block boundaries (the blob is a run
+// of (doc gap, TF, positions) records); bitmap terms emit a bitmap over
+// the segment's doc ordinals followed by a (TF, positions) stream. docLen
+// for frontier pairs falls back to 0 when the doc is not covered
+// (Validate rejects such segments separately; 0 only inflates the bound,
+// which stays safe).
 func appendTermV3(dict, posts []byte, term string, pl PostingList, docLens map[DocID]uint32, docsSorted []DocID, pairs *[]TFDL) ([]byte, []byte) {
 	df := len(pl)
 	enc := uint64(0)
@@ -214,7 +215,7 @@ func postingDocsCovered(pl PostingList, docLens map[DocID]uint32) bool {
 
 // encodeV3 serializes a built segment in the v3 block-max layout.
 func (s *Segment) encodeV3() []byte {
-	out := binary.AppendUvarint(nil, segmentMagicV3)
+	out := binary.AppendUvarint(nil, segmentMagic)
 	out = binary.AppendUvarint(out, s.Gen)
 	out = appendDocLens(out, s.DocLens)
 
@@ -253,9 +254,9 @@ func (s *Segment) encodeV3() []byte {
 	return out
 }
 
-// decodeDocLensOrdered parses the docs region like decodeDocLens but also
-// returns the doc IDs in encounter order, enforcing the strictly
-// ascending order v3 bitmaps index into.
+// decodeDocLensOrdered parses the docs region into the length map and
+// also returns the doc IDs in encounter order, enforcing the strictly
+// ascending order v3 bitmaps index into. It returns the remaining bytes.
 func decodeDocLensOrdered(data []byte, into map[DocID]uint32) ([]byte, []DocID, error) {
 	ndocs, n := binary.Uvarint(data)
 	if n <= 0 || ndocs > uint64(len(data))/2 {
@@ -314,6 +315,9 @@ func decodeSegmentV3(raw, data []byte) (*Segment, error) {
 		seg.DocLens = docLens
 		return seg, nil
 	}
+	// Counts are untrusted until the regions are walked: bound them by
+	// what the remaining bytes could possibly hold (a dict entry is ≥ 2
+	// bytes, a block-index record ≥ 3) before any count-sized allocation.
 	if nterms > uint64(len(data))/2 {
 		return nil, errCorruptSegment
 	}
@@ -372,7 +376,6 @@ func decodeSegmentV3(raw, data []byte) (*Segment, error) {
 			dict:       dict,
 			posts:      posts,
 			nterms:     int(nterms),
-			v3:         true,
 			docsSorted: docsSorted,
 		},
 	}, nil
@@ -505,14 +508,19 @@ func parseSkipsV3(raw []byte, df int) ([]BlockSkip, error) {
 	return skips, nil
 }
 
-// validateLazyRegionsV3 is the v3 counterpart of validateLazyRegions: it
-// walks the dictionary and postings regions once at decode time, checks
-// the 64-term block index against the walk, and — beyond the v2 checks —
-// re-derives every skip entry (last DocID, end offset, frontier) from
-// the postings bytes and requires exact agreement, so lying block-max
-// bounds are rejected up front rather than silently corrupting top-k
-// results. Fail-loud parity with v2: any structural or metadata lie
-// fails the whole decode.
+// validateLazyRegionsV3 walks the dictionary and postings regions once at
+// decode time: dictionary entries must parse with strictly sorted terms
+// and a count matching nterms, blob lengths must tile the postings region
+// exactly, each block-index record must agree exactly with the walk (its
+// first term and both offsets land on the entry the walk reaches at that
+// stride) so lookups can trust the index, and every skip entry (last
+// DocID, end offset, frontier) is re-derived from the postings bytes and
+// must match — lying block-max bounds are rejected up front rather than
+// silently corrupting top-k results. The walk materializes no posting
+// list; it only proves the bytes are decodable. DecodeSegment therefore
+// fails loudly on any structural or metadata lie (a byzantine worker's
+// digest covers its corrupt bytes, so hash verification alone can't
+// catch one) while first-use decoding keeps the allocation win.
 func validateLazyRegionsV3(dict, posts []byte, nterms int, blocks []lazyBlock, docLens map[DocID]uint32, docsSorted []DocID) error {
 	var prev []byte
 	count, postOff := 0, 0
@@ -767,9 +775,8 @@ func (l *lazySegment) findV3(term string) (e dictEntryV3, blob []byte, found boo
 	return e, nil, false, nil
 }
 
-// lookupV3 is the v3 counterpart of lookup: decode exactly one term's
-// posting list on a hit.
-func (l *lazySegment) lookupV3(term string) (PostingList, bool, error) {
+// lookup decodes exactly one term's posting list on a hit.
+func (l *lazySegment) lookup(term string) (PostingList, bool, error) {
 	e, blob, found, err := l.findV3(term)
 	if err != nil || !found {
 		return nil, found, err
@@ -784,9 +791,9 @@ func (l *lazySegment) lookupV3(term string) (PostingList, bool, error) {
 	return pl, true, nil
 }
 
-// decodeAllV3 decodes every posting list in dictionary order. Caller
-// holds the owning Segment's write lock.
-func (l *lazySegment) decodeAllV3() (map[string]PostingList, error) {
+// decodeAll decodes every posting list in dictionary order. Caller holds
+// the owning Segment's write lock.
+func (l *lazySegment) decodeAll() (map[string]PostingList, error) {
 	m := make(map[string]PostingList, l.nterms)
 	dict := l.dict
 	postOff := 0

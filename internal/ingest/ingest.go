@@ -367,9 +367,7 @@ func (c *crawl) sequence() Stats {
 		seq := c.nextSeq
 		r := c.results[seq]
 		delete(c.results, seq)
-		c.nextSeq++
 		discovered := c.disc[seq]
-		c.cond.Broadcast() // nextSeq moved: idle workers may now exit
 		c.mu.Unlock()
 
 		// Virtual fetch schedule: the least-loaded simulated worker
@@ -389,10 +387,12 @@ func (c *crawl) sequence() Stats {
 
 		if r.dangling {
 			st.Dangling++
+			c.release(nil, done)
 			continue
 		}
 		if r.failed {
 			st.FetchFailed++
+			c.release(nil, done)
 			continue
 		}
 		st.Fetched++
@@ -405,20 +405,7 @@ func (c *crawl) sequence() Stats {
 				sigs.Add(r.page.URL, r.sig)
 			}
 		}
-		c.mu.Lock()
-		for _, l := range r.page.Links {
-			if c.visited[l] {
-				continue
-			}
-			if c.opts.MaxPages > 0 && len(c.frontier) >= c.opts.MaxPages {
-				break
-			}
-			c.visited[l] = true
-			c.frontier = append(c.frontier, l)
-			c.disc = append(c.disc, done)
-		}
-		c.cond.Broadcast()
-		c.mu.Unlock()
+		c.release(r.page.Links, done)
 		if demoted {
 			continue // links still crawl; only the content is demoted
 		}
@@ -428,6 +415,30 @@ func (c *crawl) sequence() Stats {
 			return st
 		}
 	}
+}
+
+// release finishes sequencing one frontier entry: it appends the page's
+// undiscovered links (discovered at virtual time done) and only then
+// advances nextSeq, in ONE critical section. Workers exit when nothing
+// is claimable and nothing is unsequenced; if nextSeq moved before the
+// links landed, every worker could leave in that window and the new
+// links would sit in a frontier nobody fetches.
+func (c *crawl) release(links []string, done time.Duration) {
+	c.mu.Lock()
+	for _, l := range links {
+		if c.visited[l] {
+			continue
+		}
+		if c.opts.MaxPages > 0 && len(c.frontier) >= c.opts.MaxPages {
+			break
+		}
+		c.visited[l] = true
+		c.frontier = append(c.frontier, l)
+		c.disc = append(c.disc, done)
+	}
+	c.nextSeq++
+	c.cond.Broadcast() // frontier grew or nextSeq moved: wake idle workers
+	c.mu.Unlock()
 }
 
 // batchCost is one driven round's phase costs.

@@ -103,6 +103,26 @@ func TestIngestFrontierDiscovery(t *testing.T) {
 	}
 }
 
+// TestIngestSingleSeedChainCompletes provokes the worker-exit race: after
+// a single seed the sequencer is always caught up with the frontier, so if
+// nextSeq ever moves before the page's links are appended, every idle
+// worker (FetchWorkers ≫ frontier) can leave in that window and the crawl
+// hangs on links nobody fetches. Each iteration runs under its own
+// deadline so a regression fails here instead of wedging the suite.
+func TestIngestSingleSeedChainCompletes(t *testing.T) {
+	pages := chainPages(40)
+	src := MapSource(pages)
+	for i := 0; i < 300; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		st, err := Crawl(ctx, src, &fakeSink{}, []string{pages[0].URL},
+			Options{Seed: uint64(i), FetchWorkers: 16, BatchSize: 8, QueueDepth: 4})
+		cancel()
+		if err != nil || st.Published != len(pages) {
+			t.Fatalf("iteration %d: err = %v, published %d of %d", i, err, st.Published, len(pages))
+		}
+	}
+}
+
 func TestIngestScraperMirrorDemoted(t *testing.T) {
 	// The paper's scraper attack: a mirror site republishes page 3's
 	// content with a few spliced words, hoping to siphon its traffic.

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/netsim"
 )
 
 // Option configures an Engine at construction.
@@ -68,17 +67,6 @@ func WithStakeWeightedQuorum(on bool) Option {
 	return func(c *core.Config) { c.Contract.StakeWeightedQuorum = on }
 }
 
-// WithCacheBudget bounds the frontend's two query caches in bytes: the
-// per-digest segment cache and the per-shard merged-chain cache. Both are
-// LRU-evicted, so a long-lived serving deployment stays within budget
-// under publish churn. Zero (or negative) selects the defaults.
-func WithCacheBudget(segBytes, chainBytes int64) Option {
-	return func(c *core.Config) {
-		c.SegCacheBytes = segBytes
-		c.ChainCacheBytes = chainBytes
-	}
-}
-
 // WithParallelRounds controls whether the write-side round engine fans
 // its work out across goroutines: bee commit compute as one wave per
 // round, then shard materialization as one wave per touched shard. On
@@ -118,17 +106,6 @@ func WithHedgedReads(on bool) Option {
 // Deterministic per seed. Zero means no bound.
 func WithDefaultDeadline(d time.Duration) Option {
 	return func(c *core.Config) { c.DefaultDeadline = d }
-}
-
-// WithFaultPlan installs a deterministic fault schedule: as the engine
-// seals blocks, simulated time advances through the plan's events —
-// crashes, recoveries, partitions, lossy-link episodes — firing each at
-// its scripted offset. Victim sampling is seeded by the plan, so the
-// same plan on the same deployment always kills the same nodes. Pair
-// with WithMaintenance and WithDegradedReads to study self-healing;
-// docs/robustness.md has the contract.
-func WithFaultPlan(p *netsim.FaultPlan) Option {
-	return func(c *core.Config) { c.FaultPlan = p }
 }
 
 // WithMaintenance runs one self-healing pass after every protocol

@@ -1,7 +1,6 @@
 package queenbee
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -11,17 +10,15 @@ import (
 	"repro/internal/contracts"
 	"repro/internal/core"
 	"repro/internal/ingest"
-	"repro/internal/netsim"
 )
 
 // Engine is a running QueenBee deployment (simulated swarm + chain +
 // contract + serving tier). Create with New; drive with Publish / Run /
 // Search.
 //
-// Concurrency: the query side — Search, SearchAny, SearchPhrase,
-// SearchSnippets, the *Ctx variants, Query builders, Fetch — is safe
-// for concurrent use, and with the default per-link network streams the
-// same seed yields byte-identical results whether queries run
+// Concurrency: the query side — Search, Query/QueryCtx builders, Fetch —
+// is safe for concurrent use, and with the default per-link network
+// streams the same seed yields byte-identical results whether queries run
 // sequentially or raced across goroutines (cmd/queenbeed serves HTTP on
 // exactly this contract; docs/serving.md has the design). Queries are
 // served by a pool of per-peer frontends behind a deterministic
@@ -65,7 +62,7 @@ type Result struct {
 	URL     string
 	Score   float64
 	Rank    float64
-	Snippet string // set by SearchSnippets
+	Snippet string // set by Query(...).WithSnippets()
 }
 
 // Ad is an advertisement attached to a search response.
@@ -171,44 +168,12 @@ func (e *Engine) RunUntilIdle() {
 }
 
 // Search answers a conjunctive (AND) keyword query with ranked results
-// and relevant ads. It is a thin wrapper over the Query builder's flat
-// All mode; use Query directly for boolean operators, exclusions,
-// site: filters, pagination and Explain.
+// and relevant ads. It is the one convenience wrapper over the Query
+// builder's flat All mode; use Query (or QueryCtx, for a request
+// lifecycle) directly for Any/Phrase modes, boolean operators,
+// exclusions, site: filters, pagination, snippets and Explain.
 func (e *Engine) Search(query string, k int) ([]Result, []Ad, error) {
-	return e.SearchCtx(context.Background(), query, k)
-}
-
-// SearchCtx is Search with a request lifecycle: cancelling ctx abandons
-// the query's remaining simulated waves and fails it with
-// ErrDeadlineExceeded (caches and singleflights stay consistent). Pair
-// with WithDefaultDeadline or QueryCtx(...).Deadline(d) for simulated
-// latency bounds.
-func (e *Engine) SearchCtx(ctx context.Context, query string, k int) ([]Result, []Ad, error) {
-	return collapse(e.QueryCtx(ctx, query).All().Limit(k).Run())
-}
-
-// SearchAny returns documents matching any query term (OR semantics); a
-// thin wrapper over Query(...).Any().
-func (e *Engine) SearchAny(query string, k int) ([]Result, []Ad, error) {
-	return collapse(e.Query(query).Any().Limit(k).Run())
-}
-
-// SearchPhrase returns documents containing the query terms as an exact
-// adjacent phrase (positional postings); a thin wrapper over
-// Query(...).Phrase().
-func (e *Engine) SearchPhrase(query string, k int) ([]Result, []Ad, error) {
-	return collapse(e.Query(query).Phrase().Limit(k).Run())
-}
-
-// SearchSnippets is Search with a text snippet extracted around the
-// first match of each result (costs extra content fetches); a thin
-// wrapper over Query(...).All().WithSnippets().
-func (e *Engine) SearchSnippets(query string, k int) ([]Result, []Ad, error) {
-	return collapse(e.Query(query).All().WithSnippets().Limit(k).Run())
-}
-
-// collapse adapts a builder response to the legacy triple signature.
-func collapse(resp *Response, err error) ([]Result, []Ad, error) {
+	resp, err := e.Query(query).All().Limit(k).Run()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -352,26 +317,6 @@ type Degraded = core.Degraded
 // Readiness is the serving-health summary behind queenbeed's /readyz:
 // per-shard pointer reachability through a live DHT node.
 type Readiness = core.Readiness
-
-// FaultPlan is a deterministic schedule of churn events, installed with
-// WithFaultPlan (re-exported from the network simulation).
-type FaultPlan = netsim.FaultPlan
-
-// FaultEvent is one scripted entry of a FaultPlan.
-type FaultEvent = netsim.FaultEvent
-
-// FaultKind discriminates FaultEvent entries.
-type FaultKind = netsim.FaultKind
-
-// Re-exported fault kinds, so fault plans can be scripted without
-// importing the network simulation.
-const (
-	FaultCrash     = netsim.FaultCrash
-	FaultRecover   = netsim.FaultRecover
-	FaultPartition = netsim.FaultPartition
-	FaultHeal      = netsim.FaultHeal
-	FaultDropRate  = netsim.FaultDropRate
-)
 
 // PoolStats is a snapshot of the serving tier: per-frontend load
 // counters (served, in-flight, accumulated simulated busy time, hedges,
