@@ -1,9 +1,9 @@
 package queenbee
 
-// The benchmark harness: one testing.B benchmark per experiment (E1–E13,
-// see DESIGN.md §3 — these regenerate the reproduction's tables/figures)
-// plus micro-benchmarks for the ablations (A1 intersection kernels, A3
-// replication, A4 segment merge policy) and the hot inner loops.
+// The benchmark harness: micro-benchmarks for the ablations (A1
+// intersection kernels, A3 replication, A4 segment merge policy) and the
+// hot inner loops. The experiments themselves (E1–E19) run under
+// internal/experiments' TestAllExperimentsProduceTables.
 //
 // Run with:
 //
@@ -17,45 +17,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/dht"
-	"repro/internal/experiments"
 	"repro/internal/index"
 	"repro/internal/netsim"
 	"repro/internal/rank"
 	"repro/internal/xrand"
 )
-
-// benchExperiment runs a whole experiment per iteration; the tables land
-// in b.Logf on -v so `-bench` output stays scannable.
-func benchExperiment(b *testing.B, id string) {
-	e, ok := experiments.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tables := e.Run(1)
-		if len(tables) == 0 {
-			b.Fatalf("%s produced no tables", id)
-		}
-	}
-}
-
-func BenchmarkE1EndToEnd(b *testing.B)    { benchExperiment(b, "E1") }
-func BenchmarkE2Replication(b *testing.B) { benchExperiment(b, "E2") }
-func BenchmarkE3Resilience(b *testing.B)  { benchExperiment(b, "E3") }
-func BenchmarkE4DDoS(b *testing.B)        { benchExperiment(b, "E4") }
-func BenchmarkE5Freshness(b *testing.B)   { benchExperiment(b, "E5") }
-func BenchmarkE6Tamper(b *testing.B)      { benchExperiment(b, "E6") }
-func BenchmarkE7BeeScaling(b *testing.B)  { benchExperiment(b, "E7") }
-func BenchmarkE8PageRank(b *testing.B)    { benchExperiment(b, "E8") }
-func BenchmarkE9Intersect(b *testing.B)   { benchExperiment(b, "E9") }
-func BenchmarkE10Incentives(b *testing.B) { benchExperiment(b, "E10") }
-func BenchmarkE11Collusion(b *testing.B)  { benchExperiment(b, "E11") }
-func BenchmarkE12Scraper(b *testing.B)    { benchExperiment(b, "E12") }
-func BenchmarkE13AdMarket(b *testing.B)   { benchExperiment(b, "E13") }
-func BenchmarkE14Serving(b *testing.B)    { benchExperiment(b, "E14") }
 
 // --- micro-benchmarks -------------------------------------------------
 
@@ -423,11 +392,8 @@ func BenchmarkCompaction(b *testing.B) {
 			var ingested, compacted, compactions int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				opts := []Option{WithSeed(1), WithPeers(10), WithBees(3), WithShards(4)}
-				if mono {
-					opts = append(opts, WithMonolithicCompaction(true))
-				}
-				e := New(opts...)
+				e := New(WithSeed(1), WithPeers(10), WithBees(3), WithShards(4),
+					func(c *core.Config) { c.MonolithicCompaction = mono })
 				owner := e.NewAccount("compact-owner", 1<<40)
 				b.StartTimer()
 				doc := 0
@@ -490,7 +456,7 @@ func BenchmarkSearch(b *testing.B) {
 // scalingCorpusEngine boots an engine holding an ndocs-document corpus
 // ingested as ONE batch (one commit-reveal round → one segment per
 // shard, so queries hit the lazy v3 block-max path, not a merged chain).
-func scalingCorpusEngine(tb testing.TB, ndocs int, opts ...Option) (*Engine, *corpus.Corpus) {
+func scalingCorpusEngine(tb testing.TB, ndocs int) (*Engine, *corpus.Corpus) {
 	tb.Helper()
 	cfg := corpus.DefaultConfig()
 	cfg.NumDocs = ndocs
@@ -500,8 +466,7 @@ func scalingCorpusEngine(tb testing.TB, ndocs int, opts ...Option) (*Engine, *co
 	for i, d := range corp.Docs {
 		pages[i] = Page{URL: d.URL, Text: d.Text, Links: d.Links}
 	}
-	base := []Option{WithSeed(1), WithPeers(12), WithBees(3)}
-	e := New(append(base, opts...)...)
+	e := New(WithSeed(1), WithPeers(12), WithBees(3))
 	owner := e.NewAccount("scaling-owner", 1<<40)
 	if _, err := e.PublishBatch(owner, pages); err != nil {
 		tb.Fatal(err)

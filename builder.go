@@ -50,26 +50,11 @@ type Explain = core.Explain
 // ExplainNode is one operator of an executed plan (see Explain).
 type ExplainNode = core.ExplainNode
 
-// Response is the full answer to a structured query.
-type Response struct {
-	Results []Result
-	Ads     []Ad
-	// Total counts every document that matched the boolean query,
-	// before pagination truncated to the requested page — ceil(Total /
-	// pageSize) is the page count.
-	Total int
-	// Cost is the simulated network expense of answering the query.
-	Cost Cost
-	// ScoreStats counts the scoring work behind this answer: postings
-	// scanned versus blocks and documents skipped by early termination.
-	ScoreStats ScoreStats
-	// Explain is non-nil when the builder requested an execution trace.
-	Explain *Explain
-	// Degraded is non-nil when the deployment runs WithDegradedReads and
-	// this answer was assembled from a partial shard wave: it names the
-	// failed shards, the completeness fraction, and the first cause.
-	Degraded *Degraded
-}
+// Response is the full answer to a structured query. Total counts every
+// document that matched before pagination — ceil(Total / pageSize) is
+// the page count; Explain is non-nil when the builder requested a trace,
+// Degraded when WithDegradedReads composed a partial answer.
+type Response = core.SearchResponse
 
 // QueryBuilder assembles one structured search fluently:
 //
@@ -213,20 +198,5 @@ func (b *QueryBuilder) Run() (*Response, error) {
 		}
 		return nil, err
 	}
-	out := &Response{
-		Results:    make([]Result, 0, len(resp.Results)),
-		Ads:        make([]Ad, 0, len(resp.Ads)),
-		Total:      resp.Total,
-		Cost:       resp.Cost,
-		ScoreStats: resp.ScoreStats,
-		Explain:    resp.Explain,
-		Degraded:   resp.Degraded,
-	}
-	for _, r := range resp.Results {
-		out.Results = append(out.Results, Result{URL: r.URL, Score: r.Score, Rank: r.Rank, Snippet: r.Snippet})
-	}
-	for _, a := range resp.Ads {
-		out.Ads = append(out.Ads, Ad{ID: a.ID, Keywords: a.Keywords, BidPerClick: a.BidPerClick})
-	}
-	return out, nil
+	return &resp, nil
 }

@@ -481,9 +481,9 @@ type statsJSON struct {
 	Rank           rankJSON            `json:"rank"`
 }
 
+// handleStats takes no server lock: every block below is guarded by its
+// own mutex precisely so it can be read while a publish round runs.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	ps := s.engine.PoolStats()
 	out := statsJSON{
 		PoolSize:       ps.Size,

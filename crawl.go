@@ -23,14 +23,13 @@ type CrawlOptions struct {
 	// Pages is the crawlable web: URLs resolve against this set, links
 	// walk it. Links pointing outside it count as dangling.
 	Pages []Page
-	// FetchWorkers, QueueDepth, BatchSize, MaxPages, Serial,
-	// DedupThreshold, FetchFailRate and MeanFetchLatency map directly
-	// onto ingest.Options (zero values select the defaults there).
+	// FetchWorkers, QueueDepth, BatchSize, MaxPages, DedupThreshold,
+	// FetchFailRate and MeanFetchLatency map directly onto
+	// ingest.Options (zero values select the defaults there).
 	FetchWorkers     int
 	QueueDepth       int
 	BatchSize        int
 	MaxPages         int
-	Serial           bool
 	DedupThreshold   float64
 	FetchFailRate    float64
 	MeanFetchLatency time.Duration
@@ -71,7 +70,6 @@ func (e *Engine) Crawl(ctx context.Context, seeds []string, o CrawlOptions) (Ing
 			QueueDepth:       o.QueueDepth,
 			BatchSize:        o.BatchSize,
 			MaxPages:         o.MaxPages,
-			Serial:           o.Serial,
 			DedupThreshold:   o.DedupThreshold,
 			FetchFailRate:    o.FetchFailRate,
 			MeanFetchLatency: o.MeanFetchLatency,

@@ -63,9 +63,9 @@
 // per-term cursors drive top-k early termination against a bounded
 // min-heap threshold, skipping every posting block that provably cannot
 // reach the current page — byte-identical to exhaustive scoring
-// (WithExhaustiveScoring forces the legacy loop; Response.ScoreStats
-// reports postings scanned vs skipped). Segment encoding remains
-// byte-deterministic, which commit–reveal task verification depends on.
+// (Response.ScoreStats reports postings scanned vs skipped). Segment
+// encoding remains byte-deterministic, which commit–reveal task
+// verification depends on.
 //
 // # Concurrent serving
 //
@@ -73,12 +73,11 @@
 // reproducibility: the network simulation derives an independent RNG
 // stream per (caller, target) link, so the same seed yields the same
 // results whether queries run one at a time or raced across goroutines
-// (docs/serving.md has the design; WithSharedNetStream restores the
-// legacy single-stream draws for golden-cost comparisons). Shard waves
-// execute as true goroutine fan-outs, concurrent fetches of the same
-// segment digest collapse into one DHT read (singleflight), and both
-// frontend caches are byte-budgeted LRUs so a long-lived serving
-// deployment stays bounded under publish churn.
+// (docs/serving.md has the design). Shard waves execute as true
+// goroutine fan-outs, concurrent fetches of the same segment digest
+// collapse into one DHT read (singleflight), and both frontend caches
+// are byte-budgeted LRUs so a long-lived serving deployment stays
+// bounded under publish churn.
 // cmd/queenbeed serves /search, /explain, /healthz and /stats over HTTP
 // against one shared engine on exactly this contract; write-side
 // methods remain a single deterministic driver.
@@ -137,7 +136,7 @@
 // RoundReceipt. PublishBatch ingests N pages as ONE atomic contract
 // transaction and one commit-reveal cycle, with the quorum building a
 // single multi-doc segment. DHT state stays byte-identical per seed
-// whether rounds run parallel or sequential (WithParallelRounds);
+// whether rounds run parallel or sequential (core.Config.ParallelRounds);
 // cmd/queenbeed's POST /publish serves batch ingest over HTTP under a
 // write lock while queries keep flowing on the read lock.
 //
@@ -170,9 +169,10 @@
 // count — each ingested byte is rewritten about once per tier
 // promotion, O(log rounds) tiers — instead of growing with history;
 // Engine.WriteStats ledgers ingested vs compacted bytes and
-// RoundReceipt carries the per-round figure. WithMonolithicCompaction
-// restores the legacy whole-chain merge as an experiment control, with
-// search responses byte-identical across policies.
+// RoundReceipt carries the per-round figure.
+// core.Config.MonolithicCompaction restores the legacy whole-chain merge
+// as an experiment control, with search responses byte-identical across
+// policies.
 //
 // The rank-epoch contract: PageRank refreshes ride the publish stream
 // as epochs. A full epoch (ComputeRanks) recomputes the whole graph; a

@@ -2,7 +2,6 @@ package contracts
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/chain"
 )
@@ -110,29 +109,4 @@ func (q *QueenBee) slashLocked(ctx *chain.TxContext, addr chain.Address, taskID 
 		"amount": fmt.Sprint(amt),
 		"task":   taskID,
 	})
-}
-
-// WorkerEarnings summarises the pool for the incentive experiments.
-type WorkerEarnings struct {
-	Addr      chain.Address
-	Stake     uint64
-	Completed int
-	Slashes   int
-}
-
-// AllWorkers returns a summary of every worker ever registered, sorted by
-// address for determinism.
-func (q *QueenBee) AllWorkers() []WorkerEarnings {
-	q.mu.RLock()
-	defer q.mu.RUnlock()
-	out := make([]WorkerEarnings, 0, len(q.workers))
-	for _, w := range q.workers {
-		out = append(out, WorkerEarnings{
-			Addr: w.Addr, Stake: w.Stake, Completed: w.Completed, Slashes: w.Slashes,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Addr.String() < out[j].Addr.String()
-	})
-	return out
 }

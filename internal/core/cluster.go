@@ -53,8 +53,7 @@ type Config struct {
 	// waves out across goroutines (one per bee, then one per touched
 	// shard). DHT state stays byte-identical either way — the round
 	// engine orders every write deterministically — so this only trades
-	// wall-clock for goroutines. Forced off under Net.SharedStream,
-	// where a single RNG stream makes draw order scheduling-dependent.
+	// wall-clock for goroutines.
 	ParallelRounds bool
 
 	// PoolSize is the number of frontends in the serving tier, each
@@ -77,11 +76,6 @@ type Config struct {
 	// Degraded warning when some shards stay unreachable after retries,
 	// instead of failing the whole wave.
 	DegradedReads bool
-
-	// ExhaustiveScoring disables the block-max WAND top-k executor (A?
-	// ablation / E18 baseline): every candidate document is fully scored.
-	// Results are byte-identical either way; only the work differs.
-	ExhaustiveScoring bool
 
 	// MonolithicCompaction restores the legacy compaction policy (merge a
 	// shard's whole chain into one segment past a fixed threshold) instead
@@ -125,7 +119,6 @@ func DefaultConfig() Config {
 		ParallelRounds:  true,
 		Net:             netsim.DefaultConfig(),
 		DHT:             dht.DefaultConfig(),
-		Peer:            store.DefaultPeerConfig(),
 		Contract:        contracts.DefaultConfig(),
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -57,8 +58,8 @@ type Frontend struct {
 	ranksInit bool
 
 	// wand selects the top-k executor: block-max WAND early termination
-	// (the default) or exhaustive candidate scoring
-	// (Config.ExhaustiveScoring; the E18 baseline). Results are
+	// (the default) or exhaustive candidate scoring (SetUseBlockMax(false);
+	// the E18 baseline and the identity tests' reference). Results are
 	// byte-identical either way; queries snapshot it at start, so
 	// flipping it mid-flight never races an executing plan.
 	wand atomic.Bool
@@ -113,7 +114,7 @@ func NewFrontend(c *Cluster, peer *store.Peer) *Frontend {
 		docURL:      make(map[index.DocID]string),
 		statsGen:    -1,
 	}
-	f.wand.Store(!c.cfg.ExhaustiveScoring)
+	f.wand.Store(true)
 	return f
 }
 
@@ -525,9 +526,7 @@ func (f *Frontend) loadShardCtx(bud reqBudget, e0 time.Duration, shard int) (*in
 // wave: the independent DHT lookups run on their own goroutines, and the
 // per-link netsim streams keep same-seed results reproducible no matter
 // how the fetches interleave. The wave's cost folds Par in shard order —
-// the slowest shard, not the sum. When the network runs the legacy
-// shared RNG stream (or the wave has one shard), execution stays
-// sequential so historical golden costs cannot shift.
+// the slowest shard, not the sum.
 //
 // On failure every fetch was still in flight, so the full wave cost is
 // reported alongside the error of the lowest-indexed failing shard —
@@ -546,7 +545,7 @@ func (f *Frontend) loadShardsCtx(bud reqBudget, e0 time.Duration, shards []int) 
 	segs := make([]*index.Segment, len(shards))
 	costs := make([]netsim.Cost, len(shards))
 	errs := make([]error, len(shards))
-	runWave(len(shards), !f.cluster.Net.SharedStream(), func(i int) {
+	runWave(len(shards), true, func(i int) {
 		segs[i], costs[i], errs[i] = f.loadShardCtx(bud, e0, shards[i])
 	})
 	f.hedgeLeg(bud, e0, shards, segs, costs, errs)
@@ -636,6 +635,12 @@ func (f *Frontend) hedgeLeg(bud reqBudget, e0 time.Duration, shards []int, segs 
 // reason to hit the DHT on every query.
 // Concurrent queries arriving on a stale generation share one DHT read
 // (the same singleflight shape as fetchSegmentCtx).
+//
+// A failed read must not be cached: zero statistics under the current
+// generation would skew every BM25 score until the next publish. The
+// generation advances only on a successful read, or on dht.ErrNotFound
+// when the chain agrees the corpus is empty; otherwise the last good
+// snapshot is served and the next query retries.
 func (f *Frontend) cachedStats() (IndexStats, netsim.Cost) {
 	n := f.cluster.QB.PageCount()
 	f.mu.Lock()
@@ -652,9 +657,12 @@ func (f *Frontend) cachedStats() (IndexStats, netsim.Cost) {
 	fl := &statsFetch{done: make(chan struct{})}
 	f.statsFlight = fl
 	f.mu.Unlock()
-	fl.st, fl.cost = readStats(f.peer.DHT())
+	st, cost, err := readStats(f.peer.DHT())
 	f.mu.Lock()
-	f.stats, f.statsGen = fl.st, n
+	if err == nil || (n == 0 && errors.Is(err, dht.ErrNotFound)) {
+		f.stats, f.statsGen = st, n
+	}
+	fl.st, fl.cost = f.stats, cost
 	f.statsFlight = nil
 	f.statsFetches++
 	f.mu.Unlock()

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/index"
+	"repro/internal/store"
 )
 
 // TestCachedStatsEmptyCorpusFetchesOnce is the regression test for the
@@ -194,5 +196,46 @@ func TestLoadShardsParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("shard %d term %d: %q vs %q", s, i, g[i], w[i])
 			}
 		}
+	}
+}
+
+// TestCachedStatsFailedReadNotCached is the regression test for the
+// stats-poisoning bug: a frontend whose one collection-statistics read
+// of a generation was lost to the network used to cache the zero value
+// under that generation, so every later query scored with DocCount = 1
+// (negative IDF, inverted ranking) until the next publish. After the
+// network heals, the next query must score exactly like a frontend that
+// never saw the fault.
+func TestCachedStatsFailedReadNotCached(t *testing.T) {
+	c, _ := queryCluster(t)
+
+	// Only a peer without a local stats replica depends on the network
+	// for the read; under total loss it is the one whose read fails.
+	c.Net.SetDropRate(1)
+	var peer *store.Peer
+	for _, p := range c.Peers {
+		if _, _, err := readStats(p.DHT()); err != nil {
+			peer = p
+			break
+		}
+	}
+	if peer == nil {
+		t.Fatal("every peer holds a local stats replica; the test needs one that does not")
+	}
+	faulted := NewFrontend(c, peer)
+	faulted.cachedStats()
+	c.Net.SetDropRate(0)
+
+	q := Query{Raw: "red apples", Mode: PlanAny}
+	want, err := NewFrontend(c, peer).Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := faulted.Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Results, want.Results) {
+		t.Fatalf("one lost stats read changed later answers:\ngot  %+v\nwant %+v", got.Results, want.Results)
 	}
 }

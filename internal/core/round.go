@@ -26,11 +26,10 @@ import (
 //     round. A round with K segments over S shards costs O(S) mutable
 //     DHT round trips, not O(K·S).
 //
-// Determinism contract: with the default per-link netsim streams the
-// same seed produces byte-identical DHT state (shard pointers, segments,
-// stats) whether the waves fan out or run sequentially
-// (Config.ParallelRounds=false, or SharedStream mode). Wave costs fold
-// with Par in slot order, mirroring Frontend.loadShards.
+// Determinism contract: the same seed produces byte-identical DHT state
+// (shard pointers, segments, stats) whether the waves fan out or run
+// sequentially (Config.ParallelRounds=false). Wave costs fold with Par
+// in slot order, mirroring Frontend.loadShards.
 
 // RoundError is one recorded write-path failure: which bee, which task
 // (or shard), at which pipeline stage. The zero Shard value is
@@ -126,20 +125,12 @@ type contribution struct {
 	tokens  uint64
 }
 
-// parallelRounds reports whether the round engine may fan its waves out
-// across goroutines: enabled by config and running on per-link netsim
-// streams (the legacy shared stream serializes, as in loadShards, so
-// historical golden costs cannot shift).
-func (c *Cluster) parallelRounds() bool {
-	return c.cfg.ParallelRounds && !c.Net.SharedStream()
-}
-
 // runWave executes fn(0..n-1), concurrently when parallel is set (and
 // the wave has more than one leg), sequentially otherwise. Shared by
-// the round engine's waves (gated on parallelRounds) and the query
-// side's shard loads (gated on the netsim stream mode alone). Callers
-// write results into index-addressed slots so both execution modes
-// produce identical state.
+// the round engine's waves (gated on Config.ParallelRounds) and the
+// query side's shard loads (always parallel). Callers write results
+// into index-addressed slots so both execution modes produce identical
+// state.
 func runWave(n int, parallel bool, fn func(i int)) {
 	if n <= 1 || !parallel {
 		for i := 0; i < n; i++ {
@@ -177,7 +168,7 @@ func (c *Cluster) forEachNode(fn func(*dht.Node)) {
 // contacts are applied after the wave, node by node in deployment
 // order, so the tables still converge and do so identically every run.
 func (c *Cluster) runDHTWave(n int, fn func(i int)) {
-	parallel := c.parallelRounds()
+	parallel := c.cfg.ParallelRounds
 	if parallel && n > 1 {
 		c.forEachNode(func(d *dht.Node) { d.SetDeferLearning(true) })
 	}
@@ -197,7 +188,7 @@ func (c *Cluster) commitWave(r *RoundReceipt) {
 	commits := make([][]contracts.CommitParams, n)
 	costs := make([]netsim.Cost, n)
 	errs := make([][]RoundError, n)
-	parallel := c.parallelRounds()
+	parallel := c.cfg.ParallelRounds
 	if parallel {
 		// Concurrent bees all fetch the same batch pages; an inline
 		// serve-cache Provide would mutate shared provider records

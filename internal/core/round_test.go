@@ -86,7 +86,7 @@ func TestRoundBatchMaterializationDHTPutCounts(t *testing.T) {
 	}
 
 	// One stats bump: Version 1, all documents counted.
-	st, _ := readStats(reader)
+	st, _, _ := readStats(reader)
 	if st.Version != 1 || st.Docs != docs {
 		t.Fatalf("stats = %+v, want Version 1 / Docs %d", st, docs)
 	}
@@ -202,7 +202,7 @@ func TestPublishBatchSingleTask(t *testing.T) {
 	if len(resp.Results) != 2 {
 		t.Fatalf("falcon results = %+v, want the two falcon pages", resp.Results)
 	}
-	st, _ := readStats(c.Peers[2].DHT())
+	st, _, _ := readStats(c.Peers[2].DHT())
 	if st.Docs != len(pages) {
 		t.Fatalf("stats docs = %d, want %d", st.Docs, len(pages))
 	}
@@ -289,7 +289,7 @@ func TestBatchRepublishCountsStatsOncePerVersion(t *testing.T) {
 	c.Seal()
 	c.RunUntilIdle(4)
 
-	st, _ := readStats(c.Peers[1].DHT())
+	st, _, _ := readStats(c.Peers[1].DHT())
 	if st.Docs != 3 {
 		t.Fatalf("stats docs = %d, want 3 (republish must not double-count)", st.Docs)
 	}
@@ -339,8 +339,8 @@ func TestRoundEngineSequentialModeMatchesParallel(t *testing.T) {
 			t.Fatalf("shard %d pointer diverged:\nparallel   %+v\nsequential %+v", shard, p1, p2)
 		}
 	}
-	s1, _ := readStats(par.Peers[1].DHT())
-	s2, _ := readStats(seq.Peers[1].DHT())
+	s1, _, _ := readStats(par.Peers[1].DHT())
+	s2, _, _ := readStats(seq.Peers[1].DHT())
 	if s1 != s2 {
 		t.Fatalf("stats diverged: %+v vs %+v", s1, s2)
 	}

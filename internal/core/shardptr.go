@@ -148,22 +148,26 @@ func readSegmentCtx(ctx context.Context, d *dht.Node, digestHex string) (*index.
 	return seg, cost, nil
 }
 
-// readStats fetches the global index statistics (zero value if absent).
-func readStats(d *dht.Node) (IndexStats, netsim.Cost) {
+// readStats fetches the global index statistics. The stats are the zero
+// value alongside any error; dht.ErrNotFound means no reachable replica
+// holds the record — absent, or lost to the network.
+func readStats(d *dht.Node) (IndexStats, netsim.Cost, error) {
 	var st IndexStats
 	val, _, cost, err := d.Get(dht.KeyOfString(StatsKey))
 	if err != nil {
-		return st, cost
+		return st, cost, err
 	}
-	if json.Unmarshal(val, &st) != nil {
-		return IndexStats{}, cost
+	if err := json.Unmarshal(val, &st); err != nil {
+		return IndexStats{}, cost, fmt.Errorf("core: decode index stats: %w", err)
 	}
-	return st, cost
+	return st, cost, nil
 }
 
 // bumpStats adds one document's token count to the global statistics.
 func bumpStats(d *dht.Node, addDocs int, addTokens uint64) (netsim.Cost, error) {
-	st, cost := readStats(d)
+	// A failed read bumps from zero: the first bump has nothing to read,
+	// and a low-versioned Put loses to any replica holding a newer record.
+	st, cost, _ := readStats(d)
 	st.Docs += addDocs
 	st.Tokens += addTokens
 	st.Version++

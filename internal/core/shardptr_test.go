@@ -99,7 +99,7 @@ func TestStatsRecordTracksCorpus(t *testing.T) {
 	}
 	c.Seal()
 	c.RunUntilIdle(6)
-	st, _ := readStats(c.Peers[1].DHT())
+	st, _, _ := readStats(c.Peers[1].DHT())
 	if st.Docs != 4 {
 		t.Fatalf("stats docs = %d, want 4", st.Docs)
 	}

@@ -94,7 +94,7 @@ func driveWritePath(t *testing.T, seed uint64, rounds int, monolithic bool, quer
 	c.RunUntilIdle(10)
 
 	run := writePathRun{ranks: c.QB.PageRanks(), write: c.WriteStats()}
-	run.stats, _ = readStats(c.Peers[1].DHT())
+	run.stats, _, _ = readStats(c.Peers[1].DHT())
 	fe := NewFrontend(c, c.Peers[2])
 	for _, q := range queries {
 		resp, err := fe.Search(q, doc)

@@ -18,29 +18,31 @@ var (
 	ErrNoContacts = errors.New("dht: routing table is empty")
 )
 
+// Network-wide Kademlia constants: every node runs the same values.
+const (
+	alpha              = 3  // lookup concurrency
+	maxProvidersPerKey = 16 // provider records kept per key
+	// retryBackoffBase is the base simulated-time backoff: attempt i
+	// waits retryBackoffBase<<i, jittered ±25% deterministically from
+	// the (caller, target, attempt) triple.
+	retryBackoffBase = 25 * time.Millisecond
+)
+
 // Config tunes the Kademlia parameters.
 type Config struct {
 	// K is the bucket size and replication factor (paper-standard 20; the
 	// simulations default to 8 to keep swarms light).
 	K int
-	// Alpha is the lookup concurrency.
-	Alpha int
-	// MaxProvidersPerKey bounds the provider set stored per key.
-	MaxProvidersPerKey int
 	// MaxRetries is how many extra attempts a single RPC gets when the
 	// failure is transient (netsim.Retryable): dropped messages and shed
 	// requests are retried with backoff, structural failures (node down,
 	// partition) fail fast. 0 disables retries.
 	MaxRetries int
-	// RetryBackoff is the base simulated-time backoff between attempts;
-	// attempt i waits RetryBackoff<<i, jittered ±25% deterministically
-	// from the (caller, target, attempt) triple.
-	RetryBackoff time.Duration
 }
 
 // DefaultConfig returns the simulation defaults.
 func DefaultConfig() Config {
-	return Config{K: 8, Alpha: 3, MaxProvidersPerKey: 16, MaxRetries: 2, RetryBackoff: 25 * time.Millisecond}
+	return Config{K: 8, MaxRetries: 2}
 }
 
 type storedValue struct {
@@ -80,15 +82,6 @@ type Node struct {
 func NewNode(net *netsim.Network, addr netsim.NodeID, cfg Config) *Node {
 	if cfg.K <= 0 {
 		cfg.K = 8
-	}
-	if cfg.Alpha <= 0 {
-		cfg.Alpha = 3
-	}
-	if cfg.MaxProvidersPerKey <= 0 {
-		cfg.MaxProvidersPerKey = 16
-	}
-	if cfg.MaxRetries > 0 && cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 25 * time.Millisecond
 	}
 	n := &Node{
 		cfg:       cfg,
@@ -204,7 +197,7 @@ func (n *Node) handle(from netsim.NodeID, req any) (any, error) {
 			set = make(map[netsim.NodeID]Contact)
 			n.providers[m.Key] = set
 		}
-		if len(set) < n.cfg.MaxProvidersPerKey {
+		if len(set) < maxProvidersPerKey {
 			set[m.Provider.Addr] = m.Provider
 		}
 		n.mu.Unlock()
@@ -284,7 +277,7 @@ func (n *Node) callCtx(ctx context.Context, to Contact, req any) (any, netsim.Co
 // Pure hashing — no RNG stream is consumed — so retries never perturb
 // the per-link draw sequences other calls depend on.
 func (n *Node) retryBackoff(to Contact, attempt int) time.Duration {
-	base := n.cfg.RetryBackoff << uint(attempt)
+	base := retryBackoffBase << uint(attempt)
 	h := uint64(14695981039346656037) // FNV-64 offset basis
 	mix := func(s string) {
 		for i := 0; i < len(s); i++ {
@@ -388,7 +381,7 @@ func (n *Node) iterativeLookup(ctx context.Context, target Key, query func(Conta
 				continue
 			}
 			round = append(round, c)
-			if len(round) == n.cfg.Alpha {
+			if len(round) == alpha {
 				break
 			}
 		}

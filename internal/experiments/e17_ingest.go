@@ -22,7 +22,7 @@ func init() {
 // e17Crawl drives one full crawl of a generated corpus through real
 // cluster rounds and returns the pipeline's stats. Every URL is seeded,
 // so the crawl covers the whole corpus regardless of link shape.
-func e17Crawl(seed uint64, pages, bees, depth, batch int, serial bool) ingest.Stats {
+func e17Crawl(seed uint64, pages, bees, depth, batch int) ingest.Stats {
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
 	cfg.NumPeers = 16
@@ -50,7 +50,6 @@ func e17Crawl(seed uint64, pages, bees, depth, batch int, serial bool) ingest.St
 			FetchWorkers: 8,
 			QueueDepth:   depth,
 			BatchSize:    batch,
-			Serial:       serial,
 		})
 	if err != nil {
 		panic(fmt.Sprintf("E17 crawl (%d pages, %d bees): %v", pages, bees, err))
@@ -61,11 +60,11 @@ func e17Crawl(seed uint64, pages, bees, depth, batch int, serial bool) ingest.St
 // runE17 measures the streaming ingest pipeline end to end against real
 // publish rounds.
 //
-// Headline: a 2048-page crawl at 8 bees, serial vs pipelined rounds.
-// Both runs issue the identical chain call sequence (the DHT ends up
-// byte-identical — TestIngestPipelineDeterminism), so the makespan gap
-// is purely the overlap of batch N+1's commit with round N's reveal:
-// the crawl runs at the slower phase's pace instead of the sum.
+// Headline: a 2048-page crawl at 8 bees, costed under both round
+// models. The model never changes the chain call sequence
+// (TestIngestPipelineDeterminism), so one crawl yields both makespans
+// and their gap is purely the overlap of batch N+1's commit with round
+// N's reveal: the crawl runs at the slower phase's pace, not the sum.
 //
 // Sweep: queue depth × bee count at a smaller crawl. Depth buys the
 // fetchers room to run ahead of the indexer (less stall wait); bees cut
@@ -80,24 +79,18 @@ func runE17(seed uint64) []*metrics.Table {
 
 	headline := metrics.NewTable(
 		fmt.Sprintf("E17 — streaming ingest, pipelined vs serial rounds (%d pages, 8 bees, queue 8, batch %d)", headlinePages, headlineBatch),
-		"rounds mode", "published", "batches", "sim makespan", "sim pages/s", "queue wait", "stall wait", "speedup")
-	for _, serial := range []bool{true, false} {
-		mode := "pipelined"
-		if serial {
-			mode = "serial"
-		}
-		st := e17Crawl(seed, headlinePages, 8, 8, headlineBatch, serial)
-		headline.AddRow(mode, st.Published, st.Batches,
-			st.Makespan.String(), st.PagesPerSec(),
-			st.QueueWait.String(), st.StallWait.String(), st.Speedup())
-	}
+		"published", "batches", "serial makespan", "pipelined makespan", "sim pages/s", "queue wait", "stall wait", "speedup")
+	st := e17Crawl(seed, headlinePages, 8, 8, headlineBatch)
+	headline.AddRow(st.Published, st.Batches,
+		st.SerialMakespan.String(), st.Makespan.String(), st.PagesPerSec(),
+		st.QueueWait.String(), st.StallWait.String(), st.Speedup())
 
 	sweep := metrics.NewTable(
 		fmt.Sprintf("E17 — ingest sweep, queue depth × bees (%d pages, batch %d, pipelined)", sweepPages, sweepBatch),
 		"bees", "queue depth", "sim makespan", "sim pages/s", "queue wait", "stall wait", "depth max", "speedup")
 	for _, bees := range []int{4, 8} {
 		for _, depth := range []int{2, 8} {
-			st := e17Crawl(seed, sweepPages, bees, depth, sweepBatch, false)
+			st := e17Crawl(seed, sweepPages, bees, depth, sweepBatch)
 			sweep.AddRow(bees, depth,
 				st.Makespan.String(), st.PagesPerSec(),
 				st.QueueWait.String(), st.StallWait.String(),

@@ -46,7 +46,7 @@ func buildStoreSwarm(seed uint64, n int, k int) (*netsim.Network, []*store.Peer)
 	peers := make([]*store.Peer, n)
 	for i := range peers {
 		d := dht.NewNode(net, netsim.NodeID(fmt.Sprintf("peer-%03d", i)), dcfg)
-		peers[i] = store.NewPeer(net, d, store.DefaultPeerConfig())
+		peers[i] = store.NewPeer(net, d, store.PeerConfig{})
 	}
 	seedContact := peers[0].DHT().Self()
 	for _, p := range peers[1:] {
@@ -161,8 +161,7 @@ func runE2(seed uint64) []*metrics.Table {
 		ncfg := netsim.DefaultConfig()
 		ncfg.Seed = seed
 		net := netsim.New(ncfg)
-		pcfg := store.DefaultPeerConfig()
-		pcfg.Swarming = swarming
+		pcfg := store.PeerConfig{Swarming: swarming}
 		dcfg := dht.DefaultConfig()
 		peers := make([]*store.Peer, 32)
 		for i := range peers {

@@ -55,11 +55,6 @@ type Options struct {
 	BatchSize int
 	// MaxPages caps the frontier (seeds + discovered links); 0 = no cap.
 	MaxPages int
-	// Serial disables commit/reveal pipelining in the round model: the
-	// indexer waits out each round's reveal before collecting the next
-	// batch. Chain state is identical either way; only simulated
-	// makespan and queue accounting change.
-	Serial bool
 	// DedupThreshold is the MinHash similarity at which a page is
 	// demoted as a near-duplicate of an already-accepted page
 	// (the paper's scraper-mirror defense). 0 selects
@@ -119,9 +114,10 @@ type Stats struct {
 	CommitBusy time.Duration // Σ commit-phase cost (store + commit wave)
 	RevealBusy time.Duration // Σ reveal/materialize-phase cost
 
-	// Makespan is the crawl's simulated wall time under the configured
-	// round model; SerialMakespan is the same crawl costed with serial
-	// (non-overlapping) rounds. Their ratio is the pipelining speedup.
+	// Makespan is the crawl's simulated wall time with pipelined rounds
+	// (batch N+1's commit overlaps round N's reveal); SerialMakespan is
+	// the same crawl costed with serial (non-overlapping) rounds. Their
+	// ratio is the pipelining speedup.
 	Makespan       time.Duration
 	SerialMakespan time.Duration
 }
@@ -135,7 +131,7 @@ func (s Stats) PagesPerSec() float64 {
 }
 
 // Speedup is the simulated makespan ratio of serial over pipelined
-// rounds for this crawl (1.0 when Serial was set; 0 with no makespan).
+// rounds for this crawl (0 with no makespan).
 func (s Stats) Speedup() float64 {
 	if s.Makespan <= 0 {
 		return 0
@@ -506,16 +502,12 @@ func (c *crawl) index() (Stats, error) {
 	}
 	done = done[:st.Published] // drop pages never flushed (cancel/error)
 
-	sched := computeSchedule(done, batches, c.opts.QueueDepth, c.opts.Serial)
+	sched := computeSchedule(done, batches, c.opts.QueueDepth, false)
 	st.QueueWait = sched.queueWait
 	st.StallWait = sched.stallWait
 	st.QueueDepthMax = sched.depthMax
 	st.Makespan = sched.makespan
-	if c.opts.Serial {
-		st.SerialMakespan = sched.makespan
-	} else {
-		st.SerialMakespan = computeSchedule(done, batches, c.opts.QueueDepth, true).makespan
-	}
+	st.SerialMakespan = computeSchedule(done, batches, c.opts.QueueDepth, true).makespan
 	return st, sinkErr
 }
 

@@ -7,13 +7,11 @@
 // with Par (max of latencies, sum of bytes). This keeps experiments
 // deterministic and lets a laptop simulate thousands of nodes.
 //
-// The network is safe for concurrent callers, and — in the default
-// per-link RNG mode — concurrency does not cost reproducibility: every
-// (caller, target) pair owns an RNG stream derived from (Config.Seed,
-// caller, target), so the i-th message on a link always sees the same
-// jitter/drop/shedding draws no matter how goroutines interleave across
-// links. The single pre-concurrency stream survives behind
-// Config.SharedStream for golden-cost comparisons.
+// The network is safe for concurrent callers, and concurrency does not
+// cost reproducibility: every (caller, target) pair owns an RNG stream
+// derived from (Config.Seed, caller, target), so the i-th message on a
+// link always sees the same jitter/drop/shedding draws no matter how
+// goroutines interleave across links.
 //
 // Failure injection covers the paper's resilience claims: nodes can be
 // marked down (crash faults), the network can be split into partitions,
@@ -109,15 +107,6 @@ type Config struct {
 	// Bandwidth is bytes per simulated second per link; 0 disables the
 	// serialization-delay term.
 	Bandwidth float64
-	// SharedStream restores the pre-concurrency behavior of drawing every
-	// jitter/drop/shedding decision from one global RNG stream. Costs then
-	// match historical golden values exactly, but concurrent callers
-	// consume draws in scheduling order, so per-seed cost reproducibility
-	// only holds for a single-threaded driver. The default (false) derives
-	// an independent stream per (caller, target) link, which keeps the
-	// i-th draw on every link identical across runs regardless of
-	// goroutine interleaving.
-	SharedStream bool
 }
 
 // DefaultConfig models a modest wide-area swarm: 10ms floor, up to +80ms
@@ -146,7 +135,7 @@ type Network struct {
 	cfg Config
 
 	mu       sync.Mutex
-	rng      *xrand.RNG // topology placement; every draw in SharedStream mode
+	rng      *xrand.RNG // topology placement only
 	nodes    map[NodeID]*nodeState
 	dropRate float64
 
@@ -184,11 +173,6 @@ func (n *Network) linkStream(from, to NodeID) *linkStream {
 	}
 	return ls
 }
-
-// SharedStream reports whether the network runs in the legacy
-// single-stream RNG mode, where only a single-threaded driver keeps
-// per-seed cost reproducibility.
-func (n *Network) SharedStream() bool { return n.cfg.SharedStream }
 
 // Stats aggregates global traffic counters.
 type Stats struct {
@@ -362,13 +346,11 @@ func (n *Network) Call(from, to NodeID, req any) (resp any, cost Cost, err error
 		return fail(ErrNoHandler)
 	}
 
-	// Snapshot everything the draw section needs, then release n.mu in
-	// the default mode: per-message randomness only serializes on the
-	// link's own stream, so concurrent calls on different links never
-	// contend on the global lock while drawing. (Node positions are set
-	// once at registration and never move, so dist is safe to carry out
-	// of the lock.) SharedStream keeps the draws on n.rng under n.mu,
-	// reproducing the historical sequence exactly.
+	// Snapshot everything the draw section needs, then release n.mu:
+	// per-message randomness only serializes on the link's own stream, so
+	// concurrent calls on different links never contend on the global
+	// lock while drawing. (Node positions are set once at registration
+	// and never move, so dist is safe to carry out of the lock.)
 	dropRate := n.dropRate
 	var rho float64
 	if dst.capacity > 0 && dst.offered > 0 {
@@ -377,26 +359,16 @@ func (n *Network) Call(from, to NodeID, req any) (resp any, cost Cost, err error
 	dist := nodeDist(src, dst)
 	handler := dst.handler
 	reqBytes := payloadSize(req)
+	link := n.linkStream(from, to)
+	n.mu.Unlock()
 
 	// The draw order per message is fixed: drop, shedding, jitter — each
 	// conditional on its feature being active.
-	var link *linkStream
-	var draw func() float64
-	if n.cfg.SharedStream {
-		draw = n.rng.Float64
-	} else {
-		link = n.linkStream(from, to)
-		n.mu.Unlock()
-		link.mu.Lock()
-		draw = link.rng.Float64
-	}
-	// failDrawn releases whichever lock the draw section holds, then
-	// charges the failure under n.mu.
+	link.mu.Lock()
+	draw := link.rng.Float64
 	failDrawn := func(e error) (any, Cost, error) {
-		if link != nil {
-			link.mu.Unlock()
-			n.mu.Lock()
-		}
+		link.mu.Unlock()
+		n.mu.Lock()
 		return fail(e) // fail unlocks n.mu
 	}
 
@@ -422,11 +394,7 @@ func (n *Network) Call(from, to NodeID, req any) (resp any, cost Cost, err error
 	}
 
 	oneWay := n.linkLatency(dist, draw)
-	if link != nil {
-		link.mu.Unlock()
-	} else {
-		n.mu.Unlock()
-	}
+	link.mu.Unlock()
 
 	resp, err = handler(from, req)
 

@@ -260,41 +260,8 @@ func TestDeterministicLatency(t *testing.T) {
 	}
 }
 
-// TestLegacySharedStreamGolden pins the pre-concurrency RNG behavior:
-// with Config.SharedStream set, the latency sequence must match the
-// golden values captured from the historical single-stream implementation
-// (DefaultConfig, seed 1, nodes registered a, b, c, alternating a→b and
-// a→c calls). Golden-cost comparisons across versions rely on this mode.
-func TestLegacySharedStreamGolden(t *testing.T) {
-	golden := [][2]time.Duration{
-		{37172334, 61178148},
-		{43642130, 63314570},
-		{44173784, 68394966},
-		{44175410, 64785248},
-		{41470496, 67559618},
-		{37248812, 62558478},
-	}
-	cfg := DefaultConfig()
-	cfg.SharedStream = true
-	n := New(cfg)
-	n.Register("a", echoHandler)
-	n.Register("b", echoHandler)
-	n.Register("c", echoHandler)
-	for i, want := range golden {
-		_, c1, _ := n.Call("a", "b", i)
-		_, c2, _ := n.Call("a", "c", i)
-		if c1.Latency != want[0] || c2.Latency != want[1] {
-			t.Fatalf("call %d: latencies (%d, %d), want (%d, %d)",
-				i, c1.Latency, c2.Latency, want[0], want[1])
-		}
-	}
-	if !n.SharedStream() {
-		t.Fatal("SharedStream() should report the legacy mode")
-	}
-}
-
 // TestPerLinkStreamsIgnoreInterleaving is the concurrency-determinism
-// contract of the default mode: the i-th call on a link draws the same
+// contract: the i-th call on a link draws the same
 // jitter regardless of how calls on other links interleave with it.
 func TestPerLinkStreamsIgnoreInterleaving(t *testing.T) {
 	const calls = 32
@@ -510,16 +477,11 @@ func TestNodesSorted(t *testing.T) {
 	}
 }
 
-// TestBroadcastDeterministic pins Broadcast on sorted membership: in
-// legacy shared-stream mode the per-call RNG draws depend on call order,
-// so two identical networks must pay byte-identical broadcast costs.
-// Before Nodes() sorted its output, map iteration order leaked into the
-// shared stream here.
+// TestBroadcastDeterministic: two identical networks must pay
+// byte-identical broadcast costs (TestNodesSorted pins the call order).
 func TestBroadcastDeterministic(t *testing.T) {
 	run := func() (int, Cost) {
-		cfg := DefaultConfig()
-		cfg.SharedStream = true
-		n := New(cfg)
+		n := New(DefaultConfig())
 		for _, id := range []NodeID{"edgar", "alice", "dave", "carol", "bob"} {
 			n.Register(id, echoHandler)
 		}

@@ -7,7 +7,7 @@ import (
 
 // BlockStore holds content blocks on one peer. Pinned blocks (content the
 // peer published) are kept forever; cached blocks (content the peer
-// fetched) live in an LRU bounded by CacheCapacity bytes, modelling the
+// fetched) live in an LRU bounded by a capacity in bytes, modelling the
 // finite disk a browsing device donates to the DWeb.
 type BlockStore struct {
 	mu sync.Mutex

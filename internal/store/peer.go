@@ -32,31 +32,19 @@ type blockResp struct {
 func (blockReq) WireSize() int    { return 40 }
 func (r blockResp) WireSize() int { return 8 + len(r.Data) }
 
+// Every peer chunks at DefaultChunkSize, announces itself as a provider
+// for content it fetched (the DWeb "retrievers also serve" behaviour),
+// and runs with the same cache and provider bounds.
+const (
+	cacheCapacity = 16 << 20 // bytes of fetched content a peer caches
+	maxProviders  = 8        // providers one fetch will try
+)
+
 // PeerConfig tunes one DWeb peer.
 type PeerConfig struct {
-	// ChunkSize is the leaf payload size for Add.
-	ChunkSize int
-	// CacheCapacity bounds the peer's cache in bytes.
-	CacheCapacity int64
-	// ServeCache controls whether the peer announces itself as a provider
-	// for content it fetched (the DWeb "retrievers also serve" behaviour).
-	ServeCache bool
-	// MaxProviders bounds how many providers a fetch will try.
-	MaxProviders int
 	// Swarming stripes chunk downloads of multi-block documents across
 	// all known providers in parallel instead of pulling from one.
 	Swarming bool
-}
-
-// DefaultPeerConfig returns simulation defaults: 4 KiB chunks, 16 MiB
-// cache, cache serving on.
-func DefaultPeerConfig() PeerConfig {
-	return PeerConfig{
-		ChunkSize:     DefaultChunkSize,
-		CacheCapacity: 16 << 20,
-		ServeCache:    true,
-		MaxProviders:  8,
-	}
 }
 
 // Peer is one DWeb device: a DHT node plus a content block store. Creating
@@ -90,17 +78,11 @@ type Peer struct {
 
 // NewPeer wraps an existing DHT node with content storage.
 func NewPeer(net *netsim.Network, d *dht.Node, cfg PeerConfig) *Peer {
-	if cfg.ChunkSize <= 0 {
-		cfg.ChunkSize = DefaultChunkSize
-	}
-	if cfg.MaxProviders <= 0 {
-		cfg.MaxProviders = 8
-	}
 	p := &Peer{
 		cfg:    cfg,
 		dht:    d,
 		net:    net,
-		blocks: NewBlockStore(cfg.CacheCapacity),
+		blocks: NewBlockStore(cacheCapacity),
 		roots:  make(map[CID]bool),
 	}
 	net.Register(d.Self().Addr, p.HandleRPC)
@@ -137,7 +119,7 @@ func (p *Peer) HandleRPC(from netsim.NodeID, req any) (any, error) {
 // Add publishes a document: chunks it, pins every block, and announces
 // this peer as a provider for the root. It returns the root CID.
 func (p *Peer) Add(data []byte) (CID, netsim.Cost, error) {
-	root, blocks := ChunkDocument(data, p.cfg.ChunkSize)
+	root, blocks := ChunkDocument(data, DefaultChunkSize)
 	// Pin in sorted CID order so the block store sees the same insertion
 	// sequence on every run.
 	cids := make([]CID, 0, len(blocks))
@@ -239,7 +221,7 @@ func (p *Peer) Reprovide() (int, netsim.Cost) {
 // Fetch retrieves a document by root CID: local store first, then
 // provider discovery through the DHT, block transfer, and per-block hash
 // verification. Tampered blocks are rejected and the next provider is
-// tried. On success the blocks are cached and (if configured) re-provided.
+// tried. On success the blocks are cached and re-provided.
 func (p *Peer) Fetch(root CID) ([]byte, netsim.Cost, error) {
 	var total netsim.Cost
 
@@ -247,7 +229,7 @@ func (p *Peer) Fetch(root CID) ([]byte, netsim.Cost, error) {
 		return data, total, err
 	}
 
-	provs, cost, err := p.dht.FindProviders(root.Key(), p.cfg.MaxProviders)
+	provs, cost, err := p.dht.FindProviders(root.Key(), maxProviders)
 	total = total.Seq(cost)
 	if err != nil {
 		return nil, total, fmt.Errorf("%w: %s", ErrNoProviders, root.Short())
@@ -300,15 +282,13 @@ func (p *Peer) Fetch(root CID) ([]byte, netsim.Cost, error) {
 		}
 		total = total.Seq(cost)
 		if err == nil {
-			if p.cfg.ServeCache {
-				p.rememberRoot(root)
-				if p.queueProvide(root) {
-					// Deferred: billed by FlushProvides after the wave.
-				} else {
-					//detlint:ignore errsink best-effort cache announce; the fetch itself already succeeded
-					_, cost, _ := p.dht.Provide(root.Key())
-					total = total.Seq(cost)
-				}
+			p.rememberRoot(root)
+			if p.queueProvide(root) {
+				// Deferred: billed by FlushProvides after the wave.
+			} else {
+				//detlint:ignore errsink best-effort cache announce; the fetch itself already succeeded
+				_, cost, _ := p.dht.Provide(root.Key())
+				total = total.Seq(cost)
 			}
 			return data, total, nil
 		}

@@ -229,7 +229,7 @@ func buildPeerSwarm(t testing.TB, n int, cfg PeerConfig) (*netsim.Network, []*Pe
 }
 
 func TestAddFetchRoundTrip(t *testing.T) {
-	_, peers := buildPeerSwarm(t, 16, DefaultPeerConfig())
+	_, peers := buildPeerSwarm(t, 16, PeerConfig{})
 	doc := bytes.Repeat([]byte("the decentralized web "), 500) // ~11KB, multi-chunk
 	root, _, err := peers[2].Add(doc)
 	if err != nil {
@@ -248,7 +248,7 @@ func TestAddFetchRoundTrip(t *testing.T) {
 }
 
 func TestFetchLocalIsFree(t *testing.T) {
-	_, peers := buildPeerSwarm(t, 8, DefaultPeerConfig())
+	_, peers := buildPeerSwarm(t, 8, PeerConfig{})
 	doc := []byte("tiny")
 	root, _, err := peers[1].Add(doc)
 	if err != nil {
@@ -264,7 +264,7 @@ func TestFetchLocalIsFree(t *testing.T) {
 }
 
 func TestFetchMissingContent(t *testing.T) {
-	_, peers := buildPeerSwarm(t, 8, DefaultPeerConfig())
+	_, peers := buildPeerSwarm(t, 8, PeerConfig{})
 	_, _, err := peers[0].Fetch(CIDOf([]byte("never published")))
 	if !errors.Is(err, ErrNoProviders) {
 		t.Fatalf("err = %v, want ErrNoProviders", err)
@@ -272,7 +272,7 @@ func TestFetchMissingContent(t *testing.T) {
 }
 
 func TestCacheServingReplicatesContent(t *testing.T) {
-	net, peers := buildPeerSwarm(t, 16, DefaultPeerConfig())
+	net, peers := buildPeerSwarm(t, 16, PeerConfig{})
 	doc := bytes.Repeat([]byte("cached content "), 100)
 	root, _, err := peers[0].Add(doc)
 	if err != nil {
@@ -294,7 +294,7 @@ func TestCacheServingReplicatesContent(t *testing.T) {
 }
 
 func TestTamperedProviderDetectedAndBypassed(t *testing.T) {
-	_, peers := buildPeerSwarm(t, 16, DefaultPeerConfig())
+	_, peers := buildPeerSwarm(t, 16, PeerConfig{})
 	doc := []byte("authentic content")
 	root, _, err := peers[0].Add(doc)
 	if err != nil {
@@ -322,7 +322,7 @@ func TestTamperedProviderDetectedAndBypassed(t *testing.T) {
 }
 
 func TestAllProvidersTampered(t *testing.T) {
-	_, peers := buildPeerSwarm(t, 12, DefaultPeerConfig())
+	_, peers := buildPeerSwarm(t, 12, PeerConfig{})
 	doc := []byte("soon to be censored")
 	root, _, err := peers[0].Add(doc)
 	if err != nil {
@@ -343,7 +343,7 @@ func TestAllProvidersTampered(t *testing.T) {
 }
 
 func TestBlocksServedCounter(t *testing.T) {
-	_, peers := buildPeerSwarm(t, 10, DefaultPeerConfig())
+	_, peers := buildPeerSwarm(t, 10, PeerConfig{})
 	root, _, err := peers[0].Add([]byte("count me"))
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +374,7 @@ func TestStatsSnapshot(t *testing.T) {
 // insertions in map order.
 func TestAddDeterministicPinOrder(t *testing.T) {
 	run := func() (CID, netsim.Cost, Stats) {
-		_, peers := buildPeerSwarm(t, 8, DefaultPeerConfig())
+		_, peers := buildPeerSwarm(t, 8, PeerConfig{})
 		doc := bytes.Repeat([]byte("deterministic pin order "), 600) // multi-chunk
 		root, cost, err := peers[3].Add(doc)
 		if err != nil {

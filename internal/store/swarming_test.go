@@ -10,8 +10,7 @@ import (
 // swarmingSwarm builds peers with swarming fetch enabled.
 func swarmingSwarm(t *testing.T, n int) []*Peer {
 	t.Helper()
-	cfg := DefaultPeerConfig()
-	cfg.Swarming = true
+	cfg := PeerConfig{Swarming: true}
 	_, peers := buildPeerSwarm(t, n, cfg)
 	return peers
 }
@@ -44,8 +43,7 @@ func TestSwarmingFasterThanSingleProvider(t *testing.T) {
 	rng.Bytes(doc)
 
 	run := func(swarming bool) float64 {
-		cfg := DefaultPeerConfig()
-		cfg.Swarming = swarming
+		cfg := PeerConfig{Swarming: swarming}
 		_, peers := buildPeerSwarm(t, 16, cfg)
 		root, _, err := peers[0].Add(doc)
 		if err != nil {
@@ -72,8 +70,7 @@ func TestSwarmingFasterThanSingleProvider(t *testing.T) {
 }
 
 func TestSwarmingToleratesDeadProvider(t *testing.T) {
-	cfg := DefaultPeerConfig()
-	cfg.Swarming = true
+	cfg := PeerConfig{Swarming: true}
 	net, peers := buildPeerSwarm(t, 16, cfg)
 	rng := xrand.New(5)
 	doc := make([]byte, 40_000)
@@ -97,8 +94,7 @@ func TestSwarmingToleratesDeadProvider(t *testing.T) {
 }
 
 func TestSwarmingRejectsTamperedChunks(t *testing.T) {
-	cfg := DefaultPeerConfig()
-	cfg.Swarming = true
+	cfg := PeerConfig{Swarming: true}
 	_, peers := buildPeerSwarm(t, 12, cfg)
 	rng := xrand.New(6)
 	doc := make([]byte, 40_000)

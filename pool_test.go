@@ -3,6 +3,7 @@ package queenbee
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -197,32 +198,55 @@ func (c cancelWhen) Err() error {
 	return nil
 }
 
-// TestQueryCancelBetweenShardFetches is the mid-wave cancellation soak:
-// under the legacy shared stream the shard wave runs sequentially, so a
-// context that cancels once the first shard's chain is cached stops the
-// query deterministically between shard fetches. The query must return
-// ErrDeadlineExceeded with a partial trace, leave caches and
-// singleflight consistent (asserted via CacheStatsSnapshot before and
-// after), and the rerun must produce exactly the never-cancelled
-// engine's results.
+// checkGoroutineLeak fails t when goroutines started during the test
+// are still alive 2 s after it (and every later-registered cleanup)
+// finished. Call it first; not for t.Parallel tests.
+func checkGoroutineLeak(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Errorf("goroutine leak: %d before, %d after\n%s",
+					before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
+}
+
+// TestQueryCancelBetweenShardFetches is the mid-chain cancellation soak,
+// cut where the read path is sequential by construction: a one-term
+// query loads one shard as one leg, and that leg fetches its chain's
+// segments one after another. A context that cancels once the first
+// segment is cached therefore stops the query deterministically between
+// segment fetches. The query must return ErrDeadlineExceeded with a
+// partial trace, leave caches and singleflight consistent (asserted via
+// CacheStats before and after) with no stranded leader goroutine, and
+// the rerun must produce exactly the never-cancelled engine's results.
 func TestQueryCancelBetweenShardFetches(t *testing.T) {
-	baselineEngine, corp := soakEngine(t, 13, 12, WithSharedNetStream(true))
-	e, _ := soakEngine(t, 13, 12, WithSharedNetStream(true))
-	q := corp.Vocab(0) + " " + corp.Vocab(1) + " " + corp.Vocab(2)
+	checkGoroutineLeak(t)
+	baselineEngine, corp := soakEngine(t, 13, 12)
+	e, _ := soakEngine(t, 13, 12)
+	q := corp.Vocab(0)
 
 	baseline, err := baselineEngine.Query(q).All().Explain().Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(baseline.Explain.Shards) < 2 {
-		t.Skipf("workload hashes to %d shard(s); need ≥ 2 to cancel between fetches", len(baseline.Explain.Shards))
+	if cs := baselineEngine.CacheStats(); len(baseline.Explain.Shards) != 1 || cs.SegEntries < 2 {
+		t.Fatalf("workload shape changed: %q loads shards %v with %d segment(s); need 1 shard with a chain of ≥ 2",
+			q, baseline.Explain.Shards, cs.SegEntries)
 	}
 
 	before := e.CacheStats()
-	if before.ChainEntries != 0 {
+	if before.SegEntries != 0 || before.ChainEntries != 0 {
 		t.Fatalf("test engine not cold: %+v", before)
 	}
-	ctx := cancelWhen{cond: func() bool { return e.CacheStats().ChainEntries >= 1 }}
+	ctx := cancelWhen{cond: func() bool { return e.CacheStats().SegEntries >= 1 }}
 	resp, err := e.QueryCtx(ctx, q).All().Run()
 	if !errors.Is(err, ErrDeadlineExceeded) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded wrapping context.Canceled", err)
@@ -231,14 +255,14 @@ func TestQueryCancelBetweenShardFetches(t *testing.T) {
 		t.Fatalf("cancelled query missing partial trace: %+v", resp)
 	}
 	if resp.Cost.Msgs == 0 {
-		t.Fatal("the completed first leg must be costed")
+		t.Fatal("the completed first fetch must be costed")
 	}
 
-	// Exactly the first shard's chain landed; the abandoned legs cached
-	// nothing and left no wedged flights.
+	// Exactly the first segment landed; the abandoned chain cached no
+	// merged view and left no wedged flight.
 	mid := e.CacheStats()
-	if mid.ChainEntries != 1 {
-		t.Fatalf("after cancel: %d chain entries, want exactly 1 (first leg)", mid.ChainEntries)
+	if mid.SegEntries != 1 || mid.ChainEntries != 0 {
+		t.Fatalf("after cancel: %d segment / %d chain entries, want exactly 1 / 0", mid.SegEntries, mid.ChainEntries)
 	}
 
 	rerun, err := e.Query(q).All().Run()
@@ -248,8 +272,7 @@ func TestQueryCancelBetweenShardFetches(t *testing.T) {
 	if got, want := canonical(t, rerun), canonical(t, baseline); got != want {
 		t.Fatalf("rerun diverged from never-cancelled engine:\ngot  %s\nwant %s", got, want)
 	}
-	after := e.CacheStats()
-	if after.ChainEntries != len(baseline.Explain.Shards) {
-		t.Fatalf("after rerun: %d chain entries, want %d", after.ChainEntries, len(baseline.Explain.Shards))
+	if after := e.CacheStats(); after.ChainEntries != 1 {
+		t.Fatalf("after rerun: %d chain entries, want 1", after.ChainEntries)
 	}
 }

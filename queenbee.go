@@ -17,21 +17,20 @@ import (
 // Search.
 //
 // Concurrency: the query side — Search, Query/QueryCtx builders, Fetch —
-// is safe for concurrent use, and with the default per-link network
-// streams the same seed yields byte-identical results whether queries run
-// sequentially or raced across goroutines (cmd/queenbeed serves HTTP on
-// exactly this contract; docs/serving.md has the design). Queries are
-// served by a pool of per-peer frontends behind a deterministic
-// least-loaded balancer (WithFrontendPool); results are
-// frontend-independent, so the pool size never changes responses, only
-// simulated costs and serving makespan. Mutating methods (Publish,
-// PublishBatch, Run, NewAccount, RegisterAd, Click, ComputeRanks, ...)
-// remain a single deterministic driver: do not run them concurrently
-// with each other or with queries. Inside that single driver the write
+// is safe for concurrent use, and the same seed yields byte-identical
+// results whether queries run sequentially or raced across goroutines
+// (cmd/queenbeed serves HTTP on exactly this contract; docs/serving.md
+// has the design). Queries are served by a pool of per-peer frontends
+// behind a deterministic least-loaded balancer (WithFrontendPool);
+// results are frontend-independent, so the pool size never changes
+// responses, only simulated costs and serving makespan. Mutating
+// methods (Publish, PublishBatch, Run, NewAccount, RegisterAd, Click,
+// ComputeRanks, ...) remain a single deterministic driver: do not run
+// them concurrently with each other or with queries. Inside that single driver the write
 // side is itself concurrent — ProcessRound fans bee compute and shard
 // materialization out as goroutine waves (docs/indexing.md) — without
 // costing determinism: same-seed runs produce byte-identical DHT state
-// whether rounds run parallel or sequential (WithParallelRounds).
+// whether rounds run parallel or sequential (core.Config.ParallelRounds).
 type Engine struct {
 	// Cluster exposes the full simulation for advanced use (experiment
 	// harnesses, fault injection). Most callers never need it.
@@ -57,20 +56,12 @@ func (a *Account) Name() string { return a.name }
 // Address returns the account's chain address in hex.
 func (a *Account) Address() string { return a.acct.Address().String() }
 
-// Result is one ranked search hit.
-type Result struct {
-	URL     string
-	Score   float64
-	Rank    float64
-	Snippet string // set by Query(...).WithSnippets()
-}
+// Result is one ranked search hit (Snippet is set by
+// Query(...).WithSnippets()).
+type Result = core.Result
 
 // Ad is an advertisement attached to a search response.
-type Ad struct {
-	ID          uint64
-	Keywords    []string
-	BidPerClick uint64
-}
+type Ad = core.Ad
 
 // New boots a QueenBee deployment with the given options.
 func New(opts ...Option) *Engine {

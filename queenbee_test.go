@@ -3,7 +3,6 @@ package queenbee
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func newEngine(t *testing.T, opts ...Option) *Engine {
@@ -37,13 +36,12 @@ func TestEngineQuickstartFlow(t *testing.T) {
 
 func TestEngineOptionsApply(t *testing.T) {
 	e := New(WithSeed(3), WithPeers(6), WithBees(2), WithShards(4),
-		WithQuorum(2), WithRankWeight(2.5), WithBlockInterval(time.Second),
-		WithReplication(4), WithPopularityThreshold(0.5))
+		WithRankWeight(2.5), WithPopularityThreshold(0.5))
 	cfg := e.Cluster.Config()
 	if cfg.NumPeers != 6 || cfg.NumBees != 2 || cfg.NumShards != 4 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
-	if cfg.Contract.Quorum != 2 || cfg.RankWeight != 2.5 || cfg.DHT.K != 4 {
+	if cfg.RankWeight != 2.5 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 	if cfg.Contract.PopularityThreshold != 0.5 {

@@ -6,6 +6,8 @@ import (
 	"os"
 	"runtime"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestScaleMillion is the end-to-end write-path scaling run: crawl →
@@ -95,7 +97,7 @@ func scaleRun(t *testing.T, pages int, control bool) scaleOutcome {
 		WithShards(8),
 	}
 	if control {
-		opts = append(opts, WithMonolithicCompaction(true), WithRankFullEvery(1))
+		opts = append(opts, func(c *core.Config) { c.MonolithicCompaction = true }, WithRankFullEvery(1))
 	}
 	e := New(opts...)
 

@@ -8,6 +8,15 @@ import (
 	"repro/internal/corpus"
 )
 
+// useExhaustive flips every pool frontend of e to the reference executor
+// (exhaustive candidate scoring) and returns e.
+func useExhaustive(e *Engine) *Engine {
+	for i := 0; i < e.pool.Size(); i++ {
+		e.pool.Frontend(i).SetUseBlockMax(false)
+	}
+	return e
+}
+
 // wandPair boots two engines over the same seed and corpus — one on the
 // default block-max path, one forced exhaustive — and returns both. Ranks
 // are computed so the page-rank blend is live when rankWeight > 0.
@@ -22,9 +31,8 @@ func wandPair(t testing.TB, seed uint64, ndocs int, rankWeight float64) (wand, e
 	for i, d := range corp.Docs {
 		pages[i] = Page{URL: d.URL, Text: d.Text, Links: d.Links}
 	}
-	build := func(opts ...Option) *Engine {
-		base := []Option{WithSeed(seed), WithPeers(10), WithBees(3), WithRankWeight(rankWeight)}
-		e := New(append(base, opts...)...)
+	build := func() *Engine {
+		e := New(WithSeed(seed), WithPeers(10), WithBees(3), WithRankWeight(rankWeight))
 		owner := e.NewAccount("wand-owner", 1<<40)
 		if _, err := e.PublishBatch(owner, pages); err != nil {
 			t.Fatal(err)
@@ -34,7 +42,7 @@ func wandPair(t testing.TB, seed uint64, ndocs int, rankWeight float64) (wand, e
 		e.RunUntilIdle()
 		return e
 	}
-	return build(), build(WithExhaustiveScoring(true)), corp
+	return build(), useExhaustive(build()), corp
 }
 
 // wandWorkload builds the query mix the equivalence tests replay on both
@@ -147,7 +155,8 @@ func TestSearchScalingSublinear(t *testing.T) {
 	scanned := map[int]int64{}
 	for _, ndocs := range []int{48, 4800} {
 		e, corp := scalingCorpusEngine(t, ndocs)
-		ex, _ := scalingCorpusEngine(t, ndocs, WithExhaustiveScoring(true))
+		ex, _ := scalingCorpusEngine(t, ndocs)
+		useExhaustive(ex)
 		queries := corp.Queries(7, 32, 1)
 		var total int64
 		for _, q := range queries {
@@ -177,29 +186,5 @@ func TestSearchScalingSublinear(t *testing.T) {
 	if scanned[4800] > 10*scanned[48] {
 		t.Fatalf("postings scanned grew superlinearly with corpus: 1x=%d 100x=%d (> 10x)",
 			scanned[48], scanned[4800])
-	}
-}
-
-// TestExhaustiveScoringOption: the option must actually land in the
-// config and zero out skip counters.
-func TestExhaustiveScoringOption(t *testing.T) {
-	e := New(WithSeed(1), WithPeers(6), WithBees(2), WithExhaustiveScoring(true))
-	if !e.Cluster.Config().ExhaustiveScoring {
-		t.Fatal("WithExhaustiveScoring did not set config")
-	}
-	owner := e.NewAccount("o", 1000)
-	if err := e.Publish(owner, "dweb://p", "exhaustive scoring option body", nil); err != nil {
-		t.Fatal(err)
-	}
-	e.RunUntilIdle()
-	resp, err := e.Query("scoring option").Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.ScoreStats.BlocksSkipped != 0 || resp.ScoreStats.DocsSkipped != 0 {
-		t.Fatalf("exhaustive engine reported skips: %+v", resp.ScoreStats)
-	}
-	if len(resp.Results) != 1 {
-		t.Fatalf("results = %+v", resp.Results)
 	}
 }
