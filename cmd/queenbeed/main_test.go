@@ -538,3 +538,89 @@ func TestConcurrentRequestsConsistent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPointerReadCounters: the cache block of /stats and /healthz shows
+// how shard pointers are being read. Once every pool frontend has
+// walked each shard once, warm searches are answered by one verified
+// RPC per pointer (PtrVerified moves, PtrWalks does not); a publish
+// that rewrites every shard costs each frontend at most one more walk
+// per shard — none where the remembered holder is among the replicas
+// the round wrote — and the reads are single verified answers again.
+// Own engine: the counters must not see other tests' traffic.
+func TestPointerReadCounters(t *testing.T) {
+	const poolSize = 2
+	engine, publisher := buildEngine(1, 10, 3, 12, poolSize, true, true, true, false)
+	h := newHandler(engine, publisher, defaultLimits())
+	ccfg := corpus.DefaultConfig()
+	ccfg.Seed = 1
+	ccfg.NumDocs = 12
+	corp := corpus.Generate(ccfg)
+
+	var ready readyJSON
+	getJSON(t, h, "/readyz", http.StatusOK, &ready)
+	shards := ready.ShardsTotal
+
+	cache := func() queenbee.CacheStats {
+		var st statsJSON
+		getJSON(t, h, "/stats", http.StatusOK, &st)
+		var hz healthJSON
+		getJSON(t, h, "/healthz", http.StatusOK, &hz)
+		if hz.Cache.PtrVerified != st.Cache.PtrVerified || hz.Cache.PtrWalks != st.Cache.PtrWalks {
+			t.Fatalf("/healthz cache %+v disagrees with /stats %+v", hz.Cache, st.Cache)
+		}
+		return st.Cache
+	}
+	search := func(n int) {
+		for i := 0; i < n; i++ {
+			var out searchJSON
+			getJSON(t, h, "/search?q="+corp.Vocab(i%16), http.StatusOK, &out)
+			if out.Total == 0 {
+				t.Fatalf("query %q matched nothing", corp.Vocab(i%16))
+			}
+		}
+	}
+
+	const n = 64
+	search(n) // warm-up: every frontend walks each shard it is asked for once
+	warm := cache()
+	search(n)
+	steady := cache()
+	t.Logf("%d warm searches: PtrVerified +%d, PtrWalks +%d (after warm-up: %d verified, %d walks)",
+		n, steady.PtrVerified-warm.PtrVerified, steady.PtrWalks-warm.PtrWalks, warm.PtrVerified, warm.PtrWalks)
+	if steady.PtrWalks != warm.PtrWalks {
+		t.Fatalf("warm searches walked the DHT: PtrWalks %d → %d", warm.PtrWalks, steady.PtrWalks)
+	}
+	if got := steady.PtrVerified - warm.PtrVerified; got < n {
+		t.Fatalf("%d warm searches moved PtrVerified by %d", n, got)
+	}
+
+	// A batch long enough to land on every shard, so every pointer is
+	// re-stamped with the new generation.
+	pcfg := corpus.DefaultConfig()
+	pcfg.Seed = 2
+	pcfg.NumDocs = 16
+	var req publishJSON
+	for i, d := range corpus.Generate(pcfg).Docs {
+		req.Pages = append(req.Pages, pageJSON{URL: fmt.Sprintf("dweb://ptr/p-%02d", i), Text: d.Text})
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pub publishRespJSON
+	postJSON(t, h, "/publish", string(body), http.StatusOK, &pub)
+	if pub.Round.PointerWrites != shards || len(pub.Round.Errors) > 0 {
+		t.Fatalf("publish rewrote %d of %d shards (errors %v); the batch must touch all", pub.Round.PointerWrites, shards, pub.Round.Errors)
+	}
+
+	search(n)
+	after := cache()
+	t.Logf("%d searches after a publish: PtrVerified +%d, PtrWalks +%d (bound %d)",
+		n, after.PtrVerified-steady.PtrVerified, after.PtrWalks-steady.PtrWalks, shards*poolSize)
+	if got := after.PtrVerified - steady.PtrVerified; got < n {
+		t.Fatalf("%d searches after a publish moved PtrVerified by %d", n, got)
+	}
+	if got := after.PtrWalks - steady.PtrWalks; got > int64(shards*poolSize) {
+		t.Fatalf("re-reads after one publish walked %d times, want at most %d (shards × pool)", got, shards*poolSize)
+	}
+}

@@ -59,7 +59,12 @@
 // each shard's merged chain keyed by its digest chain — and fetch the
 // distinct shards of a multi-term query as one parallel wave (costed as
 // the slowest shard, not the sum, while staying deterministic per
-// seed). Ranking is document-at-a-time block-max WAND (docs/serving.md):
+// seed). The one thing a warm query still reads is each shard's
+// pointer, and that is a single RPC: writers stamp pointers with the
+// chain's index generation, so the replica that served the current
+// pointer last time can be asked alone and believed when its stamp is
+// current; anything else falls back to the K-replica quorum walk.
+// Ranking is document-at-a-time block-max WAND (docs/serving.md):
 // per-term cursors drive top-k early termination against a bounded
 // min-heap threshold, skipping every posting block that provably cannot
 // reach the current page — byte-identical to exhaustive scoring

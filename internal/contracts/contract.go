@@ -113,6 +113,7 @@ type QueenBee struct {
 	pageRanks  map[string]float64 // latest finalized ranks
 	rankEpoch  uint64             // latest finalized epoch
 	rankGen    uint64             // bumped on every pageRanks mutation (RankGen)
+	indexGen   uint64             // bumped on every finalized index task (IndexGen)
 	dirtyPages map[string]bool    // pages touched since the last epoch snapshot
 	fullEpoch  uint64             // latest finalized full (non-delta) epoch
 

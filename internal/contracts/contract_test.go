@@ -228,11 +228,17 @@ func TestCommitRevealHonestQuorum(t *testing.T) {
 	h.seal()
 
 	honest := ResultDigest([]byte("postings-v1"))
+	if gen := h.qb.IndexGen(); gen != 0 {
+		t.Fatalf("index generation %d before any task finalized", gen)
+	}
 	runTask(h, "idx:dweb://p:1", ws, func(int) string { return honest })
 
 	task, _ := h.qb.TaskInfo("idx:dweb://p:1")
 	if task.Status != StatusFinalized || task.WinningDigest != honest {
 		t.Fatalf("task = %+v", task)
+	}
+	if gen := h.qb.IndexGen(); gen != 1 {
+		t.Fatalf("index generation = %d after one finalized index task, want 1", gen)
 	}
 	// Every assignee earned the task reward.
 	cfg := h.qb.Config()
@@ -355,6 +361,9 @@ func TestNoMajorityFailsTask(t *testing.T) {
 	task, _ := h.qb.TaskInfo("idx:dweb://p:1")
 	if task.Status != StatusFailed {
 		t.Fatalf("task = %+v, want failed", task)
+	}
+	if gen := h.qb.IndexGen(); gen != 0 {
+		t.Fatalf("a failed task moved the index generation to %d", gen)
 	}
 }
 
@@ -509,6 +518,9 @@ func TestRankEpochLifecycle(t *testing.T) {
 	}
 	if got := h.qb.PageRank("dweb://b"); got != 0.25 {
 		t.Fatalf("rank b = %v, want 0.25", got)
+	}
+	if gen := h.qb.IndexGen(); gen != 0 {
+		t.Fatalf("rank tasks moved the index generation to %d", gen)
 	}
 }
 

@@ -303,6 +303,9 @@ func (q *QueenBee) finalizeTaskLocked(ctx *chain.TxContext, t *Task) error {
 
 	t.Status = StatusFinalized
 	t.WinningDigest = winning
+	if t.Kind == TaskIndex {
+		q.indexGen++
+	}
 	for _, a := range votes[winning] {
 		if w := q.workers[a]; w != nil {
 			w.Completed++
@@ -380,6 +383,18 @@ func (q *QueenBee) OpenTasksPastDeadline(height uint64) []string {
 		}
 	}
 	return out
+}
+
+// IndexGen returns a generation counter that advances once per finalized
+// index task — the only event after which a materialize pass moves shard
+// pointers. Pointer writers stamp the generation their pass materialized
+// (core.ShardPointer.Gen); a reader holding a pointer stamped with the
+// current generation knows no newer one exists without asking a quorum.
+// Failed tasks and rank tasks do not advance it.
+func (q *QueenBee) IndexGen() uint64 {
+	q.mu.RLock()
+	defer q.mu.RUnlock()
+	return q.indexGen
 }
 
 // TaskCounts reports how many tasks are in each status.

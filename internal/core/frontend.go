@@ -41,6 +41,14 @@ type Frontend struct {
 	docURL      map[index.DocID]string
 	docURLGen   int // page count when docURL was built
 
+	// ptrHolder remembers, per shard, the replica that last served a
+	// pointer the chain vouched for (see readPointer); at most NumShards
+	// entries. ptrVerified / ptrWalks count how pointer reads were
+	// answered: one verified RPC, or the quorum walk.
+	ptrHolder   map[int]dht.Contact
+	ptrVerified atomic.Int64
+	ptrWalks    atomic.Int64
+
 	stats        IndexStats
 	statsGen     int // page count when stats were fetched; -1 before the first fetch
 	statsFlight  *statsFetch
@@ -112,6 +120,7 @@ func NewFrontend(c *Cluster, peer *store.Peer) *Frontend {
 		segFlight:   make(map[string]*segFetch),
 		chainFlight: make(map[int]*chainFetch),
 		docURL:      make(map[index.DocID]string),
+		ptrHolder:   make(map[int]dht.Contact),
 		statsGen:    -1,
 	}
 	f.wand.Store(true)
@@ -430,11 +439,75 @@ func (f *Frontend) fetchSegmentCtx(ctx context.Context, digest string) (*index.S
 	}
 }
 
+// readPointer reads a shard's pointer for a query: one verified answer
+// when it can get one, the quorum walk otherwise (docs/serving.md, "The
+// pointer read").
+//
+// A lone replica may be stale and cannot say so — hence the walk to the
+// K closest nodes. The chain can: writers stamp the index generation
+// their pass materialized (ShardPointer.Gen), so a record stamped with
+// the current generation is the newest there is. The frontend asks the
+// replica that served the shard's current pointer last time — one
+// FIND_VALUE, no lookup — and accepts the answer iff it decodes and is
+// stamped at or past the generation read BEFORE the RPC (a round
+// finalizing mid-read can only make the check stricter). Anything else
+// — unstamped, older stamp, undecodable, holder down or forgetful —
+// falls back to the walk, whose cost is added to the failed RPC's. The
+// walk's holder is remembered only when its own answer verifies, so a
+// shard the latest pass did not rewrite is read by the walk alone, with
+// no wasted RPC.
+//
+// Both paths return the same record, and only costs differ, as long as
+// version order and generation order agree — that is, every pointer
+// read-modify-write saw the newest record. The verified read does not
+// look at Version: after a lost update (a writer whose quorum read
+// missed the newest version stamps the current generation on a lower
+// one, and the newer version's replicas come back) the walk serves the
+// highest version and a remembered holder of the fork serves the fork,
+// until the next pass rewrites the shard
+// (TestQueryPointerForkedRecord).
+func (f *Frontend) readPointer(ctx context.Context, shard int) (ShardPointer, netsim.Cost, error) {
+	d := f.peer.DHT()
+	gen := f.cluster.QB.IndexGen()
+	f.mu.Lock()
+	holder, memo := f.ptrHolder[shard]
+	f.mu.Unlock()
+
+	var cost netsim.Cost
+	if memo {
+		val, _, c, err := d.GetFromCtx(ctx, holder, dht.KeyOfString(index.ShardPointerKey(shard)))
+		cost = c
+		if isCancelled(err) {
+			return ShardPointer{}, cost, err
+		}
+		if err == nil {
+			if ptr, derr := decodeShardPointer(val); derr == nil && ptr.currentAt(gen) {
+				f.ptrVerified.Add(1)
+				return ptr, cost, nil
+			}
+		}
+	}
+
+	ptr, walked, wcost, err := readShardPointerCtx(ctx, d, shard)
+	cost = cost.Seq(wcost)
+	f.ptrWalks.Add(1)
+	f.mu.Lock()
+	switch {
+	case err == nil && walked != (dht.Contact{}) && ptr.currentAt(gen):
+		f.ptrHolder[shard] = walked
+	case memo && f.ptrHolder[shard] == holder:
+		delete(f.ptrHolder, shard)
+	}
+	f.mu.Unlock()
+	return ptr, cost, err
+}
+
 // loadShardCtx fetches a shard's segment chain and returns its merged
 // view. Two cache layers keep warm queries cheap: segments are immutable
 // and cached per digest, and the merged chain is cached per shard keyed by
-// the digest chain — the pointer read is the only per-query DHT traffic
-// until the chain changes. Single-segment chains (the common case after
+// the digest chain — the pointer read (readPointer: one RPC when the
+// chain vouches for the answer) is the only per-query DHT traffic until
+// the chain changes. Single-segment chains (the common case after
 // compaction) skip merging entirely, so their postings stay lazy.
 //
 // It is one wave leg with a request lifecycle. e0 is the query's
@@ -450,7 +523,7 @@ func (f *Frontend) loadShardCtx(bud reqBudget, e0 time.Duration, shard int) (*in
 	if err := bud.check(e0); err != nil {
 		return nil, netsim.Cost{}, err
 	}
-	ptr, cost, err := readShardPointerCtx(bud.context(), f.peer.DHT(), shard)
+	ptr, cost, err := f.readPointer(bud.context(), shard)
 	if err == dht.ErrNotFound {
 		return index.NewSegment(0), cost, nil
 	}
@@ -709,6 +782,10 @@ type CacheStats struct {
 	ChainEntries            int
 	ChainHits, ChainMisses  int64
 	StatsFetches            int64
+	// PtrVerified counts shard-pointer reads answered by one verified
+	// RPC to a remembered holder; PtrWalks counts those that ran the
+	// K-replica quorum walk (see Frontend.readPointer).
+	PtrVerified, PtrWalks int64
 }
 
 // Add accumulates another snapshot into c — the aggregation a pool (or
@@ -726,6 +803,16 @@ func (c *CacheStats) Add(o CacheStats) {
 	c.ChainHits += o.ChainHits
 	c.ChainMisses += o.ChainMisses
 	c.StatsFetches += o.StatsFetches
+	c.PtrVerified += o.PtrVerified
+	c.PtrWalks += o.PtrWalks
+}
+
+// WarmSince reports whether every shard load between the earlier
+// snapshot prev and c was served warm: no chain-cache miss and no
+// pointer quorum walk. Steady-state measurements of the serving tier
+// (TestPoolConcurrentThroughput, E14) time only traffic it holds for.
+func (c CacheStats) WarmSince(prev CacheStats) bool {
+	return c.ChainMisses == prev.ChainMisses && c.PtrWalks == prev.PtrWalks
 }
 
 // CacheStatsSnapshot reports cache occupancy and traffic counters —
@@ -746,6 +833,8 @@ func (f *Frontend) CacheStatsSnapshot() CacheStats {
 		ChainHits:    f.chainCache.hits,
 		ChainMisses:  f.chainCache.misses,
 		StatsFetches: f.statsFetches,
+		PtrVerified:  f.ptrVerified.Load(),
+		PtrWalks:     f.ptrWalks.Load(),
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 
 	"repro/internal/dht"
@@ -126,8 +125,8 @@ func (c *Cluster) RunMaintenance() RepairStats {
 		}
 		probeValue(key, seq, val)
 
-		var ptr ShardPointer
-		if json.Unmarshal(val, &ptr) != nil {
+		ptr, err := decodeShardPointer(val)
+		if err != nil {
 			continue
 		}
 		for _, digest := range ptr.Digests {

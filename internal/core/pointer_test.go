@@ -1,0 +1,579 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/chain"
+	"repro/internal/dht"
+	"repro/internal/index"
+	"repro/internal/netsim"
+	"repro/internal/xrand"
+)
+
+// The verified pointer read (Frontend.readPointer) against the quorum
+// walk (readShardPointer) as reference: whatever the remembered holder
+// does — serve an older stamp, garbage, nothing, or no answer at all —
+// the record returned is the walk's, the response is that of a frontend
+// that remembers nothing, and a holder is (re)learned only from a walk
+// whose answer the chain vouches for.
+
+// shardWords returns one word per shard that analyzes to a single term
+// hashing to that shard, so a page's text picks the shards it touches.
+func shardWords(t *testing.T, numShards int) []string {
+	t.Helper()
+	words := make([]string, numShards)
+	for i, found := 0, 0; found < numShards; i++ {
+		if i > 10_000 {
+			t.Fatal("no word found for some shard")
+		}
+		w := fmt.Sprintf("ptrword%d", i)
+		terms := index.AnalyzeQuery(w)
+		if len(terms) != 1 {
+			continue
+		}
+		if s := index.ShardOf(terms[0], numShards); words[s] == "" {
+			words[s] = w
+			found++
+		}
+	}
+	return words
+}
+
+// pointerFixture is a small deployment whose first round wrote every
+// shard, plus the frontend under test.
+type pointerFixture struct {
+	c     *Cluster
+	fe    *Frontend
+	owner *chain.Account
+	words []string // words[s] lands on shard s
+	pages int
+}
+
+func newPointerFixture(t *testing.T) *pointerFixture {
+	t.Helper()
+	c := smallCluster(t)
+	fx := &pointerFixture{c: c, owner: c.NewAccount("alice", 100_000), words: shardWords(t, c.Config().NumShards)}
+	c.Seal()
+	fx.publish(t, fx.words...)
+	fx.fe = NewFrontend(c, c.Peers[3])
+	return fx
+}
+
+// publish indexes one page made of the given words in one round.
+func (fx *pointerFixture) publish(t *testing.T, words ...string) {
+	t.Helper()
+	fx.pages++
+	rr, err := fx.c.IndexBatch(fx.owner, []BatchPage{{
+		URL:  fmt.Sprintf("dweb://ptr/%d", fx.pages),
+		Text: strings.Join(words, " "),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rr.Errors) > 0 {
+		t.Fatalf("round errors: %v", rr.Errors)
+	}
+}
+
+// nodeAt finds the DHT node registered at addr.
+func (fx *pointerFixture) nodeAt(t *testing.T, addr netsim.NodeID) *dht.Node {
+	t.Helper()
+	var out *dht.Node
+	fx.c.forEachNode(func(d *dht.Node) {
+		if d.Self().Addr == addr {
+			out = d
+		}
+	})
+	if out == nil {
+		t.Fatalf("no node at %s", addr)
+	}
+	return out
+}
+
+func (fx *pointerFixture) holder(shard int) (dht.Contact, bool) {
+	fx.fe.mu.Lock()
+	defer fx.fe.mu.Unlock()
+	h, ok := fx.fe.ptrHolder[shard]
+	return h, ok
+}
+
+// read runs one readPointer and checks it against the quorum walk from
+// the same node. It returns the counters' movement.
+func (fx *pointerFixture) read(t *testing.T, shard int) (verified, walks int64) {
+	t.Helper()
+	want, _, werr := readShardPointer(fx.fe.peer.DHT(), shard)
+	before := fx.fe.CacheStatsSnapshot()
+	got, cost, gerr := fx.fe.readPointer(context.Background(), shard)
+	after := fx.fe.CacheStatsSnapshot()
+	if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+		t.Fatalf("shard %d: readPointer err = %v, quorum walk err = %v", shard, gerr, werr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("shard %d: readPointer = %+v, quorum walk = %+v", shard, got, want)
+	}
+	if cost.Msgs == 0 {
+		t.Fatalf("shard %d: pointer read reported no traffic", shard)
+	}
+	return after.PtrVerified - before.PtrVerified, after.PtrWalks - before.PtrWalks
+}
+
+// learn reads shard until the frontend remembers a holder (one walk),
+// proves the next read is a single verified RPC, and returns the holder.
+func (fx *pointerFixture) learn(t *testing.T, shard int) dht.Contact {
+	t.Helper()
+	if v, w := fx.read(t, shard); v != 0 || w != 1 {
+		t.Fatalf("cold read: verified %d walks %d, want one walk", v, w)
+	}
+	h, ok := fx.holder(shard)
+	if !ok || h == (dht.Contact{}) {
+		t.Fatalf("walk of a current pointer learned no holder")
+	}
+	_, _, cost, err := fx.fe.peer.DHT().GetFromCtx(context.Background(), h, dht.KeyOfString(index.ShardPointerKey(shard)))
+	if err != nil || cost.Msgs != 1 {
+		t.Fatalf("direct holder read: cost %+v err %v, want one RPC", cost, err)
+	}
+	if v, w := fx.read(t, shard); v != 1 || w != 0 {
+		t.Fatalf("warm read: verified %d walks %d, want one verified answer", v, w)
+	}
+	return h
+}
+
+// sameAnswer checks the frontend's response to a query against that of
+// a frontend on the same peer that remembers nothing.
+func (fx *pointerFixture) sameAnswer(t *testing.T, raw string) {
+	t.Helper()
+	q := Query{Raw: raw, Mode: PlanAll, Limit: 10}
+	got, gerr := fx.fe.Execute(q)
+	want, werr := NewFrontend(fx.c, fx.fe.peer).Execute(q)
+	if (gerr == nil) != (werr == nil) {
+		t.Fatalf("%q: err = %v, memo-less frontend err = %v", raw, gerr, werr)
+	}
+	if !reflect.DeepEqual(got.Results, want.Results) || got.Total != want.Total {
+		t.Fatalf("%q: results %+v (total %d), memo-less frontend %+v (total %d)",
+			raw, got.Results, got.Total, want.Results, want.Total)
+	}
+	if gerr == nil && got.Total == 0 {
+		t.Fatalf("%q matched nothing", raw)
+	}
+}
+
+// (a) The holder was down while a round rewrote the shard and came back
+// with the previous generation's record.
+func TestQueryPointerHolderOlderStamp(t *testing.T) {
+	fx := newPointerFixture(t)
+	const shard = 2
+	h := fx.learn(t, shard)
+
+	fx.c.Net.SetDown(h.Addr, true)
+	fx.publish(t, fx.words...)
+	fx.c.Net.SetDown(h.Addr, false)
+
+	if v, w := fx.read(t, shard); v != 0 || w != 1 {
+		t.Fatalf("stale holder: verified %d walks %d, want the walk", v, w)
+	}
+	h2, ok := fx.holder(shard)
+	if !ok || h2 == h {
+		t.Fatalf("holder after fallback = %+v (ok=%v), want a replica other than the stale %s", h2, ok, h.Addr)
+	}
+	if v, w := fx.read(t, shard); v != 1 || w != 0 {
+		t.Fatalf("after re-learning: verified %d walks %d, want one verified answer", v, w)
+	}
+	fx.sameAnswer(t, fx.words[shard])
+}
+
+// (b) The holder returns bytes that do not decode as a pointer.
+func TestQueryPointerHolderGarbage(t *testing.T) {
+	fx := newPointerFixture(t)
+	const shard = 5
+	h := fx.learn(t, shard)
+
+	// Sequence 0 loses every quorum, so the walk's answer is untouched.
+	fx.nodeAt(t, h.Addr).StoreLocal(dht.KeyOfString(index.ShardPointerKey(shard)), []byte(`{"Digests":["x"],"Gen":99}`), 0)
+
+	if v, w := fx.read(t, shard); v != 0 || w != 1 {
+		t.Fatalf("garbage holder: verified %d walks %d, want the walk", v, w)
+	}
+	if h2, ok := fx.holder(shard); !ok || h2 == h {
+		t.Fatalf("holder after fallback = %+v (ok=%v), want a replica other than %s", h2, ok, h.Addr)
+	}
+	fx.sameAnswer(t, fx.words[shard])
+}
+
+// (c) The holder answers but has no record: to the reader, a replica
+// that lost the record is a node that never held it.
+func TestQueryPointerHolderLostRecord(t *testing.T) {
+	fx := newPointerFixture(t)
+	const shard = 1
+	fx.learn(t, shard)
+
+	key := dht.KeyOfString(index.ShardPointerKey(shard))
+	var empty dht.Contact
+	fx.c.forEachNode(func(d *dht.Node) {
+		if _, _, _, err := fx.fe.peer.DHT().GetFromCtx(context.Background(), d.Self(), key); err == dht.ErrNotFound {
+			empty = d.Self()
+		}
+	})
+	if empty == (dht.Contact{}) {
+		t.Fatal("every node holds the pointer; nothing models a lost record")
+	}
+	fx.fe.mu.Lock()
+	fx.fe.ptrHolder[shard] = empty
+	fx.fe.mu.Unlock()
+
+	if v, w := fx.read(t, shard); v != 0 || w != 1 {
+		t.Fatalf("forgetful holder: verified %d walks %d, want the walk", v, w)
+	}
+	if h2, ok := fx.holder(shard); !ok || h2 == empty {
+		t.Fatalf("holder after fallback = %+v (ok=%v), want a real replica", h2, ok)
+	}
+	fx.sameAnswer(t, fx.words[shard])
+}
+
+// (d) The holder is down.
+func TestQueryPointerHolderDown(t *testing.T) {
+	fx := newPointerFixture(t)
+	const shard = 6
+	h := fx.learn(t, shard)
+
+	fx.c.Net.SetDown(h.Addr, true)
+	if v, w := fx.read(t, shard); v != 0 || w != 1 {
+		t.Fatalf("dead holder: verified %d walks %d, want the walk", v, w)
+	}
+	if h2, ok := fx.holder(shard); !ok || h2 == h {
+		t.Fatalf("holder after fallback = %+v (ok=%v), want a live replica", h2, ok)
+	}
+	fx.sameAnswer(t, fx.words[shard])
+	if v, w := fx.read(t, shard); v != 1 || w != 0 {
+		t.Fatalf("after re-learning: verified %d walks %d, want one verified answer", v, w)
+	}
+}
+
+// (e) The latest pass did not rewrite the shard: its stamp is older than
+// the chain, so it is read by the walk every time and never remembered.
+func TestQueryPointerShardNotRewritten(t *testing.T) {
+	fx := newPointerFixture(t)
+	const stale, fresh = 3, 4
+	fx.learn(t, stale)
+	fx.publish(t, fx.words[fresh])
+
+	// First read spends the remembered holder's RPC, then walks.
+	if v, w := fx.read(t, stale); v != 0 || w != 1 {
+		t.Fatalf("first read: verified %d walks %d, want the walk", v, w)
+	}
+	for i := 0; i < 2; i++ {
+		if _, ok := fx.holder(stale); ok {
+			t.Fatal("a pointer the chain does not vouch for was remembered")
+		}
+		if v, w := fx.read(t, stale); v != 0 || w != 1 {
+			t.Fatalf("read %d: verified %d walks %d, want the walk", i, v, w)
+		}
+	}
+	fx.learn(t, fresh)
+	fx.sameAnswer(t, fx.words[stale])
+	fx.sameAnswer(t, fx.words[fresh])
+}
+
+// (f) No index task ever finalized: hand-written pointers — even ones
+// claiming a generation — are never verified.
+func TestQueryPointerGenZeroNeverVerifies(t *testing.T) {
+	c := smallCluster(t)
+	if gen := c.QB.IndexGen(); gen != 0 {
+		t.Fatalf("fresh chain at index generation %d", gen)
+	}
+	b := index.NewBuilder(1)
+	b.Add(index.DocIDOf("dweb://hand"), "handwritten")
+	data := b.Build().Encode()
+	digest := index.DigestOf(data)
+	d := c.Peers[0].DHT()
+	if _, err := writeSegment(d, digest, data); err != nil {
+		t.Fatal(err)
+	}
+	shard := index.ShardOf(index.AnalyzeQuery("handwritten")[0], c.Config().NumShards)
+	if _, err := writeShardPointer(d, shard, ShardPointer{Digests: []string{digest}, Version: 1, Gen: 7}); err != nil {
+		t.Fatal(err)
+	}
+	fx := &pointerFixture{c: c, fe: NewFrontend(c, c.Peers[3])}
+	for i := 0; i < 3; i++ {
+		if v, w := fx.read(t, shard); v != 0 || w != 1 {
+			t.Fatalf("read %d: verified %d walks %d, want the walk", i, v, w)
+		}
+		if _, ok := fx.holder(shard); ok {
+			t.Fatal("holder remembered at index generation 0")
+		}
+	}
+	seg, _, err := fx.fe.loadShardCtx(reqBudget{}, 0, shard)
+	if err != nil || seg.Postings(index.AnalyzeQuery("handwritten")[0]) == nil {
+		t.Fatalf("hand-written shard did not load: %v", err)
+	}
+}
+
+// TestQueryPointerForkedRecord pins the one case where the two paths
+// part: a lost update. A writer whose read-modify-write could not see
+// the newest record (every holder it asked was unreachable) writes a
+// LOWER version stamped with the CURRENT generation, and the replicas of
+// the newer version come back — version order and generation order now
+// disagree. The walk serves the highest version; a frontend remembering
+// a holder of the fork serves the fork, which the chain vouches for.
+// The next pass that rewrites the shard settles it for both paths at
+// once (so does a maintenance republish of the highest version, where
+// the record is under-replicated enough for one to fire).
+func TestQueryPointerForkedRecord(t *testing.T) {
+	fx := newPointerFixture(t)
+	const shard, other = 2, 4
+	fx.publish(t, fx.words[shard])
+	h := fx.learn(t, shard)
+	newest, _, err := readShardPointer(fx.fe.peer.DHT(), shard)
+	if err != nil || newest.Version < 2 {
+		t.Fatalf("newest pointer %+v, err %v", newest, err)
+	}
+
+	// The chain moves on without this shard, and the remembered holder
+	// ends up with the forked record.
+	fx.publish(t, fx.words[other])
+	fork := ShardPointer{Digests: newest.Digests[:1], Version: newest.Version - 1, Gen: fx.c.QB.IndexGen()}
+	fx.nodeAt(t, h.Addr).StoreLocal(dht.KeyOfString(index.ShardPointerKey(shard)), encodeJSON(fork), fork.Version)
+	fx.fe.mu.Lock()
+	fx.fe.ptrHolder[shard] = h
+	fx.fe.mu.Unlock()
+
+	walked, _, err := readShardPointer(fx.fe.peer.DHT(), shard)
+	if err != nil || !reflect.DeepEqual(walked, newest) {
+		t.Fatalf("quorum walk = %+v (%v), want the highest version %+v", walked, err, newest)
+	}
+	got, cost, err := fx.fe.readPointer(context.Background(), shard)
+	if err != nil || cost.Msgs != 1 || got.Version != fork.Version || got.Gen != fork.Gen || !reflect.DeepEqual(got.Digests, fork.Digests) {
+		t.Fatalf("verified read = %+v (cost %+v, err %v), want the current-generation fork %+v in one RPC", got, cost, err, fork)
+	}
+
+	// The next pass reads the highest version, appends to it and stamps
+	// the result: it outranks the fork on both orders, on every replica.
+	fx.publish(t, fx.words[shard])
+	for i := 0; i < 2; i++ {
+		fx.read(t, shard)
+	}
+	if v, w := fx.read(t, shard); v != 1 || w != 0 {
+		t.Fatalf("after the rewrite: verified %d walks %d, want one verified answer", v, w)
+	}
+	fx.sameAnswer(t, fx.words[shard])
+}
+
+// TestQueryPointerShortDigestRejected: a pointer record listing a
+// malformed digest used to win the quorum read and crash the frontend
+// in readSegmentCtx's error formatting once any record sat under the
+// bogus segment key. It is rejected where it is decoded.
+func TestQueryPointerShortDigestRejected(t *testing.T) {
+	fx := newPointerFixture(t)
+	const shard = 0
+	fx.learn(t, shard)
+	d := fx.c.Peers[0].DHT()
+	if _, err := writeShardPointer(d, shard, ShardPointer{Digests: []string{"x"}, Version: 999}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := d.Put(dht.KeyOfString(index.SegmentKey("x")), []byte("anything"), 0); err != nil {
+		t.Fatal(err)
+	}
+	_, err := fx.fe.Execute(Query{Raw: fx.words[shard], Mode: PlanAll})
+	if !errors.Is(err, ErrShardUnavailable) || !strings.Contains(err.Error(), "corrupt shard pointer") {
+		t.Fatalf("err = %v, want a corrupt-pointer ErrShardUnavailable", err)
+	}
+	if _, ok := fx.holder(shard); ok {
+		t.Fatal("holder of a corrupt pointer stayed remembered")
+	}
+	// The segment reader itself no longer slices the digest it was given.
+	if _, _, err := readSegment(d, "x"); err == nil || !strings.Contains(err.Error(), "hash verification") {
+		t.Fatalf("readSegment(short digest) err = %v, want hash verification failure", err)
+	}
+	// Maintenance skips the record instead of chasing its digests.
+	fx.c.RunMaintenance()
+}
+
+// TestWritePointerStamped: all three pointer writers — the tiered RMW
+// and the monolithic policy's append and compaction — stamp the pass's
+// index generation, merges included, and a maintenance republish (raw
+// bytes) carries the stamp to the replacement replicas.
+func TestWritePointerStamped(t *testing.T) {
+	for _, monolithic := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.NumPeers = 12
+		cfg.NumBees = 3
+		cfg.NumShards = 2 // concentrate chains so merges fire
+		cfg.MonolithicCompaction = monolithic
+		c := NewCluster(cfg)
+		alice := c.NewAccount("alice", 1_000_000)
+		c.Seal()
+		compactions := 0
+		for round := 0; round < 4; round++ {
+			for j := 0; j < 5; j++ {
+				url := fmt.Sprintf("dweb://stamp/%d/%d", round, j)
+				if _, err := c.Publish(alice, c.Peers[j], url, fmt.Sprintf("stamped pointer workload page %d of round %d", j, round), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Seal()
+			rr := c.ProcessRoundReceipt()
+			if len(rr.Errors) > 0 {
+				t.Fatalf("monolithic=%v round %d: %v", monolithic, round, rr.Errors)
+			}
+			compactions += rr.Compactions
+			gen := c.QB.IndexGen()
+			if want := uint64(5 * (round + 1)); gen != want {
+				t.Fatalf("monolithic=%v round %d: index generation %d, want %d", monolithic, round, gen, want)
+			}
+			for shard := 0; shard < cfg.NumShards; shard++ {
+				ptr, _, err := readShardPointer(c.Peers[11].DHT(), shard)
+				if err != nil || ptr.Gen != gen {
+					t.Fatalf("monolithic=%v round %d shard %d: pointer %+v (err %v), want stamp %d", monolithic, round, shard, ptr, err, gen)
+				}
+			}
+		}
+		if compactions == 0 {
+			t.Fatalf("monolithic=%v: no compaction fired; the merge writers were not exercised", monolithic)
+		}
+
+		// Kill a replica holder; maintenance republishes the raw record.
+		_, _, holder, _, err := c.Peers[11].DHT().GetHolderCtx(context.Background(), dht.KeyOfString(index.ShardPointerKey(0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Net.SetDown(holder.Addr, true)
+		if pass := c.RunMaintenance(); pass.Republished == 0 {
+			t.Fatalf("monolithic=%v: maintenance republished nothing after a replica died", monolithic)
+		}
+		if ptr, _, err := readShardPointer(c.Peers[11].DHT(), 0); err != nil || ptr.Gen != c.QB.IndexGen() {
+			t.Fatalf("monolithic=%v: pointer after repair %+v (err %v), want stamp %d", monolithic, ptr, err, c.QB.IndexGen())
+		}
+	}
+}
+
+// TestQueryPointerSoak: seeded random publishes with replicas toggled
+// down across rounds, maintenance on and off. After every round the
+// verified read equals the quorum walk for every shard on every pool
+// frontend, and every page sealed so far is findable on all of them.
+// With at most two of fourteen peers down, every read-modify-write still
+// sees the newest record, so version order and generation order agree —
+// the precondition of that equality (TestQueryPointerForkedRecord is
+// the case where they do not).
+func TestQueryPointerSoak(t *testing.T) {
+	for _, maintenance := range []bool{true, false} {
+		t.Run(fmt.Sprintf("maintenance=%v", maintenance), func(t *testing.T) {
+			pointerSoak(t, maintenance)
+		})
+	}
+}
+
+func pointerSoak(t *testing.T, maintenance bool) {
+	cfg := DefaultConfig()
+	cfg.Seed = 11
+	cfg.NumPeers = 14
+	cfg.NumBees = 3
+	cfg.Maintenance = maintenance
+	c := NewCluster(cfg)
+	owner := c.NewAccount("alice", 1_000_000)
+	c.Seal()
+	pool := NewFrontendPool(c, 3, true, 0)
+	words := shardWords(t, cfg.NumShards)
+	rng := xrand.New(cfg.Seed)
+
+	var markers []string
+	var down []netsim.NodeID
+	for round := 0; round < 12; round++ {
+		for _, a := range down {
+			c.Net.SetDown(a, false)
+		}
+		down = down[:0]
+		// Victims are peers that host no pool frontend (and never bees).
+		for _, i := range rng.Sample(cfg.NumPeers-pool.Size(), rng.Intn(3)) {
+			a := c.Peers[pool.Size()+i].Addr()
+			c.Net.SetDown(a, true)
+			down = append(down, a)
+		}
+
+		pages := make([]BatchPage, 1+rng.Intn(3))
+		for i := range pages {
+			marker := fmt.Sprintf("soakmark%dx%d", round, i)
+			markers = append(markers, marker)
+			text := marker
+			for _, s := range rng.Sample(len(words), 1+rng.Intn(len(words))) {
+				text += " " + words[s]
+			}
+			pages[i] = BatchPage{URL: "dweb://soak/" + marker, Text: text}
+		}
+		// IndexBatch's sequence with the content on a peer that stays up.
+		if _, err := c.PublishBatch(owner, c.Peers[0], pages); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		c.Seal()
+		if rr := c.ProcessRoundReceipt(); len(rr.Errors) > 0 {
+			t.Fatalf("round %d: %v", round, rr.Errors)
+		}
+
+		for fi := 0; fi < pool.Size(); fi++ {
+			fe := pool.Frontend(fi)
+			for shard := 0; shard < cfg.NumShards; shard++ {
+				want, _, werr := readShardPointer(fe.peer.DHT(), shard)
+				got, _, gerr := fe.readPointer(context.Background(), shard)
+				if werr != gerr || !reflect.DeepEqual(got, want) {
+					t.Fatalf("round %d frontend %d shard %d: readPointer = %+v (%v), quorum walk = %+v (%v)",
+						round, fi, shard, got, gerr, want, werr)
+				}
+			}
+			for _, m := range markers {
+				resp, err := fe.Search(m, 5)
+				if err != nil || len(resp.Results) != 1 {
+					t.Fatalf("round %d frontend %d: sealed page %q not findable: %d results, err %v",
+						round, fi, m, len(resp.Results), err)
+				}
+			}
+		}
+	}
+	cs := pool.CacheStatsSnapshot()
+	if cs.PtrVerified == 0 || cs.PtrWalks == 0 {
+		t.Fatalf("soak exercised one path only: %+v", cs)
+	}
+	t.Logf("pointer reads: %d verified, %d walks", cs.PtrVerified, cs.PtrWalks)
+}
+
+// FuzzShardPointerDecode: pointer bytes come from whichever replica
+// answered. Decoding never panics, and whatever it accepts is safe to
+// hand to the segment reader and survives a re-encode unchanged.
+func FuzzShardPointerDecode(f *testing.F) {
+	dg := index.DigestOf([]byte("seed"))
+	f.Add(encodeJSON(ShardPointer{Digests: []string{dg, dg}, Levels: []int{1, 0}, Version: 3, Gen: 2}))
+	f.Add(encodeJSON(ShardPointer{Digests: []string{dg}, Version: 1}))
+	f.Add([]byte(`{"Digests":["x"],"Version":999}`))
+	f.Add([]byte(`{"Digests":["` + dg + `"],"Levels":[-1]}`))
+	f.Add([]byte(`{"Digests":["` + dg + `"],"Levels":[0,0]}`))
+	f.Add([]byte(`{"Digests":["` + strings.ToUpper(dg) + `"]}`))
+	f.Add([]byte("not json"))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ptr, err := decodeShardPointer(data)
+		if err != nil {
+			if !reflect.DeepEqual(ptr, ShardPointer{}) {
+				t.Fatalf("rejected input leaked %+v", ptr)
+			}
+			return
+		}
+		for i, d := range ptr.Digests {
+			if !index.IsDigest(d) || fmt.Sprintf("%.8s", d) != d[:8] {
+				t.Fatalf("accepted digest %q", d)
+			}
+			if ptr.levelOf(i) < 0 {
+				t.Fatalf("accepted level %d", ptr.levelOf(i))
+			}
+		}
+		enc := encodeJSON(ptr)
+		again, err := decodeShardPointer(enc)
+		if err != nil {
+			t.Fatalf("re-encoded pointer rejected: %v", err)
+		}
+		if string(encodeJSON(again)) != string(enc) {
+			t.Fatalf("round trip changed the record: %s → %s", enc, encodeJSON(again))
+		}
+	})
+}

@@ -230,6 +230,10 @@ func (c *Cluster) commitWave(r *RoundReceipt) {
 // stats land in one bump. May run twice per round (the janitor path
 // finalizes stuck tasks mid-round); counters and costs accumulate.
 func (c *Cluster) materializePass(r *RoundReceipt) {
+	// The generation this pass materializes: every index task it will
+	// write was finalized by the block just sealed, so stamping it on
+	// each pointer lets readers recognise the record as current.
+	gen := c.QB.IndexGen()
 	n := len(c.Bees)
 	contribsBy := make([][]contribution, n)
 	counts := make([]int, n)
@@ -304,7 +308,7 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 				// Legacy policy (the E19 control): append in one RMW, then
 				// merge the whole chain into one segment past the threshold
 				// (a second pointer write when it fires).
-				ptr, cost, wrote, err := appendSegmentsToShard(w.Peer.DHT(), s, digestsByShard[s])
+				ptr, cost, wrote, err := appendSegmentsToShard(w.Peer.DHT(), s, gen, digestsByShard[s])
 				shardCosts[j] = cost
 				shardWrote[j] = wrote
 				shardPtrs[j] = ptr
@@ -312,7 +316,7 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 					shardErrs[j] = append(shardErrs[j], RoundError{Bee: w.Name, Shard: s, Stage: "shard-append", Err: err})
 					continue
 				}
-				ptr, cost, compacted, mergedBytes, err := compactShardFromPtr(w.Peer.DHT(), s, ptr)
+				ptr, cost, compacted, mergedBytes, err := compactShardFromPtr(w.Peer.DHT(), s, gen, ptr)
 				shardCosts[j] = shardCosts[j].Seq(cost)
 				shardCompacted[j] = compacted
 				shardBytes[j] = mergedBytes
@@ -322,7 +326,7 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 				}
 				continue
 			}
-			ptr, cost, wrote, res, err := materializeShardTiered(w.Peer.DHT(), s, c.cfg.NumShards, digestsByShard[s])
+			ptr, cost, wrote, res, err := materializeShardTiered(w.Peer.DHT(), s, c.cfg.NumShards, gen, digestsByShard[s])
 			shardCosts[j] = cost
 			shardWrote[j] = wrote
 			shardCompacted[j] = res.Compacted

@@ -25,10 +25,28 @@ import (
 // the block's start), which is what makes every merge a contiguous,
 // precedence-preserving splice under index.Merge's oldest-first
 // semantics.
+//
+// Gen is the chain's index generation (contracts.QueenBee.IndexGen) the
+// writing materialize pass ran at. Pointers only move in the pass that
+// follows an index-task finalization, so each writing pass carries a
+// newer generation than the last, and a pass writes each shard once
+// (the monolithic policy's compaction rewrites it with the same
+// documents, merged): a record stamped with the chain's current
+// generation is the newest one, and a reader can accept it from a
+// single replica (Frontend.readPointer). Zero means unstamped
+// (hand-written pointers) and never verifies.
 type ShardPointer struct {
 	Digests []string // segment digests, oldest first
 	Levels  []int    `json:",omitempty"` // compaction tier per digest (nil = all level 0)
 	Version uint64
+	Gen     uint64 `json:",omitempty"` // index generation of the writing pass (0 = unstamped)
+}
+
+// currentAt reports whether the pointer is provably the newest as of
+// index generation gen: stamped, and not older than the chain. gen 0
+// (no index task ever finalized) verifies nothing.
+func (p ShardPointer) currentAt(gen uint64) bool {
+	return gen > 0 && p.Gen >= gen
 }
 
 // levelOf returns the tier of run i, treating a nil/short Levels slice
@@ -60,24 +78,52 @@ func encodeJSON(v any) []byte {
 	return b
 }
 
-// readShardPointer fetches a shard's pointer record through a DHT node.
-func readShardPointer(d *dht.Node, shard int) (ShardPointer, netsim.Cost, error) {
-	return readShardPointerCtx(context.Background(), d, shard)
+// decodeShardPointer parses and validates a pointer record. The bytes
+// come from outside the process — whichever replica answered — so every
+// reader decodes through here: each digest must have the form
+// index.DigestOf prints, and Levels is either absent or one
+// non-negative tier per digest.
+func decodeShardPointer(val []byte) (ShardPointer, error) {
+	var ptr ShardPointer
+	if err := json.Unmarshal(val, &ptr); err != nil {
+		return ShardPointer{}, err
+	}
+	if len(ptr.Levels) != 0 && len(ptr.Levels) != len(ptr.Digests) {
+		return ShardPointer{}, fmt.Errorf("%d levels for %d digests", len(ptr.Levels), len(ptr.Digests))
+	}
+	for _, l := range ptr.Levels {
+		if l < 0 {
+			return ShardPointer{}, fmt.Errorf("negative level %d", l)
+		}
+	}
+	for i, dg := range ptr.Digests {
+		if !index.IsDigest(dg) {
+			return ShardPointer{}, fmt.Errorf("digest %d is not 64 lower-case hex characters", i)
+		}
+	}
+	return ptr, nil
 }
 
-// readShardPointerCtx is readShardPointer with a request lifecycle: a
-// cancelled context abandons the quorum read mid-lookup with the partial
-// cost.
-func readShardPointerCtx(ctx context.Context, d *dht.Node, shard int) (ShardPointer, netsim.Cost, error) {
-	var ptr ShardPointer
-	val, _, cost, err := d.GetCtx(ctx, dht.KeyOfString(index.ShardPointerKey(shard)))
+// readShardPointer fetches a shard's pointer record through a DHT node.
+func readShardPointer(d *dht.Node, shard int) (ShardPointer, netsim.Cost, error) {
+	ptr, _, cost, err := readShardPointerCtx(context.Background(), d, shard)
+	return ptr, cost, err
+}
+
+// readShardPointerCtx is the quorum walk with a request lifecycle: a
+// cancelled context abandons the read mid-lookup with the partial cost.
+// It also names the nearest replica that returned the winning record
+// (see dht.Node.GetHolderCtx), which the query path remembers.
+func readShardPointerCtx(ctx context.Context, d *dht.Node, shard int) (ShardPointer, dht.Contact, netsim.Cost, error) {
+	val, _, holder, cost, err := d.GetHolderCtx(ctx, dht.KeyOfString(index.ShardPointerKey(shard)))
 	if err != nil {
-		return ptr, cost, err
+		return ShardPointer{}, dht.Contact{}, cost, err
 	}
-	if err := json.Unmarshal(val, &ptr); err != nil {
-		return ptr, cost, fmt.Errorf("core: corrupt shard pointer %d: %w", shard, err)
+	ptr, err := decodeShardPointer(val)
+	if err != nil {
+		return ShardPointer{}, dht.Contact{}, cost, fmt.Errorf("core: corrupt shard pointer %d: %w", shard, err)
 	}
-	return ptr, cost, nil
+	return ptr, holder, cost, nil
 }
 
 // writeShardPointer stores a pointer with its version as DHT sequence.
@@ -92,7 +138,8 @@ func writeShardPointer(d *dht.Node, shard int, ptr ShardPointer) (netsim.Cost, e
 // round that lands K segments on a shard costs one RMW, not K. The
 // returned pointer reflects the written state so compaction can reuse it
 // without re-reading; wrote reports whether a pointer write happened.
-func appendSegmentsToShard(d *dht.Node, shard int, digests []string) (ptr ShardPointer, cost netsim.Cost, wrote bool, err error) {
+// gen is the pass's index generation, stamped on every written pointer.
+func appendSegmentsToShard(d *dht.Node, shard int, gen uint64, digests []string) (ptr ShardPointer, cost netsim.Cost, wrote bool, err error) {
 	ptr, cost, err = readShardPointer(d, shard)
 	if err != nil && err != dht.ErrNotFound {
 		// Unreachable shard record: surface the error.
@@ -115,6 +162,7 @@ func appendSegmentsToShard(d *dht.Node, shard int, digests []string) (ptr ShardP
 		return ptr, cost, false, nil
 	}
 	ptr.Version++
+	ptr.Gen = gen
 	wcost, err := writeShardPointer(d, shard, ptr)
 	return ptr, cost.Seq(wcost), err == nil, err
 }
@@ -139,7 +187,7 @@ func readSegmentCtx(ctx context.Context, d *dht.Node, digestHex string) (*index.
 		return nil, cost, err
 	}
 	if got := index.DigestOf(val); got != digestHex {
-		return nil, cost, fmt.Errorf("core: segment %s failed hash verification", digestHex[:8])
+		return nil, cost, fmt.Errorf("core: segment %.8s failed hash verification", digestHex)
 	}
 	seg, err := index.DecodeSegment(val)
 	if err != nil {
@@ -188,7 +236,7 @@ const compactionThreshold = 8
 // policy (Config.MonolithicCompaction — the E19 control): every firing
 // rewrites O(shard bytes). Returns the pointer as written, whether a
 // compaction happened, and the merged bytes it rewrote.
-func compactShardFromPtr(d *dht.Node, shard int, ptr ShardPointer) (ShardPointer, netsim.Cost, bool, int64, error) {
+func compactShardFromPtr(d *dht.Node, shard int, gen uint64, ptr ShardPointer) (ShardPointer, netsim.Cost, bool, int64, error) {
 	var cost netsim.Cost
 	if len(ptr.Digests) < compactionThreshold {
 		return ptr, cost, false, 0, nil
@@ -212,6 +260,7 @@ func compactShardFromPtr(d *dht.Node, shard int, ptr ShardPointer) (ShardPointer
 	}
 	ptr.Digests = []string{digest}
 	ptr.Version++
+	ptr.Gen = gen
 	wcost, err = writeShardPointer(d, shard, ptr)
 	return ptr, cost.Seq(wcost), err == nil, int64(len(data)), err
 }
@@ -262,7 +311,7 @@ type tieredResult struct {
 // newer-shadows-older) preserves document precedence exactly. Search
 // results are byte-identical to the monolithic policy's
 // (TestWriteTieredMatchesMonolithic asserts it).
-func materializeShardTiered(d *dht.Node, shard, numShards int, digests []string) (ptr ShardPointer, cost netsim.Cost, wrote bool, res tieredResult, err error) {
+func materializeShardTiered(d *dht.Node, shard, numShards int, gen uint64, digests []string) (ptr ShardPointer, cost netsim.Cost, wrote bool, res tieredResult, err error) {
 	ptr, cost, err = readShardPointer(d, shard)
 	if err != nil && err != dht.ErrNotFound {
 		return ptr, cost, false, res, err
@@ -356,6 +405,7 @@ func materializeShardTiered(d *dht.Node, shard, numShards int, digests []string)
 		return ptr, cost, false, res, err
 	}
 	ptr.Version++
+	ptr.Gen = gen
 	wcost, werr := writeShardPointer(d, shard, ptr)
 	cost = cost.Seq(wcost)
 	if werr != nil {

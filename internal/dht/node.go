@@ -581,10 +581,21 @@ func (n *Node) Get(key Key) ([]byte, uint64, netsim.Cost, error) {
 // when some replica already answered — a partial quorum is not a read —
 // and the returned cost is the partial wave that actually ran.
 func (n *Node) GetCtx(ctx context.Context, key Key) ([]byte, uint64, netsim.Cost, error) {
+	val, seq, _, cost, err := n.GetHolderCtx(ctx, key)
+	return val, seq, cost, err
+}
+
+// GetHolderCtx is GetCtx that also names a replica worth asking first
+// next time: the remote contact that returned the winning record with
+// the lowest RPC latency (the nearest current holder). The zero Contact
+// means no remote replica returned it — only this node's own copy did.
+func (n *Node) GetHolderCtx(ctx context.Context, key Key) ([]byte, uint64, Contact, netsim.Cost, error) {
 	var (
-		bestVal  []byte
-		bestSeq  uint64
-		anyValue bool
+		bestVal   []byte
+		bestSeq   uint64
+		anyValue  bool
+		holder    Contact
+		holderLat time.Duration
 	)
 	n.mu.Lock()
 	if sv, ok := n.values[key]; ok {
@@ -599,23 +610,43 @@ func (n *Node) GetCtx(ctx context.Context, key Key) ([]byte, uint64, netsim.Cost
 		}
 		r := resp.(findValueResp)
 		if r.Found {
-			if !anyValue || r.Seq > bestSeq {
-				bestVal, bestSeq = r.Value, r.Seq
-				anyValue = true
+			switch {
+			case !anyValue || r.Seq > bestSeq:
+				bestVal, bestSeq, anyValue = r.Value, r.Seq, true
+				holder, holderLat = c, cc.Latency
+			case r.Seq == bestSeq && bytes.Equal(r.Value, bestVal) &&
+				(holder == Contact{} || cc.Latency < holderLat):
+				holder, holderLat = c, cc.Latency
 			}
-			// A replica holder still reports closer contacts so the
-			// lookup can keep converging on the k closest.
-			return r.Contacts, true, cc
 		}
+		// A replica holder still reports closer contacts so the lookup
+		// can keep converging on the k closest.
 		return r.Contacts, true, cc
 	})
 	if err != nil {
-		return nil, 0, cost, err
+		return nil, 0, Contact{}, cost, err
 	}
 	if !anyValue {
+		return nil, 0, Contact{}, cost, ErrNotFound
+	}
+	return bestVal, bestSeq, holder, cost, nil
+}
+
+// GetFromCtx asks one known replica holder for key: a single FIND_VALUE
+// RPC, no lookup and no quorum. ErrNotFound means the holder answered
+// but has no record. The caller must be able to tell a current record
+// from a stale one by itself — a lone replica cannot — and falls back
+// to GetCtx when it cannot.
+func (n *Node) GetFromCtx(ctx context.Context, holder Contact, key Key) ([]byte, uint64, netsim.Cost, error) {
+	resp, cost, err := n.callCtx(ctx, holder, findValueReq{From: n.self, Key: key})
+	if err != nil {
+		return nil, 0, cost, err
+	}
+	r := resp.(findValueResp)
+	if !r.Found {
 		return nil, 0, cost, ErrNotFound
 	}
-	return bestVal, bestSeq, cost, nil
+	return r.Value, r.Seq, cost, nil
 }
 
 // GetImmutable retrieves a value that can never change (content-addressed

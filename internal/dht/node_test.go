@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -299,5 +300,94 @@ func TestLargeSwarmGetWithBucketRefresh(t *testing.T) {
 		if string(got) != "payload" {
 			t.Fatalf("reader %d got %q", i, got)
 		}
+	}
+}
+
+// TestGetHolderNamesACurrentReplica: the holder GetHolderCtx reports
+// serves, by itself, the very record the quorum read returned — and a
+// replica left behind on an older sequence is never the one named.
+func TestGetHolderNamesACurrentReplica(t *testing.T) {
+	net, nodes := buildSwarm(t, 20, DefaultConfig())
+	key := KeyOfString("pointer")
+	if _, _, err := nodes[3].Put(key, []byte("v1"), 1); err != nil {
+		t.Fatal(err)
+	}
+	reader := nodes[17]
+	ctx := context.Background()
+	_, _, stale, _, err := reader.GetHolderCtx(ctx, key)
+	if err != nil || stale == (Contact{}) {
+		t.Fatalf("holder = %+v err = %v", stale, err)
+	}
+	// The first holder misses the next write.
+	net.SetDown(stale.Addr, true)
+	if _, _, err := nodes[3].Put(key, []byte("v2"), 2); err != nil {
+		t.Fatal(err)
+	}
+	net.SetDown(stale.Addr, false)
+
+	val, seq, holder, cost, err := reader.GetHolderCtx(ctx, key)
+	if err != nil || string(val) != "v2" || seq != 2 {
+		t.Fatalf("GetHolderCtx = %q seq=%d err=%v", val, seq, err)
+	}
+	if holder == (Contact{}) || holder == stale || holder.Addr == reader.Self().Addr {
+		t.Fatalf("holder = %+v, want a remote replica other than the stale %s", holder, stale.Addr)
+	}
+	got, gotSeq, one, err := reader.GetFromCtx(ctx, holder, key)
+	if err != nil || string(got) != "v2" || gotSeq != 2 {
+		t.Fatalf("GetFromCtx(holder) = %q seq=%d err=%v", got, gotSeq, err)
+	}
+	if one.Msgs != 1 || one.Msgs >= cost.Msgs {
+		t.Fatalf("single-replica read cost %+v against the walk's %+v, want one message", one, cost)
+	}
+	// The stale replica still answers — with the old record; telling the
+	// two apart is the caller's job.
+	if got, gotSeq, _, err := reader.GetFromCtx(ctx, stale, key); err != nil || string(got) != "v1" || gotSeq != 1 {
+		t.Fatalf("GetFromCtx(stale) = %q seq=%d err=%v", got, gotSeq, err)
+	}
+}
+
+// TestGetFromMissesAndFailures: a node without the record is
+// ErrNotFound; a dead one fails fast and is marked failed like any
+// other call; a cancelled call never reaches the peer and marks nothing.
+func TestGetFromMissesAndFailures(t *testing.T) {
+	net, nodes := buildSwarm(t, 20, DefaultConfig())
+	key := KeyOfString("pointer")
+	nodes[5].StoreLocal(key, []byte("only here"), 1)
+	reader := nodes[9]
+	ctx := context.Background()
+
+	if _, _, cost, err := reader.GetFromCtx(ctx, nodes[6].Self(), key); !errors.Is(err, ErrNotFound) || cost.Msgs != 1 {
+		t.Fatalf("empty node: err = %v cost = %+v, want ErrNotFound after one message", err, cost)
+	}
+
+	holder := nodes[5].Self()
+	markedFailed := func() bool {
+		b := &reader.rt.buckets[BucketIndex(reader.self.ID.XOR(holder.ID))]
+		for _, e := range b.entries {
+			if e.c.ID == holder.ID {
+				return e.failed
+			}
+		}
+		t.Fatal("holder not in the reader's routing table")
+		return false
+	}
+	if _, _, _, err := reader.GetFromCtx(ctx, holder, key); err != nil {
+		t.Fatal(err) // also refreshes the holder's table entry
+	}
+
+	net.SetDown(holder.Addr, true)
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, _, _, err := reader.GetFromCtx(cancelled, holder, key); !errors.Is(err, netsim.ErrCancelled) {
+		t.Fatalf("cancelled call: err = %v, want ErrCancelled", err)
+	}
+	if markedFailed() {
+		t.Fatal("a cancelled call marked the holder failed")
+	}
+	if _, _, _, err := reader.GetFromCtx(ctx, holder, key); err == nil || errors.Is(err, ErrNotFound) {
+		t.Fatalf("dead holder: err = %v, want a transport failure", err)
+	}
+	if !markedFailed() {
+		t.Fatal("dead holder not marked failed")
 	}
 }

@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -367,5 +368,17 @@ func TestSegmentRestrict(t *testing.T) {
 	}
 	if dec.NumTerms() != 1 || !dec.Covers(1) {
 		t.Fatalf("decoded restricted segment = %d terms, covers(1)=%v", dec.NumTerms(), dec.Covers(1))
+	}
+}
+
+func TestIsDigestMatchesDigestOf(t *testing.T) {
+	dg := DigestOf([]byte("segment bytes"))
+	if !IsDigest(dg) {
+		t.Fatalf("DigestOf output %q rejected", dg)
+	}
+	for _, bad := range []string{"", "x", dg[:63], dg + "0", strings.ToUpper(dg), "g" + dg[1:]} {
+		if IsDigest(bad) {
+			t.Fatalf("IsDigest(%q) = true", bad)
+		}
 	}
 }

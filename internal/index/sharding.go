@@ -14,6 +14,21 @@ func DigestOf(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// IsDigest reports whether s has the exact form DigestOf prints: 64
+// lower-case hex characters. Digests read from the network (shard
+// pointers) are checked with it before they name a segment key.
+func IsDigest(s string) bool {
+	if len(s) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // Sharding maps terms onto a fixed number of index shards; each shard's
 // segment chain lives under a deterministic DHT key, so any frontend can
 // locate the postings for a term with one hash.
