@@ -15,8 +15,9 @@ import (
 
 // ingestWorkload drives one mixed write-side workload against an
 // engine: a batch publish, individual publishes, a batch republish
-// (freshness + stats dedup) and enough rounds to drain every task.
-func ingestWorkload(tb testing.TB, e *Engine, seed uint64) {
+// (freshness + stats dedup) and enough rounds to drain every task. It
+// returns the receipts of the two batch rounds.
+func ingestWorkload(tb testing.TB, e *Engine, seed uint64) []RoundReceipt {
 	tb.Helper()
 	owner := e.NewAccount("ingest-owner", 10_000_000)
 	ccfg := corpus.DefaultConfig()
@@ -29,10 +30,11 @@ func ingestWorkload(tb testing.TB, e *Engine, seed uint64) {
 	for _, d := range corp.Docs[:12] {
 		batch = append(batch, Page{URL: d.URL, Text: d.Text, Links: d.Links})
 	}
-	if rr, err := e.PublishBatch(owner, batch); err != nil {
+	first, err := e.PublishBatch(owner, batch)
+	if err != nil {
 		tb.Fatal(err)
-	} else if len(rr.Errors) > 0 {
-		tb.Fatalf("batch round errors: %v", rr.Errors)
+	} else if len(first.Errors) > 0 {
+		tb.Fatalf("batch round errors: %v", first.Errors)
 	}
 	// The rest publish individually — many tasks in shared rounds.
 	for _, d := range corp.Docs[12:] {
@@ -41,13 +43,15 @@ func ingestWorkload(tb testing.TB, e *Engine, seed uint64) {
 		}
 	}
 	// Republish two pages (Seq 2) in a second batch.
-	if _, err := e.PublishBatch(owner, []Page{
+	second, err := e.PublishBatch(owner, []Page{
 		{URL: corp.Docs[0].URL, Text: corp.Docs[0].Text + " freshly revised"},
 		{URL: corp.Docs[1].URL, Text: corp.Docs[1].Text + " also revised"},
-	}); err != nil {
+	})
+	if err != nil {
 		tb.Fatal(err)
 	}
 	e.RunUntilIdle()
+	return []RoundReceipt{first, second}
 }
 
 // dhtWriteState serializes every write-side DHT record of a deployment:
@@ -104,8 +108,25 @@ func TestWriteDeterminismSoak(t *testing.T) {
 	parallel := New(WithSeed(seed), WithPeers(10), WithBees(4))
 	sequential := New(WithSeed(seed), WithPeers(10), WithBees(4),
 		func(c *core.Config) { c.ParallelRounds = false })
-	ingestWorkload(t, parallel, seed)
-	ingestWorkload(t, sequential, seed)
+	parRounds := ingestWorkload(t, parallel, seed)
+	seqRounds := ingestWorkload(t, sequential, seed)
+
+	// The materialize fold is the same in both modes — collect, then the
+	// shard legs with the stats bump beside them — and every leg executes
+	// in one fixed order either way, so the phase sends the same messages
+	// and bytes; only latency may tell the modes apart.
+	for i := range parRounds {
+		p, s := parRounds[i], seqRounds[i]
+		for _, rr := range []RoundReceipt{p, s} {
+			if rr.Wave().Latency > rr.Serial().Latency || rr.Wave().Bytes != rr.Serial().Bytes || rr.Wave().Msgs != rr.Serial().Msgs {
+				t.Fatalf("batch round %d: wave %+v vs serial %+v", i, rr.Wave(), rr.Serial())
+			}
+		}
+		if p.PointerWrites != s.PointerWrites || p.StatsWrites != s.StatsWrites || p.Compactions != s.Compactions ||
+			p.MaterializeSerial.Msgs != s.MaterializeSerial.Msgs || p.MaterializeSerial.Bytes != s.MaterializeSerial.Bytes {
+			t.Fatalf("batch round %d materialize diverged:\nparallel   %+v\nsequential %+v", i, p, s)
+		}
+	}
 
 	if got, want := dhtWriteState(t, parallel), dhtWriteState(t, sequential); got != want {
 		t.Fatalf("DHT state diverged between parallel and sequential rounds:\nparallel   %s\nsequential %s", got, want)
@@ -131,13 +152,20 @@ func TestWriteDeterminismSoak(t *testing.T) {
 // seed and asserts the DHT state reproduces run-over-run — goroutine
 // scheduling must never leak into written state.
 func TestWriteDeterminismSameSeedTwice(t *testing.T) {
-	build := func() string {
+	build := func() (string, string) {
 		e := New(WithSeed(23), WithPeers(10), WithBees(4))
-		ingestWorkload(t, e, 23)
-		return dhtWriteState(t, e)
+		receipts := ingestWorkload(t, e, 23)
+		return dhtWriteState(t, e), fmt.Sprintf("%+v", receipts)
 	}
-	if a, b := build(), build(); a != b {
+	a, ra := build()
+	b, rb := build()
+	if a != b {
 		t.Fatalf("same-seed runs diverged:\nfirst  %s\nsecond %s", a, b)
+	}
+	// The receipts too, latencies included: folding the stats bump into
+	// the shard wave must not let scheduling into any link's draw order.
+	if ra != rb {
+		t.Fatalf("same-seed round receipts diverged:\nfirst  %s\nsecond %s", ra, rb)
 	}
 }
 

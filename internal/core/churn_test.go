@@ -1,8 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
+
+	"repro/internal/dht"
+	"repro/internal/index"
+	"repro/internal/netsim"
 )
 
 // churnCluster builds a larger cluster with an indexed corpus.
@@ -118,5 +123,78 @@ func TestFailPeersDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("FailPeers not deterministic")
 		}
+	}
+}
+
+// TestChurnMaintenanceOneWalkPerRecord: for a mutable record the quorum
+// read IS the health check, so a maintenance pass over healthy records
+// walks once per shard pointer and once for the stats record — not
+// three times (Get, replication probe, and a republish walk when it
+// fires). The pass's traffic is exactly the sum of its parts run by
+// hand: one locating read per mutable record, one replication probe per
+// segment, one reprovide per node. Counters match the parent commit's
+// on the same cluster (first pass 18 probed / 4 republished / 2
+// re-seeded for 1197 msgs, steady passes 18 / 0 / 0 for 1096).
+func TestChurnMaintenanceOneWalkPerRecord(t *testing.T) {
+	c, _ := churnCluster(t)
+	first := c.RunMaintenance()
+	if first.ProbedKeys != 18 || first.Republished != 4 || first.Reseeded != 2 {
+		t.Fatalf("first pass = %+v, want the parent's 18 probed / 4 republished / 2 re-seeded", first)
+	}
+	if first.Cost.Msgs >= 1197 {
+		t.Fatalf("first pass cost %d msgs, parent 1197", first.Cost.Msgs)
+	}
+	pass := c.RunMaintenance()
+	if pass.ProbedKeys != 18 || pass.Republished != 0 || pass.Reseeded != 0 || pass.SegmentsLost != 0 {
+		t.Fatalf("steady pass = %+v, want 18 probed and nothing to repair", pass)
+	}
+	if pass.Cost.Msgs >= 1096 {
+		t.Fatalf("steady pass cost %d msgs, parent 1096", pass.Cost.Msgs)
+	}
+
+	d := c.maintenanceNode()
+	var byHand netsim.Cost
+	mutable, segments := 0, 0
+	keys := []dht.Key{dht.KeyOfString(StatsKey)}
+	for shard := 0; shard < c.cfg.NumShards; shard++ {
+		keys = append(keys, pointerKey(shard))
+	}
+	for _, key := range keys {
+		loc, cost, err := d.Locate(context.Background(), key)
+		byHand = byHand.Seq(cost)
+		if err != nil {
+			continue // shard never written
+		}
+		mutable++
+		if loc.Replicas() != c.replicationTarget() {
+			t.Fatalf("healthy record seen on %d replicas", loc.Replicas())
+		}
+		if key == keys[0] {
+			continue
+		}
+		ptr, err := decodeShardPointer(loc.Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dg := range ptr.Digests {
+			_, cost := d.ProbeReplication(dht.KeyOfString(index.SegmentKey(dg)))
+			byHand = byHand.Seq(cost)
+			segments++
+		}
+	}
+	if mutable+segments != pass.ProbedKeys {
+		t.Fatalf("%d mutable records + %d segments by hand, pass probed %d", mutable, segments, pass.ProbedKeys)
+	}
+	for _, p := range c.Peers {
+		_, cost := p.Reprovide()
+		byHand = byHand.Seq(cost)
+	}
+	for _, b := range c.Bees {
+		_, cost := b.Peer.Reprovide()
+		byHand = byHand.Seq(cost)
+	}
+	if pass.Cost.Msgs != byHand.Msgs {
+		t.Fatalf("steady pass cost %d msgs; one read per mutable record + one probe per segment + reprovides cost %d",
+			pass.Cost.Msgs, byHand.Msgs)
 	}
 }

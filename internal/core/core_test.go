@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/chain"
 	"repro/internal/contracts"
+	"repro/internal/dht"
+	"repro/internal/netsim"
 )
 
 func smallCluster(t testing.TB) *Cluster {
@@ -14,6 +17,12 @@ func smallCluster(t testing.TB) *Cluster {
 	cfg.NumPeers = 10
 	cfg.NumBees = 3
 	return NewCluster(cfg)
+}
+
+// readShardPointer fetches a shard's pointer record by quorum read.
+func readShardPointer(d *dht.Node, shard int) (ShardPointer, netsim.Cost, error) {
+	ptr, _, cost, err := readShardPointerCtx(context.Background(), d, shard)
+	return ptr, cost, err
 }
 
 func TestClusterBoot(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 
 	"repro/internal/dht"
@@ -77,13 +78,15 @@ func (c *Cluster) maintenanceNode() *dht.Node {
 // RunMaintenance executes one self-healing pass and returns what this
 // pass did. Three loops, in deterministic order:
 //
-//  1. Republish: every shard pointer (and the stats record) is probed;
-//     a record replicated below K is re-Put at its current version,
-//     landing it on the current k closest nodes.
+//  1. Republish: every shard pointer (and the stats record) is read by
+//     quorum, and the read is the probe: its walk reports how many of
+//     the k closest hold the record. A record replicated below
+//     K is re-Put at its current version onto that walk's closest set.
 //  2. Re-seed + repair: every segment referenced by a pointer chain is
 //     probed; one replicated below K is fetched from a surviving
-//     replica, hash-verified, and re-Put. A segment with no surviving
-//     replica is counted lost (nothing to re-materialize from).
+//     replica, hash-verified, and re-Put on the probe's closest set. A
+//     segment with no surviving replica is counted lost (nothing to
+//     re-materialize from).
 //  3. Reprovide: every live peer re-announces its provider records, so
 //     content discovery survives the loss of the nodes that held the
 //     provider lists.
@@ -99,32 +102,34 @@ func (c *Cluster) RunMaintenance() RepairStats {
 	}
 	k := c.replicationTarget()
 
-	probeValue := func(key dht.Key, seq uint64, val []byte) {
+	// healVersioned is step 1 for one mutable record: the quorum read IS
+	// the health check — its walk asked each of the K closest what it
+	// holds — and a record replicated below K is re-Put at its current
+	// version onto that same walk. An unreadable record (never written,
+	// or wholly lost to churn — nothing to repair from) is skipped.
+	healVersioned := func(key dht.Key) ([]byte, bool) {
+		loc, cost, err := d.Locate(context.Background(), key)
+		pass.Cost = pass.Cost.Seq(cost)
+		if err != nil {
+			return nil, false
+		}
 		pass.ProbedKeys++
-		n, cost := d.ProbeReplication(key)
-		pass.Cost = pass.Cost.Seq(cost)
-		if n >= k {
-			return
+		if loc.Replicas() < k {
+			_, cost, err := d.PutAt(loc.Walk, loc.Value, loc.Seq)
+			pass.Cost = pass.Cost.Seq(cost)
+			if err == nil {
+				pass.Republished++
+			}
 		}
-		_, cost, err := d.Put(key, val, seq)
-		pass.Cost = pass.Cost.Seq(cost)
-		if err == nil {
-			pass.Republished++
-		}
+		return loc.Value, true
 	}
 
 	// 1+2. Shard pointers, then each pointer's segment chain.
 	for shard := 0; shard < c.cfg.NumShards; shard++ {
-		key := dht.KeyOfString(index.ShardPointerKey(shard))
-		val, seq, cost, err := d.Get(key)
-		pass.Cost = pass.Cost.Seq(cost)
-		if err != nil {
-			// Never-written shards (or a pointer wholly lost to churn —
-			// nothing to repair from) are skipped.
+		val, ok := healVersioned(pointerKey(shard))
+		if !ok {
 			continue
 		}
-		probeValue(key, seq, val)
-
 		ptr, err := decodeShardPointer(val)
 		if err != nil {
 			continue
@@ -132,8 +137,9 @@ func (c *Cluster) RunMaintenance() RepairStats {
 		for _, digest := range ptr.Digests {
 			segKey := dht.KeyOfString(index.SegmentKey(digest))
 			pass.ProbedKeys++
-			n, cost := d.ProbeReplication(segKey)
+			probe, cost := d.ProbeReplication(segKey)
 			pass.Cost = pass.Cost.Seq(cost)
+			n := probe.Replicas()
 			if n >= k {
 				continue
 			}
@@ -149,7 +155,7 @@ func (c *Cluster) RunMaintenance() RepairStats {
 				}
 				continue
 			}
-			_, cost, err = d.Put(segKey, raw, 0)
+			_, cost, err = d.PutAt(probe, raw, 0)
 			pass.Cost = pass.Cost.Seq(cost)
 			if err == nil {
 				pass.Reseeded++
@@ -159,13 +165,7 @@ func (c *Cluster) RunMaintenance() RepairStats {
 	}
 
 	// Stats record.
-	statsKey := dht.KeyOfString(StatsKey)
-	if val, seq, cost, err := d.Get(statsKey); err == nil {
-		pass.Cost = pass.Cost.Seq(cost)
-		probeValue(statsKey, seq, val)
-	} else {
-		pass.Cost = pass.Cost.Seq(cost)
-	}
+	healVersioned(dht.KeyOfString(StatsKey))
 
 	// 3. Provider republish from every live peer and bee, in slice order.
 	for _, p := range c.Peers {
@@ -226,7 +226,7 @@ func (c *Cluster) Readiness() Readiness {
 		return r
 	}
 	for shard := 0; shard < c.cfg.NumShards; shard++ {
-		_, _, cost, err := d.Get(dht.KeyOfString(index.ShardPointerKey(shard)))
+		_, _, cost, err := d.Get(pointerKey(shard))
 		r.Cost = r.Cost.Seq(cost)
 		if err == nil || errors.Is(err, dht.ErrNotFound) {
 			r.ShardsOK++

@@ -80,6 +80,13 @@ func (fx *pointerFixture) publish(t *testing.T, words ...string) {
 	}
 }
 
+// writeShardPointer hand-writes a pointer record with its version as DHT
+// sequence, bypassing the round engine.
+func writeShardPointer(d *dht.Node, shard int, ptr ShardPointer) (netsim.Cost, error) {
+	_, cost, err := d.Put(pointerKey(shard), encodeJSON(ptr), ptr.Version)
+	return cost, err
+}
+
 // nodeAt finds the DHT node registered at addr.
 func (fx *pointerFixture) nodeAt(t *testing.T, addr netsim.NodeID) *dht.Node {
 	t.Helper()

@@ -67,8 +67,8 @@ type RoundReceipt struct {
 	CommitWave   netsim.Cost
 	CommitSerial netsim.Cost
 	// MaterializeWave / MaterializeSerial account the materialize phase
-	// the same way: segment-write wave, then per-shard pointer wave,
-	// then the stats bump.
+	// the same way: segment-write wave, then the per-shard pointer legs
+	// and the stats bump as one wave (serially: one after the other).
 	MaterializeWave   netsim.Cost
 	MaterializeSerial netsim.Cost
 	// StoreCost is the content-store wave of the publish step that
@@ -79,7 +79,8 @@ type RoundReceipt struct {
 	// SegmentWrites counts immutable segment puts; PointerWrites counts
 	// shard-pointer read-modify-writes (at most one per touched shard
 	// per materialize pass); Compactions counts chain merges; StatsWrites
-	// counts global-stats bumps (at most one per pass).
+	// counts global-stats bumps (at most one per pass). Both count writes
+	// at least one replica accepted; a refused one is in Errors.
 	SegmentWrites int
 	PointerWrites int
 	Compactions   int
@@ -226,7 +227,7 @@ func (c *Cluster) commitWave(r *RoundReceipt) {
 // goroutine wave writes the winning immutable segments and collects
 // contributions, then the contributions are grouped by shard and each
 // touched shard gets one pointer RMW (and at most one compaction) on
-// the first contributing bee's DHT node, and finally the whole round's
+// the first contributing bee's DHT node, beside which the whole round's
 // stats land in one bump. May run twice per round (the janitor path
 // finalizes stuck tasks mid-round); counters and costs accumulate.
 func (c *Cluster) materializePass(r *RoundReceipt) {
@@ -308,7 +309,7 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 				// Legacy policy (the E19 control): append in one RMW, then
 				// merge the whole chain into one segment past the threshold
 				// (a second pointer write when it fires).
-				ptr, cost, wrote, err := appendSegmentsToShard(w.Peer.DHT(), s, gen, digestsByShard[s])
+				ptr, at, cost, wrote, err := appendSegmentsToShard(w.Peer.DHT(), s, gen, digestsByShard[s])
 				shardCosts[j] = cost
 				shardWrote[j] = wrote
 				shardPtrs[j] = ptr
@@ -316,7 +317,7 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 					shardErrs[j] = append(shardErrs[j], RoundError{Bee: w.Name, Shard: s, Stage: "shard-append", Err: err})
 					continue
 				}
-				ptr, cost, compacted, mergedBytes, err := compactShardFromPtr(w.Peer.DHT(), s, gen, ptr)
+				ptr, cost, compacted, mergedBytes, err := compactShardFromPtr(w.Peer.DHT(), at, gen, ptr)
 				shardCosts[j] = shardCosts[j].Seq(cost)
 				shardCompacted[j] = compacted
 				shardBytes[j] = mergedBytes
@@ -333,7 +334,10 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 			shardBytes[j] = res.CompactedBytes
 			shardPtrs[j] = ptr
 			if err != nil {
-				shardErrs[j] = append(shardErrs[j], RoundError{Bee: w.Name, Shard: s, Stage: "compact", Err: err})
+				shardErrs[j] = append(shardErrs[j], RoundError{Bee: w.Name, Shard: s, Stage: "shard-append", Err: err})
+			}
+			if res.MergeErr != nil {
+				shardErrs[j] = append(shardErrs[j], RoundError{Bee: w.Name, Shard: s, Stage: "compact", Err: res.MergeErr})
 			}
 		}
 	})
@@ -357,7 +361,12 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 
 	// One stats bump for the whole pass, aggregated across every
 	// contribution (re-published pages contribute zero but the version
-	// still advances, as the per-task path always did).
+	// still advances, as the per-task path always did). It depends on
+	// nothing the shard legs wrote — a different key, fed by the
+	// contributions alone — so on the round's critical path it is one
+	// more leg of the shard wave. Like every leg it still executes
+	// sequentially, here after the wave on this goroutine, which keeps
+	// its writer's link draws in a fixed order; only the fold is Par.
 	var statsCost netsim.Cost
 	if len(all) > 0 {
 		var docs int
@@ -370,14 +379,15 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 		cost, err := bumpStats(w.Peer.DHT(), docs, tokens)
 		statsCost = cost
 		w.Cost = w.Cost.Seq(cost)
-		r.StatsWrites++
 		if err != nil {
 			re := RoundError{Bee: w.Name, Shard: -1, Stage: "stats", Err: err}
 			w.Errs = append(w.Errs, re)
 			r.Errors = append(r.Errors, re)
+		} else {
+			r.StatsWrites++
 		}
 	}
 
-	r.MaterializeWave = r.MaterializeWave.Seq(collectWave).Seq(shardWave).Seq(statsCost)
+	r.MaterializeWave = r.MaterializeWave.Seq(collectWave).Seq(shardWave.Par(statsCost))
 	r.MaterializeSerial = r.MaterializeSerial.Seq(collectSerial).Seq(shardSerial).Seq(statsCost)
 }

@@ -104,49 +104,76 @@ func decodeShardPointer(val []byte) (ShardPointer, error) {
 	return ptr, nil
 }
 
-// readShardPointer fetches a shard's pointer record through a DHT node.
-func readShardPointer(d *dht.Node, shard int) (ShardPointer, netsim.Cost, error) {
-	ptr, _, cost, err := readShardPointerCtx(context.Background(), d, shard)
-	return ptr, cost, err
-}
-
-// readShardPointerCtx is the quorum walk with a request lifecycle: a
-// cancelled context abandons the read mid-lookup with the partial cost.
+// readShardPointerCtx is the quorum read of a shard's pointer record
+// with a request lifecycle: a cancelled context abandons the read
+// mid-lookup with the partial cost.
 // It also names the nearest replica that returned the winning record
 // (see dht.Node.GetHolderCtx), which the query path remembers.
 func readShardPointerCtx(ctx context.Context, d *dht.Node, shard int) (ShardPointer, dht.Contact, netsim.Cost, error) {
-	val, _, holder, cost, err := d.GetHolderCtx(ctx, dht.KeyOfString(index.ShardPointerKey(shard)))
+	val, _, holder, cost, err := d.GetHolderCtx(ctx, pointerKey(shard))
 	if err != nil {
 		return ShardPointer{}, dht.Contact{}, cost, err
 	}
-	ptr, err := decodeShardPointer(val)
+	ptr, err := decodeCurrentPointer(shard, val)
 	if err != nil {
-		return ShardPointer{}, dht.Contact{}, cost, fmt.Errorf("core: corrupt shard pointer %d: %w", shard, err)
+		return ShardPointer{}, dht.Contact{}, cost, err
 	}
 	return ptr, holder, cost, nil
 }
 
-// writeShardPointer stores a pointer with its version as DHT sequence.
-func writeShardPointer(d *dht.Node, shard int, ptr ShardPointer) (netsim.Cost, error) {
-	_, cost, err := d.Put(dht.KeyOfString(index.ShardPointerKey(shard)), encodeJSON(ptr), ptr.Version)
-	return cost, err
+// rmw is the one read → mutate → write sequence for mutable DHT records
+// (shard pointers, the stats record): one locating quorum read, the
+// caller's mutation, and one STORE wave onto the closest set that read's
+// walk converged on. The rule is one converged walk per key per
+// operation — the write does not walk to the K nodes the read just
+// finished walking to. A remembered walk can be stale only if a contact
+// died between the read and the write; dht.Node.PutAt then re-walks once
+// and writes again.
+//
+// mutate receives the winning record's bytes (nil when no reachable
+// replica holds one — a fresh key, or one lost to the network) and
+// returns the record to write with its DHT sequence (nil: nothing to
+// write), the DHT traffic the mutation itself paid, and an error that
+// abandons the write. A write no replica accepted (every one holds a
+// newer sequence, or is unreachable) is an error too. The walk is
+// returned so a follow-up write of the same key (monolithic compaction's
+// second pointer write) reuses it as well.
+func rmw(d *dht.Node, key dht.Key, mutate func(cur []byte) (next []byte, seq uint64, cost netsim.Cost, err error)) (at dht.Walk, cost netsim.Cost, wrote bool, err error) {
+	loc, cost, err := d.Locate(context.Background(), key)
+	if err != nil && err != dht.ErrNotFound {
+		return loc.Walk, cost, false, err
+	}
+	next, seq, mcost, err := mutate(loc.Value)
+	cost = cost.Seq(mcost)
+	if err != nil || next == nil {
+		return loc.Walk, cost, false, err
+	}
+	_, wcost, err := d.PutAt(loc.Walk, next, seq)
+	return loc.Walk, cost.Seq(wcost), err == nil, err
 }
 
-// appendSegmentsToShard reads a shard pointer once, appends every digest
-// not already present (preserving the given order) and writes back one
-// bumped version — the batch read-modify-write of the round engine. A
-// round that lands K segments on a shard costs one RMW, not K. The
-// returned pointer reflects the written state so compaction can reuse it
-// without re-reading; wrote reports whether a pointer write happened.
-// gen is the pass's index generation, stamped on every written pointer.
-func appendSegmentsToShard(d *dht.Node, shard int, gen uint64, digests []string) (ptr ShardPointer, cost netsim.Cost, wrote bool, err error) {
-	ptr, cost, err = readShardPointer(d, shard)
-	if err != nil && err != dht.ErrNotFound {
-		// Unreachable shard record: surface the error.
-		return ptr, cost, false, err
+// pointerKey is the DHT key of a shard's pointer record.
+func pointerKey(shard int) dht.Key { return dht.KeyOfString(index.ShardPointerKey(shard)) }
+
+// decodeCurrentPointer decodes the pointer record a read returned for
+// shard; nil (a fresh shard, as rmw reports it) is the zero pointer.
+func decodeCurrentPointer(shard int, cur []byte) (ShardPointer, error) {
+	if cur == nil {
+		return ShardPointer{}, nil
 	}
-	existing := make(map[string]bool, len(ptr.Digests))
-	for _, dg := range ptr.Digests {
+	ptr, err := decodeShardPointer(cur)
+	if err != nil {
+		return ShardPointer{}, fmt.Errorf("core: corrupt shard pointer %d: %w", shard, err)
+	}
+	return ptr, nil
+}
+
+// appendDigests appends every digest not already in the chain,
+// preserving the given order, and reports whether any was new. Levels
+// is left to the caller (the tiered policy pads it with level 0).
+func (p *ShardPointer) appendDigests(digests []string) bool {
+	existing := make(map[string]bool, len(p.Digests))
+	for _, dg := range p.Digests {
 		existing[dg] = true
 	}
 	appended := false
@@ -155,16 +182,34 @@ func appendSegmentsToShard(d *dht.Node, shard int, gen uint64, digests []string)
 			continue
 		}
 		existing[dg] = true
-		ptr.Digests = append(ptr.Digests, dg)
+		p.Digests = append(p.Digests, dg)
 		appended = true
 	}
-	if !appended {
-		return ptr, cost, false, nil
-	}
-	ptr.Version++
-	ptr.Gen = gen
-	wcost, err := writeShardPointer(d, shard, ptr)
-	return ptr, cost.Seq(wcost), err == nil, err
+	return appended
+}
+
+// appendSegmentsToShard reads a shard pointer once, appends every digest
+// not already present (preserving the given order) and writes back one
+// bumped version — the batch read-modify-write of the round engine. A
+// round that lands K segments on a shard costs one RMW, not K. The
+// returned pointer reflects the written state and the walk is the one
+// the read ran, so compaction can reuse both without re-reading; wrote
+// reports whether a pointer write happened. gen is the pass's index
+// generation, stamped on every written pointer.
+func appendSegmentsToShard(d *dht.Node, shard int, gen uint64, digests []string) (ptr ShardPointer, at dht.Walk, cost netsim.Cost, wrote bool, err error) {
+	at, cost, wrote, err = rmw(d, pointerKey(shard), func(cur []byte) ([]byte, uint64, netsim.Cost, error) {
+		var derr error
+		if ptr, derr = decodeCurrentPointer(shard, cur); derr != nil {
+			return nil, 0, netsim.Cost{}, derr
+		}
+		if !ptr.appendDigests(digests) {
+			return nil, 0, netsim.Cost{}, nil
+		}
+		ptr.Version++
+		ptr.Gen = gen
+		return encodeJSON(ptr), ptr.Version, netsim.Cost{}, nil
+	})
+	return ptr, at, cost, wrote, err
 }
 
 // writeSegment stores an immutable segment record under its digest key.
@@ -211,16 +256,23 @@ func readStats(d *dht.Node) (IndexStats, netsim.Cost, error) {
 	return st, cost, nil
 }
 
-// bumpStats adds one document's token count to the global statistics.
+// bumpStats adds a round's document and token counts to the global
+// statistics in one read-modify-write.
 func bumpStats(d *dht.Node, addDocs int, addTokens uint64) (netsim.Cost, error) {
-	// A failed read bumps from zero: the first bump has nothing to read,
-	// and a low-versioned Put loses to any replica holding a newer record.
-	st, cost, _ := readStats(d)
-	st.Docs += addDocs
-	st.Tokens += addTokens
-	st.Version++
-	_, wcost, err := d.Put(dht.KeyOfString(StatsKey), encodeJSON(st), st.Version)
-	return cost.Seq(wcost), err
+	_, cost, _, err := rmw(d, dht.KeyOfString(StatsKey), func(cur []byte) ([]byte, uint64, netsim.Cost, error) {
+		// A missing or undecodable record bumps from zero: the first bump
+		// has nothing to read, and a low-versioned write is refused by any
+		// replica holding a newer record — which rmw reports.
+		var st IndexStats
+		if json.Unmarshal(cur, &st) != nil {
+			st = IndexStats{}
+		}
+		st.Docs += addDocs
+		st.Tokens += addTokens
+		st.Version++
+		return encodeJSON(st), st.Version, netsim.Cost{}, nil
+	})
+	return cost, err
 }
 
 // compactionThreshold is the chain length at which a shard's segments
@@ -235,8 +287,10 @@ const compactionThreshold = 8
 // already-read pointer (no extra DHT read). This is the monolithic
 // policy (Config.MonolithicCompaction — the E19 control): every firing
 // rewrites O(shard bytes). Returns the pointer as written, whether a
-// compaction happened, and the merged bytes it rewrote.
-func compactShardFromPtr(d *dht.Node, shard int, gen uint64, ptr ShardPointer) (ShardPointer, netsim.Cost, bool, int64, error) {
+// compaction happened, and the merged bytes it rewrote. at is the walk
+// the append's read ran toward this pointer: the second pointer write
+// lands on it.
+func compactShardFromPtr(d *dht.Node, at dht.Walk, gen uint64, ptr ShardPointer) (ShardPointer, netsim.Cost, bool, int64, error) {
 	var cost netsim.Cost
 	if len(ptr.Digests) < compactionThreshold {
 		return ptr, cost, false, 0, nil
@@ -261,7 +315,7 @@ func compactShardFromPtr(d *dht.Node, shard int, gen uint64, ptr ShardPointer) (
 	ptr.Digests = []string{digest}
 	ptr.Version++
 	ptr.Gen = gen
-	wcost, err = writeShardPointer(d, shard, ptr)
+	_, wcost, err = d.PutAt(at, encodeJSON(ptr), ptr.Version)
 	return ptr, cost.Seq(wcost), err == nil, int64(len(data)), err
 }
 
@@ -283,6 +337,10 @@ type tieredResult struct {
 	// CompactedBytes is the size of the merged segment written — the
 	// write-amplification numerator next to the round's ingested bytes.
 	CompactedBytes int64
+	// MergeErr is why a due merge did not happen (a run unreadable, the
+	// merged segment unwritable). The chain stays unmerged and the
+	// round's append still lands, so it is not the pointer's error.
+	MergeErr error
 }
 
 // materializeShardTiered is the tiered write path: ONE pointer
@@ -312,30 +370,37 @@ type tieredResult struct {
 // results are byte-identical to the monolithic policy's
 // (TestWriteTieredMatchesMonolithic asserts it).
 func materializeShardTiered(d *dht.Node, shard, numShards int, gen uint64, digests []string) (ptr ShardPointer, cost netsim.Cost, wrote bool, res tieredResult, err error) {
-	ptr, cost, err = readShardPointer(d, shard)
-	if err != nil && err != dht.ErrNotFound {
-		return ptr, cost, false, res, err
-	}
-	err = nil // a missing pointer just means a fresh shard
-	existing := make(map[string]bool, len(ptr.Digests))
-	for _, dg := range ptr.Digests {
-		existing[dg] = true
-	}
-	// Normalize legacy pointers so Levels tracks Digests 1:1 from here on.
-	for len(ptr.Levels) < len(ptr.Digests) {
-		ptr.Levels = append(ptr.Levels, 0)
-	}
-	appended := false
-	for _, dg := range digests {
-		if existing[dg] {
-			continue
+	_, cost, wrote, err = rmw(d, pointerKey(shard), func(cur []byte) ([]byte, uint64, netsim.Cost, error) {
+		var mcost netsim.Cost
+		var derr error
+		if ptr, derr = decodeCurrentPointer(shard, cur); derr != nil {
+			return nil, 0, mcost, derr
 		}
-		existing[dg] = true
-		ptr.Digests = append(ptr.Digests, dg)
-		ptr.Levels = append(ptr.Levels, 0)
-		appended = true
-	}
+		appended := ptr.appendDigests(digests)
+		// The round's runs enter at level 0; the same padding normalizes a
+		// legacy pointer so Levels tracks Digests 1:1 from here on.
+		for len(ptr.Levels) < len(ptr.Digests) {
+			ptr.Levels = append(ptr.Levels, 0)
+		}
 
+		res, mcost = mergeFullTier(d, shard, numShards, &ptr)
+		if !appended && !res.Compacted {
+			return nil, 0, mcost, nil
+		}
+		ptr.Version++
+		ptr.Gen = gen
+		return encodeJSON(ptr), ptr.Version, mcost, nil
+	})
+	return ptr, cost, wrote, res, err
+}
+
+// mergeFullTier applies at most one tiered merge to ptr in place: the
+// lowest level holding at least tieredFanout runs (if any) has all its
+// runs fetched, merged (restricted to the shard's own terms when
+// numShards > 0), written as one segment and spliced in as a single run
+// at the next level. On any failure ptr is left untouched and the
+// result carries the reason (MergeErr).
+func mergeFullTier(d *dht.Node, shard, numShards int, ptr *ShardPointer) (res tieredResult, cost netsim.Cost) {
 	// Deterministic tier selection: the lowest level with a full bucket.
 	counts := make(map[int]int)
 	maxLevel := 0
@@ -353,63 +418,45 @@ func materializeShardTiered(d *dht.Node, shard, numShards int, gen uint64, diges
 			break
 		}
 	}
+	if mergeLevel < 0 {
+		return res, cost
+	}
 
-	if mergeLevel >= 0 {
-		var segs []*index.Segment
-		var keepDigests []string
-		var keepLevels []int
-		spliceAt := -1
-		for i, dg := range ptr.Digests {
-			if ptr.levelOf(i) == mergeLevel {
-				seg, c2, rerr := readSegment(d, dg)
-				cost = cost.Seq(c2)
-				if rerr != nil {
-					// Leave the chain unmerged; the append (if any) must
-					// still land, so fall through to the pointer write.
-					err = rerr
-					break
-				}
-				segs = append(segs, seg)
-				if spliceAt < 0 {
-					spliceAt = len(keepDigests)
-					keepDigests = append(keepDigests, "") // placeholder for the merged run
-					keepLevels = append(keepLevels, mergeLevel+1)
-				}
-				continue
-			}
+	var segs []*index.Segment
+	var keepDigests []string
+	var keepLevels []int
+	spliceAt := -1
+	for i, dg := range ptr.Digests {
+		if ptr.levelOf(i) != mergeLevel {
 			keepDigests = append(keepDigests, dg)
 			keepLevels = append(keepLevels, ptr.levelOf(i))
+			continue
 		}
-		if err == nil {
-			merged := index.Merge(segs)
-			if numShards > 0 {
-				merged = merged.Restrict(func(t string) bool { return index.ShardOf(t, numShards) == shard })
-			}
-			data := merged.Encode()
-			digest := index.DigestOf(data)
-			var wcost netsim.Cost
-			wcost, err = writeSegment(d, digest, data)
-			cost = cost.Seq(wcost)
-			if err == nil {
-				keepDigests[spliceAt] = digest
-				ptr.Digests = keepDigests
-				ptr.Levels = keepLevels
-				res.Compacted = true
-				res.Level = mergeLevel
-				res.CompactedBytes = int64(len(data))
-			}
+		seg, c2, err := readSegment(d, dg)
+		cost = cost.Seq(c2)
+		if err != nil {
+			return tieredResult{MergeErr: err}, cost
+		}
+		segs = append(segs, seg)
+		if spliceAt < 0 {
+			spliceAt = len(keepDigests)
+			keepDigests = append(keepDigests, "") // placeholder for the merged run
+			keepLevels = append(keepLevels, mergeLevel+1)
 		}
 	}
-
-	if !appended && !res.Compacted {
-		return ptr, cost, false, res, err
+	merged := index.Merge(segs)
+	if numShards > 0 {
+		merged = merged.Restrict(func(t string) bool { return index.ShardOf(t, numShards) == shard })
 	}
-	ptr.Version++
-	ptr.Gen = gen
-	wcost, werr := writeShardPointer(d, shard, ptr)
+	data := merged.Encode()
+	digest := index.DigestOf(data)
+	wcost, err := writeSegment(d, digest, data)
 	cost = cost.Seq(wcost)
-	if werr != nil {
-		return ptr, cost, false, res, werr
+	if err != nil {
+		return tieredResult{MergeErr: err}, cost
 	}
-	return ptr, cost, true, res, err
+	keepDigests[spliceAt] = digest
+	ptr.Digests = keepDigests
+	ptr.Levels = keepLevels
+	return tieredResult{Compacted: true, Level: mergeLevel, CompactedBytes: int64(len(data))}, cost
 }

@@ -1,9 +1,15 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
+
+	"repro/internal/corpus"
+	"repro/internal/dht"
+	"repro/internal/netsim"
 )
 
 // TestWriteTieredMatchesMonolithic is the tiered-compaction safety
@@ -104,4 +110,162 @@ func driveWritePath(t *testing.T, seed uint64, rounds int, monolithic bool, quer
 		run.responses = append(run.responses, resp.Results)
 	}
 	return run
+}
+
+// parentMaterialize is the materialize phase of each of the twelve
+// rounds TestWriteOneWalkPerRMW drives — MaterializeSerial.Msgs and
+// MaterializeWave.Latency in ms — recorded at the commit before
+// read-modify-writes reused their read's walk: every pointer RMW and
+// the stats bump walked twice (Get, then Put), and the bump followed the
+// shard wave on the critical path. Rounds 3, 7 and 11 compact every
+// shard.
+var parentMaterialize = [12]struct{ msgs, waveMs int }{
+	{253, 1772}, {253, 1756}, {242, 1663}, {411, 2561}, {243, 1812}, {243, 1852},
+	{243, 1772}, {408, 2376}, {243, 1765}, {243, 1928}, {243, 1799}, {409, 2751},
+}
+
+// TestWriteOneWalkPerRMW is the one-walk-per-write claim, measured where
+// it is paid: over twelve 8-page batch rounds on the default cluster
+// (three level-0 merges per shard) every round rewrites all 8 pointers
+// and bumps the stats once, and the materialize traffic per mutable
+// write sits at least 30 % below the parent's on every plain round. A
+// compacting round adds the merge's own segment reads and one segment
+// put per shard — immutable-record traffic this change does not touch —
+// so there the bar is the same absolute saving, not the same ratio. The
+// phase's makespan falls by at least 30 % on every round: shorter shard
+// legs, and the stats bump beside them instead of after them (the walks
+// alone leave five of the twelve rounds short of that).
+// Each pointer ends at Version = rounds on every one of the K closest
+// replicas (one accepted write per round, none lost to a stale walk), and the wave
+// reading of every round stays within the serial one with the stats
+// bump folded beside the shard legs.
+func TestWriteOneWalkPerRMW(t *testing.T) {
+	cfg := DefaultConfig()
+	c := NewCluster(cfg)
+	owner := c.NewAccount("writer", 10_000_000)
+	c.Seal()
+	const rounds, pagesPerRound = len(parentMaterialize), 8
+	ccfg := corpus.DefaultConfig()
+	ccfg.Seed = cfg.Seed
+	ccfg.NumDocs = rounds * pagesPerRound
+	docs := corpus.Generate(ccfg).Docs
+
+	plainSaving := 0
+	for round := 0; round < rounds; round++ {
+		var pages []BatchPage
+		for _, d := range docs[round*pagesPerRound : (round+1)*pagesPerRound] {
+			pages = append(pages, BatchPage{URL: d.URL, Text: d.Text, Links: d.Links})
+		}
+		rr, err := c.IndexBatch(owner, pages)
+		if err != nil || len(rr.Errors) > 0 {
+			t.Fatalf("round %d: err=%v round errors=%v", round, err, rr.Errors)
+		}
+		if rr.PointerWrites != cfg.NumShards || rr.StatsWrites != 1 {
+			t.Fatalf("round %d: %d pointer writes, %d stats writes; the corpus batch must touch every shard",
+				round, rr.PointerWrites, rr.StatsWrites)
+		}
+		writes := rr.PointerWrites + rr.StatsWrites
+		got, parent := rr.MaterializeSerial.Msgs, parentMaterialize[round].msgs
+		switch rr.Compactions {
+		case 0:
+			if float64(got) > 0.70*float64(parent) {
+				t.Errorf("round %d: %.2f msgs per mutable write, parent %.2f — less than 30 %% saved",
+					round, float64(got)/float64(writes), float64(parent)/float64(writes))
+			}
+			plainSaving = parent - got
+		case cfg.NumShards:
+			if parent-got < plainSaving {
+				t.Errorf("compacting round %d: saved %d msgs against the parent, a plain round saves %d",
+					round, parent-got, plainSaving)
+			}
+		default:
+			t.Fatalf("round %d: %d compactions, want none or one per shard", round, rr.Compactions)
+		}
+		if wave, was := rr.MaterializeWave.Latency, time.Duration(parentMaterialize[round].waveMs)*time.Millisecond; float64(wave) > 0.70*float64(was) {
+			t.Errorf("round %d: materialize makespan %v, parent %v — less than 30 %% saved", round, wave, was)
+		}
+
+		if rr.Wave().Latency > rr.Serial().Latency || rr.Wave().Msgs != rr.Serial().Msgs || rr.Wave().Bytes != rr.Serial().Bytes {
+			t.Fatalf("round %d: wave %+v vs serial %+v", round, rr.Wave(), rr.Serial())
+		}
+	}
+	if ws := c.WriteStats(); ws.Compactions != 3*cfg.NumShards {
+		t.Fatalf("compactions = %d, want three per shard", ws.Compactions)
+	}
+
+	reader := c.Peers[3].DHT()
+	for shard := 0; shard < cfg.NumShards; shard++ {
+		loc, _, err := reader.Locate(context.Background(), pointerKey(shard))
+		if err != nil || len(loc.Closest) != cfg.DHT.K {
+			t.Fatalf("shard %d: %d closest, err=%v", shard, len(loc.Closest), err)
+		}
+		// A reader never lists itself, so when it is one of the K closest
+		// its own view shows the other K-1 and one farther non-holder.
+		for _, r := range loc.Closest {
+			if r.Held && r.Seq != uint64(rounds) {
+				t.Errorf("shard %d: replica %s holds stale seq %d, want %d", shard, r.Addr, r.Seq, rounds)
+			}
+		}
+		if loc.Replicas() < cfg.DHT.K-1 {
+			t.Errorf("shard %d: %d of the %d closest hold the pointer", shard, loc.Replicas(), cfg.DHT.K)
+		}
+		if ptr, err := decodeShardPointer(loc.Value); err != nil || ptr.Version != uint64(rounds) {
+			t.Errorf("shard %d: pointer version %d err=%v, want %d", shard, ptr.Version, err, rounds)
+		}
+	}
+}
+
+// TestWriteRefusedStoreSurfaces: a STORE every replica refuses — each
+// holds a newer sequence than the writer computed — is not a write. The
+// read-modify-write reports it, and a round whose stats bump was refused
+// says so (stage "stats") instead of counting a write nobody kept.
+func TestWriteRefusedStoreSurfaces(t *testing.T) {
+	c := smallCluster(t)
+	alice := c.NewAccount("alice", 100_000)
+	c.Seal()
+	publish := func(i int) RoundReceipt {
+		t.Helper()
+		if _, err := c.Publish(alice, c.Peers[i], fmt.Sprintf("dweb://refused/%d", i),
+			fmt.Sprintf("refused store document %d", i), nil); err != nil {
+			t.Fatal(err)
+		}
+		c.Seal()
+		return c.ProcessRoundReceipt()
+	}
+	if rr := publish(0); rr.StatsWrites != 1 || len(rr.Errors) > 0 {
+		t.Fatalf("healthy round: %d stats writes, errors %v", rr.StatsWrites, rr.Errors)
+	}
+
+	statsKey := dht.KeyOfString(StatsKey)
+	// The round: every replica's stats record turns undecodable at a high
+	// sequence, so the bump restarts from zero at Version 1 and is refused.
+	c.forEachNode(func(n *dht.Node) { n.StoreLocal(statsKey, []byte("not json"), 50) })
+	rr := publish(1)
+	if rr.StatsWrites != 0 {
+		t.Fatalf("refused bump counted as %d stats writes", rr.StatsWrites)
+	}
+	var stages []string
+	for _, re := range rr.Errors {
+		stages = append(stages, re.Stage)
+		if re.Stage == "stats" && re.Shard != -1 {
+			t.Fatalf("stats error scoped to shard %d", re.Shard)
+		}
+	}
+	if fmt.Sprint(stages) != "[stats]" {
+		t.Fatalf("round errors = %v, want exactly one at stage stats", rr.Errors)
+	}
+	if rr.PointerWrites == 0 {
+		t.Fatal("the shard legs must be untouched by the stats failure")
+	}
+
+	// The helper itself: a mutation that comes back with an old sequence.
+	_, cost, wrote, err := rmw(c.Bees[0].Peer.DHT(), statsKey, func(cur []byte) ([]byte, uint64, netsim.Cost, error) {
+		if string(cur) != "not json" {
+			t.Fatalf("rmw read %q", cur)
+		}
+		return []byte(`{"Docs":999}`), 49, netsim.Cost{}, nil
+	})
+	if err == nil || wrote || cost.Msgs == 0 {
+		t.Fatalf("stale rmw: wrote=%v err=%v after %d msgs", wrote, err, cost.Msgs)
+	}
 }

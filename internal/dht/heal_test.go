@@ -164,3 +164,58 @@ func TestCancelledCallDoesNotMarkFailed(t *testing.T) {
 		t.Fatalf("cancelled call poisoned the table: failed=%v present=%v", failed, ok)
 	}
 }
+
+// TestWalkReuseRewalksPastDeadContact: a remembered walk is stale only
+// if one of its contacts died between the read and the write. The write
+// notices the failed STORE, walks once more and writes again, so the
+// record still reaches full replication on live nodes.
+func TestWalkReuseRewalksPastDeadContact(t *testing.T) {
+	cfg := DefaultConfig()
+	net, nodes := buildSwarm(t, 32, cfg)
+	key := KeyOfString("rmw-under-churn")
+	writer := nodes[5]
+	if _, _, err := writer.Put(key, []byte("v1"), 1); err != nil {
+		t.Fatal(err)
+	}
+	loc, _, err := writer.Locate(context.Background(), key)
+	if err != nil || len(loc.Closest) != cfg.K {
+		t.Fatalf("Locate: %d closest, err=%v", len(loc.Closest), err)
+	}
+	victim := loc.Closest[0].Addr
+	net.SetDown(victim, true)
+
+	accepted, cost, err := writer.PutAt(loc.Walk, []byte("v2"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if accepted < cfg.K-1 {
+		t.Fatalf("accepted = %d, want >= %d", accepted, cfg.K-1)
+	}
+	if cost.Msgs <= 2*cfg.K {
+		t.Fatalf("cost %d msgs: a failed wave, a re-walk and a second wave cost more than two waves", cost.Msgs)
+	}
+	live := 0
+	for _, nd := range nodes {
+		nd.mu.Lock()
+		sv, ok := nd.values[key]
+		nd.mu.Unlock()
+		if ok && sv.seq == 2 {
+			if nd.self.Addr == victim {
+				t.Fatalf("dead contact %s holds the new version", victim)
+			}
+			live++
+		}
+	}
+	if live < cfg.K-1 {
+		t.Fatalf("%d live replicas at the new version, want >= %d", live, cfg.K-1)
+	}
+	if got, seq, _, err := nodes[20].Get(key); err != nil || string(got) != "v2" || seq != 2 {
+		t.Fatalf("Get = %q seq=%d err=%v", got, seq, err)
+	}
+
+	// The same walk with every contact alive again is not re-walked.
+	net.SetDown(victim, false)
+	if _, cost, err := writer.PutAt(loc.Walk, []byte("v3"), 3); err != nil || cost.Msgs != cfg.K {
+		t.Fatalf("healthy reuse cost %d msgs, err=%v; want one %d-wide wave", cost.Msgs, err, cfg.K)
+	}
+}

@@ -3,6 +3,15 @@
 // hosts QueenBee's inverted index and page ranks "in a decentralized
 // storage (e.g., IPFS)": 160-bit XOR keyspace, k-buckets, iterative
 // FIND_NODE / FIND_VALUE lookups, k-replicated STORE, and provider records.
+//
+// The iterative walk toward a key is the expensive part of every
+// operation, so an operation walks once: the quorum read of a versioned
+// record (Locate) and provider discovery (FindProviders) return the Walk
+// they converged on — the K closest live contacts and, for Locate, what
+// each held — and the write forms PutAt / ProvideAt take such a walk and
+// send only the STORE / ADD_PROVIDER wave, re-walking once if a contact
+// died in between. Put, Provide, Get and GetHolderCtx are the same
+// operations for callers with no walk to offer or no use for one.
 package dht
 
 import (

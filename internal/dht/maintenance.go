@@ -4,29 +4,28 @@ import (
 	"repro/internal/netsim"
 )
 
-// ProbeReplication counts how many of the k closest live nodes to key
-// currently hold a replica. It is the maintenance loop's health check:
-// a count below K means churn has eaten replicas and the key needs a
-// republish or re-seed. The probe is direct — one FIND_VALUE per
-// closest node after the lookup converges — so the count reflects what
-// a quorum read would actually see. This node's own replica is not
-// counted: maintenance cares about replicas that survive this node.
-func (n *Node) ProbeReplication(key Key) (int, netsim.Cost) {
-	closest, cost := n.lookupNodes(key)
-	replicas := 0
+// ProbeReplication asks each of the k closest live nodes to key whether
+// it holds a replica, and returns the walk with the answers filled in:
+// Walk.Replicas is the maintenance loop's health check for immutable
+// records (a versioned record's health is read off Locate, which asks
+// the same question on its way) — a count below K means churn has eaten
+// replicas and the key needs a re-seed, which PutAt lands on this same
+// walk. The probe is direct — one FIND_VALUE per closest node after the
+// lookup converges — so the count reflects what a read would actually
+// see. A contact that fails its probe stays in the walk as a non-holder:
+// a write reusing the walk then trips PutAt's staleness fallback.
+func (n *Node) ProbeReplication(key Key) (Walk, netsim.Cost) {
+	w, cost := n.lookupNodes(key)
 	var probeCost netsim.Cost
-	for _, c := range closest {
-		if c.ID == n.self.ID {
-			continue
-		}
-		resp, cc, err := n.call(c, findValueReq{From: n.self, Key: key})
+	for i, r := range w.Closest {
+		resp, cc, err := n.call(r.Contact, findValueReq{From: n.self, Key: key})
 		probeCost = probeCost.Par(cc)
 		if err != nil {
 			continue
 		}
-		if r, ok := resp.(findValueResp); ok && r.Found {
-			replicas++
+		if fv := resp.(findValueResp); fv.Found {
+			w.Closest[i].Held, w.Closest[i].Seq = true, fv.Seq
 		}
 	}
-	return replicas, cost.Seq(probeCost)
+	return w, cost.Seq(probeCost)
 }

@@ -172,11 +172,14 @@ func (n *Node) handle(from netsim.NodeID, req any) (any, error) {
 		n.learn(m.From)
 		n.mu.Lock()
 		cur, ok := n.values[m.Key]
-		if !ok || m.Seq >= cur.seq {
+		accepted := !ok || m.Seq >= cur.seq
+		if accepted {
 			n.values[m.Key] = storedValue{value: m.Value, seq: m.Seq}
 		}
 		n.mu.Unlock()
-		return storeResp{OK: true}, nil
+		// A replica that kept its newer record says so: the writer counts
+		// accepted replicas, not delivered messages.
+		return storeResp{OK: accepted}, nil
 	case findValueReq:
 		n.learn(m.From)
 		n.mu.Lock()
@@ -299,19 +302,71 @@ func (n *Node) Ping(to Contact) (netsim.Cost, error) {
 	return cost, err
 }
 
-// lookupNodes performs an iterative FIND_NODE toward target and returns
-// the k closest live contacts found. Queries within a round are accounted
-// as parallel; rounds are sequential.
-func (n *Node) lookupNodes(target Key) ([]Contact, netsim.Cost) {
+// Replica is one member of a walk's closest set: the contact, and what
+// it answered when the walk asked it for the record. Held and Seq stay
+// zero on walks that asked for contacts or providers only.
+type Replica struct {
+	Contact
+	Held bool   // the contact returned a record for the key
+	Seq  uint64 // the sequence it held (meaningful when Held)
+}
+
+// Walk is what one iterative lookup toward Key learned: the K closest
+// live contacts it queried, nearest first. A walk that ran to
+// convergence is the replica set a write to Key lands on, so PutAt and
+// ProvideAt accept it in place of walking again; the zero Closest of an
+// unconverged walk (cut short, answered locally, or simply Walk{Key: k})
+// makes them walk first.
+type Walk struct {
+	Key     Key
+	Closest []Replica
+	// converged: the lookup queried through to the K closest live
+	// contacts — the only kind of walk a write may reuse.
+	converged bool
+}
+
+// Replicas counts the closest contacts that held the record (at any
+// sequence) when the walk asked them. The walking node's own copy is
+// never counted — maintenance cares about replicas that survive it.
+func (w Walk) Replicas() int {
+	held := 0
+	for _, r := range w.Closest {
+		if r.Held {
+			held++
+		}
+	}
+	return held
+}
+
+// convergedWalk wraps the contacts an iterative lookup returned.
+func convergedWalk(key Key, contacts []Contact) Walk {
+	w := Walk{Key: key, Closest: make([]Replica, len(contacts)), converged: true}
+	for i, c := range contacts {
+		w.Closest[i].Contact = c
+	}
+	return w
+}
+
+// walk is iterativeLookup without a request lifecycle, for the write and
+// discovery paths that never abandon a lookup.
+func (n *Node) walk(target Key, query func(Contact) ([]Contact, bool, netsim.Cost)) ([]Contact, netsim.Cost) {
 	//detlint:ignore errsink iterativeLookup only errors on context cancellation, impossible with context.Background
-	contacts, cost, _ := n.iterativeLookup(context.Background(), target, func(c Contact) ([]Contact, bool, netsim.Cost) {
+	contacts, cost, _ := n.iterativeLookup(context.Background(), target, query)
+	return contacts, cost
+}
+
+// lookupNodes performs an iterative FIND_NODE toward target and returns
+// the converged walk: the k closest live contacts found. Queries within
+// a round are accounted as parallel; rounds are sequential.
+func (n *Node) lookupNodes(target Key) (Walk, netsim.Cost) {
+	contacts, cost := n.walk(target, func(c Contact) ([]Contact, bool, netsim.Cost) {
 		resp, cost, err := n.call(c, findNodeReq{From: n.self, Target: target})
 		if err != nil {
 			return nil, false, cost
 		}
 		return resp.(findNodeResp).Contacts, true, cost
 	})
-	return contacts, cost
+	return convergedWalk(target, contacts), cost
 }
 
 // lookupState tracks per-contact progress during an iterative lookup.
@@ -527,96 +582,145 @@ func bestDistance(target Key, list []Contact, states map[Key]*lookupState) Key {
 	return max
 }
 
-// Put stores a versioned value on the k closest nodes to key. The writer
-// also keeps a local replica (when it already holds an older version, or
-// when the swarm is empty) so its own later reads can never regress.
-// It returns the number of replicas written and the total cost.
+// writeAt is the one write wave behind PutAt and ProvideAt: send issues
+// one RPC to a member of the walk's closest set and reports whether the
+// replica took the record. An unconverged walk is walked first. A reused
+// one can be stale only if a contact died since its walk ran, so when any
+// RPC of the wave fails the key is walked again, once, and the wave
+// re-sent — a remembered walk never under-replicates silently. A lone
+// node (a converged walk that found nobody) keeps the record itself.
+func (n *Node) writeAt(w Walk, keepLocal func(), send func(Contact) (bool, netsim.Cost, error)) (int, netsim.Cost) {
+	var total netsim.Cost
+	for {
+		reused := w.converged
+		if !reused {
+			var cost netsim.Cost
+			w, cost = n.lookupNodes(w.Key)
+			total = total.Seq(cost)
+		}
+		if len(w.Closest) == 0 {
+			keepLocal()
+			return 1, total
+		}
+		taken, failed := 0, false
+		var wave netsim.Cost
+		for _, r := range w.Closest {
+			ok, cost, err := send(r.Contact)
+			wave = wave.Par(cost)
+			if err != nil {
+				failed = true
+			} else if ok {
+				taken++
+			}
+		}
+		total = total.Seq(wave)
+		if !reused || !failed {
+			return taken, total
+		}
+		w = Walk{Key: w.Key}
+	}
+}
+
+// Put stores a versioned value on the k closest nodes to key: one walk,
+// then PutAt on what it found.
 func (n *Node) Put(key Key, value []byte, seq uint64) (int, netsim.Cost, error) {
+	return n.PutAt(Walk{Key: key}, value, seq)
+}
+
+// PutAt stores a versioned value on the closest set of a walk toward
+// w.Key the caller already ran — the read half of a read-modify-write
+// (Locate), or a replication probe — issuing only the STORE wave; see
+// writeAt for the staleness fallback. The writer also keeps a local
+// replica (when it already holds an older version, or when the swarm is
+// empty) so its own later reads can never regress. A replica holding a
+// newer sequence refuses the record: the count returned is replicas that
+// ACCEPTED it, and none accepting is an error.
+func (n *Node) PutAt(w Walk, value []byte, seq uint64) (int, netsim.Cost, error) {
+	key := w.Key
 	n.mu.Lock()
 	if cur, ok := n.values[key]; ok && seq >= cur.seq {
 		n.values[key] = storedValue{value: value, seq: seq}
 	}
 	n.mu.Unlock()
 
-	closest, cost := n.lookupNodes(key)
-	if len(closest) == 0 {
+	accepted, cost := n.writeAt(w, func() {
 		// A lone node stores locally so single-node setups still work.
 		n.mu.Lock()
-		cur, ok := n.values[key]
-		if !ok || seq >= cur.seq {
+		if cur, ok := n.values[key]; !ok || seq >= cur.seq {
 			n.values[key] = storedValue{value: value, seq: seq}
 		}
 		n.mu.Unlock()
-		return 1, cost, nil
-	}
-	stored := 0
-	var storeCost netsim.Cost
-	for _, c := range closest {
-		_, cc, err := n.call(c, storeReq{From: n.self, Key: key, Value: value, Seq: seq})
-		storeCost = storeCost.Par(cc)
-		if err == nil {
-			stored++
+	}, func(c Contact) (bool, netsim.Cost, error) {
+		resp, cost, err := n.call(c, storeReq{From: n.self, Key: key, Value: value, Seq: seq})
+		if err != nil {
+			return false, cost, err
 		}
+		return resp.(storeResp).OK, cost, nil
+	})
+	if accepted == 0 {
+		return 0, cost, fmt.Errorf("dht: no replica accepted %s at seq %d", key.Short(), seq)
 	}
-	cost = cost.Seq(storeCost)
-	if stored == 0 {
-		return 0, cost, fmt.Errorf("dht: no replicas stored for %s", key.Short())
-	}
-	return stored, cost, nil
+	return accepted, cost, nil
 }
 
-// Get retrieves the highest-sequence value for key via iterative
-// FIND_VALUE. Because records are versioned (mutable pointers like index
-// shard lists), the lookup does NOT stop at the first replica: it queries
-// through to the k closest nodes and returns the highest sequence seen —
-// a quorum-style read that tolerates stale replicas. The local replica
-// (if any) participates as one more vote.
-func (n *Node) Get(key Key) ([]byte, uint64, netsim.Cost, error) {
-	return n.GetCtx(context.Background(), key)
+// Located is the outcome of the locating read: the winning record (when
+// any replica or the local copy held one) and the converged walk that
+// found it — the closest set, with the sequence each member held.
+type Located struct {
+	Walk
+	Value []byte
+	Seq   uint64
+	// Holder is a replica worth asking first next time: the remote
+	// contact that returned the winning record with the lowest RPC
+	// latency (the nearest current holder). The zero Contact means no
+	// remote replica returned it — only this node's own copy did.
+	Holder Contact
 }
 
-// GetCtx is Get with a request lifecycle: once ctx is done, the
-// remaining lookup rounds are abandoned and the error wraps
-// netsim.ErrCancelled. A quorum read cut short mid-lookup fails even
-// when some replica already answered — a partial quorum is not a read —
-// and the returned cost is the partial wave that actually ran.
-func (n *Node) GetCtx(ctx context.Context, key Key) ([]byte, uint64, netsim.Cost, error) {
-	val, seq, _, cost, err := n.GetHolderCtx(ctx, key)
-	return val, seq, cost, err
-}
-
-// GetHolderCtx is GetCtx that also names a replica worth asking first
-// next time: the remote contact that returned the winning record with
-// the lowest RPC latency (the nearest current holder). The zero Contact
-// means no remote replica returned it — only this node's own copy did.
-func (n *Node) GetHolderCtx(ctx context.Context, key Key) ([]byte, uint64, Contact, netsim.Cost, error) {
+// Locate is the quorum read of a versioned record, via iterative
+// FIND_VALUE. Because records are mutable (pointers like index shard
+// lists), the lookup does NOT stop at the first replica: it queries
+// through to the k closest nodes and takes the highest sequence seen — a
+// read that tolerates stale replicas. The local replica (if any)
+// participates as one more vote. What the walk learned on the way is
+// returned with the record, so a caller that goes on to write the key
+// (PutAt) or to judge its replication (Walk.Replicas) does not walk
+// again. With ErrNotFound the walk is still valid: the first write of a
+// key reuses it like any other.
+//
+// Once ctx is done, the remaining lookup rounds are abandoned and the
+// error wraps netsim.ErrCancelled. A quorum read cut short mid-lookup
+// fails even when some replica already answered — a partial quorum is
+// not a read — and the returned cost is the partial wave that actually
+// ran.
+func (n *Node) Locate(ctx context.Context, key Key) (Located, netsim.Cost, error) {
 	var (
-		bestVal   []byte
-		bestSeq   uint64
+		loc       Located
 		anyValue  bool
-		holder    Contact
 		holderLat time.Duration
 	)
 	n.mu.Lock()
 	if sv, ok := n.values[key]; ok {
-		bestVal, bestSeq, anyValue = sv.value, sv.seq, true
+		loc.Value, loc.Seq, anyValue = sv.value, sv.seq, true
 	}
 	n.mu.Unlock()
 
-	_, cost, err := n.iterativeLookup(ctx, key, func(c Contact) ([]Contact, bool, netsim.Cost) {
+	answers := make(map[Key]Replica)
+	contacts, cost, err := n.iterativeLookup(ctx, key, func(c Contact) ([]Contact, bool, netsim.Cost) {
 		resp, cc, err := n.callCtx(ctx, c, findValueReq{From: n.self, Key: key})
 		if err != nil {
 			return nil, false, cc
 		}
 		r := resp.(findValueResp)
+		answers[c.ID] = Replica{Contact: c, Held: r.Found, Seq: r.Seq}
 		if r.Found {
 			switch {
-			case !anyValue || r.Seq > bestSeq:
-				bestVal, bestSeq, anyValue = r.Value, r.Seq, true
-				holder, holderLat = c, cc.Latency
-			case r.Seq == bestSeq && bytes.Equal(r.Value, bestVal) &&
-				(holder == Contact{} || cc.Latency < holderLat):
-				holder, holderLat = c, cc.Latency
+			case !anyValue || r.Seq > loc.Seq:
+				loc.Value, loc.Seq, anyValue = r.Value, r.Seq, true
+				loc.Holder, holderLat = c, cc.Latency
+			case r.Seq == loc.Seq && bytes.Equal(r.Value, loc.Value) &&
+				(loc.Holder == Contact{} || cc.Latency < holderLat):
+				loc.Holder, holderLat = c, cc.Latency
 			}
 		}
 		// A replica holder still reports closer contacts so the lookup
@@ -624,12 +728,38 @@ func (n *Node) GetHolderCtx(ctx context.Context, key Key) ([]byte, uint64, Conta
 		return r.Contacts, true, cc
 	})
 	if err != nil {
-		return nil, 0, Contact{}, cost, err
+		return Located{}, cost, err
+	}
+	loc.Walk = convergedWalk(key, contacts)
+	for i, r := range loc.Closest {
+		loc.Closest[i] = answers[r.ID]
 	}
 	if !anyValue {
-		return nil, 0, Contact{}, cost, ErrNotFound
+		return loc, cost, ErrNotFound
 	}
-	return bestVal, bestSeq, holder, cost, nil
+	return loc, cost, nil
+}
+
+// Get retrieves the highest-sequence value for key: Locate without the
+// walk.
+func (n *Node) Get(key Key) ([]byte, uint64, netsim.Cost, error) {
+	return n.GetCtx(context.Background(), key)
+}
+
+// GetCtx is Get with a request lifecycle (see Locate).
+func (n *Node) GetCtx(ctx context.Context, key Key) ([]byte, uint64, netsim.Cost, error) {
+	val, seq, _, cost, err := n.GetHolderCtx(ctx, key)
+	return val, seq, cost, err
+}
+
+// GetHolderCtx is GetCtx that also names the nearest current holder
+// (Located.Holder).
+func (n *Node) GetHolderCtx(ctx context.Context, key Key) ([]byte, uint64, Contact, netsim.Cost, error) {
+	loc, cost, err := n.Locate(ctx, key)
+	if err != nil {
+		return nil, 0, Contact{}, cost, err
+	}
+	return loc.Value, loc.Seq, loc.Holder, cost, nil
 }
 
 // GetFromCtx asks one known replica holder for key: a single FIND_VALUE
@@ -698,10 +828,18 @@ func (n *Node) GetImmutableCtx(ctx context.Context, key Key) ([]byte, netsim.Cos
 }
 
 // Provide announces this node as a provider for key on the k closest
-// nodes.
+// nodes: one walk, then ProvideAt on what it found.
 func (n *Node) Provide(key Key) (int, netsim.Cost, error) {
-	closest, cost := n.lookupNodes(key)
-	if len(closest) == 0 {
+	return n.ProvideAt(Walk{Key: key})
+}
+
+// ProvideAt announces this node as a provider for w.Key on the closest
+// set of a walk the caller already ran (FindProviders, when it
+// converged), issuing only the ADD_PROVIDER wave; see writeAt for the
+// staleness fallback.
+func (n *Node) ProvideAt(w Walk) (int, netsim.Cost, error) {
+	key := w.Key
+	announced, cost := n.writeAt(w, func() {
 		n.mu.Lock()
 		set := n.providers[key]
 		if set == nil {
@@ -710,26 +848,24 @@ func (n *Node) Provide(key Key) (int, netsim.Cost, error) {
 		}
 		set[n.self.Addr] = n.self
 		n.mu.Unlock()
-		return 1, cost, nil
-	}
-	announced := 0
-	var annCost netsim.Cost
-	for _, c := range closest {
-		_, cc, err := n.call(c, addProviderReq{From: n.self, Key: key, Provider: n.self})
-		annCost = annCost.Par(cc)
-		if err == nil {
-			announced++
-		}
-	}
-	cost = cost.Seq(annCost)
+	}, func(c Contact) (bool, netsim.Cost, error) {
+		_, cost, err := n.call(c, addProviderReq{From: n.self, Key: key, Provider: n.self})
+		return err == nil, cost, err
+	})
 	if announced == 0 {
 		return 0, cost, fmt.Errorf("dht: provider announce failed for %s", key.Short())
 	}
 	return announced, cost, nil
 }
 
-// FindProviders returns providers for key discovered via iterative lookup.
-func (n *Node) FindProviders(key Key, limit int) ([]Contact, netsim.Cost, error) {
+// FindProviders returns providers for key discovered via iterative
+// lookup, and the walk that found them. The walk is reusable (a fetcher
+// announcing itself for the same key hands it to ProvideAt) only when
+// it ran to convergence: a lookup answered from local provider records,
+// or cut short once limit providers were known, returns an unconverged
+// walk and the announce walks for itself.
+func (n *Node) FindProviders(key Key, limit int) ([]Contact, Walk, netsim.Cost, error) {
+	unconverged := Walk{Key: key}
 	// Local provider records answer immediately.
 	n.mu.Lock()
 	var local []Contact
@@ -739,7 +875,7 @@ func (n *Node) FindProviders(key Key, limit int) ([]Contact, netsim.Cost, error)
 	n.mu.Unlock()
 	if len(local) >= limit && limit > 0 {
 		sort.Slice(local, func(i, j int) bool { return local[i].Addr < local[j].Addr })
-		return local[:limit], netsim.Cost{}, nil
+		return local[:limit], unconverged, netsim.Cost{}, nil
 	}
 
 	seen := make(map[netsim.NodeID]Contact)
@@ -748,9 +884,10 @@ func (n *Node) FindProviders(key Key, limit int) ([]Contact, netsim.Cost, error)
 	}
 	enough := func() bool { return limit > 0 && len(seen) >= limit }
 
-	//detlint:ignore errsink iterativeLookup only errors on context cancellation, impossible with context.Background
-	_, cost, _ := n.iterativeLookup(context.Background(), key, func(c Contact) ([]Contact, bool, netsim.Cost) {
+	cutShort := false
+	contacts, cost := n.walk(key, func(c Contact) ([]Contact, bool, netsim.Cost) {
 		if enough() {
+			cutShort = true
 			return nil, true, netsim.Cost{}
 		}
 		resp, cc, err := n.call(c, getProvidersReq{From: n.self, Key: key})
@@ -763,9 +900,13 @@ func (n *Node) FindProviders(key Key, limit int) ([]Contact, netsim.Cost, error)
 		}
 		return r.Contacts, true, cc
 	})
+	w := unconverged
+	if !cutShort {
+		w = convergedWalk(key, contacts)
+	}
 
 	if len(seen) == 0 {
-		return nil, cost, ErrNotFound
+		return nil, w, cost, ErrNotFound
 	}
 	out := make([]Contact, 0, len(seen))
 	for _, c := range seen {
@@ -775,7 +916,7 @@ func (n *Node) FindProviders(key Key, limit int) ([]Contact, netsim.Cost, error)
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}
-	return out, cost, nil
+	return out, w, cost, nil
 }
 
 // RefreshBuckets performs lookups toward deterministic pseudo-random

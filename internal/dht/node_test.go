@@ -146,7 +146,7 @@ func TestProvideAndFindProviders(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	provs, _, err := nodes[20].FindProviders(key, 10)
+	provs, _, _, err := nodes[20].FindProviders(key, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestFindProvidersLimit(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		nodes[i].Provide(key)
 	}
-	provs, _, err := nodes[20].FindProviders(key, 3)
+	provs, _, _, err := nodes[20].FindProviders(key, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestFindProvidersLimit(t *testing.T) {
 
 func TestFindProvidersMissing(t *testing.T) {
 	_, nodes := buildSwarm(t, 12, DefaultConfig())
-	_, _, err := nodes[3].FindProviders(KeyOfString("no-providers"), 5)
+	_, _, _, err := nodes[3].FindProviders(KeyOfString("no-providers"), 5)
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
@@ -389,5 +389,82 @@ func TestGetFromMissesAndFailures(t *testing.T) {
 	}
 	if !markedFailed() {
 		t.Fatal("dead holder not marked failed")
+	}
+}
+
+// TestWalkReuseNeedsConvergedWalk: provider discovery that never walked
+// through to the K closest — answered from local records, or cut short
+// once it knew enough providers — hands back no closest set, and an
+// announce given such a walk walks for itself.
+func TestWalkReuseNeedsConvergedWalk(t *testing.T) {
+	cfg := DefaultConfig()
+	_, nodes := buildSwarm(t, 24, cfg)
+	key := KeyOfString("popular-content")
+	for i := 0; i < 10; i++ {
+		if _, _, err := nodes[i].Provide(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Sort the non-providers by what they hold locally.
+	var fetcher, holder *Node
+	for _, nd := range nodes[10:] {
+		nd.mu.Lock()
+		held := len(nd.providers[key])
+		nd.mu.Unlock()
+		if held == 0 && fetcher == nil {
+			fetcher = nd
+		}
+		if held >= 3 && holder == nil {
+			holder = nd
+		}
+	}
+	if fetcher == nil || holder == nil {
+		t.Fatal("fixture needs one node without and one with local provider records")
+	}
+
+	// Cut short: three providers suffice long before the walk converges.
+	provs, found, cost, err := fetcher.FindProviders(key, 3)
+	if err != nil || len(provs) != 3 || cost.Msgs == 0 {
+		t.Fatalf("FindProviders = %v for %d msgs, err=%v", provs, cost.Msgs, err)
+	}
+	if found.converged || found.Closest != nil || found.Key != key {
+		t.Fatalf("a lookup cut short returned a reusable walk: %+v", found)
+	}
+
+	// Answered locally: a node holding the provider records pays nothing.
+	_, local, cost, err := holder.FindProviders(key, 3)
+	if err != nil || cost.Msgs != 0 {
+		t.Fatalf("local answer cost %d msgs, err=%v", cost.Msgs, err)
+	}
+	if local.converged || local.Closest != nil {
+		t.Fatalf("a local answer returned a reusable walk: %+v", local)
+	}
+
+	// Either way the announce still lands on K nodes — by walking.
+	announced, cost, err := fetcher.ProvideAt(found)
+	if err != nil || announced != cfg.K {
+		t.Fatalf("ProvideAt announced %d, err=%v", announced, err)
+	}
+	if cost.Msgs <= cfg.K {
+		t.Fatalf("ProvideAt on an unconverged walk cost %d msgs: it cannot have walked", cost.Msgs)
+	}
+}
+
+// TestStoreRefusalIsNotAReplica: a replica that kept its newer record
+// says so, and a write every replica refused is an error, not K stores.
+func TestStoreRefusalIsNotAReplica(t *testing.T) {
+	cfg := DefaultConfig()
+	_, nodes := buildSwarm(t, 16, cfg)
+	key := KeyOfString("refused")
+	if n, _, err := nodes[1].Put(key, []byte("new"), 5); err != nil || n != cfg.K {
+		t.Fatalf("Put seq 5 = %d replicas, err=%v", n, err)
+	}
+	if n, cost, err := nodes[1].Put(key, []byte("old"), 3); err == nil || n != 0 || cost.Msgs == 0 {
+		t.Fatalf("stale Put = %d replicas for %d msgs, err=%v; want 0 and an error", n, cost.Msgs, err)
+	}
+	// An equal sequence is a republish and is accepted.
+	if n, _, err := nodes[1].Put(key, []byte("new"), 5); err != nil || n != cfg.K {
+		t.Fatalf("republish at seq 5 = %d replicas, err=%v", n, err)
 	}
 }

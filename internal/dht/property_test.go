@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -127,5 +128,114 @@ func TestLookupCostLogarithmic(t *testing.T) {
 	// 16x nodes: allow at most ~4x messages (true growth is ~log n).
 	if large > 4*small {
 		t.Fatalf("lookup cost grew superlogarithmically: %d → %d msgs", small, large)
+	}
+}
+
+// holdersAt lists, in node order, the addresses of the nodes whose local
+// store holds key at seq.
+func holdersAt(nodes []*Node, key Key, seq uint64) []netsim.NodeID {
+	var out []netsim.NodeID
+	for _, nd := range nodes {
+		nd.mu.Lock()
+		sv, ok := nd.values[key]
+		nd.mu.Unlock()
+		if ok && sv.seq == seq {
+			out = append(out, nd.self.Addr)
+		}
+	}
+	return out
+}
+
+// announcedOn lists, in node order, the nodes holding a provider record
+// for key that names who.
+func announcedOn(nodes []*Node, key Key, who netsim.NodeID) []netsim.NodeID {
+	var out []netsim.NodeID
+	for _, nd := range nodes {
+		nd.mu.Lock()
+		_, ok := nd.providers[key][who]
+		nd.mu.Unlock()
+		if ok {
+			out = append(out, nd.self.Addr)
+		}
+	}
+	return out
+}
+
+// Property (one converged walk per key per operation): on a static
+// network a write that reuses the walk of the read before it lands on
+// exactly the replica set a plain Put / Provide walks to, pays one
+// K-wide wave and no second walk, and is what an unrelated node's
+// quorum read returns.
+func TestWalkReuseLandsWherePutLands(t *testing.T) {
+	cfg := DefaultConfig()
+	_, nodes := buildSwarm(t, 40, cfg)
+	rng := xrand.New(2019)
+	ctx := context.Background()
+	for i := 0; i < 200; i++ {
+		key := KeyOfString(fmt.Sprintf("walk-reuse-%d-%d", i, rng.Intn(1<<30)))
+		wi := rng.Intn(len(nodes))
+		writer := nodes[wi]
+		reader := nodes[(wi+1+rng.Intn(len(nodes)-1))%len(nodes)] // any other node
+
+		// Versioned record: plain Put, then read-modify-write on one walk.
+		_, putCost, err := writer.Put(key, []byte("v1"), 1)
+		if err != nil {
+			t.Fatalf("key %d: Put: %v", i, err)
+		}
+		plain := holdersAt(nodes, key, 1)
+		loc, readCost, err := writer.Locate(ctx, key)
+		if err != nil || !loc.converged || string(loc.Value) != "v1" || loc.Seq != 1 {
+			t.Fatalf("key %d: Locate = %q seq=%d converged=%v err=%v", i, loc.Value, loc.Seq, loc.converged, err)
+		}
+		if loc.Replicas() != cfg.K {
+			t.Fatalf("key %d: the read's walk saw %d replicas, want %d", i, loc.Replicas(), cfg.K)
+		}
+		for _, r := range loc.Closest {
+			if !r.Held || r.Seq != 1 {
+				t.Fatalf("key %d: closest contact %s reported held=%v seq=%d", i, r.Addr, r.Held, r.Seq)
+			}
+		}
+		accepted, writeCost, err := writer.PutAt(loc.Walk, []byte("v2"), 2)
+		if err != nil || accepted != cfg.K {
+			t.Fatalf("key %d: PutAt accepted %d err=%v", i, accepted, err)
+		}
+		if writeCost.Msgs != cfg.K {
+			t.Fatalf("key %d: PutAt cost %d msgs, want one %d-wide STORE wave and no walk", i, writeCost.Msgs, cfg.K)
+		}
+		if rmw, twoWalks := readCost.Msgs+writeCost.Msgs, readCost.Msgs+putCost.Msgs; rmw >= twoWalks {
+			t.Fatalf("key %d: read+PutAt %d msgs, read+Put %d — the second walk was not saved", i, rmw, twoWalks)
+		}
+		if reused := holdersAt(nodes, key, 2); fmt.Sprint(reused) != fmt.Sprint(plain) {
+			t.Fatalf("key %d: PutAt landed on %v, plain Put on %v", i, reused, plain)
+		}
+		if got, seq, _, err := reader.Get(key); err != nil || string(got) != "v2" || seq != 2 {
+			t.Fatalf("key %d: Get from %s = %q seq=%d err=%v", i, reader.self.Addr, got, seq, err)
+		}
+
+		// Provider record: discovery's walk carries the announce.
+		if _, _, err := writer.Provide(key); err != nil {
+			t.Fatalf("key %d: Provide: %v", i, err)
+		}
+		fetcher := reader
+		provs, found, _, err := fetcher.FindProviders(key, 8)
+		if err != nil || len(provs) != 1 || provs[0].Addr != writer.self.Addr || !found.converged {
+			t.Fatalf("key %d: FindProviders = %v converged=%v err=%v", i, provs, found.converged, err)
+		}
+		announced, annCost, err := fetcher.ProvideAt(found)
+		if err != nil || announced != cfg.K || annCost.Msgs != cfg.K {
+			t.Fatalf("key %d: ProvideAt announced %d for %d msgs err=%v, want one %d-wide wave", i, announced, annCost.Msgs, err, cfg.K)
+		}
+		reused := announcedOn(nodes, key, fetcher.self.Addr)
+		for _, nd := range nodes {
+			nd.mu.Lock()
+			delete(nd.providers[key], fetcher.self.Addr)
+			nd.mu.Unlock()
+		}
+		if _, _, err := fetcher.Provide(key); err != nil {
+			t.Fatalf("key %d: plain Provide: %v", i, err)
+		}
+		if walked := announcedOn(nodes, key, fetcher.self.Addr); fmt.Sprint(reused) != fmt.Sprint(walked) {
+			t.Fatalf("key %d: ProvideAt landed on %v, plain Provide on %v", i, reused, walked)
+		}
 	}
 }

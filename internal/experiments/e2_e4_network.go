@@ -98,7 +98,7 @@ func runE2(seed uint64) []*metrics.Table {
 			msgs.Add(float64(cost.Msgs))
 		}
 		//detlint:ignore costdrop provider census probe; not part of the measured fetch wave
-		providers, _, err := peers[swarm-1].DHT().FindProviders(root.Key(), 64)
+		providers, _, _, err := peers[swarm-1].DHT().FindProviders(root.Key(), 64)
 		if err != nil {
 			panic(err)
 		}

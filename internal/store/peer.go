@@ -71,9 +71,11 @@ type Peer struct {
 	// so whether a concurrently-fetching sibling sees the new record —
 	// and what its FindProviders/Ping legs cost — would depend on real
 	// goroutine interleaving. Queued announcements are applied by
-	// FlushProvides after the wave, in a caller-fixed order.
+	// FlushProvides after the wave, in a caller-fixed order. Each queued
+	// root keeps the walk its fetch's provider discovery ran, so the
+	// deferred announce lands on it without walking again.
 	deferProvides bool
-	pending       []CID
+	pending       []dht.Walk
 }
 
 // NewPeer wraps an existing DHT node with content storage.
@@ -153,16 +155,25 @@ func (p *Peer) SetDeferProvides(on bool) {
 	p.rootsMu.Unlock()
 }
 
-// queueProvide appends the root to the pending announcement queue and
-// reports true when deferral is active; false means the caller must
-// provide inline.
-func (p *Peer) queueProvide(root CID) bool {
+// announceCached makes this peer a provider for content it just fetched
+// and cached, on the closest set its provider discovery already walked
+// to (dht.Node.ProvideAt walks itself when that lookup never converged).
+func (p *Peer) announceCached(found dht.Walk) netsim.Cost {
+	//detlint:ignore errsink best-effort cache announce; the fetch itself already succeeded and a missed provide is re-sent by the next Reprovide
+	_, cost, _ := p.dht.ProvideAt(found)
+	return cost
+}
+
+// queueProvide appends the fetched root's walk to the pending
+// announcement queue and reports true when deferral is active; false
+// means the caller must provide inline.
+func (p *Peer) queueProvide(found dht.Walk) bool {
 	p.rootsMu.Lock()
 	defer p.rootsMu.Unlock()
 	if !p.deferProvides {
 		return false
 	}
-	p.pending = append(p.pending, root)
+	p.pending = append(p.pending, found)
 	return true
 }
 
@@ -180,15 +191,13 @@ func (p *Peer) FlushProvides() netsim.Cost {
 	p.pending = nil
 	p.rootsMu.Unlock()
 	var total netsim.Cost
-	seen := make(map[CID]bool, len(queued))
-	for _, root := range queued {
-		if seen[root] {
+	seen := make(map[dht.Key]bool, len(queued))
+	for _, found := range queued {
+		if seen[found.Key] {
 			continue
 		}
-		seen[root] = true
-		//detlint:ignore errsink best-effort announce; a missed provide is re-sent by the next Reprovide
-		_, cost, _ := p.dht.Provide(root.Key())
-		total = total.Par(cost)
+		seen[found.Key] = true
+		total = total.Par(p.announceCached(found))
 	}
 	return total
 }
@@ -229,7 +238,7 @@ func (p *Peer) Fetch(root CID) ([]byte, netsim.Cost, error) {
 		return data, total, err
 	}
 
-	provs, cost, err := p.dht.FindProviders(root.Key(), maxProviders)
+	provs, found, cost, err := p.dht.FindProviders(root.Key(), maxProviders)
 	total = total.Seq(cost)
 	if err != nil {
 		return nil, total, fmt.Errorf("%w: %s", ErrNoProviders, root.Short())
@@ -283,12 +292,9 @@ func (p *Peer) Fetch(root CID) ([]byte, netsim.Cost, error) {
 		total = total.Seq(cost)
 		if err == nil {
 			p.rememberRoot(root)
-			if p.queueProvide(root) {
-				// Deferred: billed by FlushProvides after the wave.
-			} else {
-				//detlint:ignore errsink best-effort cache announce; the fetch itself already succeeded
-				_, cost, _ := p.dht.Provide(root.Key())
-				total = total.Seq(cost)
+			// Deferred announces are billed by FlushProvides after the wave.
+			if !p.queueProvide(found) {
+				total = total.Seq(p.announceCached(found))
 			}
 			return data, total, nil
 		}

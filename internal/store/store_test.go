@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -386,5 +387,80 @@ func TestAddDeterministicPinOrder(t *testing.T) {
 	r2, c2, s2 := run()
 	if r1 != r2 || c1 != c2 || s1 != s2 {
 		t.Fatalf("Add diverged across identical runs:\n(%s, %+v, %+v)\n(%s, %+v, %+v)", r1.Short(), c1, s1, r2.Short(), c2, s2)
+	}
+}
+
+// TestFetchAnnouncesOnItsDiscoveryWalk: a fetch's serve-cache announce
+// lands on the closest set its provider discovery already walked to —
+// inline or queued, it costs the K-wide ADD_PROVIDER wave and no second
+// walk. The queue is filled by concurrent fetches (the race job's view
+// of Peer.pending) and flushed once.
+func TestFetchAnnouncesOnItsDiscoveryWalk(t *testing.T) {
+	k := dht.DefaultConfig().K
+	docs := make([][]byte, 4)
+	for i := range docs {
+		docs[i] = bytes.Repeat([]byte(fmt.Sprintf("announce walk %d ", i)), 40)
+	}
+	boot := func() ([]*Peer, []CID) {
+		_, peers := buildPeerSwarm(t, 24, PeerConfig{})
+		roots := make([]CID, len(docs))
+		for i, doc := range docs {
+			root, _, err := peers[i].Add(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			roots[i] = root
+		}
+		return peers, roots
+	}
+
+	// Inline: the announce rides inside the fetch.
+	peers, roots := boot()
+	_, inline, err := peers[9].Fetch(roots[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Queued: same swarm, same fetch, the announce billed at the flush.
+	peers, roots = boot()
+	fetcher := peers[9]
+	fetcher.SetDeferProvides(true)
+	_, deferred, err := fetcher.Fetch(roots[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inline.Msgs != deferred.Msgs+k {
+		t.Fatalf("inline fetch %d msgs, deferred %d: the announce must be exactly one %d-wide wave", inline.Msgs, deferred.Msgs, k)
+	}
+	var wg sync.WaitGroup
+	for _, root := range roots[1:] {
+		wg.Add(1)
+		go func(root CID) {
+			defer wg.Done()
+			if _, _, err := fetcher.Fetch(root); err != nil {
+				t.Error(err)
+			}
+		}(root)
+	}
+	wg.Wait()
+	fetcher.SetDeferProvides(false)
+	if flush := fetcher.FlushProvides(); flush.Msgs != len(roots)*k {
+		t.Fatalf("flush of %d queued announces cost %d msgs, want %d waves of %d and no walk", len(roots), flush.Msgs, len(roots), k)
+	}
+	if again := fetcher.FlushProvides(); again.Msgs != 0 {
+		t.Fatalf("second flush cost %d msgs", again.Msgs)
+	}
+	for i, root := range roots {
+		provs, _, _, err := peers[20].DHT().FindProviders(root.Key(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		listed := false
+		for _, p := range provs {
+			listed = listed || p.Addr == fetcher.Addr()
+		}
+		if !listed {
+			t.Fatalf("root %d: fetcher not among providers %v", i, provs)
+		}
 	}
 }
