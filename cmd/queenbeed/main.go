@@ -523,8 +523,10 @@ type pageJSON struct {
 	Links []string `json:"links,omitempty"`
 }
 
-// roundJSON renders a round receipt for API consumers. Speedup is the
-// serial/wave latency ratio the concurrent round engine achieved.
+// roundJSON renders a round receipt for API consumers. WaveCost is the
+// round's whole simulated makespan and already contains StoreCost, which
+// is listed beside it as a breakdown — not to be added to it. Speedup is
+// the serial/wave latency ratio the concurrent round engine achieved.
 type roundJSON struct {
 	Materialized  int      `json:"materialized"`
 	StoreCost     costJSON `json:"store_cost"`

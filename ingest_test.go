@@ -111,10 +111,13 @@ func TestWriteDeterminismSoak(t *testing.T) {
 	parRounds := ingestWorkload(t, parallel, seed)
 	seqRounds := ingestWorkload(t, sequential, seed)
 
-	// The materialize fold is the same in both modes — collect, then the
-	// shard legs with the stats bump beside them — and every leg executes
-	// in one fixed order either way, so the phase sends the same messages
-	// and bytes; only latency may tell the modes apart.
+	// The materialize fold is the same in both modes — the segment puts,
+	// then each pointer's write and the stats bump's behind its own read —
+	// and every leg executes in one fixed order either way, so the phase
+	// sends the same messages and bytes; only latency may tell the modes
+	// apart. The announce wave likewise: both modes queue the bees'
+	// serve-cache announces and flush them in bee order, one K-wide wave
+	// per fetched page.
 	for i := range parRounds {
 		p, s := parRounds[i], seqRounds[i]
 		for _, rr := range []RoundReceipt{p, s} {
@@ -125,6 +128,9 @@ func TestWriteDeterminismSoak(t *testing.T) {
 		if p.PointerWrites != s.PointerWrites || p.StatsWrites != s.StatsWrites || p.Compactions != s.Compactions ||
 			p.MaterializeSerial.Msgs != s.MaterializeSerial.Msgs || p.MaterializeSerial.Bytes != s.MaterializeSerial.Bytes {
 			t.Fatalf("batch round %d materialize diverged:\nparallel   %+v\nsequential %+v", i, p, s)
+		}
+		if p.AnnounceWave.Msgs == 0 || p.AnnounceWave.Msgs != s.AnnounceWave.Msgs || p.AnnounceWave.Bytes != s.AnnounceWave.Bytes {
+			t.Fatalf("batch round %d announce wave diverged: parallel %+v, sequential %+v", i, p.AnnounceWave, s.AnnounceWave)
 		}
 	}
 
@@ -155,6 +161,11 @@ func TestWriteDeterminismSameSeedTwice(t *testing.T) {
 	build := func() (string, string) {
 		e := New(WithSeed(23), WithPeers(10), WithBees(4))
 		receipts := ingestWorkload(t, e, 23)
+		for i, rr := range receipts {
+			if rr.AnnounceWave.Latency == 0 || len(rr.Passes) == 0 {
+				t.Fatalf("batch round %d carries no announce wave or no materialize legs to compare: %+v", i, rr)
+			}
+		}
 		return dhtWriteState(t, e), fmt.Sprintf("%+v", receipts)
 	}
 	a, ra := build()
@@ -162,8 +173,9 @@ func TestWriteDeterminismSameSeedTwice(t *testing.T) {
 	if a != b {
 		t.Fatalf("same-seed runs diverged:\nfirst  %s\nsecond %s", a, b)
 	}
-	// The receipts too, latencies included: folding the stats bump into
-	// the shard wave must not let scheduling into any link's draw order.
+	// The receipts too, latencies included — commit, announce and every
+	// materialize leg: folding by dependency instead of by issue order
+	// must not let scheduling into any link's draw order.
 	if ra != rb {
 		t.Fatalf("same-seed round receipts diverged:\nfirst  %s\nsecond %s", ra, rb)
 	}

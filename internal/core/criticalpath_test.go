@@ -1,0 +1,225 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/corpus"
+	"repro/internal/dht"
+	"repro/internal/index"
+	"repro/internal/netsim"
+	"repro/internal/store"
+)
+
+// corpusBatches cuts a seeded corpus into rounds of pagesPerRound pages.
+func corpusBatches(seed uint64, rounds, pagesPerRound int) [][]BatchPage {
+	ccfg := corpus.DefaultConfig()
+	ccfg.Seed = seed
+	ccfg.NumDocs = rounds * pagesPerRound
+	docs := corpus.Generate(ccfg).Docs
+	batches := make([][]BatchPage, rounds)
+	for r := range batches {
+		for _, d := range docs[r*pagesPerRound : (r+1)*pagesPerRound] {
+			batches[r] = append(batches[r], BatchPage{URL: d.URL, Text: d.Text, Links: d.Links})
+		}
+	}
+	return batches
+}
+
+// TestWriteCriticalPath: a round's makespan is its longest dependency
+// chain, and nothing else. Recomputed here from the receipt's per-leg
+// costs with plain arithmetic — store, then time to commit, then the
+// announce wave beside a materialize phase in which every pointer and
+// the stats record wait for max(segment puts, their own quorum read)
+// before their mutation and write — it must equal Wave() to the
+// nanosecond, on plain and compacting rounds alike. The fold may reorder
+// time, never traffic: every RPC the network carried during the round is
+// billed exactly once (the segment wave's messages once, not once per
+// leg), so wave, serial and the network's own counters agree.
+func TestWriteCriticalPath(t *testing.T) {
+	cfg := DefaultConfig()
+	c := NewCluster(cfg)
+	owner := c.NewAccount("writer", 10_000_000)
+	c.Seal()
+	compacting := 0
+	for round, pages := range corpusBatches(cfg.Seed, 12, 8) {
+		before := c.Net.StatsSnapshot()
+		rr, err := c.IndexBatch(owner, pages)
+		if err != nil || len(rr.Errors) > 0 {
+			t.Fatalf("round %d: err=%v round errors=%v", round, err, rr.Errors)
+		}
+		after := c.Net.StatsSnapshot()
+
+		var materialize, issueOrder time.Duration
+		traffic := netsim.Cost{}
+		count := func(cs ...netsim.Cost) {
+			for _, c := range cs {
+				traffic.Msgs += c.Msgs
+				traffic.Bytes += c.Bytes
+			}
+		}
+		for _, pass := range rr.Passes {
+			gate := pass.Collect.Latency
+			end, slowest := gate, time.Duration(0)
+			count(pass.Collect)
+			for _, leg := range append(append([]RMWCost(nil), pass.Shards...), pass.Stats) {
+				start := gate
+				if leg.Read.Latency > start {
+					start = leg.Read.Latency
+				}
+				if done := start + leg.Write.Latency; done > end {
+					end = done
+				}
+				if whole := leg.Read.Latency + leg.Write.Latency; whole > slowest {
+					slowest = whole
+				}
+				count(leg.Read, leg.Write)
+			}
+			materialize += end
+			issueOrder += gate + slowest
+		}
+		if len(rr.Passes) != 1 || len(rr.Passes[0].Shards) != cfg.NumShards || rr.Passes[0].Stats.Write.Msgs == 0 {
+			t.Fatalf("round %d: passes %+v; the corpus batch must touch every shard once and bump the stats", round, rr.Passes)
+		}
+		if rr.MaterializeWave.Latency != materialize {
+			t.Fatalf("round %d: MaterializeWave %v, the legs' dependency chains give %v", round, rr.MaterializeWave.Latency, materialize)
+		}
+		if materialize >= issueOrder {
+			t.Fatalf("round %d: materialize %v is no shorter than reads queued behind the segment puts (%v)", round, materialize, issueOrder)
+		}
+		if traffic.Msgs != rr.MaterializeWave.Msgs || traffic.Bytes != rr.MaterializeWave.Bytes ||
+			rr.MaterializeWave.Msgs != rr.MaterializeSerial.Msgs || rr.MaterializeWave.Bytes != rr.MaterializeSerial.Bytes {
+			t.Fatalf("round %d: legs carried %d msgs / %d B, MaterializeWave bills %+v, MaterializeSerial %+v",
+				round, traffic.Msgs, traffic.Bytes, rr.MaterializeWave, rr.MaterializeSerial)
+		}
+
+		beside := materialize
+		if rr.AnnounceWave.Latency > beside {
+			beside = rr.AnnounceWave.Latency
+		}
+		if want := rr.StoreCost.Latency + rr.CommitWave.Latency + beside; rr.Wave().Latency != want {
+			t.Fatalf("round %d: Wave() %v, store → commit → (materialize ∥ announce) gives %v", round, rr.Wave().Latency, want)
+		}
+		if rr.AnnounceWave.Msgs != cfg.Contract.Quorum*len(pages)*cfg.DHT.K {
+			t.Fatalf("round %d: announce wave %d msgs, want one %d-wide wave per page per assigned bee and no walk",
+				round, rr.AnnounceWave.Msgs, cfg.DHT.K)
+		}
+		wave, serial := rr.Wave(), rr.Serial()
+		if wave.Latency > serial.Latency || wave.Msgs != serial.Msgs || wave.Bytes != serial.Bytes {
+			t.Fatalf("round %d: wave %+v vs serial %+v", round, wave, serial)
+		}
+		if sent, moved := int(after.Calls-before.Calls), after.Bytes-before.Bytes; wave.Msgs != sent || wave.Bytes != moved {
+			t.Fatalf("round %d: receipt bills %d msgs / %d B, the network carried %d / %d", round, wave.Msgs, wave.Bytes, sent, moved)
+		}
+		if rr.Compactions > 0 {
+			compacting++
+		}
+	}
+	if compacting != 3 {
+		t.Fatalf("%d compacting rounds, want three: the merge legs went unexercised", compacting)
+	}
+}
+
+// storeRPC picks a DHT STORE apart by reflection (the wire types are the
+// dht package's own): key, value and sequence of the request.
+func storeRPC(req any) (key dht.Key, value []byte, seq uint64, ok bool) {
+	v := reflect.ValueOf(req)
+	if v.Kind() != reflect.Struct || v.Type().String() != "dht.storeReq" {
+		return key, nil, 0, false
+	}
+	return v.FieldByName("Key").Interface().(dht.Key), v.FieldByName("Value").Bytes(), v.FieldByName("Seq").Uint(), true
+}
+
+// TestWriteSegmentsLandBeforePointers: folding a pointer's read beside
+// the segment puts moves no RPC. Observed from the handlers' side, no
+// pointer STORE is issued before every segment it lists was accepted by
+// at least one replica — and in a round whose segment STORE every
+// replica refuses there is no contribution, so no pointer and no stats
+// write at all.
+func TestWriteSegmentsLandBeforePointers(t *testing.T) {
+	cfg := DefaultConfig()
+	c := NewCluster(cfg)
+	owner := c.NewAccount("writer", 10_000_000)
+	c.Seal()
+
+	mutable := map[dht.Key]string{dht.KeyOfString(StatsKey): "stats"}
+	for s := 0; s < cfg.NumShards; s++ {
+		mutable[pointerKey(s)] = fmt.Sprintf("pointer %d", s)
+	}
+	accepted := make(map[dht.Key]int) // segment key → replicas that took it
+	var pointerStores, statsStores, segmentStores int
+	refuseSegments := false
+	var failures []string
+	peers := append([]*store.Peer(nil), c.Peers...)
+	for _, b := range c.Bees {
+		peers = append(peers, b.Peer)
+	}
+	for _, p := range peers {
+		p := p
+		c.Net.Register(p.Addr(), func(from netsim.NodeID, req any) (any, error) {
+			key, value, _, isStore := storeRPC(req)
+			if !isStore {
+				return p.HandleRPC(from, req)
+			}
+			name, isMutable := mutable[key]
+			switch {
+			case name == "stats":
+				statsStores++
+			case isMutable:
+				pointerStores++
+				ptr, err := decodeShardPointer(value)
+				if err != nil {
+					failures = append(failures, fmt.Sprintf("%s: %v", name, err))
+				}
+				for _, dg := range ptr.Digests {
+					if accepted[dht.KeyOfString(index.SegmentKey(dg))] == 0 {
+						failures = append(failures, fmt.Sprintf("%s v%d lists segment %.8s before any replica accepted it", name, ptr.Version, dg))
+					}
+				}
+			default:
+				segmentStores++
+				if refuseSegments {
+					// The replica already holds something newer under this key.
+					p.DHT().StoreLocal(key, []byte("newer"), 9)
+				}
+			}
+			resp, err := p.HandleRPC(from, req)
+			if err == nil && !isMutable && reflect.ValueOf(resp).FieldByName("OK").Bool() {
+				accepted[key]++
+			}
+			return resp, err
+		})
+	}
+
+	batches := corpusBatches(cfg.Seed, 6, 8)
+	for round, pages := range batches[:5] { // the fourth round compacts
+		rr, err := c.IndexBatch(owner, pages)
+		if err != nil || len(rr.Errors) > 0 {
+			t.Fatalf("round %d: err=%v round errors=%v", round, err, rr.Errors)
+		}
+	}
+	if len(failures) > 0 {
+		t.Fatalf("pointer written ahead of its segments:\n%v", failures)
+	}
+	if ws := c.WriteStats(); pointerStores < 5*cfg.NumShards || ws.Compactions != cfg.NumShards || segmentStores == 0 {
+		t.Fatalf("fixture: %d pointer STOREs, %d segment STOREs, %d compactions", pointerStores, segmentStores, ws.Compactions)
+	}
+
+	refuseSegments = true
+	pointerStores, statsStores, segmentStores = 0, 0, 0
+	rr, err := c.IndexBatch(owner, batches[5])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rr.Errors) != 1 || rr.Errors[0].Stage != "segment-write" {
+		t.Fatalf("refused segment: round errors %v, want one at stage segment-write", rr.Errors)
+	}
+	if segmentStores == 0 || pointerStores != 0 || statsStores != 0 || rr.SegmentWrites != 0 || rr.PointerWrites != 0 || rr.StatsWrites != 0 {
+		t.Fatalf("refused segment: %d segment, %d pointer, %d stats STOREs on the wire; receipt %+v", segmentStores, pointerStores, statsStores, rr)
+	}
+	if len(rr.Passes) != 1 || len(rr.Passes[0].Shards) != 0 || rr.Passes[0].Collect.Msgs == 0 || rr.MaterializeWave != rr.Passes[0].Collect {
+		t.Fatalf("refused segment: the pass is the failed segment wave and nothing else, got %+v (wave %+v)", rr.Passes, rr.MaterializeWave)
+	}
+}

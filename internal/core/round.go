@@ -16,7 +16,10 @@ import (
 //  1. commit: every bee fetches content and builds its result on its own
 //     goroutine (per-bee compute is independent: own pending map, own
 //     DWeb peer, read-locked contract views); commitments are then
-//     submitted sequentially in bee order so transaction order is stable;
+//     submitted sequentially in bee order so transaction order is stable.
+//     The bees' serve-cache announces for what they fetched are queued
+//     and flushed after the wave — the announce wave, which nothing later
+//     in the round consumes;
 //  2. reveal: cheap on-chain calls, sequential;
 //  3. materialize: bees write their winning immutable segments in a
 //     goroutine wave, then the round's contributions are grouped by
@@ -25,6 +28,13 @@ import (
 //     segments landed on it, plus one global stats bump for the whole
 //     round. A round with K segments over S shards costs O(S) mutable
 //     DHT round trips, not O(K·S).
+//
+// The receipt's makespan (RoundReceipt.Wave) is the round's longest
+// DEPENDENCY chain, not the order the process happens to issue work in:
+// the announce wave runs beside the materialize phase, and inside that
+// phase every pointer's quorum read overlaps the segment puts — only its
+// write waits for them (MaterializePass). Execution itself stays in one
+// fixed order; only the fold differs.
 //
 // Determinism contract: the same seed produces byte-identical DHT state
 // (shard pointers, segments, stats) whether the waves fan out or run
@@ -61,16 +71,26 @@ type RoundReceipt struct {
 	Materialized int
 
 	// CommitWave is the commit compute as the bees experienced it — a
-	// parallel wave, the slowest bee. CommitSerial is what a sequential
-	// driver would have paid (the sum); their ratio is the write-side
-	// concurrency speedup BenchmarkIngest reports.
+	// parallel wave, the slowest bee's time to commit: content fetches
+	// and the build. CommitSerial is what a sequential driver would have
+	// paid (the sum); their ratio is the write-side concurrency speedup
+	// BenchmarkIngest reports.
 	CommitWave   netsim.Cost
 	CommitSerial netsim.Cost
-	// MaterializeWave / MaterializeSerial account the materialize phase
-	// the same way: segment-write wave, then the per-shard pointer legs
-	// and the stats bump as one wave (serially: one after the other).
+	// AnnounceWave / AnnounceSerial account the bees' serve-cache
+	// announces for the pages they fetched (store.Peer.FlushProvides) the
+	// same way. No commitment, reveal or pointer depends on them, so on
+	// the round's makespan they sit beside the materialize phase.
+	AnnounceWave   netsim.Cost
+	AnnounceSerial netsim.Cost
+	// MaterializeWave / MaterializeSerial account the materialize phase:
+	// the Wave of each pass in Passes (serially: every segment put and
+	// every leg one after the other).
 	MaterializeWave   netsim.Cost
 	MaterializeSerial netsim.Cost
+	// Passes breaks each materialize pass down leg by leg — what
+	// MaterializeWave is folded from.
+	Passes []MaterializePass
 	// StoreCost is the content-store wave of the publish step that
 	// preceded this round (set by Engine.PublishBatch; zero for plain
 	// rounds).
@@ -101,16 +121,41 @@ type RoundReceipt struct {
 	Errors []RoundError
 }
 
-// Wave returns the round's total simulated makespan: publish store wave
-// (if any), commit wave and materialize wave in sequence.
+// Wave returns the round's total simulated makespan, its longest
+// dependency chain: publish store wave (if any), then the commit wave,
+// then the materialize phase with the announce wave beside it.
 func (r RoundReceipt) Wave() netsim.Cost {
-	return r.StoreCost.Seq(r.CommitWave).Seq(r.MaterializeWave)
+	return r.StoreCost.Seq(r.CommitWave).Seq(r.MaterializeWave.Par(r.AnnounceWave))
 }
 
 // Serial returns what a fully sequential driver would have paid for the
 // same round.
 func (r RoundReceipt) Serial() netsim.Cost {
-	return r.StoreCost.Seq(r.CommitSerial).Seq(r.MaterializeSerial)
+	return r.StoreCost.Seq(r.CommitSerial).Seq(r.AnnounceSerial).Seq(r.MaterializeSerial)
+}
+
+// MaterializePass is the cost of one materialize pass, leg by leg. The
+// bees' segment puts form one wave (Collect, the slowest bee). Every
+// touched shard's pointer and the stats record then get one
+// read-modify-write each; the legs are independent of one another, and
+// each depends on the segment wave only from its mutation on: a pointer
+// must not list a segment that is not stored yet, but reading the
+// current pointer needs nothing the round wrote.
+type MaterializePass struct {
+	Collect netsim.Cost
+	Shards  []RMWCost // one per touched shard, ascending shard order
+	Stats   RMWCost   // zero when the pass had nothing to contribute
+}
+
+// Wave is the pass's makespan: every leg runs as
+// max(Collect, its read) → mutate → write, all legs in parallel. The
+// segment wave's traffic is counted once, not once per leg.
+func (p MaterializePass) Wave() netsim.Cost {
+	legs := p.Stats.after(p.Collect.Latency)
+	for _, leg := range p.Shards {
+		legs = legs.Par(leg.after(p.Collect.Latency))
+	}
+	return p.Collect.Par(legs)
 }
 
 // contribution is one winning index segment's input to the round's
@@ -189,30 +234,26 @@ func (c *Cluster) commitWave(r *RoundReceipt) {
 	commits := make([][]contracts.CommitParams, n)
 	costs := make([]netsim.Cost, n)
 	errs := make([][]RoundError, n)
-	parallel := c.cfg.ParallelRounds
-	if parallel {
-		// Concurrent bees all fetch the same batch pages; an inline
-		// serve-cache Provide would mutate shared provider records
-		// mid-wave, making a sibling's FindProviders result — and its
-		// cost — depend on goroutine interleaving. Queue the
-		// announcements and apply them in bee order after the wave, so
-		// every bee fetches against the provider state the wave started
-		// with and costs are a pure function of the seed.
-		for _, b := range c.Bees {
-			b.Peer.SetDeferProvides(true)
-		}
+	// The bees' serve-cache announces are queued and applied in bee order
+	// after the wave. Concurrent bees all fetch the same batch pages: an
+	// inline Provide would mutate shared provider records mid-wave, making
+	// a sibling's FindProviders result — and its cost — depend on
+	// goroutine interleaving, where queued ones let every bee fetch
+	// against the provider state the wave started with. And queued, the
+	// announces are costed apart from the commit: no commitment waits for
+	// a provider record to land.
+	for _, b := range c.Bees {
+		b.Peer.SetDeferProvides(true)
 	}
 	c.runDHTWave(n, func(i int) {
 		commits[i], costs[i], errs[i] = c.Bees[i].prepareCommits()
 	})
-	if parallel {
-		for i, b := range c.Bees {
-			b.Peer.SetDeferProvides(false)
-			costs[i] = costs[i].Seq(b.Peer.FlushProvides())
-		}
-	}
 	for i, b := range c.Bees {
-		b.Cost = b.Cost.Seq(costs[i])
+		b.Peer.SetDeferProvides(false)
+		announce := b.Peer.FlushProvides()
+		r.AnnounceWave = r.AnnounceWave.Par(announce)
+		r.AnnounceSerial = r.AnnounceSerial.Seq(announce)
+		b.Cost = b.Cost.Seq(costs[i]).Seq(announce)
 		b.Errs = append(b.Errs, errs[i]...)
 		r.Errors = append(r.Errors, errs[i]...)
 		r.CommitWave = r.CommitWave.Par(costs[i])
@@ -244,14 +285,15 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 		contribsBy[i], counts[i], costs[i], errs[i] = c.Bees[i].collectWins()
 	})
 
-	var collectWave, collectSerial netsim.Cost
+	var pass MaterializePass
+	var serial netsim.Cost
 	var all []contribution
 	for i, b := range c.Bees {
 		b.Cost = b.Cost.Seq(costs[i])
 		b.Errs = append(b.Errs, errs[i]...)
 		r.Errors = append(r.Errors, errs[i]...)
-		collectWave = collectWave.Par(costs[i])
-		collectSerial = collectSerial.Seq(costs[i])
+		pass.Collect = pass.Collect.Par(costs[i])
+		serial = serial.Seq(costs[i])
 		r.Materialized += counts[i]
 		r.SegmentWrites += len(contribsBy[i])
 		all = append(all, contribsBy[i]...)
@@ -280,7 +322,7 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 	}
 	sort.Ints(shardOrder)
 
-	shardCosts := make([]netsim.Cost, len(shardOrder))
+	pass.Shards = make([]RMWCost, len(shardOrder))
 	shardWrote := make([]bool, len(shardOrder))
 	shardCompacted := make([]bool, len(shardOrder))
 	shardBytes := make([]int64, len(shardOrder))
@@ -310,15 +352,15 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 				// merge the whole chain into one segment past the threshold
 				// (a second pointer write when it fires).
 				ptr, at, cost, wrote, err := appendSegmentsToShard(w.Peer.DHT(), s, gen, digestsByShard[s])
-				shardCosts[j] = cost
+				pass.Shards[j] = cost
 				shardWrote[j] = wrote
 				shardPtrs[j] = ptr
 				if err != nil {
 					shardErrs[j] = append(shardErrs[j], RoundError{Bee: w.Name, Shard: s, Stage: "shard-append", Err: err})
 					continue
 				}
-				ptr, cost, compacted, mergedBytes, err := compactShardFromPtr(w.Peer.DHT(), at, gen, ptr)
-				shardCosts[j] = shardCosts[j].Seq(cost)
+				ptr, ccost, compacted, mergedBytes, err := compactShardFromPtr(w.Peer.DHT(), at, gen, ptr)
+				pass.Shards[j].Write = cost.Write.Seq(ccost)
 				shardCompacted[j] = compacted
 				shardBytes[j] = mergedBytes
 				shardPtrs[j] = ptr
@@ -328,7 +370,7 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 				continue
 			}
 			ptr, cost, wrote, res, err := materializeShardTiered(w.Peer.DHT(), s, c.cfg.NumShards, gen, digestsByShard[s])
-			shardCosts[j] = cost
+			pass.Shards[j] = cost
 			shardWrote[j] = wrote
 			shardCompacted[j] = res.Compacted
 			shardBytes[j] = res.CompactedBytes
@@ -341,14 +383,12 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 			}
 		}
 	})
-	var shardWave, shardSerial netsim.Cost
 	for j, s := range shardOrder {
 		w := writerByShard[s]
-		w.Cost = w.Cost.Seq(shardCosts[j])
+		w.Cost = w.Cost.Seq(pass.Shards[j].total())
 		w.Errs = append(w.Errs, shardErrs[j]...)
 		r.Errors = append(r.Errors, shardErrs[j]...)
-		shardWave = shardWave.Par(shardCosts[j])
-		shardSerial = shardSerial.Seq(shardCosts[j])
+		serial = serial.Seq(pass.Shards[j].total())
 		if shardWrote[j] {
 			r.PointerWrites++
 		}
@@ -364,10 +404,9 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 	// still advances, as the per-task path always did). It depends on
 	// nothing the shard legs wrote — a different key, fed by the
 	// contributions alone — so on the round's critical path it is one
-	// more leg of the shard wave. Like every leg it still executes
+	// more leg beside them. Like every leg it still executes
 	// sequentially, here after the wave on this goroutine, which keeps
 	// its writer's link draws in a fixed order; only the fold is Par.
-	var statsCost netsim.Cost
 	if len(all) > 0 {
 		var docs int
 		var tokens uint64
@@ -377,8 +416,9 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 		}
 		w := all[0].bee
 		cost, err := bumpStats(w.Peer.DHT(), docs, tokens)
-		statsCost = cost
-		w.Cost = w.Cost.Seq(cost)
+		pass.Stats = cost
+		w.Cost = w.Cost.Seq(cost.total())
+		serial = serial.Seq(cost.total())
 		if err != nil {
 			re := RoundError{Bee: w.Name, Shard: -1, Stage: "stats", Err: err}
 			w.Errs = append(w.Errs, re)
@@ -388,6 +428,7 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 		}
 	}
 
-	r.MaterializeWave = r.MaterializeWave.Seq(collectWave).Seq(shardWave.Par(statsCost))
-	r.MaterializeSerial = r.MaterializeSerial.Seq(collectSerial).Seq(shardSerial).Seq(statsCost)
+	r.Passes = append(r.Passes, pass)
+	r.MaterializeWave = r.MaterializeWave.Seq(pass.Wave())
+	r.MaterializeSerial = r.MaterializeSerial.Seq(serial)
 }

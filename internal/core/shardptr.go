@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"time"
 
 	"repro/internal/dht"
 	"repro/internal/index"
@@ -138,18 +139,43 @@ func readShardPointerCtx(ctx context.Context, d *dht.Node, shard int) (ShardPoin
 // newer sequence, or is unreachable) is an error too. The walk is
 // returned so a follow-up write of the same key (monolithic compaction's
 // second pointer write) reuses it as well.
-func rmw(d *dht.Node, key dht.Key, mutate func(cur []byte) (next []byte, seq uint64, cost netsim.Cost, err error)) (at dht.Walk, cost netsim.Cost, wrote bool, err error) {
-	loc, cost, err := d.Locate(context.Background(), key)
+//
+// The cost comes back split where the dependencies split (RMWCost): the
+// read needs nothing the caller did before, the mutation and the write
+// need the read — and whatever the new record names.
+func rmw(d *dht.Node, key dht.Key, mutate func(cur []byte) (next []byte, seq uint64, cost netsim.Cost, err error)) (at dht.Walk, cost RMWCost, wrote bool, err error) {
+	loc, rcost, err := d.Locate(context.Background(), key)
+	cost.Read = rcost
 	if err != nil && err != dht.ErrNotFound {
 		return loc.Walk, cost, false, err
 	}
 	next, seq, mcost, err := mutate(loc.Value)
-	cost = cost.Seq(mcost)
+	cost.Write = mcost
 	if err != nil || next == nil {
 		return loc.Walk, cost, false, err
 	}
 	_, wcost, err := d.PutAt(loc.Walk, next, seq)
-	return loc.Walk, cost.Seq(wcost), err == nil, err
+	cost.Write = mcost.Seq(wcost)
+	return loc.Walk, cost, err == nil, err
+}
+
+// RMWCost is what one read-modify-write cost, in the two halves a round
+// schedules apart: the locating quorum read can run while the round's
+// segments are still landing; the mutation (a due merge's segment
+// traffic) and the STORE wave cannot start before the read is back and
+// every segment the new record lists is stored.
+type RMWCost struct {
+	Read, Write netsim.Cost
+}
+
+// total is the operation end to end, as its writer paid it.
+func (c RMWCost) total() netsim.Cost { return c.Read.Seq(c.Write) }
+
+// after folds the operation behind gate, the moment its write-side
+// dependencies are met: max(gate, read) → mutate → write. The gate is a
+// point in time and carries no traffic.
+func (c RMWCost) after(gate time.Duration) netsim.Cost {
+	return netsim.Cost{Latency: gate}.Par(c.Read).Seq(c.Write)
 }
 
 // pointerKey is the DHT key of a shard's pointer record.
@@ -196,7 +222,7 @@ func (p *ShardPointer) appendDigests(digests []string) bool {
 // the read ran, so compaction can reuse both without re-reading; wrote
 // reports whether a pointer write happened. gen is the pass's index
 // generation, stamped on every written pointer.
-func appendSegmentsToShard(d *dht.Node, shard int, gen uint64, digests []string) (ptr ShardPointer, at dht.Walk, cost netsim.Cost, wrote bool, err error) {
+func appendSegmentsToShard(d *dht.Node, shard int, gen uint64, digests []string) (ptr ShardPointer, at dht.Walk, cost RMWCost, wrote bool, err error) {
 	at, cost, wrote, err = rmw(d, pointerKey(shard), func(cur []byte) ([]byte, uint64, netsim.Cost, error) {
 		var derr error
 		if ptr, derr = decodeCurrentPointer(shard, cur); derr != nil {
@@ -258,7 +284,7 @@ func readStats(d *dht.Node) (IndexStats, netsim.Cost, error) {
 
 // bumpStats adds a round's document and token counts to the global
 // statistics in one read-modify-write.
-func bumpStats(d *dht.Node, addDocs int, addTokens uint64) (netsim.Cost, error) {
+func bumpStats(d *dht.Node, addDocs int, addTokens uint64) (RMWCost, error) {
 	_, cost, _, err := rmw(d, dht.KeyOfString(StatsKey), func(cur []byte) ([]byte, uint64, netsim.Cost, error) {
 		// A missing or undecodable record bumps from zero: the first bump
 		// has nothing to read, and a low-versioned write is refused by any
@@ -297,8 +323,9 @@ func compactShardFromPtr(d *dht.Node, at dht.Walk, gen uint64, ptr ShardPointer)
 	}
 	var segs []*index.Segment
 	for _, dg := range ptr.Digests {
+		// The runs are immutable and independent: one fetch wave.
 		seg, c2, err := readSegment(d, dg)
-		cost = cost.Seq(c2)
+		cost = cost.Par(c2)
 		if err != nil {
 			return ptr, cost, false, 0, err
 		}
@@ -369,7 +396,7 @@ type tieredResult struct {
 // newer-shadows-older) preserves document precedence exactly. Search
 // results are byte-identical to the monolithic policy's
 // (TestWriteTieredMatchesMonolithic asserts it).
-func materializeShardTiered(d *dht.Node, shard, numShards int, gen uint64, digests []string) (ptr ShardPointer, cost netsim.Cost, wrote bool, res tieredResult, err error) {
+func materializeShardTiered(d *dht.Node, shard, numShards int, gen uint64, digests []string) (ptr ShardPointer, cost RMWCost, wrote bool, res tieredResult, err error) {
 	_, cost, wrote, err = rmw(d, pointerKey(shard), func(cur []byte) ([]byte, uint64, netsim.Cost, error) {
 		var mcost netsim.Cost
 		var derr error
@@ -432,8 +459,9 @@ func mergeFullTier(d *dht.Node, shard, numShards int, ptr *ShardPointer) (res ti
 			keepLevels = append(keepLevels, ptr.levelOf(i))
 			continue
 		}
+		// The runs are immutable and independent: one fetch wave.
 		seg, c2, err := readSegment(d, dg)
-		cost = cost.Seq(c2)
+		cost = cost.Par(c2)
 		if err != nil {
 			return tieredResult{MergeErr: err}, cost
 		}

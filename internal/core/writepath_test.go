@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/corpus"
 	"repro/internal/dht"
 	"repro/internal/netsim"
 )
@@ -132,9 +131,12 @@ var parentMaterialize = [12]struct{ msgs, waveMs int }{
 // compacting round adds the merge's own segment reads and one segment
 // put per shard — immutable-record traffic this change does not touch —
 // so there the bar is the same absolute saving, not the same ratio. The
-// phase's makespan falls by at least 30 % on every round: shorter shard
-// legs, and the stats bump beside them instead of after them (the walks
-// alone leave five of the twelve rounds short of that).
+// phase's makespan falls by at least 55 % on every plain round: shorter
+// legs, the stats bump beside them instead of after them, and every
+// leg's quorum read overlapping the segment puts (the walks and the
+// stats fold alone stop at 47–52 %). A compacting round has a bar of its
+// own, 50 %: its legs carry a merge, whose input runs are fetched as one
+// wave (fetched one after the other the three rounds save 45–48 %).
 // Each pointer ends at Version = rounds on every one of the K closest
 // replicas (one accepted write per round, none lost to a stale walk), and the wave
 // reading of every round stays within the serial one with the stats
@@ -144,18 +146,10 @@ func TestWriteOneWalkPerRMW(t *testing.T) {
 	c := NewCluster(cfg)
 	owner := c.NewAccount("writer", 10_000_000)
 	c.Seal()
-	const rounds, pagesPerRound = len(parentMaterialize), 8
-	ccfg := corpus.DefaultConfig()
-	ccfg.Seed = cfg.Seed
-	ccfg.NumDocs = rounds * pagesPerRound
-	docs := corpus.Generate(ccfg).Docs
+	const rounds = len(parentMaterialize)
 
 	plainSaving := 0
-	for round := 0; round < rounds; round++ {
-		var pages []BatchPage
-		for _, d := range docs[round*pagesPerRound : (round+1)*pagesPerRound] {
-			pages = append(pages, BatchPage{URL: d.URL, Text: d.Text, Links: d.Links})
-		}
+	for round, pages := range corpusBatches(cfg.Seed, rounds, 8) {
 		rr, err := c.IndexBatch(owner, pages)
 		if err != nil || len(rr.Errors) > 0 {
 			t.Fatalf("round %d: err=%v round errors=%v", round, err, rr.Errors)
@@ -181,8 +175,13 @@ func TestWriteOneWalkPerRMW(t *testing.T) {
 		default:
 			t.Fatalf("round %d: %d compactions, want none or one per shard", round, rr.Compactions)
 		}
-		if wave, was := rr.MaterializeWave.Latency, time.Duration(parentMaterialize[round].waveMs)*time.Millisecond; float64(wave) > 0.70*float64(was) {
-			t.Errorf("round %d: materialize makespan %v, parent %v — less than 30 %% saved", round, wave, was)
+		bar := 0.45
+		if rr.Compactions > 0 {
+			bar = 0.50
+		}
+		if wave, was := rr.MaterializeWave.Latency, time.Duration(parentMaterialize[round].waveMs)*time.Millisecond; float64(wave) > bar*float64(was) {
+			t.Errorf("round %d (%d compactions): materialize makespan %v, parent %v — less than %.0f %% saved",
+				round, rr.Compactions, wave, was, 100*(1-bar))
 		}
 
 		if rr.Wave().Latency > rr.Serial().Latency || rr.Wave().Msgs != rr.Serial().Msgs || rr.Wave().Bytes != rr.Serial().Bytes {
@@ -265,7 +264,7 @@ func TestWriteRefusedStoreSurfaces(t *testing.T) {
 		}
 		return []byte(`{"Docs":999}`), 49, netsim.Cost{}, nil
 	})
-	if err == nil || wrote || cost.Msgs == 0 {
-		t.Fatalf("stale rmw: wrote=%v err=%v after %d msgs", wrote, err, cost.Msgs)
+	if err == nil || wrote || cost.Read.Msgs == 0 || cost.Write.Msgs == 0 {
+		t.Fatalf("stale rmw: wrote=%v err=%v after %d msgs read, %d written", wrote, err, cost.Read.Msgs, cost.Write.Msgs)
 	}
 }

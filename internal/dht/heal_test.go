@@ -53,7 +53,7 @@ func TestPartitionHealMidLookup(t *testing.T) {
 			val = r.Value
 		}
 		return r.Contacts, true, cc
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("lookup error after heal: %v", err)
 	}

@@ -349,9 +349,9 @@ func convergedWalk(key Key, contacts []Contact) Walk {
 
 // walk is iterativeLookup without a request lifecycle, for the write and
 // discovery paths that never abandon a lookup.
-func (n *Node) walk(target Key, query func(Contact) ([]Contact, bool, netsim.Cost)) ([]Contact, netsim.Cost) {
+func (n *Node) walk(target Key, query func(Contact) ([]Contact, bool, netsim.Cost), afterRound func(soFar netsim.Cost)) ([]Contact, netsim.Cost) {
 	//detlint:ignore errsink iterativeLookup only errors on context cancellation, impossible with context.Background
-	contacts, cost, _ := n.iterativeLookup(context.Background(), target, query)
+	contacts, cost, _ := n.iterativeLookup(context.Background(), target, query, afterRound)
 	return contacts, cost
 }
 
@@ -365,7 +365,7 @@ func (n *Node) lookupNodes(target Key) (Walk, netsim.Cost) {
 			return nil, false, cost
 		}
 		return resp.(findNodeResp).Contacts, true, cost
-	})
+	}, nil)
 	return convergedWalk(target, contacts), cost
 }
 
@@ -383,7 +383,11 @@ type lookupState struct {
 // abandoned, the cost accumulated so far is returned (the partial wave
 // that actually ran), and the error wraps netsim.ErrCancelled. Abandoned
 // peers are never marked failed.
-func (n *Node) iterativeLookup(ctx context.Context, target Key, query func(Contact) ([]Contact, bool, netsim.Cost)) ([]Contact, netsim.Cost, error) {
+//
+// afterRound, when set, is told the cost accumulated so far each time a
+// round of parallel queries has been folded in: the lookup's clock at the
+// moment that round's answers are all in hand.
+func (n *Node) iterativeLookup(ctx context.Context, target Key, query func(Contact) ([]Contact, bool, netsim.Cost), afterRound func(soFar netsim.Cost)) ([]Contact, netsim.Cost, error) {
 	shortlist := n.rt.closest(target, n.cfg.K)
 	states := make(map[Key]*lookupState, len(shortlist))
 	for _, c := range shortlist {
@@ -472,6 +476,9 @@ func (n *Node) iterativeLookup(ctx context.Context, target Key, query func(Conta
 			}
 		}
 		total = total.Seq(roundCost)
+		if afterRound != nil {
+			afterRound(total)
+		}
 		if lookupErr != nil {
 			return nil, total, lookupErr
 		}
@@ -518,6 +525,9 @@ func (n *Node) iterativeLookup(ctx context.Context, target Key, query func(Conta
 				}
 			}
 			total = total.Seq(tailCost)
+			if afterRound != nil {
+				afterRound(total)
+			}
 			if lookupErr != nil {
 				return nil, total, lookupErr
 			}
@@ -726,7 +736,7 @@ func (n *Node) Locate(ctx context.Context, key Key) (Located, netsim.Cost, error
 		// A replica holder still reports closer contacts so the lookup
 		// can keep converging on the k closest.
 		return r.Contacts, true, cc
-	})
+	}, nil)
 	if err != nil {
 		return Located{}, cost, err
 	}
@@ -817,7 +827,7 @@ func (n *Node) GetImmutableCtx(ctx context.Context, key Key) ([]byte, netsim.Cos
 			return nil, true, cc
 		}
 		return r.Contacts, true, cc
-	})
+	}, nil)
 	if found {
 		return val, cost, nil
 	}
@@ -858,29 +868,53 @@ func (n *Node) ProvideAt(w Walk) (int, netsim.Cost, error) {
 	return announced, cost, nil
 }
 
-// FindProviders returns providers for key discovered via iterative
-// lookup, and the walk that found them. The walk is reusable (a fetcher
-// announcing itself for the same key hands it to ProvideAt) only when
-// it ran to convergence: a lookup answered from local provider records,
-// or cut short once limit providers were known, returns an unconverged
-// walk and the announce walks for itself.
-func (n *Node) FindProviders(key Key, limit int) ([]Contact, Walk, netsim.Cost, error) {
-	unconverged := Walk{Key: key}
+// Providers is what provider discovery learned about a key.
+type Providers struct {
+	// All is every provider the walk heard of (at most limit, in address
+	// order).
+	All []Contact
+	// First is the providers known at the end of the first lookup round
+	// in which a queried contact named any — or before the walk, when
+	// local records already named some — and FirstCost is what the walk
+	// had cost by then. Retrieval can start there: the rest of the walk
+	// converges on the K closest for the sake of whoever announces on it.
+	First     []Contact
+	FirstCost netsim.Cost
+	// Walk is the lookup itself, reusable (a fetcher announcing itself for
+	// the same key hands it to ProvideAt) only when it ran to convergence:
+	// a lookup answered from local provider records, or cut short once
+	// limit providers were known, returns an unconverged walk and the
+	// announce walks for itself.
+	Walk Walk
+}
+
+// FindProviders discovers providers for key with one iterative lookup,
+// run to convergence, and returns what it learned with the whole walk's
+// cost.
+func (n *Node) FindProviders(key Key, limit int) (Providers, netsim.Cost, error) {
+	found := Providers{Walk: Walk{Key: key}}
+	seen := make(map[netsim.NodeID]Contact)
+	known := func() []Contact {
+		out := make([]Contact, 0, len(seen))
+		for _, c := range seen {
+			out = append(out, c)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+		if limit > 0 && len(out) > limit {
+			out = out[:limit]
+		}
+		return out
+	}
 	// Local provider records answer immediately.
 	n.mu.Lock()
-	var local []Contact
 	for _, c := range n.providers[key] {
-		local = append(local, c)
+		seen[c.Addr] = c
 	}
 	n.mu.Unlock()
-	if len(local) >= limit && limit > 0 {
-		sort.Slice(local, func(i, j int) bool { return local[i].Addr < local[j].Addr })
-		return local[:limit], unconverged, netsim.Cost{}, nil
-	}
-
-	seen := make(map[netsim.NodeID]Contact)
-	for _, c := range local {
-		seen[c.Addr] = c
+	found.First = known()
+	if limit > 0 && len(seen) >= limit {
+		found.All = found.First
+		return found, netsim.Cost{}, nil
 	}
 	enough := func() bool { return limit > 0 && len(seen) >= limit }
 
@@ -899,24 +933,19 @@ func (n *Node) FindProviders(key Key, limit int) ([]Contact, Walk, netsim.Cost, 
 			seen[p.Addr] = p
 		}
 		return r.Contacts, true, cc
+	}, func(soFar netsim.Cost) {
+		if len(found.First) == 0 && len(seen) > 0 {
+			found.First, found.FirstCost = known(), soFar
+		}
 	})
-	w := unconverged
 	if !cutShort {
-		w = convergedWalk(key, contacts)
+		found.Walk = convergedWalk(key, contacts)
 	}
-
 	if len(seen) == 0 {
-		return nil, w, cost, ErrNotFound
+		return found, cost, ErrNotFound
 	}
-	out := make([]Contact, 0, len(seen))
-	for _, c := range seen {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out, w, cost, nil
+	found.All = known()
+	return found, cost, nil
 }
 
 // RefreshBuckets performs lookups toward deterministic pseudo-random

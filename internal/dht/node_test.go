@@ -146,10 +146,11 @@ func TestProvideAndFindProviders(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	provs, _, _, err := nodes[20].FindProviders(key, 10)
+	res, _, err := nodes[20].FindProviders(key, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
+	provs := res.All
 	want := map[netsim.NodeID]bool{"peer-002": true, "peer-005": true, "peer-011": true}
 	found := 0
 	for _, p := range provs {
@@ -168,18 +169,18 @@ func TestFindProvidersLimit(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		nodes[i].Provide(key)
 	}
-	provs, _, _, err := nodes[20].FindProviders(key, 3)
+	found, _, err := nodes[20].FindProviders(key, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(provs) > 3 {
-		t.Fatalf("limit violated: %d providers", len(provs))
+	if len(found.All) > 3 || len(found.First) > 3 {
+		t.Fatalf("limit violated: %d providers, %d at the first answer", len(found.All), len(found.First))
 	}
 }
 
 func TestFindProvidersMissing(t *testing.T) {
 	_, nodes := buildSwarm(t, 12, DefaultConfig())
-	_, _, _, err := nodes[3].FindProviders(KeyOfString("no-providers"), 5)
+	_, _, err := nodes[3].FindProviders(KeyOfString("no-providers"), 5)
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
@@ -424,18 +425,20 @@ func TestWalkReuseNeedsConvergedWalk(t *testing.T) {
 	}
 
 	// Cut short: three providers suffice long before the walk converges.
-	provs, found, cost, err := fetcher.FindProviders(key, 3)
-	if err != nil || len(provs) != 3 || cost.Msgs == 0 {
-		t.Fatalf("FindProviders = %v for %d msgs, err=%v", provs, cost.Msgs, err)
+	res, cost, err := fetcher.FindProviders(key, 3)
+	found := res.Walk
+	if err != nil || len(res.All) != 3 || cost.Msgs == 0 {
+		t.Fatalf("FindProviders = %v for %d msgs, err=%v", res.All, cost.Msgs, err)
 	}
 	if found.converged || found.Closest != nil || found.Key != key {
 		t.Fatalf("a lookup cut short returned a reusable walk: %+v", found)
 	}
 
 	// Answered locally: a node holding the provider records pays nothing.
-	_, local, cost, err := holder.FindProviders(key, 3)
-	if err != nil || cost.Msgs != 0 {
-		t.Fatalf("local answer cost %d msgs, err=%v", cost.Msgs, err)
+	res, cost, err = holder.FindProviders(key, 3)
+	local := res.Walk
+	if err != nil || cost.Msgs != 0 || res.FirstCost != (netsim.Cost{}) || len(res.First) != 3 {
+		t.Fatalf("local answer cost %d msgs (first answer after %+v, %d providers), err=%v", cost.Msgs, res.FirstCost, len(res.First), err)
 	}
 	if local.converged || local.Closest != nil {
 		t.Fatalf("a local answer returned a reusable walk: %+v", local)

@@ -3,6 +3,7 @@ package dht
 import (
 	"context"
 	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -217,7 +218,8 @@ func TestWalkReuseLandsWherePutLands(t *testing.T) {
 			t.Fatalf("key %d: Provide: %v", i, err)
 		}
 		fetcher := reader
-		provs, found, _, err := fetcher.FindProviders(key, 8)
+		res, _, err := fetcher.FindProviders(key, 8)
+		provs, found := res.All, res.Walk
 		if err != nil || len(provs) != 1 || provs[0].Addr != writer.self.Addr || !found.converged {
 			t.Fatalf("key %d: FindProviders = %v converged=%v err=%v", i, provs, found.converged, err)
 		}
@@ -238,4 +240,152 @@ func TestWalkReuseLandsWherePutLands(t *testing.T) {
 			t.Fatalf("key %d: ProvideAt landed on %v, plain Provide on %v", i, reused, walked)
 		}
 	}
+}
+
+// recordQueries wraps every node's handler so that the order in which
+// from's provider queries reach the swarm is observable; reset clears
+// the log between walks.
+func recordQueries(net *netsim.Network, nodes []*Node, from netsim.NodeID) (order func() []netsim.NodeID, reset func()) {
+	var log []netsim.NodeID
+	for _, nd := range nodes {
+		nd := nd
+		net.Register(nd.self.Addr, func(caller netsim.NodeID, req any) (any, error) {
+			if _, ok := req.(getProvidersReq); ok && caller == from {
+				log = append(log, nd.self.Addr)
+			}
+			return nd.handle(caller, req)
+		})
+	}
+	return func() []netsim.NodeID { return log }, func() { log = nil }
+}
+
+// findProvidersGolden is the FNV-1a fold of every FindProviders outcome
+// of TestFindProvidersFirstAnswer's first pass — provider set, converged
+// closest set, message count and latency of each of the 200 walks —
+// recorded at the commit before discovery reported its first answer:
+// reporting it must not change what the walk does.
+const findProvidersGolden = uint64(17115534280061102688)
+
+// Property (retrieval starts at the first provider answer): discovery
+// still runs its one walk to convergence — same providers, same closest
+// set, same traffic as before — and additionally says when the first
+// provider record arrived and who was known then. That point is never
+// later than the walk's end, coincides with it when the only record
+// holder is the last contact the walk reaches, and is time zero when
+// the node's own records name a provider.
+func TestFindProvidersFirstAnswer(t *testing.T) {
+	cfg := DefaultConfig()
+	net, nodes := buildSwarm(t, 40, cfg)
+	rng := xrand.New(2022)
+	fetcher := nodes[len(nodes)-1]
+	order, reset := recordQueries(net, nodes, fetcher.self.Addr)
+
+	fold := uint64(14695981039346656037)
+	mix := func(s string) {
+		for i := 0; i < len(s); i++ {
+			fold = (fold ^ uint64(s[i])) * 1099511628211
+		}
+	}
+	lastRound, early := 0, 0
+	for i := 0; i < 200; i++ {
+		key := KeyOfString(fmt.Sprintf("first-answer-%d-%d", i, rng.Intn(1<<30)))
+		var want []string
+		for _, pi := range rng.Perm(len(nodes) - 1)[:1+rng.Intn(3)] {
+			if _, _, err := nodes[pi].Provide(key); err != nil {
+				t.Fatalf("key %d: Provide: %v", i, err)
+			}
+			want = append(want, string(nodes[pi].self.Addr))
+		}
+		sort.Strings(want)
+		fetcher.mu.Lock()
+		local := len(fetcher.providers[key])
+		fetcher.mu.Unlock()
+
+		reset()
+		res, cost, err := fetcher.FindProviders(key, 8)
+		if err != nil || !res.Walk.converged || len(res.Walk.Closest) != cfg.K {
+			t.Fatalf("key %d: converged=%v closest=%d err=%v", i, res.Walk.converged, len(res.Walk.Closest), err)
+		}
+		var all []string
+		for _, p := range res.All {
+			all = append(all, string(p.Addr))
+		}
+		if fmt.Sprint(all) != fmt.Sprint(want) {
+			t.Fatalf("key %d: providers %v, want %v", i, all, want)
+		}
+		mix(fmt.Sprint(all))
+		for _, r := range res.Walk.Closest {
+			mix(string(r.Addr))
+		}
+		mix(fmt.Sprintf("|%d|%d;", cost.Msgs, cost.Latency))
+		if len(order()) != cost.Msgs {
+			t.Fatalf("key %d: %d provider queries seen, %d msgs billed", i, len(order()), cost.Msgs)
+		}
+
+		first := res.FirstCost
+		if first.Latency > cost.Latency || first.Msgs > cost.Msgs || first.Bytes > cost.Bytes {
+			t.Fatalf("key %d: first answer after %+v, whole walk %+v", i, first, cost)
+		}
+		if len(res.First) == 0 || len(without(res.First, res.All)) != 0 {
+			t.Fatalf("key %d: first answer named %v, the walk %v", i, res.First, res.All)
+		}
+		if local > 0 {
+			// The fetcher is one of the K closest and holds records itself.
+			if first != (netsim.Cost{}) || len(res.First) != local || cost.Msgs == 0 {
+				t.Fatalf("key %d: %d local records, first answer %v after %+v, walk %d msgs", i, local, res.First, first, cost.Msgs)
+			}
+			continue
+		}
+		if first.Msgs == 0 {
+			t.Fatalf("key %d: no local record, yet the first answer cost nothing", i)
+		}
+		if first.Latency < cost.Latency {
+			early++
+		}
+
+		// Move the records onto the contact the walk reaches last, alone.
+		last := order()[len(order())-1]
+		for _, nd := range nodes {
+			nd.mu.Lock()
+			delete(nd.providers, key)
+			if nd.self.Addr == last {
+				nd.providers[key] = map[netsim.NodeID]Contact{res.All[0].Addr: res.All[0]}
+			}
+			nd.mu.Unlock()
+		}
+		reset()
+		res, cost, err = fetcher.FindProviders(key, 8)
+		if got := order(); err == ErrNotFound || got[len(got)-1] != last {
+			continue // the walk took another path this time
+		}
+		if err != nil {
+			t.Fatalf("key %d: records on %s only: %v", i, last, err)
+		}
+		lastRound++
+		if res.FirstCost != cost || len(without(res.All, res.First)) != 0 {
+			t.Fatalf("key %d: sole holder queried last, first answer after %+v of %+v naming %v of %v",
+				i, res.FirstCost, cost, res.First, res.All)
+		}
+	}
+	if early < 100 || lastRound < 100 {
+		t.Fatalf("fixture: %d walks heard of a provider before they converged, %d reached the sole holder last", early, lastRound)
+	}
+	if fold != findProvidersGolden {
+		t.Fatalf("the 200 walks fold to %d, recorded %d: discovery changed what it does", fold, findProvidersGolden)
+	}
+}
+
+// without returns the contacts of list that are not in drop.
+func without(list, drop []Contact) []Contact {
+	var out []Contact
+	for _, c := range list {
+		found := false
+		for _, d := range drop {
+			found = found || d.Addr == c.Addr
+		}
+		if !found {
+			out = append(out, c)
+		}
+	}
+	return out
 }

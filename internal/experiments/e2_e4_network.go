@@ -98,10 +98,11 @@ func runE2(seed uint64) []*metrics.Table {
 			msgs.Add(float64(cost.Msgs))
 		}
 		//detlint:ignore costdrop provider census probe; not part of the measured fetch wave
-		providers, _, _, err := peers[swarm-1].DHT().FindProviders(root.Key(), 64)
+		found, _, err := peers[swarm-1].DHT().FindProviders(root.Key(), 64)
 		if err != nil {
 			panic(err)
 		}
+		providers := found.All
 		// Capacity proxy: each provider can serve ~1/latency QPS.
 		capacity := 0.0
 		if m := lat.Median(); m > 0 {

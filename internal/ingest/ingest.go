@@ -112,7 +112,7 @@ type Stats struct {
 	StallWait     time.Duration // Σ simulated time fetch results waited to enqueue (resequencing + backpressure)
 
 	CommitBusy time.Duration // Σ commit-phase cost (store + commit wave)
-	RevealBusy time.Duration // Σ reveal/materialize-phase cost
+	RevealBusy time.Duration // Σ reveal-phase cost (materialize wave, the announce wave beside it)
 
 	// Makespan is the crawl's simulated wall time with pipelined rounds
 	// (batch N+1's commit overlaps round N's reveal); SerialMakespan is
@@ -462,7 +462,7 @@ func (c *crawl) index() (Stats, error) {
 		b := batchCost{
 			size:   len(batch),
 			commit: rr.StoreCost.Seq(rr.CommitWave).Latency,
-			reveal: rr.MaterializeWave.Latency,
+			reveal: rr.MaterializeWave.Par(rr.AnnounceWave).Latency,
 		}
 		batches = append(batches, b)
 		st.CommitBusy += b.commit

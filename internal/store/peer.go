@@ -71,11 +71,19 @@ type Peer struct {
 	// so whether a concurrently-fetching sibling sees the new record —
 	// and what its FindProviders/Ping legs cost — would depend on real
 	// goroutine interleaving. Queued announcements are applied by
-	// FlushProvides after the wave, in a caller-fixed order. Each queued
-	// root keeps the walk its fetch's provider discovery ran, so the
-	// deferred announce lands on it without walking again.
+	// FlushProvides after the wave, in a caller-fixed order.
 	deferProvides bool
-	pending       []dht.Walk
+	pending       []announce
+}
+
+// announce is one fetched root's serve-cache announcement: the walk its
+// provider discovery ran, so the ADD_PROVIDER wave lands on it without
+// walking again, and how long that walk still had to run when the
+// content arrived — the announce cannot be sent before the walk has
+// converged, and the fetch did not wait for it.
+type announce struct {
+	walk dht.Walk
+	lag  time.Duration
 }
 
 // NewPeer wraps an existing DHT node with content storage.
@@ -164,16 +172,16 @@ func (p *Peer) announceCached(found dht.Walk) netsim.Cost {
 	return cost
 }
 
-// queueProvide appends the fetched root's walk to the pending
-// announcement queue and reports true when deferral is active; false
-// means the caller must provide inline.
-func (p *Peer) queueProvide(found dht.Walk) bool {
+// queueProvide appends the fetched root's announcement to the pending
+// queue and reports true when deferral is active; false means the caller
+// must provide inline.
+func (p *Peer) queueProvide(a announce) bool {
 	p.rootsMu.Lock()
 	defer p.rootsMu.Unlock()
 	if !p.deferProvides {
 		return false
 	}
-	p.pending = append(p.pending, found)
+	p.pending = append(p.pending, a)
 	return true
 }
 
@@ -182,9 +190,13 @@ func (p *Peer) queueProvide(found dht.Walk) bool {
 // engine calls it per bee, in bee order, after a parallel wave — so the
 // provider-record writes and their netsim draws happen at a fixed point
 // regardless of how the wave's goroutines interleaved. The costs fold
-// in parallel: the announcements are independent of each other, exactly
-// as the inline provides were when each rode inside its own page fetch
-// and the fetches Par-folded across a batch.
+// in parallel: the announcements are independent of each other. Each is
+// what its discovery walk still had to run once the content was in
+// (latency only: the fetch already paid for the walk's messages)
+// followed by the ADD_PROVIDER wave — background
+// work nothing else in the round waits for, which is why the round
+// engine folds it beside the materialize phase instead of into the
+// commit wave.
 func (p *Peer) FlushProvides() netsim.Cost {
 	p.rootsMu.Lock()
 	queued := p.pending
@@ -192,12 +204,12 @@ func (p *Peer) FlushProvides() netsim.Cost {
 	p.rootsMu.Unlock()
 	var total netsim.Cost
 	seen := make(map[dht.Key]bool, len(queued))
-	for _, found := range queued {
-		if seen[found.Key] {
+	for _, a := range queued {
+		if seen[a.walk.Key] {
 			continue
 		}
-		seen[found.Key] = true
-		total = total.Par(p.announceCached(found))
+		seen[a.walk.Key] = true
+		total = total.Par(netsim.Cost{Latency: a.lag}.Seq(p.announceCached(a.walk)))
 	}
 	return total
 }
@@ -231,40 +243,103 @@ func (p *Peer) Reprovide() (int, netsim.Cost) {
 // provider discovery through the DHT, block transfer, and per-block hash
 // verification. Tampered blocks are rejected and the next provider is
 // tried. On success the blocks are cached and re-provided.
+//
+// The returned latency is time to content. Publication must walk to all
+// K closest nodes, retrieval need not: it sets off when the first
+// provider record arrives, with the providers named by then, while the
+// same walk runs on to convergence for the serve-cache announce. That
+// announce is background work — its traffic is billed here (the walk's
+// messages always; the ADD_PROVIDER wave too when issued inline), its
+// latency only by FlushProvides, to a caller that accounts for it.
 func (p *Peer) Fetch(root CID) ([]byte, netsim.Cost, error) {
-	var total netsim.Cost
-
 	if data, ok, err := p.assembleLocal(root); ok || err != nil {
-		return data, total, err
+		return data, netsim.Cost{}, err
 	}
 
-	provs, found, cost, err := p.dht.FindProviders(root.Key(), maxProviders)
-	total = total.Seq(cost)
+	found, total, err := p.dht.FindProviders(root.Key(), maxProviders)
 	if err != nil {
 		return nil, total, fmt.Errorf("%w: %s", ErrNoProviders, root.Short())
 	}
+	converged := total.Latency
+	total.Latency = found.FirstCost.Latency
 
-	// Provider selection: ping candidates (in parallel) and prefer the
-	// lowest round-trip time — with more cache replicas the nearest one
-	// gets closer, which is where the DWeb latency advantage comes from.
+	data, cost, err := p.fetchFromNearest(found.First, root)
+	total = total.Seq(cost)
+	if late := without(found.All, found.First); err != nil && len(late) > 0 {
+		// Nobody the first answer named could serve. What the rest of the
+		// walk turned up is known once the walk is over too.
+		total = total.Par(netsim.Cost{Latency: converged})
+		tampered := errors.Is(err, ErrAllTampered)
+		data, cost, err = p.fetchFromNearest(late, root)
+		total = total.Seq(cost)
+		if err != nil && tampered {
+			err = ErrAllTampered
+		}
+	}
+	if err != nil {
+		return nil, total, err
+	}
+
+	p.rememberRoot(root)
+	a := announce{walk: found.Walk}
+	if converged > total.Latency {
+		a.lag = converged - total.Latency
+	}
+	if !p.queueProvide(a) {
+		// Inline: the wave's traffic is this fetch's, its latency nobody's.
+		wave := p.announceCached(a.walk)
+		wave.Latency = 0
+		total = total.Par(wave)
+	}
+	return data, total, nil
+}
+
+// without returns the contacts of all that are not in drop.
+func without(all, drop []dht.Contact) []dht.Contact {
+	var out []dht.Contact
+	for _, c := range all {
+		dropped := false
+		for _, d := range drop {
+			dropped = dropped || d.Addr == c.Addr
+		}
+		if !dropped {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// fetchFromNearest pulls root from one of provs, nearest first: the
+// candidates are pinged (in parallel) and tried in order of round-trip
+// time — with more cache replicas the nearest one gets closer, which is
+// where the DWeb latency advantage comes from. A sole candidate is not
+// pinged: there is nothing to choose, and the block request finds out
+// whether it is alive just as well.
+func (p *Peer) fetchFromNearest(provs []dht.Contact, root CID) ([]byte, netsim.Cost, error) {
 	type candidate struct {
 		addr netsim.NodeID
 		rtt  time.Duration
 	}
-	var candidates []candidate
-	var pingCost netsim.Cost
+	var others []dht.Contact
 	for _, prov := range provs {
-		if prov.Addr == p.Addr() {
-			continue
+		if prov.Addr != p.Addr() {
+			others = append(others, prov)
 		}
-		cost, err := p.dht.Ping(prov)
-		pingCost = pingCost.Par(cost)
-		if err != nil {
-			continue
-		}
-		candidates = append(candidates, candidate{addr: prov.Addr, rtt: cost.Latency})
 	}
-	total = total.Seq(pingCost)
+	var candidates []candidate
+	var total netsim.Cost
+	for _, prov := range others {
+		var rtt time.Duration
+		if len(others) > 1 {
+			cost, err := p.dht.Ping(prov)
+			total = total.Par(cost)
+			if err != nil {
+				continue
+			}
+			rtt = cost.Latency
+		}
+		candidates = append(candidates, candidate{addr: prov.Addr, rtt: rtt})
+	}
 	sort.Slice(candidates, func(i, j int) bool {
 		if candidates[i].rtt != candidates[j].rtt {
 			return candidates[i].rtt < candidates[j].rtt
@@ -291,11 +366,6 @@ func (p *Peer) Fetch(root CID) ([]byte, netsim.Cost, error) {
 		}
 		total = total.Seq(cost)
 		if err == nil {
-			p.rememberRoot(root)
-			// Deferred announces are billed by FlushProvides after the wave.
-			if !p.queueProvide(found) {
-				total = total.Seq(p.announceCached(found))
-			}
 			return data, total, nil
 		}
 		if errors.Is(err, ErrAllTampered) {

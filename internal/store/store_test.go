@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -212,7 +214,11 @@ func TestBlockStoreCorrupt(t *testing.T) {
 // buildPeerSwarm creates n DWeb peers on a bootstrapped DHT.
 func buildPeerSwarm(t testing.TB, n int, cfg PeerConfig) (*netsim.Network, []*Peer) {
 	t.Helper()
-	net := netsim.New(netsim.DefaultConfig())
+	return buildPeerSwarmOn(t, netsim.New(netsim.DefaultConfig()), n, cfg)
+}
+
+func buildPeerSwarmOn(t testing.TB, net *netsim.Network, n int, cfg PeerConfig) (*netsim.Network, []*Peer) {
+	t.Helper()
 	peers := make([]*Peer, n)
 	dcfg := dht.DefaultConfig()
 	for i := 0; i < n; i++ {
@@ -432,6 +438,11 @@ func TestFetchAnnouncesOnItsDiscoveryWalk(t *testing.T) {
 	if inline.Msgs != deferred.Msgs+k {
 		t.Fatalf("inline fetch %d msgs, deferred %d: the announce must be exactly one %d-wide wave", inline.Msgs, deferred.Msgs, k)
 	}
+	// Either way the fetch's latency is time to content: the announce is
+	// nobody's wait.
+	if inline.Latency != deferred.Latency {
+		t.Fatalf("inline fetch took %v, deferred %v: the announce sat on the fetch's path", inline.Latency, deferred.Latency)
+	}
 	var wg sync.WaitGroup
 	for _, root := range roots[1:] {
 		wg.Add(1)
@@ -451,16 +462,216 @@ func TestFetchAnnouncesOnItsDiscoveryWalk(t *testing.T) {
 		t.Fatalf("second flush cost %d msgs", again.Msgs)
 	}
 	for i, root := range roots {
-		provs, _, _, err := peers[20].DHT().FindProviders(root.Key(), 0)
+		found, _, err := peers[20].DHT().FindProviders(root.Key(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		listed := false
-		for _, p := range provs {
+		for _, p := range found.All {
 			listed = listed || p.Addr == fetcher.Addr()
 		}
 		if !listed {
-			t.Fatalf("root %d: fetcher not among providers %v", i, provs)
+			t.Fatalf("root %d: fetcher not among providers %v", i, found.All)
 		}
+	}
+}
+
+// countPings wraps every peer's handler and counts the DHT pings from
+// one caller, per target.
+func countPings(net *netsim.Network, peers []*Peer, from netsim.NodeID) map[netsim.NodeID]int {
+	pings := make(map[netsim.NodeID]int)
+	for _, p := range peers {
+		p := p
+		net.Register(p.Addr(), func(caller netsim.NodeID, req any) (any, error) {
+			if caller == from && fmt.Sprintf("%T", req) == "dht.pingReq" {
+				pings[p.Addr()]++
+			}
+			return p.HandleRPC(caller, req)
+		})
+	}
+	return pings
+}
+
+// TestFetchStartsAtFirstProviderAnswer: retrieval does not wait for the
+// discovery walk to converge, and a sole candidate is not pinged — there
+// is nothing to choose between. The walk still runs to the end (its
+// messages are all billed, the announce reuses it), but the fetch's
+// latency is first answer → block transfer.
+func TestFetchStartsAtFirstProviderAnswer(t *testing.T) {
+	doc := bytes.Repeat([]byte("first answer "), 30) // one block
+	boot := func() (*netsim.Network, []*Peer, CID) {
+		net, peers := buildPeerSwarm(t, 24, PeerConfig{})
+		root, _, err := peers[3].Add(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net, peers, root
+	}
+	// What discovery alone costs on this swarm: same seed, same walk.
+	_, peers, root := boot()
+	found, walk, err := peers[9].DHT().FindProviders(root.Key(), maxProviders)
+	if err != nil || len(found.First) != 1 || found.FirstCost.Latency >= walk.Latency {
+		t.Fatalf("fixture: first answer %v after %v of %v, err=%v", found.First, found.FirstCost.Latency, walk.Latency, err)
+	}
+
+	net, peers, root := boot()
+	fetcher := peers[9]
+	pings := countPings(net, peers, fetcher.Addr())
+	fetcher.SetDeferProvides(true)
+	got, cost, err := fetcher.Fetch(root)
+	if err != nil || !bytes.Equal(got, doc) {
+		t.Fatalf("fetch: %d bytes, err=%v", len(got), err)
+	}
+	if len(pings) != 0 {
+		t.Fatalf("sole candidate pinged: %v", pings)
+	}
+	if cost.Msgs != walk.Msgs+1 {
+		t.Fatalf("fetch cost %d msgs, want the walk's %d and one block request", cost.Msgs, walk.Msgs)
+	}
+	if cost.Latency <= found.FirstCost.Latency || cost.Latency >= walk.Latency {
+		t.Fatalf("content after %v: first answer at %v, walk converged at %v — a one-block transfer must fit between",
+			cost.Latency, found.FirstCost.Latency, walk.Latency)
+	}
+	// The announce cannot leave before the walk has converged.
+	fetcher.SetDeferProvides(false)
+	if flush := fetcher.FlushProvides(); cost.Latency+flush.Latency <= walk.Latency {
+		t.Fatalf("content at %v, announce done %v later, yet the walk converged at %v", cost.Latency, flush.Latency, walk.Latency)
+	}
+}
+
+// TestFetchPicksNearestOfSeveral: with more than one candidate the fetch
+// still pings them all and pulls from the lowest round-trip time. Jitter
+// is off, so a link's RTT is the same on every ping.
+func TestFetchPicksNearestOfSeveral(t *testing.T) {
+	ncfg := netsim.DefaultConfig()
+	ncfg.JitterFrac = 0
+	net, peers := buildPeerSwarmOn(t, netsim.New(ncfg), 24, PeerConfig{})
+	doc := bytes.Repeat([]byte("several candidates "), 30)
+	var root CID
+	providers := peers[1:4]
+	for _, p := range providers {
+		r, _, err := p.Add(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root = r
+	}
+	fetcher := peers[9]
+	nearest := providers[0]
+	var best netsim.Cost
+	for i, p := range providers {
+		rtt, err := fetcher.DHT().Ping(p.DHT().Self())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 || rtt.Latency < best.Latency {
+			nearest, best = p, rtt
+		}
+	}
+
+	pings := countPings(net, peers, fetcher.Addr())
+	if _, _, err := fetcher.Fetch(root); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range providers {
+		if pings[p.Addr()] != 1 {
+			t.Fatalf("candidate %s pinged %d times, want once: %v", p.Addr(), pings[p.Addr()], pings)
+		}
+		if want := map[bool]int64{true: 1, false: 0}[p == nearest]; p.BlocksServed() != want {
+			t.Fatalf("%s served %d blocks; the nearest candidate is %s", p.Addr(), p.BlocksServed(), nearest.Addr())
+		}
+	}
+}
+
+// TestFetchDeadSoleCandidate: the one provider on record is gone. The
+// fetch fails the way it did when a ping found that out — no providers,
+// "unreachable" — now on the block request itself.
+func TestFetchDeadSoleCandidate(t *testing.T) {
+	boot := func() ([]*Peer, CID) {
+		net, peers := buildPeerSwarm(t, 24, PeerConfig{})
+		root, _, err := peers[3].Add([]byte("gone with its only provider"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.SetDown(peers[3].Addr(), true)
+		return peers, root
+	}
+	// What discovery alone costs on this swarm: same seed, same walk.
+	peers, root := boot()
+	found, walk, err := peers[9].DHT().FindProviders(root.Key(), maxProviders)
+	if err != nil || len(found.All) != 1 {
+		t.Fatalf("fixture: providers %v, err=%v", found.All, err)
+	}
+
+	peers, root = boot()
+	_, cost, err := peers[9].Fetch(root)
+	if !errors.Is(err, ErrNoProviders) || !strings.Contains(err.Error(), "unreachable") {
+		t.Fatalf("err = %v, want ErrNoProviders … unreachable", err)
+	}
+	// A down node never sees a request, so count on the caller's side:
+	// the walk, then one block request — no ping before it.
+	if cost.Msgs != walk.Msgs+1 {
+		t.Fatalf("failed fetch cost %d msgs, want the walk's %d and one block request", cost.Msgs, walk.Msgs)
+	}
+	if found, _, err := peers[20].DHT().FindProviders(root.Key(), 0); err != nil || len(found.All) != 1 {
+		t.Fatalf("a failed fetch announced itself: providers %v err=%v", found.All, err)
+	}
+}
+
+// TestFetchFallsBackToLaterProviders: when nobody the first answer named
+// can serve, the providers the rest of the walk turned up are tried —
+// known only once the walk is over, so that is when the retry starts.
+// The fixture gets two record sets apart by announcing the second
+// provider while the three nodes closest to the key are down: it lands on
+// three farther nodes instead, which never heard of the first provider
+// and are whom this fetcher happens to ask first. Then the second
+// provider goes away.
+func TestFetchFallsBackToLaterProviders(t *testing.T) {
+	doc := bytes.Repeat([]byte("later providers "), 30)
+	boot := func() ([]*Peer, CID) {
+		net, peers := buildPeerSwarm(t, 24, PeerConfig{})
+		first, second := peers[3], peers[5]
+		root, _, err := first.Add(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byDistance := append([]*Peer(nil), peers...)
+		sort.Slice(byDistance, func(i, j int) bool {
+			return dht.DistanceLess(root.Key(), byDistance[i].DHT().Self().ID, byDistance[j].DHT().Self().ID)
+		})
+		var down []*Peer
+		for _, p := range byDistance {
+			if p != first && p != second && p != peers[9] && len(down) < 3 {
+				down = append(down, p)
+			}
+		}
+		for _, p := range down {
+			net.SetDown(p.Addr(), true)
+		}
+		if _, _, err := second.Add(doc); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range down {
+			net.SetDown(p.Addr(), false)
+		}
+		net.SetDown(second.Addr(), true)
+		return peers, root
+	}
+	peers, root := boot()
+	found, walk, err := peers[9].DHT().FindProviders(root.Key(), maxProviders)
+	if err != nil || len(found.First) != 1 || found.First[0].Addr != peers[5].Addr() || len(found.All) != 2 {
+		t.Fatalf("fixture: first answer %v, walk %v, err=%v", found.First, found.All, err)
+	}
+
+	peers, root = boot()
+	got, cost, err := peers[9].Fetch(root)
+	if err != nil || !bytes.Equal(got, doc) {
+		t.Fatalf("fetch: %d bytes, err=%v", len(got), err)
+	}
+	if peers[3].BlocksServed() != 1 {
+		t.Fatalf("the later provider served %d blocks", peers[3].BlocksServed())
+	}
+	if cost.Latency <= walk.Latency {
+		t.Fatalf("content after %v, but its provider was only known when the walk converged at %v", cost.Latency, walk.Latency)
 	}
 }
