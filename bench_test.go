@@ -392,8 +392,8 @@ func BenchmarkCompaction(b *testing.B) {
 			var ingested, compacted, compactions int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				e := New(WithSeed(1), WithPeers(10), WithBees(3), WithShards(4),
-					func(c *core.Config) { c.MonolithicCompaction = mono })
+				e := New(WithSeed(1), WithPeers(10), WithBees(3),
+					func(c *core.Config) { c.NumShards, c.MonolithicCompaction = 4, mono })
 				owner := e.NewAccount("compact-owner", 1<<40)
 				b.StartTimer()
 				doc := 0

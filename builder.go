@@ -29,8 +29,8 @@ var (
 	// the DHT (node down, partition, tampered segment).
 	ErrShardUnavailable = core.ErrShardUnavailable
 	// ErrDeadlineExceeded means the query's request lifecycle ended
-	// first: its simulated deadline passed (Deadline,
-	// WithDefaultDeadline) or its context was cancelled. The response
+	// first: its simulated deadline passed (Deadline) or its context
+	// was cancelled. The response
 	// carries a partial Explain trace costing exactly the work that ran.
 	ErrDeadlineExceeded = core.ErrDeadlineExceeded
 )
@@ -162,8 +162,8 @@ func (b *QueryBuilder) Explain() *QueryBuilder {
 // Deadline bounds the query's simulated latency: once the accumulated
 // simulated cost reaches d at a checkpoint, the remaining waves are
 // abandoned and Run fails with ErrDeadlineExceeded plus a partial
-// trace. Deterministic per seed. Zero (the default) inherits the
-// engine's WithDefaultDeadline.
+// trace. Deterministic per seed. Zero (the default) inherits
+// core.Config.DefaultDeadline, which is no bound unless set.
 func (b *QueryBuilder) Deadline(d time.Duration) *QueryBuilder {
 	if d > 0 {
 		b.deadline = d

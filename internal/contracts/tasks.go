@@ -50,6 +50,7 @@ const (
 // Reveal is one worker's opened vote on a task result.
 type Reveal struct {
 	Digest string // hex SHA-256 of the result bytes
+	Tokens uint64 // index tasks: token count of the task's first-version pages
 	Result []byte // carried on-chain only for rank tasks
 }
 
@@ -66,6 +67,7 @@ type Task struct {
 
 	Status        TaskStatus
 	WinningDigest string
+	WinningTokens uint64 // the token count voted with WinningDigest (index tasks)
 	WinningResult []byte
 
 	CommitDeadline uint64
@@ -193,6 +195,10 @@ type RevealParams struct {
 	Digest string // hex SHA-256 of result
 	Salt   []byte
 	Result []byte // required for rank tasks (result is used on-chain)
+	// Tokens is the analyzed token count of the task's first-version pages
+	// (index tasks) — the collection-statistics half of the vote: the
+	// majority's count is what IndexStats adds at finalization.
+	Tokens uint64
 }
 
 func (q *QueenBee) execReveal(ctx *chain.TxContext, params []byte) error {
@@ -231,7 +237,7 @@ func (q *QueenBee) execReveal(ctx *chain.TxContext, params []byte) error {
 			return fmt.Errorf("queenbee: result bytes do not hash to digest on %q", p.TaskID)
 		}
 	}
-	t.Reveals[ctx.Sender] = Reveal{Digest: p.Digest, Result: p.Result}
+	t.Reveals[ctx.Sender] = Reveal{Digest: p.Digest, Tokens: p.Tokens, Result: p.Result}
 
 	// Auto-finalize once every assignee has revealed.
 	if len(t.Reveals) == len(t.Assignees) && len(t.Assignees) > 0 {
@@ -263,34 +269,41 @@ func (q *QueenBee) execFinalize(ctx *chain.TxContext, params []byte) error {
 	return q.finalizeTaskLocked(ctx, t)
 }
 
-// finalizeTaskLocked applies majority voting: the digest revealed by a
-// strict majority of the quorum wins; winners earn minted task rewards,
-// workers that revealed a different digest or did not reveal are slashed.
-// Without a strict majority the task fails (nobody is paid; non-revealers
-// are still slashed for liveness).
+// vote is what a reveal is tallied on: the result digest and, for index
+// tasks, the token count revealed with it.
+type vote struct {
+	digest string
+	tokens uint64
+}
+
+// finalizeTaskLocked applies majority voting: the (digest, tokens) pair
+// revealed by a strict majority of the quorum wins; winners earn minted
+// task rewards, workers that revealed a different pair or did not reveal
+// are slashed. Without a strict majority the task fails (nobody is paid;
+// non-revealers are still slashed for liveness). A finalized index task
+// advances the index generation and the collection statistics.
 func (q *QueenBee) finalizeTaskLocked(ctx *chain.TxContext, t *Task) error {
-	votes := make(map[string][]chain.Address)
+	votes := make(map[vote][]chain.Address)
+	voteOf := func(a chain.Address) (vote, bool) {
+		r, ok := t.Reveals[a]
+		return vote{r.Digest, r.Tokens}, ok
+	}
 	for _, a := range t.Assignees {
-		if r, ok := t.Reveals[a]; ok {
-			votes[r.Digest] = append(votes[r.Digest], a)
+		if v, ok := voteOf(a); ok {
+			votes[v] = append(votes[v], a)
 		}
 	}
-	// A strict majority is unique, but scan digests in sorted order
-	// anyway so the loop is order-independent by construction.
-	digests := make([]string, 0, len(votes))
-	for digest := range votes {
-		digests = append(digests, digest)
-	}
-	sort.Strings(digests)
-	var winning string
-	for _, digest := range digests {
-		if len(votes[digest])*2 > len(t.Assignees) {
-			winning = digest
+	// A strict majority is unique; find it in assignee order.
+	var winning vote
+	var winners []chain.Address
+	for _, a := range t.Assignees {
+		if v, ok := voteOf(a); ok && len(votes[v])*2 > len(t.Assignees) {
+			winning, winners = v, votes[v]
 			break
 		}
 	}
 
-	if winning == "" {
+	if winners == nil {
 		t.Status = StatusFailed
 		for _, a := range t.Assignees {
 			if _, ok := t.Reveals[a]; !ok {
@@ -302,11 +315,13 @@ func (q *QueenBee) finalizeTaskLocked(ctx *chain.TxContext, t *Task) error {
 	}
 
 	t.Status = StatusFinalized
-	t.WinningDigest = winning
+	t.WinningDigest, t.WinningTokens = winning.digest, winning.tokens
 	if t.Kind == TaskIndex {
 		q.indexGen++
+		q.indexStats.Docs += len(FirstVersionPages(*t))
+		q.indexStats.Tokens += winning.tokens
 	}
-	for _, a := range votes[winning] {
+	for _, a := range winners {
 		if w := q.workers[a]; w != nil {
 			w.Completed++
 		}
@@ -315,24 +330,47 @@ func (q *QueenBee) finalizeTaskLocked(ctx *chain.TxContext, t *Task) error {
 		}
 	}
 	for _, a := range t.Assignees {
-		r, revealed := t.Reveals[a]
-		if !revealed || r.Digest != winning {
+		if !t.Won(a) {
 			q.slashLocked(ctx, a, t.ID)
 		}
 	}
 	if t.Kind == TaskRank {
-		for _, a := range votes[winning] {
-			t.WinningResult = t.Reveals[a].Result
-			break
-		}
+		t.WinningResult = t.Reveals[winners[0]].Result
 		q.onRankTaskFinalizedLocked(ctx, t)
 	}
 	ctx.Emit(EventTaskFinalized, map[string]string{
 		"task":   t.ID,
 		"kind":   string(t.Kind),
-		"digest": winning,
+		"digest": winning.digest,
 	})
 	return nil
+}
+
+// Won reports whether a revealed the pair a finalized task settled on.
+func (t *Task) Won(a chain.Address) bool {
+	r, revealed := t.Reveals[a]
+	return revealed && t.Status == StatusFinalized && r.Digest == t.WinningDigest && r.Tokens == t.WinningTokens
+}
+
+// FirstVersionPages lists the URLs an index task registered for the
+// first time (Seq == 1) — the documents the task adds to the collection.
+// The contract wrote the task's meta itself, so their number needs no
+// vote; their token count does (RevealParams.Tokens).
+func FirstVersionPages(t Task) []string {
+	entries, isBatch := BatchEntries(t)
+	if !isBatch {
+		if t.Meta["seq"] == "1" {
+			return []string{t.Meta["url"]}
+		}
+		return nil
+	}
+	var urls []string
+	for _, e := range entries {
+		if e.Seq == 1 {
+			urls = append(urls, e.URL)
+		}
+	}
+	return urls
 }
 
 func isAssignee(t *Task, a chain.Address) bool {
@@ -395,6 +433,23 @@ func (q *QueenBee) IndexGen() uint64 {
 	q.mu.RLock()
 	defer q.mu.RUnlock()
 	return q.indexGen
+}
+
+// IndexStats is the BM25 collection statistics: the documents and
+// analyzed tokens of every first-version page a finalized index task
+// covered. Re-published pages are counted once, at their first version.
+type IndexStats struct {
+	Docs   int
+	Tokens uint64
+}
+
+// IndexStats returns the collection statistics as of the last finalized
+// index task. Docs is counted by the contract from the tasks' own page
+// lists; Tokens sums the counts the winning majorities revealed.
+func (q *QueenBee) IndexStats() IndexStats {
+	q.mu.RLock()
+	defer q.mu.RUnlock()
+	return q.indexStats
 }
 
 // TaskCounts reports how many tasks are in each status.

@@ -37,7 +37,7 @@ type WorkerBee struct {
 	// Cost accumulates the simulated network expense of this bee's work.
 	Cost netsim.Cost
 	// Errs records the write-path failures this bee observed (segment
-	// writes, shard appends, compaction, stats) instead of swallowing
+	// writes, shard appends, compaction) instead of swallowing
 	// them; each round's slice is also surfaced on the RoundReceipt.
 	Errs []RoundError
 }
@@ -46,6 +46,7 @@ type pendingResult struct {
 	result []byte
 	digest string
 	salt   []byte
+	tokens uint64 // index tasks: revealed beside the digest (firstVersionTokens)
 }
 
 // prepareCommits computes results for newly assigned open tasks and
@@ -61,11 +62,12 @@ func (b *WorkerBee) prepareCommits() (commits []contracts.CommitParams, cost net
 			continue
 		}
 		var result []byte
+		var tokens uint64
 		var buildCost netsim.Cost
 		var err error
 		switch task.Kind {
 		case contracts.TaskIndex:
-			result, buildCost, err = b.buildIndexResult(task)
+			result, tokens, buildCost, err = b.buildIndexResult(task)
 		case contracts.TaskRank:
 			result, err = b.buildRankResult(task)
 		}
@@ -77,7 +79,7 @@ func (b *WorkerBee) prepareCommits() (commits []contracts.CommitParams, cost net
 		digest := index.DigestOf(result)
 		salt := make([]byte, 16)
 		xrand.NewNamed(b.cluster.cfg.Seed, "salt:"+b.Name+":"+task.ID).Bytes(salt)
-		b.pending[task.ID] = pendingResult{result: result, digest: digest, salt: salt}
+		b.pending[task.ID] = pendingResult{result: result, digest: digest, salt: salt, tokens: tokens}
 		commits = append(commits, contracts.CommitParams{
 			TaskID:     task.ID,
 			Commitment: contracts.Commitment(digest, salt),
@@ -103,6 +105,7 @@ func (b *WorkerBee) RevealPhase() {
 			TaskID: task.ID,
 			Digest: pr.digest,
 			Salt:   pr.salt,
+			Tokens: pr.tokens,
 		}
 		if task.Kind == contracts.TaskRank {
 			params.Result = pr.result
@@ -140,7 +143,7 @@ func (b *WorkerBee) collectWins() (contribs []contribution, count int, cost nets
 			continue
 		}
 		b.written[taskID] = true
-		if task.WinningDigest != pr.digest {
+		if !task.Won(b.Account.Address()) {
 			continue // this bee lost the vote
 		}
 		if b.designatedWriter(task) != b.Account.Address() {
@@ -163,19 +166,19 @@ func (b *WorkerBee) collectWins() (contribs []contribution, count int, cost nets
 			continue
 		}
 		count++ // only a segment that actually landed counts as materialized
-		ctr := b.contributionFor(task, seg, pr.digest)
-		ctr.bytes = len(pr.result)
-		contribs = append(contribs, ctr)
+		contribs = append(contribs, contribution{
+			bee:    b,
+			taskID: taskID,
+			digest: pr.digest,
+			bytes:  len(pr.result),
+			shards: b.shardsOf(seg),
+		})
 	}
 	return contribs, count, cost, errs
 }
 
-// contributionFor assembles the shard/stat deltas one winning segment
-// adds to the round's batch: the sorted shards its terms hash to, and
-// the document/token counts of its first-version pages (re-published
-// pages are counted once per version; stats drift is acceptable for
-// BM25 — documented simplification).
-func (b *WorkerBee) contributionFor(task contracts.Task, seg *index.Segment, digest string) contribution {
+// shardsOf lists, ascending, the shards a segment's terms hash to.
+func (b *WorkerBee) shardsOf(seg *index.Segment) []int {
 	shards := make(map[int]bool)
 	for _, term := range seg.TermsSorted() {
 		shards[index.ShardOf(term, b.cluster.cfg.NumShards)] = true
@@ -185,30 +188,27 @@ func (b *WorkerBee) contributionFor(task contracts.Task, seg *index.Segment, dig
 		shardList = append(shardList, s)
 	}
 	sort.Ints(shardList)
+	return shardList
+}
 
-	ctr := contribution{bee: b, taskID: task.ID, digest: digest, shards: shardList}
-	if entries, isBatch := contracts.BatchEntries(task); isBatch {
-		for _, e := range entries {
-			if e.Seq != 1 {
-				continue
-			}
-			ctr.newDocs++
-			ctr.tokens += uint64(seg.DocLens[index.DocIDOf(e.URL)])
-		}
-	} else if task.Meta["seq"] == "1" {
-		for _, l := range seg.DocLens {
-			ctr.tokens += uint64(l)
-			ctr.newDocs++
-		}
+// firstVersionTokens is the token count an index task's reveal carries:
+// the analyzed lengths, in the segment this bee built, of the task's
+// first-version pages. Re-published pages count once, at their first
+// version; the contract counts the documents itself and adds the voted
+// tokens to IndexStats at finalization.
+func firstVersionTokens(task contracts.Task, seg *index.Segment) uint64 {
+	var tokens uint64
+	for _, url := range contracts.FirstVersionPages(task) {
+		tokens += uint64(seg.DocLens[index.DocIDOf(url)])
 	}
-	return ctr
+	return tokens
 }
 
 // designatedWriter picks the first winning assignee in sorted order.
 func (b *WorkerBee) designatedWriter(task contracts.Task) chain.Address {
 	var winners []chain.Address
 	for _, a := range task.Assignees {
-		if r, ok := task.Reveals[a]; ok && r.Digest == task.WinningDigest {
+		if task.Won(a) {
 			winners = append(winners, a)
 		}
 	}
@@ -226,8 +226,9 @@ func (b *WorkerBee) designatedWriter(task contracts.Task) chain.Address {
 // distinct providers, so their cost folds as one parallel wave
 // (execution stays sequential on this bee's goroutine, keeping the
 // bee's per-link draw order seed-stable); across bees, the round engine
-// runs the whole build as a real goroutine wave.
-func (b *WorkerBee) buildIndexResult(task contracts.Task) ([]byte, netsim.Cost, error) {
+// runs the whole build as a real goroutine wave. Beside the encoded
+// segment it returns the token count the reveal votes on.
+func (b *WorkerBee) buildIndexResult(task contracts.Task) ([]byte, uint64, netsim.Cost, error) {
 	var cost netsim.Cost
 	var docs []index.BatchDoc
 	if entries, isBatch := contracts.BatchEntries(task); isBatch {
@@ -235,7 +236,7 @@ func (b *WorkerBee) buildIndexResult(task contracts.Task) ([]byte, netsim.Cost, 
 			content, c, err := b.fetchPage(e.URL, e.CID)
 			cost = cost.Par(c)
 			if err != nil {
-				return nil, cost, err
+				return nil, 0, cost, err
 			}
 			docs = append(docs, index.BatchDoc{Doc: index.DocIDOf(e.URL), Text: string(content)})
 		}
@@ -243,18 +244,16 @@ func (b *WorkerBee) buildIndexResult(task contracts.Task) ([]byte, netsim.Cost, 
 		content, c, err := b.fetchPage(task.Meta["url"], task.Meta["cid"])
 		cost = cost.Seq(c)
 		if err != nil {
-			return nil, cost, err
+			return nil, 0, cost, err
 		}
 		docs = append(docs, index.BatchDoc{Doc: index.DocIDOf(task.Meta["url"]), Text: string(content)})
 	}
 	gen := task.CreatedAt // same for every assignee → deterministic
 	seg := index.BuildBatch(gen, docs)
-	data := seg.Encode()
-
 	if b.Colluding {
-		data = b.corruptSegment(task, seg)
+		seg = b.corruptSegment(seg)
 	}
-	return data, cost, nil
+	return seg.Encode(), firstVersionTokens(task, seg), cost, nil
 }
 
 // fetchPage resolves one page version's content from the DWeb store.
@@ -273,11 +272,11 @@ func (b *WorkerBee) fetchPage(url, cidHex string) ([]byte, netsim.Cost, error) {
 // corruptSegment produces the colluders' agreed-upon wrong result: the
 // page's postings are replaced with spam terms pointing at the attacker's
 // URL. Deterministic across colluders (keyed by task, not bee).
-func (b *WorkerBee) corruptSegment(task contracts.Task, honest *index.Segment) []byte {
+func (b *WorkerBee) corruptSegment(honest *index.Segment) *index.Segment {
 	builder := index.NewBuilder(honest.Gen)
 	builder.Add(index.DocIDOf("dweb://attacker/spam"),
 		strings.Repeat("buy spam honey now ", 8))
-	return builder.Build().Encode()
+	return builder.Build()
 }
 
 // buildRankResult computes the page-rank partition for a rank task. The

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -37,16 +38,19 @@ func runChurnSoak(t *testing.T) string {
 	alice := c.NewAccount("alice", 10_000)
 	c.Seal()
 	var markers []string
+	firstText := make(map[string]string)
 	for i := 0; i < 10; i++ {
 		marker := fmt.Sprintf("churnmarker%02d", i)
 		markers = append(markers, marker)
-		if _, err := c.Publish(alice, c.Peers[i%len(c.Peers)], fmt.Sprintf("dweb://churn/%d", i),
-			"stable document body "+marker, nil); err != nil {
+		url, text := fmt.Sprintf("dweb://churn/%d", i), "stable document body "+marker
+		firstText[url] = text
+		if _, err := c.Publish(alice, c.Peers[i%len(c.Peers)], url, text, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.Seal()
 	c.RunUntilIdle(8)
+	checkStatsRecount(t, c, firstText)
 
 	scope := make([]netsim.NodeID, 0, len(c.Peers))
 	for _, p := range c.Peers {
@@ -89,6 +93,11 @@ func runChurnSoak(t *testing.T) string {
 		fmt.Fprintf(&sig, "round=%d hits=%d/%d degraded=%d crashed=%d\n",
 			round, hits, len(markers), degraded, len(plan.CrashedNodes()))
 		c.RunMaintenance()
+		// Nothing the storm does to the DHT can move the statistics.
+		checkStatsRecount(t, c, firstText)
+		if st := c.QB.IndexStats(); st.Docs != len(markers) {
+			t.Fatalf("round %d: %d docs on chain, %d pages indexed", round, st.Docs, len(markers))
+		}
 	}
 	rs := c.RepairStats()
 	fmt.Fprintf(&sig, "repair runs=%d probed=%d republished=%d reseeded=%d lost=%d reprovided=%d msgs=%d\n",
@@ -194,7 +203,7 @@ func TestDegradedReadsPartialAnswer(t *testing.T) {
 	c, markers := build(true)
 	fe := NewFrontend(c, c.Bees[0].Peer)
 	q := Query{Raw: strings.Join(markers, " "), Mode: PlanAny, Limit: 10, Explain: true}
-	resp, err := fe.Execute(q)
+	resp, err := fe.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatalf("degraded query failed outright: %v", err)
 	}
@@ -224,7 +233,7 @@ func TestDegradedReadsPartialAnswer(t *testing.T) {
 	// Same wave, option off: the old all-or-nothing contract.
 	c2, markers2 := build(false)
 	fe2 := NewFrontend(c2, c2.Bees[0].Peer)
-	resp2, err := fe2.Execute(Query{Raw: strings.Join(markers2, " "), Mode: PlanAny, Limit: 10})
+	resp2, err := fe2.ExecuteCtx(context.Background(), Query{Raw: strings.Join(markers2, " "), Mode: PlanAny, Limit: 10})
 	if !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("without DegradedReads: err = %v, want ErrShardUnavailable", err)
 	}

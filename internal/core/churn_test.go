@@ -128,39 +128,37 @@ func TestFailPeersDeterministic(t *testing.T) {
 
 // TestChurnMaintenanceOneWalkPerRecord: for a mutable record the quorum
 // read IS the health check, so a maintenance pass over healthy records
-// walks once per shard pointer and once for the stats record — not
-// three times (Get, replication probe, and a republish walk when it
+// walks once per shard pointer — not three times (Get, replication probe, and a republish walk when it
 // fires). The pass's traffic is exactly the sum of its parts run by
 // hand: one locating read per mutable record, one replication probe per
-// segment, one reprovide per node. Counters match the parent commit's
-// on the same cluster (first pass 18 probed / 4 republished / 2
-// re-seeded for 1197 msgs, steady passes 18 / 0 / 0 for 1096).
+// segment, one reprovide per node. Counters match, on the same cluster,
+// those of the commit before maintenance reused its walks, less the
+// collection-statistics record that pass also healed and that no longer
+// exists (then 18 probed / 4 republished / 2 re-seeded for 1197 msgs of
+// which the stats record was 1 / 1 / 0 and 40 msgs; steady passes
+// 18 / 0 / 0 for 1096 msgs, the stats record 1 / 0 / 0 and 24).
 func TestChurnMaintenanceOneWalkPerRecord(t *testing.T) {
 	c, _ := churnCluster(t)
 	first := c.RunMaintenance()
-	if first.ProbedKeys != 18 || first.Republished != 4 || first.Reseeded != 2 {
-		t.Fatalf("first pass = %+v, want the parent's 18 probed / 4 republished / 2 re-seeded", first)
+	if first.ProbedKeys != 17 || first.Republished != 3 || first.Reseeded != 2 {
+		t.Fatalf("first pass = %+v, want 17 probed / 3 republished / 2 re-seeded", first)
 	}
-	if first.Cost.Msgs >= 1197 {
-		t.Fatalf("first pass cost %d msgs, parent 1197", first.Cost.Msgs)
+	if first.Cost.Msgs >= 1197-40 {
+		t.Fatalf("first pass cost %d msgs, three walks per record cost %d", first.Cost.Msgs, 1197-40)
 	}
 	pass := c.RunMaintenance()
-	if pass.ProbedKeys != 18 || pass.Republished != 0 || pass.Reseeded != 0 || pass.SegmentsLost != 0 {
-		t.Fatalf("steady pass = %+v, want 18 probed and nothing to repair", pass)
+	if pass.ProbedKeys != 17 || pass.Republished != 0 || pass.Reseeded != 0 || pass.SegmentsLost != 0 {
+		t.Fatalf("steady pass = %+v, want 17 probed and nothing to repair", pass)
 	}
-	if pass.Cost.Msgs >= 1096 {
-		t.Fatalf("steady pass cost %d msgs, parent 1096", pass.Cost.Msgs)
+	if pass.Cost.Msgs >= 1096-24 {
+		t.Fatalf("steady pass cost %d msgs, three walks per record cost %d", pass.Cost.Msgs, 1096-24)
 	}
 
 	d := c.maintenanceNode()
 	var byHand netsim.Cost
 	mutable, segments := 0, 0
-	keys := []dht.Key{dht.KeyOfString(StatsKey)}
 	for shard := 0; shard < c.cfg.NumShards; shard++ {
-		keys = append(keys, pointerKey(shard))
-	}
-	for _, key := range keys {
-		loc, cost, err := d.Locate(context.Background(), key)
+		loc, cost, err := d.Locate(context.Background(), pointerKey(shard))
 		byHand = byHand.Seq(cost)
 		if err != nil {
 			continue // shard never written
@@ -168,9 +166,6 @@ func TestChurnMaintenanceOneWalkPerRecord(t *testing.T) {
 		mutable++
 		if loc.Replicas() != c.replicationTarget() {
 			t.Fatalf("healthy record seen on %d replicas", loc.Replicas())
-		}
-		if key == keys[0] {
-			continue
 		}
 		ptr, err := decodeShardPointer(loc.Value)
 		if err != nil {

@@ -335,11 +335,12 @@ func (c *Cluster) RandomPeer() *store.Peer {
 //     goroutine wave under ParallelRounds, with commitments submitted
 //     sequentially in bee order;
 //  2. a block seals the commits;
-//  3. every bee reveals; the last reveal of each task auto-finalizes it;
+//  3. every bee reveals; the last reveal of each task auto-finalizes it
+//     (an index task's finalization advances IndexGen and IndexStats);
 //  4. a block seals the reveals;
 //  5. winning bees materialize finalized results into the DHT as one
 //     batch: a segment-write wave, then one pointer read-modify-write
-//     per touched shard, then one stats bump (see round.go).
+//     per touched shard (see round.go).
 //
 // It returns the number of tasks materialized during the round.
 func (c *Cluster) ProcessRound() int {

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/chain"
 	"repro/internal/contracts"
 	"repro/internal/dht"
+	"repro/internal/index"
 	"repro/internal/netsim"
 )
 
@@ -23,6 +25,41 @@ func smallCluster(t testing.TB) *Cluster {
 func readShardPointer(d *dht.Node, shard int) (ShardPointer, netsim.Cost, error) {
 	ptr, _, cost, err := readShardPointerCtx(context.Background(), d, shard)
 	return ptr, cost, err
+}
+
+// checkStatsRecount asserts a round invariant: the on-chain collection
+// statistics equal a recount that shares nothing with the vote — every
+// first-version page of every finalized index task, its tokens counted
+// by analyzing the text the test published (firstText: URL → the text of
+// its first version).
+func checkStatsRecount(t testing.TB, c *Cluster, firstText map[string]string) {
+	t.Helper()
+	var want contracts.IndexStats
+	for _, ev := range c.Chain.Events() {
+		if ev.Type != contracts.EventTaskFinalized || ev.Attrs["kind"] != string(contracts.TaskIndex) {
+			continue
+		}
+		task, _ := c.QB.TaskInfo(ev.Attrs["task"])
+		entries, isBatch := contracts.BatchEntries(task)
+		if !isBatch {
+			seq, _ := strconv.ParseUint(task.Meta["seq"], 10, 64)
+			entries = []contracts.BatchEntry{{URL: task.Meta["url"], Seq: seq}}
+		}
+		for _, e := range entries {
+			if e.Seq != 1 {
+				continue
+			}
+			text, ok := firstText[e.URL]
+			if !ok {
+				t.Fatalf("task %s indexed %s, which the test never published", task.ID, e.URL)
+			}
+			want.Docs++
+			want.Tokens += uint64(len(index.Analyze(text)))
+		}
+	}
+	if got := c.QB.IndexStats(); got != want {
+		t.Fatalf("on-chain stats %+v, recount of finalized first-version pages %+v", got, want)
+	}
 }
 
 func TestClusterBoot(t *testing.T) {

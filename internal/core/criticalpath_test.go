@@ -31,9 +31,9 @@ func corpusBatches(seed uint64, rounds, pagesPerRound int) [][]BatchPage {
 // TestWriteCriticalPath: a round's makespan is its longest dependency
 // chain, and nothing else. Recomputed here from the receipt's per-leg
 // costs with plain arithmetic — store, then time to commit, then the
-// announce wave beside a materialize phase in which every pointer and
-// the stats record wait for max(segment puts, their own quorum read)
-// before their mutation and write — it must equal Wave() to the
+// announce wave beside a materialize phase in which every pointer waits
+// for max(segment puts, its own quorum read) before its mutation and
+// write — it must equal Wave() to the
 // nanosecond, on plain and compacting rounds alike. The fold may reorder
 // time, never traffic: every RPC the network carried during the round is
 // billed exactly once (the segment wave's messages once, not once per
@@ -64,7 +64,7 @@ func TestWriteCriticalPath(t *testing.T) {
 			gate := pass.Collect.Latency
 			end, slowest := gate, time.Duration(0)
 			count(pass.Collect)
-			for _, leg := range append(append([]RMWCost(nil), pass.Shards...), pass.Stats) {
+			for _, leg := range pass.Shards {
 				start := gate
 				if leg.Read.Latency > start {
 					start = leg.Read.Latency
@@ -80,8 +80,8 @@ func TestWriteCriticalPath(t *testing.T) {
 			materialize += end
 			issueOrder += gate + slowest
 		}
-		if len(rr.Passes) != 1 || len(rr.Passes[0].Shards) != cfg.NumShards || rr.Passes[0].Stats.Write.Msgs == 0 {
-			t.Fatalf("round %d: passes %+v; the corpus batch must touch every shard once and bump the stats", round, rr.Passes)
+		if len(rr.Passes) != 1 || len(rr.Passes[0].Shards) != cfg.NumShards {
+			t.Fatalf("round %d: passes %+v; the corpus batch must touch every shard once", round, rr.Passes)
 		}
 		if rr.MaterializeWave.Latency != materialize {
 			t.Fatalf("round %d: MaterializeWave %v, the legs' dependency chains give %v", round, rr.MaterializeWave.Latency, materialize)
@@ -136,20 +136,20 @@ func storeRPC(req any) (key dht.Key, value []byte, seq uint64, ok bool) {
 // the segment puts moves no RPC. Observed from the handlers' side, no
 // pointer STORE is issued before every segment it lists was accepted by
 // at least one replica — and in a round whose segment STORE every
-// replica refuses there is no contribution, so no pointer and no stats
-// write at all.
+// replica refuses there is no contribution, so no pointer write at all.
+// Segments and pointers are the only keys a round stores under.
 func TestWriteSegmentsLandBeforePointers(t *testing.T) {
 	cfg := DefaultConfig()
 	c := NewCluster(cfg)
 	owner := c.NewAccount("writer", 10_000_000)
 	c.Seal()
 
-	mutable := map[dht.Key]string{dht.KeyOfString(StatsKey): "stats"}
+	mutable := make(map[dht.Key]string)
 	for s := 0; s < cfg.NumShards; s++ {
 		mutable[pointerKey(s)] = fmt.Sprintf("pointer %d", s)
 	}
 	accepted := make(map[dht.Key]int) // segment key → replicas that took it
-	var pointerStores, statsStores, segmentStores int
+	var pointerStores, segmentStores int
 	refuseSegments := false
 	var failures []string
 	peers := append([]*store.Peer(nil), c.Peers...)
@@ -165,8 +165,6 @@ func TestWriteSegmentsLandBeforePointers(t *testing.T) {
 			}
 			name, isMutable := mutable[key]
 			switch {
-			case name == "stats":
-				statsStores++
 			case isMutable:
 				pointerStores++
 				ptr, err := decodeShardPointer(value)
@@ -180,6 +178,9 @@ func TestWriteSegmentsLandBeforePointers(t *testing.T) {
 				}
 			default:
 				segmentStores++
+				if key != dht.KeyOfString(index.SegmentKey(index.DigestOf(value))) {
+					failures = append(failures, fmt.Sprintf("STORE under %s is neither a pointer nor a segment", key.Short()))
+				}
 				if refuseSegments {
 					// The replica already holds something newer under this key.
 					p.DHT().StoreLocal(key, []byte("newer"), 9)
@@ -201,14 +202,14 @@ func TestWriteSegmentsLandBeforePointers(t *testing.T) {
 		}
 	}
 	if len(failures) > 0 {
-		t.Fatalf("pointer written ahead of its segments:\n%v", failures)
+		t.Fatalf("pointer written ahead of its segments, or a third kind of record:\n%v", failures)
 	}
 	if ws := c.WriteStats(); pointerStores < 5*cfg.NumShards || ws.Compactions != cfg.NumShards || segmentStores == 0 {
 		t.Fatalf("fixture: %d pointer STOREs, %d segment STOREs, %d compactions", pointerStores, segmentStores, ws.Compactions)
 	}
 
 	refuseSegments = true
-	pointerStores, statsStores, segmentStores = 0, 0, 0
+	pointerStores, segmentStores = 0, 0
 	rr, err := c.IndexBatch(owner, batches[5])
 	if err != nil {
 		t.Fatal(err)
@@ -216,8 +217,8 @@ func TestWriteSegmentsLandBeforePointers(t *testing.T) {
 	if len(rr.Errors) != 1 || rr.Errors[0].Stage != "segment-write" {
 		t.Fatalf("refused segment: round errors %v, want one at stage segment-write", rr.Errors)
 	}
-	if segmentStores == 0 || pointerStores != 0 || statsStores != 0 || rr.SegmentWrites != 0 || rr.PointerWrites != 0 || rr.StatsWrites != 0 {
-		t.Fatalf("refused segment: %d segment, %d pointer, %d stats STOREs on the wire; receipt %+v", segmentStores, pointerStores, statsStores, rr)
+	if segmentStores == 0 || pointerStores != 0 || rr.SegmentWrites != 0 || rr.PointerWrites != 0 {
+		t.Fatalf("refused segment: %d segment, %d pointer STOREs on the wire; receipt %+v", segmentStores, pointerStores, rr)
 	}
 	if len(rr.Passes) != 1 || len(rr.Passes[0].Shards) != 0 || rr.Passes[0].Collect.Msgs == 0 || rr.MaterializeWave != rr.Passes[0].Collect {
 		t.Fatalf("refused segment: the pass is the failed segment wave and nothing else, got %+v (wave %+v)", rr.Passes, rr.MaterializeWave)

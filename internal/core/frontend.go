@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -10,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/contracts"
 	"repro/internal/dht"
 	"repro/internal/index"
 	"repro/internal/netsim"
@@ -22,7 +22,7 @@ import (
 // ads." It is a stateless client of the DHT and the chain: it owns a DWeb
 // peer for reads and caches immutable segments by content address.
 //
-// Queries (Search*, Execute) are safe for concurrent use and, with the
+// Queries (Search, ExecuteCtx) are safe for concurrent use and, with the
 // default per-link netsim streams, same-seed results are byte-identical
 // whether queries run sequentially or raced across goroutines (see
 // docs/serving.md). Both caches are byte-budgeted LRUs so a long-lived
@@ -49,17 +49,12 @@ type Frontend struct {
 	ptrVerified atomic.Int64
 	ptrWalks    atomic.Int64
 
-	stats        IndexStats
-	statsGen     int // page count when stats were fetched; -1 before the first fetch
-	statsFlight  *statsFetch
-	statsFetches int64
-
 	// Memoized rank view: PageRanks() copies the whole rank vector and
 	// the old scoring path then scanned it for the max on every query —
 	// O(corpus) before a single doc was scored. Both are now cached and
-	// keyed on the contract's rank generation (not the cached-stats page
-	// count: page registrations don't move ranks, and rank epochs can
-	// finalize without new pages).
+	// keyed on the contract's rank generation (not the page count: page
+	// registrations don't move ranks, and rank epochs can finalize
+	// without new pages).
 	ranks     map[string]float64
 	ranksMax  float64
 	ranksGen  uint64
@@ -90,13 +85,6 @@ type segFetch struct {
 	err  error
 }
 
-// statsFetch is one in-flight stats read, singleflighted like segments.
-type statsFetch struct {
-	done chan struct{}
-	st   IndexStats
-	cost netsim.Cost
-}
-
 // chainFetch is one in-flight chain rebuild (segment fetches + merge)
 // for a shard. Concurrent queries that resolved the same digest chain
 // share it: the segment fetches already dedup via segFlight, but the
@@ -121,7 +109,6 @@ func NewFrontend(c *Cluster, peer *store.Peer) *Frontend {
 		chainFlight: make(map[int]*chainFetch),
 		docURL:      make(map[index.DocID]string),
 		ptrHolder:   make(map[int]dht.Contact),
-		statsGen:    -1,
 	}
 	f.wand.Store(true)
 	return f
@@ -203,19 +190,19 @@ type Degraded struct {
 
 // Search runs the full frontend pipeline for a flat conjunctive (AND)
 // query: every analyzed term must match, operators and quotes are plain
-// text. Execute (plan.go) is the full surface — the query language,
+// text. ExecuteCtx (plan.go) is the full surface — the query language,
 // OR/phrase modes, pagination, snippets, Explain.
 func (f *Frontend) Search(query string, k int) (SearchResponse, error) {
-	return f.Execute(Query{Raw: query, Mode: PlanAll, Limit: k})
+	return f.ExecuteCtx(context.Background(), Query{Raw: query, Mode: PlanAll, Limit: k})
 }
 
 // scoreAndCompose ranks the candidate documents with BM25 × PageRank,
 // keeps the requested page (offset/limit over the deterministic total
 // order), and fills in results and ads — steps 3–5 of the frontend
-// pipeline, shared by every query mode. The budget is checked once
-// before the collection-statistics read (the stage's only RPC; ranking
-// itself is pure CPU): a spent lifecycle returns ErrDeadlineExceeded
-// without composing anything.
+// pipeline, shared by every query mode. The stage sends nothing — the
+// collection statistics, ranks and page registry are chain reads and
+// ranking is pure CPU — so the budget is checked once, on entry: a spent
+// lifecycle returns ErrDeadlineExceeded without composing anything.
 //
 // Three executors share this stage, all producing byte-identical
 // rankings (docs/serving.md "Early termination"):
@@ -237,13 +224,7 @@ func (f *Frontend) scoreAndCompose(bud reqBudget, resp *SearchResponse, terms []
 	if err := bud.check(resp.Cost.Latency); err != nil {
 		return err
 	}
-	// Collection statistics only shift BM25 constants, so they are
-	// cached and refreshed only when the page count changes. The fetch
-	// leader always runs to completion (Background ctx): a stats read
-	// abandoned mid-flight would cache a zero snapshot for a whole
-	// generation and skew every later query's BM25 constants.
-	stats, cost := f.cachedStats()
-	resp.Cost = resp.Cost.Seq(cost)
+	stats := f.cluster.QB.IndexStats()
 	scorer := index.NewScorer(index.CorpusStats{
 		DocCount:  max(stats.Docs, 1),
 		AvgDocLen: avgDocLen(stats),
@@ -701,48 +682,6 @@ func (f *Frontend) hedgeLeg(bud reqBudget, e0 time.Duration, shards []int, segs 
 	costs[slowest] = merged
 }
 
-// cachedStats returns the collection statistics, re-reading from the DHT
-// only when the registered page count changed since the last fetch. The
-// fetched state is an explicit generation (-1 = never fetched), not a
-// "Docs > 0" sentinel — an empty corpus is a valid cached answer, not a
-// reason to hit the DHT on every query.
-// Concurrent queries arriving on a stale generation share one DHT read
-// (the same singleflight shape as fetchSegmentCtx).
-//
-// A failed read must not be cached: zero statistics under the current
-// generation would skew every BM25 score until the next publish. The
-// generation advances only on a successful read, or on dht.ErrNotFound
-// when the chain agrees the corpus is empty; otherwise the last good
-// snapshot is served and the next query retries.
-func (f *Frontend) cachedStats() (IndexStats, netsim.Cost) {
-	n := f.cluster.QB.PageCount()
-	f.mu.Lock()
-	if n == f.statsGen {
-		st := f.stats
-		f.mu.Unlock()
-		return st, netsim.Cost{}
-	}
-	if fl := f.statsFlight; fl != nil {
-		f.mu.Unlock()
-		<-fl.done
-		return fl.st, fl.cost
-	}
-	fl := &statsFetch{done: make(chan struct{})}
-	f.statsFlight = fl
-	f.mu.Unlock()
-	st, cost, err := readStats(f.peer.DHT())
-	f.mu.Lock()
-	if err == nil || (n == 0 && errors.Is(err, dht.ErrNotFound)) {
-		f.stats, f.statsGen = st, n
-	}
-	fl.st, fl.cost = f.stats, cost
-	f.statsFlight = nil
-	f.statsFetches++
-	f.mu.Unlock()
-	close(fl.done)
-	return fl.st, fl.cost
-}
-
 // pageRankView returns the rank vector and its maximum, memoized on the
 // contract's rank generation: queries between rank-epoch finalizations
 // reuse one snapshot instead of copying and scanning the whole O(corpus)
@@ -781,7 +720,6 @@ type CacheStats struct {
 	ChainBytes, ChainBudget int64
 	ChainEntries            int
 	ChainHits, ChainMisses  int64
-	StatsFetches            int64
 	// PtrVerified counts shard-pointer reads answered by one verified
 	// RPC to a remembered holder; PtrWalks counts those that ran the
 	// K-replica quorum walk (see Frontend.readPointer).
@@ -802,7 +740,6 @@ func (c *CacheStats) Add(o CacheStats) {
 	c.ChainEntries += o.ChainEntries
 	c.ChainHits += o.ChainHits
 	c.ChainMisses += o.ChainMisses
-	c.StatsFetches += o.StatsFetches
 	c.PtrVerified += o.PtrVerified
 	c.PtrWalks += o.PtrWalks
 }
@@ -832,7 +769,6 @@ func (f *Frontend) CacheStatsSnapshot() CacheStats {
 		ChainEntries: f.chainCache.len(),
 		ChainHits:    f.chainCache.hits,
 		ChainMisses:  f.chainCache.misses,
-		StatsFetches: f.statsFetches,
 		PtrVerified:  f.ptrVerified.Load(),
 		PtrWalks:     f.ptrWalks.Load(),
 	}
@@ -873,7 +809,7 @@ func (f *Frontend) FetchResult(r Result) ([]byte, netsim.Cost, error) {
 	return f.peer.Fetch(cid)
 }
 
-func avgDocLen(st IndexStats) float64 {
+func avgDocLen(st contracts.IndexStats) float64 {
 	if st.Docs == 0 {
 		return 1
 	}

@@ -16,11 +16,11 @@ import (
 type RepairStats struct {
 	// Runs counts completed maintenance passes.
 	Runs int
-	// ProbedKeys counts replica-count probes issued (pointers, segments,
-	// and the stats record).
+	// ProbedKeys counts replica-count probes issued (pointers and
+	// segments).
 	ProbedKeys int
-	// Republished counts versioned records (shard pointers, index stats)
-	// pushed back to the current k closest nodes.
+	// Republished counts shard pointers pushed back to the current k
+	// closest nodes.
 	Republished int
 	// Reseeded counts immutable segments re-materialized from a surviving
 	// replica after their replication dropped below K; ReseededBytes is
@@ -78,10 +78,10 @@ func (c *Cluster) maintenanceNode() *dht.Node {
 // RunMaintenance executes one self-healing pass and returns what this
 // pass did. Three loops, in deterministic order:
 //
-//  1. Republish: every shard pointer (and the stats record) is read by
-//     quorum, and the read is the probe: its walk reports how many of
-//     the k closest hold the record. A record replicated below
-//     K is re-Put at its current version onto that walk's closest set.
+//  1. Republish: every shard pointer is read by quorum, and the read is
+//     the probe: its walk reports how many of the k closest hold the
+//     record. A record replicated below K is re-Put at its current
+//     version onto that walk's closest set.
 //  2. Re-seed + repair: every segment referenced by a pointer chain is
 //     probed; one replicated below K is fetched from a surviving
 //     replica, hash-verified, and re-Put on the probe's closest set. A
@@ -163,9 +163,6 @@ func (c *Cluster) RunMaintenance() RepairStats {
 			}
 		}
 	}
-
-	// Stats record.
-	healVersioned(dht.KeyOfString(StatsKey))
 
 	// 3. Provider republish from every live peer and bee, in slice order.
 	for _, p := range c.Peers {

@@ -17,7 +17,7 @@ import (
 // with errors.Is.
 var ErrShardUnavailable = errors.New("core: index shard unavailable")
 
-// PlanMode selects how Execute turns the raw query string into an AST.
+// PlanMode selects how ExecuteCtx turns the raw query string into an AST.
 type PlanMode int
 
 // Plan modes.
@@ -102,8 +102,7 @@ type Explain struct {
 	Candidates int
 	Returned   int
 	// LoadCost is the shard wave; SnippetCost the parallel content
-	// fetches (zero without snippets); TotalCost everything, including
-	// collection statistics reads.
+	// fetches (zero without snippets); TotalCost the two together.
 	LoadCost    netsim.Cost
 	SnippetCost netsim.Cost
 	TotalCost   netsim.Cost
@@ -148,19 +147,16 @@ func writePlan(b *strings.Builder, n *ExplainNode, depth int) {
 	}
 }
 
-// Execute runs one structured query through the full frontend pipeline:
-// compile the AST (parse or flat-build per Mode), resolve the distinct
-// shards it touches and load them as one parallel wave, evaluate the
-// boolean plan over posting lists, rank with BM25×PageRank, paginate,
-// and optionally attach snippets and the execution trace.
-func (f *Frontend) Execute(q Query) (SearchResponse, error) {
-	return f.ExecuteCtx(context.Background(), q)
-}
-
-// ExecuteCtx is Execute with a request lifecycle: the context and the
-// query's simulated Deadline are threaded through every stage — the
-// shard wave (each leg re-checks before every sequential RPC), the
-// statistics read, and the snippet wave. A query stopped by either
+// ExecuteCtx runs one structured query through the full frontend
+// pipeline: compile the AST (parse or flat-build per Mode), resolve the
+// distinct shards it touches and load them as one parallel wave,
+// evaluate the boolean plan over posting lists, rank with BM25×PageRank,
+// paginate, and optionally attach snippets and the execution trace.
+//
+// The query carries a request lifecycle: the context and the query's
+// simulated Deadline are threaded through every stage — the shard wave
+// (each leg re-checks before every sequential RPC), scoring, and the
+// snippet wave. A query stopped by either
 // signal abandons its remaining wave members, keeps its caches and
 // singleflights consistent, and returns ErrDeadlineExceeded with a
 // partial Explain trace (always attached on that path, Explain requested

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -43,7 +44,7 @@ func TestQueryExecuteBoolean(t *testing.T) {
 		{"red -(fire OR green)", []string{"dweb://q1"}},
 	}
 	for _, tc := range cases {
-		resp, err := fe.Execute(Query{Raw: tc.q})
+		resp, err := fe.ExecuteCtx(context.Background(), Query{Raw: tc.q})
 		if err != nil {
 			t.Errorf("Execute(%q): %v", tc.q, err)
 			continue
@@ -66,17 +67,17 @@ func TestQueryExecuteBoolean(t *testing.T) {
 
 func TestQueryExecuteErrors(t *testing.T) {
 	_, fe := queryCluster(t)
-	if _, err := fe.Execute(Query{Raw: "the of and"}); !errors.Is(err, query.ErrEmptyQuery) {
+	if _, err := fe.ExecuteCtx(context.Background(), Query{Raw: "the of and"}); !errors.Is(err, query.ErrEmptyQuery) {
 		t.Errorf("stopword-only: err = %v, want ErrEmptyQuery", err)
 	}
-	if _, err := fe.Execute(Query{Raw: "-red"}); !errors.Is(err, query.ErrBadSyntax) {
+	if _, err := fe.ExecuteCtx(context.Background(), Query{Raw: "-red"}); !errors.Is(err, query.ErrBadSyntax) {
 		t.Errorf("exclusion-only: err = %v, want ErrBadSyntax", err)
 	}
-	if _, err := fe.Execute(Query{Raw: `"unterminated`}); !errors.Is(err, query.ErrBadSyntax) {
+	if _, err := fe.ExecuteCtx(context.Background(), Query{Raw: `"unterminated`}); !errors.Is(err, query.ErrBadSyntax) {
 		t.Errorf("unterminated quote: err = %v, want ErrBadSyntax", err)
 	}
 	// Flat modes bypass the parser but still reject term-free strings.
-	if _, err := fe.Execute(Query{Raw: "the of", Mode: PlanAll}); !errors.Is(err, query.ErrEmptyQuery) {
+	if _, err := fe.ExecuteCtx(context.Background(), Query{Raw: "the of", Mode: PlanAll}); !errors.Is(err, query.ErrEmptyQuery) {
 		t.Errorf("flat stopword-only: err = %v, want ErrEmptyQuery", err)
 	}
 }
@@ -86,7 +87,7 @@ func TestQueryExecuteErrors(t *testing.T) {
 // unpaginated set.
 func TestQueryExecutePagination(t *testing.T) {
 	_, fe := queryCluster(t)
-	full, err := fe.Execute(Query{Raw: "red", Limit: 10})
+	full, err := fe.ExecuteCtx(context.Background(), Query{Raw: "red", Limit: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestQueryExecutePagination(t *testing.T) {
 	}
 	var paged []Result
 	for page := 0; page < 3; page++ {
-		resp, err := fe.Execute(Query{Raw: "red", Limit: 1, Offset: page})
+		resp, err := fe.ExecuteCtx(context.Background(), Query{Raw: "red", Limit: 1, Offset: page})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +114,7 @@ func TestQueryExecutePagination(t *testing.T) {
 		}
 	}
 	// Past the end: empty page, same total.
-	resp, err := fe.Execute(Query{Raw: "red", Limit: 5, Offset: 10})
+	resp, err := fe.ExecuteCtx(context.Background(), Query{Raw: "red", Limit: 5, Offset: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestQueryExecutePagination(t *testing.T) {
 
 func TestQueryExecuteExplain(t *testing.T) {
 	_, fe := queryCluster(t)
-	resp, err := fe.Execute(Query{Raw: "red apples -fire", Explain: true})
+	resp, err := fe.ExecuteCtx(context.Background(), Query{Raw: "red apples -fire", Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestQueryExecuteExplain(t *testing.T) {
 		t.Fatal("explain rendering empty")
 	}
 	// Tracing off → no tree.
-	resp, err = fe.Execute(Query{Raw: "red"})
+	resp, err = fe.ExecuteCtx(context.Background(), Query{Raw: "red"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestQueryFailedWaveAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := fe.Execute(Query{Raw: "red apples", Explain: true})
+	resp, err := fe.ExecuteCtx(context.Background(), Query{Raw: "red apples", Explain: true})
 	if !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("err = %v, want ErrShardUnavailable", err)
 	}
@@ -262,7 +263,7 @@ func TestQueryFlatModesMatchLegacy(t *testing.T) {
 	if len(resp.Results) != 0 {
 		t.Fatalf("flat AND of disjoint terms matched %v", urlsOf(resp))
 	}
-	parsed, err := fe.Execute(Query{Raw: "orchard OR streets"})
+	parsed, err := fe.ExecuteCtx(context.Background(), Query{Raw: "orchard OR streets"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestQueryFlatModesMatchLegacy(t *testing.T) {
 	// Snippets ride through Execute: the fetch wave costs Par, so the
 	// latency is at least one fetch but the response still carries a
 	// snippet per result.
-	withSnips, err := fe.Execute(Query{Raw: "orchard", Snippets: true})
+	withSnips, err := fe.ExecuteCtx(context.Background(), Query{Raw: "orchard", Snippets: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,8 +155,8 @@ func (fx *pointerFixture) learn(t *testing.T, shard int) dht.Contact {
 func (fx *pointerFixture) sameAnswer(t *testing.T, raw string) {
 	t.Helper()
 	q := Query{Raw: raw, Mode: PlanAll, Limit: 10}
-	got, gerr := fx.fe.Execute(q)
-	want, werr := NewFrontend(fx.c, fx.fe.peer).Execute(q)
+	got, gerr := fx.fe.ExecuteCtx(context.Background(), q)
+	want, werr := NewFrontend(fx.c, fx.fe.peer).ExecuteCtx(context.Background(), q)
 	if (gerr == nil) != (werr == nil) {
 		t.Fatalf("%q: err = %v, memo-less frontend err = %v", raw, gerr, werr)
 	}
@@ -384,7 +384,7 @@ func TestQueryPointerShortDigestRejected(t *testing.T) {
 	if _, _, err := d.Put(dht.KeyOfString(index.SegmentKey("x")), []byte("anything"), 0); err != nil {
 		t.Fatal(err)
 	}
-	_, err := fx.fe.Execute(Query{Raw: fx.words[shard], Mode: PlanAll})
+	_, err := fx.fe.ExecuteCtx(context.Background(), Query{Raw: fx.words[shard], Mode: PlanAll})
 	if !errors.Is(err, ErrShardUnavailable) || !strings.Contains(err.Error(), "corrupt shard pointer") {
 		t.Fatalf("err = %v, want a corrupt-pointer ErrShardUnavailable", err)
 	}
@@ -392,8 +392,8 @@ func TestQueryPointerShortDigestRejected(t *testing.T) {
 		t.Fatal("holder of a corrupt pointer stayed remembered")
 	}
 	// The segment reader itself no longer slices the digest it was given.
-	if _, _, err := readSegment(d, "x"); err == nil || !strings.Contains(err.Error(), "hash verification") {
-		t.Fatalf("readSegment(short digest) err = %v, want hash verification failure", err)
+	if _, _, err := readSegmentCtx(context.Background(), d, "x"); err == nil || !strings.Contains(err.Error(), "hash verification") {
+		t.Fatalf("readSegmentCtx(short digest) err = %v, want hash verification failure", err)
 	}
 	// Maintenance skips the record instead of chasing its digests.
 	fx.c.RunMaintenance()
@@ -443,11 +443,11 @@ func TestWritePointerStamped(t *testing.T) {
 		}
 
 		// Kill a replica holder; maintenance republishes the raw record.
-		_, _, holder, _, err := c.Peers[11].DHT().GetHolderCtx(context.Background(), dht.KeyOfString(index.ShardPointerKey(0)))
+		loc, _, err := c.Peers[11].DHT().Locate(context.Background(), pointerKey(0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Net.SetDown(holder.Addr, true)
+		c.Net.SetDown(loc.Holder.Addr, true)
 		if pass := c.RunMaintenance(); pass.Republished == 0 {
 			t.Fatalf("monolithic=%v: maintenance republished nothing after a replica died", monolithic)
 		}
@@ -487,6 +487,7 @@ func pointerSoak(t *testing.T, maintenance bool) {
 	rng := xrand.New(cfg.Seed)
 
 	var markers []string
+	firstText := make(map[string]string)
 	var down []netsim.NodeID
 	for round := 0; round < 12; round++ {
 		for _, a := range down {
@@ -509,6 +510,7 @@ func pointerSoak(t *testing.T, maintenance bool) {
 				text += " " + words[s]
 			}
 			pages[i] = BatchPage{URL: "dweb://soak/" + marker, Text: text}
+			firstText[pages[i].URL] = text
 		}
 		// IndexBatch's sequence with the content on a peer that stays up.
 		if _, err := c.PublishBatch(owner, c.Peers[0], pages); err != nil {
@@ -517,6 +519,10 @@ func pointerSoak(t *testing.T, maintenance bool) {
 		c.Seal()
 		if rr := c.ProcessRoundReceipt(); len(rr.Errors) > 0 {
 			t.Fatalf("round %d: %v", round, rr.Errors)
+		}
+		checkStatsRecount(t, c, firstText)
+		if st := c.QB.IndexStats(); st.Docs != len(markers) {
+			t.Fatalf("round %d: %d docs on chain, %d pages sealed", round, st.Docs, len(markers))
 		}
 
 		for fi := 0; fi < pool.Size(); fi++ {

@@ -125,11 +125,6 @@ func (p *FrontendPool) release(i int, cost netsim.Cost, deadlineMiss bool) {
 	p.mu.Unlock()
 }
 
-// Execute routes one structured query through the pool.
-func (p *FrontendPool) Execute(q Query) (SearchResponse, error) {
-	return p.ExecuteCtx(context.Background(), q)
-}
-
 // ExecuteCtx routes one structured query through the pool with a request
 // lifecycle. Queries without their own Deadline inherit the pool's
 // default; misses (ErrDeadlineExceeded) are counted in Stats.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -17,7 +18,7 @@ func TestPoolBalancerDeterministicLeastLoaded(t *testing.T) {
 	c, _ := queryCluster(t)
 	pool := NewFrontendPool(c, 3, false, 0)
 	for i := 0; i < 9; i++ {
-		if _, err := pool.Execute(Query{Raw: "red apples", Mode: PlanAll, Limit: 5}); err != nil {
+		if _, err := pool.ExecuteCtx(context.Background(), Query{Raw: "red apples", Mode: PlanAll, Limit: 5}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,13 +65,13 @@ func TestPoolHedgeRescuesTamperedReplica(t *testing.T) {
 
 	// Unhedged control: the same tampered frontend alone fails loudly.
 	alone := NewFrontend(c, primary.peer)
-	if _, err := alone.Execute(Query{Raw: "orchard", Mode: PlanAll}); !errors.Is(err, ErrShardUnavailable) {
+	if _, err := alone.ExecuteCtx(context.Background(), Query{Raw: "orchard", Mode: PlanAll}); !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("unhedged tampered frontend: err = %v, want ErrShardUnavailable", err)
 	}
 
 	// Hedged pool: frontend 0 serves the first query, its leg fails,
 	// the hedge reruns it on frontend 1 and the wave succeeds.
-	resp, err := pool.Execute(Query{Raw: "orchard", Mode: PlanAll})
+	resp, err := pool.ExecuteCtx(context.Background(), Query{Raw: "orchard", Mode: PlanAll})
 	if err != nil {
 		t.Fatalf("hedge did not rescue the tampered leg: %v", err)
 	}
@@ -92,10 +93,10 @@ func TestPoolHedgeRescuesTamperedReplica(t *testing.T) {
 func TestPoolDefaultDeadlineApplies(t *testing.T) {
 	c, _ := queryCluster(t)
 	pool := NewFrontendPool(c, 1, false, time.Millisecond)
-	if _, err := pool.Execute(Query{Raw: "orchard", Mode: PlanAll}); !errors.Is(err, ErrDeadlineExceeded) {
+	if _, err := pool.ExecuteCtx(context.Background(), Query{Raw: "orchard", Mode: PlanAll}); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("default deadline not applied: %v", err)
 	}
-	if _, err := pool.Execute(Query{Raw: "orchard", Mode: PlanAll, Deadline: time.Hour}); err != nil {
+	if _, err := pool.ExecuteCtx(context.Background(), Query{Raw: "orchard", Mode: PlanAll, Deadline: time.Hour}); err != nil {
 		t.Fatalf("explicit deadline should override the default: %v", err)
 	}
 	if misses := pool.Stats().DeadlineMisses; misses != 1 {

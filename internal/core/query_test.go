@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -28,7 +29,7 @@ func queryCluster(t *testing.T) (*Cluster, *Frontend) {
 
 func TestSearchModeOR(t *testing.T) {
 	_, fe := queryCluster(t)
-	resp, err := fe.Execute(Query{Raw: "orchard streets", Mode: PlanAny})
+	resp, err := fe.ExecuteCtx(context.Background(), Query{Raw: "orchard streets", Mode: PlanAny})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestSearchModeOR(t *testing.T) {
 
 func TestSearchModeORWithMissingTerm(t *testing.T) {
 	_, fe := queryCluster(t)
-	resp, err := fe.Execute(Query{Raw: "orchard zzznonexistent", Mode: PlanAny})
+	resp, err := fe.ExecuteCtx(context.Background(), Query{Raw: "orchard zzznonexistent", Mode: PlanAny})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestSearchModePhrase(t *testing.T) {
 	_, fe := queryCluster(t)
 	// "red apples" adjacent: q1 ("red apples grow") and q3 ("to red
 	// apples"); q2 has "red" but no adjacent "apples".
-	resp, err := fe.Execute(Query{Raw: "red apples", Mode: PlanPhrase})
+	resp, err := fe.ExecuteCtx(context.Background(), Query{Raw: "red apples", Mode: PlanPhrase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestSearchModePhrase(t *testing.T) {
 
 	// AND would also match nothing extra here, but phrase must reject
 	// non-adjacent orders: "apples red" never occurs.
-	resp, err = fe.Execute(Query{Raw: "apples red", Mode: PlanPhrase})
+	resp, err = fe.ExecuteCtx(context.Background(), Query{Raw: "apples red", Mode: PlanPhrase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestSearchModeAndDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The parser's implicit AND is the same conjunction.
-	parsed, err := fe.Execute(Query{Raw: "red apples"})
+	parsed, err := fe.ExecuteCtx(context.Background(), Query{Raw: "red apples"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestSearchModeAndDefault(t *testing.T) {
 
 func TestSnippetsAttached(t *testing.T) {
 	_, fe := queryCluster(t)
-	resp, err := fe.Execute(Query{Raw: "orchard", Mode: PlanAll, Limit: 5, Snippets: true})
+	resp, err := fe.ExecuteCtx(context.Background(), Query{Raw: "orchard", Mode: PlanAll, Limit: 5, Snippets: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,8 @@ import (
 //     goroutine wave, then the round's contributions are grouped by
 //     shard and every touched shard gets exactly ONE pointer
 //     read-modify-write (and at most one compaction) no matter how many
-//     segments landed on it, plus one global stats bump for the whole
-//     round. A round with K segments over S shards costs O(S) mutable
-//     DHT round trips, not O(K·S).
+//     segments landed on it. A round with K segments over S shards costs
+//     O(S) mutable DHT round trips, not O(K·S).
 //
 // The receipt's makespan (RoundReceipt.Wave) is the round's longest
 // DEPENDENCY chain, not the order the process happens to issue work in:
@@ -37,7 +36,7 @@ import (
 // fixed order; only the fold differs.
 //
 // Determinism contract: the same seed produces byte-identical DHT state
-// (shard pointers, segments, stats) whether the waves fan out or run
+// (shard pointers, segments) whether the waves fan out or run
 // sequentially (Config.ParallelRounds=false). Wave costs fold with Par
 // in slot order, mirroring Frontend.loadShards.
 
@@ -46,9 +45,9 @@ import (
 // meaningful, so "not shard-scoped" is -1.
 type RoundError struct {
 	Bee   string
-	Task  string // empty for shard- or stats-scoped failures
+	Task  string // empty for shard-scoped failures
 	Shard int    // -1 when the failure is not shard-scoped
-	Stage string // "build" | "decode" | "segment-write" | "shard-append" | "compact" | "stats"
+	Stage string // "build" | "decode" | "segment-write" | "shard-append" | "compact"
 	Err   error
 }
 
@@ -98,13 +97,12 @@ type RoundReceipt struct {
 
 	// SegmentWrites counts immutable segment puts; PointerWrites counts
 	// shard-pointer read-modify-writes (at most one per touched shard
-	// per materialize pass); Compactions counts chain merges; StatsWrites
-	// counts global-stats bumps (at most one per pass). Both count writes
-	// at least one replica accepted; a refused one is in Errors.
+	// per materialize pass); Compactions counts chain merges. A pointer
+	// write counts when at least one replica accepted it; a refused one is
+	// in Errors.
 	SegmentWrites int
 	PointerWrites int
 	Compactions   int
-	StatsWrites   int
 
 	// IngestedBytes is the round's new segment bytes (each winning
 	// segment counted once, however many shards its terms hash to);
@@ -136,22 +134,21 @@ func (r RoundReceipt) Serial() netsim.Cost {
 
 // MaterializePass is the cost of one materialize pass, leg by leg. The
 // bees' segment puts form one wave (Collect, the slowest bee). Every
-// touched shard's pointer and the stats record then get one
-// read-modify-write each; the legs are independent of one another, and
-// each depends on the segment wave only from its mutation on: a pointer
-// must not list a segment that is not stored yet, but reading the
-// current pointer needs nothing the round wrote.
+// touched shard's pointer then gets one read-modify-write; the legs are
+// independent of one another, and each depends on the segment wave only
+// from its mutation on: a pointer must not list a segment that is not
+// stored yet, but reading the current pointer needs nothing the round
+// wrote.
 type MaterializePass struct {
 	Collect netsim.Cost
 	Shards  []RMWCost // one per touched shard, ascending shard order
-	Stats   RMWCost   // zero when the pass had nothing to contribute
 }
 
 // Wave is the pass's makespan: every leg runs as
 // max(Collect, its read) → mutate → write, all legs in parallel. The
 // segment wave's traffic is counted once, not once per leg.
 func (p MaterializePass) Wave() netsim.Cost {
-	legs := p.Stats.after(p.Collect.Latency)
+	var legs netsim.Cost
 	for _, leg := range p.Shards {
 		legs = legs.Par(leg.after(p.Collect.Latency))
 	}
@@ -159,16 +156,13 @@ func (p MaterializePass) Wave() netsim.Cost {
 }
 
 // contribution is one winning index segment's input to the round's
-// batched materialization: the shards its terms hash to and its
-// first-version document/token counts for the stats bump.
+// batched materialization: the shards its terms hash to.
 type contribution struct {
-	bee     *WorkerBee
-	taskID  string
-	digest  string
-	bytes   int   // encoded segment size (ingested bytes, counted once)
-	shards  []int // sorted
-	newDocs int
-	tokens  uint64
+	bee    *WorkerBee
+	taskID string
+	digest string
+	bytes  int   // encoded segment size (ingested bytes, counted once)
+	shards []int // sorted
 }
 
 // runWave executes fn(0..n-1), concurrently when parallel is set (and
@@ -268,9 +262,9 @@ func (c *Cluster) commitWave(r *RoundReceipt) {
 // goroutine wave writes the winning immutable segments and collects
 // contributions, then the contributions are grouped by shard and each
 // touched shard gets one pointer RMW (and at most one compaction) on
-// the first contributing bee's DHT node, beside which the whole round's
-// stats land in one bump. May run twice per round (the janitor path
-// finalizes stuck tasks mid-round); counters and costs accumulate.
+// the first contributing bee's DHT node. May run twice per round (the
+// janitor path finalizes stuck tasks mid-round); counters and costs
+// accumulate.
 func (c *Cluster) materializePass(r *RoundReceipt) {
 	// The generation this pass materializes: every index task it will
 	// write was finalized by the block just sealed, so stamping it on
@@ -398,35 +392,6 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 		}
 	}
 	c.noteShardTiers(shardOrder, shardWrote, shardPtrs)
-
-	// One stats bump for the whole pass, aggregated across every
-	// contribution (re-published pages contribute zero but the version
-	// still advances, as the per-task path always did). It depends on
-	// nothing the shard legs wrote — a different key, fed by the
-	// contributions alone — so on the round's critical path it is one
-	// more leg beside them. Like every leg it still executes
-	// sequentially, here after the wave on this goroutine, which keeps
-	// its writer's link draws in a fixed order; only the fold is Par.
-	if len(all) > 0 {
-		var docs int
-		var tokens uint64
-		for _, ctr := range all {
-			docs += ctr.newDocs
-			tokens += ctr.tokens
-		}
-		w := all[0].bee
-		cost, err := bumpStats(w.Peer.DHT(), docs, tokens)
-		pass.Stats = cost
-		w.Cost = w.Cost.Seq(cost.total())
-		serial = serial.Seq(cost.total())
-		if err != nil {
-			re := RoundError{Bee: w.Name, Shard: -1, Stage: "stats", Err: err}
-			w.Errs = append(w.Errs, re)
-			r.Errors = append(r.Errors, re)
-		} else {
-			r.StatsWrites++
-		}
-	}
 
 	r.Passes = append(r.Passes, pass)
 	r.MaterializeWave = r.MaterializeWave.Seq(pass.Wave())

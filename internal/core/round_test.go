@@ -45,9 +45,6 @@ func TestRoundBatchMaterializationDHTPutCounts(t *testing.T) {
 		t.Fatalf("pointer writes = %d over %d shards; batching must bound them by the shard count",
 			rr.PointerWrites, cfg.NumShards)
 	}
-	if rr.StatsWrites != 1 {
-		t.Fatalf("stats writes = %d, want exactly 1 per round", rr.StatsWrites)
-	}
 	if len(rr.Errors) != 0 {
 		t.Fatalf("round errors: %v", rr.Errors)
 	}
@@ -85,10 +82,9 @@ func TestRoundBatchMaterializationDHTPutCounts(t *testing.T) {
 		t.Fatal("test vocabulary never put two segments on one shard; the O(K·S) vs O(S) distinction was not exercised")
 	}
 
-	// One stats bump: Version 1, all documents counted.
-	st, _, _ := readStats(reader)
-	if st.Version != 1 || st.Docs != docs {
-		t.Fatalf("stats = %+v, want Version 1 / Docs %d", st, docs)
+	// All documents counted.
+	if st := c.QB.IndexStats(); st.Docs != docs {
+		t.Fatalf("stats = %+v, want Docs %d", st, docs)
 	}
 }
 
@@ -202,7 +198,7 @@ func TestPublishBatchSingleTask(t *testing.T) {
 	if len(resp.Results) != 2 {
 		t.Fatalf("falcon results = %+v, want the two falcon pages", resp.Results)
 	}
-	st, _, _ := readStats(c.Peers[2].DHT())
+	st := c.QB.IndexStats()
 	if st.Docs != len(pages) {
 		t.Fatalf("stats docs = %d, want %d", st.Docs, len(pages))
 	}
@@ -289,7 +285,7 @@ func TestBatchRepublishCountsStatsOncePerVersion(t *testing.T) {
 	c.Seal()
 	c.RunUntilIdle(4)
 
-	st, _, _ := readStats(c.Peers[1].DHT())
+	st := c.QB.IndexStats()
 	if st.Docs != 3 {
 		t.Fatalf("stats docs = %d, want 3 (republish must not double-count)", st.Docs)
 	}
@@ -339,9 +335,7 @@ func TestRoundEngineSequentialModeMatchesParallel(t *testing.T) {
 			t.Fatalf("shard %d pointer diverged:\nparallel   %+v\nsequential %+v", shard, p1, p2)
 		}
 	}
-	s1, _, _ := readStats(par.Peers[1].DHT())
-	s2, _, _ := readStats(seq.Peers[1].DHT())
-	if s1 != s2 {
+	if s1, s2 := par.QB.IndexStats(), seq.QB.IndexStats(); s1 != s2 {
 		t.Fatalf("stats diverged: %+v vs %+v", s1, s2)
 	}
 }

@@ -59,18 +59,6 @@ func (p ShardPointer) levelOf(i int) int {
 	return 0
 }
 
-// IndexStats is the global record frontends use for BM25 collection
-// statistics.
-type IndexStats struct {
-	Docs    int
-	Tokens  uint64
-	Version uint64
-}
-
-// StatsKey names the DHT record holding the global index statistics
-// (exported so determinism soaks can diff raw DHT state).
-const StatsKey = "qb:stats"
-
 func encodeJSON(v any) []byte {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -109,21 +97,21 @@ func decodeShardPointer(val []byte) (ShardPointer, error) {
 // with a request lifecycle: a cancelled context abandons the read
 // mid-lookup with the partial cost.
 // It also names the nearest replica that returned the winning record
-// (see dht.Node.GetHolderCtx), which the query path remembers.
+// (dht.Located.Holder), which the query path remembers.
 func readShardPointerCtx(ctx context.Context, d *dht.Node, shard int) (ShardPointer, dht.Contact, netsim.Cost, error) {
-	val, _, holder, cost, err := d.GetHolderCtx(ctx, pointerKey(shard))
+	loc, cost, err := d.Locate(ctx, pointerKey(shard))
 	if err != nil {
 		return ShardPointer{}, dht.Contact{}, cost, err
 	}
-	ptr, err := decodeCurrentPointer(shard, val)
+	ptr, err := decodeCurrentPointer(shard, loc.Value)
 	if err != nil {
 		return ShardPointer{}, dht.Contact{}, cost, err
 	}
-	return ptr, holder, cost, nil
+	return ptr, loc.Holder, cost, nil
 }
 
-// rmw is the one read → mutate → write sequence for mutable DHT records
-// (shard pointers, the stats record): one locating quorum read, the
+// rmw is the one read → mutate → write sequence for the mutable DHT
+// records, the shard pointers: one locating quorum read, the
 // caller's mutation, and one STORE wave onto the closest set that read's
 // walk converged on. The rule is one converged walk per key per
 // operation — the write does not walk to the K nodes the read just
@@ -244,14 +232,10 @@ func writeSegment(d *dht.Node, digestHex string, data []byte) (netsim.Cost, erro
 	return cost, err
 }
 
-// readSegment fetches and hash-verifies a segment by digest. Segments
+// readSegmentCtx fetches and hash-verifies a segment by digest. Segments
 // are immutable, so the first replica suffices (the digest check below
-// catches a tampered one).
-func readSegment(d *dht.Node, digestHex string) (*index.Segment, netsim.Cost, error) {
-	return readSegmentCtx(context.Background(), d, digestHex)
-}
-
-// readSegmentCtx is readSegment with a request lifecycle.
+// catches a tampered one). A cancelled context abandons the lookup with
+// the partial cost.
 func readSegmentCtx(ctx context.Context, d *dht.Node, digestHex string) (*index.Segment, netsim.Cost, error) {
 	val, cost, err := d.GetImmutableCtx(ctx, dht.KeyOfString(index.SegmentKey(digestHex)))
 	if err != nil {
@@ -265,40 +249,6 @@ func readSegmentCtx(ctx context.Context, d *dht.Node, digestHex string) (*index.
 		return nil, cost, err
 	}
 	return seg, cost, nil
-}
-
-// readStats fetches the global index statistics. The stats are the zero
-// value alongside any error; dht.ErrNotFound means no reachable replica
-// holds the record — absent, or lost to the network.
-func readStats(d *dht.Node) (IndexStats, netsim.Cost, error) {
-	var st IndexStats
-	val, _, cost, err := d.Get(dht.KeyOfString(StatsKey))
-	if err != nil {
-		return st, cost, err
-	}
-	if err := json.Unmarshal(val, &st); err != nil {
-		return IndexStats{}, cost, fmt.Errorf("core: decode index stats: %w", err)
-	}
-	return st, cost, nil
-}
-
-// bumpStats adds a round's document and token counts to the global
-// statistics in one read-modify-write.
-func bumpStats(d *dht.Node, addDocs int, addTokens uint64) (RMWCost, error) {
-	_, cost, _, err := rmw(d, dht.KeyOfString(StatsKey), func(cur []byte) ([]byte, uint64, netsim.Cost, error) {
-		// A missing or undecodable record bumps from zero: the first bump
-		// has nothing to read, and a low-versioned write is refused by any
-		// replica holding a newer record — which rmw reports.
-		var st IndexStats
-		if json.Unmarshal(cur, &st) != nil {
-			st = IndexStats{}
-		}
-		st.Docs += addDocs
-		st.Tokens += addTokens
-		st.Version++
-		return encodeJSON(st), st.Version, netsim.Cost{}, nil
-	})
-	return cost, err
 }
 
 // compactionThreshold is the chain length at which a shard's segments
@@ -324,7 +274,7 @@ func compactShardFromPtr(d *dht.Node, at dht.Walk, gen uint64, ptr ShardPointer)
 	var segs []*index.Segment
 	for _, dg := range ptr.Digests {
 		// The runs are immutable and independent: one fetch wave.
-		seg, c2, err := readSegment(d, dg)
+		seg, c2, err := readSegmentCtx(context.Background(), d, dg)
 		cost = cost.Par(c2)
 		if err != nil {
 			return ptr, cost, false, 0, err
@@ -460,7 +410,7 @@ func mergeFullTier(d *dht.Node, shard, numShards int, ptr *ShardPointer) (res ti
 			continue
 		}
 		// The runs are immutable and independent: one fetch wave.
-		seg, c2, err := readSegment(d, dg)
+		seg, c2, err := readSegmentCtx(context.Background(), d, dg)
 		cost = cost.Par(c2)
 		if err != nil {
 			return tieredResult{MergeErr: err}, cost

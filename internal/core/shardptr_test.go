@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ func TestReadSegmentRejectsTamperedBytes(t *testing.T) {
 	if _, _, err := d.Put(dht.KeyOfString(index.SegmentKey(digest)), []byte("evil bytes"), 0); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := readSegment(c.Peers[3].DHT(), digest)
+	_, _, err := readSegmentCtx(context.Background(), c.Peers[3].DHT(), digest)
 	if err == nil || !strings.Contains(err.Error(), "hash verification") {
 		t.Fatalf("err = %v, want hash verification failure", err)
 	}
@@ -32,7 +33,7 @@ func TestReadSegmentAcceptsGenuineBytes(t *testing.T) {
 	if _, err := writeSegment(c.Peers[0].DHT(), digest, data); err != nil {
 		t.Fatal(err)
 	}
-	seg, _, err := readSegment(c.Peers[4].DHT(), digest)
+	seg, _, err := readSegmentCtx(context.Background(), c.Peers[4].DHT(), digest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestStatsRecordTracksCorpus(t *testing.T) {
 	}
 	c.Seal()
 	c.RunUntilIdle(6)
-	st, _, _ := readStats(c.Peers[1].DHT())
+	st := c.QB.IndexStats()
 	if st.Docs != 4 {
 		t.Fatalf("stats docs = %d, want 4", st.Docs)
 	}

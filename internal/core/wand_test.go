@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -33,12 +34,12 @@ func TestSetUseBlockMaxToggle(t *testing.T) {
 		{Raw: "number0 OR number3", Limit: 4, Offset: 2},
 	}
 	for _, q := range queries {
-		wand, err := fe.Execute(q)
+		wand, err := fe.ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%q (wand): %v", q.Raw, err)
 		}
 		fe.SetUseBlockMax(false)
-		ex, err := fe.Execute(q)
+		ex, err := fe.ExecuteCtx(context.Background(), q)
 		fe.SetUseBlockMax(true)
 		if err != nil {
 			t.Fatalf("%q (exhaustive): %v", q.Raw, err)

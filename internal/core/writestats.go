@@ -11,12 +11,11 @@ import "sort"
 type WriteStats struct {
 	// Rounds counts processed rounds (ProcessRoundReceipt calls).
 	Rounds int
-	// SegmentWrites / PointerWrites / Compactions / StatsWrites sum the
-	// per-round receipt counters of the same names.
+	// SegmentWrites / PointerWrites / Compactions sum the per-round
+	// receipt counters of the same names.
 	SegmentWrites int
 	PointerWrites int
 	Compactions   int
-	StatsWrites   int
 	// IngestedBytes sums new segment bytes (each winning segment once);
 	// CompactedBytes sums merged-segment bytes compaction rewrote.
 	IngestedBytes  int64
@@ -65,7 +64,6 @@ func (c *Cluster) noteRoundReceipt(r RoundReceipt) {
 	c.write.SegmentWrites += r.SegmentWrites
 	c.write.PointerWrites += r.PointerWrites
 	c.write.Compactions += r.Compactions
-	c.write.StatsWrites += r.StatsWrites
 	c.write.IngestedBytes += r.IngestedBytes
 	c.write.CompactedBytes += r.CompactedBytes
 }

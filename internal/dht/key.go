@@ -10,7 +10,7 @@
 // they converged on — the K closest live contacts and, for Locate, what
 // each held — and the write forms PutAt / ProvideAt take such a walk and
 // send only the STORE / ADD_PROVIDER wave, re-walking once if a contact
-// died in between. Put, Provide, Get and GetHolderCtx are the same
+// died in between. Put, Provide and Get are the same
 // operations for callers with no walk to offer or no use for one.
 package dht
 

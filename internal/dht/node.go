@@ -758,18 +758,11 @@ func (n *Node) Get(key Key) ([]byte, uint64, netsim.Cost, error) {
 
 // GetCtx is Get with a request lifecycle (see Locate).
 func (n *Node) GetCtx(ctx context.Context, key Key) ([]byte, uint64, netsim.Cost, error) {
-	val, seq, _, cost, err := n.GetHolderCtx(ctx, key)
-	return val, seq, cost, err
-}
-
-// GetHolderCtx is GetCtx that also names the nearest current holder
-// (Located.Holder).
-func (n *Node) GetHolderCtx(ctx context.Context, key Key) ([]byte, uint64, Contact, netsim.Cost, error) {
 	loc, cost, err := n.Locate(ctx, key)
 	if err != nil {
-		return nil, 0, Contact{}, cost, err
+		return nil, 0, cost, err
 	}
-	return loc.Value, loc.Seq, loc.Holder, cost, nil
+	return loc.Value, loc.Seq, cost, nil
 }
 
 // GetFromCtx asks one known replica holder for key: a single FIND_VALUE

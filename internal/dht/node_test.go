@@ -304,7 +304,7 @@ func TestLargeSwarmGetWithBucketRefresh(t *testing.T) {
 	}
 }
 
-// TestGetHolderNamesACurrentReplica: the holder GetHolderCtx reports
+// TestGetHolderNamesACurrentReplica: the holder Locate reports
 // serves, by itself, the very record the quorum read returned — and a
 // replica left behind on an older sequence is never the one named.
 func TestGetHolderNamesACurrentReplica(t *testing.T) {
@@ -315,7 +315,8 @@ func TestGetHolderNamesACurrentReplica(t *testing.T) {
 	}
 	reader := nodes[17]
 	ctx := context.Background()
-	_, _, stale, _, err := reader.GetHolderCtx(ctx, key)
+	first, _, err := reader.Locate(ctx, key)
+	stale := first.Holder
 	if err != nil || stale == (Contact{}) {
 		t.Fatalf("holder = %+v err = %v", stale, err)
 	}
@@ -326,9 +327,10 @@ func TestGetHolderNamesACurrentReplica(t *testing.T) {
 	}
 	net.SetDown(stale.Addr, false)
 
-	val, seq, holder, cost, err := reader.GetHolderCtx(ctx, key)
-	if err != nil || string(val) != "v2" || seq != 2 {
-		t.Fatalf("GetHolderCtx = %q seq=%d err=%v", val, seq, err)
+	loc, cost, err := reader.Locate(ctx, key)
+	holder := loc.Holder
+	if err != nil || string(loc.Value) != "v2" || loc.Seq != 2 {
+		t.Fatalf("Locate = %q seq=%d err=%v", loc.Value, loc.Seq, err)
 	}
 	if holder == (Contact{}) || holder == stale || holder.Addr == reader.Self().Addr {
 		t.Fatalf("holder = %+v, want a remote replica other than the stale %s", holder, stale.Addr)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -70,7 +71,7 @@ func runE14(seed uint64) []*metrics.Table {
 					panic(fmt.Sprintf("E14 pool=%d hedged=%v: still loading shards cold after %d replays", size, hedged, replay))
 				}
 				for _, q := range queries {
-					if _, err := pool.Execute(core.Query{Raw: q.Text, Mode: core.PlanAll, Limit: 10, Deadline: time.Hour}); err != nil {
+					if _, err := pool.ExecuteCtx(context.Background(), core.Query{Raw: q.Text, Mode: core.PlanAll, Limit: 10, Deadline: time.Hour}); err != nil {
 						panic(fmt.Sprintf("E14 warm-up %q: %v", q.Text, err))
 					}
 				}
@@ -78,7 +79,7 @@ func runE14(seed uint64) []*metrics.Table {
 				before, cache := pool.Stats().Frontends, pool.CacheStatsSnapshot()
 				lat, misses = metrics.Histogram{}, 0
 				for i, q := range queries {
-					resp, err := pool.Execute(core.Query{Raw: q.Text, Mode: core.PlanAll, Limit: 10})
+					resp, err := pool.ExecuteCtx(context.Background(), core.Query{Raw: q.Text, Mode: core.PlanAll, Limit: 10})
 					if errors.Is(err, core.ErrDeadlineExceeded) {
 						misses++
 					} else if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -112,7 +113,7 @@ func searchableFraction(c *core.Cluster, terms []string) float64 {
 	fe := core.NewFrontend(c, c.Bees[0].Peer)
 	hits := 0
 	for _, term := range terms {
-		resp, err := fe.Execute(core.Query{Raw: term, Mode: core.PlanAll, Limit: 5})
+		resp, err := fe.ExecuteCtx(context.Background(), core.Query{Raw: term, Mode: core.PlanAll, Limit: 5})
 		if err == nil && len(resp.Results) > 0 {
 			hits++
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -65,11 +66,11 @@ func e18Run(seed uint64, ndocs int) (wand, exhaustive e18Scale) {
 	identical := true
 	for _, q := range queries {
 		cq := core.Query{Raw: q.Text, Mode: core.PlanAll, Limit: 10}
-		wr, err := feWAND.Execute(cq)
+		wr, err := feWAND.ExecuteCtx(context.Background(), cq)
 		if err != nil {
 			panic(fmt.Sprintf("E18 wand query %q: %v", q.Text, err))
 		}
-		er, err := feEx.Execute(cq)
+		er, err := feEx.ExecuteCtx(context.Background(), cq)
 		if err != nil {
 			panic(fmt.Sprintf("E18 exhaustive query %q: %v", q.Text, err))
 		}

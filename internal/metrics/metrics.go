@@ -73,27 +73,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 // Median is Quantile(0.5).
 func (h *Histogram) Median() float64 { return h.Quantile(0.5) }
 
-// Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() float64 { return h.Quantile(0) }
-
-// Max returns the largest sample, or 0 with no samples.
-func (h *Histogram) Max() float64 { return h.Quantile(1) }
-
-// Stddev returns the population standard deviation.
-func (h *Histogram) Stddev() float64 {
-	n := len(h.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := h.Mean()
-	var ss float64
-	for _, v := range h.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Gini computes the Gini coefficient of a set of non-negative values:
 // 0 = perfectly equal, →1 = maximally concentrated. Used by the incentive
 // fairness experiment (E10). Returns 0 for fewer than 2 values or a zero
@@ -257,28 +236,4 @@ func FormatFloat(v float64) string {
 	default:
 		return fmt.Sprintf("%.5f", v)
 	}
-}
-
-// Counter is a simple named event counter set.
-type Counter struct {
-	counts map[string]int64
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter { return &Counter{counts: map[string]int64{}} }
-
-// Inc adds delta to the named counter.
-func (c *Counter) Inc(name string, delta int64) { c.counts[name] += delta }
-
-// Get returns the value of the named counter (0 if never incremented).
-func (c *Counter) Get(name string) int64 { return c.counts[name] }
-
-// Names returns the counter names in sorted order.
-func (c *Counter) Names() []string {
-	names := make([]string, 0, len(c.counts))
-	for n := range c.counts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -52,8 +52,8 @@ func TestHistogramAddAfterQuantile(t *testing.T) {
 	h.Add(5)
 	_ = h.Median()
 	h.Add(1)
-	if got := h.Min(); got != 1 {
-		t.Fatalf("Min after re-add = %v, want 1", got)
+	if got := h.Quantile(0); got != 1 {
+		t.Fatalf("minimum after re-add = %v, want 1", got)
 	}
 }
 
@@ -62,16 +62,6 @@ func TestHistogramAddDuration(t *testing.T) {
 	h.AddDuration(1500 * time.Millisecond)
 	if h.Mean() != 1.5 {
 		t.Fatalf("Mean = %v, want 1.5", h.Mean())
-	}
-}
-
-func TestHistogramStddev(t *testing.T) {
-	var h Histogram
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		h.Add(v)
-	}
-	if got := h.Stddev(); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("Stddev = %v, want 2", got)
 	}
 }
 
@@ -168,20 +158,6 @@ func TestFormatFloat(t *testing.T) {
 		if got := FormatFloat(in); got != want {
 			t.Errorf("FormatFloat(%v) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("a", 2)
-	c.Inc("a", 3)
-	c.Inc("b", 1)
-	if c.Get("a") != 5 || c.Get("b") != 1 || c.Get("missing") != 0 {
-		t.Fatal("counter values wrong")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("Names = %v", names)
 	}
 }
 

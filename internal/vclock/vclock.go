@@ -65,15 +65,6 @@ func (c *Clock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// AdvanceTo moves the clock forward to the instant t. It is a no-op if t is
-// not after the current time.
-func (c *Clock) AdvanceTo(t time.Time) {
-	now := c.Now()
-	if t.After(now) {
-		c.Advance(t.Sub(now))
-	}
-}
-
 // AfterFunc schedules fn to run when the clock has advanced by d. The
 // callback receives the virtual time at which it fired. It returns a handle
 // that can cancel the timer.
@@ -87,19 +78,6 @@ func (c *Clock) AfterFunc(d time.Duration, fn func(now time.Time)) *Timer {
 	t := &timer{when: c.now.Add(d), seq: c.seq, fn: fn}
 	heap.Push(&c.timers, t)
 	return &Timer{clock: c, t: t}
-}
-
-// PendingTimers reports how many timers are scheduled but not yet fired.
-func (c *Clock) PendingTimers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, t := range c.timers {
-		if !t.cancelled {
-			n++
-		}
-	}
-	return n
 }
 
 // Timer is a handle to a scheduled callback.

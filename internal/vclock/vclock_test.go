@@ -115,36 +115,6 @@ func TestStopAfterFire(t *testing.T) {
 	}
 }
 
-func TestAdvanceTo(t *testing.T) {
-	c := New(time.Time{})
-	target := c.Now().Add(time.Minute)
-	c.AdvanceTo(target)
-	if !c.Now().Equal(target) {
-		t.Fatalf("Now = %v, want %v", c.Now(), target)
-	}
-	c.AdvanceTo(target.Add(-time.Second)) // past instant: no-op
-	if !c.Now().Equal(target) {
-		t.Fatal("AdvanceTo moved clock backwards")
-	}
-}
-
-func TestPendingTimers(t *testing.T) {
-	c := New(time.Time{})
-	a := c.AfterFunc(time.Second, func(time.Time) {})
-	c.AfterFunc(2*time.Second, func(time.Time) {})
-	if got := c.PendingTimers(); got != 2 {
-		t.Fatalf("PendingTimers = %d, want 2", got)
-	}
-	a.Stop()
-	if got := c.PendingTimers(); got != 1 {
-		t.Fatalf("PendingTimers after Stop = %d, want 1", got)
-	}
-	c.Advance(3 * time.Second)
-	if got := c.PendingTimers(); got != 0 {
-		t.Fatalf("PendingTimers after fire = %d, want 0", got)
-	}
-}
-
 func TestAdvanceSetsClockToDeadlineDuringCallback(t *testing.T) {
 	c := New(time.Time{})
 	var seen time.Time

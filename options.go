@@ -1,10 +1,6 @@
 package queenbee
 
-import (
-	"time"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // Option configures an Engine at construction.
 type Option func(*core.Config)
@@ -24,11 +20,6 @@ func WithBees(n int) Option {
 	return func(c *core.Config) { c.NumBees = n }
 }
 
-// WithShards sets the term-shard count of the distributed index.
-func WithShards(n int) Option {
-	return func(c *core.Config) { c.NumShards = n }
-}
-
 // WithRankWeight controls how strongly page rank blends into scores.
 func WithRankWeight(w float64) Option {
 	return func(c *core.Config) { c.RankWeight = w }
@@ -38,18 +29,6 @@ func WithRankWeight(w float64) Option {
 // content providers earn popularity honey.
 func WithPopularityThreshold(t float64) Option {
 	return func(c *core.Config) { c.Contract.PopularityThreshold = t }
-}
-
-// WithSwarming stripes large-content downloads across all providers in
-// parallel (BitTorrent-style), instead of pulling from one peer.
-func WithSwarming(on bool) Option {
-	return func(c *core.Config) { c.Peer.Swarming = on }
-}
-
-// WithStakeWeightedQuorum assigns task quorum seats with probability
-// proportional to worker stake (Sybil-resistant seating).
-func WithStakeWeightedQuorum(on bool) Option {
-	return func(c *core.Config) { c.Contract.StakeWeightedQuorum = on }
 }
 
 // WithFrontendPool sets the serving tier's size: n stateless frontends,
@@ -72,18 +51,8 @@ func WithHedgedReads(on bool) Option {
 	return func(c *core.Config) { c.HedgedReads = on }
 }
 
-// WithDefaultDeadline bounds the simulated latency of every query that
-// carries no deadline of its own: once the accumulated simulated cost
-// reaches d at a checkpoint, the remaining waves are abandoned and the
-// query fails with ErrDeadlineExceeded plus a partial Explain trace.
-// Deterministic per seed. Zero means no bound.
-func WithDefaultDeadline(d time.Duration) Option {
-	return func(c *core.Config) { c.DefaultDeadline = d }
-}
-
 // WithMaintenance runs one self-healing pass after every protocol
-// round: shard pointers and index stats replicated below K are
-// republished, segments below K are re-seeded from a surviving replica
+// round: shard pointers replicated below K are republished, segments below K are re-seeded from a surviving replica
 // (hash-verified), and live peers re-announce their provider records.
 // Engine.RepairStats reports what the loops have done. Off by default —
 // a healthy deployment's maintenance traffic is pure probe cost.

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // TestPoolSoakMatchesSingleFrontend is the serving-tier determinism
@@ -193,9 +195,9 @@ func TestPoolDeadlineShorterThanShardRTT(t *testing.T) {
 		t.Fatalf("query after deadline misses: %v (results %d)", err, len(resp.Results))
 	}
 
-	strict, _ := soakEngine(t, 9, 12, WithDefaultDeadline(time.Millisecond))
+	strict, _ := soakEngine(t, 9, 12, func(c *core.Config) { c.DefaultDeadline = time.Millisecond })
 	if _, err := strict.Query(q).All().Run(); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("WithDefaultDeadline not applied: %v", err)
+		t.Fatalf("Config.DefaultDeadline not applied: %v", err)
 	}
 	if _, err := strict.Query(q).All().Deadline(time.Hour).Run(); err != nil {
 		t.Fatalf("per-query deadline should override the default: %v", err)

@@ -3,6 +3,8 @@ package queenbee
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func newEngine(t *testing.T, opts ...Option) *Engine {
@@ -35,8 +37,8 @@ func TestEngineQuickstartFlow(t *testing.T) {
 }
 
 func TestEngineOptionsApply(t *testing.T) {
-	e := New(WithSeed(3), WithPeers(6), WithBees(2), WithShards(4),
-		WithRankWeight(2.5), WithPopularityThreshold(0.5))
+	e := New(WithSeed(3), WithPeers(6), WithBees(2),
+		func(c *core.Config) { c.NumShards = 4 }, WithRankWeight(2.5), WithPopularityThreshold(0.5))
 	cfg := e.Cluster.Config()
 	if cfg.NumPeers != 6 || cfg.NumBees != 2 || cfg.NumShards != 4 {
 		t.Fatalf("cfg = %+v", cfg)

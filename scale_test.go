@@ -94,7 +94,7 @@ func scaleRun(t *testing.T, pages int, control bool) scaleOutcome {
 		WithSeed(42),
 		WithPeers(10),
 		WithBees(3),
-		WithShards(8),
+		func(c *core.Config) { c.NumShards = 8 },
 	}
 	if control {
 		opts = append(opts, func(c *core.Config) { c.MonolithicCompaction = true }, WithRankFullEvery(1))
