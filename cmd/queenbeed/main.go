@@ -39,7 +39,7 @@
 // Usage:
 //
 //	queenbeed -addr :8080 -peers 24 -bees 6 -docs 60
-//	queenbeed -crawl -docs 200        # boot corpus via the streaming crawler pipeline
+//	queenbeed -crawl -docs 200        # boot corpus via the streaming crawler
 //	curl 'localhost:8080/search?q=decentralized+search&size=5'
 //	curl -X POST localhost:8080/publish -d '{"pages":[{"url":"dweb://new","text":"fresh words"}]}'
 package main
@@ -700,9 +700,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // write side runs to completion before the first query is served. The
 // returned account owns the demo corpus and every page later ingested
 // through POST /publish. With crawl set, the corpus arrives through the
-// streaming ingest pipeline (fetcher → extractor → bounded queue →
-// pipelined publish rounds, GET /stats shows the counters) instead of
-// one monolithic batch.
+// streaming crawler (fetch → extract → dedup → one publish round per
+// batch, costed as a pipeline in simulated time; GET /stats shows the
+// counters) instead of one monolithic batch.
 func buildEngine(seed uint64, peers, bees, docs, pool int, hedged, maintenance, degraded, crawl bool) (*queenbee.Engine, *queenbee.Account) {
 	engine := queenbee.New(
 		queenbee.WithSeed(seed),
@@ -756,7 +756,7 @@ func main() {
 	hedged := flag.Bool("hedged", true, "hedge each query's slowest shard fetch on a second frontend")
 	maintenance := flag.Bool("maintenance", true, "run a self-healing pass (republish/re-seed/reprovide) after every protocol round")
 	degraded := flag.Bool("degraded", true, "serve partial answers with a degraded warning when some shards are unreachable")
-	crawl := flag.Bool("crawl", false, "ingest the boot corpus through the streaming crawler pipeline instead of one monolithic batch")
+	crawl := flag.Bool("crawl", false, "ingest the boot corpus through the streaming crawler (one publish round per batch) instead of one monolithic batch")
 	maxQuery := flag.Int("max-query-bytes", 1024, "reject queries longer than this")
 	maxPage := flag.Int("max-page-size", 100, "largest size= a request may ask for")
 	maxBatch := flag.Int("max-batch-pages", 64, "largest page batch POST /publish accepts")

@@ -42,18 +42,21 @@ type CrawlOptions struct {
 	RankPartitions int
 }
 
-// Crawl runs the streaming ingest pipeline against this deployment:
-// fetch workers walk the link graph from seeds, pages are extracted and
-// near-duplicates demoted, and accepted pages are indexed through real
-// publish rounds in BatchSize batches — batch N+1's commit overlapping
-// round N's reveal in the simulated-time model. The randomness seed is
-// the deployment's (WithSeed), so a crawl is a pure function of the
-// engine configuration, the page set and the seeds: it leaves the DHT
-// byte-identical to a sequential PublishBatch loop over the same pages.
+// Crawl runs the streaming ingest loop against this deployment, on the
+// caller's goroutine: it walks the link graph from seeds, extracts pages
+// and demotes near-duplicates, and indexes accepted pages through real
+// publish rounds in BatchSize batches. Fetcher parallelism, the bounded
+// queue and batch N+1's commit overlapping round N's reveal are costed
+// in the simulated-time model that fills IngestStats. The randomness
+// seed is the deployment's (WithSeed), so a crawl is a pure function of
+// the engine configuration, the page set and the seeds: it leaves the
+// DHT byte-identical to a sequential PublishBatch loop over the same
+// pages.
 //
 // Crawl is a mutating method — like Publish and Run it must not run
 // concurrently with other mutations or with queries. Cancelling ctx
-// abandons the crawl and returns ctx's error with partial stats.
+// stops the crawl before the next page is fetched and returns ctx's
+// error with the exact partial stats.
 // Successful or not, the crawl's counters accumulate into IngestStats.
 func (e *Engine) Crawl(ctx context.Context, seeds []string, o CrawlOptions) (IngestStats, error) {
 	owner := o.Owner

@@ -145,20 +145,21 @@
 //
 // # Streaming ingest
 //
-// Above batch publishing sits a streaming crawl pipeline
-// (docs/ingest.md): Engine.Crawl walks a link graph from seed URLs
-// through staged fetch workers (seeded per-URL latency and failures), an
-// in-order sequencer with MinHash near-duplicate demotion (scraper
-// mirrors are counted and dropped, but still crawled through), a
-// bounded queue with real backpressure, and a batch indexer whose
-// commit/reveal rounds pipeline in simulated time — batch N+1's commit
-// overlaps round N's reveal, so ingest runs at the slower phase's pace
-// instead of the sum. Execution against the cluster stays strictly
-// sequential, so a pipelined crawl leaves the DHT byte-identical to a
-// plain PublishBatch loop; IngestStats reports fetched/deduped/published
-// counts, simulated makespan, queue and stall waits, and the pipelining
-// speedup. cmd/queenbeed boots from a crawl with -crawl and surfaces the
-// counters under GET /stats.
+// Above batch publishing sits a streaming crawler (docs/ingest.md):
+// Engine.Crawl walks a link graph from seed URLs in one loop on the
+// caller's goroutine — fetch (seeded per-URL latency and failures),
+// extract, MinHash near-duplicate demotion (scraper mirrors are counted
+// and dropped, but still crawled through), batch, publish round. A
+// simulated-time model costs the same crawl as a staged pipeline:
+// parallel fetch workers, a bounded queue with backpressure, and
+// commit/reveal rounds that pipeline — batch N+1's commit overlaps
+// round N's reveal, so ingest runs at the slower phase's pace instead
+// of the sum. Execution against the cluster is strictly sequential, so
+// a crawl leaves the DHT byte-identical to a plain PublishBatch loop;
+// IngestStats reports fetched/deduped/published counts, simulated
+// makespan, queue and stall waits, and the pipelining speedup.
+// cmd/queenbeed boots from a crawl with -crawl and surfaces the counters
+// under GET /stats.
 //
 // # Write-path scaling: tiered compaction and rank epochs
 //

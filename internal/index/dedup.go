@@ -19,10 +19,14 @@ const DefaultSignatureSize = 64
 
 // Shingles returns the set of hashed token k-grams of analyzed text.
 func Shingles(text string, k int) map[uint64]bool {
+	return shingleTokens(Analyze(text), k)
+}
+
+// shingleTokens is Shingles over an already analyzed token stream.
+func shingleTokens(toks []Token, k int) map[uint64]bool {
 	if k <= 0 {
 		k = DefaultShingleSize
 	}
-	toks := Analyze(text)
 	out := make(map[uint64]bool)
 	if len(toks) < k {
 		if len(toks) == 0 {
@@ -93,7 +97,14 @@ func (a MinHashSig) Similarity(b MinHashSig) float64 {
 // SignatureOf is the convenience path: shingle then MinHash with
 // defaults.
 func SignatureOf(text string) MinHashSig {
-	return MinHash(Shingles(text, DefaultShingleSize), DefaultSignatureSize)
+	return SignatureOfTokens(Analyze(text))
+}
+
+// SignatureOfTokens is SignatureOf for a caller that already holds
+// Analyze(text) — the crawler counts those tokens for its simulated
+// extract cost and must not analyze the page twice.
+func SignatureOfTokens(toks []Token) MinHashSig {
+	return MinHash(shingleTokens(toks, DefaultShingleSize), DefaultSignatureSize)
 }
 
 // DefaultBands is the band count SigIndex uses over a default-size
@@ -110,7 +121,7 @@ const DefaultBands = 16
 // rank-time defense (zeroDuplicates) pays. Deterministic: candidates are
 // compared in insertion order and ties keep the earliest key.
 //
-// Not safe for concurrent use; the ingest sequencer owns one.
+// Not safe for concurrent use; each crawl owns one.
 type SigIndex struct {
 	bands   int
 	rows    int

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -38,6 +39,28 @@ func TestSignatureSimilarity(t *testing.T) {
 	other := SignatureOf(corpusText(999, 120))
 	if sim := same.Similarity(other); sim > 0.2 {
 		t.Fatalf("unrelated similarity = %v, want low", sim)
+	}
+}
+
+// TestSignatureOfTokens pins the three spellings of one signature to
+// each other: from text, from the text's tokens, and shingle-then-MinHash
+// by hand.
+func TestSignatureOfTokens(t *testing.T) {
+	for name, text := range map[string]string{
+		"empty":       "",
+		"below-k":     "anything here",
+		"orig":        corpusText(1, 120),
+		"mirror":      mirrorOf(corpusText(1, 120)),
+		"other":       corpusText(999, 120),
+		"lsh-fixture": corpusText(17*101, 100),
+	} {
+		want := SignatureOf(text)
+		if got := SignatureOfTokens(Analyze(text)); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: SignatureOfTokens(Analyze(t)) differs from SignatureOf(t)", name)
+		}
+		if got := MinHash(Shingles(text, DefaultShingleSize), DefaultSignatureSize); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: MinHash(Shingles(t)) differs from SignatureOf(t)", name)
+		}
 	}
 }
 

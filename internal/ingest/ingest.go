@@ -1,22 +1,22 @@
-// Package ingest is the streaming crawl/ingest pipeline: a simulated
-// fetcher pool feeding a frontier walk over the corpus link graph, an
-// extractor (analysis + MinHash signature), a bounded queue with real
-// backpressure, near-duplicate demotion against already-accepted pages,
-// and a batch publisher driving pipelined commit/reveal rounds.
+// Package ingest is the streaming crawl/ingest driver: a frontier walk
+// over the corpus link graph, an extractor (analysis + MinHash
+// signature), near-duplicate demotion against already-accepted pages,
+// and a batch publisher driving commit/reveal rounds through a Sink.
 //
-// Execution is really concurrent (fetch workers are goroutines, the
-// queue is a bounded channel), yet the pipeline is deterministic: the
-// sequencer releases pages in frontier order, every sink call happens
-// in batch order from one goroutine, and all timing lives in simulated
-// virtual time derived from the seed — so a pipelined crawl leaves the
-// cluster byte-identical to a sequential PublishBatch loop over the
-// same pages. docs/ingest.md has the full design and the determinism
-// rules.
+// A crawl is one loop on the caller's goroutine — fetch, extract, dedup,
+// discover links, batch, flush — so the sink sees the call sequence a
+// sequential PublishBatch loop would issue and leaves the cluster
+// byte-identical to one. The fetcher pool, the bounded fetcher→indexer
+// queue and the overlap of one round's reveal with the next one's commit
+// exist in simulated virtual time only: every fetch gets a seeded
+// latency and a place on a virtual worker pool, and computeSchedule
+// replays queue and rounds over those times to produce the throughput
+// numbers in Stats. docs/ingest.md has the full design and the
+// determinism rules.
 package ingest
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -45,11 +45,13 @@ type Options struct {
 	// Seed drives every simulated draw (per-URL fetch latency and
 	// failure). Same seed + same source + same seeds ⇒ same crawl.
 	Seed uint64
-	// FetchWorkers is the fetcher parallelism — both the real goroutine
-	// count and the virtual workers of the simulated fetch schedule.
+	// FetchWorkers is the fetcher parallelism of the simulated schedule:
+	// each fetch is placed on the least-loaded of this many virtual
+	// workers.
 	FetchWorkers int
-	// QueueDepth bounds the fetcher→indexer queue. Producers block
-	// (really, and in simulated time) when the indexer falls behind.
+	// QueueDepth bounds the simulated fetcher→indexer queue: a fetched
+	// page waits (StallWait) while this many are still queued behind a
+	// busy indexer.
 	QueueDepth int
 	// BatchSize is pages per publish round.
 	BatchSize int
@@ -69,7 +71,7 @@ type Options struct {
 	// RankEvery flushed batches (0 = never). The sink decides full vs
 	// delta (a cluster sink uses the delta scheduler with its configured
 	// full-recompute cadence); a sink that implements no RankDriver
-	// ignores the cadence. Epochs run between rounds on the indexer
+	// ignores the cadence. Epochs run between rounds on the caller's
 	// goroutine, so the batch order the sink sees is unchanged.
 	RankEvery int
 	// RankPartitions is the partition count of each driven epoch
@@ -162,7 +164,7 @@ func (s *Stats) Merge(o Stats) {
 	s.SerialMakespan += o.SerialMakespan
 }
 
-// fetchResult is one worker's output for a claimed frontier URL.
+// fetchResult is what fetching one frontier URL yields.
 type fetchResult struct {
 	page     Page
 	dangling bool
@@ -171,270 +173,28 @@ type fetchResult struct {
 	sig      index.MinHashSig
 }
 
-// item is one accepted page released to the indexer.
-type item struct {
-	page Page
-	done time.Duration // virtual fetch-completion time
-}
-
-// crawl is one pipeline run's shared state.
-type crawl struct {
-	opts Options
-	src  Source
-	sink Sink
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	frontier []string        // claim queue, in discovery order
-	disc     []time.Duration // virtual discovery time per frontier entry
-	claimed  int             // next frontier index to claim
-	visited  map[string]bool
-	results  map[int]fetchResult // out-of-order worker results by frontier index
-	nextSeq  int                 // next frontier index to release in order
-	stopped  bool
-	cause    error
-
-	quit chan struct{} // closed by stop()
-	ch   chan item     // the bounded queue
-}
-
-// Crawl runs the pipeline: walk the frontier from seeds over src's link
-// graph, extract and dedup pages, and index them through sink in
-// BatchSize batches. It returns when the frontier is exhausted, ctx is
-// cancelled (returns ctx's error with partial stats), or the sink fails
-// (returns its error with partial stats).
-func Crawl(ctx context.Context, src Source, sink Sink, seeds []string, opts Options) (Stats, error) {
-	opts = opts.withDefaults()
-	c := &crawl{
-		opts:    opts,
-		src:     src,
-		sink:    sink,
-		visited: make(map[string]bool),
-		results: make(map[int]fetchResult),
-		quit:    make(chan struct{}),
-		ch:      make(chan item, opts.QueueDepth),
-	}
-	c.cond = sync.NewCond(&c.mu)
-	for _, s := range seeds {
-		if c.visited[s] {
-			continue
-		}
-		if opts.MaxPages > 0 && len(c.frontier) >= opts.MaxPages {
-			break
-		}
-		c.visited[s] = true
-		c.frontier = append(c.frontier, s)
-		c.disc = append(c.disc, 0)
-	}
-
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			c.stop(ctx.Err())
-		case <-watchDone:
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for i := 0; i < opts.FetchWorkers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.worker()
-		}()
-	}
-	var seqStats Stats
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		seqStats = c.sequence()
-	}()
-
-	stats, sinkErr := c.index()
-	wg.Wait()
-	stats.Merge(seqStats)
-	if sinkErr != nil {
-		return stats, sinkErr
-	}
-	return stats, c.stopCause()
-}
-
-// stop halts the pipeline once, recording the first cause.
-func (c *crawl) stop(err error) {
-	c.mu.Lock()
-	if !c.stopped {
-		c.stopped = true
-		c.cause = err
-		close(c.quit)
-		c.cond.Broadcast()
-	}
-	c.mu.Unlock()
-}
-
-func (c *crawl) stopCause() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cause
-}
-
-// worker claims frontier URLs and fetches/extracts them concurrently.
-// Results park in c.results for the sequencer to release in order.
-func (c *crawl) worker() {
-	for {
-		c.mu.Lock()
-		// The frontier can still grow while unsequenced entries remain
-		// (their pages may carry undiscovered links) — wait, don't exit.
-		for !c.stopped && c.claimed >= len(c.frontier) && c.nextSeq < len(c.frontier) {
-			c.cond.Wait()
-		}
-		if c.stopped || c.claimed >= len(c.frontier) {
-			c.mu.Unlock()
-			return
-		}
-		seq := c.claimed
-		url := c.frontier[seq]
-		c.claimed++
-		c.mu.Unlock()
-
-		r := c.fetch(url)
-
-		c.mu.Lock()
-		c.results[seq] = r
-		c.cond.Broadcast()
-		c.mu.Unlock()
-	}
-}
-
 // fetch simulates retrieving one URL and really extracts its content.
 // All randomness is drawn from a per-URL named stream, so the result is
-// a pure function of (seed, url) no matter which worker runs it.
-func (c *crawl) fetch(url string) fetchResult {
-	rng := xrand.NewNamed(c.opts.Seed, "ingest:fetch:"+url)
+// a pure function of (seed, url).
+func fetch(src Source, opts Options, url string) fetchResult {
+	rng := xrand.NewNamed(opts.Seed, "ingest:fetch:"+url)
 	r := fetchResult{
-		latency: time.Duration((0.5 + rng.Float64()) * float64(c.opts.MeanFetchLatency)),
+		latency: time.Duration((0.5 + rng.Float64()) * float64(opts.MeanFetchLatency)),
 	}
-	page, ok := c.src.Resolve(url)
+	page, ok := src.Resolve(url)
 	if !ok {
 		r.dangling = true
 		return r
 	}
-	if rng.Bool(c.opts.FetchFailRate) {
+	if rng.Bool(opts.FetchFailRate) {
 		r.failed = true
 		return r
 	}
 	r.page = page
-	toks := len(index.Analyze(page.Text))
-	r.latency += time.Duration(len(page.Text))*fetchPerByte + time.Duration(toks)*extractPerToken
-	r.sig = index.SignatureOf(page.Text)
+	toks := index.Analyze(page.Text)
+	r.latency += time.Duration(len(page.Text))*fetchPerByte + time.Duration(len(toks))*extractPerToken
+	r.sig = index.SignatureOfTokens(toks)
 	return r
-}
-
-// sequence releases fetch results strictly in frontier order: assigns
-// each its virtual fetch-completion time on the simulated worker pool,
-// applies near-duplicate demotion, discovers links (growing the
-// frontier deterministically), and enqueues accepted pages on the
-// bounded queue — blocking for real when the indexer falls behind.
-func (c *crawl) sequence() Stats {
-	defer close(c.ch)
-	var st Stats
-	free := make([]time.Duration, c.opts.FetchWorkers) // virtual worker pool
-	var sigs *index.SigIndex
-	if c.opts.DedupThreshold >= 0 {
-		sigs = index.NewSigIndex(0)
-	}
-	for {
-		c.mu.Lock()
-		for {
-			if c.stopped {
-				c.mu.Unlock()
-				return st
-			}
-			if c.nextSeq >= len(c.frontier) {
-				c.mu.Unlock()
-				return st // every discovered URL sequenced: crawl complete
-			}
-			if _, ok := c.results[c.nextSeq]; ok {
-				break
-			}
-			c.cond.Wait()
-		}
-		seq := c.nextSeq
-		r := c.results[seq]
-		delete(c.results, seq)
-		discovered := c.disc[seq]
-		c.mu.Unlock()
-
-		// Virtual fetch schedule: the least-loaded simulated worker
-		// picks the URL up no earlier than its discovery time.
-		w := 0
-		for i, f := range free {
-			if f < free[w] {
-				w = i
-			}
-		}
-		start := free[w]
-		if discovered > start {
-			start = discovered
-		}
-		done := start + r.latency
-		free[w] = done
-
-		if r.dangling {
-			st.Dangling++
-			c.release(nil, done)
-			continue
-		}
-		if r.failed {
-			st.FetchFailed++
-			c.release(nil, done)
-			continue
-		}
-		st.Fetched++
-		demoted := false
-		if sigs != nil {
-			if key, sim := sigs.Nearest(r.sig); key != "" && sim >= c.opts.DedupThreshold {
-				demoted = true
-				st.Deduped++
-			} else {
-				sigs.Add(r.page.URL, r.sig)
-			}
-		}
-		c.release(r.page.Links, done)
-		if demoted {
-			continue // links still crawl; only the content is demoted
-		}
-		select {
-		case c.ch <- item{page: r.page, done: done}:
-		case <-c.quit:
-			return st
-		}
-	}
-}
-
-// release finishes sequencing one frontier entry: it appends the page's
-// undiscovered links (discovered at virtual time done) and only then
-// advances nextSeq, in ONE critical section. Workers exit when nothing
-// is claimable and nothing is unsequenced; if nextSeq moved before the
-// links landed, every worker could leave in that window and the new
-// links would sit in a frontier nobody fetches.
-func (c *crawl) release(links []string, done time.Duration) {
-	c.mu.Lock()
-	for _, l := range links {
-		if c.visited[l] {
-			continue
-		}
-		if c.opts.MaxPages > 0 && len(c.frontier) >= c.opts.MaxPages {
-			break
-		}
-		c.visited[l] = true
-		c.frontier = append(c.frontier, l)
-		c.disc = append(c.disc, done)
-	}
-	c.nextSeq++
-	c.cond.Broadcast() // frontier grew or nextSeq moved: wake idle workers
-	c.mu.Unlock()
 }
 
 // batchCost is one driven round's phase costs.
@@ -443,16 +203,47 @@ type batchCost struct {
 	commit, reveal time.Duration
 }
 
-// index is the consumer: it drains the queue, flushes BatchSize batches
-// through the sink strictly in order, and derives the crawl's virtual
-// queue/round schedule. Runs on the caller's goroutine.
-func (c *crawl) index() (Stats, error) {
+// Crawl walks the frontier from seeds over src's link graph, extracts
+// and dedups pages, and indexes them through sink in BatchSize batches,
+// all on the caller's goroutine. It returns when the frontier is
+// exhausted, when ctx is found cancelled before a page is fetched
+// (ctx's error; pages of the unfinished batch are not published), or
+// when the sink fails (its error). Either way Stats describes exactly
+// the pages handled up to that point.
+func Crawl(ctx context.Context, src Source, sink Sink, seeds []string, opts Options) (Stats, error) {
+	opts = opts.withDefaults()
 	var st Stats
-	var done []time.Duration // virtual fetch completion per published page
+
+	// Frontier: seeds, then links in discovery order, each URL once.
+	var frontier []string
+	var disc []time.Duration // virtual discovery time per frontier entry
+	visited := make(map[string]bool)
+	discover := func(urls []string, at time.Duration) {
+		for _, u := range urls {
+			if visited[u] {
+				continue
+			}
+			if opts.MaxPages > 0 && len(frontier) >= opts.MaxPages {
+				break
+			}
+			visited[u] = true
+			frontier = append(frontier, u)
+			disc = append(disc, at)
+		}
+	}
+	discover(seeds, 0)
+
+	free := make([]time.Duration, opts.FetchWorkers) // virtual worker pool
+	var sigs *index.SigIndex
+	if opts.DedupThreshold >= 0 {
+		sigs = index.NewSigIndex(0)
+	}
+
+	var done []time.Duration // virtual fetch completion per accepted page
 	var batches []batchCost
 	var batch []core.BatchPage
 	flush := func() error {
-		rr, err := c.sink.IndexBatch(batch)
+		rr, err := sink.IndexBatch(batch)
 		if err != nil {
 			return err
 		}
@@ -468,9 +259,9 @@ func (c *crawl) index() (Stats, error) {
 		st.CommitBusy += b.commit
 		st.RevealBusy += b.reveal
 		batch = batch[:0]
-		if c.opts.RankEvery > 0 && st.Batches%c.opts.RankEvery == 0 {
-			if rd, ok := c.sink.(RankDriver); ok {
-				parts := c.opts.RankPartitions
+		if opts.RankEvery > 0 && st.Batches%opts.RankEvery == 0 {
+			if rd, ok := sink.(RankDriver); ok {
+				parts := opts.RankPartitions
 				if parts <= 0 {
 					parts = 1
 				}
@@ -480,35 +271,62 @@ func (c *crawl) index() (Stats, error) {
 		}
 		return nil
 	}
-	var sinkErr error
-	for it := range c.ch {
-		if sinkErr != nil {
-			continue // drain so the sequencer never blocks forever
+
+	var err error
+	for i := 0; i < len(frontier); i++ {
+		if err = ctx.Err(); err != nil {
+			break
 		}
-		done = append(done, it.done)
-		batch = append(batch, it.page)
-		if len(batch) >= c.opts.BatchSize {
-			if err := flush(); err != nil {
-				sinkErr = err
-				c.stop(err)
+		r := fetch(src, opts, frontier[i])
+
+		// Virtual fetch schedule: the least-loaded simulated worker
+		// picks the URL up no earlier than its discovery time.
+		w := 0
+		for j, f := range free {
+			if f < free[w] {
+				w = j
+			}
+		}
+		at := max(free[w], disc[i]) + r.latency
+		free[w] = at
+
+		if r.dangling {
+			st.Dangling++
+			continue
+		}
+		if r.failed {
+			st.FetchFailed++
+			continue
+		}
+		st.Fetched++
+		discover(r.page.Links, at)
+		if sigs != nil {
+			if key, sim := sigs.Nearest(r.sig); key != "" && sim >= opts.DedupThreshold {
+				st.Deduped++
+				continue // links still crawl; only the content is demoted
+			}
+			sigs.Add(r.page.URL, r.sig)
+		}
+		done = append(done, at)
+		batch = append(batch, r.page)
+		if len(batch) >= opts.BatchSize {
+			if err = flush(); err != nil {
+				break
 			}
 		}
 	}
-	if sinkErr == nil && c.stopCause() == nil && len(batch) > 0 {
-		if err := flush(); err != nil {
-			sinkErr = err
-			c.stop(err)
-		}
+	if err == nil && len(batch) > 0 {
+		err = flush()
 	}
 	done = done[:st.Published] // drop pages never flushed (cancel/error)
 
-	sched := computeSchedule(done, batches, c.opts.QueueDepth, false)
+	sched := computeSchedule(done, batches, opts.QueueDepth, false)
 	st.QueueWait = sched.queueWait
 	st.StallWait = sched.stallWait
 	st.QueueDepthMax = sched.depthMax
 	st.Makespan = sched.makespan
-	st.SerialMakespan = computeSchedule(done, batches, c.opts.QueueDepth, true).makespan
-	return st, sinkErr
+	st.SerialMakespan = computeSchedule(done, batches, opts.QueueDepth, true).makespan
+	return st, err
 }
 
 // virtualSchedule is the derived simulated timeline of one crawl.

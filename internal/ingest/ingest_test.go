@@ -278,8 +278,10 @@ func TestIngestSinkError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "sink exploded") {
 		t.Fatalf("err = %v, want sink failure", err)
 	}
-	if st.Published != 8 || st.Batches != 1 {
-		t.Fatalf("partial stats %+v, want exactly the first batch", st)
+	// The crawl stops at the failing flush: batch 1 published, batch 2's
+	// eight pages fetched and lost, page 17 never fetched.
+	if st.Fetched != 16 || st.Published != 8 || st.Batches != 1 {
+		t.Fatalf("partial stats %+v, want 16 fetched and exactly the first batch published", st)
 	}
 }
 
@@ -301,8 +303,20 @@ func TestIngestCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if st.Published == 0 || st.Published >= len(pages) {
-		t.Fatalf("want a partial crawl, got %+v", st)
+	// cancel fires inside batch 2's sink call, which still completes;
+	// the crawl sees it before fetching page 17.
+	if st.Fetched != 16 || st.Published != 16 || st.Batches != 2 {
+		t.Fatalf("partial stats %+v, want the crawl to stop after batch 2", st)
+	}
+
+	// Cancelled on entry: nothing fetched, nothing published.
+	sink = &fakeSink{}
+	st, err = Crawl(ctx, MapSource(pages), sink, seeds, Options{Seed: 1, BatchSize: 8})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled on entry: err = %v, want context.Canceled", err)
+	}
+	if st != (Stats{}) || len(sink.batches) != 0 {
+		t.Fatalf("cancelled on entry: stats %+v, %d batches, want none", st, len(sink.batches))
 	}
 }
 

@@ -5,10 +5,9 @@ import (
 	"repro/internal/core"
 )
 
-// Sink indexes one batch of pages and reports the round it drove. The
-// pipeline calls it from exactly one goroutine, strictly in batch
-// order — a sink never needs to be concurrency-safe, and a cluster-
-// backed sink sees the identical call sequence a sequential
+// Sink indexes one batch of pages and reports the round it drove. Crawl
+// calls it on the caller's goroutine, strictly in batch order, so a
+// cluster-backed sink sees the identical call sequence a sequential
 // PublishBatch loop would issue (the byte-identical-state contract in
 // docs/ingest.md rests on this).
 type Sink interface {
@@ -17,7 +16,7 @@ type Sink interface {
 
 // RankDriver is the optional sink extension Options.RankEvery uses: a
 // sink implementing it can run one page-rank epoch between batches.
-// Called from the same single goroutine as IndexBatch, strictly between
+// Called on the caller's goroutine like IndexBatch, strictly between
 // batch flushes.
 type RankDriver interface {
 	RankEpoch(partitions int)

@@ -11,9 +11,10 @@ type Page = core.BatchPage
 
 // Source resolves a URL discovered by the crawler to its content and
 // outgoing links. Resolve returns false for a dangling URL (a link that
-// points outside the crawlable set). Implementations must be pure:
-// resolving the same URL twice returns the same page — the pipeline's
-// determinism guarantee is built on it.
+// points outside the crawlable set). Crawl calls it on the caller's
+// goroutine, once per frontier URL. Implementations must be pure:
+// resolving the same URL twice returns the same page — a crawl is
+// reproducible only if its source is.
 type Source interface {
 	Resolve(url string) (Page, bool)
 }

@@ -413,11 +413,15 @@ func (p *Peer) fetchSwarming(providers []netsim.NodeID, root CID) ([]byte, netsi
 		var chunkCost netsim.Cost
 		var got []byte
 		fetched := false
+		cause := ErrNoProviders // ErrAllTampered once any copy fails verification
 		for attempt := 0; attempt < len(providers); attempt++ {
 			prov := providers[(i+attempt)%len(providers)]
 			cb, cost, err := p.fetchBlock(prov, c)
 			chunkCost = chunkCost.Seq(cost)
 			if err != nil {
+				if errors.Is(err, ErrAllTampered) {
+					cause = ErrAllTampered
+				}
 				continue
 			}
 			l, _, _, derr := DecodeBlock(cb)
@@ -431,7 +435,7 @@ func (p *Peer) fetchSwarming(providers []netsim.NodeID, root CID) ([]byte, netsi
 		}
 		if !fetched {
 			return nil, total.Seq(stripeCost).Seq(chunkCost), fmt.Errorf(
-				"%w: chunk %s of %s", ErrNoProviders, c.Short(), root.Short())
+				"%w: chunk %s of %s", cause, c.Short(), root.Short())
 		}
 		chunks[i] = got
 		// Different stripes run on different providers concurrently.

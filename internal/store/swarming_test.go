@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/xrand"
@@ -118,6 +119,37 @@ func TestSwarmingRejectsTamperedChunks(t *testing.T) {
 	}
 	if !bytes.Equal(got, doc) {
 		t.Fatal("tampered chunk accepted")
+	}
+}
+
+// TestSwarmingAllProvidersTamperedChunk: when every replica serves the
+// same child chunk corrupted, the fetch must say "tampered" like the
+// single-provider path does, not "unreachable".
+func TestSwarmingAllProvidersTamperedChunk(t *testing.T) {
+	cfg := PeerConfig{Swarming: true}
+	_, peers := buildPeerSwarm(t, 12, cfg)
+	rng := xrand.New(6)
+	doc := make([]byte, 40_000)
+	rng.Bytes(doc)
+	root, _, err := peers[0].Add(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers[1].Fetch(root)
+	_, blocks := ChunkDocument(doc, DefaultChunkSize)
+	for cid := range blocks {
+		if cid != root {
+			peers[0].Blocks().Corrupt(cid, EncodeLeaf([]byte("BAD CHUNK")))
+			peers[1].Blocks().Corrupt(cid, EncodeLeaf([]byte("BAD CHUNK")))
+			break
+		}
+	}
+	_, _, err = peers[8].Fetch(root)
+	if !errors.Is(err, ErrAllTampered) {
+		t.Fatalf("err = %v, want ErrAllTampered", err)
+	}
+	if peers[8].TamperDetections() == 0 {
+		t.Fatal("no tamper detection counted")
 	}
 }
 
