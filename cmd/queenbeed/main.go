@@ -524,9 +524,11 @@ type pageJSON struct {
 }
 
 // roundJSON renders a round receipt for API consumers. WaveCost is the
-// round's whole simulated makespan and already contains StoreCost, which
-// is listed beside it as a breakdown — not to be added to it. Speedup is
-// the serial/wave latency ratio the concurrent round engine achieved.
+// round's whole simulated makespan and already contains StoreCost — as a
+// branch running beside the round, or ahead of it when a bee's fetch
+// missed the provider the publish named — which is listed beside it as a
+// breakdown, not to be added to it. Speedup is the serial/wave latency
+// ratio the concurrent round engine achieved.
 type roundJSON struct {
 	Materialized  int      `json:"materialized"`
 	StoreCost     costJSON `json:"store_cost"`

@@ -136,7 +136,9 @@
 // work out as a goroutine wave, materializes the round's winning
 // segments as a batch — one shard-pointer read-modify-write per touched
 // shard, O(shards) instead of O(segments×shards) — and reports wave-vs-serial costs in a
-// RoundReceipt. PublishBatch ingests N pages as ONE atomic contract
+// RoundReceipt. The bees fetch from the peer the publish transaction
+// names as provider, so the publisher's provider announce runs beside
+// the round rather than ahead of it. PublishBatch ingests N pages as ONE atomic contract
 // transaction and one commit-reveal cycle, with the quorum building a
 // single multi-doc segment. DHT state stays byte-identical per seed
 // whether rounds run parallel or sequential (core.Config.ParallelRounds);

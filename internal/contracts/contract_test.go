@@ -149,6 +149,76 @@ func TestPublishOwnershipEnforced(t *testing.T) {
 	}
 }
 
+// TestPublishBatchCarriesProvider: the provider a publish names reaches
+// the bees — in a batch task's entries, in a single-page task's meta —
+// and nothing else: the same publishes without it create the same task
+// IDs, assignees and page records.
+func TestPublishBatchCarriesProvider(t *testing.T) {
+	type outcome struct {
+		batch, single Task
+		entries       []BatchEntry
+		pages         []PageRecord
+	}
+	run := func(provider string) outcome {
+		alice := chain.NewNamedAccount(1, "alice")
+		ws := workers(3)
+		h := newHarness(t, DefaultConfig(), append([]*chain.Account{alice}, ws...)...)
+		for _, w := range ws {
+			h.call(w, MethodRegisterWorker, nil, 100)
+		}
+		h.seal()
+		batch := h.call(alice, MethodPublishBatch, PublishBatchParams{Pages: []PublishParams{
+			{URL: "dweb://a", CID: "c1", Links: []string{"dweb://b"}, Provider: provider},
+			{URL: "dweb://b", CID: "c2", Provider: provider},
+		}}, 0)
+		single := h.call(alice, MethodPublish, PublishParams{URL: "dweb://c", CID: "c3", Provider: provider}, 0)
+		h.seal()
+		h.mustOK(batch)
+		h.mustOK(single)
+		var out outcome
+		for _, task := range h.qb.OpenTasksFor(ws[0].Address()) {
+			if entries, ok := BatchEntries(task); ok {
+				out.batch, out.entries = task, entries
+			} else {
+				out.single = task
+			}
+		}
+		for _, url := range []string{"dweb://a", "dweb://b", "dweb://c"} {
+			rec, _ := h.qb.Page(url)
+			out.pages = append(out.pages, rec)
+		}
+		return out
+	}
+	named, plain := run("peer-007"), run("")
+
+	if len(named.entries) != 2 || len(plain.entries) != 2 {
+		t.Fatalf("batch entries %+v / %+v", named.entries, plain.entries)
+	}
+	for i, e := range named.entries {
+		if e.Provider != "peer-007" || plain.entries[i].Provider != "" {
+			t.Fatalf("entry %d: provider %q named, %q unnamed", i, e.Provider, plain.entries[i].Provider)
+		}
+		e.Provider = ""
+		if e != plain.entries[i] {
+			t.Fatalf("entry %d differs beyond its provider: %+v vs %+v", i, e, plain.entries[i])
+		}
+	}
+	if got, ok := named.single.Meta["provider"]; !ok || got != "peer-007" {
+		t.Fatalf("single-page task meta %v", named.single.Meta)
+	}
+	if _, ok := plain.single.Meta["provider"]; ok {
+		t.Fatalf("an unnamed provider reached the task meta: %v", plain.single.Meta)
+	}
+	for _, pair := range [][2]Task{{named.batch, plain.batch}, {named.single, plain.single}} {
+		if pair[0].ID == "" || pair[0].ID != pair[1].ID || fmt.Sprint(pair[0].Assignees) != fmt.Sprint(pair[1].Assignees) {
+			t.Fatalf("task %q assigned %v named, %q assigned %v unnamed", pair[0].ID, pair[0].Assignees, pair[1].ID, pair[1].Assignees)
+		}
+	}
+	if fmt.Sprintf("%+v", named.pages) != fmt.Sprintf("%+v", plain.pages) {
+		t.Fatalf("page records differ:\n%+v\n%+v", named.pages, plain.pages)
+	}
+}
+
 func TestWorkerRegistration(t *testing.T) {
 	w := chain.NewNamedAccount(1, "w")
 	h := newHarness(t, DefaultConfig(), w)

@@ -24,11 +24,16 @@ type PageRecord struct {
 	Links  []string
 }
 
-// PublishParams registers or updates a page.
+// PublishParams registers or updates a page. Provider is fetch advice,
+// not a binding: the DWeb address of the peer that stores the content
+// (the publisher's own device), which bees may ask for the blocks before
+// provider discovery answers. The CID makes any source verifiable, so the
+// chain records nothing about it beyond the task it rides on.
 type PublishParams struct {
-	URL   string
-	CID   string
-	Links []string
+	URL      string
+	CID      string
+	Links    []string
+	Provider string `json:",omitempty"`
 }
 
 // validatePublishLocked rejects a page registration the contract would
@@ -84,11 +89,15 @@ func (q *QueenBee) execPublish(ctx *chain.TxContext, params []byte) error {
 	rec := q.registerPageLocked(ctx, p)
 
 	taskID := fmt.Sprintf("idx:%s:%d", p.URL, rec.Seq)
-	q.createTaskLocked(ctx, taskID, TaskIndex, map[string]string{
+	meta := map[string]string{
 		"url": p.URL,
 		"cid": p.CID,
 		"seq": strconv.FormatUint(rec.Seq, 10),
-	})
+	}
+	if p.Provider != "" {
+		meta["provider"] = p.Provider
+	}
+	q.createTaskLocked(ctx, taskID, TaskIndex, meta)
 	return nil
 }
 
@@ -101,11 +110,13 @@ type PublishBatchParams struct {
 }
 
 // BatchEntry is one page of a batch index task, carried in the task's
-// meta so every assignee fetches and indexes the same page versions.
+// meta so every assignee fetches and indexes the same page versions —
+// from Provider first, when the publish named one.
 type BatchEntry struct {
-	URL string `json:"url"`
-	CID string `json:"cid"`
-	Seq uint64 `json:"seq"`
+	URL      string `json:"url"`
+	CID      string `json:"cid"`
+	Seq      uint64 `json:"seq"`
+	Provider string `json:"provider,omitempty"`
 }
 
 // batchMetaKey holds the JSON-encoded []BatchEntry on a batch task.
@@ -160,11 +171,12 @@ func (q *QueenBee) execPublishBatch(ctx *chain.TxContext, params []byte) error {
 	entries := make([]BatchEntry, 0, len(p.Pages))
 	for _, page := range p.Pages {
 		rec := q.registerPageLocked(ctx, page)
-		entries = append(entries, BatchEntry{URL: page.URL, CID: page.CID, Seq: rec.Seq})
+		entries = append(entries, BatchEntry{URL: page.URL, CID: page.CID, Seq: rec.Seq, Provider: page.Provider})
 	}
 
 	// The task ID hashes the batch contents so two batches sealed at the
-	// same height get distinct, deterministic IDs.
+	// same height get distinct, deterministic IDs. The provider is advice
+	// and stays out: the same page versions are the same task.
 	h := sha256.New()
 	for _, e := range entries {
 		fmt.Fprintf(h, "%s:%s:%d\n", e.URL, e.CID, e.Seq)

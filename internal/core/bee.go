@@ -55,8 +55,9 @@ type pendingResult struct {
 // concurrently — it touches only this bee's own state (pending map,
 // its DWeb peer) and read-locked contract views, never the chain. The
 // cluster submits the returned commitments afterwards, sequentially in
-// bee order, so transaction order stays deterministic.
-func (b *WorkerBee) prepareCommits() (commits []contracts.CommitParams, cost netsim.Cost, errs []RoundError) {
+// bee order, so transaction order stays deterministic. misses counts the
+// page fetches whose on-chain provider could not serve.
+func (b *WorkerBee) prepareCommits() (commits []contracts.CommitParams, cost netsim.Cost, misses int, errs []RoundError) {
 	for _, task := range b.cluster.QB.OpenTasksFor(b.Account.Address()) {
 		if _, done := b.pending[task.ID]; done {
 			continue
@@ -64,10 +65,12 @@ func (b *WorkerBee) prepareCommits() (commits []contracts.CommitParams, cost net
 		var result []byte
 		var tokens uint64
 		var buildCost netsim.Cost
+		var missed int
 		var err error
 		switch task.Kind {
 		case contracts.TaskIndex:
-			result, tokens, buildCost, err = b.buildIndexResult(task)
+			result, tokens, buildCost, missed, err = b.buildIndexResult(task)
+			misses += missed
 		case contracts.TaskRank:
 			result, err = b.buildRankResult(task)
 		}
@@ -85,7 +88,7 @@ func (b *WorkerBee) prepareCommits() (commits []contracts.CommitParams, cost net
 			Commitment: contracts.Commitment(digest, salt),
 		})
 	}
-	return commits, cost, errs
+	return commits, cost, misses, errs
 }
 
 // RevealPhase opens this bee's commitments for tasks still open.
@@ -227,46 +230,51 @@ func (b *WorkerBee) designatedWriter(task contracts.Task) chain.Address {
 // (execution stays sequential on this bee's goroutine, keeping the
 // bee's per-link draw order seed-stable); across bees, the round engine
 // runs the whole build as a real goroutine wave. Beside the encoded
-// segment it returns the token count the reveal votes on.
-func (b *WorkerBee) buildIndexResult(task contracts.Task) ([]byte, uint64, netsim.Cost, error) {
-	var cost netsim.Cost
+// segment it returns the token count the reveal votes on and how many
+// pages the provider named on chain could not serve.
+func (b *WorkerBee) buildIndexResult(task contracts.Task) (result []byte, tokens uint64, cost netsim.Cost, misses int, err error) {
 	var docs []index.BatchDoc
+	fetch := func(url, cidHex, provider string) error {
+		content, c, missed, err := b.fetchPage(url, cidHex, provider)
+		cost = cost.Par(c)
+		if missed {
+			misses++
+		}
+		if err != nil {
+			return err
+		}
+		docs = append(docs, index.BatchDoc{Doc: index.DocIDOf(url), Text: string(content)})
+		return nil
+	}
 	if entries, isBatch := contracts.BatchEntries(task); isBatch {
 		for _, e := range entries {
-			content, c, err := b.fetchPage(e.URL, e.CID)
-			cost = cost.Par(c)
-			if err != nil {
-				return nil, 0, cost, err
+			if err := fetch(e.URL, e.CID, e.Provider); err != nil {
+				return nil, 0, cost, misses, err
 			}
-			docs = append(docs, index.BatchDoc{Doc: index.DocIDOf(e.URL), Text: string(content)})
 		}
-	} else {
-		content, c, err := b.fetchPage(task.Meta["url"], task.Meta["cid"])
-		cost = cost.Seq(c)
-		if err != nil {
-			return nil, 0, cost, err
-		}
-		docs = append(docs, index.BatchDoc{Doc: index.DocIDOf(task.Meta["url"]), Text: string(content)})
+	} else if err := fetch(task.Meta["url"], task.Meta["cid"], task.Meta["provider"]); err != nil {
+		return nil, 0, cost, misses, err
 	}
 	gen := task.CreatedAt // same for every assignee → deterministic
 	seg := index.BuildBatch(gen, docs)
 	if b.Colluding {
 		seg = b.corruptSegment(seg)
 	}
-	return seg.Encode(), firstVersionTokens(task, seg), cost, nil
+	return seg.Encode(), firstVersionTokens(task, seg), cost, misses, nil
 }
 
-// fetchPage resolves one page version's content from the DWeb store.
-func (b *WorkerBee) fetchPage(url, cidHex string) ([]byte, netsim.Cost, error) {
+// fetchPage resolves one page version's content from the DWeb store,
+// asking the provider the publish named first (see store.Peer.FetchHinted).
+func (b *WorkerBee) fetchPage(url, cidHex, provider string) ([]byte, netsim.Cost, bool, error) {
 	cid, err := cidFromHex(cidHex)
 	if err != nil {
-		return nil, netsim.Cost{}, fmt.Errorf("page %q: %w", url, err)
+		return nil, netsim.Cost{}, false, fmt.Errorf("page %q: %w", url, err)
 	}
-	content, cost, err := b.Peer.Fetch(cid)
+	content, cost, missed, err := b.Peer.FetchHinted(cid, netsim.NodeID(provider))
 	if err != nil {
-		return nil, cost, fmt.Errorf("page %q: %w", url, err)
+		return nil, cost, missed, fmt.Errorf("page %q: %w", url, err)
 	}
-	return content, cost, nil
+	return content, cost, missed, nil
 }
 
 // corruptSegment produces the colluders' agreed-upon wrong result: the

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dht"
 	"repro/internal/netsim"
 )
 
@@ -301,6 +302,48 @@ func TestReadinessDegradesAndRecovers(t *testing.T) {
 	c.HealPeers(failed)
 	if r := c.Readiness(); !r.Ready {
 		t.Fatalf("cluster not ready after heal: %+v", r)
+	}
+}
+
+// TestReadinessWrittenShardUnreachable: a pointer read that reaches no
+// replica fails with dht.ErrNotFound, the same error as a key never
+// written. Only a shard this cluster never materialized may count as
+// healthy on it; a written one whose every replica is unreachable is
+// failed.
+func TestReadinessWrittenShardUnreachable(t *testing.T) {
+	cfg := DefaultConfig()
+	c := NewCluster(cfg)
+	if r := c.Readiness(); !r.Ready || r.ShardsOK != cfg.NumShards {
+		t.Fatalf("fresh cluster not ready: %+v", r)
+	}
+	owner := c.NewAccount("writer", 10_000_000)
+	c.Seal()
+	for round, pages := range corpusBatches(cfg.Seed, 2, 16) {
+		if rr, err := c.IndexBatch(owner, pages); err != nil || len(rr.Errors) > 0 {
+			t.Fatalf("round %d: err=%v round errors=%v", round, err, rr.Errors)
+		}
+	}
+	d := c.maintenanceNode()
+	c.forEachNode(func(n *dht.Node) {
+		if n != d {
+			c.Net.SetDown(n.Self().Addr, true)
+		}
+	})
+	var unreachable []int
+	for s := 0; s < cfg.NumShards; s++ {
+		if _, _, _, err := d.Get(pointerKey(s)); err != nil {
+			if !errors.Is(err, dht.ErrNotFound) {
+				t.Fatalf("shard %d: %v", s, err)
+			}
+			unreachable = append(unreachable, s)
+		}
+	}
+	if len(unreachable) == 0 || len(unreachable) == cfg.NumShards {
+		t.Fatalf("fixture: unreachable shards %v", unreachable)
+	}
+	r := c.Readiness()
+	if r.Ready || fmt.Sprint(r.Failed) != fmt.Sprint(unreachable) || r.ShardsOK != cfg.NumShards-len(unreachable) {
+		t.Fatalf("readiness %+v, but shards %v are unreachable", r, unreachable)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chain"
+	"repro/internal/contracts"
 	"repro/internal/corpus"
 	"repro/internal/dht"
 	"repro/internal/index"
@@ -30,27 +32,42 @@ func corpusBatches(seed uint64, rounds, pagesPerRound int) [][]BatchPage {
 
 // TestWriteCriticalPath: a round's makespan is its longest dependency
 // chain, and nothing else. Recomputed here from the receipt's per-leg
-// costs with plain arithmetic — store, then time to commit, then the
-// announce wave beside a materialize phase in which every pointer waits
-// for max(segment puts, its own quorum read) before its mutation and
-// write — it must equal Wave() to the
-// nanosecond, on plain and compacting rounds alike. The fold may reorder
-// time, never traffic: every RPC the network carried during the round is
-// billed exactly once (the segment wave's messages once, not once per
-// leg), so wave, serial and the network's own counters agree.
+// costs with plain arithmetic — time to commit, then the announce wave
+// beside a materialize phase in which every pointer waits for
+// max(segment puts, its own quorum read) before its mutation and write,
+// and the publish's store wave beside all of it — it must equal Wave()
+// to the nanosecond, on plain and compacting rounds alike. A last round
+// whose transaction names a provider that does not exist makes every
+// bee fall back to the provider records, which the store wave writes:
+// that round folds store → commit → …, and still records no error. The
+// fold may reorder time, never traffic: every RPC the network carried
+// during the round is billed exactly once (the segment wave's messages
+// once, not once per leg), so wave, serial and the network's own
+// counters agree.
 func TestWriteCriticalPath(t *testing.T) {
 	cfg := DefaultConfig()
 	c := NewCluster(cfg)
 	owner := c.NewAccount("writer", 10_000_000)
 	c.Seal()
 	compacting := 0
-	for round, pages := range corpusBatches(cfg.Seed, 12, 8) {
+	batches := corpusBatches(cfg.Seed, 13, 8)
+	missRound := len(batches) - 1
+	for round, pages := range batches {
 		before := c.Net.StatsSnapshot()
-		rr, err := c.IndexBatch(owner, pages)
+		var rr RoundReceipt
+		var err error
+		if round == missRound {
+			rr, err = indexBatchNamingProvider(c, owner, pages, "peer-gone")
+		} else {
+			rr, err = c.IndexBatch(owner, pages)
+		}
 		if err != nil || len(rr.Errors) > 0 {
 			t.Fatalf("round %d: err=%v round errors=%v", round, err, rr.Errors)
 		}
 		after := c.Net.StatsSnapshot()
+		if missed := rr.HintMisses > 0; missed != (round == missRound) {
+			t.Fatalf("round %d: %d hint misses", round, rr.HintMisses)
+		}
 
 		var materialize, issueOrder time.Duration
 		traffic := netsim.Cost{}
@@ -99,8 +116,12 @@ func TestWriteCriticalPath(t *testing.T) {
 		if rr.AnnounceWave.Latency > beside {
 			beside = rr.AnnounceWave.Latency
 		}
-		if want := rr.StoreCost.Latency + rr.CommitWave.Latency + beside; rr.Wave().Latency != want {
-			t.Fatalf("round %d: Wave() %v, store → commit → (materialize ∥ announce) gives %v", round, rr.Wave().Latency, want)
+		if round == missRound {
+			if want := rr.StoreCost.Latency + rr.CommitWave.Latency + beside; rr.Wave().Latency != want {
+				t.Fatalf("round %d: Wave() %v, store → commit → (materialize ∥ announce) gives %v", round, rr.Wave().Latency, want)
+			}
+		} else if want := max(rr.StoreCost.Latency, rr.CommitWave.Latency+beside); rr.Wave().Latency != want {
+			t.Fatalf("round %d: Wave() %v, store ∥ (commit → (materialize ∥ announce)) gives %v", round, rr.Wave().Latency, want)
 		}
 		if rr.AnnounceWave.Msgs != cfg.Contract.Quorum*len(pages)*cfg.DHT.K {
 			t.Fatalf("round %d: announce wave %d msgs, want one %d-wide wave per page per assigned bee and no walk",
@@ -120,6 +141,31 @@ func TestWriteCriticalPath(t *testing.T) {
 	if compacting != 3 {
 		t.Fatalf("%d compacting rounds, want three: the merge legs went unexercised", compacting)
 	}
+}
+
+// indexBatchNamingProvider is IndexBatch with a hand-built transaction:
+// the content is stored and provided on a cluster peer as usual, but the
+// transaction names provider as the peer to fetch it from.
+func indexBatchNamingProvider(c *Cluster, owner *chain.Account, pages []BatchPage, provider string) (RoundReceipt, error) {
+	peer := c.RandomPeer()
+	var params contracts.PublishBatchParams
+	var storeCost netsim.Cost
+	for _, p := range pages {
+		cid, cost, err := peer.Add([]byte(p.Text))
+		if err != nil {
+			return RoundReceipt{}, err
+		}
+		storeCost = storeCost.Par(cost)
+		params.Pages = append(params.Pages, contracts.PublishParams{URL: p.URL, CID: cid.String(), Links: p.Links, Provider: provider})
+	}
+	tx := c.SubmitCall(owner, contracts.MethodPublishBatch, params, 0)
+	c.Seal()
+	if r := c.Chain.Receipt(tx.Hash()); r == nil || !r.OK {
+		return RoundReceipt{}, fmt.Errorf("publish-batch receipt %+v", r)
+	}
+	rr := c.ProcessRoundReceipt()
+	rr.StoreCost = storeCost
+	return rr, nil
 }
 
 // storeRPC picks a DHT STORE apart by reflection (the wire types are the

@@ -211,7 +211,9 @@ type Readiness struct {
 // Readiness probes every shard pointer and reports which are currently
 // reachable. A shard that has never been written counts healthy (there
 // is nothing to serve yet); a shard whose pointer read fails counts
-// degraded.
+// degraded. A read that reached no replica reports dht.ErrNotFound just
+// like a key never written, so that answer is believed only for shards
+// this cluster never materialized.
 func (c *Cluster) Readiness() Readiness {
 	r := Readiness{ShardsTotal: c.cfg.NumShards}
 	d := c.maintenanceNode()
@@ -222,10 +224,16 @@ func (c *Cluster) Readiness() Readiness {
 		}
 		return r
 	}
+	c.writeMu.Lock()
+	written := make([]bool, c.cfg.NumShards)
+	for shard := range written {
+		_, written[shard] = c.shardTiers[shard]
+	}
+	c.writeMu.Unlock()
 	for shard := 0; shard < c.cfg.NumShards; shard++ {
 		_, _, cost, err := d.Get(pointerKey(shard))
 		r.Cost = r.Cost.Seq(cost)
-		if err == nil || errors.Is(err, dht.ErrNotFound) {
+		if err == nil || (errors.Is(err, dht.ErrNotFound) && !written[shard]) {
 			r.ShardsOK++
 			continue
 		}

@@ -20,18 +20,21 @@ type PublishReceipt struct {
 }
 
 // Publish runs the creator pipeline: store the content on the given DWeb
-// peer, then register the URL→CID binding via the smart contract. The
-// publish transaction executes (and the index task is created) at the
-// next Seal; drive ProcessRound to have bees index it.
+// peer, then register the URL→CID binding via the smart contract, naming
+// the peer as the content's provider so the bees fetch from it without
+// waiting for provider discovery. The publish transaction executes (and
+// the index task is created) at the next Seal; drive ProcessRound to have
+// bees index it.
 func (c *Cluster) Publish(owner *chain.Account, peer *store.Peer, url, text string, links []string) (PublishReceipt, error) {
 	cid, cost, err := peer.Add([]byte(text))
 	if err != nil {
 		return PublishReceipt{}, fmt.Errorf("core: storing %q: %w", url, err)
 	}
 	tx := c.SubmitCall(owner, contracts.MethodPublish, contracts.PublishParams{
-		URL:   url,
-		CID:   cid.String(),
-		Links: links,
+		URL:      url,
+		CID:      cid.String(),
+		Links:    links,
+		Provider: string(peer.Addr()),
 	}, 0)
 	return PublishReceipt{URL: url, CID: cid, Tx: tx, Cost: cost}, nil
 }
@@ -62,8 +65,9 @@ var ErrBatchInvalid = errors.New("core: invalid publish batch")
 // PublishBatch runs the creator pipeline for a whole batch: store every
 // page's content on the given DWeb peer, then register all URL→CID
 // bindings in ONE smart-contract transaction, which creates ONE index
-// task covering the batch. The transaction executes at the next Seal;
-// drive ProcessRound to have bees index it.
+// task covering the batch and names the peer as every page's provider.
+// The transaction executes at the next Seal; drive ProcessRound to have
+// bees index it.
 //
 // Foreseeable rejections (duplicate or foreign-owned URLs) fail
 // pre-flight with ErrBatchInvalid before any content is stored or any
@@ -95,9 +99,10 @@ func (c *Cluster) PublishBatch(owner *chain.Account, peer *store.Peer, pages []B
 		}
 		storeCost = storeCost.Par(cost)
 		params.Pages = append(params.Pages, contracts.PublishParams{
-			URL:   p.URL,
-			CID:   cid.String(),
-			Links: p.Links,
+			URL:      p.URL,
+			CID:      cid.String(),
+			Links:    p.Links,
+			Provider: string(peer.Addr()),
 		})
 	}
 	tx := c.SubmitCall(owner, contracts.MethodPublishBatch, params, 0)

@@ -30,10 +30,12 @@ import (
 //
 // The receipt's makespan (RoundReceipt.Wave) is the round's longest
 // DEPENDENCY chain, not the order the process happens to issue work in:
-// the announce wave runs beside the materialize phase, and inside that
-// phase every pointer's quorum read overlaps the segment puts — only its
-// write waits for them (MaterializePass). Execution itself stays in one
-// fixed order; only the fold differs.
+// the publish's store wave runs beside the whole round while the bees
+// fetch from the provider the transaction names, the announce wave runs
+// beside the materialize phase, and inside that phase every pointer's
+// quorum read overlaps the segment puts — only its write waits for them
+// (MaterializePass). Execution itself stays in one fixed order; only the
+// fold differs.
 //
 // Determinism contract: the same seed produces byte-identical DHT state
 // (shard pointers, segments) whether the waves fan out or run
@@ -94,6 +96,10 @@ type RoundReceipt struct {
 	// preceded this round (set by Engine.PublishBatch; zero for plain
 	// rounds).
 	StoreCost netsim.Cost
+	// HintMisses counts the bees' page fetches that the provider named on
+	// the publish transaction could not serve, so that they fell back to
+	// the providers their discovery walk found.
+	HintMisses int
 
 	// SegmentWrites counts immutable segment puts; PointerWrites counts
 	// shard-pointer read-modify-writes (at most one per touched shard
@@ -120,10 +126,31 @@ type RoundReceipt struct {
 }
 
 // Wave returns the round's total simulated makespan, its longest
-// dependency chain: publish store wave (if any), then the commit wave,
-// then the materialize phase with the announce wave beside it.
+// dependency chain: the commit wave, then the materialize phase with the
+// announce wave beside it — and the publish store wave (if any) beside
+// all of that or ahead of it, see afterStore.
 func (r RoundReceipt) Wave() netsim.Cost {
-	return r.StoreCost.Seq(r.CommitWave).Seq(r.MaterializeWave.Par(r.AnnounceWave))
+	return r.afterStore(r.CommitWave.Seq(r.MaterializeWave.Par(r.AnnounceWave)))
+}
+
+// CommitStage is the round up to its commitments: the commit wave, with
+// the store wave folded in by Wave's rule. The ingest pipeline's commit
+// stage.
+func (r RoundReceipt) CommitStage() netsim.Cost {
+	return r.afterStore(r.CommitWave)
+}
+
+// afterStore folds the publish store wave in front of rest. The bees
+// fetch from the provider the publish transaction names, which holds the
+// content before the store wave's Provide has announced it, so when every
+// such fetch was served nothing in the round waits for the store wave and
+// it runs beside. A fetch that missed fell back to the provider records,
+// which exist only once the store wave has landed.
+func (r RoundReceipt) afterStore(rest netsim.Cost) netsim.Cost {
+	if r.HintMisses > 0 {
+		return r.StoreCost.Seq(rest)
+	}
+	return r.StoreCost.Par(rest)
 }
 
 // Serial returns what a fully sequential driver would have paid for the
@@ -227,6 +254,7 @@ func (c *Cluster) commitWave(r *RoundReceipt) {
 	n := len(c.Bees)
 	commits := make([][]contracts.CommitParams, n)
 	costs := make([]netsim.Cost, n)
+	misses := make([]int, n)
 	errs := make([][]RoundError, n)
 	// The bees' serve-cache announces are queued and applied in bee order
 	// after the wave. Concurrent bees all fetch the same batch pages: an
@@ -240,7 +268,7 @@ func (c *Cluster) commitWave(r *RoundReceipt) {
 		b.Peer.SetDeferProvides(true)
 	}
 	c.runDHTWave(n, func(i int) {
-		commits[i], costs[i], errs[i] = c.Bees[i].prepareCommits()
+		commits[i], costs[i], misses[i], errs[i] = c.Bees[i].prepareCommits()
 	})
 	for i, b := range c.Bees {
 		b.Peer.SetDeferProvides(false)
@@ -252,6 +280,7 @@ func (c *Cluster) commitWave(r *RoundReceipt) {
 		r.Errors = append(r.Errors, errs[i]...)
 		r.CommitWave = r.CommitWave.Par(costs[i])
 		r.CommitSerial = r.CommitSerial.Seq(costs[i])
+		r.HintMisses += misses[i]
 		for _, params := range commits[i] {
 			c.SubmitCall(b.Account, contracts.MethodCommit, params, 0)
 		}

@@ -113,7 +113,7 @@ type Stats struct {
 	QueueWait     time.Duration // Σ simulated time pages sat in the queue
 	StallWait     time.Duration // Σ simulated time fetch results waited to enqueue (resequencing + backpressure)
 
-	CommitBusy time.Duration // Σ commit-phase cost (store + commit wave)
+	CommitBusy time.Duration // Σ commit-phase cost (core.RoundReceipt.CommitStage: store and commit wave)
 	RevealBusy time.Duration // Σ reveal-phase cost (materialize wave, the announce wave beside it)
 
 	// Makespan is the crawl's simulated wall time with pipelined rounds
@@ -252,7 +252,7 @@ func Crawl(ctx context.Context, src Source, sink Sink, seeds []string, opts Opti
 		st.RoundErrors += len(rr.Errors)
 		b := batchCost{
 			size:   len(batch),
-			commit: rr.StoreCost.Seq(rr.CommitWave).Latency,
+			commit: rr.CommitStage().Latency,
 			reveal: rr.MaterializeWave.Par(rr.AnnounceWave).Latency,
 		}
 		batches = append(batches, b)

@@ -239,7 +239,14 @@ func (p *Peer) Reprovide() (int, netsim.Cost) {
 	return n, total
 }
 
-// Fetch retrieves a document by root CID: local store first, then
+// Fetch retrieves a document by root CID with no advice on who holds it:
+// FetchHinted with an empty hint.
+func (p *Peer) Fetch(root CID) ([]byte, netsim.Cost, error) {
+	data, cost, _, err := p.FetchHinted(root, "")
+	return data, cost, err
+}
+
+// FetchHinted retrieves a document by root CID: local store first, then
 // provider discovery through the DHT, block transfer, and per-block hash
 // verification. Tampered blocks are rejected and the next provider is
 // tried. On success the blocks are cached and re-provided.
@@ -251,23 +258,37 @@ func (p *Peer) Reprovide() (int, netsim.Cost) {
 // announce is background work — its traffic is billed here (the walk's
 // messages always; the ADD_PROVIDER wave too when issued inline), its
 // latency only by FlushProvides, to a caller that accounts for it.
-func (p *Peer) Fetch(root CID) ([]byte, netsim.Cost, error) {
+//
+// hint names a peer the caller was told holds the content (a publish
+// transaction's provider). Content addressing makes that advice safe to
+// act on before any provider record confirms it, so retrieval sets off
+// from the hint at time zero and the walk — the same RPCs — runs beside
+// it. Only if the hint cannot serve (down, missing a block, tampered) are
+// the walk's other providers tried, once the walk is over; missed
+// reports that. An empty hint, or this peer's own address, is no hint.
+func (p *Peer) FetchHinted(root CID, hint netsim.NodeID) (data []byte, total netsim.Cost, missed bool, err error) {
 	if data, ok, err := p.assembleLocal(root); ok || err != nil {
-		return data, netsim.Cost{}, err
+		return data, netsim.Cost{}, false, err
 	}
 
 	found, total, err := p.dht.FindProviders(root.Key(), maxProviders)
-	if err != nil {
-		return nil, total, fmt.Errorf("%w: %s", ErrNoProviders, root.Short())
+	hinted := hint != "" && hint != p.Addr()
+	if err != nil && !hinted {
+		return nil, total, false, fmt.Errorf("%w: %s", ErrNoProviders, root.Short())
 	}
 	converged := total.Latency
-	total.Latency = found.FirstCost.Latency
+	first, start := found.First, found.FirstCost.Latency
+	if hinted {
+		first, start = []dht.Contact{{ID: dht.KeyOfString(string(hint)), Addr: hint}}, 0
+	}
+	total.Latency = start
 
-	data, cost, err := p.fetchFromNearest(found.First, root)
+	data, cost, err := p.fetchFromNearest(first, root)
 	total = total.Seq(cost)
-	if late := without(found.All, found.First); err != nil && len(late) > 0 {
-		// Nobody the first answer named could serve. What the rest of the
-		// walk turned up is known once the walk is over too.
+	missed = hinted && err != nil
+	if late := without(found.All, first); err != nil && len(late) > 0 {
+		// Nobody the first answer (or the hint) named could serve. What
+		// the rest of the walk turned up is known once the walk is over.
 		total = total.Par(netsim.Cost{Latency: converged})
 		tampered := errors.Is(err, ErrAllTampered)
 		data, cost, err = p.fetchFromNearest(late, root)
@@ -277,7 +298,7 @@ func (p *Peer) Fetch(root CID) ([]byte, netsim.Cost, error) {
 		}
 	}
 	if err != nil {
-		return nil, total, err
+		return nil, total, missed, err
 	}
 
 	p.rememberRoot(root)
@@ -291,7 +312,7 @@ func (p *Peer) Fetch(root CID) ([]byte, netsim.Cost, error) {
 		wave.Latency = 0
 		total = total.Par(wave)
 	}
-	return data, total, nil
+	return data, total, missed, nil
 }
 
 // without returns the contacts of all that are not in drop.

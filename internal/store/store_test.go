@@ -675,3 +675,190 @@ func TestFetchFallsBackToLaterProviders(t *testing.T) {
 		t.Fatalf("content after %v, but its provider was only known when the walk converged at %v", cost.Latency, walk.Latency)
 	}
 }
+
+// TestFetchHintedSameTraffic: a fetch told who holds a freshly published
+// root sends exactly what an unhinted fetch sends — the whole discovery
+// walk, one block request to that provider, the same announce on the same
+// walk — and ends with the same provider records. Only the time moves:
+// the block request no longer waits for the walk's first provider
+// answer, so content arrives after the block transfer alone, and the
+// announce still leaves when the walk has converged.
+func TestFetchHintedSameTraffic(t *testing.T) {
+	doc := bytes.Repeat([]byte("named on chain "), 30) // one block
+	boot := func() ([]*Peer, CID) {
+		_, peers := buildPeerSwarm(t, 24, PeerConfig{})
+		root, _, err := peers[3].Add(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return peers, root
+	}
+	// What discovery alone costs on this swarm: same seed, same walk.
+	peers, root := boot()
+	found, walk, err := peers[9].DHT().FindProviders(root.Key(), maxProviders)
+	if err != nil || len(found.First) != 1 || found.First[0].Addr != peers[3].Addr() {
+		t.Fatalf("fixture: first answer %v, err=%v", found.First, err)
+	}
+
+	type outcome struct {
+		cost, announce netsim.Cost
+		providers      []dht.Contact
+	}
+	fetch := func(hint func([]*Peer) netsim.NodeID) outcome {
+		peers, root := boot()
+		fetcher := peers[9]
+		fetcher.SetDeferProvides(true)
+		got, cost, missed, err := fetcher.FetchHinted(root, hint(peers))
+		if err != nil || missed || !bytes.Equal(got, doc) {
+			t.Fatalf("fetch: %d bytes, missed=%v, err=%v", len(got), missed, err)
+		}
+		fetcher.SetDeferProvides(false)
+		announce := fetcher.FlushProvides()
+		after, _, err := peers[20].DHT().FindProviders(root.Key(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{cost: cost, announce: announce, providers: after.All}
+	}
+	plain := fetch(func([]*Peer) netsim.NodeID { return "" })
+	hinted := fetch(func(peers []*Peer) netsim.NodeID { return peers[3].Addr() })
+
+	if hinted.cost.Msgs != plain.cost.Msgs || hinted.cost.Bytes != plain.cost.Bytes || plain.cost.Msgs != walk.Msgs+1 {
+		t.Fatalf("hinted fetch %+v, unhinted %+v: want the walk's %d msgs and one block request either way", hinted.cost, plain.cost, walk.Msgs)
+	}
+	if hinted.announce.Msgs != plain.announce.Msgs || hinted.announce.Bytes != plain.announce.Bytes {
+		t.Fatalf("announce %+v after a hinted fetch, %+v after an unhinted one", hinted.announce, plain.announce)
+	}
+	if fmt.Sprint(hinted.providers) != fmt.Sprint(plain.providers) || len(plain.providers) != 2 {
+		t.Fatalf("providers after a hinted fetch %v, after an unhinted one %v", hinted.providers, plain.providers)
+	}
+	if transfer := plain.cost.Latency - found.FirstCost.Latency; hinted.cost.Latency != transfer {
+		t.Fatalf("hinted content after %v, want the block transfer alone (%v)", hinted.cost.Latency, transfer)
+	}
+	if hinted.cost.Latency+hinted.announce.Latency != plain.cost.Latency+plain.announce.Latency {
+		t.Fatalf("announce done at %v hinted, %v unhinted: it leaves when the walk converges either way",
+			hinted.cost.Latency+hinted.announce.Latency, plain.cost.Latency+plain.announce.Latency)
+	}
+}
+
+// TestFetchHintedDeadHint: the named provider is down, a cache replica
+// is on record. The fetch asks the hint once, then the providers the walk
+// found other than the hint — only once the walk is over — and reports
+// the miss.
+func TestFetchHintedDeadHint(t *testing.T) {
+	doc := bytes.Repeat([]byte("publisher gone "), 30) // one block
+	boot := func() ([]*Peer, CID) {
+		net, peers := buildPeerSwarm(t, 24, PeerConfig{})
+		root, _, err := peers[3].Add(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := peers[5].Fetch(root); err != nil {
+			t.Fatal(err)
+		}
+		net.SetDown(peers[3].Addr(), true)
+		return peers, root
+	}
+	peers, root := boot()
+	found, walk, err := peers[9].DHT().FindProviders(root.Key(), maxProviders)
+	if err != nil || len(found.All) != 2 {
+		t.Fatalf("fixture: providers %v, err=%v", found.All, err)
+	}
+
+	peers, root = boot()
+	served := peers[5].BlocksServed()
+	fetcher := peers[9]
+	fetcher.SetDeferProvides(true)
+	got, cost, missed, err := fetcher.FetchHinted(root, peers[3].Addr())
+	if err != nil || !bytes.Equal(got, doc) || !missed {
+		t.Fatalf("fetch: %d bytes, missed=%v, err=%v", len(got), missed, err)
+	}
+	if peers[5].BlocksServed() != served+1 {
+		t.Fatalf("the cache replica served %d blocks", peers[5].BlocksServed()-served)
+	}
+	// A down node never sees a request, so count on the caller's side: the
+	// walk, one block request to the hint, one to the sole other provider
+	// (no ping).
+	if cost.Msgs != walk.Msgs+2 {
+		t.Fatalf("fetch cost %d msgs, want the walk's %d, the hint once and the replica once", cost.Msgs, walk.Msgs)
+	}
+	if cost.Latency <= walk.Latency {
+		t.Fatalf("content after %v, but the replica was only known when the walk converged at %v", cost.Latency, walk.Latency)
+	}
+}
+
+// TestFetchHintedTamperedHint: the named provider serves forged bytes.
+// The hash check rejects them and the walk's other provider serves; when
+// its copy is forged too, the fetch fails as every tampered fetch does.
+func TestFetchHintedTamperedHint(t *testing.T) {
+	doc := []byte("the named provider lies")
+	for _, forgeReplica := range []bool{false, true} {
+		_, peers := buildPeerSwarm(t, 24, PeerConfig{})
+		root, _, err := peers[3].Add(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := peers[5].Fetch(root); err != nil {
+			t.Fatal(err)
+		}
+		peers[3].Blocks().Corrupt(root, EncodeLeaf([]byte("forged")))
+		if forgeReplica {
+			peers[5].Blocks().Corrupt(root, EncodeLeaf([]byte("forged")))
+		}
+		fetcher := peers[9]
+		got, _, missed, err := fetcher.FetchHinted(root, peers[3].Addr())
+		if !missed {
+			t.Fatalf("forged replica %v: a tampered hint is a miss", forgeReplica)
+		}
+		if forgeReplica {
+			if !errors.Is(err, ErrAllTampered) || fetcher.TamperDetections() != 2 {
+				t.Fatalf("every copy forged: err=%v, %d tampered blocks seen", err, fetcher.TamperDetections())
+			}
+			continue
+		}
+		if err != nil || !bytes.Equal(got, doc) || fetcher.TamperDetections() != 1 {
+			t.Fatalf("fetch: %q, err=%v, %d tampered blocks seen", got, err, fetcher.TamperDetections())
+		}
+	}
+}
+
+// TestFetchHintedEmptyOrSelfIsFetch: no hint, or a hint naming the
+// fetcher itself, is plain retrieval — here with several providers on
+// record, so the ping and the nearest-first choice are exercised.
+func TestFetchHintedEmptyOrSelfIsFetch(t *testing.T) {
+	doc := bytes.Repeat([]byte("no advice "), 30)
+	type outcome struct {
+		cost   netsim.Cost
+		served []int64
+		missed bool
+	}
+	run := func(fetch func(fetcher *Peer, root CID) ([]byte, netsim.Cost, bool, error)) outcome {
+		_, peers := buildPeerSwarm(t, 24, PeerConfig{})
+		var root CID
+		for _, p := range peers[1:4] {
+			r, _, err := p.Add(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root = r
+		}
+		got, cost, missed, err := fetch(peers[9], root)
+		if err != nil || !bytes.Equal(got, doc) {
+			t.Fatalf("fetch: %d bytes, err=%v", len(got), err)
+		}
+		out := outcome{cost: cost, missed: missed}
+		for _, p := range peers[1:4] {
+			out.served = append(out.served, p.BlocksServed())
+		}
+		return out
+	}
+	plain := run(func(f *Peer, root CID) ([]byte, netsim.Cost, bool, error) {
+		data, cost, err := f.Fetch(root)
+		return data, cost, false, err
+	})
+	empty := run(func(f *Peer, root CID) ([]byte, netsim.Cost, bool, error) { return f.FetchHinted(root, "") })
+	self := run(func(f *Peer, root CID) ([]byte, netsim.Cost, bool, error) { return f.FetchHinted(root, f.Addr()) })
+	if fmt.Sprint(empty) != fmt.Sprint(plain) || fmt.Sprint(self) != fmt.Sprint(plain) {
+		t.Fatalf("empty hint %+v, self hint %+v, plain fetch %+v", empty, self, plain)
+	}
+}
