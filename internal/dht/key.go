@@ -11,7 +11,9 @@
 // each held — and the write forms PutAt / ProvideAt take such a walk and
 // send only the STORE / ADD_PROVIDER wave, re-walking once if a contact
 // died in between. Put, Provide and Get are the same
-// operations for callers with no walk to offer or no use for one.
+// operations for callers with no walk to offer or no use for one. A write
+// or quorum-read walk asks the K closest it knows at once; GetImmutable
+// and provider discovery ask alpha at a time.
 package dht
 
 import (

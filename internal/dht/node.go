@@ -20,7 +20,12 @@ var (
 
 // Network-wide Kademlia constants: every node runs the same values.
 const (
-	alpha              = 3  // lookup concurrency
+	// alpha is the round width of GetImmutable and of provider discovery.
+	// A cold immutable read and discovery for a fetch consume the first
+	// answer; discovery for a fetch already told whom to ask must not send
+	// more than that. A walk that writes or quorum-reads asks the K
+	// closest it knows at once instead (iterativeLookup).
+	alpha              = 3
 	maxProvidersPerKey = 16 // provider records kept per key
 	// retryBackoffBase is the base simulated-time backoff: attempt i
 	// waits retryBackoffBase<<i, jittered ±25% deterministically from
@@ -349,17 +354,18 @@ func convergedWalk(key Key, contacts []Contact) Walk {
 
 // walk is iterativeLookup without a request lifecycle, for the write and
 // discovery paths that never abandon a lookup.
-func (n *Node) walk(target Key, query func(Contact) ([]Contact, bool, netsim.Cost), afterRound func(soFar netsim.Cost)) ([]Contact, netsim.Cost) {
+func (n *Node) walk(target Key, width int, firstAnswer bool, query func(Contact) ([]Contact, bool, netsim.Cost), afterRound func(soFar netsim.Cost)) ([]Contact, netsim.Cost) {
 	//detlint:ignore errsink iterativeLookup only errors on context cancellation, impossible with context.Background
-	contacts, cost, _ := n.iterativeLookup(context.Background(), target, query, afterRound)
+	contacts, cost, _ := n.iterativeLookup(context.Background(), target, width, firstAnswer, query, afterRound)
 	return contacts, cost
 }
 
 // lookupNodes performs an iterative FIND_NODE toward target and returns
 // the converged walk: the k closest live contacts found. Queries within
-// a round are accounted as parallel; rounds are sequential.
+// a round are accounted as parallel; rounds are sequential. Its product
+// is the closest set, so every round asks all of the K closest it knows.
 func (n *Node) lookupNodes(target Key) (Walk, netsim.Cost) {
-	contacts, cost := n.walk(target, func(c Contact) ([]Contact, bool, netsim.Cost) {
+	contacts, cost := n.walk(target, n.cfg.K, false, func(c Contact) ([]Contact, bool, netsim.Cost) {
 		resp, cost, err := n.call(c, findNodeReq{From: n.self, Target: target})
 		if err != nil {
 			return nil, false, cost
@@ -378,6 +384,21 @@ type lookupState struct {
 // iterativeLookup is the shared Kademlia lookup loop. query returns the
 // closer contacts a peer reported and whether the peer responded.
 //
+// Each round asks, in parallel, up to width of the nearest live contacts
+// not yet asked. A walk whose product is the converged closest set looks
+// no further than the K closest it knows: at width K (lookupNodes,
+// Locate) a walker whose table already holds the replica set converges
+// in one round trip; at width alpha (FindProvidersConverged) it asks no
+// wider than a first-answer walk, and stops once the K closest have
+// answered. A walk whose caller consumes its first answer (firstAnswer:
+// GetImmutable, FindProviders) keeps the classic schedule — alpha a
+// round, nearest first however far down the shortlist — so once fewer
+// than alpha of the K closest are left to ask it asks past them too,
+// where a provider census still finds records that announcers with
+// another view of the K closest left. On a healthy swarm every schedule
+// ends on the same K closest live contacts; only what else it asks, and
+// when, differs.
+//
 // The loop checks ctx before issuing each RPC: once the context is done
 // the remaining queries of the round — and every later round — are
 // abandoned, the cost accumulated so far is returned (the partial wave
@@ -387,8 +408,9 @@ type lookupState struct {
 // afterRound, when set, is told the cost accumulated so far each time a
 // round of parallel queries has been folded in: the lookup's clock at the
 // moment that round's answers are all in hand.
-func (n *Node) iterativeLookup(ctx context.Context, target Key, query func(Contact) ([]Contact, bool, netsim.Cost), afterRound func(soFar netsim.Cost)) ([]Contact, netsim.Cost, error) {
-	shortlist := n.rt.closest(target, n.cfg.K)
+func (n *Node) iterativeLookup(ctx context.Context, target Key, width int, firstAnswer bool, query func(Contact) ([]Contact, bool, netsim.Cost), afterRound func(soFar netsim.Cost)) ([]Contact, netsim.Cost, error) {
+	k := n.cfg.K
+	shortlist := n.rt.closest(target, k)
 	states := make(map[Key]*lookupState, len(shortlist))
 	for _, c := range shortlist {
 		states[c.ID] = &lookupState{}
@@ -430,35 +452,33 @@ func (n *Node) iterativeLookup(ctx context.Context, target Key, query func(Conta
 		})
 	}
 
-	for {
-		sortShortlist()
-		// Pick up to alpha closest unqueried live candidates.
-		var round []Contact
+	// unasked returns up to width contacts not yet asked, nearest first,
+	// from among the first reach live entries of the sorted shortlist.
+	unasked := func(width, reach int) []Contact {
+		var out []Contact
 		for _, c := range shortlist {
 			st := states[c.ID]
-			if st.queried || st.failed {
+			if st.failed {
 				continue
 			}
-			round = append(round, c)
-			if len(round) == alpha {
+			if reach == 0 {
 				break
 			}
-		}
-		if len(round) == 0 {
-			// Exhausted: every known candidate was queried or failed. Under
-			// churn the initial k-sized shortlist can die wholesale; before
-			// giving up, widen it from the rest of the routing table so the
-			// lookup falls back to farther live contacts. Healthy lookups
-			// never reach this with unqueried table entries left, so the
-			// widening changes nothing when no node has failed.
-			if countLive(states) >= n.cfg.K || !widen(n.rt, target, states, &shortlist) {
-				break
+			reach--
+			if !st.queried {
+				out = append(out, c)
+				if len(out) == width {
+					break
+				}
 			}
-			continue
 		}
+		return out
+	}
+
+	// ask queries one round in parallel and folds it into the lookup's
+	// clock.
+	ask := func(round []Contact) {
 		var roundCost netsim.Cost
-		progressed := false
-		prevBest := bestDistance(target, shortlist, states)
 		for _, c := range round {
 			if cancelled() {
 				break
@@ -479,58 +499,55 @@ func (n *Node) iterativeLookup(ctx context.Context, target Key, query func(Conta
 		if afterRound != nil {
 			afterRound(total)
 		}
+	}
+
+	// exhausted is the one stopping rule, at both of the loop's exits,
+	// where nothing is left to ask among the closest: stop once K live
+	// contacts have answered. Under churn the initial K-sized shortlist can
+	// die wholesale; before giving up, widen it from the rest of the
+	// routing table so the lookup falls back to farther live contacts.
+	// Healthy lookups never get here with fewer than K live answers and
+	// untried table entries left, so the widening changes nothing when no
+	// node has failed.
+	exhausted := func() bool {
+		return countLive(states) >= k || !widen(n.rt, target, states, &shortlist)
+	}
+
+	for {
+		sortShortlist()
+		reach := k
+		if firstAnswer {
+			reach = len(shortlist)
+		}
+		round := unasked(width, reach)
+		if len(round) == 0 {
+			if exhausted() {
+				break
+			}
+			continue
+		}
+		prevBest := bestDistance(target, shortlist, states)
+		ask(round)
 		if lookupErr != nil {
 			return nil, total, lookupErr
 		}
 		sortShortlist()
-		if nowBest := bestDistance(target, shortlist, states); nowBest.Less(prevBest) {
-			progressed = true
+		if bestDistance(target, shortlist, states).Less(prevBest) {
+			continue
 		}
-		// Termination: when a round yields no closer node, query any
-		// remaining unqueried nodes among the k closest, then stop.
-		if !progressed {
-			var tail []Contact
-			count := 0
-			for _, c := range shortlist {
-				if count >= n.cfg.K {
-					break
-				}
-				st := states[c.ID]
-				if st.failed {
-					continue
-				}
-				count++
-				if !st.queried {
-					tail = append(tail, c)
-				}
-			}
-			if len(tail) == 0 {
+		// Termination: when a round brings the walk no closer, ask what is
+		// left among the K closest at once (for a K-wide walk, its next
+		// round), and stop once nothing is.
+		tail := unasked(k, k)
+		if len(tail) == 0 {
+			if exhausted() {
 				break
 			}
-			var tailCost netsim.Cost
-			for _, c := range tail {
-				if cancelled() {
-					break
-				}
-				st := states[c.ID]
-				st.queried = true
-				closer, ok, cost := query(c)
-				tailCost = tailCost.Par(cost)
-				if !ok {
-					st.failed = true
-					continue
-				}
-				for _, cc := range closer {
-					insert(cc)
-				}
-			}
-			total = total.Seq(tailCost)
-			if afterRound != nil {
-				afterRound(total)
-			}
-			if lookupErr != nil {
-				return nil, total, lookupErr
-			}
+			continue
+		}
+		ask(tail)
+		if lookupErr != nil {
+			return nil, total, lookupErr
 		}
 	}
 
@@ -690,13 +707,14 @@ type Located struct {
 // Locate is the quorum read of a versioned record, via iterative
 // FIND_VALUE. Because records are mutable (pointers like index shard
 // lists), the lookup does NOT stop at the first replica: it queries
-// through to the k closest nodes and takes the highest sequence seen — a
-// read that tolerates stale replicas. The local replica (if any)
-// participates as one more vote. What the walk learned on the way is
-// returned with the record, so a caller that goes on to write the key
-// (PutAt) or to judge its replication (Walk.Replicas) does not walk
-// again. With ErrNotFound the walk is still valid: the first write of a
-// key reuses it like any other.
+// through to the k closest nodes, asking all of those it knows at once,
+// and takes the highest sequence seen — a read that tolerates stale
+// replicas. The local replica (if any) participates as one more vote.
+// What the walk learned on the way is returned with the record, so a
+// caller that goes on to write the key (PutAt) or to judge its
+// replication (Walk.Replicas) does not walk again. With ErrNotFound the
+// walk is still valid: the first write of a key reuses it like any
+// other.
 //
 // Once ctx is done, the remaining lookup rounds are abandoned and the
 // error wraps netsim.ErrCancelled. A quorum read cut short mid-lookup
@@ -716,7 +734,7 @@ func (n *Node) Locate(ctx context.Context, key Key) (Located, netsim.Cost, error
 	n.mu.Unlock()
 
 	answers := make(map[Key]Replica)
-	contacts, cost, err := n.iterativeLookup(ctx, key, func(c Contact) ([]Contact, bool, netsim.Cost) {
+	contacts, cost, err := n.iterativeLookup(ctx, key, n.cfg.K, false, func(c Contact) ([]Contact, bool, netsim.Cost) {
 		resp, cc, err := n.callCtx(ctx, c, findValueReq{From: n.self, Key: key})
 		if err != nil {
 			return nil, false, cc
@@ -784,8 +802,9 @@ func (n *Node) GetFromCtx(ctx context.Context, holder Contact, key Key) ([]byte,
 
 // GetImmutable retrieves a value that can never change (content-addressed
 // records): the lookup short-circuits on the first replica found, which
-// is safe because the caller verifies the content hash. Use Get for
-// versioned (mutable) records.
+// is safe because the caller verifies the content hash. Its product is
+// that first answer, not the closest set, so it asks alpha contacts a
+// round. Use Get for versioned (mutable) records.
 func (n *Node) GetImmutable(key Key) ([]byte, netsim.Cost, error) {
 	return n.GetImmutableCtx(context.Background(), key)
 }
@@ -806,7 +825,7 @@ func (n *Node) GetImmutableCtx(ctx context.Context, key Key) ([]byte, netsim.Cos
 		val   []byte
 		found bool
 	)
-	_, cost, err := n.iterativeLookup(ctx, key, func(c Contact) ([]Contact, bool, netsim.Cost) {
+	_, cost, err := n.iterativeLookup(ctx, key, alpha, true, func(c Contact) ([]Contact, bool, netsim.Cost) {
 		if found {
 			return nil, true, netsim.Cost{}
 		}
@@ -883,8 +902,25 @@ type Providers struct {
 
 // FindProviders discovers providers for key with one iterative lookup,
 // run to convergence, and returns what it learned with the whole walk's
-// cost.
+// cost. A fetch starts from Providers.First, so the walk keeps the
+// first-answer schedule (iterativeLookup): that answer arrives as early,
+// and as cheaply, as it can.
 func (n *Node) FindProviders(key Key, limit int) (Providers, netsim.Cost, error) {
+	return n.findProviders(key, limit, true)
+}
+
+// FindProvidersConverged is FindProviders for a caller that never starts
+// from Providers.First: a fetch already told whom to ask, which needs the
+// walk only to announce on once it has converged, and the provider list
+// only for a fallback that starts after that. Its rounds stay alpha-wide
+// but never look past the K closest the walk knows, so it converges as
+// soon as those have answered and skips the queries FindProviders spends
+// past them.
+func (n *Node) FindProvidersConverged(key Key, limit int) (Providers, netsim.Cost, error) {
+	return n.findProviders(key, limit, false)
+}
+
+func (n *Node) findProviders(key Key, limit int, firstAnswer bool) (Providers, netsim.Cost, error) {
 	found := Providers{Walk: Walk{Key: key}}
 	seen := make(map[netsim.NodeID]Contact)
 	known := func() []Contact {
@@ -912,7 +948,7 @@ func (n *Node) FindProviders(key Key, limit int) (Providers, netsim.Cost, error)
 	enough := func() bool { return limit > 0 && len(seen) >= limit }
 
 	cutShort := false
-	contacts, cost := n.walk(key, func(c Contact) ([]Contact, bool, netsim.Cost) {
+	contacts, cost := n.walk(key, alpha, firstAnswer, func(c Contact) ([]Contact, bool, netsim.Cost) {
 		if enough() {
 			cutShort = true
 			return nil, true, netsim.Cost{}

@@ -241,6 +241,38 @@ func TestRefreshRestoresReplication(t *testing.T) {
 	}
 }
 
+// TestLookupWidensPastDeadTail: with the farther five of the K closest
+// contacts a walker knows down, a walk still ends on K live contacts. Once
+// the contacts it knows nearest have all been asked, whether the last
+// round brought it closer or not, a walk holding fewer than K live answers
+// widens into the rest of its routing table instead of stopping. Checked
+// at both widths: a K-wide FIND_NODE walk, and alpha-wide discovery.
+func TestLookupWidensPastDeadTail(t *testing.T) {
+	cfg := DefaultConfig()
+	net, nodes := buildSwarm(t, 24, cfg)
+	walker := nodes[0]
+	for i := 0; i < 50; i++ {
+		key := KeyOfString(fmt.Sprintf("widen-%d", i))
+		dead := walker.rt.closest(key, cfg.K)[3:]
+		for _, c := range dead {
+			net.SetDown(c.Addr, true)
+		}
+		wide, _ := walker.lookupNodes(key)
+		found, _, err := walker.FindProviders(key, 0)
+		for _, c := range dead {
+			net.SetDown(c.Addr, false)
+		}
+		if !errors.Is(err, ErrNotFound) {
+			t.Fatalf("key %d: FindProviders err = %v, want ErrNotFound", i, err)
+		}
+		// A walk's closest set holds only contacts that answered.
+		if len(wide.Closest) != cfg.K || len(found.Walk.Closest) != cfg.K {
+			t.Fatalf("key %d: walks ended on %d (K-wide) and %d (alpha-wide) live contacts with %d nodes alive, want %d",
+				i, len(wide.Closest), len(found.Walk.Closest), len(nodes)-1-len(dead), cfg.K)
+		}
+	}
+}
+
 func TestBootstrapPopulatesTable(t *testing.T) {
 	_, nodes := buildSwarm(t, 30, DefaultConfig())
 	for i, nd := range nodes {

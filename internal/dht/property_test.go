@@ -1,7 +1,9 @@
 package dht
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -132,6 +134,241 @@ func TestLookupCostLogarithmic(t *testing.T) {
 	}
 }
 
+// nearest is the brute-force oracle for a converged walk: the addresses
+// of the k nodes nearest key by XOR distance, nearest first, the walker
+// excluded — computed from the node list alone, sharing no code with the
+// lookup or the routing table.
+func nearest(nodes []*Node, walker *Node, key Key, k int) []netsim.NodeID {
+	type candidate struct {
+		dist [KeySize]byte
+		addr netsim.NodeID
+	}
+	var all []candidate
+	for _, nd := range nodes {
+		if nd == walker {
+			continue
+		}
+		c := candidate{addr: nd.self.Addr}
+		for i := range c.dist {
+			c.dist[i] = nd.self.ID[i] ^ key[i]
+		}
+		all = append(all, c)
+	}
+	sort.Slice(all, func(i, j int) bool { return bytes.Compare(all[i].dist[:], all[j].dist[:]) < 0 })
+	out := make([]netsim.NodeID, k)
+	for i := range out {
+		out[i] = all[i].addr
+	}
+	return out
+}
+
+// addrsOf lists the addresses of contacts, in order.
+func addrsOf(cs []Contact) []netsim.NodeID {
+	out := make([]netsim.NodeID, len(cs))
+	for i, c := range cs {
+		out[i] = c.Addr
+	}
+	return out
+}
+
+// Property (walks that must converge ask the K closest at once): on a
+// healthy swarm every lookupNodes and Locate closest set is exactly the K
+// nodes nearest the key, as brute force over the node list finds them.
+// Both walks are the K-wide schedule: a twin swarm, built the same way
+// and walked by hand at width K with the same requests, draws the same
+// link latencies and pays exactly the same cost, key after key. Where the
+// walker's table already holds the replica set, that walk is one round
+// of exactly K messages.
+func TestLookupClosestSetIsTheKNearest(t *testing.T) {
+	cfg := DefaultConfig()
+	_, nodes := buildSwarm(t, 40, cfg)
+	_, twins := buildSwarm(t, 40, cfg)
+	rng := xrand.New(2026)
+	ctx := context.Background()
+	// byHand walks from twin at width K, asking each contact req, and
+	// counts the rounds.
+	byHand := func(twin *Node, key Key, req any) (netsim.Cost, int) {
+		rounds := 0
+		_, cost, err := twin.iterativeLookup(ctx, key, cfg.K, false, func(c Contact) ([]Contact, bool, netsim.Cost) {
+			resp, cost, err := twin.call(c, req)
+			if err != nil {
+				return nil, false, cost
+			}
+			switch r := resp.(type) {
+			case findNodeResp:
+				return r.Contacts, true, cost
+			case findValueResp:
+				return r.Contacts, true, cost
+			}
+			t.Fatalf("unexpected response %T", resp)
+			return nil, false, cost
+		}, func(netsim.Cost) { rounds++ })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cost, rounds
+	}
+	oneRound := 0
+	for i := 0; i < 200; i++ {
+		key := KeyOfString(fmt.Sprintf("oracle-%d-%d", i, rng.Intn(1<<30)))
+		at := rng.Intn(len(nodes))
+		walker, twin := nodes[at], twins[at]
+		want := fmt.Sprint(nearest(nodes, walker, key, cfg.K))
+		known := fmt.Sprint(addrsOf(walker.rt.closest(key, cfg.K))) == want
+
+		w, walkCost := walker.lookupNodes(key)
+		loc, readCost, err := walker.Locate(ctx, key)
+		if !errors.Is(err, ErrNotFound) {
+			t.Fatalf("key %d: Locate err = %v, want ErrNotFound", i, err)
+		}
+		for _, got := range []Walk{w, loc.Walk} {
+			var addrs []netsim.NodeID
+			for _, r := range got.Closest {
+				addrs = append(addrs, r.Addr)
+			}
+			if fmt.Sprint(addrs) != want {
+				t.Fatalf("key %d: walk from %s converged on %v, the %d nearest are %s", i, walker.self.Addr, addrs, cfg.K, want)
+			}
+		}
+		nodeCost, nodeRounds := byHand(twin, key, findNodeReq{From: twin.self, Target: key})
+		valueCost, valueRounds := byHand(twin, key, findValueReq{From: twin.self, Key: key})
+		if walkCost != nodeCost || readCost != valueCost {
+			t.Fatalf("key %d: lookupNodes %+v, Locate %+v; the K-wide walks by hand %+v and %+v", i, walkCost, readCost, nodeCost, valueCost)
+		}
+		if !known {
+			continue
+		}
+		oneRound++
+		if nodeRounds != 1 || valueRounds != 1 || walkCost.Msgs != cfg.K || readCost.Msgs != cfg.K {
+			t.Fatalf("key %d: table held the replica set, yet lookupNodes took %d rounds and %d msgs, Locate %d and %d; want 1 and %d",
+				i, nodeRounds, walkCost.Msgs, valueRounds, readCost.Msgs, cfg.K)
+		}
+	}
+	if oneRound < 50 {
+		t.Fatalf("fixture: only %d of 200 walkers' tables held the replica set", oneRound)
+	}
+}
+
+// Property (value and provider lookups stay alpha-wide): GetImmutable,
+// FindProviders and FindProvidersConverged ask alpha contacts a round,
+// so a walker whose table lacks part of the closest set asks a contact it
+// has just learned of before it has asked all K it knew — a K-wide first
+// round never does. And a cold GetImmutable whose replica sits on one of
+// the alpha contacts its walker knows nearest the key asks only up to
+// that contact: at most alpha messages.
+func TestLookupProviderAndImmutableWalksStayAlphaWide(t *testing.T) {
+	cfg := DefaultConfig()
+	net, nodes := buildSwarm(t, 40, cfg)
+	byAddr := make(map[netsim.NodeID]*Node, len(nodes))
+	for _, nd := range nodes {
+		byAddr[nd.self.Addr] = nd
+	}
+	walker := nodes[len(nodes)-1]
+	order, reset := recordQueries(net, nodes, walker.self.Addr)
+	// learnedFirst reports whether the walk just recorded asked a contact
+	// missing from known before it had asked every contact in known.
+	learnedFirst := func(known []Contact) bool {
+		in := make(map[netsim.NodeID]bool, len(known))
+		for _, c := range known {
+			in[c.Addr] = true
+		}
+		asked := 0
+		for _, addr := range order() {
+			if asked == len(known) {
+				return false
+			}
+			if !in[addr] {
+				return true
+			}
+			asked++
+		}
+		return false
+	}
+	rng := xrand.New(2027)
+	walks := []struct {
+		name string
+		run  func(Key) error
+	}{
+		{"GetImmutable", func(k Key) error { _, _, err := walker.GetImmutable(k); return err }},
+		{"FindProviders", func(k Key) error { _, _, err := walker.FindProviders(k, 0); return err }},
+		{"FindProvidersConverged", func(k Key) error { _, _, err := walker.FindProvidersConverged(k, 0); return err }},
+	}
+	narrow := make(map[string]int)
+	for i := 0; i < 100; i++ {
+		for _, w := range walks {
+			missing := KeyOfString(fmt.Sprintf("stored-nowhere-%s-%d", w.name, i))
+			known := walker.rt.closest(missing, cfg.K)
+			reset()
+			if err := w.run(missing); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("key %d: %s err = %v, want ErrNotFound", i, w.name, err)
+			}
+			if learnedFirst(known) {
+				narrow[w.name]++
+			}
+		}
+
+		key := KeyOfString(fmt.Sprintf("first-replica-%d", i))
+		at := rng.Intn(alpha)
+		byAddr[walker.rt.closest(key, alpha)[at].Addr].StoreLocal(key, []byte("immutable"), 0)
+		got, cost, err := walker.GetImmutable(key)
+		if err != nil || string(got) != "immutable" || cost.Msgs != at+1 {
+			t.Fatalf("key %d: replica on the walker's contact %d of %d: GetImmutable = %q for %d msgs, err=%v; want %d msgs",
+				i, at+1, alpha, got, cost.Msgs, err, at+1)
+		}
+	}
+	for _, w := range walks {
+		if narrow[w.name] < 50 {
+			t.Fatalf("%d of 100 %s walks asked a learned contact before all K known: want alpha-wide rounds", narrow[w.name], w.name)
+		}
+	}
+}
+
+// Property (discovery for a fetch already told whom to ask stops at the
+// K closest): on the same swarm, FindProvidersConverged finds what
+// FindProviders finds — the same providers and the same converged
+// closest set — with no more messages and converges no later; where
+// FindProviders goes on past the K closest it is cheaper and sooner.
+func TestFindProvidersConvergedStopsAtTheKClosest(t *testing.T) {
+	cfg := DefaultConfig()
+	rng := xrand.New(2028)
+	sooner := 0
+	for i := 0; i < 50; i++ {
+		key := KeyOfString(fmt.Sprintf("converged-%d", i))
+		perm := rng.Perm(40)
+		walker, provider := perm[0], perm[1]
+		discover := func(converged bool) (Providers, netsim.Cost) {
+			_, nodes := buildSwarm(t, 40, cfg)
+			if _, _, err := nodes[provider].Provide(key); err != nil {
+				t.Fatalf("key %d: Provide: %v", i, err)
+			}
+			find := nodes[walker].FindProviders
+			if converged {
+				find = nodes[walker].FindProvidersConverged
+			}
+			res, cost, err := find(key, 0)
+			if err != nil || !res.Walk.converged {
+				t.Fatalf("key %d: converged=%v err=%v", i, res.Walk.converged, err)
+			}
+			return res, cost
+		}
+		first, firstCost := discover(false)
+		conv, convCost := discover(true)
+		if fmt.Sprint(conv.All) != fmt.Sprint(first.All) || fmt.Sprint(conv.Walk.Closest) != fmt.Sprint(first.Walk.Closest) {
+			t.Fatalf("key %d: converging discovery found %v on %v, first-answer discovery %v on %v",
+				i, conv.All, conv.Walk.Closest, first.All, first.Walk.Closest)
+		}
+		if convCost.Msgs > firstCost.Msgs || convCost.Latency > firstCost.Latency {
+			t.Fatalf("key %d: converging discovery %+v, first-answer discovery %+v", i, convCost, firstCost)
+		}
+		if convCost.Latency < firstCost.Latency {
+			sooner++
+		}
+	}
+	if sooner < 25 {
+		t.Fatalf("fixture: only %d of 50 converging walks ended sooner", sooner)
+	}
+}
+
 // holdersAt lists, in node order, the addresses of the nodes whose local
 // store holds key at seq.
 func holdersAt(nodes []*Node, key Key, seq uint64) []netsim.NodeID {
@@ -243,15 +480,18 @@ func TestWalkReuseLandsWherePutLands(t *testing.T) {
 }
 
 // recordQueries wraps every node's handler so that the order in which
-// from's provider queries reach the swarm is observable; reset clears
-// the log between walks.
+// from's provider and value queries reach the swarm is observable; reset
+// clears the log between walks.
 func recordQueries(net *netsim.Network, nodes []*Node, from netsim.NodeID) (order func() []netsim.NodeID, reset func()) {
 	var log []netsim.NodeID
 	for _, nd := range nodes {
 		nd := nd
 		net.Register(nd.self.Addr, func(caller netsim.NodeID, req any) (any, error) {
-			if _, ok := req.(getProvidersReq); ok && caller == from {
-				log = append(log, nd.self.Addr)
+			switch req.(type) {
+			case getProvidersReq, findValueReq:
+				if caller == from {
+					log = append(log, nd.self.Addr)
+				}
 			}
 			return nd.handle(caller, req)
 		})
@@ -259,12 +499,18 @@ func recordQueries(net *netsim.Network, nodes []*Node, from netsim.NodeID) (orde
 	return func() []netsim.NodeID { return log }, func() { log = nil }
 }
 
-// findProvidersGolden is the FNV-1a fold of every FindProviders outcome
-// of TestFindProvidersFirstAnswer's first pass — provider set, converged
-// closest set, message count and latency of each of the 200 walks —
-// recorded at the commit before discovery reported its first answer:
-// reporting it must not change what the walk does.
-const findProvidersGolden = uint64(17115534280061102688)
+// FNV-1a folds of TestFindProvidersFirstAnswer's first pass, 200 walks.
+// findProvidersFound folds what each walk discovers — provider set and
+// converged closest set — and was recorded before walks that converge
+// went K-wide: how wide the swarm's other lookups ask must not change
+// what discovery finds. findProvidersCost folds what each walk costs —
+// message count and latency — which moves whenever any lookup's schedule
+// does (the swarm's bootstrap and Provide walks included), so it is the
+// one to re-record, deliberately, when a schedule changes.
+const (
+	findProvidersFound = uint64(7364604719937282351)
+	findProvidersCost  = uint64(3721026144181811822)
+)
 
 // Property (retrieval starts at the first provider answer): discovery
 // still runs its one walk to convergence — same providers, same closest
@@ -280,10 +526,10 @@ func TestFindProvidersFirstAnswer(t *testing.T) {
 	fetcher := nodes[len(nodes)-1]
 	order, reset := recordQueries(net, nodes, fetcher.self.Addr)
 
-	fold := uint64(14695981039346656037)
-	mix := func(s string) {
+	foundFold, costFold := uint64(14695981039346656037), uint64(14695981039346656037)
+	mix := func(fold *uint64, s string) {
 		for i := 0; i < len(s); i++ {
-			fold = (fold ^ uint64(s[i])) * 1099511628211
+			*fold = (*fold ^ uint64(s[i])) * 1099511628211
 		}
 	}
 	lastRound, early := 0, 0
@@ -313,11 +559,11 @@ func TestFindProvidersFirstAnswer(t *testing.T) {
 		if fmt.Sprint(all) != fmt.Sprint(want) {
 			t.Fatalf("key %d: providers %v, want %v", i, all, want)
 		}
-		mix(fmt.Sprint(all))
+		mix(&foundFold, fmt.Sprint(all))
 		for _, r := range res.Walk.Closest {
-			mix(string(r.Addr))
+			mix(&foundFold, string(r.Addr))
 		}
-		mix(fmt.Sprintf("|%d|%d;", cost.Msgs, cost.Latency))
+		mix(&costFold, fmt.Sprintf("|%d|%d;", cost.Msgs, cost.Latency))
 		if len(order()) != cost.Msgs {
 			t.Fatalf("key %d: %d provider queries seen, %d msgs billed", i, len(order()), cost.Msgs)
 		}
@@ -370,8 +616,11 @@ func TestFindProvidersFirstAnswer(t *testing.T) {
 	if early < 100 || lastRound < 100 {
 		t.Fatalf("fixture: %d walks heard of a provider before they converged, %d reached the sole holder last", early, lastRound)
 	}
-	if fold != findProvidersGolden {
-		t.Fatalf("the 200 walks fold to %d, recorded %d: discovery changed what it does", fold, findProvidersGolden)
+	if foundFold != findProvidersFound {
+		t.Fatalf("what the 200 walks found folds to %d, recorded %d: discovery changed what it finds", foundFold, findProvidersFound)
+	}
+	if costFold != findProvidersCost {
+		t.Fatalf("what the 200 walks cost folds to %d, recorded %d: a lookup schedule changed", costFold, findProvidersCost)
 	}
 }
 

@@ -262,17 +262,24 @@ func (p *Peer) Fetch(root CID) ([]byte, netsim.Cost, error) {
 // hint names a peer the caller was told holds the content (a publish
 // transaction's provider). Content addressing makes that advice safe to
 // act on before any provider record confirms it, so retrieval sets off
-// from the hint at time zero and the walk — the same RPCs — runs beside
-// it. Only if the hint cannot serve (down, missing a block, tampered) are
-// the walk's other providers tried, once the walk is over; missed
-// reports that. An empty hint, or this peer's own address, is no hint.
+// from the hint at time zero and the walk runs beside it. Nothing then
+// waits for the walk's first answer, only for its convergence (the
+// announce leaves then) and its provider list, so the walk is
+// FindProvidersConverged: it stops once the K closest have answered. Only
+// if the hint cannot serve (down, missing a block, tampered) are the
+// walk's other providers tried, once the walk is over; missed reports
+// that. An empty hint, or this peer's own address, is no hint.
 func (p *Peer) FetchHinted(root CID, hint netsim.NodeID) (data []byte, total netsim.Cost, missed bool, err error) {
 	if data, ok, err := p.assembleLocal(root); ok || err != nil {
 		return data, netsim.Cost{}, false, err
 	}
 
-	found, total, err := p.dht.FindProviders(root.Key(), maxProviders)
 	hinted := hint != "" && hint != p.Addr()
+	discover := p.dht.FindProviders
+	if hinted {
+		discover = p.dht.FindProvidersConverged
+	}
+	found, total, err := discover(root.Key(), maxProviders)
 	if err != nil && !hinted {
 		return nil, total, false, fmt.Errorf("%w: %s", ErrNoProviders, root.Short())
 	}

@@ -476,20 +476,20 @@ func TestFetchAnnouncesOnItsDiscoveryWalk(t *testing.T) {
 	}
 }
 
-// countPings wraps every peer's handler and counts the DHT pings from
-// one caller, per target.
-func countPings(net *netsim.Network, peers []*Peer, from netsim.NodeID) map[netsim.NodeID]int {
-	pings := make(map[netsim.NodeID]int)
+// countCalls wraps every peer's handler and counts the requests of one
+// message type (as %T prints it) from one caller, per target.
+func countCalls(net *netsim.Network, peers []*Peer, from netsim.NodeID, kind string) map[netsim.NodeID]int {
+	calls := make(map[netsim.NodeID]int)
 	for _, p := range peers {
 		p := p
 		net.Register(p.Addr(), func(caller netsim.NodeID, req any) (any, error) {
-			if caller == from && fmt.Sprintf("%T", req) == "dht.pingReq" {
-				pings[p.Addr()]++
+			if caller == from && fmt.Sprintf("%T", req) == kind {
+				calls[p.Addr()]++
 			}
 			return p.HandleRPC(caller, req)
 		})
 	}
-	return pings
+	return calls
 }
 
 // TestFetchStartsAtFirstProviderAnswer: retrieval does not wait for the
@@ -516,7 +516,7 @@ func TestFetchStartsAtFirstProviderAnswer(t *testing.T) {
 
 	net, peers, root := boot()
 	fetcher := peers[9]
-	pings := countPings(net, peers, fetcher.Addr())
+	pings := countCalls(net, peers, fetcher.Addr(), "dht.pingReq")
 	fetcher.SetDeferProvides(true)
 	got, cost, err := fetcher.Fetch(root)
 	if err != nil || !bytes.Equal(got, doc) {
@@ -569,7 +569,7 @@ func TestFetchPicksNearestOfSeveral(t *testing.T) {
 		}
 	}
 
-	pings := countPings(net, peers, fetcher.Addr())
+	pings := countCalls(net, peers, fetcher.Addr(), "dht.pingReq")
 	if _, _, err := fetcher.Fetch(root); err != nil {
 		t.Fatal(err)
 	}
@@ -677,57 +677,84 @@ func TestFetchFallsBackToLaterProviders(t *testing.T) {
 }
 
 // TestFetchHintedSameTraffic: a fetch told who holds a freshly published
-// root sends exactly what an unhinted fetch sends — the whole discovery
-// walk, one block request to that provider, the same announce on the same
-// walk — and ends with the same provider records. Only the time moves:
-// the block request no longer waits for the walk's first provider
-// answer, so content arrives after the block transfer alone, and the
-// announce still leaves when the walk has converged.
+// root sends no more than an unhinted fetch — its discovery walk, one
+// block request to that provider, one announce wave — and finds the same
+// providers, announces on the same K nodes and ends with the same
+// provider records. The time moves: the block request no longer waits
+// for the walk's first provider answer, so content arrives after the
+// block transfer alone; and since nothing waits for that answer, the walk
+// stops once the K closest have answered instead of asking past them, so
+// it converges sooner — and the announce, which leaves then, is done
+// sooner.
 func TestFetchHintedSameTraffic(t *testing.T) {
 	doc := bytes.Repeat([]byte("named on chain "), 30) // one block
-	boot := func() ([]*Peer, CID) {
-		_, peers := buildPeerSwarm(t, 24, PeerConfig{})
+	boot := func() (*netsim.Network, []*Peer, CID) {
+		net, peers := buildPeerSwarm(t, 24, PeerConfig{})
 		root, _, err := peers[3].Add(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return peers, root
+		return net, peers, root
 	}
-	// What discovery alone costs on this swarm: same seed, same walk.
-	peers, root := boot()
+	// What each discovery walk alone costs on this swarm: same seed, same
+	// walks.
+	_, peers, root := boot()
 	found, walk, err := peers[9].DHT().FindProviders(root.Key(), maxProviders)
 	if err != nil || len(found.First) != 1 || found.First[0].Addr != peers[3].Addr() {
 		t.Fatalf("fixture: first answer %v, err=%v", found.First, err)
+	}
+	_, peers, root = boot()
+	conv, convWalk, err := peers[9].DHT().FindProvidersConverged(root.Key(), maxProviders)
+	if err != nil || fmt.Sprint(conv.All) != fmt.Sprint(found.All) || fmt.Sprint(conv.Walk.Closest) != fmt.Sprint(found.Walk.Closest) {
+		t.Fatalf("converging discovery found %v on %v, first-answer discovery %v on %v, err=%v",
+			conv.All, conv.Walk.Closest, found.All, found.Walk.Closest, err)
+	}
+	if convWalk.Msgs >= walk.Msgs || convWalk.Latency >= walk.Latency {
+		t.Fatalf("fixture: converging discovery %+v, first-answer discovery %+v: want one that asks past the K closest", convWalk, walk)
 	}
 
 	type outcome struct {
 		cost, announce netsim.Cost
 		providers      []dht.Contact
+		announcedOn    []netsim.NodeID
 	}
 	fetch := func(hint func([]*Peer) netsim.NodeID) outcome {
-		peers, root := boot()
+		net, peers, root := boot()
 		fetcher := peers[9]
+		adds := countCalls(net, peers, fetcher.Addr(), "dht.addProviderReq")
 		fetcher.SetDeferProvides(true)
 		got, cost, missed, err := fetcher.FetchHinted(root, hint(peers))
 		if err != nil || missed || !bytes.Equal(got, doc) {
 			t.Fatalf("fetch: %d bytes, missed=%v, err=%v", len(got), missed, err)
 		}
 		fetcher.SetDeferProvides(false)
-		announce := fetcher.FlushProvides()
+		out := outcome{cost: cost, announce: fetcher.FlushProvides()}
+		for addr := range adds {
+			out.announcedOn = append(out.announcedOn, addr)
+		}
+		sort.Slice(out.announcedOn, func(i, j int) bool { return out.announcedOn[i] < out.announcedOn[j] })
 		after, _, err := peers[20].DHT().FindProviders(root.Key(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return outcome{cost: cost, announce: announce, providers: after.All}
+		out.providers = after.All
+		return out
 	}
 	plain := fetch(func([]*Peer) netsim.NodeID { return "" })
 	hinted := fetch(func(peers []*Peer) netsim.NodeID { return peers[3].Addr() })
 
-	if hinted.cost.Msgs != plain.cost.Msgs || hinted.cost.Bytes != plain.cost.Bytes || plain.cost.Msgs != walk.Msgs+1 {
-		t.Fatalf("hinted fetch %+v, unhinted %+v: want the walk's %d msgs and one block request either way", hinted.cost, plain.cost, walk.Msgs)
+	if plain.cost.Msgs != walk.Msgs+1 || hinted.cost.Msgs != convWalk.Msgs+1 {
+		t.Fatalf("unhinted fetch %d msgs, hinted %d: want its walk's %d, and the converging walk's %d, each with one block request",
+			plain.cost.Msgs, hinted.cost.Msgs, walk.Msgs, convWalk.Msgs)
+	}
+	if hinted.cost.Msgs > plain.cost.Msgs || hinted.cost.Bytes > plain.cost.Bytes {
+		t.Fatalf("hinted fetch %+v, unhinted %+v: a hint must not cost traffic", hinted.cost, plain.cost)
 	}
 	if hinted.announce.Msgs != plain.announce.Msgs || hinted.announce.Bytes != plain.announce.Bytes {
 		t.Fatalf("announce %+v after a hinted fetch, %+v after an unhinted one", hinted.announce, plain.announce)
+	}
+	if fmt.Sprint(hinted.announcedOn) != fmt.Sprint(plain.announcedOn) || len(plain.announcedOn) != dht.DefaultConfig().K {
+		t.Fatalf("announced on %v after a hinted fetch, on %v after an unhinted one", hinted.announcedOn, plain.announcedOn)
 	}
 	if fmt.Sprint(hinted.providers) != fmt.Sprint(plain.providers) || len(plain.providers) != 2 {
 		t.Fatalf("providers after a hinted fetch %v, after an unhinted one %v", hinted.providers, plain.providers)
@@ -735,9 +762,10 @@ func TestFetchHintedSameTraffic(t *testing.T) {
 	if transfer := plain.cost.Latency - found.FirstCost.Latency; hinted.cost.Latency != transfer {
 		t.Fatalf("hinted content after %v, want the block transfer alone (%v)", hinted.cost.Latency, transfer)
 	}
-	if hinted.cost.Latency+hinted.announce.Latency != plain.cost.Latency+plain.announce.Latency {
-		t.Fatalf("announce done at %v hinted, %v unhinted: it leaves when the walk converges either way",
-			hinted.cost.Latency+hinted.announce.Latency, plain.cost.Latency+plain.announce.Latency)
+	hintedDone, plainDone := hinted.cost.Latency+hinted.announce.Latency, plain.cost.Latency+plain.announce.Latency
+	if hintedDone-convWalk.Latency != plainDone-walk.Latency || hintedDone >= plainDone {
+		t.Fatalf("announce done at %v hinted (walk converged at %v), %v unhinted (at %v): each leaves when its walk converges",
+			hintedDone, convWalk.Latency, plainDone, walk.Latency)
 	}
 }
 
