@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dht"
+	"repro/internal/index"
 	"repro/internal/netsim"
 )
 
@@ -309,7 +310,8 @@ func TestReadinessDegradesAndRecovers(t *testing.T) {
 // replica fails with dht.ErrNotFound, the same error as a key never
 // written. Only a shard this cluster never materialized may count as
 // healthy on it; a written one whose every replica is unreachable is
-// failed.
+// failed — by Readiness, and by a query on the one live bee, which must
+// not serve it as an empty shard.
 func TestReadinessWrittenShardUnreachable(t *testing.T) {
 	cfg := DefaultConfig()
 	c := NewCluster(cfg)
@@ -323,27 +325,64 @@ func TestReadinessWrittenShardUnreachable(t *testing.T) {
 			t.Fatalf("round %d: err=%v round errors=%v", round, err, rr.Errors)
 		}
 	}
+	// termOn returns a query term that lives on shard.
+	termOn := func(shard int) string {
+		for i := 0; ; i++ {
+			if term := fmt.Sprintf("probe%c%c", 'a'+i%26, 'a'+i/26); index.ShardOf(term, cfg.NumShards) == shard {
+				return term
+			}
+		}
+	}
 	d := c.maintenanceNode()
+	var fe *Frontend
+	for _, b := range c.Bees {
+		if b.Peer.DHT() == d {
+			fe = NewFrontend(c, b.Peer)
+		}
+	}
+	// Warm every shard's chain on the frontend while the swarm is up, so a
+	// shard whose pointer stays readable still loads once it is down.
+	var all []string
+	for s := 0; s < cfg.NumShards; s++ {
+		all = append(all, termOn(s))
+	}
+	if _, err := fe.Search(strings.Join(all, " "), 5); err != nil {
+		t.Fatal(err)
+	}
 	c.forEachNode(func(n *dht.Node) {
 		if n != d {
 			c.Net.SetDown(n.Self().Addr, true)
 		}
 	})
-	var unreachable []int
+	var unreachable, reachable []int
 	for s := 0; s < cfg.NumShards; s++ {
 		if _, _, _, err := d.Get(pointerKey(s)); err != nil {
 			if !errors.Is(err, dht.ErrNotFound) {
 				t.Fatalf("shard %d: %v", s, err)
 			}
 			unreachable = append(unreachable, s)
+		} else {
+			reachable = append(reachable, s)
 		}
 	}
-	if len(unreachable) == 0 || len(unreachable) == cfg.NumShards {
+	if len(unreachable) == 0 || len(reachable) == 0 {
 		t.Fatalf("fixture: unreachable shards %v", unreachable)
 	}
 	r := c.Readiness()
 	if r.Ready || fmt.Sprint(r.Failed) != fmt.Sprint(unreachable) || r.ShardsOK != cfg.NumShards-len(unreachable) {
 		t.Fatalf("readiness %+v, but shards %v are unreachable", r, unreachable)
+	}
+
+	lost, kept := termOn(unreachable[0]), termOn(reachable[0])
+	if resp, err := fe.Search(lost, 5); !errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("query on unreachable shard %d: %d results, degraded %+v, err=%v; want ErrShardUnavailable",
+			unreachable[0], len(resp.Results), resp.Degraded, err)
+	}
+	c.cfg.DegradedReads = true
+	resp, err := fe.Search(lost+" "+kept, 5)
+	if err != nil || resp.Degraded == nil || fmt.Sprint(resp.Degraded.FailedShards) != fmt.Sprint(unreachable[:1]) {
+		t.Fatalf("degraded query over shards %d and %d: degraded %+v, err=%v; want shard %d failed",
+			unreachable[0], reachable[0], resp.Degraded, err, unreachable[0])
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/dht"
@@ -131,7 +132,8 @@ func TestFailPeersDeterministic(t *testing.T) {
 // walks once per shard pointer — not three times (Get, replication probe, and a republish walk when it
 // fires). The pass's traffic is exactly the sum of its parts run by
 // hand: one locating read per mutable record, one replication probe per
-// segment, one reprovide per node. Counters match, on the same cluster,
+// segment, one ping per distinct holder of each node's provider records
+// — a healthy pass re-announces nothing. Counters match, on the same cluster,
 // those of the commit before maintenance reused its walks, less the
 // collection-statistics record that pass also healed and that no longer
 // exists (then 18 probed / 4 republished / 2 re-seeded for 1197 msgs of
@@ -140,15 +142,15 @@ func TestFailPeersDeterministic(t *testing.T) {
 func TestChurnMaintenanceOneWalkPerRecord(t *testing.T) {
 	c, _ := churnCluster(t)
 	first := c.RunMaintenance()
-	if first.ProbedKeys != 17 || first.Republished != 3 || first.Reseeded != 2 {
-		t.Fatalf("first pass = %+v, want 17 probed / 3 republished / 2 re-seeded", first)
+	if first.ProbedKeys != 17 || first.Republished != 3 || first.Reseeded != 2 || first.Reprovided != 0 {
+		t.Fatalf("first pass = %+v, want 17 probed / 3 republished / 2 re-seeded / 0 re-announced", first)
 	}
 	if first.Cost.Msgs >= 1197-40 {
 		t.Fatalf("first pass cost %d msgs, three walks per record cost %d", first.Cost.Msgs, 1197-40)
 	}
 	pass := c.RunMaintenance()
-	if pass.ProbedKeys != 17 || pass.Republished != 0 || pass.Reseeded != 0 || pass.SegmentsLost != 0 {
-		t.Fatalf("steady pass = %+v, want 17 probed and nothing to repair", pass)
+	if pass.ProbedKeys != 17 || pass.Republished != 0 || pass.Reseeded != 0 || pass.SegmentsLost != 0 || pass.Reprovided != 0 {
+		t.Fatalf("steady pass = %+v, want 17 probed and nothing to repair or re-announce", pass)
 	}
 	if pass.Cost.Msgs >= 1096-24 {
 		t.Fatalf("steady pass cost %d msgs, three walks per record cost %d", pass.Cost.Msgs, 1096-24)
@@ -180,16 +182,21 @@ func TestChurnMaintenanceOneWalkPerRecord(t *testing.T) {
 	if mutable+segments != pass.ProbedKeys {
 		t.Fatalf("%d mutable records + %d segments by hand, pass probed %d", mutable, segments, pass.ProbedKeys)
 	}
-	for _, p := range c.Peers {
-		_, cost := p.Reprovide()
-		byHand = byHand.Seq(cost)
-	}
+	peers := slices.Clone(c.Peers)
 	for _, b := range c.Bees {
-		_, cost := b.Peer.Reprovide()
-		byHand = byHand.Seq(cost)
+		peers = append(peers, b.Peer)
+	}
+	for _, p := range peers {
+		for _, h := range p.Holders() {
+			cost, err := p.DHT().Ping(h)
+			if err != nil {
+				t.Fatalf("holder %s of %s's records is down", h.Addr, p.Addr())
+			}
+			byHand = byHand.Seq(cost)
+		}
 	}
 	if pass.Cost.Msgs != byHand.Msgs {
-		t.Fatalf("steady pass cost %d msgs; one read per mutable record + one probe per segment + reprovides cost %d",
+		t.Fatalf("steady pass cost %d msgs; one read per mutable record + one probe per segment + one ping per holder cost %d",
 			pass.Cost.Msgs, byHand.Msgs)
 	}
 }

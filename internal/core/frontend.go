@@ -489,7 +489,10 @@ func (f *Frontend) readPointer(ctx context.Context, shard int) (ShardPointer, ne
 // the digest chain — the pointer read (readPointer: one RPC when the
 // chain vouches for the answer) is the only per-query DHT traffic until
 // the chain changes. Single-segment chains (the common case after
-// compaction) skip merging entirely, so their postings stay lazy.
+// compaction) skip merging entirely, so their postings stay lazy. Only a
+// shard this cluster never wrote reads as empty (Cluster.readsEmpty); a
+// written shard whose pointer no replica returns fails like any
+// unreachable shard.
 //
 // It is one wave leg with a request lifecycle. e0 is the query's
 // simulated elapsed time when the wave launched; the leg's own
@@ -505,7 +508,7 @@ func (f *Frontend) loadShardCtx(bud reqBudget, e0 time.Duration, shard int) (*in
 		return nil, netsim.Cost{}, err
 	}
 	ptr, cost, err := f.readPointer(bud.context(), shard)
-	if err == dht.ErrNotFound {
+	if f.cluster.readsEmpty(shard, err) {
 		return index.NewSegment(0), cost, nil
 	}
 	if err != nil {

@@ -34,7 +34,9 @@ type RepairStats struct {
 	// invisible during a network storm stops counting once a later pass
 	// reaches it again.
 	SegmentsLost int
-	// Reprovided counts provider records re-announced by live peers.
+	// Reprovided counts provider records live peers had to re-announce:
+	// those whose replica set lost a member to churn or never reached K
+	// (store.Peer.Reprovide). A pass over healthy records counts none.
 	Reprovided int
 	// Cost is the total simulated traffic maintenance has spent.
 	Cost netsim.Cost
@@ -87,9 +89,10 @@ func (c *Cluster) maintenanceNode() *dht.Node {
 //     replica, hash-verified, and re-Put on the probe's closest set. A
 //     segment with no surviving replica is counted lost (nothing to
 //     re-materialize from).
-//  3. Reprovide: every live peer re-announces its provider records, so
-//     content discovery survives the loss of the nodes that held the
-//     provider lists.
+//  3. Reprovide: every live peer pings the nodes its provider records
+//     landed on, once each, and re-announces the records whose replica
+//     set lost a member or never reached K, so content discovery
+//     survives the loss of the nodes that held the provider lists.
 //
 // The pass is driven from a single live node (a bee when possible), in
 // ascending shard / chain order, so its traffic — and therefore every
@@ -211,9 +214,7 @@ type Readiness struct {
 // Readiness probes every shard pointer and reports which are currently
 // reachable. A shard that has never been written counts healthy (there
 // is nothing to serve yet); a shard whose pointer read fails counts
-// degraded. A read that reached no replica reports dht.ErrNotFound just
-// like a key never written, so that answer is believed only for shards
-// this cluster never materialized.
+// degraded (readsEmpty).
 func (c *Cluster) Readiness() Readiness {
 	r := Readiness{ShardsTotal: c.cfg.NumShards}
 	d := c.maintenanceNode()
@@ -224,16 +225,10 @@ func (c *Cluster) Readiness() Readiness {
 		}
 		return r
 	}
-	c.writeMu.Lock()
-	written := make([]bool, c.cfg.NumShards)
-	for shard := range written {
-		_, written[shard] = c.shardTiers[shard]
-	}
-	c.writeMu.Unlock()
 	for shard := 0; shard < c.cfg.NumShards; shard++ {
 		_, _, cost, err := d.Get(pointerKey(shard))
 		r.Cost = r.Cost.Seq(cost)
-		if err == nil || (errors.Is(err, dht.ErrNotFound) && !written[shard]) {
+		if err == nil || c.readsEmpty(shard, err) {
 			r.ShardsOK++
 			continue
 		}
@@ -241,4 +236,19 @@ func (c *Cluster) Readiness() Readiness {
 	}
 	r.Ready = r.ShardsOK == r.ShardsTotal
 	return r
+}
+
+// readsEmpty reports whether a pointer read of shard that returned err
+// means the shard is empty. A read that reached no replica reports dht.ErrNotFound
+// just like a key never written, so that answer is believed only for a
+// shard this cluster never materialized; any other failure, on any
+// shard, is an unreachable shard.
+func (c *Cluster) readsEmpty(shard int, err error) bool {
+	if !errors.Is(err, dht.ErrNotFound) {
+		return false
+	}
+	c.writeMu.Lock()
+	_, written := c.shardTiers[shard]
+	c.writeMu.Unlock()
+	return !written
 }

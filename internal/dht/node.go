@@ -104,6 +104,10 @@ func NewNode(net *netsim.Network, addr netsim.NodeID, cfg Config) *Node {
 // Self returns this node's contact record.
 func (n *Node) Self() Contact { return n.self }
 
+// K returns the replication factor: how many of the closest nodes a
+// write lands on.
+func (n *Node) K() int { return n.cfg.K }
+
 // TableSize returns the number of contacts in the routing table.
 func (n *Node) TableSize() int { return n.rt.size() }
 
@@ -611,12 +615,13 @@ func bestDistance(target Key, list []Contact, states map[Key]*lookupState) Key {
 
 // writeAt is the one write wave behind PutAt and ProvideAt: send issues
 // one RPC to a member of the walk's closest set and reports whether the
-// replica took the record. An unconverged walk is walked first. A reused
-// one can be stale only if a contact died since its walk ran, so when any
-// RPC of the wave fails the key is walked again, once, and the wave
-// re-sent — a remembered walk never under-replicates silently. A lone
-// node (a converged walk that found nobody) keeps the record itself.
-func (n *Node) writeAt(w Walk, keepLocal func(), send func(Contact) (bool, netsim.Cost, error)) (int, netsim.Cost) {
+// replica took the record. It returns the contacts that took it. An
+// unconverged walk is walked first. A reused one can be stale only if a
+// contact died since its walk ran, so when any RPC of the wave fails the
+// key is walked again, once, and the wave re-sent — a remembered walk
+// never under-replicates silently. A lone node (a converged walk that
+// found nobody) keeps the record itself and is its own one replica.
+func (n *Node) writeAt(w Walk, keepLocal func(), send func(Contact) (bool, netsim.Cost, error)) ([]Contact, netsim.Cost) {
 	var total netsim.Cost
 	for {
 		reused := w.converged
@@ -627,9 +632,10 @@ func (n *Node) writeAt(w Walk, keepLocal func(), send func(Contact) (bool, netsi
 		}
 		if len(w.Closest) == 0 {
 			keepLocal()
-			return 1, total
+			return []Contact{n.self}, total
 		}
-		taken, failed := 0, false
+		var taken []Contact
+		failed := false
 		var wave netsim.Cost
 		for _, r := range w.Closest {
 			ok, cost, err := send(r.Contact)
@@ -637,7 +643,7 @@ func (n *Node) writeAt(w Walk, keepLocal func(), send func(Contact) (bool, netsi
 			if err != nil {
 				failed = true
 			} else if ok {
-				taken++
+				taken = append(taken, r.Contact)
 			}
 		}
 		total = total.Seq(wave)
@@ -684,10 +690,10 @@ func (n *Node) PutAt(w Walk, value []byte, seq uint64) (int, netsim.Cost, error)
 		}
 		return resp.(storeResp).OK, cost, nil
 	})
-	if accepted == 0 {
+	if len(accepted) == 0 {
 		return 0, cost, fmt.Errorf("dht: no replica accepted %s at seq %d", key.Short(), seq)
 	}
-	return accepted, cost, nil
+	return len(accepted), cost, nil
 }
 
 // Located is the outcome of the locating read: the winning record (when
@@ -851,17 +857,20 @@ func (n *Node) GetImmutableCtx(ctx context.Context, key Key) ([]byte, netsim.Cos
 
 // Provide announces this node as a provider for key on the k closest
 // nodes: one walk, then ProvideAt on what it found.
-func (n *Node) Provide(key Key) (int, netsim.Cost, error) {
+func (n *Node) Provide(key Key) ([]Contact, netsim.Cost, error) {
 	return n.ProvideAt(Walk{Key: key})
 }
 
 // ProvideAt announces this node as a provider for w.Key on the closest
 // set of a walk the caller already ran (FindProviders, when it
 // converged), issuing only the ADD_PROVIDER wave; see writeAt for the
-// staleness fallback.
-func (n *Node) ProvideAt(w Walk) (int, netsim.Cost, error) {
+// staleness fallback. It returns the contacts that took the record, in
+// the walk's nearest-first order: provider records never expire, so the
+// record stays findable for as long as they answer, and a caller that
+// remembers them knows when it must announce again.
+func (n *Node) ProvideAt(w Walk) ([]Contact, netsim.Cost, error) {
 	key := w.Key
-	announced, cost := n.writeAt(w, func() {
+	holders, cost := n.writeAt(w, func() {
 		n.mu.Lock()
 		set := n.providers[key]
 		if set == nil {
@@ -874,10 +883,10 @@ func (n *Node) ProvideAt(w Walk) (int, netsim.Cost, error) {
 		_, cost, err := n.call(c, addProviderReq{From: n.self, Key: key, Provider: n.self})
 		return err == nil, cost, err
 	})
-	if announced == 0 {
-		return 0, cost, fmt.Errorf("dht: provider announce failed for %s", key.Short())
+	if len(holders) == 0 {
+		return nil, cost, fmt.Errorf("dht: provider announce failed for %s", key.Short())
 	}
-	return announced, cost, nil
+	return holders, cost, nil
 }
 
 // Providers is what provider discovery learned about a key.

@@ -480,8 +480,8 @@ func TestWalkReuseNeedsConvergedWalk(t *testing.T) {
 
 	// Either way the announce still lands on K nodes — by walking.
 	announced, cost, err := fetcher.ProvideAt(found)
-	if err != nil || announced != cfg.K {
-		t.Fatalf("ProvideAt announced %d, err=%v", announced, err)
+	if err != nil || len(announced) != cfg.K {
+		t.Fatalf("ProvideAt announced %d, err=%v", len(announced), err)
 	}
 	if cost.Msgs <= cfg.K {
 		t.Fatalf("ProvideAt on an unconverged walk cost %d msgs: it cannot have walked", cost.Msgs)

@@ -461,10 +461,19 @@ func TestWalkReuseLandsWherePutLands(t *testing.T) {
 			t.Fatalf("key %d: FindProviders = %v converged=%v err=%v", i, provs, found.converged, err)
 		}
 		announced, annCost, err := fetcher.ProvideAt(found)
-		if err != nil || announced != cfg.K || annCost.Msgs != cfg.K {
-			t.Fatalf("key %d: ProvideAt announced %d for %d msgs err=%v, want one %d-wide wave", i, announced, annCost.Msgs, err, cfg.K)
+		if err != nil || len(announced) != cfg.K || annCost.Msgs != cfg.K {
+			t.Fatalf("key %d: ProvideAt announced %d for %d msgs err=%v, want one %d-wide wave", i, len(announced), annCost.Msgs, err, cfg.K)
 		}
 		reused := announcedOn(nodes, key, fetcher.self.Addr)
+		// The contacts ProvideAt reports are exactly where the record landed.
+		var reported []netsim.NodeID
+		for _, c := range announced {
+			reported = append(reported, c.Addr)
+		}
+		sort.Slice(reported, func(a, b int) bool { return reported[a] < reported[b] })
+		if fmt.Sprint(reported) != fmt.Sprint(reused) {
+			t.Fatalf("key %d: ProvideAt reported %v, the record is on %v", i, reported, reused)
+		}
 		for _, nd := range nodes {
 			nd.mu.Lock()
 			delete(nd.providers[key], fetcher.self.Addr)

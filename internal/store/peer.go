@@ -59,11 +59,13 @@ type Peer struct {
 	tamperDetected atomic.Int64
 	blocksServed   atomic.Int64
 
-	// roots tracks every document root this peer has announced as a
-	// provider for, so maintenance can re-announce them after churn
-	// (the block store itself has no enumeration).
+	// roots maps every document root this peer has announced as a
+	// provider for (the block store itself has no enumeration) to the
+	// contacts its latest announce landed on. Provider records never
+	// expire, so maintenance re-announces a root only when one of those
+	// stops answering or there were never K of them (Reprovide).
 	rootsMu sync.Mutex
-	roots   map[CID]bool
+	roots   map[CID][]dht.Contact
 
 	// deferProvides queues Fetch's serve-cache announcements instead of
 	// issuing them inline. The round engine sets it around parallel bee
@@ -76,12 +78,13 @@ type Peer struct {
 	pending       []announce
 }
 
-// announce is one fetched root's serve-cache announcement: the walk its
-// provider discovery ran, so the ADD_PROVIDER wave lands on it without
-// walking again, and how long that walk still had to run when the
-// content arrived — the announce cannot be sent before the walk has
+// announce is one fetched root's serve-cache announcement: the root, the
+// walk its provider discovery ran, so the ADD_PROVIDER wave lands on it
+// without walking again, and how long that walk still had to run when
+// the content arrived — the announce cannot be sent before the walk has
 // converged, and the fetch did not wait for it.
 type announce struct {
+	root CID
 	walk dht.Walk
 	lag  time.Duration
 }
@@ -93,7 +96,7 @@ func NewPeer(net *netsim.Network, d *dht.Node, cfg PeerConfig) *Peer {
 		dht:    d,
 		net:    net,
 		blocks: NewBlockStore(cacheCapacity),
-		roots:  make(map[CID]bool),
+		roots:  make(map[CID][]dht.Contact),
 	}
 	net.Register(d.Self().Addr, p.HandleRPC)
 	return p
@@ -140,17 +143,19 @@ func (p *Peer) Add(data []byte) (CID, netsim.Cost, error) {
 	for _, c := range cids {
 		p.blocks.Pin(blocks[c])
 	}
-	p.rememberRoot(root)
-	_, cost, err := p.dht.Provide(root.Key())
+	holders, cost, err := p.dht.Provide(root.Key())
+	p.setHolders(root, holders)
 	if err != nil {
 		return root, cost, fmt.Errorf("store: announcing %s: %w", root.Short(), err)
 	}
 	return root, cost, nil
 }
 
-func (p *Peer) rememberRoot(root CID) {
+// setHolders records where root's latest announce landed (nil when it
+// landed nowhere; the next Reprovide announces it again).
+func (p *Peer) setHolders(root CID, holders []dht.Contact) {
 	p.rootsMu.Lock()
-	p.roots[root] = true
+	p.roots[root] = holders
 	p.rootsMu.Unlock()
 }
 
@@ -165,10 +170,12 @@ func (p *Peer) SetDeferProvides(on bool) {
 
 // announceCached makes this peer a provider for content it just fetched
 // and cached, on the closest set its provider discovery already walked
-// to (dht.Node.ProvideAt walks itself when that lookup never converged).
-func (p *Peer) announceCached(found dht.Walk) netsim.Cost {
+// to (dht.Node.ProvideAt walks itself when that lookup never converged),
+// and records where the announce landed.
+func (p *Peer) announceCached(a announce) netsim.Cost {
 	//detlint:ignore errsink best-effort cache announce; the fetch itself already succeeded and a missed provide is re-sent by the next Reprovide
-	_, cost, _ := p.dht.ProvideAt(found)
+	holders, cost, _ := p.dht.ProvideAt(a.walk)
+	p.setHolders(a.root, holders)
 	return cost
 }
 
@@ -209,34 +216,80 @@ func (p *Peer) FlushProvides() netsim.Cost {
 			continue
 		}
 		seen[a.walk.Key] = true
-		total = total.Par(netsim.Cost{Latency: a.lag}.Seq(p.announceCached(a.walk)))
+		total = total.Par(netsim.Cost{Latency: a.lag}.Seq(p.announceCached(a)))
 	}
 	return total
 }
 
-// Reprovide re-announces this peer as a provider for every root it has
-// ever provided — the periodic provider-record republish a churning DHT
-// needs to keep content discoverable (provider records on departed
-// nodes are simply gone). Roots are announced in sorted order so the
-// traffic is deterministic. Returns the number of roots announced.
+// Reprovide keeps this peer's provider records findable through churn
+// (provider records on departed nodes are simply gone). Records never
+// expire, so only a root whose replica set lost a member needs
+// announcing again. The pass pings every distinct holder of a record
+// that reached K replicas once, as one parallel wave (Holders); then, in
+// sorted root order so the traffic is deterministic, it re-announces
+// with a fresh walk each root that has a silent holder or fewer than K
+// holders, and records where the new announce landed. No record reaches
+// K on a swarm of K nodes or fewer, so there every root is re-announced
+// on every pass. Returns the number of roots re-announced.
 func (p *Peer) Reprovide() (int, netsim.Cost) {
+	k := p.dht.K()
+	var pings netsim.Cost
+	silent := make(map[netsim.NodeID]bool)
+	for _, h := range p.Holders() {
+		cost, err := p.dht.Ping(h)
+		pings = pings.Par(cost)
+		silent[h.Addr] = err != nil
+	}
+
 	p.rootsMu.Lock()
-	roots := make([]CID, 0, len(p.roots))
-	for r := range p.roots {
-		roots = append(roots, r)
+	var due []CID
+	for r, holders := range p.roots {
+		stale := len(holders) < k
+		for _, h := range holders {
+			stale = stale || silent[h.Addr]
+		}
+		if stale {
+			due = append(due, r)
+		}
 	}
 	p.rootsMu.Unlock()
-	sort.Slice(roots, func(i, j int) bool { return bytes.Compare(roots[i][:], roots[j][:]) < 0 })
-	var total netsim.Cost
+	sort.Slice(due, func(i, j int) bool { return bytes.Compare(due[i][:], due[j][:]) < 0 })
+
+	total := pings
 	n := 0
-	for _, r := range roots {
-		_, cost, err := p.dht.Provide(r.Key())
+	for _, r := range due {
+		holders, cost, err := p.dht.Provide(r.Key())
+		p.setHolders(r, holders)
 		total = total.Seq(cost)
 		if err == nil {
 			n++
 		}
 	}
 	return n, total
+}
+
+// Holders returns the distinct contacts this peer's provider records
+// landed on, counting only records that reached K replicas, in address
+// order: the nodes the next Reprovide pings.
+func (p *Peer) Holders() []dht.Contact {
+	k := p.dht.K()
+	seen := make(map[netsim.NodeID]bool)
+	var out []dht.Contact
+	p.rootsMu.Lock()
+	for _, holders := range p.roots {
+		if len(holders) < k {
+			continue
+		}
+		for _, h := range holders {
+			if !seen[h.Addr] {
+				seen[h.Addr] = true
+				out = append(out, h)
+			}
+		}
+	}
+	p.rootsMu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+	return out
 }
 
 // Fetch retrieves a document by root CID with no advice on who holds it:
@@ -308,14 +361,13 @@ func (p *Peer) FetchHinted(root CID, hint netsim.NodeID) (data []byte, total net
 		return nil, total, missed, err
 	}
 
-	p.rememberRoot(root)
-	a := announce{walk: found.Walk}
+	a := announce{root: root, walk: found.Walk}
 	if converged > total.Latency {
 		a.lag = converged - total.Latency
 	}
 	if !p.queueProvide(a) {
 		// Inline: the wave's traffic is this fetch's, its latency nobody's.
-		wave := p.announceCached(a.walk)
+		wave := p.announceCached(a)
 		wave.Latency = 0
 		total = total.Par(wave)
 	}

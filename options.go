@@ -53,7 +53,8 @@ func WithHedgedReads(on bool) Option {
 
 // WithMaintenance runs one self-healing pass after every protocol
 // round: shard pointers replicated below K are republished, segments below K are re-seeded from a surviving replica
-// (hash-verified), and live peers re-announce their provider records.
+// (hash-verified), and live peers ping the nodes holding their provider
+// records and re-announce those whose replica set churn thinned.
 // Engine.RepairStats reports what the loops have done. Off by default —
 // a healthy deployment's maintenance traffic is pure probe cost.
 func WithMaintenance(on bool) Option {

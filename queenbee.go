@@ -291,7 +291,8 @@ type CacheStats = core.CacheStats
 
 // RepairStats is a snapshot of the self-healing loops' accumulated
 // counters: keys probed, records republished, segments re-seeded or
-// lost, providers re-announced, and the simulated traffic spent.
+// lost, provider records churn forced to re-announce, and the simulated
+// traffic spent.
 type RepairStats = core.RepairStats
 
 // WriteStats is the write path's cumulative ledger: rounds driven,
