@@ -131,19 +131,21 @@
 //
 // # Concurrent ingest
 //
-// Inside that single driver, the write side is itself concurrent
-// (docs/indexing.md): each protocol round fans the bees' fetch-and-build
-// work out as a goroutine wave, materializes the round's winning
-// segments as a batch — one shard-pointer read-modify-write per touched
-// shard, O(shards) instead of O(segments×shards) — and reports wave-vs-serial costs in a
-// RoundReceipt. The bees fetch from the peer the publish transaction
+// Inside that single driver, the write side is concurrent in simulated
+// time (docs/indexing.md): each protocol round runs the bees' fetches,
+// announces and DHT writes on one goroutine in a fixed order and costs
+// each wave as parallel legs, fans only the pure segment and rank builds
+// out across goroutines, materializes the round's winning segments as a
+// batch — one shard-pointer read-modify-write per touched shard,
+// O(shards) instead of O(segments×shards) — and reports wave-vs-serial
+// costs in a RoundReceipt. The bees fetch from the peer the publish transaction
 // names as provider, so the publisher's provider announce runs beside
 // the round rather than ahead of it. PublishBatch ingests N pages as ONE atomic contract
 // transaction and one commit-reveal cycle, with the quorum building a
-// single multi-doc segment. DHT state stays byte-identical per seed
-// whether rounds run parallel or sequential (core.Config.ParallelRounds);
-// cmd/queenbeed's POST /publish serves batch ingest over HTTP under a
-// write lock while queries keep flowing on the read lock.
+// single multi-doc segment. Costs and DHT state are identical per seed
+// whatever GOMAXPROCS is. cmd/queenbeed's POST /publish serves batch
+// ingest over HTTP under the server's write lock: queries wait for the
+// whole publish round, and with maintenance on for its repair pass too.
 //
 // # Streaming ingest
 //

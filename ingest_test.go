@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/contracts"
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/dht"
 	"repro/internal/index"
@@ -94,67 +93,10 @@ func dhtWriteState(tb testing.TB, e *Engine) string {
 	return string(out)
 }
 
-// TestWriteDeterminismSoak is the write-side determinism contract: the
-// same seed and workload must leave byte-identical state — shard
-// pointers, segment bytes, on-chain stats — whether the round engine fans its
-// waves out across goroutines (the default) or runs them sequentially
-// (Config.ParallelRounds=false). Runs under -race in CI and inside the
-// -count=2 determinism re-run. Costs are exempt: concurrent writers
-// sharing a link may interleave draws, results may not.
-func TestWriteDeterminismSoak(t *testing.T) {
-	const seed = 11
-	parallel := New(WithSeed(seed), WithPeers(10), WithBees(4))
-	sequential := New(WithSeed(seed), WithPeers(10), WithBees(4),
-		func(c *core.Config) { c.ParallelRounds = false })
-	parRounds := ingestWorkload(t, parallel, seed)
-	seqRounds := ingestWorkload(t, sequential, seed)
-
-	// The materialize fold is the same in both modes — the segment puts,
-	// then each pointer's write behind its own read —
-	// and every leg executes in one fixed order either way, so the phase
-	// sends the same messages and bytes; only latency may tell the modes
-	// apart. The announce wave likewise: both modes queue the bees'
-	// serve-cache announces and flush them in bee order, one K-wide wave
-	// per fetched page.
-	for i := range parRounds {
-		p, s := parRounds[i], seqRounds[i]
-		for _, rr := range []RoundReceipt{p, s} {
-			if rr.Wave().Latency > rr.Serial().Latency || rr.Wave().Bytes != rr.Serial().Bytes || rr.Wave().Msgs != rr.Serial().Msgs {
-				t.Fatalf("batch round %d: wave %+v vs serial %+v", i, rr.Wave(), rr.Serial())
-			}
-		}
-		if p.PointerWrites != s.PointerWrites || p.Compactions != s.Compactions ||
-			p.MaterializeSerial.Msgs != s.MaterializeSerial.Msgs || p.MaterializeSerial.Bytes != s.MaterializeSerial.Bytes {
-			t.Fatalf("batch round %d materialize diverged:\nparallel   %+v\nsequential %+v", i, p, s)
-		}
-		if p.AnnounceWave.Msgs == 0 || p.AnnounceWave.Msgs != s.AnnounceWave.Msgs || p.AnnounceWave.Bytes != s.AnnounceWave.Bytes {
-			t.Fatalf("batch round %d announce wave diverged: parallel %+v, sequential %+v", i, p.AnnounceWave, s.AnnounceWave)
-		}
-	}
-
-	if got, want := dhtWriteState(t, parallel), dhtWriteState(t, sequential); got != want {
-		t.Fatalf("DHT state diverged between parallel and sequential rounds:\nparallel   %s\nsequential %s", got, want)
-	}
-
-	// And the query side sees identical answers over that state.
-	for _, q := range []string{"the", "document"} {
-		rp, errP := parallel.Query(q).Any().Limit(10).Run()
-		rs, errS := sequential.Query(q).Any().Limit(10).Run()
-		if (errP == nil) != (errS == nil) {
-			t.Fatalf("query %q error diverged: %v vs %v", q, errP, errS)
-		}
-		if errP != nil {
-			continue
-		}
-		if canonical(t, rp) != canonical(t, rs) {
-			t.Fatalf("query %q diverged:\nparallel   %s\nsequential %s", q, canonical(t, rp), canonical(t, rs))
-		}
-	}
-}
-
-// TestWriteDeterminismSameSeedTwice re-runs the parallel engine on one
-// seed and asserts the DHT state reproduces run-over-run — goroutine
-// scheduling must never leak into written state.
+// TestWriteDeterminismSameSeedTwice is the write-side determinism
+// contract: the same seed and workload must leave byte-identical state —
+// shard pointers, segment bytes, on-chain stats — and identical round
+// receipts run over run. Goroutine scheduling must never leak into either.
 func TestWriteDeterminismSameSeedTwice(t *testing.T) {
 	build := func() (string, string) {
 		e := New(WithSeed(23), WithPeers(10), WithBees(4))
@@ -172,8 +114,7 @@ func TestWriteDeterminismSameSeedTwice(t *testing.T) {
 		t.Fatalf("same-seed runs diverged:\nfirst  %s\nsecond %s", a, b)
 	}
 	// The receipts too, latencies included — commit, announce and every
-	// materialize leg: folding by dependency instead of by issue order
-	// must not let scheduling into any link's draw order.
+	// materialize leg.
 	if ra != rb {
 		t.Fatalf("same-seed round receipts diverged:\nfirst  %s\nsecond %s", ra, rb)
 	}
@@ -249,12 +190,7 @@ func TestIngestPipelineDeterminism(t *testing.T) {
 // TestIngestStatsRerunIdentical pins the COST side of the crawl's
 // determinism contract: two fresh engines, same seed, full Stats
 // structs equal — including the simulated wave costs (CommitBusy,
-// RevealBusy, Makespan). This is what state-only comparisons miss:
-// concurrent bees in a parallel commit wave used to announce their
-// serve-cache provider records mid-wave, so a sibling's FindProviders
-// cost depended on goroutine interleaving (the records are now queued
-// and flushed in bee order after the wave). The crawl's fetch workers
-// keep the scheduler busy enough to hit that window reliably.
+// RevealBusy, Makespan), which state-only comparisons miss.
 func TestIngestStatsRerunIdentical(t *testing.T) {
 	run := func() IngestStats {
 		e := New(WithSeed(11), WithPeers(12), WithBees(4))
@@ -288,8 +224,8 @@ func TestIngestStatsRerunIdentical(t *testing.T) {
 // TestQueryConcurrentThroughput: one round ingesting a spread of tasks
 // across 8 bees must cost (in simulated time) at most half of what the
 // sequential drive pays — the ≥2× write concurrency claim BenchmarkIngest
-// reports. Costs come from real goroutine executions, so -race patrols
-// the same path.
+// reports. The bees' concurrency is simulated: each wave folds its legs
+// with Par.
 func TestIngestConcurrentThroughput(t *testing.T) {
 	e := New(WithSeed(5), WithPeers(16), WithBees(8))
 	owner := e.NewAccount("throughput-owner", 10_000_000)

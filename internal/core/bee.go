@@ -49,46 +49,78 @@ type pendingResult struct {
 	tokens uint64 // index tasks: revealed beside the digest (firstVersionTokens)
 }
 
-// prepareCommits computes results for newly assigned open tasks and
-// returns the commitments to submit. It is the compute leg of the
-// round engine's commit wave: one goroutine per bee may run it
-// concurrently — it touches only this bee's own state (pending map,
-// its DWeb peer) and read-locked contract views, never the chain. The
-// cluster submits the returned commitments afterwards, sequentially in
-// bee order, so transaction order stays deterministic. misses counts the
-// page fetches whose on-chain provider could not serve.
-func (b *WorkerBee) prepareCommits() (commits []contracts.CommitParams, cost netsim.Cost, misses int, errs []RoundError) {
+// commitJob is one newly assigned open task on its way to a commitment:
+// the pure rest of its build once the network has delivered its inputs,
+// and what that build produced.
+type commitJob struct {
+	taskID string
+	build  func() (result []byte, tokens uint64) // nil when err is set
+	err    error                                 // reading the task's inputs failed
+	pr     pendingResult                         // set by buildCommits
+}
+
+// fetchCommits is the network leg of this bee's commit: for every newly
+// assigned open task, in task order, it fetches what the build needs and
+// returns the rest of the build, which sends no RPC and reads no mutable
+// state. Beside the jobs it returns the serve-cache announcements of the
+// pages it fetched, in fetch order, the fetch cost (task after task), and
+// how many page fetches the provider named on chain could not serve.
+func (b *WorkerBee) fetchCommits() (jobs []commitJob, anns []store.Announcement, cost netsim.Cost, misses int) {
 	for _, task := range b.cluster.QB.OpenTasksFor(b.Account.Address()) {
 		if _, done := b.pending[task.ID]; done {
 			continue
 		}
-		var result []byte
-		var tokens uint64
-		var buildCost netsim.Cost
-		var missed int
-		var err error
+		job := commitJob{taskID: task.ID}
+		var fetched []store.Announcement
 		switch task.Kind {
 		case contracts.TaskIndex:
-			result, tokens, buildCost, missed, err = b.buildIndexResult(task)
+			var fetchCost netsim.Cost
+			var missed int
+			job.build, fetched, fetchCost, missed, job.err = b.fetchIndexTask(task)
+			cost = cost.Seq(fetchCost)
 			misses += missed
 		case contracts.TaskRank:
-			result, err = b.buildRankResult(task)
+			job.build, fetched, job.err = b.rankBuild(task)
 		}
-		cost = cost.Seq(buildCost)
-		if err != nil {
-			errs = append(errs, RoundError{Bee: b.Name, Task: task.ID, Shard: -1, Stage: "build", Err: err})
+		anns = append(anns, fetched...)
+		jobs = append(jobs, job)
+	}
+	return jobs, anns, cost, misses
+}
+
+// buildCommits is the pure leg of this bee's commit: every job's build,
+// digest and salt. It touches nothing but the jobs, so the round engine
+// runs it for all bees at once.
+func (b *WorkerBee) buildCommits(jobs []commitJob) {
+	for i := range jobs {
+		j := &jobs[i]
+		if j.err != nil {
 			continue
 		}
-		digest := index.DigestOf(result)
+		result, tokens := j.build()
 		salt := make([]byte, 16)
-		xrand.NewNamed(b.cluster.cfg.Seed, "salt:"+b.Name+":"+task.ID).Bytes(salt)
-		b.pending[task.ID] = pendingResult{result: result, digest: digest, salt: salt, tokens: tokens}
-		commits = append(commits, contracts.CommitParams{
-			TaskID:     task.ID,
-			Commitment: contracts.Commitment(digest, salt),
-		})
+		xrand.NewNamed(b.cluster.cfg.Seed, "salt:"+b.Name+":"+j.taskID).Bytes(salt)
+		j.pr = pendingResult{result: result, digest: index.DigestOf(result), salt: salt, tokens: tokens}
 	}
-	return commits, cost, misses, errs
+}
+
+// submitCommits records each built result as pending and submits its
+// commitment, in task order; a job whose inputs could not be read is a
+// "build" error on the bee and on the receipt instead.
+func (b *WorkerBee) submitCommits(jobs []commitJob, r *RoundReceipt) {
+	for _, j := range jobs {
+		if j.err != nil {
+			e := RoundError{Bee: b.Name, Task: j.taskID, Shard: -1, Stage: "build", Err: j.err}
+			b.Errs = append(b.Errs, e)
+			r.Errors = append(r.Errors, e)
+			continue
+		}
+		b.pending[j.taskID] = j.pr
+		b.cluster.SubmitCall(b.Account, contracts.MethodCommit, contracts.CommitParams{
+			TaskID:     j.taskID,
+			Commitment: contracts.Commitment(j.pr.digest, j.pr.salt),
+		}, 0)
+	}
 }
 
 // RevealPhase opens this bee's commitments for tasks still open.
@@ -222,23 +254,26 @@ func (b *WorkerBee) designatedWriter(task contracts.Task) chain.Address {
 	return winners[0]
 }
 
-// buildIndexResult fetches the published content from the DWeb and
-// builds the deterministic delta segment for the task's page version —
-// or, for a batch task, for every page of the batch in one segment. The
-// per-page fetches of a batch are independent downloads from (usually)
-// distinct providers, so their cost folds as one parallel wave
-// (execution stays sequential on this bee's goroutine, keeping the
-// bee's per-link draw order seed-stable); across bees, the round engine
-// runs the whole build as a real goroutine wave. Beside the encoded
-// segment it returns the token count the reveal votes on and how many
+// fetchIndexTask fetches from the DWeb the published content of the
+// task's page version — or, for a batch task, of every page of the batch
+// — and returns the rest of the build: the deterministic delta segment
+// over those pages, encoded, and the token count the reveal votes on.
+// The per-page fetches of a batch are independent downloads from
+// (usually) distinct providers, so their cost folds as one parallel wave;
+// execution stays in page order, keeping the bee's per-link draw order
+// seed-stable. Beside the build it returns the pages' serve-cache
+// announcements (those fetched before a failing page too) and how many
 // pages the provider named on chain could not serve.
-func (b *WorkerBee) buildIndexResult(task contracts.Task) (result []byte, tokens uint64, cost netsim.Cost, misses int, err error) {
+func (b *WorkerBee) fetchIndexTask(task contracts.Task) (build func() ([]byte, uint64), anns []store.Announcement, cost netsim.Cost, misses int, err error) {
 	var docs []index.BatchDoc
 	fetch := func(url, cidHex, provider string) error {
-		content, c, missed, err := b.fetchPage(url, cidHex, provider)
+		content, c, missed, ann, err := b.fetchPage(url, cidHex, provider)
 		cost = cost.Par(c)
 		if missed {
 			misses++
+		}
+		if ann != nil {
+			anns = append(anns, *ann)
 		}
 		if err != nil {
 			return err
@@ -249,71 +284,91 @@ func (b *WorkerBee) buildIndexResult(task contracts.Task) (result []byte, tokens
 	if entries, isBatch := contracts.BatchEntries(task); isBatch {
 		for _, e := range entries {
 			if err := fetch(e.URL, e.CID, e.Provider); err != nil {
-				return nil, 0, cost, misses, err
+				return nil, anns, cost, misses, err
 			}
 		}
 	} else if err := fetch(task.Meta["url"], task.Meta["cid"], task.Meta["provider"]); err != nil {
-		return nil, 0, cost, misses, err
+		return nil, anns, cost, misses, err
 	}
-	gen := task.CreatedAt // same for every assignee → deterministic
-	seg := index.BuildBatch(gen, docs)
-	if b.Colluding {
-		seg = b.corruptSegment(seg)
-	}
-	return seg.Encode(), firstVersionTokens(task, seg), cost, misses, nil
+	return func() ([]byte, uint64) {
+		seg := index.BuildBatch(task.CreatedAt, docs) // same gen for every assignee → deterministic
+		if b.Colluding {
+			seg = corruptSegment(seg)
+		}
+		return seg.Encode(), firstVersionTokens(task, seg)
+	}, anns, cost, misses, nil
 }
 
 // fetchPage resolves one page version's content from the DWeb store,
 // asking the provider the publish named first (see store.Peer.FetchHinted).
-func (b *WorkerBee) fetchPage(url, cidHex, provider string) ([]byte, netsim.Cost, bool, error) {
+func (b *WorkerBee) fetchPage(url, cidHex, provider string) ([]byte, netsim.Cost, bool, *store.Announcement, error) {
 	cid, err := cidFromHex(cidHex)
 	if err != nil {
-		return nil, netsim.Cost{}, false, fmt.Errorf("page %q: %w", url, err)
+		return nil, netsim.Cost{}, false, nil, fmt.Errorf("page %q: %w", url, err)
 	}
-	content, cost, missed, err := b.Peer.FetchHinted(cid, netsim.NodeID(provider))
+	content, cost, missed, ann, err := b.Peer.FetchHinted(cid, netsim.NodeID(provider))
 	if err != nil {
-		return nil, cost, missed, fmt.Errorf("page %q: %w", url, err)
+		return nil, cost, missed, ann, fmt.Errorf("page %q: %w", url, err)
 	}
-	return content, cost, missed, nil
+	return content, cost, missed, ann, nil
 }
 
 // corruptSegment produces the colluders' agreed-upon wrong result: the
 // page's postings are replaced with spam terms pointing at the attacker's
 // URL. Deterministic across colluders (keyed by task, not bee).
-func (b *WorkerBee) corruptSegment(honest *index.Segment) *index.Segment {
+func corruptSegment(honest *index.Segment) *index.Segment {
 	builder := index.NewBuilder(honest.Gen)
 	builder.Add(index.DocIDOf("dweb://attacker/spam"),
 		strings.Repeat("buy spam honey now ", 8))
 	return builder.Build()
 }
 
-// buildRankResult computes the page-rank partition for a rank task. The
-// link graph comes from chain state, so every honest bee computes the
-// same result bytes.
-func (b *WorkerBee) buildRankResult(task contracts.Task) ([]byte, error) {
+// rankBuild reads a rank task's inputs from chain state — the link graph
+// and, for a delta epoch, the previous rank vector — and returns the
+// build of its page-rank partition. A bee that detects duplicates first
+// fetches every page (pageSignatures); those fetches' announcements are
+// returned. Every input is finalized chain state, so every honest bee
+// computes the same result bytes.
+func (b *WorkerBee) rankBuild(task contracts.Task) (func() ([]byte, uint64), []store.Announcement, error) {
 	partition, err := strconv.Atoi(task.Meta["partition"])
 	if err != nil {
-		return nil, fmt.Errorf("task %q: bad partition: %w", task.ID, err)
+		return nil, nil, fmt.Errorf("task %q: bad partition: %w", task.ID, err)
 	}
 	epoch, err := strconv.ParseUint(task.Meta["epoch"], 10, 64)
 	if err != nil {
-		return nil, fmt.Errorf("task %q: bad epoch: %w", task.ID, err)
+		return nil, nil, fmt.Errorf("task %q: bad epoch: %w", task.ID, err)
 	}
 	re, ok := b.cluster.QB.RankEpochInfo(epoch)
 	if !ok {
-		return nil, fmt.Errorf("task %q: unknown rank epoch %d", task.ID, epoch)
+		return nil, nil, fmt.Errorf("task %q: unknown rank epoch %d", task.ID, epoch)
 	}
-	g := rank.NewGraph(b.cluster.QB.LinkGraph())
+	links := b.cluster.QB.LinkGraph()
+	var prev map[string]float64
+	if re.Delta {
+		prev = b.cluster.QB.PageRanks()
+	}
+	var sigs []pageSig
+	var anns []store.Announcement
+	if b.DetectDuplicates {
+		sigs, anns = b.pageSignatures(links)
+	}
+	return func() ([]byte, uint64) {
+		return b.rankResult(rank.NewGraph(links), re, prev, partition, sigs), 0
+	}, anns, nil
+}
+
+// rankResult computes one partition of a rank epoch's page ranks.
+func (b *WorkerBee) rankResult(g *rank.Graph, re contracts.RankEpoch, prev map[string]float64, partition int, sigs []pageSig) []byte {
 	var res rank.Result
 	if re.Delta {
-		res = b.deltaRank(g, re)
+		res = deltaRank(g, re, prev)
 	} else {
 		res = rank.Compute(g, rank.DefaultOptions())
 	}
 	ranks := res.Ranks
 
 	if b.DetectDuplicates {
-		ranks = b.zeroDuplicates(g, ranks)
+		ranks = zeroDuplicates(g, ranks, sigs)
 	}
 	if b.Colluding {
 		// Colluders inflate the attacker page and zero everyone else.
@@ -327,14 +382,14 @@ func (b *WorkerBee) buildRankResult(task contracts.Task) ([]byte, error) {
 
 	parts := rank.Partition(g.Size(), re.Partitions)
 	if partition >= len(parts) {
-		return contracts.EncodeRankResult(nil), nil
+		return contracts.EncodeRankResult(nil)
 	}
 	lo, hi := parts[partition][0], parts[partition][1]
 	entries := make([]contracts.RankEntry, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		entries = append(entries, contracts.RankEntry{URL: g.URL(i), Rank: ranks[i]})
 	}
-	return contracts.EncodeRankResult(entries), nil
+	return contracts.EncodeRankResult(entries)
 }
 
 // deltaRank runs the incremental rank pass for a delta epoch. Every
@@ -344,8 +399,7 @@ func (b *WorkerBee) buildRankResult(task contracts.Task) ([]byte, error) {
 // nodes plus every node the previous vector has never ranked (pages
 // published after the last epoch started); ComputeDelta sorts and
 // deduplicates it.
-func (b *WorkerBee) deltaRank(g *rank.Graph, re contracts.RankEpoch) rank.Result {
-	prevMap := b.cluster.QB.PageRanks()
+func deltaRank(g *rank.Graph, re contracts.RankEpoch, prevMap map[string]float64) rank.Result {
 	if len(prevMap) == 0 {
 		// Nothing to warm-start from: first epoch ever ran as delta.
 		return rank.Compute(g, rank.DefaultOptions())

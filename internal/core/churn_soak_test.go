@@ -29,12 +29,6 @@ func runChurnSoak(t *testing.T) string {
 	cfg.NumBees = 3
 	cfg.Maintenance = false // driven explicitly below, between measurements
 	cfg.DegradedReads = true
-	// Sequential rounds: parallel write waves leave byte-identical DHT
-	// state but can reorder same-link messages, shifting the per-link RNG
-	// positions the lossy episode later draws from. With drops in play,
-	// outcomes (not just costs) depend on those positions, so the soak
-	// pins the single-threaded driver to stay byte-for-byte reproducible.
-	cfg.ParallelRounds = false
 	c := NewCluster(cfg)
 
 	alice := c.NewAccount("alice", 10_000)
@@ -349,11 +343,11 @@ func TestReadinessWrittenShardUnreachable(t *testing.T) {
 	if _, err := fe.Search(strings.Join(all, " "), 5); err != nil {
 		t.Fatal(err)
 	}
-	c.forEachNode(func(n *dht.Node) {
+	for _, n := range dhtNodes(c) {
 		if n != d {
 			c.Net.SetDown(n.Self().Addr, true)
 		}
-	})
+	}
 	var unreachable, reachable []int
 	for s := 0; s < cfg.NumShards; s++ {
 		if _, _, _, err := d.Get(pointerKey(s)); err != nil {

@@ -49,13 +49,6 @@ type Config struct {
 	SegCacheBytes   int64
 	ChainCacheBytes int64
 
-	// ParallelRounds lets ProcessRound fan its commit and materialize
-	// waves out across goroutines (one per bee, then one per touched
-	// shard). DHT state stays byte-identical either way — the round
-	// engine orders every write deterministically — so this only trades
-	// wall-clock for goroutines.
-	ParallelRounds bool
-
 	// PoolSize is the number of frontends in the serving tier, each
 	// attached to its own peer with its own caches, behind the
 	// deterministic least-loaded balancer (see FrontendPool). Zero or
@@ -116,7 +109,6 @@ func DefaultConfig() Config {
 		RankWeight:      1.0,
 		SegCacheBytes:   DefaultSegCacheBytes,
 		ChainCacheBytes: DefaultChainCacheBytes,
-		ParallelRounds:  true,
 		Net:             netsim.DefaultConfig(),
 		DHT:             dht.DefaultConfig(),
 		Contract:        contracts.DefaultConfig(),
@@ -331,9 +323,9 @@ func (c *Cluster) RandomPeer() *store.Peer {
 
 // ProcessRound drives one full protocol round:
 //
-//  1. every bee computes results and commits for its open tasks — a
-//     goroutine wave under ParallelRounds, with commitments submitted
-//     sequentially in bee order;
+//  1. every bee fetches its open tasks' inputs and computes results —
+//     the builds fan out across goroutines, the network work runs in bee
+//     order — and commits, in bee order;
 //  2. a block seals the commits;
 //  3. every bee reveals; the last reveal of each task auto-finalizes it
 //     (an index task's finalization advances IndexGen and IndexStats);

@@ -1,30 +1,38 @@
 package core
 
 import (
+	"sort"
+
 	"repro/internal/index"
 	"repro/internal/rank"
+	"repro/internal/store"
 )
 
 // duplicateSimilarity is the MinHash similarity above which a
 // later-published page is treated as a scraper mirror.
 const duplicateSimilarity = 0.85
 
-// zeroDuplicates implements the scraper defense inside rank computation:
-// every page's content signature is compared against earlier-published
-// pages; near-duplicates published later (the mirror) get rank zero, so
-// they earn no popularity honey and rank last in search results. The
-// procedure is deterministic (content + chain state only), so honest bees
-// still agree byte-for-byte.
-func (b *WorkerBee) zeroDuplicates(g *rank.Graph, ranks []float64) []float64 {
-	type pageSig struct {
-		node   int
-		height uint64
-		seq    uint64
-		sig    index.MinHashSig
+// pageSig is one published page's content signature, with the height it
+// was published at.
+type pageSig struct {
+	url    string
+	height uint64
+	sig    index.MinHashSig
+}
+
+// pageSignatures is the network leg of the scraper defense: it fetches
+// every page of the link graph, in URL order, and returns their content
+// signatures with the fetches' serve-cache announcements. The fetches'
+// cost is billed to the bee. A page that cannot be fetched is skipped.
+func (b *WorkerBee) pageSignatures(links map[string][]string) ([]pageSig, []store.Announcement) {
+	urls := make([]string, 0, len(links))
+	for u := range links {
+		urls = append(urls, u)
 	}
+	sort.Strings(urls)
 	var sigs []pageSig
-	for i := 0; i < g.Size(); i++ {
-		url := g.URL(i)
+	var anns []store.Announcement
+	for _, url := range urls {
 		rec, ok := b.cluster.QB.Page(url)
 		if !ok {
 			continue
@@ -33,17 +41,26 @@ func (b *WorkerBee) zeroDuplicates(g *rank.Graph, ranks []float64) []float64 {
 		if err != nil {
 			continue
 		}
-		content, cost, err := b.Peer.Fetch(cid)
+		content, cost, _, ann, err := b.Peer.FetchHinted(cid, "")
 		b.Cost = b.Cost.Seq(cost)
+		if ann != nil {
+			anns = append(anns, *ann)
+		}
 		if err != nil {
 			continue
 		}
-		sigs = append(sigs, pageSig{
-			node:   i,
-			height: rec.Height,
-			sig:    index.SignatureOf(string(content)),
-		})
+		sigs = append(sigs, pageSig{url: url, height: rec.Height, sig: index.SignatureOf(string(content))})
 	}
+	return sigs, anns
+}
+
+// zeroDuplicates implements the scraper defense inside rank computation:
+// every page's content signature is compared against earlier-published
+// pages; near-duplicates published later (the mirror) get rank zero, so
+// they earn no popularity honey and rank last in search results. The
+// procedure is deterministic (content + chain state only), so honest bees
+// still agree byte-for-byte.
+func zeroDuplicates(g *rank.Graph, ranks []float64, sigs []pageSig) []float64 {
 	out := append([]float64(nil), ranks...)
 	for i := 0; i < len(sigs); i++ {
 		for j := i + 1; j < len(sigs); j++ {
@@ -54,10 +71,12 @@ func (b *WorkerBee) zeroDuplicates(g *rank.Graph, ranks []float64) []float64 {
 			// demote the lexicographically later URL for determinism.
 			a, b := sigs[i], sigs[j]
 			later := b
-			if a.height > b.height || (a.height == b.height && g.URL(a.node) > g.URL(b.node)) {
+			if a.height > b.height || (a.height == b.height && a.url > b.url) {
 				later = a
 			}
-			out[later.node] = 0
+			if node, ok := g.NodeOf(later.url); ok {
+				out[node] = 0
+			}
 		}
 	}
 	return out

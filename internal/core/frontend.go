@@ -602,7 +602,7 @@ func (f *Frontend) loadShardsCtx(bud reqBudget, e0 time.Duration, shards []int) 
 	segs := make([]*index.Segment, len(shards))
 	costs := make([]netsim.Cost, len(shards))
 	errs := make([]error, len(shards))
-	runWave(len(shards), true, func(i int) {
+	runWave(len(shards), func(i int) {
 		segs[i], costs[i], errs[i] = f.loadShardCtx(bud, e0, shards[i])
 	})
 	f.hedgeLeg(bud, e0, shards, segs, costs, errs)

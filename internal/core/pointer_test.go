@@ -91,11 +91,11 @@ func writeShardPointer(d *dht.Node, shard int, ptr ShardPointer) (netsim.Cost, e
 func (fx *pointerFixture) nodeAt(t *testing.T, addr netsim.NodeID) *dht.Node {
 	t.Helper()
 	var out *dht.Node
-	fx.c.forEachNode(func(d *dht.Node) {
+	for _, d := range dhtNodes(fx.c) {
 		if d.Self().Addr == addr {
 			out = d
 		}
-	})
+	}
 	if out == nil {
 		t.Fatalf("no node at %s", addr)
 	}
@@ -220,11 +220,11 @@ func TestQueryPointerHolderLostRecord(t *testing.T) {
 
 	key := dht.KeyOfString(index.ShardPointerKey(shard))
 	var empty dht.Contact
-	fx.c.forEachNode(func(d *dht.Node) {
+	for _, d := range dhtNodes(fx.c) {
 		if _, _, _, err := fx.fe.peer.DHT().GetFromCtx(context.Background(), d.Self(), key); err == dht.ErrNotFound {
 			empty = d.Self()
 		}
-	})
+	}
 	if empty == (dht.Contact{}) {
 		t.Fatal("every node holds the pointer; nothing models a lost record")
 	}

@@ -5,42 +5,41 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/contracts"
-	"repro/internal/dht"
 	"repro/internal/netsim"
+	"repro/internal/store"
 )
 
-// This file is the write-side round engine: the concurrent, deterministic
-// drive train behind ProcessRound. Each round runs three waves —
+// This file is the write-side round engine: the deterministic drive train
+// behind ProcessRound. The bees are independent devices; their
+// concurrency is simulated, not executed. Every simulated RPC of a round
+// runs on the caller's goroutine in one fixed order, and each wave's cost
+// folds its legs with Par. Each round runs three waves —
 //
-//  1. commit: every bee fetches content and builds its result on its own
-//     goroutine (per-bee compute is independent: own pending map, own
-//     DWeb peer, read-locked contract views); commitments are then
-//     submitted sequentially in bee order so transaction order is stable.
-//     The bees' serve-cache announces for what they fetched are queued
-//     and flushed after the wave — the announce wave, which nothing later
-//     in the round consumes;
+//  1. commit: every bee fetches the content of its new tasks, bee by bee;
+//     the pure builds (segment build and encode, rank computation) fan out
+//     across goroutines; then, bee by bee, each bee announces the pages it
+//     fetched — the announce wave, which nothing later in the round
+//     consumes — and its commitments are submitted, so transaction order
+//     is stable;
 //  2. reveal: cheap on-chain calls, sequential;
-//  3. materialize: bees write their winning immutable segments in a
-//     goroutine wave, then the round's contributions are grouped by
-//     shard and every touched shard gets exactly ONE pointer
-//     read-modify-write (and at most one compaction) no matter how many
-//     segments landed on it. A round with K segments over S shards costs
-//     O(S) mutable DHT round trips, not O(K·S).
+//  3. materialize: bees write their winning immutable segments, then the
+//     round's contributions are grouped by shard and every touched shard
+//     gets exactly ONE pointer read-modify-write (and at most one
+//     compaction) no matter how many segments landed on it. A round with
+//     K segments over S shards costs O(S) mutable DHT round trips, not
+//     O(K·S).
 //
 // The receipt's makespan (RoundReceipt.Wave) is the round's longest
-// DEPENDENCY chain, not the order the process happens to issue work in:
-// the publish's store wave runs beside the whole round while the bees
-// fetch from the provider the transaction names, the announce wave runs
-// beside the materialize phase, and inside that phase every pointer's
-// quorum read overlaps the segment puts — only its write waits for them
-// (MaterializePass). Execution itself stays in one fixed order; only the
-// fold differs.
+// DEPENDENCY chain, not the order the process issues work in: the
+// publish's store wave runs beside the whole round while the bees fetch
+// from the provider the transaction names, the announce wave runs beside
+// the materialize phase, and inside that phase every pointer's quorum
+// read overlaps the segment puts — only its write waits for them
+// (MaterializePass).
 //
-// Determinism contract: the same seed produces byte-identical DHT state
-// (shard pointers, segments) whether the waves fan out or run
-// sequentially (Config.ParallelRounds=false). Wave costs fold with Par
-// in slot order, mirroring Frontend.loadShards.
+// Determinism contract: the same seed produces the same receipts and
+// byte-identical DHT state — routing tables, values, provider records —
+// whatever GOMAXPROCS is.
 
 // RoundError is one recorded write-path failure: which bee, which task
 // (or shard), at which pipeline stage. The zero Shard value is
@@ -79,7 +78,7 @@ type RoundReceipt struct {
 	CommitWave   netsim.Cost
 	CommitSerial netsim.Cost
 	// AnnounceWave / AnnounceSerial account the bees' serve-cache
-	// announces for the pages they fetched (store.Peer.FlushProvides) the
+	// announces for the pages they fetched (store.Peer.Announce) the
 	// same way. No commitment, reveal or pointer depends on them, so on
 	// the round's makespan they sit beside the materialize phase.
 	AnnounceWave   netsim.Cost
@@ -192,14 +191,14 @@ type contribution struct {
 	shards []int // sorted
 }
 
-// runWave executes fn(0..n-1), concurrently when parallel is set (and
-// the wave has more than one leg), sequentially otherwise. Shared by
-// the round engine's waves (gated on Config.ParallelRounds) and the
-// query side's shard loads (always parallel). Callers write results
-// into index-addressed slots so both execution modes produce identical
-// state.
-func runWave(n int, parallel bool, fn func(i int)) {
-	if n <= 1 || !parallel {
+// runWave executes fn(0..n-1) concurrently, one goroutine a leg, and
+// waits for all of them; each leg writes an index-addressed slot. The
+// round engine hands it only pure work — the bees' builds — and keeps
+// every simulated RPC on the caller's goroutine, in a fixed order. The
+// query side's shard loads (Frontend.loadShardsCtx) still issue their
+// DHT reads from the legs.
+func runWave(n int, fn func(i int)) {
+	if n <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
@@ -216,81 +215,38 @@ func runWave(n int, parallel bool, fn func(i int)) {
 	wg.Wait()
 }
 
-// forEachNode visits every DHT node in the deployment — DWeb peers
-// first, then bee peers — in a fixed order.
-func (c *Cluster) forEachNode(fn func(*dht.Node)) {
-	for _, p := range c.Peers {
-		fn(p.DHT())
-	}
-	for _, b := range c.Bees {
-		fn(b.Peer.DHT())
-	}
-}
-
-// runDHTWave is runWave for legs that issue DHT traffic. Around a
-// parallel wave it freezes inbound-contact learning on every node in
-// the deployment: handlers answering one leg's lookups must not mutate
-// the routing tables a sibling leg's lookups traverse, or the sibling's
-// path — and its cost — would depend on goroutine interleaving. Queued
-// contacts are applied after the wave, node by node in deployment
-// order, so the tables still converge and do so identically every run.
-func (c *Cluster) runDHTWave(n int, fn func(i int)) {
-	parallel := c.cfg.ParallelRounds
-	if parallel && n > 1 {
-		c.forEachNode(func(d *dht.Node) { d.SetDeferLearning(true) })
-	}
-	runWave(n, parallel, fn)
-	if parallel && n > 1 {
-		c.forEachNode(func(d *dht.Node) {
-			d.SetDeferLearning(false)
-			d.FlushLearning()
-		})
-	}
-}
-
-// commitWave fans the bees' commit compute out as one goroutine wave,
-// then submits the resulting commitments sequentially in bee order.
+// commitWave runs the bees' commit in three phases: every bee fetches the
+// inputs of its new tasks, bee by bee; the pure builds fan out as one
+// goroutine wave; then, bee by bee, each bee announces the pages it
+// fetched and its commitments are submitted, so transaction order is
+// stable. The announces wait until every bee has fetched: no fetch of
+// the round sees a serve-cache record the round made.
 func (c *Cluster) commitWave(r *RoundReceipt) {
 	n := len(c.Bees)
-	commits := make([][]contracts.CommitParams, n)
+	jobs := make([][]commitJob, n)
+	anns := make([][]store.Announcement, n)
 	costs := make([]netsim.Cost, n)
 	misses := make([]int, n)
-	errs := make([][]RoundError, n)
-	// The bees' serve-cache announces are queued and applied in bee order
-	// after the wave. Concurrent bees all fetch the same batch pages: an
-	// inline Provide would mutate shared provider records mid-wave, making
-	// a sibling's FindProviders result — and its cost — depend on
-	// goroutine interleaving, where queued ones let every bee fetch
-	// against the provider state the wave started with. And queued, the
-	// announces are costed apart from the commit: no commitment waits for
-	// a provider record to land.
-	for _, b := range c.Bees {
-		b.Peer.SetDeferProvides(true)
-	}
-	c.runDHTWave(n, func(i int) {
-		commits[i], costs[i], misses[i], errs[i] = c.Bees[i].prepareCommits()
-	})
 	for i, b := range c.Bees {
-		b.Peer.SetDeferProvides(false)
-		announce := b.Peer.FlushProvides()
+		jobs[i], anns[i], costs[i], misses[i] = b.fetchCommits()
+	}
+	runWave(n, func(i int) { c.Bees[i].buildCommits(jobs[i]) })
+	for i, b := range c.Bees {
+		announce := b.Peer.Announce(anns[i])
 		r.AnnounceWave = r.AnnounceWave.Par(announce)
 		r.AnnounceSerial = r.AnnounceSerial.Seq(announce)
 		b.Cost = b.Cost.Seq(costs[i]).Seq(announce)
-		b.Errs = append(b.Errs, errs[i]...)
-		r.Errors = append(r.Errors, errs[i]...)
 		r.CommitWave = r.CommitWave.Par(costs[i])
 		r.CommitSerial = r.CommitSerial.Seq(costs[i])
 		r.HintMisses += misses[i]
-		for _, params := range commits[i] {
-			c.SubmitCall(b.Account, contracts.MethodCommit, params, 0)
-		}
+		b.submitCommits(jobs[i], r)
 	}
 }
 
-// materializePass runs one batched materialize phase: a per-bee
-// goroutine wave writes the winning immutable segments and collects
-// contributions, then the contributions are grouped by shard and each
-// touched shard gets one pointer RMW (and at most one compaction) on
+// materializePass runs one batched materialize phase: bee by bee, each
+// bee writes its winning immutable segments and collects contributions;
+// then the contributions are grouped by shard and each touched shard, in
+// ascending order, gets one pointer RMW (and at most one compaction) on
 // the first contributing bee's DHT node. May run twice per round (the
 // janitor path finalizes stuck tasks mid-round); counters and costs
 // accumulate.
@@ -299,27 +255,19 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 	// write was finalized by the block just sealed, so stamping it on
 	// each pointer lets readers recognise the record as current.
 	gen := c.QB.IndexGen()
-	n := len(c.Bees)
-	contribsBy := make([][]contribution, n)
-	counts := make([]int, n)
-	costs := make([]netsim.Cost, n)
-	errs := make([][]RoundError, n)
-	c.runDHTWave(n, func(i int) {
-		contribsBy[i], counts[i], costs[i], errs[i] = c.Bees[i].collectWins()
-	})
-
 	var pass MaterializePass
 	var serial netsim.Cost
 	var all []contribution
-	for i, b := range c.Bees {
-		b.Cost = b.Cost.Seq(costs[i])
-		b.Errs = append(b.Errs, errs[i]...)
-		r.Errors = append(r.Errors, errs[i]...)
-		pass.Collect = pass.Collect.Par(costs[i])
-		serial = serial.Seq(costs[i])
-		r.Materialized += counts[i]
-		r.SegmentWrites += len(contribsBy[i])
-		all = append(all, contribsBy[i]...)
+	for _, b := range c.Bees {
+		contribs, count, cost, errs := b.collectWins()
+		b.Cost = b.Cost.Seq(cost)
+		b.Errs = append(b.Errs, errs...)
+		r.Errors = append(r.Errors, errs...)
+		pass.Collect = pass.Collect.Par(cost)
+		serial = serial.Seq(cost)
+		r.Materialized += count
+		r.SegmentWrites += len(contribs)
+		all = append(all, contribs...)
 	}
 	for _, ctr := range all {
 		r.IngestedBytes += int64(ctr.bytes)
@@ -327,9 +275,8 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 
 	// Deterministic batch order: contributions sorted by task ID (each
 	// task has exactly one designated writer, so IDs are unique), shards
-	// ascending. The digest order within a shard pointer and the draw
-	// order on every DHT link follow from this, not from goroutine
-	// scheduling or map iteration.
+	// ascending. The digest order within a shard pointer follows from
+	// this, not from map iteration.
 	sort.Slice(all, func(i, j int) bool { return all[i].taskID < all[j].taskID })
 	digestsByShard := make(map[int][]string)
 	writerByShard := make(map[int]*WorkerBee)
@@ -347,77 +294,49 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 
 	pass.Shards = make([]RMWCost, len(shardOrder))
 	shardWrote := make([]bool, len(shardOrder))
-	shardCompacted := make([]bool, len(shardOrder))
-	shardBytes := make([]int64, len(shardOrder))
 	shardPtrs := make([]ShardPointer, len(shardOrder))
-	shardErrs := make([][]RoundError, len(shardOrder))
-	// Fan out by WRITER, not by shard: two concurrent legs on the same
-	// writer's node would interleave draws on its shared (caller,target)
-	// netsim streams, so which leg pays which draw — and the wave's Par
-	// latency — would depend on goroutine scheduling. Writers run in
-	// parallel (disjoint caller links); each walks its own shards in
-	// ascending order, pinning every link's draw sequence.
-	var writers []*WorkerBee
-	legsByWriter := make(map[*WorkerBee][]int)
 	for j, s := range shardOrder {
 		w := writerByShard[s]
-		if _, seen := legsByWriter[w]; !seen {
-			writers = append(writers, w)
-		}
-		legsByWriter[w] = append(legsByWriter[w], j)
-	}
-	c.runDHTWave(len(writers), func(wi int) {
-		w := writers[wi]
-		for _, j := range legsByWriter[w] {
-			s := shardOrder[j]
-			if c.cfg.MonolithicCompaction {
-				// Legacy policy (the E19 control): append in one RMW, then
-				// merge the whole chain into one segment past the threshold
-				// (a second pointer write when it fires).
-				ptr, at, cost, wrote, err := appendSegmentsToShard(w.Peer.DHT(), s, gen, digestsByShard[s])
-				pass.Shards[j] = cost
-				shardWrote[j] = wrote
-				shardPtrs[j] = ptr
-				if err != nil {
-					shardErrs[j] = append(shardErrs[j], RoundError{Bee: w.Name, Shard: s, Stage: "shard-append", Err: err})
-					continue
-				}
-				ptr, ccost, compacted, mergedBytes, err := compactShardFromPtr(w.Peer.DHT(), at, gen, ptr)
-				pass.Shards[j].Write = cost.Write.Seq(ccost)
-				shardCompacted[j] = compacted
-				shardBytes[j] = mergedBytes
-				shardPtrs[j] = ptr
-				if err != nil {
-					shardErrs[j] = append(shardErrs[j], RoundError{Bee: w.Name, Shard: s, Stage: "compact", Err: err})
-				}
-				continue
-			}
-			ptr, cost, wrote, res, err := materializeShardTiered(w.Peer.DHT(), s, c.cfg.NumShards, gen, digestsByShard[s])
-			pass.Shards[j] = cost
-			shardWrote[j] = wrote
-			shardCompacted[j] = res.Compacted
-			shardBytes[j] = res.CompactedBytes
-			shardPtrs[j] = ptr
+		var compacted bool
+		var compactedBytes int64
+		var errs []RoundError
+		if c.cfg.MonolithicCompaction {
+			// Legacy policy (the E19 control): append in one RMW, then
+			// merge the whole chain into one segment past the threshold
+			// (a second pointer write when it fires).
+			ptr, at, cost, wrote, err := appendSegmentsToShard(w.Peer.DHT(), s, gen, digestsByShard[s])
+			pass.Shards[j], shardWrote[j], shardPtrs[j] = cost, wrote, ptr
 			if err != nil {
-				shardErrs[j] = append(shardErrs[j], RoundError{Bee: w.Name, Shard: s, Stage: "shard-append", Err: err})
+				errs = append(errs, RoundError{Bee: w.Name, Shard: s, Stage: "shard-append", Err: err})
+			} else {
+				ptr, ccost, merged, mergedBytes, err := compactShardFromPtr(w.Peer.DHT(), at, gen, ptr)
+				pass.Shards[j].Write = cost.Write.Seq(ccost)
+				shardPtrs[j], compacted, compactedBytes = ptr, merged, mergedBytes
+				if err != nil {
+					errs = append(errs, RoundError{Bee: w.Name, Shard: s, Stage: "compact", Err: err})
+				}
+			}
+		} else {
+			ptr, cost, wrote, res, err := materializeShardTiered(w.Peer.DHT(), s, c.cfg.NumShards, gen, digestsByShard[s])
+			pass.Shards[j], shardWrote[j], shardPtrs[j] = cost, wrote, ptr
+			compacted, compactedBytes = res.Compacted, res.CompactedBytes
+			if err != nil {
+				errs = append(errs, RoundError{Bee: w.Name, Shard: s, Stage: "shard-append", Err: err})
 			}
 			if res.MergeErr != nil {
-				shardErrs[j] = append(shardErrs[j], RoundError{Bee: w.Name, Shard: s, Stage: "compact", Err: res.MergeErr})
+				errs = append(errs, RoundError{Bee: w.Name, Shard: s, Stage: "compact", Err: res.MergeErr})
 			}
 		}
-	})
-	for j, s := range shardOrder {
-		w := writerByShard[s]
 		w.Cost = w.Cost.Seq(pass.Shards[j].total())
-		w.Errs = append(w.Errs, shardErrs[j]...)
-		r.Errors = append(r.Errors, shardErrs[j]...)
+		w.Errs = append(w.Errs, errs...)
+		r.Errors = append(r.Errors, errs...)
 		serial = serial.Seq(pass.Shards[j].total())
 		if shardWrote[j] {
 			r.PointerWrites++
 		}
-		if shardCompacted[j] {
+		if compacted {
 			r.Compactions++
-			r.CompactedBytes += shardBytes[j]
+			r.CompactedBytes += compactedBytes
 		}
 	}
 	c.noteShardTiers(shardOrder, shardWrote, shardPtrs)

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/contracts"
+	"repro/internal/dht"
 )
 
 // TestRoundBatchMaterializationDHTPutCounts is the O(shards) claim: a
@@ -299,44 +303,67 @@ func TestBatchRepublishCountsStatsOncePerVersion(t *testing.T) {
 	}
 }
 
-// TestRoundEngineSequentialModeMatchesParallel drives the same workload
-// through a parallel and a sequential cluster on one seed and diffs the
-// resulting DHT records — the core of the write-side determinism
-// contract (the facade-level soak in ingest_test.go covers the full
-// corpus shape).
-func TestRoundEngineSequentialModeMatchesParallel(t *testing.T) {
-	build := func(parallel bool) *Cluster {
+// dhtNodes lists every DHT node of the deployment: DWeb peers first, then
+// bees.
+func dhtNodes(c *Cluster) []*dht.Node {
+	var out []*dht.Node
+	for _, p := range c.Peers {
+		out = append(out, p.DHT())
+	}
+	for _, b := range c.Bees {
+		out = append(out, b.Peer.DHT())
+	}
+	return out
+}
+
+// clusterDigest folds every node's Digest, in dhtNodes order: routing
+// tables, values and provider sets of the whole deployment.
+func clusterDigest(c *Cluster) string {
+	h := sha256.New()
+	for _, n := range dhtNodes(c) {
+		d := n.Digest()
+		h.Write(d[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestWriteDeterminismAcrossGOMAXPROCS: a round's simulated RPCs run on
+// one goroutine in a fixed order, so neither the scheduler nor the number
+// of CPUs may reach what a round costs or what it leaves behind. Two boots
+// at each of GOMAXPROCS 1, 2 and 8 — seed 1, maintenance on, one
+// 1 000-page batch — must produce the same receipt, latencies included,
+// and the same state on every node.
+func TestWriteDeterminismAcrossGOMAXPROCS(t *testing.T) {
+	pages := corpusBatches(1, 1, 1000)[0]
+	boot := func() (receipt, digest string) {
 		cfg := DefaultConfig()
-		cfg.Seed = 42
-		cfg.NumPeers = 10
-		cfg.NumBees = 4
-		cfg.ParallelRounds = parallel
+		cfg.Maintenance = true
 		c := NewCluster(cfg)
-		alice := c.NewAccount("alice", 100_000)
+		owner := c.NewAccount("writer", 10_000_000)
 		c.Seal()
-		for i := 0; i < 9; i++ {
-			if _, err := c.Publish(alice, c.Peers[i%len(c.Peers)], fmt.Sprintf("dweb://det/%02d", i),
-				fmt.Sprintf("deterministic workload document %02d content", i), nil); err != nil {
-				t.Fatal(err)
+		rr, err := c.IndexBatch(owner, pages)
+		if err != nil || len(rr.Errors) > 0 {
+			t.Fatalf("err=%v round errors=%v", err, rr.Errors)
+		}
+		return fmt.Sprintf("%+v", rr), clusterDigest(c)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var wantReceipt, wantDigest string
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for run := 0; run < 2; run++ {
+			receipt, digest := boot()
+			if wantReceipt == "" {
+				wantReceipt, wantDigest = receipt, digest
+				continue
+			}
+			if receipt != wantReceipt {
+				t.Fatalf("GOMAXPROCS=%d run %d: receipt diverged:\n got %s\nwant %s", procs, run, receipt, wantReceipt)
+			}
+			if digest != wantDigest {
+				t.Fatalf("GOMAXPROCS=%d run %d: DHT state diverged: %s, want %s", procs, run, digest, wantDigest)
 			}
 		}
-		c.Seal()
-		c.RunUntilIdle(6)
-		return c
-	}
-	par, seq := build(true), build(false)
-	for shard := 0; shard < par.Config().NumShards; shard++ {
-		p1, _, err1 := readShardPointer(par.Peers[1].DHT(), shard)
-		p2, _, err2 := readShardPointer(seq.Peers[1].DHT(), shard)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("shard %d presence diverged: %v vs %v", shard, err1, err2)
-		}
-		if fmt.Sprintf("%+v", p1) != fmt.Sprintf("%+v", p2) {
-			t.Fatalf("shard %d pointer diverged:\nparallel   %+v\nsequential %+v", shard, p1, p2)
-		}
-	}
-	if s1, s2 := par.QB.IndexStats(), seq.QB.IndexStats(); s1 != s2 {
-		t.Fatalf("stats diverged: %+v vs %+v", s1, s2)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/contracts"
-	"repro/internal/dht"
 	"repro/internal/index"
 	"repro/internal/netsim"
 )
@@ -240,7 +239,9 @@ func TestWriteRefusedStoreSurfaces(t *testing.T) {
 	}
 
 	bad := index.ShardOf(index.AnalyzeQuery(text)[0], c.cfg.NumShards)
-	c.forEachNode(func(n *dht.Node) { n.StoreLocal(pointerKey(bad), []byte("not json"), 50) })
+	for _, n := range dhtNodes(c) {
+		n.StoreLocal(pointerKey(bad), []byte("not json"), 50)
+	}
 	rr := publish(1)
 	if rr.PointerWrites != len(touched)-1 {
 		t.Fatalf("%d pointer writes, want the %d healthy shards and not the refused one", rr.PointerWrites, len(touched)-1)

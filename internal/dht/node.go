@@ -3,6 +3,7 @@ package dht
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sort"
@@ -66,20 +67,6 @@ type Node struct {
 	mu        sync.Mutex
 	values    map[Key]storedValue
 	providers map[Key]map[netsim.NodeID]Contact
-
-	// learnMu guards deferred inbound-contact learning. Every inbound RPC
-	// teaches the handler its caller's contact; applied inline, that
-	// mutates the routing table mid-request, so when several callers hit
-	// the same node concurrently, whether one caller's contact is in the
-	// table by the time a sibling's FIND_NODE is answered depends on
-	// goroutine interleaving — and so does the sibling's lookup path and
-	// cost. The round engine defers learning on every node around its
-	// parallel waves: contacts queue here and FlushLearning applies them
-	// in address order afterwards, making each wave's responses a pure
-	// function of the table state the wave started with.
-	learnMu      sync.Mutex
-	deferLearn   bool
-	pendingLearn map[netsim.NodeID]Contact
 }
 
 // NewNode creates a DHT node bound to addr on the network. Its keyspace ID
@@ -111,56 +98,6 @@ func (n *Node) K() int { return n.cfg.K }
 // TableSize returns the number of contacts in the routing table.
 func (n *Node) TableSize() int { return n.rt.size() }
 
-// SetDeferLearning switches inbound-RPC contact learning between inline
-// (the default) and deferred. While deferred, contacts observed on
-// inbound RPCs queue instead of entering the routing table, so the
-// node's FIND_NODE/FIND_VALUE answers stay fixed for the duration of a
-// concurrent wave regardless of which caller arrives first. Outbound
-// learning (a caller refreshing its own table after a successful call)
-// is unaffected: that order is fixed by the caller's own call sequence.
-func (n *Node) SetDeferLearning(on bool) {
-	n.learnMu.Lock()
-	n.deferLearn = on
-	n.learnMu.Unlock()
-}
-
-// FlushLearning applies every queued inbound contact to the routing
-// table in address order — deterministic no matter the arrival
-// interleaving — and clears the queue.
-func (n *Node) FlushLearning() {
-	n.learnMu.Lock()
-	pending := n.pendingLearn
-	n.pendingLearn = nil
-	n.learnMu.Unlock()
-	if len(pending) == 0 {
-		return
-	}
-	addrs := make([]netsim.NodeID, 0, len(pending))
-	for a := range pending {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		n.rt.update(pending[a])
-	}
-}
-
-// learn records a contact observed on an inbound RPC: inline normally,
-// queued while a parallel wave has learning deferred.
-func (n *Node) learn(c Contact) {
-	n.learnMu.Lock()
-	if n.deferLearn {
-		if n.pendingLearn == nil {
-			n.pendingLearn = make(map[netsim.NodeID]Contact)
-		}
-		n.pendingLearn[c.Addr] = c
-		n.learnMu.Unlock()
-		return
-	}
-	n.learnMu.Unlock()
-	n.rt.update(c)
-}
-
 // HandleRPC dispatches an inbound DHT RPC. It is exported so higher layers
 // (block exchange, QueenBee) can register a combined handler on the same
 // network address and delegate DHT traffic here.
@@ -168,17 +105,18 @@ func (n *Node) HandleRPC(from netsim.NodeID, req any) (any, error) {
 	return n.handle(from, req)
 }
 
-// handle dispatches an inbound RPC.
+// handle dispatches an inbound RPC. Every request teaches the node its
+// caller's contact.
 func (n *Node) handle(from netsim.NodeID, req any) (any, error) {
 	switch m := req.(type) {
 	case pingReq:
-		n.learn(m.From)
+		n.rt.update(m.From)
 		return pingResp{From: n.self}, nil
 	case findNodeReq:
-		n.learn(m.From)
+		n.rt.update(m.From)
 		return findNodeResp{Contacts: n.rt.closest(m.Target, n.cfg.K)}, nil
 	case storeReq:
-		n.learn(m.From)
+		n.rt.update(m.From)
 		n.mu.Lock()
 		cur, ok := n.values[m.Key]
 		accepted := !ok || m.Seq >= cur.seq
@@ -190,7 +128,7 @@ func (n *Node) handle(from netsim.NodeID, req any) (any, error) {
 		// accepted replicas, not delivered messages.
 		return storeResp{OK: accepted}, nil
 	case findValueReq:
-		n.learn(m.From)
+		n.rt.update(m.From)
 		n.mu.Lock()
 		sv, ok := n.values[m.Key]
 		n.mu.Unlock()
@@ -202,7 +140,7 @@ func (n *Node) handle(from netsim.NodeID, req any) (any, error) {
 		}
 		return findValueResp{Contacts: closer}, nil
 	case addProviderReq:
-		n.learn(m.From)
+		n.rt.update(m.From)
 		n.mu.Lock()
 		set := n.providers[m.Key]
 		if set == nil {
@@ -215,7 +153,7 @@ func (n *Node) handle(from netsim.NodeID, req any) (any, error) {
 		n.mu.Unlock()
 		return addProviderResp{OK: true}, nil
 	case getProvidersReq:
-		n.learn(m.From)
+		n.rt.update(m.From)
 		n.mu.Lock()
 		var provs []Contact
 		for _, c := range n.providers[m.Key] {
@@ -1031,6 +969,42 @@ func (n *Node) LocalValues() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return len(n.values)
+}
+
+// Digest hashes the node's simulated state: the routing table in bucket
+// order with failed flags, every value (key, sequence, SHA-256 of the
+// bytes) and every provider set, keys and providers sorted. Two runs
+// that leave equal digests on every node left the same DHT behind.
+func (n *Node) Digest() [sha256.Size]byte {
+	h := sha256.New()
+	n.rt.writeTo(h)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, k := range sortedKeys(n.values) {
+		v := n.values[k]
+		fmt.Fprintf(h, "v %s %d %x\n", k, v.seq, sha256.Sum256(v.value))
+	}
+	for _, k := range sortedKeys(n.providers) {
+		addrs := make([]netsim.NodeID, 0, len(n.providers[k]))
+		for a := range n.providers[k] {
+			addrs = append(addrs, a)
+		}
+		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+		fmt.Fprintf(h, "p %s %v\n", k, addrs)
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[Key]V) []Key {
+	keys := make([]Key, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
+	return keys
 }
 
 // StoreLocal injects a value directly into this node's local store,

@@ -1,7 +1,8 @@
 package dht
 
 import (
-	"sort"
+	"fmt"
+	"io"
 	"sync"
 
 	"repro/internal/netsim"
@@ -99,23 +100,49 @@ func (rt *routingTable) markFailed(id Key) {
 	}
 }
 
-// closest returns up to n live-believed contacts closest to target.
+// closest returns up to n live-believed contacts closest to target,
+// nearest first. Each contact's XOR distance is computed once and
+// insertion-sorted into the n best so far; distinct IDs have distinct
+// distances, so the order is total.
 func (rt *routingTable) closest(target Key, n int) []Contact {
 	rt.mu.Lock()
-	all := make([]Contact, 0, 64)
+	defer rt.mu.Unlock()
+	size := 0
+	for i := range rt.buckets {
+		size += len(rt.buckets[i].entries)
+	}
+	n = min(n, size)
+	out, dists := make([]Contact, 0, n), make([]Key, 0, n)
 	for i := range rt.buckets {
 		for _, e := range rt.buckets[i].entries {
-			all = append(all, e.c)
+			d := e.c.ID.XOR(target)
+			if len(out) == n {
+				if n == 0 || !d.Less(dists[n-1]) {
+					continue
+				}
+				out, dists = out[:n-1], dists[:n-1]
+			}
+			j := len(out)
+			out, dists = append(out, e.c), append(dists, d)
+			for ; j > 0 && d.Less(dists[j-1]); j-- {
+				out[j], dists[j] = out[j-1], dists[j-1]
+			}
+			out[j], dists[j] = e.c, d
 		}
 	}
-	rt.mu.Unlock()
-	sort.Slice(all, func(i, j int) bool {
-		return DistanceLess(target, all[i].ID, all[j].ID)
-	})
-	if len(all) > n {
-		all = all[:n]
+	return out
+}
+
+// writeTo writes the table in bucket order, most recently seen last,
+// with each contact's failed flag (Node.Digest).
+func (rt *routingTable) writeTo(w io.Writer) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for i := range rt.buckets {
+		for _, e := range rt.buckets[i].entries {
+			fmt.Fprintf(w, "t %d %s %s %t\n", i, e.c.ID, e.c.Addr, e.failed)
+		}
 	}
-	return all
 }
 
 // size returns the number of contacts in the table.

@@ -2,6 +2,7 @@ package dht
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/netsim"
@@ -102,6 +103,27 @@ func TestTableUpdateRefreshesFailedFlag(t *testing.T) {
 	idx := BucketIndex(self.XOR(c.ID))
 	if rt.buckets[idx].entries[0].failed {
 		t.Fatal("update should clear failed flag")
+	}
+}
+
+// TestClosestMatchesFullSort: the n closest are the first n of every
+// contact sorted by distance to the target, for n below, at and above
+// the table size.
+func TestClosestMatchesFullSort(t *testing.T) {
+	rt := newRoutingTable(KeyOfString("self"), 8)
+	for i := 0; i < 200; i++ {
+		rt.update(mkContact(i))
+	}
+	all := rt.contacts()
+	for trial := 0; trial < 20; trial++ {
+		target := KeyOfString(fmt.Sprintf("target-%d", trial))
+		sort.Slice(all, func(i, j int) bool { return DistanceLess(target, all[i].ID, all[j].ID) })
+		for _, n := range []int{0, 1, 3, 8, 20, 25, len(all), len(all) + 5} {
+			want := all[:min(n, len(all))]
+			if got := rt.closest(target, n); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("target %d, n=%d: closest %v, want %v", trial, n, got, want)
+			}
+		}
 	}
 }
 

@@ -66,24 +66,14 @@ type Peer struct {
 	// stops answering or there were never K of them (Reprovide).
 	rootsMu sync.Mutex
 	roots   map[CID][]dht.Contact
-
-	// deferProvides queues Fetch's serve-cache announcements instead of
-	// issuing them inline. The round engine sets it around parallel bee
-	// waves: an inline Provide mutates shared provider records mid-wave,
-	// so whether a concurrently-fetching sibling sees the new record —
-	// and what its FindProviders/Ping legs cost — would depend on real
-	// goroutine interleaving. Queued announcements are applied by
-	// FlushProvides after the wave, in a caller-fixed order.
-	deferProvides bool
-	pending       []announce
 }
 
-// announce is one fetched root's serve-cache announcement: the root, the
-// walk its provider discovery ran, so the ADD_PROVIDER wave lands on it
-// without walking again, and how long that walk still had to run when
+// Announcement is one fetched root's serve-cache announcement: the root,
+// the walk its provider discovery ran, so the ADD_PROVIDER wave lands on
+// it without walking again, and how long that walk still had to run when
 // the content arrived — the announce cannot be sent before the walk has
 // converged, and the fetch did not wait for it.
-type announce struct {
+type Announcement struct {
 	root CID
 	walk dht.Walk
 	lag  time.Duration
@@ -159,64 +149,29 @@ func (p *Peer) setHolders(root CID, holders []dht.Contact) {
 	p.rootsMu.Unlock()
 }
 
-// SetDeferProvides switches the peer between inline and queued
-// serve-cache announcements (see the deferProvides field). Not safe to
-// flip while a Fetch is in flight on this peer.
-func (p *Peer) SetDeferProvides(on bool) {
-	p.rootsMu.Lock()
-	p.deferProvides = on
-	p.rootsMu.Unlock()
-}
-
-// announceCached makes this peer a provider for content it just fetched
-// and cached, on the closest set its provider discovery already walked
-// to (dht.Node.ProvideAt walks itself when that lookup never converged),
-// and records where the announce landed.
-func (p *Peer) announceCached(a announce) netsim.Cost {
-	//detlint:ignore errsink best-effort cache announce; the fetch itself already succeeded and a missed provide is re-sent by the next Reprovide
-	holders, cost, _ := p.dht.ProvideAt(a.walk)
-	p.setHolders(a.root, holders)
-	return cost
-}
-
-// queueProvide appends the fetched root's announcement to the pending
-// queue and reports true when deferral is active; false means the caller
-// must provide inline.
-func (p *Peer) queueProvide(a announce) bool {
-	p.rootsMu.Lock()
-	defer p.rootsMu.Unlock()
-	if !p.deferProvides {
-		return false
-	}
-	p.pending = append(p.pending, a)
-	return true
-}
-
-// FlushProvides issues every queued serve-cache announcement in fetch
-// order (duplicates collapsed) and returns the combined cost. The round
-// engine calls it per bee, in bee order, after a parallel wave — so the
-// provider-record writes and their netsim draws happen at a fixed point
-// regardless of how the wave's goroutines interleaved. The costs fold
-// in parallel: the announcements are independent of each other. Each is
-// what its discovery walk still had to run once the content was in
-// (latency only: the fetch already paid for the walk's messages)
-// followed by the ADD_PROVIDER wave — background
-// work nothing else in the round waits for, which is why the round
-// engine folds it beside the materialize phase instead of into the
-// commit wave.
-func (p *Peer) FlushProvides() netsim.Cost {
-	p.rootsMu.Lock()
-	queued := p.pending
-	p.pending = nil
-	p.rootsMu.Unlock()
+// Announce makes this peer a provider for content it fetched and cached:
+// each announcement in list order (duplicates collapsed) lands on the
+// closest set its provider discovery already walked to
+// (dht.Node.ProvideAt walks itself when that lookup never converged), and
+// where it landed is recorded. The costs fold in parallel: the
+// announcements are independent of each other. Each is what its
+// discovery walk still had to run once the content was in (latency only:
+// the fetch already paid for the walk's messages) followed by the
+// ADD_PROVIDER wave — background work nothing else in a round waits for,
+// which is why the round engine folds it beside the materialize phase
+// instead of into the commit wave.
+func (p *Peer) Announce(anns []Announcement) netsim.Cost {
 	var total netsim.Cost
-	seen := make(map[dht.Key]bool, len(queued))
-	for _, a := range queued {
+	seen := make(map[dht.Key]bool, len(anns))
+	for _, a := range anns {
 		if seen[a.walk.Key] {
 			continue
 		}
 		seen[a.walk.Key] = true
-		total = total.Par(netsim.Cost{Latency: a.lag}.Seq(p.announceCached(a)))
+		//detlint:ignore errsink best-effort cache announce; the fetch itself already succeeded and a missed provide is re-sent by the next Reprovide
+		holders, cost, _ := p.dht.ProvideAt(a.walk)
+		p.setHolders(a.root, holders)
+		total = total.Par(netsim.Cost{Latency: a.lag}.Seq(cost))
 	}
 	return total
 }
@@ -292,25 +247,34 @@ func (p *Peer) Holders() []dht.Contact {
 	return out
 }
 
-// Fetch retrieves a document by root CID with no advice on who holds it:
-// FetchHinted with an empty hint.
+// Fetch retrieves a document by root CID with no advice on who holds it
+// (FetchHinted with an empty hint) and announces this peer as a provider
+// for it at once. The announce is background work: its traffic is billed
+// to the fetch, its latency to nobody.
 func (p *Peer) Fetch(root CID) ([]byte, netsim.Cost, error) {
-	data, cost, _, err := p.FetchHinted(root, "")
+	data, cost, _, ann, err := p.FetchHinted(root, "")
+	if ann != nil {
+		wave := p.Announce([]Announcement{*ann})
+		wave.Latency = 0
+		cost = cost.Par(wave)
+	}
 	return data, cost, err
 }
 
 // FetchHinted retrieves a document by root CID: local store first, then
 // provider discovery through the DHT, block transfer, and per-block hash
 // verification. Tampered blocks are rejected and the next provider is
-// tried. On success the blocks are cached and re-provided.
+// tried. On success the blocks are cached, and the serve-cache
+// announcement that makes this peer a provider for them is returned for
+// the caller to pass to Announce; it is nil on a local hit or a failed
+// fetch.
 //
 // The returned latency is time to content. Publication must walk to all
 // K closest nodes, retrieval need not: it sets off when the first
 // provider record arrives, with the providers named by then, while the
-// same walk runs on to convergence for the serve-cache announce. That
-// announce is background work — its traffic is billed here (the walk's
-// messages always; the ADD_PROVIDER wave too when issued inline), its
-// latency only by FlushProvides, to a caller that accounts for it.
+// same walk runs on to convergence for the serve-cache announce. The
+// walk's messages are billed here; the announce's latency and its
+// ADD_PROVIDER wave are billed by Announce.
 //
 // hint names a peer the caller was told holds the content (a publish
 // transaction's provider). Content addressing makes that advice safe to
@@ -322,9 +286,9 @@ func (p *Peer) Fetch(root CID) ([]byte, netsim.Cost, error) {
 // if the hint cannot serve (down, missing a block, tampered) are the
 // walk's other providers tried, once the walk is over; missed reports
 // that. An empty hint, or this peer's own address, is no hint.
-func (p *Peer) FetchHinted(root CID, hint netsim.NodeID) (data []byte, total netsim.Cost, missed bool, err error) {
+func (p *Peer) FetchHinted(root CID, hint netsim.NodeID) (data []byte, total netsim.Cost, missed bool, ann *Announcement, err error) {
 	if data, ok, err := p.assembleLocal(root); ok || err != nil {
-		return data, netsim.Cost{}, false, err
+		return data, netsim.Cost{}, false, nil, err
 	}
 
 	hinted := hint != "" && hint != p.Addr()
@@ -334,7 +298,7 @@ func (p *Peer) FetchHinted(root CID, hint netsim.NodeID) (data []byte, total net
 	}
 	found, total, err := discover(root.Key(), maxProviders)
 	if err != nil && !hinted {
-		return nil, total, false, fmt.Errorf("%w: %s", ErrNoProviders, root.Short())
+		return nil, total, false, nil, fmt.Errorf("%w: %s", ErrNoProviders, root.Short())
 	}
 	converged := total.Latency
 	first, start := found.First, found.FirstCost.Latency
@@ -358,20 +322,14 @@ func (p *Peer) FetchHinted(root CID, hint netsim.NodeID) (data []byte, total net
 		}
 	}
 	if err != nil {
-		return nil, total, missed, err
+		return nil, total, missed, nil, err
 	}
 
-	a := announce{root: root, walk: found.Walk}
+	ann = &Announcement{root: root, walk: found.Walk}
 	if converged > total.Latency {
-		a.lag = converged - total.Latency
+		ann.lag = converged - total.Latency
 	}
-	if !p.queueProvide(a) {
-		// Inline: the wave's traffic is this fetch's, its latency nobody's.
-		wave := p.announceCached(a)
-		wave.Latency = 0
-		total = total.Par(wave)
-	}
-	return data, total, missed, nil
+	return data, total, missed, ann, nil
 }
 
 // without returns the contacts of all that are not in drop.

@@ -11,8 +11,8 @@ import (
 
 // reprovideFixture boots a 24-peer swarm on which peers[0] publishes 40
 // documents and peers[9] fetches the first 8 of them: half with the
-// serve-cache announce inline, half queued and flushed, as the round
-// engine does.
+// serve-cache announce inline (Fetch), half returned and announced
+// together afterwards, as the round engine does.
 func reprovideFixture(t *testing.T) (*netsim.Network, []*Peer, []CID) {
 	t.Helper()
 	net, peers := buildPeerSwarm(t, 24, PeerConfig{})
@@ -25,14 +25,20 @@ func reprovideFixture(t *testing.T) (*netsim.Network, []*Peer, []CID) {
 		roots[i] = root
 	}
 	fetcher := peers[9]
-	for i, root := range roots[:8] {
-		fetcher.SetDeferProvides(i >= 4)
+	for _, root := range roots[:4] {
 		if _, _, err := fetcher.Fetch(root); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fetcher.SetDeferProvides(false)
-	fetcher.FlushProvides()
+	var anns []Announcement
+	for _, root := range roots[4:8] {
+		_, _, _, ann, err := fetcher.FetchHinted(root, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		anns = append(anns, *ann)
+	}
+	fetcher.Announce(anns)
 	return net, peers, roots
 }
 

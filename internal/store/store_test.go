@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -398,9 +397,8 @@ func TestAddDeterministicPinOrder(t *testing.T) {
 
 // TestFetchAnnouncesOnItsDiscoveryWalk: a fetch's serve-cache announce
 // lands on the closest set its provider discovery already walked to —
-// inline or queued, it costs the K-wide ADD_PROVIDER wave and no second
-// walk. The queue is filled by concurrent fetches (the race job's view
-// of Peer.pending) and flushed once.
+// issued by Fetch or returned by FetchHinted and passed to Announce, it
+// costs the K-wide ADD_PROVIDER wave and no second walk.
 func TestFetchAnnouncesOnItsDiscoveryWalk(t *testing.T) {
 	k := dht.DefaultConfig().K
 	docs := make([][]byte, 4)
@@ -427,39 +425,30 @@ func TestFetchAnnouncesOnItsDiscoveryWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Queued: same swarm, same fetch, the announce billed at the flush.
+	// Returned: same swarm, same fetch, the announce billed by Announce.
 	peers, roots = boot()
 	fetcher := peers[9]
-	fetcher.SetDeferProvides(true)
-	_, deferred, err := fetcher.Fetch(roots[0])
-	if err != nil {
-		t.Fatal(err)
+	var anns []Announcement
+	for i, root := range roots {
+		_, cost, _, ann, err := fetcher.FetchHinted(root, "")
+		if err != nil || ann == nil {
+			t.Fatalf("root %d: announcement %v, err=%v", i, ann, err)
+		}
+		anns = append(anns, *ann)
+		if i > 0 {
+			continue
+		}
+		if inline.Msgs != cost.Msgs+k {
+			t.Fatalf("inline fetch %d msgs, returned %d: the announce must be exactly one %d-wide wave", inline.Msgs, cost.Msgs, k)
+		}
+		// Either way the fetch's latency is time to content: the announce
+		// is nobody's wait.
+		if inline.Latency != cost.Latency {
+			t.Fatalf("inline fetch took %v, returned %v: the announce sat on the fetch's path", inline.Latency, cost.Latency)
+		}
 	}
-	if inline.Msgs != deferred.Msgs+k {
-		t.Fatalf("inline fetch %d msgs, deferred %d: the announce must be exactly one %d-wide wave", inline.Msgs, deferred.Msgs, k)
-	}
-	// Either way the fetch's latency is time to content: the announce is
-	// nobody's wait.
-	if inline.Latency != deferred.Latency {
-		t.Fatalf("inline fetch took %v, deferred %v: the announce sat on the fetch's path", inline.Latency, deferred.Latency)
-	}
-	var wg sync.WaitGroup
-	for _, root := range roots[1:] {
-		wg.Add(1)
-		go func(root CID) {
-			defer wg.Done()
-			if _, _, err := fetcher.Fetch(root); err != nil {
-				t.Error(err)
-			}
-		}(root)
-	}
-	wg.Wait()
-	fetcher.SetDeferProvides(false)
-	if flush := fetcher.FlushProvides(); flush.Msgs != len(roots)*k {
-		t.Fatalf("flush of %d queued announces cost %d msgs, want %d waves of %d and no walk", len(roots), flush.Msgs, len(roots), k)
-	}
-	if again := fetcher.FlushProvides(); again.Msgs != 0 {
-		t.Fatalf("second flush cost %d msgs", again.Msgs)
+	if wave := fetcher.Announce(anns); wave.Msgs != len(roots)*k {
+		t.Fatalf("%d announces cost %d msgs, want %d waves of %d and no walk", len(roots), wave.Msgs, len(roots), k)
 	}
 	for i, root := range roots {
 		found, _, err := peers[20].DHT().FindProviders(root.Key(), 0)
@@ -517,8 +506,7 @@ func TestFetchStartsAtFirstProviderAnswer(t *testing.T) {
 	net, peers, root := boot()
 	fetcher := peers[9]
 	pings := countCalls(net, peers, fetcher.Addr(), "dht.pingReq")
-	fetcher.SetDeferProvides(true)
-	got, cost, err := fetcher.Fetch(root)
+	got, cost, _, ann, err := fetcher.FetchHinted(root, "")
 	if err != nil || !bytes.Equal(got, doc) {
 		t.Fatalf("fetch: %d bytes, err=%v", len(got), err)
 	}
@@ -533,9 +521,8 @@ func TestFetchStartsAtFirstProviderAnswer(t *testing.T) {
 			cost.Latency, found.FirstCost.Latency, walk.Latency)
 	}
 	// The announce cannot leave before the walk has converged.
-	fetcher.SetDeferProvides(false)
-	if flush := fetcher.FlushProvides(); cost.Latency+flush.Latency <= walk.Latency {
-		t.Fatalf("content at %v, announce done %v later, yet the walk converged at %v", cost.Latency, flush.Latency, walk.Latency)
+	if wave := fetcher.Announce([]Announcement{*ann}); cost.Latency+wave.Latency <= walk.Latency {
+		t.Fatalf("content at %v, announce done %v later, yet the walk converged at %v", cost.Latency, wave.Latency, walk.Latency)
 	}
 }
 
@@ -722,13 +709,11 @@ func TestFetchHintedSameTraffic(t *testing.T) {
 		net, peers, root := boot()
 		fetcher := peers[9]
 		adds := countCalls(net, peers, fetcher.Addr(), "dht.addProviderReq")
-		fetcher.SetDeferProvides(true)
-		got, cost, missed, err := fetcher.FetchHinted(root, hint(peers))
-		if err != nil || missed || !bytes.Equal(got, doc) {
-			t.Fatalf("fetch: %d bytes, missed=%v, err=%v", len(got), missed, err)
+		got, cost, missed, ann, err := fetcher.FetchHinted(root, hint(peers))
+		if err != nil || missed || ann == nil || !bytes.Equal(got, doc) {
+			t.Fatalf("fetch: %d bytes, missed=%v, announcement %v, err=%v", len(got), missed, ann, err)
 		}
-		fetcher.SetDeferProvides(false)
-		out := outcome{cost: cost, announce: fetcher.FlushProvides()}
+		out := outcome{cost: cost, announce: fetcher.Announce([]Announcement{*ann})}
 		for addr := range adds {
 			out.announcedOn = append(out.announcedOn, addr)
 		}
@@ -796,8 +781,7 @@ func TestFetchHintedDeadHint(t *testing.T) {
 	peers, root = boot()
 	served := peers[5].BlocksServed()
 	fetcher := peers[9]
-	fetcher.SetDeferProvides(true)
-	got, cost, missed, err := fetcher.FetchHinted(root, peers[3].Addr())
+	got, cost, missed, _, err := fetcher.FetchHinted(root, peers[3].Addr())
 	if err != nil || !bytes.Equal(got, doc) || !missed {
 		t.Fatalf("fetch: %d bytes, missed=%v, err=%v", len(got), missed, err)
 	}
@@ -834,7 +818,10 @@ func TestFetchHintedTamperedHint(t *testing.T) {
 			peers[5].Blocks().Corrupt(root, EncodeLeaf([]byte("forged")))
 		}
 		fetcher := peers[9]
-		got, _, missed, err := fetcher.FetchHinted(root, peers[3].Addr())
+		got, _, missed, ann, err := fetcher.FetchHinted(root, peers[3].Addr())
+		if !missed || (ann == nil) != (err != nil) {
+			t.Fatalf("forged replica %v: missed=%v, announcement %v, err=%v", forgeReplica, missed, ann, err)
+		}
 		if !missed {
 			t.Fatalf("forged replica %v: a tampered hint is a miss", forgeReplica)
 		}
@@ -884,8 +871,20 @@ func TestFetchHintedEmptyOrSelfIsFetch(t *testing.T) {
 		data, cost, err := f.Fetch(root)
 		return data, cost, false, err
 	})
-	empty := run(func(f *Peer, root CID) ([]byte, netsim.Cost, bool, error) { return f.FetchHinted(root, "") })
-	self := run(func(f *Peer, root CID) ([]byte, netsim.Cost, bool, error) { return f.FetchHinted(root, f.Addr()) })
+	// A hinted fetch announces what Fetch announces, billed as Fetch bills
+	// it: traffic only.
+	hinted := func(hint func(f *Peer) netsim.NodeID) func(*Peer, CID) ([]byte, netsim.Cost, bool, error) {
+		return func(f *Peer, root CID) ([]byte, netsim.Cost, bool, error) {
+			data, cost, missed, ann, err := f.FetchHinted(root, hint(f))
+			if ann != nil {
+				wave := f.Announce([]Announcement{*ann})
+				cost = cost.Par(netsim.Cost{Bytes: wave.Bytes, Msgs: wave.Msgs})
+			}
+			return data, cost, missed, err
+		}
+	}
+	empty := run(hinted(func(*Peer) netsim.NodeID { return "" }))
+	self := run(hinted(func(f *Peer) netsim.NodeID { return f.Addr() }))
 	if fmt.Sprint(empty) != fmt.Sprint(plain) || fmt.Sprint(self) != fmt.Sprint(plain) {
 		t.Fatalf("empty hint %+v, self hint %+v, plain fetch %+v", empty, self, plain)
 	}

@@ -26,11 +26,12 @@ import (
 // responses, only simulated costs and serving makespan. Mutating
 // methods (Publish, PublishBatch, Run, NewAccount, RegisterAd, Click,
 // ComputeRanks, ...) remain a single deterministic driver: do not run
-// them concurrently with each other or with queries. Inside that single driver the write
-// side is itself concurrent — ProcessRound fans bee compute and shard
-// materialization out as goroutine waves (docs/indexing.md) — without
-// costing determinism: same-seed runs produce byte-identical DHT state
-// whether rounds run parallel or sequential (core.Config.ParallelRounds).
+// them concurrently with each other or with queries. Inside that single
+// driver the bees' concurrency is simulated: ProcessRound issues every
+// simulated RPC on the caller's goroutine in a fixed order and fans out
+// only the pure segment and rank builds (docs/indexing.md), so same-seed
+// runs produce the same costs and byte-identical DHT state whatever
+// GOMAXPROCS is.
 type Engine struct {
 	// Cluster exposes the full simulation for advanced use (experiment
 	// harnesses, fault injection). Most callers never need it.
