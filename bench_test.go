@@ -523,9 +523,10 @@ func BenchmarkSearchScaling(b *testing.B) {
 //     sim_speedup there is the pool's load-spread win.
 //   - sim_p99_ms: the p99 simulated per-query latency — the tail that
 //     hedged reads attack.
-//   - ns/op wall time, which additionally tracks real contention on the
-//     engine's caches, singleflight and netsim streams (and scales with
-//     cores, which CI runners may have only one of).
+//   - ns/op wall time, which additionally tracks real contention on
+//     the engine's caches, each frontend's load mutex (cold legs only)
+//     and the netsim streams (and scales with cores, which CI runners
+//     may have only one of).
 func BenchmarkConcurrentSearch(b *testing.B) {
 	shapes := []struct{ clients, pool int }{{1, 1}, {2, 1}, {4, 1}, {8, 1}, {8, 4}}
 	for _, sh := range shapes {

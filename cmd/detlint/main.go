@@ -1,8 +1,8 @@
 // Command detlint statically enforces the repository's determinism and
 // cost-accounting contract: sorted map iteration where order leaks,
 // simulated time only (no wall clock) outside cmd/, seeded xrand streams
-// only (no math/rand), no swallowed dht/store/chain errors, and no dropped
-// netsim.Cost values.
+// only (no math/rand), no swallowed dht/store/chain errors, no dropped
+// netsim.Cost values, and no go statements outside cmd/.
 //
 // Usage:
 //

@@ -318,7 +318,7 @@ func TestStatsAnswersUnderWriteLock(t *testing.T) {
 // TestSearchDeadline: a simulated deadline shorter than one shard RTT
 // answers 504 with the typed error and the partial execution trace;
 // the same query without a deadline still succeeds afterwards (the
-// abandoned wave left caches and singleflights consistent).
+// abandoned wave left the caches consistent).
 func TestSearchDeadline(t *testing.T) {
 	h := serverHandler(t)
 	var out deadlineJSON

@@ -78,9 +78,10 @@
 // reproducibility: the network simulation derives an independent RNG
 // stream per (caller, target) link, so the same seed yields the same
 // results whether queries run one at a time or raced across goroutines
-// (docs/serving.md has the design). Shard waves execute as true
-// goroutine fan-outs, concurrent fetches of the same segment digest
-// collapse into one DHT read (singleflight), and both frontend caches
+// (docs/serving.md has the design). A shard wave runs on the query's own
+// goroutine, in shard order; warm queries run side by side, and a
+// frontend walks pointers and loads chains for one wave at a time, so a
+// segment is fetched once and later queries find it cached. Both frontend caches
 // are byte-budgeted LRUs so a long-lived serving deployment stays
 // bounded under publish churn.
 // cmd/queenbeed serves /search, /explain, /healthz and /stats over HTTP
@@ -104,7 +105,7 @@
 // snippet waves down to the simulated network, whose CallCtx short-circuits cancelled calls
 // without consuming RNG draws — cancellation never desyncs per-seed
 // determinism. A stopped query abandons its remaining wave members,
-// leaves caches and singleflights consistent, and fails with the typed
+// leaves the caches consistent, and fails with the typed
 // ErrDeadlineExceeded carrying a partial Explain trace costed as the
 // partial wave that actually ran. Same seed + same deadline ⇒ the same
 // stop point, every run.

@@ -9,8 +9,9 @@
 // be byte-identical run over run. Each analyzer in this package encodes one
 // invariant that, when violated, has historically broken that contract at
 // runtime (map-order iteration, wall-clock reads, global RNG draws,
-// swallowed DHT errors, discarded netsim costs). detlint moves those
-// failures from "a soak flaked" to "the build failed".
+// swallowed DHT errors, discarded netsim costs, simulated RPCs sent from
+// goroutines). detlint moves those failures from "a soak flaked" to "the
+// build failed".
 //
 // See docs/static-analysis.md for the analyzer catalogue and the
 // //detlint:ignore suppression policy.
@@ -83,5 +84,5 @@ type Diagnostic struct {
 
 // All returns the full detlint analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Maprange, Wallclock, RNGDiscipline, Errsink, Costdrop}
+	return []*Analyzer{Maprange, Wallclock, RNGDiscipline, Errsink, Costdrop, Goroutine}
 }

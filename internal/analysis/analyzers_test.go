@@ -32,3 +32,8 @@ func TestErrsink(t *testing.T) {
 func TestCostdrop(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.Costdrop, "costdrop")
 }
+
+func TestGoroutine(t *testing.T) {
+	// repro/cmd/plumbing starts a goroutine and has no want comments.
+	analysistest.Run(t, analysistest.TestData(), analysis.Goroutine, "goroutine", "repro/cmd/plumbing")
+}

@@ -5,12 +5,12 @@ import (
 	"go/types"
 )
 
-// WallclockAllowedPkgs lists import-path prefixes exempt from the wallclock
-// analyzer. Command binaries legitimately touch the host clock for HTTP
-// plumbing (uptime counters, progress printing); everything else runs in
-// simulated time, where vclock and netsim cost accounting are the only
-// clocks.
-var WallclockAllowedPkgs = []string{"repro/cmd/"}
+// PlumbingPkgs lists import-path prefixes exempt from the wallclock and
+// goroutine analyzers. Command binaries legitimately touch the host clock
+// and start goroutines for HTTP plumbing (uptime counters, progress
+// printing, servers, load generators); everything else runs in simulated
+// time, where vclock and netsim cost accounting are the only clocks.
+var PlumbingPkgs = []string{"repro/cmd/"}
 
 // wallclockBanned maps the time-package functions that read or schedule on
 // the host clock to the reason each is forbidden in simulation code.
@@ -41,7 +41,7 @@ var Wallclock = &Analyzer{
 }
 
 func runWallclock(pass *Pass) error {
-	if matchesAny(pass.PkgPath, WallclockAllowedPkgs) {
+	if matchesAny(pass.PkgPath, PlumbingPkgs) {
 		return nil
 	}
 	for _, f := range pass.Files {

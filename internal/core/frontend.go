@@ -22,24 +22,25 @@ import (
 // ads." It is a stateless client of the DHT and the chain: it owns a DWeb
 // peer for reads and caches immutable segments by content address.
 //
-// Queries (Search, ExecuteCtx) are safe for concurrent use and, with the
-// default per-link netsim streams, same-seed results are byte-identical
-// whether queries run sequentially or raced across goroutines (see
-// docs/serving.md). Both caches are byte-budgeted LRUs so a long-lived
-// serving frontend stays bounded under publish churn, and concurrent
-// queries needing the same segment digest share one DHT fetch
-// (singleflight) instead of issuing duplicates.
+// Queries (Search, ExecuteCtx) are safe for concurrent use, and same-seed
+// results are byte-identical whether queries run sequentially or raced
+// across goroutines (see docs/serving.md). Both caches are byte-budgeted
+// LRUs so a long-lived serving frontend stays bounded under publish churn.
 type Frontend struct {
 	cluster *Cluster
 	peer    *store.Peer
 
-	mu          sync.Mutex
-	segCache    *lruCache[string, *index.Segment] // digest → segment (immutable)
-	chainCache  *lruCache[int, chainEntry]        // shard → merged view of its segment chain
-	segFlight   map[string]*segFetch              // digest → in-flight DHT fetch
-	chainFlight map[int]*chainFetch               // shard → in-flight chain rebuild
-	docURL      map[index.DocID]string
-	docURLGen   int // page count when docURL was built
+	// loadMu serializes the frontend's pointer walks and chain loads
+	// (fetchLeg); warm legs never take it.
+	loadMu sync.Mutex
+
+	// mu guards the caches, URL map, ptrHolder and rank memo, never across
+	// an RPC, so CacheStatsSnapshot does not wait behind a cold load.
+	mu         sync.Mutex
+	segCache   *lruCache[string, *index.Segment] // digest → segment (immutable)
+	chainCache *lruCache[int, chainEntry]        // shard → merged view of its segment chain
+	docURL     map[index.DocID]string
+	docURLGen  int // page count when docURL was built
 
 	// ptrHolder remembers, per shard, the replica that last served a
 	// pointer the chain vouched for (see readPointer); at most NumShards
@@ -76,39 +77,15 @@ type Frontend struct {
 	hedgeBill func(time.Duration)
 }
 
-// segFetch is one in-flight segment download; duplicate requesters block
-// on done and share the result.
-type segFetch struct {
-	done chan struct{}
-	seg  *index.Segment
-	cost netsim.Cost
-	err  error
-}
-
-// chainFetch is one in-flight chain rebuild (segment fetches + merge)
-// for a shard. Concurrent queries that resolved the same digest chain
-// share it: the segment fetches already dedup via segFlight, but the
-// merge itself is the expensive decode-everything step worth running
-// once, not once per racing query.
-type chainFetch struct {
-	key  string // the digest chain being built
-	done chan struct{}
-	seg  *index.Segment
-	cost netsim.Cost // segment fetches; excludes each caller's own pointer read
-	err  error
-}
-
 // NewFrontend attaches a frontend to one DWeb peer of the cluster.
 func NewFrontend(c *Cluster, peer *store.Peer) *Frontend {
 	f := &Frontend{
-		cluster:     c,
-		peer:        peer,
-		segCache:    newLRUCache[string, *index.Segment](c.cfg.SegCacheBytes),
-		chainCache:  newLRUCache[int, chainEntry](c.cfg.ChainCacheBytes),
-		segFlight:   make(map[string]*segFetch),
-		chainFlight: make(map[int]*chainFetch),
-		docURL:      make(map[index.DocID]string),
-		ptrHolder:   make(map[int]dht.Contact),
+		cluster:    c,
+		peer:       peer,
+		segCache:   newLRUCache[string, *index.Segment](c.cfg.SegCacheBytes),
+		chainCache: newLRUCache[int, chainEntry](c.cfg.ChainCacheBytes),
+		docURL:     make(map[index.DocID]string),
+		ptrHolder:  make(map[int]dht.Contact),
 	}
 	f.wand.Store(true)
 	return f
@@ -373,51 +350,26 @@ func (f *Frontend) scoreAndCompose(bud reqBudget, resp *SearchResponse, terms []
 	return nil
 }
 
-// fetchSegmentCtx returns the immutable segment for a digest: LRU cache
-// first, then one shared DHT fetch. Concurrent requests for the same
-// digest singleflight — duplicates block until the leader's fetch lands
-// and share its result and cost (they observed the same simulated wall
-// time; the bytes moved on the wire only once and are counted once in the
-// network's global stats). The leader fetches under its own ctx, so a
-// cancelled leader abandons the DHT lookup mid-wave; its flight then
-// reports the cancellation and caches nothing. A waiter whose own
-// lifecycle is still live does not inherit that fate — it retries as the
-// new leader — so one cancelled query never fails the innocents
-// coalesced behind it, and the singleflight table never wedges on a dead
-// flight.
+// fetchSegmentCtx returns the immutable segment for a digest: the LRU
+// cache first, else one verified DHT fetch whose decoded segment is
+// cached. Only a leg holding loadMu calls it, so a digest fetched before
+// is a plain cache hit. A cancelled fetch caches nothing.
 func (f *Frontend) fetchSegmentCtx(ctx context.Context, digest string) (*index.Segment, netsim.Cost, error) {
-	for {
-		f.mu.Lock()
-		if seg, ok := f.segCache.get(digest); ok {
-			f.mu.Unlock()
-			return seg, netsim.Cost{}, nil
-		}
-		if fl, ok := f.segFlight[digest]; ok {
-			f.mu.Unlock()
-			<-fl.done
-			if isCancelled(fl.err) && ctx.Err() == nil {
-				continue // the leader's request died, not the fetch: retry
-			}
-			return fl.seg, fl.cost, fl.err
-		}
-		fl := &segFetch{done: make(chan struct{})}
-		f.segFlight[digest] = fl
-		f.mu.Unlock()
-
-		fl.seg, fl.cost, fl.err = readSegmentCtx(ctx, f.peer.DHT(), digest)
-		var size int64
-		if fl.err == nil {
-			size = fl.seg.SizeBytes()
-		}
-		f.mu.Lock()
-		delete(f.segFlight, digest)
-		if fl.err == nil {
-			f.segCache.add(digest, fl.seg, size)
-		}
-		f.mu.Unlock()
-		close(fl.done)
-		return fl.seg, fl.cost, fl.err
+	f.mu.Lock()
+	seg, ok := f.segCache.get(digest)
+	f.mu.Unlock()
+	if ok {
+		return seg, netsim.Cost{}, nil
 	}
+	seg, cost, err := readSegmentCtx(ctx, f.peer.DHT(), digest)
+	if err != nil {
+		return nil, cost, err
+	}
+	size := seg.SizeBytes()
+	f.mu.Lock()
+	f.segCache.add(digest, seg, size)
+	f.mu.Unlock()
+	return seg, cost, nil
 }
 
 // readPointer reads a shard's pointer for a query: one verified answer
@@ -483,143 +435,140 @@ func (f *Frontend) readPointer(ctx context.Context, shard int) (ShardPointer, ne
 	return ptr, cost, err
 }
 
-// loadShardCtx fetches a shard's segment chain and returns its merged
-// view. Two cache layers keep warm queries cheap: segments are immutable
-// and cached per digest, and the merged chain is cached per shard keyed by
-// the digest chain — the pointer read (readPointer: one RPC when the
-// chain vouches for the answer) is the only per-query DHT traffic until
-// the chain changes. Single-segment chains (the common case after
-// compaction) skip merging entirely, so their postings stay lazy. Only a
-// shard this cluster never wrote reads as empty (Cluster.readsEmpty); a
-// written shard whose pointer no replica returns fails like any
-// unreachable shard.
+// shardLeg is one shard of a wave: the view it resolved to, what the leg
+// cost, and why it failed.
+type shardLeg struct {
+	seg  *index.Segment
+	cost netsim.Cost
+	err  error
+}
+
+// fetchLeg resolves one shard: its pointer read, then the merged view of
+// the chain it names, from the chain cache or, on a miss, from the
+// chain's segments (fetchSegmentCtx), merged here and cached. Single-
+// segment chains (the common case after compaction) skip merging, so
+// their postings stay lazy. Only a shard this cluster never wrote reads
+// as empty (Cluster.readsEmpty); a written shard whose pointer no replica
+// returns fails like any unreachable shard.
 //
-// It is one wave leg with a request lifecycle. e0 is the query's
-// simulated elapsed time when the wave launched; the leg's own
-// sequential steps (pointer read, then each segment fetch) extend it,
-// and the budget is re-checked before every step — a spent budget
-// abandons the rest of the chain with the partial cost and a typed
-// ErrDeadlineExceeded. A leader abandoned mid-chain reports the
-// lifecycle error on its flight; waiters whose own budget is still live
-// retry as the new leader, so the chain singleflight never wedges and
-// never fails an innocent query.
-func (f *Frontend) loadShardCtx(bud reqBudget, e0 time.Duration, shard int) (*index.Segment, netsim.Cost, error) {
+// A warm leg — a remembered pointer holder and a cached chain — sends one
+// verified RPC and takes no lock, so warm queries run side by side. A leg
+// with no remembered holder (its read walks) or a chain-cache miss holds
+// loadMu for the rest of the leg and looks again: a concurrent leg that
+// did that work leaves the holder remembered and the chain cached, so
+// one frontend never fetches or merges the same thing twice at once. (A
+// remembered holder whose answer fails to verify falls back to the walk
+// without the lock; see readPointer.)
+//
+// e0 is the query's simulated elapsed time when the wave launched; the
+// leg's sequential steps extend it, and the budget is re-checked before
+// every step — a spent budget abandons the rest of the chain with the
+// partial cost and a typed ErrDeadlineExceeded.
+func (f *Frontend) fetchLeg(bud reqBudget, e0 time.Duration, shard int) shardLeg {
 	if err := bud.check(e0); err != nil {
-		return nil, netsim.Cost{}, err
+		return shardLeg{err: err}
+	}
+	f.mu.Lock()
+	_, memo := f.ptrHolder[shard]
+	f.mu.Unlock()
+	locked := !memo
+	if locked {
+		f.loadMu.Lock()
+		defer f.loadMu.Unlock()
 	}
 	ptr, cost, err := f.readPointer(bud.context(), shard)
 	if f.cluster.readsEmpty(shard, err) {
-		return index.NewSegment(0), cost, nil
+		return shardLeg{seg: index.NewSegment(0), cost: cost}
 	}
 	if err != nil {
-		return nil, cost, asLifecycle(err)
+		return shardLeg{cost: cost, err: asLifecycle(err)}
 	}
 	key := strings.Join(ptr.Digests, ",")
-	for {
-		f.mu.Lock()
-		ce, cached := f.chainCache.peek(shard)
-		switch {
-		case cached && ce.key == key:
-			f.chainCache.hits++
-			f.chainCache.promote(shard)
-			f.mu.Unlock()
-			return ce.seg, cost, nil
-		case cached:
-			// The shard head moved on: a real miss, and the stale view must
-			// neither serve nor outlive genuinely warm entries.
-			f.chainCache.misses++
-			f.chainCache.drop(shard)
-		default:
-			f.chainCache.misses++
-		}
-		if fl, ok := f.chainFlight[shard]; ok && fl.key == key {
-			f.mu.Unlock()
-			<-fl.done
-			if lifecycleErr(fl.err) && bud.check(e0+cost.Latency) == nil {
-				continue // the leader's request died, not the chain: retry
-			}
-			return fl.seg, cost.Seq(fl.cost), fl.err
-		}
-		fl := &chainFetch{key: key, done: make(chan struct{})}
-		f.chainFlight[shard] = fl
-		f.mu.Unlock()
-
-		segs := make([]*index.Segment, 0, len(ptr.Digests))
-		for _, digest := range ptr.Digests {
-			// The chain's fetches are sequential within this leg, so the
-			// leg-local elapsed time grows step by step — this is the
-			// "cancelled between shard fetches" cut point.
-			if err := bud.check(e0 + cost.Latency + fl.cost.Latency); err != nil {
-				fl.err = err
-				break
-			}
-			seg, c2, err := f.fetchSegmentCtx(bud.context(), digest)
-			fl.cost = fl.cost.Seq(c2)
-			if err != nil {
-				fl.err = asLifecycle(err)
-				break
-			}
-			segs = append(segs, seg)
-		}
-		var size int64
-		if fl.err == nil {
-			fl.seg = index.Merge(segs)
-			size = fl.seg.SizeBytes()
-		}
-		f.mu.Lock()
-		if f.chainFlight[shard] == fl {
-			delete(f.chainFlight, shard)
-		}
-		if fl.err == nil {
-			f.chainCache.add(shard, chainEntry{key: key, seg: fl.seg}, size)
-		}
-		f.mu.Unlock()
-		close(fl.done)
-		return fl.seg, cost.Seq(fl.cost), fl.err
+	seg, ok := f.cachedChain(shard, key, locked)
+	if !ok && !locked {
+		f.loadMu.Lock()
+		defer f.loadMu.Unlock()
+		seg, ok = f.cachedChain(shard, key, true)
 	}
+	if ok {
+		return shardLeg{seg: seg, cost: cost}
+	}
+	chain := make([]*index.Segment, 0, len(ptr.Digests))
+	for _, digest := range ptr.Digests {
+		// The chain's fetches are sequential, so the leg-local elapsed
+		// time grows step by step — this is the "cancelled between shard
+		// fetches" cut point.
+		if err := bud.check(e0 + cost.Latency); err != nil {
+			return shardLeg{cost: cost, err: err}
+		}
+		seg, c, err := f.fetchSegmentCtx(bud.context(), digest)
+		cost = cost.Seq(c)
+		if err != nil {
+			return shardLeg{cost: cost, err: asLifecycle(err)}
+		}
+		chain = append(chain, seg)
+	}
+	seg = index.Merge(chain)
+	size := seg.SizeBytes()
+	f.mu.Lock()
+	f.chainCache.add(shard, chainEntry{key: key, seg: seg}, size)
+	f.mu.Unlock()
+	return shardLeg{seg: seg, cost: cost}
 }
 
-// loadShardsCtx resolves a query's distinct shards as one concurrent fetch
-// wave: the independent DHT lookups run on their own goroutines, and the
-// per-link netsim streams keep same-seed results reproducible no matter
-// how the fetches interleave. The wave's cost folds Par in shard order —
-// the slowest shard, not the sum.
-//
-// On failure every fetch was still in flight, so the full wave cost is
-// reported alongside the error of the lowest-indexed failing shard —
-// Explain's shard-wave accounting stays consistent for failed waves
-// (asserted in plan_test.go). The map still carries every shard that DID
-// load, so callers with DegradedReads enabled can compose a partial
-// answer instead of discarding the wave.
-//
-// The wave carries a request lifecycle and, on pool frontends, hedged
-// reads. Every leg starts at the wave's base elapsed time e0 (parallel
-// legs share a launch instant; sequential steps inside a leg extend it),
-// and a spent budget abandons each leg's remaining steps — the wave then
-// reports the partial cost of the work that ran and a typed
+// cachedChain returns the shard's merged view of the digest chain key.
+// On a counted miss (the leg holds loadMu) it drops a view of an older
+// chain, which must neither serve nor outlive genuinely warm entries.
+func (f *Frontend) cachedChain(shard int, key string, counted bool) (*index.Segment, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if ce, ok := f.chainCache.peek(shard); ok && ce.key == key {
+		f.chainCache.hits++
+		f.chainCache.promote(shard)
+		return ce.seg, true
+	}
+	if counted {
+		f.chainCache.misses++
+		f.chainCache.drop(shard)
+	}
+	return nil, false
+}
+
+// loadShardsCtx resolves a query's distinct shards as one wave. The legs
+// are independent, so the wave is costed as if they were sent at once —
+// Par folded in shard order, the slowest shard, not the sum — though they
+// run one after another on this goroutine (fetchLeg), which keeps every
+// cost and cache state a function of the seed and the query sequence.
+// Every leg starts at e0; a spent budget abandons each leg's remaining
+// steps, and the wave reports the partial cost of the work that ran and
 // ErrDeadlineExceeded.
+//
+// A failed leg stops no other, so the full wave cost is reported
+// alongside the error of the lowest-indexed failing shard — Explain's
+// shard-wave accounting stays consistent for failed waves (asserted in
+// plan_test.go). The map still carries every shard that DID load, so
+// callers with DegradedReads enabled can compose a partial answer instead
+// of discarding the wave. On pool frontends one leg is hedged (hedgeLeg).
 func (f *Frontend) loadShardsCtx(bud reqBudget, e0 time.Duration, shards []int) (map[int]*index.Segment, netsim.Cost, error) {
-	segs := make([]*index.Segment, len(shards))
-	costs := make([]netsim.Cost, len(shards))
-	errs := make([]error, len(shards))
-	runWave(len(shards), func(i int) {
-		segs[i], costs[i], errs[i] = f.loadShardCtx(bud, e0, shards[i])
-	})
-	f.hedgeLeg(bud, e0, shards, segs, costs, errs)
+	legs := make([]shardLeg, len(shards))
+	for i, shard := range shards {
+		legs[i] = f.fetchLeg(bud, e0, shard)
+	}
+	f.hedgeLeg(bud, e0, shards, legs)
 	out := make(map[int]*index.Segment, len(shards))
 	var cost netsim.Cost
 	var firstErr error
-	for i := range shards {
-		cost = cost.Par(costs[i])
-		if errs[i] != nil {
+	for i, leg := range legs {
+		cost = cost.Par(leg.cost)
+		if leg.err != nil {
 			// A spent lifecycle outranks shard errors: the query was
 			// stopped, not the index broken.
-			if firstErr == nil || (lifecycleErr(errs[i]) && !lifecycleErr(firstErr)) {
-				firstErr = fmt.Errorf("shard %d: %w", shards[i], errs[i])
+			if firstErr == nil || (lifecycleErr(leg.err) && !lifecycleErr(firstErr)) {
+				firstErr = fmt.Errorf("shard %d: %w", shards[i], leg.err)
 			}
 			continue
 		}
-		out[shards[i]] = segs[i]
+		out[shards[i]] = leg.seg
 	}
 	return out, cost, firstErr
 }
@@ -635,54 +584,57 @@ func (f *Frontend) loadShardsCtx(bud reqBudget, e0 time.Duration, shards []int) 
 // are byte-identical either way (both frontends read the same
 // immutable DHT state), so hedging shifts only costs, never responses.
 // Waves stopped by the lifecycle are not hedged: the client is gone.
-func (f *Frontend) hedgeLeg(bud reqBudget, e0 time.Duration, shards []int, segs []*index.Segment, costs []netsim.Cost, errs []error) {
+//
+// No leg holds this frontend's loadMu by now: the hedge may take the
+// buddy's, and buddies form a ring, so holding both could deadlock.
+func (f *Frontend) hedgeLeg(bud reqBudget, e0 time.Duration, shards []int, legs []shardLeg) {
 	if f.hedge == nil || len(shards) == 0 {
 		return
 	}
 	slowest, failed := 0, -1
-	for i := range shards {
-		if lifecycleErr(errs[i]) {
+	for i, leg := range legs {
+		if lifecycleErr(leg.err) {
 			return
 		}
-		if errs[i] != nil && failed < 0 {
+		if leg.err != nil && failed < 0 {
 			failed = i
 		}
-		if costs[i].Latency > costs[slowest].Latency {
+		if leg.cost.Latency > legs[slowest].cost.Latency {
 			slowest = i
 		}
 	}
 	if failed >= 0 {
 		slowest = failed
-	} else if costs[slowest].Latency == 0 {
+	} else if legs[slowest].cost.Latency == 0 {
 		// Every leg was free: there is no latency to win, so a hedge
 		// would only burn duplicate DHT traffic.
 		return
 	}
-	hseg, hcost, herr := f.hedge.loadShardCtx(bud, e0, shards[slowest])
-	if lifecycleErr(herr) {
+	h := f.hedge.fetchLeg(bud, e0, shards[slowest])
+	if lifecycleErr(h.err) {
 		return // the lifecycle ended mid-hedge; keep the primary leg as-is
 	}
 	f.hedges.Add(1)
 	if f.hedgeBill != nil {
 		// The duplicate ran on the buddy's device: its simulated time is
 		// the buddy's serving load, not this frontend's.
-		f.hedgeBill(hcost.Latency)
+		f.hedgeBill(h.cost.Latency)
 	}
-	pc := costs[slowest]
-	merged := netsim.Cost{Bytes: pc.Bytes + hcost.Bytes, Msgs: pc.Msgs + hcost.Msgs}
+	p := &legs[slowest]
+	merged := netsim.Cost{Bytes: p.cost.Bytes + h.cost.Bytes, Msgs: p.cost.Msgs + h.cost.Msgs}
 	switch {
-	case errs[slowest] == nil && herr == nil:
-		merged.Latency = min(pc.Latency, hcost.Latency)
-	case errs[slowest] != nil && herr == nil:
-		segs[slowest], errs[slowest] = hseg, nil
-		merged.Latency = hcost.Latency
-	case errs[slowest] == nil:
-		merged.Latency = pc.Latency
+	case p.err == nil && h.err == nil:
+		merged.Latency = min(p.cost.Latency, h.cost.Latency)
+	case p.err != nil && h.err == nil:
+		p.seg, p.err = h.seg, nil
+		merged.Latency = h.cost.Latency
+	case p.err == nil:
+		merged.Latency = p.cost.Latency
 	default:
 		// Both replies failed; the caller observes the later failure.
-		merged.Latency = max(pc.Latency, hcost.Latency)
+		merged.Latency = max(p.cost.Latency, h.cost.Latency)
 	}
-	costs[slowest] = merged
+	p.cost = merged
 }
 
 // pageRankView returns the rank vector and its maximum, memoized on the

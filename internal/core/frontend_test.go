@@ -3,54 +3,203 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
-	"time"
 
+	"repro/internal/corpus"
 	"repro/internal/index"
+	"repro/internal/netsim"
 )
 
-// TestFetchSegmentSingleflight pins the dedup contract: a request for a
-// digest with a fetch already in flight blocks until the leader finishes
-// and shares its result instead of issuing a second DHT read.
+// TestFetchSegmentSingleflight pins the frontend's dedup contract under
+// concurrency: eight goroutines run the same cold multi-shard query on a
+// fresh frontend. Pointer walks and chain loads on one frontend run one
+// at a time, so the first wave to need one walks every pointer, fetches
+// every distinct segment digest and merges every shard's chain once, and
+// the other seven find the holders remembered and both caches warm. The
+// network
+// carries exactly what the same eight queries cost when run one after
+// another on a twin cluster.
 func TestFetchSegmentSingleflight(t *testing.T) {
-	c := smallCluster(t)
-	fe := NewFrontend(c, c.Peers[1])
+	const clients = 8
+	q := Query{Raw: "red apples orchard streets", Mode: PlanAny}
 
-	fl := &segFetch{done: make(chan struct{})}
-	fe.mu.Lock()
-	fe.segFlight["deadbeef"] = fl
-	fe.mu.Unlock()
-
-	got := make(chan *index.Segment, 1)
-	go func() {
-		seg, _, err := fe.fetchSegmentCtx(context.Background(), "deadbeef")
+	seqC, seqFE := twoBatchCluster(t)
+	before := seqC.Net.StatsSnapshot()
+	var want SearchResponse
+	for i := 0; i < clients; i++ {
+		resp, err := seqFE.ExecuteCtx(context.Background(), q)
 		if err != nil {
-			t.Error(err)
+			t.Fatal(err)
 		}
-		got <- seg
-	}()
+		want = resp
+	}
+	seqCalls := seqC.Net.StatsSnapshot().Calls - before.Calls
 
-	select {
-	case <-got:
-		t.Fatal("fetchSegment returned before the in-flight fetch completed")
-	case <-time.After(20 * time.Millisecond):
+	c, fe := twoBatchCluster(t)
+	before = c.Net.StatsSnapshot()
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := fe.ExecuteCtx(context.Background(), q)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if fmt.Sprint(resp.Results) != fmt.Sprint(want.Results) {
+				t.Errorf("concurrent results %v, sequential %v", resp.Results, want.Results)
+			}
+		}()
+	}
+	wg.Wait()
+	if calls := c.Net.StatsSnapshot().Calls - before.Calls; calls != seqCalls {
+		t.Fatalf("%d concurrent queries sent %d msgs, the same queries in sequence %d", clients, calls, seqCalls)
 	}
 
-	want := index.NewSegment(7)
-	fl.seg = want
-	fe.mu.Lock()
-	delete(fe.segFlight, "deadbeef")
-	fe.mu.Unlock()
-	close(fl.done)
-
-	select {
-	case seg := <-got:
-		if seg != want {
-			t.Fatalf("waiter got %p, want the leader's segment %p", seg, want)
+	// The chains behind the query's shards. A batch's segment lands in
+	// the chain of every shard its terms hash to, so legs share digests:
+	// one miss per distinct digest, a hit for every repeat, one chain
+	// miss per shard, whoever ran first.
+	shards := map[int]bool{}
+	digests := map[string]bool{}
+	refs := 0
+	for _, term := range index.AnalyzeQuery(q.Raw) {
+		s := index.ShardOf(term, c.Config().NumShards)
+		if shards[s] {
+			continue
 		}
-	case <-time.After(time.Second):
-		t.Fatal("waiter did not wake after the flight completed")
+		shards[s] = true
+		ptr, _, err := readShardPointer(fe.peer.DHT(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range ptr.Digests {
+			digests[d] = true
+			refs++
+		}
 	}
+	if len(shards) < 2 || refs <= len(digests) {
+		t.Fatalf("workload shape changed: %d shards, %d digests, %d references; need legs that share a digest",
+			len(shards), len(digests), refs)
+	}
+	st := fe.CacheStatsSnapshot()
+	if st.SegMisses != int64(len(digests)) || st.SegHits != int64(refs-len(digests)) {
+		t.Errorf("segment cache %d misses / %d hits, want %d / %d", st.SegMisses, st.SegHits, len(digests), refs-len(digests))
+	}
+	if st.ChainMisses != int64(len(shards)) || st.ChainHits != int64((clients-1)*len(shards)) {
+		t.Errorf("chain cache %d misses / %d hits, want %d / %d", st.ChainMisses, st.ChainHits, len(shards), (clients-1)*len(shards))
+	}
+	if seq := seqFE.CacheStatsSnapshot(); st != seq {
+		t.Errorf("concurrent cache stats %+v, sequential %+v", st, seq)
+	}
+}
+
+// twoBatchCluster indexes two pages in two batches, so the shards their
+// shared terms hash to hold two-segment chains, and returns the cluster
+// with a fresh frontend on Peers[3]. Every call builds the same cluster.
+func twoBatchCluster(t *testing.T) (*Cluster, *Frontend) {
+	t.Helper()
+	c := smallCluster(t)
+	owner := c.NewAccount("owner", 10_000)
+	c.Seal()
+	pages := []BatchPage{
+		{URL: "dweb://q1", Text: "red apples grow on apple trees in the orchard"},
+		{URL: "dweb://q2", Text: "red fire trucks race through the city streets"},
+	}
+	for _, p := range pages {
+		if rr, err := c.IndexBatch(owner, []BatchPage{p}); err != nil || len(rr.Errors) > 0 {
+			t.Fatalf("err=%v round errors=%v", err, rr.Errors)
+		}
+	}
+	return c, NewFrontend(c, c.Peers[3])
+}
+
+// TestQueryDeterminismAcrossGOMAXPROCS: a query's simulated RPCs run on
+// one goroutine, in shard order, so neither the scheduler nor the number
+// of CPUs may reach what a query costs or what the frontend caches. Two
+// boots at each of GOMAXPROCS 1, 2 and 8 — seed 1, a 256-page batch, a
+// frontend on Peers[3], 120 three-term OR queries, a second batch, two
+// more passes — must give every response the same results and cost, and
+// end with the same cache counters and the same state on every node.
+func TestQueryDeterminismAcrossGOMAXPROCS(t *testing.T) {
+	ccfg := corpus.DefaultConfig()
+	ccfg.NumDocs = 512
+	corp := corpus.Generate(ccfg)
+	batches := make([][]BatchPage, 2)
+	for i, d := range corp.Docs {
+		batches[i/256] = append(batches[i/256], BatchPage{URL: d.URL, Text: d.Text, Links: d.Links})
+	}
+	queries := corp.Queries(1, 120, 3)
+
+	boot := func() (trace, stats, digest string, total netsim.Cost) {
+		c := NewCluster(DefaultConfig())
+		owner := c.NewAccount("writer", 10_000_000)
+		c.Seal()
+		batch := func(pages []BatchPage) {
+			if rr, err := c.IndexBatch(owner, pages); err != nil || len(rr.Errors) > 0 {
+				t.Fatalf("err=%v round errors=%v", err, rr.Errors)
+			}
+		}
+		var b []byte
+		fe := NewFrontend(c, c.Peers[3])
+		pass := func() {
+			for _, q := range queries {
+				resp, err := fe.ExecuteCtx(context.Background(), Query{Raw: q.Text, Mode: PlanAny})
+				if err != nil {
+					t.Fatalf("%q: %v", q.Text, err)
+				}
+				total.Msgs += resp.Cost.Msgs
+				total.Bytes += resp.Cost.Bytes
+				total.Latency += resp.Cost.Latency
+				b = fmt.Appendf(b, "%q %+v %+v\n", q.Text, resp.Results, resp.Cost)
+			}
+		}
+		batch(batches[0])
+		pass()
+		batch(batches[1])
+		pass()
+		pass()
+		return string(b), fmt.Sprintf("%+v", fe.CacheStatsSnapshot()), clusterDigest(c), total
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var wantTrace, wantStats, wantDigest string
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for run := 0; run < 2; run++ {
+			trace, stats, digest, total := boot()
+			if wantTrace == "" {
+				wantTrace, wantStats, wantDigest = trace, stats, digest
+				t.Logf("%d queries: %d msgs, %d bytes, %v simulated; cache %s",
+					3*len(queries), total.Msgs, total.Bytes, total.Latency, stats)
+				continue
+			}
+			if trace != wantTrace {
+				t.Fatalf("GOMAXPROCS=%d run %d: responses diverged at\n%s", procs, run, firstDiff(trace, wantTrace))
+			}
+			if stats != wantStats {
+				t.Fatalf("GOMAXPROCS=%d run %d: cache stats %s, want %s", procs, run, stats, wantStats)
+			}
+			if digest != wantDigest {
+				t.Fatalf("GOMAXPROCS=%d run %d: DHT state diverged: %s, want %s", procs, run, digest, wantDigest)
+			}
+		}
+	}
+}
+
+// firstDiff returns the first line where two line-oriented traces differ.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d:\n got %s\nwant %s", i, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("%d lines, want %d", len(g), len(w))
 }
 
 // TestFrontendCachesStayWithinBudget drives publish churn — every wave
@@ -112,38 +261,47 @@ func TestFrontendCachesStayWithinBudget(t *testing.T) {
 	}
 }
 
-// TestLoadShardsParallelMatchesSequential: the goroutine fan-out must
-// return exactly the segments the sequential path returns for the same
-// seed — the concurrency-determinism contract at the shard-wave level.
+// TestLoadShardsParallelMatchesSequential: a wave over every shard must
+// return exactly the segments that one-shard waves return on a fresh
+// frontend, and send the same messages —
+// the concurrency-determinism contract at the shard-wave level. The
+// one-shard waves run on a twin cluster, so neither side finds the other's
+// routing state warm.
 func TestLoadShardsParallelMatchesSequential(t *testing.T) {
-	c, fe := queryCluster(t)
+	c, fe := twoBatchCluster(t)
 	shards := make([]int, 0, c.Config().NumShards)
 	for s := 0; s < c.Config().NumShards; s++ {
 		shards = append(shards, s)
 	}
 
-	// Cold parallel wave.
+	// Cold wave over every shard.
+	before := c.Net.StatsSnapshot().Calls
 	got, _, err := fe.loadShardsCtx(reqBudget{}, 0, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fresh frontend, sequential loads.
-	fe2 := NewFrontend(c, c.Peers[2])
+	waveCalls := c.Net.StatsSnapshot().Calls - before
+	// The twin, one shard per wave.
+	c2, fe2 := twoBatchCluster(t)
 	want := make(map[int]*index.Segment, len(shards))
+	before = c2.Net.StatsSnapshot().Calls
 	for _, s := range shards {
-		seg, _, err := fe2.loadShardCtx(reqBudget{}, 0, s)
+		segs, _, err := fe2.loadShardsCtx(reqBudget{}, 0, []int{s})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[s] = seg
+		want[s] = segs[s]
+	}
+	if seqCalls := c2.Net.StatsSnapshot().Calls - before; seqCalls != waveCalls {
+		t.Fatalf("wave sent %d msgs, one-shard waves %d", waveCalls, seqCalls)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("parallel loaded %d shards, sequential %d", len(got), len(want))
+		t.Fatalf("wave loaded %d shards, one-shard waves %d", len(got), len(want))
 	}
 	for s := range want {
 		g, w := got[s].TermsSorted(), want[s].TermsSorted()
 		if len(g) != len(w) {
-			t.Fatalf("shard %d: %d terms parallel vs %d sequential", s, len(g), len(w))
+			t.Fatalf("shard %d: %d terms in the wave vs %d alone", s, len(g), len(w))
 		}
 		for i := range g {
 			if g[i] != w[i] {

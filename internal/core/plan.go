@@ -149,7 +149,8 @@ func writePlan(b *strings.Builder, n *ExplainNode, depth int) {
 
 // ExecuteCtx runs one structured query through the full frontend
 // pipeline: compile the AST (parse or flat-build per Mode), resolve the
-// distinct shards it touches and load them as one parallel wave,
+// distinct shards it touches and load them as one wave (its legs run in
+// shard order on this goroutine and are costed as parallel legs),
 // evaluate the boolean plan over posting lists, rank with BM25×PageRank,
 // paginate, and optionally attach snippets and the execution trace.
 //
@@ -157,8 +158,8 @@ func writePlan(b *strings.Builder, n *ExplainNode, depth int) {
 // simulated Deadline are threaded through every stage — the shard wave
 // (each leg re-checks before every sequential RPC), scoring, and the
 // snippet wave. A query stopped by either
-// signal abandons its remaining wave members, keeps its caches and
-// singleflights consistent, and returns ErrDeadlineExceeded with a
+// signal abandons its remaining wave members, keeps its caches
+// consistent, and returns ErrDeadlineExceeded with a
 // partial Explain trace (always attached on that path, Explain requested
 // or not) costing exactly the work that ran. The deadline is a promise
 // about simulated response time: a query whose completed work overruns

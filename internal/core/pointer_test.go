@@ -313,8 +313,8 @@ func TestQueryPointerGenZeroNeverVerifies(t *testing.T) {
 			t.Fatal("holder remembered at index generation 0")
 		}
 	}
-	seg, _, err := fx.fe.loadShardCtx(reqBudget{}, 0, shard)
-	if err != nil || seg.Postings(index.AnalyzeQuery("handwritten")[0]) == nil {
+	segs, _, err := fx.fe.loadShardsCtx(reqBudget{}, 0, []int{shard})
+	if err != nil || segs[shard].Postings(index.AnalyzeQuery("handwritten")[0]) == nil {
 		t.Fatalf("hand-written shard did not load: %v", err)
 	}
 }

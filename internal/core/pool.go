@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"time"
 
@@ -133,6 +134,11 @@ func (p *FrontendPool) ExecuteCtx(ctx context.Context, q Query) (SearchResponse,
 		q.Deadline = p.defaultDeadline
 	}
 	i := p.acquire()
+	// A simulated query never parks on a network. Without this yield one
+	// client can run query after query in one time slice while preempted
+	// clients hold their frontends' in-flight counts up, and acquire piles
+	// the running client's queries onto the other frontends.
+	runtime.Gosched()
 	resp, err := p.fronts[i].ExecuteCtx(ctx, q)
 	// A miss is a missed DEADLINE — simulated or the context's own. A
 	// plain cancellation (client disconnect) also surfaces as

@@ -194,9 +194,8 @@ type contribution struct {
 // runWave executes fn(0..n-1) concurrently, one goroutine a leg, and
 // waits for all of them; each leg writes an index-addressed slot. The
 // round engine hands it only pure work — the bees' builds — and keeps
-// every simulated RPC on the caller's goroutine, in a fixed order. The
-// query side's shard loads (Frontend.loadShardsCtx) still issue their
-// DHT reads from the legs.
+// every simulated RPC on the caller's goroutine, in a fixed order, as
+// the query side's shard waves do (Frontend.loadShardsCtx).
 func runWave(n int, fn func(i int)) {
 	if n <= 1 {
 		for i := 0; i < n; i++ {
@@ -207,6 +206,7 @@ func runWave(n int, fn func(i int)) {
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for i := 0; i < n; i++ {
+		//detlint:ignore goroutine the one fan-out in simulation code; the round passes only its bees' pure builds
 		go func(i int) {
 			defer wg.Done()
 			fn(i)

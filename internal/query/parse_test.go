@@ -133,3 +133,29 @@ func eqStrings(a, b []string) bool {
 	}
 	return true
 }
+
+// FuzzParse: query strings arrive from any HTTP client. Parse never
+// panics, every error it returns is one of the two typed sentinels, and
+// an AST it accepts has a positive term to score — what the planner
+// relies on.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"cats", `"red apples" -nuclear`, "(cats OR dogs) mice", "site:dweb://a/ cats",
+		"cats -(dogs OR mice)", "the OR cats", "OR cats", "cats AND", `"unterminated`,
+		"-", "site:", "cats )", "((cats)", "-cats", "", "the a an",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		root, err := Parse(s)
+		if err != nil {
+			if !errors.Is(err, ErrBadSyntax) && !errors.Is(err, ErrEmptyQuery) {
+				t.Fatalf("Parse(%q) = %v, want ErrBadSyntax or ErrEmptyQuery", s, err)
+			}
+			return
+		}
+		if _, positive := Terms(root); len(positive) == 0 {
+			t.Fatalf("Parse(%q) accepted %s with no positive term", s, root)
+		}
+	})
+}

@@ -246,9 +246,9 @@ func checkGoroutineLeak(t *testing.T) {
 // segments one after another. A context that cancels once the first
 // segment is cached therefore stops the query deterministically between
 // segment fetches. The query must return ErrDeadlineExceeded with a
-// partial trace, leave caches and singleflight consistent (asserted via
-// CacheStats before and after) with no stranded leader goroutine, and
-// the rerun must produce exactly the never-cancelled engine's results.
+// partial trace, leave the caches consistent (asserted via CacheStats
+// before and after) with no stranded goroutine, and the rerun must
+// produce exactly the never-cancelled engine's results.
 func TestQueryCancelBetweenShardFetches(t *testing.T) {
 	checkGoroutineLeak(t)
 	baselineEngine, corp := soakEngine(t, 13, 12)
