@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/index"
 	"repro/internal/netsim"
 	"repro/internal/store"
 )
@@ -295,6 +296,9 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 	pass.Shards = make([]RMWCost, len(shardOrder))
 	shardWrote := make([]bool, len(shardOrder))
 	shardPtrs := make([]ShardPointer, len(shardOrder))
+	// The runs this pass's merges decoded, by digest: a level-0 run is a
+	// whole-batch segment every shard's merge reads (mergeFullTier).
+	runs := make(map[string]*index.Segment)
 	for j, s := range shardOrder {
 		w := writerByShard[s]
 		var compacted bool
@@ -317,7 +321,7 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 				}
 			}
 		} else {
-			ptr, cost, wrote, res, err := materializeShardTiered(w.Peer.DHT(), s, c.cfg.NumShards, gen, digestsByShard[s])
+			ptr, cost, wrote, res, err := materializeShardTiered(w.Peer.DHT(), s, c.cfg.NumShards, gen, digestsByShard[s], runs)
 			pass.Shards[j], shardWrote[j], shardPtrs[j] = cost, wrote, ptr
 			compacted, compactedBytes = res.Compacted, res.CompactedBytes
 			if err != nil {

@@ -232,17 +232,26 @@ func writeSegment(d *dht.Node, digestHex string, data []byte) (netsim.Cost, erro
 	return cost, err
 }
 
-// readSegmentCtx fetches and hash-verifies a segment by digest. Segments
-// are immutable, so the first replica suffices (the digest check below
-// catches a tampered one). A cancelled context abandons the lookup with
-// the partial cost.
-func readSegmentCtx(ctx context.Context, d *dht.Node, digestHex string) (*index.Segment, netsim.Cost, error) {
+// fetchSegmentCtx fetches a segment's bytes by digest and verifies them
+// against it. Segments are immutable, so the first replica suffices (the
+// digest check catches a tampered one). A cancelled context abandons the
+// lookup with the partial cost.
+func fetchSegmentCtx(ctx context.Context, d *dht.Node, digestHex string) ([]byte, netsim.Cost, error) {
 	val, cost, err := d.GetImmutableCtx(ctx, dht.KeyOfString(index.SegmentKey(digestHex)))
 	if err != nil {
 		return nil, cost, err
 	}
 	if got := index.DigestOf(val); got != digestHex {
 		return nil, cost, fmt.Errorf("core: segment %.8s failed hash verification", digestHex)
+	}
+	return val, cost, nil
+}
+
+// readSegmentCtx fetches, hash-verifies and decodes a segment by digest.
+func readSegmentCtx(ctx context.Context, d *dht.Node, digestHex string) (*index.Segment, netsim.Cost, error) {
+	val, cost, err := fetchSegmentCtx(ctx, d, digestHex)
+	if err != nil {
+		return nil, cost, err
 	}
 	seg, err := index.DecodeSegment(val)
 	if err != nil {
@@ -346,7 +355,10 @@ type tieredResult struct {
 // newer-shadows-older) preserves document precedence exactly. Search
 // results are byte-identical to the monolithic policy's
 // (TestWriteTieredMatchesMonolithic asserts it).
-func materializeShardTiered(d *dht.Node, shard, numShards int, gen uint64, digests []string) (ptr ShardPointer, cost RMWCost, wrote bool, res tieredResult, err error) {
+//
+// runs is the materialize pass's table of decoded runs (see
+// mergeFullTier), shared by every shard the pass writes.
+func materializeShardTiered(d *dht.Node, shard, numShards int, gen uint64, digests []string, runs map[string]*index.Segment) (ptr ShardPointer, cost RMWCost, wrote bool, res tieredResult, err error) {
 	_, cost, wrote, err = rmw(d, pointerKey(shard), func(cur []byte) ([]byte, uint64, netsim.Cost, error) {
 		var mcost netsim.Cost
 		var derr error
@@ -360,7 +372,7 @@ func materializeShardTiered(d *dht.Node, shard, numShards int, gen uint64, diges
 			ptr.Levels = append(ptr.Levels, 0)
 		}
 
-		res, mcost = mergeFullTier(d, shard, numShards, &ptr)
+		res, mcost = mergeFullTier(d, shard, numShards, &ptr, runs)
 		if !appended && !res.Compacted {
 			return nil, 0, mcost, nil
 		}
@@ -377,7 +389,16 @@ func materializeShardTiered(d *dht.Node, shard, numShards int, gen uint64, diges
 // numShards > 0), written as one segment and spliced in as a single run
 // at the next level. On any failure ptr is left untouched and the
 // result carries the reason (MergeErr).
-func mergeFullTier(d *dht.Node, shard, numShards int, ptr *ShardPointer) (res tieredResult, cost netsim.Cost) {
+//
+// Each run is restricted before the merge, not the merged run after it:
+// Merge works term by term and Restrict keeps the full DocLens, so the
+// merged bytes are the same, but a level-0 run — a whole-batch segment
+// every shard references — is decoded and merged only for this shard's
+// terms. runs holds the runs the pass has decoded, by digest: every
+// compactor still fetches each run and checks its digest itself, and
+// a run whose verified bytes the pass already decoded (and validated —
+// a pure function of those bytes) is not decoded again.
+func mergeFullTier(d *dht.Node, shard, numShards int, ptr *ShardPointer, runs map[string]*index.Segment) (res tieredResult, cost netsim.Cost) {
 	// Deterministic tier selection: the lowest level with a full bucket.
 	counts := make(map[int]int)
 	maxLevel := 0
@@ -410,10 +431,20 @@ func mergeFullTier(d *dht.Node, shard, numShards int, ptr *ShardPointer) (res ti
 			continue
 		}
 		// The runs are immutable and independent: one fetch wave.
-		seg, c2, err := readSegmentCtx(context.Background(), d, dg)
+		val, c2, err := fetchSegmentCtx(context.Background(), d, dg)
 		cost = cost.Par(c2)
 		if err != nil {
 			return tieredResult{MergeErr: err}, cost
+		}
+		seg, decoded := runs[dg]
+		if !decoded {
+			if seg, err = index.DecodeSegment(val); err != nil {
+				return tieredResult{MergeErr: err}, cost
+			}
+			runs[dg] = seg
+		}
+		if numShards > 0 {
+			seg = seg.Restrict(func(t string) bool { return index.ShardOf(t, numShards) == shard })
 		}
 		segs = append(segs, seg)
 		if spliceAt < 0 {
@@ -422,11 +453,7 @@ func mergeFullTier(d *dht.Node, shard, numShards int, ptr *ShardPointer) (res ti
 			keepLevels = append(keepLevels, mergeLevel+1)
 		}
 	}
-	merged := index.Merge(segs)
-	if numShards > 0 {
-		merged = merged.Restrict(func(t string) bool { return index.ShardOf(t, numShards) == shard })
-	}
-	data := merged.Encode()
+	data := index.Merge(segs).Encode()
 	digest := index.DigestOf(data)
 	wcost, err := writeSegment(d, digest, data)
 	cost = cost.Seq(wcost)

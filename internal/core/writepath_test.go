@@ -4,10 +4,14 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/chain"
 	"repro/internal/contracts"
+	"repro/internal/dht"
 	"repro/internal/index"
 	"repro/internal/netsim"
 )
@@ -270,5 +274,146 @@ func TestWriteRefusedStoreSurfaces(t *testing.T) {
 	})
 	if err == nil || wrote || cost.Read.Msgs == 0 || cost.Write.Msgs == 0 {
 		t.Fatalf("stale rmw: wrote=%v err=%v after %d msgs read, %d written", wrote, err, cost.Read.Msgs, cost.Write.Msgs)
+	}
+}
+
+// pinnedCompaction is what TestWriteCompactionPinned's deployment holds
+// after its sixty-six rounds, recorded when every shard's level-0 merge
+// still decoded its runs in full and restricted the merged run after
+// the merge: clusterDigest over every node, and the write ledger.
+var pinnedCompaction = struct {
+	digest string
+	write  WriteStats
+}{
+	digest: "1a8b7aa7f3944483fc0a261f3f6edede4588b8aabea09adcf6aa5c0e5ed47ded",
+	write: WriteStats{
+		Rounds: 66, SegmentWrites: 66, PointerWrites: 528, Compactions: 168,
+		IngestedBytes: 1_232_587, CompactedBytes: 2_351_627,
+		SegmentsPerTier: []int{16, 0, 0, 8},
+	},
+}
+
+// TestWriteCompactionPinned: sixty-six 16-page batch rounds on the
+// default cluster take every shard's chain up to tier 3 (a pass merges
+// one level, so the third promotion lands two rounds after the 64th
+// level-0 run). How a compaction decodes and restricts its input runs is CPU
+// work only, so the DHT state of every node and the write ledger —
+// merged-run bytes and digests included — must equal the recording.
+func TestWriteCompactionPinned(t *testing.T) {
+	cfg := DefaultConfig()
+	c := NewCluster(cfg)
+	owner := c.NewAccount("writer", 1<<40)
+	c.Seal()
+	for round, pages := range corpusBatches(cfg.Seed, 66, 16) {
+		rr, err := c.IndexBatch(owner, pages)
+		if err != nil || len(rr.Errors) > 0 {
+			t.Fatalf("round %d: err=%v round errors=%v", round, err, rr.Errors)
+		}
+	}
+	ws := c.WriteStats()
+	if len(ws.SegmentsPerTier) < 4 {
+		t.Fatalf("tiers %v: the chains never reached tier 3", ws.SegmentsPerTier)
+	}
+	if got := clusterDigest(c); got != pinnedCompaction.digest {
+		t.Errorf("cluster digest %s, recorded %s", got, pinnedCompaction.digest)
+	}
+	if !reflect.DeepEqual(ws, pinnedCompaction.write) {
+		t.Errorf("write stats %#v, recorded %#v", ws, pinnedCompaction.write)
+	}
+}
+
+// TestWriteCompactionForgedRunFailsOneShard: a pass decodes a run it
+// has already decoded only once, but every compactor still fetches the
+// run itself and checks its digest. Three 8-page batches leave three
+// level-0 runs on every shard; a fourth round publishes two one-term
+// pages as two tasks with different writers, so exactly two shards —
+// low, then high — reach four runs and merge. The high shard's writer
+// holds forged (but decodable) bytes under the first run's key, the low
+// shard's writer the genuine ones. The low shard decodes the run and
+// compacts; the high shard's fetch fails hash verification in the same
+// pass, which is its merge's error (stage "compact"), and its append
+// still lands.
+func TestWriteCompactionForgedRunFailsOneShard(t *testing.T) {
+	cfg := DefaultConfig()
+	c := NewCluster(cfg)
+	owner := c.NewAccount("writer", 1<<40)
+	c.Seal()
+	for round, pages := range corpusBatches(cfg.Seed, 3, 8) {
+		if rr, err := c.IndexBatch(owner, pages); err != nil || len(rr.Errors) > 0 || rr.PointerWrites != cfg.NumShards {
+			t.Fatalf("round %d: err=%v errors=%v, %d pointer writes", round, err, rr.Errors, rr.PointerWrites)
+		}
+	}
+
+	// One word per shard, low shard first.
+	var words []string
+	var shards []int
+	for _, w := range []string{"apple", "banana", "cherry", "damson", "elder", "fig", "grape", "hazel", "kiwi", "lemon", "mango"} {
+		s := index.ShardOf(index.AnalyzeQuery(w)[0], cfg.NumShards)
+		if len(shards) == 0 || s > shards[0] {
+			words, shards = append(words, w), append(shards, s)
+		}
+		if len(shards) == 2 {
+			break
+		}
+	}
+	if len(shards) < 2 {
+		t.Fatalf("setup: no word hashes above shard %d", shards[0])
+	}
+	low, high := shards[0], shards[1]
+	writerOf := make(map[string]*WorkerBee) // page URL → its task's writer
+	for i, w := range words {
+		url := fmt.Sprintf("dweb://forged/%d", i)
+		if _, err := c.PublishBatch(owner, c.Peers[0], []BatchPage{{URL: url, Text: w + " " + w}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Seal()
+	// Every assignee is honest and wins, so a task's designated writer
+	// is its first assignee in address order.
+	for _, b := range c.Bees {
+		for _, task := range c.QB.OpenTasksFor(b.Account.Address()) {
+			assignees := append([]chain.Address(nil), task.Assignees...)
+			sort.Slice(assignees, func(i, j int) bool { return assignees[i].String() < assignees[j].String() })
+			entries, _ := contracts.BatchEntries(task)
+			for _, bee := range c.Bees {
+				if bee.Account.Address() == assignees[0] {
+					writerOf[entries[0].URL] = bee
+				}
+			}
+		}
+	}
+	lowWriter, highWriter := writerOf["dweb://forged/0"], writerOf["dweb://forged/1"]
+	if lowWriter == nil || highWriter == nil || lowWriter == highWriter {
+		t.Fatalf("setup: the two pages need distinct writers, got %v and %v", lowWriter, highWriter)
+	}
+
+	before, _, err := readShardPointer(c.Peers[2].DHT(), high)
+	if err != nil || len(before.Digests) != 3 {
+		t.Fatalf("high shard before the round: %+v err=%v", before, err)
+	}
+	run := before.Digests[0]
+	key := dht.KeyOfString(index.SegmentKey(run))
+	genuine, _, err := c.Peers[2].DHT().GetImmutable(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := index.NewBuilder(1)
+	forged.Add(index.DocIDOf("dweb://forged/spam"), "forged run")
+	lowWriter.Peer.DHT().StoreLocal(key, genuine, 0)
+	highWriter.Peer.DHT().StoreLocal(key, forged.Build().Encode(), 0)
+
+	rr := c.ProcessRoundReceipt()
+	if len(rr.Errors) != 1 || rr.Errors[0].Stage != "compact" || rr.Errors[0].Shard != high ||
+		!strings.Contains(rr.Errors[0].Err.Error(), "hash verification") {
+		t.Fatalf("round errors = %v, want one hash-verification failure at stage compact on shard %d", rr.Errors, high)
+	}
+	if rr.Compactions != 1 || rr.PointerWrites != 2 {
+		t.Fatalf("%d compactions, %d pointer writes; want the low shard's merge and both appends", rr.Compactions, rr.PointerWrites)
+	}
+	for shard, want := range map[int][]int{low: {1}, high: {0, 0, 0, 0}} {
+		ptr, _, err := readShardPointer(c.Peers[2].DHT(), shard)
+		if err != nil || !reflect.DeepEqual(ptr.Levels, want) {
+			t.Fatalf("shard %d after the round: levels %v err=%v, want %v", shard, ptr.Levels, err, want)
+		}
 	}
 }

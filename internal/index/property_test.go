@@ -88,6 +88,65 @@ func TestMergeValidityProperty(t *testing.T) {
 	}
 }
 
+// Property: Restrict is the same on a built run and on its lazy
+// decoding, and restricting every run of a chain before merging it is
+// byte-identical to restricting the merged chain — what compaction
+// relies on when it restricts its input runs first. Chains of 1–8 runs
+// mix built and lazy runs, republish documents (a small DocID range),
+// repeat Gens, and include runs with nothing in the kept shard, at 1
+// and at 8 shards.
+func TestRestrictBeforeMergeProperty(t *testing.T) {
+	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "theta",
+		"orchard", "meadow", "river", "canyon", "harbor", "summit", "valley"}
+	for seed := uint64(0); seed < 200; seed++ {
+		rng := xrand.New(seed)
+		numShards := 1 + 7*int(seed%2)
+		shard := rng.Intn(numShards)
+		keep := func(term string) bool { return ShardOf(term, numShards) == shard }
+		var outside []string // at 1 shard: none, so such a run has no terms
+		for _, w := range words {
+			if !keep(Analyze(w)[0].Term) {
+				outside = append(outside, w)
+			}
+		}
+		runs := make([]*Segment, 1+rng.Intn(8))
+		restricted := make([]*Segment, len(runs))
+		for i := range runs {
+			vocab := words
+			if rng.Intn(4) == 0 {
+				vocab = outside
+			}
+			b := NewBuilder(uint64(1 + rng.Intn(4)))
+			for d := 0; d < 1+rng.Intn(6); d++ {
+				var text bytes.Buffer
+				for w := 0; len(vocab) > 0 && w < rng.Intn(12); w++ {
+					text.WriteString(vocab[rng.Intn(len(vocab))])
+					text.WriteByte(' ')
+				}
+				b.Add(DocID(1+rng.Intn(16)), text.String())
+			}
+			built := b.Build()
+			lazy, err := DecodeSegment(built.Encode())
+			if err != nil {
+				t.Fatalf("seed %d run %d: %v", seed, i, err)
+			}
+			segmentsLogicallyEqual(t, lazy.Restrict(keep), built.Restrict(keep))
+			if lazy.lazy != nil && lazy.lazy.cache != nil {
+				t.Fatalf("seed %d run %d: Restrict memoized postings on its lazy receiver", seed, i)
+			}
+			runs[i] = built
+			if rng.Intn(2) == 0 {
+				runs[i] = lazy
+			}
+			restricted[i] = runs[i].Restrict(keep)
+		}
+		first := Merge(restricted).Encode()
+		if after := Merge(runs).Restrict(keep).Encode(); !bytes.Equal(first, after) {
+			t.Fatalf("seed %d (%d runs, %d shards): merging restricted runs differs from restricting the merge", seed, len(runs), numShards)
+		}
+	}
+}
+
 // Property: stems are fixed points — analyzing a stemmed term yields the
 // same term (so queries always match documents).
 func TestStemFixedPointProperty(t *testing.T) {

@@ -377,26 +377,32 @@ func (s *Segment) Validate() error {
 // DocLens set is retained IN FULL: it is the segment's tombstone set,
 // and a covered document must keep shadowing its older postings in
 // every chain — even for terms the restricted view drops — or stale
-// postings would resurface after later merges. Posting lists are shared
-// with the receiver (segments are immutable). Gen is preserved, so the
+// postings would resurface after later merges. Gen is preserved, so the
 // restricted segment keeps its place in merge precedence.
+//
+// Only a built receiver shares its posting lists with the result
+// (segments are immutable). A lazy receiver walks its dictionary once
+// and decodes just the kept terms' lists, memoizing nothing on itself;
+// if a kept list fails to decode (unreachable after DecodeSegment's
+// validation) the receiver comes back unrestricted, so Merge skips it
+// whole like any corrupt lazy segment.
 //
 // This is what makes sharded compaction cheap: a shard's merged run
 // only needs the terms that hash to that shard (queries route term →
 // shard before ever reading a chain), so the bytes a merge rewrites
-// shrink from the whole batch segment to the shard's share of it.
+// shrink from the whole batch segment to the shard's share of it — and
+// restricting each input run before the merge (Merge works term by
+// term) decodes and merges only that share too.
 func (s *Segment) Restrict(keep func(term string) bool) *Segment {
-	terms, err := s.postingsMap()
-	if err != nil {
-		// A corrupt lazy segment contributes nothing to a merge either;
-		// returning it unrestricted keeps Restrict total.
-		return s
-	}
 	out := NewSegment(s.Gen)
-	for term, pl := range terms {
-		if keep(term) {
-			out.Terms[term] = pl
+	if s.lazy == nil {
+		for term, pl := range s.Terms {
+			if keep(term) {
+				out.Terms[term] = pl
+			}
 		}
+	} else if err := s.lazy.decodeTerms(keep, out.Terms); err != nil {
+		return s
 	}
 	for d, l := range s.DocLens {
 		out.DocLens[d] = l

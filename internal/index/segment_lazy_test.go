@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -182,6 +183,22 @@ func TestMergeSkipsCorruptSegment(t *testing.T) {
 	}
 	if m.Covers(1) && len(m.Postings(Stem("epsilon"))) != 0 {
 		t.Fatal("corrupt segment contributed postings")
+	}
+
+	// Restricted to the term whose list is corrupt (the first in the
+	// dictionary), the run comes back unrestricted and the merge of the
+	// restricted runs still skips it whole.
+	first := dec.TermsSorted()[0]
+	r := dec.Restrict(func(term string) bool { return term == first })
+	if r != dec {
+		t.Fatal("a run whose kept term fails to decode must come back unrestricted")
+	}
+	m = Merge([]*Segment{good, r})
+	if _, found := m.Postings(Stem("alpha")).Find(1); !found {
+		t.Fatal("restricted corrupt run tombstoned doc 1's valid postings")
+	}
+	if len(m.Postings(first)) != 0 {
+		t.Fatal("restricted corrupt run contributed postings")
 	}
 }
 
@@ -380,6 +397,32 @@ func FuzzDecodeSegment(f *testing.F) {
 		_ = seg.Validate()
 		for _, term := range seg.TermsSorted() {
 			_ = seg.Postings(term)
+		}
+	})
+}
+
+// FuzzRestrict: for any bytes DecodeSegment accepts and any shard split,
+// restricting the lazy segment agrees with restricting its materialized
+// copy — terms, postings, DocLens and Gen — and neither panics.
+func FuzzRestrict(f *testing.F) {
+	f.Add(randomDocSegment(11, 2).Encode(), uint8(8), uint8(3))
+	f.Add(denseSparseSegment(40).Encode(), uint8(4), uint8(1))
+	f.Add(NewSegment(0).Encode(), uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, shards, shard uint8) {
+		seg, err := DecodeSegment(data)
+		if err != nil {
+			return
+		}
+		n := 1 + int(shards%8)
+		keep := func(term string) bool { return ShardOf(term, n) == int(shard)%n }
+		got := seg.Restrict(keep) // before postingsMap memoizes anything
+		terms, err := seg.postingsMap()
+		if err != nil {
+			return
+		}
+		want := (&Segment{Gen: seg.Gen, Terms: terms, DocLens: seg.DocLens}).Restrict(keep)
+		if got.Gen != want.Gen || !reflect.DeepEqual(got.Terms, want.Terms) || !reflect.DeepEqual(got.DocLens, want.DocLens) {
+			t.Fatalf("lazy Restrict %d terms, materialized %d (gen %d/%d)", len(got.Terms), len(want.Terms), got.Gen, want.Gen)
 		}
 	})
 }

@@ -77,12 +77,17 @@ func sortedDocIDs(docLens map[DocID]uint32) []DocID {
 // them keeps the bound exact. Both the encoder and the decode-time
 // validator use this, so the canonical form is enforced end to end.
 func blockFrontier(pairs []TFDL) []TFDL {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].TF != pairs[j].TF {
-			return pairs[i].TF < pairs[j].TF
+	// Insertion sort by (TF, DL): a block holds at most postingsBlockSize
+	// pairs, and this runs for every block of every encode and decode-time
+	// validation, where sort.Slice's reflective swapper would allocate.
+	for i := 1; i < len(pairs); i++ {
+		p := pairs[i]
+		j := i
+		for ; j > 0 && (pairs[j-1].TF > p.TF || pairs[j-1].TF == p.TF && pairs[j-1].DL > p.DL); j-- {
+			pairs[j] = pairs[j-1]
 		}
-		return pairs[i].DL < pairs[j].DL
-	})
+		pairs[j] = p
+	}
 	// Keep the min-DL pair of each TF run.
 	n := 0
 	for i := range pairs {
@@ -795,29 +800,45 @@ func (l *lazySegment) lookup(term string) (PostingList, bool, error) {
 // the owning Segment's write lock.
 func (l *lazySegment) decodeAll() (map[string]PostingList, error) {
 	m := make(map[string]PostingList, l.nterms)
-	dict := l.dict
-	postOff := 0
-	for len(dict) > 0 {
-		e, rest, err := nextDictEntryV3(dict)
-		if err != nil {
-			return nil, err
-		}
-		dict = rest
-		if postOff+e.blobLen > len(l.posts) {
-			return nil, errCorruptSegment
-		}
-		pl, err := decodeTermBlobV3(l.posts[postOff:postOff+e.blobLen], e, l.docsSorted)
-		if err != nil {
-			return nil, err
-		}
-		if err := pl.sortCheck(); err != nil {
-			return nil, err
-		}
-		m[string(e.term)] = pl
-		postOff += e.blobLen
+	if err := l.decodeTerms(nil, m); err != nil {
+		return nil, err
 	}
 	if len(m) != l.nterms {
 		return nil, errCorruptSegment
 	}
 	return m, nil
+}
+
+// decodeTerms walks the dictionary once and decodes into m the posting
+// list of every term keep accepts (nil accepts all); the other terms'
+// blobs are skipped undecoded. It reads only the immutable regions, so
+// it needs no lock.
+func (l *lazySegment) decodeTerms(keep func(term string) bool, m map[string]PostingList) error {
+	dict := l.dict
+	postOff := 0
+	for len(dict) > 0 {
+		e, rest, err := nextDictEntryV3(dict)
+		if err != nil {
+			return err
+		}
+		dict = rest
+		if postOff+e.blobLen > len(l.posts) {
+			return errCorruptSegment
+		}
+		blob := l.posts[postOff : postOff+e.blobLen]
+		postOff += e.blobLen
+		term := string(e.term)
+		if keep != nil && !keep(term) {
+			continue
+		}
+		pl, err := decodeTermBlobV3(blob, e, l.docsSorted)
+		if err != nil {
+			return err
+		}
+		if err := pl.sortCheck(); err != nil {
+			return err
+		}
+		m[term] = pl
+	}
+	return nil
 }
