@@ -31,8 +31,7 @@ type WorkerBee struct {
 	// get rank 0 in this bee's rank results.
 	DetectDuplicates bool
 
-	pending map[string]pendingResult // taskID → computed result awaiting reveal
-	written map[string]bool          // taskID → materialized into DHT
+	pending map[string]pendingResult // taskID → computed result awaiting its vote
 
 	// Cost accumulates the simulated network expense of this bee's work.
 	Cost netsim.Cost
@@ -160,12 +159,13 @@ func (b *WorkerBee) RevealPhase() {
 // materialize the honest result it computed. count is the number of
 // tasks materialized (index segments written plus finalized rank tasks,
 // whose results live on chain).
+//
+// A task leaves pending once it resolves — finalized (won or lost) or
+// failed — so pending holds only results still awaiting their vote.
 func (b *WorkerBee) collectWins() (contribs []contribution, count int, cost netsim.Cost, errs []RoundError) {
 	taskIDs := make([]string, 0, len(b.pending))
 	for taskID := range b.pending {
-		if !b.written[taskID] {
-			taskIDs = append(taskIDs, taskID)
-		}
+		taskIDs = append(taskIDs, taskID)
 	}
 	sort.Strings(taskIDs)
 	for _, taskID := range taskIDs {
@@ -173,11 +173,11 @@ func (b *WorkerBee) collectWins() (contribs []contribution, count int, cost nets
 		task, ok := b.cluster.QB.TaskInfo(taskID)
 		if !ok || task.Status != contracts.StatusFinalized {
 			if ok && task.Status == contracts.StatusFailed {
-				b.written[taskID] = true // never retried
+				delete(b.pending, taskID) // never retried
 			}
 			continue
 		}
-		b.written[taskID] = true
+		delete(b.pending, taskID)
 		if !task.Won(b.Account.Address()) {
 			continue // this bee lost the vote
 		}

@@ -249,7 +249,6 @@ func (c *Cluster) AddBee(name string) *WorkerBee {
 		Account: acct,
 		Peer:    peer,
 		pending: make(map[string]pendingResult),
-		written: make(map[string]bool),
 	}
 	c.Bees = append(c.Bees, bee)
 	c.SubmitCall(acct, contracts.MethodRegisterWorker, nil, stake)

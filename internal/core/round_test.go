@@ -367,6 +367,53 @@ func TestWriteDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// pinnedForget is what TestWriteBeesForgetResolvedTasks's run produced
+// when bees kept every result they ever built: a digest of every round's
+// receipt, and clusterDigest.
+var pinnedForget = struct{ receipts, digest string }{
+	receipts: "25d3c83a21d7a0c1ebb6b879406ea4fce96f0e68a21cf3d1d3727c4ee4c08339",
+	digest:   "10202636f7d266eedf7244a89b253b37349cea8461a5bd408a635e2929ccf9cd",
+}
+
+// TestWriteBeesForgetResolvedTasks: a bee drops a task's result once the
+// task resolves — won, lost (a colluding bee is outvoted on every task
+// it shares) or failed — so after RunUntilIdle no bee holds a result,
+// and dropping them moves nothing: the rounds' receipts and every node's
+// state equal the recording.
+func TestWriteBeesForgetResolvedTasks(t *testing.T) {
+	cfg := DefaultConfig()
+	c := NewCluster(cfg)
+	c.Bees[0].Colluding = true
+	owner := c.NewAccount("writer", 1<<40)
+	c.Seal()
+	h := sha256.New()
+	for _, pages := range corpusBatches(cfg.Seed, 6, 8) {
+		rr, err := c.IndexBatch(owner, pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%+v\n", rr)
+	}
+	c.StartRankEpoch(4)
+	for round := 0; round < 8; round++ {
+		fmt.Fprintf(h, "%+v\n", c.ProcessRoundReceipt())
+		if open, _, _ := c.QB.TaskCounts(); open == 0 {
+			break
+		}
+	}
+	for _, b := range c.Bees {
+		if len(b.pending) != 0 {
+			t.Errorf("bee %s still holds %d results after the run went idle", b.Name, len(b.pending))
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedForget.receipts {
+		t.Errorf("receipts digest %s, recorded %s", got, pinnedForget.receipts)
+	}
+	if got := clusterDigest(c); got != pinnedForget.digest {
+		t.Errorf("cluster digest %s, recorded %s", got, pinnedForget.digest)
+	}
+}
+
 // TestBatchEntriesRoundTrip covers the task-meta encoding of batches.
 func TestBatchEntriesRoundTrip(t *testing.T) {
 	entries := []contracts.BatchEntry{

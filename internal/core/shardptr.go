@@ -390,14 +390,15 @@ func materializeShardTiered(d *dht.Node, shard, numShards int, gen uint64, diges
 // at the next level. On any failure ptr is left untouched and the
 // result carries the reason (MergeErr).
 //
-// Each run is restricted before the merge, not the merged run after it:
-// Merge works term by term and Restrict keeps the full DocLens, so the
-// merged bytes are the same, but a level-0 run — a whole-batch segment
-// every shard references — is decoded and merged only for this shard's
-// terms. runs holds the runs the pass has decoded, by digest: every
-// compactor still fetches each run and checks its digest itself, and
-// a run whose verified bytes the pass already decoded (and validated —
-// a pure function of those bytes) is not decoded again.
+// The merge streams into the encoder (index.MergeEncode) with the
+// shard's keep-predicate: the bytes are those of merging the runs each
+// restricted to the shard's terms, but a level-0 run — a whole-batch
+// segment every shard references — is decoded only for this shard's
+// terms, one list at a time, and no merged segment is built. runs holds
+// the runs the pass has decoded, by digest: every compactor still
+// fetches each run and checks its digest itself, and a run whose
+// verified bytes the pass already decoded (and validated — a pure
+// function of those bytes) is not decoded again.
 func mergeFullTier(d *dht.Node, shard, numShards int, ptr *ShardPointer, runs map[string]*index.Segment) (res tieredResult, cost netsim.Cost) {
 	// Deterministic tier selection: the lowest level with a full bucket.
 	counts := make(map[int]int)
@@ -443,9 +444,6 @@ func mergeFullTier(d *dht.Node, shard, numShards int, ptr *ShardPointer, runs ma
 			}
 			runs[dg] = seg
 		}
-		if numShards > 0 {
-			seg = seg.Restrict(func(t string) bool { return index.ShardOf(t, numShards) == shard })
-		}
 		segs = append(segs, seg)
 		if spliceAt < 0 {
 			spliceAt = len(keepDigests)
@@ -453,7 +451,11 @@ func mergeFullTier(d *dht.Node, shard, numShards int, ptr *ShardPointer, runs ma
 			keepLevels = append(keepLevels, mergeLevel+1)
 		}
 	}
-	data := index.Merge(segs).Encode()
+	var keep func(string) bool
+	if numShards > 0 {
+		keep = func(t string) bool { return index.ShardOf(t, numShards) == shard }
+	}
+	data := index.MergeEncode(segs, keep)
 	digest := index.DigestOf(data)
 	wcost, err := writeSegment(d, digest, data)
 	cost = cost.Seq(wcost)

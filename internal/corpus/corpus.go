@@ -7,6 +7,8 @@ package corpus
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"repro/internal/xrand"
@@ -70,7 +72,7 @@ func Generate(cfg Config) *Corpus {
 	c := &Corpus{cfg: cfg, vocab: makeVocab(cfg.VocabSize)}
 	zipf := xrand.NewZipf(rng.Split(), cfg.ZipfS, cfg.VocabSize)
 
-	inDegree := make([]int, cfg.NumDocs)
+	weights := newAttachment(cfg.NumDocs)
 	for i := 0; i < cfg.NumDocs; i++ {
 		doc := Document{URL: URLOf(i)}
 		// Title: 2-4 mid-frequency words.
@@ -90,27 +92,63 @@ func Generate(cfg Config) *Corpus {
 		}
 		doc.Text = strings.Join(body, " ")
 
-		// Preferential attachment: link to earlier docs ∝ (in-degree+1).
+		// Preferential attachment: link to earlier docs ∝ (in-degree+1),
+		// the weights frozen while this document draws its links.
 		if i > 0 && cfg.MeanLinks > 0 {
 			nLinks := rng.Intn(2*cfg.MeanLinks + 1)
-			weights := make([]float64, i)
-			for j := 0; j < i; j++ {
-				weights[j] = float64(inDegree[j] + 1)
-			}
-			seen := make(map[int]bool)
+			var targets []int
 			for l := 0; l < nLinks; l++ {
-				target := rng.Weighted(weights)
-				if seen[target] {
+				target := weights.draw(rng, i)
+				if slices.Contains(targets, target) {
 					continue
 				}
-				seen[target] = true
-				inDegree[target]++
+				targets = append(targets, target)
 				doc.Links = append(doc.Links, URLOf(target))
 			}
+			for _, target := range targets {
+				weights.add(target, 1)
+			}
 		}
+		weights.add(i, 1) // in-degree 0, plus one
 		c.Docs = append(c.Docs, doc)
 	}
 	return c
+}
+
+// attachment is a Fenwick tree over the documents' integer
+// preferential-attachment weights (in-degree + 1; 0 until a document is
+// generated), so a link draw costs O(log N) instead of a scan of every
+// earlier document.
+type attachment struct {
+	tree  []int64 // 1-based: tree[j] sums the weights of (j - j&-j, j]
+	total int64
+}
+
+func newAttachment(n int) *attachment { return &attachment{tree: make([]int64, n+1)} }
+
+// add raises document i's weight by delta.
+func (a *attachment) add(i int, delta int64) {
+	a.total += delta
+	for j := i + 1; j < len(a.tree); j += j & -j {
+		a.tree[j] += delta
+	}
+}
+
+// draw picks one of the first n documents, each with probability
+// weight ÷ total, from one Float64: the first document whose inclusive
+// prefix sum exceeds u = Float64()·total, which is what xrand.Weighted
+// returns over the same weights (prefix sums of integers are exact in a
+// float64, so the comparisons agree too).
+func (a *attachment) draw(rng *xrand.RNG, n int) int {
+	u := rng.Float64() * float64(a.total)
+	// Descend to the longest prefix whose sum is ≤ u.
+	pos, acc := 0, int64(0)
+	for step := 1 << (bits.Len(uint(len(a.tree)-1)) - 1); step > 0; step >>= 1 {
+		if next := pos + step; next < len(a.tree) && float64(acc+a.tree[next]) <= u {
+			pos, acc = next, acc+a.tree[next]
+		}
+	}
+	return min(pos, n-1)
 }
 
 // makeVocab builds pronounceable deterministic words: syllable chains

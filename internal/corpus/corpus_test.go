@@ -272,6 +272,29 @@ func TestGenerateDeterministicAtScale(t *testing.T) {
 	}
 }
 
+// TestGeneratePinned pins whole corpora, links included, to digests
+// recorded when every link draw scanned a fresh weight slice: the
+// preferential-attachment draw may change how it finds its target, never
+// which target one Float64 picks.
+func TestGeneratePinned(t *testing.T) {
+	atScale := Config{Seed: 42, NumDocs: 10_000, VocabSize: 5000, ZipfS: 1.0, MeanDocLen: 30, MeanLinks: 3}
+	def10k, def1k := DefaultConfig(), DefaultConfig()
+	def10k.NumDocs, def1k.NumDocs = 10_000, 1_000
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"atScale", atScale, "36e0235ee0600e3afa4318d1e8c89e612ed41605f8a7688f45811a2287f28548"},
+		{"default10k", def10k, "9fd19bf07975923ae7d460416f989a66ecb91b3681abd0f9cb91caf1d4bfc1aa"},
+		{"default1k", def1k, "6475b8053d98d4c3e584064910186847a17f7e0ec795915bd14eb1215fb11ab7"},
+	} {
+		if got := hashCorpus(Generate(tc.cfg)); got != tc.want {
+			t.Errorf("%s: corpus digest %s, recorded %s", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestLinkGraphComplete(t *testing.T) {
 	c := Generate(DefaultConfig())
 	g := c.LinkGraph()

@@ -47,7 +47,8 @@ func newRoutingTable(self Key, bucketK int) *routingTable {
 
 // update records that a contact was seen alive. It inserts the contact,
 // refreshes its recency, or — if its bucket is full — replaces a failed
-// entry, else drops it.
+// entry, else drops it. Refreshing and replacing rotate the bucket in
+// place: every RPC refreshes its peer, so this runs on every message.
 func (rt *routingTable) update(c Contact) {
 	if c.ID == rt.self {
 		return
@@ -61,11 +62,9 @@ func (rt *routingTable) update(c Contact) {
 	b := &rt.buckets[idx]
 	for i := range b.entries {
 		if b.entries[i].c.ID == c.ID {
-			// Move to tail (most recently seen) and clear failure flag.
-			e := b.entries[i]
-			e.failed = false
-			e.c.Addr = c.Addr
-			b.entries = append(append(b.entries[:i:i], b.entries[i+1:]...), e)
+			// Move to tail (most recently seen), with the address just
+			// seen and the failure flag cleared.
+			b.moveToTail(i, tableEntry{c: c})
 			return
 		}
 	}
@@ -75,11 +74,18 @@ func (rt *routingTable) update(c Contact) {
 	}
 	for i := range b.entries {
 		if b.entries[i].failed {
-			b.entries = append(append(b.entries[:i:i], b.entries[i+1:]...), tableEntry{c: c})
+			b.moveToTail(i, tableEntry{c: c})
 			return
 		}
 	}
 	// Bucket full of live contacts: drop the newcomer.
+}
+
+// moveToTail removes entry i, shifting the later entries down one, and
+// stores e in the freed last slot.
+func (b *bucket) moveToTail(i int, e tableEntry) {
+	copy(b.entries[i:], b.entries[i+1:])
+	b.entries[len(b.entries)-1] = e
 }
 
 // markFailed flags a contact that did not respond; it becomes first in
@@ -112,7 +118,14 @@ func (rt *routingTable) closest(target Key, n int) []Contact {
 		size += len(rt.buckets[i].entries)
 	}
 	n = min(n, size)
-	out, dists := make([]Contact, 0, n), make([]Key, 0, n)
+	// The distances never leave this call: a walk's few (K or alpha)
+	// fit a stack buffer.
+	var buf [32]Key
+	dists := buf[:0]
+	if n > len(buf) {
+		dists = make([]Key, 0, n)
+	}
+	out := make([]Contact, 0, n)
 	for i := range rt.buckets {
 		for _, e := range rt.buckets[i].entries {
 			d := e.c.ID.XOR(target)

@@ -1,11 +1,13 @@
 package dht
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"testing"
 
 	"repro/internal/netsim"
+	"repro/internal/xrand"
 )
 
 func mkContact(i int) Contact {
@@ -124,6 +126,71 @@ func TestClosestMatchesFullSort(t *testing.T) {
 				t.Fatalf("target %d, n=%d: closest %v, want %v", trial, n, got, want)
 			}
 		}
+	}
+}
+
+// updateReference is routingTable.update as it was when every refresh
+// and every replacement built a new bucket slice.
+func updateReference(rt *routingTable, c Contact) {
+	if c.ID == rt.self {
+		return
+	}
+	idx := BucketIndex(rt.self.XOR(c.ID))
+	if idx < 0 {
+		return
+	}
+	b := &rt.buckets[idx]
+	for i := range b.entries {
+		if b.entries[i].c.ID == c.ID {
+			e := b.entries[i]
+			e.failed = false
+			e.c.Addr = c.Addr
+			b.entries = append(append(b.entries[:i:i], b.entries[i+1:]...), e)
+			return
+		}
+	}
+	if len(b.entries) < rt.bucketK {
+		b.entries = append(b.entries, tableEntry{c: c})
+		return
+	}
+	for i := range b.entries {
+		if b.entries[i].failed {
+			b.entries = append(append(b.entries[:i:i], b.entries[i+1:]...), tableEntry{c: c})
+			return
+		}
+	}
+}
+
+// TestTableUpdateMatchesReference: a scripted sequence of inserts,
+// refreshes (some from a new address), failures and replacements leaves
+// the in-place update's table exactly as the copying reference leaves
+// it, recency order and failed flags included, after every step.
+func TestTableUpdateMatchesReference(t *testing.T) {
+	self := KeyOfString("self")
+	got, want := newRoutingTable(self, 3), newRoutingTable(self, 3)
+	rng := xrand.New(7)
+	for step := 0; step < 5000; step++ {
+		c := mkContact(rng.Intn(120))
+		switch r := rng.Intn(10); {
+		case r < 2:
+			got.markFailed(c.ID)
+			want.markFailed(c.ID)
+		case r < 3:
+			c.Addr = netsim.NodeID(fmt.Sprintf("moved-%d", step))
+			fallthrough
+		default:
+			got.update(c)
+			updateReference(want, c)
+		}
+		var g, w bytes.Buffer
+		got.writeTo(&g)
+		want.writeTo(&w)
+		if g.String() != w.String() {
+			t.Fatalf("step %d: table\n%s\nwant\n%s", step, g.String(), w.String())
+		}
+	}
+	if got.size() < 10 {
+		t.Fatalf("script reached only %d contacts", got.size())
 	}
 }
 

@@ -1,0 +1,84 @@
+package index
+
+import (
+	"testing"
+
+	"repro/internal/corpus"
+)
+
+// corpusRuns builds n encoded runs of 16 corpus documents each, Gens 1…n.
+func corpusRuns(n int) ([][]BatchDoc, [][]byte) {
+	cfg := corpus.DefaultConfig()
+	cfg.NumDocs = 16 * n
+	docs := corpus.Generate(cfg).Docs
+	batches := make([][]BatchDoc, n)
+	runs := make([][]byte, n)
+	for r := range batches {
+		for _, d := range docs[16*r : 16*(r+1)] {
+			batches[r] = append(batches[r], BatchDoc{Doc: DocIDOf(d.URL), Text: d.Text})
+		}
+		runs[r] = BuildBatch(uint64(r+1), batches[r]).Encode()
+	}
+	return batches, runs
+}
+
+// TestWritePathAllocs is the write path's allocation ratchet: building
+// and encoding a batch, and a compaction's merge, allocate per term list
+// or per document, never per posting. The analyzer's own allocations
+// (a string per token) are measured and allowed; beyond them a build
+// may spend half an allocation per term, and a four-run merge one and a
+// quarter per dictionary entry it walks. A per-posting allocation
+// anywhere — a positions slice, a tombstone pass's copy of every list,
+// a restricted copy of every run — breaks both bounds several times
+// over: a 16-document corpus batch holds about two postings per term.
+func TestWritePathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates too")
+	}
+	batches, runs := corpusRuns(4)
+	seg := BuildBatch(1, batches[0])
+	terms, postings := seg.NumTerms(), 0
+	for _, pl := range seg.Terms {
+		postings += len(pl)
+	}
+	analyze := testing.AllocsPerRun(5, func() {
+		for _, d := range batches[0] {
+			Analyze(d.Text)
+		}
+	})
+	build := testing.AllocsPerRun(5, func() {
+		BuildBatch(1, batches[0]).Encode()
+	})
+	limit := analyze + 0.5*float64(terms)
+	t.Logf("BuildBatch+Encode: %.0f allocs (%.0f analyzing) for %d terms, %d postings: bound %.0f", build, analyze, terms, postings, limit)
+	if build > limit {
+		t.Errorf("BuildBatch+Encode: %.0f allocs exceed the bound %.0f", build, limit)
+	}
+
+	// A four-run tiered merge of lazy runs into one shard's run, as
+	// compaction writes it.
+	lazy := make([]*Segment, len(runs))
+	for i, r := range runs {
+		var err error
+		if lazy[i], err = DecodeSegment(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keep := func(term string) bool { return ShardOf(term, 2) == 0 }
+	merged, err := DecodeSegment(MergeEncode(lazy, keep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	walked := 0 // dictionary entries the merge steps through
+	for _, s := range lazy {
+		walked += s.NumTerms()
+	}
+	merge := testing.AllocsPerRun(5, func() {
+		MergeEncode(lazy, keep)
+	})
+	limit = 1.25 * float64(walked)
+	t.Logf("MergeEncode: %.0f allocs walking %d input terms into %d: bound %.0f", merge, walked, merged.NumTerms(), limit)
+	if merge > limit {
+		t.Errorf("MergeEncode: %.0f allocs exceed the bound %.0f", merge, limit)
+	}
+}

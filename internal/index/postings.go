@@ -45,41 +45,3 @@ func (pl PostingList) sortCheck() error {
 	}
 	return nil
 }
-
-// mergePostingLists unions two lists; on DocID collision the posting from
-// b (the newer segment) wins.
-func mergePostingLists(a, b PostingList) PostingList {
-	out := make(PostingList, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Doc < b[j].Doc:
-			out = append(out, a[i])
-			i++
-		case a[i].Doc > b[j].Doc:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, b[j])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// dropDocs removes postings whose DocID is in the tombstone set.
-func dropDocs(pl PostingList, dead map[DocID]bool) PostingList {
-	if len(dead) == 0 {
-		return pl
-	}
-	out := pl[:0:0]
-	for _, p := range pl {
-		if !dead[p.Doc] {
-			out = append(out, p)
-		}
-	}
-	return out
-}

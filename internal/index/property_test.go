@@ -3,11 +3,88 @@ package index
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/xrand"
 )
+
+// mergeReference is Merge as it was before the k-way kernel: apply the
+// segments oldest first, each one first tombstoning every document it
+// covers in the merged lists so far, then unioning in its own postings.
+// It shares nothing with the kernel but postingsMap, and the kernel must
+// agree with it byte for byte.
+func mergeReference(segments []*Segment) *Segment {
+	if len(segments) == 0 {
+		return NewSegment(0)
+	}
+	if len(segments) == 1 {
+		return segments[0]
+	}
+	ordered := append([]*Segment(nil), segments...)
+	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Gen < ordered[j].Gen })
+
+	out := NewSegment(ordered[len(ordered)-1].Gen)
+	for _, seg := range ordered {
+		terms, err := seg.postingsMap()
+		if err != nil {
+			continue
+		}
+		dead := make(map[DocID]bool, len(seg.DocLens))
+		for d := range seg.DocLens {
+			dead[d] = true
+		}
+		for term, pl := range out.Terms {
+			out.Terms[term] = dropDocs(pl, dead)
+			if len(out.Terms[term]) == 0 {
+				delete(out.Terms, term)
+			}
+		}
+		for term, pl := range terms {
+			out.Terms[term] = mergePostingLists(out.Terms[term], pl)
+		}
+		for d, l := range seg.DocLens {
+			out.DocLens[d] = l
+		}
+	}
+	return out
+}
+
+// mergePostingLists unions two lists; on DocID collision the posting from
+// b (the newer segment) wins.
+func mergePostingLists(a, b PostingList) PostingList {
+	out := make(PostingList, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].Doc < b[j].Doc:
+			out = append(out, a[i])
+			i++
+		case a[i].Doc > b[j].Doc:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, b[j])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	out = append(out, b[j:]...)
+	return out
+}
+
+// dropDocs removes postings whose DocID is in the tombstone set.
+func dropDocs(pl PostingList, dead map[DocID]bool) PostingList {
+	out := pl[:0:0]
+	for _, p := range pl {
+		if !dead[p.Doc] {
+			out = append(out, p)
+		}
+	}
+	return out
+}
 
 // randomSegment builds a segment of random small documents.
 func randomSegment(rng *xrand.RNG, gen uint64, docBase, nDocs int) *Segment {
@@ -91,7 +168,8 @@ func TestMergeValidityProperty(t *testing.T) {
 // Property: Restrict is the same on a built run and on its lazy
 // decoding, and restricting every run of a chain before merging it is
 // byte-identical to restricting the merged chain — what compaction
-// relies on when it restricts its input runs first. Chains of 1–8 runs
+// relies on when MergeEncode applies a shard's keep-predicate to each
+// input run as it merges. Chains of 1–8 runs
 // mix built and lazy runs, republish documents (a small DocID range),
 // repeat Gens, and include runs with nothing in the kept shard, at 1
 // and at 8 shards.
@@ -145,6 +223,110 @@ func TestRestrictBeforeMergeProperty(t *testing.T) {
 			t.Fatalf("seed %d (%d runs, %d shards): merging restricted runs differs from restricting the merge", seed, len(runs), numShards)
 		}
 	}
+}
+
+// checkMergeAgainstReference requires the kernel's Merge of the runs
+// restricted by keep (nil: unrestricted) and MergeEncode of the runs
+// themselves to encode byte for byte as mergeReference of the restricted
+// runs does.
+func checkMergeAgainstReference(t *testing.T, what string, runs []*Segment, keep func(string) bool) {
+	t.Helper()
+	restricted := runs
+	if keep != nil {
+		restricted = make([]*Segment, len(runs))
+		for i, r := range runs {
+			restricted[i] = r.Restrict(keep)
+		}
+	}
+	want := mergeReference(restricted).Encode()
+	if got := Merge(restricted).Encode(); !bytes.Equal(got, want) {
+		t.Fatalf("%s: Merge differs from the reference (%d vs %d bytes)", what, len(got), len(want))
+	}
+	if got := MergeEncode(runs, keep); !bytes.Equal(got, want) {
+		t.Fatalf("%s: MergeEncode differs from the reference (%d vs %d bytes)", what, len(got), len(want))
+	}
+}
+
+// TestMergeKernelMatchesReference: the k-way kernel — through Merge and
+// through the fused MergeEncode — encodes every chain exactly as the
+// tombstone-then-union reference does. 300 chains of 1–8 runs mix built
+// and lazy runs, republish documents (a small DocID range), repeat Gens,
+// carry postings for documents their own run does not cover, and
+// sometimes hold a lazy run whose first posting list no longer decodes;
+// each is checked unrestricted and under a keep-predicate at 1 and at 8
+// shards.
+func TestMergeKernelMatchesReference(t *testing.T) {
+	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "theta",
+		"orchard", "meadow", "river", "canyon", "harbor", "summit", "valley"}
+	for seed := uint64(0); seed < 300; seed++ {
+		rng := xrand.New(seed)
+		runs := make([]*Segment, 1+rng.Intn(8))
+		for i := range runs {
+			b := NewBuilder(uint64(1 + rng.Intn(4)))
+			for d := 0; d < 1+rng.Intn(6); d++ {
+				var text bytes.Buffer
+				for w := 0; w < rng.Intn(12); w++ {
+					text.WriteString(words[rng.Intn(len(words))])
+					text.WriteByte(' ')
+				}
+				b.Add(DocID(1+rng.Intn(16)), text.String())
+			}
+			built := b.Build()
+			if rng.Intn(4) == 0 {
+				// Uncover one document: its postings stay, its length goes.
+				for _, d := range sortedDocIDs(built.DocLens) {
+					delete(built.DocLens, d)
+					break
+				}
+			}
+			runs[i] = built
+			if rng.Intn(2) == 0 {
+				lazy, err := DecodeSegment(built.Encode())
+				if err != nil {
+					t.Fatalf("seed %d run %d: %v", seed, i, err)
+				}
+				if lazy.lazy != nil && rng.Intn(6) == 0 {
+					lazy.lazy.posts[0] = 0xFF // the first list no longer decodes
+				}
+				runs[i] = lazy
+			}
+		}
+		checkMergeAgainstReference(t, fmt.Sprintf("seed %d unrestricted", seed), runs, nil)
+		for _, numShards := range []int{1, 8} {
+			shard := rng.Intn(numShards)
+			keep := func(term string) bool { return ShardOf(term, numShards) == shard }
+			checkMergeAgainstReference(t, fmt.Sprintf("seed %d shard %d/%d", seed, shard, numShards), runs, keep)
+		}
+	}
+}
+
+// FuzzMerge: for any two runs DecodeSegment accepts — the first lazy,
+// the second materialized — and any shard split, the kernel's Merge and
+// MergeEncode encode the merge exactly as the reference does.
+func FuzzMerge(f *testing.F) {
+	f.Add(randomDocSegment(11, 2).Encode(), randomDocSegment(12, 2).Encode(), uint8(8), uint8(3))
+	f.Add(randomDocSegment(13, 3).Encode(), denseSparseSegment(40).Encode(), uint8(1), uint8(0))
+	f.Add(NewSegment(0).Encode(), randomDocSegment(14, 1).Encode(), uint8(4), uint8(1))
+	f.Fuzz(func(t *testing.T, a, b []byte, shards, shard uint8) {
+		older, err := DecodeSegment(a)
+		if err != nil {
+			return
+		}
+		lazy, err := DecodeSegment(b)
+		if err != nil {
+			return
+		}
+		terms, err := lazy.postingsMap()
+		if err != nil {
+			return
+		}
+		newer := &Segment{Gen: lazy.Gen, Terms: terms, DocLens: lazy.DocLens}
+		n := 1 + int(shards%8)
+		keep := func(term string) bool { return ShardOf(term, n) == int(shard)%n }
+		runs := []*Segment{older, newer}
+		checkMergeAgainstReference(t, "unrestricted", runs, nil)
+		checkMergeAgainstReference(t, "restricted", runs, keep)
+	})
 }
 
 // Property: stems are fixed points — analyzing a stemmed term yields the

@@ -1,9 +1,11 @@
 package index
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -48,42 +50,94 @@ func NewSegment(gen uint64) *Segment {
 	}
 }
 
-// Builder accumulates documents into a segment.
+// Builder accumulates documents into a segment. It allocates per
+// document and per build, not per posting or per term: one term index,
+// each document's positions cut from one arena, every posting appended
+// to one slice in arrival order, and at Build one backing array that
+// every term's list is a window of, each sorted by DocID.
 type Builder struct {
-	seg *Segment
+	seg      *Segment         // Gen and DocLens; Terms is filled at Build
+	index    map[string]int32 // term → its entry in terms
+	terms    []builderTerm
+	posts    []builderPosting
+	unsorted bool // a document arrived at or below the last one's DocID
+	adds     int  // Add calls so far
+	last     DocID
+
+	// Per-document scratch: the terms the document holds, and each
+	// token's term.
+	docTerms []int32
+	tokTerm  []int32
+}
+
+// builderTerm is one distinct term. tf and fill describe the document
+// being added while stamp equals the builder's Add count.
+type builderTerm struct {
+	term     string
+	stamp    int
+	tf, fill uint32
+}
+
+// builderPosting is one posting and the term it belongs to.
+type builderPosting struct {
+	term int32
+	Posting
 }
 
 // NewBuilder creates a segment builder with the given generation.
 func NewBuilder(gen uint64) *Builder {
-	return &Builder{seg: NewSegment(gen)}
+	return &Builder{seg: NewSegment(gen), index: make(map[string]int32)}
 }
 
 // Add analyzes and indexes one document. Re-adding a DocID replaces its
 // postings within this builder.
 func (b *Builder) Add(doc DocID, text string) {
 	if _, dup := b.seg.DocLens[doc]; dup {
-		// Rebuild without the stale postings of this doc.
-		for term, pl := range b.seg.Terms {
-			b.seg.Terms[term] = dropDocs(pl, map[DocID]bool{doc: true})
-			if len(b.seg.Terms[term]) == 0 {
-				delete(b.seg.Terms, term)
-			}
-		}
+		b.posts = slices.DeleteFunc(b.posts, func(p builderPosting) bool { return p.Doc == doc })
 	}
+	if b.adds > 0 && doc <= b.last {
+		b.unsorted = true
+	}
+	b.adds++
+	b.last = doc
+	stamp := b.adds // distinct per Add, never the zero a new term starts at
 	tokens := Analyze(text)
 	b.seg.DocLens[doc] = uint32(len(tokens))
-	byTerm := make(map[string][]uint32)
-	for _, tok := range tokens {
-		byTerm[tok.Term] = append(byTerm[tok.Term], tok.Pos)
+	if cap(b.tokTerm) < len(tokens) {
+		b.tokTerm = make([]int32, len(tokens))
 	}
-	for term, positions := range byTerm {
-		p := Posting{Doc: doc, TF: uint32(len(positions)), Positions: positions}
-		pl := b.seg.Terms[term]
-		idx := sort.Search(len(pl), func(i int) bool { return pl[i].Doc >= doc })
-		pl = append(pl, Posting{})
-		copy(pl[idx+1:], pl[idx:])
-		pl[idx] = p
-		b.seg.Terms[term] = pl
+	tokTerm := b.tokTerm[:len(tokens)]
+	b.docTerms = b.docTerms[:0]
+	for k, tok := range tokens {
+		ti, ok := b.index[tok.Term]
+		if !ok {
+			ti = int32(len(b.terms))
+			b.index[tok.Term] = ti
+			b.terms = append(b.terms, builderTerm{term: tok.Term})
+		}
+		t := &b.terms[ti]
+		if t.stamp != stamp {
+			t.stamp, t.tf = stamp, 0
+			b.docTerms = append(b.docTerms, ti)
+		}
+		t.tf++
+		tokTerm[k] = ti
+	}
+	arena := make([]uint32, len(tokens))
+	off := uint32(0)
+	for _, ti := range b.docTerms {
+		t := &b.terms[ti]
+		t.fill = off
+		off += t.tf
+	}
+	for k, tok := range tokens {
+		t := &b.terms[tokTerm[k]]
+		arena[t.fill] = tok.Pos
+		t.fill++
+	}
+	for _, ti := range b.docTerms {
+		t := &b.terms[ti]
+		b.posts = append(b.posts, builderPosting{ti, Posting{Doc: doc, TF: t.tf, Positions: arena[t.fill-t.tf : t.fill : t.fill]}})
 	}
 }
 
@@ -94,7 +148,37 @@ func (b *Builder) DocCount() int { return len(b.seg.DocLens) }
 // afterwards.
 func (b *Builder) Build() *Segment {
 	seg := b.seg
-	b.seg = nil
+	// Counting sort by term: ends[t] is where term t's window ends.
+	ends := make([]int, len(b.terms))
+	for _, p := range b.posts {
+		ends[p.term]++
+	}
+	for t := 1; t < len(ends); t++ {
+		ends[t] += ends[t-1]
+	}
+	all := make(PostingList, len(b.posts))
+	for i := len(b.posts) - 1; i >= 0; i-- { // back to front keeps arrival order
+		p := b.posts[i]
+		ends[p.term]--
+		all[ends[p.term]] = p.Posting
+	}
+	// ends[t] now marks where term t's window starts.
+	seg.Terms = make(map[string]PostingList, len(b.terms))
+	for t, start := range ends {
+		end := len(all)
+		if t+1 < len(ends) {
+			end = ends[t+1]
+		}
+		if start == end {
+			continue // every posting belonged to a re-added document
+		}
+		pl := all[start:end:end]
+		if b.unsorted {
+			slices.SortFunc(pl, func(x, y Posting) int { return cmp.Compare(x.Doc, y.Doc) })
+		}
+		seg.Terms[b.terms[t].term] = pl
+	}
+	*b = Builder{}
 	return seg
 }
 
@@ -263,20 +347,6 @@ var errCorruptSegment = errors.New("index: corrupt segment encoding")
 // byte offsets accumulate within the block.
 const dictBlockSize = 64
 
-// appendDocLens emits the docs region: sorted doc IDs, delta-encoded,
-// each followed by its analyzed length.
-func appendDocLens(out []byte, docLens map[DocID]uint32) []byte {
-	docs := sortedDocIDs(docLens)
-	out = binary.AppendUvarint(out, uint64(len(docs)))
-	prev := uint64(0)
-	for _, d := range docs {
-		out = binary.AppendUvarint(out, uint64(d)-prev)
-		prev = uint64(d)
-		out = binary.AppendUvarint(out, uint64(docLens[d]))
-	}
-	return out
-}
-
 // Encode serializes the segment deterministically (sorted terms and doc
 // IDs) in the block-max layout, so that every honest worker bee produces
 // byte-identical segments — the property commit–reveal voting relies on.
@@ -387,12 +457,12 @@ func (s *Segment) Validate() error {
 // validation) the receiver comes back unrestricted, so Merge skips it
 // whole like any corrupt lazy segment.
 //
-// This is what makes sharded compaction cheap: a shard's merged run
-// only needs the terms that hash to that shard (queries route term →
-// shard before ever reading a chain), so the bytes a merge rewrites
-// shrink from the whole batch segment to the shard's share of it — and
-// restricting each input run before the merge (Merge works term by
-// term) decodes and merges only that share too.
+// A shard's merged run only needs the terms that hash to that shard
+// (queries route term → shard before ever reading a chain), so the
+// bytes a merge rewrites shrink from the whole batch segment to the
+// shard's share of it. Compaction applies the same keep-predicate inside
+// MergeEncode rather than restricting each run first; MergeEncode's
+// output is byte for byte that of merging the restricted runs.
 func (s *Segment) Restrict(keep func(term string) bool) *Segment {
 	out := NewSegment(s.Gen)
 	if s.lazy == nil {
@@ -406,52 +476,6 @@ func (s *Segment) Restrict(keep func(term string) bool) *Segment {
 	}
 	for d, l := range s.DocLens {
 		out.DocLens[d] = l
-	}
-	return out
-}
-
-// Merge combines segments into one. Segments are applied oldest
-// generation first; a newer segment's covered documents shadow all their
-// older postings (tombstone semantics), and its postings replace older
-// ones per term. Ties on Gen are broken by input order. Merging a single
-// segment returns it unchanged (segments are immutable), which keeps a
-// compacted one-segment chain fully lazy. Lazy inputs are materialized; a
-// lazy input whose posting bytes fail to decode is skipped entirely —
-// neither its postings nor its tombstones apply — so corruption can hide
-// documents it carried but never deletes older valid ones.
-func Merge(segments []*Segment) *Segment {
-	if len(segments) == 0 {
-		return NewSegment(0)
-	}
-	if len(segments) == 1 {
-		return segments[0]
-	}
-	ordered := append([]*Segment(nil), segments...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Gen < ordered[j].Gen })
-
-	out := NewSegment(ordered[len(ordered)-1].Gen)
-	for _, seg := range ordered {
-		terms, err := seg.postingsMap()
-		if err != nil {
-			continue
-		}
-		// Tombstone every doc this segment covers.
-		dead := make(map[DocID]bool, len(seg.DocLens))
-		for d := range seg.DocLens {
-			dead[d] = true
-		}
-		for term, pl := range out.Terms {
-			out.Terms[term] = dropDocs(pl, dead)
-			if len(out.Terms[term]) == 0 {
-				delete(out.Terms, term)
-			}
-		}
-		for term, pl := range terms {
-			out.Terms[term] = mergePostingLists(out.Terms[term], pl)
-		}
-		for d, l := range seg.DocLens {
-			out.DocLens[d] = l
-		}
 	}
 	return out
 }

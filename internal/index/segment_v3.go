@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -65,7 +66,7 @@ func sortedDocIDs(docLens map[DocID]uint32) []DocID {
 	for d := range docLens {
 		docs = append(docs, d)
 	}
-	sort.Slice(docs, func(i, j int) bool { return docs[i] < docs[j] })
+	slices.Sort(docs)
 	return docs
 }
 
@@ -113,86 +114,160 @@ func blockFrontier(pairs []TFDL) []TFDL {
 	return pairs[w:]
 }
 
-// appendTermV3 encodes one term's dictionary entry and postings blob.
-// Delta terms chain doc gaps across block boundaries (the blob is a run
-// of (doc gap, TF, positions) records); bitmap terms emit a bitmap over
-// the segment's doc ordinals followed by a (TF, positions) stream. docLen
-// for frontier pairs falls back to 0 when the doc is not covered
-// (Validate rejects such segments separately; 0 only inflates the bound,
-// which stays safe).
-func appendTermV3(dict, posts []byte, term string, pl PostingList, docLens map[DocID]uint32, docsSorted []DocID, pairs *[]TFDL) ([]byte, []byte) {
+// v3Writer streams a segment into the v3 layout one term at a time, in
+// ascending term order, and writes the shell last: the term count and
+// the dictionary index precede the regions in the bytes but are known
+// only once every term is in. Built segments (encodeV3) and merges
+// (MergeEncode) both write through it, so the two produce the same bytes
+// for the same logical segment. Its buffers are reused across terms: a
+// term costs appends to the dictionary and postings regions, not
+// allocations of its own.
+type v3Writer struct {
+	docLens    map[DocID]uint32
+	docsSorted []DocID
+
+	dict, posts []byte
+	blocks      []v3BlockMeta
+	nterms      int
+
+	// Per-term scratch: one block's (TF, docLen) pairs, and the term's
+	// skip records with their frontiers packed into one slice.
+	pairs     []TFDL
+	skips     []v3Skip
+	frontiers []TFDL
+}
+
+// v3BlockMeta is one dictionary-index record: a 64-term block's first
+// term and where its entries and blobs start.
+type v3BlockMeta struct {
+	firstTerm string
+	dictOff   int
+	postOff   int
+}
+
+// v3Skip is one block's skip record while its term is being written;
+// its frontier is frontiers[frLo:frHi].
+type v3Skip struct {
+	lastDoc    DocID
+	endOff     int
+	frLo, frHi int
+}
+
+func newV3Writer(docLens map[DocID]uint32, docsSorted []DocID) *v3Writer {
+	return &v3Writer{docLens: docLens, docsSorted: docsSorted}
+}
+
+// addTerm encodes one term's dictionary entry and appends its postings
+// blob straight into the postings region. Delta terms chain doc gaps
+// across block boundaries (the blob is a run of (doc gap, TF, positions)
+// records); bitmap terms emit a bitmap over the segment's doc ordinals
+// followed by a (TF, positions) stream. docLen for frontier pairs falls
+// back to 0 when the doc is not covered (Validate rejects such segments
+// separately; 0 only inflates the bound, which stays safe). pl must be
+// non-empty and sorted, and terms must arrive in ascending order.
+func (w *v3Writer) addTerm(term string, pl PostingList) {
+	if w.nterms%dictBlockSize == 0 {
+		w.blocks = append(w.blocks, v3BlockMeta{term, len(w.dict), len(w.posts)})
+	}
+	w.nterms++
 	df := len(pl)
 	enc := uint64(0)
-	if df*8 >= len(docsSorted) && postingDocsCovered(pl, docLens) {
+	if df*8 >= len(w.docsSorted) && postingDocsCovered(pl, w.docLens) {
 		enc = 1
 	}
-	nblocks := (df + postingsBlockSize - 1) / postingsBlockSize
-	type skipRec struct {
-		lastDoc  DocID
-		endOff   int
-		frontier []TFDL
-	}
-	skips := make([]skipRec, 0, nblocks)
 
-	var blob []byte
-	var bm, stream []byte
+	blobStart := len(w.posts)
+	bmStart := 0
 	if enc == 1 {
-		bm = make([]byte, (len(docsSorted)+7)/8)
+		bmLen := (len(w.docsSorted) + 7) / 8
+		w.posts = binary.AppendUvarint(w.posts, uint64(bmLen))
+		bmStart = len(w.posts)
+		w.posts = append(w.posts, make([]byte, bmLen)...)
 	}
+	// Skip end offsets are relative to the blob for delta terms and to
+	// the stream after the bitmap for bitmap terms.
+	streamStart := len(w.posts)
+	w.skips, w.frontiers = w.skips[:0], w.frontiers[:0]
 	prevDoc := uint64(0)
 	ord := 0
-	for b := 0; b < nblocks; b++ {
-		lo := b * postingsBlockSize
-		hi := lo + v3BlockLen(b, df)
-		*pairs = (*pairs)[:0]
-		for i := lo; i < hi; i++ {
-			p := pl[i]
+	for lo := 0; lo < df; lo += postingsBlockSize {
+		hi := min(lo+postingsBlockSize, df)
+		w.pairs = w.pairs[:0]
+		for _, p := range pl[lo:hi] {
 			if enc == 0 {
-				blob = binary.AppendUvarint(blob, uint64(p.Doc)-prevDoc)
+				w.posts = binary.AppendUvarint(w.posts, uint64(p.Doc)-prevDoc)
 				prevDoc = uint64(p.Doc)
-				blob = binary.AppendUvarint(blob, uint64(p.TF))
-				blob = appendPositions(blob, p.Positions)
 			} else {
-				for docsSorted[ord] < p.Doc {
+				for w.docsSorted[ord] < p.Doc {
 					ord++
 				}
-				bm[ord>>3] |= 1 << uint(ord&7)
+				w.posts[bmStart+ord>>3] |= 1 << uint(ord&7)
 				ord++
-				stream = binary.AppendUvarint(stream, uint64(p.TF))
-				stream = appendPositions(stream, p.Positions)
 			}
-			*pairs = append(*pairs, TFDL{p.TF, docLens[p.Doc]})
+			w.posts = binary.AppendUvarint(w.posts, uint64(p.TF))
+			w.posts = appendPositions(w.posts, p.Positions)
+			w.pairs = append(w.pairs, TFDL{p.TF, w.docLens[p.Doc]})
 		}
-		end := len(blob)
-		if enc == 1 {
-			end = len(stream)
-		}
-		fr := blockFrontier(*pairs)
-		skips = append(skips, skipRec{pl[hi-1].Doc, end, append([]TFDL(nil), fr...)})
-	}
-	if enc == 1 {
-		blob = binary.AppendUvarint(nil, uint64(len(bm)))
-		blob = append(blob, bm...)
-		blob = append(blob, stream...)
+		frLo := len(w.frontiers)
+		w.frontiers = append(w.frontiers, blockFrontier(w.pairs)...)
+		w.skips = append(w.skips, v3Skip{pl[hi-1].Doc, len(w.posts) - streamStart, frLo, len(w.frontiers)})
 	}
 
-	dict = binary.AppendUvarint(dict, uint64(len(term)))
-	dict = append(dict, term...)
-	dict = binary.AppendUvarint(dict, enc)
-	dict = binary.AppendUvarint(dict, uint64(df))
-	dict = binary.AppendUvarint(dict, uint64(len(blob)))
+	w.dict = binary.AppendUvarint(w.dict, uint64(len(term)))
+	w.dict = append(w.dict, term...)
+	w.dict = binary.AppendUvarint(w.dict, enc)
+	w.dict = binary.AppendUvarint(w.dict, uint64(df))
+	w.dict = binary.AppendUvarint(w.dict, uint64(len(w.posts)-blobStart))
 	prevLast, prevEnd := uint64(0), 0
-	for _, sk := range skips {
-		dict = binary.AppendUvarint(dict, uint64(sk.lastDoc)-prevLast)
-		dict = binary.AppendUvarint(dict, uint64(sk.endOff-prevEnd))
+	for _, sk := range w.skips {
+		w.dict = binary.AppendUvarint(w.dict, uint64(sk.lastDoc)-prevLast)
+		w.dict = binary.AppendUvarint(w.dict, uint64(sk.endOff-prevEnd))
 		prevLast, prevEnd = uint64(sk.lastDoc), sk.endOff
-		dict = binary.AppendUvarint(dict, uint64(len(sk.frontier)))
-		for _, p := range sk.frontier {
-			dict = binary.AppendUvarint(dict, uint64(p.TF))
-			dict = binary.AppendUvarint(dict, uint64(p.DL))
+		fr := w.frontiers[sk.frLo:sk.frHi]
+		w.dict = binary.AppendUvarint(w.dict, uint64(len(fr)))
+		for _, p := range fr {
+			w.dict = binary.AppendUvarint(w.dict, uint64(p.TF))
+			w.dict = binary.AppendUvarint(w.dict, uint64(p.DL))
 		}
 	}
-	return dict, append(posts, blob...)
+}
+
+// finish writes the shell — magic, gen, docs region, term count, block
+// index — around the dictionary and postings regions and returns the
+// encoding.
+func (w *v3Writer) finish(gen uint64) []byte {
+	// An upper bound on the size: seven shell varints (magic, gen, doc
+	// count, term count, block count, the two region lengths), two per
+	// document and three per block besides its first term.
+	size := 7*binary.MaxVarintLen64 + 2*binary.MaxVarintLen32*len(w.docsSorted) + len(w.dict) + len(w.posts)
+	for _, b := range w.blocks {
+		size += len(b.firstTerm) + 3*binary.MaxVarintLen64
+	}
+	out := make([]byte, 0, size)
+	out = binary.AppendUvarint(out, segmentMagic)
+	out = binary.AppendUvarint(out, gen)
+	out = binary.AppendUvarint(out, uint64(len(w.docsSorted)))
+	prev := uint64(0)
+	for _, d := range w.docsSorted {
+		out = binary.AppendUvarint(out, uint64(d)-prev)
+		prev = uint64(d)
+		out = binary.AppendUvarint(out, uint64(w.docLens[d]))
+	}
+	out = binary.AppendUvarint(out, uint64(w.nterms))
+	if w.nterms == 0 {
+		return out
+	}
+	out = binary.AppendUvarint(out, uint64(len(w.blocks)))
+	for _, b := range w.blocks {
+		out = binary.AppendUvarint(out, uint64(len(b.firstTerm)))
+		out = append(out, b.firstTerm...)
+		out = binary.AppendUvarint(out, uint64(b.dictOff))
+		out = binary.AppendUvarint(out, uint64(b.postOff))
+	}
+	out = binary.AppendUvarint(out, uint64(len(w.dict)))
+	out = append(out, w.dict...)
+	out = binary.AppendUvarint(out, uint64(len(w.posts)))
+	return append(out, w.posts...)
 }
 
 // appendPositions emits npos followed by delta-encoded positions.
@@ -220,43 +295,11 @@ func postingDocsCovered(pl PostingList, docLens map[DocID]uint32) bool {
 
 // encodeV3 serializes a built segment in the v3 block-max layout.
 func (s *Segment) encodeV3() []byte {
-	out := binary.AppendUvarint(nil, segmentMagic)
-	out = binary.AppendUvarint(out, s.Gen)
-	out = appendDocLens(out, s.DocLens)
-
-	terms := s.TermsSorted()
-	out = binary.AppendUvarint(out, uint64(len(terms)))
-	if len(terms) == 0 {
-		return out
+	w := newV3Writer(s.DocLens, sortedDocIDs(s.DocLens))
+	for _, t := range s.TermsSorted() {
+		w.addTerm(t, s.Terms[t])
 	}
-	docsSorted := sortedDocIDs(s.DocLens)
-
-	var dict, posts []byte
-	type blockMeta struct {
-		firstTerm string
-		dictOff   int
-		postOff   int
-	}
-	blocks := make([]blockMeta, 0, (len(terms)+dictBlockSize-1)/dictBlockSize)
-	var pairs []TFDL
-	for i, t := range terms {
-		if i%dictBlockSize == 0 {
-			blocks = append(blocks, blockMeta{t, len(dict), len(posts)})
-		}
-		dict, posts = appendTermV3(dict, posts, t, s.Terms[t], s.DocLens, docsSorted, &pairs)
-	}
-	out = binary.AppendUvarint(out, uint64(len(blocks)))
-	for _, b := range blocks {
-		out = binary.AppendUvarint(out, uint64(len(b.firstTerm)))
-		out = append(out, b.firstTerm...)
-		out = binary.AppendUvarint(out, uint64(b.dictOff))
-		out = binary.AppendUvarint(out, uint64(b.postOff))
-	}
-	out = binary.AppendUvarint(out, uint64(len(dict)))
-	out = append(out, dict...)
-	out = binary.AppendUvarint(out, uint64(len(posts)))
-	out = append(out, posts...)
-	return out
+	return w.finish(s.Gen)
 }
 
 // decodeDocLensOrdered parses the docs region into the length map and
@@ -676,21 +719,37 @@ func checkTermBlobV3(blob []byte, e dictEntryV3, skips []BlockSkip, docLens map[
 }
 
 // decodeTermBlobV3 fully materializes one term's posting list (with
-// positions) from its v3 blob. Only called on validated regions;
+// positions) from its v3 blob, appending the postings to pl[:0] and
+// every posting's positions to one arena, arena[:0]; it returns both
+// buffers. Nil buffers come back freshly allocated at their exact sizes
+// (one list and one arena per term, however many postings it holds);
+// a caller that consumes each list before decoding the next passes the
+// previous call's buffers back in. Only called on validated regions;
 // structural errors are defensive.
-func decodeTermBlobV3(blob []byte, e dictEntryV3, docsSorted []DocID) (PostingList, error) {
+func decodeTermBlobV3(blob []byte, e dictEntryV3, docsSorted []DocID, pl PostingList, arena []uint32) (PostingList, []uint32, error) {
 	var bm, stream []byte
+	perPosting := 3 // varints per posting besides its positions: gap, TF, count
 	if e.enc == 1 {
 		bmLen, n := binary.Uvarint(blob)
 		if n <= 0 || uint64(len(blob)-n) < bmLen {
-			return nil, errCorruptSegment
+			return nil, nil, errCorruptSegment
 		}
 		bm = blob[n : n+int(bmLen)]
 		stream = blob[n+int(bmLen):]
+		perPosting = 2
 	} else {
 		stream = blob
 	}
-	pl := make(PostingList, 0, e.df)
+	// Every varint ends in the one byte of it below 0x80, so the stream's
+	// position count is its varint count less the per-posting fields.
+	npositions := -perPosting * e.df
+	for _, c := range stream {
+		if c < 0x80 {
+			npositions++
+		}
+	}
+	pl = slices.Grow(pl[:0], e.df)
+	arena = slices.Grow(arena[:0], max(npositions, 0))
 	b := stream
 	prevDoc := uint64(0)
 	ord := 0
@@ -699,7 +758,7 @@ func decodeTermBlobV3(blob []byte, e dictEntryV3, docsSorted []DocID) (PostingLi
 		if e.enc == 0 {
 			gap, n := binary.Uvarint(b)
 			if n <= 0 {
-				return nil, errCorruptSegment
+				return nil, nil, errCorruptSegment
 			}
 			b = b[n:]
 			prevDoc += gap
@@ -709,38 +768,42 @@ func decodeTermBlobV3(blob []byte, e dictEntryV3, docsSorted []DocID) (PostingLi
 				ord++
 			}
 			if ord >= len(docsSorted) {
-				return nil, errCorruptSegment
+				return nil, nil, errCorruptSegment
 			}
 			doc = docsSorted[ord]
 			ord++
 		}
 		tf, n := binary.Uvarint(b)
 		if n <= 0 {
-			return nil, errCorruptSegment
+			return nil, nil, errCorruptSegment
 		}
 		b = b[n:]
 		npos, n := binary.Uvarint(b)
 		if n <= 0 {
-			return nil, errCorruptSegment
+			return nil, nil, errCorruptSegment
 		}
 		b = b[n:]
-		var positions []uint32
+		start := len(arena)
 		prevPos := uint64(0)
 		for j := uint64(0); j < npos; j++ {
 			pgap, n := binary.Uvarint(b)
 			if n <= 0 {
-				return nil, errCorruptSegment
+				return nil, nil, errCorruptSegment
 			}
 			b = b[n:]
 			prevPos += pgap
-			positions = append(positions, uint32(prevPos))
+			arena = append(arena, uint32(prevPos))
+		}
+		var positions []uint32
+		if npos > 0 {
+			positions = arena[start:len(arena):len(arena)]
 		}
 		pl = append(pl, Posting{Doc: doc, TF: uint32(tf), Positions: positions})
 	}
 	if len(b) != 0 {
-		return nil, errCorruptSegment
+		return nil, nil, errCorruptSegment
 	}
-	return pl, nil
+	return pl, arena, nil
 }
 
 // findV3 locates a term's v3 dictionary entry and postings blob without
@@ -786,7 +849,7 @@ func (l *lazySegment) lookup(term string) (PostingList, bool, error) {
 	if err != nil || !found {
 		return nil, found, err
 	}
-	pl, err := decodeTermBlobV3(blob, e, l.docsSorted)
+	pl, _, err := decodeTermBlobV3(blob, e, l.docsSorted, nil, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -831,7 +894,7 @@ func (l *lazySegment) decodeTerms(keep func(term string) bool, m map[string]Post
 		if keep != nil && !keep(term) {
 			continue
 		}
-		pl, err := decodeTermBlobV3(blob, e, l.docsSorted)
+		pl, _, err := decodeTermBlobV3(blob, e, l.docsSorted, nil, nil)
 		if err != nil {
 			return err
 		}

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"hash/fnv"
 )
 
 // DigestOf returns the hex SHA-256 of encoded bytes: the content address
@@ -41,9 +40,19 @@ func ShardOf(term string, numShards int) int {
 	if numShards <= 0 {
 		numShards = DefaultShards
 	}
-	h := fnv.New32a()
-	h.Write([]byte(term))
-	return int(h.Sum32() % uint32(numShards))
+	return int(fnv32a(term) % uint32(numShards))
+}
+
+// fnv32a is FNV-1a over s's bytes: hash/fnv's New32a without the
+// allocations of a hash.Hash and a []byte copy, since compaction's
+// keep-predicate hashes every term of every input run.
+func fnv32a(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= 16777619
+	}
+	return h
 }
 
 // ShardPointerKey names the DHT record that holds a shard's segment list.
@@ -61,7 +70,5 @@ func SegmentKey(digestHex string) string {
 // is ample for simulation corpora; collisions would only merge two URLs'
 // postings.
 func DocIDOf(url string) DocID {
-	h := fnv.New32a()
-	h.Write([]byte(url))
-	return DocID(h.Sum32())
+	return DocID(fnv32a(url))
 }
