@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strconv"
@@ -49,37 +51,46 @@ type pendingResult struct {
 }
 
 // commitJob is one newly assigned open task on its way to a commitment:
-// the pure rest of its build once the network has delivered its inputs,
-// and what that build produced.
+// its build, which it may share with the other assignees (buildSet).
 type commitJob struct {
 	taskID string
-	build  func() (result []byte, tokens uint64) // nil when err is set
-	err    error                                 // reading the task's inputs failed
-	pr     pendingResult                         // set by buildCommits
+	out    *built            // nil when err is set
+	layer  func(built) built // what this bee commits in place of out, if anything
+	err    error             // reading the task's inputs failed
 }
 
 // fetchCommits is the network leg of this bee's commit: for every newly
 // assigned open task, in task order, it fetches what the build needs and
-// returns the rest of the build, which sends no RPC and reads no mutable
-// state. Beside the jobs it returns the serve-cache announcements of the
-// pages it fetched, in fetch order, the fetch cost (task after task), and
-// how many page fetches the provider named on chain could not serve.
-func (b *WorkerBee) fetchCommits() (jobs []commitJob, anns []store.Announcement, cost netsim.Cost, misses int) {
+// hands the rest of the build, which sends no RPC and reads no mutable
+// state, to builds under the key of what it read. A colluding bee layers
+// its corrupt segment on the honest build. Beside the jobs it returns the
+// serve-cache announcements of the pages it fetched, in fetch order, the
+// fetch cost (task after task), and how many page fetches the provider
+// named on chain could not serve.
+func (b *WorkerBee) fetchCommits(builds *buildSet) (jobs []commitJob, anns []store.Announcement, cost netsim.Cost, misses int) {
 	for _, task := range b.cluster.QB.OpenTasksFor(b.Account.Address()) {
 		if _, done := b.pending[task.ID]; done {
 			continue
 		}
 		job := commitJob{taskID: task.ID}
+		var key buildKey
+		var build func() built
 		var fetched []store.Announcement
 		switch task.Kind {
 		case contracts.TaskIndex:
 			var fetchCost netsim.Cost
 			var missed int
-			job.build, fetched, fetchCost, missed, job.err = b.fetchIndexTask(task)
+			key, build, fetched, fetchCost, missed, job.err = b.fetchIndexTask(task)
 			cost = cost.Seq(fetchCost)
 			misses += missed
+			if b.Colluding {
+				job.layer = func(honest built) built { return indexBuilt(task, corruptSegment(honest.seg)) }
+			}
 		case contracts.TaskRank:
-			job.build, fetched, job.err = b.rankBuild(task)
+			key, build, fetched, job.err = b.rankBuild(task)
+		}
+		if job.err == nil {
+			job.out = builds.share(key, build)
 		}
 		anns = append(anns, fetched...)
 		jobs = append(jobs, job)
@@ -87,25 +98,10 @@ func (b *WorkerBee) fetchCommits() (jobs []commitJob, anns []store.Announcement,
 	return jobs, anns, cost, misses
 }
 
-// buildCommits is the pure leg of this bee's commit: every job's build,
-// digest and salt. It touches nothing but the jobs, so the round engine
-// runs it for all bees at once.
-func (b *WorkerBee) buildCommits(jobs []commitJob) {
-	for i := range jobs {
-		j := &jobs[i]
-		if j.err != nil {
-			continue
-		}
-		result, tokens := j.build()
-		salt := make([]byte, 16)
-		xrand.NewNamed(b.cluster.cfg.Seed, "salt:"+b.Name+":"+j.taskID).Bytes(salt)
-		j.pr = pendingResult{result: result, digest: index.DigestOf(result), salt: salt, tokens: tokens}
-	}
-}
-
 // submitCommits records each built result as pending and submits its
 // commitment, in task order; a job whose inputs could not be read is a
-// "build" error on the bee and on the receipt instead.
+// "build" error on the bee and on the receipt instead. Every job's build
+// must have returned.
 func (b *WorkerBee) submitCommits(jobs []commitJob, r *RoundReceipt) {
 	for _, j := range jobs {
 		if j.err != nil {
@@ -114,10 +110,16 @@ func (b *WorkerBee) submitCommits(jobs []commitJob, r *RoundReceipt) {
 			r.Errors = append(r.Errors, e)
 			continue
 		}
-		b.pending[j.taskID] = j.pr
+		out := *j.out
+		if j.layer != nil {
+			out = j.layer(out)
+		}
+		salt := make([]byte, 16)
+		xrand.NewNamed(b.cluster.cfg.Seed, "salt:"+b.Name+":"+j.taskID).Bytes(salt)
+		b.pending[j.taskID] = pendingResult{result: out.result, digest: out.digest, salt: salt, tokens: out.tokens}
 		b.cluster.SubmitCall(b.Account, contracts.MethodCommit, contracts.CommitParams{
 			TaskID:     j.taskID,
-			Commitment: contracts.Commitment(j.pr.digest, j.pr.salt),
+			Commitment: contracts.Commitment(out.digest, salt),
 		}, 0)
 	}
 }
@@ -194,7 +196,9 @@ func (b *WorkerBee) collectWins() (contribs []contribution, count int, cost nets
 			errs = append(errs, RoundError{Bee: b.Name, Task: taskID, Shard: -1, Stage: "decode", Err: err})
 			continue
 		}
-		wcost, err := writeSegment(b.Peer.DHT(), pr.digest, pr.result)
+		// The result is the quorum's shared build (buildSet): the record
+		// the network keeps gets bytes of its own.
+		wcost, err := writeSegment(b.Peer.DHT(), pr.digest, bytes.Clone(pr.result))
 		cost = cost.Seq(wcost)
 		if err != nil {
 			errs = append(errs, RoundError{Bee: b.Name, Task: taskID, Shard: -1, Stage: "segment-write", Err: err})
@@ -256,16 +260,21 @@ func (b *WorkerBee) designatedWriter(task contracts.Task) chain.Address {
 
 // fetchIndexTask fetches from the DWeb the published content of the
 // task's page version — or, for a batch task, of every page of the batch
-// — and returns the rest of the build: the deterministic delta segment
-// over those pages, encoded, and the token count the reveal votes on.
-// The per-page fetches of a batch are independent downloads from
-// (usually) distinct providers, so their cost folds as one parallel wave;
-// execution stays in page order, keeping the bee's per-link draw order
-// seed-stable. Beside the build it returns the pages' serve-cache
-// announcements (those fetched before a failing page too) and how many
-// pages the provider named on chain could not serve.
-func (b *WorkerBee) fetchIndexTask(task contracts.Task) (build func() ([]byte, uint64), anns []store.Announcement, cost netsim.Cost, misses int, err error) {
+// — and returns the rest of the build, the deterministic delta segment
+// over those pages, encoded, with the token count the reveal votes on;
+// and the build's key, which names the task, its gen and every page's
+// DocID with the bytes this bee fetched. The key covers the bytes, not
+// the CIDs: a page read from local blocks is not re-verified
+// (store.Peer.FetchHinted), so two assignees may hold different bytes
+// under one CID. The per-page fetches of a batch are independent
+// downloads from (usually) distinct providers, so their cost folds as one
+// parallel wave; execution stays in page order, keeping the bee's
+// per-link draw order seed-stable. Beside the build it returns the pages'
+// serve-cache announcements (those fetched before a failing page too) and
+// how many pages the provider named on chain could not serve.
+func (b *WorkerBee) fetchIndexTask(task contracts.Task) (key buildKey, build func() built, anns []store.Announcement, cost netsim.Cost, misses int, err error) {
 	var docs []index.BatchDoc
+	k := newKeyHash("index", task.ID, strconv.FormatUint(task.CreatedAt, 10))
 	fetch := func(url, cidHex, provider string) error {
 		content, c, missed, ann, err := b.fetchPage(url, cidHex, provider)
 		cost = cost.Par(c)
@@ -278,25 +287,31 @@ func (b *WorkerBee) fetchIndexTask(task contracts.Task) (build func() ([]byte, u
 		if err != nil {
 			return err
 		}
-		docs = append(docs, index.BatchDoc{Doc: index.DocIDOf(url), Text: string(content)})
+		doc := index.DocIDOf(url)
+		k.add(binary.BigEndian.AppendUint32(nil, uint32(doc)))
+		k.add(content)
+		docs = append(docs, index.BatchDoc{Doc: doc, Text: string(content)})
 		return nil
 	}
 	if entries, isBatch := contracts.BatchEntries(task); isBatch {
 		for _, e := range entries {
 			if err := fetch(e.URL, e.CID, e.Provider); err != nil {
-				return nil, anns, cost, misses, err
+				return key, nil, anns, cost, misses, err
 			}
 		}
 	} else if err := fetch(task.Meta["url"], task.Meta["cid"], task.Meta["provider"]); err != nil {
-		return nil, anns, cost, misses, err
+		return key, nil, anns, cost, misses, err
 	}
-	return func() ([]byte, uint64) {
-		seg := index.BuildBatch(task.CreatedAt, docs) // same gen for every assignee → deterministic
-		if b.Colluding {
-			seg = corruptSegment(seg)
-		}
-		return seg.Encode(), firstVersionTokens(task, seg)
+	return k.sum(), func() built {
+		return indexBuilt(task, index.BuildBatch(task.CreatedAt, docs)) // same gen for every assignee → deterministic
 	}, anns, cost, misses, nil
+}
+
+// indexBuilt encodes an index task's segment and counts the tokens its
+// reveal carries.
+func indexBuilt(task contracts.Task, seg *index.Segment) built {
+	result := seg.Encode()
+	return built{seg: seg, result: result, digest: index.DigestOf(result), tokens: firstVersionTokens(task, seg)}
 }
 
 // fetchPage resolves one page version's content from the DWeb store,
@@ -325,35 +340,41 @@ func corruptSegment(honest *index.Segment) *index.Segment {
 
 // rankBuild reads a rank task's inputs from chain state — the link graph
 // and, for a delta epoch, the previous rank vector — and returns the
-// build of its page-rank partition. A bee that detects duplicates first
-// fetches every page (pageSignatures); those fetches' announcements are
-// returned. Every input is finalized chain state, so every honest bee
-// computes the same result bytes.
-func (b *WorkerBee) rankBuild(task contracts.Task) (func() ([]byte, uint64), []store.Announcement, error) {
+// build of its page-rank partition and the build's key. Every input is
+// finalized chain state, which no transaction changes while a round's
+// bees fetch, so every honest bee computes the same result bytes and the
+// key needs only the task and how this bee computes: whether it colludes
+// and whether it detects duplicates. A bee that detects duplicates first
+// fetches every page (pageSignatures), and its key covers the bytes it
+// fetched; those fetches' announcements are returned.
+func (b *WorkerBee) rankBuild(task contracts.Task) (buildKey, func() built, []store.Announcement, error) {
+	var key buildKey
 	partition, err := strconv.Atoi(task.Meta["partition"])
 	if err != nil {
-		return nil, nil, fmt.Errorf("task %q: bad partition: %w", task.ID, err)
+		return key, nil, nil, fmt.Errorf("task %q: bad partition: %w", task.ID, err)
 	}
 	epoch, err := strconv.ParseUint(task.Meta["epoch"], 10, 64)
 	if err != nil {
-		return nil, nil, fmt.Errorf("task %q: bad epoch: %w", task.ID, err)
+		return key, nil, nil, fmt.Errorf("task %q: bad epoch: %w", task.ID, err)
 	}
 	re, ok := b.cluster.QB.RankEpochInfo(epoch)
 	if !ok {
-		return nil, nil, fmt.Errorf("task %q: unknown rank epoch %d", task.ID, epoch)
+		return key, nil, nil, fmt.Errorf("task %q: unknown rank epoch %d", task.ID, epoch)
 	}
 	links := b.cluster.QB.LinkGraph()
 	var prev map[string]float64
 	if re.Delta {
 		prev = b.cluster.QB.PageRanks()
 	}
+	k := newKeyHash("rank", task.ID, strconv.FormatBool(b.Colluding), strconv.FormatBool(b.DetectDuplicates))
 	var sigs []pageSig
 	var anns []store.Announcement
 	if b.DetectDuplicates {
-		sigs, anns = b.pageSignatures(links)
+		sigs, anns = b.pageSignatures(links, k)
 	}
-	return func() ([]byte, uint64) {
-		return b.rankResult(rank.NewGraph(links), re, prev, partition, sigs), 0
+	return k.sum(), func() built {
+		result := b.rankResult(rank.NewGraph(links), re, prev, partition, sigs)
+		return built{result: result, digest: index.DigestOf(result)}
 	}, anns, nil
 }
 

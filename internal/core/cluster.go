@@ -323,8 +323,9 @@ func (c *Cluster) RandomPeer() *store.Peer {
 // ProcessRound drives one full protocol round:
 //
 //  1. every bee fetches its open tasks' inputs and computes results —
-//     the builds fan out across goroutines, the network work runs in bee
-//     order — and commits, in bee order;
+//     the network work runs in bee order, each distinct build starts on
+//     a goroutine beside the fetches after it and the assignees that
+//     fetched the same bytes share it — and commits, in bee order;
 //  2. a block seals the commits;
 //  3. every bee reveals; the last reveal of each task auto-finalizes it
 //     (an index task's finalization advances IndexGen and IndexStats);

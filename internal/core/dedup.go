@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"repro/internal/index"
@@ -22,9 +23,10 @@ type pageSig struct {
 
 // pageSignatures is the network leg of the scraper defense: it fetches
 // every page of the link graph, in URL order, and returns their content
-// signatures with the fetches' serve-cache announcements. The fetches'
-// cost is billed to the bee. A page that cannot be fetched is skipped.
-func (b *WorkerBee) pageSignatures(links map[string][]string) ([]pageSig, []store.Announcement) {
+// signatures with the fetches' serve-cache announcements; every fetched
+// page's URL, height and bytes go into key. The fetches' cost is billed
+// to the bee. A page that cannot be fetched is skipped.
+func (b *WorkerBee) pageSignatures(links map[string][]string, key keyHash) ([]pageSig, []store.Announcement) {
 	urls := make([]string, 0, len(links))
 	for u := range links {
 		urls = append(urls, u)
@@ -49,6 +51,9 @@ func (b *WorkerBee) pageSignatures(links map[string][]string) ([]pageSig, []stor
 		if err != nil {
 			continue
 		}
+		key.add([]byte(url))
+		key.add(binary.BigEndian.AppendUint64(nil, rec.Height))
+		key.add(content)
 		sigs = append(sigs, pageSig{url: url, height: rec.Height, sig: index.SignatureOf(string(content))})
 	}
 	return sigs, anns

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -17,11 +21,12 @@ import (
 // folds its legs with Par. Each round runs three waves —
 //
 //  1. commit: every bee fetches the content of its new tasks, bee by bee;
-//     the pure builds (segment build and encode, rank computation) fan out
-//     across goroutines; then, bee by bee, each bee announces the pages it
-//     fetched — the announce wave, which nothing later in the round
-//     consumes — and its commitments are submitted, so transaction order
-//     is stable;
+//     each pure build (segment build and encode, rank computation) starts
+//     on a goroutine as soon as its inputs are fetched, once per distinct
+//     input bytes, so a quorum of honest bees builds a task once; then,
+//     bee by bee, each bee announces the pages it fetched — the announce
+//     wave, which nothing later in the round consumes — and its
+//     commitments are submitted, so transaction order is stable;
 //  2. reveal: cheap on-chain calls, sequential;
 //  3. materialize: bees write their winning immutable segments, then the
 //     round's contributions are grouped by shard and every touched shard
@@ -192,46 +197,106 @@ type contribution struct {
 	shards []int // sorted
 }
 
-// runWave executes fn(0..n-1) concurrently, one goroutine a leg, and
-// waits for all of them; each leg writes an index-addressed slot. The
-// round engine hands it only pure work — the bees' builds — and keeps
-// every simulated RPC on the caller's goroutine, in a fixed order, as
-// the query side's shard waves do (Frontend.loadShardsCtx).
-func runWave(n int, fn func(i int)) {
-	if n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		//detlint:ignore goroutine the one fan-out in simulation code; the round passes only its bees' pure builds
-		go func(i int) {
-			defer wg.Done()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
+// buildKey names one pure build by every input it reads (keyHash).
+type buildKey [sha256.Size]byte
+
+// built is one pure build's output. Every job of a round whose inputs
+// were byte-identical holds the same built, result slice included.
+type built struct {
+	seg    *index.Segment // index builds: the honest segment a colluder's result is layered on
+	result []byte
+	digest string
+	tokens uint64 // index builds: firstVersionTokens of seg
 }
 
-// commitWave runs the bees' commit in three phases: every bee fetches the
-// inputs of its new tasks, bee by bee; the pure builds fan out as one
-// goroutine wave; then, bee by bee, each bee announces the pages it
-// fetched and its commitments are submitted, so transaction order is
-// stable. The announces wait until every bee has fetched: no fetch of
-// the round sees a serve-cache record the round made.
+// buildSet is a round's pure builds by key. The first job with a new key
+// starts its build on a goroutine of its own, as soon as one of the
+// set's slots is free, and returns, so the build runs beside the fetch
+// RPCs the caller's goroutine sends next; every later job with that key
+// shares the output. wait blocks until
+// every started build has returned. The round engine hands it only pure
+// work and keeps every simulated RPC on the caller's goroutine, in a
+// fixed order, as the query side's shard waves do
+// (Frontend.loadShardsCtx).
+type buildSet struct {
+	wg    sync.WaitGroup
+	slots chan struct{} // one a CPU: a round may hold any number of tasks
+	byKey map[buildKey]*built
+}
+
+func newBuildSet() *buildSet {
+	return &buildSet{
+		slots: make(chan struct{}, runtime.GOMAXPROCS(0)),
+		byKey: make(map[buildKey]*built),
+	}
+}
+
+// share returns the output of the build named key, starting build if no
+// job of the round has yet. The output is valid once wait has returned.
+func (s *buildSet) share(key buildKey, build func() built) *built {
+	if out, ok := s.byKey[key]; ok {
+		return out
+	}
+	out := new(built)
+	s.byKey[key] = out
+	s.slots <- struct{}{}
+	s.wg.Add(1)
+	//detlint:ignore goroutine the one fan-out in simulation code: a build reads only its own fetched inputs and writes only its own output
+	go func() {
+		defer func() {
+			<-s.slots
+			s.wg.Done()
+		}()
+		*out = build()
+	}()
+	return out
+}
+
+func (s *buildSet) wait() { s.wg.Wait() }
+
+// keyHash accumulates a build key: the kind of build, then every input
+// it reads, each length-prefixed so that no two input lists collide.
+type keyHash struct{ h hash.Hash }
+
+func newKeyHash(parts ...string) keyHash {
+	k := keyHash{sha256.New()}
+	for _, p := range parts {
+		k.add([]byte(p))
+	}
+	return k
+}
+
+func (k keyHash) add(b []byte) {
+	var n [8]byte
+	binary.BigEndian.PutUint64(n[:], uint64(len(b)))
+	k.h.Write(n[:])
+	k.h.Write(b)
+}
+
+func (k keyHash) sum() (key buildKey) {
+	k.h.Sum(key[:0])
+	return key
+}
+
+// commitWave runs the bees' commit: bee by bee, every bee fetches the
+// inputs of its new tasks, and each task's build starts as soon as its
+// inputs are in, unless another assignee fetched byte-identical inputs
+// earlier in the round — then the two share one build. Once every build
+// has returned, bee by bee, each bee announces the pages it fetched and
+// its commitments are submitted, so transaction order is stable. The
+// announces wait until every bee has fetched: no fetch of the round sees
+// a serve-cache record the round made.
 func (c *Cluster) commitWave(r *RoundReceipt) {
 	n := len(c.Bees)
+	builds := newBuildSet()
 	jobs := make([][]commitJob, n)
 	anns := make([][]store.Announcement, n)
 	costs := make([]netsim.Cost, n)
 	misses := make([]int, n)
 	for i, b := range c.Bees {
-		jobs[i], anns[i], costs[i], misses[i] = b.fetchCommits()
+		jobs[i], anns[i], costs[i], misses[i] = b.fetchCommits(builds)
 	}
-	runWave(n, func(i int) { c.Bees[i].buildCommits(jobs[i]) })
+	builds.wait()
 	for i, b := range c.Bees {
 		announce := b.Peer.Announce(anns[i])
 		r.AnnounceWave = r.AnnounceWave.Par(announce)

@@ -5,12 +5,14 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/contracts"
 	"repro/internal/dht"
+	"repro/internal/store"
 )
 
 // TestRoundBatchMaterializationDHTPutCounts is the O(shards) claim: a
@@ -427,5 +429,189 @@ func TestBatchEntriesRoundTrip(t *testing.T) {
 	}
 	if _, ok := contracts.BatchEntries(contracts.Task{Meta: map[string]string{"url": "dweb://x"}}); ok {
 		t.Fatal("non-batch task reported batch entries")
+	}
+}
+
+// settleRound is ProcessRoundReceipt after its commit wave, for a round
+// that needs no janitor and runs no maintenance: seal, reveal, seal,
+// materialize.
+func settleRound(c *Cluster, r *RoundReceipt) {
+	c.Seal()
+	for _, b := range c.Bees {
+		b.RevealPhase()
+	}
+	c.Seal()
+	c.materializePass(r)
+}
+
+// pendingByTask groups every bee's pending results by task, bees in
+// cluster order.
+func pendingByTask(c *Cluster) map[string][][]byte {
+	out := make(map[string][][]byte)
+	for _, b := range c.Bees {
+		for id, pr := range b.pending {
+			out[id] = append(out[id], pr.result)
+		}
+	}
+	return out
+}
+
+// pinnedQuorumBuild is what TestWriteQuorumBuildsOnce's two rounds
+// produced when every assignee built its own result: a digest of both
+// receipts, and clusterDigest.
+var pinnedQuorumBuild = struct{ receipts, digest string }{
+	receipts: "7a5652593eb6755c09fbd6fc723789f1395bfdd748c4f3ae9b345005507447c1",
+	digest:   "07043d18e3490ab1f481a84e43371397364aaf10515cf9c11b910de7e01d31bd",
+}
+
+// TestWriteQuorumBuildsOnce: the assignees of a task whose inputs are
+// byte-identical share one build. A 16-page batch goes to a quorum of
+// three honest bees, which commit one result slice between them; a rank
+// epoch of four partitions runs four rank builds, not twelve. Sharing is
+// CPU work only: the receipts and every node's state equal the
+// recording, and since nothing simulated aliases the shared bytes,
+// flipping one afterwards moves no node's Digest.
+func TestWriteQuorumBuildsOnce(t *testing.T) {
+	cfg := DefaultConfig()
+	c := NewCluster(cfg)
+	owner := c.NewAccount("writer", 1<<40)
+	c.Seal()
+	if _, err := c.PublishBatch(owner, c.Peers[0], corpusBatches(cfg.Seed, 1, 16)[0]); err != nil {
+		t.Fatal(err)
+	}
+	c.Seal()
+	h := sha256.New()
+	var shared []byte
+	for round, tasks := range []int{1, 4} {
+		if round == 1 {
+			c.StartRankEpoch(tasks)
+		}
+		var r RoundReceipt
+		c.commitWave(&r)
+		byTask := pendingByTask(c)
+		if len(byTask) != tasks {
+			t.Fatalf("round %d: %d tasks pending, want %d", round, len(byTask), tasks)
+		}
+		for id, results := range byTask {
+			if len(results) != cfg.Contract.Quorum {
+				t.Fatalf("round %d: task %s has %d results, want %d", round, id, len(results), cfg.Contract.Quorum)
+			}
+			for _, res := range results[1:] {
+				if &res[0] != &results[0][0] {
+					t.Errorf("round %d: task %s was built more than once", round, id)
+				}
+			}
+			if round == 0 {
+				shared = results[0]
+			}
+		}
+		settleRound(c, &r)
+		if len(r.Errors) > 0 || r.Materialized != tasks {
+			t.Fatalf("round %d: materialized %d, errors %v", round, r.Materialized, r.Errors)
+		}
+		fmt.Fprintf(h, "%+v\n", r)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedQuorumBuild.receipts {
+		t.Errorf("receipts digest %s, recorded %s", got, pinnedQuorumBuild.receipts)
+	}
+	if got := clusterDigest(c); got != pinnedQuorumBuild.digest {
+		t.Errorf("cluster digest %s, recorded %s", got, pinnedQuorumBuild.digest)
+	}
+	shared[len(shared)/2] ^= 0xff
+	if got := clusterDigest(c); got != pinnedQuorumBuild.digest {
+		t.Errorf("flipping a byte of the shared result moved the cluster digest to %s", got)
+	}
+}
+
+// pinnedTampered is what TestWriteTamperedLocalCopyBuildsAlone's round
+// produced when every assignee built its own result: each assignee's
+// vote in bee order, a digest of the receipt, and clusterDigest.
+var pinnedTampered = struct {
+	votes           []string
+	receipt, digest string
+}{
+	votes: []string{
+		"bee-001 won=false 879081e715fe1d2a 1978",
+		"bee-002 won=true a35b24d8afa24bbb 2079",
+		"bee-003 won=true a35b24d8afa24bbb 2079",
+	},
+	receipt: "149290bdd7271e52000cf19467dc5f82daac08c237079d71c6f123a800e9275a",
+	digest:  "6d0e080f1d614eb09a809fbceef5483c0301a37e6d370cbb43b16488edefc1d8",
+}
+
+// TestWriteTamperedLocalCopyBuildsAlone: a build is shared by the bytes
+// each bee fetched, not by the CIDs it asked for. One assignee holds a
+// cached copy of a page whose block was overwritten in its store; it
+// reads that copy without re-verifying it (Peer.assembleLocal), so it
+// must build alone from the bytes it holds, commit its own digest and
+// lose the vote to the two honest assignees.
+func TestWriteTamperedLocalCopyBuildsAlone(t *testing.T) {
+	cfg := DefaultConfig()
+	c := NewCluster(cfg)
+	owner := c.NewAccount("writer", 1<<40)
+	c.Seal()
+	publisher := c.Peers[0]
+	if _, err := c.PublishBatch(owner, publisher, corpusBatches(cfg.Seed, 1, 16)[0]); err != nil {
+		t.Fatal(err)
+	}
+	c.Seal()
+	var task contracts.Task
+	var victim *WorkerBee
+	for _, b := range c.Bees {
+		if open := c.QB.OpenTasksFor(b.Account.Address()); len(open) == 1 && victim == nil {
+			task, victim = open[0], b
+		}
+	}
+	if victim == nil {
+		t.Fatal("setup: no bee was assigned the batch")
+	}
+	entries, _ := contracts.BatchEntries(task)
+	root, err := cidFromHex(entries[0].CID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The victim caches every block of the first page, then one of them
+	// is overwritten with a leaf of other text.
+	block, ok := publisher.Blocks().Get(root)
+	if !ok {
+		t.Fatal("setup: the publisher does not hold the page")
+	}
+	victim.Peer.Blocks().PutCached(root, block)
+	leaf := root
+	_, children, _, err := store.DecodeBlock(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, child := range children {
+		cb, _ := publisher.Blocks().Get(child)
+		victim.Peer.Blocks().PutCached(child, cb)
+		leaf = child
+	}
+	if !victim.Peer.Blocks().Corrupt(leaf, store.EncodeLeaf([]byte("tampered copy of a page"))) {
+		t.Fatal("setup: nothing to corrupt")
+	}
+
+	rr := c.ProcessRoundReceipt()
+	if len(rr.Errors) > 0 || rr.Materialized != 1 {
+		t.Fatalf("materialized %d, errors %v", rr.Materialized, rr.Errors)
+	}
+	final, _ := c.QB.TaskInfo(task.ID)
+	if final.Status != contracts.StatusFinalized || final.Won(victim.Account.Address()) {
+		t.Fatalf("task %s: status %v, the tampered assignee won=%v", task.ID, final.Status, final.Won(victim.Account.Address()))
+	}
+	var votes []string
+	for _, b := range c.Bees {
+		if v, ok := final.Reveals[b.Account.Address()]; ok {
+			votes = append(votes, fmt.Sprintf("%s won=%v %.16s %d", b.Name, final.Won(b.Account.Address()), v.Digest, v.Tokens))
+		}
+	}
+	if !reflect.DeepEqual(votes, pinnedTampered.votes) {
+		t.Errorf("votes %q, recorded %q", votes, pinnedTampered.votes)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", rr)))); got != pinnedTampered.receipt {
+		t.Errorf("receipt digest %s, recorded %s", got, pinnedTampered.receipt)
+	}
+	if got := clusterDigest(c); got != pinnedTampered.digest {
+		t.Errorf("cluster digest %s, recorded %s", got, pinnedTampered.digest)
 	}
 }
