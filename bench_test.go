@@ -372,62 +372,50 @@ func BenchmarkIngestPipeline(b *testing.B) {
 }
 
 // BenchmarkCompaction measures the write path's steady-state compaction
-// cost under both policies: 32 uniform publish rounds against a
-// 4-shard index, reporting bytes rewritten per round and the run's
-// cumulative write amplification. The tiered policy (the default since
-// segment format tiering landed) must hold compacted_B/round flat —
+// cost: 32 uniform publish rounds against a 4-shard index, reporting
+// bytes rewritten per round and the run's cumulative write
+// amplification. Tiered compaction must hold compacted_B/round flat —
 // each ingested byte is rewritten about once per tier promotion, i.e.
-// O(log rounds) — where the monolithic policy rewrites the whole chain
-// every firing and grows linearly (E19 sweeps the gap across run
-// lengths).
+// O(log rounds) (E19 sweeps it across run lengths).
 func BenchmarkCompaction(b *testing.B) {
 	const rounds, docsPerRound = 32, 16
-	for _, mono := range []bool{false, true} {
-		name := "policy=tiered"
-		if mono {
-			name = "policy=monolithic"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var ingested, compacted, compactions int64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				e := New(WithSeed(1), WithPeers(10), WithBees(3),
-					func(c *core.Config) { c.NumShards, c.MonolithicCompaction = 4, mono })
-				owner := e.NewAccount("compact-owner", 1<<40)
-				b.StartTimer()
-				doc := 0
-				for r := 0; r < rounds; r++ {
-					pages := make([]Page, docsPerRound)
-					for j := range pages {
-						var links []string
-						if doc > 0 {
-							links = []string{fmt.Sprintf("dweb://compact/%05d", doc-1)}
-						}
-						pages[j] = Page{
-							URL:   fmt.Sprintf("dweb://compact/%05d", doc),
-							Text:  fmt.Sprintf("compaction benchmark corpus document %05d round %03d", doc, r),
-							Links: links,
-						}
-						doc++
-					}
-					if _, err := e.PublishBatch(owner, pages); err != nil {
-						b.Fatal(err)
-					}
+	b.ReportAllocs()
+	var ingested, compacted, compactions int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := New(WithSeed(1), WithPeers(10), WithBees(3), func(c *core.Config) { c.NumShards = 4 })
+		owner := e.NewAccount("compact-owner", 1<<40)
+		b.StartTimer()
+		doc := 0
+		for r := 0; r < rounds; r++ {
+			pages := make([]Page, docsPerRound)
+			for j := range pages {
+				var links []string
+				if doc > 0 {
+					links = []string{fmt.Sprintf("dweb://compact/%05d", doc-1)}
 				}
-				ws := e.WriteStats()
-				ingested += ws.IngestedBytes
-				compacted += ws.CompactedBytes
-				compactions += int64(ws.Compactions)
+				pages[j] = Page{
+					URL:   fmt.Sprintf("dweb://compact/%05d", doc),
+					Text:  fmt.Sprintf("compaction benchmark corpus document %05d round %03d", doc, r),
+					Links: links,
+				}
+				doc++
 			}
-			b.StopTimer()
-			b.ReportMetric(float64(compacted)/float64(int64(b.N)*rounds), "compacted_B/round")
-			if ingested > 0 {
-				b.ReportMetric(float64(ingested+compacted)/float64(ingested), "write_amp")
+			if _, err := e.PublishBatch(owner, pages); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(compactions)/float64(b.N), "compactions/run")
-		})
+		}
+		ws := e.WriteStats()
+		ingested += ws.IngestedBytes
+		compacted += ws.CompactedBytes
+		compactions += int64(ws.Compactions)
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(compacted)/float64(int64(b.N)*rounds), "compacted_B/round")
+	if ingested > 0 {
+		b.ReportMetric(float64(ingested+compacted)/float64(ingested), "write_amp")
+	}
+	b.ReportMetric(float64(compactions)/float64(b.N), "compactions/run")
 }
 
 // BenchmarkSearch measures frontend query cost on a standing index.

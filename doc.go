@@ -67,8 +67,10 @@
 // Ranking is document-at-a-time block-max WAND (docs/serving.md):
 // per-term cursors drive top-k early termination against a bounded
 // min-heap threshold, skipping every posting block that provably cannot
-// reach the current page — byte-identical to exhaustive scoring
-// (Response.ScoreStats reports postings scanned vs skipped). Segment
+// reach the current page — byte-identical to a full scan, which
+// internal/oracle models independently of the engine
+// (Response.ScoreStats reports postings scanned vs skipped). Each term
+// scores a document with the length its own shard's segment records. Segment
 // encoding remains byte-deterministic, which commit–reveal task
 // verification depends on.
 //
@@ -178,10 +180,9 @@
 // count — each ingested byte is rewritten about once per tier
 // promotion, O(log rounds) tiers — instead of growing with history;
 // Engine.WriteStats ledgers ingested vs compacted bytes and
-// RoundReceipt carries the per-round figure.
-// core.Config.MonolithicCompaction restores the legacy whole-chain merge
-// as an experiment control, with search responses byte-identical across
-// policies.
+// RoundReceipt carries the per-round figure. A segment that
+// re-registers a URL lands on every shard, so the page's new doc length
+// tombstones its old postings wherever they sit.
 //
 // The rank-epoch contract: PageRank refreshes ride the publish stream
 // as epochs. A full epoch (ComputeRanks) recomputes the whole graph; a

@@ -210,14 +210,28 @@ func (b *WorkerBee) collectWins() (contribs []contribution, count int, cost nets
 			taskID: taskID,
 			digest: pr.digest,
 			bytes:  len(pr.result),
-			shards: b.shardsOf(seg),
+			shards: b.shardsOf(task, seg),
 		})
 	}
 	return contribs, count, cost, errs
 }
 
-// shardsOf lists, ascending, the shards a segment's terms hash to.
-func (b *WorkerBee) shardsOf(seg *index.Segment) []int {
+// shardsOf lists, ascending, the shards a won task's segment lands on:
+// those its terms hash to, or every shard when the task re-registers a
+// URL. A republished page's old postings sit on the shards its old text
+// hashed to, and only a newer run's DocLens entry there tombstones them.
+func (b *WorkerBee) shardsOf(task contracts.Task, seg *index.Segment) []int {
+	pages := 1
+	if entries, isBatch := contracts.BatchEntries(task); isBatch {
+		pages = len(entries)
+	}
+	if len(contracts.FirstVersionPages(task)) < pages {
+		all := make([]int, b.cluster.cfg.NumShards)
+		for s := range all {
+			all[s] = s
+		}
+		return all
+	}
 	shards := make(map[int]bool)
 	for _, term := range seg.TermsSorted() {
 		shards[index.ShardOf(term, b.cluster.cfg.NumShards)] = true

@@ -70,13 +70,6 @@ type Config struct {
 	// instead of failing the whole wave.
 	DegradedReads bool
 
-	// MonolithicCompaction restores the legacy compaction policy (merge a
-	// shard's whole chain into one segment past a fixed threshold) instead
-	// of the size-tiered default. Search results are byte-identical either
-	// way; only write amplification differs — the E19 baseline and the
-	// TestWriteTieredMatchesMonolithic control.
-	MonolithicCompaction bool
-
 	// RankFullEvery makes every Nth rank epoch started through
 	// StartRankEpochDelta a full recompute instead of a delta — the
 	// exactness escape hatch bounding the frozen-subgraph approximation's

@@ -61,13 +61,6 @@ type Frontend struct {
 	ranksGen  uint64
 	ranksInit bool
 
-	// wand selects the top-k executor: block-max WAND early termination
-	// (the default) or exhaustive candidate scoring (SetUseBlockMax(false);
-	// the E18 baseline and the identity tests' reference). Results are
-	// byte-identical either way; queries snapshot it at start, so
-	// flipping it mid-flight never races an executing plan.
-	wand atomic.Bool
-
 	// hedge, when set by a FrontendPool, is the buddy frontend this one
 	// duplicates its slowest shard fetch onto (hedged reads); hedges
 	// counts the duplicates issued, and hedgeBill (also pool-set) books
@@ -79,7 +72,7 @@ type Frontend struct {
 
 // NewFrontend attaches a frontend to one DWeb peer of the cluster.
 func NewFrontend(c *Cluster, peer *store.Peer) *Frontend {
-	f := &Frontend{
+	return &Frontend{
 		cluster:    c,
 		peer:       peer,
 		segCache:   newLRUCache[string, *index.Segment](c.cfg.SegCacheBytes),
@@ -87,17 +80,7 @@ func NewFrontend(c *Cluster, peer *store.Peer) *Frontend {
 		docURL:     make(map[index.DocID]string),
 		ptrHolder:  make(map[int]dht.Contact),
 	}
-	f.wand.Store(true)
-	return f
 }
-
-// SetUseBlockMax selects the top-k executor: block-max WAND early
-// termination (true) or exhaustive scoring (false). Safe while queries
-// are in flight: each query snapshots the option when it starts.
-func (f *Frontend) SetUseBlockMax(on bool) { f.wand.Store(on) }
-
-// UseBlockMax reports the currently selected top-k executor.
-func (f *Frontend) UseBlockMax() bool { return f.wand.Load() }
 
 // chainEntry caches the merged view of one shard's segment chain, keyed by
 // the exact digest chain it was built from. The entry stays valid until
@@ -126,14 +109,9 @@ type Ad struct {
 
 // ScoreStats counts the ranking stage's work: postings decoded or
 // probed, skip blocks passed without decoding, and candidate documents
-// never fully scored (block-max early termination). Exhaustive scoring
-// reports zero skips; the scaling benchmark and E18 read these to show
-// sublinear growth.
-type ScoreStats struct {
-	PostingsScanned int64
-	BlocksSkipped   int64
-	DocsSkipped     int64
-}
+// never fully scored (block-max early termination). The scaling
+// benchmark and E18 read these to show sublinear growth.
+type ScoreStats = index.WANDStats
 
 // SearchResponse is the composed answer for one query.
 type SearchResponse struct {
@@ -181,22 +159,14 @@ func (f *Frontend) Search(query string, k int) (SearchResponse, error) {
 // ranking is pure CPU — so the budget is checked once, on entry: a spent
 // lifecycle returns ErrDeadlineExceeded without composing anything.
 //
-// Three executors share this stage, all producing byte-identical
-// rankings (docs/serving.md "Early termination"):
-//
-//   - direct (non-nil direct cursor): a bare-term query walks its one
-//     posting list block by block, skipping blocks whose block-max bound
-//     cannot beat the current top-(offset+limit) threshold;
-//   - WAND (useWAND, consistent doc lengths): candidates stream against
-//     per-term block cursors with frontier bounds and skip-pointer
-//     galloping;
-//   - exhaustive (fallback and ablation): every candidate is scored via
-//     one forward merge cursor per term — O(postings), not the
-//     O(docs·terms·log n) of the per-(doc,term) binary searches this
-//     replaced.
+// One block-max executor ranks every query (docs/serving.md "Early
+// termination"): a bare term (non-nil direct cursor) walks its one
+// posting list block by block, skipping blocks whose bound cannot beat
+// the current top-(offset+limit) threshold; any other plan streams its
+// candidates against per-term block cursors. Each term scores a doc with
+// the length its own shard's segment records.
 func (f *Frontend) scoreAndCompose(bud reqBudget, resp *SearchResponse, terms []string,
-	merged map[string]index.PostingList, segsByShard map[int]*index.Segment,
-	docs []index.DocID, limit, offset int, useWAND bool, direct *index.TermCursor) error {
+	segsByShard map[int]*index.Segment, docs []index.DocID, limit, offset int, direct *index.TermCursor) error {
 
 	if err := bud.check(resp.Cost.Latency); err != nil {
 		return err
@@ -210,113 +180,23 @@ func (f *Frontend) scoreAndCompose(bud reqBudget, resp *SearchResponse, terms []
 	ranks, maxRank := f.pageRankView()
 	urls := f.docURLView()
 	rankOf := func(d index.DocID) float64 { return ranks[urls[d]] }
+	// A posting whose segment records no length for its doc (never one a
+	// bee built) scores at the collection's average length.
 	avgLen := uint32(avgDocLen(stats))
-
-	// Shards are probed in ascending id order so collisions resolve the
-	// same way on every run.
-	shardIDs := make([]int, 0, len(segsByShard))
-	for sid := range segsByShard {
-		shardIDs = append(shardIDs, sid)
-	}
-	sort.Ints(shardIDs)
+	noLen := func(index.DocID) uint32 { return avgLen }
 
 	k := offset + limit
 	var top []index.ScoredDoc
-	var wstats index.WANDStats
-	switch {
-	case direct != nil:
-		// Bare-term fast path: the single shard's postings drive scoring
-		// directly, no candidate list materialized. Doc lengths probe the
-		// loaded shard segments per doc — with one shard (always, for one
-		// term) that is exactly the lens-map value the exhaustive path
-		// would have built from the same candidates.
-		docLen := func(d index.DocID) uint32 {
-			for _, sid := range shardIDs {
-				if l, ok := segsByShard[sid].DocLens[d]; ok {
-					return l
-				}
-			}
-			return avgLen
-		}
-		top = index.WANDTopKDirect(direct, scorer, docLen, rankOf, maxRank, k, &wstats)
-	default:
-		// One DocID→length lookup, built up front: each candidate probes
-		// every loaded shard at most once, instead of rescanning the
-		// shards for every (doc, term) pair in the scoring loop below.
-		// The same pass detects cross-shard disagreement on a doc's
-		// length (possible transiently under churn when shard chains
-		// re-index a page at different times): block-max bounds are
-		// computed from each segment's own lengths and are only safe
-		// against scores that use those lengths, so any disagreement
-		// falls back to exhaustive scoring for this query.
-		lens := make(map[index.DocID]uint32, len(docs))
-		lensConsistent := true
-		for _, d := range docs {
-			have := false
-			var first uint32
-			for _, sid := range shardIDs {
-				l, ok := segsByShard[sid].DocLens[d]
-				if !ok {
-					continue
-				}
-				if !have {
-					first, have = l, true
-					lens[d] = l
-					if len(shardIDs) == 1 {
-						break
-					}
-				} else if l != first {
-					lensConsistent = false
-				}
+	if direct != nil {
+		top = index.WANDTopKDirect(direct, scorer, noLen, rankOf, maxRank, k, &resp.ScoreStats)
+	} else {
+		cursors := make([]*index.TermCursor, len(terms))
+		for i, t := range terms {
+			if seg, ok := segsByShard[index.ShardOf(t, f.cluster.cfg.NumShards)]; ok {
+				cursors[i] = seg.Cursor(t)
 			}
 		}
-		docLen := func(d index.DocID) uint32 {
-			if l, ok := lens[d]; ok {
-				return l
-			}
-			return avgLen
-		}
-
-		if useWAND && lensConsistent {
-			cursors := make([]*index.TermCursor, len(terms))
-			for i, t := range terms {
-				if seg, ok := segsByShard[index.ShardOf(t, f.cluster.cfg.NumShards)]; ok {
-					cursors[i] = seg.Cursor(t)
-				}
-			}
-			top = index.WANDTopK(docs, cursors, scorer, docLen, rankOf, maxRank, k, &wstats)
-		} else {
-			// Exhaustive scoring: every candidate, every term — but via
-			// forward merge cursors (candidates and postings are both
-			// ascending), not a binary search per (doc, term) pair.
-			idx := make([]int, len(terms))
-			pls := make([]index.PostingList, len(terms))
-			for i, t := range terms {
-				pls[i] = merged[t]
-			}
-			scored := make([]index.ScoredDoc, 0, len(docs))
-			for _, d := range docs {
-				var text float64
-				for ti, pl := range pls {
-					j := idx[ti]
-					for j < len(pl) && pl[j].Doc < d {
-						j++
-					}
-					idx[ti] = j
-					wstats.PostingsScanned++
-					if j < len(pl) && pl[j].Doc == d {
-						text += scorer.TermScore(pl[j].TF, docLen(d), len(pl))
-					}
-				}
-				scored = append(scored, index.ScoredDoc{Doc: d, Score: scorer.Combine(text, rankOf(d), maxRank)})
-			}
-			top = index.TopK(scored, k)
-		}
-	}
-	resp.ScoreStats = ScoreStats{
-		PostingsScanned: wstats.PostingsScanned,
-		BlocksSkipped:   wstats.BlocksSkipped,
-		DocsSkipped:     wstats.DocsSkipped,
+		top = index.WANDTopK(docs, cursors, scorer, noLen, rankOf, maxRank, k, &resp.ScoreStats)
 	}
 	if offset >= len(top) {
 		top = nil

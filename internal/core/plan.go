@@ -262,15 +262,10 @@ func (f *Frontend) ExecuteCtx(ctx context.Context, q Query) (SearchResponse, err
 	if err := bud.check(resp.Cost.Latency); err != nil {
 		return partialTrace(nil, 0, loadCost, netsim.Cost{}, err)
 	}
-	// The executor choice is snapshotted once per query: a concurrent
-	// SetUseBlockMax call can never race a plan mid-execution.
-	useWAND := f.UseBlockMax()
-
-	var merged map[string]index.PostingList
 	var docs []index.DocID
 	var plan *ExplainNode
 	var direct *index.TermCursor
-	if useWAND && root.Kind == query.KindTerm {
+	if root.Kind == query.KindTerm {
 		// Document-at-a-time fast path: a bare term needs no merged
 		// posting map and no boolean evaluation. The cursor drives
 		// scoring block by block, and Total comes straight from the
@@ -286,13 +281,13 @@ func (f *Frontend) ExecuteCtx(ctx context.Context, q Query) (SearchResponse, err
 			plan = &ExplainNode{Op: "term", Detail: root.Term, Candidates: resp.Total}
 		}
 	} else {
-		merged = make(map[string]index.PostingList, len(allTerms))
+		merged := make(map[string]index.PostingList, len(allTerms))
 		for _, term := range allTerms {
 			if seg, ok := segsByShard[shardOf[term]]; ok {
 				merged[term] = seg.Postings(term)
 			}
 		}
-		ev := &evaluator{f: f, merged: merged, explain: q.Explain}
+		ev := &evaluator{merged: merged, explain: q.Explain}
 		if query.HasSite(root) {
 			ev.urls = f.docURLView()
 		}
@@ -301,7 +296,7 @@ func (f *Frontend) ExecuteCtx(ctx context.Context, q Query) (SearchResponse, err
 	}
 
 	if resp.Total > 0 {
-		if err := f.scoreAndCompose(bud, &resp, posTerms, merged, segsByShard, docs, limit, offset, useWAND, direct); err != nil {
+		if err := f.scoreAndCompose(bud, &resp, posTerms, segsByShard, docs, limit, offset, direct); err != nil {
 			return partialTrace(plan, resp.Total, loadCost, netsim.Cost{}, err)
 		}
 	}
@@ -370,7 +365,6 @@ func compileAST(q Query) (*query.Node, error) {
 // evaluator walks the AST bottom-up, producing sorted candidate doc
 // lists per node and, when tracing, the matching ExplainNode tree.
 type evaluator struct {
-	f       *Frontend
 	merged  map[string]index.PostingList
 	urls    map[index.DocID]string // DocID→URL snapshot; set iff the tree has site: filters
 	explain bool

@@ -12,6 +12,8 @@ import (
 	"repro/internal/dht"
 	"repro/internal/index"
 	"repro/internal/netsim"
+	"repro/internal/oracle"
+	"repro/internal/query"
 	"repro/internal/xrand"
 )
 
@@ -399,60 +401,73 @@ func TestQueryPointerShortDigestRejected(t *testing.T) {
 	fx.c.RunMaintenance()
 }
 
-// TestWritePointerStamped: all three pointer writers — the tiered RMW
-// and the monolithic policy's append and compaction — stamp the pass's
-// index generation, merges included, and a maintenance republish (raw
-// bytes) carries the stamp to the replacement replicas.
+// TestWritePointerStamped: the pointer writer stamps the pass's index
+// generation on every write, merges included, a maintenance republish
+// (raw bytes) carries the stamp to the replacement replicas, and a
+// frontend reading the stamped chains answers as the oracle does.
 func TestWritePointerStamped(t *testing.T) {
-	for _, monolithic := range []bool{false, true} {
-		cfg := DefaultConfig()
-		cfg.NumPeers = 12
-		cfg.NumBees = 3
-		cfg.NumShards = 2 // concentrate chains so merges fire
-		cfg.MonolithicCompaction = monolithic
-		c := NewCluster(cfg)
-		alice := c.NewAccount("alice", 1_000_000)
+	cfg := DefaultConfig()
+	cfg.NumPeers = 12
+	cfg.NumBees = 3
+	cfg.NumShards = 2 // concentrate chains so merges fire
+	c := NewCluster(cfg)
+	alice := c.NewAccount("alice", 1_000_000)
+	c.Seal()
+	orc := oracle.New(cfg.RankWeight)
+	compactions := 0
+	for round := 0; round < 4; round++ {
+		for j := 0; j < 5; j++ {
+			url := fmt.Sprintf("dweb://stamp/%d/%d", round, j)
+			text := fmt.Sprintf("stamped pointer workload page %d of round %d", j, round)
+			if _, err := c.Publish(alice, c.Peers[j], url, text, nil); err != nil {
+				t.Fatal(err)
+			}
+			orc.Publish(url, text)
+		}
 		c.Seal()
-		compactions := 0
-		for round := 0; round < 4; round++ {
-			for j := 0; j < 5; j++ {
-				url := fmt.Sprintf("dweb://stamp/%d/%d", round, j)
-				if _, err := c.Publish(alice, c.Peers[j], url, fmt.Sprintf("stamped pointer workload page %d of round %d", j, round), nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			c.Seal()
-			rr := c.ProcessRoundReceipt()
-			if len(rr.Errors) > 0 {
-				t.Fatalf("monolithic=%v round %d: %v", monolithic, round, rr.Errors)
-			}
-			compactions += rr.Compactions
-			gen := c.QB.IndexGen()
-			if want := uint64(5 * (round + 1)); gen != want {
-				t.Fatalf("monolithic=%v round %d: index generation %d, want %d", monolithic, round, gen, want)
-			}
-			for shard := 0; shard < cfg.NumShards; shard++ {
-				ptr, _, err := readShardPointer(c.Peers[11].DHT(), shard)
-				if err != nil || ptr.Gen != gen {
-					t.Fatalf("monolithic=%v round %d shard %d: pointer %+v (err %v), want stamp %d", monolithic, round, shard, ptr, err, gen)
-				}
+		rr := c.ProcessRoundReceipt()
+		if len(rr.Errors) > 0 {
+			t.Fatalf("round %d: %v", round, rr.Errors)
+		}
+		compactions += rr.Compactions
+		gen := c.QB.IndexGen()
+		if want := uint64(5 * (round + 1)); gen != want {
+			t.Fatalf("round %d: index generation %d, want %d", round, gen, want)
+		}
+		for shard := 0; shard < cfg.NumShards; shard++ {
+			ptr, _, err := readShardPointer(c.Peers[11].DHT(), shard)
+			if err != nil || ptr.Gen != gen {
+				t.Fatalf("round %d shard %d: pointer %+v (err %v), want stamp %d", round, shard, ptr, err, gen)
 			}
 		}
-		if compactions == 0 {
-			t.Fatalf("monolithic=%v: no compaction fired; the merge writers were not exercised", monolithic)
-		}
+	}
+	if compactions == 0 {
+		t.Fatal("no compaction fired; the merge writer was not exercised")
+	}
 
-		// Kill a replica holder; maintenance republishes the raw record.
-		loc, _, err := c.Peers[11].DHT().Locate(context.Background(), pointerKey(0))
+	// Kill a replica holder; maintenance republishes the raw record.
+	loc, _, err := c.Peers[11].DHT().Locate(context.Background(), pointerKey(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Net.SetDown(loc.Holder.Addr, true)
+	if pass := c.RunMaintenance(); pass.Republished == 0 {
+		t.Fatal("maintenance republished nothing after a replica died")
+	}
+	if ptr, _, err := readShardPointer(c.Peers[11].DHT(), 0); err != nil || ptr.Gen != c.QB.IndexGen() {
+		t.Fatalf("pointer after repair %+v (err %v), want stamp %d", ptr, err, c.QB.IndexGen())
+	}
+	for _, q := range []string{"stamped workload", "round"} {
+		resp, err := NewFrontend(c, c.Peers[11]).Search(q, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Net.SetDown(loc.Holder.Addr, true)
-		if pass := c.RunMaintenance(); pass.Republished == 0 {
-			t.Fatalf("monolithic=%v: maintenance republished nothing after a replica died", monolithic)
+		root, err := oracle.Flat(q, query.KindAnd)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ptr, _, err := readShardPointer(c.Peers[11].DHT(), 0); err != nil || ptr.Gen != c.QB.IndexGen() {
-			t.Fatalf("monolithic=%v: pointer after repair %+v (err %v), want stamp %d", monolithic, ptr, err, c.QB.IndexGen())
+		if diff := oracleDiff(resp, orc.Search(root, c.QB.PageRanks(), 0, 20)); diff != "" {
+			t.Fatalf("query %q: %s", q, diff)
 		}
 	}
 }

@@ -120,8 +120,7 @@ type RoundReceipt struct {
 	// CompactedBytes is the merged-segment bytes compaction rewrote. The
 	// write-amplification claim E19 tabulates is their ratio over a
 	// steady-ingest run: (ingested+compacted)/ingested stays
-	// O(log shard bytes) under the tiered policy and grows O(shard
-	// bytes) under the monolithic one.
+	// O(log shard bytes) under tiered compaction.
 	IngestedBytes  int64
 	CompactedBytes int64
 
@@ -366,35 +365,14 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 	runs := make(map[string]*index.Segment)
 	for j, s := range shardOrder {
 		w := writerByShard[s]
-		var compacted bool
-		var compactedBytes int64
+		ptr, cost, wrote, res, err := materializeShardTiered(w.Peer.DHT(), s, c.cfg.NumShards, gen, digestsByShard[s], runs)
+		pass.Shards[j], shardWrote[j], shardPtrs[j] = cost, wrote, ptr
 		var errs []RoundError
-		if c.cfg.MonolithicCompaction {
-			// Legacy policy (the E19 control): append in one RMW, then
-			// merge the whole chain into one segment past the threshold
-			// (a second pointer write when it fires).
-			ptr, at, cost, wrote, err := appendSegmentsToShard(w.Peer.DHT(), s, gen, digestsByShard[s])
-			pass.Shards[j], shardWrote[j], shardPtrs[j] = cost, wrote, ptr
-			if err != nil {
-				errs = append(errs, RoundError{Bee: w.Name, Shard: s, Stage: "shard-append", Err: err})
-			} else {
-				ptr, ccost, merged, mergedBytes, err := compactShardFromPtr(w.Peer.DHT(), at, gen, ptr)
-				pass.Shards[j].Write = cost.Write.Seq(ccost)
-				shardPtrs[j], compacted, compactedBytes = ptr, merged, mergedBytes
-				if err != nil {
-					errs = append(errs, RoundError{Bee: w.Name, Shard: s, Stage: "compact", Err: err})
-				}
-			}
-		} else {
-			ptr, cost, wrote, res, err := materializeShardTiered(w.Peer.DHT(), s, c.cfg.NumShards, gen, digestsByShard[s], runs)
-			pass.Shards[j], shardWrote[j], shardPtrs[j] = cost, wrote, ptr
-			compacted, compactedBytes = res.Compacted, res.CompactedBytes
-			if err != nil {
-				errs = append(errs, RoundError{Bee: w.Name, Shard: s, Stage: "shard-append", Err: err})
-			}
-			if res.MergeErr != nil {
-				errs = append(errs, RoundError{Bee: w.Name, Shard: s, Stage: "compact", Err: res.MergeErr})
-			}
+		if err != nil {
+			errs = append(errs, RoundError{Bee: w.Name, Shard: s, Stage: "shard-append", Err: err})
+		}
+		if res.MergeErr != nil {
+			errs = append(errs, RoundError{Bee: w.Name, Shard: s, Stage: "compact", Err: res.MergeErr})
 		}
 		w.Cost = w.Cost.Seq(pass.Shards[j].total())
 		w.Errs = append(w.Errs, errs...)
@@ -403,9 +381,9 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 		if shardWrote[j] {
 			r.PointerWrites++
 		}
-		if compacted {
+		if res.Compacted {
 			r.Compactions++
-			r.CompactedBytes += compactedBytes
+			r.CompactedBytes += res.CompactedBytes
 		}
 	}
 	c.noteShardTiers(shardOrder, shardWrote, shardPtrs)

@@ -16,11 +16,10 @@ import (
 // records; the pointer is versioned (DHT sequence numbers) so later
 // updates win.
 //
-// Levels records each run's compaction tier under the tiered policy:
-// Levels[i] is the tier of Digests[i] (0 = a raw round segment, k = the
-// product of k merges). A nil Levels — a pre-tiered pointer, or one
-// written by the monolithic policy — means every run is level 0. The
-// tiered writer maintains the invariant that levels are non-increasing
+// Levels records each run's compaction tier: Levels[i] is the tier of
+// Digests[i] (0 = a raw round segment, k = the product of k merges). A
+// nil Levels — a pre-tiered pointer — means every run is level 0. The
+// writer maintains the invariant that levels are non-increasing
 // along the chain (appends land level-0 runs at the end; a merge
 // replaces a level's contiguous run block with one higher-level run at
 // the block's start), which is what makes every merge a contiguous,
@@ -30,9 +29,8 @@ import (
 // Gen is the chain's index generation (contracts.QueenBee.IndexGen) the
 // writing materialize pass ran at. Pointers only move in the pass that
 // follows an index-task finalization, so each writing pass carries a
-// newer generation than the last, and a pass writes each shard once
-// (the monolithic policy's compaction rewrites it with the same
-// documents, merged): a record stamped with the chain's current
+// newer generation than the last, and a pass writes each shard once: a
+// record stamped with the chain's current
 // generation is the newest one, and a reader can accept it from a
 // single replica (Frontend.readPointer). Zero means unstamped
 // (hand-written pointers) and never verifies.
@@ -124,27 +122,25 @@ func readShardPointerCtx(ctx context.Context, d *dht.Node, shard int) (ShardPoin
 // returns the record to write with its DHT sequence (nil: nothing to
 // write), the DHT traffic the mutation itself paid, and an error that
 // abandons the write. A write no replica accepted (every one holds a
-// newer sequence, or is unreachable) is an error too. The walk is
-// returned so a follow-up write of the same key (monolithic compaction's
-// second pointer write) reuses it as well.
+// newer sequence, or is unreachable) is an error too.
 //
 // The cost comes back split where the dependencies split (RMWCost): the
 // read needs nothing the caller did before, the mutation and the write
 // need the read — and whatever the new record names.
-func rmw(d *dht.Node, key dht.Key, mutate func(cur []byte) (next []byte, seq uint64, cost netsim.Cost, err error)) (at dht.Walk, cost RMWCost, wrote bool, err error) {
+func rmw(d *dht.Node, key dht.Key, mutate func(cur []byte) (next []byte, seq uint64, cost netsim.Cost, err error)) (cost RMWCost, wrote bool, err error) {
 	loc, rcost, err := d.Locate(context.Background(), key)
 	cost.Read = rcost
 	if err != nil && err != dht.ErrNotFound {
-		return loc.Walk, cost, false, err
+		return cost, false, err
 	}
 	next, seq, mcost, err := mutate(loc.Value)
 	cost.Write = mcost
 	if err != nil || next == nil {
-		return loc.Walk, cost, false, err
+		return cost, false, err
 	}
 	_, wcost, err := d.PutAt(loc.Walk, next, seq)
 	cost.Write = mcost.Seq(wcost)
-	return loc.Walk, cost, err == nil, err
+	return cost, err == nil, err
 }
 
 // RMWCost is what one read-modify-write cost, in the two halves a round
@@ -184,7 +180,7 @@ func decodeCurrentPointer(shard int, cur []byte) (ShardPointer, error) {
 
 // appendDigests appends every digest not already in the chain,
 // preserving the given order, and reports whether any was new. Levels
-// is left to the caller (the tiered policy pads it with level 0).
+// is left to the caller, which pads it with level 0.
 func (p *ShardPointer) appendDigests(digests []string) bool {
 	existing := make(map[string]bool, len(p.Digests))
 	for _, dg := range p.Digests {
@@ -200,30 +196,6 @@ func (p *ShardPointer) appendDigests(digests []string) bool {
 		appended = true
 	}
 	return appended
-}
-
-// appendSegmentsToShard reads a shard pointer once, appends every digest
-// not already present (preserving the given order) and writes back one
-// bumped version — the batch read-modify-write of the round engine. A
-// round that lands K segments on a shard costs one RMW, not K. The
-// returned pointer reflects the written state and the walk is the one
-// the read ran, so compaction can reuse both without re-reading; wrote
-// reports whether a pointer write happened. gen is the pass's index
-// generation, stamped on every written pointer.
-func appendSegmentsToShard(d *dht.Node, shard int, gen uint64, digests []string) (ptr ShardPointer, at dht.Walk, cost RMWCost, wrote bool, err error) {
-	at, cost, wrote, err = rmw(d, pointerKey(shard), func(cur []byte) ([]byte, uint64, netsim.Cost, error) {
-		var derr error
-		if ptr, derr = decodeCurrentPointer(shard, cur); derr != nil {
-			return nil, 0, netsim.Cost{}, derr
-		}
-		if !ptr.appendDigests(digests) {
-			return nil, 0, netsim.Cost{}, nil
-		}
-		ptr.Version++
-		ptr.Gen = gen
-		return encodeJSON(ptr), ptr.Version, netsim.Cost{}, nil
-	})
-	return ptr, at, cost, wrote, err
 }
 
 // writeSegment stores an immutable segment record under its digest key.
@@ -260,66 +232,19 @@ func readSegmentCtx(ctx context.Context, d *dht.Node, digestHex string) (*index.
 	return seg, cost, nil
 }
 
-// compactionThreshold is the chain length at which a shard's segments
-// are merged into one. Compaction is the off-chain optimization worker
-// bees run so query-time merging stays cheap (ablation A4 measures the
-// effect); the round engine checks it at most once per shard per round,
-// against the pointer it just wrote.
-const compactionThreshold = 8
-
-// compactShardFromPtr merges a shard's segment chain into one segment
-// when it has grown past the threshold, reusing the caller's
-// already-read pointer (no extra DHT read). This is the monolithic
-// policy (Config.MonolithicCompaction — the E19 control): every firing
-// rewrites O(shard bytes). Returns the pointer as written, whether a
-// compaction happened, and the merged bytes it rewrote. at is the walk
-// the append's read ran toward this pointer: the second pointer write
-// lands on it.
-func compactShardFromPtr(d *dht.Node, at dht.Walk, gen uint64, ptr ShardPointer) (ShardPointer, netsim.Cost, bool, int64, error) {
-	var cost netsim.Cost
-	if len(ptr.Digests) < compactionThreshold {
-		return ptr, cost, false, 0, nil
-	}
-	var segs []*index.Segment
-	for _, dg := range ptr.Digests {
-		// The runs are immutable and independent: one fetch wave.
-		seg, c2, err := readSegmentCtx(context.Background(), d, dg)
-		cost = cost.Par(c2)
-		if err != nil {
-			return ptr, cost, false, 0, err
-		}
-		segs = append(segs, seg)
-	}
-	merged := index.Merge(segs)
-	data := merged.Encode()
-	digest := index.DigestOf(data)
-	wcost, err := writeSegment(d, digest, data)
-	cost = cost.Seq(wcost)
-	if err != nil {
-		return ptr, cost, false, 0, err
-	}
-	ptr.Digests = []string{digest}
-	ptr.Version++
-	ptr.Gen = gen
-	_, wcost, err = d.PutAt(at, encodeJSON(ptr), ptr.Version)
-	return ptr, cost.Seq(wcost), err == nil, int64(len(data)), err
-}
-
 // tieredFanout is the size-tiered compaction fan-out: once a level holds
 // this many runs, all of them merge into one run at the next level. With
 // one round segment landing per round, each ingested byte is rewritten
 // once per level promotion, so steady-state bytes rewritten per round is
-// O(round bytes · log_fanout(shard bytes)) instead of the monolithic
-// policy's O(shard bytes).
+// O(round bytes · log_fanout(shard bytes)), where merging a shard's
+// whole chain would rewrite O(shard bytes).
 const tieredFanout = 4
 
 // tieredResult reports what one tiered shard materialization did beyond
 // the plain append.
 type tieredResult struct {
-	// Compacted reports whether a merge happened; Level is the tier that
-	// merged (meaningful only when Compacted).
+	// Compacted reports whether a merge happened.
 	Compacted bool
-	Level     int
 	// CompactedBytes is the size of the merged segment written — the
 	// write-amplification numerator next to the round's ingested bytes.
 	CompactedBytes int64
@@ -352,14 +277,13 @@ type tieredResult struct {
 // one: level-0 runs enter in chain order = Gen order, the levels along
 // the chain are non-increasing, so a level's runs form a contiguous
 // block and replacing the block with its index.Merge (oldest-first,
-// newer-shadows-older) preserves document precedence exactly. Search
-// results are byte-identical to the monolithic policy's
-// (TestWriteTieredMatchesMonolithic asserts it).
+// newer-shadows-older) preserves document precedence exactly
+// (TestWriteTieredMatchesOracle checks the answers).
 //
 // runs is the materialize pass's table of decoded runs (see
 // mergeFullTier), shared by every shard the pass writes.
 func materializeShardTiered(d *dht.Node, shard, numShards int, gen uint64, digests []string, runs map[string]*index.Segment) (ptr ShardPointer, cost RMWCost, wrote bool, res tieredResult, err error) {
-	_, cost, wrote, err = rmw(d, pointerKey(shard), func(cur []byte) ([]byte, uint64, netsim.Cost, error) {
+	cost, wrote, err = rmw(d, pointerKey(shard), func(cur []byte) ([]byte, uint64, netsim.Cost, error) {
 		var mcost netsim.Cost
 		var derr error
 		if ptr, derr = decodeCurrentPointer(shard, cur); derr != nil {
@@ -465,5 +389,5 @@ func mergeFullTier(d *dht.Node, shard, numShards int, ptr *ShardPointer, runs ma
 	keepDigests[spliceAt] = digest
 	ptr.Digests = keepDigests
 	ptr.Levels = keepLevels
-	return tieredResult{Compacted: true, Level: mergeLevel, CompactedBytes: int64(len(data))}, cost
+	return tieredResult{Compacted: true, CompactedBytes: int64(len(data))}, cost
 }

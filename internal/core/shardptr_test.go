@@ -66,14 +66,15 @@ func TestShardCompactionBoundsSegmentChains(t *testing.T) {
 	c.RunUntilIdle(8)
 
 	// With 30 docs over 2 shards, uncompacted chains would be ~15 long.
-	// Compaction (threshold 8) must keep every chain below that.
+	// Tiered compaction (a merge once a level holds 4 runs) must keep
+	// every chain well below that.
 	reader := c.Peers[1].DHT()
 	for shard := 0; shard < cfg.NumShards; shard++ {
 		ptr, _, err := readShardPointer(reader, shard)
 		if err != nil {
 			t.Fatalf("shard %d: %v", shard, err)
 		}
-		if len(ptr.Digests) >= compactionThreshold+2 {
+		if len(ptr.Digests) >= 10 {
 			t.Fatalf("shard %d chain = %d segments; compaction not working", shard, len(ptr.Digests))
 		}
 	}

@@ -14,73 +14,86 @@ import (
 	"repro/internal/dht"
 	"repro/internal/index"
 	"repro/internal/netsim"
+	"repro/internal/oracle"
+	"repro/internal/query"
 )
 
-// TestWriteTieredMatchesMonolithic is the tiered-compaction safety
+// TestWriteTieredMatchesOracle is the tiered-compaction safety
 // property: across seeds and round counts, a cluster on the tiered
-// write path answers every query — results, scores, rank blend — and
-// finalizes every rank vector byte-identically to one on the
-// monolithic policy. The two policies produce different segment chains
-// (that is the point), but index.Merge over either chain must yield
-// the same logical index. Runs under CI's -count=2 re-run pattern, so
-// it also guards against residual global state.
-func TestWriteTieredMatchesMonolithic(t *testing.T) {
+// write path answers every query — results, scores, rank blend, totals —
+// exactly as the oracle does over the same pages, fed the cluster's
+// finalized ranks, and its collection statistics are the oracle's. The
+// segment chains differ from round to round as runs merge, but
+// index.Merge over any of them must yield the one logical index. Runs
+// under CI's -count=2 re-run pattern, so it also guards against residual
+// global state.
+func TestWriteTieredMatchesOracle(t *testing.T) {
 	queries := []string{"workload", "payload body", "document"}
 	for _, seed := range []uint64{1, 7} {
 		for _, rounds := range []int{2, 5} {
 			t.Run(fmt.Sprintf("seed=%d,rounds=%d", seed, rounds), func(t *testing.T) {
-				tiered := driveWritePath(t, seed, rounds, false, queries)
-				mono := driveWritePath(t, seed, rounds, true, queries)
+				run := driveWritePath(t, seed, rounds, queries)
 				for i, q := range queries {
-					if !reflect.DeepEqual(tiered.responses[i], mono.responses[i]) {
-						t.Fatalf("query %q diverged:\ntiered: %+v\nmonolithic: %+v",
-							q, tiered.responses[i], mono.responses[i])
+					root, err := oracle.Flat(q, query.KindAnd)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if diff := oracleDiff(run.responses[i], run.oracle.Search(root, run.ranks, 0, run.docs)); diff != "" {
+						t.Fatalf("query %q: %s", q, diff)
 					}
 				}
-				if !reflect.DeepEqual(tiered.ranks, mono.ranks) {
-					t.Fatalf("rank vectors diverged:\ntiered: %v\nmonolithic: %v",
-						tiered.ranks, mono.ranks)
-				}
-				if tiered.stats != mono.stats {
-					t.Fatalf("index stats diverged: tiered %+v vs monolithic %+v",
-						tiered.stats, mono.stats)
+				if docs, tokens := run.oracle.Stats(); run.stats.Docs != docs || run.stats.Tokens != tokens {
+					t.Fatalf("index stats %+v, oracle %d docs %d tokens", run.stats, docs, tokens)
 				}
 				// At five rounds the workload overflows level-0 buckets, so
-				// the equivalence must have been exercised across real merges.
-				if rounds >= 5 && tiered.write.Compactions == 0 {
-					t.Fatalf("tiered run never compacted; property not exercised: %+v", tiered.write)
-				}
-				if tiered.write.IngestedBytes != mono.write.IngestedBytes {
-					t.Fatalf("ingested bytes diverged: tiered %d vs monolithic %d",
-						tiered.write.IngestedBytes, mono.write.IngestedBytes)
+				// the property must have been exercised across real merges.
+				if rounds >= 5 && run.write.Compactions == 0 {
+					t.Fatalf("tiered run never compacted; property not exercised: %+v", run.write)
 				}
 			})
 		}
 	}
 }
 
-// writePathRun is one policy's observable outcome for the property test.
+// oracleDiff describes how a response differs from the oracle's answer,
+// or returns "" when they agree on the total and every result's URL,
+// score and rank.
+func oracleDiff(resp SearchResponse, want oracle.Response) string {
+	if resp.Total != want.Total || len(resp.Results) != len(want.Results) {
+		return fmt.Sprintf("total %d with %d results, oracle %d with %d", resp.Total, len(resp.Results), want.Total, len(want.Results))
+	}
+	for i, r := range resp.Results {
+		if got := (oracle.Result{URL: r.URL, Score: r.Score, Rank: r.Rank}); got != want.Results[i] {
+			return fmt.Sprintf("result %d = %+v, oracle %+v", i, got, want.Results[i])
+		}
+	}
+	return ""
+}
+
+// writePathRun is what the property test observes of one run.
 type writePathRun struct {
-	responses [][]Result
+	responses []SearchResponse
 	ranks     map[string]float64
 	stats     contracts.IndexStats
 	write     WriteStats
+	oracle    *oracle.Oracle // fed the same pages
+	docs      int
 }
 
-// driveWritePath boots a cluster under one compaction policy, ingests
-// a linked corpus over the given number of publish rounds, finalizes a
-// full rank epoch, and snapshots everything a reader can observe.
-func driveWritePath(t *testing.T, seed uint64, rounds int, monolithic bool, queries []string) writePathRun {
+// driveWritePath boots a cluster, ingests a linked corpus over the given
+// number of publish rounds, finalizes a full rank epoch, and snapshots
+// everything a reader can observe.
+func driveWritePath(t *testing.T, seed uint64, rounds int, queries []string) writePathRun {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Seed = seed
 	cfg.NumPeers = 10
 	cfg.NumBees = 3
 	cfg.NumShards = 2 // concentrate chains so merges actually fire
-	cfg.MonolithicCompaction = monolithic
 	c := NewCluster(cfg)
 	alice := c.NewAccount("alice", 1_000_000)
 	c.Seal()
+	orc := oracle.New(cfg.RankWeight)
 
 	doc := 0
 	for r := 0; r < rounds; r++ {
@@ -95,6 +108,7 @@ func driveWritePath(t *testing.T, seed uint64, rounds int, monolithic bool, quer
 			if _, err := c.Publish(alice, c.Peers[doc%len(c.Peers)], url, text, links); err != nil {
 				t.Fatal(err)
 			}
+			orc.Publish(url, text)
 			doc++
 		}
 		c.Seal()
@@ -103,14 +117,14 @@ func driveWritePath(t *testing.T, seed uint64, rounds int, monolithic bool, quer
 	c.StartRankEpoch(2)
 	c.RunUntilIdle(10)
 
-	run := writePathRun{ranks: c.QB.PageRanks(), write: c.WriteStats(), stats: c.QB.IndexStats()}
+	run := writePathRun{ranks: c.QB.PageRanks(), write: c.WriteStats(), stats: c.QB.IndexStats(), oracle: orc, docs: doc}
 	fe := NewFrontend(c, c.Peers[2])
 	for _, q := range queries {
 		resp, err := fe.Search(q, doc)
 		if err != nil {
-			t.Fatalf("query %q under monolithic=%v: %v", q, monolithic, err)
+			t.Fatalf("query %q: %v", q, err)
 		}
-		run.responses = append(run.responses, resp.Results)
+		run.responses = append(run.responses, resp)
 	}
 	return run
 }
@@ -266,7 +280,7 @@ func TestWriteRefusedStoreSurfaces(t *testing.T) {
 	}
 
 	// The helper itself: a mutation that comes back with an old sequence.
-	_, cost, wrote, err := rmw(c.Bees[0].Peer.DHT(), pointerKey(bad), func(cur []byte) ([]byte, uint64, netsim.Cost, error) {
+	cost, wrote, err := rmw(c.Bees[0].Peer.DHT(), pointerKey(bad), func(cur []byte) ([]byte, uint64, netsim.Cost, error) {
 		if string(cur) != "not json" {
 			t.Fatalf("rmw read %q", cur)
 		}

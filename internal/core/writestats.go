@@ -5,9 +5,8 @@ import "sort"
 // WriteStats is the cluster's accumulated write-path accounting: round
 // counters summed over every materialize pass, plus a snapshot of the
 // current segment-chain tier layout. The write-amplification contract
-// (docs/indexing.md) is asserted against these: under the tiered policy
-// Amplification stays O(log shard bytes) at steady ingest, while the
-// monolithic policy's grows with the shard.
+// (docs/indexing.md) is asserted against these: under tiered compaction
+// Amplification stays O(log shard bytes) at steady ingest.
 type WriteStats struct {
 	// Rounds counts processed rounds (ProcessRoundReceipt calls).
 	Rounds int
@@ -21,8 +20,7 @@ type WriteStats struct {
 	IngestedBytes  int64
 	CompactedBytes int64
 	// SegmentsPerTier is the current chain layout aggregated across
-	// shards: SegmentsPerTier[k] counts level-k runs. Under the
-	// monolithic policy everything reports as tier 0.
+	// shards: SegmentsPerTier[k] counts level-k runs.
 	SegmentsPerTier []int
 }
 

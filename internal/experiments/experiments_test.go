@@ -117,13 +117,15 @@ func TestE17PipelinedBeatsSerial(t *testing.T) {
 	}
 }
 
-// TestE19WritePathScaling encodes the ISSUE 10 acceptance shape: as the
-// run length quadruples, the tiered policy's steady-state bytes per
-// round stay flat (within the documented ~2× log-factor) while the
-// monolithic policy's grow at least 2×; the tiered run's cumulative
-// write amplification beats the monolithic run's at every scale. On the
-// rank side, the delta epoch must cost strictly less than the full
-// recompute at every graph size while keeping the top-10 exact.
+// TestE19WritePathScaling encodes the write-path scaling acceptance
+// shape: as the run length quadruples, steady-state compacted bytes per
+// round stay flat and the cumulative write amplification grows only by
+// its log factor. The bounds sit above seed 1's readings (compacted
+// B/round 1 304 → 2 620, at most 2.3× the ingested bytes; amplification
+// 2.15 → 3.02), well below what merging a shard's whole chain would
+// cost (15 816 → 46 537 B/round, amplification 6.5 → 20.5). On the rank
+// side, the delta epoch must cost strictly less than the full recompute
+// at every graph size while keeping the top-10 exact.
 func TestE19WritePathScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavyweight")
@@ -145,20 +147,16 @@ func TestE19WritePathScaling(t *testing.T) {
 		}
 		return v
 	}
-	monoFirst, monoLast := cell(comp, 0, 1), cell(comp, 2, 1)
-	tieredFirst, tieredLast := cell(comp, 0, 2), cell(comp, 2, 2)
-	if monoLast < 2*monoFirst {
-		t.Fatalf("monolithic bytes/round grew only %.0f -> %.0f over 4x rounds; expected ~linear growth",
-			monoFirst, monoLast)
-	}
-	if tieredLast > 2.5*tieredFirst {
-		t.Fatalf("tiered bytes/round grew %.0f -> %.0f over 4x rounds; expected flat (±2x)",
-			tieredFirst, tieredLast)
+	if first, last := cell(comp, 0, 2), cell(comp, 2, 2); last > 2.5*first {
+		t.Fatalf("compacted bytes/round grew %.0f -> %.0f over 4x rounds; expected flat (±2.5x)", first, last)
 	}
 	for r := 0; r < comp.Rows(); r++ {
-		if monoAmp, tieredAmp := cell(comp, r, 3), cell(comp, r, 4); tieredAmp >= monoAmp {
-			t.Fatalf("row %d: tiered amplification %.2f not below monolithic %.2f", r, tieredAmp, monoAmp)
+		if ingested, compacted := cell(comp, r, 1), cell(comp, r, 2); compacted > 3*ingested {
+			t.Fatalf("row %d: compacted %.0f B/round exceeds 3x the %.0f ingested", r, compacted, ingested)
 		}
+	}
+	if first, last := cell(comp, 0, 3), cell(comp, 2, 3); last > 1.5*first {
+		t.Fatalf("write amplification grew %.2f -> %.2f over 4x rounds; expected log growth (≤1.5x)", first, last)
 	}
 
 	rk := tables[1]
@@ -190,20 +188,17 @@ func TestE11ZeroColludersZeroCorruption(t *testing.T) {
 }
 
 // TestE18ResultsIdentical encodes the E18 acceptance shape: block-max
-// WAND returns exactly the same result lists as exhaustive scoring
-// while decoding no more postings than the exhaustive path does.
+// WAND returns exactly the oracle's responses while decoding no more
+// postings than the full scan matches.
 func TestE18ResultsIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavyweight")
 	}
-	wand, exhaustive := e18Run(1, 48)
-	if !wand.identical || !exhaustive.identical {
-		t.Fatalf("WAND results diverged from exhaustive: wand=%+v exhaustive=%+v", wand, exhaustive)
+	s := e18Run(1, 48)
+	if !s.oracleOK {
+		t.Fatalf("WAND responses diverged from the oracle: %+v", s)
 	}
-	if wand.scanned > exhaustive.scanned {
-		t.Fatalf("WAND scanned more postings than exhaustive: %.1f > %.1f", wand.scanned, exhaustive.scanned)
-	}
-	if exhaustive.skipped != 0 || exhaustive.docsSkip != 0 {
-		t.Fatalf("exhaustive path reported skips: %+v", exhaustive)
+	if s.scanned > s.matched {
+		t.Fatalf("WAND scanned more postings than the full scan matches: %.1f > %.1f", s.scanned, s.matched)
 	}
 }

@@ -51,7 +51,7 @@ func (s *Segment) Cursor(term string) *TermCursor {
 	if m == nil {
 		return nil
 	}
-	return &TermCursor{df: m.df, skips: m.skips, pl: m.pl, src: m.src, decoded: -1, boundBi: -1}
+	return &TermCursor{df: m.df, skips: m.skips, pl: m.pl, src: m.src, lens: s.DocLens, decoded: -1, boundBi: -1}
 }
 
 // buildCursorMeta assembles a term's skip metadata. Lazy segments parse
@@ -136,6 +136,7 @@ type TermCursor struct {
 	skips []BlockSkip
 	pl    PostingList
 	src   *lazyTermSource
+	lens  map[DocID]uint32 // the segment's doc lengths, which the skips' bounds use
 
 	bi      int // current block index (len(skips) = exhausted)
 	decoded int // block currently decoded into docs/tfs (-1 = none)
@@ -196,6 +197,15 @@ func (c *TermCursor) Bound(sc *Scorer) float64 {
 		c.boundVal = c.boundOf(c.bi, sc)
 	}
 	return c.boundVal
+}
+
+// docLen is d's length in the cursor's segment, or fallback(d) when the
+// segment records none (its bounds then assumed length 0, the maximum).
+func (c *TermCursor) docLen(d DocID, fallback func(DocID) uint32) uint32 {
+	if l, ok := c.lens[d]; ok {
+		return l
+	}
+	return fallback(d)
 }
 
 // boundOf computes block bi's bound without moving the cursor.

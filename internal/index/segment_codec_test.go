@@ -365,16 +365,18 @@ func TestCursorIndependence(t *testing.T) {
 }
 
 // exhaustiveTopK is the reference scorer the WAND executor must match
-// byte for byte: probe every (candidate, term) pair with Find, sum text
-// scores in term order, blend rank, TopK.
-func exhaustiveTopK(cands []DocID, terms []string, seg *Segment, sc *Scorer, docLens map[DocID]uint32, ranks map[DocID]float64, maxRank float64, k int) []ScoredDoc {
+// byte for byte: probe every (candidate, term) pair with Find in the
+// term's own segment (segs aligned with terms), score it with that
+// segment's length for the doc, sum text scores in term order, blend
+// rank, TopK.
+func exhaustiveTopK(cands []DocID, terms []string, segs []*Segment, sc *Scorer, ranks map[DocID]float64, maxRank float64, k int) []ScoredDoc {
 	scored := make([]ScoredDoc, 0, len(cands))
 	for _, d := range cands {
 		text := 0.0
-		for _, term := range terms {
-			pl := seg.Postings(term)
+		for i, term := range terms {
+			pl := segs[i].Postings(term)
 			if p, ok := pl.Find(d); ok {
-				text += sc.TermScore(p.TF, docLens[d], len(pl))
+				text += sc.TermScore(p.TF, segs[i].DocLens[d], len(pl))
 			}
 		}
 		scored = append(scored, ScoredDoc{Doc: d, Score: sc.Combine(text, ranks[d], maxRank)})
@@ -382,17 +384,42 @@ func exhaustiveTopK(cands []DocID, terms []string, seg *Segment, sc *Scorer, doc
 	return TopK(scored, k)
 }
 
+// noDocLen is the executors' length fallback in tests whose segments
+// record a length for every posting: each term must score with its own
+// segment's lengths, so the fallback is never consulted.
+func noDocLen(t *testing.T) func(DocID) uint32 {
+	return func(d DocID) uint32 {
+		t.Errorf("doc %d scored without its segment's length", d)
+		return 0
+	}
+}
+
 // TestWANDMatchesExhaustiveProperty: across random segments, term
 // subsets, k values and rank weights (including 0 and extreme), WANDTopK
 // must return exactly what exhaustive scoring returns — same docs, same
-// scores, same order.
+// scores, same order. With split set, every other term reads a second
+// segment holding the same postings under different doc lengths, as two
+// shards do while they disagree on a republished page: each term scores
+// with its own segment's lengths.
 func TestWANDMatchesExhaustiveProperty(t *testing.T) {
-	f := func(seed uint16, kRaw uint8, rwRaw uint8) bool {
+	f := func(seed uint16, kRaw uint8, rwRaw uint8, split bool) bool {
 		rng := xrand.New(uint64(seed) + 3)
 		seg := randomDocSegment(uint64(seed), 1)
 		dec, err := DecodeSegment(seg.Encode())
 		if err != nil {
 			t.Logf("decode: %v", err)
+			return false
+		}
+		alt := NewSegment(2)
+		for term, pl := range seg.Terms {
+			alt.Terms[term] = pl
+		}
+		for _, d := range sortedDocIDs(seg.DocLens) {
+			alt.DocLens[d] = 2*seg.DocLens[d] + uint32(rng.Intn(5))
+		}
+		altDec, err := DecodeSegment(alt.Encode())
+		if err != nil {
+			t.Logf("decode alt: %v", err)
 			return false
 		}
 		all := dec.TermsSorted()
@@ -405,6 +432,14 @@ func TestWANDMatchesExhaustiveProperty(t *testing.T) {
 			terms = append(terms, all[rng.Intn(len(all))])
 		}
 		terms = append(terms, "zz-absent") // absent terms must be tolerated
+		built := make([]*Segment, len(terms))
+		cursors := make([]*TermCursor, len(terms))
+		for i, term := range terms {
+			built[i], cursors[i] = seg, dec.Cursor(term)
+			if split && i%2 == 1 {
+				built[i], cursors[i] = alt, altDec.Cursor(term)
+			}
+		}
 
 		// Candidates: union of the chosen terms' docs (ascending, unique).
 		seen := map[DocID]bool{}
@@ -435,14 +470,9 @@ func TestWANDMatchesExhaustiveProperty(t *testing.T) {
 		sc := NewScorer(CorpusStats{DocCount: len(dec.DocLens), AvgDocLen: 7}, rw)
 		k := 1 + int(kRaw)%12
 
-		want := exhaustiveTopK(cands, terms, seg, sc, seg.DocLens, ranks, maxRank, k)
-		cursors := make([]*TermCursor, len(terms))
-		for i, term := range terms {
-			cursors[i] = dec.Cursor(term)
-		}
+		want := exhaustiveTopK(cands, terms, built, sc, ranks, maxRank, k)
 		var stats WANDStats
-		got := WANDTopK(cands, cursors, sc,
-			func(d DocID) uint32 { return dec.DocLens[d] },
+		got := WANDTopK(cands, cursors, sc, noDocLen(t),
 			func(d DocID) float64 { return ranks[d] },
 			maxRank, k, &stats)
 		if len(got) != len(want) {
@@ -451,7 +481,7 @@ func TestWANDMatchesExhaustiveProperty(t *testing.T) {
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Logf("rank %d: %+v, want %+v (rw=%v k=%d)", i, got[i], want[i], rw, k)
+				t.Logf("rank %d: %+v, want %+v (rw=%v k=%d split=%v)", i, got[i], want[i], rw, k, split)
 				return false
 			}
 		}
@@ -488,10 +518,9 @@ func TestWANDDirectMatchesExhaustive(t *testing.T) {
 	}
 	sc := NewScorer(CorpusStats{DocCount: 400, AvgDocLen: 8}, 2)
 	for _, k := range []int{1, 3, 10, 33, 400, 1000} {
-		want := exhaustiveTopK(cands, []string{term}, seg, sc, seg.DocLens, ranks, maxRank, k)
+		want := exhaustiveTopK(cands, []string{term}, []*Segment{seg}, sc, ranks, maxRank, k)
 		var stats WANDStats
-		got := WANDTopKDirect(dec.Cursor(term), sc,
-			func(d DocID) uint32 { return dec.DocLens[d] },
+		got := WANDTopKDirect(dec.Cursor(term), sc, noDocLen(t),
 			func(d DocID) float64 { return ranks[d] },
 			maxRank, k, &stats)
 		if len(got) != len(want) {
@@ -531,10 +560,9 @@ func TestWANDDirectMatchesExhaustive(t *testing.T) {
 		cands = append(cands, p.Doc)
 	}
 	sc = NewScorer(CorpusStats{DocCount: 400, AvgDocLen: 8}, 0)
-	want := exhaustiveTopK(cands, []string{term}, skew, sc, skew.DocLens, nil, 0, 10)
+	want := exhaustiveTopK(cands, []string{term}, []*Segment{skew}, sc, nil, 0, 10)
 	var stats WANDStats
-	got := WANDTopKDirect(decSkew.Cursor(term), sc,
-		func(d DocID) uint32 { return decSkew.DocLens[d] },
+	got := WANDTopKDirect(decSkew.Cursor(term), sc, noDocLen(t),
 		func(DocID) float64 { return 0 }, 0, 10, &stats)
 	if len(got) != len(want) {
 		t.Fatalf("skew: len %d, want %d", len(got), len(want))

@@ -15,8 +15,8 @@ type WANDStats struct {
 // float evaluation can differ by a few ulps between a frontier pair and
 // the dominated pair actually scored; 1e-9 relative slack dwarfs that
 // while costing essentially no skips. Slack only ever suppresses a skip
-// (never allows an extra one), so it preserves byte-identity with the
-// exhaustive path in the conservative direction.
+// (never allows an extra one), so it preserves byte-identity with
+// scoring every candidate in the conservative direction.
 const wandSlack = 1 + 1e-9
 
 // rankBlendBound returns the safe multiplier covering Combine's rank
@@ -67,7 +67,11 @@ func (a *topkAcc) ranked() []ScoredDoc {
 // WANDTopK scores an ascending candidate list against per-term cursors
 // (aligned with the query's term order; nil entries mark terms absent
 // from the segment) and returns the top k docs, byte-identical to
-// exhaustively scoring every candidate and calling TopK. Once the heap
+// exhaustively scoring every candidate and calling TopK. Each term
+// scores a doc with the length its own cursor's segment records — the
+// lengths its block-max bounds were computed from, so every bound holds
+// even where segments disagree on a doc — and docLen answers only for a
+// posting whose segment records none. Once the heap
 // holds k docs, a candidate is fully evaluated only if the sum of the
 // cursors' current block-max bounds (times the rank-blend bound) can
 // beat the heap root; otherwise the whole run of candidates up to the
@@ -129,7 +133,7 @@ func WANDTopK(cands []DocID, cursors []*TermCursor, sc *Scorer, docLen func(DocI
 				continue
 			}
 			if tf, ok := c.SeekTF(d); ok {
-				text += sc.TermScore(tf, docLen(d), c.DF())
+				text += sc.TermScore(tf, c.docLen(d, docLen), c.DF())
 			}
 		}
 		acc.push(ScoredDoc{Doc: d, Score: sc.Combine(text, rankOf(d), maxRank)})
@@ -149,6 +153,7 @@ func WANDTopK(cands []DocID, cursors []*TermCursor, sc *Scorer, docLen func(DocI
 // content does not depend on admission order, and the slack-strict skip
 // test (bound < root, since wandSlack > 1) means a skipped block cannot
 // even tie the heap root — its docs lose outright, whatever their IDs.
+// Doc lengths come from the cursor's segment as in WANDTopK.
 func WANDTopKDirect(cur *TermCursor, sc *Scorer, docLen func(DocID) uint32, rankOf func(DocID) float64, maxRank float64, k int, stats *WANDStats) []ScoredDoc {
 	if k <= 0 || cur == nil {
 		return nil
@@ -184,7 +189,7 @@ func WANDTopKDirect(cur *TermCursor, sc *Scorer, docLen func(DocID) uint32, rank
 			break // defensive: corrupt block exhausts the cursor
 		}
 		for i, d := range cur.docs {
-			text := sc.TermScore(cur.tfs[i], docLen(d), cur.df)
+			text := sc.TermScore(cur.tfs[i], cur.docLen(d, docLen), cur.df)
 			acc.push(ScoredDoc{Doc: d, Score: sc.Combine(text, rankOf(d), maxRank)})
 		}
 	}

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/oracle"
+	"repro/internal/query"
 )
 
 // TestScaleMillion is the end-to-end write-path scaling run: crawl →
@@ -20,13 +22,11 @@ import (
 //	                                     takes a long time — run by hand)
 //
 // The harness asserts exact ingest counts (failure and dedup are
-// disabled so every generated page must land), serving correctness on
-// the full corpus, delta rank epochs riding the crawl, a bounded write
-// amplification, and a per-page memory budget. At the smoke scale it
-// additionally replays the ingest on a monolithic-compaction +
-// full-recompute control engine and requires identical search results
-// — the legacy write path and the scaled one must be observationally
-// equivalent.
+// disabled so every generated page must land), delta rank epochs riding
+// the crawl, a bounded write amplification per tier, and a per-page
+// memory budget on the live engine. Up to 10^5 pages the probe queries'
+// responses must equal the oracle's over the same pages, fed the
+// engine's ranks after the closing full epoch.
 func TestScaleMillion(t *testing.T) {
 	pages := 10_000
 	switch {
@@ -38,16 +38,17 @@ func TestScaleMillion(t *testing.T) {
 		// 10^4 is the floor; -short keeps it.
 	}
 
-	run := scaleRun(t, pages, false)
+	e, run := scaleRun(t, pages)
 
-	// Memory budget: heap after the run, amortized per page. The smoke
-	// scale carries a fixed-overhead allowance (cluster boot, caches);
-	// the per-page slope is what must not regress, or 10^6 stops
-	// fitting in a commodity machine. Budgets calibrated with ~2×
-	// headroom over measurement.
+	// Memory budget: heap after the run with the engine still live,
+	// amortized per page. The smoke scale carries a fixed-overhead
+	// allowance (cluster boot, caches); the per-page slope is what must
+	// not regress, or 10^6 stops fitting in a commodity machine. Budgets
+	// calibrated with ~2× headroom over measurement.
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(e)
 	budget := uint64(256<<20) + uint64(pages)*20<<10 // 256 MiB + 20 KiB/page
 	if ms.HeapAlloc > budget {
 		t.Fatalf("heap after %d pages = %d MiB, budget %d MiB",
@@ -56,50 +57,39 @@ func TestScaleMillion(t *testing.T) {
 	t.Logf("scale=%d heap=%dMiB amp=%.2f epochs=%d tiers=%v",
 		pages, ms.HeapAlloc>>20, run.write.Amplification(), run.ingest.RankEpochs, run.write.SegmentsPerTier)
 
-	// Control comparison only at the smoke scale (a second full engine
-	// doubles the cost): the monolithic + full-recompute engine must
-	// serve byte-identical results.
-	if pages > 10_000 || testing.Short() {
+	// The oracle keeps every page's positions in maps: past 10^5 pages
+	// it would outweigh the engine it checks.
+	if pages > 100_000 {
 		return
 	}
-	control := scaleRun(t, pages, true)
-	if len(run.results) != len(control.results) {
-		t.Fatalf("result set sizes diverged: %d vs control %d", len(run.results), len(control.results))
+	o := oracle.New(core.DefaultConfig().RankWeight)
+	for _, p := range scalePages(pages) {
+		o.Publish(p.URL, p.Text)
 	}
-	for i := range run.results {
-		if run.results[i] != control.results[i] {
-			t.Fatalf("query %d diverged from control:\n tiered+delta: %v\n control:      %v",
-				i, run.results[i], control.results[i])
+	ranks := e.Cluster.QB.PageRanks()
+	for i, q := range scaleQueries() {
+		root, err := oracle.Flat(q, query.KindAnd)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// And the scaled path must not rewrite more than the control did.
-	if run.write.CompactedBytes > control.write.CompactedBytes {
-		t.Fatalf("tiered rewrote %d bytes, monolithic control %d — tiering lost its own game",
-			run.write.CompactedBytes, control.write.CompactedBytes)
+		if diff := oracleDiff(run.responses[i], o.Search(root, ranks, 0, 10)); diff != "" {
+			t.Fatalf("query %q: %s", q, diff)
+		}
 	}
 }
 
-// scaleOutcome is what one engine's scale run exposes for assertions.
+// scaleOutcome is what one scale run exposes for assertions.
 type scaleOutcome struct {
-	ingest  IngestStats
-	write   WriteStats
-	results []string // "url score" lines of the probe queries, in order
+	ingest    IngestStats
+	write     WriteStats
+	responses []core.SearchResponse // the probe queries', in order
 }
 
 // scaleRun drives one engine through the full pipeline at the given
-// page count and probes it with deterministic queries.
-func scaleRun(t *testing.T, pages int, control bool) scaleOutcome {
+// page count, probes it with deterministic queries, and returns it.
+func scaleRun(t *testing.T, pages int) (*Engine, scaleOutcome) {
 	t.Helper()
-	opts := []Option{
-		WithSeed(42),
-		WithPeers(10),
-		WithBees(3),
-		func(c *core.Config) { c.NumShards = 8 },
-	}
-	if control {
-		opts = append(opts, func(c *core.Config) { c.MonolithicCompaction = true }, WithRankFullEvery(1))
-	}
-	e := New(opts...)
+	e := New(WithSeed(42), WithPeers(10), WithBees(3), func(c *core.Config) { c.NumShards = 8 })
 
 	web := scalePages(pages)
 	st, err := e.Crawl(context.Background(), []string{web[0].URL}, CrawlOptions{
@@ -126,8 +116,7 @@ func scaleRun(t *testing.T, pages int, control bool) scaleOutcome {
 	// Close the run with one FULL epoch — the exactness escape hatch.
 	// The epochs that rode the crawl were delta-scheduled (that is the
 	// cost win); the final full recompute zeroes their accumulated
-	// drift, which is what lets the control comparison below demand
-	// byte-identical scores instead of a tolerance.
+	// drift, so the ranks the oracle is fed are the exact ones.
 	e.ComputeRanks(2)
 	if rs := e.RankStatus(); rs.LastFull != rs.Epoch || rs.DeltasSinceFull != 0 {
 		t.Fatalf("closing full epoch did not reset staleness: %+v", rs)
@@ -141,15 +130,13 @@ func scaleRun(t *testing.T, pages int, control bool) scaleOutcome {
 	// ingested byte about once per level promotion (measured ~1.3× per
 	// tier — the shard's share plus the DocLens tombstone set), so total
 	// amplification is O(tiers) = O(log₄ rounds), never O(tiers×shards)
-	// or the monolithic policy's O(rounds). Asserted per tier with 2×
+	// or a whole-chain merge's O(rounds). Asserted per tier with 2×
 	// headroom; a regression to whole-chain or unrestricted rewrites
 	// blows through it immediately at any scale.
-	if !control {
-		maxTier := len(ws.SegmentsPerTier) - 1
-		if bound := 1 + 2*float64(maxTier); ws.Amplification() > bound {
-			t.Fatalf("write amplification %.2f exceeds the tiered bound %.1f at %d tiers (ledger %+v)",
-				ws.Amplification(), bound, maxTier, ws)
-		}
+	maxTier := len(ws.SegmentsPerTier) - 1
+	if bound := 1 + 2*float64(maxTier); ws.Amplification() > bound {
+		t.Fatalf("write amplification %.2f exceeds the tiered bound %.1f at %d tiers (ledger %+v)",
+			ws.Amplification(), bound, maxTier, ws)
 	}
 
 	out := scaleOutcome{ingest: st, write: ws}
@@ -161,11 +148,9 @@ func scaleRun(t *testing.T, pages int, control bool) scaleOutcome {
 		if len(resp.Results) == 0 {
 			t.Fatalf("query %q found nothing in a %d-page index", q, pages)
 		}
-		for _, r := range resp.Results {
-			out.results = append(out.results, fmt.Sprintf("%s %v %v", r.URL, r.Score, r.Rank))
-		}
+		out.responses = append(out.responses, *resp)
 	}
-	return out
+	return e, out
 }
 
 // scaleWords is the vocabulary of the scale generator; small enough
