@@ -7,12 +7,22 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	queenbee "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole example, its report on out. The output is a pure
+// function of the code (testdata/stdout.golden).
+func run(out io.Writer) error {
 	engine := queenbee.New(
 		queenbee.WithSeed(11),
 		queenbee.WithPeers(12),
@@ -32,7 +42,7 @@ func main() {
 	}
 	for url, text := range pages {
 		if err := engine.Publish(creator, url, text, nil); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	engine.RunUntilIdle()
@@ -41,33 +51,34 @@ func main() {
 	// displayed first.
 	shoeAd, err := engine.RegisterAd(nike, []string{"marathon", "shoes"}, 50, 2_000)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	drinkAd, err := engine.RegisterAd(cola, []string{"marathon", "drinks"}, 30, 1_500)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("campaigns open: shoe ad #%d (bid 50), drink ad #%d (bid 30)\n", shoeAd, drinkAd)
+	fmt.Fprintf(out, "campaigns open: shoe ad #%d (bid 50), drink ad #%d (bid 30)\n", shoeAd, drinkAd)
 
 	results, ads, err := engine.Search("marathon training", 5)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nsearch 'marathon training': %d results, %d ads\n", len(results), len(ads))
+	fmt.Fprintf(out, "\nsearch 'marathon training': %d results, %d ads\n", len(results), len(ads))
 	for _, ad := range ads {
-		fmt.Printf("  ad #%d keywords=%v bid=%d\n", ad.ID, ad.Keywords, ad.BidPerClick)
+		fmt.Fprintf(out, "  ad #%d keywords=%v bid=%d\n", ad.ID, ad.Keywords, ad.BidPerClick)
 	}
 
 	// The user clicks the top ad a few times on the top result page.
 	creatorStart := engine.Balance(creator)
 	for i := 0; i < 5; i++ {
 		if err := engine.Click(user, ads[0].ID, results[0].URL); err != nil {
-			fmt.Println("click rejected:", err)
+			fmt.Fprintln(out, "click rejected:", err)
 			break
 		}
 	}
-	fmt.Printf("\nafter 5 clicks at bid %d:\n", ads[0].BidPerClick)
-	fmt.Printf("  creator earned      %d honey (60%% of each click)\n", engine.Balance(creator)-creatorStart)
-	fmt.Printf("  advertiser balance  %d honey\n", engine.Balance(nike))
-	fmt.Printf("  honey supply        %d (conserved by the contract)\n", engine.Stats().HoneySupply)
+	fmt.Fprintf(out, "\nafter 5 clicks at bid %d:\n", ads[0].BidPerClick)
+	fmt.Fprintf(out, "  creator earned      %d honey (60%% of each click)\n", engine.Balance(creator)-creatorStart)
+	fmt.Fprintf(out, "  advertiser balance  %d honey\n", engine.Balance(nike))
+	fmt.Fprintf(out, "  honey supply        %d (conserved by the contract)\n", engine.Stats().HoneySupply)
+	return nil
 }

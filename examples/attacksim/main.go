@@ -5,37 +5,49 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/attack"
 )
 
 func main() {
-	fmt.Println("=== collusion attack (paper: 'colluded worker bees … manipulating QueenBee's indexes') ===")
-	fmt.Println("5 worker bees, 12 publish tasks; sweep colluders × quorum size:")
-	fmt.Printf("%-10s %-7s %-10s %-12s %-12s\n", "colluders", "quorum", "corrupted", "corruption%", "stake burned")
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole example, its report on out. The output is a pure
+// function of the code (testdata/stdout.golden).
+func run(out io.Writer) error {
+	fmt.Fprintln(out, "=== collusion attack (paper: 'colluded worker bees … manipulating QueenBee's indexes') ===")
+	fmt.Fprintln(out, "5 worker bees, 12 publish tasks; sweep colluders × quorum size:")
+	fmt.Fprintf(out, "%-10s %-7s %-10s %-12s %-12s\n", "colluders", "quorum", "corrupted", "corruption%", "stake burned")
 	for _, quorum := range []int{1, 3, 5} {
 		for _, colluders := range []int{0, 1, 2, 3} {
 			r := attack.RunCollusion(1, 5, colluders, quorum, 12)
-			fmt.Printf("%-10d %-7d %-10d %-12.1f %-12d\n",
+			fmt.Fprintf(out, "%-10d %-7d %-10d %-12.1f %-12d\n",
 				colluders, quorum, r.Corrupted, 100*r.CorruptionRate(), r.ColluderStake)
 		}
 	}
-	fmt.Println("\nreading: a minority of colluders is outvoted and loses stake on every")
-	fmt.Println("attempt; only a colluding majority of the assigned quorum corrupts tasks.")
+	fmt.Fprintln(out, "\nreading: a minority of colluders is outvoted and loses stake on every")
+	fmt.Fprintln(out, "attempt; only a colluding majority of the assigned quorum corrupts tasks.")
 
-	fmt.Println("\n=== scraper-site attack (paper: 'mirror popular websites for QueenBee's honey') ===")
+	fmt.Fprintln(out, "\n=== scraper-site attack (paper: 'mirror popular websites for QueenBee's honey') ===")
 	for _, defense := range []bool{false, true} {
 		r := attack.RunScraper(1, defense)
 		mode := "defense OFF"
 		if defense {
 			mode = "defense ON (MinHash dedup)"
 		}
-		fmt.Printf("\n%s\n", mode)
-		fmt.Printf("  original site: rank=%.4f, popularity honey=%d\n", r.OriginalRank, r.OriginalHoney)
-		fmt.Printf("  scraper mirror: rank=%.4f, popularity honey=%d\n", r.ScraperRank, r.ScraperHoney)
-		fmt.Printf("  legitimate pages wrongly demoted: %d\n", r.FalseDemotions)
+		fmt.Fprintf(out, "\n%s\n", mode)
+		fmt.Fprintf(out, "  original site: rank=%.4f, popularity honey=%d\n", r.OriginalRank, r.OriginalHoney)
+		fmt.Fprintf(out, "  scraper mirror: rank=%.4f, popularity honey=%d\n", r.ScraperRank, r.ScraperHoney)
+		fmt.Fprintf(out, "  legitimate pages wrongly demoted: %d\n", r.FalseDemotions)
 	}
-	fmt.Println("\nreading: without the defense the mirror farms the same popularity honey")
-	fmt.Println("as the original; with MinHash demotion inside the verified rank tasks the")
-	fmt.Println("mirror earns nothing and no legitimate page is harmed.")
+	fmt.Fprintln(out, "\nreading: without the defense the mirror farms the same popularity honey")
+	fmt.Fprintln(out, "as the original; with MinHash demotion inside the verified rank tasks the")
+	fmt.Fprintln(out, "mirror earns nothing and no legitimate page is harmed.")
+	return nil
 }

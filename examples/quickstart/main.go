@@ -6,12 +6,22 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	queenbee "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole example, its report on out. The output is a pure
+// function of the code (testdata/stdout.golden).
+func run(out io.Writer) error {
 	// Boot a small simulated deployment: 12 DWeb devices, 3 worker bees.
 	engine := queenbee.New(
 		queenbee.WithSeed(42),
@@ -32,7 +42,7 @@ func main() {
 	}
 	for _, p := range pages {
 		if err := engine.Publish(alice, p.url, p.text, nil); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -43,10 +53,10 @@ func main() {
 	// Search from any device.
 	results, _, err := engine.Search("harvesting honey", 10)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i, r := range results {
-		fmt.Printf("%d. %s (score %.3f)\n", i+1, r.URL, r.Score)
+		fmt.Fprintf(out, "%d. %s (score %.3f)\n", i+1, r.URL, r.Score)
 	}
 
 	// The structured query builder speaks a full boolean language —
@@ -57,22 +67,23 @@ func main() {
 		Explain().
 		Run()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("structured query → %d of %d matches\n", len(resp.Results), resp.Total)
+	fmt.Fprintf(out, "structured query → %d of %d matches\n", len(resp.Results), resp.Total)
 	for i, r := range resp.Results {
-		fmt.Printf("%d. %s (score %.3f)\n", i+1, r.URL, r.Score)
+		fmt.Fprintf(out, "%d. %s (score %.3f)\n", i+1, r.URL, r.Score)
 	}
-	fmt.Print(resp.Explain)
+	fmt.Fprint(out, resp.Explain)
 
 	// Fetch the content back — hash-verified end to end.
 	content, err := engine.Fetch(results[0])
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("content:", content)
+	fmt.Fprintln(out, "content:", content)
 
 	s := engine.Stats()
-	fmt.Printf("pages=%d tasks=%d height=%d supply=%d\n",
+	fmt.Fprintf(out, "pages=%d tasks=%d height=%d supply=%d\n",
 		s.Pages, s.TasksFinalized, s.Height, s.HoneySupply)
+	return nil
 }

@@ -6,13 +6,23 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	queenbee "repro"
 	"repro/internal/core"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole example, its report on out. The output is a pure
+// function of the code (testdata/stdout.golden).
+func run(out io.Writer) error {
 	engine := queenbee.New(
 		queenbee.WithSeed(3),
 		queenbee.WithPeers(24),
@@ -25,7 +35,7 @@ func main() {
 		markers[i] = fmt.Sprintf("resiliencemarker%02d", i)
 		url := fmt.Sprintf("dweb://site/%02d", i)
 		if err := engine.Publish(alice, url, "stable page body "+markers[i], nil); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	engine.RunUntilIdle()
@@ -42,26 +52,27 @@ func main() {
 	}
 
 	fe := core.NewFrontend(cluster, cluster.Bees[0].Peer)
-	fmt.Printf("healthy swarm:          %2d/%d pages searchable\n", searchable(fe), len(markers))
+	fmt.Fprintf(out, "healthy swarm:          %2d/%d pages searchable\n", searchable(fe), len(markers))
 
 	failed := cluster.FailPeers(0.25)
 	fe = core.NewFrontend(cluster, cluster.Bees[1].Peer)
-	fmt.Printf("25%% of peers down:      %2d/%d pages searchable\n", searchable(fe), len(markers))
+	fmt.Fprintf(out, "25%% of peers down:      %2d/%d pages searchable\n", searchable(fe), len(markers))
 
 	more := cluster.FailPeers(0.35) // cumulative ≈ 50%
 	fe = core.NewFrontend(cluster, cluster.Bees[2].Peer)
-	fmt.Printf("~50%% of peers down:     %2d/%d pages searchable\n", searchable(fe), len(markers))
+	fmt.Fprintf(out, "~50%% of peers down:     %2d/%d pages searchable\n", searchable(fe), len(markers))
 
-	fmt.Println("running DHT refresh (survivors re-replicate records)…")
+	fmt.Fprintln(out, "running DHT refresh (survivors re-replicate records)…")
 	refreshCost := cluster.RefreshDHT()
-	fmt.Printf("refresh traffic:        %d msgs, %d bytes\n", refreshCost.Msgs, refreshCost.Bytes)
+	fmt.Fprintf(out, "refresh traffic:        %d msgs, %d bytes\n", refreshCost.Msgs, refreshCost.Bytes)
 	fe = core.NewFrontend(cluster, cluster.Bees[0].Peer)
-	fmt.Printf("after refresh:          %2d/%d pages searchable\n", searchable(fe), len(markers))
+	fmt.Fprintf(out, "after refresh:          %2d/%d pages searchable\n", searchable(fe), len(markers))
 
 	cluster.HealPeers(append(failed, more...))
 	fe = core.NewFrontend(cluster, cluster.Bees[1].Peer)
-	fmt.Printf("peers healed:           %2d/%d pages searchable\n", searchable(fe), len(markers))
+	fmt.Fprintf(out, "peers healed:           %2d/%d pages searchable\n", searchable(fe), len(markers))
 
-	fmt.Println("\ncontrast: a centralized engine answers 0 queries the moment its")
-	fmt.Println("one server is in the failed set (see cmd/experiments -exp E3).")
+	fmt.Fprintln(out, "\ncontrast: a centralized engine answers 0 queries the moment its")
+	fmt.Fprintln(out, "one server is in the failed set (see cmd/experiments -exp E3).")
+	return nil
 }

@@ -8,13 +8,23 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	queenbee "repro"
 	"repro/internal/corpus"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole example, its report on out. The output is a pure
+// function of the code (testdata/stdout.golden).
+func run(out io.Writer) error {
 	engine := queenbee.New(
 		queenbee.WithSeed(7),
 		queenbee.WithPeers(20),
@@ -35,10 +45,10 @@ func main() {
 	cfg.MeanDocLen = 80
 	wiki := corpus.Generate(cfg)
 
-	fmt.Printf("publishing %d wiki articles…\n", len(wiki.Docs))
+	fmt.Fprintf(out, "publishing %d wiki articles…\n", len(wiki.Docs))
 	for i, d := range wiki.Docs {
 		if err := engine.Publish(editors[i%len(editors)], d.URL, d.Text, d.Links); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if i%20 == 19 {
 			engine.Run(2) // bees keep up while publishing continues
@@ -46,23 +56,23 @@ func main() {
 	}
 	engine.RunUntilIdle()
 	s := engine.Stats()
-	fmt.Printf("indexed: %d articles, %d verified tasks\n", s.Pages, s.TasksFinalized)
+	fmt.Fprintf(out, "indexed: %d articles, %d verified tasks\n", s.Pages, s.TasksFinalized)
 
-	fmt.Println("computing page ranks across 4 worker-bee partitions…")
+	fmt.Fprintln(out, "computing page ranks across 4 worker-bee partitions…")
 	epoch := engine.ComputeRanks(4)
 	if err := engine.PayPopularityRewards(epoch); err != nil {
-		fmt.Println("(no popularity rewards due)", err)
+		fmt.Fprintln(out, "(no popularity rewards due)", err)
 	}
 
 	// An editor updates an article — searchable within seconds, because
 	// there is no crawler to wait for.
 	update := wiki.Revise(3, 1, 0.5)
 	if err := engine.Publish(editors[3%len(editors)], update.URL, update.Text+" freshlyedited", update.Links); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	engine.RunUntilIdle()
 	if res, _, _ := engine.Search("freshlyedited", 3); len(res) == 1 {
-		fmt.Println("update searchable immediately after publish:", res[0].URL)
+		fmt.Fprintln(out, "update searchable immediately after publish:", res[0].URL)
 	}
 
 	// Queries sampled from article text.
@@ -71,15 +81,16 @@ func main() {
 		if err != nil {
 			continue
 		}
-		fmt.Printf("\nquery %q\n", q.Text)
+		fmt.Fprintf(out, "\nquery %q\n", q.Text)
 		for i, r := range results {
-			fmt.Printf("  %d. %-28s score=%.3f rank=%.4f\n", i+1, r.URL, r.Score, r.Rank)
+			fmt.Fprintf(out, "  %d. %-28s score=%.3f rank=%.4f\n", i+1, r.URL, r.Score, r.Rank)
 		}
 	}
 
 	// Which editors got popularity honey?
-	fmt.Println("\neditor balances (10000 honey at start):")
+	fmt.Fprintln(out, "\neditor balances (10000 honey at start):")
 	for _, e := range editors {
-		fmt.Printf("  %-10s %6d\n", e.Name(), engine.Balance(e))
+		fmt.Fprintf(out, "  %-10s %6d\n", e.Name(), engine.Balance(e))
 	}
+	return nil
 }

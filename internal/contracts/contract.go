@@ -28,7 +28,6 @@ const ContractName = "queenbee"
 
 // Method names.
 const (
-	MethodPublish          = "publish"
 	MethodPublishBatch     = "publish-batch"
 	MethodRegisterWorker   = "register-worker"
 	MethodDeregisterWorker = "deregister-worker"
@@ -157,8 +156,6 @@ func (q *QueenBee) Execute(ctx *chain.TxContext, method string, params []byte) e
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	switch method {
-	case MethodPublish:
-		return q.execPublish(ctx, params)
 	case MethodPublishBatch:
 		return q.execPublishBatch(ctx, params)
 	case MethodRegisterWorker:

@@ -2,6 +2,7 @@ package contracts
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,6 +42,12 @@ func (h *harness) call(from *chain.Account, method string, params any, value uin
 		h.t.Fatalf("submit %s: %v", method, err)
 	}
 	return tx
+}
+
+// publish submits a publish of one page: a one-page batch.
+func (h *harness) publish(from *chain.Account, page PublishParams) *chain.Tx {
+	h.t.Helper()
+	return h.call(from, MethodPublishBatch, PublishBatchParams{Pages: []PublishParams{page}}, 0)
 }
 
 // seal seals a block and advances the clock.
@@ -101,7 +108,7 @@ func TestPublishRegistersPageAndCreatesTask(t *testing.T) {
 	}
 	h.seal()
 
-	tx := h.call(alice, MethodPublish, PublishParams{URL: "dweb://a", CID: "c1", Links: []string{"dweb://b"}}, 0)
+	tx := h.publish(alice, PublishParams{URL: "dweb://a", CID: "c1", Links: []string{"dweb://b"}})
 	h.seal()
 	h.mustOK(tx)
 
@@ -119,14 +126,17 @@ func TestPublishRegistersPageAndCreatesTask(t *testing.T) {
 	if task.Kind != TaskIndex || task.Status != StatusOpen {
 		t.Fatalf("task = %+v", task)
 	}
+	if len(task.Pages) != 1 || task.Pages[0] != (BatchEntry{URL: "dweb://a", CID: "c1", Seq: 1}) {
+		t.Fatalf("task pages = %+v", task.Pages)
+	}
 }
 
 func TestRepublishBumpsSeq(t *testing.T) {
 	alice := chain.NewNamedAccount(1, "alice")
 	h := newHarness(t, DefaultConfig(), alice)
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://a", CID: "c1"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://a", CID: "c1"})
 	h.seal()
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://a", CID: "c2"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://a", CID: "c2"})
 	h.seal()
 	rec, _ := h.qb.Page("dweb://a")
 	if rec.Seq != 2 || rec.CID != "c2" {
@@ -138,9 +148,9 @@ func TestPublishOwnershipEnforced(t *testing.T) {
 	alice := chain.NewNamedAccount(1, "alice")
 	mallory := chain.NewNamedAccount(1, "mallory")
 	h := newHarness(t, DefaultConfig(), alice, mallory)
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://a", CID: "c1"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://a", CID: "c1"})
 	h.seal()
-	tx := h.call(mallory, MethodPublish, PublishParams{URL: "dweb://a", CID: "evil"}, 0)
+	tx := h.publish(mallory, PublishParams{URL: "dweb://a", CID: "evil"})
 	h.seal()
 	h.mustFail(tx)
 	rec, _ := h.qb.Page("dweb://a")
@@ -150,13 +160,12 @@ func TestPublishOwnershipEnforced(t *testing.T) {
 }
 
 // TestPublishBatchCarriesProvider: the provider a publish names reaches
-// the bees — in a batch task's entries, in a single-page task's meta —
-// and nothing else: the same publishes without it create the same task
-// IDs, assignees and page records.
+// the bees — in the task's Pages, for a batch and for a single page (a
+// one-page batch) alike — and nothing else: the same publishes without it
+// create the same task IDs, assignees and page records.
 func TestPublishBatchCarriesProvider(t *testing.T) {
 	type outcome struct {
 		batch, single Task
-		entries       []BatchEntry
 		pages         []PageRecord
 	}
 	run := func(provider string) outcome {
@@ -171,16 +180,16 @@ func TestPublishBatchCarriesProvider(t *testing.T) {
 			{URL: "dweb://a", CID: "c1", Links: []string{"dweb://b"}, Provider: provider},
 			{URL: "dweb://b", CID: "c2", Provider: provider},
 		}}, 0)
-		single := h.call(alice, MethodPublish, PublishParams{URL: "dweb://c", CID: "c3", Provider: provider}, 0)
+		single := h.publish(alice, PublishParams{URL: "dweb://c", CID: "c3", Provider: provider})
 		h.seal()
 		h.mustOK(batch)
 		h.mustOK(single)
 		var out outcome
 		for _, task := range h.qb.OpenTasksFor(ws[0].Address()) {
-			if entries, ok := BatchEntries(task); ok {
-				out.batch, out.entries = task, entries
-			} else {
+			if len(task.Pages) == 1 {
 				out.single = task
+			} else {
+				out.batch = task
 			}
 		}
 		for _, url := range []string{"dweb://a", "dweb://b", "dweb://c"} {
@@ -191,31 +200,103 @@ func TestPublishBatchCarriesProvider(t *testing.T) {
 	}
 	named, plain := run("peer-007"), run("")
 
-	if len(named.entries) != 2 || len(plain.entries) != 2 {
-		t.Fatalf("batch entries %+v / %+v", named.entries, plain.entries)
-	}
-	for i, e := range named.entries {
-		if e.Provider != "peer-007" || plain.entries[i].Provider != "" {
-			t.Fatalf("entry %d: provider %q named, %q unnamed", i, e.Provider, plain.entries[i].Provider)
-		}
-		e.Provider = ""
-		if e != plain.entries[i] {
-			t.Fatalf("entry %d differs beyond its provider: %+v vs %+v", i, e, plain.entries[i])
-		}
-	}
-	if got, ok := named.single.Meta["provider"]; !ok || got != "peer-007" {
-		t.Fatalf("single-page task meta %v", named.single.Meta)
-	}
-	if _, ok := plain.single.Meta["provider"]; ok {
-		t.Fatalf("an unnamed provider reached the task meta: %v", plain.single.Meta)
+	if len(named.batch.Pages) != 2 || len(plain.batch.Pages) != 2 || len(named.single.Pages) != 1 || len(plain.single.Pages) != 1 {
+		t.Fatalf("task pages %+v %+v / %+v %+v", named.batch.Pages, named.single.Pages, plain.batch.Pages, plain.single.Pages)
 	}
 	for _, pair := range [][2]Task{{named.batch, plain.batch}, {named.single, plain.single}} {
 		if pair[0].ID == "" || pair[0].ID != pair[1].ID || fmt.Sprint(pair[0].Assignees) != fmt.Sprint(pair[1].Assignees) {
 			t.Fatalf("task %q assigned %v named, %q assigned %v unnamed", pair[0].ID, pair[0].Assignees, pair[1].ID, pair[1].Assignees)
 		}
+		for i, e := range pair[0].Pages {
+			if e.Provider != "peer-007" || pair[1].Pages[i].Provider != "" {
+				t.Fatalf("task %q page %d: provider %q named, %q unnamed", pair[0].ID, i, e.Provider, pair[1].Pages[i].Provider)
+			}
+			e.Provider = ""
+			if e != pair[1].Pages[i] {
+				t.Fatalf("task %q page %d differs beyond its provider: %+v vs %+v", pair[0].ID, i, e, pair[1].Pages[i])
+			}
+		}
 	}
 	if fmt.Sprintf("%+v", named.pages) != fmt.Sprintf("%+v", plain.pages) {
 		t.Fatalf("page records differ:\n%+v\n%+v", named.pages, plain.pages)
+	}
+}
+
+// TestIndexTaskNaming pins the naming rule: a task covering one page
+// version is idx:<url>:<seq>, any other idxb:<height>:<hash>. The name
+// seeds the quorum draw, so it decides which bees build the page.
+func TestIndexTaskNaming(t *testing.T) {
+	alice := chain.NewNamedAccount(1, "alice")
+	ws := workers(3)
+	h := newHarness(t, DefaultConfig(), append([]*chain.Account{alice}, ws...)...)
+	for _, w := range ws {
+		h.call(w, MethodRegisterWorker, nil, 100)
+	}
+	h.seal()
+	first := h.publish(alice, PublishParams{URL: "dweb://a", CID: "c1"})
+	h.seal()
+	second := h.publish(alice, PublishParams{URL: "dweb://a", CID: "c2"})
+	batch := h.call(alice, MethodPublishBatch, PublishBatchParams{Pages: []PublishParams{
+		{URL: "dweb://b", CID: "c3"}, {URL: "dweb://c", CID: "c4"},
+	}}, 0)
+	h.seal()
+	for _, tx := range []*chain.Tx{first, second, batch} {
+		h.mustOK(tx)
+	}
+
+	var ids []string
+	for _, task := range h.qb.OpenTasksFor(ws[0].Address()) {
+		ids = append(ids, task.ID)
+	}
+	want := []string{"idx:dweb://a:1", "idx:dweb://a:2", indexTaskID(h.chain.Height(), []BatchEntry{
+		{URL: "dweb://b", CID: "c3", Seq: 1}, {URL: "dweb://c", CID: "c4", Seq: 1},
+	})}
+	if fmt.Sprint(ids) != fmt.Sprint(want) {
+		t.Fatalf("task IDs %v, want %v", ids, want)
+	}
+	if prefix := fmt.Sprintf("idxb:%d:", h.chain.Height()); !strings.HasPrefix(ids[2], prefix) || len(ids[2]) != len(prefix)+16 {
+		t.Fatalf("batch task ID %q, want %s<16 hex digits>", ids[2], prefix)
+	}
+}
+
+// TestTaskReadsReturnCopies: the tasks TaskInfo and OpenTasksFor return
+// share no memory with chain state, so a caller mutating one — its Pages
+// above all, which the bees fetch from — leaves the contract's task alone.
+func TestTaskReadsReturnCopies(t *testing.T) {
+	alice := chain.NewNamedAccount(1, "alice")
+	ws := workers(3)
+	h := newHarness(t, DefaultConfig(), append([]*chain.Account{alice}, ws...)...)
+	for _, w := range ws {
+		h.call(w, MethodRegisterWorker, nil, 100)
+	}
+	h.seal()
+	tx := h.call(alice, MethodPublishBatch, PublishBatchParams{Pages: []PublishParams{
+		{URL: "dweb://a", CID: "c1", Provider: "peer-1"}, {URL: "dweb://b", CID: "c2", Provider: "peer-1"},
+	}}, 0)
+	h.seal()
+	h.mustOK(tx)
+
+	open := h.qb.OpenTasksFor(ws[0].Address())
+	if len(open) != 1 {
+		t.Fatalf("open tasks = %d, want 1", len(open))
+	}
+	id := open[0].ID
+	before, _ := h.qb.TaskInfo(id)
+	want := fmt.Sprintf("%+v", before.Pages)
+
+	info, _ := h.qb.TaskInfo(id)
+	for _, task := range []Task{open[0], info} {
+		task.Pages[0].URL = "dweb://forged"
+		task.Pages[1].CID = "forged"
+		task.Pages = append(task.Pages[:1], BatchEntry{URL: "dweb://extra"})
+		task.Assignees[0] = alice.Address()
+	}
+	after, _ := h.qb.TaskInfo(id)
+	if got := fmt.Sprintf("%+v", after.Pages); got != want {
+		t.Fatalf("chain task pages moved: %s, want %s", got, want)
+	}
+	if fmt.Sprint(after.Assignees) != fmt.Sprint(before.Assignees) {
+		t.Fatalf("chain task assignees moved: %v, want %v", after.Assignees, before.Assignees)
 	}
 }
 
@@ -308,7 +389,7 @@ func TestIndexStatsVotedWithDigest(t *testing.T) {
 		h.call(w, MethodRegisterWorker, nil, 200)
 	}
 	h.seal()
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://p", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
 	h.seal()
 	if st := h.qb.IndexStats(); st != (IndexStats{}) {
 		t.Fatalf("stats %+v before any task finalized", st)
@@ -356,7 +437,7 @@ func TestIndexStatsVotedWithDigest(t *testing.T) {
 	}
 
 	// One digest, three counts: no pair has a majority, nothing moves.
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://s", CID: "c5"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://s", CID: "c5"})
 	h.seal()
 	runTaskVotes(h, "idx:dweb://s:1", ws, func(i int) (string, uint64) { return digest, uint64(i) })
 	if task, _ := h.qb.TaskInfo("idx:dweb://s:1"); task.Status != StatusFailed {
@@ -375,7 +456,7 @@ func TestCommitRevealHonestQuorum(t *testing.T) {
 		h.call(w, MethodRegisterWorker, nil, 200)
 	}
 	h.seal()
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://p", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
 	h.seal()
 
 	honest := ResultDigest([]byte("postings-v1"))
@@ -426,7 +507,7 @@ func TestMinorityDissenterSlashed(t *testing.T) {
 		h.call(w, MethodRegisterWorker, nil, 200)
 	}
 	h.seal()
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://p", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
 	h.seal()
 
 	honest := ResultDigest([]byte("good"))
@@ -470,7 +551,7 @@ func TestColludingMajorityCorruptsTask(t *testing.T) {
 		h.call(w, MethodRegisterWorker, nil, 200)
 	}
 	h.seal()
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://p", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
 	h.seal()
 
 	honest := ResultDigest([]byte("good"))
@@ -502,7 +583,7 @@ func TestNoMajorityFailsTask(t *testing.T) {
 		h.call(w, MethodRegisterWorker, nil, 200)
 	}
 	h.seal()
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://p", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
 	h.seal()
 
 	// Three distinct digests: no strict majority.
@@ -526,7 +607,7 @@ func TestRevealMustMatchCommitment(t *testing.T) {
 	h := newHarness(t, cfg, append([]*chain.Account{alice}, ws...)...)
 	h.call(ws[0], MethodRegisterWorker, nil, 200)
 	h.seal()
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://p", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
 	h.seal()
 
 	h.call(ws[0], MethodCommit, CommitParams{
@@ -552,7 +633,7 @@ func TestNonAssigneeCannotCommit(t *testing.T) {
 		h.call(w, MethodRegisterWorker, nil, 200)
 	}
 	h.seal()
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://p", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
 	h.seal()
 	tx := h.call(outsider, MethodCommit, CommitParams{TaskID: "idx:dweb://p:1", Commitment: "00"}, 0)
 	h.seal()
@@ -567,7 +648,7 @@ func TestFinalizeAfterDeadlineSlashesNonRevealers(t *testing.T) {
 		h.call(w, MethodRegisterWorker, nil, 200)
 	}
 	h.seal()
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://p", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
 	h.seal()
 
 	// Two of three commit+reveal; the third is silent.
@@ -621,7 +702,7 @@ func TestRankEpochLifecycle(t *testing.T) {
 	for _, w := range ws {
 		h.call(w, MethodRegisterWorker, nil, 200)
 	}
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://a", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://a", CID: "c"})
 	h.seal()
 
 	h.call(admin, MethodCreateRankEpoch, CreateRankEpochParams{Epoch: 1, Partitions: 2}, 0)
@@ -642,6 +723,9 @@ func TestRankEpochLifecycle(t *testing.T) {
 		task, ok := h.qb.TaskInfo(id)
 		if !ok {
 			t.Fatalf("missing task %s", id)
+		}
+		if task.Kind != TaskRank || task.Epoch != 1 || task.Partition != part || task.Pages != nil {
+			t.Fatalf("rank task %s: kind %s epoch %d partition %d pages %v", id, task.Kind, task.Epoch, task.Partition, task.Pages)
 		}
 		digest := ResultDigest(result)
 		salt := []byte{byte(part)}
@@ -705,8 +789,8 @@ func TestPopularityRewards(t *testing.T) {
 	cfg.PopularityThreshold = 0.1
 	h := newHarness(t, cfg, append([]*chain.Account{admin, alice, bob}, ws...)...)
 	h.call(ws[0], MethodRegisterWorker, nil, 200)
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://popular", CID: "c"}, 0)
-	h.call(bob, MethodPublish, PublishParams{URL: "dweb://obscure", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://popular", CID: "c"})
+	h.publish(bob, PublishParams{URL: "dweb://obscure", CID: "c"})
 	h.seal()
 
 	h.call(admin, MethodCreateRankEpoch, CreateRankEpochParams{Epoch: 1, Partitions: 1}, 0)
@@ -747,7 +831,7 @@ func TestAdLifecycleAndClickSplit(t *testing.T) {
 	for _, w := range ws {
 		h.call(w, MethodRegisterWorker, nil, 100)
 	}
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://page", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://page", CID: "c"})
 	h.seal()
 
 	reg := h.call(advertiser, MethodRegisterAd, RegisterAdParams{
@@ -786,7 +870,7 @@ func TestAdExhaustion(t *testing.T) {
 	advertiser := chain.NewNamedAccount(1, "adv")
 	alice := chain.NewNamedAccount(1, "alice")
 	h := newHarness(t, DefaultConfig(), advertiser, alice)
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://p", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
 	h.call(advertiser, MethodRegisterAd, RegisterAdParams{Keywords: []string{"k"}, BidPerClick: 100}, 150)
 	h.seal()
 
@@ -815,7 +899,7 @@ func TestClickDustWithNoWorkers(t *testing.T) {
 	advertiser := chain.NewNamedAccount(1, "adv")
 	alice := chain.NewNamedAccount(1, "alice")
 	h := newHarness(t, DefaultConfig(), advertiser, alice)
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://p", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
 	h.call(advertiser, MethodRegisterAd, RegisterAdParams{Keywords: []string{"k"}, BidPerClick: 100}, 200)
 	h.seal()
 	ads := h.qb.AdsForTerms([]string{"k"})
@@ -849,7 +933,7 @@ func TestQuorumSmallerThanPoolAssignsAll(t *testing.T) {
 		h.call(w, MethodRegisterWorker, nil, 200)
 	}
 	h.seal()
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://p", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
 	h.seal()
 	task, _ := h.qb.TaskInfo("idx:dweb://p:1")
 	if len(task.Assignees) != 2 {
@@ -866,7 +950,7 @@ func TestSupplyConservationAcrossFullFlow(t *testing.T) {
 	for _, w := range ws {
 		h.call(w, MethodRegisterWorker, nil, 300)
 	}
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://p", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
 	h.call(adv, MethodRegisterAd, RegisterAdParams{Keywords: []string{"k"}, BidPerClick: 50}, 500)
 	h.seal()
 

@@ -31,7 +31,7 @@ func TestStakeWeightedQuorumFavorsStake(t *testing.T) {
 	whaleSeats := 0
 	for i := 0; i < tasks; i++ {
 		url := fmt.Sprintf("dweb://sw/%d", i)
-		h.call(alice, MethodPublish, PublishParams{URL: url, CID: "c"}, 0)
+		h.publish(alice, PublishParams{URL: url, CID: "c"})
 		h.seal()
 		task, ok := h.qb.TaskInfo(fmt.Sprintf("idx:%s:1", url))
 		if !ok {
@@ -76,7 +76,7 @@ func TestStakeWeightedSybilGainsNothing(t *testing.T) {
 	}
 	for i := 0; i < tasks; i++ {
 		url := fmt.Sprintf("dweb://syb/%d", i)
-		h.call(alice, MethodPublish, PublishParams{URL: url, CID: "c"}, 0)
+		h.publish(alice, PublishParams{URL: url, CID: "c"})
 		h.seal()
 		task, _ := h.qb.TaskInfo(fmt.Sprintf("idx:%s:1", url))
 		if len(task.Assignees) == 1 && sybilAddrs[task.Assignees[0]] {
@@ -93,7 +93,7 @@ func TestImpressionCharging(t *testing.T) {
 	adv := chain.NewNamedAccount(3, "adv")
 	alice := chain.NewNamedAccount(3, "alice")
 	h := newHarness(t, DefaultConfig(), adv, alice)
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://p", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
 	h.call(adv, MethodRegisterAd, RegisterAdParams{
 		Keywords: []string{"k"}, BidPerClick: 100, BidPerImpression: 10,
 	}, 1000)
@@ -119,7 +119,7 @@ func TestImpressionOnCPCOnlyAdFails(t *testing.T) {
 	adv := chain.NewNamedAccount(4, "adv")
 	alice := chain.NewNamedAccount(4, "alice")
 	h := newHarness(t, DefaultConfig(), adv, alice)
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://p", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
 	h.call(adv, MethodRegisterAd, RegisterAdParams{Keywords: []string{"k"}, BidPerClick: 50}, 500)
 	h.seal()
 	tx := h.call(alice, MethodImpression, ImpressionParams{AdID: 1, URL: "dweb://p"}, 0)
@@ -131,7 +131,7 @@ func TestClickOnCPMOnlyAdFails(t *testing.T) {
 	adv := chain.NewNamedAccount(5, "adv")
 	alice := chain.NewNamedAccount(5, "alice")
 	h := newHarness(t, DefaultConfig(), adv, alice)
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://p", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
 	h.call(adv, MethodRegisterAd, RegisterAdParams{Keywords: []string{"k"}, BidPerImpression: 5}, 500)
 	h.seal()
 	tx := h.call(alice, MethodClick, ClickParams{AdID: 1, URL: "dweb://p"}, 0)
@@ -143,7 +143,7 @@ func TestCPMAdExhaustion(t *testing.T) {
 	adv := chain.NewNamedAccount(6, "adv")
 	alice := chain.NewNamedAccount(6, "alice")
 	h := newHarness(t, DefaultConfig(), adv, alice)
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://p", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
 	h.call(adv, MethodRegisterAd, RegisterAdParams{Keywords: []string{"k"}, BidPerImpression: 100}, 250)
 	h.seal()
 
@@ -171,7 +171,7 @@ func TestMixedCampaignConservation(t *testing.T) {
 	for _, w := range ws {
 		h.call(w, MethodRegisterWorker, nil, 200)
 	}
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://p", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
 	h.call(adv, MethodRegisterAd, RegisterAdParams{
 		Keywords: []string{"k"}, BidPerClick: 70, BidPerImpression: 7,
 	}, 700)
@@ -212,7 +212,7 @@ func TestSecondPriceClickCharging(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SecondPriceClicks = true
 	h := newHarness(t, cfg, a1, a2, alice)
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://p", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
 	// Competing campaigns on the same keyword: bids 100 and 40.
 	h.call(a1, MethodRegisterAd, RegisterAdParams{Keywords: []string{"k"}, BidPerClick: 100}, 1000)
 	h.call(a2, MethodRegisterAd, RegisterAdParams{Keywords: []string{"k"}, BidPerClick: 40}, 1000)
@@ -235,7 +235,7 @@ func TestSecondPriceNoCompetitorReserve(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SecondPriceClicks = true
 	h := newHarness(t, cfg, a1, alice)
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://p", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
 	h.call(a1, MethodRegisterAd, RegisterAdParams{Keywords: []string{"k"}, BidPerClick: 100}, 1000)
 	h.seal()
 	click := h.call(alice, MethodClick, ClickParams{AdID: 1, URL: "dweb://p"}, 0)
@@ -254,7 +254,7 @@ func TestSecondPriceDisjointKeywordsNoEffect(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SecondPriceClicks = true
 	h := newHarness(t, cfg, a1, a2, alice)
-	h.call(alice, MethodPublish, PublishParams{URL: "dweb://p", CID: "c"}, 0)
+	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
 	h.call(a1, MethodRegisterAd, RegisterAdParams{Keywords: []string{"k"}, BidPerClick: 100}, 1000)
 	h.call(a2, MethodRegisterAd, RegisterAdParams{Keywords: []string{"other"}, BidPerClick: 90}, 1000)
 	h.seal()

@@ -3,7 +3,6 @@ package contracts
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -24,7 +23,8 @@ type PageRecord struct {
 	Links  []string
 }
 
-// PublishParams registers or updates a page. Provider is fetch advice,
+// PublishParams registers or updates one page of a publish
+// (PublishBatchParams). Provider is fetch advice,
 // not a binding: the DWeb address of the peer that stores the content
 // (the publisher's own device), which bees may ask for the blocks before
 // provider discovery answers. The CID makes any source verifiable, so the
@@ -75,80 +75,30 @@ func (q *QueenBee) registerPageLocked(ctx *chain.TxContext, p PublishParams) *Pa
 	return rec
 }
 
-// execPublish records the page version and creates an index task assigned
-// to a quorum of worker bees. This is the paper's "no-crawling" path: the
-// index update is triggered by the publish transaction itself.
-func (q *QueenBee) execPublish(ctx *chain.TxContext, params []byte) error {
-	var p PublishParams
-	if err := chain.DecodeParams(params, &p); err != nil {
-		return err
-	}
-	if err := q.validatePublishLocked(ctx.Sender, p); err != nil {
-		return err
-	}
-	rec := q.registerPageLocked(ctx, p)
-
-	taskID := fmt.Sprintf("idx:%s:%d", p.URL, rec.Seq)
-	meta := map[string]string{
-		"url": p.URL,
-		"cid": p.CID,
-		"seq": strconv.FormatUint(rec.Seq, 10),
-	}
-	if p.Provider != "" {
-		meta["provider"] = p.Provider
-	}
-	q.createTaskLocked(ctx, taskID, TaskIndex, meta)
-	return nil
-}
-
-// PublishBatchParams registers many pages in one transaction. The batch
-// produces a single index task: the assigned quorum builds one delta
+// PublishBatchParams registers one or more pages in one transaction,
+// which creates a single index task: the assigned quorum builds one delta
 // segment covering every page, so a round ingesting N pages costs one
-// commit-reveal cycle instead of N.
+// commit-reveal cycle instead of N. A single publish is a one-page batch.
 type PublishBatchParams struct {
 	Pages []PublishParams
 }
 
-// BatchEntry is one page of a batch index task, carried in the task's
-// meta so every assignee fetches and indexes the same page versions —
-// from Provider first, when the publish named one.
+// BatchEntry is one page version an index task covers, written into the
+// task by the contract so every assignee fetches and indexes the same
+// versions — from Provider first, when the publish named one.
 type BatchEntry struct {
-	URL      string `json:"url"`
-	CID      string `json:"cid"`
-	Seq      uint64 `json:"seq"`
-	Provider string `json:"provider,omitempty"`
-}
-
-// batchMetaKey holds the JSON-encoded []BatchEntry on a batch task.
-const batchMetaKey = "batch"
-
-// EncodeBatchEntries serializes batch entries for task meta.
-func EncodeBatchEntries(entries []BatchEntry) string {
-	b, err := json.Marshal(entries)
-	if err != nil {
-		panic(fmt.Sprintf("queenbee: encoding batch entries: %v", err))
-	}
-	return string(b)
-}
-
-// BatchEntries decodes a task's batch page list. ok is false when the
-// task is not a batch task.
-func BatchEntries(t Task) ([]BatchEntry, bool) {
-	raw, isBatch := t.Meta[batchMetaKey]
-	if !isBatch {
-		return nil, false
-	}
-	var entries []BatchEntry
-	if err := json.Unmarshal([]byte(raw), &entries); err != nil {
-		return nil, false
-	}
-	return entries, true
+	URL      string
+	CID      string
+	Seq      uint64
+	Provider string
 }
 
 // execPublishBatch atomically registers every page of the batch and
-// creates one index task covering all of them. Validation runs over the
-// whole batch before any state changes, so a rejected batch leaves no
-// partial registrations behind.
+// creates one index task covering all of them. This is the paper's
+// "no-crawling" path: the index update is triggered by the publish
+// transaction itself. Validation runs over the whole batch before any
+// state changes, so a rejected batch leaves no partial registrations
+// behind.
 func (q *QueenBee) execPublishBatch(ctx *chain.TxContext, params []byte) error {
 	var p PublishBatchParams
 	if err := chain.DecodeParams(params, &p); err != nil {
@@ -174,18 +124,24 @@ func (q *QueenBee) execPublishBatch(ctx *chain.TxContext, params []byte) error {
 		entries = append(entries, BatchEntry{URL: page.URL, CID: page.CID, Seq: rec.Seq, Provider: page.Provider})
 	}
 
-	// The task ID hashes the batch contents so two batches sealed at the
-	// same height get distinct, deterministic IDs. The provider is advice
-	// and stays out: the same page versions are the same task.
+	q.createTaskLocked(ctx, Task{ID: indexTaskID(ctx.Height, entries), Kind: TaskIndex, Pages: entries})
+	return nil
+}
+
+// indexTaskID names an index task. A task covering one page version is
+// idx:<url>:<seq>; any other hashes its page versions so two batches
+// sealed at the same height get distinct, deterministic IDs. The provider
+// is advice and stays out: the same page versions are the same task. The
+// name seeds the task's quorum draw (createTaskLocked).
+func indexTaskID(height uint64, entries []BatchEntry) string {
+	if len(entries) == 1 {
+		return fmt.Sprintf("idx:%s:%d", entries[0].URL, entries[0].Seq)
+	}
 	h := sha256.New()
 	for _, e := range entries {
 		fmt.Fprintf(h, "%s:%s:%d\n", e.URL, e.CID, e.Seq)
 	}
-	taskID := fmt.Sprintf("idxb:%d:%s", ctx.Height, hex.EncodeToString(h.Sum(nil)[:8]))
-	q.createTaskLocked(ctx, taskID, TaskIndex, map[string]string{
-		batchMetaKey: EncodeBatchEntries(entries),
-	})
-	return nil
+	return fmt.Sprintf("idxb:%d:%s", height, hex.EncodeToString(h.Sum(nil)[:8]))
 }
 
 // Page returns the registration record for a URL (engine read path).

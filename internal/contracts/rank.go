@@ -93,10 +93,7 @@ func (q *QueenBee) execCreateRankEpoch(ctx *chain.TxContext, params []byte) erro
 	q.dirtyPages = make(map[string]bool)
 	q.rankEpochs[p.Epoch] = re
 	for part := 0; part < p.Partitions; part++ {
-		q.createTaskLocked(ctx, RankTaskID(p.Epoch, part), TaskRank, map[string]string{
-			"epoch":     strconv.FormatUint(p.Epoch, 10),
-			"partition": strconv.Itoa(part),
-		})
+		q.createTaskLocked(ctx, Task{ID: RankTaskID(p.Epoch, part), Kind: TaskRank, Epoch: p.Epoch, Partition: part})
 	}
 	ctx.Emit(EventRankEpochCreated, map[string]string{
 		"epoch":      strconv.FormatUint(p.Epoch, 10),
@@ -108,11 +105,7 @@ func (q *QueenBee) execCreateRankEpoch(ctx *chain.TxContext, params []byte) erro
 // onRankTaskFinalizedLocked merges a finalized partition's rank values and
 // closes the epoch when all partitions are in.
 func (q *QueenBee) onRankTaskFinalizedLocked(ctx *chain.TxContext, t *Task) {
-	epoch, err := strconv.ParseUint(t.Meta["epoch"], 10, 64)
-	if err != nil {
-		return
-	}
-	re, ok := q.rankEpochs[epoch]
+	re, ok := q.rankEpochs[t.Epoch]
 	if !ok || re.Done {
 		return
 	}
@@ -129,14 +122,14 @@ func (q *QueenBee) onRankTaskFinalizedLocked(ctx *chain.TxContext, t *Task) {
 	re.Finalized++
 	if re.Finalized >= re.Partitions {
 		re.Done = true
-		if epoch > q.rankEpoch {
-			q.rankEpoch = epoch
+		if t.Epoch > q.rankEpoch {
+			q.rankEpoch = t.Epoch
 		}
-		if !re.Delta && epoch > q.fullEpoch {
-			q.fullEpoch = epoch
+		if !re.Delta && t.Epoch > q.fullEpoch {
+			q.fullEpoch = t.Epoch
 		}
 		ctx.Emit(EventRankEpochFinalized, map[string]string{
-			"epoch": strconv.FormatUint(epoch, 10),
+			"epoch": strconv.FormatUint(t.Epoch, 10),
 		})
 	}
 }

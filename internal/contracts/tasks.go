@@ -60,7 +60,12 @@ type Task struct {
 	Kind      TaskKind
 	CreatedAt uint64
 	Assignees []chain.Address
-	Meta      map[string]string
+
+	// Pages are the page versions an index task covers, in publish order.
+	Pages []BatchEntry
+	// Epoch and Partition name a rank task's share of its epoch.
+	Epoch     uint64
+	Partition int
 
 	Commitments map[chain.Address]string // hex H(digest || salt)
 	Reveals     map[chain.Address]Reveal
@@ -89,10 +94,11 @@ func ResultDigest(result []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// createTaskLocked assigns a pseudo-random quorum, seeded by the task ID
-// and creation height so the assignment is deterministic and cannot be
+// createTaskLocked opens task t — its ID, kind and kind's fields set by
+// the caller — with a pseudo-random quorum, seeded by the task ID and
+// creation height so the assignment is deterministic and cannot be
 // predicted before the triggering transaction is sealed.
-func (q *QueenBee) createTaskLocked(ctx *chain.TxContext, id string, kind TaskKind, meta map[string]string) {
+func (q *QueenBee) createTaskLocked(ctx *chain.TxContext, t Task) {
 	active := q.activeWorkersLocked()
 	quorum := q.cfg.Quorum
 	if quorum > len(active) {
@@ -100,7 +106,7 @@ func (q *QueenBee) createTaskLocked(ctx *chain.TxContext, id string, kind TaskKi
 	}
 	var assignees []chain.Address
 	if quorum > 0 {
-		seedBytes := sha256.Sum256([]byte(fmt.Sprintf("%s@%d", id, ctx.Height)))
+		seedBytes := sha256.Sum256([]byte(fmt.Sprintf("%s@%d", t.ID, ctx.Height)))
 		rng := xrand.New(binary.BigEndian.Uint64(seedBytes[:8]))
 		if q.cfg.StakeWeightedQuorum {
 			assignees = sampleByStake(rng, active, q.workers, quorum)
@@ -113,23 +119,18 @@ func (q *QueenBee) createTaskLocked(ctx *chain.TxContext, id string, kind TaskKi
 			return assignees[i].String() < assignees[j].String()
 		})
 	}
-	t := &Task{
-		ID:             id,
-		Kind:           kind,
-		CreatedAt:      ctx.Height,
-		Assignees:      assignees,
-		Meta:           meta,
-		Commitments:    make(map[chain.Address]string),
-		Reveals:        make(map[chain.Address]Reveal),
-		Status:         StatusOpen,
-		CommitDeadline: ctx.Height + q.cfg.CommitBlocks,
-		RevealDeadline: ctx.Height + q.cfg.CommitBlocks + q.cfg.RevealBlocks,
-	}
-	q.tasks[id] = t
-	q.taskOrder = append(q.taskOrder, id)
+	t.CreatedAt = ctx.Height
+	t.Assignees = assignees
+	t.Commitments = make(map[chain.Address]string)
+	t.Reveals = make(map[chain.Address]Reveal)
+	t.Status = StatusOpen
+	t.CommitDeadline = ctx.Height + q.cfg.CommitBlocks
+	t.RevealDeadline = ctx.Height + q.cfg.CommitBlocks + q.cfg.RevealBlocks
+	q.tasks[t.ID] = &t
+	q.taskOrder = append(q.taskOrder, t.ID)
 	ctx.Emit(EventTaskCreated, map[string]string{
-		"task":      id,
-		"kind":      string(kind),
+		"task":      t.ID,
+		"kind":      string(t.Kind),
 		"assignees": joinAddrs(assignees),
 	})
 }
@@ -354,18 +355,11 @@ func (t *Task) Won(a chain.Address) bool {
 
 // FirstVersionPages lists the URLs an index task registered for the
 // first time (Seq == 1) — the documents the task adds to the collection.
-// The contract wrote the task's meta itself, so their number needs no
+// The contract wrote the task's pages itself, so their number needs no
 // vote; their token count does (RevealParams.Tokens).
 func FirstVersionPages(t Task) []string {
-	entries, isBatch := BatchEntries(t)
-	if !isBatch {
-		if t.Meta["seq"] == "1" {
-			return []string{t.Meta["url"]}
-		}
-		return nil
-	}
 	var urls []string
-	for _, e := range entries {
+	for _, e := range t.Pages {
 		if e.Seq == 1 {
 			urls = append(urls, e.URL)
 		}
@@ -480,9 +474,6 @@ func copyTask(t *Task) Task {
 	for k, v := range t.Reveals {
 		out.Reveals[k] = v
 	}
-	out.Meta = make(map[string]string, len(t.Meta))
-	for k, v := range t.Meta {
-		out.Meta[k] = v
-	}
+	out.Pages = append([]BatchEntry(nil), t.Pages...)
 	return out
 }

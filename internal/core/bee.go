@@ -221,11 +221,7 @@ func (b *WorkerBee) collectWins() (contribs []contribution, count int, cost nets
 // URL. A republished page's old postings sit on the shards its old text
 // hashed to, and only a newer run's DocLens entry there tombstones them.
 func (b *WorkerBee) shardsOf(task contracts.Task, seg *index.Segment) []int {
-	pages := 1
-	if entries, isBatch := contracts.BatchEntries(task); isBatch {
-		pages = len(entries)
-	}
-	if len(contracts.FirstVersionPages(task)) < pages {
+	if len(contracts.FirstVersionPages(task)) < len(task.Pages) {
 		all := make([]int, b.cluster.cfg.NumShards)
 		for s := range all {
 			all[s] = s
@@ -272,15 +268,14 @@ func (b *WorkerBee) designatedWriter(task contracts.Task) chain.Address {
 	return winners[0]
 }
 
-// fetchIndexTask fetches from the DWeb the published content of the
-// task's page version — or, for a batch task, of every page of the batch
-// — and returns the rest of the build, the deterministic delta segment
-// over those pages, encoded, with the token count the reveal votes on;
-// and the build's key, which names the task, its gen and every page's
-// DocID with the bytes this bee fetched. The key covers the bytes, not
-// the CIDs: a page read from local blocks is not re-verified
-// (store.Peer.FetchHinted), so two assignees may hold different bytes
-// under one CID. The per-page fetches of a batch are independent
+// fetchIndexTask fetches from the DWeb the published content of every
+// page version the task covers and returns the rest of the build, the
+// deterministic delta segment over those pages, encoded, with the token
+// count the reveal votes on; and the build's key, which names the task,
+// its gen and every page's DocID with the bytes this bee fetched. The key
+// covers the bytes, not the CIDs: a page read from local blocks is not
+// re-verified (store.Peer.FetchHinted), so two assignees may hold
+// different bytes under one CID. The per-page fetches are independent
 // downloads from (usually) distinct providers, so their cost folds as one
 // parallel wave; execution stays in page order, keeping the bee's
 // per-link draw order seed-stable. Beside the build it returns the pages'
@@ -289,8 +284,8 @@ func (b *WorkerBee) designatedWriter(task contracts.Task) chain.Address {
 func (b *WorkerBee) fetchIndexTask(task contracts.Task) (key buildKey, build func() built, anns []store.Announcement, cost netsim.Cost, misses int, err error) {
 	var docs []index.BatchDoc
 	k := newKeyHash("index", task.ID, strconv.FormatUint(task.CreatedAt, 10))
-	fetch := func(url, cidHex, provider string) error {
-		content, c, missed, ann, err := b.fetchPage(url, cidHex, provider)
+	for _, p := range task.Pages {
+		content, c, missed, ann, err := b.fetchPage(p.URL, p.CID, p.Provider)
 		cost = cost.Par(c)
 		if missed {
 			misses++
@@ -299,22 +294,12 @@ func (b *WorkerBee) fetchIndexTask(task contracts.Task) (key buildKey, build fun
 			anns = append(anns, *ann)
 		}
 		if err != nil {
-			return err
+			return key, nil, anns, cost, misses, err
 		}
-		doc := index.DocIDOf(url)
+		doc := index.DocIDOf(p.URL)
 		k.add(binary.BigEndian.AppendUint32(nil, uint32(doc)))
 		k.add(content)
 		docs = append(docs, index.BatchDoc{Doc: doc, Text: string(content)})
-		return nil
-	}
-	if entries, isBatch := contracts.BatchEntries(task); isBatch {
-		for _, e := range entries {
-			if err := fetch(e.URL, e.CID, e.Provider); err != nil {
-				return key, nil, anns, cost, misses, err
-			}
-		}
-	} else if err := fetch(task.Meta["url"], task.Meta["cid"], task.Meta["provider"]); err != nil {
-		return key, nil, anns, cost, misses, err
 	}
 	return k.sum(), func() built {
 		return indexBuilt(task, index.BuildBatch(task.CreatedAt, docs)) // same gen for every assignee → deterministic
@@ -363,17 +348,9 @@ func corruptSegment(honest *index.Segment) *index.Segment {
 // fetched; those fetches' announcements are returned.
 func (b *WorkerBee) rankBuild(task contracts.Task) (buildKey, func() built, []store.Announcement, error) {
 	var key buildKey
-	partition, err := strconv.Atoi(task.Meta["partition"])
-	if err != nil {
-		return key, nil, nil, fmt.Errorf("task %q: bad partition: %w", task.ID, err)
-	}
-	epoch, err := strconv.ParseUint(task.Meta["epoch"], 10, 64)
-	if err != nil {
-		return key, nil, nil, fmt.Errorf("task %q: bad epoch: %w", task.ID, err)
-	}
-	re, ok := b.cluster.QB.RankEpochInfo(epoch)
+	re, ok := b.cluster.QB.RankEpochInfo(task.Epoch)
 	if !ok {
-		return key, nil, nil, fmt.Errorf("task %q: unknown rank epoch %d", task.ID, epoch)
+		return key, nil, nil, fmt.Errorf("task %q: unknown rank epoch %d", task.ID, task.Epoch)
 	}
 	links := b.cluster.QB.LinkGraph()
 	var prev map[string]float64
@@ -387,7 +364,7 @@ func (b *WorkerBee) rankBuild(task contracts.Task) (buildKey, func() built, []st
 		sigs, anns = b.pageSignatures(links, k)
 	}
 	return k.sum(), func() built {
-		result := b.rankResult(rank.NewGraph(links), re, prev, partition, sigs)
+		result := b.rankResult(rank.NewGraph(links), re, prev, task.Partition, sigs)
 		return built{result: result, digest: index.DigestOf(result)}
 	}, anns, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -40,12 +39,7 @@ func checkStatsRecount(t testing.TB, c *Cluster, firstText map[string]string) {
 			continue
 		}
 		task, _ := c.QB.TaskInfo(ev.Attrs["task"])
-		entries, isBatch := contracts.BatchEntries(task)
-		if !isBatch {
-			seq, _ := strconv.ParseUint(task.Meta["seq"], 10, 64)
-			entries = []contracts.BatchEntry{{URL: task.Meta["url"], Seq: seq}}
-		}
-		for _, e := range entries {
+		for _, e := range task.Pages {
 			if e.Seq != 1 {
 				continue
 			}

@@ -11,34 +11,6 @@ import (
 	"repro/internal/store"
 )
 
-// PublishReceipt reports one completed publish pipeline step.
-type PublishReceipt struct {
-	URL  string
-	CID  store.CID
-	Tx   *chain.Tx
-	Cost netsim.Cost
-}
-
-// Publish runs the creator pipeline: store the content on the given DWeb
-// peer, then register the URL→CID binding via the smart contract, naming
-// the peer as the content's provider so the bees fetch from it without
-// waiting for provider discovery. The publish transaction executes (and
-// the index task is created) at the next Seal; drive ProcessRound to have
-// bees index it.
-func (c *Cluster) Publish(owner *chain.Account, peer *store.Peer, url, text string, links []string) (PublishReceipt, error) {
-	cid, cost, err := peer.Add([]byte(text))
-	if err != nil {
-		return PublishReceipt{}, fmt.Errorf("core: storing %q: %w", url, err)
-	}
-	tx := c.SubmitCall(owner, contracts.MethodPublish, contracts.PublishParams{
-		URL:      url,
-		CID:      cid.String(),
-		Links:    links,
-		Provider: string(peer.Addr()),
-	}, 0)
-	return PublishReceipt{URL: url, CID: cid, Tx: tx, Cost: cost}, nil
-}
-
 // BatchPage is one page of a batch publish.
 type BatchPage struct {
 	URL   string
@@ -107,6 +79,13 @@ func (c *Cluster) PublishBatch(owner *chain.Account, peer *store.Peer, pages []B
 	}
 	tx := c.SubmitCall(owner, contracts.MethodPublishBatch, params, 0)
 	return BatchReceipt{Pages: len(pages), Tx: tx, StoreCost: storeCost}, nil
+}
+
+// Publish runs the creator pipeline for one page: a one-page
+// PublishBatch, whose index task is named after the page version
+// (idx:<url>:<seq>).
+func (c *Cluster) Publish(owner *chain.Account, peer *store.Peer, url, text string, links []string) (BatchReceipt, error) {
+	return c.PublishBatch(owner, peer, []BatchPage{{URL: url, Text: text, Links: links}})
 }
 
 // IndexBatch is the full write cycle behind both the facade's

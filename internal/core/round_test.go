@@ -416,22 +416,6 @@ func TestWriteBeesForgetResolvedTasks(t *testing.T) {
 	}
 }
 
-// TestBatchEntriesRoundTrip covers the task-meta encoding of batches.
-func TestBatchEntriesRoundTrip(t *testing.T) {
-	entries := []contracts.BatchEntry{
-		{URL: "dweb://x", CID: "aa", Seq: 1},
-		{URL: "dweb://y", CID: "bb", Seq: 3},
-	}
-	task := contracts.Task{Meta: map[string]string{"batch": contracts.EncodeBatchEntries(entries)}}
-	got, ok := contracts.BatchEntries(task)
-	if !ok || len(got) != 2 || got[0] != entries[0] || got[1] != entries[1] {
-		t.Fatalf("round trip = %+v ok=%v", got, ok)
-	}
-	if _, ok := contracts.BatchEntries(contracts.Task{Meta: map[string]string{"url": "dweb://x"}}); ok {
-		t.Fatal("non-batch task reported batch entries")
-	}
-}
-
 // settleRound is ProcessRoundReceipt after its commit wave, for a round
 // that needs no janitor and runs no maintenance: seal, reveal, seal,
 // materialize.
@@ -565,8 +549,7 @@ func TestWriteTamperedLocalCopyBuildsAlone(t *testing.T) {
 	if victim == nil {
 		t.Fatal("setup: no bee was assigned the batch")
 	}
-	entries, _ := contracts.BatchEntries(task)
-	root, err := cidFromHex(entries[0].CID)
+	root, err := cidFromHex(task.Pages[0].CID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -349,14 +349,6 @@ func TestWriteCompactionPinned(t *testing.T) {
 // still lands.
 func TestWriteCompactionForgedRunFailsOneShard(t *testing.T) {
 	cfg := DefaultConfig()
-	c := NewCluster(cfg)
-	owner := c.NewAccount("writer", 1<<40)
-	c.Seal()
-	for round, pages := range corpusBatches(cfg.Seed, 3, 8) {
-		if rr, err := c.IndexBatch(owner, pages); err != nil || len(rr.Errors) > 0 || rr.PointerWrites != cfg.NumShards {
-			t.Fatalf("round %d: err=%v errors=%v, %d pointer writes", round, err, rr.Errors, rr.PointerWrites)
-		}
-	}
 
 	// One word per shard, low shard first.
 	var words []string
@@ -374,31 +366,49 @@ func TestWriteCompactionForgedRunFailsOneShard(t *testing.T) {
 		t.Fatalf("setup: no word hashes above shard %d", shards[0])
 	}
 	low, high := shards[0], shards[1]
-	writerOf := make(map[string]*WorkerBee) // page URL → its task's writer
-	for i, w := range words {
-		url := fmt.Sprintf("dweb://forged/%d", i)
-		if _, err := c.PublishBatch(owner, c.Peers[0], []BatchPage{{URL: url, Text: w + " " + w}}); err != nil {
-			t.Fatal(err)
+
+	// A page's task name seeds its quorum draw, so which bee writes it
+	// follows from its URL: boot the three batches afresh and try the
+	// next URL for the high page until the two writers differ.
+	var c *Cluster
+	var lowWriter, highWriter *WorkerBee
+	for attempt := 1; lowWriter == nil || lowWriter == highWriter; attempt++ {
+		if attempt > 16 {
+			t.Fatalf("setup: no URL in %d gave the two pages distinct writers", attempt-1)
 		}
-	}
-	c.Seal()
-	// Every assignee is honest and wins, so a task's designated writer
-	// is its first assignee in address order.
-	for _, b := range c.Bees {
-		for _, task := range c.QB.OpenTasksFor(b.Account.Address()) {
-			assignees := append([]chain.Address(nil), task.Assignees...)
-			sort.Slice(assignees, func(i, j int) bool { return assignees[i].String() < assignees[j].String() })
-			entries, _ := contracts.BatchEntries(task)
-			for _, bee := range c.Bees {
-				if bee.Account.Address() == assignees[0] {
-					writerOf[entries[0].URL] = bee
+		c = NewCluster(cfg)
+		owner := c.NewAccount("writer", 1<<40)
+		c.Seal()
+		for round, pages := range corpusBatches(cfg.Seed, 3, 8) {
+			if rr, err := c.IndexBatch(owner, pages); err != nil || len(rr.Errors) > 0 || rr.PointerWrites != cfg.NumShards {
+				t.Fatalf("round %d: err=%v errors=%v, %d pointer writes", round, err, rr.Errors, rr.PointerWrites)
+			}
+		}
+		urls := []string{"dweb://forged/0", fmt.Sprintf("dweb://forged/%d", attempt)}
+		for i, w := range words {
+			if _, err := c.PublishBatch(owner, c.Peers[0], []BatchPage{{URL: urls[i], Text: w + " " + w}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Seal()
+		// Every assignee is honest and wins, so a task's designated writer
+		// is its first assignee in address order.
+		writerOf := make(map[string]*WorkerBee) // page URL → its task's writer
+		for _, b := range c.Bees {
+			for _, task := range c.QB.OpenTasksFor(b.Account.Address()) {
+				assignees := append([]chain.Address(nil), task.Assignees...)
+				sort.Slice(assignees, func(i, j int) bool { return assignees[i].String() < assignees[j].String() })
+				for _, bee := range c.Bees {
+					if bee.Account.Address() == assignees[0] {
+						writerOf[task.Pages[0].URL] = bee
+					}
 				}
 			}
 		}
-	}
-	lowWriter, highWriter := writerOf["dweb://forged/0"], writerOf["dweb://forged/1"]
-	if lowWriter == nil || highWriter == nil || lowWriter == highWriter {
-		t.Fatalf("setup: the two pages need distinct writers, got %v and %v", lowWriter, highWriter)
+		lowWriter, highWriter = writerOf[urls[0]], writerOf[urls[1]]
+		if lowWriter == nil || highWriter == nil {
+			t.Fatalf("setup: no writer for the two pages, got %v and %v", lowWriter, highWriter)
+		}
 	}
 
 	before, _, err := readShardPointer(c.Peers[2].DHT(), high)

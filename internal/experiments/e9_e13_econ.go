@@ -315,7 +315,9 @@ func sybilSeatShare(seed uint64, ids int, stake uint64) float64 {
 	captured := 0
 	for i := 0; i < tasks; i++ {
 		url := fmt.Sprintf("dweb://sybil/%d", i)
-		call(publisher, contracts.MethodPublish, contracts.PublishParams{URL: url, CID: "c"}, 0)
+		call(publisher, contracts.MethodPublishBatch, contracts.PublishBatchParams{
+			Pages: []contracts.PublishParams{{URL: url, CID: "c"}},
+		}, 0)
 		clock.Advance(time.Second)
 		ch.Seal()
 		task, ok := qb.TaskInfo(fmt.Sprintf("idx:%s:1", url))

@@ -92,15 +92,13 @@ func (e *Engine) Balance(a *Account) uint64 {
 
 // Publish stores content on the DWeb, registers it through the smart
 // contract, and drives one protocol round so the worker bees commit to
-// the index task while its commit window is open.
+// the index task while its commit window is open. It is a one-page
+// PublishBatch: a registration the contract refuses (empty URL, a URL
+// another account owns) stores nothing and returns an error matching
+// ErrBatchRejected.
 func (e *Engine) Publish(owner *Account, url, text string, links []string) error {
-	_, err := e.Cluster.Publish(owner.acct, e.Cluster.RandomPeer(), url, text, links)
-	if err != nil {
-		return err
-	}
-	e.Cluster.Seal()
-	e.Cluster.ProcessRound()
-	return nil
+	_, err := e.PublishBatch(owner, []Page{{URL: url, Text: text, Links: links}})
+	return err
 }
 
 // Page is one document of a batch publish.

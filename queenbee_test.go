@@ -1,6 +1,7 @@
 package queenbee
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -146,4 +147,51 @@ func TestEngineErrors(t *testing.T) {
 		t.Fatal("fetch of unregistered page should error")
 	}
 	_ = alice
+}
+
+// TestEnginePublishRejected: a registration the contract refuses — a URL
+// another account owns, an empty URL — is an error matching
+// ErrBatchRejected, and leaves the deployment as it was: no content
+// stored on any peer, no block sealed, the page still its owner's and
+// the refused text unsearchable.
+func TestEnginePublishRejected(t *testing.T) {
+	e := newEngine(t)
+	alice := e.NewAccount("alice", 1000)
+	bob := e.NewAccount("bob", 1000)
+	if err := e.Publish(alice, "dweb://x", "alice wrote this page", nil); err != nil {
+		t.Fatal(err)
+	}
+	e.RunUntilIdle()
+	before, _ := e.Cluster.QB.Page("dweb://x")
+	pinned := func() int {
+		n := 0
+		for _, p := range e.Cluster.Peers {
+			n += p.Blocks().StatsSnapshot().Pinned
+		}
+		return n
+	}
+	pinnedBefore, heightBefore := pinned(), e.Cluster.Chain.Height()
+
+	for _, url := range []string{"dweb://x", ""} {
+		if err := e.Publish(bob, url, "bob overwrites with zanzibarian text", nil); !errors.Is(err, ErrBatchRejected) {
+			t.Fatalf("publish of %q: err = %v, want ErrBatchRejected", url, err)
+		}
+	}
+	if got := pinned(); got != pinnedBefore {
+		t.Fatalf("refused publishes stored content: %d blocks pinned, %d before", got, pinnedBefore)
+	}
+	if got := e.Cluster.Chain.Height(); got != heightBefore {
+		t.Fatalf("refused publishes sealed blocks: height %d, %d before", got, heightBefore)
+	}
+
+	e.RunUntilIdle()
+	if after, _ := e.Cluster.QB.Page("dweb://x"); after.Owner != before.Owner || after.CID != before.CID || after.Seq != before.Seq {
+		t.Fatalf("page record moved: %+v, was %+v", after, before)
+	}
+	if results, _, err := e.Search("zanzibarian", 10); err != nil || len(results) != 0 {
+		t.Fatalf("refused text is searchable: %+v err=%v", results, err)
+	}
+	if results, _, err := e.Search("alice wrote", 10); err != nil || len(results) != 1 || results[0].URL != "dweb://x" {
+		t.Fatalf("owner's page: %+v err=%v", results, err)
+	}
 }
