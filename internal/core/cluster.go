@@ -449,9 +449,11 @@ func (c *Cluster) HealPeers(addrs []netsim.NodeID) {
 	}
 }
 
-// RefreshDHT makes every live node re-replicate its DHT records to the
-// current k closest peers — the periodic republish real Kademlia
+// RefreshDHT makes every live node re-replicate its stored DHT values to
+// the current k closest peers — the periodic republish real Kademlia
 // deployments run, compressed into one call for churn experiments.
+// Provider records are not republished here: each provider re-announces
+// its own (store.Peer.Reprovide, run by RunMaintenance).
 func (c *Cluster) RefreshDHT() netsim.Cost {
 	var total netsim.Cost
 	for _, p := range c.Peers {

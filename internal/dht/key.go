@@ -17,8 +17,9 @@
 package dht
 
 import (
-	"bytes"
+	"cmp"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"math/bits"
 )
@@ -50,14 +51,24 @@ func (k Key) Short() string { return hex.EncodeToString(k[:4]) }
 // XOR returns the coordinate-wise XOR distance vector between two keys.
 func (k Key) XOR(o Key) Key {
 	var d Key
-	for i := range k {
-		d[i] = k[i] ^ o[i]
-	}
+	be := binary.BigEndian
+	be.PutUint64(d[:8], be.Uint64(k[:8])^be.Uint64(o[:8]))
+	be.PutUint64(d[8:16], be.Uint64(k[8:16])^be.Uint64(o[8:16]))
+	be.PutUint32(d[16:], be.Uint32(k[16:])^be.Uint32(o[16:]))
 	return d
 }
 
+// hi returns the key's top 64 bits, which decide most comparisons.
+func (k Key) hi() uint64 { return binary.BigEndian.Uint64(k[:8]) }
+
 // Cmp compares two keys as big-endian integers: -1, 0 or +1.
-func (k Key) Cmp(o Key) int { return bytes.Compare(k[:], o[:]) }
+func (k Key) Cmp(o Key) int {
+	be := binary.BigEndian
+	if k.hi() != o.hi() {
+		return cmp.Compare(k.hi(), o.hi())
+	}
+	return cmp.Or(cmp.Compare(be.Uint64(k[8:16]), be.Uint64(o[8:16])), cmp.Compare(be.Uint32(k[16:]), be.Uint32(o[16:])))
+}
 
 // Less reports whether k < o as big-endian integers.
 func (k Key) Less(o Key) bool { return k.Cmp(o) < 0 }

@@ -2,10 +2,12 @@ package dht
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -64,9 +66,11 @@ type Node struct {
 	net  *netsim.Network
 	rt   *routingTable
 
-	mu        sync.Mutex
-	values    map[Key]storedValue
-	providers map[Key]map[netsim.NodeID]Contact
+	mu     sync.Mutex
+	values map[Key]storedValue
+	// providers holds each key's provider set in address order, never
+	// written in place (withProvider): GET_PROVIDERS hands it out as is.
+	providers map[Key][]Contact
 }
 
 // NewNode creates a DHT node bound to addr on the network. Its keyspace ID
@@ -81,7 +85,7 @@ func NewNode(net *netsim.Network, addr netsim.NodeID, cfg Config) *Node {
 		net:       net,
 		rt:        nil,
 		values:    make(map[Key]storedValue),
-		providers: make(map[Key]map[netsim.NodeID]Contact),
+		providers: make(map[Key][]Contact),
 	}
 	n.rt = newRoutingTable(n.self.ID, cfg.K)
 	net.Register(addr, n.handle)
@@ -142,25 +146,16 @@ func (n *Node) handle(from netsim.NodeID, req any) (any, error) {
 	case addProviderReq:
 		n.rt.update(m.From)
 		n.mu.Lock()
-		set := n.providers[m.Key]
-		if set == nil {
-			set = make(map[netsim.NodeID]Contact)
-			n.providers[m.Key] = set
-		}
-		if len(set) < maxProvidersPerKey {
-			set[m.Provider.Addr] = m.Provider
+		if set := n.providers[m.Key]; len(set) < maxProvidersPerKey {
+			n.providers[m.Key] = withProvider(set, m.Provider)
 		}
 		n.mu.Unlock()
 		return addProviderResp{OK: true}, nil
 	case getProvidersReq:
 		n.rt.update(m.From)
 		n.mu.Lock()
-		var provs []Contact
-		for _, c := range n.providers[m.Key] {
-			provs = append(provs, c)
-		}
+		provs := n.providers[m.Key]
 		n.mu.Unlock()
-		sort.Slice(provs, func(i, j int) bool { return provs[i].Addr < provs[j].Addr })
 		return getProvidersResp{
 			Providers: provs,
 			Contacts:  n.rt.closest(m.Key, n.cfg.K),
@@ -317,10 +312,34 @@ func (n *Node) lookupNodes(target Key) (Walk, netsim.Cost) {
 	return convergedWalk(target, contacts), cost
 }
 
-// lookupState tracks per-contact progress during an iterative lookup.
-type lookupState struct {
-	queried bool
-	failed  bool
+// candidate is one shortlist entry of an iterative lookup.
+type candidate struct {
+	Contact
+	dist            Key // ID XOR target
+	queried, failed bool
+}
+
+// shortlist is a lookup's candidates in ascending distance to its target.
+// XOR with a fixed target is a bijection, so an equal distance is the
+// same contact: the sort order de-duplicates too.
+type shortlist []candidate
+
+// search returns the index at which distance d is, or belongs. The top
+// word decides nearly every step; Less settles only a tie on it.
+func (s shortlist) search(d Key) (int, bool) {
+	h := d.hi()
+	i := sort.Search(len(s), func(i int) bool { x := s[i].dist.hi(); return x > h || x == h && !s[i].dist.Less(d) })
+	return i, i < len(s) && s[i].dist == d
+}
+
+// insert adds c at its rank unless listed, reporting whether it did.
+func (s *shortlist) insert(c Contact, target Key) bool {
+	d := c.ID.XOR(target)
+	i, found := s.search(d)
+	if !found {
+		*s = slices.Insert(*s, i, candidate{Contact: c, dist: d})
+	}
+	return !found
 }
 
 // iterativeLookup is the shared Kademlia lookup loop. query returns the
@@ -352,11 +371,14 @@ type lookupState struct {
 // moment that round's answers are all in hand.
 func (n *Node) iterativeLookup(ctx context.Context, target Key, width int, firstAnswer bool, query func(Contact) ([]Contact, bool, netsim.Cost), afterRound func(soFar netsim.Cost)) ([]Contact, netsim.Cost, error) {
 	k := n.cfg.K
-	shortlist := n.rt.closest(target, k)
-	states := make(map[Key]*lookupState, len(shortlist))
-	for _, c := range shortlist {
-		states[c.ID] = &lookupState{}
+	// Room for twice the K closest; a walk that hears of more doubles it,
+	// an alpha-wide one at most once a round.
+	list := make(shortlist, 0, 2*k)
+	for _, c := range n.rt.closest(target, k) {
+		list.insert(c, target)
 	}
+	buf := make([]Contact, 0, max(width, k)) // unasked's answer
+	live := 0                                // contacts queried successfully so far
 	var total netsim.Cost
 	var lookupErr error
 
@@ -377,44 +399,27 @@ func (n *Node) iterativeLookup(ctx context.Context, target Key, width int, first
 		return false
 	}
 
-	insert := func(c Contact) {
-		if c.ID == n.self.ID {
-			return
-		}
-		if _, ok := states[c.ID]; ok {
-			return
-		}
-		states[c.ID] = &lookupState{}
-		shortlist = append(shortlist, c)
-	}
-
-	sortShortlist := func() {
-		sort.Slice(shortlist, func(i, j int) bool {
-			return DistanceLess(target, shortlist[i].ID, shortlist[j].ID)
-		})
-	}
-
 	// unasked returns up to width contacts not yet asked, nearest first,
-	// from among the first reach live entries of the sorted shortlist.
+	// from among the first reach live entries of the shortlist.
 	unasked := func(width, reach int) []Contact {
-		var out []Contact
-		for _, c := range shortlist {
-			st := states[c.ID]
-			if st.failed {
+		buf = buf[:0]
+		for i := range list {
+			c := &list[i]
+			if c.failed {
 				continue
 			}
 			if reach == 0 {
 				break
 			}
 			reach--
-			if !st.queried {
-				out = append(out, c)
-				if len(out) == width {
+			if !c.queried {
+				buf = append(buf, c.Contact)
+				if len(buf) == width {
 					break
 				}
 			}
 		}
-		return out
+		return buf
 	}
 
 	// ask queries one round in parallel and folds it into the lookup's
@@ -425,16 +430,20 @@ func (n *Node) iterativeLookup(ctx context.Context, target Key, width int, first
 			if cancelled() {
 				break
 			}
-			st := states[c.ID]
-			st.queried = true
+			// The shortlist only changes below, after i is last used.
+			i, _ := list.search(c.ID.XOR(target))
+			list[i].queried = true
 			closer, ok, cost := query(c)
 			roundCost = roundCost.Par(cost)
 			if !ok {
-				st.failed = true
+				list[i].failed = true
 				continue
 			}
+			live++
 			for _, cc := range closer {
-				insert(cc)
+				if cc.ID != n.self.ID {
+					list.insert(cc, target)
+				}
 			}
 		}
 		total = total.Seq(roundCost)
@@ -452,14 +461,32 @@ func (n *Node) iterativeLookup(ctx context.Context, target Key, width int, first
 	// untried table entries left, so the widening changes nothing when no
 	// node has failed.
 	exhausted := func() bool {
-		return countLive(states) >= k || !widen(n.rt, target, states, &shortlist)
+		if live >= k {
+			return true
+		}
+		widened := false
+		for _, c := range n.rt.closest(target, n.rt.size()) {
+			widened = list.insert(c, target) || widened
+		}
+		return !widened
+	}
+
+	// best is the distance of the closest contact not known to have
+	// failed, or orElse when every one has. A round is drawn from those
+	// contacts, so before it there is always one.
+	best := func(orElse Key) Key {
+		for i := range list {
+			if !list[i].failed {
+				return list[i].dist
+			}
+		}
+		return orElse
 	}
 
 	for {
-		sortShortlist()
 		reach := k
 		if firstAnswer {
-			reach = len(shortlist)
+			reach = len(list)
 		}
 		round := unasked(width, reach)
 		if len(round) == 0 {
@@ -468,13 +495,12 @@ func (n *Node) iterativeLookup(ctx context.Context, target Key, width int, first
 			}
 			continue
 		}
-		prevBest := bestDistance(target, shortlist, states)
+		prevBest := best(Key{})
 		ask(round)
 		if lookupErr != nil {
 			return nil, total, lookupErr
 		}
-		sortShortlist()
-		if bestDistance(target, shortlist, states).Less(prevBest) {
+		if best(prevBest).Less(prevBest) {
 			continue
 		}
 		// Termination: when a round brings the walk no closer, ask what is
@@ -493,62 +519,16 @@ func (n *Node) iterativeLookup(ctx context.Context, target Key, width int, first
 		}
 	}
 
-	sortShortlist()
-	var result []Contact
-	for _, c := range shortlist {
-		st := states[c.ID]
-		if st.failed || !st.queried {
-			continue
-		}
-		result = append(result, c)
-		if len(result) == n.cfg.K {
-			break
+	result := make([]Contact, 0, min(k, live))
+	for i := range list {
+		if c := &list[i]; c.queried && !c.failed {
+			result = append(result, c.Contact)
+			if len(result) == k {
+				break
+			}
 		}
 	}
 	return result, total, nil
-}
-
-// countLive counts contacts queried successfully so far.
-func countLive(states map[Key]*lookupState) int {
-	live := 0
-	for _, st := range states {
-		if st.queried && !st.failed {
-			live++
-		}
-	}
-	return live
-}
-
-// widen refills an exhausted shortlist with routing-table contacts not
-// yet tried, reporting whether it added any. Only reached when failures
-// have eaten the original shortlist (see the lookup loop).
-func widen(rt *routingTable, target Key, states map[Key]*lookupState, shortlist *[]Contact) bool {
-	added := false
-	for _, c := range rt.closest(target, 1<<20) {
-		if _, ok := states[c.ID]; ok {
-			continue
-		}
-		states[c.ID] = &lookupState{}
-		*shortlist = append(*shortlist, c)
-		added = true
-	}
-	return added
-}
-
-// bestDistance returns the XOR distance of the closest non-failed contact
-// in a distance-sorted shortlist.
-func bestDistance(target Key, list []Contact, states map[Key]*lookupState) Key {
-	for _, c := range list {
-		if st := states[c.ID]; st != nil && st.failed {
-			continue
-		}
-		return c.ID.XOR(target)
-	}
-	var max Key
-	for i := range max {
-		max[i] = 0xFF
-	}
-	return max
 }
 
 // writeAt is the one write wave behind PutAt and ProvideAt: send issues
@@ -810,12 +790,7 @@ func (n *Node) ProvideAt(w Walk) ([]Contact, netsim.Cost, error) {
 	key := w.Key
 	holders, cost := n.writeAt(w, func() {
 		n.mu.Lock()
-		set := n.providers[key]
-		if set == nil {
-			set = make(map[netsim.NodeID]Contact)
-			n.providers[key] = set
-		}
-		set[n.self.Addr] = n.self
+		n.providers[key] = withProvider(n.providers[key], n.self)
 		n.mu.Unlock()
 	}, func(c Contact) (bool, netsim.Cost, error) {
 		_, cost, err := n.call(c, addProviderReq{From: n.self, Key: key, Provider: n.self})
@@ -869,24 +844,17 @@ func (n *Node) FindProvidersConverged(key Key, limit int) (Providers, netsim.Cos
 
 func (n *Node) findProviders(key Key, limit int, firstAnswer bool) (Providers, netsim.Cost, error) {
 	found := Providers{Walk: Walk{Key: key}}
-	seen := make(map[netsim.NodeID]Contact)
-	known := func() []Contact {
-		out := make([]Contact, 0, len(seen))
-		for _, c := range seen {
-			out = append(out, c)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-		if limit > 0 && len(out) > limit {
-			out = out[:limit]
-		}
-		return out
-	}
-	// Local provider records answer immediately.
+	// Local provider records answer immediately. seen may be this node's
+	// own set (withProvider never writes it), so known hands out copies.
 	n.mu.Lock()
-	for _, c := range n.providers[key] {
-		seen[c.Addr] = c
-	}
+	seen := n.providers[key]
 	n.mu.Unlock()
+	known := func() []Contact {
+		if limit > 0 && len(seen) > limit {
+			return slices.Clone(seen[:limit])
+		}
+		return slices.Clone(seen)
+	}
 	found.First = known()
 	if limit > 0 && len(seen) >= limit {
 		found.All = found.First
@@ -906,7 +874,7 @@ func (n *Node) findProviders(key Key, limit int, firstAnswer bool) (Providers, n
 		}
 		r := resp.(getProvidersResp)
 		for _, p := range r.Providers {
-			seen[p.Addr] = p
+			seen = withProvider(seen, p)
 		}
 		return r.Contacts, true, cc
 	}, func(soFar netsim.Cost) {
@@ -940,23 +908,22 @@ func (n *Node) RefreshBuckets(rounds int) netsim.Cost {
 	return total
 }
 
-// Refresh re-replicates every locally stored value and provider record to
-// the current k closest nodes. Experiments and the maintenance loop call
-// this after churn. Keys are republished in sorted order so the network
+// Refresh re-replicates every locally stored value to the current k
+// closest nodes; provider records are their providers' to re-announce
+// (store.Peer.Reprovide). Experiments and the maintenance loop call this
+// after churn. Keys are republished in sorted order so the network
 // traffic (and its RNG draws) is identical across runs.
 func (n *Node) Refresh() netsim.Cost {
 	n.mu.Lock()
-	keys := make([]Key, 0, len(n.values))
-	vals := make(map[Key]storedValue, len(n.values))
-	for k, v := range n.values {
-		keys = append(keys, k)
-		vals[k] = v
+	keys := sortedKeys(n.values)
+	vals := make([]storedValue, len(keys))
+	for i, k := range keys {
+		vals[i] = n.values[k]
 	}
 	n.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i][:], keys[j][:]) < 0 })
 	var total netsim.Cost
-	for _, k := range keys {
-		v := vals[k]
+	for i, k := range keys {
+		v := vals[i]
 		//detlint:ignore errsink best-effort republish; a failed Put leaves the record for the next Refresh round
 		_, cost, _ := n.Put(k, v.value, v.seq)
 		total = total.Seq(cost)
@@ -985,11 +952,10 @@ func (n *Node) Digest() [sha256.Size]byte {
 		fmt.Fprintf(h, "v %s %d %x\n", k, v.seq, sha256.Sum256(v.value))
 	}
 	for _, k := range sortedKeys(n.providers) {
-		addrs := make([]netsim.NodeID, 0, len(n.providers[k]))
-		for a := range n.providers[k] {
-			addrs = append(addrs, a)
+		addrs := make([]netsim.NodeID, len(n.providers[k]))
+		for i, c := range n.providers[k] {
+			addrs[i] = c.Addr
 		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 		fmt.Fprintf(h, "p %s %v\n", k, addrs)
 	}
 	var sum [sha256.Size]byte
@@ -1005,6 +971,18 @@ func sortedKeys[V any](m map[Key]V) []Key {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
 	return keys
+}
+
+// withProvider returns set, in address order, with c in it. It never
+// writes to set's array, so a set already handed out stays as it was. A
+// node's ID is the hash of its address, so a record for an address the
+// set holds is the one it holds, and set comes back unchanged.
+func withProvider(set []Contact, c Contact) []Contact {
+	i, found := slices.BinarySearchFunc(set, c.Addr, func(e Contact, a netsim.NodeID) int { return cmp.Compare(e.Addr, a) })
+	if found {
+		return set
+	}
+	return slices.Insert(set[:len(set):len(set)], i, c)
 }
 
 // StoreLocal injects a value directly into this node's local store,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/netsim"
@@ -12,18 +13,26 @@ import (
 // buildSwarm creates n bootstrapped DHT nodes on a fresh network.
 func buildSwarm(t testing.TB, n int, cfg Config) (*netsim.Network, []*Node) {
 	t.Helper()
-	net := netsim.New(netsim.DefaultConfig())
+	return buildSeededSwarm(t, netsim.DefaultConfig().Seed, n, cfg)
+}
+
+// buildSeededSwarm is buildSwarm on a network seeded with seed.
+func buildSeededSwarm(t testing.TB, seed uint64, n int, cfg Config) (*netsim.Network, []*Node) {
+	t.Helper()
+	ncfg := netsim.DefaultConfig()
+	ncfg.Seed = seed
+	net := netsim.New(ncfg)
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
 		nodes[i] = NewNode(net, netsim.NodeID(fmt.Sprintf("peer-%03d", i)), cfg)
 	}
-	seed := nodes[0].Self()
+	first := nodes[0].Self()
 	for i := 1; i < n; i++ {
-		nodes[i].Bootstrap([]Contact{seed})
+		nodes[i].Bootstrap([]Contact{first})
 	}
 	// Second pass so early joiners learn about late joiners.
 	for _, nd := range nodes {
-		nd.Bootstrap([]Contact{seed})
+		nd.Bootstrap([]Contact{first})
 	}
 	return net, nodes
 }
@@ -175,6 +184,60 @@ func TestFindProvidersLimit(t *testing.T) {
 	}
 	if len(found.All) > 3 || len(found.First) > 3 {
 		t.Fatalf("limit violated: %d providers, %d at the first answer", len(found.All), len(found.First))
+	}
+}
+
+// TestProviderSetOrderAndCap: a node keeps a key's provider records in
+// address order whatever order they arrive in, keeps the first 16, and
+// takes a repeat announce of a present provider as a no-op. A set it has
+// answered GET_PROVIDERS with stays as it was when later announces land.
+func TestProviderSetOrderAndCap(t *testing.T) {
+	net := netsim.New(netsim.DefaultConfig())
+	holder := NewNode(net, "holder", DefaultConfig())
+	key := KeyOfString("provided")
+	announce := func(c Contact) {
+		if _, err := holder.HandleRPC(c.Addr, addProviderReq{From: c, Key: key, Provider: c}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	answer := func() []Contact {
+		resp, err := holder.HandleRPC("asker", getProvidersReq{From: mkContact(999), Key: key})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.(getProvidersResp).Providers
+	}
+	addrs := func(cs []Contact) []netsim.NodeID {
+		var out []netsim.NodeID
+		for _, c := range cs {
+			out = append(out, c.Addr)
+		}
+		return out
+	}
+	providers := func() []netsim.NodeID { return addrs(answer()) }
+	arrival := []int{7, 3, 12, 0, 19, 5, 5, 3, 1, 18, 9, 14, 2, 11, 6, 17, 4, 8, 10, 13, 15, 16}
+	var want []netsim.NodeID
+	var early []Contact
+	for i, p := range arrival {
+		c := mkContact(p)
+		announce(c)
+		if !slices.Contains(want, c.Addr) && len(want) < maxProvidersPerKey {
+			want = append(want, c.Addr)
+		}
+		if i == 4 {
+			early = answer()
+		}
+	}
+	slices.Sort(want)
+	if got := providers(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("provider set %v, want %v", got, want)
+	}
+	if want := "[node-0 node-12 node-19 node-3 node-7]"; fmt.Sprint(addrs(early)) != want {
+		t.Fatalf("a set answered after five announces reads %v later, want %v", addrs(early), want)
+	}
+	announce(mkContact(arrival[0])) // present, set full
+	if got := providers(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after a repeat announce: provider set %v, want %v", got, want)
 	}
 }
 

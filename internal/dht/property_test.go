@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -390,7 +391,7 @@ func announcedOn(nodes []*Node, key Key, who netsim.NodeID) []netsim.NodeID {
 	var out []netsim.NodeID
 	for _, nd := range nodes {
 		nd.mu.Lock()
-		_, ok := nd.providers[key][who]
+		ok := slices.ContainsFunc(nd.providers[key], func(c Contact) bool { return c.Addr == who })
 		nd.mu.Unlock()
 		if ok {
 			out = append(out, nd.self.Addr)
@@ -476,7 +477,7 @@ func TestWalkReuseLandsWherePutLands(t *testing.T) {
 		}
 		for _, nd := range nodes {
 			nd.mu.Lock()
-			delete(nd.providers[key], fetcher.self.Addr)
+			nd.providers[key] = slices.DeleteFunc(slices.Clone(nd.providers[key]), func(c Contact) bool { return c.Addr == fetcher.self.Addr })
 			nd.mu.Unlock()
 		}
 		if _, _, err := fetcher.Provide(key); err != nil {
@@ -604,7 +605,7 @@ func TestFindProvidersFirstAnswer(t *testing.T) {
 			nd.mu.Lock()
 			delete(nd.providers, key)
 			if nd.self.Addr == last {
-				nd.providers[key] = map[netsim.NodeID]Contact{res.All[0].Addr: res.All[0]}
+				nd.providers[key] = []Contact{res.All[0]}
 			}
 			nd.mu.Unlock()
 		}

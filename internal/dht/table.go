@@ -27,6 +27,7 @@ type routingTable struct {
 	self    Key
 	bucketK int
 	buckets [KeySize * 8]bucket
+	n       int // contacts across all buckets
 }
 
 type bucket struct {
@@ -35,6 +36,7 @@ type bucket struct {
 
 type tableEntry struct {
 	c      Contact
+	hi     uint64 // c.ID.hi(), closest's ranking word
 	failed bool
 }
 
@@ -59,22 +61,23 @@ func (rt *routingTable) update(c Contact) {
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	b := &rt.buckets[idx]
+	b, e := &rt.buckets[idx], tableEntry{c: c, hi: c.ID.hi()}
 	for i := range b.entries {
 		if b.entries[i].c.ID == c.ID {
 			// Move to tail (most recently seen), with the address just
 			// seen and the failure flag cleared.
-			b.moveToTail(i, tableEntry{c: c})
+			b.moveToTail(i, e)
 			return
 		}
 	}
 	if len(b.entries) < rt.bucketK {
-		b.entries = append(b.entries, tableEntry{c: c})
+		b.entries = append(b.entries, e)
+		rt.n++
 		return
 	}
 	for i := range b.entries {
 		if b.entries[i].failed {
-			b.moveToTail(i, tableEntry{c: c})
+			b.moveToTail(i, e)
 			return
 		}
 	}
@@ -106,42 +109,54 @@ func (rt *routingTable) markFailed(id Key) {
 	}
 }
 
-// closest returns up to n live-believed contacts closest to target,
-// nearest first. Each contact's XOR distance is computed once and
-// insertion-sorted into the n best so far; distinct IDs have distinct
-// distances, so the order is total.
+// closest returns up to n contacts closest to target, nearest first,
+// those marked failed included at their rank: a walk finds out for itself
+// who answers. Contacts rank by their distance's top 64 bits, the full
+// key breaking a tie; distinct IDs have distinct distances, so the order
+// is total.
 func (rt *routingTable) closest(target Key, n int) []Contact {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	size := 0
-	for i := range rt.buckets {
-		size += len(rt.buckets[i].entries)
+	n = min(n, rt.n)
+	type ranked struct {
+		d          uint64
+		bucket, at uint16
 	}
-	n = min(n, size)
-	// The distances never leave this call: a walk's few (K or alpha)
-	// fit a stack buffer.
-	var buf [32]Key
-	dists := buf[:0]
+	id := func(r ranked) Key { return rt.buckets[r.bucket].entries[r.at].c.ID }
+	tie := func(a, b ranked) bool { return id(a).XOR(target).Less(id(b).XOR(target)) }
+	less := func(a, b ranked) bool { return a.d < b.d || a.d == b.d && tie(a, b) }
+	// The n best so far never leave this call: a walk's few (K or alpha)
+	// fit a stack buffer, and the insertion sort moves two words holding
+	// no pointer (so no write barrier), not contacts.
+	var buf [32]ranked
+	best := buf[:0]
 	if n > len(buf) {
-		dists = make([]Key, 0, n)
+		best = make([]ranked, 0, n)
 	}
-	out := make([]Contact, 0, n)
-	for i := range rt.buckets {
-		for _, e := range rt.buckets[i].entries {
-			d := e.c.ID.XOR(target)
-			if len(out) == n {
-				if n == 0 || !d.Less(dists[n-1]) {
+	// Near buckets are mostly empty: stop once every contact is seen.
+	th, left := target.hi(), rt.n
+	for i := len(rt.buckets) - 1; left > 0; i-- {
+		es := rt.buckets[i].entries
+		left -= len(es)
+		for j := range es {
+			r := ranked{es[j].hi ^ th, uint16(i), uint16(j)}
+			if len(best) == n {
+				if n == 0 || !less(r, best[n-1]) {
 					continue
 				}
-				out, dists = out[:n-1], dists[:n-1]
+				best = best[:n-1]
 			}
-			j := len(out)
-			out, dists = append(out, e.c), append(dists, d)
-			for ; j > 0 && d.Less(dists[j-1]); j-- {
-				out[j], dists[j] = out[j-1], dists[j-1]
+			k := len(best)
+			best = append(best, r)
+			for ; k > 0 && less(r, best[k-1]); k-- {
+				best[k] = best[k-1]
 			}
-			out[j], dists[j] = e.c, d
+			best[k] = r
 		}
+	}
+	out := make([]Contact, len(best))
+	for i, r := range best {
+		out[i] = rt.buckets[r.bucket].entries[r.at].c
 	}
 	return out
 }
@@ -162,11 +177,7 @@ func (rt *routingTable) writeTo(w io.Writer) {
 func (rt *routingTable) size() int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	n := 0
-	for i := range rt.buckets {
-		n += len(rt.buckets[i].entries)
-	}
-	return n
+	return rt.n
 }
 
 // contacts returns every contact in the table (arbitrary order).

@@ -110,15 +110,32 @@ func TestTableUpdateRefreshesFailedFlag(t *testing.T) {
 
 // TestClosestMatchesFullSort: the n closest are the first n of every
 // contact sorted by distance to the target, for n below, at and above
-// the table size.
+// the table size. Besides hashed IDs the table holds a dozen that share
+// their top 64 bits, so their distances to any target tie on the word
+// closest ranks by and only the rest of the key can order them.
 func TestClosestMatchesFullSort(t *testing.T) {
-	rt := newRoutingTable(KeyOfString("self"), 8)
+	rt := newRoutingTable(KeyOfString("self"), 16)
+	rng := xrand.New(3)
+	tie := KeyOfString("tie")
+	for i := 0; i < 12; i++ {
+		id := tie
+		for j := 8; j < KeySize; j++ {
+			id[j] = byte(rng.Intn(256))
+		}
+		rt.update(Contact{ID: id, Addr: netsim.NodeID(fmt.Sprintf("tie-%d", i))})
+	}
+	if rt.size() != 12 {
+		t.Fatalf("table holds %d of the 12 tied IDs", rt.size())
+	}
 	for i := 0; i < 200; i++ {
 		rt.update(mkContact(i))
 	}
 	all := rt.contacts()
+	targets := []Key{tie}
 	for trial := 0; trial < 20; trial++ {
-		target := KeyOfString(fmt.Sprintf("target-%d", trial))
+		targets = append(targets, KeyOfString(fmt.Sprintf("target-%d", trial)))
+	}
+	for trial, target := range targets {
 		sort.Slice(all, func(i, j int) bool { return DistanceLess(target, all[i].ID, all[j].ID) })
 		for _, n := range []int{0, 1, 3, 8, 20, 25, len(all), len(all) + 5} {
 			want := all[:min(n, len(all))]
@@ -191,6 +208,21 @@ func TestTableUpdateMatchesReference(t *testing.T) {
 	}
 	if got.size() < 10 {
 		t.Fatalf("script reached only %d contacts", got.size())
+	}
+}
+
+// TestClosestRanksFailedContacts: a contact marked failed is still
+// returned, at its rank; a walk finds out for itself whether it answers.
+func TestClosestRanksFailedContacts(t *testing.T) {
+	rt := newRoutingTable(KeyOfString("self"), 8)
+	for i := 0; i < 100; i++ {
+		rt.update(mkContact(i))
+	}
+	target := KeyOfString("target")
+	before := rt.closest(target, 8)
+	rt.markFailed(before[2].ID)
+	if after := rt.closest(target, 8); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("after marking %s failed: closest %v, want %v", before[2].Addr, after, before)
 	}
 }
 
