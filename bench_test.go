@@ -77,42 +77,52 @@ func BenchmarkSegmentEncodeDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkSegmentMerge is ablation A4: merging a long chain of delta
-// segments (what query time pays without compaction) vs the single
-// pre-merged segment (what compaction buys).
+// BenchmarkSegmentMerge is ablation A4: building a shard's merged view
+// from a long chain of delta segments (what query time pays without
+// compaction) vs the single pre-merged segment (what compaction buys).
+// Each iteration decodes the chain's encoded segments afresh and merges
+// them, as a frontend's chain miss does; view_B is the view's SizeBytes,
+// what the chain cache charges for it.
 func BenchmarkSegmentMerge(b *testing.B) {
 	cfg := corpus.DefaultConfig()
 	cfg.NumDocs = 64
 	corp := corpus.Generate(cfg)
 	for _, chainLen := range []int{2, 8, 32} {
-		var segs []*index.Segment
+		var encoded [][]byte
 		per := len(corp.Docs) / chainLen
 		for s := 0; s < chainLen; s++ {
 			builder := index.NewBuilder(uint64(s + 1))
 			for d := s * per; d < (s+1)*per; d++ {
 				builder.Add(index.DocIDOf(corp.Docs[d].URL), corp.Docs[d].Text)
 			}
-			segs = append(segs, builder.Build())
+			encoded = append(encoded, builder.Build().Encode())
 		}
 		b.Run(fmt.Sprintf("chain=%d", chainLen), func(b *testing.B) {
 			b.ReportAllocs()
+			segs := make([]*index.Segment, len(encoded))
+			var view *index.Segment
 			for i := 0; i < b.N; i++ {
-				index.Merge(segs)
+				for j, data := range encoded {
+					var err error
+					if segs[j], err = index.DecodeSegment(data); err != nil {
+						b.Fatal(err)
+					}
+				}
+				view = index.Merge(segs)
 			}
+			b.ReportMetric(float64(view.SizeBytes()), "view_B")
 		})
 	}
 }
 
-// lookupBenchSegment builds a 5k-term segment for the lookup benchmarks.
+// lookupBenchSegment builds a 5k-term segment for the lookup benchmarks:
+// one document a term, each holding its term twice.
 func lookupBenchSegment() *index.Segment {
-	seg := index.NewSegment(1)
+	builder := index.NewBuilder(1)
 	for i := 0; i < 5000; i++ {
-		term := fmt.Sprintf("term%05d", i)
-		doc := index.DocID(i + 1)
-		seg.Terms[term] = index.PostingList{{Doc: doc, TF: 2, Positions: []uint32{uint32(i), uint32(i + 7)}}}
-		seg.DocLens[doc] = 40
+		builder.Add(index.DocID(i+1), fmt.Sprintf("term%05d term%05d", i, i))
 	}
-	return seg
+	return builder.Build()
 }
 
 // BenchmarkSegmentLookupCold measures a one-term query against a freshly

@@ -326,10 +326,10 @@ type shardLeg struct {
 // fetchLeg resolves one shard: its pointer read, then the merged view of
 // the chain it names, from the chain cache or, on a miss, from the
 // chain's segments (fetchSegmentCtx), merged here and cached. Single-
-// segment chains (the common case after compaction) skip merging, so
-// their postings stay lazy. Only a shard this cluster never wrote reads
-// as empty (Cluster.readsEmpty); a written shard whose pointer no replica
-// returns fails like any unreachable shard.
+// segment chains (the common case after compaction) skip merging. Only
+// a shard this cluster never wrote reads as empty (Cluster.readsEmpty); a
+// written shard whose pointer no replica returns fails like any
+// unreachable shard.
 //
 // A warm leg — a remembered pointer holder and a cached chain — sends one
 // verified RPC and takes no lock, so warm queries run side by side. A leg

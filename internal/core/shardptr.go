@@ -268,7 +268,7 @@ type tieredResult struct {
 // shard its terms hash to, so merging it unrestricted would rewrite the
 // full batch bytes once PER SHARD — write amplification multiplied by
 // the shard fan-in. Restriction keeps each shard's rewrites to its own
-// share (plus the full DocLens tombstone set; see Segment.Restrict),
+// share (plus the full DocLens tombstone set; see index.MergeEncode),
 // which is what holds global amplification to O(tiers), not
 // O(tiers × shards). Queries never notice: a term is only ever looked
 // up on the shard it hashes to.

@@ -38,8 +38,8 @@ func TestWritePathAllocs(t *testing.T) {
 	batches, runs := corpusRuns(4)
 	seg := BuildBatch(1, batches[0])
 	terms, postings := seg.NumTerms(), 0
-	for _, pl := range seg.Terms {
-		postings += len(pl)
+	for _, term := range seg.TermsSorted() {
+		postings += len(seg.Postings(term))
 	}
 	analyze := testing.AllocsPerRun(5, func() {
 		for _, d := range batches[0] {
@@ -55,7 +55,7 @@ func TestWritePathAllocs(t *testing.T) {
 		t.Errorf("BuildBatch+Encode: %.0f allocs exceed the bound %.0f", build, limit)
 	}
 
-	// A four-run tiered merge of lazy runs into one shard's run, as
+	// A four-run tiered merge of decoded runs into one shard's run, as
 	// compaction writes it.
 	lazy := make([]*Segment, len(runs))
 	for i, r := range runs {

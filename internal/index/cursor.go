@@ -2,24 +2,23 @@ package index
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 )
 
 // cursorMeta is a segment's memoized per-term skip metadata: the parsed
-// block skips plus either a materialized posting list (built segments and
-// already-decoded terms) or a lazy block source. It is immutable once
-// built; TermCursor instances reference it but keep their own position
-// state, so one query's cursor never perturbs another's.
+// block skips and the term's block-decodable source. It is immutable
+// once built; TermCursor instances reference it but keep their own
+// position state, so one query's cursor never perturbs another's.
 type cursorMeta struct {
 	df    int
 	skips []BlockSkip
-	pl    PostingList     // materialized source (nil when src is set)
-	src   *lazyTermSource // lazy v3 block-decodable source
+	src   *termSource
 }
 
-// lazyTermSource addresses one term's v3 postings blob for
-// block-granular decoding without materializing the whole list.
-type lazyTermSource struct {
+// termSource addresses one term's v3 postings blob for block-granular
+// decoding without materializing the whole list.
+type termSource struct {
 	enc        uint8   // 0 = delta blocks, 1 = bitmap
 	payload    []byte  // delta: whole blob; bitmap: TF/positions stream
 	bitmap     []byte  // bitmap terms only
@@ -27,10 +26,9 @@ type lazyTermSource struct {
 }
 
 // Cursor returns a fresh block-max cursor over a term's postings, or nil
-// if the term is absent. The underlying skip metadata is parsed (lazy
-// segments) or computed (materialized lists) once per term and memoized
-// on the segment; each call returns an independent cursor so concurrent
-// queries never share position state.
+// if the term is absent. The underlying skip metadata is parsed once per
+// term and memoized on the segment; each call returns an independent
+// cursor so concurrent queries never share position state.
 func (s *Segment) Cursor(term string) *TermCursor {
 	s.mu.RLock()
 	m, ok := s.cursors[term]
@@ -51,78 +49,33 @@ func (s *Segment) Cursor(term string) *TermCursor {
 	if m == nil {
 		return nil
 	}
-	return &TermCursor{df: m.df, skips: m.skips, pl: m.pl, src: m.src, lens: s.DocLens, decoded: -1, boundBi: -1}
+	return &TermCursor{df: m.df, skips: m.skips, src: m.src, lens: s.DocLens, decoded: -1, boundBi: -1}
 }
 
-// buildCursorMeta assembles a term's skip metadata. Lazy segments parse
-// the skip entries straight out of the dictionary (no posting decode);
-// built segments and already-decoded terms derive equivalent skips from
-// the materialized list.
+// buildCursorMeta parses a term's skip entries straight out of the
+// dictionary, decoding no postings.
 func (s *Segment) buildCursorMeta(term string) *cursorMeta {
-	s.mu.RLock()
-	lazy := s.lazy
-	var cached PostingList
-	var inCache bool
-	if lazy != nil {
-		cached, inCache = lazy.cache[term]
-	}
-	s.mu.RUnlock()
-
-	if lazy != nil && !inCache {
-		e, blob, found, err := lazy.findV3(term)
-		if err != nil || !found {
-			return nil
-		}
-		skips, err := parseSkipsV3(e.skipsRaw, e.df)
-		if err != nil {
-			return nil
-		}
-		src := &lazyTermSource{enc: uint8(e.enc)}
-		if e.enc == 1 {
-			bmLen, n := binary.Uvarint(blob)
-			if n <= 0 || uint64(len(blob)-n) < bmLen {
-				return nil // unreachable post-validation
-			}
-			src.bitmap = blob[n : n+int(bmLen)]
-			src.payload = blob[n+int(bmLen):]
-			src.docsSorted = lazy.docsSorted
-		} else {
-			src.payload = blob
-		}
-		return &cursorMeta{df: e.df, skips: skips, src: src}
-	}
-
-	pl := cached
-	if !inCache {
-		pl = s.Postings(term)
-	}
-	if len(pl) == 0 {
+	e, blob, found, err := s.findV3(term)
+	if err != nil || !found {
 		return nil
 	}
-	return &cursorMeta{df: len(pl), skips: computeSkips(pl, s.DocLens), pl: pl}
-}
-
-// computeSkips derives the encoder's skip entries from a materialized
-// posting list: per postingsBlockSize-posting block, the last DocID and
-// the canonical (TF, docLen) frontier. End offsets are unused for
-// materialized sources. Missing docLens entries fall back to length 0,
-// matching the encoder rule (a zero length only inflates the bound —
-// still safe).
-func computeSkips(pl PostingList, docLens map[DocID]uint32) []BlockSkip {
-	nblocks := (len(pl) + postingsBlockSize - 1) / postingsBlockSize
-	skips := make([]BlockSkip, 0, nblocks)
-	var pairs []TFDL
-	for b := 0; b < nblocks; b++ {
-		lo := b * postingsBlockSize
-		hi := lo + v3BlockLen(b, len(pl))
-		pairs = pairs[:0]
-		for i := lo; i < hi; i++ {
-			pairs = append(pairs, TFDL{pl[i].TF, docLens[pl[i].Doc]})
-		}
-		fr := blockFrontier(pairs)
-		skips = append(skips, BlockSkip{LastDoc: pl[hi-1].Doc, Frontier: append([]TFDL(nil), fr...)})
+	skips, err := parseSkipsV3(e.skipsRaw, e.df)
+	if err != nil {
+		return nil
 	}
-	return skips
+	src := &termSource{enc: uint8(e.enc)}
+	if e.enc == 1 {
+		bmLen, n := binary.Uvarint(blob)
+		if n <= 0 || uint64(len(blob)-n) < bmLen {
+			return nil // unreachable post-validation
+		}
+		src.bitmap = blob[n : n+int(bmLen)]
+		src.payload = blob[n+int(bmLen):]
+		src.docsSorted = s.docsSorted
+	} else {
+		src.payload = blob
+	}
+	return &cursorMeta{df: e.df, skips: skips, src: src}
 }
 
 // TermCursor walks one term's postings block by block in ascending DocID
@@ -134,8 +87,7 @@ func computeSkips(pl PostingList, docLens map[DocID]uint32) []BlockSkip {
 type TermCursor struct {
 	df    int
 	skips []BlockSkip
-	pl    PostingList
-	src   *lazyTermSource
+	src   *termSource
 	lens  map[DocID]uint32 // the segment's doc lengths, which the skips' bounds use
 
 	bi      int // current block index (len(skips) = exhausted)
@@ -245,15 +197,9 @@ func (c *TermCursor) ensureDecoded() bool {
 		return true
 	}
 	n := v3BlockLen(c.bi, c.df)
-	c.docs = c.docs[:0]
-	c.tfs = c.tfs[:0]
-	if c.pl != nil {
-		lo := c.bi * postingsBlockSize
-		for i := lo; i < lo+n; i++ {
-			c.docs = append(c.docs, c.pl[i].Doc)
-			c.tfs = append(c.tfs, c.pl[i].TF)
-		}
-	} else if !c.src.decodeBlock(c.bi, c.skips, n, &c.docs, &c.tfs) {
+	c.docs = slices.Grow(c.docs[:0], n)
+	c.tfs = slices.Grow(c.tfs[:0], n)
+	if !c.src.decodeBlock(c.bi, c.skips, n, &c.docs, &c.tfs) {
 		// Unreachable for validated segments; defensively exhaust the
 		// cursor so corruption degrades to an absent term, mirroring
 		// Postings' behavior, rather than panicking.
@@ -266,11 +212,11 @@ func (c *TermCursor) ensureDecoded() bool {
 	return true
 }
 
-// decodeBlock parses block bi's postings out of the lazy source. For
+// decodeBlock parses block bi's postings out of the term's blob. For
 // delta terms the doc-gap chain restarts from the previous block's last
 // DocID; for bitmap terms the start ordinal is recovered by binary
 // search for the previous block's last DocID (itself a set bit).
-func (s *lazyTermSource) decodeBlock(bi int, skips []BlockSkip, n int, docs *[]DocID, tfs *[]uint32) bool {
+func (s *termSource) decodeBlock(bi int, skips []BlockSkip, n int, docs *[]DocID, tfs *[]uint32) bool {
 	start := 0
 	prevDoc := uint64(0)
 	ord := 0
@@ -316,12 +262,18 @@ func (s *lazyTermSource) decodeBlock(bi int, skips []BlockSkip, n int, docs *[]D
 			return false
 		}
 		b = b[ln:]
-		for j := uint64(0); j < npos; j++ {
-			if _, ln = binary.Uvarint(b); ln <= 0 {
-				return false
+		// Step over the positions: each varint ends at its one byte
+		// below 0x80.
+		k := 0
+		for ; npos > 0 && k < len(b); k++ {
+			if b[k] < 0x80 {
+				npos--
 			}
-			b = b[ln:]
 		}
+		if npos > 0 {
+			return false
+		}
+		b = b[k:]
 		*docs = append(*docs, doc)
 		*tfs = append(*tfs, uint32(tf))
 	}

@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -10,24 +11,26 @@ import (
 	"repro/internal/xrand"
 )
 
-// mergeReference is Merge as it was before the k-way kernel: apply the
-// segments oldest first, each one first tombstoning every document it
-// covers in the merged lists so far, then unioning in its own postings.
-// It shares nothing with the kernel but postingsMap, and the kernel must
-// agree with it byte for byte.
-func mergeReference(segments []*Segment) *Segment {
-	if len(segments) == 0 {
-		return NewSegment(0)
-	}
-	if len(segments) == 1 {
+// mergeReference is MergeEncode as it was before the k-way kernel, as a
+// view: restrict each segment to the terms keep accepts (nil keeps
+// all), then apply them oldest first, each one first tombstoning every
+// document it covers in the merged lists so far, then unioning in its
+// own postings. A segment whose kept lists do not all decode is skipped
+// whole. It shares nothing with the kernel but the encoder, and the
+// kernel must agree with it byte for byte.
+func mergeReference(segments []*Segment, keep func(string) bool) *Segment {
+	if len(segments) == 1 && keep == nil {
 		return segments[0]
 	}
 	ordered := append([]*Segment(nil), segments...)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Gen < ordered[j].Gen })
 
-	out := NewSegment(ordered[len(ordered)-1].Gen)
+	gen := uint64(0)
+	merged := make(map[string]PostingList)
+	docLens := make(map[DocID]uint32)
 	for _, seg := range ordered {
-		terms, err := seg.postingsMap()
+		gen = seg.Gen
+		terms, err := termsOf(seg, keep)
 		if err != nil {
 			continue
 		}
@@ -35,20 +38,48 @@ func mergeReference(segments []*Segment) *Segment {
 		for d := range seg.DocLens {
 			dead[d] = true
 		}
-		for term, pl := range out.Terms {
-			out.Terms[term] = dropDocs(pl, dead)
-			if len(out.Terms[term]) == 0 {
-				delete(out.Terms, term)
-			}
+		for term, pl := range merged {
+			merged[term] = dropDocs(pl, dead)
 		}
 		for term, pl := range terms {
-			out.Terms[term] = mergePostingLists(out.Terms[term], pl)
+			merged[term] = mergePostingLists(merged[term], pl)
 		}
 		for d, l := range seg.DocLens {
-			out.DocLens[d] = l
+			docLens[d] = l
 		}
 	}
-	return out
+	return segmentOf(gen, docLens, merged)
+}
+
+// termsOf decodes the posting list of every term of seg that keep
+// accepts (nil accepts all), or fails if one of them does not decode.
+func termsOf(seg *Segment, keep func(string) bool) (map[string]PostingList, error) {
+	m := make(map[string]PostingList)
+	dict, postOff := seg.dict, 0
+	for len(dict) > 0 {
+		e, rest, err := nextDictEntryV3(dict)
+		if err != nil {
+			return nil, err
+		}
+		dict = rest
+		if postOff+e.blobLen > len(seg.posts) {
+			return nil, errCorruptSegment
+		}
+		blob := seg.posts[postOff : postOff+e.blobLen]
+		postOff += e.blobLen
+		if keep != nil && !keep(string(e.term)) {
+			continue
+		}
+		pl, _, err := decodeTermBlobV3(blob, e, seg.docsSorted, nil, nil)
+		if err == nil {
+			err = pl.sortCheck()
+		}
+		if err != nil {
+			return nil, err
+		}
+		m[string(e.term)] = pl
+	}
+	return m, nil
 }
 
 // mergePostingLists unions two lists; on DocID collision the posting from
@@ -132,15 +163,15 @@ func TestMergeIdempotentProperty(t *testing.T) {
 	}
 }
 
-// Property: a merged segment always validates and covers exactly the
-// union of the inputs' documents.
+// Property: a merged segment always passes DecodeSegment's validation
+// and covers exactly the union of the inputs' documents.
 func TestMergeValidityProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		a := randomSegment(rng, 1, 0, 5)
 		b := randomSegment(rng, 2, 3, 5)
 		m := Merge([]*Segment{a, b})
-		if m.Validate() != nil {
+		if _, err := DecodeSegment(m.Encode()); err != nil {
 			return false
 		}
 		want := map[DocID]bool{}
@@ -165,14 +196,13 @@ func TestMergeValidityProperty(t *testing.T) {
 	}
 }
 
-// Property: Restrict is the same on a built run and on its lazy
-// decoding, and restricting every run of a chain before merging it is
-// byte-identical to restricting the merged chain — what compaction
-// relies on when MergeEncode applies a shard's keep-predicate to each
-// input run as it merges. Chains of 1–8 runs
-// mix built and lazy runs, republish documents (a small DocID range),
-// repeat Gens, and include runs with nothing in the kept shard, at 1
-// and at 8 shards.
+// Property: restricting every run of a chain before merging it — what
+// MergeEncode does with a shard's keep-predicate as compaction merges —
+// is byte-identical to restricting the merged chain, and restricting a
+// run reads the same off a built view and off its decoding without
+// memoizing any list on either. Chains of 1–8 runs mix built and
+// decoded runs, republish documents (a small DocID range), repeat Gens,
+// and include runs with nothing in the kept shard, at 1 and at 8 shards.
 func TestRestrictBeforeMergeProperty(t *testing.T) {
 	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "theta",
 		"orchard", "meadow", "river", "canyon", "harbor", "summit", "valley"}
@@ -188,7 +218,6 @@ func TestRestrictBeforeMergeProperty(t *testing.T) {
 			}
 		}
 		runs := make([]*Segment, 1+rng.Intn(8))
-		restricted := make([]*Segment, len(runs))
 		for i := range runs {
 			vocab := words
 			if rng.Intn(4) == 0 {
@@ -204,43 +233,39 @@ func TestRestrictBeforeMergeProperty(t *testing.T) {
 				b.Add(DocID(1+rng.Intn(16)), text.String())
 			}
 			built := b.Build()
-			lazy, err := DecodeSegment(built.Encode())
+			decoded, err := DecodeSegment(built.Encode())
 			if err != nil {
 				t.Fatalf("seed %d run %d: %v", seed, i, err)
 			}
-			segmentsLogicallyEqual(t, lazy.Restrict(keep), built.Restrict(keep))
-			if lazy.lazy != nil && lazy.lazy.cache != nil {
-				t.Fatalf("seed %d run %d: Restrict memoized postings on its lazy receiver", seed, i)
+			one := []*Segment{built}
+			if !bytes.Equal(MergeEncode([]*Segment{decoded}, keep), MergeEncode(one, keep)) {
+				t.Fatalf("seed %d run %d: restricting the decoded run differs from the built one", seed, i)
+			}
+			if built.lists != nil || decoded.lists != nil {
+				t.Fatalf("seed %d run %d: restricting memoized postings on its input", seed, i)
 			}
 			runs[i] = built
 			if rng.Intn(2) == 0 {
-				runs[i] = lazy
+				runs[i] = decoded
 			}
-			restricted[i] = runs[i].Restrict(keep)
 		}
-		first := Merge(restricted).Encode()
-		if after := Merge(runs).Restrict(keep).Encode(); !bytes.Equal(first, after) {
+		first := MergeEncode(runs, keep)
+		if after := MergeEncode([]*Segment{Merge(runs)}, keep); !bytes.Equal(first, after) {
 			t.Fatalf("seed %d (%d runs, %d shards): merging restricted runs differs from restricting the merge", seed, len(runs), numShards)
 		}
 	}
 }
 
-// checkMergeAgainstReference requires the kernel's Merge of the runs
-// restricted by keep (nil: unrestricted) and MergeEncode of the runs
-// themselves to encode byte for byte as mergeReference of the restricted
-// runs does.
+// checkMergeAgainstReference requires MergeEncode of the runs under keep
+// (nil: unrestricted), and Merge of them when unrestricted, to encode
+// byte for byte as mergeReference does.
 func checkMergeAgainstReference(t *testing.T, what string, runs []*Segment, keep func(string) bool) {
 	t.Helper()
-	restricted := runs
-	if keep != nil {
-		restricted = make([]*Segment, len(runs))
-		for i, r := range runs {
-			restricted[i] = r.Restrict(keep)
+	want := mergeReference(runs, keep).Encode()
+	if keep == nil {
+		if got := Merge(runs).Encode(); !bytes.Equal(got, want) {
+			t.Fatalf("%s: Merge differs from the reference (%d vs %d bytes)", what, len(got), len(want))
 		}
-	}
-	want := mergeReference(restricted).Encode()
-	if got := Merge(restricted).Encode(); !bytes.Equal(got, want) {
-		t.Fatalf("%s: Merge differs from the reference (%d vs %d bytes)", what, len(got), len(want))
 	}
 	if got := MergeEncode(runs, keep); !bytes.Equal(got, want) {
 		t.Fatalf("%s: MergeEncode differs from the reference (%d vs %d bytes)", what, len(got), len(want))
@@ -248,12 +273,12 @@ func checkMergeAgainstReference(t *testing.T, what string, runs []*Segment, keep
 }
 
 // TestMergeKernelMatchesReference: the k-way kernel — through Merge and
-// through the fused MergeEncode — encodes every chain exactly as the
+// through MergeEncode — encodes every chain exactly as the
 // tombstone-then-union reference does. 300 chains of 1–8 runs mix built
-// and lazy runs, republish documents (a small DocID range), repeat Gens,
-// carry postings for documents their own run does not cover, and
-// sometimes hold a lazy run whose first posting list no longer decodes;
-// each is checked unrestricted and under a keep-predicate at 1 and at 8
+// and decoded runs, republish documents (a small DocID range), repeat
+// Gens, carry postings for documents their own run does not cover, and
+// sometimes hold a run whose first posting list no longer decodes; each
+// is checked unrestricted and under a keep-predicate at 1 and at 8
 // shards.
 func TestMergeKernelMatchesReference(t *testing.T) {
 	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "theta",
@@ -274,21 +299,24 @@ func TestMergeKernelMatchesReference(t *testing.T) {
 			built := b.Build()
 			if rng.Intn(4) == 0 {
 				// Uncover one document: its postings stay, its length goes.
-				for _, d := range sortedDocIDs(built.DocLens) {
-					delete(built.DocLens, d)
-					break
+				lens := maps.Clone(built.DocLens)
+				delete(lens, sortedDocIDs(lens)[0])
+				terms, err := termsOf(built, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
+				built = segmentOf(built.Gen, lens, terms)
 			}
 			runs[i] = built
 			if rng.Intn(2) == 0 {
-				lazy, err := DecodeSegment(built.Encode())
+				decoded, err := DecodeSegment(built.Encode())
 				if err != nil {
 					t.Fatalf("seed %d run %d: %v", seed, i, err)
 				}
-				if lazy.lazy != nil && rng.Intn(6) == 0 {
-					lazy.lazy.posts[0] = 0xFF // the first list no longer decodes
+				if len(decoded.posts) > 0 && rng.Intn(6) == 0 {
+					decoded.posts[0] = 0xFF // the first list no longer decodes
 				}
-				runs[i] = lazy
+				runs[i] = decoded
 			}
 		}
 		checkMergeAgainstReference(t, fmt.Sprintf("seed %d unrestricted", seed), runs, nil)
@@ -300,9 +328,11 @@ func TestMergeKernelMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzMerge: for any two runs DecodeSegment accepts — the first lazy,
-// the second materialized — and any shard split, the kernel's Merge and
-// MergeEncode encode the merge exactly as the reference does.
+// FuzzMerge: for any two runs DecodeSegment accepts and any shard split,
+// MergeEncode — of both runs and of the newer alone, unrestricted and
+// under the split's keep-predicate — and Merge encode exactly as the
+// reference does: a restricted run keeps every kept term's postings and
+// its whole DocLens and Gen.
 func FuzzMerge(f *testing.F) {
 	f.Add(randomDocSegment(11, 2).Encode(), randomDocSegment(12, 2).Encode(), uint8(8), uint8(3))
 	f.Add(randomDocSegment(13, 3).Encode(), denseSparseSegment(40).Encode(), uint8(1), uint8(0))
@@ -312,20 +342,16 @@ func FuzzMerge(f *testing.F) {
 		if err != nil {
 			return
 		}
-		lazy, err := DecodeSegment(b)
+		newer, err := DecodeSegment(b)
 		if err != nil {
 			return
 		}
-		terms, err := lazy.postingsMap()
-		if err != nil {
-			return
-		}
-		newer := &Segment{Gen: lazy.Gen, Terms: terms, DocLens: lazy.DocLens}
 		n := 1 + int(shards%8)
 		keep := func(term string) bool { return ShardOf(term, n) == int(shard)%n }
 		runs := []*Segment{older, newer}
 		checkMergeAgainstReference(t, "unrestricted", runs, nil)
 		checkMergeAgainstReference(t, "restricted", runs, keep)
+		checkMergeAgainstReference(t, "one run restricted", runs[1:], keep)
 	})
 }
 

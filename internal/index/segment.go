@@ -2,11 +2,9 @@ package index
 
 import (
 	"cmp"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 )
 
@@ -19,44 +17,53 @@ import (
 // here shadows its older postings everywhere, even for terms the new
 // version no longer contains).
 //
-// Segments exist in two physical states behind one API:
+// A segment is a view over its encoding (docs/segment-format.md):
+// Builder, Merge and DecodeSegment all return one holding the encoded
+// bytes and the parsed document list and dictionary index. Postings
+// decodes a single term's list on first use and memoizes it; Cursor
+// decodes block by block.
 //
-//   - built: Terms holds every posting list in memory (Builder, Merge and
-//     Restrict produce these);
-//   - lazy: the segment was decoded from its encoded bytes and holds only
-//     those bytes plus a block index; Postings decodes a single term's
-//     list on first use and memoizes it.
-//
-// Both states are safe for concurrent readers. A segment must not be
+// Segments are safe for concurrent readers. A segment must not be
 // mutated after it is shared (the memoized views assume immutability).
 type Segment struct {
 	Gen     uint64
-	Terms   map[string]PostingList // materialized postings; nil for lazy segments
-	DocLens map[DocID]uint32       // analyzed token count per covered document
+	DocLens map[DocID]uint32 // analyzed token count per covered document
+
+	raw        []byte // the full encoding (Encode returns a copy)
+	blocks     []dictBlock
+	dict       []byte  // dictionary region (see nextDictEntryV3)
+	posts      []byte  // postings region: concatenated posting blobs
+	nterms     int     // dictionary entries
+	docsSorted []DocID // covered docs ascending (bitmap ordinals)
 
 	mu      sync.RWMutex
 	sorted  []string               // memoized TermsSorted result
-	lazy    *lazySegment           // non-nil iff decoded from encoded bytes
-	size    int64                  // memoized SizeBytes result (0 = not yet computed)
+	lists   map[string]PostingList // memoized Postings results
 	cursors map[string]*cursorMeta // memoized per-term skip metadata (Cursor)
+}
+
+// dictBlock is one dictionary-index record: a 64-term block's first term
+// and where its entries and blobs start.
+type dictBlock struct {
+	firstTerm []byte // aliases raw
+	dictOff   int    // byte offset of the block's first dict entry
+	postOff   int    // byte offset of the block's first postings blob
 }
 
 // NewSegment returns an empty segment with the given generation.
 func NewSegment(gen uint64) *Segment {
-	return &Segment{
-		Gen:     gen,
-		Terms:   make(map[string]PostingList),
-		DocLens: make(map[DocID]uint32),
-	}
+	return openWritten(newV3Writer(nil, nil).finish(gen))
 }
 
 // Builder accumulates documents into a segment. It allocates per
 // document and per build, not per posting or per term: one term index,
 // each document's positions cut from one arena, every posting appended
 // to one slice in arrival order, and at Build one backing array that
-// every term's list is a window of, each sorted by DocID.
+// every term's list is a window of, each sorted by DocID, which the
+// encoder writes out term by term.
 type Builder struct {
-	seg      *Segment         // Gen and DocLens; Terms is filled at Build
+	gen      uint64
+	docLens  map[DocID]uint32
 	index    map[string]int32 // term → its entry in terms
 	terms    []builderTerm
 	posts    []builderPosting
@@ -86,13 +93,13 @@ type builderPosting struct {
 
 // NewBuilder creates a segment builder with the given generation.
 func NewBuilder(gen uint64) *Builder {
-	return &Builder{seg: NewSegment(gen), index: make(map[string]int32)}
+	return &Builder{gen: gen, docLens: make(map[DocID]uint32), index: make(map[string]int32)}
 }
 
 // Add analyzes and indexes one document. Re-adding a DocID replaces its
 // postings within this builder.
 func (b *Builder) Add(doc DocID, text string) {
-	if _, dup := b.seg.DocLens[doc]; dup {
+	if _, dup := b.docLens[doc]; dup {
 		b.posts = slices.DeleteFunc(b.posts, func(p builderPosting) bool { return p.Doc == doc })
 	}
 	if b.adds > 0 && doc <= b.last {
@@ -102,7 +109,7 @@ func (b *Builder) Add(doc DocID, text string) {
 	b.last = doc
 	stamp := b.adds // distinct per Add, never the zero a new term starts at
 	tokens := Analyze(text)
-	b.seg.DocLens[doc] = uint32(len(tokens))
+	b.docLens[doc] = uint32(len(tokens))
 	if cap(b.tokTerm) < len(tokens) {
 		b.tokTerm = make([]int32, len(tokens))
 	}
@@ -142,12 +149,11 @@ func (b *Builder) Add(doc DocID, text string) {
 }
 
 // DocCount returns the number of documents added so far.
-func (b *Builder) DocCount() int { return len(b.seg.DocLens) }
+func (b *Builder) DocCount() int { return len(b.docLens) }
 
 // Build finalizes and returns the segment. The builder must not be used
 // afterwards.
 func (b *Builder) Build() *Segment {
-	seg := b.seg
 	// Counting sort by term: ends[t] is where term t's window ends.
 	ends := make([]int, len(b.terms))
 	for _, p := range b.posts {
@@ -163,21 +169,29 @@ func (b *Builder) Build() *Segment {
 		all[ends[p.term]] = p.Posting
 	}
 	// ends[t] now marks where term t's window starts.
-	seg.Terms = make(map[string]PostingList, len(b.terms))
-	for t, start := range ends {
+	window := func(t int32) PostingList {
 		end := len(all)
-		if t+1 < len(ends) {
+		if int(t)+1 < len(ends) {
 			end = ends[t+1]
 		}
-		if start == end {
-			continue // every posting belonged to a re-added document
+		return all[ends[t]:end:end]
+	}
+	order := make([]int32, 0, len(b.terms))
+	for t := range b.terms {
+		if len(window(int32(t))) > 0 { // else every posting belonged to a re-added document
+			order = append(order, int32(t))
 		}
-		pl := all[start:end:end]
+	}
+	slices.SortFunc(order, func(x, y int32) int { return strings.Compare(b.terms[x].term, b.terms[y].term) })
+	w := newV3Writer(b.docLens, sortedDocIDs(b.docLens))
+	for _, t := range order {
+		pl := window(t)
 		if b.unsorted {
 			slices.SortFunc(pl, func(x, y Posting) int { return cmp.Compare(x.Doc, y.Doc) })
 		}
-		seg.Terms[b.terms[t].term] = pl
+		w.addTerm(b.terms[t].term, pl)
 	}
+	seg := openWritten(w.finish(b.gen))
 	*b = Builder{}
 	return seg
 }
@@ -192,24 +206,14 @@ func (s *Segment) TermsSorted() []string {
 	if sorted != nil {
 		return sorted
 	}
-	var out []string
-	if s.lazy != nil {
-		out = make([]string, 0, s.lazy.nterms)
-		dict := s.lazy.dict
-		for len(dict) > 0 {
-			e, rest, err := nextDictEntryV3(dict)
-			if err != nil {
-				break // dict region is validated at decode; defensive only
-			}
-			out = append(out, string(e.term))
-			dict = rest
+	out := make([]string, 0, s.nterms)
+	for dict := s.dict; len(dict) > 0; {
+		e, rest, err := nextDictEntryV3(dict)
+		if err != nil {
+			break // dict region is validated at decode; defensive only
 		}
-	} else {
-		out = make([]string, 0, len(s.Terms))
-		for t := range s.Terms {
-			out = append(out, t)
-		}
-		sort.Strings(out)
+		out = append(out, string(e.term))
+		dict = rest
 	}
 	s.mu.Lock()
 	s.sorted = out
@@ -219,69 +223,31 @@ func (s *Segment) TermsSorted() []string {
 
 // NumTerms returns the number of distinct terms in the segment without
 // decoding any postings.
-func (s *Segment) NumTerms() int {
-	if s.lazy != nil {
-		return s.lazy.nterms
-	}
-	return len(s.Terms)
-}
+func (s *Segment) NumTerms() int { return s.nterms }
 
-// Postings returns the posting list for a term (nil if absent). On a lazy
-// segment only the requested term's list is decoded; the result is
-// memoized so repeated lookups are map-hit cheap. Decode errors are
-// unreachable for segments produced by DecodeSegment (which structurally
-// validates both regions up front); defensively they surface as an absent
-// term here and as an error from Validate.
+// Postings returns the posting list for a term (nil if absent). Only the
+// requested term's list is decoded; the result is memoized so repeated
+// lookups are map-hit cheap. Decode errors are unreachable for segments
+// produced by DecodeSegment (which structurally validates both regions up
+// front); defensively they surface as an absent term.
 func (s *Segment) Postings(term string) PostingList {
-	if s.lazy == nil {
-		return s.Terms[term]
-	}
 	s.mu.RLock()
-	pl, ok := s.lazy.cache[term]
+	pl, ok := s.lists[term]
 	s.mu.RUnlock()
 	if ok {
 		return pl
 	}
-	pl, found, err := s.lazy.lookup(term)
+	pl, found, err := s.lookup(term)
 	if err != nil || !found {
 		return nil
 	}
 	s.mu.Lock()
-	if s.lazy.cache == nil {
-		s.lazy.cache = make(map[string]PostingList)
+	if s.lists == nil {
+		s.lists = make(map[string]PostingList)
 	}
-	// Re-check under the write lock: postingsMap may have installed a
-	// complete cache while our lookup ran, and maps it has handed out are
-	// iterated without the lock — they must never be written again. A
-	// complete cache always already holds this term, so skipping the
-	// duplicate write preserves that invariant.
-	if cached, ok := s.lazy.cache[term]; ok {
-		s.mu.Unlock()
-		return cached
-	}
-	s.lazy.cache[term] = pl
+	s.lists[term] = pl
 	s.mu.Unlock()
 	return pl
-}
-
-// postingsMap returns the complete term → postings view, fully decoding a
-// lazy segment (Merge, Validate, and compaction need every list). The
-// decoded map is memoized as the lazy segment's cache.
-func (s *Segment) postingsMap() (map[string]PostingList, error) {
-	if s.lazy == nil {
-		return s.Terms, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.lazy.cache) == s.lazy.nterms {
-		return s.lazy.cache, nil
-	}
-	m, err := s.lazy.decodeAll()
-	if err != nil {
-		return nil, err
-	}
-	s.lazy.cache = m
-	return m, nil
 }
 
 // Covers reports whether the segment indexes (or tombstones) a document.
@@ -290,54 +256,18 @@ func (s *Segment) Covers(doc DocID) bool {
 	return ok
 }
 
-// Per-entry constants for SizeBytes: a map entry's bucket overhead, one
-// Posting struct (Doc + TF + the Positions slice header), and one DocLens
-// entry. Approximations of the amd64 in-memory footprint.
-const (
-	sizeMapEntry = 48
-	sizePosting  = 40
-	sizeDocLen   = 16
-)
+// sizeDocLen approximates one DocLens entry's amd64 in-memory footprint.
+const sizeDocLen = 16
 
 // SizeBytes estimates the segment's resident memory footprint. Cache
 // eviction budgets are charged against it, so it is deliberately cheap
-// and stable: a lazy segment is charged its raw encoding (posting
-// lists or blocks a query later decodes and memoizes are NOT tracked —
-// they can exceed the varint-packed raw bytes by a small constant
-// factor, so the budget bounds the encoded working set, not every
-// decoded view), a built segment its materialized posting lists. A lazy
-// segment additionally carries the materialized sorted-doc slice (bitmap
-// ordinal → DocID) for block-granular decoding, so that is charged too.
-// Segments are immutable once shared, so the walk runs once and is
-// memoized.
+// and stable: the raw encoding, the sorted-doc slice (bitmap ordinal →
+// DocID) that block-granular decoding reads, and the DocLens map. Lists
+// a query later decodes and memoizes are NOT tracked — they can exceed
+// the varint-packed raw bytes by a small constant factor, so the budget
+// bounds the encoded working set, not every decoded view.
 func (s *Segment) SizeBytes() int64 {
-	s.mu.RLock()
-	size := s.size
-	s.mu.RUnlock()
-	if size != 0 {
-		return size
-	}
-	size = int64(len(s.DocLens)) * sizeDocLen
-	s.mu.RLock()
-	lazy := s.lazy
-	s.mu.RUnlock()
-	if lazy != nil {
-		size += int64(len(lazy.raw)) + int64(len(lazy.docsSorted))*4
-	} else {
-		for term, pl := range s.Terms {
-			size += int64(len(term)) + sizeMapEntry + int64(len(pl))*sizePosting
-			for i := range pl {
-				size += int64(len(pl[i].Positions)) * 4
-			}
-		}
-	}
-	if size == 0 {
-		size = 1 // empty segments still occupy a cache slot
-	}
-	s.mu.Lock()
-	s.size = size
-	s.mu.Unlock()
-	return size
+	return int64(len(s.raw)) + int64(len(s.docsSorted))*4 + int64(len(s.DocLens))*sizeDocLen
 }
 
 var errCorruptSegment = errors.New("index: corrupt segment encoding")
@@ -347,54 +277,40 @@ var errCorruptSegment = errors.New("index: corrupt segment encoding")
 // byte offsets accumulate within the block.
 const dictBlockSize = 64
 
-// Encode serializes the segment deterministically (sorted terms and doc
-// IDs) in the block-max layout, so that every honest worker bee produces
-// byte-identical segments — the property commit–reveal voting relies on.
-// A lazily decoded segment returns a copy of its original bytes (decode →
-// encode is exactly the identity). See docs/segment-format.md for the
-// byte layout.
+// Encode returns a copy of the segment's encoding: deterministic (sorted
+// terms and doc IDs) in the block-max layout, so that every honest worker
+// bee produces byte-identical segments — the property commit–reveal
+// voting relies on — and exactly the bytes a decoded segment was decoded
+// from. See docs/segment-format.md for the byte layout.
 func (s *Segment) Encode() []byte {
-	s.mu.RLock()
-	if s.lazy != nil {
-		raw := s.lazy.raw
-		s.mu.RUnlock()
-		return append([]byte(nil), raw...)
-	}
-	s.mu.RUnlock()
-	return s.encodeV3()
+	return slices.Clone(s.raw)
 }
 
-// DecodeSegment parses an encoded segment into a lazy one whose posting
-// lists decode on demand. There is one format: bytes that do not start
-// with its magic — including the retired 0x5153/0x5154 layouts — fail
-// loudly rather than being guessed at.
+// DecodeSegment parses an encoded segment into a view whose posting
+// lists decode on demand, validating every region first: the bytes come
+// from the network. There is one format: bytes that do not start with
+// its magic — including the retired 0x5153/0x5154 layouts — fail loudly
+// rather than being guessed at.
 func DecodeSegment(data []byte) (*Segment, error) {
-	magic, n := binary.Uvarint(data)
-	if n <= 0 || magic != segmentMagic {
-		return nil, errCorruptSegment
+	seg, err := openSegment(data)
+	if err != nil {
+		return nil, err
 	}
-	return decodeSegmentV3(data, data[n:])
+	if err := validateRegionsV3(seg); err != nil {
+		return nil, err
+	}
+	return seg, nil
 }
 
-// lazySegment is the in-memory view of an encoded segment: raw bytes, a
-// parsed block index, and sub-slices for the dictionary and postings
-// regions. Individual posting lists are decoded on demand.
-type lazySegment struct {
-	raw    []byte // the full original encoding (Encode returns a copy)
-	blocks []lazyBlock
-	dict   []byte // dictionary region (see nextDictEntryV3)
-	posts  []byte // postings region: concatenated posting blobs
-	nterms int
-
-	docsSorted []DocID // covered docs ascending (bitmap ordinals)
-
-	cache map[string]PostingList // memoized decoded lists (guarded by Segment.mu)
-}
-
-type lazyBlock struct {
-	firstTerm []byte // aliases raw
-	dictOff   int    // byte offset of the block's first dict entry
-	postOff   int    // byte offset of the block's first postings blob
+// openWritten opens bytes this process has just encoded from validated
+// inputs (Builder.Build, Merge). It skips DecodeSegment's region walk,
+// which such bytes pass by construction (TestOpenedViewsValidate).
+func openWritten(raw []byte) *Segment {
+	seg, err := openSegment(raw)
+	if err != nil {
+		panic("index: the encoder wrote an unparsable segment: " + err.Error())
+	}
+	return seg
 }
 
 // cmpBytesString compares b to s lexicographically without allocating.
@@ -418,64 +334,4 @@ func cmpBytesString(b []byte, s string) int {
 		return 1
 	}
 	return 0
-}
-
-// Validate checks internal consistency: decodable, sorted postings and
-// every posting doc covered by DocLens.
-func (s *Segment) Validate() error {
-	terms, err := s.postingsMap()
-	if err != nil {
-		return err
-	}
-	for term, pl := range terms {
-		if err := pl.sortCheck(); err != nil {
-			return fmt.Errorf("term %q: %w", term, err)
-		}
-		for _, p := range pl {
-			if _, ok := s.DocLens[p.Doc]; !ok {
-				return fmt.Errorf("index: term %q posting doc %d lacks doc length", term, p.Doc)
-			}
-			if p.TF == 0 {
-				return fmt.Errorf("index: term %q doc %d zero TF", term, p.Doc)
-			}
-		}
-	}
-	return nil
-}
-
-// Restrict returns a segment holding only the terms keep accepts. The
-// DocLens set is retained IN FULL: it is the segment's tombstone set,
-// and a covered document must keep shadowing its older postings in
-// every chain — even for terms the restricted view drops — or stale
-// postings would resurface after later merges. Gen is preserved, so the
-// restricted segment keeps its place in merge precedence.
-//
-// Only a built receiver shares its posting lists with the result
-// (segments are immutable). A lazy receiver walks its dictionary once
-// and decodes just the kept terms' lists, memoizing nothing on itself;
-// if a kept list fails to decode (unreachable after DecodeSegment's
-// validation) the receiver comes back unrestricted, so Merge skips it
-// whole like any corrupt lazy segment.
-//
-// A shard's merged run only needs the terms that hash to that shard
-// (queries route term → shard before ever reading a chain), so the
-// bytes a merge rewrites shrink from the whole batch segment to the
-// shard's share of it. Compaction applies the same keep-predicate inside
-// MergeEncode rather than restricting each run first; MergeEncode's
-// output is byte for byte that of merging the restricted runs.
-func (s *Segment) Restrict(keep func(term string) bool) *Segment {
-	out := NewSegment(s.Gen)
-	if s.lazy == nil {
-		for term, pl := range s.Terms {
-			if keep(term) {
-				out.Terms[term] = pl
-			}
-		}
-	} else if err := s.lazy.decodeTerms(keep, out.Terms); err != nil {
-		return s
-	}
-	for d, l := range s.DocLens {
-		out.DocLens[d] = l
-	}
-	return out
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // TestSegmentV3RoundTripProperty: for random segments, v3 encode → decode
-// → re-encode is byte-identical, the lazy decoding agrees logically with
-// the built segment, and Validate passes.
+// → re-encode is byte-identical and the decoding agrees logically with
+// the built segment.
 func TestSegmentV3RoundTripProperty(t *testing.T) {
 	f := func(seed uint16, genRaw uint8) bool {
 		seg := randomDocSegment(uint64(seed), uint64(genRaw))
@@ -28,10 +28,6 @@ func TestSegmentV3RoundTripProperty(t *testing.T) {
 			t.Logf("decode v3: %v", err)
 			return false
 		}
-		if dec.lazy == nil {
-			t.Log("v3 bytes did not decode into a lazy segment")
-			return false
-		}
 		if !bytes.Equal(dec.Encode(), enc) {
 			t.Log("v3 decode → encode not byte-identical")
 			return false
@@ -41,10 +37,6 @@ func TestSegmentV3RoundTripProperty(t *testing.T) {
 			return false
 		}
 		segmentsLogicallyEqual(t, seg, dec)
-		if err := dec.Validate(); err != nil {
-			t.Logf("validate: %v", err)
-			return false
-		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -56,18 +48,17 @@ func TestSegmentV3RoundTripProperty(t *testing.T) {
 // every doc → bitmap-encoded) and one sparse term ("rare", in one doc →
 // delta-encoded), big enough to span multiple 32-posting blocks.
 func denseSparseSegment(ndocs int) *Segment {
-	seg := NewSegment(5)
-	dense := Stem("dense")
-	rare := Stem("rare")
+	docLens := make(map[DocID]uint32)
 	var dpl PostingList
 	for i := 0; i < ndocs; i++ {
 		doc := DocID(10 + 3*i) // gaps > 1 so bitmap ordinals matter
-		seg.DocLens[doc] = uint32(5 + i%7)
+		docLens[doc] = uint32(5 + i%7)
 		dpl = append(dpl, Posting{Doc: doc, TF: uint32(1 + i%4), Positions: []uint32{uint32(i)}})
 	}
-	seg.Terms[dense] = dpl
-	seg.Terms[rare] = PostingList{{Doc: dpl[ndocs/2].Doc, TF: 2, Positions: []uint32{1, 9}}}
-	return seg
+	return segmentOf(5, docLens, map[string]PostingList{
+		Stem("dense"): dpl,
+		Stem("rare"):  {{Doc: dpl[ndocs/2].Doc, TF: 2, Positions: []uint32{1, 9}}},
+	})
 }
 
 // TestSegmentV3BitmapThreshold: a term covering every doc must take the
@@ -79,7 +70,7 @@ func TestSegmentV3BitmapThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eDense, _, found, err := dec.lazy.findV3(Stem("dense"))
+	eDense, _, found, err := dec.findV3(Stem("dense"))
 	if err != nil || !found {
 		t.Fatalf("findV3 dense: found=%v err=%v", found, err)
 	}
@@ -89,7 +80,7 @@ func TestSegmentV3BitmapThreshold(t *testing.T) {
 	if eDense.df != 100 {
 		t.Fatalf("dense df = %d, want 100", eDense.df)
 	}
-	eRare, _, found, err := dec.lazy.findV3(Stem("rare"))
+	eRare, _, found, err := dec.findV3(Stem("rare"))
 	if err != nil || !found {
 		t.Fatalf("findV3 rare: found=%v err=%v", found, err)
 	}
@@ -110,7 +101,7 @@ func TestSegmentV3SkipEntriesMatchBlocks(t *testing.T) {
 	}
 	sc := NewScorer(CorpusStats{DocCount: 100, AvgDocLen: 8}, 0)
 	for _, term := range []string{Stem("dense"), Stem("rare")} {
-		e, _, found, err := dec.lazy.findV3(term)
+		e, _, found, err := dec.findV3(term)
 		if err != nil || !found {
 			t.Fatalf("findV3 %q: found=%v err=%v", term, found, err)
 		}
@@ -118,7 +109,7 @@ func TestSegmentV3SkipEntriesMatchBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl := seg.Terms[term]
+		pl := seg.Postings(term)
 		wantBlocks := (len(pl) + postingsBlockSize - 1) / postingsBlockSize
 		if len(skips) != wantBlocks {
 			t.Fatalf("%q: %d skip entries, want %d", term, len(skips), wantBlocks)
@@ -169,21 +160,21 @@ func TestV3DecodeRejectsTruncation(t *testing.T) {
 func TestV3DecodeRejectsLyingSkips(t *testing.T) {
 	mutants := []struct {
 		name string
-		at   func(l *lazySegment) int // offset within l.dict
+		at   func(l *Segment) int // offset within l.dict
 	}{
 		// Entry layout after the term: enc, df, blobLen, then skips:
 		// lastDocGap, endOffGap, npairs, npairs×(tf, dl). The first term of
 		// denseSparseSegment is "dense": 100 docs, small single-byte varints
 		// throughout, so field offsets are stable byte positions.
-		{"frontier TF", func(l *lazySegment) int {
+		{"frontier TF", func(l *Segment) int {
 			e, _, _, _ := l.findV3(Stem("dense"))
 			return dictOffsetOf(l, e.skipsRaw) + 3 // skip gap, eo, npairs
 		}},
-		{"lastDoc gap", func(l *lazySegment) int {
+		{"lastDoc gap", func(l *Segment) int {
 			e, _, _, _ := l.findV3(Stem("dense"))
 			return dictOffsetOf(l, e.skipsRaw)
 		}},
-		{"end offset", func(l *lazySegment) int {
+		{"end offset", func(l *Segment) int {
 			e, _, _, _ := l.findV3(Stem("dense"))
 			return dictOffsetOf(l, e.skipsRaw) + 1
 		}},
@@ -195,9 +186,9 @@ func TestV3DecodeRejectsLyingSkips(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			off := m.at(dec.lazy)
+			off := m.at(dec)
 			tampered := append([]byte(nil), enc...)
-			dictStart := bytes.Index(tampered, dec.lazy.dict)
+			dictStart := bytes.Index(tampered, dec.dict)
 			if dictStart < 0 {
 				t.Fatal("dict region not found in encoding")
 			}
@@ -210,7 +201,7 @@ func TestV3DecodeRejectsLyingSkips(t *testing.T) {
 }
 
 // dictOffsetOf returns raw's offset within l.dict (raw aliases it).
-func dictOffsetOf(l *lazySegment, raw []byte) int {
+func dictOffsetOf(l *Segment, raw []byte) int {
 	off := bytes.Index(l.dict, raw)
 	if off < 0 {
 		panic("skipsRaw does not alias dict")
@@ -228,7 +219,7 @@ func TestV3DecodeRejectsBadBitmap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, blob, found, err := dec.lazy.findV3(Stem("dense"))
+	_, blob, found, err := dec.findV3(Stem("dense"))
 	if err != nil || !found {
 		t.Fatal("dense term not found")
 	}
@@ -291,7 +282,6 @@ func TestV3ByteFlipNeverPanics(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			_ = seg.Validate()
 			for _, term := range seg.TermsSorted() {
 				_ = seg.Postings(term)
 			}
@@ -300,8 +290,8 @@ func TestV3ByteFlipNeverPanics(t *testing.T) {
 }
 
 // TestCursorMatchesPostings: walking a cursor with SeekTF over every doc
-// of the posting list reproduces the list's TFs exactly, for both lazy v3
-// cursors and cursors derived from materialized lists.
+// of the posting list reproduces the list's TFs exactly, on a built view
+// and on its decoding.
 func TestCursorMatchesPostings(t *testing.T) {
 	f := func(seed uint16) bool {
 		seg := randomDocSegment(uint64(seed), 1)
@@ -410,13 +400,16 @@ func TestWANDMatchesExhaustiveProperty(t *testing.T) {
 			t.Logf("decode: %v", err)
 			return false
 		}
-		alt := NewSegment(2)
-		for term, pl := range seg.Terms {
-			alt.Terms[term] = pl
+		lists, err := termsOf(seg, nil)
+		if err != nil {
+			t.Logf("terms: %v", err)
+			return false
 		}
+		altLens := make(map[DocID]uint32)
 		for _, d := range sortedDocIDs(seg.DocLens) {
-			alt.DocLens[d] = 2*seg.DocLens[d] + uint32(rng.Intn(5))
+			altLens[d] = 2*seg.DocLens[d] + uint32(rng.Intn(5))
 		}
+		alt := segmentOf(2, altLens, lists)
 		altDec, err := DecodeSegment(alt.Encode())
 		if err != nil {
 			t.Logf("decode alt: %v", err)
@@ -506,7 +499,7 @@ func TestWANDDirectMatchesExhaustive(t *testing.T) {
 		t.Fatal(err)
 	}
 	term := Stem("dense")
-	pl := seg.Terms[term]
+	pl := seg.Postings(term)
 	cands := make([]DocID, len(pl))
 	for i, p := range pl {
 		cands[i] = p.Doc
@@ -535,12 +528,12 @@ func TestWANDDirectMatchesExhaustive(t *testing.T) {
 
 	// Skips need headroom between the root and later bounds: a skewed
 	// corpus (one high-TF block, the rest TF=1) with the rank blend off.
-	skew := NewSegment(1)
+	skewLens := make(map[DocID]uint32)
 	term = Stem("skew")
 	var spl PostingList
 	for i := 0; i < 400; i++ {
 		doc := DocID(i + 1)
-		skew.DocLens[doc] = 8
+		skewLens[doc] = 8
 		tf := uint32(1)
 		if i < 2*postingsBlockSize && i >= postingsBlockSize-4 {
 			// A high-TF run straddling a block boundary, wider than k, so
@@ -550,7 +543,7 @@ func TestWANDDirectMatchesExhaustive(t *testing.T) {
 		}
 		spl = append(spl, Posting{Doc: doc, TF: tf, Positions: []uint32{0}})
 	}
-	skew.Terms[term] = spl
+	skew := segmentOf(1, skewLens, map[string]PostingList{term: spl})
 	decSkew, err := DecodeSegment(skew.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -601,14 +594,13 @@ func TestV3EmptySegment(t *testing.T) {
 // TestV3ManyTermsDictionaryBlocks exercises multi-block v3 dictionaries:
 // every term findable through the 64-term index, absent probes miss.
 func TestV3ManyTermsDictionaryBlocks(t *testing.T) {
-	seg := NewSegment(3)
+	docLens, terms := make(map[DocID]uint32), make(map[string]PostingList)
 	for i := 0; i < 1000; i++ {
-		term := fmt.Sprintf("term%05d", i)
 		doc := DocID(i + 1)
-		seg.Terms[term] = PostingList{{Doc: doc, TF: 1, Positions: []uint32{0}}}
-		seg.DocLens[doc] = 1
+		terms[fmt.Sprintf("term%05d", i)] = PostingList{{Doc: doc, TF: 1, Positions: []uint32{0}}}
+		docLens[doc] = 1
 	}
-	dec, err := DecodeSegment(seg.Encode())
+	dec, err := DecodeSegment(segmentOf(3, docLens, terms).Encode())
 	if err != nil {
 		t.Fatal(err)
 	}

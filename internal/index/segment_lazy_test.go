@@ -29,9 +29,10 @@ func randomDocSegment(seed uint64, gen uint64) *Segment {
 	return b.Build()
 }
 
-// segmentsLogicallyEqual compares two segments term by term through the
-// public API, so a built and a lazily decoded segment can be checked
-// against each other.
+// segmentsLogicallyEqual compares two segments term by term — Gen,
+// DocLens, terms, postings with positions, and each term's cursor skip
+// entries — so a view opened without validation and its decoding can be
+// checked against each other.
 func segmentsLogicallyEqual(t *testing.T, a, b *Segment) {
 	t.Helper()
 	if a.Gen != b.Gen {
@@ -70,58 +71,62 @@ func segmentsLogicallyEqual(t *testing.T, a, b *Segment) {
 				}
 			}
 		}
+		if !reflect.DeepEqual(a.Cursor(term).skips, b.Cursor(term).skips) {
+			t.Fatalf("term %q skip entries differ", term)
+		}
 	}
 }
 
-// TestSegmentV2RoundTripProperty: for random segments, encode → decode →
-// re-encode is byte-identical (determinism commit–reveal voting needs),
-// and the lazy decoding agrees logically with the built segment.
-func TestSegmentV2RoundTripProperty(t *testing.T) {
-	f := func(seed uint16, genRaw uint8) bool {
-		seg := randomDocSegment(uint64(seed), uint64(genRaw))
-
-		enc := seg.Encode()
+// TestOpenedViewsValidate pins the trust assumption behind openWritten:
+// Builder.Build and Merge open the bytes they just wrote without
+// DecodeSegment's region walk, so every such view must pass that walk
+// and read back identically — Gen, DocLens, postings and cursor skips.
+// Seeded batches republish documents within a batch (a small DocID
+// range) and chains of 2–8 runs repeat Gens and republish across runs;
+// re-encoding a decoded view must give back its bytes.
+func TestOpenedViewsValidate(t *testing.T) {
+	check := func(what string, view *Segment) {
+		t.Helper()
+		enc := view.Encode()
 		dec, err := DecodeSegment(enc)
 		if err != nil {
-			t.Logf("decode: %v", err)
-			return false
+			t.Fatalf("%s: an opened view fails validation: %v", what, err)
 		}
 		if !bytes.Equal(dec.Encode(), enc) {
-			t.Log("decode → encode not byte-identical")
-			return false
+			t.Fatalf("%s: decode → encode not byte-identical", what)
 		}
-		if !bytes.Equal(seg.Encode(), enc) {
-			t.Log("encode not deterministic across calls")
-			return false
-		}
-		segmentsLogicallyEqual(t, seg, dec)
-		if dec.lazy == nil && dec.NumTerms() > 0 {
-			t.Log("a non-empty segment decoded eagerly")
-			return false
-		}
-		if err := dec.Validate(); err != nil {
-			t.Logf("validate: %v", err)
-			return false
-		}
-		return true
+		segmentsLogicallyEqual(t, view, dec)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+	for seed := uint64(0); seed < 100; seed++ {
+		rng := xrand.New(seed)
+		runs := make([]*Segment, 2+rng.Intn(7))
+		for i := range runs {
+			b := NewBuilder(uint64(1 + rng.Intn(4)))
+			for d := 0; d < 1+rng.Intn(24); d++ {
+				var text bytes.Buffer
+				for w := 0; w < rng.Intn(30); w++ {
+					fmt.Fprintf(&text, "word%02d ", rng.Intn(30))
+				}
+				b.Add(DocID(1+rng.Intn(40)), text.String())
+			}
+			runs[i] = b.Build()
+			check(fmt.Sprintf("seed %d batch %d", seed, i), runs[i])
+		}
+		check(fmt.Sprintf("seed %d chain of %d", seed, len(runs)), Merge(runs))
 	}
 }
 
-// TestSegmentV2LargeDictionary exercises multi-block dictionaries (5k
+// TestSegmentLargeDictionary exercises multi-block dictionaries (5k
 // terms is ~80 blocks at dictBlockSize 64): every term must be findable
 // and absent probes must miss cleanly at block boundaries.
-func TestSegmentV2LargeDictionary(t *testing.T) {
-	seg := NewSegment(3)
+func TestSegmentLargeDictionary(t *testing.T) {
+	docLens, terms := make(map[DocID]uint32), make(map[string]PostingList)
 	for i := 0; i < 5000; i++ {
-		term := fmt.Sprintf("term%05d", i)
 		doc := DocID(i + 1)
-		seg.Terms[term] = PostingList{{Doc: doc, TF: 1, Positions: []uint32{uint32(i)}}}
-		seg.DocLens[doc] = 1
+		terms[fmt.Sprintf("term%05d", i)] = PostingList{{Doc: doc, TF: 1, Positions: []uint32{uint32(i)}}}
+		docLens[doc] = 1
 	}
-	dec, err := DecodeSegment(seg.Encode())
+	dec, err := DecodeSegment(segmentOf(3, docLens, terms).Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,26 +147,26 @@ func TestSegmentV2LargeDictionary(t *testing.T) {
 	}
 }
 
-// TestSegmentV2MergeAgreesWithEager: merging lazily decoded segments must
-// produce the same bytes as merging their eager builder-built originals.
-func TestSegmentV2MergeAgreesWithEager(t *testing.T) {
-	var eager, lazy []*Segment
+// TestMergeBuiltAgreesWithDecoded: merging decoded segments must produce
+// the same bytes as merging the builder's views they were encoded from.
+func TestMergeBuiltAgreesWithDecoded(t *testing.T) {
+	var built, decoded []*Segment
 	for i := 0; i < 4; i++ {
 		s := randomDocSegment(uint64(100+i), uint64(i+1))
-		eager = append(eager, s)
+		built = append(built, s)
 		d, err := DecodeSegment(s.Encode())
 		if err != nil {
 			t.Fatal(err)
 		}
-		lazy = append(lazy, d)
+		decoded = append(decoded, d)
 	}
-	if !bytes.Equal(Merge(eager).Encode(), Merge(lazy).Encode()) {
-		t.Fatal("merge of lazy segments diverges from merge of eager segments")
+	if !bytes.Equal(Merge(built).Encode(), Merge(decoded).Encode()) {
+		t.Fatal("merge of decoded segments diverges from merge of built segments")
 	}
 }
 
-// TestMergeSkipsCorruptSegment: a lazy segment whose posting bytes fail
-// to decode must contribute nothing to a merge — in particular its
+// TestMergeSkipsCorruptSegment: a segment whose posting bytes fail to
+// decode must contribute nothing to a merge — in particular its
 // tombstones must not delete older valid postings.
 func TestMergeSkipsCorruptSegment(t *testing.T) {
 	good := buildSeg(1, map[DocID]string{1: "alpha beta", 2: "gamma delta"})
@@ -172,9 +177,9 @@ func TestMergeSkipsCorruptSegment(t *testing.T) {
 	}
 	// Clobber the first posting list's count varint: the dictionary still
 	// validates (lengths unchanged) but every full decode now fails.
-	dec.lazy.posts[0] = 0xFF
-	if err := dec.Validate(); err == nil {
-		t.Fatal("corrupted postings should fail Validate")
+	dec.posts[0] = 0xFF
+	if _, err := DecodeSegment(dec.Encode()); err == nil {
+		t.Fatal("corrupted postings should fail validation")
 	}
 	m := Merge([]*Segment{good, dec})
 	pl := m.Postings(Stem("alpha"))
@@ -185,15 +190,14 @@ func TestMergeSkipsCorruptSegment(t *testing.T) {
 		t.Fatal("corrupt segment contributed postings")
 	}
 
-	// Restricted to the term whose list is corrupt (the first in the
-	// dictionary), the run comes back unrestricted and the merge of the
-	// restricted runs still skips it whole.
+	// Restricted to "alpha" and the term whose list is corrupt (the first
+	// in the dictionary), the merge still skips the run whole.
 	first := dec.TermsSorted()[0]
-	r := dec.Restrict(func(term string) bool { return term == first })
-	if r != dec {
-		t.Fatal("a run whose kept term fails to decode must come back unrestricted")
+	keep := func(term string) bool { return term == first || term == Stem("alpha") }
+	m, err = DecodeSegment(MergeEncode([]*Segment{good, dec}, keep))
+	if err != nil {
+		t.Fatal(err)
 	}
-	m = Merge([]*Segment{good, r})
 	if _, found := m.Postings(Stem("alpha")).Find(1); !found {
 		t.Fatal("restricted corrupt run tombstoned doc 1's valid postings")
 	}
@@ -261,14 +265,13 @@ func TestDecodeRejectsDocOverflow(t *testing.T) {
 // — a frontend must never serve a segment whose lookups silently miss
 // terms the dictionary contains.
 func TestDecodeRejectsTamperedBlockIndex(t *testing.T) {
-	seg := NewSegment(1)
+	docLens, terms := make(map[DocID]uint32), make(map[string]PostingList)
 	for i := 0; i < 130; i++ { // 3 blocks at dictBlockSize 64
-		term := fmt.Sprintf("term%05d", i)
 		doc := DocID(i + 1)
-		seg.Terms[term] = PostingList{{Doc: doc, TF: 1, Positions: []uint32{0}}}
-		seg.DocLens[doc] = 1
+		terms[fmt.Sprintf("term%05d", i)] = PostingList{{Doc: doc, TF: 1, Positions: []uint32{0}}}
+		docLens[doc] = 1
 	}
-	enc := seg.Encode()
+	enc := segmentOf(1, docLens, terms).Encode()
 	if _, err := DecodeSegment(enc); err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +328,7 @@ func TestTermsSortedMemoized(t *testing.T) {
 	}
 	c, d := dec.TermsSorted(), dec.TermsSorted()
 	if &c[0] != &d[0] {
-		t.Fatal("lazy TermsSorted rebuilt the slice on a second call")
+		t.Fatal("decoded TermsSorted rebuilt the slice on a second call")
 	}
 }
 
@@ -366,9 +369,9 @@ func TestTopKMatchesFullSort(t *testing.T) {
 	}
 }
 
-// FuzzDecodeSegment: arbitrary bytes must never panic the decoder, every
-// successful decode must validate or fail cleanly, and a lazy decode must
-// re-encode to the exact input bytes. The retired v1/v2 magics are seeded
+// FuzzDecodeSegment: arbitrary bytes must never panic the decoder or a
+// decoded segment's reads, and a decode must re-encode to the exact
+// input bytes. The retired v1/v2 magics are seeded
 // one byte away from a valid segment, so the corpus sits on both sides of
 // the format check.
 func FuzzDecodeSegment(f *testing.F) {
@@ -386,43 +389,11 @@ func FuzzDecodeSegment(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if seg.lazy != nil {
-			if !bytes.Equal(seg.Encode(), data) {
-				t.Fatal("decode → encode not byte-identical")
-			}
+		if !bytes.Equal(seg.Encode(), data) {
+			t.Fatal("decode → encode not byte-identical")
 		}
-		// Decode structurally validates both regions up front; Validate
-		// additionally cross-checks DocLens/TF and must either pass or
-		// return an error, never panic.
-		_ = seg.Validate()
 		for _, term := range seg.TermsSorted() {
 			_ = seg.Postings(term)
-		}
-	})
-}
-
-// FuzzRestrict: for any bytes DecodeSegment accepts and any shard split,
-// restricting the lazy segment agrees with restricting its materialized
-// copy — terms, postings, DocLens and Gen — and neither panics.
-func FuzzRestrict(f *testing.F) {
-	f.Add(randomDocSegment(11, 2).Encode(), uint8(8), uint8(3))
-	f.Add(denseSparseSegment(40).Encode(), uint8(4), uint8(1))
-	f.Add(NewSegment(0).Encode(), uint8(1), uint8(0))
-	f.Fuzz(func(t *testing.T, data []byte, shards, shard uint8) {
-		seg, err := DecodeSegment(data)
-		if err != nil {
-			return
-		}
-		n := 1 + int(shards%8)
-		keep := func(term string) bool { return ShardOf(term, n) == int(shard)%n }
-		got := seg.Restrict(keep) // before postingsMap memoizes anything
-		terms, err := seg.postingsMap()
-		if err != nil {
-			return
-		}
-		want := (&Segment{Gen: seg.Gen, Terms: terms, DocLens: seg.DocLens}).Restrict(keep)
-		if got.Gen != want.Gen || !reflect.DeepEqual(got.Terms, want.Terms) || !reflect.DeepEqual(got.DocLens, want.DocLens) {
-			t.Fatalf("lazy Restrict %d terms, materialized %d (gen %d/%d)", len(got.Terms), len(want.Terms), got.Gen, want.Gen)
 		}
 	})
 }

@@ -3,6 +3,8 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -28,6 +30,19 @@ func buildSeg(gen uint64, docs map[DocID]string) *Segment {
 	return b.Build()
 }
 
+// segmentOf encodes hand-made postings — lists a Builder would never
+// write, for documents DocLens does not cover, say — and opens the view.
+// Empty lists are left out.
+func segmentOf(gen uint64, docLens map[DocID]uint32, terms map[string]PostingList) *Segment {
+	w := newV3Writer(docLens, sortedDocIDs(docLens))
+	for _, term := range slices.Sorted(maps.Keys(terms)) {
+		if len(terms[term]) > 0 {
+			w.addTerm(term, terms[term])
+		}
+	}
+	return openWritten(w.finish(gen))
+}
+
 func TestBuilderBasic(t *testing.T) {
 	seg := buildSeg(1, map[DocID]string{
 		1: "decentralized search engine",
@@ -40,7 +55,7 @@ func TestBuilderBasic(t *testing.T) {
 	if seg.DocLens[1] != 3 || seg.DocLens[2] != 3 {
 		t.Fatalf("doc lens = %v", seg.DocLens)
 	}
-	if err := seg.Validate(); err != nil {
+	if _, err := DecodeSegment(seg.Encode()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -93,8 +108,8 @@ func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 	if dec.NumTerms() != seg.NumTerms() {
 		t.Fatalf("terms = %d, want %d", dec.NumTerms(), seg.NumTerms())
 	}
-	for term, pl := range seg.Terms {
-		got := dec.Postings(term)
+	for _, term := range seg.TermsSorted() {
+		pl, got := seg.Postings(term), dec.Postings(term)
 		if len(got) != len(pl) {
 			t.Fatalf("term %q postings = %d, want %d", term, len(got), len(pl))
 		}
@@ -103,9 +118,6 @@ func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 				t.Fatalf("term %q posting %d mismatch", term, i)
 			}
 		}
-	}
-	if err := dec.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -173,7 +185,7 @@ func TestMergeNewerGenerationWins(t *testing.T) {
 	if merged.Postings("old") == nil {
 		t.Fatal("unrelated doc lost in merge")
 	}
-	if err := merged.Validate(); err != nil {
+	if _, err := DecodeSegment(merged.Encode()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -191,7 +203,7 @@ func TestMergeOrderIndependence(t *testing.T) {
 
 func TestMergeEmpty(t *testing.T) {
 	m := Merge(nil)
-	if len(m.Terms) != 0 || m.Gen != 0 {
+	if m.NumTerms() != 0 || m.Gen != 0 {
 		t.Fatalf("merge of nothing = %+v", m)
 	}
 }
@@ -202,19 +214,16 @@ func TestMergeEmpty(t *testing.T) {
 // segment with more than 8 other covered docs per posting, which keeps
 // the term below the bitmap threshold so delta gaps carry it.
 func roundTripPostings(pl PostingList, sparse bool) (PostingList, error) {
-	seg := NewSegment(1)
-	if len(pl) > 0 {
-		seg.Terms["t"] = pl
-	}
+	docLens := make(map[DocID]uint32)
 	for _, p := range pl {
-		seg.DocLens[p.Doc] = p.TF
+		docLens[p.Doc] = p.TF
 	}
-	for d := DocID(0); sparse && len(seg.DocLens) <= 9*len(pl); d++ {
-		if !seg.Covers(d) {
-			seg.DocLens[d] = 1
+	for d := DocID(0); sparse && len(docLens) <= 9*len(pl); d++ {
+		if _, ok := docLens[d]; !ok {
+			docLens[d] = 1
 		}
 	}
-	dec, err := DecodeSegment(seg.Encode())
+	dec, err := DecodeSegment(segmentOf(1, docLens, map[string]PostingList{"t": pl}).Encode())
 	if err != nil {
 		return nil, err
 	}
@@ -296,28 +305,11 @@ func TestFindBinarySearch(t *testing.T) {
 	}
 }
 
-func TestValidateCatchesCorruption(t *testing.T) {
-	seg := NewSegment(1)
-	seg.Terms["x"] = PostingList{{Doc: 5, TF: 1}}
-	// Doc 5 has no DocLen.
-	if err := seg.Validate(); err == nil {
-		t.Fatal("missing doc length should fail validation")
-	}
-	seg.DocLens[5] = 10
-	if err := seg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	seg.Terms["y"] = PostingList{{Doc: 9, TF: 0}}
-	seg.DocLens[9] = 1
-	if err := seg.Validate(); err == nil {
-		t.Fatal("zero TF should fail validation")
-	}
-}
-
-// TestSegmentRestrict covers the sharded-compaction primitive: dropped
-// terms vanish, kept terms keep their postings, and — the subtle part —
-// the full DocLens tombstone set survives, so a restricted segment still
-// shadows a document's older postings for terms the restriction dropped.
+// TestSegmentRestrict covers the sharded-compaction primitive, MergeEncode
+// under a keep-predicate: dropped terms vanish, kept terms keep their
+// postings, and — the subtle part — the full DocLens tombstone set
+// survives, so a restricted segment still shadows a document's older
+// postings for terms the restriction dropped.
 func TestSegmentRestrict(t *testing.T) {
 	old := buildSeg(1, map[DocID]string{
 		1: "honey nectar clover",
@@ -327,7 +319,10 @@ func TestSegmentRestrict(t *testing.T) {
 	rev := buildSeg(2, map[DocID]string{1: "honey orchard"})
 
 	keepHoney := func(term string) bool { return term == Stem("honey") }
-	r := rev.Restrict(keepHoney)
+	r, err := DecodeSegment(MergeEncode([]*Segment{rev}, keepHoney))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Gen != rev.Gen {
 		t.Fatalf("restrict changed Gen: %d -> %d", rev.Gen, r.Gen)
 	}
@@ -337,8 +332,8 @@ func TestSegmentRestrict(t *testing.T) {
 	if got := r.Postings(Stem("honey")); len(got) != 1 || got[0].Doc != 1 {
 		t.Fatalf("kept term postings = %+v", got)
 	}
-	if !r.Covers(1) {
-		t.Fatal("restriction dropped the tombstone set")
+	if r.NumTerms() != 1 || !r.Covers(1) {
+		t.Fatalf("restricted segment = %d terms, covers(1)=%v", r.NumTerms(), r.Covers(1))
 	}
 
 	// Merging the OLD full segment with the restricted revision must
@@ -359,15 +354,6 @@ func TestSegmentRestrict(t *testing.T) {
 				t.Fatalf("term %q posting %d diverged: %+v vs %+v", term, i, a, b)
 			}
 		}
-	}
-
-	// Restriction round-trips through the wire format.
-	dec, err := DecodeSegment(r.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.NumTerms() != 1 || !dec.Covers(1) {
-		t.Fatalf("decoded restricted segment = %d terms, covers(1)=%v", dec.NumTerms(), dec.Covers(1))
 	}
 }
 

@@ -43,8 +43,7 @@ type TFDL struct {
 
 // BlockSkip is one parsed skip entry: the block's last document, its end
 // byte offset (blob-relative for delta terms, stream-relative for bitmap
-// terms; unused for materialized posting lists), and the block's
-// score-bound frontier.
+// terms), and the block's score-bound frontier.
 type BlockSkip struct {
 	LastDoc  DocID
 	EndOff   int
@@ -117,11 +116,10 @@ func blockFrontier(pairs []TFDL) []TFDL {
 // v3Writer streams a segment into the v3 layout one term at a time, in
 // ascending term order, and writes the shell last: the term count and
 // the dictionary index precede the regions in the bytes but are known
-// only once every term is in. Built segments (encodeV3) and merges
-// (MergeEncode) both write through it, so the two produce the same bytes
-// for the same logical segment. Its buffers are reused across terms: a
-// term costs appends to the dictionary and postings regions, not
-// allocations of its own.
+// only once every term is in. Builder.Build and MergeEncode both write
+// through it, so the two produce the same bytes for the same logical
+// segment. Its buffers are reused across terms: a term costs appends to
+// the dictionary and postings regions, not allocations of its own.
 type v3Writer struct {
 	docLens    map[DocID]uint32
 	docsSorted []DocID
@@ -162,9 +160,9 @@ func newV3Writer(docLens map[DocID]uint32, docsSorted []DocID) *v3Writer {
 // across block boundaries (the blob is a run of (doc gap, TF, positions)
 // records); bitmap terms emit a bitmap over the segment's doc ordinals
 // followed by a (TF, positions) stream. docLen for frontier pairs falls
-// back to 0 when the doc is not covered (Validate rejects such segments
-// separately; 0 only inflates the bound, which stays safe). pl must be
-// non-empty and sorted, and terms must arrive in ascending order.
+// back to 0 when the doc is not covered (0 only inflates the bound, which
+// stays safe). pl must be non-empty and sorted, and terms must arrive in
+// ascending order.
 func (w *v3Writer) addTerm(term string, pl PostingList) {
 	if w.nterms%dictBlockSize == 0 {
 		w.blocks = append(w.blocks, v3BlockMeta{term, len(w.dict), len(w.posts)})
@@ -293,15 +291,6 @@ func postingDocsCovered(pl PostingList, docLens map[DocID]uint32) bool {
 	return true
 }
 
-// encodeV3 serializes a built segment in the v3 block-max layout.
-func (s *Segment) encodeV3() []byte {
-	w := newV3Writer(s.DocLens, sortedDocIDs(s.DocLens))
-	for _, t := range s.TermsSorted() {
-		w.addTerm(t, s.Terms[t])
-	}
-	return w.finish(s.Gen)
-}
-
 // decodeDocLensOrdered parses the docs region into the length map and
 // also returns the doc IDs in encounter order, enforcing the strictly
 // ascending order v3 bitmaps index into. It returns the remaining bytes.
@@ -335,9 +324,15 @@ func decodeDocLensOrdered(data []byte, into map[DocID]uint32) ([]byte, []DocID, 
 	return data, docs, nil
 }
 
-// decodeSegmentV3 parses the v3 layout. raw is the full encoding
-// (including magic); data starts after the magic.
-func decodeSegmentV3(raw, data []byte) (*Segment, error) {
+// openSegment parses raw's shell — magic, gen, docs region, block index
+// and the two regions' extents — into a view, checking only what the
+// parse itself needs; validateRegionsV3 walks the regions.
+func openSegment(raw []byte) (*Segment, error) {
+	magic, n := binary.Uvarint(raw)
+	if n <= 0 || magic != segmentMagic {
+		return nil, errCorruptSegment
+	}
+	data := raw[n:]
 	gen, n := binary.Uvarint(data)
 	if n <= 0 {
 		return nil, errCorruptSegment
@@ -355,12 +350,11 @@ func decodeSegmentV3(raw, data []byte) (*Segment, error) {
 		return nil, errCorruptSegment
 	}
 	data = data[n:]
+	seg := &Segment{Gen: gen, DocLens: docLens, raw: raw, docsSorted: docsSorted}
 	if nterms == 0 {
 		if len(data) != 0 {
 			return nil, errCorruptSegment
 		}
-		seg := NewSegment(gen)
-		seg.DocLens = docLens
 		return seg, nil
 	}
 	// Counts are untrusted until the regions are walked: bound them by
@@ -375,7 +369,7 @@ func decodeSegmentV3(raw, data []byte) (*Segment, error) {
 		return nil, errCorruptSegment
 	}
 	data = data[n:]
-	blocks := make([]lazyBlock, 0, nblocks)
+	blocks := make([]dictBlock, 0, nblocks)
 	for i := uint64(0); i < nblocks; i++ {
 		tlen, n := binary.Uvarint(data)
 		if n <= 0 || uint64(len(data)-n) < tlen {
@@ -393,7 +387,7 @@ func decodeSegmentV3(raw, data []byte) (*Segment, error) {
 			return nil, errCorruptSegment
 		}
 		data = data[n:]
-		blocks = append(blocks, lazyBlock{firstTerm: first, dictOff: int(dictOff), postOff: int(postOff)})
+		blocks = append(blocks, dictBlock{firstTerm: first, dictOff: int(dictOff), postOff: int(postOff)})
 	}
 
 	dictLen, n := binary.Uvarint(data)
@@ -411,22 +405,8 @@ func decodeSegmentV3(raw, data []byte) (*Segment, error) {
 		return nil, errCorruptSegment
 	}
 
-	if err := validateLazyRegionsV3(dict, posts, int(nterms), blocks, docLens, docsSorted); err != nil {
-		return nil, err
-	}
-
-	return &Segment{
-		Gen:     gen,
-		DocLens: docLens,
-		lazy: &lazySegment{
-			raw:        raw,
-			blocks:     blocks,
-			dict:       dict,
-			posts:      posts,
-			nterms:     int(nterms),
-			docsSorted: docsSorted,
-		},
-	}, nil
+	seg.blocks, seg.dict, seg.posts, seg.nterms = blocks, dict, posts, int(nterms)
+	return seg, nil
 }
 
 // dictEntryV3 is one parsed v3 dictionary entry header. skipsRaw is the
@@ -556,8 +536,8 @@ func parseSkipsV3(raw []byte, df int) ([]BlockSkip, error) {
 	return skips, nil
 }
 
-// validateLazyRegionsV3 walks the dictionary and postings regions once at
-// decode time: dictionary entries must parse with strictly sorted terms
+// validateRegionsV3 walks a segment's dictionary and postings regions once
+// at decode time: dictionary entries must parse with strictly sorted terms
 // and a count matching nterms, blob lengths must tile the postings region
 // exactly, each block-index record must agree exactly with the walk (its
 // first term and both offsets land on the entry the walk reaches at that
@@ -569,7 +549,8 @@ func parseSkipsV3(raw []byte, df int) ([]BlockSkip, error) {
 // fails loudly on any structural or metadata lie (a byzantine worker's
 // digest covers its corrupt bytes, so hash verification alone can't
 // catch one) while first-use decoding keeps the allocation win.
-func validateLazyRegionsV3(dict, posts []byte, nterms int, blocks []lazyBlock, docLens map[DocID]uint32, docsSorted []DocID) error {
+func validateRegionsV3(seg *Segment) error {
+	dict, posts, blocks := seg.dict, seg.posts, seg.blocks
 	var prev []byte
 	count, postOff := 0, 0
 	dictLen := len(dict)
@@ -600,7 +581,7 @@ func validateLazyRegionsV3(dict, posts []byte, nterms int, blocks []lazyBlock, d
 		if postOff+e.blobLen > len(posts) {
 			return errCorruptSegment
 		}
-		if err := checkTermBlobV3(posts[postOff:postOff+e.blobLen], e, skips, docLens, docsSorted, &pairs); err != nil {
+		if err := checkTermBlobV3(posts[postOff:postOff+e.blobLen], e, skips, seg.DocLens, seg.docsSorted, &pairs); err != nil {
 			return err
 		}
 		prev = e.term
@@ -608,7 +589,7 @@ func validateLazyRegionsV3(dict, posts []byte, nterms int, blocks []lazyBlock, d
 		postOff += e.blobLen
 		dict = rest
 	}
-	if count != nterms || postOff != len(posts) {
+	if count != seg.nterms || postOff != len(posts) {
 		return errCorruptSegment
 	}
 	if (count+dictBlockSize-1)/dictBlockSize != len(blocks) {
@@ -809,19 +790,19 @@ func decodeTermBlobV3(blob []byte, e dictEntryV3, docsSorted []DocID, pl Posting
 // findV3 locates a term's v3 dictionary entry and postings blob without
 // decoding any postings: binary search the block index, scan at most one
 // 64-term block accumulating the postings offset.
-func (l *lazySegment) findV3(term string) (e dictEntryV3, blob []byte, found bool, err error) {
-	bi := sort.Search(len(l.blocks), func(i int) bool {
-		return cmpBytesString(l.blocks[i].firstTerm, term) > 0
+func (s *Segment) findV3(term string) (e dictEntryV3, blob []byte, found bool, err error) {
+	bi := sort.Search(len(s.blocks), func(i int) bool {
+		return cmpBytesString(s.blocks[i].firstTerm, term) > 0
 	}) - 1
 	if bi < 0 {
 		return e, nil, false, nil
 	}
-	b := l.blocks[bi]
-	dictEnd := len(l.dict)
-	if bi+1 < len(l.blocks) {
-		dictEnd = l.blocks[bi+1].dictOff
+	b := s.blocks[bi]
+	dictEnd := len(s.dict)
+	if bi+1 < len(s.blocks) {
+		dictEnd = s.blocks[bi+1].dictOff
 	}
-	dict := l.dict[b.dictOff:dictEnd]
+	dict := s.dict[b.dictOff:dictEnd]
 	postOff := b.postOff
 	for len(dict) > 0 {
 		ent, rest, err := nextDictEntryV3(dict)
@@ -831,10 +812,10 @@ func (l *lazySegment) findV3(term string) (e dictEntryV3, blob []byte, found boo
 		dict = rest
 		switch c := cmpBytesString(ent.term, term); {
 		case c == 0:
-			if postOff+ent.blobLen > len(l.posts) {
+			if postOff+ent.blobLen > len(s.posts) {
 				return e, nil, false, errCorruptSegment
 			}
-			return ent, l.posts[postOff : postOff+ent.blobLen], true, nil
+			return ent, s.posts[postOff : postOff+ent.blobLen], true, nil
 		case c > 0:
 			return e, nil, false, nil
 		}
@@ -844,12 +825,12 @@ func (l *lazySegment) findV3(term string) (e dictEntryV3, blob []byte, found boo
 }
 
 // lookup decodes exactly one term's posting list on a hit.
-func (l *lazySegment) lookup(term string) (PostingList, bool, error) {
-	e, blob, found, err := l.findV3(term)
+func (s *Segment) lookup(term string) (PostingList, bool, error) {
+	e, blob, found, err := s.findV3(term)
 	if err != nil || !found {
 		return nil, found, err
 	}
-	pl, _, err := decodeTermBlobV3(blob, e, l.docsSorted, nil, nil)
+	pl, _, err := decodeTermBlobV3(blob, e, s.docsSorted, nil, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -857,51 +838,4 @@ func (l *lazySegment) lookup(term string) (PostingList, bool, error) {
 		return nil, false, err
 	}
 	return pl, true, nil
-}
-
-// decodeAll decodes every posting list in dictionary order. Caller holds
-// the owning Segment's write lock.
-func (l *lazySegment) decodeAll() (map[string]PostingList, error) {
-	m := make(map[string]PostingList, l.nterms)
-	if err := l.decodeTerms(nil, m); err != nil {
-		return nil, err
-	}
-	if len(m) != l.nterms {
-		return nil, errCorruptSegment
-	}
-	return m, nil
-}
-
-// decodeTerms walks the dictionary once and decodes into m the posting
-// list of every term keep accepts (nil accepts all); the other terms'
-// blobs are skipped undecoded. It reads only the immutable regions, so
-// it needs no lock.
-func (l *lazySegment) decodeTerms(keep func(term string) bool, m map[string]PostingList) error {
-	dict := l.dict
-	postOff := 0
-	for len(dict) > 0 {
-		e, rest, err := nextDictEntryV3(dict)
-		if err != nil {
-			return err
-		}
-		dict = rest
-		if postOff+e.blobLen > len(l.posts) {
-			return errCorruptSegment
-		}
-		blob := l.posts[postOff : postOff+e.blobLen]
-		postOff += e.blobLen
-		term := string(e.term)
-		if keep != nil && !keep(term) {
-			continue
-		}
-		pl, _, err := decodeTermBlobV3(blob, e, l.docsSorted, nil, nil)
-		if err != nil {
-			return err
-		}
-		if err := pl.sortCheck(); err != nil {
-			return err
-		}
-		m[term] = pl
-	}
-	return nil
 }
