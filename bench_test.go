@@ -237,7 +237,7 @@ func BenchmarkDHTLookup(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				reader := nodes[2+i%(n-2)]
-				if _, _, _, err := reader.Get(key); err != nil {
+				if _, _, _, err := reader.GetCtx(context.Background(), key); err != nil {
 					b.Fatal(err)
 				}
 			}

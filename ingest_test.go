@@ -69,7 +69,7 @@ func dhtWriteState(tb testing.TB, e *Engine) string {
 
 	numShards := e.Cluster.Config().NumShards
 	for shard := 0; shard < numShards; shard++ {
-		val, _, _, err := d.Get(dht.KeyOfString(index.ShardPointerKey(shard)))
+		val, _, _, err := d.GetCtx(context.Background(), dht.KeyOfString(index.ShardPointerKey(shard)))
 		if err != nil {
 			continue // untouched shard
 		}
@@ -79,7 +79,7 @@ func dhtWriteState(tb testing.TB, e *Engine) string {
 			tb.Fatalf("shard %d: corrupt pointer %q: %v", shard, val, err)
 		}
 		for _, dg := range ptr.Digests {
-			seg, _, err := d.GetImmutable(dht.KeyOfString(index.SegmentKey(dg)))
+			seg, _, err := d.GetImmutableCtx(context.Background(), dht.KeyOfString(index.SegmentKey(dg)))
 			if err != nil {
 				tb.Fatalf("segment %s unreachable: %v", dg[:8], err)
 			}

@@ -5,6 +5,8 @@
 package errsink
 
 import (
+	"context"
+
 	"repro/internal/dht"
 	"repro/internal/store"
 )
@@ -19,13 +21,13 @@ func bad(n *dht.Node, p *store.Peer, k dht.Key) {
 	p.Add([]byte("x"))            // want `error \(result 3 of 3\) returned by store\.Peer\.Add is discarded`
 	_, _, err := n.Put(k, nil, 2) // fine: err is bound…
 	use(err)
-	v, _, _, _ := n.Get(k) // want `error \(result 4 of 4\) from dht\.Node\.Get assigned to _`
+	v, _, _, _ := n.GetCtx(context.Background(), k) // want `error \(result 4 of 4\) from dht\.Node\.GetCtx assigned to _`
 	use(v)
 }
 
 func badPositional(n *dht.Node, k dht.Key) {
 	var v []byte
-	v, _, _ = n.GetImmutable(k) // want `error \(result 3 of 3\) from dht\.Node\.GetImmutable assigned to _`
+	v, _, _ = n.GetImmutableCtx(context.Background(), k) // want `error \(result 3 of 3\) from dht\.Node\.GetImmutableCtx assigned to _`
 	use(v)
 }
 

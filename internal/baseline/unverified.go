@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"encoding/json"
 	"sort"
 
@@ -65,7 +66,7 @@ func (u *UnverifiedP2P) Poison(d *dht.Node, term, spamURL string) (netsim.Cost, 
 
 func (u *UnverifiedP2P) appendURL(d *dht.Node, term, url string) (netsim.Cost, error) {
 	var rec termRecord
-	val, seq, cost, err := d.Get(u.termKey(term))
+	val, seq, cost, err := d.GetCtx(context.Background(), u.termKey(term))
 	if err == nil {
 		if json.Unmarshal(val, &rec) != nil {
 			rec = termRecord{}
@@ -93,7 +94,7 @@ func (u *UnverifiedP2P) Search(d *dht.Node, query string) ([]string, netsim.Cost
 	var total netsim.Cost
 	var sets [][]string
 	for _, term := range terms {
-		val, _, cost, err := d.Get(u.termKey(term))
+		val, _, cost, err := d.GetCtx(context.Background(), u.termKey(term))
 		total = total.Seq(cost)
 		if err == dht.ErrNotFound {
 			return nil, total, nil

@@ -350,7 +350,7 @@ func TestReadinessWrittenShardUnreachable(t *testing.T) {
 	}
 	var unreachable, reachable []int
 	for s := 0; s < cfg.NumShards; s++ {
-		if _, _, _, err := d.Get(pointerKey(s)); err != nil {
+		if _, _, _, err := d.GetCtx(context.Background(), pointerKey(s)); err != nil {
 			if !errors.Is(err, dht.ErrNotFound) {
 				t.Fatalf("shard %d: %v", s, err)
 			}

@@ -146,7 +146,7 @@ func (c *Cluster) RunMaintenance() RepairStats {
 			if n >= k {
 				continue
 			}
-			raw, cost, err := d.GetImmutable(segKey)
+			raw, cost, err := d.GetImmutableCtx(context.Background(), segKey)
 			pass.Cost = pass.Cost.Seq(cost)
 			if err != nil || index.DigestOf(raw) != digest {
 				// Lost means NOTHING answered: the probe saw zero replicas
@@ -226,7 +226,7 @@ func (c *Cluster) Readiness() Readiness {
 		return r
 	}
 	for shard := 0; shard < c.cfg.NumShards; shard++ {
-		_, _, cost, err := d.Get(pointerKey(shard))
+		_, _, cost, err := d.GetCtx(context.Background(), pointerKey(shard))
 		r.Cost = r.Cost.Seq(cost)
 		if err == nil || c.readsEmpty(shard, err) {
 			r.ShardsOK++

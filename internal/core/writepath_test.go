@@ -417,7 +417,7 @@ func TestWriteCompactionForgedRunFailsOneShard(t *testing.T) {
 	}
 	run := before.Digests[0]
 	key := dht.KeyOfString(index.SegmentKey(run))
-	genuine, _, err := c.Peers[2].DHT().GetImmutable(key)
+	genuine, _, err := c.Peers[2].DHT().GetImmutableCtx(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,7 +209,7 @@ func TestWalkReuseRewalksPastDeadContact(t *testing.T) {
 	if live < cfg.K-1 {
 		t.Fatalf("%d live replicas at the new version, want >= %d", live, cfg.K-1)
 	}
-	if got, seq, _, err := nodes[20].Get(key); err != nil || string(got) != "v2" || seq != 2 {
+	if got, seq, _, err := nodes[20].GetCtx(context.Background(), key); err != nil || string(got) != "v2" || seq != 2 {
 		t.Fatalf("Get = %q seq=%d err=%v", got, seq, err)
 	}
 

@@ -23,7 +23,7 @@ var (
 
 // Network-wide Kademlia constants: every node runs the same values.
 const (
-	// alpha is the round width of GetImmutable and of provider discovery.
+	// alpha is the round width of GetImmutableCtx and of provider discovery.
 	// A cold immutable read and discovery for a fetch consume the first
 	// answer; discovery for a fetch already told whom to ask must not send
 	// more than that. A walk that writes or quorum-reads asks the K
@@ -352,7 +352,7 @@ func (s *shortlist) insert(c Contact, target Key) bool {
 // in one round trip; at width alpha (FindProvidersConverged) it asks no
 // wider than a first-answer walk, and stops once the K closest have
 // answered. A walk whose caller consumes its first answer (firstAnswer:
-// GetImmutable, FindProviders) keeps the classic schedule — alpha a
+// GetImmutableCtx, FindProviders) keeps the classic schedule — alpha a
 // round, nearest first however far down the shortlist — so once fewer
 // than alpha of the K closest are left to ask it asks past them too,
 // where a provider census still finds records that announcers with
@@ -692,13 +692,8 @@ func (n *Node) Locate(ctx context.Context, key Key) (Located, netsim.Cost, error
 	return loc, cost, nil
 }
 
-// Get retrieves the highest-sequence value for key: Locate without the
-// walk.
-func (n *Node) Get(key Key) ([]byte, uint64, netsim.Cost, error) {
-	return n.GetCtx(context.Background(), key)
-}
-
-// GetCtx is Get with a request lifecycle (see Locate).
+// GetCtx retrieves the highest-sequence value for key: Locate without
+// the walk.
 func (n *Node) GetCtx(ctx context.Context, key Key) ([]byte, uint64, netsim.Cost, error) {
 	loc, cost, err := n.Locate(ctx, key)
 	if err != nil {
@@ -724,19 +719,14 @@ func (n *Node) GetFromCtx(ctx context.Context, holder Contact, key Key) ([]byte,
 	return r.Value, r.Seq, cost, nil
 }
 
-// GetImmutable retrieves a value that can never change (content-addressed
-// records): the lookup short-circuits on the first replica found, which
-// is safe because the caller verifies the content hash. Its product is
-// that first answer, not the closest set, so it asks alpha contacts a
-// round. Use Get for versioned (mutable) records.
-func (n *Node) GetImmutable(key Key) ([]byte, netsim.Cost, error) {
-	return n.GetImmutableCtx(context.Background(), key)
-}
-
-// GetImmutableCtx is GetImmutable with a request lifecycle: once ctx is
-// done the remaining lookup rounds are abandoned with the partial cost.
-// A replica found before the cancel still wins — the bytes were already
-// on the wire, and the caller's hash check vouches for them.
+// GetImmutableCtx retrieves a value that can never change
+// (content-addressed records): the lookup short-circuits on the first
+// replica found, which is safe because the caller verifies the content
+// hash. Its product is that first answer, not the closest set, so it asks
+// alpha contacts a round. Use GetCtx for versioned (mutable) records.
+// Once ctx is done the remaining lookup rounds are abandoned with the
+// partial cost. A replica found before the cancel still wins — the bytes
+// were already on the wire, and the caller's hash check vouches for them.
 func (n *Node) GetImmutableCtx(ctx context.Context, key Key) ([]byte, netsim.Cost, error) {
 	n.mu.Lock()
 	if sv, ok := n.values[key]; ok {

@@ -48,7 +48,7 @@ func TestPutGetAcrossSwarm(t *testing.T) {
 	if replicas < 2 {
 		t.Fatalf("replicas = %d, want >= 2", replicas)
 	}
-	got, seq, _, err := nodes[17].Get(key)
+	got, seq, _, err := nodes[17].GetCtx(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestPutGetAcrossSwarm(t *testing.T) {
 
 func TestGetMissingKey(t *testing.T) {
 	_, nodes := buildSwarm(t, 10, DefaultConfig())
-	_, _, _, err := nodes[2].Get(KeyOfString("never-stored"))
+	_, _, _, err := nodes[2].GetCtx(context.Background(), KeyOfString("never-stored"))
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
@@ -74,7 +74,7 @@ func TestVersionedPutHigherSeqWins(t *testing.T) {
 	if _, _, err := nodes[2].Put(key, []byte("v2"), 2); err != nil {
 		t.Fatal(err)
 	}
-	got, seq, _, err := nodes[9].Get(key)
+	got, seq, _, err := nodes[9].GetCtx(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestStaleSeqDoesNotOverwrite(t *testing.T) {
 	key := KeyOfString("pointer2")
 	nodes[1].Put(key, []byte("new"), 5)
 	nodes[2].Put(key, []byte("old"), 3) // stale write
-	got, seq, _, err := nodes[9].Get(key)
+	got, seq, _, err := nodes[9].GetCtx(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +106,11 @@ func TestLookupCostGrowsSublinearly(t *testing.T) {
 	small[1].Put(key, []byte("x"), 1)
 	large[1].Put(key, []byte("x"), 1)
 
-	_, _, cSmall, err := small[7].Get(key)
+	_, _, cSmall, err := small[7].GetCtx(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, cLarge, err := large[100].Get(key)
+	_, _, cLarge, err := large[100].GetCtx(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestGetSurvivesNodeFailures(t *testing.T) {
 			net.SetDown(nodes[i].Self().Addr, true)
 		}
 	}
-	got, _, _, err := nodes[20].Get(key)
+	got, _, _, err := nodes[20].GetCtx(context.Background(), key)
 	if err != nil {
 		t.Fatalf("Get after failures: %v", err)
 	}
@@ -256,7 +256,7 @@ func TestSingleNodePutGet(t *testing.T) {
 	if _, _, err := n.Put(key, []byte("v"), 1); err != nil {
 		t.Fatal(err)
 	}
-	got, _, _, err := n.Get(key)
+	got, _, _, err := n.GetCtx(context.Background(), key)
 	if err != nil || string(got) != "v" {
 		t.Fatalf("Get = %q, %v", got, err)
 	}
@@ -349,7 +349,7 @@ func TestStoreLocalVisibleToGet(t *testing.T) {
 	_, nodes := buildSwarm(t, 8, DefaultConfig())
 	key := KeyOfString("direct")
 	nodes[4].StoreLocal(key, []byte("tampered"), 9)
-	got, seq, _, err := nodes[4].Get(key)
+	got, seq, _, err := nodes[4].GetCtx(context.Background(), key)
 	if err != nil || string(got) != "tampered" || seq != 9 {
 		t.Fatalf("local Get = %q seq=%d err=%v", got, seq, err)
 	}
@@ -389,7 +389,7 @@ func TestLargeSwarmGetWithBucketRefresh(t *testing.T) {
 	}
 	// Every 8th node reads; all must find the value.
 	for i := 2; i < n; i += 8 {
-		got, _, _, err := nodes[i].Get(key)
+		got, _, _, err := nodes[i].GetCtx(context.Background(), key)
 		if err != nil {
 			t.Fatalf("reader %d: %v", i, err)
 		}

@@ -58,7 +58,7 @@ func TestPutGetRoundTripProperty(t *testing.T) {
 		}
 		for _, rec := range records {
 			reader := nodes[rng.Intn(len(nodes))]
-			got, seq, _, err := reader.Get(rec.key)
+			got, seq, _, err := reader.GetCtx(context.Background(), rec.key)
 			if err != nil || string(got) != string(rec.val) || seq != rec.seq {
 				return false
 			}
@@ -91,8 +91,8 @@ func TestImmutableGetAgreesProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		reader := nodes[rng.Intn(len(nodes))]
-		a, _, _, errA := reader.Get(key)
-		b, _, errB := reader.GetImmutable(key)
+		a, _, _, errA := reader.GetCtx(context.Background(), key)
+		b, _, errB := reader.GetImmutableCtx(context.Background(), key)
 		if errA != nil || errB != nil {
 			t.Fatalf("key %d: errs %v %v", i, errA, errB)
 		}
@@ -120,7 +120,7 @@ func TestLookupCostLogarithmic(t *testing.T) {
 		nodes[1].Put(key, []byte("x"), 1)
 		total := 0
 		for i := 0; i < 10; i++ {
-			_, _, c, err := nodes[2+i].Get(key)
+			_, _, c, err := nodes[2+i].GetCtx(context.Background(), key)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -290,7 +290,7 @@ func TestLookupProviderAndImmutableWalksStayAlphaWide(t *testing.T) {
 		name string
 		run  func(Key) error
 	}{
-		{"GetImmutable", func(k Key) error { _, _, err := walker.GetImmutable(k); return err }},
+		{"GetImmutable", func(k Key) error { _, _, err := walker.GetImmutableCtx(context.Background(), k); return err }},
 		{"FindProviders", func(k Key) error { _, _, err := walker.FindProviders(k, 0); return err }},
 		{"FindProvidersConverged", func(k Key) error { _, _, err := walker.FindProvidersConverged(k, 0); return err }},
 	}
@@ -311,7 +311,7 @@ func TestLookupProviderAndImmutableWalksStayAlphaWide(t *testing.T) {
 		key := KeyOfString(fmt.Sprintf("first-replica-%d", i))
 		at := rng.Intn(alpha)
 		byAddr[walker.rt.closest(key, alpha)[at].Addr].StoreLocal(key, []byte("immutable"), 0)
-		got, cost, err := walker.GetImmutable(key)
+		got, cost, err := walker.GetImmutableCtx(context.Background(), key)
 		if err != nil || string(got) != "immutable" || cost.Msgs != at+1 {
 			t.Fatalf("key %d: replica on the walker's contact %d of %d: GetImmutable = %q for %d msgs, err=%v; want %d msgs",
 				i, at+1, alpha, got, cost.Msgs, err, at+1)
@@ -447,7 +447,7 @@ func TestWalkReuseLandsWherePutLands(t *testing.T) {
 		if reused := holdersAt(nodes, key, 2); fmt.Sprint(reused) != fmt.Sprint(plain) {
 			t.Fatalf("key %d: PutAt landed on %v, plain Put on %v", i, reused, plain)
 		}
-		if got, seq, _, err := reader.Get(key); err != nil || string(got) != "v2" || seq != 2 {
+		if got, seq, _, err := reader.GetCtx(context.Background(), key); err != nil || string(got) != "v2" || seq != 2 {
 			t.Fatalf("key %d: Get from %s = %q seq=%d err=%v", i, reader.self.Addr, got, seq, err)
 		}
 

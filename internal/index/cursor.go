@@ -1,28 +1,18 @@
 package index
 
 import (
-	"encoding/binary"
 	"slices"
 	"sort"
 )
 
-// cursorMeta is a segment's memoized per-term skip metadata: the parsed
-// block skips and the term's block-decodable source. It is immutable
-// once built; TermCursor instances reference it but keep their own
-// position state, so one query's cursor never perturbs another's.
+// cursorMeta is a segment's memoized per-term cursor state: the parsed
+// block skips and a reader at the start of the term's records. It is
+// immutable once built; TermCursor instances reference it but keep their
+// own position state, so one query's cursor never perturbs another's.
 type cursorMeta struct {
-	df    int
-	skips []BlockSkip
-	src   *termSource
-}
-
-// termSource addresses one term's v3 postings blob for block-granular
-// decoding without materializing the whole list.
-type termSource struct {
-	enc        uint8   // 0 = delta blocks, 1 = bitmap
-	payload    []byte  // delta: whole blob; bitmap: TF/positions stream
-	bitmap     []byte  // bitmap terms only
-	docsSorted []DocID // bitmap terms only: ordinal → DocID
+	df     int
+	skips  []BlockSkip
+	opened postingReader // at the term's first record
 }
 
 // Cursor returns a fresh block-max cursor over a term's postings, or nil
@@ -49,33 +39,25 @@ func (s *Segment) Cursor(term string) *TermCursor {
 	if m == nil {
 		return nil
 	}
-	return &TermCursor{df: m.df, skips: m.skips, src: m.src, lens: s.DocLens, decoded: -1, boundBi: -1}
+	return &TermCursor{cursorMeta: m, lens: s.DocLens, decoded: -1, boundBi: -1}
 }
 
 // buildCursorMeta parses a term's skip entries straight out of the
 // dictionary, decoding no postings.
 func (s *Segment) buildCursorMeta(term string) *cursorMeta {
-	e, blob, found, err := s.findV3(term)
+	e, found, err := s.findV3(term)
 	if err != nil || !found {
 		return nil
 	}
-	skips, err := parseSkipsV3(e.skipsRaw, e.df)
-	if err != nil {
+	var sb skipBuf
+	if _, err := readSkips(e.skipsRaw, e.df, &sb); err != nil {
 		return nil
 	}
-	src := &termSource{enc: uint8(e.enc)}
-	if e.enc == 1 {
-		bmLen, n := binary.Uvarint(blob)
-		if n <= 0 || uint64(len(blob)-n) < bmLen {
-			return nil // unreachable post-validation
-		}
-		src.bitmap = blob[n : n+int(bmLen)]
-		src.payload = blob[n+int(bmLen):]
-		src.docsSorted = s.docsSorted
-	} else {
-		src.payload = blob
+	m := &cursorMeta{df: e.df, skips: sb.skips}
+	if err := m.opened.open(e.blob, e.enc, s.docsSorted); err != nil {
+		return nil
 	}
-	return &cursorMeta{df: e.df, skips: skips, src: src}
+	return m
 }
 
 // TermCursor walks one term's postings block by block in ascending DocID
@@ -85,16 +67,13 @@ func (s *Segment) buildCursorMeta(term string) *cursorMeta {
 // into top-k early termination. Not safe for concurrent use; obtain one
 // per query via Segment.Cursor.
 type TermCursor struct {
-	df    int
-	skips []BlockSkip
-	src   *termSource
-	lens  map[DocID]uint32 // the segment's doc lengths, which the skips' bounds use
+	*cursorMeta
+	lens map[DocID]uint32 // the segment's doc lengths, which the skips' bounds use
 
-	bi      int // current block index (len(skips) = exhausted)
-	decoded int // block currently decoded into docs/tfs (-1 = none)
-	docs    []DocID
-	tfs     []uint32
-	scan    int // forward scan position within the decoded block
+	bi      int         // current block index (len(skips) = exhausted)
+	decoded int         // block currently decoded into block (-1 = none)
+	block   PostingList // the decoded block, without positions
+	scan    int         // forward scan position within the decoded block
 
 	boundBi  int // block the memoized bound was computed for (-1 = none)
 	boundVal float64
@@ -182,24 +161,28 @@ func (c *TermCursor) SeekTF(d DocID) (uint32, bool) {
 	if !c.ensureDecoded() {
 		return 0, false
 	}
-	for c.scan < len(c.docs) && c.docs[c.scan] < d {
+	for c.scan < len(c.block) && c.block[c.scan].Doc < d {
 		c.scan++
 	}
-	if c.scan < len(c.docs) && c.docs[c.scan] == d {
-		return c.tfs[c.scan], true
+	if c.scan < len(c.block) && c.block[c.scan].Doc == d {
+		return c.block[c.scan].TF, true
 	}
 	return 0, false
 }
 
-// ensureDecoded materializes the current block's (DocID, TF) columns.
+// ensureDecoded reads the current block's postings, stepping over their
+// positions.
 func (c *TermCursor) ensureDecoded() bool {
 	if c.decoded == c.bi {
 		return true
 	}
 	n := v3BlockLen(c.bi, c.df)
-	c.docs = slices.Grow(c.docs[:0], n)
-	c.tfs = slices.Grow(c.tfs[:0], n)
-	if !c.src.decodeBlock(c.bi, c.skips, n, &c.docs, &c.tfs) {
+	r := c.opened
+	err := r.seek(c.skips, c.bi)
+	if err == nil {
+		c.block, err = r.read(n, slices.Grow(c.block[:0], n), nil)
+	}
+	if err != nil {
 		// Unreachable for validated segments; defensively exhaust the
 		// cursor so corruption degrades to an absent term, mirroring
 		// Postings' behavior, rather than panicking.
@@ -209,73 +192,5 @@ func (c *TermCursor) ensureDecoded() bool {
 	c.decoded = c.bi
 	c.scan = 0
 	c.scanned += int64(n)
-	return true
-}
-
-// decodeBlock parses block bi's postings out of the term's blob. For
-// delta terms the doc-gap chain restarts from the previous block's last
-// DocID; for bitmap terms the start ordinal is recovered by binary
-// search for the previous block's last DocID (itself a set bit).
-func (s *termSource) decodeBlock(bi int, skips []BlockSkip, n int, docs *[]DocID, tfs *[]uint32) bool {
-	start := 0
-	prevDoc := uint64(0)
-	ord := 0
-	if bi > 0 {
-		start = skips[bi-1].EndOff
-		prevDoc = uint64(skips[bi-1].LastDoc)
-		if s.enc == 1 {
-			ord = sort.Search(len(s.docsSorted), func(i int) bool { return s.docsSorted[i] >= DocID(prevDoc) }) + 1
-		}
-	}
-	end := skips[bi].EndOff
-	if start > end || end > len(s.payload) {
-		return false
-	}
-	b := s.payload[start:end]
-	for i := 0; i < n; i++ {
-		var doc DocID
-		if s.enc == 0 {
-			gap, ln := binary.Uvarint(b)
-			if ln <= 0 {
-				return false
-			}
-			b = b[ln:]
-			prevDoc += gap
-			doc = DocID(prevDoc)
-		} else {
-			for ord < len(s.docsSorted) && s.bitmap[ord>>3]&(1<<uint(ord&7)) == 0 {
-				ord++
-			}
-			if ord >= len(s.docsSorted) {
-				return false
-			}
-			doc = s.docsSorted[ord]
-			ord++
-		}
-		tf, ln := binary.Uvarint(b)
-		if ln <= 0 {
-			return false
-		}
-		b = b[ln:]
-		npos, ln := binary.Uvarint(b)
-		if ln <= 0 {
-			return false
-		}
-		b = b[ln:]
-		// Step over the positions: each varint ends at its one byte
-		// below 0x80.
-		k := 0
-		for ; npos > 0 && k < len(b); k++ {
-			if b[k] < 0x80 {
-				npos--
-			}
-		}
-		if npos > 0 {
-			return false
-		}
-		b = b[k:]
-		*docs = append(*docs, doc)
-		*tfs = append(*tfs, uint32(tf))
-	}
 	return true
 }

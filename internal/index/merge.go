@@ -54,7 +54,7 @@ func mergeEncode(ordered []*Segment, skip []bool, keep func(term string) bool) (
 	walks := make([]*runWalk, 0, len(ordered))
 	for rank, seg := range ordered {
 		if !skip[rank] {
-			walks = append(walks, &runWalk{rank: rank, seg: seg, keep: keep, dict: seg.dict})
+			walks = append(walks, &runWalk{rank: rank, seg: seg, keep: keep, walk: dictWalk{seg.dict, seg.posts}})
 		}
 	}
 	docLens := make(map[DocID]uint32)
@@ -91,11 +91,8 @@ type runWalk struct {
 	seg  *Segment
 	keep func(term string) bool
 
-	// The unread dictionary, the current entry and its blob.
-	dict    []byte
-	postOff int
-	entry   dictEntryV3
-	blob    []byte
+	walk  dictWalk    // the unread dictionary
+	entry dictEntryV3 // the current entry
 
 	term string // current term, valid until done
 	done bool
@@ -107,21 +104,14 @@ type runWalk struct {
 // advance moves to the next kept term, or sets done.
 func (w *runWalk) advance() error {
 	for {
-		if len(w.dict) == 0 {
+		if len(w.walk.dict) == 0 {
 			w.done = true
 			return nil
 		}
-		e, rest, err := nextDictEntryV3(w.dict)
-		if err != nil {
+		if err := w.walk.next(&w.entry, nil); err != nil {
 			return err
 		}
-		if w.postOff+e.blobLen > len(w.seg.posts) {
-			return errCorruptSegment
-		}
-		w.dict, w.entry = rest, e
-		w.blob = w.seg.posts[w.postOff : w.postOff+e.blobLen]
-		w.postOff += e.blobLen
-		w.term = string(e.term)
+		w.term = string(w.entry.term)
 		if w.keep == nil || w.keep(w.term) {
 			return nil
 		}
@@ -132,10 +122,8 @@ func (w *runWalk) advance() error {
 // buffers until the next call.
 func (w *runWalk) list() (PostingList, error) {
 	var err error
-	if w.pl, w.arena, err = decodeTermBlobV3(w.blob, w.entry, w.seg.docsSorted, w.pl, w.arena); err != nil {
-		return nil, err
-	}
-	return w.pl, w.pl.sortCheck()
+	w.pl, w.arena, err = decodeList(&w.entry, w.seg.docsSorted, w.pl, w.arena)
+	return w.pl, err
 }
 
 // mergeKernel is the k-way merge of a chain of runs, walking their

@@ -1,9 +1,6 @@
 package index
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // DocID identifies a document (stable per URL; assigned by the engine).
 type DocID uint32
@@ -34,14 +31,4 @@ func (pl PostingList) Find(doc DocID) (Posting, bool) {
 		return pl[i], true
 	}
 	return Posting{}, false
-}
-
-// sortCheck verifies ascending strict DocID order.
-func (pl PostingList) sortCheck() error {
-	for i := 1; i < len(pl); i++ {
-		if pl[i].Doc <= pl[i-1].Doc {
-			return fmt.Errorf("index: postings out of order at %d", i)
-		}
-	}
-	return nil
 }

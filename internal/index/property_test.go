@@ -55,25 +55,15 @@ func mergeReference(segments []*Segment, keep func(string) bool) *Segment {
 // accepts (nil accepts all), or fails if one of them does not decode.
 func termsOf(seg *Segment, keep func(string) bool) (map[string]PostingList, error) {
 	m := make(map[string]PostingList)
-	dict, postOff := seg.dict, 0
-	for len(dict) > 0 {
-		e, rest, err := nextDictEntryV3(dict)
-		if err != nil {
+	var e dictEntryV3
+	for w := (dictWalk{seg.dict, seg.posts}); len(w.dict) > 0; {
+		if err := w.next(&e, nil); err != nil {
 			return nil, err
 		}
-		dict = rest
-		if postOff+e.blobLen > len(seg.posts) {
-			return nil, errCorruptSegment
-		}
-		blob := seg.posts[postOff : postOff+e.blobLen]
-		postOff += e.blobLen
 		if keep != nil && !keep(string(e.term)) {
 			continue
 		}
-		pl, _, err := decodeTermBlobV3(blob, e, seg.docsSorted, nil, nil)
-		if err == nil {
-			err = pl.sortCheck()
-		}
+		pl, _, err := decodeList(&e, seg.docsSorted, nil, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -21,7 +21,9 @@ import (
 // Builder, Merge and DecodeSegment all return one holding the encoded
 // bytes and the parsed document list and dictionary index. Postings
 // decodes a single term's list on first use and memoizes it; Cursor
-// decodes block by block.
+// decodes block by block. Both, like DecodeSegment's validation and the
+// merge kernel, read posting records through one reader and skip entries
+// through one parser.
 //
 // Segments are safe for concurrent readers. A segment must not be
 // mutated after it is shared (the memoized views assume immutability).
@@ -31,7 +33,7 @@ type Segment struct {
 
 	raw        []byte // the full encoding (Encode returns a copy)
 	blocks     []dictBlock
-	dict       []byte  // dictionary region (see nextDictEntryV3)
+	dict       []byte  // dictionary region (see dictWalk)
 	posts      []byte  // postings region: concatenated posting blobs
 	nterms     int     // dictionary entries
 	docsSorted []DocID // covered docs ascending (bitmap ordinals)
@@ -207,13 +209,12 @@ func (s *Segment) TermsSorted() []string {
 		return sorted
 	}
 	out := make([]string, 0, s.nterms)
-	for dict := s.dict; len(dict) > 0; {
-		e, rest, err := nextDictEntryV3(dict)
-		if err != nil {
+	var e dictEntryV3
+	for w := (dictWalk{s.dict, s.posts}); len(w.dict) > 0; {
+		if err := w.next(&e, nil); err != nil {
 			break // dict region is validated at decode; defensive only
 		}
 		out = append(out, string(e.term))
-		dict = rest
 	}
 	s.mu.Lock()
 	s.sorted = out
@@ -228,8 +229,8 @@ func (s *Segment) NumTerms() int { return s.nterms }
 // Postings returns the posting list for a term (nil if absent). Only the
 // requested term's list is decoded; the result is memoized so repeated
 // lookups are map-hit cheap. Decode errors are unreachable for segments
-// produced by DecodeSegment (which structurally validates both regions up
-// front); defensively they surface as an absent term.
+// produced by DecodeSegment (which reads every record up front);
+// defensively they surface as an absent term.
 func (s *Segment) Postings(term string) PostingList {
 	s.mu.RLock()
 	pl, ok := s.lists[term]
@@ -237,8 +238,11 @@ func (s *Segment) Postings(term string) PostingList {
 	if ok {
 		return pl
 	}
-	pl, found, err := s.lookup(term)
+	e, found, err := s.findV3(term)
 	if err != nil || !found {
+		return nil
+	}
+	if pl, _, err = decodeList(&e, s.docsSorted, nil, nil); err != nil {
 		return nil
 	}
 	s.mu.Lock()
@@ -288,9 +292,12 @@ func (s *Segment) Encode() []byte {
 
 // DecodeSegment parses an encoded segment into a view whose posting
 // lists decode on demand, validating every region first: the bytes come
-// from the network. There is one format: bytes that do not start with
-// its magic — including the retired 0x5153/0x5154 layouts — fail loudly
-// rather than being guessed at.
+// from the network, and a byzantine writer's digest covers its own
+// corrupt bytes. Validation reads every posting record through the
+// reader later reads use, so those reads cannot fail, and requires each
+// skip entry to match the block it describes. There is one format:
+// bytes that do not start with its magic — including the retired
+// 0x5153/0x5154 layouts — fail loudly rather than being guessed at.
 func DecodeSegment(data []byte) (*Segment, error) {
 	seg, err := openSegment(data)
 	if err != nil {

@@ -70,7 +70,7 @@ func TestSegmentV3BitmapThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eDense, _, found, err := dec.findV3(Stem("dense"))
+	eDense, found, err := dec.findV3(Stem("dense"))
 	if err != nil || !found {
 		t.Fatalf("findV3 dense: found=%v err=%v", found, err)
 	}
@@ -80,7 +80,7 @@ func TestSegmentV3BitmapThreshold(t *testing.T) {
 	if eDense.df != 100 {
 		t.Fatalf("dense df = %d, want 100", eDense.df)
 	}
-	eRare, _, found, err := dec.findV3(Stem("rare"))
+	eRare, found, err := dec.findV3(Stem("rare"))
 	if err != nil || !found {
 		t.Fatalf("findV3 rare: found=%v err=%v", found, err)
 	}
@@ -101,14 +101,15 @@ func TestSegmentV3SkipEntriesMatchBlocks(t *testing.T) {
 	}
 	sc := NewScorer(CorpusStats{DocCount: 100, AvgDocLen: 8}, 0)
 	for _, term := range []string{Stem("dense"), Stem("rare")} {
-		e, _, found, err := dec.findV3(term)
+		var sb skipBuf
+		e, found, err := dec.findV3(term)
+		if err == nil && found {
+			_, err = readSkips(e.skipsRaw, e.df, &sb)
+		}
 		if err != nil || !found {
-			t.Fatalf("findV3 %q: found=%v err=%v", term, found, err)
+			t.Fatalf("%q: found=%v err=%v", term, found, err)
 		}
-		skips, err := parseSkipsV3(e.skipsRaw, e.df)
-		if err != nil {
-			t.Fatal(err)
-		}
+		skips := sb.skips
 		pl := seg.Postings(term)
 		wantBlocks := (len(pl) + postingsBlockSize - 1) / postingsBlockSize
 		if len(skips) != wantBlocks {
@@ -167,15 +168,15 @@ func TestV3DecodeRejectsLyingSkips(t *testing.T) {
 		// denseSparseSegment is "dense": 100 docs, small single-byte varints
 		// throughout, so field offsets are stable byte positions.
 		{"frontier TF", func(l *Segment) int {
-			e, _, _, _ := l.findV3(Stem("dense"))
+			e, _, _ := l.findV3(Stem("dense"))
 			return dictOffsetOf(l, e.skipsRaw) + 3 // skip gap, eo, npairs
 		}},
 		{"lastDoc gap", func(l *Segment) int {
-			e, _, _, _ := l.findV3(Stem("dense"))
+			e, _, _ := l.findV3(Stem("dense"))
 			return dictOffsetOf(l, e.skipsRaw)
 		}},
 		{"end offset", func(l *Segment) int {
-			e, _, _, _ := l.findV3(Stem("dense"))
+			e, _, _ := l.findV3(Stem("dense"))
 			return dictOffsetOf(l, e.skipsRaw) + 1
 		}},
 	}
@@ -219,7 +220,8 @@ func TestV3DecodeRejectsBadBitmap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, blob, found, err := dec.findV3(Stem("dense"))
+	e, found, err := dec.findV3(Stem("dense"))
+	blob := e.blob
 	if err != nil || !found {
 		t.Fatal("dense term not found")
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -206,23 +207,28 @@ func TestMergeSkipsCorruptSegment(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsDocOverflow: a delta term whose accumulated doc IDs
-// exceed 32 bits would truncate into non-ascending order on decode; the
-// decode-time walk must reject it — whether a single gap is too wide or
-// the running sum is — instead of letting lookups silently fail later.
-// The skip entry claims the truncated last DocID, so only the postings
-// walk can catch the lie; the same hand-built bytes with a small gap
-// decode, which pins the rejection on the overflow.
+// TestDecodeRejectsDocOverflow pins every record-level check decoding
+// must keep, on a hand-built one-term segment of two delta records. Each
+// mutant breaks one record rule while its skip entry claims what a
+// reader that skipped the check would compute (a doc ID or TF truncated
+// to 32 bits, the records' true end), so only that check can catch it;
+// the control, the same bytes with valid records, must decode.
 func TestDecodeRejectsDocOverflow(t *testing.T) {
-	build := func(gap, claimedLast uint64) []byte {
-		var blob []byte
-		blob = binary.AppendUvarint(blob, 1)   // doc 1
-		blob = binary.AppendUvarint(blob, 1)   // TF
-		blob = binary.AppendUvarint(blob, 0)   // no positions
-		blob = binary.AppendUvarint(blob, gap) // second doc
-		blob = binary.AppendUvarint(blob, 1)   // TF
-		blob = binary.AppendUvarint(blob, 0)   // no positions
-
+	// record returns a copy of b with a delta record appended: doc gap,
+	// TF, position count, then the raw bytes of its position varints.
+	record := func(b []byte, gap, tf, npos uint64, positions ...byte) []byte {
+		b = binary.AppendUvarint(slices.Clip(b), gap)
+		b = binary.AppendUvarint(b, tf)
+		b = binary.AppendUvarint(b, npos)
+		return append(b, positions...)
+	}
+	// build wraps blob as term "x" (df 2) of an otherwise empty segment.
+	// The skip entry claims last DocID claimedLast and end offset endOff
+	// (the blob's length when 0).
+	build := func(blob []byte, claimedLast, endOff uint64) []byte {
+		if endOff == 0 {
+			endOff = uint64(len(blob))
+		}
 		var dict []byte
 		dict = binary.AppendUvarint(dict, 1) // termLen
 		dict = append(dict, 'x')
@@ -230,7 +236,7 @@ func TestDecodeRejectsDocOverflow(t *testing.T) {
 		dict = binary.AppendUvarint(dict, 2)                 // df
 		dict = binary.AppendUvarint(dict, uint64(len(blob))) // blobLen
 		dict = binary.AppendUvarint(dict, claimedLast)       // skip: last DocID
-		dict = binary.AppendUvarint(dict, uint64(len(blob))) // skip: end offset
+		dict = binary.AppendUvarint(dict, endOff)            // skip: end offset
 		dict = binary.AppendUvarint(dict, 1)                 // skip: one frontier pair
 		dict = binary.AppendUvarint(dict, 1)                 // pair TF
 		dict = binary.AppendUvarint(dict, 0)                 // pair DL (docs uncovered)
@@ -249,14 +255,31 @@ func TestDecodeRejectsDocOverflow(t *testing.T) {
 		enc = binary.AppendUvarint(enc, uint64(len(blob)))
 		return append(enc, blob...)
 	}
-	if _, err := DecodeSegment(build(2, 3)); err != nil {
+	doc1 := record(nil, 1, 1, 1, 4) // doc 1, TF 1, one position
+	control := record(doc1, 2, 1, 0)
+	overlong := append(bytes.Repeat([]byte{0x80}, 10), 0x00)
+	if _, err := DecodeSegment(build(control, 3, 0)); err != nil {
 		t.Fatalf("hand-built control segment should decode: %v", err)
 	}
-	if _, err := DecodeSegment(build(1<<32, 1)); err == nil {
-		t.Fatal("a doc gap wider than 32 bits should fail decode")
+	mutants := []struct {
+		name         string
+		blob         []byte
+		last, endOff uint64
+	}{
+		{"doc gap wider than 32 bits", record(doc1, 1<<32, 1, 0), 1, 0},
+		{"doc gap that wraps the sum to zero", record(doc1, 1<<64-1, 1, 0), 0, 0},
+		{"accumulated doc ID past 32 bits", record(doc1, 1<<32-1, 1, 0), 0, 0},
+		{"zero doc gap after the first record", record(doc1, 0, 1, 0), 1, 0},
+		{"TF of 2^32", record(doc1, 2, 1<<32, 0), 3, 0},
+		{"overlong position varint", record(doc1, 2, 1, 1, overlong...), 3, 0},
+		{"truncated position run", record(doc1, 2, 1, 2, 5), 3, 0},
+		{"bytes after the df-th record", append(slices.Clip(control), 0), 3, uint64(len(control))},
+		{"skip end offset off by one", control, 3, uint64(len(control)) - 1},
 	}
-	if _, err := DecodeSegment(build(1<<32-1, 0)); err == nil {
-		t.Fatal("an accumulated doc ID past 32 bits should fail decode")
+	for _, m := range mutants {
+		if _, err := DecodeSegment(build(m.blob, m.last, m.endOff)); err == nil {
+			t.Errorf("%s: decoded without error", m.name)
+		}
 	}
 }
 
@@ -370,8 +393,10 @@ func TestTopKMatchesFullSort(t *testing.T) {
 }
 
 // FuzzDecodeSegment: arbitrary bytes must never panic the decoder or a
-// decoded segment's reads, and a decode must re-encode to the exact
-// input bytes. The retired v1/v2 magics are seeded
+// decoded segment's reads, a decode must re-encode to the exact input
+// bytes, and the read paths must agree on every term it accepts: walking
+// the term's cursor block by block yields the (DocID, TF) sequence of its
+// posting list, and the cursor's DF is the list's length. The retired v1/v2 magics are seeded
 // one byte away from a valid segment, so the corpus sits on both sides of
 // the format check.
 func FuzzDecodeSegment(f *testing.F) {
@@ -382,6 +407,13 @@ func FuzzDecodeSegment(f *testing.F) {
 	f.Add(retagged(seed.Encode(), 0x5153))
 	f.Add(retagged(seed.Encode(), 0x5154))
 	f.Add(denseSparseSegment(40).Encode())
+	// A delta term over three blocks: its documents are uncovered, so it
+	// cannot take the bitmap.
+	var spread PostingList
+	for i := 0; i < 20; i++ {
+		spread = append(spread, Posting{Doc: DocID(7 + 5*i), TF: uint32(1 + i%3), Positions: []uint32{uint32(i)}})
+	}
+	f.Add(segmentOf(3, nil, map[string]PostingList{"spread": spread}).Encode())
 	empty := NewSegment(0)
 	f.Add(empty.Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -393,7 +425,29 @@ func FuzzDecodeSegment(f *testing.F) {
 			t.Fatal("decode → encode not byte-identical")
 		}
 		for _, term := range seg.TermsSorted() {
-			_ = seg.Postings(term)
+			pl := seg.Postings(term)
+			cur := seg.Cursor(term)
+			if pl == nil || cur == nil {
+				t.Fatalf("%q: accepted term has postings %v, cursor %v", term, pl != nil, cur != nil)
+			}
+			if cur.DF() != len(pl) {
+				t.Fatalf("%q: cursor DF %d, list length %d", term, cur.DF(), len(pl))
+			}
+			i := 0
+			for bi := range cur.skips {
+				if cur.bi = bi; !cur.ensureDecoded() {
+					t.Fatalf("%q: block %d does not decode", term, bi)
+				}
+				for _, p := range cur.block {
+					if i >= len(pl) || p.Doc != pl[i].Doc || p.TF != pl[i].TF {
+						t.Fatalf("%q: cursor posting %d is (%d, %d), list disagrees", term, i, p.Doc, p.TF)
+					}
+					i++
+				}
+			}
+			if i != len(pl) {
+				t.Fatalf("%q: cursor walked %d postings, list holds %d", term, i, len(pl))
+			}
 		}
 	})
 }

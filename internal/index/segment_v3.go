@@ -409,131 +409,301 @@ func openSegment(raw []byte) (*Segment, error) {
 	return seg, nil
 }
 
-// dictEntryV3 is one parsed v3 dictionary entry header. skipsRaw is the
-// undecoded skip-entry window (aliasing the dict region); parseSkipsV3
-// turns it into []BlockSkip.
+// dictEntryV3 is one parsed v3 dictionary entry header and its postings
+// blob. skipsRaw is the undecoded skip-entry window (aliasing the dict
+// region); readSkips turns it into []BlockSkip.
 type dictEntryV3 struct {
 	term     []byte
 	enc      uint64 // 0 = delta blocks, 1 = bitmap
 	df       int
-	blobLen  int
 	skipsRaw []byte
+	blob     []byte
 }
 
-// nextDictEntryV3 parses one v3 dictionary entry, structurally checking
-// the skip entries while locating their extent, and returns the
-// remaining dictionary bytes.
-func nextDictEntryV3(dict []byte) (e dictEntryV3, rest []byte, err error) {
+// dictWalk steps through a dictionary region entry by entry, cutting each
+// entry's postings blob off the front of the postings region beside it.
+type dictWalk struct {
+	dict, posts []byte // the unread entries and blobs
+}
+
+// next parses the next entry into e. Its skip entries are checked and
+// stepped over, or parsed into skips when that is non-nil.
+func (w *dictWalk) next(e *dictEntryV3, skips *skipBuf) error {
+	dict := w.dict
 	tlen, n := binary.Uvarint(dict)
 	if n <= 0 || uint64(len(dict)-n) < tlen {
-		return e, nil, errCorruptSegment
+		return errCorruptSegment
 	}
 	e.term = dict[n : n+int(tlen)]
 	dict = dict[n+int(tlen):]
 	enc, n := binary.Uvarint(dict)
 	if n <= 0 || enc > 1 {
-		return e, nil, errCorruptSegment
+		return errCorruptSegment
 	}
 	dict = dict[n:]
 	df, n := binary.Uvarint(dict)
 	if n <= 0 || df == 0 || df > 1<<31 {
-		return e, nil, errCorruptSegment
+		return errCorruptSegment
 	}
 	dict = dict[n:]
 	blobLen, n := binary.Uvarint(dict)
-	if n <= 0 || blobLen > 1<<31 {
-		return e, nil, errCorruptSegment
+	if n <= 0 || blobLen > uint64(len(w.posts)) {
+		return errCorruptSegment
 	}
 	dict = dict[n:]
-	e.enc, e.df, e.blobLen = enc, int(df), int(blobLen)
-
-	nskips := (e.df + postingsBlockSize - 1) / postingsBlockSize
-	start := dict
-	for i := 0; i < nskips; i++ {
-		gap, n := binary.Uvarint(dict)
-		if n <= 0 || (i > 0 && gap == 0) {
-			return e, nil, errCorruptSegment
-		}
-		dict = dict[n:]
-		eo, n := binary.Uvarint(dict)
-		if n <= 0 || eo == 0 {
-			return e, nil, errCorruptSegment
-		}
-		dict = dict[n:]
-		np, n := binary.Uvarint(dict)
-		if n <= 0 || np == 0 || np > uint64(v3BlockLen(i, e.df)) {
-			return e, nil, errCorruptSegment
-		}
-		dict = dict[n:]
-		for j := uint64(0); j < 2*np; j++ {
-			if _, n = binary.Uvarint(dict); n <= 0 {
-				return e, nil, errCorruptSegment
-			}
-			dict = dict[n:]
-		}
+	e.enc, e.df = enc, int(df)
+	rest, err := readSkips(dict, e.df, skips)
+	if err != nil {
+		return err
 	}
-	e.skipsRaw = start[:len(start)-len(dict)]
-	return e, dict, nil
+	e.skipsRaw = dict[:len(dict)-len(rest)]
+	e.blob, w.posts = w.posts[:blobLen], w.posts[blobLen:]
+	w.dict = rest
+	return nil
 }
 
-// parseSkipsV3 decodes a dictionary entry's skip entries into absolute
-// form, enforcing the monotonic invariants cursors rely on: last DocIDs
-// strictly ascending and 32-bit, end offsets strictly ascending, and
-// each frontier in canonical (TF and DL both strictly ascending) order.
-func parseSkipsV3(raw []byte, df int) ([]BlockSkip, error) {
+// skipBuf receives parsed skip entries, their frontiers packed into frs.
+type skipBuf struct {
+	skips []BlockSkip
+	frs   []TFDL
+}
+
+// readSkips parses the skip entries of a df-long list off the front of b
+// and returns the rest; it is their only parser. It enforces the
+// invariants cursors rely on: last DocIDs strictly ascending and 32-bit,
+// end offsets strictly ascending, and each frontier one to block-length
+// pairs in canonical (TF and DL both strictly ascending) order. A nil
+// into only steps over the entries, allocating nothing; otherwise into's
+// buffers are reset and filled.
+func readSkips(b []byte, df int, into *skipBuf) ([]byte, error) {
 	nskips := (df + postingsBlockSize - 1) / postingsBlockSize
-	skips := make([]BlockSkip, 0, nskips)
+	if into != nil {
+		into.skips = slices.Grow(into.skips[:0], nskips)
+		into.frs = into.frs[:0]
+	}
 	lastDoc, endOff := uint64(0), 0
 	for i := 0; i < nskips; i++ {
-		gap, n := binary.Uvarint(raw)
-		if n <= 0 || (i > 0 && gap == 0) {
+		gap, n := binary.Uvarint(b)
+		if n <= 0 || (i > 0 && gap == 0) || gap > 1<<32-1 {
 			return nil, errCorruptSegment
 		}
-		raw = raw[n:]
-		lastDoc += gap
-		if lastDoc > 1<<32-1 {
+		b = b[n:]
+		if lastDoc += gap; lastDoc > 1<<32-1 {
 			return nil, errCorruptSegment
 		}
-		eo, n := binary.Uvarint(raw)
+		eo, n := binary.Uvarint(b)
 		if n <= 0 || eo == 0 || eo > 1<<31 {
 			return nil, errCorruptSegment
 		}
-		raw = raw[n:]
+		b = b[n:]
 		endOff += int(eo)
-		np, n := binary.Uvarint(raw)
+		np, n := binary.Uvarint(b)
 		if n <= 0 || np == 0 || np > uint64(v3BlockLen(i, df)) {
 			return nil, errCorruptSegment
 		}
-		raw = raw[n:]
-		frontier := make([]TFDL, 0, np)
+		b = b[n:]
+		var prev TFDL
+		lo := 0
+		if into != nil {
+			lo = len(into.frs)
+		}
 		for j := uint64(0); j < np; j++ {
-			tf, n := binary.Uvarint(raw)
-			if n <= 0 {
+			tf, n := binary.Uvarint(b)
+			if n <= 0 || tf > 1<<32-1 {
 				return nil, errCorruptSegment
 			}
-			raw = raw[n:]
-			dl, n := binary.Uvarint(raw)
-			if n <= 0 {
+			b = b[n:]
+			dl, n := binary.Uvarint(b)
+			if n <= 0 || dl > 1<<32-1 {
 				return nil, errCorruptSegment
 			}
-			raw = raw[n:]
-			if tf > 1<<32-1 || dl > 1<<32-1 {
+			b = b[n:]
+			p := TFDL{uint32(tf), uint32(dl)}
+			if j > 0 && (p.TF <= prev.TF || p.DL <= prev.DL) {
 				return nil, errCorruptSegment
 			}
-			if j > 0 {
-				prev := frontier[j-1]
-				if uint32(tf) <= prev.TF || uint32(dl) <= prev.DL {
-					return nil, errCorruptSegment
+			prev = p
+			if into != nil {
+				into.frs = append(into.frs, p)
+			}
+		}
+		if into != nil {
+			// An earlier entry's frontier outlives a move of frs: it keeps
+			// the old array, which holds the same pairs.
+			fr := into.frs[lo:len(into.frs):len(into.frs)]
+			into.skips = append(into.skips, BlockSkip{LastDoc: DocID(lastDoc), EndOff: endOff, Frontier: fr})
+		}
+	}
+	return b, nil
+}
+
+// postingReader reads one term's posting records, and is their only
+// parser: a doc gap (delta terms) or the next set bit of the bitmap over
+// the segment's doc ordinals (bitmap terms), then TF, position count and
+// delta-coded positions. It checks every record as it reads it: no zero
+// gap after the list's first record, DocIDs and TFs within 32 bits, a set
+// bit for each bitmap record, well-formed varints. Validation, whole-list
+// decoding and the cursor's block decode all read through it, a block or
+// a list at a time.
+type postingReader struct {
+	enc        uint64
+	bitmap     []byte  // bitmap terms: one bit per covered doc
+	docsSorted []DocID // bitmap ordinal → DocID
+	stream     []byte  // the records; skip end offsets index into it
+	rest       []byte  // the unread records
+	prevDoc    uint64  // the last record's DocID
+	started    bool    // a record has been read: later gaps must be > 0
+	ord        int     // bitmap terms: the next ordinal to test
+}
+
+// open points r at the first record of a term's blob, splitting off a
+// bitmap term's bitmap, whose length prefix must be the segment's doc
+// count in bytes.
+func (r *postingReader) open(blob []byte, enc uint64, docsSorted []DocID) error {
+	*r = postingReader{enc: enc, docsSorted: docsSorted, stream: blob, rest: blob}
+	if enc == 1 {
+		bmLen, n := binary.Uvarint(blob)
+		if n <= 0 || bmLen != uint64((len(docsSorted)+7)/8) || uint64(len(blob)-n) < bmLen {
+			return errCorruptSegment
+		}
+		r.bitmap, r.stream = blob[n:n+int(bmLen)], blob[n+int(bmLen):]
+		r.rest = r.stream
+	}
+	return nil
+}
+
+// seek moves the reader to the first record of block bi. Past block 0 a
+// delta block's gap chain resumes from the previous block's last DocID;
+// a bitmap block's ordinal is found by binary search for it (itself a
+// set bit).
+func (r *postingReader) seek(skips []BlockSkip, bi int) error {
+	if bi == 0 {
+		r.rest, r.prevDoc, r.started, r.ord = r.stream, 0, false, 0
+		return nil
+	}
+	sk := skips[bi-1]
+	if sk.EndOff > len(r.stream) {
+		return errCorruptSegment
+	}
+	r.rest, r.prevDoc, r.started = r.stream[sk.EndOff:], uint64(sk.LastDoc), true
+	if r.enc == 1 {
+		r.ord = sort.Search(len(r.docsSorted), func(i int) bool { return r.docsSorted[i] >= sk.LastDoc }) + 1
+	}
+	return nil
+}
+
+// off is the stream offset of the next record.
+func (r *postingReader) off() int { return len(r.stream) - len(r.rest) }
+
+// read appends the next n records to out. With a non-nil arena every
+// record's positions are decoded onto it and its Positions is a window of
+// it; with a nil arena they are stepped over by counting varint
+// terminators, which only bytes that passed validation may use.
+func (r *postingReader) read(n int, out PostingList, arena *[]uint32) (PostingList, error) {
+	b, doc, ord := r.rest, r.prevDoc, r.ord
+	delta, bitmap, docsSorted := r.enc == 0, r.bitmap, r.docsSorted
+	minGap := uint64(0)
+	if r.started {
+		minGap = 1
+	}
+	var a []uint32
+	if arena != nil {
+		a = *arena
+	}
+	for i := 0; i < n; i++ {
+		if delta {
+			gap, k := binary.Uvarint(b)
+			if k <= 0 || gap < minGap || gap > 1<<32-1 {
+				return nil, errCorruptSegment
+			}
+			b = b[k:]
+			if doc += gap; doc > 1<<32-1 {
+				return nil, errCorruptSegment
+			}
+			minGap = 1
+		} else {
+			for ord < len(docsSorted) && bitmap[ord>>3]&(1<<uint(ord&7)) == 0 {
+				ord++
+			}
+			if ord >= len(docsSorted) {
+				return nil, errCorruptSegment
+			}
+			doc = uint64(docsSorted[ord])
+			ord++
+		}
+		tf, k := binary.Uvarint(b)
+		if k <= 0 || tf > 1<<32-1 {
+			return nil, errCorruptSegment
+		}
+		b = b[k:]
+		npos, k := binary.Uvarint(b)
+		if k <= 0 {
+			return nil, errCorruptSegment
+		}
+		b = b[k:]
+		var positions []uint32
+		if arena == nil {
+			j := 0
+			for ; npos > 0 && j < len(b); j++ {
+				if b[j] < 0x80 {
+					npos--
 				}
 			}
-			frontier = append(frontier, TFDL{uint32(tf), uint32(dl)})
+			if npos > 0 {
+				return nil, errCorruptSegment
+			}
+			b = b[j:]
+		} else if npos > 0 {
+			start, pos := len(a), uint64(0)
+			for ; npos > 0; npos-- {
+				gap, k := binary.Uvarint(b)
+				if k <= 0 {
+					return nil, errCorruptSegment
+				}
+				b = b[k:]
+				pos += gap
+				a = append(a, uint32(pos))
+			}
+			positions = a[start:len(a):len(a)]
 		}
-		skips = append(skips, BlockSkip{LastDoc: DocID(lastDoc), EndOff: endOff, Frontier: frontier})
+		out = append(out, Posting{Doc: DocID(doc), TF: uint32(tf), Positions: positions})
 	}
-	if len(raw) != 0 {
-		return nil, errCorruptSegment
+	r.rest, r.prevDoc, r.ord, r.started = b, doc, ord, r.started || n > 0
+	if arena != nil {
+		*arena = a
 	}
-	return skips, nil
+	return out, nil
+}
+
+// decodeList decodes a term's whole posting list, with positions,
+// appending the postings to pl[:0] and every posting's positions to one
+// arena, arena[:0]; it returns both buffers. Nil buffers come back freshly
+// allocated at their exact sizes (one list and one arena per term,
+// however many postings it holds); a caller that consumes each list
+// before decoding the next passes the previous call's buffers back in.
+func decodeList(e *dictEntryV3, docsSorted []DocID, pl PostingList, arena []uint32) (PostingList, []uint32, error) {
+	var r postingReader
+	err := r.open(e.blob, e.enc, docsSorted)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Every varint ends in the one byte of it below 0x80, so the stream's
+	// position count is its varint count less each record's other fields:
+	// TF, count and, for delta terms, the gap.
+	npositions := -int(3-e.enc) * e.df
+	for _, c := range r.stream {
+		if c < 0x80 {
+			npositions++
+		}
+	}
+	arena = slices.Grow(arena[:0], max(npositions, 0))
+	if pl, err = r.read(e.df, slices.Grow(pl[:0], e.df), &arena); err != nil {
+		return nil, nil, err
+	}
+	if len(r.rest) != 0 {
+		return nil, nil, errCorruptSegment
+	}
+	return pl, arena, nil
 }
 
 // validateRegionsV3 walks a segment's dictionary and postings regions once
@@ -541,32 +711,29 @@ func parseSkipsV3(raw []byte, df int) ([]BlockSkip, error) {
 // and a count matching nterms, blob lengths must tile the postings region
 // exactly, each block-index record must agree exactly with the walk (its
 // first term and both offsets land on the entry the walk reaches at that
-// stride) so lookups can trust the index, and every skip entry (last
-// DocID, end offset, frontier) is re-derived from the postings bytes and
-// must match — lying block-max bounds are rejected up front rather than
-// silently corrupting top-k results. The walk materializes no posting
-// list; it only proves the bytes are decodable. DecodeSegment therefore
-// fails loudly on any structural or metadata lie (a byzantine worker's
-// digest covers its corrupt bytes, so hash verification alone can't
-// catch one) while first-use decoding keeps the allocation win.
+// stride) so lookups can trust the index, and every term's records must
+// read (checkPostingsV3). DecodeSegment therefore fails loudly on any
+// structural or metadata lie (a byzantine worker's digest covers its
+// corrupt bytes, so hash verification alone can't catch one); the walk
+// materializes no posting list, so first-use decoding keeps the
+// allocation win.
 func validateRegionsV3(seg *Segment) error {
-	dict, posts, blocks := seg.dict, seg.posts, seg.blocks
+	w := dictWalk{dict: seg.dict, posts: seg.posts}
 	var prev []byte
-	count, postOff := 0, 0
-	dictLen := len(dict)
-	var pairs []TFDL
-	for len(dict) > 0 {
-		dictOff := dictLen - len(dict)
-		e, rest, err := nextDictEntryV3(dict)
-		if err != nil {
+	count := 0
+	var e dictEntryV3
+	var sc checkScratch
+	for len(w.dict) > 0 {
+		dictOff, postOff := len(seg.dict)-len(w.dict), len(seg.posts)-len(w.posts)
+		if err := w.next(&e, &sc.skips); err != nil {
 			return err
 		}
 		if count%dictBlockSize == 0 {
 			bi := count / dictBlockSize
-			if bi >= len(blocks) {
+			if bi >= len(seg.blocks) {
 				return errCorruptSegment
 			}
-			b := blocks[bi]
+			b := seg.blocks[bi]
 			if b.dictOff != dictOff || b.postOff != postOff || !bytes.Equal(b.firstTerm, e.term) {
 				return errCorruptSegment
 			}
@@ -574,268 +741,95 @@ func validateRegionsV3(seg *Segment) error {
 		if count > 0 && bytes.Compare(prev, e.term) >= 0 {
 			return errCorruptSegment
 		}
-		skips, err := parseSkipsV3(e.skipsRaw, e.df)
-		if err != nil {
-			return err
-		}
-		if postOff+e.blobLen > len(posts) {
-			return errCorruptSegment
-		}
-		if err := checkTermBlobV3(posts[postOff:postOff+e.blobLen], e, skips, seg.DocLens, seg.docsSorted, &pairs); err != nil {
+		if err := checkPostingsV3(&e, seg, &sc); err != nil {
 			return err
 		}
 		prev = e.term
 		count++
-		postOff += e.blobLen
-		dict = rest
 	}
-	if count != seg.nterms || postOff != len(posts) {
-		return errCorruptSegment
-	}
-	if (count+dictBlockSize-1)/dictBlockSize != len(blocks) {
+	if count != seg.nterms || len(w.posts) != 0 || (count+dictBlockSize-1)/dictBlockSize != len(seg.blocks) {
 		return errCorruptSegment
 	}
 	return nil
 }
 
-// checkTermBlobV3 walks one term's postings blob, recomputing per block
-// the last DocID, end offset, and canonical frontier, and requires exact
-// equality with the claimed skip entries.
-func checkTermBlobV3(blob []byte, e dictEntryV3, skips []BlockSkip, docLens map[DocID]uint32, docsSorted []DocID, pairs *[]TFDL) error {
-	var bm, stream []byte
+// checkScratch is validation's per-term buffers, reused across terms.
+type checkScratch struct {
+	skips     skipBuf
+	block     PostingList
+	positions []uint32
+	pairs     []TFDL
+}
+
+// checkPostingsV3 reads one term's records a block at a time and requires
+// each block's last DocID, end offset and canonical frontier to equal its
+// parsed skip entry (sc.skips), and no bytes after the last block. It
+// adds only what the reader cannot know: that agreement, and that a
+// bitmap's set bits number exactly df and none lies past the doc count.
+func checkPostingsV3(e *dictEntryV3, seg *Segment, sc *checkScratch) error {
+	var r postingReader
+	err := r.open(e.blob, e.enc, seg.docsSorted)
+	if err != nil {
+		return err
+	}
 	if e.enc == 1 {
-		bmLen, n := binary.Uvarint(blob)
-		want := uint64((len(docsSorted) + 7) / 8)
-		if n <= 0 || bmLen != want || uint64(len(blob)-n) < bmLen {
-			return errCorruptSegment
-		}
-		bm = blob[n : n+int(bmLen)]
-		stream = blob[n+int(bmLen):]
-		// Trailing bits beyond the doc count must be zero and the set-bit
-		// count must match df exactly.
 		pop := 0
-		for _, b := range bm {
+		for _, b := range r.bitmap {
 			pop += bits.OnesCount8(b)
 		}
 		if pop != e.df {
 			return errCorruptSegment
 		}
-		for ord := len(docsSorted); ord < len(bm)*8; ord++ {
-			if bm[ord>>3]&(1<<uint(ord&7)) != 0 {
+		for ord := len(seg.docsSorted); ord < len(r.bitmap)*8; ord++ {
+			if r.bitmap[ord>>3]&(1<<uint(ord&7)) != 0 {
 				return errCorruptSegment
 			}
 		}
-	} else {
-		stream = blob
 	}
-
-	b := stream
-	off := 0
-	prevDoc := uint64(0)
-	ord := 0
-	for bi, sk := range skips {
-		blen := v3BlockLen(bi, e.df)
-		*pairs = (*pairs)[:0]
-		var lastDoc DocID
-		for i := 0; i < blen; i++ {
-			var doc DocID
-			if e.enc == 0 {
-				gap, n := binary.Uvarint(b)
-				if n <= 0 || (bi+i > 0 && gap == 0) || gap > 1<<32-1 {
-					return errCorruptSegment
-				}
-				prevDoc += gap
-				if prevDoc > 1<<32-1 {
-					return errCorruptSegment
-				}
-				b = b[n:]
-				off += n
-				doc = DocID(prevDoc)
-			} else {
-				for ord < len(docsSorted) && bm[ord>>3]&(1<<uint(ord&7)) == 0 {
-					ord++
-				}
-				if ord >= len(docsSorted) {
-					return errCorruptSegment
-				}
-				doc = docsSorted[ord]
-				ord++
-			}
-			tf, n := binary.Uvarint(b)
-			if n <= 0 || tf > 1<<32-1 {
-				return errCorruptSegment
-			}
-			b = b[n:]
-			off += n
-			npos, n := binary.Uvarint(b)
-			if n <= 0 {
-				return errCorruptSegment
-			}
-			b = b[n:]
-			off += n
-			for j := uint64(0); j < npos; j++ {
-				if _, n = binary.Uvarint(b); n <= 0 {
-					return errCorruptSegment
-				}
-				b = b[n:]
-				off += n
-			}
-			*pairs = append(*pairs, TFDL{uint32(tf), docLens[doc]})
-			lastDoc = doc
+	for bi, sk := range sc.skips.skips {
+		if sc.block, err = r.read(v3BlockLen(bi, e.df), sc.block[:0], &sc.positions); err != nil {
+			return err
 		}
-		fr := blockFrontier(*pairs)
-		if sk.LastDoc != lastDoc || sk.EndOff != off || len(sk.Frontier) != len(fr) {
+		sc.positions, sc.pairs = sc.positions[:0], sc.pairs[:0]
+		for _, p := range sc.block {
+			sc.pairs = append(sc.pairs, TFDL{p.TF, seg.DocLens[p.Doc]})
+		}
+		if sk.LastDoc != sc.block[len(sc.block)-1].Doc || sk.EndOff != r.off() || !slices.Equal(sk.Frontier, blockFrontier(sc.pairs)) {
 			return errCorruptSegment
 		}
-		for i := range fr {
-			if fr[i] != sk.Frontier[i] {
-				return errCorruptSegment
-			}
-		}
 	}
-	if len(b) != 0 {
+	if len(r.rest) != 0 {
 		return errCorruptSegment
 	}
 	return nil
 }
 
-// decodeTermBlobV3 fully materializes one term's posting list (with
-// positions) from its v3 blob, appending the postings to pl[:0] and
-// every posting's positions to one arena, arena[:0]; it returns both
-// buffers. Nil buffers come back freshly allocated at their exact sizes
-// (one list and one arena per term, however many postings it holds);
-// a caller that consumes each list before decoding the next passes the
-// previous call's buffers back in. Only called on validated regions;
-// structural errors are defensive.
-func decodeTermBlobV3(blob []byte, e dictEntryV3, docsSorted []DocID, pl PostingList, arena []uint32) (PostingList, []uint32, error) {
-	var bm, stream []byte
-	perPosting := 3 // varints per posting besides its positions: gap, TF, count
-	if e.enc == 1 {
-		bmLen, n := binary.Uvarint(blob)
-		if n <= 0 || uint64(len(blob)-n) < bmLen {
-			return nil, nil, errCorruptSegment
-		}
-		bm = blob[n : n+int(bmLen)]
-		stream = blob[n+int(bmLen):]
-		perPosting = 2
-	} else {
-		stream = blob
-	}
-	// Every varint ends in the one byte of it below 0x80, so the stream's
-	// position count is its varint count less the per-posting fields.
-	npositions := -perPosting * e.df
-	for _, c := range stream {
-		if c < 0x80 {
-			npositions++
-		}
-	}
-	pl = slices.Grow(pl[:0], e.df)
-	arena = slices.Grow(arena[:0], max(npositions, 0))
-	b := stream
-	prevDoc := uint64(0)
-	ord := 0
-	for i := 0; i < e.df; i++ {
-		var doc DocID
-		if e.enc == 0 {
-			gap, n := binary.Uvarint(b)
-			if n <= 0 {
-				return nil, nil, errCorruptSegment
-			}
-			b = b[n:]
-			prevDoc += gap
-			doc = DocID(prevDoc)
-		} else {
-			for ord < len(docsSorted) && bm[ord>>3]&(1<<uint(ord&7)) == 0 {
-				ord++
-			}
-			if ord >= len(docsSorted) {
-				return nil, nil, errCorruptSegment
-			}
-			doc = docsSorted[ord]
-			ord++
-		}
-		tf, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, nil, errCorruptSegment
-		}
-		b = b[n:]
-		npos, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, nil, errCorruptSegment
-		}
-		b = b[n:]
-		start := len(arena)
-		prevPos := uint64(0)
-		for j := uint64(0); j < npos; j++ {
-			pgap, n := binary.Uvarint(b)
-			if n <= 0 {
-				return nil, nil, errCorruptSegment
-			}
-			b = b[n:]
-			prevPos += pgap
-			arena = append(arena, uint32(prevPos))
-		}
-		var positions []uint32
-		if npos > 0 {
-			positions = arena[start:len(arena):len(arena)]
-		}
-		pl = append(pl, Posting{Doc: doc, TF: uint32(tf), Positions: positions})
-	}
-	if len(b) != 0 {
-		return nil, nil, errCorruptSegment
-	}
-	return pl, arena, nil
-}
-
 // findV3 locates a term's v3 dictionary entry and postings blob without
 // decoding any postings: binary search the block index, scan at most one
-// 64-term block accumulating the postings offset.
-func (s *Segment) findV3(term string) (e dictEntryV3, blob []byte, found bool, err error) {
+// 64-term block.
+func (s *Segment) findV3(term string) (e dictEntryV3, found bool, err error) {
 	bi := sort.Search(len(s.blocks), func(i int) bool {
 		return cmpBytesString(s.blocks[i].firstTerm, term) > 0
 	}) - 1
 	if bi < 0 {
-		return e, nil, false, nil
+		return e, false, nil
 	}
 	b := s.blocks[bi]
 	dictEnd := len(s.dict)
 	if bi+1 < len(s.blocks) {
 		dictEnd = s.blocks[bi+1].dictOff
 	}
-	dict := s.dict[b.dictOff:dictEnd]
-	postOff := b.postOff
-	for len(dict) > 0 {
-		ent, rest, err := nextDictEntryV3(dict)
-		if err != nil {
-			return e, nil, false, err
+	w := dictWalk{dict: s.dict[b.dictOff:dictEnd], posts: s.posts[b.postOff:]}
+	for len(w.dict) > 0 {
+		if err := w.next(&e, nil); err != nil {
+			return e, false, err
 		}
-		dict = rest
-		switch c := cmpBytesString(ent.term, term); {
+		switch c := cmpBytesString(e.term, term); {
 		case c == 0:
-			if postOff+ent.blobLen > len(s.posts) {
-				return e, nil, false, errCorruptSegment
-			}
-			return ent, s.posts[postOff : postOff+ent.blobLen], true, nil
+			return e, true, nil
 		case c > 0:
-			return e, nil, false, nil
+			return e, false, nil
 		}
-		postOff += ent.blobLen
 	}
-	return e, nil, false, nil
-}
-
-// lookup decodes exactly one term's posting list on a hit.
-func (s *Segment) lookup(term string) (PostingList, bool, error) {
-	e, blob, found, err := s.findV3(term)
-	if err != nil || !found {
-		return nil, found, err
-	}
-	pl, _, err := decodeTermBlobV3(blob, e, s.docsSorted, nil, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := pl.sortCheck(); err != nil {
-		return nil, false, err
-	}
-	return pl, true, nil
+	return e, false, nil
 }

@@ -188,9 +188,9 @@ func WANDTopKDirect(cur *TermCursor, sc *Scorer, docLen func(DocID) uint32, rank
 		if !cur.ensureDecoded() {
 			break // defensive: corrupt block exhausts the cursor
 		}
-		for i, d := range cur.docs {
-			text := sc.TermScore(cur.tfs[i], cur.docLen(d, docLen), cur.df)
-			acc.push(ScoredDoc{Doc: d, Score: sc.Combine(text, rankOf(d), maxRank)})
+		for _, p := range cur.block {
+			text := sc.TermScore(p.TF, cur.docLen(p.Doc, docLen), cur.df)
+			acc.push(ScoredDoc{Doc: p.Doc, Score: sc.Combine(text, rankOf(p.Doc), maxRank)})
 		}
 	}
 	cur.bi = len(cur.skips)
