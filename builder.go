@@ -162,8 +162,7 @@ func (b *QueryBuilder) Explain() *QueryBuilder {
 // Deadline bounds the query's simulated latency: once the accumulated
 // simulated cost reaches d at a checkpoint, the remaining waves are
 // abandoned and Run fails with ErrDeadlineExceeded plus a partial
-// trace. Deterministic per seed. Zero (the default) inherits
-// core.Config.DefaultDeadline, which is no bound unless set.
+// trace. Deterministic per seed. Zero (the default) sets no bound.
 func (b *QueryBuilder) Deadline(d time.Duration) *QueryBuilder {
 	if d > 0 {
 		b.deadline = d

@@ -36,8 +36,8 @@ type CrawlOptions struct {
 	// RankEvery drives one delta-scheduled page-rank epoch after every
 	// RankEvery batches (0 = never), so rank freshness rides the crawl
 	// instead of waiting for a terminal ComputeRanks. RankPartitions is
-	// each epoch's partition count (0 = one partition). The full-recompute
-	// cadence comes from WithRankFullEvery.
+	// each epoch's partition count (0 = one partition). Every 4th epoch
+	// is a full recompute (core.Cluster.StartRankEpochDelta).
 	RankEvery      int
 	RankPartitions int
 }

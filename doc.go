@@ -193,8 +193,8 @@
 // epochs are approximate BY DESIGN: unreached ranks keep their stale
 // values, drift is bounded by the residual tolerance, and top-k
 // ordering is preserved for any head separated by more than the drift.
-// Exactness has an escape hatch, not an apology: every
-// WithRankFullEvery(n)-th epoch runs full (default 4), and a caller
+// Exactness has an escape hatch, not an apology: every 4th epoch runs
+// full, and a caller
 // needing exact ranks runs one full epoch to zero all drift.
 // Engine.RankStatus reports the epoch counter, the last full epoch and
 // deltas-since-full, so staleness is observable; dirty sets are

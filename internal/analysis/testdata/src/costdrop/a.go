@@ -4,6 +4,8 @@
 package costdrop
 
 import (
+	"context"
+
 	"repro/internal/dht"
 	"repro/internal/netsim"
 )
@@ -13,12 +15,12 @@ import (
 func wave() netsim.Cost { return netsim.Cost{} }
 
 func bad(net *netsim.Network, n *dht.Node, a, b netsim.NodeID) {
-	net.Call(a, b, nil) // want `netsim\.Cost \(result 2 of 3\) returned by netsim\.Network\.Call is discarded`
-	n.Refresh()         // want `netsim\.Cost returned by dht\.Node\.Refresh is discarded`
-	wave()              // want `netsim\.Cost returned by costdrop\.wave is discarded`
-	_ = wave()          // want `netsim\.Cost from costdrop\.wave assigned to _`
+	net.CallCtx(context.Background(), a, b, nil) // want `netsim\.Cost \(result 2 of 3\) returned by netsim\.Network\.CallCtx is discarded`
+	n.Refresh()                                  // want `netsim\.Cost returned by dht\.Node\.Refresh is discarded`
+	wave()                                       // want `netsim\.Cost returned by costdrop\.wave is discarded`
+	_ = wave()                                   // want `netsim\.Cost from costdrop\.wave assigned to _`
 
-	resp, _, err := net.Call(a, b, nil) // want `netsim\.Cost \(result 2 of 3\) from netsim\.Network\.Call assigned to _`
+	resp, _, err := net.CallCtx(context.Background(), a, b, nil) // want `netsim\.Cost \(result 2 of 3\) from netsim\.Network\.CallCtx assigned to _`
 	use(resp, err)
 }
 
@@ -26,7 +28,7 @@ func good(net *netsim.Network, n *dht.Node, a, b netsim.NodeID) netsim.Cost {
 	var total netsim.Cost
 	total = total.Seq(wave())
 	total = total.Seq(n.Refresh())
-	_, cost, err := net.Call(a, b, nil)
+	_, cost, err := net.CallCtx(context.Background(), a, b, nil)
 	use(err)
 	return total.Seq(cost)
 }

@@ -12,6 +12,7 @@
 package baseline
 
 import (
+	"context"
 	"sort"
 	"time"
 
@@ -232,7 +233,7 @@ const centralSearchRetries = 2
 func (e *CentralEngine) Search(from netsim.NodeID, query string, k int) ([]string, netsim.Cost, error) {
 	var total netsim.Cost
 	for attempt := 0; ; attempt++ {
-		resp, cost, err := e.net.Call(from, e.addr, searchReq{Query: query, K: k})
+		resp, cost, err := e.net.CallCtx(context.Background(), from, e.addr, searchReq{Query: query, K: k})
 		total = total.Seq(cost)
 		if err == nil {
 			return resp.(searchResp).URLs, total, nil

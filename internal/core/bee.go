@@ -44,6 +44,7 @@ type WorkerBee struct {
 }
 
 type pendingResult struct {
+	seg    *index.Segment // index tasks: the segment result encodes
 	result []byte
 	digest string
 	salt   []byte
@@ -116,7 +117,7 @@ func (b *WorkerBee) submitCommits(jobs []commitJob, r *RoundReceipt) {
 		}
 		salt := make([]byte, 16)
 		xrand.NewNamed(b.cluster.cfg.Seed, "salt:"+b.Name+":"+j.taskID).Bytes(salt)
-		b.pending[j.taskID] = pendingResult{result: out.result, digest: out.digest, salt: salt, tokens: out.tokens}
+		b.pending[j.taskID] = pendingResult{seg: out.seg, result: out.result, digest: out.digest, salt: salt, tokens: out.tokens}
 		b.cluster.SubmitCall(b.Account, contracts.MethodCommit, contracts.CommitParams{
 			TaskID:     j.taskID,
 			Commitment: contracts.Commitment(out.digest, salt),
@@ -191,11 +192,6 @@ func (b *WorkerBee) collectWins() (contribs []contribution, count int, cost nets
 			count++
 			continue
 		}
-		seg, err := index.DecodeSegment(pr.result)
-		if err != nil {
-			errs = append(errs, RoundError{Bee: b.Name, Task: taskID, Shard: -1, Stage: "decode", Err: err})
-			continue
-		}
 		// The result is the quorum's shared build (buildSet): the record
 		// the network keeps gets bytes of its own.
 		wcost, err := writeSegment(b.Peer.DHT(), pr.digest, bytes.Clone(pr.result))
@@ -210,7 +206,7 @@ func (b *WorkerBee) collectWins() (contribs []contribution, count int, cost nets
 			taskID: taskID,
 			digest: pr.digest,
 			bytes:  len(pr.result),
-			shards: b.shardsOf(task, seg),
+			shards: b.shardsOf(task, pr.seg),
 		})
 	}
 	return contribs, count, cost, errs

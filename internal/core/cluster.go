@@ -58,9 +58,6 @@ type Config struct {
 	// second pool frontend: first reply wins the latency, both replies
 	// pay bytes. Needs PoolSize ≥ 2.
 	HedgedReads bool
-	// DefaultDeadline bounds the simulated latency of queries that carry
-	// no deadline of their own (see Query.Deadline). Zero means none.
-	DefaultDeadline time.Duration
 
 	// Maintenance runs the self-healing pass (republish, re-seed, repair,
 	// reprovide — see RunMaintenance) at the end of every processed round.
@@ -69,13 +66,6 @@ type Config struct {
 	// Degraded warning when some shards stay unreachable after retries,
 	// instead of failing the whole wave.
 	DegradedReads bool
-
-	// RankFullEvery makes every Nth rank epoch started through
-	// StartRankEpochDelta a full recompute instead of a delta — the
-	// exactness escape hatch bounding the frozen-subgraph approximation's
-	// drift. Zero selects the default (4); negative disables full
-	// recomputes entirely (every epoch after the first is a delta).
-	RankFullEvery int
 
 	Net      netsim.Config
 	DHT      dht.Config
@@ -393,7 +383,7 @@ func (c *Cluster) StartRankEpoch(partitions int) uint64 {
 // a delta epoch (bees re-walk only the subgraph reachable from pages
 // dirtied since the last epoch, warm-started from the finalized vector)
 // unless exactness is due — the first epoch ever, or every
-// RankFullEvery'th epoch, runs a full recompute so the frozen-subgraph
+// rankFullEvery'th epoch, runs a full recompute so the frozen-subgraph
 // approximation's drift is periodically reset to zero. Epochs started
 // here must be driven to finalization (RunUntilIdle) before the next
 // one starts: a delta epoch's inputs are the finalized vector and the
@@ -401,23 +391,17 @@ func (c *Cluster) StartRankEpoch(partitions int) uint64 {
 func (c *Cluster) StartRankEpochDelta(partitions int) uint64 {
 	c.nextRankEpoch++
 	epoch := c.nextRankEpoch
-	delta := c.QB.LatestRankEpoch() > 0
-	every := c.cfg.RankFullEvery
-	if every == 0 {
-		every = DefaultRankFullEvery
-	}
-	if every > 0 && epoch%uint64(every) == 0 {
-		delta = false
-	}
+	delta := c.QB.LatestRankEpoch() > 0 && epoch%rankFullEvery != 0
 	c.SubmitCall(c.treasuryAccount(), contracts.MethodCreateRankEpoch,
 		contracts.CreateRankEpochParams{Epoch: epoch, Partitions: partitions, Delta: delta}, 0)
 	c.Seal()
 	return epoch
 }
 
-// DefaultRankFullEvery is the exactness cadence Config.RankFullEvery=0
-// selects: every 4th epoch on the delta schedule is a full recompute.
-const DefaultRankFullEvery = 4
+// rankFullEvery is the exactness cadence: every 4th epoch on the delta
+// schedule is a full recompute, bounding the drift the frozen-subgraph
+// approximation can accumulate.
+const rankFullEvery = 4
 
 // PayPopularity triggers the threshold reward for a finalized epoch.
 func (c *Cluster) PayPopularity(epoch uint64) *chain.Tx {

@@ -11,7 +11,7 @@ import (
 
 // TestRankEpochDeltaScheduleAndStaleness drives the incremental rank
 // schedule end to end: the first epoch is forced full, later epochs run
-// delta off the on-chain dirty snapshot, the RankFullEvery cadence
+// delta off the on-chain dirty snapshot, the every-4th-epoch cadence
 // forces periodic exactness, and the staleness accessor tracks all of
 // it. Every epoch finalizing at quorum 3 is itself a determinism check:
 // three bees independently computed byte-identical delta results from
@@ -20,7 +20,6 @@ func TestRankEpochDeltaScheduleAndStaleness(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumPeers = 10
 	cfg.NumBees = 3
-	cfg.RankFullEvery = 3
 	c := NewCluster(cfg)
 	alice := c.NewAccount("alice", 1_000_000)
 	c.Seal()
@@ -93,17 +92,32 @@ func TestRankEpochDeltaScheduleAndStaleness(t *testing.T) {
 		}
 	}
 
-	// Epoch 3 hits the RankFullEvery=3 cadence: full again, drift reset.
+	// Epoch 3 is another delta; deltas accumulate.
+	publish(10, 11)
 	if e := c.StartRankEpochDelta(2); e != 3 {
 		t.Fatalf("third epoch = %d", e)
 	}
 	c.RunUntilIdle(10)
 	re, _ = c.QB.RankEpochInfo(3)
-	if !re.Done || re.Delta {
-		t.Fatalf("epoch 3 = %+v, want finalized full (cadence)", re)
+	if !re.Done || !re.Delta {
+		t.Fatalf("epoch 3 = %+v, want finalized delta", re)
 	}
 	st = c.QB.RankStaleness()
-	if st.Epoch != 3 || st.LastFull != 3 || st.DeltasSinceFull != 0 {
+	if st.Epoch != 3 || st.LastFull != 1 || st.DeltasSinceFull != 2 {
+		t.Fatalf("staleness after second delta epoch = %+v", st)
+	}
+
+	// Epoch 4 hits the cadence: full again, drift reset.
+	if e := c.StartRankEpochDelta(2); e != 4 {
+		t.Fatalf("fourth epoch = %d", e)
+	}
+	c.RunUntilIdle(10)
+	re, _ = c.QB.RankEpochInfo(4)
+	if !re.Done || re.Delta {
+		t.Fatalf("epoch 4 = %+v, want finalized full (cadence)", re)
+	}
+	st = c.QB.RankStaleness()
+	if st.Epoch != 4 || st.LastFull != 4 || st.DeltasSinceFull != 0 {
 		t.Fatalf("staleness after cadence epoch = %+v", st)
 	}
 }

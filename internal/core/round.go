@@ -54,7 +54,7 @@ type RoundError struct {
 	Bee   string
 	Task  string // empty for shard-scoped failures
 	Shard int    // -1 when the failure is not shard-scoped
-	Stage string // "build" | "decode" | "segment-write" | "shard-append" | "compact"
+	Stage string // "build" | "segment-write" | "shard-append" | "compact"
 	Err   error
 }
 
@@ -202,7 +202,7 @@ type buildKey [sha256.Size]byte
 // built is one pure build's output. Every job of a round whose inputs
 // were byte-identical holds the same built, result slice included.
 type built struct {
-	seg    *index.Segment // index builds: the honest segment a colluder's result is layered on
+	seg    *index.Segment // index builds: the segment result encodes (a colluder's layer builds its own)
 	result []byte
 	digest string
 	tokens uint64 // index builds: firstVersionTokens of seg

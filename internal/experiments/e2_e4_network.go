@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -147,7 +148,7 @@ func runE2(seed uint64) []*metrics.Table {
 		for i := 0; i < 30; i++ {
 			client := netsim.NodeID(fmt.Sprintf("client-%d", i))
 			net.Register(client, nil)
-			_, cost, err := net.Call(client, "origin", sizedPayload{n: 64})
+			_, cost, err := net.CallCtx(context.Background(), client, "origin", sizedPayload{n: 64})
 			if err == nil {
 				lat.AddDuration(cost.Latency)
 			}

@@ -43,20 +43,17 @@ func (s *Segment) Cursor(term string) *TermCursor {
 }
 
 // buildCursorMeta parses a term's skip entries straight out of the
-// dictionary, decoding no postings.
+// dictionary, decoding no postings; nil means the term is absent.
 func (s *Segment) buildCursorMeta(term string) *cursorMeta {
-	e, found, err := s.findV3(term)
-	if err != nil || !found {
+	e, found := s.findV3(term)
+	if !found {
 		return nil
 	}
 	var sb skipBuf
-	if _, err := readSkips(e.skipsRaw, e.df, &sb); err != nil {
-		return nil
-	}
+	_, err := readSkips(e.skipsRaw, e.df, &sb)
+	mustRead(err)
 	m := &cursorMeta{df: e.df, skips: sb.skips}
-	if err := m.opened.open(e.blob, e.enc, s.docsSorted); err != nil {
-		return nil
-	}
+	mustRead(m.opened.open(e.blob, e.enc, s.docsSorted))
 	return m
 }
 
@@ -158,9 +155,7 @@ func (c *TermCursor) SeekTF(d DocID) (uint32, bool) {
 	if c.bi >= len(c.skips) {
 		return 0, false
 	}
-	if !c.ensureDecoded() {
-		return 0, false
-	}
+	c.ensureDecoded()
 	for c.scan < len(c.block) && c.block[c.scan].Doc < d {
 		c.scan++
 	}
@@ -172,25 +167,15 @@ func (c *TermCursor) SeekTF(d DocID) (uint32, bool) {
 
 // ensureDecoded reads the current block's postings, stepping over their
 // positions.
-func (c *TermCursor) ensureDecoded() bool {
+func (c *TermCursor) ensureDecoded() {
 	if c.decoded == c.bi {
-		return true
+		return
 	}
 	n := v3BlockLen(c.bi, c.df)
 	r := c.opened
-	err := r.seek(c.skips, c.bi)
-	if err == nil {
-		c.block, err = r.read(n, slices.Grow(c.block[:0], n), nil)
-	}
-	if err != nil {
-		// Unreachable for validated segments; defensively exhaust the
-		// cursor so corruption degrades to an absent term, mirroring
-		// Postings' behavior, rather than panicking.
-		c.bi = len(c.skips)
-		return false
-	}
-	c.decoded = c.bi
-	c.scan = 0
+	r.seek(c.skips, c.bi)
+	block, err := r.read(n, slices.Grow(c.block[:0], n), nil)
+	mustRead(err)
+	c.block, c.decoded, c.scan = block, c.bi, 0
 	c.scanned += int64(n)
-	return true
 }

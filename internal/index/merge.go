@@ -9,11 +9,8 @@ import (
 // generation first; a newer segment's covered documents shadow all their
 // older postings (tombstone semantics), and its postings replace older
 // ones per term. Ties on Gen are broken by input order. Merging a single
-// segment returns it unchanged (segments are immutable). An input whose
-// posting bytes fail to decode is skipped entirely — neither its postings
-// nor its tombstones apply — so corruption can hide documents it carried
-// but never deletes older valid ones. The result is a view over
-// MergeEncode's bytes.
+// segment returns it unchanged (segments are immutable). The result is a
+// view over MergeEncode's bytes.
 func Merge(segments []*Segment) *Segment {
 	if len(segments) == 1 {
 		return segments[0]
@@ -36,40 +33,17 @@ func MergeEncode(segments []*Segment, keep func(term string) bool) []byte {
 		return segments[0].Encode()
 	}
 	ordered := byPrecedence(segments)
-	skip := make([]bool, len(ordered))
-	for {
-		data, bad := mergeEncode(ordered, skip, keep)
-		if bad < 0 {
-			return data
-		}
-		// An input failed to decode part way: merge again without it.
-		skip[bad] = true
-	}
-}
-
-// mergeEncode is one MergeEncode pass over the inputs skip does not
-// exclude. It returns the encoding, or the precedence rank of an input
-// that failed to decode (and -1 on success).
-func mergeEncode(ordered []*Segment, skip []bool, keep func(term string) bool) ([]byte, int) {
-	walks := make([]*runWalk, 0, len(ordered))
+	walks := make([]*runWalk, len(ordered))
 	for rank, seg := range ordered {
-		if !skip[rank] {
-			walks = append(walks, &runWalk{rank: rank, seg: seg, keep: keep, walk: dictWalk{seg.dict, seg.posts}})
-		}
+		walks[rank] = &runWalk{rank: rank, seg: seg, keep: keep, walk: dictWalk{seg.dict, seg.posts}}
 	}
 	docLens := make(map[DocID]uint32)
-	k, bad, err := newMergeKernel(walks, docLens)
-	if err != nil {
-		return nil, bad
-	}
+	k := newMergeKernel(walks, docLens)
 	enc := newV3Writer(docLens, sortedDocIDs(docLens))
 	for {
-		term, pl, bad, err := k.next()
-		if err != nil {
-			return nil, bad
-		}
+		term, pl := k.next()
 		if pl == nil {
-			return enc.finish(ordered[len(ordered)-1].Gen), -1
+			return enc.finish(ordered[len(ordered)-1].Gen)
 		}
 		enc.addTerm(term, pl)
 	}
@@ -102,28 +76,25 @@ type runWalk struct {
 }
 
 // advance moves to the next kept term, or sets done.
-func (w *runWalk) advance() error {
+func (w *runWalk) advance() {
 	for {
 		if len(w.walk.dict) == 0 {
 			w.done = true
-			return nil
+			return
 		}
-		if err := w.walk.next(&w.entry, nil); err != nil {
-			return err
-		}
+		mustRead(w.walk.next(&w.entry, nil))
 		w.term = string(w.entry.term)
 		if w.keep == nil || w.keep(w.term) {
-			return nil
+			return
 		}
 	}
 }
 
 // list returns the current term's postings, which live in the walk's
 // buffers until the next call.
-func (w *runWalk) list() (PostingList, error) {
-	var err error
-	w.pl, w.arena, err = decodeList(&w.entry, w.seg.docsSorted, w.pl, w.arena)
-	return w.pl, err
+func (w *runWalk) list() PostingList {
+	w.pl, w.arena = decodeList(&w.entry, w.seg.docsSorted, w.pl, w.arena)
+	return w.pl
 }
 
 // mergeKernel is the k-way merge of a chain of runs, walking their
@@ -146,9 +117,8 @@ type mergeKernel struct {
 
 // newMergeKernel indexes the walks' covers, fills docLens with each
 // covered document's length in the newest run covering it, and moves
-// every walk to its first kept term. On error it returns the failing
-// walk's rank.
-func newMergeKernel(walks []*runWalk, docLens map[DocID]uint32) (*mergeKernel, int, error) {
+// every walk to its first kept term.
+func newMergeKernel(walks []*runWalk, docLens map[DocID]uint32) *mergeKernel {
 	k := &mergeKernel{walks: walks, cover: make(map[DocID]int)}
 	for _, w := range walks {
 		for d, l := range w.seg.DocLens {
@@ -157,17 +127,15 @@ func newMergeKernel(walks []*runWalk, docLens map[DocID]uint32) (*mergeKernel, i
 		}
 	}
 	for _, w := range walks {
-		if err := w.advance(); err != nil {
-			return nil, w.rank, err
-		}
+		w.advance()
 	}
-	return k, -1, nil
+	return k
 }
 
 // next returns the next term that keeps at least one posting, with its
 // merged list (nil when every walk is done), valid only until the next
-// call. On error it returns the failing walk's rank.
-func (k *mergeKernel) next() (term string, pl PostingList, bad int, err error) {
+// call.
+func (k *mergeKernel) next() (term string, pl PostingList) {
 	for {
 		found := false
 		for _, w := range k.walks {
@@ -176,27 +144,20 @@ func (k *mergeKernel) next() (term string, pl PostingList, bad int, err error) {
 			}
 		}
 		if !found {
-			return "", nil, -1, nil
+			return "", nil
 		}
 		k.heads, k.lists = k.heads[:0], k.lists[:0]
 		for _, w := range k.walks {
-			if w.done || w.term != term {
-				continue
+			if !w.done && w.term == term {
+				k.heads, k.lists = append(k.heads, w), append(k.lists, w.list())
 			}
-			l, err := w.list()
-			if err != nil {
-				return "", nil, w.rank, err
-			}
-			k.heads, k.lists = append(k.heads, w), append(k.lists, l)
 		}
 		pl = k.merge()
 		for _, w := range k.heads {
-			if err := w.advance(); err != nil {
-				return "", nil, w.rank, err
-			}
+			w.advance()
 		}
 		if len(pl) > 0 {
-			return term, pl, -1, nil
+			return term, pl
 		}
 	}
 }

@@ -15,9 +15,8 @@ import (
 // view: restrict each segment to the terms keep accepts (nil keeps
 // all), then apply them oldest first, each one first tombstoning every
 // document it covers in the merged lists so far, then unioning in its
-// own postings. A segment whose kept lists do not all decode is skipped
-// whole. It shares nothing with the kernel but the encoder, and the
-// kernel must agree with it byte for byte.
+// own postings. It shares nothing with the kernel but the encoder and
+// the readers, and the kernel must agree with it byte for byte.
 func mergeReference(segments []*Segment, keep func(string) bool) *Segment {
 	if len(segments) == 1 && keep == nil {
 		return segments[0]
@@ -30,10 +29,7 @@ func mergeReference(segments []*Segment, keep func(string) bool) *Segment {
 	docLens := make(map[DocID]uint32)
 	for _, seg := range ordered {
 		gen = seg.Gen
-		terms, err := termsOf(seg, keep)
-		if err != nil {
-			continue
-		}
+		terms := termsOf(seg, keep)
 		dead := make(map[DocID]bool, len(seg.DocLens))
 		for d := range seg.DocLens {
 			dead[d] = true
@@ -52,24 +48,17 @@ func mergeReference(segments []*Segment, keep func(string) bool) *Segment {
 }
 
 // termsOf decodes the posting list of every term of seg that keep
-// accepts (nil accepts all), or fails if one of them does not decode.
-func termsOf(seg *Segment, keep func(string) bool) (map[string]PostingList, error) {
+// accepts (nil accepts all).
+func termsOf(seg *Segment, keep func(string) bool) map[string]PostingList {
 	m := make(map[string]PostingList)
 	var e dictEntryV3
 	for w := (dictWalk{seg.dict, seg.posts}); len(w.dict) > 0; {
-		if err := w.next(&e, nil); err != nil {
-			return nil, err
+		mustRead(w.next(&e, nil))
+		if keep == nil || keep(string(e.term)) {
+			m[string(e.term)], _ = decodeList(&e, seg.docsSorted, nil, nil)
 		}
-		if keep != nil && !keep(string(e.term)) {
-			continue
-		}
-		pl, _, err := decodeList(&e, seg.docsSorted, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		m[string(e.term)] = pl
 	}
-	return m, nil
+	return m
 }
 
 // mergePostingLists unions two lists; on DocID collision the posting from
@@ -266,9 +255,8 @@ func checkMergeAgainstReference(t *testing.T, what string, runs []*Segment, keep
 // through MergeEncode — encodes every chain exactly as the
 // tombstone-then-union reference does. 300 chains of 1–8 runs mix built
 // and decoded runs, republish documents (a small DocID range), repeat
-// Gens, carry postings for documents their own run does not cover, and
-// sometimes hold a run whose first posting list no longer decodes; each
-// is checked unrestricted and under a keep-predicate at 1 and at 8
+// Gens and carry postings for documents their own run does not cover;
+// each is checked unrestricted and under a keep-predicate at 1 and at 8
 // shards.
 func TestMergeKernelMatchesReference(t *testing.T) {
 	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "theta",
@@ -291,20 +279,13 @@ func TestMergeKernelMatchesReference(t *testing.T) {
 				// Uncover one document: its postings stay, its length goes.
 				lens := maps.Clone(built.DocLens)
 				delete(lens, sortedDocIDs(lens)[0])
-				terms, err := termsOf(built, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				built = segmentOf(built.Gen, lens, terms)
+				built = segmentOf(built.Gen, lens, termsOf(built, nil))
 			}
 			runs[i] = built
 			if rng.Intn(2) == 0 {
 				decoded, err := DecodeSegment(built.Encode())
 				if err != nil {
 					t.Fatalf("seed %d run %d: %v", seed, i, err)
-				}
-				if len(decoded.posts) > 0 && rng.Intn(6) == 0 {
-					decoded.posts[0] = 0xFF // the first list no longer decodes
 				}
 				runs[i] = decoded
 			}
@@ -322,7 +303,8 @@ func TestMergeKernelMatchesReference(t *testing.T) {
 // MergeEncode — of both runs and of the newer alone, unrestricted and
 // under the split's keep-predicate — and Merge encode exactly as the
 // reference does: a restricted run keeps every kept term's postings and
-// its whole DocLens and Gen.
+// its whole DocLens and Gen. Every term of each merged view reads
+// through every read path (checkReads).
 func FuzzMerge(f *testing.F) {
 	f.Add(randomDocSegment(11, 2).Encode(), randomDocSegment(12, 2).Encode(), uint8(8), uint8(3))
 	f.Add(randomDocSegment(13, 3).Encode(), denseSparseSegment(40).Encode(), uint8(1), uint8(0))
@@ -342,6 +324,9 @@ func FuzzMerge(f *testing.F) {
 		checkMergeAgainstReference(t, "unrestricted", runs, nil)
 		checkMergeAgainstReference(t, "restricted", runs, keep)
 		checkMergeAgainstReference(t, "one run restricted", runs[1:], keep)
+		checkReads(t, "merged", Merge(runs))
+		checkReads(t, "merged restricted", openWritten(MergeEncode(runs, keep)))
+		checkReads(t, "one run restricted", openWritten(MergeEncode(runs[1:], keep)))
 	})
 }
 

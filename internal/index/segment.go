@@ -25,6 +25,12 @@ import (
 // merge kernel, read posting records through one reader and skip entries
 // through one parser.
 //
+// Every read of a segment succeeds. Only DecodeSegment, which first reads
+// every region through those same readers, and openWritten, over bytes
+// the encoder has just written, construct one, and its bytes never
+// change afterwards; so no read method returns an error, and a read that
+// fails anyway is a broken invariant and panics (mustRead).
+//
 // Segments are safe for concurrent readers. A segment must not be
 // mutated after it is shared (the memoized views assume immutability).
 type Segment struct {
@@ -39,7 +45,6 @@ type Segment struct {
 	docsSorted []DocID // covered docs ascending (bitmap ordinals)
 
 	mu      sync.RWMutex
-	sorted  []string               // memoized TermsSorted result
 	lists   map[string]PostingList // memoized Postings results
 	cursors map[string]*cursorMeta // memoized per-term skip metadata (Cursor)
 }
@@ -198,27 +203,15 @@ func (b *Builder) Build() *Segment {
 	return seg
 }
 
-// TermsSorted returns the segment's terms in lexicographic order. The
-// slice is computed once and memoized (segments are immutable); callers
-// must not modify it.
+// TermsSorted returns the segment's terms in lexicographic order, walking
+// the dictionary once per call.
 func (s *Segment) TermsSorted() []string {
-	s.mu.RLock()
-	sorted := s.sorted
-	s.mu.RUnlock()
-	if sorted != nil {
-		return sorted
-	}
 	out := make([]string, 0, s.nterms)
 	var e dictEntryV3
 	for w := (dictWalk{s.dict, s.posts}); len(w.dict) > 0; {
-		if err := w.next(&e, nil); err != nil {
-			break // dict region is validated at decode; defensive only
-		}
+		mustRead(w.next(&e, nil))
 		out = append(out, string(e.term))
 	}
-	s.mu.Lock()
-	s.sorted = out
-	s.mu.Unlock()
 	return out
 }
 
@@ -228,9 +221,7 @@ func (s *Segment) NumTerms() int { return s.nterms }
 
 // Postings returns the posting list for a term (nil if absent). Only the
 // requested term's list is decoded; the result is memoized so repeated
-// lookups are map-hit cheap. Decode errors are unreachable for segments
-// produced by DecodeSegment (which reads every record up front);
-// defensively they surface as an absent term.
+// lookups are map-hit cheap.
 func (s *Segment) Postings(term string) PostingList {
 	s.mu.RLock()
 	pl, ok := s.lists[term]
@@ -238,13 +229,11 @@ func (s *Segment) Postings(term string) PostingList {
 	if ok {
 		return pl
 	}
-	e, found, err := s.findV3(term)
-	if err != nil || !found {
+	e, found := s.findV3(term)
+	if !found {
 		return nil
 	}
-	if pl, _, err = decodeList(&e, s.docsSorted, nil, nil); err != nil {
-		return nil
-	}
+	pl, _ = decodeList(&e, s.docsSorted, nil, nil)
 	s.mu.Lock()
 	if s.lists == nil {
 		s.lists = make(map[string]PostingList)
@@ -293,11 +282,13 @@ func (s *Segment) Encode() []byte {
 // DecodeSegment parses an encoded segment into a view whose posting
 // lists decode on demand, validating every region first: the bytes come
 // from the network, and a byzantine writer's digest covers its own
-// corrupt bytes. Validation reads every posting record through the
-// reader later reads use, so those reads cannot fail, and requires each
-// skip entry to match the block it describes. There is one format:
-// bytes that do not start with its magic — including the retired
-// 0x5153/0x5154 layouts — fail loudly rather than being guessed at.
+// corrupt bytes. This is the trust boundary. Validation reads every
+// posting record through the reader later reads use, and requires each
+// skip entry to match the block it describes, so no later read of the
+// view can fail. The view aliases data: the caller must not mutate data
+// afterwards. There is one format: bytes that do not start with its
+// magic — including the retired 0x5153/0x5154 layouts — fail loudly
+// rather than being guessed at.
 func DecodeSegment(data []byte) (*Segment, error) {
 	seg, err := openSegment(data)
 	if err != nil {
@@ -314,10 +305,18 @@ func DecodeSegment(data []byte) (*Segment, error) {
 // which such bytes pass by construction (TestOpenedViewsValidate).
 func openWritten(raw []byte) *Segment {
 	seg, err := openSegment(raw)
-	if err != nil {
-		panic("index: the encoder wrote an unparsable segment: " + err.Error())
-	}
+	mustRead(err)
 	return seg
+}
+
+// mustRead panics on a failed read of a segment's bytes. Every segment
+// is opened by DecodeSegment after it reads every region, or by
+// openWritten over the encoder's own output, and its bytes never change,
+// so an error here is a broken invariant, not bad input.
+func mustRead(err error) {
+	if err != nil {
+		panic("index: an opened segment failed to read: " + err.Error())
+	}
 }
 
 // cmpBytesString compares b to s lexicographically without allocating.

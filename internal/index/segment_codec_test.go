@@ -70,9 +70,9 @@ func TestSegmentV3BitmapThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eDense, found, err := dec.findV3(Stem("dense"))
-	if err != nil || !found {
-		t.Fatalf("findV3 dense: found=%v err=%v", found, err)
+	eDense, found := dec.findV3(Stem("dense"))
+	if !found {
+		t.Fatal("findV3 dense: not found")
 	}
 	if eDense.enc != 1 {
 		t.Fatalf("dense term enc = %d, want bitmap (1)", eDense.enc)
@@ -80,9 +80,9 @@ func TestSegmentV3BitmapThreshold(t *testing.T) {
 	if eDense.df != 100 {
 		t.Fatalf("dense df = %d, want 100", eDense.df)
 	}
-	eRare, found, err := dec.findV3(Stem("rare"))
-	if err != nil || !found {
-		t.Fatalf("findV3 rare: found=%v err=%v", found, err)
+	eRare, found := dec.findV3(Stem("rare"))
+	if !found {
+		t.Fatal("findV3 rare: not found")
 	}
 	if eRare.enc != 0 {
 		t.Fatalf("rare term enc = %d, want delta (0)", eRare.enc)
@@ -102,12 +102,12 @@ func TestSegmentV3SkipEntriesMatchBlocks(t *testing.T) {
 	sc := NewScorer(CorpusStats{DocCount: 100, AvgDocLen: 8}, 0)
 	for _, term := range []string{Stem("dense"), Stem("rare")} {
 		var sb skipBuf
-		e, found, err := dec.findV3(term)
-		if err == nil && found {
-			_, err = readSkips(e.skipsRaw, e.df, &sb)
+		e, found := dec.findV3(term)
+		if !found {
+			t.Fatalf("%q: not found", term)
 		}
-		if err != nil || !found {
-			t.Fatalf("%q: found=%v err=%v", term, found, err)
+		if _, err := readSkips(e.skipsRaw, e.df, &sb); err != nil {
+			t.Fatalf("%q: %v", term, err)
 		}
 		skips := sb.skips
 		pl := seg.Postings(term)
@@ -168,15 +168,15 @@ func TestV3DecodeRejectsLyingSkips(t *testing.T) {
 		// denseSparseSegment is "dense": 100 docs, small single-byte varints
 		// throughout, so field offsets are stable byte positions.
 		{"frontier TF", func(l *Segment) int {
-			e, _, _ := l.findV3(Stem("dense"))
+			e, _ := l.findV3(Stem("dense"))
 			return dictOffsetOf(l, e.skipsRaw) + 3 // skip gap, eo, npairs
 		}},
 		{"lastDoc gap", func(l *Segment) int {
-			e, _, _ := l.findV3(Stem("dense"))
+			e, _ := l.findV3(Stem("dense"))
 			return dictOffsetOf(l, e.skipsRaw)
 		}},
 		{"end offset", func(l *Segment) int {
-			e, _, _ := l.findV3(Stem("dense"))
+			e, _ := l.findV3(Stem("dense"))
 			return dictOffsetOf(l, e.skipsRaw) + 1
 		}},
 	}
@@ -220,9 +220,9 @@ func TestV3DecodeRejectsBadBitmap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, found, err := dec.findV3(Stem("dense"))
+	e, found := dec.findV3(Stem("dense"))
 	blob := e.blob
-	if err != nil || !found {
+	if !found {
 		t.Fatal("dense term not found")
 	}
 	blobStart := bytes.Index(enc, blob)
@@ -271,9 +271,9 @@ func TestV3HostileCounts(t *testing.T) {
 }
 
 // TestV3ByteFlipNeverPanics: flipping every byte of a valid v3 encoding
-// must yield either a clean decode error or a segment whose reads do not
-// panic. Complements FuzzDecodeSegment with exhaustive single-byte
-// coverage of a real segment.
+// must yield either a clean decode error or a segment whose every read
+// succeeds (checkReads). Complements FuzzDecodeSegment with exhaustive
+// single-byte coverage of a real segment.
 func TestV3ByteFlipNeverPanics(t *testing.T) {
 	enc := denseSparseSegment(40).Encode()
 	for i := 0; i < len(enc); i++ {
@@ -284,9 +284,7 @@ func TestV3ByteFlipNeverPanics(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			for _, term := range seg.TermsSorted() {
-				_ = seg.Postings(term)
-			}
+			checkReads(t, fmt.Sprintf("byte %d += %#x", i, delta), seg)
 		}
 	}
 }
@@ -402,16 +400,11 @@ func TestWANDMatchesExhaustiveProperty(t *testing.T) {
 			t.Logf("decode: %v", err)
 			return false
 		}
-		lists, err := termsOf(seg, nil)
-		if err != nil {
-			t.Logf("terms: %v", err)
-			return false
-		}
 		altLens := make(map[DocID]uint32)
 		for _, d := range sortedDocIDs(seg.DocLens) {
 			altLens[d] = 2*seg.DocLens[d] + uint32(rng.Intn(5))
 		}
-		alt := segmentOf(2, altLens, lists)
+		alt := segmentOf(2, altLens, termsOf(seg, nil))
 		altDec, err := DecodeSegment(alt.Encode())
 		if err != nil {
 			t.Logf("decode alt: %v", err)

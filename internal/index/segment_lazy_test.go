@@ -166,47 +166,6 @@ func TestMergeBuiltAgreesWithDecoded(t *testing.T) {
 	}
 }
 
-// TestMergeSkipsCorruptSegment: a segment whose posting bytes fail to
-// decode must contribute nothing to a merge — in particular its
-// tombstones must not delete older valid postings.
-func TestMergeSkipsCorruptSegment(t *testing.T) {
-	good := buildSeg(1, map[DocID]string{1: "alpha beta", 2: "gamma delta"})
-	newer := buildSeg(2, map[DocID]string{1: "epsilon zeta"})
-	dec, err := DecodeSegment(newer.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Clobber the first posting list's count varint: the dictionary still
-	// validates (lengths unchanged) but every full decode now fails.
-	dec.posts[0] = 0xFF
-	if _, err := DecodeSegment(dec.Encode()); err == nil {
-		t.Fatal("corrupted postings should fail validation")
-	}
-	m := Merge([]*Segment{good, dec})
-	pl := m.Postings(Stem("alpha"))
-	if _, found := pl.Find(1); !found {
-		t.Fatal("corrupt newer segment tombstoned doc 1's valid postings")
-	}
-	if m.Covers(1) && len(m.Postings(Stem("epsilon"))) != 0 {
-		t.Fatal("corrupt segment contributed postings")
-	}
-
-	// Restricted to "alpha" and the term whose list is corrupt (the first
-	// in the dictionary), the merge still skips the run whole.
-	first := dec.TermsSorted()[0]
-	keep := func(term string) bool { return term == first || term == Stem("alpha") }
-	m, err = DecodeSegment(MergeEncode([]*Segment{good, dec}, keep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, found := m.Postings(Stem("alpha")).Find(1); !found {
-		t.Fatal("restricted corrupt run tombstoned doc 1's valid postings")
-	}
-	if len(m.Postings(first)) != 0 {
-		t.Fatal("restricted corrupt run contributed postings")
-	}
-}
-
 // TestDecodeRejectsDocOverflow pins every record-level check decoding
 // must keep, on a hand-built one-term segment of two delta records. Each
 // mutant breaks one record rule while its skip entry claims what a
@@ -335,26 +294,6 @@ func TestDecodeRejectsTamperedBlockIndex(t *testing.T) {
 	}
 }
 
-// TestTermsSortedMemoized: repeated calls return the same backing slice.
-func TestTermsSortedMemoized(t *testing.T) {
-	seg := randomDocSegment(7, 1)
-	a, b := seg.TermsSorted(), seg.TermsSorted()
-	if len(a) == 0 {
-		t.Fatal("empty segment")
-	}
-	if &a[0] != &b[0] {
-		t.Fatal("TermsSorted rebuilt the slice on a second call")
-	}
-	dec, err := DecodeSegment(seg.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, d := dec.TermsSorted(), dec.TermsSorted()
-	if &c[0] != &d[0] {
-		t.Fatal("decoded TermsSorted rebuilt the slice on a second call")
-	}
-}
-
 // TestTopKMatchesFullSort: the bounded-heap selection must agree exactly
 // with the reference full-sort implementation for every k.
 func TestTopKMatchesFullSort(t *testing.T) {
@@ -392,13 +331,11 @@ func TestTopKMatchesFullSort(t *testing.T) {
 	}
 }
 
-// FuzzDecodeSegment: arbitrary bytes must never panic the decoder or a
-// decoded segment's reads, a decode must re-encode to the exact input
-// bytes, and the read paths must agree on every term it accepts: walking
-// the term's cursor block by block yields the (DocID, TF) sequence of its
-// posting list, and the cursor's DF is the list's length. The retired v1/v2 magics are seeded
-// one byte away from a valid segment, so the corpus sits on both sides of
-// the format check.
+// FuzzDecodeSegment: arbitrary bytes must never panic the decoder, a
+// decode must re-encode to the exact input bytes, and every read of a
+// segment it accepts must succeed and agree (checkReads). The retired
+// v1/v2 magics are seeded one byte away from a valid segment, so the
+// corpus sits on both sides of the format check.
 func FuzzDecodeSegment(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte{0xFF, 0xFF, 0x01})
@@ -424,30 +361,47 @@ func FuzzDecodeSegment(f *testing.F) {
 		if !bytes.Equal(seg.Encode(), data) {
 			t.Fatal("decode → encode not byte-identical")
 		}
-		for _, term := range seg.TermsSorted() {
-			pl := seg.Postings(term)
-			cur := seg.Cursor(term)
-			if pl == nil || cur == nil {
-				t.Fatalf("%q: accepted term has postings %v, cursor %v", term, pl != nil, cur != nil)
-			}
-			if cur.DF() != len(pl) {
-				t.Fatalf("%q: cursor DF %d, list length %d", term, cur.DF(), len(pl))
-			}
-			i := 0
-			for bi := range cur.skips {
-				if cur.bi = bi; !cur.ensureDecoded() {
-					t.Fatalf("%q: block %d does not decode", term, bi)
+		checkReads(t, "decoded", seg)
+	})
+}
+
+// checkReads reads every term of seg through each read path and requires
+// them to agree: TermsSorted lists NumTerms terms in strictly ascending
+// order, each has a posting list and a cursor of the list's length, and
+// walking the cursor block by block yields the list's (DocID, TF)
+// sequence. None of these reads may fail on an opened segment: a broken
+// invariant panics.
+func checkReads(t *testing.T, what string, seg *Segment) {
+	t.Helper()
+	terms := seg.TermsSorted()
+	if len(terms) != seg.NumTerms() {
+		t.Fatalf("%s: TermsSorted lists %d terms, NumTerms is %d", what, len(terms), seg.NumTerms())
+	}
+	for ti, term := range terms {
+		if ti > 0 && terms[ti-1] >= term {
+			t.Fatalf("%s: TermsSorted out of order at %d: %q then %q", what, ti, terms[ti-1], term)
+		}
+		pl := seg.Postings(term)
+		cur := seg.Cursor(term)
+		if pl == nil || cur == nil {
+			t.Fatalf("%s %q: listed term has postings %v, cursor %v", what, term, pl != nil, cur != nil)
+		}
+		if cur.DF() != len(pl) {
+			t.Fatalf("%s %q: cursor DF %d, list length %d", what, term, cur.DF(), len(pl))
+		}
+		i := 0
+		for bi := range cur.skips {
+			cur.bi = bi
+			cur.ensureDecoded()
+			for _, p := range cur.block {
+				if i >= len(pl) || p.Doc != pl[i].Doc || p.TF != pl[i].TF {
+					t.Fatalf("%s %q: cursor posting %d is (%d, %d), list disagrees", what, term, i, p.Doc, p.TF)
 				}
-				for _, p := range cur.block {
-					if i >= len(pl) || p.Doc != pl[i].Doc || p.TF != pl[i].TF {
-						t.Fatalf("%q: cursor posting %d is (%d, %d), list disagrees", term, i, p.Doc, p.TF)
-					}
-					i++
-				}
-			}
-			if i != len(pl) {
-				t.Fatalf("%q: cursor walked %d postings, list holds %d", term, i, len(pl))
+				i++
 			}
 		}
-	})
+		if i != len(pl) {
+			t.Fatalf("%s %q: cursor walked %d postings, list holds %d", what, term, i, len(pl))
+		}
+	}
 }

@@ -576,20 +576,16 @@ func (r *postingReader) open(blob []byte, enc uint64, docsSorted []DocID) error 
 // delta block's gap chain resumes from the previous block's last DocID;
 // a bitmap block's ordinal is found by binary search for it (itself a
 // set bit).
-func (r *postingReader) seek(skips []BlockSkip, bi int) error {
+func (r *postingReader) seek(skips []BlockSkip, bi int) {
 	if bi == 0 {
 		r.rest, r.prevDoc, r.started, r.ord = r.stream, 0, false, 0
-		return nil
+		return
 	}
 	sk := skips[bi-1]
-	if sk.EndOff > len(r.stream) {
-		return errCorruptSegment
-	}
 	r.rest, r.prevDoc, r.started = r.stream[sk.EndOff:], uint64(sk.LastDoc), true
 	if r.enc == 1 {
 		r.ord = sort.Search(len(r.docsSorted), func(i int) bool { return r.docsSorted[i] >= sk.LastDoc }) + 1
 	}
-	return nil
 }
 
 // off is the stream offset of the next record.
@@ -681,12 +677,10 @@ func (r *postingReader) read(n int, out PostingList, arena *[]uint32) (PostingLi
 // allocated at their exact sizes (one list and one arena per term,
 // however many postings it holds); a caller that consumes each list
 // before decoding the next passes the previous call's buffers back in.
-func decodeList(e *dictEntryV3, docsSorted []DocID, pl PostingList, arena []uint32) (PostingList, []uint32, error) {
+// e must be an entry of an opened segment, whose lists always read.
+func decodeList(e *dictEntryV3, docsSorted []DocID, pl PostingList, arena []uint32) (PostingList, []uint32) {
 	var r postingReader
-	err := r.open(e.blob, e.enc, docsSorted)
-	if err != nil {
-		return nil, nil, err
-	}
+	mustRead(r.open(e.blob, e.enc, docsSorted))
 	// Every varint ends in the one byte of it below 0x80, so the stream's
 	// position count is its varint count less each record's other fields:
 	// TF, count and, for delta terms, the gap.
@@ -697,13 +691,9 @@ func decodeList(e *dictEntryV3, docsSorted []DocID, pl PostingList, arena []uint
 		}
 	}
 	arena = slices.Grow(arena[:0], max(npositions, 0))
-	if pl, err = r.read(e.df, slices.Grow(pl[:0], e.df), &arena); err != nil {
-		return nil, nil, err
-	}
-	if len(r.rest) != 0 {
-		return nil, nil, errCorruptSegment
-	}
-	return pl, arena, nil
+	pl, err := r.read(e.df, slices.Grow(pl[:0], e.df), &arena)
+	mustRead(err)
+	return pl, arena
 }
 
 // validateRegionsV3 walks a segment's dictionary and postings regions once
@@ -807,12 +797,12 @@ func checkPostingsV3(e *dictEntryV3, seg *Segment, sc *checkScratch) error {
 // findV3 locates a term's v3 dictionary entry and postings blob without
 // decoding any postings: binary search the block index, scan at most one
 // 64-term block.
-func (s *Segment) findV3(term string) (e dictEntryV3, found bool, err error) {
+func (s *Segment) findV3(term string) (e dictEntryV3, found bool) {
 	bi := sort.Search(len(s.blocks), func(i int) bool {
 		return cmpBytesString(s.blocks[i].firstTerm, term) > 0
 	}) - 1
 	if bi < 0 {
-		return e, false, nil
+		return e, false
 	}
 	b := s.blocks[bi]
 	dictEnd := len(s.dict)
@@ -821,15 +811,13 @@ func (s *Segment) findV3(term string) (e dictEntryV3, found bool, err error) {
 	}
 	w := dictWalk{dict: s.dict[b.dictOff:dictEnd], posts: s.posts[b.postOff:]}
 	for len(w.dict) > 0 {
-		if err := w.next(&e, nil); err != nil {
-			return e, false, err
-		}
+		mustRead(w.next(&e, nil))
 		switch c := cmpBytesString(e.term, term); {
 		case c == 0:
-			return e, true, nil
+			return e, true
 		case c > 0:
-			return e, false, nil
+			return e, false
 		}
 	}
-	return e, false, nil
+	return e, false
 }

@@ -185,9 +185,7 @@ func WANDTopKDirect(cur *TermCursor, sc *Scorer, docLen func(DocID) uint32, rank
 			break
 		}
 		cur.bi = b.bi
-		if !cur.ensureDecoded() {
-			break // defensive: corrupt block exhausts the cursor
-		}
+		cur.ensureDecoded()
 		for _, p := range cur.block {
 			text := sc.TermScore(p.TF, cur.docLen(p.Doc, docLen), cur.df)
 			acc.push(ScoredDoc{Doc: p.Doc, Score: sc.Combine(text, rankOf(p.Doc), maxRank)})

@@ -10,7 +10,7 @@ import (
 	"repro/internal/xrand"
 )
 
-// Retryable classifies a Call error as transient or fatal. Transient
+// Retryable classifies a CallCtx error as transient or fatal. Transient
 // failures — a dropped message, a request shed by an overloaded node —
 // are worth retrying: the same call can succeed a moment later on the
 // same link. (The simulator has no spurious-timeout mode; a dropped

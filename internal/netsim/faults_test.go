@@ -64,13 +64,13 @@ func TestFaultPlanScheduleFires(t *testing.T) {
 	if !net.IsDown(ids[1]) || !net.IsDown(ids[2]) {
 		t.Fatal("crash event did not mark nodes down")
 	}
-	if _, _, err := net.Call(ids[0], ids[1], "ping"); !errors.Is(err, ErrNodeDown) {
+	if _, _, err := net.CallCtx(context.Background(), ids[0], ids[1], "ping"); !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("call to crashed node: err = %v, want ErrNodeDown", err)
 	}
 
 	// Lossy episode: every message drops.
 	plan.Advance(20*time.Second, net)
-	if _, _, err := net.Call(ids[0], ids[3], "ping"); !errors.Is(err, ErrDropped) {
+	if _, _, err := net.CallCtx(context.Background(), ids[0], ids[3], "ping"); !errors.Is(err, ErrDropped) {
 		t.Fatalf("call during lossy episode: err = %v, want ErrDropped", err)
 	}
 
@@ -80,7 +80,7 @@ func TestFaultPlanScheduleFires(t *testing.T) {
 	if net.IsDown(ids[1]) || net.IsDown(ids[2]) {
 		t.Fatal("recover event did not revive crashed nodes")
 	}
-	if _, _, err := net.Call(ids[0], ids[1], "ping"); err != nil {
+	if _, _, err := net.CallCtx(context.Background(), ids[0], ids[1], "ping"); err != nil {
 		t.Fatalf("call after recovery: %v", err)
 	}
 	if !plan.Done() {
@@ -97,11 +97,11 @@ func TestFaultPlanPartitionAndHeal(t *testing.T) {
 		},
 	}
 	plan.Advance(time.Second, net)
-	if _, _, err := net.Call(ids[0], ids[3], "x"); !errors.Is(err, ErrPartitioned) {
+	if _, _, err := net.CallCtx(context.Background(), ids[0], ids[3], "x"); !errors.Is(err, ErrPartitioned) {
 		t.Fatalf("cross-partition call: err = %v, want ErrPartitioned", err)
 	}
 	plan.Advance(2*time.Second, net)
-	if _, _, err := net.Call(ids[0], ids[3], "x"); err != nil {
+	if _, _, err := net.CallCtx(context.Background(), ids[0], ids[3], "x"); err != nil {
 		t.Fatalf("call after heal: %v", err)
 	}
 }

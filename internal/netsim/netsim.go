@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -35,7 +34,7 @@ import (
 // NodeID addresses a node on the simulated network.
 type NodeID string
 
-// Errors returned by Call.
+// Errors returned by CallCtx.
 var (
 	ErrNodeDown      = errors.New("netsim: target node is down")
 	ErrUnknownNode   = errors.New("netsim: unknown node")
@@ -218,19 +217,6 @@ func (n *Network) Unregister(id NodeID) {
 	delete(n.nodes, id)
 }
 
-// Nodes returns the IDs of all registered nodes in sorted order, so
-// callers iterating the membership do identical work on every run.
-func (n *Network) Nodes() []NodeID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]NodeID, 0, len(n.nodes))
-	for id := range n.nodes {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // SetDown marks a node as crashed (true) or recovered (false).
 func (n *Network) SetDown(id NodeID, down bool) {
 	n.mu.Lock()
@@ -313,12 +299,35 @@ func payloadSize(p any) int64 {
 	return DefaultMsgBytes
 }
 
-// Call performs a synchronous RPC from one node to another and returns the
-// response together with the simulated round-trip cost. The returned cost
-// is meaningful even when err != nil (a timeout still costs time: failed
-// calls are charged one base round trip so that retry loops accumulate
-// simulated delay).
-func (n *Network) Call(from, to NodeID, req any) (resp any, cost Cost, err error) {
+// CallCtx performs a synchronous RPC from one node to another and returns
+// the response together with the simulated round-trip cost. The returned
+// cost is meaningful even when err != nil (a timeout still costs time:
+// failed calls are charged one base round trip so that retry loops
+// accumulate simulated delay).
+//
+// When ctx is already done the call short-circuits BEFORE touching any
+// RNG stream — a cancelled call consumes no drop/shedding/jitter draws,
+// so the i-th *executed* message on every link still observes the same
+// draws no matter how many abandoned calls were interleaved with it (the
+// per-seed determinism contract survives cancellation; pinned by the
+// interleaving tests). A nil ctx never cancels.
+//
+// A short-circuited call costs nothing and moves no bytes: it never
+// reached the wire. Wave-level accounting stays with the caller — the
+// legs a wave completed before the cancel keep their full cost, so a
+// cancelled wave is costed as the partial wave it actually ran. The
+// returned error wraps both ErrCancelled and the context's own error.
+//
+// Cancellation cannot interrupt a handler mid-execution: the simulator
+// is synchronous, so a call that starts always completes and is costed
+// in full. The deterministic cancellation points are the call
+// boundaries.
+func (n *Network) CallCtx(ctx context.Context, from, to NodeID, req any) (resp any, cost Cost, err error) {
+	if ctx != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, Cost{}, fmt.Errorf("%w: %w", ErrCancelled, cerr)
+		}
+	}
 	n.mu.Lock()
 	src, okSrc := n.nodes[from]
 	dst, okDst := n.nodes[to]
@@ -418,32 +427,6 @@ func (n *Network) Call(from, to NodeID, req any) (resp any, cost Cost, err error
 	return resp, cost, err
 }
 
-// CallCtx is Call with a request lifecycle: when ctx is already done the
-// call short-circuits BEFORE touching any RNG stream — a cancelled call
-// consumes no drop/shedding/jitter draws, so the i-th *executed* message
-// on every link still observes the same draws no matter how many
-// abandoned calls were interleaved with it (the per-seed determinism
-// contract survives cancellation; pinned by the interleaving tests).
-//
-// A short-circuited call costs nothing and moves no bytes: it never
-// reached the wire. Wave-level accounting stays with the caller — the
-// legs a wave completed before the cancel keep their full cost, so a
-// cancelled wave is costed as the partial wave it actually ran. The
-// returned error wraps both ErrCancelled and the context's own error.
-//
-// Cancellation cannot interrupt a handler mid-execution: the simulator
-// is synchronous, so a call that starts always completes and is costed
-// in full. The deterministic cancellation points are the call
-// boundaries.
-func (n *Network) CallCtx(ctx context.Context, from, to NodeID, req any) (resp any, cost Cost, err error) {
-	if ctx != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, Cost{}, fmt.Errorf("%w: %w", ErrCancelled, cerr)
-		}
-	}
-	return n.Call(from, to, req)
-}
-
 // nodeDist is the normalized [0,1] distance between two nodes in the 2-D
 // embedding. Positions are written once at registration, so the result
 // is safe to carry outside n.mu.
@@ -461,21 +444,4 @@ func (n *Network) linkLatency(dist float64, draw func() float64) time.Duration {
 		lat *= j
 	}
 	return time.Duration(lat)
-}
-
-// Broadcast calls every node except the sender with the same payload, in
-// parallel cost terms. It returns the number of successful deliveries and
-// the combined cost.
-func (n *Network) Broadcast(from NodeID, req any) (delivered int, cost Cost) {
-	for _, id := range n.Nodes() {
-		if id == from {
-			continue
-		}
-		_, c, err := n.Call(from, id, req)
-		cost = cost.Par(c)
-		if err == nil {
-			delivered++
-		}
-	}
-	return delivered, cost
 }

@@ -22,7 +22,7 @@ func newTestNet(t *testing.T, ids ...NodeID) *Network {
 
 func TestCallRoundTrip(t *testing.T) {
 	n := newTestNet(t, "a", "b")
-	resp, cost, err := n.Call("a", "b", "hello")
+	resp, cost, err := n.CallCtx(context.Background(), "a", "b", "hello")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,10 +42,10 @@ func TestCallRoundTrip(t *testing.T) {
 
 func TestCallUnknownNode(t *testing.T) {
 	n := newTestNet(t, "a")
-	if _, _, err := n.Call("a", "ghost", 1); !errors.Is(err, ErrUnknownNode) {
+	if _, _, err := n.CallCtx(context.Background(), "a", "ghost", 1); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("err = %v, want ErrUnknownNode", err)
 	}
-	if _, _, err := n.Call("ghost", "a", 1); !errors.Is(err, ErrUnknownNode) {
+	if _, _, err := n.CallCtx(context.Background(), "ghost", "a", 1); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("err = %v, want ErrUnknownNode", err)
 	}
 }
@@ -53,14 +53,14 @@ func TestCallUnknownNode(t *testing.T) {
 func TestCallDownNode(t *testing.T) {
 	n := newTestNet(t, "a", "b")
 	n.SetDown("b", true)
-	if _, _, err := n.Call("a", "b", 1); !errors.Is(err, ErrNodeDown) {
+	if _, _, err := n.CallCtx(context.Background(), "a", "b", 1); !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("err = %v, want ErrNodeDown", err)
 	}
 	if !n.IsDown("b") {
 		t.Fatal("IsDown should report true")
 	}
 	n.SetDown("b", false)
-	if _, _, err := n.Call("a", "b", 1); err != nil {
+	if _, _, err := n.CallCtx(context.Background(), "a", "b", 1); err != nil {
 		t.Fatalf("recovered node should accept calls: %v", err)
 	}
 }
@@ -68,7 +68,7 @@ func TestCallDownNode(t *testing.T) {
 func TestFailedCallStillCostsTime(t *testing.T) {
 	n := newTestNet(t, "a", "b")
 	n.SetDown("b", true)
-	_, cost, _ := n.Call("a", "b", 1)
+	_, cost, _ := n.CallCtx(context.Background(), "a", "b", 1)
 	if cost.Latency <= 0 {
 		t.Fatal("failed call should cost simulated time")
 	}
@@ -77,14 +77,14 @@ func TestFailedCallStillCostsTime(t *testing.T) {
 func TestPartition(t *testing.T) {
 	n := newTestNet(t, "a", "b", "c")
 	n.SetPartition(map[NodeID]int{"a": 0, "b": 1, "c": 0})
-	if _, _, err := n.Call("a", "b", 1); !errors.Is(err, ErrPartitioned) {
+	if _, _, err := n.CallCtx(context.Background(), "a", "b", 1); !errors.Is(err, ErrPartitioned) {
 		t.Fatalf("cross-partition err = %v, want ErrPartitioned", err)
 	}
-	if _, _, err := n.Call("a", "c", 1); err != nil {
+	if _, _, err := n.CallCtx(context.Background(), "a", "c", 1); err != nil {
 		t.Fatalf("same-partition call failed: %v", err)
 	}
 	n.SetPartition(nil) // heal
-	if _, _, err := n.Call("a", "b", 1); err != nil {
+	if _, _, err := n.CallCtx(context.Background(), "a", "b", 1); err != nil {
 		t.Fatalf("healed call failed: %v", err)
 	}
 }
@@ -92,11 +92,11 @@ func TestPartition(t *testing.T) {
 func TestDropRate(t *testing.T) {
 	n := newTestNet(t, "a", "b")
 	n.SetDropRate(1.0)
-	if _, _, err := n.Call("a", "b", 1); !errors.Is(err, ErrDropped) {
+	if _, _, err := n.CallCtx(context.Background(), "a", "b", 1); !errors.Is(err, ErrDropped) {
 		t.Fatalf("err = %v, want ErrDropped", err)
 	}
 	n.SetDropRate(0)
-	if _, _, err := n.Call("a", "b", 1); err != nil {
+	if _, _, err := n.CallCtx(context.Background(), "a", "b", 1); err != nil {
 		t.Fatalf("err after clearing drop rate: %v", err)
 	}
 }
@@ -107,7 +107,7 @@ func TestDropRatePartial(t *testing.T) {
 	drops := 0
 	const trials = 2000
 	for i := 0; i < trials; i++ {
-		if _, _, err := n.Call("a", "b", 1); err != nil {
+		if _, _, err := n.CallCtx(context.Background(), "a", "b", 1); err != nil {
 			drops++
 		}
 	}
@@ -123,7 +123,7 @@ func TestOverloadShedding(t *testing.T) {
 	ok := 0
 	const trials = 2000
 	for i := 0; i < trials; i++ {
-		if _, _, err := n.Call("a", "srv", 1); err == nil {
+		if _, _, err := n.CallCtx(context.Background(), "a", "srv", 1); err == nil {
 			ok++
 		}
 	}
@@ -142,7 +142,7 @@ func TestQueueingDelayGrowsWithUtilization(t *testing.T) {
 		var total time.Duration
 		const trials = 50
 		for i := 0; i < trials; i++ {
-			_, c, err := n.Call("a", "srv", 1)
+			_, c, err := n.CallCtx(context.Background(), "a", "srv", 1)
 			if err != nil {
 				t.Fatalf("unexpected shed at load %v: %v", load, err)
 			}
@@ -184,7 +184,7 @@ func TestSizerPayloads(t *testing.T) {
 	n.Register("b", func(from NodeID, req any) (any, error) {
 		return sized{n: 1000}, nil
 	})
-	_, cost, err := n.Call("a", "b", sized{n: 500})
+	_, cost, err := n.CallCtx(context.Background(), "a", "b", sized{n: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +200,8 @@ func TestBandwidthAddsTransferDelay(t *testing.T) {
 	n := New(cfg)
 	n.Register("a", echoHandler)
 	n.Register("b", echoHandler)
-	_, small, _ := n.Call("a", "b", sized{n: 100})
-	_, large, _ := n.Call("a", "b", sized{n: 10 << 20}) // 10 MB at 10 MB/s ≈ 1s
+	_, small, _ := n.CallCtx(context.Background(), "a", "b", sized{n: 100})
+	_, large, _ := n.CallCtx(context.Background(), "a", "b", sized{n: 10 << 20}) // 10 MB at 10 MB/s ≈ 1s
 	if large.Latency-small.Latency < 500*time.Millisecond {
 		t.Fatalf("large transfer %v not slower than small %v", large.Latency, small.Latency)
 	}
@@ -209,9 +209,9 @@ func TestBandwidthAddsTransferDelay(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	n := newTestNet(t, "a", "b")
-	n.Call("a", "b", 1)
+	n.CallCtx(context.Background(), "a", "b", 1)
 	n.SetDown("b", true)
-	n.Call("a", "b", 1)
+	n.CallCtx(context.Background(), "a", "b", 1)
 	s := n.StatsSnapshot()
 	if s.Calls != 2 {
 		t.Fatalf("Calls = %d, want 2", s.Calls)
@@ -228,18 +228,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	n := newTestNet(t, "a", "b", "c", "d")
-	n.SetDown("d", true)
-	delivered, cost := n.Broadcast("a", "ping")
-	if delivered != 2 {
-		t.Fatalf("delivered = %d, want 2", delivered)
-	}
-	if cost.Msgs != 3 {
-		t.Fatalf("msgs = %d, want 3", cost.Msgs)
-	}
-}
-
 func TestDeterministicLatency(t *testing.T) {
 	run := func() []time.Duration {
 		n := New(DefaultConfig())
@@ -247,7 +235,7 @@ func TestDeterministicLatency(t *testing.T) {
 		n.Register("b", echoHandler)
 		var out []time.Duration
 		for i := 0; i < 20; i++ {
-			_, c, _ := n.Call("a", "b", i)
+			_, c, _ := n.CallCtx(context.Background(), "a", "b", i)
 			out = append(out, c.Latency)
 		}
 		return out
@@ -272,7 +260,7 @@ func TestPerLinkStreamsIgnoreInterleaving(t *testing.T) {
 		out := make(map[[2]NodeID][]time.Duration)
 		for i := 0; i < calls; i++ {
 			for _, p := range pairs {
-				_, c, err := n.Call(p[0], p[1], i)
+				_, c, err := n.CallCtx(context.Background(), p[0], p[1], i)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -293,7 +281,7 @@ func TestPerLinkStreamsIgnoreInterleaving(t *testing.T) {
 				defer wg.Done()
 				seq := make([]time.Duration, 0, calls)
 				for i := 0; i < calls; i++ {
-					_, c, err := n.Call(p[0], p[1], i)
+					_, c, err := n.CallCtx(context.Background(), p[0], p[1], i)
 					if err != nil {
 						t.Error(err)
 						return
@@ -330,7 +318,7 @@ func TestSameLinkConcurrentDrawsConserved(t *testing.T) {
 		all := make([]time.Duration, 0, calls*workers)
 		if !parallel {
 			for i := 0; i < calls*workers; i++ {
-				_, c, _ := n.Call("a", "b", i)
+				_, c, _ := n.CallCtx(context.Background(), "a", "b", i)
 				all = append(all, c.Latency)
 			}
 		} else {
@@ -342,7 +330,7 @@ func TestSameLinkConcurrentDrawsConserved(t *testing.T) {
 					defer wg.Done()
 					local := make([]time.Duration, 0, calls)
 					for i := 0; i < calls; i++ {
-						_, c, _ := n.Call("a", "b", i)
+						_, c, _ := n.CallCtx(context.Background(), "a", "b", i)
 						local = append(local, c.Latency)
 					}
 					mu.Lock()
@@ -366,11 +354,11 @@ func TestSameLinkConcurrentDrawsConserved(t *testing.T) {
 func TestUnregister(t *testing.T) {
 	n := newTestNet(t, "a", "b")
 	n.Unregister("b")
-	if _, _, err := n.Call("a", "b", 1); !errors.Is(err, ErrUnknownNode) {
+	if _, _, err := n.CallCtx(context.Background(), "a", "b", 1); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("err = %v, want ErrUnknownNode", err)
 	}
-	if len(n.Nodes()) != 1 {
-		t.Fatalf("Nodes = %v, want 1 node", n.Nodes())
+	if _, _, err := n.CallCtx(context.Background(), "b", "a", 1); !errors.Is(err, ErrUnknownNode) {
+		t.Fatalf("call from unregistered node: err = %v, want ErrUnknownNode", err)
 	}
 }
 
@@ -380,9 +368,9 @@ func TestReRegisterKeepsPosition(t *testing.T) {
 	n := New(cfg)
 	n.Register("a", echoHandler)
 	n.Register("b", echoHandler)
-	_, before, _ := n.Call("a", "b", 1)
+	_, before, _ := n.CallCtx(context.Background(), "a", "b", 1)
 	n.Register("b", echoHandler) // replace handler
-	_, after, _ := n.Call("a", "b", 1)
+	_, after, _ := n.CallCtx(context.Background(), "a", "b", 1)
 	if before.Latency != after.Latency {
 		t.Fatalf("latency changed after re-register: %v vs %v", before.Latency, after.Latency)
 	}
@@ -445,51 +433,23 @@ func TestCallCtxCancelConsumesNoDraws(t *testing.T) {
 	}
 }
 
-// TestCallCtxLiveMatchesCall: with a live context, CallCtx is Call —
-// same draws, same costs, same stats accounting.
+// TestCallCtxLiveMatchesCall: a live context changes nothing about the
+// call — same draws, same costs, same stats accounting as a call under
+// a nil context, which never cancels.
 func TestCallCtxLiveMatchesCall(t *testing.T) {
 	n1 := newTestNet(t, "a", "b")
 	n2 := newTestNet(t, "a", "b")
 	for i := 0; i < 4; i++ {
-		_, c1, err1 := n1.Call("a", "b", i)
+		_, c1, err1 := n1.CallCtx(nil, "a", "b", i)
 		_, c2, err2 := n2.CallCtx(context.Background(), "a", "b", i)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
 		if c1 != c2 {
-			t.Fatalf("call %d: Call cost %+v, CallCtx cost %+v", i, c1, c2)
+			t.Fatalf("call %d: nil-context cost %+v, live-context cost %+v", i, c1, c2)
 		}
 	}
 	if s1, s2 := n1.StatsSnapshot(), n2.StatsSnapshot(); s1 != s2 {
 		t.Fatalf("stats diverged: %+v vs %+v", s1, s2)
-	}
-}
-
-// TestNodesSorted pins the membership-listing contract detlint's sweep
-// introduced: Nodes() returns IDs in sorted order, so every caller that
-// iterates the membership (Broadcast included) does identical work per
-// run regardless of map layout.
-func TestNodesSorted(t *testing.T) {
-	n := newTestNet(t, "delta", "alpha", "charlie", "bravo")
-	ids := n.Nodes()
-	if !sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) {
-		t.Fatalf("Nodes() not sorted: %v", ids)
-	}
-}
-
-// TestBroadcastDeterministic: two identical networks must pay
-// byte-identical broadcast costs (TestNodesSorted pins the call order).
-func TestBroadcastDeterministic(t *testing.T) {
-	run := func() (int, Cost) {
-		n := New(DefaultConfig())
-		for _, id := range []NodeID{"edgar", "alice", "dave", "carol", "bob"} {
-			n.Register(id, echoHandler)
-		}
-		return n.Broadcast("alice", "ping")
-	}
-	d1, c1 := run()
-	d2, c2 := run()
-	if d1 != d2 || c1 != c2 {
-		t.Fatalf("broadcast diverged across identical runs: (%d, %+v) vs (%d, %+v)", d1, c1, d2, c2)
 	}
 }

@@ -17,7 +17,8 @@ const (
 // active nodes back out to frozen ones is not propagated. That is the
 // approximation: the result can drift from a full recompute by the mass
 // the closure exports, which is why callers schedule a periodic full
-// epoch as the exactness escape hatch (RankFullEvery).
+// epoch as the exactness escape hatch (every 4th epoch; see
+// core.Cluster.StartRankEpochDelta).
 //
 // dirty holds node indices into g; it is sorted and deduplicated here,
 // so callers may pass it in any order without affecting the result.

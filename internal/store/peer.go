@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -575,7 +576,7 @@ func (p *Peer) fetchFrom(provider netsim.NodeID, root CID) ([]byte, netsim.Cost,
 
 // fetchBlock retrieves and verifies one block from one provider.
 func (p *Peer) fetchBlock(provider netsim.NodeID, cid CID) ([]byte, netsim.Cost, error) {
-	resp, cost, err := p.net.Call(p.Addr(), provider, blockReq{CID: cid})
+	resp, cost, err := p.net.CallCtx(context.Background(), p.Addr(), provider, blockReq{CID: cid})
 	if err != nil {
 		return nil, cost, err
 	}

@@ -69,14 +69,3 @@ func WithMaintenance(on bool) Option {
 func WithDegradedReads(on bool) Option {
 	return func(c *core.Config) { c.DegradedReads = on }
 }
-
-// WithRankFullEvery sets the exactness escape hatch of delta page-rank
-// epochs: every n-th epoch started by ComputeRanksDelta runs a full
-// recompute instead of an incremental pass, bounding the drift the
-// frozen-boundary approximation can accumulate. Zero selects the
-// default cadence; negative disables full recomputes entirely (every
-// epoch after the first runs delta). Engine.RankStatus reports the
-// resulting staleness.
-func WithRankFullEvery(n int) Option {
-	return func(c *core.Config) { c.RankFullEvery = n }
-}

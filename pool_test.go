@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 // TestPoolSoakMatchesSingleFrontend is the serving-tier determinism
@@ -188,19 +186,11 @@ func TestPoolDeadlineShorterThanShardRTT(t *testing.T) {
 	}
 
 	// The abandoned waves left the tier consistent: the same query with
-	// room to breathe succeeds, and an explicit builder deadline
-	// overrides an engine-wide default.
+	// room to breathe succeeds. (A pool-wide default deadline and its
+	// override are TestPoolDefaultDeadlineApplies in internal/core.)
 	resp, err := e.Query(q).All().Run()
 	if err != nil || len(resp.Results) == 0 {
 		t.Fatalf("query after deadline misses: %v (results %d)", err, len(resp.Results))
-	}
-
-	strict, _ := soakEngine(t, 9, 12, func(c *core.Config) { c.DefaultDeadline = time.Millisecond })
-	if _, err := strict.Query(q).All().Run(); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("Config.DefaultDeadline not applied: %v", err)
-	}
-	if _, err := strict.Query(q).All().Deadline(time.Hour).Run(); err != nil {
-		t.Fatalf("per-query deadline should override the default: %v", err)
 	}
 }
 

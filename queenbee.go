@@ -73,7 +73,7 @@ func New(opts ...Option) *Engine {
 	cluster := core.NewCluster(cfg)
 	return &Engine{
 		Cluster: cluster,
-		pool:    core.NewFrontendPool(cluster, cfg.PoolSize, cfg.HedgedReads, cfg.DefaultDeadline),
+		pool:    core.NewFrontendPool(cluster, cfg.PoolSize, cfg.HedgedReads, 0),
 	}
 }
 
@@ -195,8 +195,8 @@ func (e *Engine) ComputeRanks(partitions int) uint64 {
 
 // ComputeRanksDelta runs one page-rank epoch like ComputeRanks, but
 // lets the contract pick the cheap path: if a finalized epoch already
-// exists (and the full-recompute cadence — WithRankFullEvery — is not
-// due), the epoch is incremental. The bees then re-walk only the
+// exists (and the epoch is not one of every 4th, which recompute in
+// full), the epoch is incremental. The bees then re-walk only the
 // subgraph reachable from the pages published since the last epoch,
 // warm-started from the finalized vector, instead of iterating the
 // whole graph from scratch. RankStatus reports the accumulated
