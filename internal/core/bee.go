@@ -55,7 +55,7 @@ type pendingResult struct {
 // its build, which it may share with the other assignees (buildSet).
 type commitJob struct {
 	taskID string
-	out    *built            // nil when err is set
+	out    *pendingBuild     // nil when err is set
 	layer  func(built) built // what this bee commits in place of out, if anything
 	err    error             // reading the task's inputs failed
 }
@@ -100,9 +100,9 @@ func (b *WorkerBee) fetchCommits(builds *buildSet) (jobs []commitJob, anns []sto
 }
 
 // submitCommits records each built result as pending and submits its
-// commitment, in task order; a job whose inputs could not be read is a
-// "build" error on the bee and on the receipt instead. Every job's build
-// must have returned.
+// commitment, in task order, waiting for each job's build; a job whose
+// inputs could not be read is a "build" error on the bee and on the
+// receipt instead.
 func (b *WorkerBee) submitCommits(jobs []commitJob, r *RoundReceipt) {
 	for _, j := range jobs {
 		if j.err != nil {
@@ -111,7 +111,7 @@ func (b *WorkerBee) submitCommits(jobs []commitJob, r *RoundReceipt) {
 			r.Errors = append(r.Errors, e)
 			continue
 		}
-		out := *j.out
+		out := *j.out.wait()
 		if j.layer != nil {
 			out = j.layer(out)
 		}
@@ -204,6 +204,7 @@ func (b *WorkerBee) collectWins() (contribs []contribution, count int, cost nets
 		contribs = append(contribs, contribution{
 			bee:    b,
 			taskID: taskID,
+			seg:    pr.seg,
 			digest: pr.digest,
 			bytes:  len(pr.result),
 			shards: b.shardsOf(task, pr.seg),

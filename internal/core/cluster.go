@@ -131,12 +131,19 @@ type Cluster struct {
 	repairMu   sync.Mutex
 	repair     RepairStats
 
-	// Write-path accounting (see WriteStats): accumulated round counters
-	// plus the latest per-shard tier layout, guarded so serving surfaces
-	// (queenbeed GET /stats) can read them while rounds run.
-	writeMu    sync.Mutex
-	write      WriteStats
-	shardTiers map[int][]int // shard → levels of its current chain
+	// Write-path accounting (see WriteStats): accumulated round counters,
+	// and per shard the pointer its last materialize pass wrote (Version
+	// 0: never written) — the tier layout WriteStats reports and what
+	// compaction predicts its merges from (runTable). Guarded so serving
+	// surfaces (queenbeed GET /stats) can read them while rounds run; the
+	// round's goroutine, their one writer, reads written without the lock.
+	writeMu sync.Mutex
+	write   WriteStats
+	written []ShardPointer
+
+	// runs is the write side's open runs and prepared merges; only the
+	// round's goroutine touches it.
+	runs *runTable
 }
 
 // treasurySupply is the genesis allocation the faucet draws from.
@@ -163,13 +170,14 @@ func NewCluster(cfg Config) *Cluster {
 	cfg.Net.Seed = cfg.Seed + 1
 
 	c := &Cluster{
-		cfg:        cfg,
-		Clock:      vclock.New(time.Time{}),
-		Net:        netsim.New(cfg.Net),
-		treasury:   chain.NewNamedAccount(cfg.Seed, "treasury"),
-		nonces:     make(map[chain.Address]uint64),
-		rng:        xrand.New(cfg.Seed),
-		shardTiers: make(map[int][]int),
+		cfg:      cfg,
+		Clock:    vclock.New(time.Time{}),
+		Net:      netsim.New(cfg.Net),
+		treasury: chain.NewNamedAccount(cfg.Seed, "treasury"),
+		nonces:   make(map[chain.Address]uint64),
+		rng:      xrand.New(cfg.Seed),
+		written:  make([]ShardPointer, cfg.NumShards),
+		runs:     newRunTable(cfg.NumShards),
 	}
 	c.Chain = chain.New(c.Clock, map[chain.Address]uint64{
 		c.treasury.Address(): treasurySupply,
@@ -318,6 +326,10 @@ func (c *Cluster) RandomPeer() *store.Peer {
 //     batch: a segment-write wave, then one pointer read-modify-write
 //     per touched shard (see round.go).
 //
+// Compaction merges run beside all of that on build goroutines: from the
+// start of the round for what the last written pointers are due, from the
+// segment-write wave on for the merges the new segments make due.
+//
 // It returns the number of tasks materialized during the round.
 func (c *Cluster) ProcessRound() int {
 	return c.ProcessRoundReceipt().Materialized
@@ -328,13 +340,15 @@ func (c *Cluster) ProcessRound() int {
 // summary.
 func (c *Cluster) ProcessRoundReceipt() RoundReceipt {
 	var r RoundReceipt
-	c.commitWave(&r)
+	builds := newBuildSet()
+	c.runs.startRound(builds, c.written)
+	c.commitWave(&r, builds)
 	c.Seal()
 	for _, bee := range c.Bees {
 		bee.RevealPhase()
 	}
 	c.Seal()
-	c.materializePass(&r)
+	c.materializePass(&r, builds)
 	// Janitor: anyone may finalize a task whose reveal window closed
 	// (slashing non-revealers); the treasury plays that role here so
 	// stuck tasks always resolve to finalized-or-failed.
@@ -343,13 +357,14 @@ func (c *Cluster) ProcessRoundReceipt() RoundReceipt {
 			c.SubmitCall(c.treasury, contracts.MethodFinalize, contracts.FinalizeParams{TaskID: id}, 0)
 		}
 		c.Seal()
-		c.materializePass(&r)
+		c.materializePass(&r, builds)
 	}
 	// Self-healing: with Maintenance on, every round ends with a repair
 	// pass, so churn damage is bounded by one round's exposure.
 	if c.cfg.Maintenance {
 		c.RunMaintenance()
 	}
+	builds.wait()
 	c.noteRoundReceipt(r)
 	return r
 }

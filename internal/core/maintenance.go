@@ -248,7 +248,6 @@ func (c *Cluster) readsEmpty(shard int, err error) bool {
 		return false
 	}
 	c.writeMu.Lock()
-	_, written := c.shardTiers[shard]
-	c.writeMu.Unlock()
-	return !written
+	defer c.writeMu.Unlock()
+	return shard >= len(c.written) || c.written[shard].Version == 0
 }

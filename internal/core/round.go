@@ -35,6 +35,16 @@ import (
 //     K segments over S shards costs O(S) mutable DHT round trips, not
 //     O(K·S).
 //
+// The same fan-out (buildSet) carries the round's compaction merges
+// (runTable), which are pure functions of their runs' digests, from runs
+// the write side keeps open. Each starts before the pass that reads it:
+// at the start of the round for the merges the last written pointers are
+// due, and once a materialize pass has its segment digests for the
+// level-0 merges they make due. One walk over a bucket writes the run of
+// every shard that merges it, and a compaction takes the run only after
+// fetching and checking every input itself. Only the builds a step reads
+// gate it: the commit wave waits for its own builds, not for a merge.
+//
 // The receipt's makespan (RoundReceipt.Wave) is the round's longest
 // DEPENDENCY chain, not the order the process issues work in: the
 // publish's store wave runs beside the whole round while the bees fetch
@@ -191,6 +201,7 @@ func (p MaterializePass) Wave() netsim.Cost {
 type contribution struct {
 	bee    *WorkerBee
 	taskID string
+	seg    *index.Segment // the segment the bee built, which digest names
 	digest string
 	bytes  int   // encoded segment size (ingested bytes, counted once)
 	shards []int // sorted
@@ -206,49 +217,66 @@ type built struct {
 	result []byte
 	digest string
 	tokens uint64 // index builds: firstVersionTokens of seg
+
+	merged map[int]mergedRun // merge builds: each predicted shard's restricted run (runTable)
 }
 
 // buildSet is a round's pure builds by key. The first job with a new key
 // starts its build on a goroutine of its own, as soon as one of the
-// set's slots is free, and returns, so the build runs beside the fetch
-// RPCs the caller's goroutine sends next; every later job with that key
-// shares the output. wait blocks until
-// every started build has returned. The round engine hands it only pure
-// work and keeps every simulated RPC on the caller's goroutine, in a
-// fixed order, as the query side's shard waves do
-// (Frontend.loadShardsCtx).
+// set's slots is free, and returns, so the build runs beside the RPCs
+// the caller's goroutine sends next; every later job with that key
+// shares the output. A reader waits for the one build it reads
+// (pendingBuild.wait); wait blocks until every started build has
+// returned. The round engine hands it only pure work — segment and rank
+// builds, compaction merges — and keeps every simulated RPC on the
+// caller's goroutine, in a fixed order, as the query side's shard waves
+// do (Frontend.loadShardsCtx).
 type buildSet struct {
 	wg    sync.WaitGroup
-	slots chan struct{} // one a CPU: a round may hold any number of tasks
-	byKey map[buildKey]*built
+	slots chan struct{} // one a CPU: a round may hold any number of builds
+	byKey map[buildKey]*pendingBuild
+}
+
+// pendingBuild is one started build; its output is valid once done is
+// closed.
+type pendingBuild struct {
+	done chan struct{}
+	out  built
+}
+
+// wait blocks until the build has returned and gives its output.
+func (p *pendingBuild) wait() *built {
+	<-p.done
+	return &p.out
 }
 
 func newBuildSet() *buildSet {
 	return &buildSet{
 		slots: make(chan struct{}, runtime.GOMAXPROCS(0)),
-		byKey: make(map[buildKey]*built),
+		byKey: make(map[buildKey]*pendingBuild),
 	}
 }
 
-// share returns the output of the build named key, starting build if no
-// job of the round has yet. The output is valid once wait has returned.
-func (s *buildSet) share(key buildKey, build func() built) *built {
-	if out, ok := s.byKey[key]; ok {
-		return out
+// share returns the build named key, starting build if no job of the
+// round has yet.
+func (s *buildSet) share(key buildKey, build func() built) *pendingBuild {
+	if p, ok := s.byKey[key]; ok {
+		return p
 	}
-	out := new(built)
-	s.byKey[key] = out
+	p := &pendingBuild{done: make(chan struct{})}
+	s.byKey[key] = p
 	s.slots <- struct{}{}
 	s.wg.Add(1)
-	//detlint:ignore goroutine the one fan-out in simulation code: a build reads only its own fetched inputs and writes only its own output
+	//detlint:ignore goroutine the one fan-out in simulation code: a build reads only its own inputs, immutable once it starts, and writes only its own output
 	go func() {
 		defer func() {
 			<-s.slots
+			close(p.done)
 			s.wg.Done()
 		}()
-		*out = build()
+		p.out = build()
 	}()
-	return out
+	return p
 }
 
 func (s *buildSet) wait() { s.wg.Wait() }
@@ -278,16 +306,17 @@ func (k keyHash) sum() (key buildKey) {
 }
 
 // commitWave runs the bees' commit: bee by bee, every bee fetches the
-// inputs of its new tasks, and each task's build starts as soon as its
-// inputs are in, unless another assignee fetched byte-identical inputs
-// earlier in the round — then the two share one build. Once every build
-// has returned, bee by bee, each bee announces the pages it fetched and
-// its commitments are submitted, so transaction order is stable. The
-// announces wait until every bee has fetched: no fetch of the round sees
-// a serve-cache record the round made.
-func (c *Cluster) commitWave(r *RoundReceipt) {
+// inputs of its new tasks, and each task's build starts on builds as soon
+// as its inputs are in, unless another assignee fetched byte-identical
+// inputs earlier in the round — then the two share one build. Then, bee
+// by bee, each bee announces the pages it fetched and its commitments are
+// submitted, each once the build it commits has returned, so transaction
+// order is stable. The announces wait until every bee has fetched: no
+// fetch of the round sees a serve-cache record the round made. Nothing
+// here waits for a build it does not read, such as a merge the round
+// started early (runTable.prepare).
+func (c *Cluster) commitWave(r *RoundReceipt, builds *buildSet) {
 	n := len(c.Bees)
-	builds := newBuildSet()
 	jobs := make([][]commitJob, n)
 	anns := make([][]store.Announcement, n)
 	costs := make([]netsim.Cost, n)
@@ -295,7 +324,6 @@ func (c *Cluster) commitWave(r *RoundReceipt) {
 	for i, b := range c.Bees {
 		jobs[i], anns[i], costs[i], misses[i] = b.fetchCommits(builds)
 	}
-	builds.wait()
 	for i, b := range c.Bees {
 		announce := b.Peer.Announce(anns[i])
 		r.AnnounceWave = r.AnnounceWave.Par(announce)
@@ -312,10 +340,11 @@ func (c *Cluster) commitWave(r *RoundReceipt) {
 // bee writes its winning immutable segments and collects contributions;
 // then the contributions are grouped by shard and each touched shard, in
 // ascending order, gets one pointer RMW (and at most one compaction) on
-// the first contributing bee's DHT node. May run twice per round (the
-// janitor path finalizes stuck tasks mid-round); counters and costs
-// accumulate.
-func (c *Cluster) materializePass(r *RoundReceipt) {
+// the first contributing bee's DHT node. Before the first RMW, the merge
+// each touched shard is predicted to take starts on builds. May run twice
+// per round (the janitor path finalizes stuck tasks mid-round); counters
+// and costs accumulate.
+func (c *Cluster) materializePass(r *RoundReceipt, builds *buildSet) {
 	// The generation this pass materializes: every index task it will
 	// write was finalized by the block just sealed, so stamping it on
 	// each pointer lets readers recognise the record as current.
@@ -336,6 +365,7 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 	}
 	for _, ctr := range all {
 		r.IngestedBytes += int64(ctr.bytes)
+		c.runs.open[ctr.digest] = ctr.seg
 	}
 
 	// Deterministic batch order: contributions sorted by task ID (each
@@ -356,16 +386,14 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 		}
 	}
 	sort.Ints(shardOrder)
+	c.runs.prepare(builds, c.written, digestsByShard, shardOrder)
 
 	pass.Shards = make([]RMWCost, len(shardOrder))
 	shardWrote := make([]bool, len(shardOrder))
 	shardPtrs := make([]ShardPointer, len(shardOrder))
-	// The runs this pass's merges decoded, by digest: a level-0 run is a
-	// whole-batch segment every shard's merge reads (mergeFullTier).
-	runs := make(map[string]*index.Segment)
 	for j, s := range shardOrder {
 		w := writerByShard[s]
-		ptr, cost, wrote, res, err := materializeShardTiered(w.Peer.DHT(), s, c.cfg.NumShards, gen, digestsByShard[s], runs)
+		ptr, cost, wrote, res, err := materializeShardTiered(w.Peer.DHT(), s, gen, digestsByShard[s], c.runs)
 		pass.Shards[j], shardWrote[j], shardPtrs[j] = cost, wrote, ptr
 		var errs []RoundError
 		if err != nil {
@@ -386,7 +414,8 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 			r.CompactedBytes += res.CompactedBytes
 		}
 	}
-	c.noteShardTiers(shardOrder, shardWrote, shardPtrs)
+	c.noteWritten(shardOrder, shardWrote, shardPtrs)
+	c.runs.keepNamed(c.written)
 
 	r.Passes = append(r.Passes, pass)
 	r.MaterializeWave = r.MaterializeWave.Seq(pass.Wave())

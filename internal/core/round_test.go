@@ -330,42 +330,64 @@ func clusterDigest(c *Cluster) string {
 }
 
 // TestWriteDeterminismAcrossGOMAXPROCS: a round's simulated RPCs run on
-// one goroutine in a fixed order, so neither the scheduler nor the number
-// of CPUs may reach what a round costs or what it leaves behind. Two boots
-// at each of GOMAXPROCS 1, 2 and 8 — seed 1, maintenance on, one
-// 1 000-page batch — must produce the same receipt, latencies included,
-// and the same state on every node.
+// one goroutine in a fixed order, and its builds — segments, ranks and
+// compaction merges — are pure, so neither the scheduler nor the number
+// of CPUs may reach what a round costs or what it leaves behind. Boots at
+// each of GOMAXPROCS 1, 2 and 8 — seed 1, maintenance on — must produce
+// the same receipts, latencies included, and the same state on every
+// node: two boots a setting of one 1 000-page batch, which compacts
+// nothing, and one of seventeen 16-page rounds, which take every shard's
+// chain to tier 2 through merges started before their passes read them
+// (level 0 from the segment-write wave, tier 1 from the round's start).
 func TestWriteDeterminismAcrossGOMAXPROCS(t *testing.T) {
-	pages := corpusBatches(1, 1, 1000)[0]
-	boot := func() (receipt, digest string) {
-		cfg := DefaultConfig()
-		cfg.Maintenance = true
-		c := NewCluster(cfg)
-		owner := c.NewAccount("writer", 10_000_000)
-		c.Seal()
-		rr, err := c.IndexBatch(owner, pages)
-		if err != nil || len(rr.Errors) > 0 {
-			t.Fatalf("err=%v round errors=%v", err, rr.Errors)
-		}
-		return fmt.Sprintf("%+v", rr), clusterDigest(c)
+	schedules := []struct {
+		name    string
+		batches [][]BatchPage
+		boots   int
+	}{
+		{"one-batch", corpusBatches(1, 1, 1000), 2},
+		{"compacting", corpusBatches(1, 17, 16), 1},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var wantReceipt, wantDigest string
-	for _, procs := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(procs)
-		for run := 0; run < 2; run++ {
-			receipt, digest := boot()
-			if wantReceipt == "" {
-				wantReceipt, wantDigest = receipt, digest
-				continue
+	for _, sc := range schedules {
+		t.Run(sc.name, func(t *testing.T) {
+			boot := func() (receipts, digest string, write WriteStats) {
+				cfg := DefaultConfig()
+				cfg.Maintenance = true
+				c := NewCluster(cfg)
+				owner := c.NewAccount("writer", 1<<40)
+				c.Seal()
+				var rs strings.Builder
+				for round, pages := range sc.batches {
+					rr, err := c.IndexBatch(owner, pages)
+					if err != nil || len(rr.Errors) > 0 {
+						t.Fatalf("round %d: err=%v round errors=%v", round, err, rr.Errors)
+					}
+					fmt.Fprintf(&rs, "%+v\n", rr)
+				}
+				return rs.String(), clusterDigest(c), c.WriteStats()
 			}
-			if receipt != wantReceipt {
-				t.Fatalf("GOMAXPROCS=%d run %d: receipt diverged:\n got %s\nwant %s", procs, run, receipt, wantReceipt)
+			var wantReceipts, wantDigest string
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				for run := 0; run < sc.boots; run++ {
+					receipts, digest, write := boot()
+					if wantReceipts == "" {
+						wantReceipts, wantDigest = receipts, digest
+						if len(sc.batches) > 1 && (len(write.SegmentsPerTier) < 3 || write.SegmentsPerTier[2] == 0) {
+							t.Fatalf("tiers %v: the chains never reached tier 2", write.SegmentsPerTier)
+						}
+						continue
+					}
+					if receipts != wantReceipts {
+						t.Fatalf("GOMAXPROCS=%d run %d: receipts diverged:\n got %s\nwant %s", procs, run, receipts, wantReceipts)
+					}
+					if digest != wantDigest {
+						t.Fatalf("GOMAXPROCS=%d run %d: DHT state diverged: %s, want %s", procs, run, digest, wantDigest)
+					}
+				}
 			}
-			if digest != wantDigest {
-				t.Fatalf("GOMAXPROCS=%d run %d: DHT state diverged: %s, want %s", procs, run, digest, wantDigest)
-			}
-		}
+		})
 	}
 }
 
@@ -416,16 +438,17 @@ func TestWriteBeesForgetResolvedTasks(t *testing.T) {
 	}
 }
 
-// settleRound is ProcessRoundReceipt after its commit wave, for a round
-// that needs no janitor and runs no maintenance: seal, reveal, seal,
-// materialize.
-func settleRound(c *Cluster, r *RoundReceipt) {
+// settleRound is ProcessRoundReceipt after its commit wave on builds, for
+// a round that needs no janitor and runs no maintenance: seal, reveal,
+// seal, materialize, and wait for the round's builds.
+func settleRound(c *Cluster, r *RoundReceipt, builds *buildSet) {
 	c.Seal()
 	for _, b := range c.Bees {
 		b.RevealPhase()
 	}
 	c.Seal()
-	c.materializePass(r)
+	c.materializePass(r, builds)
+	builds.wait()
 }
 
 // pendingByTask groups every bee's pending results by task, bees in
@@ -471,7 +494,9 @@ func TestWriteQuorumBuildsOnce(t *testing.T) {
 			c.StartRankEpoch(tasks)
 		}
 		var r RoundReceipt
-		c.commitWave(&r)
+		builds := newBuildSet()
+		c.runs.startRound(builds, c.written)
+		c.commitWave(&r, builds)
 		byTask := pendingByTask(c)
 		if len(byTask) != tasks {
 			t.Fatalf("round %d: %d tasks pending, want %d", round, len(byTask), tasks)
@@ -489,7 +514,7 @@ func TestWriteQuorumBuildsOnce(t *testing.T) {
 				shared = results[0]
 			}
 		}
-		settleRound(c, &r)
+		settleRound(c, &r, builds)
 		if len(r.Errors) > 0 || r.Materialized != tasks {
 			t.Fatalf("round %d: materialized %d, errors %v", round, r.Materialized, r.Errors)
 		}

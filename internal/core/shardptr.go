@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strconv"
 	"time"
 
 	"repro/internal/dht"
@@ -178,9 +180,10 @@ func decodeCurrentPointer(shard int, cur []byte) (ShardPointer, error) {
 	return ptr, nil
 }
 
-// appendDigests appends every digest not already in the chain,
-// preserving the given order, and reports whether any was new. Levels
-// is left to the caller, which pads it with level 0.
+// appendDigests appends, at level 0, every digest not already in the
+// chain, preserving the given order, and reports whether any was new.
+// The same padding normalizes a legacy pointer, so Levels tracks Digests
+// 1:1 from here on.
 func (p *ShardPointer) appendDigests(digests []string) bool {
 	existing := make(map[string]bool, len(p.Digests))
 	for _, dg := range p.Digests {
@@ -195,7 +198,46 @@ func (p *ShardPointer) appendDigests(digests []string) bool {
 		p.Digests = append(p.Digests, dg)
 		appended = true
 	}
+	for len(p.Levels) < len(p.Digests) {
+		p.Levels = append(p.Levels, 0)
+	}
 	return appended
+}
+
+// withAppended is a copy of p, sharing no slice with it, with digests
+// appended (appendDigests).
+func (p ShardPointer) withAppended(digests []string) ShardPointer {
+	next := p
+	next.Digests, next.Levels = slices.Clone(p.Digests), slices.Clone(p.Levels)
+	next.appendDigests(digests)
+	return next
+}
+
+// dueMerge names the merge the pointer's compaction takes: every run of
+// the lowest level holding at least tieredFanout runs, by position in
+// chain order, and that level; no runs when no level is full. It is a
+// pure function of the pointer, never of map order or scheduling.
+func (p ShardPointer) dueMerge() (level int, runs []int) {
+	var counts []int
+	for i := range p.Digests {
+		l := p.levelOf(i)
+		for len(counts) <= l {
+			counts = append(counts, 0)
+		}
+		counts[l]++
+	}
+	for l, n := range counts { // ascending: the lowest full level
+		if n < tieredFanout {
+			continue
+		}
+		for i := range p.Digests {
+			if p.levelOf(i) == l {
+				runs = append(runs, i)
+			}
+		}
+		return l, runs
+	}
+	return 0, nil
 }
 
 // writeSegment stores an immutable segment record under its digest key.
@@ -263,15 +305,14 @@ type tieredResult struct {
 // selection, merge membership and the spliced chain order are pure
 // functions of the pointer just read, never of map order or scheduling.
 //
-// Merged runs are restricted to the shard's own terms (numShards > 0):
-// a round's level-0 segment covers the whole batch and lands on every
-// shard its terms hash to, so merging it unrestricted would rewrite the
-// full batch bytes once PER SHARD — write amplification multiplied by
-// the shard fan-in. Restriction keeps each shard's rewrites to its own
-// share (plus the full DocLens tombstone set; see index.MergeEncode),
-// which is what holds global amplification to O(tiers), not
-// O(tiers × shards). Queries never notice: a term is only ever looked
-// up on the shard it hashes to.
+// Merged runs are restricted to the shard's own terms: a round's level-0
+// segment covers the whole batch and lands on every shard its terms hash
+// to, so merging it unrestricted would rewrite the full batch bytes once
+// PER SHARD — write amplification multiplied by the shard fan-in.
+// Restriction keeps each shard's rewrites to its own share (plus the full
+// DocLens tombstone set; see index.MergeShards), which is what holds
+// global amplification to O(tiers), not O(tiers × shards). Queries never
+// notice: a term is only ever looked up on the shard it hashes to.
 //
 // The chain a reader merges stays logically identical to the unmerged
 // one: level-0 runs enter in chain order = Gen order, the levels along
@@ -279,10 +320,7 @@ type tieredResult struct {
 // block and replacing the block with its index.Merge (oldest-first,
 // newer-shadows-older) preserves document precedence exactly
 // (TestWriteTieredMatchesOracle checks the answers).
-//
-// runs is the materialize pass's table of decoded runs (see
-// mergeFullTier), shared by every shard the pass writes.
-func materializeShardTiered(d *dht.Node, shard, numShards int, gen uint64, digests []string, runs map[string]*index.Segment) (ptr ShardPointer, cost RMWCost, wrote bool, res tieredResult, err error) {
+func materializeShardTiered(d *dht.Node, shard int, gen uint64, digests []string, runs *runTable) (ptr ShardPointer, cost RMWCost, wrote bool, res tieredResult, err error) {
 	cost, wrote, err = rmw(d, pointerKey(shard), func(cur []byte) ([]byte, uint64, netsim.Cost, error) {
 		var mcost netsim.Cost
 		var derr error
@@ -290,13 +328,7 @@ func materializeShardTiered(d *dht.Node, shard, numShards int, gen uint64, diges
 			return nil, 0, mcost, derr
 		}
 		appended := ptr.appendDigests(digests)
-		// The round's runs enter at level 0; the same padding normalizes a
-		// legacy pointer so Levels tracks Digests 1:1 from here on.
-		for len(ptr.Levels) < len(ptr.Digests) {
-			ptr.Levels = append(ptr.Levels, 0)
-		}
-
-		res, mcost = mergeFullTier(d, shard, numShards, &ptr, runs)
+		res, mcost = mergeFullTier(d, shard, &ptr, runs)
 		if !appended && !res.Compacted {
 			return nil, 0, mcost, nil
 		}
@@ -308,86 +340,234 @@ func materializeShardTiered(d *dht.Node, shard, numShards int, gen uint64, diges
 }
 
 // mergeFullTier applies at most one tiered merge to ptr in place: the
-// lowest level holding at least tieredFanout runs (if any) has all its
-// runs fetched, merged (restricted to the shard's own terms when
-// numShards > 0), written as one segment and spliced in as a single run
-// at the next level. On any failure ptr is left untouched and the
-// result carries the reason (MergeErr).
+// pointer's due merge (dueMerge) has all its runs fetched, merged
+// restricted to the shard's terms, written as one segment and spliced in
+// as a single run at the next level, where the bucket's first run was. On
+// any failure ptr is left untouched and the result carries the reason
+// (MergeErr).
 //
-// The merge streams into the encoder (index.MergeEncode) with the
-// shard's keep-predicate: the bytes are those of merging the runs each
-// restricted to the shard's terms, but a level-0 run — a whole-batch
-// segment every shard references — is decoded only for this shard's
-// terms, one list at a time, and no merged segment is built. runs holds
-// the runs the pass has decoded, by digest: every compactor still
-// fetches each run and checks its digest itself, and a run whose
-// verified bytes the pass already decoded (and validated — a pure
-// function of those bytes) is not decoded again.
-func mergeFullTier(d *dht.Node, shard, numShards int, ptr *ShardPointer, runs map[string]*index.Segment) (res tieredResult, cost netsim.Cost) {
-	// Deterministic tier selection: the lowest level with a full bucket.
-	counts := make(map[int]int)
-	maxLevel := 0
-	for i := range ptr.Digests {
-		l := ptr.levelOf(i)
-		counts[l]++
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
-	mergeLevel := -1
-	for l := 0; l <= maxLevel; l++ { // ascending scan, never map order
-		if counts[l] >= tieredFanout {
-			mergeLevel = l
-			break
-		}
-	}
-	if mergeLevel < 0 {
+// Every compactor fetches each run itself and checks its digest, as one
+// wave: a forged replica fails this shard's merge. The merge is a pure
+// function of the verified runs' digests, so once every fetch is checked
+// it takes the run prepared for this shard and bucket (runTable), if
+// any. Otherwise — the pointer read is not the one the last pass wrote —
+// it merges inline, from the runs the table holds open or, failing that,
+// from the fetched bytes, decoded.
+func mergeFullTier(d *dht.Node, shard int, ptr *ShardPointer, runs *runTable) (res tieredResult, cost netsim.Cost) {
+	level, members := ptr.dueMerge()
+	if members == nil {
 		return res, cost
 	}
-
+	bucket := make([]string, len(members))
+	for i, at := range members {
+		bucket[i] = ptr.Digests[at]
+	}
+	prepared := runs.prepared[preparedKey{bucketKey(bucket), shard}]
 	var segs []*index.Segment
-	var keepDigests []string
-	var keepLevels []int
-	spliceAt := -1
-	for i, dg := range ptr.Digests {
-		if ptr.levelOf(i) != mergeLevel {
-			keepDigests = append(keepDigests, dg)
-			keepLevels = append(keepLevels, ptr.levelOf(i))
-			continue
-		}
+	for _, dg := range bucket {
 		// The runs are immutable and independent: one fetch wave.
 		val, c2, err := fetchSegmentCtx(context.Background(), d, dg)
 		cost = cost.Par(c2)
 		if err != nil {
 			return tieredResult{MergeErr: err}, cost
 		}
-		seg, decoded := runs[dg]
-		if !decoded {
-			if seg, err = index.DecodeSegment(val); err != nil {
+		if prepared == nil {
+			seg, err := runs.openRun(dg, val)
+			if err != nil {
 				return tieredResult{MergeErr: err}, cost
 			}
-			runs[dg] = seg
-		}
-		segs = append(segs, seg)
-		if spliceAt < 0 {
-			spliceAt = len(keepDigests)
-			keepDigests = append(keepDigests, "") // placeholder for the merged run
-			keepLevels = append(keepLevels, mergeLevel+1)
+			segs = append(segs, seg)
 		}
 	}
-	var keep func(string) bool
-	if numShards > 0 {
-		keep = func(t string) bool { return index.ShardOf(t, numShards) == shard }
+	var run mergedRun
+	if prepared != nil {
+		run = prepared.wait().merged[shard]
+	} else {
+		run = mergeRuns(segs, runs.numShards, []int{shard})[shard]
 	}
-	data := index.MergeEncode(segs, keep)
-	digest := index.DigestOf(data)
-	wcost, err := writeSegment(d, digest, data)
+	wcost, err := writeSegment(d, run.digest, run.data)
 	cost = cost.Seq(wcost)
 	if err != nil {
 		return tieredResult{MergeErr: err}, cost
 	}
-	keepDigests[spliceAt] = digest
-	ptr.Digests = keepDigests
-	ptr.Levels = keepLevels
-	return tieredResult{Compacted: true, CompactedBytes: int64(len(data))}, cost
+	runs.open[run.digest] = run.seg
+
+	var digests []string
+	var levels []int
+	for i, dg := range ptr.Digests {
+		switch {
+		case ptr.levelOf(i) != level:
+			digests, levels = append(digests, dg), append(levels, ptr.levelOf(i))
+		case i == members[0]:
+			digests, levels = append(digests, run.digest), append(levels, level+1)
+		}
+	}
+	ptr.Digests, ptr.Levels = digests, levels
+	return tieredResult{Compacted: true, CompactedBytes: int64(len(run.data))}, cost
+}
+
+// runTable is the write side's runs, held open, and the merges prepared
+// from them. A run is open when a pointer the round engine last wrote
+// (Cluster.written) names it and this process opened it: a designated
+// writer's built segment, or a merge's output. So no compaction decodes
+// bytes its own process encoded.
+//
+// A merge is a pure function of its bucket's run digests, so it is
+// computed once, before a compaction reads it, on the round's build
+// goroutines (buildSet): from the pointers the last pass wrote, at the
+// start of a round (tier ≥ 1 merges, which no append changes), and with
+// a pass's appended digests, before its first pointer read (the level-0
+// merges the new segments make due). Every shard predicted to merge one
+// bucket gets its restricted run from one k-way walk (mergeRuns), so a
+// level-0 bucket that every shard holds is walked once, not once a shard.
+// Only the round's goroutine touches the table.
+type runTable struct {
+	numShards int
+	open      map[string]*index.Segment     // by digest
+	prepared  map[preparedKey]*pendingBuild // a merge build that writes the shard's run
+}
+
+// preparedKey names one shard's merge of one bucket (bucketKey).
+type preparedKey struct {
+	bucket buildKey
+	shard  int
+}
+
+// mergedRun is one shard's merged run: the open view, the bytes the
+// network gets (a copy: no record aliases the view) and their digest.
+type mergedRun struct {
+	seg    *index.Segment
+	data   []byte
+	digest string
+}
+
+func newRunTable(numShards int) *runTable {
+	return &runTable{
+		numShards: numShards,
+		open:      make(map[string]*index.Segment),
+		prepared:  make(map[preparedKey]*pendingBuild),
+	}
+}
+
+// bucketKey names a merge by its runs' digests, in chain order.
+func bucketKey(digests []string) buildKey {
+	return newKeyHash(append([]string{"merge"}, digests...)...).sum()
+}
+
+// startRound starts the merges the written pointers are due as they
+// stand, and drops every prepared merge no pointer is still predicted to
+// take. A prepared merge no pass took yet (a round that appended nothing
+// to its shard) carries over.
+func (t *runTable) startRound(builds *buildSet, written []ShardPointer) {
+	shards := make([]int, 0, len(written))
+	for s, ptr := range written {
+		if ptr.Version > 0 {
+			shards = append(shards, s)
+		}
+	}
+	predicted := t.prepare(builds, written, nil, shards)
+	for k := range t.prepared {
+		if !predicted[k] {
+			delete(t.prepared, k)
+		}
+	}
+}
+
+// prepare predicts, for each of shards (ascending), the merge its next
+// compaction takes — the due merge of the pointer the shard's last pass
+// wrote, with appended[shard] appended — and starts it on builds unless
+// it is prepared already. A bucket with a run the table does not hold
+// open is left to the compaction to merge inline. It returns what it
+// predicted.
+func (t *runTable) prepare(builds *buildSet, written []ShardPointer, appended map[int][]string, shards []int) map[preparedKey]bool {
+	type group struct {
+		bucket buildKey
+		segs   []*index.Segment
+		shards []int
+	}
+	var groups []*group
+	byBucket := make(map[buildKey]*group)
+	predicted := make(map[preparedKey]bool)
+	for _, s := range shards {
+		ptr := written[s].withAppended(appended[s])
+		_, members := ptr.dueMerge()
+		if members == nil {
+			continue
+		}
+		bucket := make([]string, len(members))
+		segs := make([]*index.Segment, len(members))
+		for i, at := range members {
+			bucket[i] = ptr.Digests[at]
+			segs[i] = t.open[bucket[i]]
+		}
+		if slices.Contains(segs, nil) {
+			continue
+		}
+		key := preparedKey{bucketKey(bucket), s}
+		predicted[key] = true
+		if t.prepared[key] != nil {
+			continue
+		}
+		g := byBucket[key.bucket]
+		if g == nil {
+			g = &group{bucket: key.bucket, segs: segs}
+			byBucket[key.bucket] = g
+			groups = append(groups, g)
+		}
+		g.shards = append(g.shards, s)
+	}
+	for _, g := range groups {
+		// The build's key names its shards too: a bucket may be started
+		// again in a round for shards its first build did not write.
+		name := []string{"merge-shards", string(g.bucket[:])}
+		for _, s := range g.shards {
+			name = append(name, strconv.Itoa(s))
+		}
+		numShards, segs, shards := t.numShards, g.segs, g.shards
+		p := builds.share(newKeyHash(name...).sum(), func() built {
+			return built{merged: mergeRuns(segs, numShards, shards)}
+		})
+		for _, s := range g.shards {
+			t.prepared[preparedKey{g.bucket, s}] = p
+		}
+	}
+	return predicted
+}
+
+// openRun returns the run digest names, whose fetched bytes val have been
+// checked against it: the open view if the table holds one, else val
+// decoded — the trust boundary (index.DecodeSegment).
+func (t *runTable) openRun(digest string, val []byte) (*index.Segment, error) {
+	if seg := t.open[digest]; seg != nil {
+		return seg, nil
+	}
+	return index.DecodeSegment(val)
+}
+
+// keepNamed closes every open run no written pointer names.
+func (t *runTable) keepNamed(written []ShardPointer) {
+	named := make(map[string]bool)
+	for _, ptr := range written {
+		for _, dg := range ptr.Digests {
+			named[dg] = true
+		}
+	}
+	for dg := range t.open {
+		if !named[dg] {
+			delete(t.open, dg)
+		}
+	}
+}
+
+// mergeRuns merges one bucket's runs into each of shards' restricted runs
+// in one walk (index.MergeShards), each with the bytes the network gets
+// and their digest. It is pure, so it runs as a build.
+func mergeRuns(segs []*index.Segment, numShards int, shards []int) map[int]mergedRun {
+	views := index.MergeShards(segs, numShards, shards)
+	out := make(map[int]mergedRun, len(shards))
+	for i, s := range shards {
+		data := views[i].Encode()
+		out[s] = mergedRun{seg: views[i], data: data, digest: index.DigestOf(data)}
+	}
+	return out
 }

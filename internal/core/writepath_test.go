@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -439,5 +441,90 @@ func TestWriteCompactionForgedRunFailsOneShard(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(ptr.Levels, want) {
 			t.Fatalf("shard %d after the round: levels %v err=%v, want %v", shard, ptr.Levels, err, want)
 		}
+	}
+}
+
+// TestWriteCompactionMispredicted: a compaction takes a prepared merge
+// only for the bucket the pointer it reads holds. Seven 16-page rounds
+// leave every shard's chain at one tier-1 run and three level-0 runs.
+// The pointer one shard held after the third round — three level-0 runs,
+// merged away since — is then hand-stored on every node under a newer
+// sequence, so the eighth round's read of that shard disagrees with what
+// its writer last wrote, and the merge prepared for that shard is of
+// another bucket. The shard must still compact, inline: its merged run
+// is the restricted merge of the runs the read pointer names plus the
+// round's segment. Every other shard compacts too.
+func TestWriteCompactionMispredicted(t *testing.T) {
+	cfg := DefaultConfig()
+	c := NewCluster(cfg)
+	owner := c.NewAccount("writer", 1<<40)
+	c.Seal()
+	const shard = 5
+	batches := corpusBatches(cfg.Seed, 8, 16)
+	var older ShardPointer
+	for round, pages := range batches[:7] {
+		if rr, err := c.IndexBatch(owner, pages); err != nil || len(rr.Errors) > 0 {
+			t.Fatalf("round %d: err=%v round errors=%v", round, err, rr.Errors)
+		}
+		if round == 2 {
+			var err error
+			if older, _, err = readShardPointer(c.Peers[2].DHT(), shard); err != nil || !reflect.DeepEqual(older.Levels, []int{0, 0, 0}) {
+				t.Fatalf("shard %d after round %d: %+v err=%v", shard, round, older, err)
+			}
+		}
+	}
+	written, _, err := readShardPointer(c.Peers[2].DHT(), shard)
+	if err != nil || !reflect.DeepEqual(written.Levels, []int{1, 0, 0, 0}) || !reflect.DeepEqual(c.written[shard], written) {
+		t.Fatalf("shard %d before the round: %+v err=%v, last written %+v", shard, written, err, c.written[shard])
+	}
+	stale := older
+	stale.Version = written.Version + 1
+	for _, n := range dhtNodes(c) {
+		n.StoreLocal(pointerKey(shard), encodeJSON(stale), stale.Version)
+	}
+
+	if _, err := c.PublishBatch(owner, c.Peers[0], batches[7]); err != nil {
+		t.Fatal(err)
+	}
+	c.Seal()
+	var taskID string
+	for _, b := range c.Bees {
+		for _, task := range c.QB.OpenTasksFor(b.Account.Address()) {
+			taskID = task.ID
+		}
+	}
+	rr := c.ProcessRoundReceipt()
+	if len(rr.Errors) > 0 || rr.Compactions != cfg.NumShards {
+		t.Fatalf("%d compactions, errors %v; want every shard's", rr.Compactions, rr.Errors)
+	}
+	task, ok := c.QB.TaskInfo(taskID)
+	if !ok || task.WinningDigest == "" {
+		t.Fatalf("task %q: no winning segment", taskID)
+	}
+	predicted := append(slices.Clone(written.Digests[1:]), task.WinningDigest)
+	if c.runs.prepared[preparedKey{bucketKey(predicted), shard}] == nil {
+		t.Fatalf("no merge was prepared for shard %d's written chain", shard)
+	}
+
+	after, _, err := readShardPointer(c.Peers[2].DHT(), shard)
+	if err != nil || !reflect.DeepEqual(after.Levels, []int{1}) {
+		t.Fatalf("shard %d after the round: %+v err=%v, want one tier-1 run", shard, after, err)
+	}
+	var runs []*index.Segment
+	for _, dg := range append(slices.Clone(older.Digests), task.WinningDigest) {
+		val, _, err := fetchSegmentCtx(context.Background(), c.Peers[2].DHT(), dg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg, err := index.DecodeSegment(val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, seg)
+	}
+	want := index.MergeShards(runs, cfg.NumShards, []int{shard})[0].Encode()
+	got, _, err := fetchSegmentCtx(context.Background(), c.Peers[2].DHT(), after.Digests[0])
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("shard %d's merged run (%d bytes, err=%v) is not the merge of the runs its read pointer named (%d bytes)", shard, len(got), err, len(want))
 	}
 }

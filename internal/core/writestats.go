@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // WriteStats is the cluster's accumulated write-path accounting: round
 // counters summed over every materialize pass, plus a snapshot of the
 // current segment-chain tier layout. The write-amplification contract
@@ -34,22 +32,16 @@ func (w WriteStats) Amplification() float64 {
 	return float64(w.IngestedBytes+w.CompactedBytes) / float64(w.IngestedBytes)
 }
 
-// noteShardTiers records the tier layout of every shard pointer a
-// materialize pass just wrote, for the WriteStats snapshot. Reading the
-// layout from the in-hand pointers (not the DHT) keeps stats serving
-// free of network draws.
-func (c *Cluster) noteShardTiers(shardOrder []int, wrote []bool, ptrs []ShardPointer) {
+// noteWritten records the pointer every shard a materialize pass wrote
+// now holds. Reading the tier layout from the in-hand pointers (not the
+// DHT) keeps stats serving free of network draws.
+func (c *Cluster) noteWritten(shardOrder []int, wrote []bool, ptrs []ShardPointer) {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	for j, s := range shardOrder {
-		if !wrote[j] {
-			continue
+		if wrote[j] {
+			c.written[s] = ptrs[j]
 		}
-		levels := make([]int, len(ptrs[j].Digests))
-		for i := range levels {
-			levels[i] = ptrs[j].levelOf(i)
-		}
-		c.shardTiers[s] = levels
 	}
 }
 
@@ -73,25 +65,13 @@ func (c *Cluster) WriteStats() WriteStats {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	out := c.write
-	maxLevel := -1
-	shards := make([]int, 0, len(c.shardTiers))
-	for s := range c.shardTiers {
-		shards = append(shards, s)
-	}
-	sort.Ints(shards)
-	for _, s := range shards {
-		for _, l := range c.shardTiers[s] {
-			if l > maxLevel {
-				maxLevel = l
+	for _, ptr := range c.written {
+		for i := range ptr.Digests {
+			l := ptr.levelOf(i)
+			for len(out.SegmentsPerTier) <= l {
+				out.SegmentsPerTier = append(out.SegmentsPerTier, 0)
 			}
-		}
-	}
-	if maxLevel >= 0 {
-		out.SegmentsPerTier = make([]int, maxLevel+1)
-		for _, s := range shards {
-			for _, l := range c.shardTiers[s] {
-				out.SegmentsPerTier[l]++
-			}
+			out.SegmentsPerTier[l]++
 		}
 	}
 	return out

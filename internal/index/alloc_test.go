@@ -26,11 +26,14 @@ func corpusRuns(n int) ([][]BatchDoc, [][]byte) {
 // and encoding a batch, and a compaction's merge, allocate per term list
 // or per document, never per posting. The analyzer's own allocations
 // (a string per token) are measured and allowed; beyond them a build
-// may spend half an allocation per term, and a four-run merge one and a
-// quarter per dictionary entry it walks. A per-posting allocation
-// anywhere — a positions slice, a tombstone pass's copy of every list,
-// a restricted copy of every run — breaks both bounds several times
-// over: a 16-document corpus batch holds about two postings per term.
+// may spend half an allocation per term, a four-run merge into one
+// shard's run one and a quarter per dictionary entry it walks, and the
+// same merge split into every shard's run at once — each entry walked
+// once for all eight shards — one and a quarter per entry too. A
+// per-posting allocation anywhere — a positions slice, a tombstone
+// pass's copy of every list, a restricted copy of every run — breaks
+// these bounds several times over: a 16-document corpus batch holds
+// about two postings per term.
 func TestWritePathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates too")
@@ -64,21 +67,28 @@ func TestWritePathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	keep := func(term string) bool { return ShardOf(term, 2) == 0 }
-	merged, err := DecodeSegment(MergeEncode(lazy, keep))
-	if err != nil {
-		t.Fatal(err)
-	}
+	merged := MergeShards(lazy, 2, []int{0})[0]
 	walked := 0 // dictionary entries the merge steps through
 	for _, s := range lazy {
 		walked += s.NumTerms()
 	}
 	merge := testing.AllocsPerRun(5, func() {
-		MergeEncode(lazy, keep)
+		MergeShards(lazy, 2, []int{0})
 	})
 	limit = 1.25 * float64(walked)
-	t.Logf("MergeEncode: %.0f allocs walking %d input terms into %d: bound %.0f", merge, walked, merged.NumTerms(), limit)
+	t.Logf("MergeShards, one shard: %.0f allocs walking %d input terms into %d: bound %.0f", merge, walked, merged.NumTerms(), limit)
 	if merge > limit {
-		t.Errorf("MergeEncode: %.0f allocs exceed the bound %.0f", merge, limit)
+		t.Errorf("MergeShards, one shard: %.0f allocs exceed the bound %.0f", merge, limit)
+	}
+
+	// The same runs split into all eight shards' runs by one walk, as a
+	// level-0 compaction writes them for every shard of a pass.
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	split := testing.AllocsPerRun(5, func() {
+		MergeShards(lazy, len(all), all)
+	})
+	t.Logf("MergeShards, %d shards: %.0f allocs walking %d input terms: bound %.0f", len(all), split, walked, limit)
+	if split > limit {
+		t.Errorf("MergeShards, %d shards: %.0f allocs exceed the bound %.0f", len(all), split, limit)
 	}
 }

@@ -15,38 +15,80 @@ func Merge(segments []*Segment) *Segment {
 	if len(segments) == 1 {
 		return segments[0]
 	}
-	return openWritten(MergeEncode(segments, nil))
+	return openWritten(MergeEncode(segments))
 }
 
-// MergeEncode returns the encoding of the merge of segments, each first
-// restricted to the terms keep accepts (nil keeps every term); a
-// restricted input keeps its whole DocLens, its tombstone set. It streams
+// MergeEncode returns the encoding of the merge of segments. It streams
 // a k-way merge over the inputs' dictionaries (mergeKernel) straight into
-// the v3 encoder: an input's kept lists are decoded one at a time into
+// the v3 encoder: an input's lists are decoded one at a time into
 // buffers reused across terms and never memoized on the input.
-// Compaction writes its shard-restricted runs through it.
-func MergeEncode(segments []*Segment, keep func(term string) bool) []byte {
-	switch {
-	case len(segments) == 0:
-		return newV3Writer(nil, nil).finish(0)
-	case len(segments) == 1 && keep == nil:
+func MergeEncode(segments []*Segment) []byte {
+	if len(segments) == 1 {
 		return segments[0].Encode()
 	}
+	return mergeEncode(segments, func(string) int { return 0 }, 1)[0]
+}
+
+// MergeShards returns, for each of shards (distinct, each below
+// numShards), the merge of segments restricted to the terms ShardOf
+// routes to that shard: the shard's own run, as compaction writes it. A
+// restricted run keeps every kept term's merged postings and the merge's
+// whole DocLens, its tombstone set, so a shard that keeps no term gets a
+// docs-only run. Restricting inside the merge writes the same bytes as
+// restricting the merged segment, since the merge works term by term.
+//
+// One k-way walk over the runs' dictionaries writes every output: each
+// entry is read once whatever the number of shards, and a term's lists
+// are decoded only when it routes to one of them.
+func MergeShards(segments []*Segment, numShards int, shards []int) []*Segment {
+	slot := make([]int, numShards) // shard → its output, -1 for none
+	for s := range slot {
+		slot[s] = -1
+	}
+	for i, s := range shards {
+		slot[s] = i
+	}
+	encs := mergeEncode(segments, func(term string) int { return slot[ShardOf(term, numShards)] }, len(shards))
+	out := make([]*Segment, len(encs))
+	for i, enc := range encs {
+		out[i] = openWritten(enc)
+	}
+	return out
+}
+
+// mergeEncode runs one merge kernel over segments and writes each term
+// that keeps a posting to the output route names (a negative route drops
+// the term unread). Every output gets the merge's whole DocLens and the
+// newest input's Gen.
+func mergeEncode(segments []*Segment, route func(term string) int, outputs int) [][]byte {
 	ordered := byPrecedence(segments)
 	walks := make([]*runWalk, len(ordered))
 	for rank, seg := range ordered {
-		walks[rank] = &runWalk{rank: rank, seg: seg, keep: keep, walk: dictWalk{seg.dict, seg.posts}}
+		walks[rank] = &runWalk{rank: rank, seg: seg, route: route, walk: dictWalk{seg.dict, seg.posts}}
 	}
 	docLens := make(map[DocID]uint32)
 	k := newMergeKernel(walks, docLens)
-	enc := newV3Writer(docLens, sortedDocIDs(docLens))
-	for {
-		term, pl := k.next()
-		if pl == nil {
-			return enc.finish(ordered[len(ordered)-1].Gen)
-		}
-		enc.addTerm(term, pl)
+	docs := sortedDocIDs(docLens)
+	encs := make([]*v3Writer, outputs)
+	for i := range encs {
+		encs[i] = newV3Writer(docLens, docs)
 	}
+	for {
+		term, out, pl := k.next()
+		if pl == nil {
+			break
+		}
+		encs[out].addTerm(term, pl)
+	}
+	gen := uint64(0)
+	if len(ordered) > 0 {
+		gen = ordered[len(ordered)-1].Gen
+	}
+	data := make([][]byte, outputs)
+	for i, enc := range encs {
+		data[i] = enc.finish(gen)
+	}
+	return data
 }
 
 // byPrecedence orders segments oldest first: by Gen, ties in input order.
@@ -57,25 +99,26 @@ func byPrecedence(segments []*Segment) []*Segment {
 }
 
 // runWalk steps through one input run's terms in ascending order,
-// skipping those keep rejects (nil keeps all). It walks the run's
-// dictionary and decodes a term's list only when the merge asks for it,
-// into buffers the next term reuses.
+// skipping those route sends nowhere. It walks the run's dictionary and
+// decodes a term's list only when the merge asks for it, into buffers
+// the next term reuses.
 type runWalk struct {
-	rank int // precedence: a higher rank is newer
-	seg  *Segment
-	keep func(term string) bool
+	rank  int // precedence: a higher rank is newer
+	seg   *Segment
+	route func(term string) int
 
 	walk  dictWalk    // the unread dictionary
 	entry dictEntryV3 // the current entry
 
 	term string // current term, valid until done
+	out  int    // and the output it routes to
 	done bool
 
 	pl    PostingList // decode buffers
 	arena []uint32
 }
 
-// advance moves to the next kept term, or sets done.
+// advance moves to the next routed term, or sets done.
 func (w *runWalk) advance() {
 	for {
 		if len(w.walk.dict) == 0 {
@@ -84,7 +127,7 @@ func (w *runWalk) advance() {
 		}
 		mustRead(w.walk.next(&w.entry, nil))
 		w.term = string(w.entry.term)
-		if w.keep == nil || w.keep(w.term) {
+		if w.out = w.route(w.term); w.out >= 0 {
 			return
 		}
 	}
@@ -132,19 +175,19 @@ func newMergeKernel(walks []*runWalk, docLens map[DocID]uint32) *mergeKernel {
 	return k
 }
 
-// next returns the next term that keeps at least one posting, with its
-// merged list (nil when every walk is done), valid only until the next
-// call.
-func (k *mergeKernel) next() (term string, pl PostingList) {
+// next returns the next term that keeps at least one posting, the
+// output it routes to, and its merged list (nil when every walk is
+// done), valid only until the next call.
+func (k *mergeKernel) next() (term string, out int, pl PostingList) {
 	for {
 		found := false
 		for _, w := range k.walks {
 			if !w.done && (!found || w.term < term) {
-				term, found = w.term, true
+				term, out, found = w.term, w.out, true
 			}
 		}
 		if !found {
-			return "", nil
+			return "", 0, nil
 		}
 		k.heads, k.lists = k.heads[:0], k.lists[:0]
 		for _, w := range k.walks {
@@ -157,7 +200,7 @@ func (k *mergeKernel) next() (term string, pl PostingList) {
 			w.advance()
 		}
 		if len(pl) > 0 {
-			return term, pl
+			return term, out, pl
 		}
 	}
 }

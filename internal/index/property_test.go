@@ -11,7 +11,7 @@ import (
 	"repro/internal/xrand"
 )
 
-// mergeReference is MergeEncode as it was before the k-way kernel, as a
+// mergeReference is the merge as it was before the k-way kernel, as a
 // view: restrict each segment to the terms keep accepts (nil keeps
 // all), then apply them oldest first, each one first tombstoning every
 // document it covers in the merged lists so far, then unioning in its
@@ -176,8 +176,8 @@ func TestMergeValidityProperty(t *testing.T) {
 }
 
 // Property: restricting every run of a chain before merging it — what
-// MergeEncode does with a shard's keep-predicate as compaction merges —
-// is byte-identical to restricting the merged chain, and restricting a
+// MergeShards does for each shard as compaction merges — is
+// byte-identical to restricting the merged chain, and restricting a
 // run reads the same off a built view and off its decoding without
 // memoizing any list on either. Chains of 1–8 runs mix built and
 // decoded runs, republish documents (a small DocID range), repeat Gens,
@@ -190,6 +190,7 @@ func TestRestrictBeforeMergeProperty(t *testing.T) {
 		numShards := 1 + 7*int(seed%2)
 		shard := rng.Intn(numShards)
 		keep := func(term string) bool { return ShardOf(term, numShards) == shard }
+		restrict := func(runs []*Segment) []byte { return MergeShards(runs, numShards, []int{shard})[0].Encode() }
 		var outside []string // at 1 shard: none, so such a run has no terms
 		for _, w := range words {
 			if !keep(Analyze(w)[0].Term) {
@@ -217,7 +218,7 @@ func TestRestrictBeforeMergeProperty(t *testing.T) {
 				t.Fatalf("seed %d run %d: %v", seed, i, err)
 			}
 			one := []*Segment{built}
-			if !bytes.Equal(MergeEncode([]*Segment{decoded}, keep), MergeEncode(one, keep)) {
+			if !bytes.Equal(restrict([]*Segment{decoded}), restrict(one)) {
 				t.Fatalf("seed %d run %d: restricting the decoded run differs from the built one", seed, i)
 			}
 			if built.lists != nil || decoded.lists != nil {
@@ -228,39 +229,65 @@ func TestRestrictBeforeMergeProperty(t *testing.T) {
 				runs[i] = decoded
 			}
 		}
-		first := MergeEncode(runs, keep)
-		if after := MergeEncode([]*Segment{Merge(runs)}, keep); !bytes.Equal(first, after) {
+		first := restrict(runs)
+		if after := restrict([]*Segment{Merge(runs)}); !bytes.Equal(first, after) {
 			t.Fatalf("seed %d (%d runs, %d shards): merging restricted runs differs from restricting the merge", seed, len(runs), numShards)
 		}
 	}
 }
 
-// checkMergeAgainstReference requires MergeEncode of the runs under keep
-// (nil: unrestricted), and Merge of them when unrestricted, to encode
-// byte for byte as mergeReference does.
-func checkMergeAgainstReference(t *testing.T, what string, runs []*Segment, keep func(string) bool) {
+// checkMergeAgainstReference requires MergeEncode and Merge of the runs
+// to encode byte for byte as mergeReference does.
+func checkMergeAgainstReference(t *testing.T, what string, runs []*Segment) {
 	t.Helper()
-	want := mergeReference(runs, keep).Encode()
-	if keep == nil {
-		if got := Merge(runs).Encode(); !bytes.Equal(got, want) {
-			t.Fatalf("%s: Merge differs from the reference (%d vs %d bytes)", what, len(got), len(want))
-		}
+	want := mergeReference(runs, nil).Encode()
+	if got := Merge(runs).Encode(); !bytes.Equal(got, want) {
+		t.Fatalf("%s: Merge differs from the reference (%d vs %d bytes)", what, len(got), len(want))
 	}
-	if got := MergeEncode(runs, keep); !bytes.Equal(got, want) {
+	if got := MergeEncode(runs); !bytes.Equal(got, want) {
 		t.Fatalf("%s: MergeEncode differs from the reference (%d vs %d bytes)", what, len(got), len(want))
 	}
 }
 
-// TestMergeKernelMatchesReference: the k-way kernel — through Merge and
-// through MergeEncode — encodes every chain exactly as the
+// checkSplitAgainstReference splits the runs' merge into every shard of
+// numShards in one walk (MergeShards, shards listed in descending order)
+// and requires each shard's run to encode byte for byte as
+// mergeReference restricted to the shard does, and as MergeShards for
+// that shard alone. It returns how many shards kept no term.
+func checkSplitAgainstReference(t *testing.T, what string, runs []*Segment, numShards int) (empty int) {
+	t.Helper()
+	shards := make([]int, numShards)
+	for i := range shards {
+		shards[i] = numShards - 1 - i
+	}
+	split := MergeShards(runs, numShards, shards)
+	for i, s := range shards {
+		keep := func(term string) bool { return ShardOf(term, numShards) == s }
+		want := mergeReference(runs, keep).Encode()
+		if got := split[i].Encode(); !bytes.Equal(got, want) {
+			t.Fatalf("%s: shard %d/%d of the split differs from the reference (%d vs %d bytes)", what, s, numShards, len(got), len(want))
+		}
+		if alone := MergeShards(runs, numShards, []int{s})[0].Encode(); !bytes.Equal(alone, want) {
+			t.Fatalf("%s: shard %d/%d merged alone differs from the reference (%d vs %d bytes)", what, s, numShards, len(alone), len(want))
+		}
+		if split[i].NumTerms() == 0 {
+			empty++
+		}
+	}
+	return empty
+}
+
+// TestMergeKernelMatchesReference: the k-way kernel — through Merge,
+// MergeEncode and MergeShards — encodes every chain exactly as the
 // tombstone-then-union reference does. 300 chains of 1–8 runs mix built
 // and decoded runs, republish documents (a small DocID range), repeat
 // Gens and carry postings for documents their own run does not cover;
-// each is checked unrestricted and under a keep-predicate at 1 and at 8
-// shards.
+// each is checked unrestricted and split at 1, 8 and 32 shards, where
+// some shards keep no term and get a docs-only run.
 func TestMergeKernelMatchesReference(t *testing.T) {
 	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "theta",
 		"orchard", "meadow", "river", "canyon", "harbor", "summit", "valley"}
+	empty := 0
 	for seed := uint64(0); seed < 300; seed++ {
 		rng := xrand.New(seed)
 		runs := make([]*Segment, 1+rng.Intn(8))
@@ -290,21 +317,23 @@ func TestMergeKernelMatchesReference(t *testing.T) {
 				runs[i] = decoded
 			}
 		}
-		checkMergeAgainstReference(t, fmt.Sprintf("seed %d unrestricted", seed), runs, nil)
-		for _, numShards := range []int{1, 8} {
-			shard := rng.Intn(numShards)
-			keep := func(term string) bool { return ShardOf(term, numShards) == shard }
-			checkMergeAgainstReference(t, fmt.Sprintf("seed %d shard %d/%d", seed, shard, numShards), runs, keep)
+		checkMergeAgainstReference(t, fmt.Sprintf("seed %d unrestricted", seed), runs)
+		for _, numShards := range []int{1, 8, 32} {
+			empty += checkSplitAgainstReference(t, fmt.Sprintf("seed %d", seed), runs, numShards)
 		}
+	}
+	if empty == 0 {
+		t.Fatal("no shard of any split kept no term: the docs-only run was never checked")
 	}
 }
 
 // FuzzMerge: for any two runs DecodeSegment accepts and any shard split,
-// MergeEncode — of both runs and of the newer alone, unrestricted and
-// under the split's keep-predicate — and Merge encode exactly as the
-// reference does: a restricted run keeps every kept term's postings and
-// its whole DocLens and Gen. Every term of each merged view reads
-// through every read path (checkReads).
+// MergeEncode and Merge of both runs, and every shard's run of
+// MergeShards over both runs and over the newer alone, encode exactly as
+// the reference does: a restricted run keeps every kept term's postings
+// and its whole DocLens and Gen, and a shard that keeps no term gets a
+// docs-only run. Every term of each merged view reads through every read
+// path (checkReads).
 func FuzzMerge(f *testing.F) {
 	f.Add(randomDocSegment(11, 2).Encode(), randomDocSegment(12, 2).Encode(), uint8(8), uint8(3))
 	f.Add(randomDocSegment(13, 3).Encode(), denseSparseSegment(40).Encode(), uint8(1), uint8(0))
@@ -319,14 +348,13 @@ func FuzzMerge(f *testing.F) {
 			return
 		}
 		n := 1 + int(shards%8)
-		keep := func(term string) bool { return ShardOf(term, n) == int(shard)%n }
 		runs := []*Segment{older, newer}
-		checkMergeAgainstReference(t, "unrestricted", runs, nil)
-		checkMergeAgainstReference(t, "restricted", runs, keep)
-		checkMergeAgainstReference(t, "one run restricted", runs[1:], keep)
+		checkMergeAgainstReference(t, "unrestricted", runs)
+		checkSplitAgainstReference(t, "split", runs, n)
+		checkSplitAgainstReference(t, "one run split", runs[1:], n)
 		checkReads(t, "merged", Merge(runs))
-		checkReads(t, "merged restricted", openWritten(MergeEncode(runs, keep)))
-		checkReads(t, "one run restricted", openWritten(MergeEncode(runs[1:], keep)))
+		checkReads(t, "merged restricted", MergeShards(runs, n, []int{int(shard) % n})[0])
+		checkReads(t, "one run restricted", MergeShards(runs[1:], n, []int{int(shard) % n})[0])
 	})
 }
 

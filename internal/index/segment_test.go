@@ -305,9 +305,9 @@ func TestFindBinarySearch(t *testing.T) {
 	}
 }
 
-// TestSegmentRestrict covers the sharded-compaction primitive, MergeEncode
-// under a keep-predicate: dropped terms vanish, kept terms keep their
-// postings, and — the subtle part — the full DocLens tombstone set
+// TestSegmentRestrict covers the sharded-compaction primitive, a
+// shard's run from MergeShards: dropped terms vanish, kept terms keep
+// their postings, and — the subtle part — the full DocLens tombstone set
 // survives, so a restricted segment still shadows a document's older
 // postings for terms the restriction dropped.
 func TestSegmentRestrict(t *testing.T) {
@@ -318,8 +318,13 @@ func TestSegmentRestrict(t *testing.T) {
 	// Doc 1 revised: "nectar" gone, new term appears.
 	rev := buildSeg(2, map[DocID]string{1: "honey orchard"})
 
-	keepHoney := func(term string) bool { return term == Stem("honey") }
-	r, err := DecodeSegment(MergeEncode([]*Segment{rev}, keepHoney))
+	// A shard split that puts "honey" and "orchard" apart.
+	numShards := 2
+	for ShardOf(Stem("honey"), numShards) == ShardOf(Stem("orchard"), numShards) {
+		numShards++
+	}
+	honeyShard := ShardOf(Stem("honey"), numShards)
+	r, err := DecodeSegment(MergeShards([]*Segment{rev}, numShards, []int{honeyShard})[0].Encode())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func ShardOf(term string, numShards int) int {
 
 // fnv32a is FNV-1a over s's bytes: hash/fnv's New32a without the
 // allocations of a hash.Hash and a []byte copy, since compaction's
-// keep-predicate hashes every term of every input run.
+// merge routes every term of every input run by it (MergeShards).
 func fnv32a(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
