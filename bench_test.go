@@ -21,6 +21,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/dht"
 	"repro/internal/index"
+	"repro/internal/ingest"
 	"repro/internal/netsim"
 	"repro/internal/rank"
 	"repro/internal/xrand"
@@ -358,13 +359,13 @@ func BenchmarkIngestPipeline(b *testing.B) {
 				e := New(WithSeed(1), WithPeers(12), WithBees(bees))
 				owner := e.NewAccount("crawler", 1<<40)
 				b.StartTimer()
-				st, err := e.Crawl(context.Background(), seeds, CrawlOptions{
-					Owner:        owner,
-					Pages:        pages,
-					FetchWorkers: 8,
-					QueueDepth:   8,
-					BatchSize:    32,
-				})
+				st, err := ingest.Crawl(context.Background(), ingest.MapSource(pages),
+					ingest.NewClusterSink(e.Cluster, owner.acct), seeds, ingest.Options{
+						Seed:         1,
+						FetchWorkers: 8,
+						QueueDepth:   8,
+						BatchSize:    32,
+					})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -3,6 +3,7 @@ package queenbee
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -255,6 +256,37 @@ func TestQueryBuilderPagination(t *testing.T) {
 	}
 	if len(fallback.Results) != 0 || fallback.Total != 7 {
 		t.Fatalf("Page(2,0): %d results, total %d", len(fallback.Results), fallback.Total)
+	}
+}
+
+// TestQueryBuilderDeepPageAllocation asks a one-page engine for the
+// deepest page queenbeed accepts (page 2²⁰ of 100): the answer is empty
+// with the true total, and ranking it sizes nothing by the page's
+// offset. The single-term query takes the direct executor, the
+// two-term one the candidate-list executor.
+func TestQueryBuilderDeepPageAllocation(t *testing.T) {
+	e := New(WithSeed(5), WithPeers(8), WithBees(2))
+	if err := e.Publish(e.NewAccount("alice", 1000), "dweb://hive", "honey comb", nil); err != nil {
+		t.Fatal(err)
+	}
+	e.RunUntilIdle()
+	for _, q := range []string{"honey", "honey comb"} {
+		if _, err := e.Query(q).Run(); err != nil { // warm the caches
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := e.Query(q).Page(1<<20, 100).Run()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Total != 1 || len(resp.Results) != 0 {
+			t.Fatalf("%q deep page: total %d, %d results", q, resp.Total, len(resp.Results))
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("%q deep page allocated %d B", q, alloc)
+		}
 	}
 }
 

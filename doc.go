@@ -186,8 +186,8 @@
 //
 // The rank-epoch contract: PageRank refreshes ride the publish stream
 // as epochs. A full epoch (ComputeRanks) recomputes the whole graph; a
-// delta epoch (ComputeRanksDelta, or the crawl's RankEvery cadence)
-// re-walks only the dirty closure — pages edited since the last epoch
+// delta epoch (ComputeRanksDelta, or ingest.Options.RankEvery on a
+// crawl driven through ingest.Crawl) re-walks only the dirty closure — pages edited since the last epoch
 // plus everything reachable from them — warm-started from the previous
 // vector, at cost proportional to the closure, not the graph. Delta
 // epochs are approximate BY DESIGN: unreached ranks keep their stale

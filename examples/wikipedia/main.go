@@ -29,8 +29,6 @@ func run(out io.Writer) error {
 		queenbee.WithSeed(7),
 		queenbee.WithPeers(20),
 		queenbee.WithBees(5),
-		queenbee.WithRankWeight(2.0),
-		queenbee.WithPopularityThreshold(0.01),
 	)
 
 	// Ten independent editors publish the snapshot.

@@ -92,20 +92,6 @@ func TestFacadeAndVsOrSubset(t *testing.T) {
 	}
 }
 
-func TestFacadeSwarmingOption(t *testing.T) {
-	e := New(WithSeed(31), WithPeers(8), WithBees(2),
-		func(c *core.Config) { c.Peer.Swarming = true })
-	alice := e.NewAccount("alice", 1000)
-	if err := e.Publish(alice, "dweb://sw", "swarming fetch still indexes fine", nil); err != nil {
-		t.Fatal(err)
-	}
-	e.RunUntilIdle()
-	results, _, err := e.Search("swarming", 5)
-	if err != nil || len(results) != 1 {
-		t.Fatalf("results=%v err=%v", results, err)
-	}
-}
-
 func TestFacadeStakeWeightedOption(t *testing.T) {
 	e := New(WithSeed(32), WithPeers(8), WithBees(3),
 		func(c *core.Config) { c.Contract.StakeWeightedQuorum = true })

@@ -11,6 +11,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/dht"
 	"repro/internal/index"
+	"repro/internal/ingest"
 )
 
 // ingestWorkload drives one mixed write-side workload against an
@@ -148,14 +149,12 @@ func TestIngestPipelineDeterminism(t *testing.T) {
 	// frontier order is URL order, so batches are consecutive slices.
 	// Dedup is off so batch membership is position-independent; the
 	// demotion path has its own determinism coverage in internal/ingest.
-	opts := CrawlOptions{
-		Pages: pages, QueueDepth: 4, BatchSize: batchSize,
-		FetchWorkers: 4, DedupThreshold: -1,
-	}
-
 	crawled, owner := boot()
-	opts.Owner = owner
-	st, err := crawled.Crawl(context.Background(), seeds, opts)
+	st, err := ingest.Crawl(context.Background(), ingest.MapSource(pages),
+		ingest.NewClusterSink(crawled.Cluster, owner.acct), seeds, ingest.Options{
+			Seed: seed, QueueDepth: 4, BatchSize: batchSize,
+			FetchWorkers: 4, DedupThreshold: -1,
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,15 +181,13 @@ func TestIngestPipelineDeterminism(t *testing.T) {
 	if got := dhtWriteState(t, crawled); got != want {
 		t.Fatalf("pipelined crawl DHT state diverged from sequential PublishBatch loop:\ncrawl %s\nloop  %s", got, want)
 	}
-	if agg := crawled.IngestStats(); agg != st {
-		t.Fatalf("engine accumulator %+v != crawl stats %+v", agg, st)
-	}
 }
 
 // TestIngestStatsRerunIdentical pins the COST side of the crawl's
 // determinism contract: two fresh engines, same seed, full Stats
 // structs equal — including the simulated wave costs (CommitBusy,
-// RevealBusy, Makespan), which state-only comparisons miss.
+// RevealBusy, Makespan), which state-only comparisons miss. Each run
+// also checks that Engine.Crawl folds its stats into IngestStats.
 func TestIngestStatsRerunIdentical(t *testing.T) {
 	run := func() IngestStats {
 		e := New(WithSeed(11), WithPeers(12), WithBees(4))
@@ -204,11 +201,12 @@ func TestIngestStatsRerunIdentical(t *testing.T) {
 			pages[i] = Page{URL: d.URL, Text: d.Text, Links: d.Links}
 			seeds[i] = d.URL
 		}
-		st, err := e.Crawl(context.Background(), seeds, CrawlOptions{
-			Pages: pages, QueueDepth: 4, BatchSize: 8, FetchWorkers: 4,
-		})
+		st, err := e.Crawl(context.Background(), seeds, CrawlOptions{Pages: pages})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if agg := e.IngestStats(); agg != st {
+			t.Fatalf("engine accumulator %+v != crawl stats %+v", agg, st)
 		}
 		return st
 	}

@@ -350,13 +350,6 @@ type TxContext struct {
 // Escrow returns the contract's escrow address.
 func (ctx *TxContext) Escrow() Address { return ctx.escrow }
 
-// EscrowBalance returns the effective escrow balance including buffered
-// operations in this call.
-func (ctx *TxContext) EscrowBalance() uint64 { return ctx.buf.effective(ctx.escrow) }
-
-// BalanceOf returns an account's effective balance.
-func (ctx *TxContext) BalanceOf(a Address) uint64 { return ctx.buf.effective(a) }
-
 // PayFromEscrow moves honey from the contract's escrow to an account.
 func (ctx *TxContext) PayFromEscrow(to Address, amt uint64) error {
 	return ctx.buf.transfer(ctx.escrow, to, amt)

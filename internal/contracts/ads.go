@@ -107,7 +107,7 @@ type ClickParams struct {
 
 // execClick implements pay-per-click ("they pay by the number of clicks
 // on the ad"): the bid moves from the advertiser's escrowed budget to the
-// page's content creator and the worker pool, split by CreatorShareBP.
+// page's content creator and the worker pool, split by creatorShareBP.
 func (q *QueenBee) execClick(ctx *chain.TxContext, params []byte) error {
 	var p ClickParams
 	if err := chain.DecodeParams(params, &p); err != nil {
@@ -218,7 +218,7 @@ func (q *QueenBee) execImpression(ctx *chain.TxContext, params []byte) error {
 // distributes the remainder equally across active workers; indivisible
 // remainders stay in escrow as tracked dust.
 func (q *QueenBee) payRevenueSplitLocked(ctx *chain.TxContext, owner chain.Address, amount uint64) error {
-	creatorCut := amount * q.cfg.CreatorShareBP / 10000
+	creatorCut := amount * creatorShareBP / 10000
 	workerCut := amount - creatorCut
 	if err := ctx.PayFromEscrow(owner, creatorCut); err != nil {
 		return err

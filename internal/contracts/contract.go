@@ -42,31 +42,37 @@ const (
 	MethodImpression       = "impression"
 )
 
+// The protocol's economic constants: every bee, provider and advertiser
+// runs the same contract, so these are its rules, not a deployment's
+// settings.
+const (
+	// MinStake is the stake required to register as a worker.
+	MinStake uint64 = 100
+	// taskReward is the honey minted to each worker in the winning
+	// majority of a finalized task.
+	taskReward uint64 = 10
+	// slashAmount is the stake burned from a worker that reveals a
+	// minority digest or misses the reveal deadline.
+	slashAmount uint64 = 50
+	// commitBlocks and revealBlocks are phase lengths in blocks; after
+	// CreatedAt+commitBlocks+revealBlocks anyone may finalize.
+	commitBlocks uint64 = 2
+	revealBlocks uint64 = 2
+	// creatorShareBP is the content creator's share of each ad click in
+	// basis points (60 %); the remainder goes to the worker pool.
+	creatorShareBP uint64 = 6000
+	// popularityReward is the honey minted per popular page per epoch.
+	popularityReward uint64 = 100
+)
+
 // Config tunes the QueenBee economy.
 type Config struct {
 	// Quorum is the number of worker bees assigned to each task; majority
 	// of reveals decides the canonical result.
 	Quorum int
-	// TaskReward is the honey minted to each worker in the winning
-	// majority of a finalized task.
-	TaskReward uint64
-	// SlashAmount is the stake burned from a worker that reveals a
-	// minority digest or misses the reveal deadline.
-	SlashAmount uint64
-	// MinStake is the stake required to register as a worker.
-	MinStake uint64
-	// CommitBlocks and RevealBlocks are phase lengths in blocks; after
-	// CreatedAt+CommitBlocks+RevealBlocks anyone may finalize.
-	CommitBlocks uint64
-	RevealBlocks uint64
-	// CreatorShareBP is the content creator's share of each ad click in
-	// basis points; the remainder goes to the worker pool.
-	CreatorShareBP uint64
 	// PopularityThreshold is the page-rank value above which a provider
-	// earns PopularityReward each epoch.
+	// earns popularityReward each epoch.
 	PopularityThreshold float64
-	// PopularityReward is the honey minted per popular page per epoch.
-	PopularityReward uint64
 	// StakeWeightedQuorum selects task assignees with probability
 	// proportional to stake instead of uniformly. It makes quorum seats
 	// cost capital: an attacker splitting one stake across many Sybil
@@ -83,14 +89,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Quorum:              3,
-		TaskReward:          10,
-		SlashAmount:         50,
-		MinStake:            100,
-		CommitBlocks:        2,
-		RevealBlocks:        2,
-		CreatorShareBP:      6000, // 60% creator, 40% worker pool
 		PopularityThreshold: 0.01,
-		PopularityReward:    100,
 	}
 }
 
@@ -129,9 +128,6 @@ func New(cfg Config) *QueenBee {
 	if cfg.Quorum <= 0 {
 		cfg.Quorum = 3
 	}
-	if cfg.CreatorShareBP > 10000 {
-		cfg.CreatorShareBP = 10000
-	}
 	return &QueenBee{
 		cfg:            cfg,
 		pages:          make(map[string]*PageRecord),
@@ -147,9 +143,6 @@ func New(cfg Config) *QueenBee {
 
 // Name implements chain.Contract.
 func (q *QueenBee) Name() string { return ContractName }
-
-// Config returns the contract's economic parameters.
-func (q *QueenBee) Config() Config { return q.cfg }
 
 // Execute implements chain.Contract.
 func (q *QueenBee) Execute(ctx *chain.TxContext, method string, params []byte) error {

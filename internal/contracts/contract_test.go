@@ -473,7 +473,6 @@ func TestCommitRevealHonestQuorum(t *testing.T) {
 		t.Fatalf("index generation = %d after one finalized index task, want 1", gen)
 	}
 	// Every assignee earned the task reward.
-	cfg := h.qb.Config()
 	for _, w := range ws {
 		info, _ := h.qb.WorkerInfo(w.Address())
 		if !isAssigneeAddr(task.Assignees, w.Address()) {
@@ -483,7 +482,7 @@ func TestCommitRevealHonestQuorum(t *testing.T) {
 			t.Fatalf("worker %s completed = %d", w.Address().Short(), info.Completed)
 		}
 		bal := h.chain.State().Balance(w.Address())
-		if bal != 10_000-200+cfg.TaskReward {
+		if bal != 10_000-200+taskReward {
 			t.Fatalf("worker balance = %d", bal)
 		}
 	}
@@ -530,14 +529,14 @@ func TestMinorityDissenterSlashed(t *testing.T) {
 	if info.Slashes != 1 {
 		t.Fatalf("liar slashes = %d, want 1", info.Slashes)
 	}
-	if info.Stake != 200-h.qb.Config().SlashAmount {
+	if info.Stake != 200-slashAmount {
 		t.Fatalf("liar stake = %d", info.Stake)
 	}
 	h.checkEscrowInvariant()
 	// Slash is burned: supply went down by slash, up by 2 rewards.
 	burned := h.chain.State().Burned()
-	if burned != h.qb.Config().SlashAmount {
-		t.Fatalf("burned = %d, want %d", burned, h.qb.Config().SlashAmount)
+	if burned != slashAmount {
+		t.Fatalf("burned = %d, want %d", burned, slashAmount)
 	}
 }
 
@@ -810,8 +809,8 @@ func TestPopularityRewards(t *testing.T) {
 	pay := h.call(admin, MethodPayPopularity, PayPopularityParams{Epoch: 1}, 0)
 	h.seal()
 	h.mustOK(pay)
-	if got := h.chain.State().Balance(alice.Address()); got != before+cfg.PopularityReward {
-		t.Fatalf("alice balance = %d, want +%d", got, cfg.PopularityReward)
+	if got := h.chain.State().Balance(alice.Address()); got != before+popularityReward {
+		t.Fatalf("alice balance = %d, want +%d", got, popularityReward)
 	}
 	bobBefore := h.chain.State().Balance(bob.Address())
 	_ = bobBefore
@@ -825,9 +824,7 @@ func TestAdLifecycleAndClickSplit(t *testing.T) {
 	advertiser := chain.NewNamedAccount(1, "adv")
 	alice := chain.NewNamedAccount(1, "alice")
 	ws := workers(2)
-	cfg := DefaultConfig()
-	cfg.CreatorShareBP = 6000
-	h := newHarness(t, cfg, append([]*chain.Account{advertiser, alice}, ws...)...)
+	h := newHarness(t, DefaultConfig(), append([]*chain.Account{advertiser, alice}, ws...)...)
 	for _, w := range ws {
 		h.call(w, MethodRegisterWorker, nil, 100)
 	}

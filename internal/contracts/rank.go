@@ -254,7 +254,7 @@ func (q *QueenBee) execPayPopularity(ctx *chain.TxContext, params []byte) error 
 		if !ok {
 			continue
 		}
-		if err := ctx.Mint(rec.Owner, q.cfg.PopularityReward); err != nil {
+		if err := ctx.Mint(rec.Owner, popularityReward); err != nil {
 			return err
 		}
 		q.paidPopularity[key] = true
@@ -262,7 +262,7 @@ func (q *QueenBee) execPayPopularity(ctx *chain.TxContext, params []byte) error 
 		ctx.Emit(EventPopularityPaid, map[string]string{
 			"url":    url,
 			"owner":  rec.Owner.String(),
-			"amount": strconv.FormatUint(q.cfg.PopularityReward, 10),
+			"amount": strconv.FormatUint(popularityReward, 10),
 			"epoch":  strconv.FormatUint(p.Epoch, 10),
 		})
 	}

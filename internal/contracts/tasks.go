@@ -124,8 +124,8 @@ func (q *QueenBee) createTaskLocked(ctx *chain.TxContext, t Task) {
 	t.Commitments = make(map[chain.Address]string)
 	t.Reveals = make(map[chain.Address]Reveal)
 	t.Status = StatusOpen
-	t.CommitDeadline = ctx.Height + q.cfg.CommitBlocks
-	t.RevealDeadline = ctx.Height + q.cfg.CommitBlocks + q.cfg.RevealBlocks
+	t.CommitDeadline = ctx.Height + commitBlocks
+	t.RevealDeadline = ctx.Height + commitBlocks + revealBlocks
 	q.tasks[t.ID] = &t
 	q.taskOrder = append(q.taskOrder, t.ID)
 	ctx.Emit(EventTaskCreated, map[string]string{
@@ -326,7 +326,7 @@ func (q *QueenBee) finalizeTaskLocked(ctx *chain.TxContext, t *Task) error {
 		if w := q.workers[a]; w != nil {
 			w.Completed++
 		}
-		if err := ctx.Mint(a, q.cfg.TaskReward); err != nil {
+		if err := ctx.Mint(a, taskReward); err != nil {
 			return err
 		}
 	}

@@ -17,8 +17,8 @@ type Worker struct {
 
 // execRegisterWorker stakes the attached honey and joins the pool.
 func (q *QueenBee) execRegisterWorker(ctx *chain.TxContext, _ []byte) error {
-	if ctx.Value < q.cfg.MinStake {
-		return fmt.Errorf("queenbee: stake %d below minimum %d", ctx.Value, q.cfg.MinStake)
+	if ctx.Value < MinStake {
+		return fmt.Errorf("queenbee: stake %d below minimum %d", ctx.Value, MinStake)
 	}
 	if w, ok := q.workers[ctx.Sender]; ok && w.Active {
 		return fmt.Errorf("queenbee: worker %s already registered", ctx.Sender.Short())
@@ -84,7 +84,7 @@ func (q *QueenBee) activeWorkersLocked() []chain.Address {
 	return out
 }
 
-// slashLocked burns up to SlashAmount of a worker's stake. Burning (rather
+// slashLocked burns up to slashAmount of a worker's stake. Burning (rather
 // than redistributing) keeps the colluders from profiting via their own
 // slashes. If the stake is exhausted the worker is deactivated.
 func (q *QueenBee) slashLocked(ctx *chain.TxContext, addr chain.Address, taskID string) {
@@ -92,7 +92,7 @@ func (q *QueenBee) slashLocked(ctx *chain.TxContext, addr chain.Address, taskID 
 	if w == nil || w.Stake == 0 {
 		return
 	}
-	amt := q.cfg.SlashAmount
+	amt := slashAmount
 	if amt > w.Stake {
 		amt = w.Stake
 	}
@@ -101,7 +101,7 @@ func (q *QueenBee) slashLocked(ctx *chain.TxContext, addr chain.Address, taskID 
 	}
 	w.Stake -= amt
 	w.Slashes++
-	if w.Stake < q.cfg.MinStake {
+	if w.Stake < MinStake {
 		w.Active = false
 	}
 	ctx.Emit(EventSlashed, map[string]string{

@@ -65,7 +65,7 @@ func runChurnSoak(t *testing.T) string {
 		Events: []netsim.FaultEvent{
 			{At: 0, Kind: netsim.FaultCrash, Fraction: 0.5},
 			{At: 0, Kind: netsim.FaultDropRate, Rate: 0.85},
-			{At: 3 * cfg.BlockInterval, Kind: netsim.FaultDropRate, Rate: 0},
+			{At: 3 * BlockInterval, Kind: netsim.FaultDropRate, Rate: 0},
 		},
 	}
 	c.SetFaultPlan(plan)
@@ -389,8 +389,8 @@ func TestFaultPlanAdvancesOnSeal(t *testing.T) {
 	c := NewCluster(cfg)
 	victim := c.Peers[3].Addr()
 	c.SetFaultPlan(&netsim.FaultPlan{Events: []netsim.FaultEvent{
-		{At: 2 * cfg.BlockInterval, Kind: netsim.FaultCrash, Nodes: []netsim.NodeID{victim}},
-		{At: 3 * cfg.BlockInterval, Kind: netsim.FaultRecover},
+		{At: 2 * BlockInterval, Kind: netsim.FaultCrash, Nodes: []netsim.NodeID{victim}},
+		{At: 3 * BlockInterval, Kind: netsim.FaultRecover},
 	}})
 	c.Seal()
 	if c.Net.IsDown(victim) {

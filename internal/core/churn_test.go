@@ -166,7 +166,7 @@ func TestChurnMaintenanceOneWalkPerRecord(t *testing.T) {
 			continue // shard never written
 		}
 		mutable++
-		if loc.Replicas() != c.replicationTarget() {
+		if loc.Replicas() != d.K() {
 			t.Fatalf("healthy record seen on %d replicas", loc.Replicas())
 		}
 		ptr, err := decodeShardPointer(loc.Value)

@@ -37,8 +37,6 @@ type Config struct {
 	NumBees int
 	// NumShards is the term-shard count of the distributed index.
 	NumShards int
-	// BlockInterval is the simulated time between sealed blocks.
-	BlockInterval time.Duration
 	// RankWeight blends page rank into query scores.
 	RankWeight float64
 
@@ -67,11 +65,12 @@ type Config struct {
 	// instead of failing the whole wave.
 	DegradedReads bool
 
-	Net      netsim.Config
 	DHT      dht.Config
-	Peer     store.PeerConfig
 	Contract contracts.Config
 }
+
+// BlockInterval is the simulated time between sealed blocks.
+const BlockInterval = 5 * time.Second
 
 // Default frontend cache budgets, small enough that a browser-grade
 // device could donate them. At 10⁴ crawled pages (qbbench's crawl_cold
@@ -89,11 +88,9 @@ func DefaultConfig() Config {
 		NumPeers:        16,
 		NumBees:         4,
 		NumShards:       8,
-		BlockInterval:   5 * time.Second,
 		RankWeight:      1.0,
 		SegCacheBytes:   DefaultSegCacheBytes,
 		ChainCacheBytes: DefaultChainCacheBytes,
-		Net:             netsim.DefaultConfig(),
 		DHT:             dht.DefaultConfig(),
 		Contract:        contracts.DefaultConfig(),
 	}
@@ -158,21 +155,19 @@ func NewCluster(cfg Config) *Cluster {
 	if cfg.NumShards <= 0 {
 		cfg.NumShards = 8
 	}
-	if cfg.BlockInterval <= 0 {
-		cfg.BlockInterval = 5 * time.Second
-	}
 	if cfg.SegCacheBytes <= 0 {
 		cfg.SegCacheBytes = DefaultSegCacheBytes
 	}
 	if cfg.ChainCacheBytes <= 0 {
 		cfg.ChainCacheBytes = DefaultChainCacheBytes
 	}
-	cfg.Net.Seed = cfg.Seed + 1
+	netCfg := netsim.DefaultConfig()
+	netCfg.Seed = cfg.Seed + 1
 
 	c := &Cluster{
 		cfg:      cfg,
 		Clock:    vclock.New(time.Time{}),
-		Net:      netsim.New(cfg.Net),
+		Net:      netsim.New(netCfg),
 		treasury: chain.NewNamedAccount(cfg.Seed, "treasury"),
 		nonces:   make(map[chain.Address]uint64),
 		rng:      xrand.New(cfg.Seed),
@@ -189,7 +184,7 @@ func NewCluster(cfg Config) *Cluster {
 	for i := 0; i < cfg.NumPeers; i++ {
 		addr := netsim.NodeID(fmt.Sprintf("peer-%03d", i))
 		d := dht.NewNode(c.Net, addr, cfg.DHT)
-		c.Peers = append(c.Peers, store.NewPeer(c.Net, d, cfg.Peer))
+		c.Peers = append(c.Peers, store.NewPeer(c.Net, d, store.PeerConfig{}))
 	}
 	c.bootstrapDHT()
 
@@ -225,16 +220,12 @@ func (c *Cluster) BootCost() netsim.Cost { return c.bootCost }
 func (c *Cluster) AddBee(name string) *WorkerBee {
 	addr := netsim.NodeID(name)
 	d := dht.NewNode(c.Net, addr, c.cfg.DHT)
-	peer := store.NewPeer(c.Net, d, c.cfg.Peer)
+	peer := store.NewPeer(c.Net, d, store.PeerConfig{})
 	if len(c.Peers) > 0 {
 		c.bootCost = c.bootCost.Seq(d.Bootstrap([]dht.Contact{c.Peers[0].DHT().Self()}))
 	}
 	acct := chain.NewNamedAccount(c.cfg.Seed, "bee:"+name)
-	stake := c.cfg.Contract.MinStake
-	if stake == 0 {
-		stake = 100
-	}
-	c.Fund(acct.Address(), stake*10)
+	c.Fund(acct.Address(), contracts.MinStake*10)
 	bee := &WorkerBee{
 		cluster: c,
 		Name:    name,
@@ -243,7 +234,7 @@ func (c *Cluster) AddBee(name string) *WorkerBee {
 		pending: make(map[string]pendingResult),
 	}
 	c.Bees = append(c.Bees, bee)
-	c.SubmitCall(acct, contracts.MethodRegisterWorker, nil, stake)
+	c.SubmitCall(acct, contracts.MethodRegisterWorker, nil, contracts.MinStake)
 	return bee
 }
 
@@ -283,7 +274,7 @@ func (c *Cluster) nonce(a chain.Address) uint64 {
 // If a fault plan is attached, its due events fire here — churn lands at
 // block boundaries, which is where the simulated world moves.
 func (c *Cluster) Seal() *chain.Block {
-	c.Clock.Advance(c.cfg.BlockInterval)
+	c.Clock.Advance(BlockInterval)
 	b := c.Chain.Seal()
 	if c.faultPlan != nil {
 		c.faultPlan.Advance(c.Clock.Since(c.faultEpoch), c.Net)

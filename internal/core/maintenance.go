@@ -51,15 +51,6 @@ func (c *Cluster) RepairStats() RepairStats {
 	return c.repair
 }
 
-// replicationTarget is the replica count maintenance restores toward:
-// the DHT's K.
-func (c *Cluster) replicationTarget() int {
-	if k := c.cfg.DHT.K; k > 0 {
-		return k
-	}
-	return 8
-}
-
 // maintenanceNode picks the DHT node that drives repair traffic. Bees
 // are the natural maintainers — they wrote the records and never churn
 // in the fault plans — falling back to the first live peer.
@@ -103,7 +94,7 @@ func (c *Cluster) RunMaintenance() RepairStats {
 	if d == nil {
 		return pass
 	}
-	k := c.replicationTarget()
+	k := d.K() // the replica count maintenance restores toward
 
 	// healVersioned is step 1 for one mutable record: the quorum read IS
 	// the health check — its walk asked each of the K closest what it

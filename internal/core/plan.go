@@ -197,34 +197,46 @@ func (f *Frontend) ExecuteCtx(ctx context.Context, q Query) (SearchResponse, err
 		}
 	}
 
-	// partialTrace attaches the trace of the work done so far and strips
-	// any composed payload: the lifecycle ended before the response could
-	// have reached the client.
-	partialTrace := func(plan *ExplainNode, candidates int, loadCost, snippetCost netsim.Cost, err error) (SearchResponse, error) {
-		resp.Results, resp.Ads, resp.Total = nil, nil, 0
-		resp.Explain = &Explain{
+	var (
+		plan                  *ExplainNode
+		loadCost, snippetCost netsim.Cost
+	)
+	// trace is the Explain of the work done so far; each exit below
+	// attaches it.
+	trace := func() *Explain {
+		return &Explain{
 			Query:       q.Raw,
 			Mode:        q.Mode.String(),
 			Terms:       allTerms,
 			Shards:      shards,
 			Plan:        plan,
-			Candidates:  candidates,
+			Candidates:  resp.Total,
+			Returned:    len(resp.Results),
 			LoadCost:    loadCost,
 			SnippetCost: snippetCost,
 			TotalCost:   resp.Cost,
-			Partial:     true,
 		}
+	}
+	// partialTrace attaches the trace and strips any composed payload:
+	// the lifecycle ended before the response could have reached the
+	// client.
+	partialTrace := func(err error) (SearchResponse, error) {
+		resp.Results, resp.Ads = nil, nil
+		resp.Explain = trace()
+		resp.Explain.Partial = true
+		resp.Total = 0
 		return resp, err
 	}
 
 	if err := bud.check(0); err != nil {
-		return partialTrace(nil, 0, netsim.Cost{}, netsim.Cost{}, err)
+		return partialTrace(err)
 	}
-	segsByShard, loadCost, err := f.loadShardsCtx(bud, 0, shards)
+	segsByShard, waveCost, err := f.loadShardsCtx(bud, 0, shards)
+	loadCost = waveCost
 	resp.Cost = resp.Cost.Seq(loadCost)
 	if err != nil {
 		if lifecycleErr(err) {
-			return partialTrace(nil, 0, loadCost, netsim.Cost{}, asLifecycle(err))
+			return partialTrace(asLifecycle(err))
 		}
 		if f.cluster.cfg.DegradedReads && len(segsByShard) > 0 {
 			// Graceful degradation: some shards loaded, so compose a
@@ -246,24 +258,16 @@ func (f *Frontend) ExecuteCtx(ctx context.Context, q Query) (SearchResponse, err
 			// was in flight, so Explain (when requested) records the wave and
 			// its full cost even though no results can be composed.
 			if q.Explain {
-				resp.Explain = &Explain{
-					Query:     q.Raw,
-					Mode:      q.Mode.String(),
-					Terms:     allTerms,
-					Shards:    shards,
-					LoadCost:  loadCost,
-					TotalCost: resp.Cost,
-				}
+				resp.Explain = trace()
 			}
 			return resp, fmt.Errorf("%w: %w", ErrShardUnavailable, err)
 		}
 	}
 	// The wave completed; a deadline it overran still kills the query.
 	if err := bud.check(resp.Cost.Latency); err != nil {
-		return partialTrace(nil, 0, loadCost, netsim.Cost{}, err)
+		return partialTrace(err)
 	}
 	var docs []index.DocID
-	var plan *ExplainNode
 	var direct *index.TermCursor
 	if root.Kind == query.KindTerm {
 		// Document-at-a-time fast path: a bare term needs no merged
@@ -297,34 +301,22 @@ func (f *Frontend) ExecuteCtx(ctx context.Context, q Query) (SearchResponse, err
 
 	if resp.Total > 0 {
 		if err := f.scoreAndCompose(bud, &resp, posTerms, segsByShard, docs, limit, offset, direct); err != nil {
-			return partialTrace(plan, resp.Total, loadCost, netsim.Cost{}, err)
+			return partialTrace(err)
 		}
 	}
-	var snippetCost netsim.Cost
 	if q.Snippets && len(resp.Results) > 0 {
 		if snippetCost, err = f.attachSnippets(bud, &resp, posTerms); err != nil {
-			return partialTrace(plan, resp.Total, loadCost, snippetCost, err)
+			return partialTrace(err)
 		}
 	}
 	// The response must arrive within the deadline: final checkpoint
 	// against the full simulated cost.
 	if err := bud.check(resp.Cost.Latency); err != nil {
-		return partialTrace(plan, resp.Total, loadCost, snippetCost, err)
+		return partialTrace(err)
 	}
 	if q.Explain {
-		resp.Explain = &Explain{
-			Query:        q.Raw,
-			Mode:         q.Mode.String(),
-			Terms:        allTerms,
-			Shards:       shards,
-			Plan:         plan,
-			Candidates:   resp.Total,
-			Returned:     len(resp.Results),
-			LoadCost:     loadCost,
-			SnippetCost:  snippetCost,
-			TotalCost:    resp.Cost,
-			Completeness: 1.0,
-		}
+		resp.Explain = trace()
+		resp.Explain.Completeness = 1.0
 		if resp.Degraded != nil {
 			resp.Explain.DegradedShards = resp.Degraded.FailedShards
 			resp.Explain.Completeness = resp.Degraded.Completeness

@@ -75,7 +75,7 @@ func runE16(seed uint64) []*metrics.Table {
 			events := make([]netsim.FaultEvent, 0, rounds)
 			for r := 0; r < rounds; r++ {
 				events = append(events, netsim.FaultEvent{
-					At:       time.Duration(r) * cfg.BlockInterval,
+					At:       time.Duration(r) * core.BlockInterval,
 					Kind:     netsim.FaultCrash,
 					Fraction: frac,
 				})

@@ -39,7 +39,10 @@ type topkAcc struct {
 	h []ScoredDoc
 }
 
-func newTopkAcc(k int) *topkAcc { return &topkAcc{k: k, h: make([]ScoredDoc, 0, k)} }
+// newTopkAcc keeps the best k of at most n scored docs. The heap's
+// capacity is bounded by n, not k: k is a page's offset+limit, which the
+// client chooses and which can dwarf the candidate count.
+func newTopkAcc(k, n int) *topkAcc { return &topkAcc{k: k, h: make([]ScoredDoc, 0, min(k, n))} }
 
 func (a *topkAcc) full() bool      { return len(a.h) >= a.k }
 func (a *topkAcc) root() ScoredDoc { return a.h[0] }
@@ -83,7 +86,7 @@ func WANDTopK(cands []DocID, cursors []*TermCursor, sc *Scorer, docLen func(DocI
 		return nil
 	}
 	rb := rankBlendBound(sc, maxRank)
-	acc := newTopkAcc(k)
+	acc := newTopkAcc(k, len(cands))
 	i := 0
 	for i < len(cands) {
 		d := cands[i]
@@ -159,7 +162,7 @@ func WANDTopKDirect(cur *TermCursor, sc *Scorer, docLen func(DocID) uint32, rank
 		return nil
 	}
 	rb := rankBlendBound(sc, maxRank)
-	acc := newTopkAcc(k)
+	acc := newTopkAcc(k, cur.df)
 	type blockBound struct {
 		bi    int
 		bound float64

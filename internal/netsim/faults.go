@@ -108,7 +108,6 @@ type FaultPlan struct {
 	mu      sync.Mutex
 	next    int
 	crashed map[NodeID]bool
-	fired   []FiredEvent
 }
 
 // Advance applies every not-yet-fired event with At <= elapsed, in
@@ -146,7 +145,6 @@ func (p *FaultPlan) Advance(elapsed time.Duration, net *Network) []FiredEvent {
 		case FaultDropRate:
 			net.SetDropRate(ev.Rate)
 		}
-		p.fired = append(p.fired, fe)
 		out = append(out, fe)
 		p.next++
 	}
@@ -177,15 +175,6 @@ func (p *FaultPlan) crashVictims(eventIdx int, ev FaultEvent) []NodeID {
 	}
 	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
 	return victims
-}
-
-// Fired returns every event applied so far, in firing order.
-func (p *FaultPlan) Fired() []FiredEvent {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]FiredEvent, len(p.fired))
-	copy(out, p.fired)
-	return out
 }
 
 // CrashedNodes returns the nodes this plan has crashed and not yet

@@ -127,14 +127,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle randomizes the order of n elements using the provided swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Sample returns k distinct indices drawn uniformly from [0, n). If k >= n
 // it returns all n indices in random order.
 func (r *RNG) Sample(n, k int) []int {

@@ -20,17 +20,6 @@ func WithBees(n int) Option {
 	return func(c *core.Config) { c.NumBees = n }
 }
 
-// WithRankWeight controls how strongly page rank blends into scores.
-func WithRankWeight(w float64) Option {
-	return func(c *core.Config) { c.RankWeight = w }
-}
-
-// WithPopularityThreshold sets the page-rank threshold above which
-// content providers earn popularity honey.
-func WithPopularityThreshold(t float64) Option {
-	return func(c *core.Config) { c.Contract.PopularityThreshold = t }
-}
-
 // WithFrontendPool sets the serving tier's size: n stateless frontends,
 // each attached to its own peer with its own byte-budgeted caches,
 // behind a deterministic least-loaded balancer (fewest in-flight, then

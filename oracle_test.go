@@ -127,7 +127,8 @@ func TestEngineMatchesOracle(t *testing.T) {
 			cfg.NumDocs = 60
 			cfg.MeanDocLen = 40
 			corp := corpus.Generate(cfg)
-			e := New(WithSeed(tc.seed), WithPeers(10), WithBees(3), WithRankWeight(tc.rankWeight), WithFrontendPool(2))
+			e := New(WithSeed(tc.seed), WithPeers(10), WithBees(3), WithFrontendPool(2),
+				func(c *core.Config) { c.RankWeight = tc.rankWeight })
 			o := oracle.New(tc.rankWeight)
 			pages := make([]Page, len(corp.Docs))
 			for i, d := range corp.Docs {

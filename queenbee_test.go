@@ -39,7 +39,9 @@ func TestEngineQuickstartFlow(t *testing.T) {
 
 func TestEngineOptionsApply(t *testing.T) {
 	e := New(WithSeed(3), WithPeers(6), WithBees(2),
-		func(c *core.Config) { c.NumShards = 4 }, WithRankWeight(2.5), WithPopularityThreshold(0.5))
+		func(c *core.Config) { c.NumShards = 4 },
+		func(c *core.Config) { c.RankWeight = 2.5 },
+		func(c *core.Config) { c.Contract.PopularityThreshold = 0.5 })
 	cfg := e.Cluster.Config()
 	if cfg.NumPeers != 6 || cfg.NumBees != 2 || cfg.NumShards != 4 {
 		t.Fatalf("cfg = %+v", cfg)
@@ -53,7 +55,7 @@ func TestEngineOptionsApply(t *testing.T) {
 }
 
 func TestEngineRanksAndRewards(t *testing.T) {
-	e := newEngine(t, WithPopularityThreshold(0.2))
+	e := newEngine(t, func(c *core.Config) { c.Contract.PopularityThreshold = 0.2 })
 	alice := e.NewAccount("alice", 1000)
 	e.Publish(alice, "dweb://hub", "the page everyone cites", nil)
 	for _, u := range []string{"dweb://x", "dweb://y", "dweb://z"} {

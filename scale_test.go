@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/oracle"
 	"repro/internal/query"
 )
@@ -92,15 +93,17 @@ func scaleRun(t *testing.T, pages int) (*Engine, scaleOutcome) {
 	e := New(WithSeed(42), WithPeers(10), WithBees(3), func(c *core.Config) { c.NumShards = 8 })
 
 	web := scalePages(pages)
-	st, err := e.Crawl(context.Background(), []string{web[0].URL}, CrawlOptions{
-		Pages:          web,
-		BatchSize:      256,
-		MaxPages:       pages,
-		DedupThreshold: -1, // exact counts: no demotion
-		FetchFailRate:  0,  // and no simulated fetch loss
-		RankEvery:      8,  // a delta-scheduled epoch every 8 batches
-		RankPartitions: 2,
-	})
+	owner := e.NewAccount("crawler", 1_000_000)
+	st, err := ingest.Crawl(context.Background(), ingest.MapSource(web),
+		ingest.NewClusterSink(e.Cluster, owner.acct), []string{web[0].URL}, ingest.Options{
+			Seed:           e.Cluster.Config().Seed,
+			BatchSize:      256,
+			MaxPages:       pages,
+			DedupThreshold: -1, // exact counts: no demotion
+			FetchFailRate:  0,  // and no simulated fetch loss
+			RankEvery:      8,  // a delta-scheduled epoch every 8 batches
+			RankPartitions: 2,
+		})
 	if err != nil {
 		t.Fatalf("crawl at scale %d: %v", pages, err)
 	}
