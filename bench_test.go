@@ -507,6 +507,75 @@ func BenchmarkSearchScaling(b *testing.B) {
 	}
 }
 
+// crawlEngine boots queenbeed's -crawl deployment with maintenance off: a
+// pages-page corpus crawled into a hedged pool of four frontends that
+// serve degraded reads, indexed and ranked. Extra options append after
+// that shape.
+func crawlEngine(tb testing.TB, pages int, extra ...Option) (*Engine, *corpus.Corpus) {
+	tb.Helper()
+	e := New(append([]Option{WithSeed(1), WithPeers(16), WithBees(4), WithFrontendPool(4),
+		WithHedgedReads(true), WithDegradedReads(true)}, extra...)...)
+	cfg := corpus.DefaultConfig()
+	cfg.Seed = 1
+	cfg.NumDocs = pages
+	corp := corpus.Generate(cfg)
+	crawled := make([]Page, 0, len(corp.Docs))
+	seeds := make([]string, 0, len(corp.Docs))
+	for _, d := range corp.Docs {
+		crawled = append(crawled, Page{URL: d.URL, Text: d.Text, Links: d.Links})
+		seeds = append(seeds, d.URL)
+	}
+	owner := e.NewAccount("creator", 1_000_000)
+	if _, err := e.Crawl(context.Background(), seeds, CrawlOptions{Owner: owner, Pages: crawled}); err != nil {
+		tb.Fatal(err)
+	}
+	e.RunUntilIdle()
+	e.ComputeRanks(4)
+	return e, corp
+}
+
+// BenchmarkSearchWarmCrawl measures warm top-10 queries in wall-clock
+// time at the deployment's shape (crawlEngine) at 10³ and 10⁴ pages,
+// over 32 one-term and 32 two-term queries. Three passes warm every
+// frontend's pointer holders and chain views first, and a timed loop
+// that missed a chain view or walked for a pointer fails: ns/op is the
+// CPU of parse, plan, one verified pointer RPC a shard, scoring and
+// composition, not a cold load. -short skips 10⁴ pages.
+func BenchmarkSearchWarmCrawl(b *testing.B) {
+	for _, pages := range []int{1_000, 10_000} {
+		b.Run(fmt.Sprintf("pages=%d", pages), func(b *testing.B) {
+			if testing.Short() && pages > 1_000 {
+				b.Skip("10⁴ pages boot outside -short")
+			}
+			e, corp := crawlEngine(b, pages)
+			for _, terms := range []int{1, 2} {
+				queries := corp.Queries(7, 32, terms)
+				b.Run(fmt.Sprintf("terms=%d", terms), func(b *testing.B) {
+					run := func(i int) {
+						if _, err := e.Query(queries[i%len(queries)].Text).Limit(10).Run(); err != nil {
+							b.Fatal(err)
+						}
+					}
+					for i := 0; i < 3*len(queries); i++ {
+						run(i)
+					}
+					before := e.CacheStats()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						run(i)
+					}
+					b.StopTimer()
+					if after := e.CacheStats(); !after.WarmSince(before) {
+						b.Fatalf("the timed loop was not warm: %d chain misses, %d pointer walks",
+							after.ChainMisses-before.ChainMisses, after.PtrWalks-before.PtrWalks)
+					}
+				})
+			}
+		})
+	}
+}
+
 // BenchmarkConcurrentSearch measures serving throughput against one
 // shared engine as the client count grows — plus a pooled serving-tier
 // variant (pool=4, hedged). Every iteration runs each client's mixed

@@ -34,13 +34,11 @@ type Frontend struct {
 	// (fetchLeg); warm legs never take it.
 	loadMu sync.Mutex
 
-	// mu guards the caches, URL map, ptrHolder and rank memo, never across
-	// an RPC, so CacheStatsSnapshot does not wait behind a cold load.
+	// mu guards the caches and ptrHolder, never across an RPC, so
+	// CacheStatsSnapshot does not wait behind a cold load.
 	mu         sync.Mutex
 	segCache   *lruCache[string, *index.Segment] // digest → segment (immutable)
 	chainCache *lruCache[int, chainEntry]        // shard → merged view of its segment chain
-	docURL     map[index.DocID]string
-	docURLGen  int // page count when docURL was built
 
 	// ptrHolder remembers, per shard, the replica that last served a
 	// pointer the chain vouched for (see readPointer); at most NumShards
@@ -50,16 +48,8 @@ type Frontend struct {
 	ptrVerified atomic.Int64
 	ptrWalks    atomic.Int64
 
-	// Memoized rank view: PageRanks() copies the whole rank vector and
-	// the old scoring path then scanned it for the max on every query —
-	// O(corpus) before a single doc was scored. Both are now cached and
-	// keyed on the contract's rank generation (not the page count: page
-	// registrations don't move ranks, and rank epochs can finalize
-	// without new pages).
-	ranks     map[string]float64
-	ranksMax  float64
-	ranksGen  uint64
-	ranksInit bool
+	// view is the current docView (see docs); nil until the first query.
+	view atomic.Pointer[docView]
 
 	// hedge, when set by a FrontendPool, is the buddy frontend this one
 	// duplicates its slowest shard fetch onto (hedged reads); hedges
@@ -77,7 +67,6 @@ func NewFrontend(c *Cluster, peer *store.Peer) *Frontend {
 		peer:       peer,
 		segCache:   newLRUCache[string, *index.Segment](c.cfg.SegCacheBytes),
 		chainCache: newLRUCache[int, chainEntry](c.cfg.ChainCacheBytes),
-		docURL:     make(map[index.DocID]string),
 		ptrHolder:  make(map[int]dht.Contact),
 	}
 }
@@ -177,9 +166,8 @@ func (f *Frontend) scoreAndCompose(bud reqBudget, resp *SearchResponse, terms []
 		AvgDocLen: avgDocLen(stats),
 	}, f.cluster.cfg.RankWeight)
 
-	ranks, maxRank := f.pageRankView()
-	urls := f.docURLView()
-	rankOf := func(d index.DocID) float64 { return ranks[urls[d]] }
+	view := f.docs()
+	rankOf := func(d index.DocID) float64 { return view.byDoc[d].rank }
 	// A posting whose segment records no length for its doc (never one a
 	// bee built) scores at the collection's average length.
 	avgLen := uint32(avgDocLen(stats))
@@ -188,7 +176,7 @@ func (f *Frontend) scoreAndCompose(bud reqBudget, resp *SearchResponse, terms []
 	k := offset + limit
 	var top []index.ScoredDoc
 	if direct != nil {
-		top = index.WANDTopKDirect(direct, scorer, noLen, rankOf, maxRank, k, &resp.ScoreStats)
+		top = index.WANDTopKDirect(direct, scorer, noLen, rankOf, view.maxRank, k, &resp.ScoreStats)
 	} else {
 		cursors := make([]*index.TermCursor, len(terms))
 		for i, t := range terms {
@@ -196,7 +184,7 @@ func (f *Frontend) scoreAndCompose(bud reqBudget, resp *SearchResponse, terms []
 				cursors[i] = seg.Cursor(t)
 			}
 		}
-		top = index.WANDTopK(docs, cursors, scorer, noLen, rankOf, maxRank, k, &resp.ScoreStats)
+		top = index.WANDTopK(docs, cursors, scorer, noLen, rankOf, view.maxRank, k, &resp.ScoreStats)
 	}
 	if offset >= len(top) {
 		top = nil
@@ -205,19 +193,19 @@ func (f *Frontend) scoreAndCompose(bud reqBudget, resp *SearchResponse, terms []
 	}
 
 	for _, sd := range top {
-		url := urls[sd.Doc]
-		if url == "" {
+		doc, ok := view.byDoc[sd.Doc]
+		if !ok {
 			continue // unindexed or collision; skip
 		}
-		rec, ok := f.cluster.QB.Page(url)
+		rec, ok := f.cluster.QB.Page(doc.url)
 		if !ok {
 			continue
 		}
 		resp.Results = append(resp.Results, Result{
-			URL:   url,
+			URL:   doc.url,
 			CID:   rec.CID,
 			Score: sd.Score,
-			Rank:  ranks[url],
+			Rank:  doc.rank,
 		})
 	}
 
@@ -517,23 +505,41 @@ func (f *Frontend) hedgeLeg(bud reqBudget, e0 time.Duration, shards []int, legs 
 	p.cost = merged
 }
 
-// pageRankView returns the rank vector and its maximum, memoized on the
-// contract's rank generation: queries between rank-epoch finalizations
-// reuse one snapshot instead of copying and scanning the whole O(corpus)
-// vector each time. The generation is read before the vector, so a
-// concurrent finalization can at worst store fresh ranks under a stale
-// generation — the next query simply refetches. The returned map is a
-// private snapshot, never mutated, so callers may read it without f.mu.
-func (f *Frontend) pageRankView() (map[string]float64, float64) {
-	gen := f.cluster.QB.RankGen()
-	f.mu.Lock()
-	if f.ranksInit && f.ranksGen == gen {
-		m, mx := f.ranks, f.ranksMax
-		f.mu.Unlock()
-		return m, mx
+// docView is one snapshot of the chain state scoring reads: each
+// registered page's URL and finalized rank by DocID, and the largest
+// rank in the whole vector (WAND's bound). It is keyed on the rank
+// generation and the page count — a rank epoch can finalize without new
+// pages, and a registration moves no rank — and never mutated once
+// stored, so readers hold it without a lock.
+type docView struct {
+	rankGen uint64
+	pages   int
+	byDoc   map[index.DocID]docEntry
+	maxRank float64
+}
+
+type docEntry struct {
+	url  string
+	rank float64
+}
+
+// docs returns the current docView, rebuilding it when the rank
+// generation or the page count moved. Both are read before the state
+// they key, so a concurrent registration or finalization can at worst
+// store fresh state under a stale key, and the next query rebuilds.
+// Pages are visited in sorted order, so of two URLs whose DocIDs collide
+// the later one names the document.
+func (f *Frontend) docs() *docView {
+	qb := f.cluster.QB
+	gen, n := qb.RankGen(), qb.PageCount()
+	if v := f.view.Load(); v != nil && v.rankGen == gen && v.pages == n {
+		return v
 	}
-	f.mu.Unlock()
-	ranks := f.cluster.QB.PageRanks()
+	ranks, urls := qb.PageRanks(), qb.Pages()
+	byDoc := make(map[index.DocID]docEntry, len(urls))
+	for _, url := range urls {
+		byDoc[index.DocIDOf(url)] = docEntry{url: url, rank: ranks[url]}
+	}
 	maxRank := 0.0
 	for _, r := range ranks {
 		if r > maxRank {
@@ -541,10 +547,9 @@ func (f *Frontend) pageRankView() (map[string]float64, float64) {
 			maxRank = r
 		}
 	}
-	f.mu.Lock()
-	f.ranks, f.ranksMax, f.ranksGen, f.ranksInit = ranks, maxRank, gen, true
-	f.mu.Unlock()
-	return ranks, maxRank
+	v := &docView{rankGen: gen, pages: n, byDoc: byDoc, maxRank: maxRank}
+	f.view.Store(v)
+	return v
 }
 
 // CacheStats is a point-in-time snapshot of the frontend's caches.
@@ -607,32 +612,6 @@ func (f *Frontend) CacheStatsSnapshot() CacheStats {
 		PtrVerified:  f.ptrVerified.Load(),
 		PtrWalks:     f.ptrWalks.Load(),
 	}
-}
-
-// refreshDocURLs rebuilds the DocID→URL map when new pages registered.
-func (f *Frontend) refreshDocURLs() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := f.cluster.QB.PageCount()
-	if n == f.docURLGen {
-		return
-	}
-	f.docURL = make(map[index.DocID]string, n)
-	for _, url := range f.cluster.QB.Pages() {
-		f.docURL[index.DocIDOf(url)] = url
-	}
-	f.docURLGen = n
-}
-
-// docURLView refreshes and returns the current DocID→URL map. The map
-// is replaced wholesale on refresh, never mutated in place, so readers
-// may keep the returned reference without holding f.mu.
-func (f *Frontend) docURLView() map[index.DocID]string {
-	f.refreshDocURLs()
-	f.mu.Lock()
-	m := f.docURL
-	f.mu.Unlock()
-	return m
 }
 
 // FetchResult downloads and verifies the content of a search result.

@@ -98,6 +98,97 @@ func TestFetchSegmentSingleflight(t *testing.T) {
 	}
 }
 
+// TestQueryDocViewConcurrentRebuild: eight goroutines query a frontend
+// whose document view went stale after warm-up — a page registered and a
+// rank epoch finalized — so they race to rebuild it. Every response must
+// equal the sequential answer of a second frontend on another peer,
+// which sees the new page at its new rank.
+func TestQueryDocViewConcurrentRebuild(t *testing.T) {
+	const clients = 8
+	c := smallCluster(t)
+	owner := c.NewAccount("owner", 10_000)
+	c.Seal()
+	publish := func(url, text string, links ...string) {
+		t.Helper()
+		if _, err := c.Publish(owner, c.Peers[0], url, text, links); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rank := func() {
+		t.Helper()
+		epoch := c.StartRankEpoch(2)
+		c.RunUntilIdle(6)
+		if re, ok := c.QB.RankEpochInfo(epoch); !ok || !re.Done {
+			t.Fatalf("rank epoch %d not finalized: %+v", epoch, re)
+		}
+	}
+	publish("dweb://hub", "the central hub of every spoke page")
+	for _, u := range []string{"dweb://spoke/1", "dweb://spoke/2", "dweb://spoke/3"} {
+		publish(u, "a spoke page linking to the hub", "dweb://hub")
+	}
+	c.Seal()
+	c.RunUntilIdle(6)
+	rank()
+
+	queries := []Query{
+		{Raw: "spoke page"},
+		{Raw: "hub"},
+		{Raw: "hub OR fresh", Mode: PlanAny},
+		{Raw: "spoke site:dweb://spoke/"},
+		{Raw: "page -site:dweb://hub"},
+	}
+	fe, ref := NewFrontend(c, c.Peers[3]), NewFrontend(c, c.Peers[4])
+	answer := func(f *Frontend, q Query) (string, error) {
+		resp, err := f.ExecuteCtx(context.Background(), q)
+		return fmt.Sprintf("%+v total=%d ads=%v", resp.Results, resp.Total, resp.Ads), err
+	}
+	for _, f := range []*Frontend{fe, ref} {
+		for _, q := range queries {
+			if _, err := answer(f, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	publish("dweb://spoke/4", "a fresh spoke page linking to the hub", "dweb://hub", "dweb://spoke/1")
+	c.Seal()
+	c.RunUntilIdle(6)
+	rank()
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		var err error
+		if want[i], err = answer(ref, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !strings.Contains(want[0], "dweb://spoke/4") {
+		t.Fatalf("the reference answer misses the page published after warm-up: %s", want[0])
+	}
+
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for i := range queries {
+				q := queries[(g+i)%len(queries)]
+				got, err := answer(fe, q)
+				if err != nil {
+					t.Errorf("client %d %q: %v", g, q.Raw, err)
+					return
+				}
+				if w := want[(g+i)%len(queries)]; got != w {
+					t.Errorf("client %d %q:\nconcurrent %s\nsequential %s", g, q.Raw, got, w)
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+}
+
 // twoBatchCluster indexes two pages in two batches, so the shards their
 // shared terms hash to hold two-segment chains, and returns the cluster
 // with a fresh frontend on Peers[3]. Every call builds the same cluster.

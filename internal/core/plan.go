@@ -293,7 +293,7 @@ func (f *Frontend) ExecuteCtx(ctx context.Context, q Query) (SearchResponse, err
 		}
 		ev := &evaluator{merged: merged, explain: q.Explain}
 		if query.HasSite(root) {
-			ev.urls = f.docURLView()
+			ev.docs = f.docs().byDoc
 		}
 		docs, plan = ev.eval(root)
 		resp.Total = len(docs)
@@ -358,7 +358,7 @@ func compileAST(q Query) (*query.Node, error) {
 // lists per node and, when tracing, the matching ExplainNode tree.
 type evaluator struct {
 	merged  map[string]index.PostingList
-	urls    map[index.DocID]string // DocID→URL snapshot; set iff the tree has site: filters
+	docs    map[index.DocID]docEntry // the frontend's docView; set iff the tree has site: filters
 	explain bool
 }
 
@@ -506,7 +506,7 @@ func intersect(lists [][]index.DocID) []index.DocID {
 func (ev *evaluator) filterSite(docs []index.DocID, prefix string, keep bool) []index.DocID {
 	out := docs[:0:0]
 	for _, d := range docs {
-		if strings.HasPrefix(ev.urls[d], prefix) == keep {
+		if strings.HasPrefix(ev.docs[d].url, prefix) == keep {
 			out = append(out, d)
 		}
 	}
