@@ -755,7 +755,7 @@ func main() {
 	docs := flag.Int("docs", 40, "synthetic pages to publish before serving")
 	seed := flag.Uint64("seed", 1, "deterministic seed")
 	pool := flag.Int("pool", 4, "frontends in the serving tier")
-	hedged := flag.Bool("hedged", true, "hedge each query's slowest shard fetch on a second frontend")
+	hedged := flag.Bool("hedged", true, "pair each frontend with a second one: each shard fetch goes to the one with the faster measured pointer read, a failed fetch is retried on the other")
 	maintenance := flag.Bool("maintenance", true, "run a self-healing pass (republish/re-seed/reprovide) after every protocol round")
 	degraded := flag.Bool("degraded", true, "serve partial answers with a degraded warning when some shards are unreachable")
 	crawl := flag.Bool("crawl", false, "ingest the boot corpus through the streaming crawler (one publish round per batch) instead of one monolithic batch")

@@ -97,10 +97,12 @@
 // fewest in-flight, then least accumulated simulated serving time, then
 // round-robin. Results are frontend-independent, so pool size never
 // changes responses, only costs and serving makespan (pool=4 cuts an
-// 8-client workload's simulated makespan ≈3×). WithHedgedReads
-// duplicates each query's slowest shard fetch on a second frontend:
-// first reply wins the latency, both replies pay bytes, and a failed
-// primary fetch is rescued by the hedge.
+// 8-client workload's simulated makespan ≈3×). WithHedgedReads pairs
+// each frontend with a buddy: each shard fetch goes to whichever device
+// of the pair measured the faster pointer read for that shard, and a
+// fetch that fails on one is retried on the other. A query with a shard
+// not yet measured on both duplicates its slowest fetch on the buddy
+// (first reply wins the latency, both replies pay bytes) to measure it.
 //
 // Every query carries a request lifecycle: context.Context (QueryCtx)
 // plus a simulated deadline (Deadline) thread through the shard and

@@ -52,9 +52,9 @@ type Config struct {
 	// deterministic least-loaded balancer (see FrontendPool). Zero or
 	// negative means 1.
 	PoolSize int
-	// HedgedReads duplicates each query's slowest shard fetch on a
-	// second pool frontend: first reply wins the latency, both replies
-	// pay bytes. Needs PoolSize ≥ 2.
+	// HedgedReads runs each shard leg on the faster of two pool frontends
+	// (by measured pointer reads), retrying a failure on the other, and
+	// hedges waves not yet measured. Needs PoolSize ≥ 2.
 	HedgedReads bool
 
 	// Maintenance runs the self-healing pass (republish, re-seed, repair,

@@ -44,7 +44,7 @@ type Frontend struct {
 	// pointer the chain vouched for (see readPointer); at most NumShards
 	// entries. ptrVerified / ptrWalks count how pointer reads were
 	// answered: one verified RPC, or the quorum walk.
-	ptrHolder   map[int]dht.Contact
+	ptrHolder   map[int]ptrMemo
 	ptrVerified atomic.Int64
 	ptrWalks    atomic.Int64
 
@@ -52,9 +52,9 @@ type Frontend struct {
 	view atomic.Pointer[docView]
 
 	// hedge, when set by a FrontendPool, is the buddy frontend this one
-	// duplicates its slowest shard fetch onto (hedged reads); hedges
-	// counts the duplicates issued, and hedgeBill (also pool-set) books
-	// each hedge's simulated time against the buddy's serving load.
+	// routes shard legs to or duplicates them onto (hedged reads, route);
+	// hedges counts the duplicates issued, and hedgeBill (also pool-set)
+	// books each leg the buddy runs against the buddy's serving load.
 	hedge     *Frontend
 	hedges    atomic.Int64
 	hedgeBill func(time.Duration)
@@ -67,8 +67,15 @@ func NewFrontend(c *Cluster, peer *store.Peer) *Frontend {
 		peer:       peer,
 		segCache:   newLRUCache[string, *index.Segment](c.cfg.SegCacheBytes),
 		chainCache: newLRUCache[int, chainEntry](c.cfg.ChainCacheBytes),
-		ptrHolder:  make(map[int]dht.Contact),
+		ptrHolder:  make(map[int]ptrMemo),
 	}
+}
+
+// ptrMemo is a remembered pointer holder and rtt, the latency of the last
+// verified read from it — a warm leg's whole cost — or zero before one.
+type ptrMemo struct {
+	holder dht.Contact
+	rtt    time.Duration
 }
 
 // chainEntry caches the merged view of one shard's segment chain, keyed by
@@ -271,12 +278,12 @@ func (f *Frontend) readPointer(ctx context.Context, shard int) (ShardPointer, ne
 	d := f.peer.DHT()
 	gen := f.cluster.QB.IndexGen()
 	f.mu.Lock()
-	holder, memo := f.ptrHolder[shard]
+	m, memo := f.ptrHolder[shard]
 	f.mu.Unlock()
 
 	var cost netsim.Cost
 	if memo {
-		val, _, c, err := d.GetFromCtx(ctx, holder, dht.KeyOfString(index.ShardPointerKey(shard)))
+		val, _, c, err := d.GetFromCtx(ctx, m.holder, dht.KeyOfString(index.ShardPointerKey(shard)))
 		cost = c
 		if isCancelled(err) {
 			return ShardPointer{}, cost, err
@@ -284,6 +291,9 @@ func (f *Frontend) readPointer(ctx context.Context, shard int) (ShardPointer, ne
 		if err == nil {
 			if ptr, derr := decodeShardPointer(val); derr == nil && ptr.currentAt(gen) {
 				f.ptrVerified.Add(1)
+				f.mu.Lock()
+				f.ptrHolder[shard] = ptrMemo{holder: m.holder, rtt: c.Latency}
+				f.mu.Unlock()
 				return ptr, cost, nil
 			}
 		}
@@ -295,8 +305,8 @@ func (f *Frontend) readPointer(ctx context.Context, shard int) (ShardPointer, ne
 	f.mu.Lock()
 	switch {
 	case err == nil && walked != (dht.Contact{}) && ptr.currentAt(gen):
-		f.ptrHolder[shard] = walked
-	case memo && f.ptrHolder[shard] == holder:
+		f.ptrHolder[shard] = ptrMemo{holder: walked}
+	case memo && f.ptrHolder[shard].holder == m.holder:
 		delete(f.ptrHolder, shard)
 	}
 	f.mu.Unlock()
@@ -416,13 +426,20 @@ func (f *Frontend) cachedChain(shard int, key string, counted bool) (*index.Segm
 // shard-wave accounting stays consistent for failed waves (asserted in
 // plan_test.go). The map still carries every shard that DID load, so
 // callers with DegradedReads enabled can compose a partial answer instead
-// of discarding the wave. On pool frontends one leg is hedged (hedgeLeg).
+// of discarding the wave. Hedged pools route each leg, or hedge one.
 func (f *Frontend) loadShardsCtx(bud reqBudget, e0 time.Duration, shards []int) (map[int]*index.Segment, netsim.Cost, error) {
 	legs := make([]shardLeg, len(shards))
+	devs := f.route(shards)
 	for i, shard := range shards {
-		legs[i] = f.fetchLeg(bud, e0, shard)
+		if devs == nil {
+			legs[i] = f.fetchLeg(bud, e0, shard)
+		} else {
+			legs[i] = f.routedLeg(bud, e0, shard, devs[i])
+		}
 	}
-	f.hedgeLeg(bud, e0, shards, legs)
+	if devs == nil {
+		f.hedgeLeg(bud, e0, shards, legs)
+	}
 	out := make(map[int]*index.Segment, len(shards))
 	var cost netsim.Cost
 	var firstErr error
@@ -441,8 +458,51 @@ func (f *Frontend) loadShardsCtx(bud reqBudget, e0 time.Duration, shards []int) 
 	return out, cost, firstErr
 }
 
+// route orders, on a hedged pool, the devices each leg may run on: first
+// whichever of this frontend and its buddy has the lower rtt for the
+// shard (here on a tie), then the other. Results do not depend on it. It
+// returns nil if either lacks a shard's rtt: the wave then runs here and
+// hedges (hedgeLeg), which measures both.
+func (f *Frontend) route(shards []int) [][2]*Frontend {
+	var devs [][2]*Frontend
+	for _, shard := range shards {
+		if f.hedge == nil || f.rtt(shard) == 0 || f.hedge.rtt(shard) == 0 {
+			return nil
+		}
+		pair := [2]*Frontend{f, f.hedge}
+		if f.hedge.rtt(shard) < f.rtt(shard) {
+			pair = [2]*Frontend{f.hedge, f}
+		}
+		devs = append(devs, pair)
+	}
+	return devs
+}
+
+// rtt is the shard's measured pointer read latency here, zero if none.
+func (f *Frontend) rtt(shard int) time.Duration {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.ptrHolder[shard].rtt
+}
+
+// routedLeg runs a leg on pair[0], then on pair[1] if that failed (not by
+// the lifecycle), costing both in sequence, each billed to its device.
+func (f *Frontend) routedLeg(bud reqBudget, e0 time.Duration, shard int, pair [2]*Frontend) (leg shardLeg) {
+	for _, d := range pair {
+		prev := leg.cost
+		leg = d.fetchLeg(bud, e0+prev.Latency, shard)
+		if d != f {
+			f.hedgeBill(leg.cost.Latency)
+		}
+		if leg.cost = prev.Seq(leg.cost); leg.err == nil || lifecycleErr(leg.err) {
+			break
+		}
+	}
+	return leg
+}
+
 // hedgeLeg duplicates one leg of a completed shard wave on the
-// buddy frontend (hedged reads, pool frontends only): the fetch reruns
+// buddy frontend (a wave route did not route): the fetch reruns
 // against the buddy's own peer, caches and links, the first reply wins
 // the latency, and both replies pay their bytes and messages. The
 // hedged leg is the lowest-indexed FAILED leg when the wave has one —

@@ -216,6 +216,10 @@ func twoBatchCluster(t *testing.T) (*Cluster, *Frontend) {
 // frontend on Peers[3], 120 three-term OR queries, a second batch, two
 // more passes — must give every response the same results and cost, and
 // end with the same cache counters and the same state on every node.
+// Each query also runs through a hedged pool of 2, whose leg routing
+// rests on round trips each frontend measured: its responses, and each
+// frontend's served count, hedges, simulated busy time and caches, must
+// agree too.
 func TestQueryDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	ccfg := corpus.DefaultConfig()
 	ccfg.NumDocs = 512
@@ -237,6 +241,7 @@ func TestQueryDeterminismAcrossGOMAXPROCS(t *testing.T) {
 		}
 		var b []byte
 		fe := NewFrontend(c, c.Peers[3])
+		pool := NewFrontendPool(c, 2, true, 0)
 		pass := func() {
 			for _, q := range queries {
 				resp, err := fe.ExecuteCtx(context.Background(), Query{Raw: q.Text, Mode: PlanAny})
@@ -247,6 +252,11 @@ func TestQueryDeterminismAcrossGOMAXPROCS(t *testing.T) {
 				total.Bytes += resp.Cost.Bytes
 				total.Latency += resp.Cost.Latency
 				b = fmt.Appendf(b, "%q %+v %+v\n", q.Text, resp.Results, resp.Cost)
+				presp, err := pool.ExecuteCtx(context.Background(), Query{Raw: q.Text, Mode: PlanAny})
+				if err != nil {
+					t.Fatalf("pool %q: %v", q.Text, err)
+				}
+				b = fmt.Appendf(b, "pool %+v %+v\n", presp.Results, presp.Cost)
 			}
 		}
 		batch(batches[0])
@@ -254,7 +264,7 @@ func TestQueryDeterminismAcrossGOMAXPROCS(t *testing.T) {
 		batch(batches[1])
 		pass()
 		pass()
-		return string(b), fmt.Sprintf("%+v", fe.CacheStatsSnapshot()), clusterDigest(c), total
+		return string(b), fmt.Sprintf("%+v %+v", fe.CacheStatsSnapshot(), pool.Stats()), clusterDigest(c), total
 	}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -273,7 +283,7 @@ func TestQueryDeterminismAcrossGOMAXPROCS(t *testing.T) {
 				t.Fatalf("GOMAXPROCS=%d run %d: responses diverged at\n%s", procs, run, firstDiff(trace, wantTrace))
 			}
 			if stats != wantStats {
-				t.Fatalf("GOMAXPROCS=%d run %d: cache stats %s, want %s", procs, run, stats, wantStats)
+				t.Fatalf("GOMAXPROCS=%d run %d: cache and pool stats %s, want %s", procs, run, stats, wantStats)
 			}
 			if digest != wantDigest {
 				t.Fatalf("GOMAXPROCS=%d run %d: DHT state diverged: %s, want %s", procs, run, digest, wantDigest)

@@ -107,8 +107,8 @@ func (fx *pointerFixture) nodeAt(t *testing.T, addr netsim.NodeID) *dht.Node {
 func (fx *pointerFixture) holder(shard int) (dht.Contact, bool) {
 	fx.fe.mu.Lock()
 	defer fx.fe.mu.Unlock()
-	h, ok := fx.fe.ptrHolder[shard]
-	return h, ok
+	m, ok := fx.fe.ptrHolder[shard]
+	return m.holder, ok
 }
 
 // read runs one readPointer and checks it against the quorum walk from
@@ -231,7 +231,7 @@ func TestQueryPointerHolderLostRecord(t *testing.T) {
 		t.Fatal("every node holds the pointer; nothing models a lost record")
 	}
 	fx.fe.mu.Lock()
-	fx.fe.ptrHolder[shard] = empty
+	fx.fe.ptrHolder[shard] = ptrMemo{holder: empty}
 	fx.fe.mu.Unlock()
 
 	if v, w := fx.read(t, shard); v != 0 || w != 1 {
@@ -347,7 +347,7 @@ func TestQueryPointerForkedRecord(t *testing.T) {
 	fork := ShardPointer{Digests: newest.Digests[:1], Version: newest.Version - 1, Gen: fx.c.QB.IndexGen()}
 	fx.nodeAt(t, h.Addr).StoreLocal(dht.KeyOfString(index.ShardPointerKey(shard)), encodeJSON(fork), fork.Version)
 	fx.fe.mu.Lock()
-	fx.fe.ptrHolder[shard] = h
+	fx.fe.ptrHolder[shard] = ptrMemo{holder: h}
 	fx.fe.mu.Unlock()
 
 	walked, _, err := readShardPointer(fx.fe.peer.DHT(), shard)

@@ -28,11 +28,11 @@ import (
 // and balancing schedules; only simulated costs shift with the links
 // used.
 //
-// With hedged reads enabled (size ≥ 2), each frontend duplicates the
-// slowest shard fetch of a query's wave on its buddy frontend: first
-// reply wins the latency, both replies pay bytes and messages, and a
-// fetch that failed on the primary can be rescued by the hedge — the
-// classic tail-tolerance trade documented in docs/serving.md.
+// With hedged reads enabled (size ≥ 2), each shard leg runs on whichever
+// of its frontend and a buddy (the next one) measured the faster pointer
+// read, and a failed leg is retried on the other. A wave with a shard
+// not yet measured on both hedges its slowest or failed leg on the buddy
+// instead, measuring both — see docs/serving.md, "Hedged reads".
 type FrontendPool struct {
 	cluster *Cluster
 	fronts  []*Frontend
@@ -54,7 +54,7 @@ type FrontendPool struct {
 // peers (frontend i attaches to peer i mod NumPeers). Size is clamped to
 // at least 1. Hedged reads require at least two frontends; a size-1
 // hedged pool silently runs unhedged (there is no second device to
-// duplicate onto).
+// route or duplicate onto).
 func NewFrontendPool(c *Cluster, size int, hedged bool, defaultDeadline time.Duration) *FrontendPool {
 	if size < 1 {
 		size = 1
@@ -158,7 +158,7 @@ type FrontendLoad struct {
 	// simulated speedup is the summed busy time over that maximum.
 	BusySim time.Duration
 	// Hedges counts shard fetches this frontend duplicated onto its
-	// buddy.
+	// buddy; legs routed there only bill the buddy's BusySim.
 	Hedges int64
 	Cache  CacheStats
 }

@@ -24,7 +24,9 @@ func init() {
 // frontends, hedging off and on. Reported per configuration:
 //
 //   - p50/p99 simulated per-query latency: hedging attacks the p99 tail
-//     (the slowest shard fetch is duplicated, first reply wins);
+//     (each shard fetch goes to whichever device of a frontend pair
+//     measured the faster pointer read for it; a wave with an unmeasured
+//     shard duplicates its slowest fetch, first reply wins, to measure);
 //   - deadline miss rate against a fixed per-query simulated deadline,
 //     set just above the warm median so the column reads the tail;
 //   - serving makespan (the busiest frontend's accumulated simulated
@@ -38,9 +40,10 @@ func init() {
 // larger the pool. So the workload is replayed — an undeadlined pass to
 // let cold loads finish, then a measured pass — until a measured pass
 // runs entirely warm (core.CacheStats.WarmSince), and that pass is the
-// row. Warm-up goes through the pool like the measurement does: hedges
-// bill the buddy's load even on a direct frontend call, so warming the
-// frontends one by one would leave the balancer a skewed load view.
+// row. Warm-up goes through the pool like the measurement does: legs
+// routed or duplicated onto a buddy bill the buddy's load even on a
+// direct frontend call, so warming the frontends one by one would leave
+// the balancer a skewed load view.
 func runE14(seed uint64) []*metrics.Table {
 	const (
 		peers      = 24

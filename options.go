@@ -31,11 +31,14 @@ func WithFrontendPool(n int) Option {
 	return func(c *core.Config) { c.PoolSize = n }
 }
 
-// WithHedgedReads duplicates each query's slowest shard fetch on a
-// second pool frontend: the first reply wins the latency, both replies
-// pay their bytes and messages, and a fetch that failed on the primary
-// frontend is rescued when the hedge succeeds. Requires
-// WithFrontendPool(n ≥ 2); a size-1 pool runs unhedged.
+// WithHedgedReads pairs each pool frontend with a second one and sends
+// each shard fetch to whichever of the two measured the faster pointer
+// read for that shard — one RPC per shard on a warm query. A fetch that
+// fails on one is retried on the other. Until both have measured a
+// shard, a query duplicates its slowest fetch on the second frontend
+// (first reply wins the latency, both pay their bytes and messages),
+// which measures both. Requires WithFrontendPool(n ≥ 2); a size-1 pool
+// runs unhedged.
 func WithHedgedReads(on bool) Option {
 	return func(c *core.Config) { c.HedgedReads = on }
 }
