@@ -136,17 +136,62 @@ func TestQueryConcurrencySoak(t *testing.T) {
 // serving claim queenbeed is built on. Costs are measured from real
 // goroutine executions, so -race patrols the same path.
 //
-// Every query is measured, the cold ones included. A cold shard load is
-// billed to whichever clients the scheduler lets reach it first (late
-// arrivals find it cached and pay nothing), so the eight cold loads —
-// ~0.3–0.6 s each against ~35 ms for a warm query, one verified pointer
-// RPC per shard — land on two or three clients. Each client therefore
-// repeats its workload `rounds` times: enough warm traffic that the cold
-// loads amortize instead of deciding the slowest member on their own.
+// The claim is about steady state. A cold shard load (walk, segment
+// fetches, merge: ~0.3–0.6 s) is billed to whichever client the
+// scheduler lets reach it first, and eight of them against ~10 ms warm
+// queries would decide the slowest client on their own. So the
+// workloads first run sequentially until a pass is served warm
+// (CacheStats.WarmSince); everything measured after it must stay warm.
+//
+// The two sides are measured separately. The serialized side is one
+// driver running the whole measured query set; the concurrent side is
+// the slowest of the 8 clients running the same set between them. A
+// query that costs more when others run beside it (a view reloaded, a
+// pointer walked or read over the network where it was free alone)
+// therefore lowers the speedup.
+//
+// Each client runs the same query mix: round r of client c runs
+// workload (c+r) mod 8, so the clients' shard waves still differ at any
+// moment. A fixed workload per client does not measure concurrency:
+// whether a warm query pays a pointer RPC depends on whether the
+// frontend's own DHT node holds that shard's pointer, so one client's
+// workload costs six times another's, and the ratio of their sums is
+// the same with or without concurrency (≈ 3.6× on seed 3).
 func TestQueryConcurrentThroughput(t *testing.T) {
 	const clients, rounds = 8, 8
 	e, corp := soakEngine(t, 3, 24)
+	workload := func(c, round int) []soakQuery { return soakWorkload(corp, (c+round)%clients) }
 
+	for tries := 0; ; tries++ {
+		if tries == 20 {
+			t.Fatalf("still loading shards cold after %d sequential passes", tries)
+		}
+		cache := e.CacheStats()
+		for c := 0; c < clients; c++ {
+			for _, q := range soakWorkload(corp, c) {
+				if _, err := q.run(e); err != nil {
+					t.Fatalf("warm-up client %d %s: %v", c, q.label, err)
+				}
+			}
+		}
+		if e.CacheStats().WarmSince(cache) {
+			break
+		}
+	}
+
+	cache := e.CacheStats()
+	var serialized int64 // one driver, the whole query set, ns
+	for c := 0; c < clients; c++ {
+		for round := 0; round < rounds; round++ {
+			for _, q := range workload(c, round) {
+				resp, err := q.run(e)
+				if err != nil {
+					t.Fatalf("sequential client %d %s: %v", c, q.label, err)
+				}
+				serialized += int64(resp.Cost.Latency)
+			}
+		}
+	}
 	perClient := make([]int64, clients) // summed simulated latency, ns
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -155,7 +200,7 @@ func TestQueryConcurrentThroughput(t *testing.T) {
 			defer wg.Done()
 			var sum int64
 			for round := 0; round < rounds; round++ {
-				for _, q := range soakWorkload(corp, c) {
+				for _, q := range workload(c, round) {
 					resp, err := q.run(e)
 					if err != nil {
 						t.Errorf("client %d %s: %v", c, q.label, err)
@@ -168,16 +213,16 @@ func TestQueryConcurrentThroughput(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	if !e.CacheStats().WarmSince(cache) {
+		t.Fatal("the measured queries loaded a shard cold")
+	}
 
-	var serialized, concurrent int64
+	var concurrent int64
 	for _, s := range perClient {
 		if s == 0 {
 			t.Fatal("a client accumulated no simulated cost")
 		}
-		serialized += s
-		if s > concurrent {
-			concurrent = s
-		}
+		concurrent = max(concurrent, s)
 	}
 	speedup := float64(serialized) / float64(concurrent)
 	t.Logf("simulated makespan: serialized %v, %d clients %v → %.1f× aggregate throughput",

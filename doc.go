@@ -94,10 +94,13 @@
 //
 // Queries are served by a pool of per-peer frontends
 // (WithFrontendPool(n)) behind a deterministic least-loaded balancer —
-// fewest in-flight, then least accumulated simulated serving time, then
-// round-robin. Results are frontend-independent, so pool size never
-// changes responses, only costs and serving makespan (pool=4 cuts an
-// 8-client workload's simulated makespan ≈3×). WithHedgedReads pairs
+// least projected simulated finish (accumulated serving time plus, per
+// query in flight, the mean cost of the frontend's own queries), then
+// fewest in-flight, then round-robin. Results are frontend-independent, so pool
+// size never changes responses, only costs and serving makespan (pool=4
+// cuts an 8-client workload's simulated makespan ≈4×). A frontend reads
+// a shard pointer from its own DHT node's replica, for free, when that
+// holds a current one. WithHedgedReads pairs
 // each frontend with a buddy: each shard fetch goes to whichever device
 // of the pair measured the faster pointer read for that shard, and a
 // fetch that fails on one is retried on the other. A query with a shard

@@ -41,9 +41,10 @@ type Frontend struct {
 	chainCache *lruCache[int, chainEntry]        // shard → merged view of its segment chain
 
 	// ptrHolder remembers, per shard, the replica that last served a
-	// pointer the chain vouched for (see readPointer); at most NumShards
-	// entries. ptrVerified / ptrWalks count how pointer reads were
-	// answered: one verified RPC, or the quorum walk.
+	// pointer the chain vouched for and what the last verified read cost
+	// (see readPointer); at most NumShards entries. ptrVerified /
+	// ptrWalks count how pointer reads were answered: verified (the own
+	// replica, or one RPC), or the quorum walk.
 	ptrHolder   map[int]ptrMemo
 	ptrVerified atomic.Int64
 	ptrWalks    atomic.Int64
@@ -72,10 +73,14 @@ func NewFrontend(c *Cluster, peer *store.Peer) *Frontend {
 }
 
 // ptrMemo is a remembered pointer holder and rtt, the latency of the last
-// verified read from it — a warm leg's whole cost — or zero before one.
+// verified read — a warm leg's whole cost. measured is set by the first
+// verified read: one of the frontend's own replica costs nothing, so a
+// zero rtt does not mean "unmeasured". The holder is zero while only
+// the own replica has answered.
 type ptrMemo struct {
-	holder dht.Contact
-	rtt    time.Duration
+	holder   dht.Contact
+	rtt      time.Duration
+	measured bool
 }
 
 // chainEntry caches the merged view of one shard's segment chain, keyed by
@@ -247,43 +252,55 @@ func (f *Frontend) fetchSegmentCtx(ctx context.Context, digest string) (*index.S
 	return seg, cost, nil
 }
 
-// readPointer reads a shard's pointer for a query: one verified answer
-// when it can get one, the quorum walk otherwise (docs/serving.md, "The
-// pointer read").
+// readPointer reads a shard's pointer for a query: the frontend's own
+// replica when it holds a current one, else one verified answer from a
+// remembered holder when it can get one, the quorum walk otherwise
+// (docs/serving.md, "The pointer read").
 //
 // A lone replica may be stale and cannot say so — hence the walk to the
 // K closest nodes. The chain can: writers stamp the index generation
 // their pass materialized (ShardPointer.Gen), so a record stamped with
-// the current generation is the newest there is. The frontend asks the
-// replica that served the shard's current pointer last time — one
-// FIND_VALUE, no lookup — and accepts the answer iff it decodes and is
-// stamped at or past the generation read BEFORE the RPC (a round
-// finalizing mid-read can only make the check stricter). Anything else
-// — unstamped, older stamp, undecodable, holder down or forgetful —
-// falls back to the walk, whose cost is added to the failed RPC's. The
-// walk's holder is remembered only when its own answer verifies, so a
-// shard the latest pass did not rewrite is read by the walk alone, with
-// no wasted RPC.
+// the current generation is the newest there is. The frontend reads its
+// own DHT node's replica first — no RPC — and then asks the replica that
+// served the shard's current pointer last time — one FIND_VALUE, no
+// lookup. Either answer is accepted iff it decodes and is stamped at or
+// past the generation read BEFORE the read (a round finalizing mid-read
+// can only make the check stricter). Anything else — no own replica,
+// unstamped, older stamp, undecodable, holder down or forgetful — falls
+// through to the next source, and a failed RPC's cost is added to the
+// walk's. The walk's holder is remembered only when its own answer
+// verifies, so a shard the latest pass did not rewrite is read by the
+// walk alone, with no wasted RPC.
 //
-// Both paths return the same record, and only costs differ, as long as
+// All paths return the same record, and only costs differ, as long as
 // version order and generation order agree — that is, every pointer
-// read-modify-write saw the newest record. The verified read does not
+// read-modify-write saw the newest record. The verified reads do not
 // look at Version: after a lost update (a writer whose quorum read
 // missed the newest version stamps the current generation on a lower
 // one, and the newer version's replicas come back) the walk serves the
-// highest version and a remembered holder of the fork serves the fork,
-// until the next pass rewrites the shard
-// (TestQueryPointerForkedRecord).
+// highest version and a replica of the fork serves the fork, until the
+// next pass rewrites the shard (TestQueryPointerForkedRecord).
 func (f *Frontend) readPointer(ctx context.Context, shard int) (ShardPointer, netsim.Cost, error) {
 	d := f.peer.DHT()
 	gen := f.cluster.QB.IndexGen()
+	key := pointerKey(shard)
+	if val, ok := d.Local(key); ok {
+		if ptr, derr := decodeShardPointer(val); derr == nil && ptr.currentAt(gen) {
+			f.ptrVerified.Add(1)
+			f.mu.Lock()
+			m := f.ptrHolder[shard]
+			f.ptrHolder[shard] = ptrMemo{holder: m.holder, measured: true}
+			f.mu.Unlock()
+			return ptr, netsim.Cost{}, nil
+		}
+	}
 	f.mu.Lock()
 	m, memo := f.ptrHolder[shard]
 	f.mu.Unlock()
 
 	var cost netsim.Cost
-	if memo {
-		val, _, c, err := d.GetFromCtx(ctx, m.holder, dht.KeyOfString(index.ShardPointerKey(shard)))
+	if memo && m.holder != (dht.Contact{}) {
+		val, _, c, err := d.GetFromCtx(ctx, m.holder, key)
 		cost = c
 		if isCancelled(err) {
 			return ShardPointer{}, cost, err
@@ -292,7 +309,7 @@ func (f *Frontend) readPointer(ctx context.Context, shard int) (ShardPointer, ne
 			if ptr, derr := decodeShardPointer(val); derr == nil && ptr.currentAt(gen) {
 				f.ptrVerified.Add(1)
 				f.mu.Lock()
-				f.ptrHolder[shard] = ptrMemo{holder: m.holder, rtt: c.Latency}
+				f.ptrHolder[shard] = ptrMemo{holder: m.holder, rtt: c.Latency, measured: true}
 				f.mu.Unlock()
 				return ptr, cost, nil
 			}
@@ -329,14 +346,14 @@ type shardLeg struct {
 // written shard whose pointer no replica returns fails like any
 // unreachable shard.
 //
-// A warm leg — a remembered pointer holder and a cached chain — sends one
-// verified RPC and takes no lock, so warm queries run side by side. A leg
-// with no remembered holder (its read walks) or a chain-cache miss holds
-// loadMu for the rest of the leg and looks again: a concurrent leg that
-// did that work leaves the holder remembered and the chain cached, so
-// one frontend never fetches or merges the same thing twice at once. (A
-// remembered holder whose answer fails to verify falls back to the walk
-// without the lock; see readPointer.)
+// A warm leg — a remembered pointer read and a cached chain — sends at
+// most one verified RPC and takes no lock, so warm queries run side by
+// side. A leg with nothing remembered (its read walks) or a chain-cache
+// miss holds loadMu for the rest of the leg and looks again: a
+// concurrent leg that did that work leaves the read remembered and the
+// chain cached, so one frontend never fetches or merges the same thing
+// twice at once. (A remembered read that fails to verify again falls
+// back to the walk without the lock; see readPointer.)
 //
 // e0 is the query's simulated elapsed time when the wave launched; the
 // leg's sequential steps extend it, and the budget is re-checked before
@@ -461,16 +478,21 @@ func (f *Frontend) loadShardsCtx(bud reqBudget, e0 time.Duration, shards []int) 
 // route orders, on a hedged pool, the devices each leg may run on: first
 // whichever of this frontend and its buddy has the lower rtt for the
 // shard (here on a tie), then the other. Results do not depend on it. It
-// returns nil if either lacks a shard's rtt: the wave then runs here and
-// hedges (hedgeLeg), which measures both.
+// returns nil if either has not measured a shard: the wave then runs
+// here and hedges (hedgeLeg), which measures both.
 func (f *Frontend) route(shards []int) [][2]*Frontend {
+	if f.hedge == nil {
+		return nil
+	}
 	var devs [][2]*Frontend
 	for _, shard := range shards {
-		if f.hedge == nil || f.rtt(shard) == 0 || f.hedge.rtt(shard) == 0 {
+		here, hok := f.rtt(shard)
+		there, tok := f.hedge.rtt(shard)
+		if !hok || !tok {
 			return nil
 		}
 		pair := [2]*Frontend{f, f.hedge}
-		if f.hedge.rtt(shard) < f.rtt(shard) {
+		if there < here {
 			pair = [2]*Frontend{f.hedge, f}
 		}
 		devs = append(devs, pair)
@@ -478,11 +500,13 @@ func (f *Frontend) route(shards []int) [][2]*Frontend {
 	return devs
 }
 
-// rtt is the shard's measured pointer read latency here, zero if none.
-func (f *Frontend) rtt(shard int) time.Duration {
+// rtt is the shard's last verified pointer read latency here, and
+// whether one was measured.
+func (f *Frontend) rtt(shard int) (time.Duration, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.ptrHolder[shard].rtt
+	m := f.ptrHolder[shard]
+	return m.rtt, m.measured
 }
 
 // routedLeg runs a leg on pair[0], then on pair[1] if that failed (not by
@@ -620,9 +644,10 @@ type CacheStats struct {
 	ChainBytes, ChainBudget int64
 	ChainEntries            int
 	ChainHits, ChainMisses  int64
-	// PtrVerified counts shard-pointer reads answered by one verified
-	// RPC to a remembered holder; PtrWalks counts those that ran the
-	// K-replica quorum walk (see Frontend.readPointer).
+	// PtrVerified counts shard-pointer reads answered by a verified
+	// record: the frontend's own replica (no RPC) or one RPC to a
+	// remembered holder; PtrWalks counts those that ran the K-replica
+	// quorum walk (see Frontend.readPointer).
 	PtrVerified, PtrWalks int64
 }
 

@@ -18,11 +18,12 @@ import (
 )
 
 // The verified pointer read (Frontend.readPointer) against the quorum
-// walk (readShardPointer) as reference: whatever the remembered holder
-// does — serve an older stamp, garbage, nothing, or no answer at all —
-// the record returned is the walk's, the response is that of a frontend
-// that remembers nothing, and a holder is (re)learned only from a walk
-// whose answer the chain vouches for.
+// walk (readShardPointer) as reference: whatever the frontend's own
+// replica or the remembered holder does — serve an older stamp,
+// garbage, nothing, or no answer at all — the record returned is the
+// walk's, the response is that of a frontend that remembers nothing, and
+// a holder is (re)learned only from a walk whose answer the chain
+// vouches for.
 
 // shardWords returns one word per shard that analyzes to a single term
 // hashing to that shard, so a page's text picks the shards it touches.
@@ -56,14 +57,48 @@ type pointerFixture struct {
 	pages int
 }
 
-func newPointerFixture(t *testing.T) *pointerFixture {
+// newPointerFixture attaches the frontend under test to a peer whose own
+// DHT node holds no replica of the tested shards' pointers, so every
+// read of them leaves the device: the farthest peer from their keys,
+// outside the K closest even with a closer node down during a round.
+// (TestQueryPointerLocalReplica covers the own replica.)
+func newPointerFixture(t *testing.T, shards ...int) *pointerFixture {
 	t.Helper()
 	c := smallCluster(t)
 	fx := &pointerFixture{c: c, owner: c.NewAccount("alice", 100_000), words: shardWords(t, c.Config().NumShards)}
 	c.Seal()
 	fx.publish(t, fx.words...)
-	fx.fe = NewFrontend(c, c.Peers[3])
+	far, farRank := c.Peers[0], -1
+	for _, p := range c.Peers {
+		rank := len(dhtNodes(c))
+		for _, s := range shards {
+			rank = min(rank, closerNodes(c, pointerKey(s), p.DHT().Self().ID))
+		}
+		if rank > farRank {
+			far, farRank = p, rank
+		}
+	}
+	if k := c.Config().DHT.K; farRank <= k {
+		t.Fatalf("every peer is among the %d+1 closest nodes to shards %v", k, shards)
+	}
+	for _, s := range shards {
+		if _, held := far.DHT().Local(pointerKey(s)); held {
+			t.Fatalf("the farthest peer holds shard %d's pointer", s)
+		}
+	}
+	fx.fe = NewFrontend(c, far)
 	return fx
+}
+
+// closerNodes counts the cluster's DHT nodes closer to key than id.
+func closerNodes(c *Cluster, key, id dht.Key) int {
+	n := 0
+	for _, d := range dhtNodes(c) {
+		if dht.DistanceLess(key, d.Self().ID, id) {
+			n++
+		}
+	}
+	return n
 }
 
 // publish indexes one page made of the given words in one round.
@@ -174,8 +209,8 @@ func (fx *pointerFixture) sameAnswer(t *testing.T, raw string) {
 // (a) The holder was down while a round rewrote the shard and came back
 // with the previous generation's record.
 func TestQueryPointerHolderOlderStamp(t *testing.T) {
-	fx := newPointerFixture(t)
 	const shard = 2
+	fx := newPointerFixture(t, shard)
 	h := fx.learn(t, shard)
 
 	fx.c.Net.SetDown(h.Addr, true)
@@ -197,8 +232,8 @@ func TestQueryPointerHolderOlderStamp(t *testing.T) {
 
 // (b) The holder returns bytes that do not decode as a pointer.
 func TestQueryPointerHolderGarbage(t *testing.T) {
-	fx := newPointerFixture(t)
 	const shard = 5
+	fx := newPointerFixture(t, shard)
 	h := fx.learn(t, shard)
 
 	// Sequence 0 loses every quorum, so the walk's answer is untouched.
@@ -216,8 +251,8 @@ func TestQueryPointerHolderGarbage(t *testing.T) {
 // (c) The holder answers but has no record: to the reader, a replica
 // that lost the record is a node that never held it.
 func TestQueryPointerHolderLostRecord(t *testing.T) {
-	fx := newPointerFixture(t)
 	const shard = 1
+	fx := newPointerFixture(t, shard)
 	fx.learn(t, shard)
 
 	key := dht.KeyOfString(index.ShardPointerKey(shard))
@@ -245,8 +280,8 @@ func TestQueryPointerHolderLostRecord(t *testing.T) {
 
 // (d) The holder is down.
 func TestQueryPointerHolderDown(t *testing.T) {
-	fx := newPointerFixture(t)
 	const shard = 6
+	fx := newPointerFixture(t, shard)
 	h := fx.learn(t, shard)
 
 	fx.c.Net.SetDown(h.Addr, true)
@@ -262,11 +297,124 @@ func TestQueryPointerHolderDown(t *testing.T) {
 	}
 }
 
+// TestQueryPointerLocalReplica: a frontend whose own DHT node holds a
+// replica reads it first, under the rule a remote holder's answer
+// meets. A current record costs nothing and is a verified read; an older
+// stamp or garbage falls back to the walk, and a lost record to the
+// remembered holder.
+func TestQueryPointerLocalReplica(t *testing.T) {
+	const shard = 4
+	key := pointerKey(shard)
+	// nearFixture moves the frontend to the node closest to the key.
+	nearFixture := func(t *testing.T) (*pointerFixture, *dht.Node) {
+		fx := newPointerFixture(t, shard)
+		near := fx.c.Peers[0]
+		for _, p := range fx.c.Peers {
+			if dht.DistanceLess(key, p.DHT().Self().ID, near.DHT().Self().ID) {
+				near = p
+			}
+		}
+		if _, held := near.DHT().Local(key); !held {
+			t.Fatalf("the closest peer holds no replica of shard %d", shard)
+		}
+		fx.fe = NewFrontend(fx.c, near)
+		return fx, near.DHT()
+	}
+	// local reads once and checks it was the own replica, for free.
+	local := func(t *testing.T, fx *pointerFixture) {
+		t.Helper()
+		want, _, werr := readShardPointer(fx.fe.peer.DHT(), shard)
+		before := fx.fe.CacheStatsSnapshot()
+		got, cost, err := fx.fe.readPointer(context.Background(), shard)
+		after := fx.fe.CacheStatsSnapshot()
+		if err != nil || werr != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("own replica read %+v (%v), quorum walk %+v (%v)", got, err, want, werr)
+		}
+		if cost != (netsim.Cost{}) {
+			t.Fatalf("own replica read cost %+v, want nothing", cost)
+		}
+		if v, w := after.PtrVerified-before.PtrVerified, after.PtrWalks-before.PtrWalks; v != 1 || w != 0 {
+			t.Fatalf("own replica read: verified %d walks %d, want one verified read", v, w)
+		}
+		if rtt, ok := fx.fe.rtt(shard); !ok || rtt != 0 {
+			t.Fatalf("own replica read measured %v (%v), want a measured zero", rtt, ok)
+		}
+	}
+
+	t.Run("current", func(t *testing.T) {
+		fx, _ := nearFixture(t)
+		local(t, fx)
+		local(t, fx)
+		if h, _ := fx.holder(shard); h != (dht.Contact{}) {
+			t.Fatalf("own replica reads remembered holder %s", h.Addr)
+		}
+		fx.sameAnswer(t, fx.words[shard])
+	})
+
+	// The node missed a round that rewrote the shard and kept the
+	// previous generation's record, at its lower sequence.
+	t.Run("older-stamp", func(t *testing.T) {
+		fx, d := nearFixture(t)
+		old, _ := d.Local(key)
+		prev, err := decodeShardPointer(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx.publish(t, fx.words[shard])
+		d.StoreLocal(key, old, prev.Version)
+		if v, w := fx.read(t, shard); v != 0 || w != 1 {
+			t.Fatalf("stale own replica: verified %d walks %d, want the walk", v, w)
+		}
+		if _, ok := fx.holder(shard); !ok {
+			t.Fatal("the walk of a current pointer learned no holder")
+		}
+		if v, w := fx.read(t, shard); v != 1 || w != 0 {
+			t.Fatalf("after the walk: verified %d walks %d, want the remembered holder", v, w)
+		}
+		fx.sameAnswer(t, fx.words[shard])
+	})
+
+	t.Run("garbage", func(t *testing.T) {
+		fx, d := nearFixture(t)
+		local(t, fx)
+		// Sequence 0 loses every quorum, so the walk's answer is untouched.
+		d.StoreLocal(key, []byte(`{"Digests":["x"],"Gen":99}`), 0)
+		if v, w := fx.read(t, shard); v != 0 || w != 1 {
+			t.Fatalf("garbage own replica: verified %d walks %d, want the walk", v, w)
+		}
+		if rtt, ok := fx.fe.rtt(shard); ok {
+			t.Fatalf("the walk kept the own replica's measurement %v", rtt)
+		}
+		fx.sameAnswer(t, fx.words[shard])
+	})
+
+	// To the reader, a node that lost its record is one that never held
+	// it: a frontend remembering a holder and a free last read, on a node
+	// with no record, asks the holder.
+	t.Run("lost", func(t *testing.T) {
+		fx := newPointerFixture(t, shard)
+		h := fx.learn(t, shard)
+		fx.fe.mu.Lock()
+		fx.fe.ptrHolder[shard] = ptrMemo{holder: h, measured: true}
+		fx.fe.mu.Unlock()
+		if v, w := fx.read(t, shard); v != 1 || w != 0 {
+			t.Fatalf("lost own replica: verified %d walks %d, want the remembered holder", v, w)
+		}
+		if h2, _ := fx.holder(shard); h2 != h {
+			t.Fatalf("after the holder's answer the frontend remembers %s, want %s", h2.Addr, h.Addr)
+		}
+		if rtt, _ := fx.fe.rtt(shard); rtt == 0 {
+			t.Fatal("the holder's answer kept the own replica's free measurement")
+		}
+		fx.sameAnswer(t, fx.words[shard])
+	})
+}
+
 // (e) The latest pass did not rewrite the shard: its stamp is older than
 // the chain, so it is read by the walk every time and never remembered.
 func TestQueryPointerShardNotRewritten(t *testing.T) {
-	fx := newPointerFixture(t)
-	const stale, fresh = 3, 4
+	const stale, fresh = 3, 7
+	fx := newPointerFixture(t, stale, fresh)
 	fx.learn(t, stale)
 	fx.publish(t, fx.words[fresh])
 
@@ -332,8 +480,8 @@ func TestQueryPointerGenZeroNeverVerifies(t *testing.T) {
 // once (so does a maintenance republish of the highest version, where
 // the record is under-replicated enough for one to fire).
 func TestQueryPointerForkedRecord(t *testing.T) {
-	fx := newPointerFixture(t)
 	const shard, other = 2, 4
+	fx := newPointerFixture(t, shard)
 	fx.publish(t, fx.words[shard])
 	h := fx.learn(t, shard)
 	newest, _, err := readShardPointer(fx.fe.peer.DHT(), shard)
@@ -376,8 +524,8 @@ func TestQueryPointerForkedRecord(t *testing.T) {
 // in readSegmentCtx's error formatting once any record sat under the
 // bogus segment key. It is rejected where it is decoded.
 func TestQueryPointerShortDigestRejected(t *testing.T) {
-	fx := newPointerFixture(t)
 	const shard = 0
+	fx := newPointerFixture(t, shard)
 	fx.learn(t, shard)
 	d := fx.c.Peers[0].DHT()
 	if _, err := writeShardPointer(d, shard, ShardPointer{Digests: []string{"x"}, Version: 999}); err != nil {

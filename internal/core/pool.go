@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,15 +19,20 @@ import (
 // simulated serving time accumulates as that frontend's load.
 //
 // Balancing is least-loaded and deterministic: the next query goes to
-// the frontend with the fewest in-flight queries, ties broken by the
-// least accumulated simulated serving time, remaining ties by a
-// round-robin cursor. A sequential driver (in-flight always zero)
-// therefore gets a reproducible least-simulated-load schedule — same
-// seed, same assignment sequence — while concurrent drivers still spread
-// load. Query *results* are frontend-independent (every frontend reads
-// the same DHT state), so responses are byte-identical across pool sizes
-// and balancing schedules; only simulated costs shift with the links
-// used.
+// the frontend with the least projected simulated finish time — its
+// accumulated simulated serving time plus, for each query in flight
+// there, the mean cost of its own queries so far — ties broken by
+// fewer in-flight queries, remaining ties by a round-robin cursor.
+// Frontends' costs differ (one whose own DHT node holds a shard's
+// pointer reads it for free), so in-flight counts alone would not even
+// them out. A sequential driver (in-flight always zero) gets a
+// reproducible least-simulated-load schedule — same seed, same
+// assignment sequence — while concurrent drivers still spread load;
+// once their queries have overlapped, idle time is not banked across a
+// moment the pool drains (see release). Query *results* are
+// frontend-independent (every frontend reads the same DHT state), so
+// responses are byte-identical across pool sizes and balancing
+// schedules; only simulated costs shift with the links used.
 //
 // With hedged reads enabled (size ≥ 2), each shard leg runs on whichever
 // of its frontend and a buddy (the next one) measured the faster pointer
@@ -44,8 +50,17 @@ type FrontendPool struct {
 	mu       sync.Mutex
 	inflight []int
 	busy     []time.Duration // accumulated simulated serving time
-	served   []int64
-	rr       int // round-robin cursor for full ties
+	// own is the part of busy spent on the frontend's own queries; the
+	// rest is legs it ran for its buddy's (hedgeBill), which served does
+	// not count, so the mean query cost is own/served.
+	own    []time.Duration
+	served []int64
+	// load is the busy time the balancer evens out. It grows with busy,
+	// but once queries have overlapped (overlapped), a drained pool lifts
+	// every frontend's load to the highest: see release.
+	load       []time.Duration
+	overlapped bool
+	rr         int // round-robin cursor for full ties
 
 	deadlineMisses int64
 }
@@ -65,7 +80,9 @@ func NewFrontendPool(c *Cluster, size int, hedged bool, defaultDeadline time.Dur
 		defaultDeadline: defaultDeadline,
 		inflight:        make([]int, size),
 		busy:            make([]time.Duration, size),
+		own:             make([]time.Duration, size),
 		served:          make([]int64, size),
+		load:            make([]time.Duration, size),
 	}
 	for i := 0; i < size; i++ {
 		p.fronts = append(p.fronts, NewFrontend(c, c.Peers[i%len(c.Peers)]))
@@ -77,6 +94,7 @@ func NewFrontendPool(c *Cluster, size int, hedged bool, defaultDeadline time.Dur
 			f.hedgeBill = func(d time.Duration) {
 				p.mu.Lock()
 				p.busy[buddy] += d
+				p.load[buddy] += d
 				p.mu.Unlock()
 			}
 		}
@@ -93,35 +111,77 @@ func (p *FrontendPool) Hedged() bool { return p.hedged }
 // Frontend returns the i-th frontend (experiment harnesses, Fetch).
 func (p *FrontendPool) Frontend(i int) *Frontend { return p.fronts[i] }
 
-// acquire routes the next query: fewest in-flight, then least simulated
-// busy time, then the round-robin cursor. Scanning starts at the cursor
-// so full ties rotate through the pool instead of pinning frontend 0.
+// acquire routes the next query: least projected finish, load +
+// in-flight × mean cost of the frontend's own queries (the pool's mean
+// for a frontend that has served nothing yet), then fewest in-flight,
+// then the round-robin cursor. Scanning starts at the cursor so full
+// ties rotate through the pool instead of pinning frontend 0.
 func (p *FrontendPool) acquire() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	best := -1
+	var own time.Duration
+	var served int64
+	inflight := 0
+	for i := range p.fronts {
+		own += p.own[i]
+		served += p.served[i]
+		inflight += p.inflight[i]
+	}
+	finish := func(i int) time.Duration {
+		o, n := own, served
+		if p.served[i] > 0 {
+			o, n = p.own[i], p.served[i]
+		}
+		if n == 0 {
+			return p.load[i]
+		}
+		return p.load[i] + time.Duration(p.inflight[i])*(o/time.Duration(n))
+	}
+	best, bestFinish := -1, time.Duration(0)
 	for off := 0; off < len(p.fronts); off++ {
 		i := (p.rr + off) % len(p.fronts)
+		fi := finish(i)
 		switch {
 		case best < 0,
-			p.inflight[i] < p.inflight[best],
-			p.inflight[i] == p.inflight[best] && p.busy[i] < p.busy[best]:
-			best = i
+			fi < bestFinish,
+			fi == bestFinish && p.inflight[i] < p.inflight[best]:
+			best, bestFinish = i, fi
 		}
 	}
 	p.rr = (best + 1) % len(p.fronts)
 	p.inflight[best]++
+	if inflight > 0 {
+		p.overlapped = true
+	}
 	return best
 }
 
 // release books a finished query against its frontend's load.
+//
+// A frontend's load counts the time it sat idle while others served as
+// credit toward later queries; for one sequential driver that is the
+// least-busy schedule. But concurrent clients that all wait for their
+// replies meet again with every frontend idle, and a frontend that
+// earlier traffic left behind (uneven cold loads) would take most of
+// the next queries to repay its whole deficit. So once queries have
+// overlapped, a drained pool lifts every load to the highest, and idle
+// time is not banked across it. BusySim is not touched.
 func (p *FrontendPool) release(i int, cost netsim.Cost, deadlineMiss bool) {
 	p.mu.Lock()
 	p.inflight[i]--
 	p.busy[i] += cost.Latency
+	p.own[i] += cost.Latency
+	p.load[i] += cost.Latency
 	p.served[i]++
 	if deadlineMiss {
 		p.deadlineMisses++
+	}
+	drained := !slices.ContainsFunc(p.inflight, func(n int) bool { return n > 0 })
+	if p.overlapped && drained {
+		most := slices.Max(p.load)
+		for j := range p.load {
+			p.load[j] = most
+		}
 	}
 	p.mu.Unlock()
 }

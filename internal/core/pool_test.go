@@ -42,6 +42,84 @@ func TestPoolBalancerDeterministicLeastLoaded(t *testing.T) {
 	}
 }
 
+// TestPoolAcquireProjectsOwnCost: the in-flight term of the projected
+// finish is a frontend's mean cost over its own queries. Legs it ran for
+// its buddy's queries count in its busy time but not in what it served,
+// so they must not inflate that mean and starve it of queries.
+func TestPoolAcquireProjectsOwnCost(t *testing.T) {
+	c, _ := queryCluster(t)
+	pool := NewFrontendPool(c, 2, true, 0)
+	serve := func(i int, d time.Duration) {
+		pool.mu.Lock()
+		pool.inflight[i]++
+		pool.mu.Unlock()
+		pool.release(i, netsim.Cost{Latency: d}, false)
+	}
+	for q := 0; q < 10; q++ {
+		serve(0, 10*time.Millisecond)
+		serve(1, 31500*time.Microsecond)
+	}
+	pool.fronts[1].hedgeBill(200 * time.Millisecond) // frontend 0 ran legs of frontend 1's queries
+	// Busy 300 ms at an own mean of 10 ms, against 315 ms with nothing
+	// in flight.
+	pick := func(inflight0 int) int {
+		pool.mu.Lock()
+		pool.inflight[0], pool.inflight[1] = inflight0, 0
+		pool.mu.Unlock()
+		i := pool.acquire()
+		pool.mu.Lock()
+		pool.inflight[i]--
+		pool.mu.Unlock()
+		return i
+	}
+	if i := pick(1); i != 0 {
+		t.Fatalf("one query in flight on frontend 0 (300 + 10 ms projected) sent the next to frontend %d (315 ms)", i)
+	}
+	if i := pick(2); i != 1 {
+		t.Fatalf("two queries in flight on frontend 0 (300 + 20 ms projected) sent the next to frontend %d, want 1 (315 ms)", i)
+	}
+}
+
+// TestPoolDrainForfeitsIdleCredit: a sequential driver keeps the
+// least-busy schedule, so a frontend left behind takes the next queries
+// until it catches up. Once queries have overlapped, a drained pool
+// lifts every frontend's balancing load to the highest, and the laggard
+// no longer takes them all; BusySim keeps what each frontend served.
+func TestPoolDrainForfeitsIdleCredit(t *testing.T) {
+	c, _ := queryCluster(t)
+	pool := NewFrontendPool(c, 2, false, 0)
+	ms := time.Millisecond
+	run := func(d time.Duration) int {
+		i := pool.acquire()
+		pool.release(i, netsim.Cost{Latency: d}, false)
+		return i
+	}
+	for q := 0; q < 40; q++ { // frontend 0 is 400 ms behind
+		pool.mu.Lock()
+		pool.inflight[1]++
+		pool.mu.Unlock()
+		pool.release(1, netsim.Cost{Latency: 10 * ms}, false)
+	}
+	for q := 0; q < 3; q++ {
+		if i := run(10 * ms); i != 0 {
+			t.Fatalf("sequential query %d went to frontend %d, want the least busy, 0", q, i)
+		}
+	}
+	a, b := pool.acquire(), pool.acquire() // two in flight at once
+	pool.release(a, netsim.Cost{Latency: 10 * ms}, false)
+	pool.release(b, netsim.Cost{Latency: 10 * ms}, false)
+	if x, y := run(10*ms), run(10*ms); x == y {
+		t.Fatalf("after the pool drained, two queries both went to frontend %d", x)
+	}
+	var sum time.Duration
+	for _, f := range pool.Stats().Frontends {
+		sum += f.BusySim
+	}
+	if want := 400*ms + 7*10*ms; sum != want {
+		t.Fatalf("BusySim sums to %v, want %v served", sum, want)
+	}
+}
+
 // TestPoolHedgeRescuesTamperedReplica: the hedged leg is the wave's
 // failed leg, so a segment replica tampered on the primary frontend's
 // own peer — hash verification fails there — is rescued by the buddy's
@@ -111,8 +189,10 @@ func TestPoolDefaultDeadlineApplies(t *testing.T) {
 // TestPoolLegRouting: on a hedged pool of 2, once both devices have
 // measured a shard, its leg runs on exactly one of them — the one whose
 // last verified pointer read was faster, the querying frontend on a tie
-// — so a warm query sends one RPC per distinct shard and hedges nothing,
-// with the answer a lone unhedged frontend gives. A leg that fails on
+// — so a warm query hedges nothing and sends one RPC per distinct shard,
+// none for a shard either device holds a current replica of (it is read
+// there, for free), with the answer a lone unhedged frontend gives. A
+// measurement is a flag, not a non-zero rtt. A leg that fails on
 // its device is rescued on the other and pays for both attempts; a
 // holder re-learned by a walk forgets its measurement, so the next wave
 // hedges once to measure it again. The cluster has more nodes than K,
@@ -193,13 +273,25 @@ func TestPoolLegRouting(t *testing.T) {
 	// frontend i, and the other device of the pair.
 	chosen := func(i, s int) (dev, other *Frontend) {
 		here, there := pool.Frontend(i%2), pool.Frontend(1-i%2)
-		if here.rtt(s) == 0 || there.rtt(s) == 0 {
-			t.Fatalf("shard %d unmeasured after warm-up: %v here, %v on the buddy", s, here.rtt(s), there.rtt(s))
+		hrtt, hok := here.rtt(s)
+		trtt, tok := there.rtt(s)
+		if !hok || !tok {
+			t.Fatalf("shard %d unmeasured after warm-up: %v (%v) here, %v (%v) on the buddy", s, hrtt, hok, trtt, tok)
 		}
-		if there.rtt(s) < here.rtt(s) {
+		if trtt < hrtt {
 			return there, here
 		}
 		return here, there
+	}
+	// local reports whether f's own DHT node holds a current pointer for
+	// shard s, which f reads without an RPC.
+	local := func(f *Frontend, s int) bool {
+		val, ok := f.peer.DHT().Local(pointerKey(s))
+		if !ok {
+			return false
+		}
+		ptr, err := decodeShardPointer(val)
+		return err == nil && ptr.currentAt(c.QB.IndexGen())
 	}
 	holder := func(f *Frontend, s int) ptrMemo {
 		f.mu.Lock()
@@ -210,17 +302,30 @@ func TestPoolLegRouting(t *testing.T) {
 
 	warmUp()
 	routed := map[*Frontend]int{}
+	localLegs := 0
 	for i := range queries {
 		wantVerified := map[*Frontend]int64{}
+		remote := 0
 		for _, s := range shardsOf(i) {
-			dev, _ := chosen(i, s)
+			dev, other := chosen(i, s)
 			wantVerified[dev]++
+			switch {
+			case local(dev, s):
+				if rtt, _ := dev.rtt(s); rtt != 0 {
+					t.Fatalf("%q: shard %d held on its device measured %v, want a free read", queries[i], s, rtt)
+				}
+				localLegs++
+			case local(other, s):
+				t.Fatalf("%q: shard %d held on %s was routed to the other device", queries[i], s, addr(other))
+			default:
+				remote++
+			}
 		}
 		before := pool.Stats()
 		resp := run(i)
 		after := pool.Stats()
-		if n := len(shardsOf(i)); resp.Cost.Msgs != n {
-			t.Fatalf("%q: warm query sent %d msgs for %d shards", queries[i], resp.Cost.Msgs, n)
+		if resp.Cost.Msgs != remote {
+			t.Fatalf("%q: warm query sent %d msgs for %d shards held on neither device", queries[i], resp.Cost.Msgs, remote)
 		}
 		for j, fl := range after.Frontends {
 			f := pool.Frontend(j)
@@ -233,7 +338,10 @@ func TestPoolLegRouting(t *testing.T) {
 			routed[f] += int(wantVerified[f])
 		}
 	}
-	t.Logf("warm legs routed: %d to frontend 0, %d to frontend 1", routed[pool.Frontend(0)], routed[pool.Frontend(1)])
+	t.Logf("warm legs routed: %d to frontend 0, %d to frontend 1, %d of them read on the device", routed[pool.Frontend(0)], routed[pool.Frontend(1)], localLegs)
+	if localLegs == 0 {
+		t.Fatal("no leg was read from a device's own replica")
+	}
 
 	// A one-shard query whose chosen device is taken off the network. Its
 	// memo RPC and its walk fail, so the leg fails there and is retried
@@ -248,8 +356,7 @@ func TestPoolLegRouting(t *testing.T) {
 		}
 		s := ss[0]
 		dev, other := chosen(i, s)
-		key := dht.KeyOfString(index.ShardPointerKey(s))
-		if _, _, _, err := dev.peer.DHT().GetFromCtx(ctx, dev.peer.DHT().Self(), key); err != dht.ErrNotFound {
+		if _, held := dev.peer.DHT().Local(pointerKey(s)); held {
 			continue
 		}
 		if holder(other, s).holder.Addr == addr(dev) {
@@ -263,7 +370,7 @@ func TestPoolLegRouting(t *testing.T) {
 		if other.CacheStatsSnapshot().PtrVerified != before.PtrVerified+1 {
 			t.Fatalf("%q: the other device did not answer the rescue with one verified read", queries[i])
 		}
-		retry := holder(other, s).rtt // the rescue's read, measured
+		retry, _ := other.rtt(s) // the rescue's read, measured
 		if resp.Cost.Msgs < 2 || resp.Cost.Latency <= retry {
 			t.Fatalf("%q: rescued leg cost %+v, want the failed attempt plus the retry (%v, 1 msg)", queries[i], resp.Cost, retry)
 		}
@@ -294,12 +401,15 @@ func TestPoolLegRouting(t *testing.T) {
 		}
 		s := ss[0]
 		dev, _ := chosen(i, s)
+		if local(dev, s) {
+			continue
+		}
 		h := holder(dev, s).holder
 		c.Net.SetDown(h.Addr, true)
 		walks := dev.CacheStatsSnapshot().PtrWalks
 		run(i)
 		c.Net.SetDown(h.Addr, false)
-		if m := holder(dev, s); dev.CacheStatsSnapshot().PtrWalks != walks+1 || m.holder == h || m.rtt != 0 {
+		if m := holder(dev, s); dev.CacheStatsSnapshot().PtrWalks != walks+1 || m.holder == h || m.measured {
 			t.Fatalf("%q: after its holder went down the device remembers %+v, want a new unmeasured holder", queries[i], m)
 		}
 		hedged := hedges()

@@ -719,6 +719,16 @@ func (n *Node) GetFromCtx(ctx context.Context, holder Contact, key Key) ([]byte,
 	return r.Value, r.Seq, cost, nil
 }
 
+// Local reads this node's own replica of key: no RPC, no lookup, no
+// quorum. Like GetFromCtx's, the record may be stale, and the caller
+// must be able to tell a current one by itself.
+func (n *Node) Local(key Key) ([]byte, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	sv, ok := n.values[key]
+	return sv.value, ok
+}
+
 // GetImmutableCtx retrieves a value that can never change
 // (content-addressed records): the lookup short-circuits on the first
 // replica found, which is safe because the caller verifies the content
@@ -728,12 +738,9 @@ func (n *Node) GetFromCtx(ctx context.Context, holder Contact, key Key) ([]byte,
 // partial cost. A replica found before the cancel still wins — the bytes
 // were already on the wire, and the caller's hash check vouches for them.
 func (n *Node) GetImmutableCtx(ctx context.Context, key Key) ([]byte, netsim.Cost, error) {
-	n.mu.Lock()
-	if sv, ok := n.values[key]; ok {
-		n.mu.Unlock()
-		return sv.value, netsim.Cost{}, nil
+	if val, ok := n.Local(key); ok {
+		return val, netsim.Cost{}, nil
 	}
-	n.mu.Unlock()
 
 	var (
 		val   []byte

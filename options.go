@@ -33,7 +33,8 @@ func WithFrontendPool(n int) Option {
 
 // WithHedgedReads pairs each pool frontend with a second one and sends
 // each shard fetch to whichever of the two measured the faster pointer
-// read for that shard — one RPC per shard on a warm query. A fetch that
+// read for that shard — at most one RPC per shard on a warm query, none
+// where either frontend's own node holds the pointer. A fetch that
 // fails on one is retried on the other. Until both have measured a
 // shard, a query duplicates its slowest fetch on the second frontend
 // (first reply wins the latency, both pay their bytes and messages),
