@@ -377,7 +377,6 @@ type frontendJSON struct {
 	Served    int64               `json:"served"`
 	InFlight  int                 `json:"in_flight"`
 	BusySimUS int64               `json:"busy_sim_us"`
-	Hedges    int64               `json:"hedges"`
 	Cache     queenbee.CacheStats `json:"cache"`
 }
 
@@ -502,7 +501,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Served:    fl.Served,
 			InFlight:  fl.InFlight,
 			BusySimUS: fl.BusySim.Microseconds(),
-			Hedges:    fl.Hedges,
 			Cache:     fl.Cache,
 		})
 		// The aggregate sums the per-frontend snapshots already in hand,

@@ -551,13 +551,16 @@ func TestConcurrentRequestsConsistent(t *testing.T) {
 }
 
 // TestPointerReadCounters: the cache block of /stats and /healthz shows
-// how shard pointers are being read. Once every pool frontend has
-// walked each shard once, warm searches are answered by one verified
-// RPC per pointer (PtrVerified moves, PtrWalks does not); a publish
-// that rewrites every shard costs each frontend at most one more walk
-// per shard — none where the remembered holder is among the replicas
-// the round wrote — and the reads are single verified answers again.
-// Own engine: the counters must not see other tests' traffic.
+// how shard pointers are being read. A one-term search reads its one
+// pointer exactly once — on one device of its frontend pair, nothing is
+// duplicated — so n searches move PtrVerified + PtrWalks by exactly n.
+// Once every pool frontend has walked each shard it is asked for, warm
+// searches are all verified reads (the own replica, or one RPC; PtrWalks
+// does not move); a publish that rewrites every shard costs each
+// frontend at most one more walk per shard — none where the remembered
+// holder is among the replicas the round wrote — and the reads are
+// single verified answers again. Own engine: the counters must not see
+// other tests' traffic.
 func TestPointerReadCounters(t *testing.T) {
 	const poolSize = 2
 	engine, publisher := buildEngine(1, 10, 3, 12, poolSize, true, true, true, false)
@@ -601,8 +604,8 @@ func TestPointerReadCounters(t *testing.T) {
 	if steady.PtrWalks != warm.PtrWalks {
 		t.Fatalf("warm searches walked the DHT: PtrWalks %d → %d", warm.PtrWalks, steady.PtrWalks)
 	}
-	if got := steady.PtrVerified - warm.PtrVerified; got < n {
-		t.Fatalf("%d warm searches moved PtrVerified by %d", n, got)
+	if got := steady.PtrVerified - warm.PtrVerified; got != n {
+		t.Fatalf("%d warm searches moved PtrVerified by %d, want %d", n, got, n)
 	}
 
 	// A batch long enough to land on every shard, so every pointer is
@@ -628,8 +631,8 @@ func TestPointerReadCounters(t *testing.T) {
 	after := cache()
 	t.Logf("%d searches after a publish: PtrVerified +%d, PtrWalks +%d (bound %d)",
 		n, after.PtrVerified-steady.PtrVerified, after.PtrWalks-steady.PtrWalks, shards*poolSize)
-	if got := after.PtrVerified - steady.PtrVerified; got < n {
-		t.Fatalf("%d searches after a publish moved PtrVerified by %d", n, got)
+	if got := after.PtrVerified + after.PtrWalks - steady.PtrVerified - steady.PtrWalks; got != n {
+		t.Fatalf("%d searches after a publish read %d pointers, want %d", n, got, n)
 	}
 	if got := after.PtrWalks - steady.PtrWalks; got > int64(shards*poolSize) {
 		t.Fatalf("re-reads after one publish walked %d times, want at most %d (shards × pool)", got, shards*poolSize)

@@ -100,12 +100,12 @@
 // size never changes responses, only costs and serving makespan (pool=4
 // cuts an 8-client workload's simulated makespan ≈4×). A frontend reads
 // a shard pointer from its own DHT node's replica, for free, when that
-// holds a current one. WithHedgedReads pairs
-// each frontend with a buddy: each shard fetch goes to whichever device
-// of the pair measured the faster pointer read for that shard, and a
-// fetch that fails on one is retried on the other. A query with a shard
-// not yet measured on both duplicates its slowest fetch on the buddy
-// (first reply wins the latency, both replies pay bytes) to measure it.
+// holds a current one. WithHedgedReads pairs (the name predates the
+// rule; nothing is duplicated) each frontend with a buddy: a shard fetch
+// goes to the buddy only when both devices have measured that shard's
+// pointer read and the buddy's was faster, to the querying frontend
+// otherwise — which measures it there — and a fetch that fails on one
+// device is retried on the other.
 //
 // Every query carries a request lifecycle: context.Context (QueryCtx)
 // plus a simulated deadline (Deadline) thread through the shard and

@@ -52,9 +52,9 @@ type Config struct {
 	// deterministic least-loaded balancer (see FrontendPool). Zero or
 	// negative means 1.
 	PoolSize int
-	// HedgedReads runs each shard leg on the faster of two pool frontends
-	// (by measured pointer reads), retrying a failure on the other, and
-	// hedges waves not yet measured. Needs PoolSize ≥ 2.
+	// HedgedReads pairs each pool frontend with a buddy: a shard leg runs
+	// on the buddy when both measured its pointer read and the buddy's was
+	// faster, and a failed leg is retried on the other. Needs PoolSize ≥ 2.
 	HedgedReads bool
 
 	// Maintenance runs the self-healing pass (republish, re-seed, repair,

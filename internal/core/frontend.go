@@ -52,13 +52,11 @@ type Frontend struct {
 	// view is the current docView (see docs); nil until the first query.
 	view atomic.Pointer[docView]
 
-	// hedge, when set by a FrontendPool, is the buddy frontend this one
-	// routes shard legs to or duplicates them onto (hedged reads, route);
-	// hedges counts the duplicates issued, and hedgeBill (also pool-set)
-	// books each leg the buddy runs against the buddy's serving load.
-	hedge     *Frontend
-	hedges    atomic.Int64
-	hedgeBill func(time.Duration)
+	// buddy, when set by a paired FrontendPool, is the other device this
+	// frontend's shard legs may run on (route), and buddyBill (also
+	// pool-set) books each leg the buddy runs against its serving load.
+	buddy     *Frontend
+	buddyBill func(time.Duration)
 }
 
 // NewFrontend attaches a frontend to one DWeb peer of the cluster.
@@ -432,7 +430,7 @@ func (f *Frontend) cachedChain(shard int, key string, counted bool) (*index.Segm
 // loadShardsCtx resolves a query's distinct shards as one wave. The legs
 // are independent, so the wave is costed as if they were sent at once —
 // Par folded in shard order, the slowest shard, not the sum — though they
-// run one after another on this goroutine (fetchLeg), which keeps every
+// run one after another on this goroutine (routedLeg), which keeps every
 // cost and cache state a function of the seed and the query sequence.
 // Every leg starts at e0; a spent budget abandons each leg's remaining
 // steps, and the wave reports the partial cost of the work that ran and
@@ -443,61 +441,42 @@ func (f *Frontend) cachedChain(shard int, key string, counted bool) (*index.Segm
 // shard-wave accounting stays consistent for failed waves (asserted in
 // plan_test.go). The map still carries every shard that DID load, so
 // callers with DegradedReads enabled can compose a partial answer instead
-// of discarding the wave. Hedged pools route each leg, or hedge one.
+// of discarding the wave.
 func (f *Frontend) loadShardsCtx(bud reqBudget, e0 time.Duration, shards []int) (map[int]*index.Segment, netsim.Cost, error) {
-	legs := make([]shardLeg, len(shards))
-	devs := f.route(shards)
-	for i, shard := range shards {
-		if devs == nil {
-			legs[i] = f.fetchLeg(bud, e0, shard)
-		} else {
-			legs[i] = f.routedLeg(bud, e0, shard, devs[i])
-		}
-	}
-	if devs == nil {
-		f.hedgeLeg(bud, e0, shards, legs)
-	}
 	out := make(map[int]*index.Segment, len(shards))
 	var cost netsim.Cost
 	var firstErr error
-	for i, leg := range legs {
+	for _, shard := range shards {
+		leg := f.routedLeg(bud, e0, shard, f.route(shard))
 		cost = cost.Par(leg.cost)
 		if leg.err != nil {
 			// A spent lifecycle outranks shard errors: the query was
 			// stopped, not the index broken.
 			if firstErr == nil || (lifecycleErr(leg.err) && !lifecycleErr(firstErr)) {
-				firstErr = fmt.Errorf("shard %d: %w", shards[i], leg.err)
+				firstErr = fmt.Errorf("shard %d: %w", shard, leg.err)
 			}
 			continue
 		}
-		out[shards[i]] = leg.seg
+		out[shard] = leg.seg
 	}
 	return out, cost, firstErr
 }
 
-// route orders, on a hedged pool, the devices each leg may run on: first
-// whichever of this frontend and its buddy has the lower rtt for the
-// shard (here on a tie), then the other. Results do not depend on it. It
-// returns nil if either has not measured a shard: the wave then runs
-// here and hedges (hedgeLeg), which measures both.
-func (f *Frontend) route(shards []int) [][2]*Frontend {
-	if f.hedge == nil {
-		return nil
+// route orders the devices a shard's leg may run on: this frontend alone
+// when it has no buddy; else the buddy first only when both have
+// measured the shard and the buddy's last verified read was strictly
+// faster, and this frontend first otherwise — its leg then measures the
+// shard here. Results do not depend on it.
+func (f *Frontend) route(shard int) []*Frontend {
+	if f.buddy == nil {
+		return []*Frontend{f}
 	}
-	var devs [][2]*Frontend
-	for _, shard := range shards {
-		here, hok := f.rtt(shard)
-		there, tok := f.hedge.rtt(shard)
-		if !hok || !tok {
-			return nil
-		}
-		pair := [2]*Frontend{f, f.hedge}
-		if there < here {
-			pair = [2]*Frontend{f.hedge, f}
-		}
-		devs = append(devs, pair)
+	here, hok := f.rtt(shard)
+	there, tok := f.buddy.rtt(shard)
+	if hok && tok && there < here {
+		return []*Frontend{f.buddy, f}
 	}
-	return devs
+	return []*Frontend{f, f.buddy}
 }
 
 // rtt is the shard's last verified pointer read latency here, and
@@ -509,84 +488,23 @@ func (f *Frontend) rtt(shard int) (time.Duration, bool) {
 	return m.rtt, m.measured
 }
 
-// routedLeg runs a leg on pair[0], then on pair[1] if that failed (not by
-// the lifecycle), costing both in sequence, each billed to its device.
-func (f *Frontend) routedLeg(bud reqBudget, e0 time.Duration, shard int, pair [2]*Frontend) (leg shardLeg) {
-	for _, d := range pair {
+// routedLeg runs a leg on devs[0], then on the next device if that failed
+// (not by the lifecycle), costing the attempts in sequence, each billed to
+// its device. Each attempt releases its device's loadMu (fetchLeg)
+// before the next starts: buddies form a ring, so holding both could
+// deadlock.
+func (f *Frontend) routedLeg(bud reqBudget, e0 time.Duration, shard int, devs []*Frontend) (leg shardLeg) {
+	for _, d := range devs {
 		prev := leg.cost
 		leg = d.fetchLeg(bud, e0+prev.Latency, shard)
 		if d != f {
-			f.hedgeBill(leg.cost.Latency)
+			f.buddyBill(leg.cost.Latency)
 		}
 		if leg.cost = prev.Seq(leg.cost); leg.err == nil || lifecycleErr(leg.err) {
 			break
 		}
 	}
 	return leg
-}
-
-// hedgeLeg duplicates one leg of a completed shard wave on the
-// buddy frontend (a wave route did not route): the fetch reruns
-// against the buddy's own peer, caches and links, the first reply wins
-// the latency, and both replies pay their bytes and messages. The
-// hedged leg is the lowest-indexed FAILED leg when the wave has one —
-// the duplicate is the retry that can actually rescue the wave
-// (single-frontend fault tolerance) — and otherwise the slowest
-// successful leg, where first-reply-wins shaves the tail. The results
-// are byte-identical either way (both frontends read the same
-// immutable DHT state), so hedging shifts only costs, never responses.
-// Waves stopped by the lifecycle are not hedged: the client is gone.
-//
-// No leg holds this frontend's loadMu by now: the hedge may take the
-// buddy's, and buddies form a ring, so holding both could deadlock.
-func (f *Frontend) hedgeLeg(bud reqBudget, e0 time.Duration, shards []int, legs []shardLeg) {
-	if f.hedge == nil || len(shards) == 0 {
-		return
-	}
-	slowest, failed := 0, -1
-	for i, leg := range legs {
-		if lifecycleErr(leg.err) {
-			return
-		}
-		if leg.err != nil && failed < 0 {
-			failed = i
-		}
-		if leg.cost.Latency > legs[slowest].cost.Latency {
-			slowest = i
-		}
-	}
-	if failed >= 0 {
-		slowest = failed
-	} else if legs[slowest].cost.Latency == 0 {
-		// Every leg was free: there is no latency to win, so a hedge
-		// would only burn duplicate DHT traffic.
-		return
-	}
-	h := f.hedge.fetchLeg(bud, e0, shards[slowest])
-	if lifecycleErr(h.err) {
-		return // the lifecycle ended mid-hedge; keep the primary leg as-is
-	}
-	f.hedges.Add(1)
-	if f.hedgeBill != nil {
-		// The duplicate ran on the buddy's device: its simulated time is
-		// the buddy's serving load, not this frontend's.
-		f.hedgeBill(h.cost.Latency)
-	}
-	p := &legs[slowest]
-	merged := netsim.Cost{Bytes: p.cost.Bytes + h.cost.Bytes, Msgs: p.cost.Msgs + h.cost.Msgs}
-	switch {
-	case p.err == nil && h.err == nil:
-		merged.Latency = min(p.cost.Latency, h.cost.Latency)
-	case p.err != nil && h.err == nil:
-		p.seg, p.err = h.seg, nil
-		merged.Latency = h.cost.Latency
-	case p.err == nil:
-		merged.Latency = p.cost.Latency
-	default:
-		// Both replies failed; the caller observes the later failure.
-		merged.Latency = max(p.cost.Latency, h.cost.Latency)
-	}
-	p.cost = merged
 }
 
 // docView is one snapshot of the chain state scoring reads: each

@@ -216,9 +216,9 @@ func twoBatchCluster(t *testing.T) (*Cluster, *Frontend) {
 // frontend on Peers[3], 120 three-term OR queries, a second batch, two
 // more passes — must give every response the same results and cost, and
 // end with the same cache counters and the same state on every node.
-// Each query also runs through a hedged pool of 2, whose leg routing
-// rests on round trips each frontend measured: its responses, and each
-// frontend's served count, hedges, simulated busy time and caches, must
+// Each query also runs through a hedged (paired) pool of 2, whose leg
+// routing rests on round trips each frontend measured: its responses,
+// and each frontend's served count, simulated busy time and caches, must
 // agree too.
 func TestQueryDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	ccfg := corpus.DefaultConfig()

@@ -34,11 +34,12 @@ import (
 // responses are byte-identical across pool sizes and balancing
 // schedules; only simulated costs shift with the links used.
 //
-// With hedged reads enabled (size ≥ 2), each shard leg runs on whichever
-// of its frontend and a buddy (the next one) measured the faster pointer
-// read, and a failed leg is retried on the other. A wave with a shard
-// not yet measured on both hedges its slowest or failed leg on the buddy
-// instead, measuring both — see docs/serving.md, "Hedged reads".
+// With hedged reads enabled (size ≥ 2) — the name is kept, but a hedged
+// pool is a paired one and duplicates nothing — each frontend is paired
+// with a buddy (the next one). A shard leg runs on the buddy only when
+// both have measured its pointer read and the buddy's was faster, on the
+// querying frontend otherwise, and a failed leg is retried on the other
+// device — see docs/serving.md, "Hedged reads".
 type FrontendPool struct {
 	cluster *Cluster
 	fronts  []*Frontend
@@ -51,7 +52,7 @@ type FrontendPool struct {
 	inflight []int
 	busy     []time.Duration // accumulated simulated serving time
 	// own is the part of busy spent on the frontend's own queries; the
-	// rest is legs it ran for its buddy's (hedgeBill), which served does
+	// rest is legs it ran for its buddy's (buddyBill), which served does
 	// not count, so the mean query cost is own/served.
 	own    []time.Duration
 	served []int64
@@ -67,9 +68,9 @@ type FrontendPool struct {
 
 // NewFrontendPool builds a pool of size frontends over the cluster's
 // peers (frontend i attaches to peer i mod NumPeers). Size is clamped to
-// at least 1. Hedged reads require at least two frontends; a size-1
-// hedged pool silently runs unhedged (there is no second device to
-// route or duplicate onto).
+// at least 1. Hedged (paired) reads require at least two frontends; a
+// size-1 hedged pool silently runs unpaired (there is no second device
+// to route onto).
 func NewFrontendPool(c *Cluster, size int, hedged bool, defaultDeadline time.Duration) *FrontendPool {
 	if size < 1 {
 		size = 1
@@ -90,8 +91,8 @@ func NewFrontendPool(c *Cluster, size int, hedged bool, defaultDeadline time.Dur
 	if p.hedged {
 		for i, f := range p.fronts {
 			buddy := (i + 1) % size
-			f.hedge = p.fronts[buddy]
-			f.hedgeBill = func(d time.Duration) {
+			f.buddy = p.fronts[buddy]
+			f.buddyBill = func(d time.Duration) {
 				p.mu.Lock()
 				p.busy[buddy] += d
 				p.load[buddy] += d
@@ -105,7 +106,8 @@ func NewFrontendPool(c *Cluster, size int, hedged bool, defaultDeadline time.Dur
 // Size returns the number of frontends in the pool.
 func (p *FrontendPool) Size() int { return len(p.fronts) }
 
-// Hedged reports whether shard fetches are hedged across frontends.
+// Hedged reports whether the pool pairs its frontends: each shard fetch
+// may run on, or be retried on, a frontend's buddy.
 func (p *FrontendPool) Hedged() bool { return p.hedged }
 
 // Frontend returns the i-th frontend (experiment harnesses, Fetch).
@@ -216,11 +218,9 @@ type FrontendLoad struct {
 	// BusySim is the frontend's accumulated simulated serving time — the
 	// pool's makespan is the maximum across frontends, and the pool's
 	// simulated speedup is the summed busy time over that maximum.
+	// Legs a frontend runs for its buddy's queries count here too.
 	BusySim time.Duration
-	// Hedges counts shard fetches this frontend duplicated onto its
-	// buddy; legs routed there only bill the buddy's BusySim.
-	Hedges int64
-	Cache  CacheStats
+	Cache   CacheStats
 }
 
 // PoolStats is a point-in-time snapshot of the serving tier.
@@ -248,10 +248,9 @@ func (p *FrontendPool) Stats() PoolStats {
 		}
 	}
 	p.mu.Unlock()
-	// Cache and hedge counters live on the frontends; read them outside
-	// the pool lock (they have their own synchronization).
+	// Cache counters live on the frontends; read them outside the pool
+	// lock (they have their own synchronization).
 	for i, f := range p.fronts {
-		st.Frontends[i].Hedges = f.hedges.Load()
 		st.Frontends[i].Cache = f.CacheStatsSnapshot()
 	}
 	return st

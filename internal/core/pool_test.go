@@ -59,7 +59,7 @@ func TestPoolAcquireProjectsOwnCost(t *testing.T) {
 		serve(0, 10*time.Millisecond)
 		serve(1, 31500*time.Microsecond)
 	}
-	pool.fronts[1].hedgeBill(200 * time.Millisecond) // frontend 0 ran legs of frontend 1's queries
+	pool.fronts[1].buddyBill(200 * time.Millisecond) // frontend 0 ran legs of frontend 1's queries
 	// Busy 300 ms at an own mean of 10 ms, against 315 ms with nothing
 	// in flight.
 	pick := func(inflight0 int) int {
@@ -120,11 +120,12 @@ func TestPoolDrainForfeitsIdleCredit(t *testing.T) {
 	}
 }
 
-// TestPoolHedgeRescuesTamperedReplica: the hedged leg is the wave's
-// failed leg, so a segment replica tampered on the primary frontend's
-// own peer — hash verification fails there — is rescued by the buddy's
-// clean fetch and the query succeeds with full results.
-func TestPoolHedgeRescuesTamperedReplica(t *testing.T) {
+// TestPoolRescuesTamperedReplica: a failed leg is retried on the other
+// device of its pair, so a segment replica tampered on the primary
+// frontend's own peer — hash verification fails there — is rescued by
+// the buddy's clean fetch and the query succeeds with full results,
+// paying for both attempts.
+func TestPoolRescuesTamperedReplica(t *testing.T) {
 	c, _ := queryCluster(t)
 	pool := NewFrontendPool(c, 2, true, 0)
 	primary := pool.Frontend(0)
@@ -145,27 +146,36 @@ func TestPoolHedgeRescuesTamperedReplica(t *testing.T) {
 	primary.peer.DHT().StoreLocal(
 		dht.KeyOfString(index.SegmentKey(ptr.Digests[0])), []byte("tampered"), 0)
 
-	// Unhedged control: the same tampered frontend alone fails loudly.
+	// Unpaired control: the same tampered frontend alone fails loudly.
 	alone := NewFrontend(c, primary.peer)
 	if _, err := alone.ExecuteCtx(context.Background(), Query{Raw: "orchard", Mode: PlanAll}); !errors.Is(err, ErrShardUnavailable) {
-		t.Fatalf("unhedged tampered frontend: err = %v, want ErrShardUnavailable", err)
+		t.Fatalf("unpaired tampered frontend: err = %v, want ErrShardUnavailable", err)
 	}
 
-	// Hedged pool: frontend 0 serves the first query, its leg fails,
-	// the hedge reruns it on frontend 1 and the wave succeeds.
+	// Paired pool: frontend 0 serves the first query and runs its leg
+	// (nothing is measured yet), the leg fails, it is retried on
+	// frontend 1 and the wave succeeds.
 	resp, err := pool.ExecuteCtx(context.Background(), Query{Raw: "orchard", Mode: PlanAll})
 	if err != nil {
-		t.Fatalf("hedge did not rescue the tampered leg: %v", err)
+		t.Fatalf("the buddy did not rescue the tampered leg: %v", err)
 	}
 	if len(resp.Results) == 0 {
 		t.Fatal("rescued query returned no results")
 	}
-	if got := pool.Frontend(0).hedges.Load(); got == 0 {
-		t.Fatal("no hedge recorded for the rescued wave")
+	// The retry ran on the buddy and was billed to its serving time; the
+	// query's cost, billed to frontend 0, is the failed attempt there
+	// followed by the retry.
+	st := pool.Stats().Frontends
+	reads := func(fl FrontendLoad) int64 { return fl.Cache.PtrVerified + fl.Cache.PtrWalks }
+	if reads(st[0]) != 1 || reads(st[1]) != 1 {
+		t.Fatalf("want one pointer read per device (the failed attempt, the retry): %+v", st)
 	}
-	// The buddy's serving time was billed for the duplicate.
-	if busy := pool.Stats().Frontends[1].BusySim; busy == 0 {
-		t.Fatalf("hedge time not billed to the buddy: %+v", pool.Stats().Frontends)
+	retry := st[1].BusySim
+	if retry == 0 {
+		t.Fatalf("the retry was not billed to the buddy: %+v", st)
+	}
+	if resp.Cost.Latency <= retry || st[0].BusySim != resp.Cost.Latency {
+		t.Fatalf("rescued query cost %v, want the failed attempt plus the retry's %v", resp.Cost.Latency, retry)
 	}
 }
 
@@ -186,17 +196,20 @@ func TestPoolDefaultDeadlineApplies(t *testing.T) {
 	}
 }
 
-// TestPoolLegRouting: on a hedged pool of 2, once both devices have
-// measured a shard, its leg runs on exactly one of them — the one whose
-// last verified pointer read was faster, the querying frontend on a tie
-// — so a warm query hedges nothing and sends one RPC per distinct shard,
-// none for a shard either device holds a current replica of (it is read
-// there, for free), with the answer a lone unhedged frontend gives. A
-// measurement is a flag, not a non-zero rtt. A leg that fails on
-// its device is rescued on the other and pays for both attempts; a
-// holder re-learned by a walk forgets its measurement, so the next wave
-// hedges once to measure it again. The cluster has more nodes than K,
-// so each device remembers its own nearest replica of a pointer.
+// TestPoolLegRouting: on a hedged (paired) pool of 2, each shard leg
+// runs on exactly one device — the buddy when both have measured the
+// shard and the buddy's last verified pointer read was strictly faster,
+// the querying frontend otherwise — so a wave with no failed leg reads
+// each distinct shard's pointer exactly once across the pair, cold waves
+// included, and a warm query sends one RPC per distinct shard, none for
+// a shard its device holds a current replica of (it is read there, for
+// free), with the answer a lone unpaired frontend gives. A measurement
+// is a flag, not a non-zero rtt. A leg that fails on its device is
+// rescued on the other and pays for both attempts; a holder re-learned
+// by a walk forgets its measurement, so the next wave runs on the
+// querying frontend, and the one after is routed again. The cluster has
+// more nodes than K, so each device remembers its own nearest replica
+// of a pointer.
 func TestPoolLegRouting(t *testing.T) {
 	ccfg := corpus.DefaultConfig()
 	ccfg.NumDocs = 128
@@ -225,7 +238,7 @@ func TestPoolLegRouting(t *testing.T) {
 	for i, q := range queries {
 		resp, err := ref.ExecuteCtx(ctx, Query{Raw: q, Mode: PlanAny})
 		if err != nil {
-			t.Fatalf("unhedged %q: %v", q, err)
+			t.Fatalf("unpaired %q: %v", q, err)
 		}
 		want[i] = resp
 	}
@@ -249,29 +262,58 @@ func TestPoolLegRouting(t *testing.T) {
 			t.Fatalf("%q: %v", queries[i], err)
 		}
 		if !reflect.DeepEqual(resp.Results, want[i].Results) {
-			t.Fatalf("%q: results %+v, unhedged frontend %+v", queries[i], resp.Results, want[i].Results)
+			t.Fatalf("%q: results %+v, unpaired frontend %+v", queries[i], resp.Results, want[i].Results)
 		}
 		return resp
 	}
-	hedges := func() int64 { return pool.Frontend(0).hedges.Load() + pool.Frontend(1).hedges.Load() }
+	// reads counts the pointer reads each device answered, verified or
+	// walked: one per leg that ran there.
+	reads := func() (n [2]int64) {
+		for j := range n {
+			st := pool.Frontend(j).CacheStatsSnapshot()
+			n[j] = st.PtrVerified + st.PtrWalks
+		}
+		return n
+	}
+	// once runs query i, whose legs must all succeed, and checks that its
+	// wave read each distinct shard's pointer exactly once across the pair.
+	once := func(i int) SearchResponse {
+		t.Helper()
+		before := reads()
+		resp := run(i)
+		after := reads()
+		if got := after[0] - before[0] + after[1] - before[1]; got != int64(len(shardsOf(i))) {
+			t.Fatalf("%q: the wave read %d pointers for %d distinct shards", queries[i], got, len(shardsOf(i)))
+		}
+		return resp
+	}
+	measured := func() bool {
+		for i := range queries {
+			for _, s := range shardsOf(i) {
+				for j := 0; j < 2; j++ {
+					if _, ok := pool.Frontend(j).rtt(s); !ok {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
 	warmUp := func() {
 		t.Helper()
-		for pass := 0; ; pass++ {
+		for pass := 0; !measured(); pass++ {
 			if pass == 10 {
-				t.Fatal("still hedging after 10 passes")
+				t.Fatal("a shard of the query set is still unmeasured on a device after 10 passes")
 			}
-			before := hedges()
 			for i := range queries {
-				run(i)
-			}
-			if hedges() == before {
-				return
+				once(i)
 			}
 		}
 	}
 	// chosen is the device that runs shard s's leg of a query on
 	// frontend i, and the other device of the pair.
 	chosen := func(i, s int) (dev, other *Frontend) {
+		t.Helper()
 		here, there := pool.Frontend(i%2), pool.Frontend(1-i%2)
 		hrtt, hok := here.rtt(s)
 		trtt, tok := there.rtt(s)
@@ -299,16 +341,17 @@ func TestPoolLegRouting(t *testing.T) {
 		return f.ptrHolder[s]
 	}
 	addr := func(f *Frontend) netsim.NodeID { return f.peer.DHT().Self().Addr }
-
-	warmUp()
-	routed := map[*Frontend]int{}
-	localLegs := 0
-	for i := range queries {
-		wantVerified := map[*Frontend]int64{}
+	// routedWave runs query i with every shard measured on both devices
+	// and checks that each leg ran on its chosen device alone, verified,
+	// at one RPC unless that device holds the pointer. It returns the
+	// legs each device ran and how many were read on the device.
+	routedWave := func(i int) (legs map[*Frontend]int64, localLegs int) {
+		t.Helper()
+		legs = map[*Frontend]int64{}
 		remote := 0
 		for _, s := range shardsOf(i) {
 			dev, other := chosen(i, s)
-			wantVerified[dev]++
+			legs[dev]++
 			switch {
 			case local(dev, s):
 				if rtt, _ := dev.rtt(s); rtt != 0 {
@@ -322,21 +365,32 @@ func TestPoolLegRouting(t *testing.T) {
 			}
 		}
 		before := pool.Stats()
-		resp := run(i)
+		resp := once(i)
 		after := pool.Stats()
 		if resp.Cost.Msgs != remote {
 			t.Fatalf("%q: warm query sent %d msgs for %d shards held on neither device", queries[i], resp.Cost.Msgs, remote)
 		}
 		for j, fl := range after.Frontends {
 			f := pool.Frontend(j)
-			if got := fl.Cache.PtrVerified - before.Frontends[j].Cache.PtrVerified; got != wantVerified[f] {
-				t.Fatalf("%q: frontend %d ran %d legs, want %d (the lower measurement)", queries[i], j, got, wantVerified[f])
+			if got := fl.Cache.PtrVerified - before.Frontends[j].Cache.PtrVerified; got != legs[f] {
+				t.Fatalf("%q: frontend %d ran %d legs, want %d (the lower measurement)", queries[i], j, got, legs[f])
 			}
-			if fl.Hedges != before.Frontends[j].Hedges || fl.Cache.PtrWalks != before.Frontends[j].Cache.PtrWalks {
-				t.Fatalf("%q: a warm routed wave hedged or walked: %+v → %+v", queries[i], before.Frontends[j], fl)
+			if fl.Cache.PtrWalks != before.Frontends[j].Cache.PtrWalks {
+				t.Fatalf("%q: a warm routed wave walked: %+v → %+v", queries[i], before.Frontends[j], fl)
 			}
-			routed[f] += int(wantVerified[f])
 		}
+		return legs, localLegs
+	}
+
+	warmUp()
+	routed := map[*Frontend]int64{}
+	localLegs := 0
+	for i := range queries {
+		legs, l := routedWave(i)
+		for f, n := range legs {
+			routed[f] += n
+		}
+		localLegs += l
 	}
 	t.Logf("warm legs routed: %d to frontend 0, %d to frontend 1, %d of them read on the device", routed[pool.Frontend(0)], routed[pool.Frontend(1)], localLegs)
 	if localLegs == 0 {
@@ -363,7 +417,6 @@ func TestPoolLegRouting(t *testing.T) {
 			continue
 		}
 		before := other.CacheStatsSnapshot()
-		hedged := hedges()
 		c.Net.SetDown(addr(dev), true)
 		resp := run(i)
 		c.Net.SetDown(addr(dev), false)
@@ -373,9 +426,6 @@ func TestPoolLegRouting(t *testing.T) {
 		retry, _ := other.rtt(s) // the rescue's read, measured
 		if resp.Cost.Msgs < 2 || resp.Cost.Latency <= retry {
 			t.Fatalf("%q: rescued leg cost %+v, want the failed attempt plus the retry (%v, 1 msg)", queries[i], resp.Cost, retry)
-		}
-		if hedges() != hedged {
-			t.Fatalf("%q: a rescue counted as a hedge", queries[i])
 		}
 		if holder(dev, s) != (ptrMemo{}) {
 			t.Fatalf("%q: the isolated device kept a holder its walk could not confirm", queries[i])
@@ -387,11 +437,13 @@ func TestPoolLegRouting(t *testing.T) {
 		t.Fatal("no one-shard query whose chosen device can be isolated")
 	}
 
-	// A one-shard query whose chosen device's holder goes down: the leg
-	// walks on that device and re-learns a holder with no measurement, so
-	// the next wave hedges once, and the one after is routed again. The
-	// holder is back up before the next wave: it may be the other
-	// device's holder, or the other device itself.
+	// A one-shard query whose chosen device is the querying frontend, and
+	// whose holder there goes down: the leg walks and re-learns a holder
+	// with no measurement, so the next wave runs on the querying frontend
+	// — one RPC to its new holder, nothing on the buddy — which measures
+	// it, and the one after is routed again. The holder is back up before
+	// the next wave: it may be the other device's holder, or the other
+	// device itself.
 	warmUp()
 	relearned := false
 	for i := range queries {
@@ -401,25 +453,22 @@ func TestPoolLegRouting(t *testing.T) {
 		}
 		s := ss[0]
 		dev, _ := chosen(i, s)
-		if local(dev, s) {
+		if dev != pool.Frontend(i%2) || local(dev, s) {
 			continue
 		}
 		h := holder(dev, s).holder
 		c.Net.SetDown(h.Addr, true)
 		walks := dev.CacheStatsSnapshot().PtrWalks
-		run(i)
+		once(i)
 		c.Net.SetDown(h.Addr, false)
 		if m := holder(dev, s); dev.CacheStatsSnapshot().PtrWalks != walks+1 || m.holder == h || m.measured {
 			t.Fatalf("%q: after its holder went down the device remembers %+v, want a new unmeasured holder", queries[i], m)
 		}
-		hedged := hedges()
-		run(i)
-		if got := hedges() - hedged; got != 1 {
-			t.Fatalf("%q: the wave after a re-learned holder hedged %d times, want 1", queries[i], got)
+		before := reads()
+		if resp := once(i); resp.Cost.Msgs != 1 || reads()[i%2] != before[i%2]+1 {
+			t.Fatalf("%q: the wave after a re-learned holder cost %+v and read %v → %v pointers, want one RPC on frontend %d", queries[i], resp.Cost, before, reads(), i%2)
 		}
-		if resp := run(i); resp.Cost.Msgs != 1 || hedges() != hedged+1 {
-			t.Fatalf("%q: measured again, the wave cost %+v and hedged %d times", queries[i], resp.Cost, hedges()-hedged-1)
-		}
+		routedWave(i)
 		relearned = true
 		break
 	}

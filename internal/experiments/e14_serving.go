@@ -21,12 +21,13 @@ func init() {
 
 // runE14 measures the serving tier in the simulator's own currency. A
 // fixed 8-client query workload is replayed against pools of 1/2/4/8
-// frontends, hedging off and on. Reported per configuration:
+// frontends, hedging (pairing) off and on. Reported per configuration:
 //
-//   - p50/p99 simulated per-query latency: hedging attacks the p99 tail
-//     (each shard fetch goes to whichever device of a frontend pair
-//     measured the faster pointer read for it; a wave with an unmeasured
-//     shard duplicates its slowest fetch, first reply wins, to measure);
+//   - p50/p99 simulated per-query latency: pairing attacks the p99 tail
+//     (a shard fetch goes to the buddy of a frontend pair when both
+//     measured its pointer read and the buddy's was faster, to the
+//     querying frontend otherwise; a failed fetch is retried on the
+//     other);
 //   - deadline miss rate against a fixed per-query simulated deadline,
 //     set just above the warm median so the column reads the tail;
 //   - serving makespan (the busiest frontend's accumulated simulated
@@ -41,9 +42,9 @@ func init() {
 // let cold loads finish, then a measured pass — until a measured pass
 // runs entirely warm (core.CacheStats.WarmSince), and that pass is the
 // row. Warm-up goes through the pool like the measurement does: legs
-// routed or duplicated onto a buddy bill the buddy's load even on a
-// direct frontend call, so warming the frontends one by one would leave
-// the balancer a skewed load view.
+// routed onto a buddy bill the buddy's load even on a direct frontend
+// call, so warming the frontends one by one would leave the balancer a
+// skewed load view.
 func runE14(seed uint64) []*metrics.Table {
 	const (
 		peers      = 24

@@ -31,15 +31,14 @@ func WithFrontendPool(n int) Option {
 	return func(c *core.Config) { c.PoolSize = n }
 }
 
-// WithHedgedReads pairs each pool frontend with a second one and sends
-// each shard fetch to whichever of the two measured the faster pointer
-// read for that shard — at most one RPC per shard on a warm query, none
-// where either frontend's own node holds the pointer. A fetch that
-// fails on one is retried on the other. Until both have measured a
-// shard, a query duplicates its slowest fetch on the second frontend
-// (first reply wins the latency, both pay their bytes and messages),
-// which measures both. Requires WithFrontendPool(n ≥ 2); a size-1 pool
-// runs unhedged.
+// WithHedgedReads pairs each pool frontend with a second one; "hedged"
+// now means paired, and no fetch is duplicated. Each shard fetch goes to
+// the second frontend only when both have measured its pointer read and
+// the second's was faster, to the querying frontend otherwise (which
+// measures it) — at most one RPC per shard on a warm query, none where
+// the chosen frontend's own node holds the pointer. A fetch that fails
+// on one is retried on the other. Requires WithFrontendPool(n ≥ 2); a
+// size-1 pool runs unpaired.
 func WithHedgedReads(on bool) Option {
 	return func(c *core.Config) { c.HedgedReads = on }
 }

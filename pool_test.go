@@ -10,8 +10,8 @@ import (
 )
 
 // TestPoolSoakMatchesSingleFrontend is the serving-tier determinism
-// soak: a pool of 4 hedged frontends must answer every workload query
-// byte-identically to a single sequential frontend on the same seed —
+// soak: a pool of 4 hedged (paired) frontends must answer every workload
+// query byte-identically to a single sequential frontend on the same seed —
 // first under a sequential driver (the deterministic least-loaded
 // schedule), then with all 16 clients racing. (The TestPool name prefix
 // keeps it inside CI's -count=2 determinism re-run.)
@@ -66,24 +66,20 @@ func TestPoolSoakMatchesSingleFrontend(t *testing.T) {
 	}
 	wg.Wait()
 
-	// The tier actually did its job: load spread beyond one frontend and
-	// hedges were issued.
+	// The tier actually did its job: load spread beyond one frontend.
+	// (Where each shard leg runs is pinned by core's TestPoolLegRouting.)
 	ps := pooled.PoolStats()
 	if ps.Size != 4 || !ps.Hedged {
 		t.Fatalf("pool shape = %+v", ps)
 	}
-	loaded, hedges := 0, int64(0)
+	loaded := 0
 	for _, f := range ps.Frontends {
 		if f.Served > 0 {
 			loaded++
 		}
-		hedges += f.Hedges
 	}
 	if loaded < 2 {
 		t.Fatalf("balancer pinned all load on %d frontend(s): %+v", loaded, ps.Frontends)
-	}
-	if hedges == 0 {
-		t.Fatal("hedged pool issued no hedged shard fetches")
 	}
 }
 

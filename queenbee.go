@@ -310,8 +310,8 @@ type Degraded = core.Degraded
 type Readiness = core.Readiness
 
 // PoolStats is a snapshot of the serving tier: per-frontend load
-// counters (served, in-flight, accumulated simulated busy time, hedges,
-// caches) plus the deadline-miss count.
+// counters (served, in-flight, accumulated simulated busy time, caches)
+// plus the deadline-miss count.
 type PoolStats = core.PoolStats
 
 // FrontendLoad is one frontend's serving counters (see PoolStats).
