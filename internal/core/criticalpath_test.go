@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -140,6 +141,58 @@ func TestWriteCriticalPath(t *testing.T) {
 	}
 	if compacting != 3 {
 		t.Fatalf("%d compacting rounds, want three: the merge legs went unexercised", compacting)
+	}
+}
+
+// The median plain round's makespan and store wave on
+// TestPublishMakespanRatchet's fixture, as recorded once Put and Provide
+// stored along their walks (before that: 596.2 and 374.0 ms), and the
+// margin a change may add before the ratchet fails.
+const (
+	ratchetWave   = 565_700 * time.Microsecond
+	ratchetStore  = 235_800 * time.Microsecond
+	ratchetMargin = 0.02
+)
+
+// TestPublishMakespanRatchet: on the docs/indexing.md fixture — thirteen
+// 32-page IndexBatch rounds on the default cluster, seed 1 — the median
+// plain (non-compacting) round's Wave() and StoreCost stay within
+// ratchetMargin of the recorded values. A page is searchable once its
+// round's Wave() has passed, and the store wave is the publisher's
+// Provide walks, so a write path that walks, then waves, fails here.
+// Both are simulated times, a pure function of the seed. The median of
+// the ten plain rounds is the upper middle one.
+func TestPublishMakespanRatchet(t *testing.T) {
+	cfg := DefaultConfig()
+	c := NewCluster(cfg)
+	owner := c.NewAccount("writer", 1<<40)
+	c.Seal()
+	var waves, stores []time.Duration
+	for round, pages := range corpusBatches(cfg.Seed, 13, 32) {
+		rr, err := c.IndexBatch(owner, pages)
+		if err != nil || len(rr.Errors) > 0 {
+			t.Fatalf("round %d: err=%v round errors=%v", round, err, rr.Errors)
+		}
+		if rr.Compactions == 0 {
+			waves = append(waves, rr.Wave().Latency)
+			stores = append(stores, rr.StoreCost.Latency)
+		}
+	}
+	if len(waves) != 10 {
+		t.Fatalf("%d plain rounds, want ten: the fixture changed", len(waves))
+	}
+	for _, m := range []struct {
+		name     string
+		got      []time.Duration
+		recorded time.Duration
+	}{{"Wave()", waves, ratchetWave}, {"StoreCost", stores, ratchetStore}} {
+		slices.Sort(m.got)
+		median := m.got[len(m.got)/2]
+		bound := time.Duration(float64(m.recorded) * (1 + ratchetMargin))
+		t.Logf("median plain round %s %v, recorded %v, bound %v", m.name, median, m.recorded, bound)
+		if median > bound {
+			t.Errorf("median plain round %s %v, above its recorded %v by more than %.0f %%", m.name, median, m.recorded, 100*ratchetMargin)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/dht"
 	"repro/internal/index"
 	"repro/internal/netsim"
+	"repro/internal/store"
 )
 
 // TestPoolBalancerDeterministicLeastLoaded: under a sequential driver
@@ -127,8 +129,6 @@ func TestPoolDrainForfeitsIdleCredit(t *testing.T) {
 // paying for both attempts.
 func TestPoolRescuesTamperedReplica(t *testing.T) {
 	c, _ := queryCluster(t)
-	pool := NewFrontendPool(c, 2, true, 0)
-	primary := pool.Frontend(0)
 
 	// Locate the single shard behind "orchard" and tamper its segment
 	// replica locally on the primary's peer. GetImmutable serves the
@@ -136,13 +136,27 @@ func TestPoolRescuesTamperedReplica(t *testing.T) {
 	// fails the digest check; the buddy (a different peer) reads a
 	// clean replica.
 	shard := index.ShardOf("orchard", c.Config().NumShards)
-	ptr, _, err := readShardPointer(primary.peer.DHT(), shard)
+	ptr, _, err := readShardPointer(c.Peers[0].DHT(), shard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ptr.Digests) == 0 {
 		t.Fatal("orchard's shard has no segments")
 	}
+	// The buddy's own DHT node holds no replica of the shard's pointer,
+	// so its retry walks for it and is billed. A write lands on every
+	// contact its walk reached, so the pool's second peer may hold one
+	// (newPointerFixture picks its peer the same way).
+	far := slices.IndexFunc(c.Peers[1:], func(p *store.Peer) bool {
+		_, held := p.DHT().Local(pointerKey(shard))
+		return !held
+	})
+	if far < 0 {
+		t.Fatal("every other peer holds orchard's shard pointer")
+	}
+	c.Peers[1], c.Peers[1+far] = c.Peers[1+far], c.Peers[1]
+	pool := NewFrontendPool(c, 2, true, 0)
+	primary := pool.Frontend(0)
 	primary.peer.DHT().StoreLocal(
 		dht.KeyOfString(index.SegmentKey(ptr.Digests[0])), []byte("tampered"), 0)
 

@@ -393,10 +393,12 @@ func TestWriteDeterminismAcrossGOMAXPROCS(t *testing.T) {
 
 // pinnedForget is what TestWriteBeesForgetResolvedTasks's run produced
 // when bees kept every result they ever built: a digest of every round's
-// receipt, and clusterDigest.
+// receipt, and clusterDigest. Re-recorded when a walked write began to
+// store along its walk: the receipts' costs moved, and so did the
+// cluster, which holds each record's displaced copies too.
 var pinnedForget = struct{ receipts, digest string }{
-	receipts: "25d3c83a21d7a0c1ebb6b879406ea4fce96f0e68a21cf3d1d3727c4ee4c08339",
-	digest:   "10202636f7d266eedf7244a89b253b37349cea8461a5bd408a635e2929ccf9cd",
+	receipts: "8fc0f36acb82a7896c835216ad7a28a59b11e93072a7f5bd2bc4f35a37d781ce",
+	digest:   "33be4666c05e7401c79d11ca851d70854992e215a14cf03b768439d6f9111235",
 }
 
 // TestWriteBeesForgetResolvedTasks: a bee drops a task's result once the
@@ -465,10 +467,10 @@ func pendingByTask(c *Cluster) map[string][][]byte {
 
 // pinnedQuorumBuild is what TestWriteQuorumBuildsOnce's two rounds
 // produced when every assignee built its own result: a digest of both
-// receipts, and clusterDigest.
+// receipts, and clusterDigest. Re-recorded as pinnedForget was.
 var pinnedQuorumBuild = struct{ receipts, digest string }{
-	receipts: "7a5652593eb6755c09fbd6fc723789f1395bfdd748c4f3ae9b345005507447c1",
-	digest:   "07043d18e3490ab1f481a84e43371397364aaf10515cf9c11b910de7e01d31bd",
+	receipts: "3e6c61bcf198590dc978bb09d6ce52c5c7a073132ae088729c5ba31f2eeddc63",
+	digest:   "cf83663877a942a8870ecea00baf0858c3e9747b4a8646f0c5d636ab5db8c135",
 }
 
 // TestWriteQuorumBuildsOnce: the assignees of a task whose inputs are
@@ -534,7 +536,9 @@ func TestWriteQuorumBuildsOnce(t *testing.T) {
 
 // pinnedTampered is what TestWriteTamperedLocalCopyBuildsAlone's round
 // produced when every assignee built its own result: each assignee's
-// vote in bee order, a digest of the receipt, and clusterDigest.
+// vote in bee order, a digest of the receipt, and clusterDigest. The
+// receipt and clusterDigest were re-recorded as pinnedForget's were;
+// the votes did not move.
 var pinnedTampered = struct {
 	votes           []string
 	receipt, digest string
@@ -544,8 +548,8 @@ var pinnedTampered = struct {
 		"bee-002 won=true a35b24d8afa24bbb 2079",
 		"bee-003 won=true a35b24d8afa24bbb 2079",
 	},
-	receipt: "149290bdd7271e52000cf19467dc5f82daac08c237079d71c6f123a800e9275a",
-	digest:  "6d0e080f1d614eb09a809fbceef5483c0301a37e6d370cbb43b16488edefc1d8",
+	receipt: "799d2906b1cca23111fdc222548ddf5b738ad8115c66f09c6d6eda3b55c57f00",
+	digest:  "c3a479b364b65fffb31f685f81b17fa6742db53455ff09ff75c25f9968b3ec26",
 }
 
 // TestWriteTamperedLocalCopyBuildsAlone: a build is shared by the bytes

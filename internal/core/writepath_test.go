@@ -296,12 +296,15 @@ func TestWriteRefusedStoreSurfaces(t *testing.T) {
 // pinnedCompaction is what TestWriteCompactionPinned's deployment holds
 // after its sixty-six rounds, recorded when every shard's level-0 merge
 // still decoded its runs in full and restricted the merged run after
-// the merge: clusterDigest over every node, and the write ledger.
+// the merge: clusterDigest over every node, and the write ledger. The
+// digest was re-recorded when a walked write began to store along its
+// walk, leaving displaced copies beside each record's K replicas; the
+// ledger did not move.
 var pinnedCompaction = struct {
 	digest string
 	write  WriteStats
 }{
-	digest: "1a8b7aa7f3944483fc0a261f3f6edede4588b8aabea09adcf6aa5c0e5ed47ded",
+	digest: "e86e0d666346cd1de0bb912f7d0621622991c96236982f926a7df4a705846bc4",
 	write: WriteStats{
 		Rounds: 66, SegmentWrites: 66, PointerWrites: 528, Compactions: 168,
 		IngestedBytes: 1_232_587, CompactedBytes: 2_351_627,

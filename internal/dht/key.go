@@ -11,9 +11,11 @@
 // each held — and the write forms PutAt / ProvideAt take such a walk and
 // send only the STORE / ADD_PROVIDER wave, re-walking once if a contact
 // died in between. Put, Provide and GetCtx are the same operations for
-// callers with no walk to offer or no use for one. A write or quorum-read
-// walk asks the K closest it knows at once; GetImmutableCtx and provider
-// discovery ask alpha at a time.
+// callers with no walk to offer or no use for one; a write with no
+// converged walk sends its record on the walk itself, so it is done when
+// the walk converges. A write or quorum-read walk asks the K closest it
+// knows at once; GetImmutableCtx and provider discovery ask alpha at a
+// time.
 package dht
 
 import (

@@ -24,17 +24,24 @@ func (r findNodeResp) WireSize() int {
 	return 8 + contactWireSize*len(r.Contacts)
 }
 
+// Closer, on a write request, asks the replier for its K closest to Key,
+// as FIND_NODE would: a write that walks while it stores needs them, a
+// wave on a converged walk does not. It rides the request's framing.
 type storeReq struct {
-	From  Contact
-	Key   Key
-	Value []byte
-	Seq   uint64 // versioned records: higher sequence wins
+	From   Contact
+	Key    Key
+	Value  []byte
+	Seq    uint64 // versioned records: higher sequence wins
+	Closer bool
 }
 
-type storeResp struct{ OK bool }
+type storeResp struct {
+	OK       bool
+	Contacts []Contact // the replier's K closest to Key, when asked
+}
 
-func (r storeReq) WireSize() int { return contactWireSize + KeySize + 8 + len(r.Value) }
-func (storeResp) WireSize() int  { return 8 }
+func (r storeReq) WireSize() int  { return contactWireSize + KeySize + 8 + len(r.Value) }
+func (r storeResp) WireSize() int { return 8 + contactWireSize*len(r.Contacts) }
 
 type findValueReq struct {
 	From Contact
@@ -57,12 +64,16 @@ type addProviderReq struct {
 	From     Contact
 	Key      Key
 	Provider Contact
+	Closer   bool
 }
 
-type addProviderResp struct{ OK bool }
+type addProviderResp struct {
+	OK       bool
+	Contacts []Contact // the replier's K closest to Key, when asked
+}
 
-func (addProviderReq) WireSize() int  { return 2*contactWireSize + KeySize }
-func (addProviderResp) WireSize() int { return 8 }
+func (addProviderReq) WireSize() int    { return 2*contactWireSize + KeySize }
+func (r addProviderResp) WireSize() int { return 8 + contactWireSize*len(r.Contacts) }
 
 type getProvidersReq struct {
 	From Contact

@@ -95,7 +95,7 @@ func NewNode(net *netsim.Network, addr netsim.NodeID, cfg Config) *Node {
 // Self returns this node's contact record.
 func (n *Node) Self() Contact { return n.self }
 
-// K returns the replication factor: how many of the closest nodes a
+// K returns the replication factor: the size of the closest set every
 // write lands on.
 func (n *Node) K() int { return n.cfg.K }
 
@@ -130,7 +130,7 @@ func (n *Node) handle(from netsim.NodeID, req any) (any, error) {
 		n.mu.Unlock()
 		// A replica that kept its newer record says so: the writer counts
 		// accepted replicas, not delivered messages.
-		return storeResp{OK: accepted}, nil
+		return storeResp{OK: accepted, Contacts: n.closerIf(m.Closer, m.Key)}, nil
 	case findValueReq:
 		n.rt.update(m.From)
 		n.mu.Lock()
@@ -150,7 +150,7 @@ func (n *Node) handle(from netsim.NodeID, req any) (any, error) {
 			n.providers[m.Key] = withProvider(set, m.Provider)
 		}
 		n.mu.Unlock()
-		return addProviderResp{OK: true}, nil
+		return addProviderResp{OK: true, Contacts: n.closerIf(m.Closer, m.Key)}, nil
 	case getProvidersReq:
 		n.rt.update(m.From)
 		n.mu.Lock()
@@ -163,6 +163,15 @@ func (n *Node) handle(from netsim.NodeID, req any) (any, error) {
 	default:
 		return nil, fmt.Errorf("dht: unknown message %T", req)
 	}
+}
+
+// closerIf answers a write that asked for contacts (Closer) with this
+// node's K closest to key, as FIND_NODE would.
+func (n *Node) closerIf(asked bool, key Key) []Contact {
+	if !asked {
+		return nil
+	}
+	return n.rt.closest(key, n.cfg.K)
 }
 
 // Bootstrap seeds the routing table with known contacts and performs a
@@ -258,7 +267,7 @@ type Replica struct {
 // convergence is the replica set a write to Key lands on, so PutAt and
 // ProvideAt accept it in place of walking again; the zero Closest of an
 // unconverged walk (cut short, answered locally, or simply Walk{Key: k})
-// makes them walk first.
+// makes them walk, storing as they go (writeAt).
 type Walk struct {
 	Key     Key
 	Closest []Replica
@@ -348,10 +357,10 @@ func (s *shortlist) insert(c Contact, target Key) bool {
 // Each round asks, in parallel, up to width of the nearest live contacts
 // not yet asked. A walk whose product is the converged closest set looks
 // no further than the K closest it knows: at width K (lookupNodes,
-// Locate) a walker whose table already holds the replica set converges
-// in one round trip; at width alpha (FindProvidersConverged) it asks no
-// wider than a first-answer walk, and stops once the K closest have
-// answered. A walk whose caller consumes its first answer (firstAnswer:
+// Locate, a walked write) a walker whose table already holds the replica
+// set converges in one round trip; at width alpha
+// (FindProvidersConverged) it asks no wider than a first-answer walk,
+// and stops once the K closest have answered. A walk whose caller consumes its first answer (firstAnswer:
 // GetImmutableCtx, FindProviders) keeps the classic schedule — alpha a
 // round, nearest first however far down the shortlist — so once fewer
 // than alpha of the K closest are left to ask it asks past them too,
@@ -531,59 +540,74 @@ func (n *Node) iterativeLookup(ctx context.Context, target Key, width int, first
 	return result, total, nil
 }
 
-// writeAt is the one write wave behind PutAt and ProvideAt: send issues
-// one RPC to a member of the walk's closest set and reports whether the
-// replica took the record. It returns the contacts that took it. An
-// unconverged walk is walked first. A reused one can be stale only if a
-// contact died since its walk ran, so when any RPC of the wave fails the
-// key is walked again, once, and the wave re-sent — a remembered walk
-// never under-replicates silently. A lone node (a converged walk that
-// found nobody) keeps the record itself and is its own one replica.
-func (n *Node) writeAt(w Walk, keepLocal func(), send func(Contact) (bool, netsim.Cost, error)) ([]Contact, netsim.Cost) {
-	var total netsim.Cost
-	for {
-		reused := w.converged
-		if !reused {
-			var cost netsim.Cost
-			w, cost = n.lookupNodes(w.Key)
-			total = total.Seq(cost)
-		}
-		if len(w.Closest) == 0 {
-			keepLocal()
-			return []Contact{n.self}, total
-		}
-		var taken []Contact
-		failed := false
-		var wave netsim.Cost
+// writeAt is the one write behind PutAt and ProvideAt: send issues one
+// RPC carrying the record to c, asking for c's K closest to the key when
+// walking, and reports whether c took it. It returns the contacts of the
+// converged closest set that took it, nearest first.
+//
+// A converged walk gets one wave to its closest set. An unconverged one
+// is walked, and the walk carries the record: each K-wide round sends it
+// to the contacts it asks, in place of FIND_NODE, so the write is done
+// when the walk converges. It lands on every contact the walk reached —
+// the converged K, and any it asked before closer ones displaced them.
+// A reused walk can be stale only if a contact died since it ran, so
+// when any RPC of its wave fails the key is walked that way, once — a
+// remembered walk never under-replicates silently. A lone node (a walk
+// that found nobody) keeps the record itself and is its own one replica.
+func (n *Node) writeAt(w Walk, keepLocal func(), send func(c Contact, walking bool) (bool, []Contact, netsim.Cost, error)) ([]Contact, netsim.Cost) {
+	var (
+		total   netsim.Cost
+		taken   []Contact
+		reached = len(w.Closest)
+		walk    = !w.converged
+	)
+	if w.converged {
 		for _, r := range w.Closest {
-			ok, cost, err := send(r.Contact)
-			wave = wave.Par(cost)
-			if err != nil {
-				failed = true
-			} else if ok {
+			ok, _, cost, err := send(r.Contact, false)
+			total = total.Par(cost)
+			walk = walk || err != nil
+			if ok {
 				taken = append(taken, r.Contact)
 			}
 		}
-		total = total.Seq(wave)
-		if !reused || !failed {
-			return taken, total
-		}
-		w = Walk{Key: w.Key}
 	}
+	if walk {
+		var refused []Key
+		closest, cost := n.walk(w.Key, n.cfg.K, false, func(c Contact) ([]Contact, bool, netsim.Cost) {
+			ok, closer, cost, err := send(c, true)
+			if err != nil {
+				return nil, false, cost
+			}
+			if !ok {
+				refused = append(refused, c.ID)
+			}
+			return closer, true, cost
+		}, nil)
+		total = total.Seq(cost)
+		reached = len(closest)
+		taken = slices.DeleteFunc(closest, func(c Contact) bool { return slices.Contains(refused, c.ID) })
+	}
+	if reached == 0 {
+		keepLocal()
+		return []Contact{n.self}, total
+	}
+	return taken, total
 }
 
-// Put stores a versioned value on the k closest nodes to key: one walk,
-// then PutAt on what it found.
+// Put stores a versioned value on the k closest nodes to key: PutAt on
+// no walk, so the STORE rides the walk toward key and the write costs
+// that walk alone (writeAt).
 func (n *Node) Put(key Key, value []byte, seq uint64) (int, netsim.Cost, error) {
 	return n.PutAt(Walk{Key: key}, value, seq)
 }
 
 // PutAt stores a versioned value on the closest set of a walk toward
 // w.Key the caller already ran — the read half of a read-modify-write
-// (Locate), or a replication probe — issuing only the STORE wave; see
-// writeAt for the staleness fallback. The writer also keeps a local
-// replica (when it already holds an older version, or when the swarm is
-// empty) so its own later reads can never regress. A replica holding a
+// (Locate), or a replication probe — issuing only the STORE wave, or
+// walks storing as it goes when w never converged; see writeAt, also for
+// the staleness fallback. The writer also keeps a local replica (when it
+// already holds an older version, or when the swarm is empty) so its own
+// later reads can never regress. A replica holding a
 // newer sequence refuses the record: the count returned is replicas that
 // ACCEPTED it, and none accepting is an error.
 func (n *Node) PutAt(w Walk, value []byte, seq uint64) (int, netsim.Cost, error) {
@@ -601,12 +625,13 @@ func (n *Node) PutAt(w Walk, value []byte, seq uint64) (int, netsim.Cost, error)
 			n.values[key] = storedValue{value: value, seq: seq}
 		}
 		n.mu.Unlock()
-	}, func(c Contact) (bool, netsim.Cost, error) {
-		resp, cost, err := n.call(c, storeReq{From: n.self, Key: key, Value: value, Seq: seq})
+	}, func(c Contact, walking bool) (bool, []Contact, netsim.Cost, error) {
+		resp, cost, err := n.call(c, storeReq{From: n.self, Key: key, Value: value, Seq: seq, Closer: walking})
 		if err != nil {
-			return false, cost, err
+			return false, nil, cost, err
 		}
-		return resp.(storeResp).OK, cost, nil
+		r := resp.(storeResp)
+		return r.OK, r.Contacts, cost, nil
 	})
 	if len(accepted) == 0 {
 		return 0, cost, fmt.Errorf("dht: no replica accepted %s at seq %d", key.Short(), seq)
@@ -771,16 +796,18 @@ func (n *Node) GetImmutableCtx(ctx context.Context, key Key) ([]byte, netsim.Cos
 }
 
 // Provide announces this node as a provider for key on the k closest
-// nodes: one walk, then ProvideAt on what it found.
+// nodes: ProvideAt on no walk, so the ADD_PROVIDER rides the walk toward
+// key and the announce costs that walk alone (writeAt).
 func (n *Node) Provide(key Key) ([]Contact, netsim.Cost, error) {
 	return n.ProvideAt(Walk{Key: key})
 }
 
 // ProvideAt announces this node as a provider for w.Key on the closest
 // set of a walk the caller already ran (FindProviders, when it
-// converged), issuing only the ADD_PROVIDER wave; see writeAt for the
-// staleness fallback. It returns the contacts that took the record, in
-// the walk's nearest-first order: provider records never expire, so the
+// converged), issuing only the ADD_PROVIDER wave, or walks announcing as
+// it goes when w never converged; see writeAt, also for the staleness
+// fallback. It returns the converged closest set that took the record,
+// nearest first: provider records never expire, so the
 // record stays findable for as long as they answer, and a caller that
 // remembers them knows when it must announce again.
 func (n *Node) ProvideAt(w Walk) ([]Contact, netsim.Cost, error) {
@@ -789,9 +816,12 @@ func (n *Node) ProvideAt(w Walk) ([]Contact, netsim.Cost, error) {
 		n.mu.Lock()
 		n.providers[key] = withProvider(n.providers[key], n.self)
 		n.mu.Unlock()
-	}, func(c Contact) (bool, netsim.Cost, error) {
-		_, cost, err := n.call(c, addProviderReq{From: n.self, Key: key, Provider: n.self})
-		return err == nil, cost, err
+	}, func(c Contact, walking bool) (bool, []Contact, netsim.Cost, error) {
+		resp, cost, err := n.call(c, addProviderReq{From: n.self, Key: key, Provider: n.self, Closer: walking})
+		if err != nil {
+			return false, nil, cost, err
+		}
+		return true, resp.(addProviderResp).Contacts, cost, nil
 	})
 	if len(holders) == 0 {
 		return nil, cost, fmt.Errorf("dht: provider announce failed for %s", key.Short())

@@ -400,16 +400,25 @@ func announcedOn(nodes []*Node, key Key, who netsim.NodeID) []netsim.NodeID {
 	return out
 }
 
-// Property (one converged walk per key per operation): on a static
-// network a write that reuses the walk of the read before it lands on
-// exactly the replica set a plain Put / Provide walks to, pays one
-// K-wide wave and no second walk, and is what an unrelated node's
-// quorum read returns.
+// Property (a write rides its walk; a reused walk gets one wave): on a
+// static network a plain Put or Provide lands on exactly the contacts its
+// walk reached — one message per contact asked, no wave after it — and
+// reports the converged K as its holders. A write that reuses the walk
+// of the read before it lands on exactly that walk's K closest for one
+// K-wide wave, and is what an unrelated node's quorum read returns.
 func TestWalkReuseLandsWherePutLands(t *testing.T) {
 	cfg := DefaultConfig()
-	_, nodes := buildSwarm(t, 40, cfg)
+	net, nodes := buildSwarm(t, 40, cfg)
 	rng := xrand.New(2019)
 	ctx := context.Background()
+	closestOf := func(w Walk) []netsim.NodeID {
+		var out []netsim.NodeID
+		for _, r := range w.Closest {
+			out = append(out, r.Addr)
+		}
+		return out
+	}
+	displaced := 0
 	for i := 0; i < 200; i++ {
 		key := KeyOfString(fmt.Sprintf("walk-reuse-%d-%d", i, rng.Intn(1<<30)))
 		wi := rng.Intn(len(nodes))
@@ -417,12 +426,23 @@ func TestWalkReuseLandsWherePutLands(t *testing.T) {
 		reader := nodes[(wi+1+rng.Intn(len(nodes)-1))%len(nodes)] // any other node
 
 		// Versioned record: plain Put, then read-modify-write on one walk.
+		order, _ := recordQueries(net, nodes, writer.self.Addr)
 		_, putCost, err := writer.Put(key, []byte("v1"), 1)
 		if err != nil {
 			t.Fatalf("key %d: Put: %v", i, err)
 		}
+		reached := order()
+		if putCost.Msgs != len(reached) {
+			t.Fatalf("key %d: Put cost %d msgs, its walk asked %d contacts", i, putCost.Msgs, len(reached))
+		}
 		plain := holdersAt(nodes, key, 1)
-		loc, readCost, err := writer.Locate(ctx, key)
+		if sortedAddrs(plain) != sortedAddrs(reached) {
+			t.Fatalf("key %d: Put landed on %v, its walk reached %v", i, plain, reached)
+		}
+		if len(plain) > cfg.K {
+			displaced++
+		}
+		loc, _, err := writer.Locate(ctx, key)
 		if err != nil || !loc.converged || string(loc.Value) != "v1" || loc.Seq != 1 {
 			t.Fatalf("key %d: Locate = %q seq=%d converged=%v err=%v", i, loc.Value, loc.Seq, loc.converged, err)
 		}
@@ -441,11 +461,8 @@ func TestWalkReuseLandsWherePutLands(t *testing.T) {
 		if writeCost.Msgs != cfg.K {
 			t.Fatalf("key %d: PutAt cost %d msgs, want one %d-wide STORE wave and no walk", i, writeCost.Msgs, cfg.K)
 		}
-		if rmw, twoWalks := readCost.Msgs+writeCost.Msgs, readCost.Msgs+putCost.Msgs; rmw >= twoWalks {
-			t.Fatalf("key %d: read+PutAt %d msgs, read+Put %d — the second walk was not saved", i, rmw, twoWalks)
-		}
-		if reused := holdersAt(nodes, key, 2); fmt.Sprint(reused) != fmt.Sprint(plain) {
-			t.Fatalf("key %d: PutAt landed on %v, plain Put on %v", i, reused, plain)
+		if reused := holdersAt(nodes, key, 2); sortedAddrs(reused) != sortedAddrs(closestOf(loc.Walk)) {
+			t.Fatalf("key %d: PutAt landed on %v, its walk's closest set is %v", i, reused, closestOf(loc.Walk))
 		}
 		if got, seq, _, err := reader.GetCtx(context.Background(), key); err != nil || string(got) != "v2" || seq != 2 {
 			t.Fatalf("key %d: Get from %s = %q seq=%d err=%v", i, reader.self.Addr, got, seq, err)
@@ -465,40 +482,155 @@ func TestWalkReuseLandsWherePutLands(t *testing.T) {
 		if err != nil || len(announced) != cfg.K || annCost.Msgs != cfg.K {
 			t.Fatalf("key %d: ProvideAt announced %d for %d msgs err=%v, want one %d-wide wave", i, len(announced), annCost.Msgs, err, cfg.K)
 		}
-		reused := announcedOn(nodes, key, fetcher.self.Addr)
-		// The contacts ProvideAt reports are exactly where the record landed.
-		var reported []netsim.NodeID
-		for _, c := range announced {
-			reported = append(reported, c.Addr)
-		}
-		sort.Slice(reported, func(a, b int) bool { return reported[a] < reported[b] })
-		if fmt.Sprint(reported) != fmt.Sprint(reused) {
-			t.Fatalf("key %d: ProvideAt reported %v, the record is on %v", i, reported, reused)
+		// The contacts ProvideAt reports are exactly where the record
+		// landed: the discovery walk's closest set.
+		reported := addrsOf(announced)
+		if reused := announcedOn(nodes, key, fetcher.self.Addr); sortedAddrs(reported) != sortedAddrs(reused) || sortedAddrs(reused) != sortedAddrs(closestOf(found)) {
+			t.Fatalf("key %d: ProvideAt reported %v, the record is on %v, discovery converged on %v", i, reported, reused, closestOf(found))
 		}
 		for _, nd := range nodes {
 			nd.mu.Lock()
 			nd.providers[key] = slices.DeleteFunc(slices.Clone(nd.providers[key]), func(c Contact) bool { return c.Addr == fetcher.self.Addr })
 			nd.mu.Unlock()
 		}
-		if _, _, err := fetcher.Provide(key); err != nil {
+		order, _ = recordQueries(net, nodes, fetcher.self.Addr)
+		holders, provCost, err := fetcher.Provide(key)
+		if err != nil {
 			t.Fatalf("key %d: plain Provide: %v", i, err)
 		}
-		if walked := announcedOn(nodes, key, fetcher.self.Addr); fmt.Sprint(reused) != fmt.Sprint(walked) {
-			t.Fatalf("key %d: ProvideAt landed on %v, plain Provide on %v", i, reused, walked)
+		reached = order()
+		if provCost.Msgs != len(reached) {
+			t.Fatalf("key %d: Provide cost %d msgs, its walk asked %d contacts", i, provCost.Msgs, len(reached))
 		}
+		if walked := announcedOn(nodes, key, fetcher.self.Addr); sortedAddrs(walked) != sortedAddrs(reached) {
+			t.Fatalf("key %d: plain Provide landed on %v, its walk reached %v", i, walked, reached)
+		}
+		if got := addrsOf(holders); fmt.Sprint(got) != fmt.Sprint(closestOf(found)) {
+			t.Fatalf("key %d: plain Provide reported %v, want the converged closest set %v", i, got, closestOf(found))
+		}
+	}
+	if displaced == 0 {
+		t.Fatal("fixture: no Put's walk reached past its converged K")
 	}
 }
 
+// Property (a walked write is its walk): where the walker's table lacks
+// part of the closest set, so the walk takes more than one round, a Put
+// or Provide costs exactly what a K-wide walk sending the same record to
+// each contact it asks costs on a twin swarm — the walk's rounds and no
+// wave after them — for one message per contact asked. The record is on
+// every contact the walk reached, the K nearest among them, and Provide
+// reports the K nearest as its holders, nearest first.
+func TestWalkedWriteRidesItsWalk(t *testing.T) {
+	cfg := DefaultConfig()
+	net, nodes := buildSwarm(t, 40, cfg)
+	_, twins := buildSwarm(t, 40, cfg)
+	rng := xrand.New(2045)
+	// byHand walks from twin at width K, sending req to each contact it
+	// asks, and counts the rounds.
+	byHand := func(twin *Node, key Key, req any) (netsim.Cost, int) {
+		rounds := 0
+		_, cost, err := twin.iterativeLookup(context.Background(), key, cfg.K, false, func(c Contact) ([]Contact, bool, netsim.Cost) {
+			resp, cost, err := twin.call(c, req)
+			if err != nil {
+				return nil, false, cost
+			}
+			switch r := resp.(type) {
+			case storeResp:
+				return r.Contacts, true, cost
+			case addProviderResp:
+				return r.Contacts, true, cost
+			}
+			t.Fatalf("unexpected response %T", resp)
+			return nil, false, cost
+		}, func(netsim.Cost) { rounds++ })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cost, rounds
+	}
+	walked := 0
+	for i := 0; i < 200; i++ {
+		key := KeyOfString(fmt.Sprintf("rides-%d-%d", i, rng.Intn(1<<30)))
+		at := rng.Intn(len(nodes))
+		walker, twin := nodes[at], twins[at]
+		want := nearest(nodes, walker, key, cfg.K)
+		if fmt.Sprint(addrsOf(walker.rt.closest(key, cfg.K))) == fmt.Sprint(want) {
+			continue // the table holds the closest set: a one-round walk
+		}
+		walked++
+		val := []byte(fmt.Sprintf("record-%d", i))
+
+		order, _ := recordQueries(net, nodes, walker.self.Addr)
+		accepted, cost, err := walker.Put(key, val, 1)
+		if err != nil || accepted != cfg.K {
+			t.Fatalf("key %d: Put accepted %d, err=%v; want %d", i, accepted, err, cfg.K)
+		}
+		walkCost, rounds := byHand(twin, key, storeReq{From: twin.self, Key: key, Value: val, Seq: 1, Closer: true})
+		if cost != walkCost || rounds < 2 {
+			t.Fatalf("key %d: Put cost %+v, its %d-round walk %+v: a wave followed the walk", i, cost, rounds, walkCost)
+		}
+		reached := order()
+		if cost.Msgs != len(reached) {
+			t.Fatalf("key %d: Put sent %d msgs to %v, want one per contact asked", i, cost.Msgs, reached)
+		}
+		// held lists each node once, so an equal reached asked none twice.
+		held := holdersAt(nodes, key, 1)
+		if sortedAddrs(held) != sortedAddrs(reached) || !isSubset(want, held) {
+			t.Fatalf("key %d: the record is on %v; the walk reached %v, the %d nearest are %v", i, held, reached, cfg.K, want)
+		}
+
+		order, _ = recordQueries(net, nodes, walker.self.Addr)
+		holders, cost, err := walker.Provide(key)
+		if err != nil {
+			t.Fatalf("key %d: Provide: %v", i, err)
+		}
+		if walkCost, _ := byHand(twin, key, addProviderReq{From: twin.self, Key: key, Provider: twin.self, Closer: true}); cost != walkCost {
+			t.Fatalf("key %d: Provide cost %+v, its walk %+v", i, cost, walkCost)
+		}
+		reached = order()
+		if cost.Msgs != len(reached) {
+			t.Fatalf("key %d: Provide sent %d msgs to %d contacts", i, cost.Msgs, len(reached))
+		}
+		if on := announcedOn(nodes, key, walker.self.Addr); sortedAddrs(on) != sortedAddrs(reached) || !isSubset(want, on) {
+			t.Fatalf("key %d: the provider record is on %v; the walk reached %v, the %d nearest are %v", i, on, reached, cfg.K, want)
+		}
+		if fmt.Sprint(addrsOf(holders)) != fmt.Sprint(want) {
+			t.Fatalf("key %d: Provide reported %v, want the converged K %v", i, addrsOf(holders), want)
+		}
+	}
+	if walked < 50 {
+		t.Fatalf("fixture: only %d of 200 walkers' tables lacked part of the closest set", walked)
+	}
+}
+
+// sortedAddrs prints addrs in ascending order, for comparing sets.
+func sortedAddrs(addrs []netsim.NodeID) string {
+	addrs = slices.Clone(addrs)
+	slices.Sort(addrs)
+	return fmt.Sprint(addrs)
+}
+
+// isSubset reports whether every address of sub is in set.
+func isSubset(sub, set []netsim.NodeID) bool {
+	for _, a := range sub {
+		if !slices.Contains(set, a) {
+			return false
+		}
+	}
+	return true
+}
+
 // recordQueries wraps every node's handler so that the order in which
-// from's provider and value queries reach the swarm is observable; reset
-// clears the log between walks.
+// from's provider, value and write requests reach the swarm is
+// observable; reset clears the log between walks.
 func recordQueries(net *netsim.Network, nodes []*Node, from netsim.NodeID) (order func() []netsim.NodeID, reset func()) {
 	var log []netsim.NodeID
 	for _, nd := range nodes {
 		nd := nd
 		net.Register(nd.self.Addr, func(caller netsim.NodeID, req any) (any, error) {
 			switch req.(type) {
-			case getProvidersReq, findValueReq:
+			case getProvidersReq, findValueReq, storeReq, addProviderReq:
 				if caller == from {
 					log = append(log, nd.self.Addr)
 				}
@@ -515,11 +647,12 @@ func recordQueries(net *netsim.Network, nodes []*Node, from netsim.NodeID) (orde
 // went K-wide: how wide the swarm's other lookups ask must not change
 // what discovery finds. findProvidersCost folds what each walk costs —
 // message count and latency — which moves whenever any lookup's schedule
-// does (the swarm's bootstrap and Provide walks included), so it is the
-// one to re-record, deliberately, when a schedule changes.
+// or traffic does (the swarm's bootstrap and Provide walks included), so
+// it is the one to re-record, deliberately, when those change. It was
+// last re-recorded when Provide began to announce along its walk.
 const (
 	findProvidersFound = uint64(7364604719937282351)
-	findProvidersCost  = uint64(3721026144181811822)
+	findProvidersCost  = uint64(7166679128905683378)
 )
 
 // Property (retrieval starts at the first provider answer): discovery
