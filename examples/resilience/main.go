@@ -1,6 +1,6 @@
 // Resilience: the DWeb advantages the paper opens with — the same
 // QueenBee deployment keeps answering queries while a growing fraction
-// of the swarm is down, and recovers fully after a DHT refresh. A
+// of the swarm is down, and recovers fully after a maintenance pass. A
 // centralized engine's availability is a step function on one machine.
 package main
 
@@ -62,11 +62,11 @@ func run(out io.Writer) error {
 	fe = core.NewFrontend(cluster, cluster.Bees[2].Peer)
 	fmt.Fprintf(out, "~50%% of peers down:     %2d/%d pages searchable\n", searchable(fe), len(markers))
 
-	fmt.Fprintln(out, "running DHT refresh (survivors re-replicate records)…")
-	refreshCost := cluster.RefreshDHT()
-	fmt.Fprintf(out, "refresh traffic:        %d msgs, %d bytes\n", refreshCost.Msgs, refreshCost.Bytes)
+	fmt.Fprintln(out, "running maintenance (survivors re-replicate what the index names)…")
+	repair := cluster.RunMaintenance()
+	fmt.Fprintf(out, "maintenance traffic:    %d msgs, %d bytes\n", repair.Cost.Msgs, repair.Cost.Bytes)
 	fe = core.NewFrontend(cluster, cluster.Bees[0].Peer)
-	fmt.Fprintf(out, "after refresh:          %2d/%d pages searchable\n", searchable(fe), len(markers))
+	fmt.Fprintf(out, "after maintenance:      %2d/%d pages searchable\n", searchable(fe), len(markers))
 
 	cluster.HealPeers(append(failed, more...))
 	fe = core.NewFrontend(cluster, cluster.Bees[1].Peer)

@@ -16,7 +16,7 @@ func wave() netsim.Cost { return netsim.Cost{} }
 
 func bad(net *netsim.Network, n *dht.Node, a, b netsim.NodeID) {
 	net.CallCtx(context.Background(), a, b, nil) // want `netsim\.Cost \(result 2 of 3\) returned by netsim\.Network\.CallCtx is discarded`
-	n.Refresh()                                  // want `netsim\.Cost returned by dht\.Node\.Refresh is discarded`
+	n.RefreshBuckets(1)                          // want `netsim\.Cost returned by dht\.Node\.RefreshBuckets is discarded`
 	wave()                                       // want `netsim\.Cost returned by costdrop\.wave is discarded`
 	_ = wave()                                   // want `netsim\.Cost from costdrop\.wave assigned to _`
 
@@ -27,7 +27,7 @@ func bad(net *netsim.Network, n *dht.Node, a, b netsim.NodeID) {
 func good(net *netsim.Network, n *dht.Node, a, b netsim.NodeID) netsim.Cost {
 	var total netsim.Cost
 	total = total.Seq(wave())
-	total = total.Seq(n.Refresh())
+	total = total.Seq(n.RefreshBuckets(1))
 	_, cost, err := net.CallCtx(context.Background(), a, b, nil)
 	use(err)
 	return total.Seq(cost)

@@ -3,7 +3,8 @@ package contracts
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 
 	"repro/internal/chain"
@@ -84,7 +85,7 @@ func (q *QueenBee) execCreateRankEpoch(ctx *chain.TxContext, params []byte) erro
 	}
 	re := &RankEpoch{Epoch: p.Epoch, Partitions: p.Partitions, Delta: p.Delta}
 	if p.Delta {
-		re.Dirty = sortedBoolKeys(q.dirtyPages)
+		re.Dirty = slices.Sorted(maps.Keys(q.dirtyPages))
 	}
 	// Full or delta, this epoch covers the graph as of now: reset the
 	// dirty set so the next delta snapshot is relative to this epoch. (An
@@ -165,17 +166,6 @@ func (q *QueenBee) RankStaleness() RankStaleness {
 	return st
 }
 
-// sortedBoolKeys returns a set's keys in sorted order — the only order
-// in which a dirty snapshot may reach the chain.
-func sortedBoolKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // PageRank returns a page's latest finalized rank (0 if unranked).
 func (q *QueenBee) PageRank(url string) float64 {
 	q.mu.RLock()
@@ -241,7 +231,7 @@ func (q *QueenBee) execPayPopularity(ctx *chain.TxContext, params []byte) error 
 		return fmt.Errorf("queenbee: rank epoch %d not finalized", p.Epoch)
 	}
 	paid := 0
-	for _, url := range sortedKeys(q.pageRanks) {
+	for _, url := range slices.Sorted(maps.Keys(q.pageRanks)) {
 		rank := q.pageRanks[url]
 		if rank < q.cfg.PopularityThreshold {
 			continue
@@ -270,13 +260,4 @@ func (q *QueenBee) execPayPopularity(ctx *chain.TxContext, params []byte) error 
 		return fmt.Errorf("queenbee: no unpaid pages above threshold in epoch %d", p.Epoch)
 	}
 	return nil
-}
-
-func sortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

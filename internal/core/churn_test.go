@@ -60,19 +60,20 @@ func TestSearchSurvivesModerateChurn(t *testing.T) {
 	}
 }
 
-func TestRefreshRestoresAfterHeavyChurn(t *testing.T) {
+// TestMaintenanceRestoresAfterHeavyChurn: with half the peers down for
+// good, one maintenance pass re-replicates what the index names onto
+// the live closest nodes, and a fresh frontend finds (nearly) every
+// marker again.
+func TestMaintenanceRestoresAfterHeavyChurn(t *testing.T) {
 	c, markers := churnCluster(t)
 	failed := c.FailPeers(0.5)
 
-	// Survivors re-replicate records onto the live closest nodes.
-	c.RefreshDHT()
+	c.RunMaintenance()
 
-	// Even after the failed half never comes back, a fresh frontend on a
-	// live bee should find (nearly) everything again.
 	fe := NewFrontend(c, c.Bees[2].Peer)
 	got := searchableCount(t, c, fe, markers)
 	if got < len(markers)*8/10 {
-		t.Fatalf("post-refresh searchable = %d/%d, want >= 80%%", got, len(markers))
+		t.Fatalf("post-maintenance searchable = %d/%d, want >= 80%%", got, len(markers))
 	}
 	// Healing is also possible.
 	c.HealPeers(failed)
@@ -127,18 +128,20 @@ func TestFailPeersDeterministic(t *testing.T) {
 	}
 }
 
-// TestChurnMaintenanceOneWalkPerRecord: for a mutable record the quorum
-// read IS the health check, so a maintenance pass over healthy records
-// walks once per shard pointer — not three times (Get, replication probe, and a republish walk when it
-// fires). The pass's traffic is exactly the sum of its parts run by
-// hand: one locating read per mutable record, one replication probe per
-// segment, one ping per distinct holder of each node's provider records
-// — a healthy pass re-announces nothing. Counters match, on the same cluster,
-// those of the commit before maintenance reused its walks, less the
-// collection-statistics record that pass also healed and that no longer
-// exists (then 18 probed / 4 republished / 2 re-seeded for 1197 msgs of
-// which the stats record was 1 / 1 / 0 and 40 msgs; steady passes
-// 18 / 0 / 0 for 1096 msgs, the stats record 1 / 0 / 0 and 24).
+// TestChurnMaintenanceOneWalkPerRecord: a record's quorum read IS its
+// health check, pointer and segment alike, so a maintenance pass over
+// healthy records walks once per record — not three times (a read, a
+// replication probe, and a republish walk when it fires). The pass's
+// traffic is exactly the sum of its parts run by hand: one locating read
+// per record, one ping per distinct holder of each node's provider
+// records — a healthy pass re-announces nothing. Counters match, on the
+// same cluster, those of the commit before maintenance reused its walks,
+// less the collection-statistics record that pass also healed and that
+// no longer exists (then 18 probed / 4 republished / 2 re-seeded for
+// 1197 msgs of which the stats record was 1 / 1 / 0 and 40 msgs; steady
+// passes 18 / 0 / 0 for 1096 msgs, the stats record 1 / 0 / 0 and 24).
+// Probing each segment with a FIND_NODE walk and then K FIND_VALUEs
+// cost a steady pass 389 msgs.
 func TestChurnMaintenanceOneWalkPerRecord(t *testing.T) {
 	c, _ := churnCluster(t)
 	first := c.RunMaintenance()
@@ -152,35 +155,40 @@ func TestChurnMaintenanceOneWalkPerRecord(t *testing.T) {
 	if pass.ProbedKeys != 17 || pass.Republished != 0 || pass.Reseeded != 0 || pass.SegmentsLost != 0 || pass.Reprovided != 0 {
 		t.Fatalf("steady pass = %+v, want 17 probed and nothing to repair or re-announce", pass)
 	}
-	if pass.Cost.Msgs >= 1096-24 {
-		t.Fatalf("steady pass cost %d msgs, three walks per record cost %d", pass.Cost.Msgs, 1096-24)
+	if pass.Cost.Msgs >= 389 {
+		t.Fatalf("steady pass cost %d msgs, a walk and K probes per segment cost 389", pass.Cost.Msgs)
 	}
 
 	d := c.maintenanceNode()
 	var byHand netsim.Cost
-	mutable, segments := 0, 0
-	for shard := 0; shard < c.cfg.NumShards; shard++ {
-		loc, cost, err := d.Locate(context.Background(), pointerKey(shard))
+	records := 0
+	locate := func(key dht.Key) (dht.Located, error) {
+		loc, cost, err := d.Locate(context.Background(), key)
 		byHand = byHand.Seq(cost)
+		if err == nil && loc.Replicas() != d.K() {
+			t.Fatalf("healthy record %s seen on %d replicas", key.Short(), loc.Replicas())
+		}
+		return loc, err
+	}
+	for shard := 0; shard < c.cfg.NumShards; shard++ {
+		loc, err := locate(pointerKey(shard))
 		if err != nil {
 			continue // shard never written
 		}
-		mutable++
-		if loc.Replicas() != d.K() {
-			t.Fatalf("healthy record seen on %d replicas", loc.Replicas())
-		}
+		records++
 		ptr, err := decodeShardPointer(loc.Value)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, dg := range ptr.Digests {
-			_, cost := d.ProbeReplication(dht.KeyOfString(index.SegmentKey(dg)))
-			byHand = byHand.Seq(cost)
-			segments++
+			if _, err := locate(dht.KeyOfString(index.SegmentKey(dg))); err != nil {
+				t.Fatalf("segment %s: %v", dg, err)
+			}
+			records++
 		}
 	}
-	if mutable+segments != pass.ProbedKeys {
-		t.Fatalf("%d mutable records + %d segments by hand, pass probed %d", mutable, segments, pass.ProbedKeys)
+	if records != pass.ProbedKeys {
+		t.Fatalf("%d records by hand, pass probed %d", records, pass.ProbedKeys)
 	}
 	peers := slices.Clone(c.Peers)
 	for _, b := range c.Bees {
@@ -196,7 +204,7 @@ func TestChurnMaintenanceOneWalkPerRecord(t *testing.T) {
 		}
 	}
 	if pass.Cost.Msgs != byHand.Msgs {
-		t.Fatalf("steady pass cost %d msgs; one read per mutable record + one probe per segment + one ping per holder cost %d",
+		t.Fatalf("steady pass cost %d msgs; one read per record + one ping per holder cost %d",
 			pass.Cost.Msgs, byHand.Msgs)
 	}
 }

@@ -439,25 +439,3 @@ func (c *Cluster) HealPeers(addrs []netsim.NodeID) {
 		c.Net.SetDown(a, false)
 	}
 }
-
-// RefreshDHT makes every live node re-replicate its stored DHT values to
-// the current k closest peers — the periodic republish real Kademlia
-// deployments run, compressed into one call for churn experiments.
-// Provider records are not republished here: each provider re-announces
-// its own (store.Peer.Reprovide, run by RunMaintenance).
-func (c *Cluster) RefreshDHT() netsim.Cost {
-	var total netsim.Cost
-	for _, p := range c.Peers {
-		if c.Net.IsDown(p.Addr()) {
-			continue
-		}
-		total = total.Seq(p.DHT().Refresh())
-	}
-	for _, b := range c.Bees {
-		if c.Net.IsDown(b.Peer.Addr()) {
-			continue
-		}
-		total = total.Seq(b.Peer.DHT().Refresh())
-	}
-	return total
-}

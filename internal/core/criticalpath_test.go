@@ -31,6 +31,26 @@ func corpusBatches(seed uint64, rounds, pagesPerRound int) [][]BatchPage {
 	return batches
 }
 
+// docsFixture publishes the docs/indexing.md fixture — thirteen 32-page
+// IndexBatch rounds on the default cluster, seed 1 — and returns the
+// cluster and each round's receipt.
+func docsFixture(t *testing.T) (*Cluster, []RoundReceipt) {
+	t.Helper()
+	cfg := DefaultConfig()
+	c := NewCluster(cfg)
+	owner := c.NewAccount("writer", 1<<40)
+	c.Seal()
+	var receipts []RoundReceipt
+	for round, pages := range corpusBatches(cfg.Seed, 13, 32) {
+		rr, err := c.IndexBatch(owner, pages)
+		if err != nil || len(rr.Errors) > 0 {
+			t.Fatalf("round %d: err=%v round errors=%v", round, err, rr.Errors)
+		}
+		receipts = append(receipts, rr)
+	}
+	return c, receipts
+}
+
 // TestWriteCriticalPath: a round's makespan is its longest dependency
 // chain, and nothing else. Recomputed here from the receipt's per-leg
 // costs with plain arithmetic — time to commit, then the announce wave
@@ -163,16 +183,9 @@ const (
 // Both are simulated times, a pure function of the seed. The median of
 // the ten plain rounds is the upper middle one.
 func TestPublishMakespanRatchet(t *testing.T) {
-	cfg := DefaultConfig()
-	c := NewCluster(cfg)
-	owner := c.NewAccount("writer", 1<<40)
-	c.Seal()
+	_, receipts := docsFixture(t)
 	var waves, stores []time.Duration
-	for round, pages := range corpusBatches(cfg.Seed, 13, 32) {
-		rr, err := c.IndexBatch(owner, pages)
-		if err != nil || len(rr.Errors) > 0 {
-			t.Fatalf("round %d: err=%v round errors=%v", round, err, rr.Errors)
-		}
+	for _, rr := range receipts {
 		if rr.Compactions == 0 {
 			waves = append(waves, rr.Wave().Latency)
 			stores = append(stores, rr.StoreCost.Latency)

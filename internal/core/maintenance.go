@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"repro/internal/dht"
 	"repro/internal/index"
@@ -16,8 +17,8 @@ import (
 type RepairStats struct {
 	// Runs counts completed maintenance passes.
 	Runs int
-	// ProbedKeys counts replica-count probes issued (pointers and
-	// segments).
+	// ProbedKeys counts records probed (pointers and segments): each
+	// one Locate walk, the read and the replica count at once.
 	ProbedKeys int
 	// Republished counts shard pointers pushed back to the current k
 	// closest nodes.
@@ -69,18 +70,16 @@ func (c *Cluster) maintenanceNode() *dht.Node {
 }
 
 // RunMaintenance executes one self-healing pass and returns what this
-// pass did. Three loops, in deterministic order:
+// pass did. Two loops, in deterministic order:
 //
-//  1. Republish: every shard pointer is read by quorum, and the read is
-//     the probe: its walk reports how many of the k closest hold the
-//     record. A record replicated below K is re-Put at its current
-//     version onto that walk's closest set.
-//  2. Re-seed + repair: every segment referenced by a pointer chain is
-//     probed; one replicated below K is fetched from a surviving
-//     replica, hash-verified, and re-Put on the probe's closest set. A
-//     segment with no surviving replica is counted lost (nothing to
-//     re-materialize from).
-//  3. Reprovide: every live peer pings the nodes its provider records
+//  1. Heal: every shard pointer, then each segment its chain names, is
+//     read by quorum, and the read is the probe: its walk reports how
+//     many of the k closest hold the record. A record replicated below K
+//     is re-Put at the version read onto that walk's closest set; a
+//     segment only when its bytes hash to its digest. A segment no
+//     replica answered for is counted lost (nothing to re-materialize
+//     from).
+//  2. Reprovide: every live peer pings the nodes its provider records
 //     landed on, once each, and re-announces the records whose replica
 //     set lost a member or never reached K, so content discovery
 //     survives the loss of the nodes that held the provider lists.
@@ -96,82 +95,68 @@ func (c *Cluster) RunMaintenance() RepairStats {
 	}
 	k := d.K() // the replica count maintenance restores toward
 
-	// healVersioned is step 1 for one mutable record: the quorum read IS
-	// the health check — its walk asked each of the K closest what it
-	// holds — and a record replicated below K is re-Put at its current
-	// version onto that same walk. An unreadable record (never written,
-	// or wholly lost to churn — nothing to repair from) is skipped.
-	healVersioned := func(key dht.Key) ([]byte, bool) {
+	// heal is step 1 for one record: the Locate walk toward key asks each
+	// of the K closest what it holds, so one walk is the read and the
+	// health check, and a record held by fewer than K of them is re-Put
+	// at the version read onto that same walk. A segment (digest set) is
+	// re-Put only if its bytes hash to the digest. heal returns the record
+	// it read and how many of the closest held it; ok is false when no
+	// usable record was read (never written, wholly lost, or failing its
+	// digest), and nothing was re-Put.
+	heal := func(key dht.Key, digest string) (val []byte, held int, ok bool) {
 		loc, cost, err := d.Locate(context.Background(), key)
 		pass.Cost = pass.Cost.Seq(cost)
-		if err != nil {
-			return nil, false
+		held = loc.Replicas()
+		if err != nil || digest != "" && index.DigestOf(loc.Value) != digest {
+			return nil, held, false
 		}
-		pass.ProbedKeys++
-		if loc.Replicas() < k {
+		if held < k {
 			_, cost, err := d.PutAt(loc.Walk, loc.Value, loc.Seq)
 			pass.Cost = pass.Cost.Seq(cost)
-			if err == nil {
+			switch {
+			case err != nil: // no replica took it; the next pass retries
+			case digest == "":
 				pass.Republished++
+			default:
+				pass.Reseeded++
+				pass.ReseededBytes += int64(len(loc.Value))
 			}
 		}
-		return loc.Value, true
+		return loc.Value, held, true
 	}
 
-	// 1+2. Shard pointers, then each pointer's segment chain.
+	// 1. Shard pointers, then each pointer's segment chain.
 	for shard := 0; shard < c.cfg.NumShards; shard++ {
-		val, ok := healVersioned(pointerKey(shard))
+		val, _, ok := heal(pointerKey(shard), "")
 		if !ok {
 			continue
 		}
+		pass.ProbedKeys++
 		ptr, err := decodeShardPointer(val)
 		if err != nil {
 			continue
 		}
 		for _, digest := range ptr.Digests {
-			segKey := dht.KeyOfString(index.SegmentKey(digest))
 			pass.ProbedKeys++
-			probe, cost := d.ProbeReplication(segKey)
-			pass.Cost = pass.Cost.Seq(cost)
-			n := probe.Replicas()
-			if n >= k {
-				continue
-			}
-			raw, cost, err := d.GetImmutableCtx(context.Background(), segKey)
-			pass.Cost = pass.Cost.Seq(cost)
-			if err != nil || index.DigestOf(raw) != digest {
-				// Lost means NOTHING answered: the probe saw zero replicas
-				// and the fetch found no (intact) copy. A failed fetch with
-				// a live replica on record is transient — the next pass
-				// retries instead of declaring data gone under a storm.
-				if n == 0 {
-					pass.SegmentsLost++
-				}
-				continue
-			}
-			_, cost, err = d.PutAt(probe, raw, 0)
-			pass.Cost = pass.Cost.Seq(cost)
-			if err == nil {
-				pass.Reseeded++
-				pass.ReseededBytes += int64(len(raw))
+			// Lost means NOTHING answered: a failed read or digest check
+			// with a live replica on record is transient — the next pass
+			// retries instead of declaring data gone under a storm.
+			if _, held, ok := heal(dht.KeyOfString(index.SegmentKey(digest)), digest); !ok && held == 0 {
+				pass.SegmentsLost++
 			}
 		}
 	}
 
-	// 3. Provider republish from every live peer and bee, in slice order.
-	for _, p := range c.Peers {
+	// 2. Provider republish from every live peer, then every bee.
+	nodes := slices.Clone(c.Peers)
+	for _, b := range c.Bees {
+		nodes = append(nodes, b.Peer)
+	}
+	for _, p := range nodes {
 		if c.Net.IsDown(p.Addr()) {
 			continue
 		}
 		n, cost := p.Reprovide()
-		pass.Reprovided += n
-		pass.Cost = pass.Cost.Seq(cost)
-	}
-	for _, b := range c.Bees {
-		if c.Net.IsDown(b.Peer.Addr()) {
-			continue
-		}
-		n, cost := b.Peer.Reprovide()
 		pass.Reprovided += n
 		pass.Cost = pass.Cost.Seq(cost)
 	}

@@ -1,0 +1,93 @@
+package core
+
+import (
+	"bytes"
+	"slices"
+	"testing"
+
+	"repro/internal/dht"
+	"repro/internal/index"
+	"repro/internal/netsim"
+)
+
+// TestMaintenancePassCost: on the docs/indexing.md fixture, a first
+// maintenance pass republishes one pointer and re-seeds sixteen segments
+// that fewer than K of the closest nodes its walks find hold, and a
+// second pass finds nothing to repair. Both are pinned to the message and the byte: every record is
+// healed by its one Locate walk, which is the read and the probe at once,
+// so a pass that probes or fetches a record a second time fails here.
+func TestMaintenancePassCost(t *testing.T) {
+	c, _ := docsFixture(t)
+	for i, want := range []RepairStats{
+		{Runs: 1, ProbedKeys: 40, Republished: 1, Reseeded: 16, ReseededBytes: 250_495,
+			Cost: netsim.Cost{Msgs: 734, Bytes: 6_562_562}},
+		{Runs: 1, ProbedKeys: 40,
+			Cost: netsim.Cost{Msgs: 598, Bytes: 4_796_507}},
+	} {
+		got := c.RunMaintenance()
+		t.Logf("pass %d: %+v", i+1, got)
+		got.Cost.Latency = 0
+		if got != want {
+			t.Errorf("pass %d = %+v, want %+v", i+1, got, want)
+		}
+	}
+}
+
+// TestMaintenanceNeverReseedsTamperedBytes: a segment is re-seeded only
+// with bytes that hash to the digest its pointer names. The maintenance
+// node holds a tampered copy of the one named segment — its own copy is a
+// vote in the Locate walk and wins the tie at sequence 0 — and half of
+// the segment's remote holders fail, so it drops below K. The pass
+// re-seeds nothing and counts nothing lost (live replicas answered), and
+// no other node holds the tampered bytes. The same faults without the
+// tamper re-seed the segment, so the fixture does drop it below K.
+func TestMaintenanceNeverReseedsTamperedBytes(t *testing.T) {
+	run := func(tamper bool) RepairStats {
+		cfg := DefaultConfig()
+		cfg.NumShards = 1
+		c := NewCluster(cfg)
+		owner := c.NewAccount("writer", 1<<40)
+		c.Seal()
+		if rr, err := c.IndexBatch(owner, corpusBatches(cfg.Seed, 1, 8)[0]); err != nil || len(rr.Errors) > 0 {
+			t.Fatalf("round: err=%v round errors=%v", err, rr.Errors)
+		}
+		d := c.maintenanceNode()
+		ptr, _, err := readShardPointer(d, 0)
+		if err != nil || len(ptr.Digests) != 1 {
+			t.Fatalf("pointer %+v err=%v, want one segment", ptr, err)
+		}
+		key := dht.KeyOfString(index.SegmentKey(ptr.Digests[0]))
+		var holders []netsim.NodeID
+		var genuine []byte
+		for _, p := range c.Peers {
+			if raw, ok := p.DHT().Local(key); ok {
+				holders, genuine = append(holders, p.Addr()), raw
+			}
+		}
+		if len(holders) < 2 {
+			t.Fatalf("%d peers hold the segment, want at least two", len(holders))
+		}
+		for _, a := range holders[:len(holders)/2] {
+			c.Net.SetDown(a, true)
+		}
+		tampered := slices.Clone(genuine)
+		tampered[len(tampered)/2] ^= 0xff
+		if tamper {
+			d.StoreLocal(key, tampered, 0)
+		}
+
+		pass := c.RunMaintenance()
+		for _, n := range dhtNodes(c) {
+			if raw, ok := n.Local(key); ok && n != d && bytes.Equal(raw, tampered) {
+				t.Fatalf("tamper=%v: node %s holds the tampered bytes", tamper, n.Self().Addr)
+			}
+		}
+		return pass
+	}
+	if pass := run(false); pass.Reseeded != 1 || pass.SegmentsLost != 0 {
+		t.Fatalf("without the tamper: %+v, want the segment re-seeded", pass)
+	}
+	if pass := run(true); pass.Reseeded != 0 || pass.ReseededBytes != 0 || pass.SegmentsLost != 0 {
+		t.Fatalf("with the tamper: %+v, want nothing re-seeded and nothing lost", pass)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -602,10 +603,10 @@ func (n *Node) Put(key Key, value []byte, seq uint64) (int, netsim.Cost, error) 
 }
 
 // PutAt stores a versioned value on the closest set of a walk toward
-// w.Key the caller already ran — the read half of a read-modify-write
-// (Locate), or a replication probe — issuing only the STORE wave, or
-// walks storing as it goes when w never converged; see writeAt, also for
-// the staleness fallback. The writer also keeps a local replica (when it
+// w.Key the caller already ran — the Locate that was the read half of a
+// read-modify-write, or maintenance's health check — issuing only the
+// STORE wave, or walks storing as it goes when w never converged; see
+// writeAt, also for the staleness fallback. The writer also keeps a local replica (when it
 // already holds an older version, or when the swarm is empty) so its own
 // later reads can never regress. A replica holding a
 // newer sequence refuses the record: the count returned is replicas that
@@ -935,29 +936,6 @@ func (n *Node) RefreshBuckets(rounds int) netsim.Cost {
 	return total
 }
 
-// Refresh re-replicates every locally stored value to the current k
-// closest nodes; provider records are their providers' to re-announce
-// (store.Peer.Reprovide). Experiments and the maintenance loop call this
-// after churn. Keys are republished in sorted order so the network
-// traffic (and its RNG draws) is identical across runs.
-func (n *Node) Refresh() netsim.Cost {
-	n.mu.Lock()
-	keys := sortedKeys(n.values)
-	vals := make([]storedValue, len(keys))
-	for i, k := range keys {
-		vals[i] = n.values[k]
-	}
-	n.mu.Unlock()
-	var total netsim.Cost
-	for i, k := range keys {
-		v := vals[i]
-		//detlint:ignore errsink best-effort republish; a failed Put leaves the record for the next Refresh round
-		_, cost, _ := n.Put(k, v.value, v.seq)
-		total = total.Seq(cost)
-	}
-	return total
-}
-
 // LocalValues returns the number of values held locally.
 func (n *Node) LocalValues() int {
 	n.mu.Lock()
@@ -974,11 +952,11 @@ func (n *Node) Digest() [sha256.Size]byte {
 	n.rt.writeTo(h)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for _, k := range sortedKeys(n.values) {
+	for _, k := range slices.SortedFunc(maps.Keys(n.values), Key.Cmp) {
 		v := n.values[k]
 		fmt.Fprintf(h, "v %s %d %x\n", k, v.seq, sha256.Sum256(v.value))
 	}
-	for _, k := range sortedKeys(n.providers) {
+	for _, k := range slices.SortedFunc(maps.Keys(n.providers), Key.Cmp) {
 		addrs := make([]netsim.NodeID, len(n.providers[k]))
 		for i, c := range n.providers[k] {
 			addrs[i] = c.Addr
@@ -988,16 +966,6 @@ func (n *Node) Digest() [sha256.Size]byte {
 	var sum [sha256.Size]byte
 	h.Sum(sum[:0])
 	return sum
-}
-
-// sortedKeys returns m's keys in ascending order.
-func sortedKeys[V any](m map[Key]V) []Key {
-	keys := make([]Key, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-	return keys
 }
 
 // withProvider returns set, in address order, with c in it. It never

@@ -262,48 +262,6 @@ func TestSingleNodePutGet(t *testing.T) {
 	}
 }
 
-func TestRefreshRestoresReplication(t *testing.T) {
-	net, nodes := buildSwarm(t, 24, DefaultConfig())
-	key := KeyOfString("refresh-me")
-	replicas, _, err := nodes[0].Put(key, []byte("data"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With K=8 and a fully bootstrapped 24-node swarm, the put lands on
-	// the k closest nodes — the fixture must yield a real replica set or
-	// the refresh assertion below tests nothing.
-	if replicas < 3 {
-		t.Fatalf("fixture produced %d replicas, want >= 3", replicas)
-	}
-
-	// Take down every node currently storing the value except one holder.
-	var holders []*Node
-	for _, nd := range nodes {
-		if nd.LocalValues() > 0 {
-			holders = append(holders, nd)
-		}
-	}
-	if len(holders) < 3 {
-		t.Fatalf("found %d holders after a %d-replica put, want >= 3", len(holders), replicas)
-	}
-	for _, h := range holders[1:] {
-		net.SetDown(h.Self().Addr, true)
-	}
-	// The surviving holder refreshes, pushing the value to new closest
-	// nodes.
-	holders[0].Refresh()
-	// Count live replicas now.
-	live := 0
-	for _, nd := range nodes {
-		if !net.IsDown(nd.Self().Addr) && nd.LocalValues() > 0 {
-			live++
-		}
-	}
-	if live < 3 {
-		t.Fatalf("live replicas after refresh = %d, want >= 3", live)
-	}
-}
-
 // TestLookupWidensPastDeadTail: with the farther five of the K closest
 // contacts a walker knows down, a walk still ends on K live contacts. Once
 // the contacts it knows nearest have all been asked, whether the last

@@ -3,7 +3,8 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -132,7 +133,7 @@ func (p *FaultPlan) Advance(elapsed time.Duration, net *Network) []FiredEvent {
 		case FaultRecover:
 			fe.Victims = ev.Nodes
 			if len(fe.Victims) == 0 {
-				fe.Victims = sortedIDs(p.crashed)
+				fe.Victims = slices.Sorted(maps.Keys(p.crashed))
 			}
 			for _, id := range fe.Victims {
 				net.SetDown(id, false)
@@ -173,7 +174,7 @@ func (p *FaultPlan) crashVictims(eventIdx int, ev FaultEvent) []NodeID {
 	for _, i := range rng.Sample(len(live), n) {
 		victims = append(victims, live[i])
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
+	slices.Sort(victims)
 	return victims
 }
 
@@ -182,7 +183,7 @@ func (p *FaultPlan) crashVictims(eventIdx int, ev FaultEvent) []NodeID {
 func (p *FaultPlan) CrashedNodes() []NodeID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return sortedIDs(p.crashed)
+	return slices.Sorted(maps.Keys(p.crashed))
 }
 
 // Done reports whether every event has fired.
@@ -190,13 +191,4 @@ func (p *FaultPlan) Done() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.next >= len(p.Events)
-}
-
-func sortedIDs(set map[NodeID]bool) []NodeID {
-	out := make([]NodeID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
