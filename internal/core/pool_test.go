@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"sort"
@@ -123,73 +124,96 @@ func TestPoolDrainForfeitsIdleCredit(t *testing.T) {
 }
 
 // TestPoolRescuesTamperedReplica: a failed leg is retried on the other
-// device of its pair, so a segment replica tampered on the primary
-// frontend's own peer — hash verification fails there — is rescued by
-// the buddy's clean fetch and the query succeeds with full results,
-// paying for both attempts.
+// device of its pair. A segment read goes past a tampered copy to the
+// next holder, so a tampered copy on the primary's own peer fails no
+// frontend, and a leg fails on tampering only when no copy the device
+// reaches is genuine: here every copy in the swarm is tampered once the
+// buddy has served the shard and cached it. The primary frontend's leg
+// then fails hash verification, and the buddy's retry, served from its
+// cache, rescues the query with full results, paying for both attempts.
+// Checked on the query fixture and on the same documents over 24 peers,
+// where a buddy's read used to stop at the primary's tampered copy.
 func TestPoolRescuesTamperedReplica(t *testing.T) {
-	c, _ := queryCluster(t)
+	for _, peers := range []int{10, 24} {
+		t.Run(fmt.Sprintf("peers=%d", peers), func(t *testing.T) {
+			c, _ := queryClusterOf(t, peers)
+			shard := index.ShardOf("orchard", c.Config().NumShards)
+			ptr, _, err := readShardPointer(c.Peers[0].DHT(), shard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ptr.Digests) == 0 {
+				t.Fatal("orchard's shard has no segments")
+			}
+			// The buddy's own DHT node holds no replica of the shard's
+			// pointer, so its retry reads it from a remote holder and is
+			// billed. A write lands on every contact its walk reached, so
+			// the pool's second peer may hold one (newPointerFixture picks
+			// its peer the same way).
+			far := slices.IndexFunc(c.Peers[1:], func(p *store.Peer) bool {
+				_, held := p.DHT().Local(pointerKey(shard))
+				return !held
+			})
+			if far < 0 {
+				t.Fatal("every other peer holds orchard's shard pointer")
+			}
+			c.Peers[1], c.Peers[1+far] = c.Peers[1+far], c.Peers[1]
+			pool := NewFrontendPool(c, 2, true, 0)
+			primary, buddy := pool.Frontend(0), pool.Frontend(1)
+			key := dht.KeyOfString(index.SegmentKey(ptr.Digests[0]))
 
-	// Locate the single shard behind "orchard" and tamper its segment
-	// replica locally on the primary's peer. GetImmutable serves the
-	// local replica first, so the primary's fetch sees garbage and
-	// fails the digest check; the buddy (a different peer) reads a
-	// clean replica.
-	shard := index.ShardOf("orchard", c.Config().NumShards)
-	ptr, _, err := readShardPointer(c.Peers[0].DHT(), shard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ptr.Digests) == 0 {
-		t.Fatal("orchard's shard has no segments")
-	}
-	// The buddy's own DHT node holds no replica of the shard's pointer,
-	// so its retry walks for it and is billed. A write lands on every
-	// contact its walk reached, so the pool's second peer may hold one
-	// (newPointerFixture picks its peer the same way).
-	far := slices.IndexFunc(c.Peers[1:], func(p *store.Peer) bool {
-		_, held := p.DHT().Local(pointerKey(shard))
-		return !held
-	})
-	if far < 0 {
-		t.Fatal("every other peer holds orchard's shard pointer")
-	}
-	c.Peers[1], c.Peers[1+far] = c.Peers[1+far], c.Peers[1]
-	pool := NewFrontendPool(c, 2, true, 0)
-	primary := pool.Frontend(0)
-	primary.peer.DHT().StoreLocal(
-		dht.KeyOfString(index.SegmentKey(ptr.Digests[0])), []byte("tampered"), 0)
+			// A tampered copy on the primary's own peer alone fails nothing:
+			// the primary's read, and a fresh frontend's on any other peer,
+			// go past it to a genuine holder.
+			primary.peer.DHT().StoreLocal(key, []byte("tampered"), 0)
+			for _, p := range c.Peers {
+				if resp, err := NewFrontend(c, p).ExecuteCtx(context.Background(), Query{Raw: "orchard", Mode: PlanAll}); err != nil || len(resp.Results) == 0 {
+					t.Fatalf("one tampered copy, on %s: a frontend on %s answered %d results, err=%v", primary.peer.Addr(), p.Addr(), len(resp.Results), err)
+				}
+			}
 
-	// Unpaired control: the same tampered frontend alone fails loudly.
-	alone := NewFrontend(c, primary.peer)
-	if _, err := alone.ExecuteCtx(context.Background(), Query{Raw: "orchard", Mode: PlanAll}); !errors.Is(err, ErrShardUnavailable) {
-		t.Fatalf("unpaired tampered frontend: err = %v, want ErrShardUnavailable", err)
-	}
+			if _, err := buddy.ExecuteCtx(context.Background(), Query{Raw: "orchard", Mode: PlanAll}); err != nil {
+				t.Fatalf("the buddy's warm-up query: %v", err)
+			}
+			for _, d := range dhtNodes(c) {
+				if _, held := d.Local(key); held || d == primary.peer.DHT() {
+					d.StoreLocal(key, []byte("tampered"), 0)
+				}
+			}
 
-	// Paired pool: frontend 0 serves the first query and runs its leg
-	// (nothing is measured yet), the leg fails, it is retried on
-	// frontend 1 and the wave succeeds.
-	resp, err := pool.ExecuteCtx(context.Background(), Query{Raw: "orchard", Mode: PlanAll})
-	if err != nil {
-		t.Fatalf("the buddy did not rescue the tampered leg: %v", err)
-	}
-	if len(resp.Results) == 0 {
-		t.Fatal("rescued query returned no results")
-	}
-	// The retry ran on the buddy and was billed to its serving time; the
-	// query's cost, billed to frontend 0, is the failed attempt there
-	// followed by the retry.
-	st := pool.Stats().Frontends
-	reads := func(fl FrontendLoad) int64 { return fl.Cache.PtrVerified + fl.Cache.PtrWalks }
-	if reads(st[0]) != 1 || reads(st[1]) != 1 {
-		t.Fatalf("want one pointer read per device (the failed attempt, the retry): %+v", st)
-	}
-	retry := st[1].BusySim
-	if retry == 0 {
-		t.Fatalf("the retry was not billed to the buddy: %+v", st)
-	}
-	if resp.Cost.Latency <= retry || st[0].BusySim != resp.Cost.Latency {
-		t.Fatalf("rescued query cost %v, want the failed attempt plus the retry's %v", resp.Cost.Latency, retry)
+			// Unpaired control: the primary alone reads only tampered copies.
+			alone := NewFrontend(c, primary.peer)
+			if _, err := alone.ExecuteCtx(context.Background(), Query{Raw: "orchard", Mode: PlanAll}); !errors.Is(err, ErrShardUnavailable) {
+				t.Fatalf("unpaired tampered frontend: err = %v, want ErrShardUnavailable", err)
+			}
+
+			// Paired pool: frontend 0 serves the query and runs its leg (it
+			// has measured nothing), the leg fails, it is retried on
+			// frontend 1 and the wave succeeds.
+			reads := func(fl FrontendLoad) int64 { return fl.Cache.PtrVerified + fl.Cache.PtrWalks }
+			before := pool.Stats().Frontends
+			resp, err := pool.ExecuteCtx(context.Background(), Query{Raw: "orchard", Mode: PlanAll})
+			if err != nil {
+				t.Fatalf("the buddy did not rescue the tampered leg: %v", err)
+			}
+			if len(resp.Results) == 0 {
+				t.Fatal("rescued query returned no results")
+			}
+			// The retry ran on the buddy and was billed to its serving
+			// time; the query's cost, billed to frontend 0, is the failed
+			// attempt there followed by the retry.
+			st := pool.Stats().Frontends
+			if reads(st[0])-reads(before[0]) != 1 || reads(st[1])-reads(before[1]) != 1 {
+				t.Fatalf("want one pointer read per device (the failed attempt, the retry): %+v, before %+v", st, before)
+			}
+			retry := st[1].BusySim
+			if retry == 0 {
+				t.Fatalf("the retry was not billed to the buddy: %+v", st)
+			}
+			if resp.Cost.Latency <= retry || st[0].BusySim != resp.Cost.Latency {
+				t.Fatalf("rescued query cost %v, want the failed attempt plus the retry's %v", resp.Cost.Latency, retry)
+			}
+		})
 	}
 }
 

@@ -9,7 +9,16 @@ import (
 // queryCluster publishes three documents with known term overlaps.
 func queryCluster(t *testing.T) (*Cluster, *Frontend) {
 	t.Helper()
-	c := smallCluster(t)
+	return queryClusterOf(t, 10)
+}
+
+// queryClusterOf is queryCluster on peers DWeb devices.
+func queryClusterOf(t *testing.T, peers int) (*Cluster, *Frontend) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.NumPeers = peers
+	cfg.NumBees = 3
+	c := NewCluster(cfg)
 	alice := c.NewAccount("alice", 1000)
 	c.Seal()
 	docs := map[string]string{

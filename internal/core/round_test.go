@@ -393,12 +393,12 @@ func TestWriteDeterminismAcrossGOMAXPROCS(t *testing.T) {
 
 // pinnedForget is what TestWriteBeesForgetResolvedTasks's run produced
 // when bees kept every result they ever built: a digest of every round's
-// receipt, and clusterDigest. Re-recorded when a walked write began to
-// store along its walk: the receipts' costs moved, and so did the
-// cluster, which holds each record's displaced copies too.
+// receipt, and clusterDigest. Re-recorded when converging walks went to
+// arrival order: the receipts' costs moved, and so did the cluster, whose
+// walked writes land on the contacts their walks asked.
 var pinnedForget = struct{ receipts, digest string }{
-	receipts: "8fc0f36acb82a7896c835216ad7a28a59b11e93072a7f5bd2bc4f35a37d781ce",
-	digest:   "33be4666c05e7401c79d11ca851d70854992e215a14cf03b768439d6f9111235",
+	receipts: "17bde55daa7e82c43073ef46ed64ccbaf80f68058a97790ccbd54b438aa15daf",
+	digest:   "0bae999e97ea982735473f8baa2eeb66116d22d49c0854d37f260fd4ba7d99bc",
 }
 
 // TestWriteBeesForgetResolvedTasks: a bee drops a task's result once the
@@ -469,7 +469,7 @@ func pendingByTask(c *Cluster) map[string][][]byte {
 // produced when every assignee built its own result: a digest of both
 // receipts, and clusterDigest. Re-recorded as pinnedForget was.
 var pinnedQuorumBuild = struct{ receipts, digest string }{
-	receipts: "3e6c61bcf198590dc978bb09d6ce52c5c7a073132ae088729c5ba31f2eeddc63",
+	receipts: "feeca872b3d1c528012bc5156f3743aa5cb96b2c8e47d2e8c389acb355204a51",
 	digest:   "cf83663877a942a8870ecea00baf0858c3e9747b4a8646f0c5d636ab5db8c135",
 }
 
@@ -548,7 +548,7 @@ var pinnedTampered = struct {
 		"bee-002 won=true a35b24d8afa24bbb 2079",
 		"bee-003 won=true a35b24d8afa24bbb 2079",
 	},
-	receipt: "799d2906b1cca23111fdc222548ddf5b738ad8115c66f09c6d6eda3b55c57f00",
+	receipt: "b7058a8aee28fc8b5aebdefddac894b7bab242e4f1c5ad7bb3e48ec2d4d019f8",
 	digest:  "c3a479b364b65fffb31f685f81b17fa6742db53455ff09ff75c25f9968b3ec26",
 }
 

@@ -246,19 +246,25 @@ func writeSegment(d *dht.Node, digestHex string, data []byte) (netsim.Cost, erro
 	return cost, err
 }
 
-// fetchSegmentCtx fetches a segment's bytes by digest and verifies them
-// against it. Segments are immutable, so the first replica suffices (the
-// digest check catches a tampered one). A cancelled context abandons the
+// fetchSegmentCtx fetches a segment's bytes by digest. Segments are
+// self-certifying: the read takes the first replica whose bytes hash to
+// the digest, and a tampered one is a miss at its holder, so the walk
+// goes on to the next (dht.Node.GetCheckedCtx). The read fails when no
+// copy it reached passed the check. A cancelled context abandons the
 // lookup with the partial cost.
 func fetchSegmentCtx(ctx context.Context, d *dht.Node, digestHex string) ([]byte, netsim.Cost, error) {
-	val, cost, err := d.GetImmutableCtx(ctx, dht.KeyOfString(index.SegmentKey(digestHex)))
-	if err != nil {
-		return nil, cost, err
+	tampered := 0
+	val, cost, err := d.GetCheckedCtx(ctx, dht.KeyOfString(index.SegmentKey(digestHex)), func(v []byte) bool {
+		ok := index.DigestOf(v) == digestHex
+		if !ok {
+			tampered++
+		}
+		return ok
+	})
+	if err != nil && tampered > 0 {
+		return nil, cost, fmt.Errorf("core: segment %.8s failed hash verification on %d copies: %w", digestHex, tampered, err)
 	}
-	if got := index.DigestOf(val); got != digestHex {
-		return nil, cost, fmt.Errorf("core: segment %.8s failed hash verification", digestHex)
-	}
-	return val, cost, nil
+	return val, cost, err
 }
 
 // readSegmentCtx fetches, hash-verifies and decodes a segment by digest.

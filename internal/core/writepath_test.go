@@ -341,18 +341,20 @@ func TestWriteCompactionPinned(t *testing.T) {
 	}
 }
 
-// TestWriteCompactionForgedRunFailsOneShard: a pass decodes a run it
-// has already decoded only once, but every compactor still fetches the
-// run itself and checks its digest. Three 8-page batches leave three
-// level-0 runs on every shard; a fourth round publishes two one-term
-// pages as two tasks with different writers, so exactly two shards —
-// low, then high — reach four runs and merge. The high shard's writer
-// holds forged (but decodable) bytes under the first run's key, the low
-// shard's writer the genuine ones. The low shard decodes the run and
-// compacts; the high shard's fetch fails hash verification in the same
-// pass, which is its merge's error (stage "compact"), and its append
-// still lands.
-func TestWriteCompactionForgedRunFailsOneShard(t *testing.T) {
+// TestWriteCompactionReadsPastForgedRun: a pass decodes a run it has
+// already decoded only once, but every compactor still fetches the run
+// itself and checks its digest, and a copy that fails the check is a miss
+// at its holder. Three 8-page batches leave three level-0 runs on every
+// shard; a fourth round publishes two one-term pages as two tasks with
+// different writers, so exactly two shards — low, then high — reach four
+// runs and merge. Every node holding the first run, the high shard's
+// writer among them, is handed forged (but decodable) bytes under its
+// key; the low shard's writer alone keeps the genuine ones. The high
+// shard's read goes past the forged copies to the genuine one, so both
+// shards compact, from the genuine run. Without that genuine copy no copy
+// anywhere passes: both merges fail hash verification, which is their
+// error (stage "compact"), and both appends still land.
+func TestWriteCompactionReadsPastForgedRun(t *testing.T) {
 	cfg := DefaultConfig()
 
 	// One word per shard, low shard first.
@@ -372,77 +374,103 @@ func TestWriteCompactionForgedRunFailsOneShard(t *testing.T) {
 	}
 	low, high := shards[0], shards[1]
 
-	// A page's task name seeds its quorum draw, so which bee writes it
-	// follows from its URL: boot the three batches afresh and try the
-	// next URL for the high page until the two writers differ.
-	var c *Cluster
-	var lowWriter, highWriter *WorkerBee
-	for attempt := 1; lowWriter == nil || lowWriter == highWriter; attempt++ {
-		if attempt > 16 {
-			t.Fatalf("setup: no URL in %d gave the two pages distinct writers", attempt-1)
-		}
-		c = NewCluster(cfg)
-		owner := c.NewAccount("writer", 1<<40)
-		c.Seal()
-		for round, pages := range corpusBatches(cfg.Seed, 3, 8) {
-			if rr, err := c.IndexBatch(owner, pages); err != nil || len(rr.Errors) > 0 || rr.PointerWrites != cfg.NumShards {
-				t.Fatalf("round %d: err=%v errors=%v, %d pointer writes", round, err, rr.Errors, rr.PointerWrites)
+	round := func(genuineOnLowWriter bool) (*Cluster, RoundReceipt) {
+		// A page's task name seeds its quorum draw, so which bee writes it
+		// follows from its URL: boot the three batches afresh and try the
+		// next URL for the high page until the two writers differ.
+		var c *Cluster
+		var lowWriter, highWriter *WorkerBee
+		for attempt := 1; lowWriter == nil || lowWriter == highWriter; attempt++ {
+			if attempt > 16 {
+				t.Fatalf("setup: no URL in %d gave the two pages distinct writers", attempt-1)
 			}
-		}
-		urls := []string{"dweb://forged/0", fmt.Sprintf("dweb://forged/%d", attempt)}
-		for i, w := range words {
-			if _, err := c.PublishBatch(owner, c.Peers[0], []BatchPage{{URL: urls[i], Text: w + " " + w}}); err != nil {
-				t.Fatal(err)
+			c = NewCluster(cfg)
+			owner := c.NewAccount("writer", 1<<40)
+			c.Seal()
+			for round, pages := range corpusBatches(cfg.Seed, 3, 8) {
+				if rr, err := c.IndexBatch(owner, pages); err != nil || len(rr.Errors) > 0 || rr.PointerWrites != cfg.NumShards {
+					t.Fatalf("round %d: err=%v errors=%v, %d pointer writes", round, err, rr.Errors, rr.PointerWrites)
+				}
 			}
-		}
-		c.Seal()
-		// Every assignee is honest and wins, so a task's designated writer
-		// is its first assignee in address order.
-		writerOf := make(map[string]*WorkerBee) // page URL → its task's writer
-		for _, b := range c.Bees {
-			for _, task := range c.QB.OpenTasksFor(b.Account.Address()) {
-				assignees := append([]chain.Address(nil), task.Assignees...)
-				sort.Slice(assignees, func(i, j int) bool { return assignees[i].String() < assignees[j].String() })
-				for _, bee := range c.Bees {
-					if bee.Account.Address() == assignees[0] {
-						writerOf[task.Pages[0].URL] = bee
+			urls := []string{"dweb://forged/0", fmt.Sprintf("dweb://forged/%d", attempt)}
+			for i, w := range words {
+				if _, err := c.PublishBatch(owner, c.Peers[0], []BatchPage{{URL: urls[i], Text: w + " " + w}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Seal()
+			// Every assignee is honest and wins, so a task's designated writer
+			// is its first assignee in address order.
+			writerOf := make(map[string]*WorkerBee) // page URL → its task's writer
+			for _, b := range c.Bees {
+				for _, task := range c.QB.OpenTasksFor(b.Account.Address()) {
+					assignees := append([]chain.Address(nil), task.Assignees...)
+					sort.Slice(assignees, func(i, j int) bool { return assignees[i].String() < assignees[j].String() })
+					for _, bee := range c.Bees {
+						if bee.Account.Address() == assignees[0] {
+							writerOf[task.Pages[0].URL] = bee
+						}
 					}
 				}
 			}
+			lowWriter, highWriter = writerOf[urls[0]], writerOf[urls[1]]
+			if lowWriter == nil || highWriter == nil {
+				t.Fatalf("setup: no writer for the two pages, got %v and %v", lowWriter, highWriter)
+			}
 		}
-		lowWriter, highWriter = writerOf[urls[0]], writerOf[urls[1]]
-		if lowWriter == nil || highWriter == nil {
-			t.Fatalf("setup: no writer for the two pages, got %v and %v", lowWriter, highWriter)
+
+		before, _, err := readShardPointer(c.Peers[2].DHT(), high)
+		if err != nil || len(before.Digests) != 3 {
+			t.Fatalf("high shard before the round: %+v err=%v", before, err)
 		}
+		run := before.Digests[0]
+		key := dht.KeyOfString(index.SegmentKey(run))
+		genuine, _, err := c.Peers[2].DHT().GetImmutableCtx(context.Background(), key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forged := index.NewBuilder(1)
+		forged.Add(index.DocIDOf("dweb://forged/spam"), "forged run")
+		for _, d := range dhtNodes(c) {
+			if _, held := d.Local(key); held || d == highWriter.Peer.DHT() {
+				d.StoreLocal(key, forged.Build().Encode(), 0)
+			}
+		}
+		if genuineOnLowWriter {
+			lowWriter.Peer.DHT().StoreLocal(key, genuine, 0)
+		}
+		return c, c.ProcessRoundReceipt()
 	}
 
-	before, _, err := readShardPointer(c.Peers[2].DHT(), high)
-	if err != nil || len(before.Digests) != 3 {
-		t.Fatalf("high shard before the round: %+v err=%v", before, err)
+	c, rr := round(true)
+	if len(rr.Errors) != 0 || rr.Compactions != 2 || rr.PointerWrites != 2 {
+		t.Fatalf("genuine copy on the low shard's writer: errors %v, %d compactions, %d pointer writes; want both merges and both appends", rr.Errors, rr.Compactions, rr.PointerWrites)
 	}
-	run := before.Digests[0]
-	key := dht.KeyOfString(index.SegmentKey(run))
-	genuine, _, err := c.Peers[2].DHT().GetImmutableCtx(context.Background(), key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forged := index.NewBuilder(1)
-	forged.Add(index.DocIDOf("dweb://forged/spam"), "forged run")
-	lowWriter.Peer.DHT().StoreLocal(key, genuine, 0)
-	highWriter.Peer.DHT().StoreLocal(key, forged.Build().Encode(), 0)
-
-	rr := c.ProcessRoundReceipt()
-	if len(rr.Errors) != 1 || rr.Errors[0].Stage != "compact" || rr.Errors[0].Shard != high ||
-		!strings.Contains(rr.Errors[0].Err.Error(), "hash verification") {
-		t.Fatalf("round errors = %v, want one hash-verification failure at stage compact on shard %d", rr.Errors, high)
-	}
-	if rr.Compactions != 1 || rr.PointerWrites != 2 {
-		t.Fatalf("%d compactions, %d pointer writes; want the low shard's merge and both appends", rr.Compactions, rr.PointerWrites)
-	}
-	for shard, want := range map[int][]int{low: {1}, high: {0, 0, 0, 0}} {
+	spam := index.DocIDOf("dweb://forged/spam")
+	for _, shard := range []int{low, high} {
 		ptr, _, err := readShardPointer(c.Peers[2].DHT(), shard)
-		if err != nil || !reflect.DeepEqual(ptr.Levels, want) {
-			t.Fatalf("shard %d after the round: levels %v err=%v, want %v", shard, ptr.Levels, err, want)
+		if err != nil || !reflect.DeepEqual(ptr.Levels, []int{1}) {
+			t.Fatalf("shard %d after the round: levels %v err=%v, want [1]", shard, ptr.Levels, err)
+		}
+		seg, _, err := readSegmentCtx(context.Background(), c.Peers[2].DHT(), ptr.Digests[0])
+		if err != nil || seg.Covers(spam) {
+			t.Fatalf("shard %d's merged run: err=%v; it must not cover the forged document", shard, err)
+		}
+	}
+
+	c, rr = round(false)
+	if len(rr.Errors) != 2 || rr.Compactions != 0 || rr.PointerWrites != 2 {
+		t.Fatalf("no genuine copy: errors %v, %d compactions, %d pointer writes; want two failed merges and both appends", rr.Errors, rr.Compactions, rr.PointerWrites)
+	}
+	for _, e := range rr.Errors {
+		if e.Stage != "compact" || !strings.Contains(e.Err.Error(), "hash verification") {
+			t.Fatalf("round errors = %v, want hash-verification failures at stage compact", rr.Errors)
+		}
+	}
+	for _, shard := range []int{low, high} {
+		ptr, _, err := readShardPointer(c.Peers[2].DHT(), shard)
+		if err != nil || !reflect.DeepEqual(ptr.Levels, []int{0, 0, 0, 0}) {
+			t.Fatalf("shard %d after the round: levels %v err=%v, want [0 0 0 0]", shard, ptr.Levels, err)
 		}
 	}
 }

@@ -13,9 +13,11 @@
 // died in between. Put, Provide and GetCtx are the same operations for
 // callers with no walk to offer or no use for one; a write with no
 // converged walk sends its record on the walk itself, so it is done when
-// the walk converges. A write or quorum-read walk asks the K closest it
-// knows at once; GetImmutableCtx and provider discovery ask alpha at a
-// time.
+// the walk converges. A walk that converges on the closest set runs in
+// simulated arrival order: a write or quorum-read walk asks each of the K
+// closest it knows the moment it learns of it, converging discovery keeps
+// alpha in flight. GetImmutableCtx and first-answer discovery ask alpha a
+// round, in lock-step.
 package dht
 
 import (

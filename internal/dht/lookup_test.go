@@ -3,8 +3,10 @@ package dht
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/xrand"
@@ -16,10 +18,16 @@ type lookupState struct {
 	failed  bool
 }
 
-// iterativeLookupReference is iterativeLookup as it was when the shortlist
-// was a contact slice re-sorted after every round, with each contact's
-// progress in a map beside it.
-func iterativeLookupReference(n *Node, ctx context.Context, target Key, width int, firstAnswer bool, query func(Contact) ([]Contact, bool, netsim.Cost), afterRound func(soFar netsim.Cost)) ([]Contact, netsim.Cost, error) {
+// refQuery is a reference walk's query: the contacts a peer named and
+// whether it answered.
+type refQuery func(Contact) ([]Contact, bool, netsim.Cost)
+
+// iterativeLookupReference is the lock-step iterativeLookup as it was
+// when the shortlist was a contact slice re-sorted after every round, with
+// each contact's progress in a map beside it. Every walk ran this
+// schedule before converging walks went to arrival order; first-answer
+// walks still do.
+func iterativeLookupReference(n *Node, ctx context.Context, target Key, width int, firstAnswer bool, query refQuery, afterRound func(soFar netsim.Cost)) ([]Contact, netsim.Cost, error) {
 	k := n.cfg.K
 	shortlist := n.rt.closest(target, k)
 	states := make(map[Key]*lookupState, len(shortlist))
@@ -196,15 +204,139 @@ func bestDistanceReference(target Key, list []Contact, states map[Key]*lookupSta
 	return max
 }
 
-// TestLookupMatchesReference: the sorted shortlist walks exactly as the
-// map-and-sort reference did. Two identical seeded swarms, one walked by
-// each, go through the same script — nodes going down and coming back, a
-// lossy network that makes calls retry and fail, and every fourth walk
-// starting with all but two of the walker's K closest down, so the
-// shortlist dies and must widen. For the K-wide, the alpha-converged and
-// the first-answer schedule, every walk must return the same contacts,
-// the same cost and the same per-round clock, ask the same contacts in
-// the same order, and leave every node's state (Digest) the same.
+// refState is one contact's progress in convergeReference.
+type refState struct {
+	asked, done, ok, failed bool
+	at                      time.Duration
+	order                   int
+	closer                  []Contact
+}
+
+// convergeReference is the arrival-order schedule written apart from
+// iterativeLookup: contact states in a map, the shortlist re-sorted after
+// every answer, the answer in flight found by scanning the map's states
+// in shortlist order. After each answer it asks every unasked contact
+// among the K nearest not known to have failed — when width < K, as many
+// as keep width in flight, unless width answers in a row brought the
+// walk no closer — applies the earliest answer in flight (ties in issue
+// order) and stops once those K have all answered; with fewer than K
+// live contacts known and nothing in flight it widens from the routing
+// table.
+func convergeReference(n *Node, target Key, width int, query refQuery, onArrival func(soFar netsim.Cost)) ([]Contact, netsim.Cost) {
+	k := n.cfg.K
+	shortlist := n.rt.closest(target, k)
+	states := make(map[Key]*refState)
+	for _, c := range shortlist {
+		states[c.ID] = &refState{}
+	}
+	var total netsim.Cost
+	issued, stale := 0, 0
+	// best is the distance of the nearest contact not known to have
+	// failed, or orElse.
+	best := func(orElse Key) Key {
+		sort.Slice(shortlist, func(i, j int) bool { return DistanceLess(target, shortlist[i].ID, shortlist[j].ID) })
+		for _, c := range shortlist {
+			if !states[c.ID].failed {
+				return c.ID.XOR(target)
+			}
+		}
+		return orElse
+	}
+	for {
+		burst := stale >= width
+		if burst {
+			stale = 0
+		}
+		sort.Slice(shortlist, func(i, j int) bool { return DistanceLess(target, shortlist[i].ID, shortlist[j].ID) })
+		var top []Contact
+		for _, c := range shortlist {
+			if !states[c.ID].failed && len(top) < k {
+				top = append(top, c)
+			}
+		}
+		inflight := 0
+		for _, st := range states {
+			if st.asked && !st.done {
+				inflight++
+			}
+		}
+		for _, c := range top {
+			st := states[c.ID]
+			if st.asked || width < k && !burst && inflight >= width {
+				continue
+			}
+			closer, ok, cost := query(c)
+			*st = refState{asked: true, ok: ok, at: total.Latency + cost.Latency, order: issued, closer: closer}
+			issued++
+			inflight++
+			total.Msgs += cost.Msgs
+			total.Bytes += cost.Bytes
+		}
+		all := len(top) == k
+		for _, c := range top {
+			all = all && states[c.ID].done
+		}
+		if all {
+			break
+		}
+		var next *refState
+		for _, c := range shortlist {
+			st := states[c.ID]
+			if st.asked && !st.done && (next == nil || st.at < next.at || st.at == next.at && st.order < next.order) {
+				next = st
+			}
+		}
+		if next == nil {
+			before := len(shortlist)
+			for _, c := range n.rt.closest(target, 1<<20) {
+				if states[c.ID] == nil {
+					states[c.ID] = &refState{}
+					shortlist = append(shortlist, c)
+				}
+			}
+			if len(shortlist) == before {
+				break
+			}
+			continue
+		}
+		total.Latency = next.at
+		before := best(Key{})
+		next.done, next.failed = true, !next.ok
+		if next.ok {
+			for _, cc := range next.closer {
+				if cc.ID != n.self.ID && states[cc.ID] == nil {
+					states[cc.ID] = &refState{}
+					shortlist = append(shortlist, cc)
+				}
+			}
+		}
+		if best(before).Less(before) {
+			stale = 0
+		} else {
+			stale++
+		}
+		onArrival(total)
+	}
+	var result []Contact
+	for _, c := range shortlist {
+		if st := states[c.ID]; st.done && !st.failed && len(result) < k {
+			result = append(result, c)
+		}
+	}
+	return result, total
+}
+
+// TestLookupMatchesReference: iterativeLookup walks exactly as the
+// references do. Identical seeded swarms go through the same script —
+// nodes going down and coming back, a lossy network that makes calls
+// retry and fail, and every fourth walk starting with all but two of the
+// walker's K closest down, so the shortlist dies and must widen. For the
+// K-wide and the alpha-converged schedule, each walk must return what
+// convergeReference returns on a twin swarm — the same contacts, the same
+// cost and the same clock at every arrival, asking the same contacts in
+// the same order. The first-answer schedule must match the lock-step
+// reference (iterativeLookupReference) the same way, clock at every round
+// included. Every node's state (Digest) must end as its twin's.
 func TestLookupMatchesReference(t *testing.T) {
 	schedules := []struct {
 		name        string
@@ -246,8 +378,8 @@ func TestLookupMatchesReference(t *testing.T) {
 						}
 					}
 					type trace struct {
-						asked  []netsim.NodeID
-						rounds []netsim.Cost
+						asked []netsim.NodeID
+						clock []netsim.Cost
 					}
 					// heard is what the walk could know without widening:
 					// the K closest it starts from and every answer.
@@ -255,24 +387,38 @@ func TestLookupMatchesReference(t *testing.T) {
 					for _, c := range a[w].rt.closest(target, a[w].cfg.K) {
 						heard[c.Addr] = true
 					}
-					walk := func(nd *Node, tr *trace) func(Contact) ([]Contact, bool, netsim.Cost) {
+					ref := func(nd *Node, tr *trace) refQuery {
 						return func(c Contact) ([]Contact, bool, netsim.Cost) {
 							tr.asked = append(tr.asked, c.Addr)
 							resp, cost, err := nd.call(c, findNodeReq{From: nd.self, Target: target})
 							if err != nil {
 								return nil, false, cost
 							}
-							for _, cc := range resp.(findNodeResp).Contacts {
-								heard[cc.Addr] = true
-							}
 							return resp.(findNodeResp).Contacts, true, cost
 						}
 					}
 					var got, want trace
+					query := ref(a[w], &got)
 					gotC, gotCost, gotErr := a[w].iterativeLookup(context.Background(), target, s.width, s.firstAnswer,
-						walk(a[w], &got), func(c netsim.Cost) { got.rounds = append(got.rounds, c) })
-					wantC, wantCost, wantErr := iterativeLookupReference(b[w], context.Background(), target, s.width, s.firstAnswer,
-						walk(b[w], &want), func(c netsim.Cost) { want.rounds = append(want.rounds, c) })
+						func(c Contact) (reply, bool, netsim.Cost) {
+							closer, ok, cost := query(c)
+							if !ok {
+								return nil, false, cost
+							}
+							for _, cc := range closer {
+								heard[cc.Addr] = true
+							}
+							return findNodeResp{Contacts: closer}, true, cost
+						}, nil, func(c netsim.Cost) { got.clock = append(got.clock, c) })
+					var wantC []Contact
+					var wantCost netsim.Cost
+					var wantErr error
+					if s.firstAnswer {
+						wantC, wantCost, wantErr = iterativeLookupReference(b[w], context.Background(), target, s.width, true,
+							ref(b[w], &want), func(c netsim.Cost) { want.clock = append(want.clock, c) })
+					} else {
+						wantC, wantCost = convergeReference(b[w], target, s.width, ref(b[w], &want), func(c netsim.Cost) { want.clock = append(want.clock, c) })
+					}
 					for _, c := range dead {
 						setDown(c.Addr, false)
 					}
@@ -287,8 +433,8 @@ func TestLookupMatchesReference(t *testing.T) {
 							step, gotC, gotCost, gotErr, wantC, wantCost, wantErr)
 					}
 					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("step %d: walk asked %v, rounds %v; reference asked %v, rounds %v",
-							step, got.asked, got.rounds, want.asked, want.rounds)
+						t.Fatalf("step %d: walk asked %v, clock %v; reference asked %v, clock %v",
+							step, got.asked, got.clock, want.asked, want.clock)
 					}
 				}
 				for i := range a {
@@ -304,6 +450,72 @@ func TestLookupMatchesReference(t *testing.T) {
 	}
 }
 
+// TestLookupArrivalOrderAgainstLockstep: from the same state, the
+// arrival-order walk and the lock-step walk it replaced (the reference)
+// converge on the same closest set, which on a healthy walk is the K
+// nearest nodes brute force finds. A K-wide walk is never later than the
+// lock-step one. Each walk answers from a snapshot — every node's K
+// closest to the key, a fixed latency per contact, a dead contact
+// failing after three times its latency — so the two schedules see one
+// world and the walker's table stays as it was; every other walk starts
+// with three of the walker's K closest dead. The price is messages: a
+// contact asked the moment it enters the K nearest can be displaced by an
+// answer still in flight, where a lock-step round would have heard that
+// answer first.
+func TestLookupArrivalOrderAgainstLockstep(t *testing.T) {
+	cfg := DefaultConfig()
+	_, nodes := buildSwarm(t, 40, cfg)
+	byID := make(map[Key]*Node, len(nodes))
+	for _, nd := range nodes {
+		byID[nd.self.ID] = nd
+	}
+	for _, width := range []int{cfg.K, alpha} {
+		rng := xrand.New(2047)
+		var msgs, lockMsgs int
+		var lat, lockLat time.Duration
+		for step := 0; step < 200; step++ {
+			target := KeyOfString(fmt.Sprintf("arrival-%d-%d", width, step))
+			walker := nodes[rng.Intn(len(nodes))]
+			dead := make(map[Key]bool)
+			if step%2 == 0 {
+				for _, c := range walker.rt.closest(target, cfg.K)[2:5] {
+					dead[c.ID] = true
+				}
+			}
+			latency := func(c Contact) time.Duration {
+				h := c.ID.XOR(walker.self.ID)
+				return time.Duration(10+int(h[0])) * time.Millisecond
+			}
+			query := func(c Contact) (reply, bool, netsim.Cost) {
+				if dead[c.ID] {
+					return nil, false, netsim.Cost{Latency: 3 * latency(c), Msgs: 1}
+				}
+				return findNodeResp{Contacts: byID[c.ID].rt.closest(target, cfg.K)}, true, netsim.Cost{Latency: latency(c), Msgs: 1}
+			}
+			got, cost, err := walker.iterativeLookup(context.Background(), target, width, false, query, nil, nil)
+			want, lockCost, lockErr := iterativeLookupReference(walker, context.Background(), target, width, false, func(c Contact) ([]Contact, bool, netsim.Cost) {
+				r, ok, cost := query(c)
+				if !ok {
+					return nil, false, cost
+				}
+				return r.closer(), true, cost
+			}, nil)
+			if err != nil || lockErr != nil || fmt.Sprint(addrsOf(got)) != fmt.Sprint(addrsOf(want)) {
+				t.Fatalf("width %d, step %d: walk found %v (err %v), the lock-step walk %v (err %v)", width, step, addrsOf(got), err, addrsOf(want), lockErr)
+			}
+			if oracle := nearest(nodes, walker, target, cfg.K); len(dead) == 0 && fmt.Sprint(addrsOf(got)) != fmt.Sprint(oracle) {
+				t.Fatalf("width %d, step %d: walk found %v, the %d nearest nodes are %v", width, step, addrsOf(got), cfg.K, oracle)
+			}
+			if width == cfg.K && cost.Latency > lockCost.Latency {
+				t.Fatalf("step %d: K-wide walk took %v, the lock-step walk %v", step, cost.Latency, lockCost.Latency)
+			}
+			msgs, lockMsgs = msgs+cost.Msgs, lockMsgs+lockCost.Msgs
+			lat, lockLat = lat+cost.Latency, lockLat+lockCost.Latency
+		}
+		t.Logf("width %d: mean %v for %.1f msgs a walk; lock-step %v for %.1f", width, lat/200, float64(msgs)/200, lockLat/200, float64(lockMsgs)/200)
+	}
+}
+
 var (
 	closestSink []Contact
 	lookupSink  []Contact
@@ -311,11 +523,13 @@ var (
 
 // TestLookupAllocs is the walk's allocation ratchet. closest allocates
 // only the slice it returns. A converged alpha-wide walk (discovery's
-// shape) allocates its shortlist, its round buffer and its result, plus
-// at most one doubling of the shortlist a round: its allocations are
-// bounded by its rounds, never by the contacts it hears of. Every contact
-// answers from a snapshot of its table, so only the walk's own
-// allocations are counted, not the network's.
+// shape) allocates the table's K closest it starts from, its shortlist
+// and its result, plus one allocation each time the shortlist outgrows
+// its room (twice the K closest, doubling): its allocations are bounded
+// by a constant plus those doublings, never by the answers it hears —
+// each contact's answered and arrival state lives on its shortlist
+// entry. Every contact answers from a reply boxed once up front, so only
+// the walk's own allocations are counted, not the network's.
 func TestLookupAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates too")
@@ -334,35 +548,36 @@ func TestLookupAllocs(t *testing.T) {
 	// 128 nodes: the walk hears of more than its shortlist first holds.
 	_, nodes := buildSwarm(t, 128, DefaultConfig())
 	walker := nodes[0]
-	answers := make(map[Key][]Contact, len(nodes))
+	answers := make(map[Key]reply, len(nodes))
 	for _, nd := range nodes {
-		answers[nd.self.ID] = nd.rt.closest(target, nd.cfg.K)
+		answers[nd.self.ID] = findNodeResp{Contacts: nd.rt.closest(target, nd.cfg.K)}
 	}
 	heard := make(map[Key]bool)
 	for _, c := range walker.rt.closest(target, walker.cfg.K) {
 		heard[c.ID] = true
 	}
-	query := func(c Contact) ([]Contact, bool, netsim.Cost) {
-		for _, cc := range answers[c.ID] {
+	query := func(c Contact) (reply, bool, netsim.Cost) {
+		for _, cc := range answers[c.ID].closer() {
 			heard[cc.ID] = true
 		}
-		return answers[c.ID], true, netsim.Cost{}
+		return answers[c.ID], true, netsim.Cost{Msgs: 1}
 	}
-	rounds := 0
-	countRounds := func(netsim.Cost) { rounds++ }
+	arrivals := 0
+	countArrivals := func(netsim.Cost) { arrivals++ }
 	walk := func() {
-		lookupSink, _, _ = walker.iterativeLookup(context.Background(), target, alpha, false, query, countRounds)
+		lookupSink, _, _ = walker.iterativeLookup(context.Background(), target, alpha, false, query, nil, countArrivals)
 	}
 	walk()
-	perWalk := rounds
-	bound := float64(4 + perWalk)
-	if len(heard) <= int(bound) {
-		t.Fatalf("the walk heard of %d contacts in %d rounds: too few to tell a per-contact allocation from the bound %.0f", len(heard), perWalk, bound)
+	perWalk := arrivals
+	doublings := bits.Len(uint((len(heard) - 1) / (2 * walker.cfg.K)))
+	bound := float64(3 + doublings)
+	if perWalk <= int(bound) {
+		t.Fatalf("the walk heard %d answers: too few to tell a per-answer allocation from the bound %.0f", perWalk, bound)
 	}
 	got := testing.AllocsPerRun(20, walk)
-	t.Logf("converged walk: %.0f allocs in %d rounds, %d contacts heard of, bound %.0f", got, perWalk, len(heard), bound)
+	t.Logf("converged walk: %.0f allocs, %d answers, %d contacts heard of, bound %.0f", got, perWalk, len(heard), bound)
 	if got > bound {
-		t.Errorf("converged walk: %.0f allocs exceed the bound %.0f (%d rounds, %d contacts heard of)", got, bound, perWalk, len(heard))
+		t.Errorf("converged walk: %.0f allocs exceed the bound %.0f (%d answers, %d contacts heard of)", got, bound, perWalk, len(heard))
 	}
 }
 
@@ -385,19 +600,24 @@ func BenchmarkClosest(b *testing.B) {
 }
 
 // BenchmarkLookup runs converged K-wide walks (lookupNodes) from one node
-// of a 24-node swarm over the simulated network, RPCs included.
+// of a 24-node swarm over the simulated network, RPCs included, and
+// reports each walk's simulated latency and messages beside its CPU.
 func BenchmarkLookup(b *testing.B) {
 	_, nodes := buildSwarm(b, 24, DefaultConfig())
 	targets := make([]Key, 64)
 	for i := range targets {
 		targets[i] = KeyOfString(fmt.Sprintf("target-%d", i))
 	}
+	var total netsim.Cost
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w, _ := nodes[0].lookupNodes(targets[i%len(targets)])
+		w, cost := nodes[0].lookupNodes(targets[i%len(targets)])
 		if len(w.Closest) == 0 {
 			b.Fatal("walk found nobody")
 		}
+		total = total.Seq(cost)
 	}
+	b.ReportMetric(float64(total.Latency)/float64(time.Millisecond)/float64(b.N), "sim_ms/op")
+	b.ReportMetric(float64(total.Msgs)/float64(b.N), "msgs/op")
 }

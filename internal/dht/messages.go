@@ -89,3 +89,13 @@ func (getProvidersReq) WireSize() int { return contactWireSize + KeySize }
 func (r getProvidersResp) WireSize() int {
 	return 8 + contactWireSize*(len(r.Providers)+len(r.Contacts))
 }
+
+// reply is an answer a walk continues from: every lookup-bearing response
+// names the replier's contacts nearest the key.
+type reply interface{ closer() []Contact }
+
+func (r findNodeResp) closer() []Contact     { return r.Contacts }
+func (r storeResp) closer() []Contact        { return r.Contacts }
+func (r findValueResp) closer() []Contact    { return r.Contacts }
+func (r addProviderResp) closer() []Contact  { return r.Contacts }
+func (r getProvidersResp) closer() []Contact { return r.Contacts }

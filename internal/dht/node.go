@@ -24,11 +24,11 @@ var (
 
 // Network-wide Kademlia constants: every node runs the same values.
 const (
-	// alpha is the round width of GetImmutableCtx and of provider discovery.
+	// alpha is the width of GetImmutableCtx and of provider discovery.
 	// A cold immutable read and discovery for a fetch consume the first
 	// answer; discovery for a fetch already told whom to ask must not send
-	// more than that. A walk that writes or quorum-reads asks the K
-	// closest it knows at once instead (iterativeLookup).
+	// more than that. A walk that writes or quorum-reads asks each of the
+	// K closest it knows as soon as it knows it instead (iterativeLookup).
 	alpha              = 3
 	maxProvidersPerKey = 16 // provider records kept per key
 	// retryBackoffBase is the base simulated-time backoff: attempt i
@@ -299,34 +299,52 @@ func convergedWalk(key Key, contacts []Contact) Walk {
 	return w
 }
 
+// walkQuery sends a walk's request to one contact. The simulated RPC runs
+// when the walk issues it; the reply is held until it arrives. A false ok
+// drops the contact from the walk: it did not answer (no reply), or its
+// answer failed the caller's check, whose reply still names contacts.
+type walkQuery func(c Contact) (r reply, ok bool, cost netsim.Cost)
+
+// asking is the walk query that sends req to each contact and continues
+// from its reply.
+func (n *Node) asking(ctx context.Context, req any) walkQuery {
+	return func(c Contact) (reply, bool, netsim.Cost) {
+		resp, cost, err := n.callCtx(ctx, c, req)
+		if err != nil {
+			return nil, false, cost
+		}
+		return resp.(reply), true, cost
+	}
+}
+
 // walk is iterativeLookup without a request lifecycle, for the write and
 // discovery paths that never abandon a lookup.
-func (n *Node) walk(target Key, width int, firstAnswer bool, query func(Contact) ([]Contact, bool, netsim.Cost), afterRound func(soFar netsim.Cost)) ([]Contact, netsim.Cost) {
+func (n *Node) walk(target Key, width int, firstAnswer bool, query walkQuery, heard func(Contact, reply, time.Duration), progress func(soFar netsim.Cost)) ([]Contact, netsim.Cost) {
 	//detlint:ignore errsink iterativeLookup only errors on context cancellation, impossible with context.Background
-	contacts, cost, _ := n.iterativeLookup(context.Background(), target, width, firstAnswer, query, afterRound)
+	contacts, cost, _ := n.iterativeLookup(context.Background(), target, width, firstAnswer, query, heard, progress)
 	return contacts, cost
 }
 
 // lookupNodes performs an iterative FIND_NODE toward target and returns
-// the converged walk: the k closest live contacts found. Queries within
-// a round are accounted as parallel; rounds are sequential. Its product
-// is the closest set, so every round asks all of the K closest it knows.
+// the converged walk: the k closest live contacts found. Its product is
+// the closest set, so it asks each contact the moment it enters the K
+// closest the walk knows (iterativeLookup).
 func (n *Node) lookupNodes(target Key) (Walk, netsim.Cost) {
-	contacts, cost := n.walk(target, n.cfg.K, false, func(c Contact) ([]Contact, bool, netsim.Cost) {
-		resp, cost, err := n.call(c, findNodeReq{From: n.self, Target: target})
-		if err != nil {
-			return nil, false, cost
-		}
-		return resp.(findNodeResp).Contacts, true, cost
-	}, nil)
+	contacts, cost := n.walk(target, n.cfg.K, false, n.asking(context.Background(), findNodeReq{From: n.self, Target: target}), nil, nil)
 	return convergedWalk(target, contacts), cost
 }
 
 // candidate is one shortlist entry of an iterative lookup.
 type candidate struct {
 	Contact
-	dist            Key // ID XOR target
-	queried, failed bool
+	dist Key // ID XOR target
+	// asked: the RPC was issued. done: its answer arrived and was applied.
+	// failed: it arrived as a failure (ok is the outcome, known to the
+	// walk only once done).
+	asked, done, failed, ok bool
+	order                   int32         // issue order: breaks ties between equal arrivals
+	at, rtt                 time.Duration // arrival on the walk's clock; the RPC's own latency
+	reply                   reply         // held from issue to arrival
 }
 
 // shortlist is a lookup's candidates in ascending distance to its target.
@@ -352,69 +370,235 @@ func (s *shortlist) insert(c Contact, target Key) bool {
 	return !found
 }
 
-// iterativeLookup is the shared Kademlia lookup loop. query returns the
-// closer contacts a peer reported and whether the peer responded.
+// lookup is one iterative walk in progress.
+type lookup struct {
+	n        *Node
+	ctx      context.Context
+	target   Key
+	query    walkQuery
+	heard    func(Contact, reply, time.Duration)
+	progress func(soFar netsim.Cost)
+
+	list   shortlist
+	total  netsim.Cost // every RPC issued; Latency is the walk's clock
+	issued int32
+	live   int // answers applied
+	err    error
+}
+
+// iterativeLookup is the shared Kademlia lookup loop. query sends a
+// contact the walk's request; heard, when set, takes each answer when it
+// arrives, so anything the caller decides later queries from changes then
+// and not at issue; progress, when set, is told the walk's cost so far
+// each time answers have been applied.
 //
-// Each round asks, in parallel, up to width of the nearest live contacts
-// not yet asked. A walk whose product is the converged closest set looks
-// no further than the K closest it knows: at width K (lookupNodes,
-// Locate, a walked write) a walker whose table already holds the replica
-// set converges in one round trip; at width alpha
-// (FindProvidersConverged) it asks no wider than a first-answer walk,
-// and stops once the K closest have answered. A walk whose caller consumes its first answer (firstAnswer:
-// GetImmutableCtx, FindProviders) keeps the classic schedule — alpha a
-// round, nearest first however far down the shortlist — so once fewer
-// than alpha of the K closest are left to ask it asks past them too,
-// where a provider census still finds records that announcers with
-// another view of the K closest left. On a healthy swarm every schedule
-// ends on the same K closest live contacts; only what else it asks, and
-// when, differs.
+// A walk whose product is the converged closest set (lookupNodes, Locate,
+// a walked write, FindProvidersConverged) runs in arrival order (converge):
+// it applies answers as they arrive and asks a contact the moment it is
+// among the K closest the walk knows — all of them at width K, alpha at a
+// time at width alpha. A walk whose caller consumes its first answer
+// (firstAnswer: GetImmutableCtx, FindProviders) keeps lock-step rounds
+// (lockstep). On a healthy swarm every schedule ends on the same K closest
+// live contacts; only what else it asks, and when, differs.
 //
 // The loop checks ctx before issuing each RPC: once the context is done
-// the remaining queries of the round — and every later round — are
-// abandoned, the cost accumulated so far is returned (the partial wave
-// that actually ran), and the error wraps netsim.ErrCancelled. Abandoned
-// peers are never marked failed.
-//
-// afterRound, when set, is told the cost accumulated so far each time a
-// round of parallel queries has been folded in: the lookup's clock at the
-// moment that round's answers are all in hand.
-func (n *Node) iterativeLookup(ctx context.Context, target Key, width int, firstAnswer bool, query func(Contact) ([]Contact, bool, netsim.Cost), afterRound func(soFar netsim.Cost)) ([]Contact, netsim.Cost, error) {
+// the rest of the walk is abandoned, the cost accumulated so far is
+// returned (the partial wave that actually ran), and the error wraps
+// netsim.ErrCancelled. Abandoned peers are never marked failed.
+func (n *Node) iterativeLookup(ctx context.Context, target Key, width int, firstAnswer bool, query walkQuery, heard func(Contact, reply, time.Duration), progress func(soFar netsim.Cost)) ([]Contact, netsim.Cost, error) {
 	k := n.cfg.K
-	// Room for twice the K closest; a walk that hears of more doubles it,
-	// an alpha-wide one at most once a round.
-	list := make(shortlist, 0, 2*k)
+	// Room for twice the K closest; a walk that hears of more doubles it.
+	l := lookup{n: n, ctx: ctx, target: target, query: query, heard: heard, progress: progress, list: make(shortlist, 0, 2*k)}
 	for _, c := range n.rt.closest(target, k) {
-		list.insert(c, target)
+		l.list.insert(c, target)
 	}
-	buf := make([]Contact, 0, max(width, k)) // unasked's answer
-	live := 0                                // contacts queried successfully so far
-	var total netsim.Cost
-	var lookupErr error
+	if firstAnswer {
+		l.lockstep(width)
+	} else {
+		l.converge(width)
+	}
+	if l.err != nil {
+		return nil, l.total, l.err
+	}
+	result := make([]Contact, 0, min(k, l.live))
+	for i := range l.list {
+		if c := &l.list[i]; c.done && !c.failed {
+			result = append(result, c.Contact)
+			if len(result) == k {
+				break
+			}
+		}
+	}
+	return result, l.total, nil
+}
 
-	// cancelled reports (and wraps) a done context. Checked before every
-	// RPC the loop issues, so an abandoned lookup stops at a call
-	// boundary with the partial cost it actually paid.
-	cancelled := func() bool {
-		if lookupErr != nil {
-			return true
-		}
-		if ctx == nil {
-			return false
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			lookupErr = fmt.Errorf("%w: %w", netsim.ErrCancelled, cerr)
-			return true
-		}
+// cancelled reports (and wraps) a done context. Checked before every RPC
+// the walk issues, so an abandoned lookup stops at a call boundary with
+// the partial cost it actually paid.
+func (l *lookup) cancelled() bool {
+	if l.err != nil {
+		return true
+	}
+	if l.ctx == nil {
 		return false
 	}
+	if cerr := l.ctx.Err(); cerr != nil {
+		l.err = fmt.Errorf("%w: %w", netsim.ErrCancelled, cerr)
+		return true
+	}
+	return false
+}
 
+// issue sends list[i] the walk's query at the walk's clock. Its messages
+// count at once; its answer waits for arrive.
+func (l *lookup) issue(i int) {
+	c := &l.list[i]
+	r, ok, cost := l.query(c.Contact)
+	c.asked, c.ok, c.reply = true, ok, r
+	c.order, c.rtt, c.at = l.issued, cost.Latency, l.total.Latency+cost.Latency
+	l.issued++
+	l.total.Msgs += cost.Msgs
+	l.total.Bytes += cost.Bytes
+}
+
+// arrive applies list[i]'s answer: a failure drops the contact, an
+// answer goes to heard, and any reply adds the contacts it names.
+func (l *lookup) arrive(i int) {
+	c := &l.list[i]
+	c.done, c.failed = true, !c.ok
+	from, r, rtt := c.Contact, c.reply, c.rtt
+	c.reply = nil
+	if c.ok {
+		l.live++
+		if r != nil && l.heard != nil {
+			l.heard(from, r, rtt)
+		}
+	}
+	if r == nil {
+		return
+	}
+	for _, cc := range r.closer() { // inserting moves entries: c is stale now
+		if cc.ID != l.n.self.ID {
+			l.list.insert(cc, l.target)
+		}
+	}
+}
+
+// widen adds the rest of the routing table to the shortlist, reporting
+// whether it added anyone. Under churn the initial K-sized shortlist can
+// die wholesale; before giving up, a walk with fewer than K live answers
+// falls back to farther live contacts. Healthy walks never get here with
+// untried table entries left, so widening changes nothing when no node
+// has failed.
+func (l *lookup) widen() bool {
+	widened := false
+	for _, c := range l.n.rt.closest(l.target, l.n.rt.size()) {
+		widened = l.list.insert(c, l.target) || widened
+	}
+	return widened
+}
+
+// best is the distance of the closest contact not known to have failed,
+// or orElse when every one has.
+func (l *lookup) best(orElse Key) Key {
+	for i := range l.list {
+		if !l.list[i].failed {
+			return l.list[i].dist
+		}
+	}
+	return orElse
+}
+
+// converge is the arrival-order schedule. Every step asks what the walk
+// may ask now — each unasked contact among the K nearest not known to
+// have failed: all of them at width K, and otherwise as many as keep
+// width in flight — then applies the earliest answer in flight (equal
+// arrivals in issue order) and moves the walk's clock to it. A narrow
+// walk keeps Kademlia's termination rule in arrival terms: once width
+// answers in a row (a round's worth) have brought it no closer, it asks
+// the rest of the K nearest at once. The walk ends once those K nearest
+// have all answered: its latency is that moment, and its traffic every
+// message it sent, answers still in flight from contacts it has since
+// passed included. With fewer than K live contacts known and nothing in
+// flight it widens, and ends when widening finds no one new.
+func (l *lookup) converge(width int) {
+	k := l.n.cfg.K
+	inflight, stale := 0, 0
+	for {
+		all := width >= k || stale >= width
+		if all {
+			stale = 0
+		}
+		nearest, waiting := 0, false
+		for i := range l.list {
+			c := &l.list[i]
+			if c.failed {
+				continue
+			}
+			if nearest == k {
+				break
+			}
+			nearest++
+			if !c.asked && (all || inflight < width) {
+				if l.cancelled() {
+					return
+				}
+				l.issue(i)
+				inflight++
+			}
+			waiting = waiting || !c.done
+		}
+		if nearest == k && !waiting {
+			return
+		}
+		next := -1
+		for i := range l.list {
+			c := &l.list[i]
+			if c.asked && !c.done && (next < 0 || c.at < l.list[next].at || c.at == l.list[next].at && c.order < l.list[next].order) {
+				next = i
+			}
+		}
+		if next < 0 {
+			if l.widen() {
+				continue
+			}
+			return
+		}
+		l.total.Latency = l.list[next].at
+		inflight--
+		before := l.best(Key{})
+		l.arrive(next)
+		if l.best(before).Less(before) {
+			stale = 0
+		} else {
+			stale++
+		}
+		if l.progress != nil {
+			l.progress(l.total)
+		}
+	}
+}
+
+// lockstep is the first-answer schedule, in rounds: each asks, in
+// parallel, up to width of the nearest live contacts not yet asked,
+// however far down the shortlist, and the next round waits for the
+// slowest answer of this one. A round's answers are applied in the order
+// it asked, each as its RPC returns, so a caller that has its answer
+// stops paying for the rest of the round. Once fewer than alpha of the K
+// closest are left to ask it asks past them too, where a provider census
+// still finds records that announcers with another view of the K closest
+// left. When a round brings the walk no closer it asks what is left among
+// the K closest at once, and stops once nothing is and K live contacts
+// have answered (widening first when fewer have).
+func (l *lookup) lockstep(width int) {
+	k := l.n.cfg.K
+	buf := make([]Contact, 0, max(width, k))
 	// unasked returns up to width contacts not yet asked, nearest first,
 	// from among the first reach live entries of the shortlist.
 	unasked := func(width, reach int) []Contact {
 		buf = buf[:0]
-		for i := range list {
-			c := &list[i]
+		for i := range l.list {
+			c := &l.list[i]
 			if c.failed {
 				continue
 			}
@@ -422,7 +606,7 @@ func (n *Node) iterativeLookup(ctx context.Context, target Key, width int, first
 				break
 			}
 			reach--
-			if !c.queried {
+			if !c.asked {
 				buf = append(buf, c.Contact)
 				if len(buf) == width {
 					break
@@ -431,114 +615,51 @@ func (n *Node) iterativeLookup(ctx context.Context, target Key, width int, first
 		}
 		return buf
 	}
-
-	// ask queries one round in parallel and folds it into the lookup's
-	// clock.
+	// ask runs one round and moves the clock to its slowest answer.
 	ask := func(round []Contact) {
-		var roundCost netsim.Cost
+		end := l.total.Latency
 		for _, c := range round {
-			if cancelled() {
+			if l.cancelled() {
 				break
 			}
-			// The shortlist only changes below, after i is last used.
-			i, _ := list.search(c.ID.XOR(target))
-			list[i].queried = true
-			closer, ok, cost := query(c)
-			roundCost = roundCost.Par(cost)
-			if !ok {
-				list[i].failed = true
-				continue
-			}
-			live++
-			for _, cc := range closer {
-				if cc.ID != n.self.ID {
-					list.insert(cc, target)
-				}
-			}
+			i, _ := l.list.search(c.ID.XOR(l.target))
+			l.issue(i)
+			end = max(end, l.list[i].at)
+			l.arrive(i)
 		}
-		total = total.Seq(roundCost)
-		if afterRound != nil {
-			afterRound(total)
+		l.total.Latency = end
+		if l.progress != nil {
+			l.progress(l.total)
 		}
 	}
-
-	// exhausted is the one stopping rule, at both of the loop's exits,
-	// where nothing is left to ask among the closest: stop once K live
-	// contacts have answered. Under churn the initial K-sized shortlist can
-	// die wholesale; before giving up, widen it from the rest of the
-	// routing table so the lookup falls back to farther live contacts.
-	// Healthy lookups never get here with fewer than K live answers and
-	// untried table entries left, so the widening changes nothing when no
-	// node has failed.
-	exhausted := func() bool {
-		if live >= k {
-			return true
-		}
-		widened := false
-		for _, c := range n.rt.closest(target, n.rt.size()) {
-			widened = list.insert(c, target) || widened
-		}
-		return !widened
-	}
-
-	// best is the distance of the closest contact not known to have
-	// failed, or orElse when every one has. A round is drawn from those
-	// contacts, so before it there is always one.
-	best := func(orElse Key) Key {
-		for i := range list {
-			if !list[i].failed {
-				return list[i].dist
-			}
-		}
-		return orElse
-	}
+	exhausted := func() bool { return l.live >= k || !l.widen() }
 
 	for {
-		reach := k
-		if firstAnswer {
-			reach = len(list)
-		}
-		round := unasked(width, reach)
+		round := unasked(width, len(l.list))
 		if len(round) == 0 {
 			if exhausted() {
-				break
+				return
 			}
 			continue
 		}
-		prevBest := best(Key{})
-		ask(round)
-		if lookupErr != nil {
-			return nil, total, lookupErr
+		prevBest := l.best(Key{})
+		if ask(round); l.err != nil {
+			return
 		}
-		if best(prevBest).Less(prevBest) {
+		if l.best(prevBest).Less(prevBest) {
 			continue
 		}
-		// Termination: when a round brings the walk no closer, ask what is
-		// left among the K closest at once (for a K-wide walk, its next
-		// round), and stop once nothing is.
 		tail := unasked(k, k)
 		if len(tail) == 0 {
 			if exhausted() {
-				break
+				return
 			}
 			continue
 		}
-		ask(tail)
-		if lookupErr != nil {
-			return nil, total, lookupErr
+		if ask(tail); l.err != nil {
+			return
 		}
 	}
-
-	result := make([]Contact, 0, min(k, live))
-	for i := range list {
-		if c := &list[i]; c.queried && !c.failed {
-			result = append(result, c.Contact)
-			if len(result) == k {
-				break
-			}
-		}
-	}
-	return result, total, nil
 }
 
 // writeAt is the one write behind PutAt and ProvideAt: send issues one
@@ -547,15 +668,15 @@ func (n *Node) iterativeLookup(ctx context.Context, target Key, width int, first
 // converged closest set that took it, nearest first.
 //
 // A converged walk gets one wave to its closest set. An unconverged one
-// is walked, and the walk carries the record: each K-wide round sends it
-// to the contacts it asks, in place of FIND_NODE, so the write is done
-// when the walk converges. It lands on every contact the walk reached —
-// the converged K, and any it asked before closer ones displaced them.
-// A reused walk can be stale only if a contact died since it ran, so
-// when any RPC of its wave fails the key is walked that way, once — a
-// remembered walk never under-replicates silently. A lone node (a walk
-// that found nobody) keeps the record itself and is its own one replica.
-func (n *Node) writeAt(w Walk, keepLocal func(), send func(c Contact, walking bool) (bool, []Contact, netsim.Cost, error)) ([]Contact, netsim.Cost) {
+// is walked, and the walk carries the record: it sends it, in place of
+// FIND_NODE, to each contact it asks, so the write is done when the walk
+// converges. It lands on every contact the walk asked — the converged K,
+// and any it asked before closer ones displaced them. A reused walk can
+// be stale only if a contact died since it ran, so when any RPC of its
+// wave fails the key is walked that way, once — a remembered walk never
+// under-replicates silently. A lone node (a walk that found nobody) keeps
+// the record itself and is its own one replica.
+func (n *Node) writeAt(w Walk, keepLocal func(), send func(c Contact, walking bool) (reply, bool, netsim.Cost, error)) ([]Contact, netsim.Cost) {
 	var (
 		total   netsim.Cost
 		taken   []Contact
@@ -564,7 +685,7 @@ func (n *Node) writeAt(w Walk, keepLocal func(), send func(c Contact, walking bo
 	)
 	if w.converged {
 		for _, r := range w.Closest {
-			ok, _, cost, err := send(r.Contact, false)
+			_, ok, cost, err := send(r.Contact, false)
 			total = total.Par(cost)
 			walk = walk || err != nil
 			if ok {
@@ -574,16 +695,16 @@ func (n *Node) writeAt(w Walk, keepLocal func(), send func(c Contact, walking bo
 	}
 	if walk {
 		var refused []Key
-		closest, cost := n.walk(w.Key, n.cfg.K, false, func(c Contact) ([]Contact, bool, netsim.Cost) {
-			ok, closer, cost, err := send(c, true)
+		closest, cost := n.walk(w.Key, n.cfg.K, false, func(c Contact) (reply, bool, netsim.Cost) {
+			r, ok, cost, err := send(c, true)
 			if err != nil {
 				return nil, false, cost
 			}
 			if !ok {
 				refused = append(refused, c.ID)
 			}
-			return closer, true, cost
-		}, nil)
+			return r, true, cost
+		}, nil, nil)
 		total = total.Seq(cost)
 		reached = len(closest)
 		taken = slices.DeleteFunc(closest, func(c Contact) bool { return slices.Contains(refused, c.ID) })
@@ -626,13 +747,12 @@ func (n *Node) PutAt(w Walk, value []byte, seq uint64) (int, netsim.Cost, error)
 			n.values[key] = storedValue{value: value, seq: seq}
 		}
 		n.mu.Unlock()
-	}, func(c Contact, walking bool) (bool, []Contact, netsim.Cost, error) {
+	}, func(c Contact, walking bool) (reply, bool, netsim.Cost, error) {
 		resp, cost, err := n.call(c, storeReq{From: n.self, Key: key, Value: value, Seq: seq, Closer: walking})
 		if err != nil {
-			return false, nil, cost, err
+			return nil, false, cost, err
 		}
-		r := resp.(storeResp)
-		return r.OK, r.Contacts, cost, nil
+		return resp.(reply), resp.(storeResp).OK, cost, nil
 	})
 	if len(accepted) == 0 {
 		return 0, cost, fmt.Errorf("dht: no replica accepted %s at seq %d", key.Short(), seq)
@@ -657,9 +777,9 @@ type Located struct {
 // Locate is the quorum read of a versioned record, via iterative
 // FIND_VALUE. Because records are mutable (pointers like index shard
 // lists), the lookup does NOT stop at the first replica: it queries
-// through to the k closest nodes, asking all of those it knows at once,
-// and takes the highest sequence seen — a read that tolerates stale
-// replicas. The local replica (if any) participates as one more vote.
+// through to the k closest nodes, asking each the moment the walk learns
+// of it, and takes the highest sequence among the answers as they arrive
+// — a read that tolerates stale replicas. The local replica (if any) participates as one more vote.
 // What the walk learned on the way is returned with the record, so a
 // caller that goes on to write the key (PutAt) or to judge its
 // replication (Walk.Replicas) does not walk again. With ErrNotFound the
@@ -684,26 +804,20 @@ func (n *Node) Locate(ctx context.Context, key Key) (Located, netsim.Cost, error
 	n.mu.Unlock()
 
 	answers := make(map[Key]Replica)
-	contacts, cost, err := n.iterativeLookup(ctx, key, n.cfg.K, false, func(c Contact) ([]Contact, bool, netsim.Cost) {
-		resp, cc, err := n.callCtx(ctx, c, findValueReq{From: n.self, Key: key})
-		if err != nil {
-			return nil, false, cc
-		}
-		r := resp.(findValueResp)
+	contacts, cost, err := n.iterativeLookup(ctx, key, n.cfg.K, false, n.asking(ctx, findValueReq{From: n.self, Key: key}), func(c Contact, rp reply, rtt time.Duration) {
+		r := rp.(findValueResp)
 		answers[c.ID] = Replica{Contact: c, Held: r.Found, Seq: r.Seq}
-		if r.Found {
-			switch {
-			case !anyValue || r.Seq > loc.Seq:
-				loc.Value, loc.Seq, anyValue = r.Value, r.Seq, true
-				loc.Holder, holderLat = c, cc.Latency
-			case r.Seq == loc.Seq && bytes.Equal(r.Value, loc.Value) &&
-				(loc.Holder == Contact{} || cc.Latency < holderLat):
-				loc.Holder, holderLat = c, cc.Latency
-			}
+		if !r.Found {
+			return
 		}
-		// A replica holder still reports closer contacts so the lookup
-		// can keep converging on the k closest.
-		return r.Contacts, true, cc
+		switch {
+		case !anyValue || r.Seq > loc.Seq:
+			loc.Value, loc.Seq, anyValue = r.Value, r.Seq, true
+			loc.Holder, holderLat = c, rtt
+		case r.Seq == loc.Seq && bytes.Equal(r.Value, loc.Value) &&
+			(loc.Holder == Contact{} || rtt < holderLat):
+			loc.Holder, holderLat = c, rtt
+		}
 	}, nil)
 	if err != nil {
 		return Located{}, cost, err
@@ -756,15 +870,25 @@ func (n *Node) Local(key Key) ([]byte, bool) {
 }
 
 // GetImmutableCtx retrieves a value that can never change
-// (content-addressed records): the lookup short-circuits on the first
-// replica found, which is safe because the caller verifies the content
-// hash. Its product is that first answer, not the closest set, so it asks
-// alpha contacts a round. Use GetCtx for versioned (mutable) records.
-// Once ctx is done the remaining lookup rounds are abandoned with the
-// partial cost. A replica found before the cancel still wins — the bytes
-// were already on the wire, and the caller's hash check vouches for them.
+// (content-addressed records): GetCheckedCtx for a caller that checks the
+// content hash itself. Use GetCtx for versioned (mutable) records.
 func (n *Node) GetImmutableCtx(ctx context.Context, key Key) ([]byte, netsim.Cost, error) {
-	if val, ok := n.Local(key); ok {
+	return n.GetCheckedCtx(ctx, key, nil)
+}
+
+// GetCheckedCtx retrieves a self-certifying value: one that valid, when
+// set, accepts exactly when it is the value stored under key (a content
+// hash check). The lookup short-circuits on the first replica found whose
+// value valid accepts. Its product is that first answer, not the closest
+// set, so it asks alpha contacts a round. A value valid rejects is a miss
+// at the contact that sent it: the walk drops that contact as it drops
+// one that failed, and goes on to the next holder. The node's own copy
+// is checked the same way before the walk. Once ctx is done the remaining
+// lookup rounds are abandoned with the partial cost. A replica found
+// before the cancel still wins — the bytes were already on the wire, and
+// valid vouches for them.
+func (n *Node) GetCheckedCtx(ctx context.Context, key Key, valid func([]byte) bool) ([]byte, netsim.Cost, error) {
+	if val, ok := n.Local(key); ok && (valid == nil || valid(val)) {
 		return val, netsim.Cost{}, nil
 	}
 
@@ -772,7 +896,7 @@ func (n *Node) GetImmutableCtx(ctx context.Context, key Key) ([]byte, netsim.Cos
 		val   []byte
 		found bool
 	)
-	_, cost, err := n.iterativeLookup(ctx, key, alpha, true, func(c Contact) ([]Contact, bool, netsim.Cost) {
+	_, cost, err := n.iterativeLookup(ctx, key, alpha, true, func(c Contact) (reply, bool, netsim.Cost) {
 		if found {
 			return nil, true, netsim.Cost{}
 		}
@@ -781,12 +905,15 @@ func (n *Node) GetImmutableCtx(ctx context.Context, key Key) ([]byte, netsim.Cos
 			return nil, false, cc
 		}
 		r := resp.(findValueResp)
-		if r.Found {
-			val, found = r.Value, true
-			return nil, true, cc
+		if !r.Found {
+			return resp.(reply), true, cc
 		}
-		return r.Contacts, true, cc
-	}, nil)
+		if valid != nil && !valid(r.Value) {
+			return resp.(reply), false, cc
+		}
+		val, found = r.Value, true
+		return nil, true, cc
+	}, nil, nil)
 	if found {
 		return val, cost, nil
 	}
@@ -817,12 +944,12 @@ func (n *Node) ProvideAt(w Walk) ([]Contact, netsim.Cost, error) {
 		n.mu.Lock()
 		n.providers[key] = withProvider(n.providers[key], n.self)
 		n.mu.Unlock()
-	}, func(c Contact, walking bool) (bool, []Contact, netsim.Cost, error) {
+	}, func(c Contact, walking bool) (reply, bool, netsim.Cost, error) {
 		resp, cost, err := n.call(c, addProviderReq{From: n.self, Key: key, Provider: n.self, Closer: walking})
 		if err != nil {
-			return false, nil, cost, err
+			return nil, false, cost, err
 		}
-		return true, resp.(addProviderResp).Contacts, cost, nil
+		return resp.(reply), true, cost, nil
 	})
 	if len(holders) == 0 {
 		return nil, cost, fmt.Errorf("dht: provider announce failed for %s", key.Short())
@@ -835,9 +962,10 @@ type Providers struct {
 	// All is every provider the walk heard of (at most limit, in address
 	// order).
 	All []Contact
-	// First is the providers known at the end of the first lookup round
-	// in which a queried contact named any — or before the walk, when
-	// local records already named some — and FirstCost is what the walk
+	// First is the providers known once the first answer naming any was
+	// applied — at the end of its lock-step round for FindProviders, at
+	// its arrival for FindProvidersConverged — or before the walk, when
+	// local records already named some, and FirstCost is what the walk
 	// had cost by then. Retrieval can start there: the rest of the walk
 	// converges on the K closest for the sake of whoever announces on it.
 	First     []Contact
@@ -862,10 +990,10 @@ func (n *Node) FindProviders(key Key, limit int) (Providers, netsim.Cost, error)
 // FindProvidersConverged is FindProviders for a caller that never starts
 // from Providers.First: a fetch already told whom to ask, which needs the
 // walk only to announce on once it has converged, and the provider list
-// only for a fallback that starts after that. Its rounds stay alpha-wide
-// but never look past the K closest the walk knows, so it converges as
-// soon as those have answered and skips the queries FindProviders spends
-// past them.
+// only for a fallback that starts after that. It runs in arrival order,
+// alpha in flight, and never looks past the K closest the walk knows, so
+// it converges as soon as those have answered and skips the queries
+// FindProviders spends past them.
 func (n *Node) FindProvidersConverged(key Key, limit int) (Providers, netsim.Cost, error) {
 	return n.findProviders(key, limit, false)
 }
@@ -890,21 +1018,18 @@ func (n *Node) findProviders(key Key, limit int, firstAnswer bool) (Providers, n
 	}
 	enough := func() bool { return limit > 0 && len(seen) >= limit }
 
+	ask := n.asking(context.Background(), getProvidersReq{From: n.self, Key: key})
 	cutShort := false
-	contacts, cost := n.walk(key, alpha, firstAnswer, func(c Contact) ([]Contact, bool, netsim.Cost) {
+	contacts, cost := n.walk(key, alpha, firstAnswer, func(c Contact) (reply, bool, netsim.Cost) {
 		if enough() {
 			cutShort = true
 			return nil, true, netsim.Cost{}
 		}
-		resp, cc, err := n.call(c, getProvidersReq{From: n.self, Key: key})
-		if err != nil {
-			return nil, false, cc
-		}
-		r := resp.(getProvidersResp)
-		for _, p := range r.Providers {
+		return ask(c)
+	}, func(_ Contact, r reply, _ time.Duration) {
+		for _, p := range r.(getProvidersResp).Providers {
 			seen = withProvider(seen, p)
 		}
-		return r.Contacts, true, cc
 	}, func(soFar netsim.Cost) {
 		if len(found.First) == 0 && len(seen) > 0 {
 			found.First, found.FirstCost = known(), soFar

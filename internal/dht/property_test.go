@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/xrand"
@@ -172,14 +173,15 @@ func addrsOf(cs []Contact) []netsim.NodeID {
 	return out
 }
 
-// Property (walks that must converge ask the K closest at once): on a
-// healthy swarm every lookupNodes and Locate closest set is exactly the K
-// nodes nearest the key, as brute force over the node list finds them.
-// Both walks are the K-wide schedule: a twin swarm, built the same way
-// and walked by hand at width K with the same requests, draws the same
-// link latencies and pays exactly the same cost, key after key. Where the
-// walker's table already holds the replica set, that walk is one round
-// of exactly K messages.
+// Property (walks that must converge ask each contact as soon as it is
+// among the K closest known): on a healthy swarm every lookupNodes and
+// Locate closest set is exactly the K nodes nearest the key, as brute
+// force over the node list finds them. Both walks are the K-wide
+// schedule: a twin swarm, built the same way and walked by hand at width
+// K with the same requests, draws the same link latencies and pays
+// exactly the same cost, key after key. Where the walker's table already
+// holds the replica set, that walk sends exactly K messages and takes as
+// long as the slowest of them.
 func TestLookupClosestSetIsTheKNearest(t *testing.T) {
 	cfg := DefaultConfig()
 	_, nodes := buildSwarm(t, 40, cfg)
@@ -187,27 +189,19 @@ func TestLookupClosestSetIsTheKNearest(t *testing.T) {
 	rng := xrand.New(2026)
 	ctx := context.Background()
 	// byHand walks from twin at width K, asking each contact req, and
-	// counts the rounds.
-	byHand := func(twin *Node, key Key, req any) (netsim.Cost, int) {
-		rounds := 0
-		_, cost, err := twin.iterativeLookup(ctx, key, cfg.K, false, func(c Contact) ([]Contact, bool, netsim.Cost) {
-			resp, cost, err := twin.call(c, req)
-			if err != nil {
-				return nil, false, cost
-			}
-			switch r := resp.(type) {
-			case findNodeResp:
-				return r.Contacts, true, cost
-			case findValueResp:
-				return r.Contacts, true, cost
-			}
-			t.Fatalf("unexpected response %T", resp)
-			return nil, false, cost
-		}, func(netsim.Cost) { rounds++ })
+	// returns the latency of the slowest RPC it sent.
+	byHand := func(twin *Node, key Key, req any) (netsim.Cost, time.Duration) {
+		var slowest time.Duration
+		ask := twin.asking(ctx, req)
+		_, cost, err := twin.iterativeLookup(ctx, key, cfg.K, false, func(c Contact) (reply, bool, netsim.Cost) {
+			r, ok, cost := ask(c)
+			slowest = max(slowest, cost.Latency)
+			return r, ok, cost
+		}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cost, rounds
+		return cost, slowest
 	}
 	oneRound := 0
 	for i := 0; i < 200; i++ {
@@ -231,8 +225,8 @@ func TestLookupClosestSetIsTheKNearest(t *testing.T) {
 				t.Fatalf("key %d: walk from %s converged on %v, the %d nearest are %s", i, walker.self.Addr, addrs, cfg.K, want)
 			}
 		}
-		nodeCost, nodeRounds := byHand(twin, key, findNodeReq{From: twin.self, Target: key})
-		valueCost, valueRounds := byHand(twin, key, findValueReq{From: twin.self, Key: key})
+		nodeCost, nodeSlowest := byHand(twin, key, findNodeReq{From: twin.self, Target: key})
+		valueCost, valueSlowest := byHand(twin, key, findValueReq{From: twin.self, Key: key})
 		if walkCost != nodeCost || readCost != valueCost {
 			t.Fatalf("key %d: lookupNodes %+v, Locate %+v; the K-wide walks by hand %+v and %+v", i, walkCost, readCost, nodeCost, valueCost)
 		}
@@ -240,9 +234,9 @@ func TestLookupClosestSetIsTheKNearest(t *testing.T) {
 			continue
 		}
 		oneRound++
-		if nodeRounds != 1 || valueRounds != 1 || walkCost.Msgs != cfg.K || readCost.Msgs != cfg.K {
-			t.Fatalf("key %d: table held the replica set, yet lookupNodes took %d rounds and %d msgs, Locate %d and %d; want 1 and %d",
-				i, nodeRounds, walkCost.Msgs, valueRounds, readCost.Msgs, cfg.K)
+		if walkCost.Msgs != cfg.K || readCost.Msgs != cfg.K || walkCost.Latency != nodeSlowest || readCost.Latency != valueSlowest {
+			t.Fatalf("key %d: table held the replica set, yet lookupNodes took %v for %d msgs, Locate %v for %d; want %d msgs and the slowest of them, %v and %v",
+				i, walkCost.Latency, walkCost.Msgs, readCost.Latency, readCost.Msgs, cfg.K, nodeSlowest, valueSlowest)
 		}
 	}
 	if oneRound < 50 {
@@ -515,39 +509,25 @@ func TestWalkReuseLandsWherePutLands(t *testing.T) {
 }
 
 // Property (a walked write is its walk): where the walker's table lacks
-// part of the closest set, so the walk takes more than one round, a Put
-// or Provide costs exactly what a K-wide walk sending the same record to
-// each contact it asks costs on a twin swarm — the walk's rounds and no
-// wave after them — for one message per contact asked. The record is on
-// every contact the walk reached, the K nearest among them, and Provide
-// reports the K nearest as its holders, nearest first.
+// part of the closest set, so the walk asks more than the K it starts
+// from, a Put or Provide costs exactly what a K-wide walk sending the
+// same record to each contact it asks costs on a twin swarm — the walk
+// and no wave after it — for one message per contact asked. The record
+// is on every contact the walk reached, the K nearest among them, and
+// Provide reports the K nearest as its holders, nearest first.
 func TestWalkedWriteRidesItsWalk(t *testing.T) {
 	cfg := DefaultConfig()
 	net, nodes := buildSwarm(t, 40, cfg)
 	_, twins := buildSwarm(t, 40, cfg)
 	rng := xrand.New(2045)
 	// byHand walks from twin at width K, sending req to each contact it
-	// asks, and counts the rounds.
-	byHand := func(twin *Node, key Key, req any) (netsim.Cost, int) {
-		rounds := 0
-		_, cost, err := twin.iterativeLookup(context.Background(), key, cfg.K, false, func(c Contact) ([]Contact, bool, netsim.Cost) {
-			resp, cost, err := twin.call(c, req)
-			if err != nil {
-				return nil, false, cost
-			}
-			switch r := resp.(type) {
-			case storeResp:
-				return r.Contacts, true, cost
-			case addProviderResp:
-				return r.Contacts, true, cost
-			}
-			t.Fatalf("unexpected response %T", resp)
-			return nil, false, cost
-		}, func(netsim.Cost) { rounds++ })
+	// asks.
+	byHand := func(twin *Node, key Key, req any) netsim.Cost {
+		_, cost, err := twin.iterativeLookup(context.Background(), key, cfg.K, false, twin.asking(context.Background(), req), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cost, rounds
+		return cost
 	}
 	walked := 0
 	for i := 0; i < 200; i++ {
@@ -566,9 +546,9 @@ func TestWalkedWriteRidesItsWalk(t *testing.T) {
 		if err != nil || accepted != cfg.K {
 			t.Fatalf("key %d: Put accepted %d, err=%v; want %d", i, accepted, err, cfg.K)
 		}
-		walkCost, rounds := byHand(twin, key, storeReq{From: twin.self, Key: key, Value: val, Seq: 1, Closer: true})
-		if cost != walkCost || rounds < 2 {
-			t.Fatalf("key %d: Put cost %+v, its %d-round walk %+v: a wave followed the walk", i, cost, rounds, walkCost)
+		walkCost := byHand(twin, key, storeReq{From: twin.self, Key: key, Value: val, Seq: 1, Closer: true})
+		if cost != walkCost || walkCost.Msgs <= cfg.K {
+			t.Fatalf("key %d: Put cost %+v, its walk %+v: a wave followed the walk", i, cost, walkCost)
 		}
 		reached := order()
 		if cost.Msgs != len(reached) {
@@ -585,7 +565,7 @@ func TestWalkedWriteRidesItsWalk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("key %d: Provide: %v", i, err)
 		}
-		if walkCost, _ := byHand(twin, key, addProviderReq{From: twin.self, Key: key, Provider: twin.self, Closer: true}); cost != walkCost {
+		if walkCost := byHand(twin, key, addProviderReq{From: twin.self, Key: key, Provider: twin.self, Closer: true}); cost != walkCost {
 			t.Fatalf("key %d: Provide cost %+v, its walk %+v", i, cost, walkCost)
 		}
 		reached = order()
@@ -649,10 +629,11 @@ func recordQueries(net *netsim.Network, nodes []*Node, from netsim.NodeID) (orde
 // message count and latency — which moves whenever any lookup's schedule
 // or traffic does (the swarm's bootstrap and Provide walks included), so
 // it is the one to re-record, deliberately, when those change. It was
-// last re-recorded when Provide began to announce along its walk.
+// last re-recorded when converging walks (the swarm's bootstrap and
+// Provide walks) went to arrival order.
 const (
 	findProvidersFound = uint64(7364604719937282351)
-	findProvidersCost  = uint64(7166679128905683378)
+	findProvidersCost  = uint64(13029674132287292925)
 )
 
 // Property (retrieval starts at the first provider answer): discovery
@@ -780,4 +761,108 @@ func without(list, drop []Contact) []Contact {
 		}
 	}
 	return out
+}
+
+// Property (a self-certifying read goes past a bad copy): GetCheckedCtx
+// treats a value its check rejects as a miss at the contact that sent
+// it and goes on to the next holder. On a fresh twin swarm per step, one
+// record is Put and then read from a node that holds no copy; step f
+// tampers the f holders that answered steps 0 … f−1, so every tampered
+// copy is one the read would otherwise have taken. For every f < K the
+// read returns the honest value. A bad copy's reply still names its
+// contacts, so the walk learns the next holders from it; what a bad copy
+// costs is the rest of its lock-step round, which an honest copy would
+// have made free: at most alpha messages each, and about one on average.
+// With no bad copy the checked read costs exactly what GetImmutableCtx
+// costs, and a reader whose own copy is tampered walks as a reader with
+// no copy does.
+func TestGetCheckedSkipsTamperedReplicas(t *testing.T) {
+	cfg := DefaultConfig()
+	extra, bad := 0, 0
+	honest := []byte("the honest record")
+	valid := func(v []byte) bool { return bytes.Equal(v, honest) }
+	for i := 0; i < 10; i++ {
+		key := KeyOfString(fmt.Sprintf("checked-%d", i))
+		// boot builds the swarm afresh, stores the record and names a
+		// reader holding no copy.
+		boot := func() (*netsim.Network, []*Node, *Node) {
+			net, nodes := buildSwarm(t, 40, cfg)
+			if _, _, err := nodes[i].Put(key, honest, 0); err != nil {
+				t.Fatalf("key %d: Put: %v", i, err)
+			}
+			for j := range nodes {
+				if r := nodes[(i+7+j)%len(nodes)]; len(holdersAt([]*Node{r}, key, 0)) == 0 {
+					return net, nodes, r
+				}
+			}
+			t.Fatalf("key %d: every node holds the record", i)
+			return nil, nil, nil
+		}
+
+		_, nodes, _ := boot()
+		holders := holdersAt(nodes, key, 0)
+		_, _, twin := boot()
+		plain, plainCost, err := twin.GetImmutableCtx(context.Background(), key)
+		if err != nil || !bytes.Equal(plain, honest) {
+			t.Fatalf("key %d: unchecked read %q err=%v", i, plain, err)
+		}
+
+		var tampered []netsim.NodeID
+		var base netsim.Cost
+		for f := 0; f < cfg.K && f < len(holders); f++ {
+			net, nodes, reader := boot()
+			for _, nd := range nodes {
+				if slices.Contains(tampered, nd.self.Addr) {
+					nd.StoreLocal(key, []byte("a tampered record"), 0)
+				}
+			}
+			order, _ := recordQueries(net, nodes, reader.self.Addr)
+			got, cost, err := reader.GetCheckedCtx(context.Background(), key, valid)
+			if err != nil || !bytes.Equal(got, honest) {
+				t.Fatalf("key %d, %d of %d copies tampered: read %q err=%v", i, f, len(holders), got, err)
+			}
+			if f == 0 {
+				base = cost
+				if cost != plainCost {
+					t.Fatalf("key %d: checked read %+v with no bad copy, unchecked %+v", i, cost, plainCost)
+				}
+			}
+			if cost.Msgs > base.Msgs+alpha*f {
+				t.Fatalf("key %d, %d copies tampered: %d msgs, the untampered read %d", i, f, cost.Msgs, base.Msgs)
+			}
+			extra += cost.Msgs - base.Msgs
+			asked := order()
+			answered := asked[len(asked)-1] // the walk asks no one after the copy it takes
+			if slices.Contains(tampered, answered) || !slices.Contains(holders, answered) {
+				t.Fatalf("key %d: the read took its copy from %s; holders %v, tampered %v", i, answered, holders, tampered)
+			}
+			tampered = append(tampered, answered)
+		}
+		if len(tampered) < cfg.K {
+			t.Fatalf("key %d: only %d holders to tamper", i, len(tampered))
+		}
+		bad += cfg.K * (cfg.K - 1) / 2
+
+		// The reader's own copy is checked like any other.
+		holder := func(nodes []*Node) *Node {
+			return nodes[slices.IndexFunc(nodes, func(nd *Node) bool { return nd.self.Addr == holders[0] })]
+		}
+		_, nodes, _ = boot()
+		own := holder(nodes)
+		own.StoreLocal(key, []byte("a tampered record"), 0)
+		got, ownCost, err := own.GetCheckedCtx(context.Background(), key, valid)
+		_, nodes, _ = boot()
+		bare := holder(nodes)
+		bare.mu.Lock()
+		delete(bare.values, key)
+		bare.mu.Unlock()
+		_, bareCost, bareErr := bare.GetCheckedCtx(context.Background(), key, valid)
+		if err != nil || bareErr != nil || !bytes.Equal(got, honest) || ownCost != bareCost || ownCost.Msgs == 0 {
+			t.Fatalf("key %d: own copy tampered: read %q for %+v err=%v; with no own copy %+v err=%v", i, got, ownCost, err, bareCost, bareErr)
+		}
+	}
+	t.Logf("%.2f messages more per bad copy", float64(extra)/float64(bad))
+	if 2*extra > 3*bad {
+		t.Fatalf("%d messages more for %d bad copies: want about one each", extra, bad)
+	}
 }

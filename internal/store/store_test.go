@@ -612,9 +612,12 @@ func TestFetchDeadSoleCandidate(t *testing.T) {
 // provider while the three nodes closest to the key are down: it lands on
 // three farther nodes instead, which never heard of the first provider
 // and are whom this fetcher happens to ask first. Then the second
-// provider goes away.
+// provider goes away. (A walked announce also lands on the contacts its
+// walk asked before closer ones displaced them, so which document puts
+// the fetcher where it holds neither record set follows the swarm's
+// walks: this text does.)
 func TestFetchFallsBackToLaterProviders(t *testing.T) {
-	doc := bytes.Repeat([]byte("later providers "), 30)
+	doc := bytes.Repeat([]byte("later provider "), 30)
 	boot := func() ([]*Peer, CID) {
 		net, peers := buildPeerSwarm(t, 24, PeerConfig{})
 		first, second := peers[3], peers[5]
