@@ -24,7 +24,8 @@ type RepairStats struct {
 	// closest nodes.
 	Republished int
 	// Reseeded counts immutable segments re-materialized from a surviving
-	// replica after their replication dropped below K; ReseededBytes is
+	// genuine replica after their replication dropped below K or the
+	// walk's copy failed its digest; ReseededBytes is
 	// the segment bytes those re-puts rewrote — maintenance's share of
 	// the write-amplification ledger next to compaction's CompactedBytes.
 	Reseeded      int
@@ -76,9 +77,9 @@ func (c *Cluster) maintenanceNode() *dht.Node {
 //     read by quorum, and the read is the probe: its walk reports how
 //     many of the k closest hold the record. A record replicated below K
 //     is re-Put at the version read onto that walk's closest set; a
-//     segment only when its bytes hash to its digest. A segment no
-//     replica answered for is counted lost (nothing to re-materialize
-//     from).
+//     segment only with bytes that hash to its digest, read past any
+//     tampered copy when the walk's winner is one. A segment no replica
+//     answered for is counted lost (nothing to re-materialize from).
 //  2. Reprovide: every live peer pings the nodes its provider records
 //     landed on, once each, and re-announces the records whose replica
 //     set lost a member or never reached K, so content discovery
@@ -99,19 +100,28 @@ func (c *Cluster) RunMaintenance() RepairStats {
 	// of the K closest what it holds, so one walk is the read and the
 	// health check, and a record held by fewer than K of them is re-Put
 	// at the version read onto that same walk. A segment (digest set) is
-	// re-Put only if its bytes hash to the digest. heal returns the record
-	// it read and how many of the closest held it; ok is false when no
-	// usable record was read (never written, wholly lost, or failing its
+	// re-Put only with bytes that hash to the digest: when the walk's
+	// winning copy fails, a self-certifying read goes past it and every
+	// other bad copy, this node's own included, to a genuine one, and
+	// those bytes are re-Put onto the walk even at K holders, so the bad
+	// copies the walk reaches are overwritten. heal returns the record it
+	// read and how many of the closest held it; ok is false when no usable
+	// record was read (never written, wholly lost, or no copy passing its
 	// digest), and nothing was re-Put.
 	heal := func(key dht.Key, digest string) (val []byte, held int, ok bool) {
 		loc, cost, err := d.Locate(context.Background(), key)
 		pass.Cost = pass.Cost.Seq(cost)
-		held = loc.Replicas()
-		if err != nil || digest != "" && index.DigestOf(loc.Value) != digest {
+		held, val = loc.Replicas(), loc.Value
+		tampered := err == nil && digest != "" && index.DigestOf(val) != digest
+		if tampered {
+			val, cost, err = fetchSegmentCtx(context.Background(), d, digest)
+			pass.Cost = pass.Cost.Seq(cost)
+		}
+		if err != nil {
 			return nil, held, false
 		}
-		if held < k {
-			_, cost, err := d.PutAt(loc.Walk, loc.Value, loc.Seq)
+		if held < k || tampered {
+			_, cost, err := d.PutAt(loc.Walk, val, loc.Seq)
 			pass.Cost = pass.Cost.Seq(cost)
 			switch {
 			case err != nil: // no replica took it; the next pass retries
@@ -119,10 +129,10 @@ func (c *Cluster) RunMaintenance() RepairStats {
 				pass.Republished++
 			default:
 				pass.Reseeded++
-				pass.ReseededBytes += int64(len(loc.Value))
+				pass.ReseededBytes += int64(len(val))
 			}
 		}
-		return loc.Value, held, true
+		return val, held, true
 	}
 
 	// 1. Shard pointers, then each pointer's segment chain.

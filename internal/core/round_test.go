@@ -394,11 +394,13 @@ func TestWriteDeterminismAcrossGOMAXPROCS(t *testing.T) {
 // pinnedForget is what TestWriteBeesForgetResolvedTasks's run produced
 // when bees kept every result they ever built: a digest of every round's
 // receipt, and clusterDigest. Re-recorded when converging walks went to
-// arrival order: the receipts' costs moved, and so did the cluster, whose
-// walked writes land on the contacts their walks asked.
+// arrival order, and again when hinted provider discovery became K-wide:
+// each time the receipts' costs moved, and so did the cluster, whose
+// walked writes land on the contacts their walks asked (and the routing
+// tables those walks teach).
 var pinnedForget = struct{ receipts, digest string }{
-	receipts: "17bde55daa7e82c43073ef46ed64ccbaf80f68058a97790ccbd54b438aa15daf",
-	digest:   "0bae999e97ea982735473f8baa2eeb66116d22d49c0854d37f260fd4ba7d99bc",
+	receipts: "f9697cd53a3de15718411849f4df3f69201e5115122bfd8061b43022883fedb2",
+	digest:   "7c60c2ca9e5354dee555093aa9fec2f8d6e22579c6e80494c84f3ebfd9d63431",
 }
 
 // TestWriteBeesForgetResolvedTasks: a bee drops a task's result once the
@@ -469,8 +471,8 @@ func pendingByTask(c *Cluster) map[string][][]byte {
 // produced when every assignee built its own result: a digest of both
 // receipts, and clusterDigest. Re-recorded as pinnedForget was.
 var pinnedQuorumBuild = struct{ receipts, digest string }{
-	receipts: "feeca872b3d1c528012bc5156f3743aa5cb96b2c8e47d2e8c389acb355204a51",
-	digest:   "cf83663877a942a8870ecea00baf0858c3e9747b4a8646f0c5d636ab5db8c135",
+	receipts: "0f4b67c7678eb15fb1f143a39085c70e60024dbdba10917041aa8ccd41a52206",
+	digest:   "d5407bbbaa619fc45c1935b561ba6ebe94486b5bb5370939f33cb2cd7e68a0f2",
 }
 
 // TestWriteQuorumBuildsOnce: the assignees of a task whose inputs are
@@ -548,8 +550,8 @@ var pinnedTampered = struct {
 		"bee-002 won=true a35b24d8afa24bbb 2079",
 		"bee-003 won=true a35b24d8afa24bbb 2079",
 	},
-	receipt: "b7058a8aee28fc8b5aebdefddac894b7bab242e4f1c5ad7bb3e48ec2d4d019f8",
-	digest:  "c3a479b364b65fffb31f685f81b17fa6742db53455ff09ff75c25f9968b3ec26",
+	receipt: "8ab40b79f2dba8ddced61ada58da425eebeccdd01fc785826c89ae272c2981d2",
+	digest:  "9524c74d8b1b0b6bf16172ec1023a8f9e4ab720a3cfb9499769f1d018648f93f",
 }
 
 // TestWriteTamperedLocalCopyBuildsAlone: a build is shared by the bytes

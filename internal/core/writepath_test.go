@@ -298,13 +298,15 @@ func TestWriteRefusedStoreSurfaces(t *testing.T) {
 // still decoded its runs in full and restricted the merged run after
 // the merge: clusterDigest over every node, and the write ledger. The
 // digest was re-recorded when a walked write began to store along its
-// walk, leaving displaced copies beside each record's K replicas; the
-// ledger did not move.
+// walk, leaving displaced copies beside each record's K replicas, and
+// again when hinted provider discovery became K-wide, teaching routing
+// tables contacts that move where later walked writes land; the ledger
+// did not move.
 var pinnedCompaction = struct {
 	digest string
 	write  WriteStats
 }{
-	digest: "e86e0d666346cd1de0bb912f7d0621622991c96236982f926a7df4a705846bc4",
+	digest: "f8219bc0d4fa4bfde54609f22b67010bedfa3ae633d058415eda025f683be567",
 	write: WriteStats{
 		Rounds: 66, SegmentWrites: 66, PointerWrites: 528, Compactions: 168,
 		IngestedBytes: 1_232_587, CompactedBytes: 2_351_627,

@@ -38,7 +38,7 @@ func TestPartitionHealMidLookup(t *testing.T) {
 
 	failures, healed := 0, false
 	var val []byte
-	_, _, err := reader.iterativeLookup(context.Background(), key, alpha, true, func(c Contact) (reply, bool, netsim.Cost) {
+	_, _, err := reader.iterativeLookup(context.Background(), key, true, func(c Contact) (reply, bool, netsim.Cost) {
 		resp, cc, err := reader.callCtx(context.Background(), c, findValueReq{From: reader.self, Key: key})
 		if err != nil {
 			failures++

@@ -13,11 +13,12 @@
 // died in between. Put, Provide and GetCtx are the same operations for
 // callers with no walk to offer or no use for one; a write with no
 // converged walk sends its record on the walk itself, so it is done when
-// the walk converges. A walk that converges on the closest set runs in
-// simulated arrival order: a write or quorum-read walk asks each of the K
-// closest it knows the moment it learns of it, converging discovery keeps
-// alpha in flight. GetImmutableCtx and first-answer discovery ask alpha a
-// round, in lock-step.
+// the walk converges. A walk has one of two schedules. One that converges
+// on the closest set — a write, a quorum read, discovery for a fetch told
+// whom to ask — runs in simulated arrival order and asks each of the K
+// closest it knows the moment it learns of it. One whose caller takes the
+// first answer — GetCheckedCtx and FindProviders — asks alpha a round, in
+// lock-step.
 package dht
 
 import (

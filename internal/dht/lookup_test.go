@@ -216,13 +216,11 @@ type refState struct {
 // iterativeLookup: contact states in a map, the shortlist re-sorted after
 // every answer, the answer in flight found by scanning the map's states
 // in shortlist order. After each answer it asks every unasked contact
-// among the K nearest not known to have failed — when width < K, as many
-// as keep width in flight, unless width answers in a row brought the
-// walk no closer — applies the earliest answer in flight (ties in issue
-// order) and stops once those K have all answered; with fewer than K
-// live contacts known and nothing in flight it widens from the routing
-// table.
-func convergeReference(n *Node, target Key, width int, query refQuery, onArrival func(soFar netsim.Cost)) ([]Contact, netsim.Cost) {
+// among the K nearest not known to have failed, applies the earliest
+// answer in flight (ties in issue order) and stops once those K have all
+// answered; with fewer than K live contacts known and nothing in flight
+// it widens from the routing table.
+func convergeReference(n *Node, target Key, query refQuery, onArrival func(soFar netsim.Cost)) ([]Contact, netsim.Cost) {
 	k := n.cfg.K
 	shortlist := n.rt.closest(target, k)
 	states := make(map[Key]*refState)
@@ -230,23 +228,8 @@ func convergeReference(n *Node, target Key, width int, query refQuery, onArrival
 		states[c.ID] = &refState{}
 	}
 	var total netsim.Cost
-	issued, stale := 0, 0
-	// best is the distance of the nearest contact not known to have
-	// failed, or orElse.
-	best := func(orElse Key) Key {
-		sort.Slice(shortlist, func(i, j int) bool { return DistanceLess(target, shortlist[i].ID, shortlist[j].ID) })
-		for _, c := range shortlist {
-			if !states[c.ID].failed {
-				return c.ID.XOR(target)
-			}
-		}
-		return orElse
-	}
+	issued := 0
 	for {
-		burst := stale >= width
-		if burst {
-			stale = 0
-		}
 		sort.Slice(shortlist, func(i, j int) bool { return DistanceLess(target, shortlist[i].ID, shortlist[j].ID) })
 		var top []Contact
 		for _, c := range shortlist {
@@ -254,21 +237,14 @@ func convergeReference(n *Node, target Key, width int, query refQuery, onArrival
 				top = append(top, c)
 			}
 		}
-		inflight := 0
-		for _, st := range states {
-			if st.asked && !st.done {
-				inflight++
-			}
-		}
 		for _, c := range top {
 			st := states[c.ID]
-			if st.asked || width < k && !burst && inflight >= width {
+			if st.asked {
 				continue
 			}
 			closer, ok, cost := query(c)
 			*st = refState{asked: true, ok: ok, at: total.Latency + cost.Latency, order: issued, closer: closer}
 			issued++
-			inflight++
 			total.Msgs += cost.Msgs
 			total.Bytes += cost.Bytes
 		}
@@ -300,7 +276,6 @@ func convergeReference(n *Node, target Key, width int, query refQuery, onArrival
 			continue
 		}
 		total.Latency = next.at
-		before := best(Key{})
 		next.done, next.failed = true, !next.ok
 		if next.ok {
 			for _, cc := range next.closer {
@@ -309,11 +284,6 @@ func convergeReference(n *Node, target Key, width int, query refQuery, onArrival
 					shortlist = append(shortlist, cc)
 				}
 			}
-		}
-		if best(before).Less(before) {
-			stale = 0
-		} else {
-			stale++
 		}
 		onArrival(total)
 	}
@@ -330,22 +300,21 @@ func convergeReference(n *Node, target Key, width int, query refQuery, onArrival
 // references do. Identical seeded swarms go through the same script —
 // nodes going down and coming back, a lossy network that makes calls
 // retry and fail, and every fourth walk starting with all but two of the
-// walker's K closest down, so the shortlist dies and must widen. For the
-// K-wide and the alpha-converged schedule, each walk must return what
+// walker's K closest down, so the shortlist dies and must widen. On the
+// converging (K-wide) schedule each walk must return what
 // convergeReference returns on a twin swarm — the same contacts, the same
 // cost and the same clock at every arrival, asking the same contacts in
 // the same order. The first-answer schedule must match the lock-step
-// reference (iterativeLookupReference) the same way, clock at every round
-// included. Every node's state (Digest) must end as its twin's.
+// reference (iterativeLookupReference) at width alpha the same way, clock
+// at every round included. Every node's state (Digest) must end as its
+// twin's.
 func TestLookupMatchesReference(t *testing.T) {
 	schedules := []struct {
 		name        string
-		width       int
 		firstAnswer bool
 	}{
-		{"K-wide", DefaultConfig().K, false},
-		{"alpha-converged", alpha, false},
-		{"first-answer", alpha, true},
+		{"K-wide", false},
+		{"first-answer", true},
 	}
 	for seed := uint64(1); seed <= 3; seed++ {
 		for _, s := range schedules {
@@ -399,7 +368,7 @@ func TestLookupMatchesReference(t *testing.T) {
 					}
 					var got, want trace
 					query := ref(a[w], &got)
-					gotC, gotCost, gotErr := a[w].iterativeLookup(context.Background(), target, s.width, s.firstAnswer,
+					gotC, gotCost, gotErr := a[w].iterativeLookup(context.Background(), target, s.firstAnswer,
 						func(c Contact) (reply, bool, netsim.Cost) {
 							closer, ok, cost := query(c)
 							if !ok {
@@ -414,10 +383,10 @@ func TestLookupMatchesReference(t *testing.T) {
 					var wantCost netsim.Cost
 					var wantErr error
 					if s.firstAnswer {
-						wantC, wantCost, wantErr = iterativeLookupReference(b[w], context.Background(), target, s.width, true,
+						wantC, wantCost, wantErr = iterativeLookupReference(b[w], context.Background(), target, alpha, true,
 							ref(b[w], &want), func(c netsim.Cost) { want.clock = append(want.clock, c) })
 					} else {
-						wantC, wantCost = convergeReference(b[w], target, s.width, ref(b[w], &want), func(c netsim.Cost) { want.clock = append(want.clock, c) })
+						wantC, wantCost = convergeReference(b[w], target, ref(b[w], &want), func(c netsim.Cost) { want.clock = append(want.clock, c) })
 					}
 					for _, c := range dead {
 						setDown(c.Addr, false)
@@ -451,10 +420,10 @@ func TestLookupMatchesReference(t *testing.T) {
 }
 
 // TestLookupArrivalOrderAgainstLockstep: from the same state, the
-// arrival-order walk and the lock-step walk it replaced (the reference)
-// converge on the same closest set, which on a healthy walk is the K
-// nearest nodes brute force finds. A K-wide walk is never later than the
-// lock-step one. Each walk answers from a snapshot — every node's K
+// arrival-order walk and the lock-step walk it replaced (the reference,
+// at width K) converge on the same closest set, which on a healthy walk is
+// the K nearest nodes brute force finds, and the arrival-order walk is
+// never later. Each walk answers from a snapshot — every node's K
 // closest to the key, a fixed latency per contact, a dead contact
 // failing after three times its latency — so the two schedules see one
 // world and the walker's table stays as it was; every other walk starts
@@ -469,51 +438,49 @@ func TestLookupArrivalOrderAgainstLockstep(t *testing.T) {
 	for _, nd := range nodes {
 		byID[nd.self.ID] = nd
 	}
-	for _, width := range []int{cfg.K, alpha} {
-		rng := xrand.New(2047)
-		var msgs, lockMsgs int
-		var lat, lockLat time.Duration
-		for step := 0; step < 200; step++ {
-			target := KeyOfString(fmt.Sprintf("arrival-%d-%d", width, step))
-			walker := nodes[rng.Intn(len(nodes))]
-			dead := make(map[Key]bool)
-			if step%2 == 0 {
-				for _, c := range walker.rt.closest(target, cfg.K)[2:5] {
-					dead[c.ID] = true
-				}
+	rng := xrand.New(2047)
+	var msgs, lockMsgs int
+	var lat, lockLat time.Duration
+	for step := 0; step < 200; step++ {
+		target := KeyOfString(fmt.Sprintf("arrival-%d-%d", cfg.K, step))
+		walker := nodes[rng.Intn(len(nodes))]
+		dead := make(map[Key]bool)
+		if step%2 == 0 {
+			for _, c := range walker.rt.closest(target, cfg.K)[2:5] {
+				dead[c.ID] = true
 			}
-			latency := func(c Contact) time.Duration {
-				h := c.ID.XOR(walker.self.ID)
-				return time.Duration(10+int(h[0])) * time.Millisecond
-			}
-			query := func(c Contact) (reply, bool, netsim.Cost) {
-				if dead[c.ID] {
-					return nil, false, netsim.Cost{Latency: 3 * latency(c), Msgs: 1}
-				}
-				return findNodeResp{Contacts: byID[c.ID].rt.closest(target, cfg.K)}, true, netsim.Cost{Latency: latency(c), Msgs: 1}
-			}
-			got, cost, err := walker.iterativeLookup(context.Background(), target, width, false, query, nil, nil)
-			want, lockCost, lockErr := iterativeLookupReference(walker, context.Background(), target, width, false, func(c Contact) ([]Contact, bool, netsim.Cost) {
-				r, ok, cost := query(c)
-				if !ok {
-					return nil, false, cost
-				}
-				return r.closer(), true, cost
-			}, nil)
-			if err != nil || lockErr != nil || fmt.Sprint(addrsOf(got)) != fmt.Sprint(addrsOf(want)) {
-				t.Fatalf("width %d, step %d: walk found %v (err %v), the lock-step walk %v (err %v)", width, step, addrsOf(got), err, addrsOf(want), lockErr)
-			}
-			if oracle := nearest(nodes, walker, target, cfg.K); len(dead) == 0 && fmt.Sprint(addrsOf(got)) != fmt.Sprint(oracle) {
-				t.Fatalf("width %d, step %d: walk found %v, the %d nearest nodes are %v", width, step, addrsOf(got), cfg.K, oracle)
-			}
-			if width == cfg.K && cost.Latency > lockCost.Latency {
-				t.Fatalf("step %d: K-wide walk took %v, the lock-step walk %v", step, cost.Latency, lockCost.Latency)
-			}
-			msgs, lockMsgs = msgs+cost.Msgs, lockMsgs+lockCost.Msgs
-			lat, lockLat = lat+cost.Latency, lockLat+lockCost.Latency
 		}
-		t.Logf("width %d: mean %v for %.1f msgs a walk; lock-step %v for %.1f", width, lat/200, float64(msgs)/200, lockLat/200, float64(lockMsgs)/200)
+		latency := func(c Contact) time.Duration {
+			h := c.ID.XOR(walker.self.ID)
+			return time.Duration(10+int(h[0])) * time.Millisecond
+		}
+		query := func(c Contact) (reply, bool, netsim.Cost) {
+			if dead[c.ID] {
+				return nil, false, netsim.Cost{Latency: 3 * latency(c), Msgs: 1}
+			}
+			return findNodeResp{Contacts: byID[c.ID].rt.closest(target, cfg.K)}, true, netsim.Cost{Latency: latency(c), Msgs: 1}
+		}
+		got, cost, err := walker.iterativeLookup(context.Background(), target, false, query, nil, nil)
+		want, lockCost, lockErr := iterativeLookupReference(walker, context.Background(), target, cfg.K, false, func(c Contact) ([]Contact, bool, netsim.Cost) {
+			r, ok, cost := query(c)
+			if !ok {
+				return nil, false, cost
+			}
+			return r.closer(), true, cost
+		}, nil)
+		if err != nil || lockErr != nil || fmt.Sprint(addrsOf(got)) != fmt.Sprint(addrsOf(want)) {
+			t.Fatalf("step %d: walk found %v (err %v), the lock-step walk %v (err %v)", step, addrsOf(got), err, addrsOf(want), lockErr)
+		}
+		if oracle := nearest(nodes, walker, target, cfg.K); len(dead) == 0 && fmt.Sprint(addrsOf(got)) != fmt.Sprint(oracle) {
+			t.Fatalf("step %d: walk found %v, the %d nearest nodes are %v", step, addrsOf(got), cfg.K, oracle)
+		}
+		if cost.Latency > lockCost.Latency {
+			t.Fatalf("step %d: arrival-order walk took %v, the lock-step walk %v", step, cost.Latency, lockCost.Latency)
+		}
+		msgs, lockMsgs = msgs+cost.Msgs, lockMsgs+lockCost.Msgs
+		lat, lockLat = lat+cost.Latency, lockLat+lockCost.Latency
 	}
+	t.Logf("mean %v for %.1f msgs a walk; lock-step %v for %.1f", lat/200, float64(msgs)/200, lockLat/200, float64(lockMsgs)/200)
 }
 
 var (
@@ -522,8 +489,8 @@ var (
 )
 
 // TestLookupAllocs is the walk's allocation ratchet. closest allocates
-// only the slice it returns. A converged alpha-wide walk (discovery's
-// shape) allocates the table's K closest it starts from, its shortlist
+// only the slice it returns. A converging walk (every converging walk is
+// K-wide) allocates the table's K closest it starts from, its shortlist
 // and its result, plus one allocation each time the shortlist outgrows
 // its room (twice the K closest, doubling): its allocations are bounded
 // by a constant plus those doublings, never by the answers it hears —
@@ -565,7 +532,7 @@ func TestLookupAllocs(t *testing.T) {
 	arrivals := 0
 	countArrivals := func(netsim.Cost) { arrivals++ }
 	walk := func() {
-		lookupSink, _, _ = walker.iterativeLookup(context.Background(), target, alpha, false, query, nil, countArrivals)
+		lookupSink, _, _ = walker.iterativeLookup(context.Background(), target, false, query, nil, countArrivals)
 	}
 	walk()
 	perWalk := arrivals

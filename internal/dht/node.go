@@ -24,11 +24,10 @@ var (
 
 // Network-wide Kademlia constants: every node runs the same values.
 const (
-	// alpha is the width of GetImmutableCtx and of provider discovery.
-	// A cold immutable read and discovery for a fetch consume the first
-	// answer; discovery for a fetch already told whom to ask must not send
-	// more than that. A walk that writes or quorum-reads asks each of the
-	// K closest it knows as soon as it knows it instead (iterativeLookup).
+	// alpha is the width of a first-answer walk's lock-step rounds: a cold
+	// immutable read and discovery for a fetch that starts from its first
+	// answer. A converging walk asks each of the K closest it knows as soon
+	// as it knows it instead (iterativeLookup).
 	alpha              = 3
 	maxProvidersPerKey = 16 // provider records kept per key
 	// retryBackoffBase is the base simulated-time backoff: attempt i
@@ -319,9 +318,9 @@ func (n *Node) asking(ctx context.Context, req any) walkQuery {
 
 // walk is iterativeLookup without a request lifecycle, for the write and
 // discovery paths that never abandon a lookup.
-func (n *Node) walk(target Key, width int, firstAnswer bool, query walkQuery, heard func(Contact, reply, time.Duration), progress func(soFar netsim.Cost)) ([]Contact, netsim.Cost) {
+func (n *Node) walk(target Key, firstAnswer bool, query walkQuery, heard func(Contact, reply, time.Duration), progress func(soFar netsim.Cost)) ([]Contact, netsim.Cost) {
 	//detlint:ignore errsink iterativeLookup only errors on context cancellation, impossible with context.Background
-	contacts, cost, _ := n.iterativeLookup(context.Background(), target, width, firstAnswer, query, heard, progress)
+	contacts, cost, _ := n.iterativeLookup(context.Background(), target, firstAnswer, query, heard, progress)
 	return contacts, cost
 }
 
@@ -330,7 +329,7 @@ func (n *Node) walk(target Key, width int, firstAnswer bool, query walkQuery, he
 // the closest set, so it asks each contact the moment it enters the K
 // closest the walk knows (iterativeLookup).
 func (n *Node) lookupNodes(target Key) (Walk, netsim.Cost) {
-	contacts, cost := n.walk(target, n.cfg.K, false, n.asking(context.Background(), findNodeReq{From: n.self, Target: target}), nil, nil)
+	contacts, cost := n.walk(target, false, n.asking(context.Background(), findNodeReq{From: n.self, Target: target}), nil, nil)
 	return convergedWalk(target, contacts), cost
 }
 
@@ -392,20 +391,20 @@ type lookup struct {
 // and not at issue; progress, when set, is told the walk's cost so far
 // each time answers have been applied.
 //
-// A walk whose product is the converged closest set (lookupNodes, Locate,
-// a walked write, FindProvidersConverged) runs in arrival order (converge):
-// it applies answers as they arrive and asks a contact the moment it is
-// among the K closest the walk knows — all of them at width K, alpha at a
-// time at width alpha. A walk whose caller consumes its first answer
-// (firstAnswer: GetImmutableCtx, FindProviders) keeps lock-step rounds
-// (lockstep). On a healthy swarm every schedule ends on the same K closest
-// live contacts; only what else it asks, and when, differs.
+// A walk has one of two schedules, and firstAnswer picks it. A walk whose
+// product is the converged closest set (lookupNodes, Locate, a walked
+// write, FindProvidersConverged) runs in arrival order (converge): it
+// applies answers as they arrive and asks every contact the moment it is
+// among the K closest the walk knows. A walk whose caller consumes its
+// first answer (firstAnswer: GetCheckedCtx, FindProviders) keeps lock-step
+// rounds of alpha (lockstep). On a healthy swarm both end on the same K
+// closest live contacts; only what else they ask, and when, differs.
 //
 // The loop checks ctx before issuing each RPC: once the context is done
 // the rest of the walk is abandoned, the cost accumulated so far is
 // returned (the partial wave that actually ran), and the error wraps
 // netsim.ErrCancelled. Abandoned peers are never marked failed.
-func (n *Node) iterativeLookup(ctx context.Context, target Key, width int, firstAnswer bool, query walkQuery, heard func(Contact, reply, time.Duration), progress func(soFar netsim.Cost)) ([]Contact, netsim.Cost, error) {
+func (n *Node) iterativeLookup(ctx context.Context, target Key, firstAnswer bool, query walkQuery, heard func(Contact, reply, time.Duration), progress func(soFar netsim.Cost)) ([]Contact, netsim.Cost, error) {
 	k := n.cfg.K
 	// Room for twice the K closest; a walk that hears of more doubles it.
 	l := lookup{n: n, ctx: ctx, target: target, query: query, heard: heard, progress: progress, list: make(shortlist, 0, 2*k)}
@@ -413,9 +412,9 @@ func (n *Node) iterativeLookup(ctx context.Context, target Key, width int, first
 		l.list.insert(c, target)
 	}
 	if firstAnswer {
-		l.lockstep(width)
+		l.lockstep()
 	} else {
-		l.converge(width)
+		l.converge()
 	}
 	if l.err != nil {
 		return nil, l.total, l.err
@@ -509,26 +508,17 @@ func (l *lookup) best(orElse Key) Key {
 	return orElse
 }
 
-// converge is the arrival-order schedule. Every step asks what the walk
-// may ask now — each unasked contact among the K nearest not known to
-// have failed: all of them at width K, and otherwise as many as keep
-// width in flight — then applies the earliest answer in flight (equal
-// arrivals in issue order) and moves the walk's clock to it. A narrow
-// walk keeps Kademlia's termination rule in arrival terms: once width
-// answers in a row (a round's worth) have brought it no closer, it asks
-// the rest of the K nearest at once. The walk ends once those K nearest
-// have all answered: its latency is that moment, and its traffic every
-// message it sent, answers still in flight from contacts it has since
-// passed included. With fewer than K live contacts known and nothing in
-// flight it widens, and ends when widening finds no one new.
-func (l *lookup) converge(width int) {
+// converge is the arrival-order schedule. Every step asks each unasked
+// contact among the K nearest not known to have failed, then applies the
+// earliest answer in flight (equal arrivals in issue order) and moves the
+// walk's clock to it. The walk ends once those K nearest have all
+// answered: its latency is that moment, and its traffic every message it
+// sent, answers still in flight from contacts it has since passed
+// included. With fewer than K live contacts known and nothing in flight it
+// widens, and ends when widening finds no one new.
+func (l *lookup) converge() {
 	k := l.n.cfg.K
-	inflight, stale := 0, 0
 	for {
-		all := width >= k || stale >= width
-		if all {
-			stale = 0
-		}
 		nearest, waiting := 0, false
 		for i := range l.list {
 			c := &l.list[i]
@@ -539,12 +529,11 @@ func (l *lookup) converge(width int) {
 				break
 			}
 			nearest++
-			if !c.asked && (all || inflight < width) {
+			if !c.asked {
 				if l.cancelled() {
 					return
 				}
 				l.issue(i)
-				inflight++
 			}
 			waiting = waiting || !c.done
 		}
@@ -565,14 +554,7 @@ func (l *lookup) converge(width int) {
 			return
 		}
 		l.total.Latency = l.list[next].at
-		inflight--
-		before := l.best(Key{})
 		l.arrive(next)
-		if l.best(before).Less(before) {
-			stale = 0
-		} else {
-			stale++
-		}
 		if l.progress != nil {
 			l.progress(l.total)
 		}
@@ -580,7 +562,7 @@ func (l *lookup) converge(width int) {
 }
 
 // lockstep is the first-answer schedule, in rounds: each asks, in
-// parallel, up to width of the nearest live contacts not yet asked,
+// parallel, up to alpha of the nearest live contacts not yet asked,
 // however far down the shortlist, and the next round waits for the
 // slowest answer of this one. A round's answers are applied in the order
 // it asked, each as its RPC returns, so a caller that has its answer
@@ -590,9 +572,9 @@ func (l *lookup) converge(width int) {
 // left. When a round brings the walk no closer it asks what is left among
 // the K closest at once, and stops once nothing is and K live contacts
 // have answered (widening first when fewer have).
-func (l *lookup) lockstep(width int) {
+func (l *lookup) lockstep() {
 	k := l.n.cfg.K
-	buf := make([]Contact, 0, max(width, k))
+	buf := make([]Contact, 0, max(alpha, k))
 	// unasked returns up to width contacts not yet asked, nearest first,
 	// from among the first reach live entries of the shortlist.
 	unasked := func(width, reach int) []Contact {
@@ -635,7 +617,7 @@ func (l *lookup) lockstep(width int) {
 	exhausted := func() bool { return l.live >= k || !l.widen() }
 
 	for {
-		round := unasked(width, len(l.list))
+		round := unasked(alpha, len(l.list))
 		if len(round) == 0 {
 			if exhausted() {
 				return
@@ -695,7 +677,7 @@ func (n *Node) writeAt(w Walk, keepLocal func(), send func(c Contact, walking bo
 	}
 	if walk {
 		var refused []Key
-		closest, cost := n.walk(w.Key, n.cfg.K, false, func(c Contact) (reply, bool, netsim.Cost) {
+		closest, cost := n.walk(w.Key, false, func(c Contact) (reply, bool, netsim.Cost) {
 			r, ok, cost, err := send(c, true)
 			if err != nil {
 				return nil, false, cost
@@ -804,7 +786,7 @@ func (n *Node) Locate(ctx context.Context, key Key) (Located, netsim.Cost, error
 	n.mu.Unlock()
 
 	answers := make(map[Key]Replica)
-	contacts, cost, err := n.iterativeLookup(ctx, key, n.cfg.K, false, n.asking(ctx, findValueReq{From: n.self, Key: key}), func(c Contact, rp reply, rtt time.Duration) {
+	contacts, cost, err := n.iterativeLookup(ctx, key, false, n.asking(ctx, findValueReq{From: n.self, Key: key}), func(c Contact, rp reply, rtt time.Duration) {
 		r := rp.(findValueResp)
 		answers[c.ID] = Replica{Contact: c, Held: r.Found, Seq: r.Seq}
 		if !r.Found {
@@ -896,7 +878,7 @@ func (n *Node) GetCheckedCtx(ctx context.Context, key Key, valid func([]byte) bo
 		val   []byte
 		found bool
 	)
-	_, cost, err := n.iterativeLookup(ctx, key, alpha, true, func(c Contact) (reply, bool, netsim.Cost) {
+	_, cost, err := n.iterativeLookup(ctx, key, true, func(c Contact) (reply, bool, netsim.Cost) {
 		if found {
 			return nil, true, netsim.Cost{}
 		}
@@ -990,10 +972,11 @@ func (n *Node) FindProviders(key Key, limit int) (Providers, netsim.Cost, error)
 // FindProvidersConverged is FindProviders for a caller that never starts
 // from Providers.First: a fetch already told whom to ask, which needs the
 // walk only to announce on once it has converged, and the provider list
-// only for a fallback that starts after that. It runs in arrival order,
-// alpha in flight, and never looks past the K closest the walk knows, so
-// it converges as soon as those have answered and skips the queries
-// FindProviders spends past them.
+// only for a fallback that starts after that. It is the converging walk
+// Locate and a walked write run (iterativeLookup): it asks each of the K
+// closest it knows the moment it learns of it, and never looks past them,
+// so it converges as soon as those have answered. It may ask contacts an
+// answer in flight then displaces, which FindProviders' rounds would not.
 func (n *Node) FindProvidersConverged(key Key, limit int) (Providers, netsim.Cost, error) {
 	return n.findProviders(key, limit, false)
 }
@@ -1020,7 +1003,7 @@ func (n *Node) findProviders(key Key, limit int, firstAnswer bool) (Providers, n
 
 	ask := n.asking(context.Background(), getProvidersReq{From: n.self, Key: key})
 	cutShort := false
-	contacts, cost := n.walk(key, alpha, firstAnswer, func(c Contact) (reply, bool, netsim.Cost) {
+	contacts, cost := n.walk(key, firstAnswer, func(c Contact) (reply, bool, netsim.Cost) {
 		if enough() {
 			cutShort = true
 			return nil, true, netsim.Cost{}

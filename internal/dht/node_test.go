@@ -267,7 +267,8 @@ func TestSingleNodePutGet(t *testing.T) {
 // the contacts it knows nearest have all been asked, whether the last
 // round brought it closer or not, a walk holding fewer than K live answers
 // widens into the rest of its routing table instead of stopping. Checked
-// at both widths: a K-wide FIND_NODE walk, and alpha-wide discovery.
+// on both schedules: a converging (K-wide) FIND_NODE walk, and
+// first-answer discovery in alpha-wide lock-step rounds.
 func TestLookupWidensPastDeadTail(t *testing.T) {
 	cfg := DefaultConfig()
 	net, nodes := buildSwarm(t, 24, cfg)

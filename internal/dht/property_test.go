@@ -193,7 +193,7 @@ func TestLookupClosestSetIsTheKNearest(t *testing.T) {
 	byHand := func(twin *Node, key Key, req any) (netsim.Cost, time.Duration) {
 		var slowest time.Duration
 		ask := twin.asking(ctx, req)
-		_, cost, err := twin.iterativeLookup(ctx, key, cfg.K, false, func(c Contact) (reply, bool, netsim.Cost) {
+		_, cost, err := twin.iterativeLookup(ctx, key, false, func(c Contact) (reply, bool, netsim.Cost) {
 			r, ok, cost := ask(c)
 			slowest = max(slowest, cost.Latency)
 			return r, ok, cost
@@ -244,14 +244,15 @@ func TestLookupClosestSetIsTheKNearest(t *testing.T) {
 	}
 }
 
-// Property (value and provider lookups stay alpha-wide): GetImmutable,
-// FindProviders and FindProvidersConverged ask alpha contacts a round,
-// so a walker whose table lacks part of the closest set asks a contact it
-// has just learned of before it has asked all K it knew — a K-wide first
-// round never does. And a cold GetImmutable whose replica sits on one of
-// the alpha contacts its walker knows nearest the key asks only up to
-// that contact: at most alpha messages.
-func TestLookupProviderAndImmutableWalksStayAlphaWide(t *testing.T) {
+// Property (each walk's width): the first-answer walks, GetImmutable and
+// FindProviders, ask alpha contacts a round, so a walker whose table lacks
+// part of the closest set asks a contact it has just learned of before it
+// has asked all K it knew. FindProvidersConverged is a converging walk,
+// K-wide: it asks all K contacts it knows before any it learns of, on
+// every walk. And a cold GetImmutable whose replica sits on one of the
+// alpha contacts its walker knows nearest the key asks only up to that
+// contact: at most alpha messages.
+func TestLookupWalkWidths(t *testing.T) {
 	cfg := DefaultConfig()
 	net, nodes := buildSwarm(t, 40, cfg)
 	byAddr := make(map[netsim.NodeID]*Node, len(nodes))
@@ -281,12 +282,13 @@ func TestLookupProviderAndImmutableWalksStayAlphaWide(t *testing.T) {
 	}
 	rng := xrand.New(2027)
 	walks := []struct {
-		name string
-		run  func(Key) error
+		name  string
+		kWide bool
+		run   func(Key) error
 	}{
-		{"GetImmutable", func(k Key) error { _, _, err := walker.GetImmutableCtx(context.Background(), k); return err }},
-		{"FindProviders", func(k Key) error { _, _, err := walker.FindProviders(k, 0); return err }},
-		{"FindProvidersConverged", func(k Key) error { _, _, err := walker.FindProvidersConverged(k, 0); return err }},
+		{"GetImmutable", false, func(k Key) error { _, _, err := walker.GetImmutableCtx(context.Background(), k); return err }},
+		{"FindProviders", false, func(k Key) error { _, _, err := walker.FindProviders(k, 0); return err }},
+		{"FindProvidersConverged", true, func(k Key) error { _, _, err := walker.FindProvidersConverged(k, 0); return err }},
 	}
 	narrow := make(map[string]int)
 	for i := 0; i < 100; i++ {
@@ -312,7 +314,10 @@ func TestLookupProviderAndImmutableWalksStayAlphaWide(t *testing.T) {
 		}
 	}
 	for _, w := range walks {
-		if narrow[w.name] < 50 {
+		if w.kWide && narrow[w.name] != 0 {
+			t.Fatalf("%d of 100 %s walks asked a learned contact before all K known: want K-wide", narrow[w.name], w.name)
+		}
+		if !w.kWide && narrow[w.name] < 50 {
 			t.Fatalf("%d of 100 %s walks asked a learned contact before all K known: want alpha-wide rounds", narrow[w.name], w.name)
 		}
 	}
@@ -321,12 +326,13 @@ func TestLookupProviderAndImmutableWalksStayAlphaWide(t *testing.T) {
 // Property (discovery for a fetch already told whom to ask stops at the
 // K closest): on the same swarm, FindProvidersConverged finds what
 // FindProviders finds — the same providers and the same converged
-// closest set — with no more messages and converges no later; where
-// FindProviders goes on past the K closest it is cheaper and sooner.
+// closest set — and converges no later; where FindProviders goes on past
+// the K closest it is sooner. Asking all K it knows at once can cost
+// messages an answer in flight makes moot, so the messages are logged.
 func TestFindProvidersConvergedStopsAtTheKClosest(t *testing.T) {
 	cfg := DefaultConfig()
 	rng := xrand.New(2028)
-	sooner := 0
+	sooner, msgs, firstMsgs := 0, 0, 0
 	for i := 0; i < 50; i++ {
 		key := KeyOfString(fmt.Sprintf("converged-%d", i))
 		perm := rng.Perm(40)
@@ -352,13 +358,15 @@ func TestFindProvidersConvergedStopsAtTheKClosest(t *testing.T) {
 			t.Fatalf("key %d: converging discovery found %v on %v, first-answer discovery %v on %v",
 				i, conv.All, conv.Walk.Closest, first.All, first.Walk.Closest)
 		}
-		if convCost.Msgs > firstCost.Msgs || convCost.Latency > firstCost.Latency {
+		if convCost.Latency > firstCost.Latency {
 			t.Fatalf("key %d: converging discovery %+v, first-answer discovery %+v", i, convCost, firstCost)
 		}
 		if convCost.Latency < firstCost.Latency {
 			sooner++
 		}
+		msgs, firstMsgs = msgs+convCost.Msgs, firstMsgs+firstCost.Msgs
 	}
+	t.Logf("converging discovery %.2f msgs a walk, first-answer discovery %.2f; sooner on %d of 50", float64(msgs)/50, float64(firstMsgs)/50, sooner)
 	if sooner < 25 {
 		t.Fatalf("fixture: only %d of 50 converging walks ended sooner", sooner)
 	}
@@ -523,7 +531,7 @@ func TestWalkedWriteRidesItsWalk(t *testing.T) {
 	// byHand walks from twin at width K, sending req to each contact it
 	// asks.
 	byHand := func(twin *Node, key Key, req any) netsim.Cost {
-		_, cost, err := twin.iterativeLookup(context.Background(), key, cfg.K, false, twin.asking(context.Background(), req), nil, nil)
+		_, cost, err := twin.iterativeLookup(context.Background(), key, false, twin.asking(context.Background(), req), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

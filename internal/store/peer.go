@@ -283,7 +283,8 @@ func (p *Peer) Fetch(root CID) ([]byte, netsim.Cost, error) {
 // from the hint at time zero and the walk runs beside it. Nothing then
 // waits for the walk's first answer, only for its convergence (the
 // announce leaves then) and its provider list, so the walk is
-// FindProvidersConverged: it stops once the K closest have answered. Only
+// FindProvidersConverged: the K-wide arrival-order walk a write runs,
+// which stops once the K closest have answered. Only
 // if the hint cannot serve (down, missing a block, tampered) are the
 // walk's other providers tried, once the walk is over; missed reports
 // that. An empty hint, or this peer's own address, is no hint.
