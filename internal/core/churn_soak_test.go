@@ -58,13 +58,16 @@ func runChurnSoak(t *testing.T) string {
 	// K=8 replication plus retry and lookup widening keep every record
 	// reachable with half the swarm gone — so the lossy episode is what
 	// degrades round-0 completeness; the maintenance loops then rebuild
-	// full replication, and the final rounds must be back at 100%.
+	// full replication, and the final rounds must be back at 100%. The
+	// loss rate is the least that still does on this seed: which lossy
+	// draws hit a read depends on every message sent before it, and 85 %
+	// stopped biting once hinted fetches stopped walking (7/10 → 10/10).
 	plan := &netsim.FaultPlan{
 		Seed:  cfg.Seed,
 		Scope: scope,
 		Events: []netsim.FaultEvent{
 			{At: 0, Kind: netsim.FaultCrash, Fraction: 0.5},
-			{At: 0, Kind: netsim.FaultDropRate, Rate: 0.85},
+			{At: 0, Kind: netsim.FaultDropRate, Rate: 0.87},
 			{At: 3 * BlockInterval, Kind: netsim.FaultDropRate, Rate: 0},
 		},
 	}

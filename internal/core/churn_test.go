@@ -163,7 +163,7 @@ func TestChurnMaintenanceOneWalkPerRecord(t *testing.T) {
 	var byHand netsim.Cost
 	records := 0
 	locate := func(key dht.Key) (dht.Located, error) {
-		loc, cost, err := d.Locate(context.Background(), key)
+		loc, cost, err := d.Locate(context.Background(), key, nil)
 		byHand = byHand.Seq(cost)
 		if err == nil && loc.Replicas() != d.K() {
 			t.Fatalf("healthy record %s seen on %d replicas", key.Short(), loc.Replicas())

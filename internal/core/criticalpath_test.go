@@ -57,24 +57,58 @@ func docsFixture(t *testing.T) (*Cluster, []RoundReceipt) {
 // beside a materialize phase in which every pointer waits for
 // max(segment puts, its own quorum read) before its mutation and write,
 // and the publish's store wave beside all of it — it must equal Wave()
-// to the nanosecond, on plain and compacting rounds alike. A last round
-// whose transaction names a provider that does not exist makes every
-// bee fall back to the provider records, which the store wave writes:
-// that round folds store → commit → …, and still records no error. The
-// fold may reorder time, never traffic: every RPC the network carried
-// during the round is billed exactly once (the segment wave's messages
-// once, not once per leg), so wave, serial and the network's own
-// counters agree.
+// to the nanosecond, on plain and compacting rounds alike. In a round
+// whose every hint served, the bees send no GET_PROVIDERS, and the
+// announce wave is one walked ADD_PROVIDER per fetched page per assigned
+// bee and nothing else. A last round whose transaction names a provider
+// that does not exist makes every bee fall back to the provider records,
+// which the store wave writes: that round folds store → commit → …,
+// announces with one K-wide wave per page per bee on its discovery walk,
+// and still records no error. The fold may reorder time, never traffic:
+// every RPC the network carried during the round is billed exactly once
+// (the segment wave's messages once, not once per leg), so wave, serial
+// and the network's own counters agree.
 func TestWriteCriticalPath(t *testing.T) {
 	cfg := DefaultConfig()
 	c := NewCluster(cfg)
 	owner := c.NewAccount("writer", 10_000_000)
 	c.Seal()
+	// What the bees send toward provider records, per round: GET_PROVIDERS
+	// messages, and ADD_PROVIDER messages by bee and key, with how many of
+	// them asked for contacts (Closer: a walk, not a wave).
+	bees := make(map[netsim.NodeID]bool)
+	peers := slices.Clone(c.Peers)
+	for _, b := range c.Bees {
+		bees[b.Peer.Addr()] = true
+		peers = append(peers, b.Peer)
+	}
+	var getProviders, adds, walked int
+	announced := make(map[string]bool)
+	for _, p := range peers {
+		p := p
+		c.Net.Register(p.Addr(), func(from netsim.NodeID, req any) (any, error) {
+			v := reflect.ValueOf(req)
+			switch kind := v.Type().String(); {
+			case !bees[from]:
+			case kind == "dht.getProvidersReq":
+				getProviders++
+			case kind == "dht.addProviderReq":
+				adds++
+				announced[fmt.Sprint(from, v.FieldByName("Key").Interface())] = true
+				if v.FieldByName("Closer").Bool() {
+					walked++
+				}
+			}
+			return p.HandleRPC(from, req)
+		})
+	}
 	compacting := 0
 	batches := corpusBatches(cfg.Seed, 13, 8)
 	missRound := len(batches) - 1
 	for round, pages := range batches {
 		before := c.Net.StatsSnapshot()
+		getProviders, adds, walked = 0, 0, 0
+		clear(announced)
 		var rr RoundReceipt
 		var err error
 		if round == missRound {
@@ -144,9 +178,18 @@ func TestWriteCriticalPath(t *testing.T) {
 		} else if want := max(rr.StoreCost.Latency, rr.CommitWave.Latency+beside); rr.Wave().Latency != want {
 			t.Fatalf("round %d: Wave() %v, store ∥ (commit → (materialize ∥ announce)) gives %v", round, rr.Wave().Latency, want)
 		}
-		if rr.AnnounceWave.Msgs != cfg.Contract.Quorum*len(pages)*cfg.DHT.K {
-			t.Fatalf("round %d: announce wave %d msgs, want one %d-wide wave per page per assigned bee and no walk",
-				round, rr.AnnounceWave.Msgs, cfg.DHT.K)
+		if fetched := cfg.Contract.Quorum * len(pages); len(announced) != fetched || adds != rr.AnnounceWave.Msgs {
+			t.Fatalf("round %d: announce wave %d msgs, %d ADD_PROVIDER from the bees for %d (bee, page) pairs; want %d pairs and nothing else",
+				round, rr.AnnounceWave.Msgs, adds, len(announced), fetched)
+		}
+		if round == missRound {
+			if getProviders == 0 || walked != 0 || adds != cfg.Contract.Quorum*len(pages)*cfg.DHT.K {
+				t.Fatalf("round %d: %d GET_PROVIDERS, announce %d msgs (%d walking); want discovery, then one %d-wide wave per page per assigned bee and no walk",
+					round, getProviders, adds, walked, cfg.DHT.K)
+			}
+		} else if getProviders != 0 || walked != adds {
+			t.Fatalf("round %d: %d GET_PROVIDERS, announce %d msgs (%d walking); want no discovery and one walked ADD_PROVIDER per page per assigned bee",
+				round, getProviders, adds, walked)
 		}
 		wave, serial := rr.Wave(), rr.Serial()
 		if wave.Latency > serial.Latency || wave.Msgs != serial.Msgs || wave.Bytes != serial.Bytes {
@@ -165,36 +208,48 @@ func TestWriteCriticalPath(t *testing.T) {
 }
 
 // The median plain round's makespan and store wave on
-// TestPublishMakespanRatchet's fixture, as recorded once hinted provider
-// discovery became a K-wide converging walk (before that: 458.2 and
+// TestPublishMakespanRatchet's fixture, as recorded once a served hint
+// stopped discovering providers (before that: 401.9 and 150.0 ms; before
+// hinted provider discovery became a K-wide converging walk, 458.2 and
 // 150.0 ms; before converging walks went to arrival order, 565.7 and
 // 235.8 ms; before Put and Provide stored along their walks, 596.2 and
 // 374.0 ms), and the margin a change may add before the ratchet fails.
+// ratchetMsgs is the ten plain rounds' summed Serial().Msgs, recorded at
+// the same time (21 081 before), which a change may not exceed at all.
 const (
-	ratchetWave   = 401_900 * time.Microsecond
+	ratchetWave   = 391_200 * time.Microsecond
 	ratchetStore  = 150_000 * time.Microsecond
 	ratchetMargin = 0.02
+	ratchetMsgs   = 13_401
 )
 
 // TestPublishMakespanRatchet: on the docs/indexing.md fixture — thirteen
 // 32-page IndexBatch rounds on the default cluster, seed 1 — the median
 // plain (non-compacting) round's Wave() and StoreCost stay within
-// ratchetMargin of the recorded values. A page is searchable once its
+// ratchetMargin of the recorded values, and the plain rounds together
+// send no more messages than ratchetMsgs. A page is searchable once its
 // round's Wave() has passed, and the store wave is the publisher's
-// Provide walks, so a write path that walks, then waves, fails here.
-// Both are simulated times, a pure function of the seed. The median of
-// the ten plain rounds is the upper middle one.
+// Provide walks, so a write path that walks, then waves, fails here; a
+// discovery walk or wave that creeps back into a hinted fetch fails the
+// message count. All are simulated, a pure function of the seed. The
+// median of the ten plain rounds is the upper middle one.
 func TestPublishMakespanRatchet(t *testing.T) {
 	_, receipts := docsFixture(t)
 	var waves, stores []time.Duration
+	msgs := 0
 	for _, rr := range receipts {
 		if rr.Compactions == 0 {
 			waves = append(waves, rr.Wave().Latency)
 			stores = append(stores, rr.StoreCost.Latency)
+			msgs += rr.Serial().Msgs
 		}
 	}
 	if len(waves) != 10 {
 		t.Fatalf("%d plain rounds, want ten: the fixture changed", len(waves))
+	}
+	t.Logf("plain rounds sent %d msgs, recorded %d", msgs, ratchetMsgs)
+	if msgs > ratchetMsgs {
+		t.Errorf("plain rounds sent %d msgs, above the recorded %d", msgs, ratchetMsgs)
 	}
 	for _, m := range []struct {
 		name     string

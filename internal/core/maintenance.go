@@ -77,8 +77,8 @@ func (c *Cluster) maintenanceNode() *dht.Node {
 //     read by quorum, and the read is the probe: its walk reports how
 //     many of the k closest hold the record. A record replicated below K
 //     is re-Put at the version read onto that walk's closest set; a
-//     segment only with bytes that hash to its digest, read past any
-//     tampered copy when the walk's winner is one. A segment no replica
+//     segment only with bytes that hash to its digest, and also when a
+//     copy the walk read failed that check. A segment no replica
 //     answered for is counted lost (nothing to re-materialize from).
 //  2. Reprovide: every live peer pings the nodes its provider records
 //     landed on, once each, and re-announces the records whose replica
@@ -100,27 +100,32 @@ func (c *Cluster) RunMaintenance() RepairStats {
 	// of the K closest what it holds, so one walk is the read and the
 	// health check, and a record held by fewer than K of them is re-Put
 	// at the version read onto that same walk. A segment (digest set) is
-	// re-Put only with bytes that hash to the digest: when the walk's
-	// winning copy fails, a self-certifying read goes past it and every
-	// other bad copy, this node's own included, to a genuine one, and
-	// those bytes are re-Put onto the walk even at K holders, so the bad
-	// copies the walk reaches are overwritten. heal returns the record it
-	// read and how many of the closest held it; ok is false when no usable
-	// record was read (never written, wholly lost, or no copy passing its
-	// digest), and nothing was re-Put.
+	// read with its digest as the check, so a copy that fails it, this
+	// node's own included, is not held and never wins: the segment is
+	// re-Put with genuine bytes onto the walk, which overwrites the bad
+	// copies in its closest set, even at K holders when a bad copy was
+	// seen. When the walk reached no genuine copy but a bad one, a
+	// self-certifying read goes past them to a genuine copy. heal returns
+	// the record it read and how many of the closest held it; ok is false
+	// when no usable record was read (never written, wholly lost, or no
+	// copy passing its digest), and nothing was re-Put.
 	heal := func(key dht.Key, digest string) (val []byte, held int, ok bool) {
-		loc, cost, err := d.Locate(context.Background(), key)
+		var valid func([]byte) bool
+		tampered := new(int)
+		if digest != "" {
+			valid, tampered = digestCheck(digest)
+		}
+		loc, cost, err := d.Locate(context.Background(), key, valid)
 		pass.Cost = pass.Cost.Seq(cost)
 		held, val = loc.Replicas(), loc.Value
-		tampered := err == nil && digest != "" && index.DigestOf(val) != digest
-		if tampered {
+		if *tampered > 0 && errors.Is(err, dht.ErrNotFound) {
 			val, cost, err = fetchSegmentCtx(context.Background(), d, digest)
 			pass.Cost = pass.Cost.Seq(cost)
 		}
 		if err != nil {
 			return nil, held, false
 		}
-		if held < k || tampered {
+		if held < k || *tampered > 0 {
 			_, cost, err := d.PutAt(loc.Walk, val, loc.Seq)
 			pass.Cost = pass.Cost.Seq(cost)
 			switch {

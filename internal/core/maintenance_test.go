@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"slices"
 	"testing"
 
@@ -35,14 +36,14 @@ func TestMaintenancePassCost(t *testing.T) {
 
 // TestMaintenanceNeverReseedsTamperedBytes: a segment is re-seeded only
 // with bytes that hash to the digest its pointer names. The maintenance
-// node holds a tampered copy of the one named segment — its own copy is a
-// vote in the Locate walk and wins the tie at sequence 0 — and half of
-// the segment's remote holders fail, so it drops below K. The pass reads
-// past the tampered copy to a genuine one and re-seeds that: once, with
-// nothing lost, and afterwards every node that holds the segment, the
-// maintenance node included, holds the genuine bytes. The same faults
-// without the tamper re-seed the segment too, so the fixture does drop it
-// below K.
+// node holds a tampered copy of the one named segment — its own copy
+// would be a vote in the Locate walk and win the tie at sequence 0, but
+// it fails the walk's digest check — and half of the segment's remote
+// holders fail, so it drops below K. The pass reads a genuine copy and
+// re-seeds that: once, with nothing lost, and afterwards every node that
+// holds the segment, the maintenance node included, holds the genuine
+// bytes. The same faults without the tamper re-seed the segment too, so
+// the fixture does drop it below K.
 func TestMaintenanceNeverReseedsTamperedBytes(t *testing.T) {
 	run := func(tamper bool) RepairStats {
 		cfg := DefaultConfig()
@@ -92,6 +93,61 @@ func TestMaintenanceNeverReseedsTamperedBytes(t *testing.T) {
 	for _, tamper := range []bool{false, true} {
 		if pass := run(tamper); pass.Reseeded != 1 || pass.ReseededBytes == 0 || pass.SegmentsLost != 0 {
 			t.Fatalf("tamper=%v: %+v, want the segment re-seeded once and nothing lost", tamper, pass)
+		}
+	}
+}
+
+// TestMaintenanceSeesEveryTamperedHolder: a tampered copy is seen even
+// when it would not have won the walk. On one shard with one segment,
+// each member of the closest set the maintenance node's Locate walk finds
+// has its copy tampered in turn, and one pass runs after each: it
+// re-seeds the segment once, loses nothing, and afterwards no member of
+// the walk's closest set holds bytes other than the genuine segment. With
+// nothing tampered a pass re-seeds nothing.
+func TestMaintenanceSeesEveryTamperedHolder(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumShards = 1
+	c := NewCluster(cfg)
+	owner := c.NewAccount("writer", 1<<40)
+	c.Seal()
+	if rr, err := c.IndexBatch(owner, corpusBatches(cfg.Seed, 1, 8)[0]); err != nil || len(rr.Errors) > 0 {
+		t.Fatalf("round: err=%v round errors=%v", err, rr.Errors)
+	}
+	d := c.maintenanceNode()
+	ptr, _, err := readShardPointer(d, 0)
+	if err != nil || len(ptr.Digests) != 1 {
+		t.Fatalf("pointer %+v err=%v, want one segment", ptr, err)
+	}
+	key := dht.KeyOfString(index.SegmentKey(ptr.Digests[0]))
+	nodes := make(map[netsim.NodeID]*dht.Node)
+	for _, n := range dhtNodes(c) {
+		nodes[n.Self().Addr] = n
+	}
+	// closest reads the segment as maintenance does and returns the walk's
+	// closest set.
+	closest := func() []dht.Replica {
+		loc, _, err := d.Locate(context.Background(), key, nil)
+		if err != nil || index.DigestOf(loc.Value) != ptr.Digests[0] {
+			t.Fatalf("segment read: err=%v", err)
+		}
+		return loc.Closest
+	}
+	c.RunMaintenance()
+	if pass := c.RunMaintenance(); pass.Reseeded != 0 {
+		t.Fatalf("nothing tampered: %+v, want nothing re-seeded", pass)
+	}
+	genuine, _ := nodes[closest()[0].Addr].Local(key)
+	for i, r := range closest() {
+		tampered := slices.Clone(genuine)
+		tampered[len(tampered)/2] ^= 0xff
+		nodes[r.Addr].StoreLocal(key, tampered, 0)
+		if pass := c.RunMaintenance(); pass.Reseeded != 1 || pass.SegmentsLost != 0 {
+			t.Fatalf("holder %d (%s) tampered: %+v, want the segment re-seeded once and nothing lost", i, r.Addr, pass)
+		}
+		for _, h := range closest() {
+			if raw, ok := nodes[h.Addr].Local(key); !ok || !bytes.Equal(raw, genuine) {
+				t.Fatalf("holder %d (%s) tampered: after the pass %s, in the walk's closest set, holds other bytes", i, r.Addr, h.Addr)
+			}
 		}
 	}
 }

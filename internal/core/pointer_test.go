@@ -594,7 +594,7 @@ func TestWritePointerStamped(t *testing.T) {
 	}
 
 	// Kill a replica holder; maintenance republishes the raw record.
-	loc, _, err := c.Peers[11].DHT().Locate(context.Background(), pointerKey(0))
+	loc, _, err := c.Peers[11].DHT().Locate(context.Background(), pointerKey(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

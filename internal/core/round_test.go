@@ -394,13 +394,14 @@ func TestWriteDeterminismAcrossGOMAXPROCS(t *testing.T) {
 // pinnedForget is what TestWriteBeesForgetResolvedTasks's run produced
 // when bees kept every result they ever built: a digest of every round's
 // receipt, and clusterDigest. Re-recorded when converging walks went to
-// arrival order, and again when hinted provider discovery became K-wide:
-// each time the receipts' costs moved, and so did the cluster, whose
+// arrival order, again when hinted provider discovery became K-wide, and
+// again when a served hint stopped discovering and its announce began to
+// walk: each time the receipts' costs moved, and so did the cluster, whose
 // walked writes land on the contacts their walks asked (and the routing
 // tables those walks teach).
 var pinnedForget = struct{ receipts, digest string }{
-	receipts: "f9697cd53a3de15718411849f4df3f69201e5115122bfd8061b43022883fedb2",
-	digest:   "7c60c2ca9e5354dee555093aa9fec2f8d6e22579c6e80494c84f3ebfd9d63431",
+	receipts: "9eaddef3f0c1093089c8d4610dcad49252141c36df63e2a72cf9faeb33518629",
+	digest:   "c012b885fb273dbcbd491ebd67daedc844a0cef7e9ce2d7385ac5c183a208029",
 }
 
 // TestWriteBeesForgetResolvedTasks: a bee drops a task's result once the
@@ -471,8 +472,8 @@ func pendingByTask(c *Cluster) map[string][][]byte {
 // produced when every assignee built its own result: a digest of both
 // receipts, and clusterDigest. Re-recorded as pinnedForget was.
 var pinnedQuorumBuild = struct{ receipts, digest string }{
-	receipts: "0f4b67c7678eb15fb1f143a39085c70e60024dbdba10917041aa8ccd41a52206",
-	digest:   "d5407bbbaa619fc45c1935b561ba6ebe94486b5bb5370939f33cb2cd7e68a0f2",
+	receipts: "981de2603436aa6524d931810b54c4788280d0b4f98c1c143868007ac063c620",
+	digest:   "edfe522cf97cfb9cc5fe8c8e403307e433658c4e47e2a34bddc86af5ed2f701f",
 }
 
 // TestWriteQuorumBuildsOnce: the assignees of a task whose inputs are
@@ -550,8 +551,8 @@ var pinnedTampered = struct {
 		"bee-002 won=true a35b24d8afa24bbb 2079",
 		"bee-003 won=true a35b24d8afa24bbb 2079",
 	},
-	receipt: "8ab40b79f2dba8ddced61ada58da425eebeccdd01fc785826c89ae272c2981d2",
-	digest:  "9524c74d8b1b0b6bf16172ec1023a8f9e4ab720a3cfb9499769f1d018648f93f",
+	receipt: "1c91472b5ebc045a7012e6f84c0feb6071b8aed2e60b77b493e022163e362b76",
+	digest:  "16870f7b2222f44ec8e7173f34aca68698069504d2ddf0a33aacbf3ab587703c",
 }
 
 // TestWriteTamperedLocalCopyBuildsAlone: a build is shared by the bytes

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -99,7 +100,7 @@ func decodeShardPointer(val []byte) (ShardPointer, error) {
 // It also names the nearest replica that returned the winning record
 // (dht.Located.Holder), which the query path remembers.
 func readShardPointerCtx(ctx context.Context, d *dht.Node, shard int) (ShardPointer, dht.Contact, netsim.Cost, error) {
-	loc, cost, err := d.Locate(ctx, pointerKey(shard))
+	loc, cost, err := d.Locate(ctx, pointerKey(shard), nil)
 	if err != nil {
 		return ShardPointer{}, dht.Contact{}, cost, err
 	}
@@ -130,7 +131,7 @@ func readShardPointerCtx(ctx context.Context, d *dht.Node, shard int) (ShardPoin
 // read needs nothing the caller did before, the mutation and the write
 // need the read — and whatever the new record names.
 func rmw(d *dht.Node, key dht.Key, mutate func(cur []byte) (next []byte, seq uint64, cost netsim.Cost, err error)) (cost RMWCost, wrote bool, err error) {
-	loc, rcost, err := d.Locate(context.Background(), key)
+	loc, rcost, err := d.Locate(context.Background(), key, nil)
 	cost.Read = rcost
 	if err != nil && err != dht.ErrNotFound {
 		return cost, false, err
@@ -253,18 +254,32 @@ func writeSegment(d *dht.Node, digestHex string, data []byte) (netsim.Cost, erro
 // copy it reached passed the check. A cancelled context abandons the
 // lookup with the partial cost.
 func fetchSegmentCtx(ctx context.Context, d *dht.Node, digestHex string) ([]byte, netsim.Cost, error) {
-	tampered := 0
-	val, cost, err := d.GetCheckedCtx(ctx, dht.KeyOfString(index.SegmentKey(digestHex)), func(v []byte) bool {
-		ok := index.DigestOf(v) == digestHex
-		if !ok {
-			tampered++
-		}
-		return ok
-	})
-	if err != nil && tampered > 0 {
-		return nil, cost, fmt.Errorf("core: segment %.8s failed hash verification on %d copies: %w", digestHex, tampered, err)
+	valid, tampered := digestCheck(digestHex)
+	val, cost, err := d.GetCheckedCtx(ctx, dht.KeyOfString(index.SegmentKey(digestHex)), valid)
+	if err != nil && *tampered > 0 {
+		return nil, cost, fmt.Errorf("core: segment %.8s failed hash verification on %d copies: %w", digestHex, *tampered, err)
 	}
 	return val, cost, err
+}
+
+// digestCheck returns a segment read's check, which accepts exactly the
+// bytes that hash to digestHex, and the count of copies it rejected. A
+// copy equal to one it accepted is accepted without hashing it again: a
+// walk that reads every replica sees the same bytes K times.
+func digestCheck(digestHex string) (valid func([]byte) bool, rejected *int) {
+	var genuine []byte
+	rejected = new(int)
+	return func(v []byte) bool {
+		switch {
+		case genuine != nil && bytes.Equal(v, genuine):
+		case index.DigestOf(v) == digestHex:
+			genuine = v
+		default:
+			*rejected++
+			return false
+		}
+		return true
+	}, rejected
 }
 
 // readSegmentCtx fetches, hash-verifies and decodes a segment by digest.

@@ -211,7 +211,7 @@ func TestWriteOneWalkPerRMW(t *testing.T) {
 
 	reader := c.Peers[3].DHT()
 	for shard := 0; shard < cfg.NumShards; shard++ {
-		loc, _, err := reader.Locate(context.Background(), pointerKey(shard))
+		loc, _, err := reader.Locate(context.Background(), pointerKey(shard), nil)
 		if err != nil || len(loc.Closest) != cfg.DHT.K {
 			t.Fatalf("shard %d: %d closest, err=%v", shard, len(loc.Closest), err)
 		}
@@ -298,15 +298,15 @@ func TestWriteRefusedStoreSurfaces(t *testing.T) {
 // still decoded its runs in full and restricted the merged run after
 // the merge: clusterDigest over every node, and the write ledger. The
 // digest was re-recorded when a walked write began to store along its
-// walk, leaving displaced copies beside each record's K replicas, and
-// again when hinted provider discovery became K-wide, teaching routing
-// tables contacts that move where later walked writes land; the ledger
-// did not move.
+// walk, leaving displaced copies beside each record's K replicas, again
+// when hinted provider discovery became K-wide, and again when a served
+// hint stopped discovering, each time teaching routing tables contacts
+// that move where later walked writes land; the ledger did not move.
 var pinnedCompaction = struct {
 	digest string
 	write  WriteStats
 }{
-	digest: "f8219bc0d4fa4bfde54609f22b67010bedfa3ae633d058415eda025f683be567",
+	digest: "0fa496fda489c3918cf83a109c84f7dae23abf65aca8f6b6b770cdbb2988c888",
 	write: WriteStats{
 		Rounds: 66, SegmentWrites: 66, PointerWrites: 528, Compactions: 168,
 		IngestedBytes: 1_232_587, CompactedBytes: 2_351_627,

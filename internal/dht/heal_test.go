@@ -38,7 +38,7 @@ func TestPartitionHealMidLookup(t *testing.T) {
 
 	failures, healed := 0, false
 	var val []byte
-	_, _, err := reader.iterativeLookup(context.Background(), key, true, func(c Contact) (reply, bool, netsim.Cost) {
+	_, _, err := reader.iterativeLookup(context.Background(), key, never, func(c Contact) (reply, bool, netsim.Cost) {
 		resp, cc, err := reader.callCtx(context.Background(), c, findValueReq{From: reader.self, Key: key})
 		if err != nil {
 			failures++
@@ -177,7 +177,7 @@ func TestWalkReuseRewalksPastDeadContact(t *testing.T) {
 	if _, _, err := writer.Put(key, []byte("v1"), 1); err != nil {
 		t.Fatal(err)
 	}
-	loc, _, err := writer.Locate(context.Background(), key)
+	loc, _, err := writer.Locate(context.Background(), key, nil)
 	if err != nil || len(loc.Closest) != cfg.K {
 		t.Fatalf("Locate: %d closest, err=%v", len(loc.Closest), err)
 	}

@@ -14,11 +14,11 @@
 // callers with no walk to offer or no use for one; a write with no
 // converged walk sends its record on the walk itself, so it is done when
 // the walk converges. A walk has one of two schedules. One that converges
-// on the closest set — a write, a quorum read, discovery for a fetch told
-// whom to ask — runs in simulated arrival order and asks each of the K
-// closest it knows the moment it learns of it. One whose caller takes the
-// first answer — GetCheckedCtx and FindProviders — asks alpha a round, in
-// lock-step.
+// on the closest set — a write, a quorum read — runs in simulated arrival
+// order and asks each of the K closest it knows the moment it learns of
+// it. One whose caller takes the first answer — GetCheckedCtx and
+// FindProviders — asks alpha a round, in lock-step, and ends once its
+// caller has what it walked for.
 package dht
 
 import (

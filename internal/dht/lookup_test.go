@@ -18,6 +18,10 @@ type lookupState struct {
 	failed  bool
 }
 
+// never is the first-answer walk's answer check for a caller that takes
+// every answer the walk brings: the walk runs to its end.
+func never() bool { return false }
+
 // refQuery is a reference walk's query: the contacts a peer named and
 // whether it answered.
 type refQuery func(Contact) ([]Contact, bool, netsim.Cost)
@@ -368,7 +372,11 @@ func TestLookupMatchesReference(t *testing.T) {
 					}
 					var got, want trace
 					query := ref(a[w], &got)
-					gotC, gotCost, gotErr := a[w].iterativeLookup(context.Background(), target, s.firstAnswer,
+					var answered func() bool
+					if s.firstAnswer {
+						answered = never
+					}
+					gotC, gotCost, gotErr := a[w].iterativeLookup(context.Background(), target, answered,
 						func(c Contact) (reply, bool, netsim.Cost) {
 							closer, ok, cost := query(c)
 							if !ok {
@@ -460,7 +468,7 @@ func TestLookupArrivalOrderAgainstLockstep(t *testing.T) {
 			}
 			return findNodeResp{Contacts: byID[c.ID].rt.closest(target, cfg.K)}, true, netsim.Cost{Latency: latency(c), Msgs: 1}
 		}
-		got, cost, err := walker.iterativeLookup(context.Background(), target, false, query, nil, nil)
+		got, cost, err := walker.iterativeLookup(context.Background(), target, nil, query, nil, nil)
 		want, lockCost, lockErr := iterativeLookupReference(walker, context.Background(), target, cfg.K, false, func(c Contact) ([]Contact, bool, netsim.Cost) {
 			r, ok, cost := query(c)
 			if !ok {
@@ -532,7 +540,7 @@ func TestLookupAllocs(t *testing.T) {
 	arrivals := 0
 	countArrivals := func(netsim.Cost) { arrivals++ }
 	walk := func() {
-		lookupSink, _, _ = walker.iterativeLookup(context.Background(), target, false, query, nil, countArrivals)
+		lookupSink, _, _ = walker.iterativeLookup(context.Background(), target, nil, query, nil, countArrivals)
 	}
 	walk()
 	perWalk := arrivals

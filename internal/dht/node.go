@@ -25,9 +25,9 @@ var (
 // Network-wide Kademlia constants: every node runs the same values.
 const (
 	// alpha is the width of a first-answer walk's lock-step rounds: a cold
-	// immutable read and discovery for a fetch that starts from its first
-	// answer. A converging walk asks each of the K closest it knows as soon
-	// as it knows it instead (iterativeLookup).
+	// immutable read and provider discovery. A converging walk asks each of
+	// the K closest it knows as soon as it knows it instead
+	// (iterativeLookup).
 	alpha              = 3
 	maxProvidersPerKey = 16 // provider records kept per key
 	// retryBackoffBase is the base simulated-time backoff: attempt i
@@ -258,7 +258,7 @@ func (n *Node) Ping(to Contact) (netsim.Cost, error) {
 // zero on walks that asked for contacts or providers only.
 type Replica struct {
 	Contact
-	Held bool   // the contact returned a record for the key
+	Held bool   // the contact returned a record for the key that passed the read's check
 	Seq  uint64 // the sequence it held (meaningful when Held)
 }
 
@@ -318,9 +318,9 @@ func (n *Node) asking(ctx context.Context, req any) walkQuery {
 
 // walk is iterativeLookup without a request lifecycle, for the write and
 // discovery paths that never abandon a lookup.
-func (n *Node) walk(target Key, firstAnswer bool, query walkQuery, heard func(Contact, reply, time.Duration), progress func(soFar netsim.Cost)) ([]Contact, netsim.Cost) {
+func (n *Node) walk(target Key, hasAnswer func() bool, query walkQuery, heard func(Contact, reply, time.Duration), progress func(soFar netsim.Cost)) ([]Contact, netsim.Cost) {
 	//detlint:ignore errsink iterativeLookup only errors on context cancellation, impossible with context.Background
-	contacts, cost, _ := n.iterativeLookup(context.Background(), target, firstAnswer, query, heard, progress)
+	contacts, cost, _ := n.iterativeLookup(context.Background(), target, hasAnswer, query, heard, progress)
 	return contacts, cost
 }
 
@@ -329,7 +329,7 @@ func (n *Node) walk(target Key, firstAnswer bool, query walkQuery, heard func(Co
 // the closest set, so it asks each contact the moment it enters the K
 // closest the walk knows (iterativeLookup).
 func (n *Node) lookupNodes(target Key) (Walk, netsim.Cost) {
-	contacts, cost := n.walk(target, false, n.asking(context.Background(), findNodeReq{From: n.self, Target: target}), nil, nil)
+	contacts, cost := n.walk(target, nil, n.asking(context.Background(), findNodeReq{From: n.self, Target: target}), nil, nil)
 	return convergedWalk(target, contacts), cost
 }
 
@@ -371,12 +371,13 @@ func (s *shortlist) insert(c Contact, target Key) bool {
 
 // lookup is one iterative walk in progress.
 type lookup struct {
-	n        *Node
-	ctx      context.Context
-	target   Key
-	query    walkQuery
-	heard    func(Contact, reply, time.Duration)
-	progress func(soFar netsim.Cost)
+	n         *Node
+	ctx       context.Context
+	target    Key
+	hasAnswer func() bool
+	query     walkQuery
+	heard     func(Contact, reply, time.Duration)
+	progress  func(soFar netsim.Cost)
 
 	list   shortlist
 	total  netsim.Cost // every RPC issued; Latency is the walk's clock
@@ -391,27 +392,30 @@ type lookup struct {
 // and not at issue; progress, when set, is told the walk's cost so far
 // each time answers have been applied.
 //
-// A walk has one of two schedules, and firstAnswer picks it. A walk whose
+// A walk has one of two schedules, and hasAnswer picks it. A walk whose
 // product is the converged closest set (lookupNodes, Locate, a walked
-// write, FindProvidersConverged) runs in arrival order (converge): it
-// applies answers as they arrive and asks every contact the moment it is
-// among the K closest the walk knows. A walk whose caller consumes its
-// first answer (firstAnswer: GetCheckedCtx, FindProviders) keeps lock-step
-// rounds of alpha (lockstep). On a healthy swarm both end on the same K
-// closest live contacts; only what else they ask, and when, differs.
+// write) passes none and runs in arrival order (converge): it applies
+// answers as they arrive and asks every contact the moment it is among
+// the K closest the walk knows. A walk whose caller consumes its first
+// answer (GetCheckedCtx, FindProviders) passes hasAnswer and keeps
+// lock-step rounds of alpha (lockstep); before each RPC it asks
+// hasAnswer whether the caller has what it walked for, and ends there
+// when it has. On a healthy swarm a walk that runs to its end ends on
+// the same K closest live contacts either way; only what else it asks,
+// and when, differs.
 //
 // The loop checks ctx before issuing each RPC: once the context is done
 // the rest of the walk is abandoned, the cost accumulated so far is
 // returned (the partial wave that actually ran), and the error wraps
 // netsim.ErrCancelled. Abandoned peers are never marked failed.
-func (n *Node) iterativeLookup(ctx context.Context, target Key, firstAnswer bool, query walkQuery, heard func(Contact, reply, time.Duration), progress func(soFar netsim.Cost)) ([]Contact, netsim.Cost, error) {
+func (n *Node) iterativeLookup(ctx context.Context, target Key, hasAnswer func() bool, query walkQuery, heard func(Contact, reply, time.Duration), progress func(soFar netsim.Cost)) ([]Contact, netsim.Cost, error) {
 	k := n.cfg.K
 	// Room for twice the K closest; a walk that hears of more doubles it.
-	l := lookup{n: n, ctx: ctx, target: target, query: query, heard: heard, progress: progress, list: make(shortlist, 0, 2*k)}
+	l := lookup{n: n, ctx: ctx, target: target, hasAnswer: hasAnswer, query: query, heard: heard, progress: progress, list: make(shortlist, 0, 2*k)}
 	for _, c := range n.rt.closest(target, k) {
 		l.list.insert(c, target)
 	}
-	if firstAnswer {
+	if hasAnswer != nil {
 		l.lockstep()
 	} else {
 		l.converge()
@@ -566,7 +570,7 @@ func (l *lookup) converge() {
 // however far down the shortlist, and the next round waits for the
 // slowest answer of this one. A round's answers are applied in the order
 // it asked, each as its RPC returns, so a caller that has its answer
-// stops paying for the rest of the round. Once fewer than alpha of the K
+// ends the walk before the rest of the round is sent. Once fewer than alpha of the K
 // closest are left to ask it asks past them too, where a provider census
 // still finds records that announcers with another view of the K closest
 // left. When a round brings the walk no closer it asks what is left among
@@ -597,11 +601,13 @@ func (l *lookup) lockstep() {
 		}
 		return buf
 	}
-	// ask runs one round and moves the clock to its slowest answer.
-	ask := func(round []Contact) {
-		end := l.total.Latency
+	// ask runs one round and moves the clock to its slowest answer. It
+	// reports whether the walk goes on: it ends before an RPC once the
+	// context is done or the caller has its answer.
+	ask := func(round []Contact) bool {
+		end, over := l.total.Latency, false
 		for _, c := range round {
-			if l.cancelled() {
+			if over = l.cancelled() || l.hasAnswer(); over {
 				break
 			}
 			i, _ := l.list.search(c.ID.XOR(l.target))
@@ -613,6 +619,7 @@ func (l *lookup) lockstep() {
 		if l.progress != nil {
 			l.progress(l.total)
 		}
+		return !over
 	}
 	exhausted := func() bool { return l.live >= k || !l.widen() }
 
@@ -625,7 +632,7 @@ func (l *lookup) lockstep() {
 			continue
 		}
 		prevBest := l.best(Key{})
-		if ask(round); l.err != nil {
+		if !ask(round) {
 			return
 		}
 		if l.best(prevBest).Less(prevBest) {
@@ -638,7 +645,7 @@ func (l *lookup) lockstep() {
 			}
 			continue
 		}
-		if ask(tail); l.err != nil {
+		if !ask(tail) {
 			return
 		}
 	}
@@ -677,7 +684,7 @@ func (n *Node) writeAt(w Walk, keepLocal func(), send func(c Contact, walking bo
 	}
 	if walk {
 		var refused []Key
-		closest, cost := n.walk(w.Key, false, func(c Contact) (reply, bool, netsim.Cost) {
+		closest, cost := n.walk(w.Key, nil, func(c Contact) (reply, bool, netsim.Cost) {
 			r, ok, cost, err := send(c, true)
 			if err != nil {
 				return nil, false, cost
@@ -768,28 +775,36 @@ type Located struct {
 // walk is still valid: the first write of a key reuses it like any
 // other.
 //
+// valid, when set, accepts exactly the copies that are the record (a
+// content hash check, as GetCheckedCtx's). A copy it rejects, the local
+// one included, is not held and never wins; the contact that sent it
+// keeps its place in the closest set, so a write onto the walk
+// overwrites it. Versioned records pass nil.
+//
 // Once ctx is done, the remaining lookup rounds are abandoned and the
 // error wraps netsim.ErrCancelled. A quorum read cut short mid-lookup
 // fails even when some replica already answered — a partial quorum is
 // not a read — and the returned cost is the partial wave that actually
 // ran.
-func (n *Node) Locate(ctx context.Context, key Key) (Located, netsim.Cost, error) {
+func (n *Node) Locate(ctx context.Context, key Key, valid func([]byte) bool) (Located, netsim.Cost, error) {
 	var (
 		loc       Located
 		anyValue  bool
 		holderLat time.Duration
 	)
 	n.mu.Lock()
-	if sv, ok := n.values[key]; ok {
+	sv, ok := n.values[key]
+	n.mu.Unlock()
+	if ok && (valid == nil || valid(sv.value)) {
 		loc.Value, loc.Seq, anyValue = sv.value, sv.seq, true
 	}
-	n.mu.Unlock()
 
 	answers := make(map[Key]Replica)
-	contacts, cost, err := n.iterativeLookup(ctx, key, false, n.asking(ctx, findValueReq{From: n.self, Key: key}), func(c Contact, rp reply, rtt time.Duration) {
+	contacts, cost, err := n.iterativeLookup(ctx, key, nil, n.asking(ctx, findValueReq{From: n.self, Key: key}), func(c Contact, rp reply, rtt time.Duration) {
 		r := rp.(findValueResp)
-		answers[c.ID] = Replica{Contact: c, Held: r.Found, Seq: r.Seq}
-		if !r.Found {
+		held := r.Found && (valid == nil || valid(r.Value))
+		answers[c.ID] = Replica{Contact: c, Held: held, Seq: r.Seq}
+		if !held {
 			return
 		}
 		switch {
@@ -817,7 +832,7 @@ func (n *Node) Locate(ctx context.Context, key Key) (Located, netsim.Cost, error
 // GetCtx retrieves the highest-sequence value for key: Locate without
 // the walk.
 func (n *Node) GetCtx(ctx context.Context, key Key) ([]byte, uint64, netsim.Cost, error) {
-	loc, cost, err := n.Locate(ctx, key)
+	loc, cost, err := n.Locate(ctx, key, nil)
 	if err != nil {
 		return nil, 0, cost, err
 	}
@@ -860,8 +875,8 @@ func (n *Node) GetImmutableCtx(ctx context.Context, key Key) ([]byte, netsim.Cos
 
 // GetCheckedCtx retrieves a self-certifying value: one that valid, when
 // set, accepts exactly when it is the value stored under key (a content
-// hash check). The lookup short-circuits on the first replica found whose
-// value valid accepts. Its product is that first answer, not the closest
+// hash check). The lookup ends at the first replica found whose value
+// valid accepts. Its product is that first answer, not the closest
 // set, so it asks alpha contacts a round. A value valid rejects is a miss
 // at the contact that sent it: the walk drops that contact as it drops
 // one that failed, and goes on to the next holder. The node's own copy
@@ -878,10 +893,7 @@ func (n *Node) GetCheckedCtx(ctx context.Context, key Key, valid func([]byte) bo
 		val   []byte
 		found bool
 	)
-	_, cost, err := n.iterativeLookup(ctx, key, true, func(c Contact) (reply, bool, netsim.Cost) {
-		if found {
-			return nil, true, netsim.Cost{}
-		}
+	_, cost, err := n.iterativeLookup(ctx, key, func() bool { return found }, func(c Contact) (reply, bool, netsim.Cost) {
 		resp, cc, err := n.callCtx(ctx, c, findValueReq{From: n.self, Key: key})
 		if err != nil {
 			return nil, false, cc
@@ -915,7 +927,7 @@ func (n *Node) Provide(key Key) ([]Contact, netsim.Cost, error) {
 // ProvideAt announces this node as a provider for w.Key on the closest
 // set of a walk the caller already ran (FindProviders, when it
 // converged), issuing only the ADD_PROVIDER wave, or walks announcing as
-// it goes when w never converged; see writeAt, also for the staleness
+// it goes when w never converged (Provide); see writeAt, also for the staleness
 // fallback. It returns the converged closest set that took the record,
 // nearest first: provider records never expire, so the
 // record stays findable for as long as they answer, and a caller that
@@ -945,8 +957,7 @@ type Providers struct {
 	// order).
 	All []Contact
 	// First is the providers known once the first answer naming any was
-	// applied — at the end of its lock-step round for FindProviders, at
-	// its arrival for FindProvidersConverged — or before the walk, when
+	// applied, at the end of its lock-step round, or before the walk, when
 	// local records already named some, and FirstCost is what the walk
 	// had cost by then. Retrieval can start there: the rest of the walk
 	// converges on the K closest for the sake of whoever announces on it.
@@ -961,27 +972,12 @@ type Providers struct {
 }
 
 // FindProviders discovers providers for key with one iterative lookup,
-// run to convergence, and returns what it learned with the whole walk's
-// cost. A fetch starts from Providers.First, so the walk keeps the
-// first-answer schedule (iterativeLookup): that answer arrives as early,
-// and as cheaply, as it can.
+// run to convergence unless limit (when positive) providers are known
+// first, and returns what it learned with the whole walk's cost. A fetch
+// starts from Providers.First, so the walk keeps the first-answer
+// schedule (iterativeLookup): that answer arrives as early, and as
+// cheaply, as it can.
 func (n *Node) FindProviders(key Key, limit int) (Providers, netsim.Cost, error) {
-	return n.findProviders(key, limit, true)
-}
-
-// FindProvidersConverged is FindProviders for a caller that never starts
-// from Providers.First: a fetch already told whom to ask, which needs the
-// walk only to announce on once it has converged, and the provider list
-// only for a fallback that starts after that. It is the converging walk
-// Locate and a walked write run (iterativeLookup): it asks each of the K
-// closest it knows the moment it learns of it, and never looks past them,
-// so it converges as soon as those have answered. It may ask contacts an
-// answer in flight then displaces, which FindProviders' rounds would not.
-func (n *Node) FindProvidersConverged(key Key, limit int) (Providers, netsim.Cost, error) {
-	return n.findProviders(key, limit, false)
-}
-
-func (n *Node) findProviders(key Key, limit int, firstAnswer bool) (Providers, netsim.Cost, error) {
 	found := Providers{Walk: Walk{Key: key}}
 	// Local provider records answer immediately. seen may be this node's
 	// own set (withProvider never writes it), so known hands out copies.
@@ -994,22 +990,18 @@ func (n *Node) findProviders(key Key, limit int, firstAnswer bool) (Providers, n
 		}
 		return slices.Clone(seen)
 	}
+	enough := func() bool { return limit > 0 && len(seen) >= limit }
 	found.First = known()
-	if limit > 0 && len(seen) >= limit {
+	if enough() {
 		found.All = found.First
 		return found, netsim.Cost{}, nil
 	}
-	enough := func() bool { return limit > 0 && len(seen) >= limit }
 
-	ask := n.asking(context.Background(), getProvidersReq{From: n.self, Key: key})
 	cutShort := false
-	contacts, cost := n.walk(key, firstAnswer, func(c Contact) (reply, bool, netsim.Cost) {
-		if enough() {
-			cutShort = true
-			return nil, true, netsim.Cost{}
-		}
-		return ask(c)
-	}, func(_ Contact, r reply, _ time.Duration) {
+	contacts, cost := n.walk(key, func() bool {
+		cutShort = enough()
+		return cutShort
+	}, n.asking(context.Background(), getProvidersReq{From: n.self, Key: key}), func(_ Contact, r reply, _ time.Duration) {
 		for _, p := range r.(getProvidersResp).Providers {
 			seen = withProvider(seen, p)
 		}

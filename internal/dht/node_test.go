@@ -369,7 +369,7 @@ func TestGetHolderNamesACurrentReplica(t *testing.T) {
 	}
 	reader := nodes[17]
 	ctx := context.Background()
-	first, _, err := reader.Locate(ctx, key)
+	first, _, err := reader.Locate(ctx, key, nil)
 	stale := first.Holder
 	if err != nil || stale == (Contact{}) {
 		t.Fatalf("holder = %+v err = %v", stale, err)
@@ -381,7 +381,7 @@ func TestGetHolderNamesACurrentReplica(t *testing.T) {
 	}
 	net.SetDown(stale.Addr, false)
 
-	loc, cost, err := reader.Locate(ctx, key)
+	loc, cost, err := reader.Locate(ctx, key, nil)
 	holder := loc.Holder
 	if err != nil || string(loc.Value) != "v2" || loc.Seq != 2 {
 		t.Fatalf("Locate = %q seq=%d err=%v", loc.Value, loc.Seq, err)

@@ -193,7 +193,7 @@ func TestLookupClosestSetIsTheKNearest(t *testing.T) {
 	byHand := func(twin *Node, key Key, req any) (netsim.Cost, time.Duration) {
 		var slowest time.Duration
 		ask := twin.asking(ctx, req)
-		_, cost, err := twin.iterativeLookup(ctx, key, false, func(c Contact) (reply, bool, netsim.Cost) {
+		_, cost, err := twin.iterativeLookup(ctx, key, nil, func(c Contact) (reply, bool, netsim.Cost) {
 			r, ok, cost := ask(c)
 			slowest = max(slowest, cost.Latency)
 			return r, ok, cost
@@ -212,7 +212,7 @@ func TestLookupClosestSetIsTheKNearest(t *testing.T) {
 		known := fmt.Sprint(addrsOf(walker.rt.closest(key, cfg.K))) == want
 
 		w, walkCost := walker.lookupNodes(key)
-		loc, readCost, err := walker.Locate(ctx, key)
+		loc, readCost, err := walker.Locate(ctx, key, nil)
 		if !errors.Is(err, ErrNotFound) {
 			t.Fatalf("key %d: Locate err = %v, want ErrNotFound", i, err)
 		}
@@ -247,11 +247,9 @@ func TestLookupClosestSetIsTheKNearest(t *testing.T) {
 // Property (each walk's width): the first-answer walks, GetImmutable and
 // FindProviders, ask alpha contacts a round, so a walker whose table lacks
 // part of the closest set asks a contact it has just learned of before it
-// has asked all K it knew. FindProvidersConverged is a converging walk,
-// K-wide: it asks all K contacts it knows before any it learns of, on
-// every walk. And a cold GetImmutable whose replica sits on one of the
-// alpha contacts its walker knows nearest the key asks only up to that
-// contact: at most alpha messages.
+// has asked all K it knew. And a cold GetImmutable whose replica sits on
+// one of the alpha contacts its walker knows nearest the key asks only up
+// to that contact: at most alpha messages.
 func TestLookupWalkWidths(t *testing.T) {
 	cfg := DefaultConfig()
 	net, nodes := buildSwarm(t, 40, cfg)
@@ -282,13 +280,11 @@ func TestLookupWalkWidths(t *testing.T) {
 	}
 	rng := xrand.New(2027)
 	walks := []struct {
-		name  string
-		kWide bool
-		run   func(Key) error
+		name string
+		run  func(Key) error
 	}{
-		{"GetImmutable", false, func(k Key) error { _, _, err := walker.GetImmutableCtx(context.Background(), k); return err }},
-		{"FindProviders", false, func(k Key) error { _, _, err := walker.FindProviders(k, 0); return err }},
-		{"FindProvidersConverged", true, func(k Key) error { _, _, err := walker.FindProvidersConverged(k, 0); return err }},
+		{"GetImmutable", func(k Key) error { _, _, err := walker.GetImmutableCtx(context.Background(), k); return err }},
+		{"FindProviders", func(k Key) error { _, _, err := walker.FindProviders(k, 0); return err }},
 	}
 	narrow := make(map[string]int)
 	for i := 0; i < 100; i++ {
@@ -314,61 +310,9 @@ func TestLookupWalkWidths(t *testing.T) {
 		}
 	}
 	for _, w := range walks {
-		if w.kWide && narrow[w.name] != 0 {
-			t.Fatalf("%d of 100 %s walks asked a learned contact before all K known: want K-wide", narrow[w.name], w.name)
-		}
-		if !w.kWide && narrow[w.name] < 50 {
+		if narrow[w.name] < 50 {
 			t.Fatalf("%d of 100 %s walks asked a learned contact before all K known: want alpha-wide rounds", narrow[w.name], w.name)
 		}
-	}
-}
-
-// Property (discovery for a fetch already told whom to ask stops at the
-// K closest): on the same swarm, FindProvidersConverged finds what
-// FindProviders finds — the same providers and the same converged
-// closest set — and converges no later; where FindProviders goes on past
-// the K closest it is sooner. Asking all K it knows at once can cost
-// messages an answer in flight makes moot, so the messages are logged.
-func TestFindProvidersConvergedStopsAtTheKClosest(t *testing.T) {
-	cfg := DefaultConfig()
-	rng := xrand.New(2028)
-	sooner, msgs, firstMsgs := 0, 0, 0
-	for i := 0; i < 50; i++ {
-		key := KeyOfString(fmt.Sprintf("converged-%d", i))
-		perm := rng.Perm(40)
-		walker, provider := perm[0], perm[1]
-		discover := func(converged bool) (Providers, netsim.Cost) {
-			_, nodes := buildSwarm(t, 40, cfg)
-			if _, _, err := nodes[provider].Provide(key); err != nil {
-				t.Fatalf("key %d: Provide: %v", i, err)
-			}
-			find := nodes[walker].FindProviders
-			if converged {
-				find = nodes[walker].FindProvidersConverged
-			}
-			res, cost, err := find(key, 0)
-			if err != nil || !res.Walk.converged {
-				t.Fatalf("key %d: converged=%v err=%v", i, res.Walk.converged, err)
-			}
-			return res, cost
-		}
-		first, firstCost := discover(false)
-		conv, convCost := discover(true)
-		if fmt.Sprint(conv.All) != fmt.Sprint(first.All) || fmt.Sprint(conv.Walk.Closest) != fmt.Sprint(first.Walk.Closest) {
-			t.Fatalf("key %d: converging discovery found %v on %v, first-answer discovery %v on %v",
-				i, conv.All, conv.Walk.Closest, first.All, first.Walk.Closest)
-		}
-		if convCost.Latency > firstCost.Latency {
-			t.Fatalf("key %d: converging discovery %+v, first-answer discovery %+v", i, convCost, firstCost)
-		}
-		if convCost.Latency < firstCost.Latency {
-			sooner++
-		}
-		msgs, firstMsgs = msgs+convCost.Msgs, firstMsgs+firstCost.Msgs
-	}
-	t.Logf("converging discovery %.2f msgs a walk, first-answer discovery %.2f; sooner on %d of 50", float64(msgs)/50, float64(firstMsgs)/50, sooner)
-	if sooner < 25 {
-		t.Fatalf("fixture: only %d of 50 converging walks ended sooner", sooner)
 	}
 }
 
@@ -444,7 +388,7 @@ func TestWalkReuseLandsWherePutLands(t *testing.T) {
 		if len(plain) > cfg.K {
 			displaced++
 		}
-		loc, _, err := writer.Locate(ctx, key)
+		loc, _, err := writer.Locate(ctx, key, nil)
 		if err != nil || !loc.converged || string(loc.Value) != "v1" || loc.Seq != 1 {
 			t.Fatalf("key %d: Locate = %q seq=%d converged=%v err=%v", i, loc.Value, loc.Seq, loc.converged, err)
 		}
@@ -531,7 +475,7 @@ func TestWalkedWriteRidesItsWalk(t *testing.T) {
 	// byHand walks from twin at width K, sending req to each contact it
 	// asks.
 	byHand := func(twin *Node, key Key, req any) netsim.Cost {
-		_, cost, err := twin.iterativeLookup(context.Background(), key, false, twin.asking(context.Background(), req), nil, nil)
+		_, cost, err := twin.iterativeLookup(context.Background(), key, nil, twin.asking(context.Background(), req), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

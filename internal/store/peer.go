@@ -70,10 +70,12 @@ type Peer struct {
 }
 
 // Announcement is one fetched root's serve-cache announcement: the root,
-// the walk its provider discovery ran, so the ADD_PROVIDER wave lands on
-// it without walking again, and how long that walk still had to run when
-// the content arrived — the announce cannot be sent before the walk has
-// converged, and the fetch did not wait for it.
+// the walk its provider discovery ran, if any, so the ADD_PROVIDER wave
+// lands on it without walking again, and how long that walk still had to
+// run when the content arrived — the announce cannot be sent before the
+// walk has converged, and the fetch did not wait for it. A fetch that
+// discovered nothing (a served hint) carries the zero walk, and its
+// announce walks for itself.
 type Announcement struct {
 	root CID
 	walk dht.Walk
@@ -152,15 +154,15 @@ func (p *Peer) setHolders(root CID, holders []dht.Contact) {
 
 // Announce makes this peer a provider for content it fetched and cached:
 // each announcement in list order (duplicates collapsed) lands on the
-// closest set its provider discovery already walked to
-// (dht.Node.ProvideAt walks itself when that lookup never converged), and
-// where it landed is recorded. The costs fold in parallel: the
-// announcements are independent of each other. Each is what its
-// discovery walk still had to run once the content was in (latency only:
-// the fetch already paid for the walk's messages) followed by the
-// ADD_PROVIDER wave — background work nothing else in a round waits for,
-// which is why the round engine folds it beside the materialize phase
-// instead of into the commit wave.
+// closest set its provider discovery already walked to, or walks, storing
+// as it goes, when there was no converged discovery walk
+// (dht.Node.ProvideAt), and where it landed is recorded. The costs fold
+// in parallel: the announcements are independent of each other. Each is
+// what its discovery walk still had to run once the content was in
+// (latency only: the fetch already paid for the walk's messages)
+// followed by the ADD_PROVIDER wave or walk — background work nothing
+// else in a round waits for, which is why the round engine folds it
+// beside the materialize phase instead of into the commit wave.
 func (p *Peer) Announce(anns []Announcement) netsim.Cost {
 	var total netsim.Cost
 	seen := make(map[dht.Key]bool, len(anns))
@@ -273,57 +275,60 @@ func (p *Peer) Fetch(root CID) ([]byte, netsim.Cost, error) {
 // The returned latency is time to content. Publication must walk to all
 // K closest nodes, retrieval need not: it sets off when the first
 // provider record arrives, with the providers named by then, while the
-// same walk runs on to convergence for the serve-cache announce. The
-// walk's messages are billed here; the announce's latency and its
-// ADD_PROVIDER wave are billed by Announce.
+// same walk runs on to convergence for the serve-cache announce. Only if
+// none of those can serve are the providers the rest of the walk found
+// tried, once it is over. The walk's messages are billed here; the
+// announce's latency and its ADD_PROVIDER wave are billed by Announce.
 //
 // hint names a peer the caller was told holds the content (a publish
 // transaction's provider). Content addressing makes that advice safe to
-// act on before any provider record confirms it, so retrieval sets off
-// from the hint at time zero and the walk runs beside it. Nothing then
-// waits for the walk's first answer, only for its convergence (the
-// announce leaves then) and its provider list, so the walk is
-// FindProvidersConverged: the K-wide arrival-order walk a write runs,
-// which stops once the K closest have answered. Only
-// if the hint cannot serve (down, missing a block, tampered) are the
-// walk's other providers tried, once the walk is over; missed reports
-// that. An empty hint, or this peer's own address, is no hint.
+// act on before any provider record confirms it, so the fetch asks the
+// hint alone, at time zero, and walks nowhere: its announce walks for
+// itself (Announce). Only if the hint cannot serve (down, missing a
+// block, tampered) does the fetch discover providers as an unhinted one
+// does, once the hint has failed, never asking the hint again; missed
+// reports that. An empty hint, or this peer's own address, is no hint.
 func (p *Peer) FetchHinted(root CID, hint netsim.NodeID) (data []byte, total netsim.Cost, missed bool, ann *Announcement, err error) {
 	if data, ok, err := p.assembleLocal(root); ok || err != nil {
 		return data, netsim.Cost{}, false, nil, err
 	}
 
-	hinted := hint != "" && hint != p.Addr()
-	discover := p.dht.FindProviders
-	if hinted {
-		discover = p.dht.FindProvidersConverged
+	var tried []dht.Contact
+	if hint != "" && hint != p.Addr() {
+		tried = []dht.Contact{{ID: dht.KeyOfString(string(hint)), Addr: hint}}
+		if data, total, err = p.fetchFromNearest(tried, root); err == nil {
+			return data, total, false, &Announcement{root: root, walk: dht.Walk{Key: root.Key()}}, nil
+		}
+		missed = true
 	}
-	found, total, err := discover(root.Key(), maxProviders)
-	if err != nil && !hinted {
-		return nil, total, false, nil, fmt.Errorf("%w: %s", ErrNoProviders, root.Short())
-	}
-	converged := total.Latency
-	first, start := found.First, found.FirstCost.Latency
-	if hinted {
-		first, start = []dht.Contact{{ID: dht.KeyOfString(string(hint)), Addr: hint}}, 0
-	}
-	total.Latency = start
+	tampered := errors.Is(err, ErrAllTampered)
 
-	data, cost, err := p.fetchFromNearest(first, root)
-	total = total.Seq(cost)
-	missed = hinted && err != nil
-	if late := without(found.All, first); err != nil && len(late) > 0 {
-		// Nobody the first answer (or the hint) named could serve. What
-		// the rest of the walk turned up is known once the walk is over.
-		total = total.Par(netsim.Cost{Latency: converged})
-		tampered := errors.Is(err, ErrAllTampered)
-		data, cost, err = p.fetchFromNearest(late, root)
-		total = total.Seq(cost)
-		if err != nil && tampered {
+	found, walk, err := p.dht.FindProviders(root.Key(), maxProviders)
+	if err != nil {
+		err = fmt.Errorf("%w: %s", ErrNoProviders, root.Short())
+		if tampered {
 			err = ErrAllTampered
 		}
+		return nil, total.Seq(walk), missed, nil, err
+	}
+	converged := total.Latency + walk.Latency
+	walk.Latency = found.FirstCost.Latency
+	total = total.Seq(walk)
+	first := without(found.First, tried)
+	data, cost, err := p.fetchFromNearest(first, root)
+	total = total.Seq(cost)
+	if late := without(found.All, append(tried, first...)); err != nil && len(late) > 0 {
+		// Nobody the first answer named could serve. What the rest of the
+		// walk turned up is known once the walk is over.
+		tampered = tampered || errors.Is(err, ErrAllTampered)
+		total = total.Par(netsim.Cost{Latency: converged})
+		data, cost, err = p.fetchFromNearest(late, root)
+		total = total.Seq(cost)
 	}
 	if err != nil {
+		if tampered {
+			err = ErrAllTampered
+		}
 		return nil, total, missed, nil, err
 	}
 

@@ -71,8 +71,9 @@ func TestReprovideHealthyPassPingsEachHolderOnce(t *testing.T) {
 		if len(holders) < k || len(holders) > len(peers)-1 {
 			t.Fatalf("%s: %d distinct holders", p.Addr(), len(holders))
 		}
-		pings := countCalls(net, peers, p.Addr(), "dht.pingReq")
+		calls := recordCalls(net, peers, p.Addr())
 		n, cost := p.Reprovide()
+		pings := targets(*calls, "dht.pingReq")
 		if n != 0 {
 			t.Fatalf("%s: healthy pass re-announced %d roots", p.Addr(), n)
 		}
@@ -189,13 +190,13 @@ func TestReprovideSmallSwarmReannouncesEveryRoot(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		pings := countCalls(net, peers, pub.Addr(), "dht.pingReq")
+		calls := recordCalls(net, peers, pub.Addr())
 		for pass := 0; pass < 2; pass++ {
 			if n, _ := pub.Reprovide(); n != 5 {
 				t.Fatalf("%d-node swarm, pass %d: re-announced %d of 5 roots", size, pass, n)
 			}
 		}
-		if len(pings) != 0 {
+		if pings := targets(*calls, "dht.pingReq"); len(pings) != 0 {
 			t.Fatalf("%d-node swarm: pinged %v", size, pings)
 		}
 	}

@@ -465,20 +465,48 @@ func TestFetchAnnouncesOnItsDiscoveryWalk(t *testing.T) {
 	}
 }
 
-// countCalls wraps every peer's handler and counts the requests of one
-// message type (as %T prints it) from one caller, per target.
-func countCalls(net *netsim.Network, peers []*Peer, from netsim.NodeID, kind string) map[netsim.NodeID]int {
-	calls := make(map[netsim.NodeID]int)
+// call is one request a recordCalls hook saw: its type, as %T prints
+// it, and its target.
+type call struct {
+	kind string
+	to   netsim.NodeID
+}
+
+// recordCalls wraps every peer's handler and logs, in order, the requests
+// one caller sends. A down node never sees a request, so its requests are
+// not in the log.
+func recordCalls(net *netsim.Network, peers []*Peer, from netsim.NodeID) *[]call {
+	var calls []call
 	for _, p := range peers {
 		p := p
 		net.Register(p.Addr(), func(caller netsim.NodeID, req any) (any, error) {
-			if caller == from && fmt.Sprintf("%T", req) == kind {
-				calls[p.Addr()]++
+			if caller == from {
+				calls = append(calls, call{kind: fmt.Sprintf("%T", req), to: p.Addr()})
 			}
 			return p.HandleRPC(caller, req)
 		})
 	}
-	return calls
+	return &calls
+}
+
+// kinds counts the calls of each type.
+func kinds(calls []call) map[string]int {
+	out := make(map[string]int)
+	for _, c := range calls {
+		out[c.kind]++
+	}
+	return out
+}
+
+// targets counts the calls of one type per target.
+func targets(calls []call, kind string) map[netsim.NodeID]int {
+	out := make(map[netsim.NodeID]int)
+	for _, c := range calls {
+		if c.kind == kind {
+			out[c.to]++
+		}
+	}
+	return out
 }
 
 // TestFetchStartsAtFirstProviderAnswer: retrieval does not wait for the
@@ -505,12 +533,12 @@ func TestFetchStartsAtFirstProviderAnswer(t *testing.T) {
 
 	net, peers, root := boot()
 	fetcher := peers[9]
-	pings := countCalls(net, peers, fetcher.Addr(), "dht.pingReq")
+	calls := recordCalls(net, peers, fetcher.Addr())
 	got, cost, _, ann, err := fetcher.FetchHinted(root, "")
 	if err != nil || !bytes.Equal(got, doc) {
 		t.Fatalf("fetch: %d bytes, err=%v", len(got), err)
 	}
-	if len(pings) != 0 {
+	if pings := targets(*calls, "dht.pingReq"); len(pings) != 0 {
 		t.Fatalf("sole candidate pinged: %v", pings)
 	}
 	if cost.Msgs != walk.Msgs+1 {
@@ -556,10 +584,11 @@ func TestFetchPicksNearestOfSeveral(t *testing.T) {
 		}
 	}
 
-	pings := countCalls(net, peers, fetcher.Addr(), "dht.pingReq")
+	calls := recordCalls(net, peers, fetcher.Addr())
 	if _, _, err := fetcher.Fetch(root); err != nil {
 		t.Fatal(err)
 	}
+	pings := targets(*calls, "dht.pingReq")
 	for _, p := range providers {
 		if pings[p.Addr()] != 1 {
 			t.Fatalf("candidate %s pinged %d times, want once: %v", p.Addr(), pings[p.Addr()], pings)
@@ -667,19 +696,19 @@ func TestFetchFallsBackToLaterProviders(t *testing.T) {
 }
 
 // TestFetchHintedSameTraffic: a fetch told who holds a freshly published
-// root sends what an unhinted fetch sends — its discovery walk, one block
-// request to that provider, one announce wave — and finds the same
-// providers, announces on the same K nodes and ends with the same
-// provider records. Only the walk differs: since nothing waits for its
-// first provider answer, it is the K-wide converging walk, which asks
-// all K closest it knows at once and stops once they have answered, where
-// the unhinted walk asks alpha a round and goes on past them. That can
-// cost messages; it converges sooner. The time moves: the block request no
-// longer waits for the walk's first provider answer, so content arrives
-// after the block transfer alone, and the announce, which leaves when the
-// walk converges, is done sooner.
+// root sends its block requests and nothing else — no GET_PROVIDERS, no
+// walk — so its content arrives after the block transfer alone. Its
+// announce, billed by Announce, is the walked ADD_PROVIDER a Provide
+// sends from the state the fetch leaves, and it starts once the content
+// is in. Against an unhinted fetch of the same root — its discovery walk,
+// one block request, one K-wide announce wave on the walk — the hinted
+// fetch ends with the same provider records on the same K holders, its
+// announce reaches every node the unhinted one landed on, and the two
+// together send fewer messages: one walk where the unhinted fetch pays a
+// walk and a wave.
 func TestFetchHintedSameTraffic(t *testing.T) {
 	doc := bytes.Repeat([]byte("named on chain "), 30) // one block
+	k := dht.DefaultConfig().K
 	boot := func() (*netsim.Network, []*Peer, CID) {
 		net, peers := buildPeerSwarm(t, 24, PeerConfig{})
 		root, _, err := peers[3].Add(doc)
@@ -688,42 +717,49 @@ func TestFetchHintedSameTraffic(t *testing.T) {
 		}
 		return net, peers, root
 	}
-	// What each discovery walk alone costs on this swarm: same seed, same
-	// walks.
+	// What the discovery walk alone costs on this swarm: same seed, same
+	// walk.
 	_, peers, root := boot()
 	found, walk, err := peers[9].DHT().FindProviders(root.Key(), maxProviders)
 	if err != nil || len(found.First) != 1 || found.First[0].Addr != peers[3].Addr() {
 		t.Fatalf("fixture: first answer %v, err=%v", found.First, err)
 	}
+	// What the block transfer alone costs.
 	_, peers, root = boot()
-	conv, convWalk, err := peers[9].DHT().FindProvidersConverged(root.Key(), maxProviders)
-	if err != nil || fmt.Sprint(conv.All) != fmt.Sprint(found.All) || fmt.Sprint(conv.Walk.Closest) != fmt.Sprint(found.Walk.Closest) {
-		t.Fatalf("converging discovery found %v on %v, first-answer discovery %v on %v, err=%v",
-			conv.All, conv.Walk.Closest, found.All, found.Walk.Closest, err)
+	_, transfer, err := peers[9].fetchFrom(peers[3].Addr(), root)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if convWalk.Latency >= walk.Latency {
-		t.Fatalf("fixture: converging discovery %+v, first-answer discovery %+v: want one that asks past the K closest", convWalk, walk)
+	// What a Provide costs from the state a hinted fetch leaves.
+	_, peers, root = boot()
+	if _, _, _, _, err := peers[9].FetchHinted(root, peers[3].Addr()); err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("discovery: converging %d msgs, first-answer %d", convWalk.Msgs, walk.Msgs)
+	_, provide, err := peers[9].DHT().Provide(root.Key())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	type outcome struct {
 		cost, announce netsim.Cost
+		fetched, waved map[string]int
+		announcedOn    map[netsim.NodeID]int
+		holders        []dht.Contact
 		providers      []dht.Contact
-		announcedOn    []netsim.NodeID
 	}
 	fetch := func(hint func([]*Peer) netsim.NodeID) outcome {
 		net, peers, root := boot()
 		fetcher := peers[9]
-		adds := countCalls(net, peers, fetcher.Addr(), "dht.addProviderReq")
+		calls := recordCalls(net, peers, fetcher.Addr())
 		got, cost, missed, ann, err := fetcher.FetchHinted(root, hint(peers))
 		if err != nil || missed || ann == nil || !bytes.Equal(got, doc) {
 			t.Fatalf("fetch: %d bytes, missed=%v, announcement %v, err=%v", len(got), missed, ann, err)
 		}
-		out := outcome{cost: cost, announce: fetcher.Announce([]Announcement{*ann})}
-		for addr := range adds {
-			out.announcedOn = append(out.announcedOn, addr)
-		}
-		sort.Slice(out.announcedOn, func(i, j int) bool { return out.announcedOn[i] < out.announcedOn[j] })
+		out := outcome{cost: cost, fetched: kinds(*calls)}
+		*calls = nil
+		out.announce = fetcher.Announce([]Announcement{*ann})
+		out.waved, out.announcedOn = kinds(*calls), targets(*calls, "dht.addProviderReq")
+		out.holders = fetcher.roots[root]
 		after, _, err := peers[20].DHT().FindProviders(root.Key(), 0)
 		if err != nil {
 			t.Fatal(err)
@@ -734,33 +770,45 @@ func TestFetchHintedSameTraffic(t *testing.T) {
 	plain := fetch(func([]*Peer) netsim.NodeID { return "" })
 	hinted := fetch(func(peers []*Peer) netsim.NodeID { return peers[3].Addr() })
 
-	if plain.cost.Msgs != walk.Msgs+1 || hinted.cost.Msgs != convWalk.Msgs+1 {
-		t.Fatalf("unhinted fetch %d msgs, hinted %d: want its walk's %d, and the converging walk's %d, each with one block request",
-			plain.cost.Msgs, hinted.cost.Msgs, walk.Msgs, convWalk.Msgs)
+	if plain.cost.Msgs != walk.Msgs+1 || fmt.Sprint(plain.fetched) != fmt.Sprint(map[string]int{"dht.getProvidersReq": walk.Msgs, "store.blockReq": 1}) {
+		t.Fatalf("unhinted fetch %d msgs %v: want its walk's %d and one block request", plain.cost.Msgs, plain.fetched, walk.Msgs)
 	}
-	if hinted.announce.Msgs != plain.announce.Msgs || hinted.announce.Bytes != plain.announce.Bytes {
-		t.Fatalf("announce %+v after a hinted fetch, %+v after an unhinted one", hinted.announce, plain.announce)
+	if hinted.cost.Msgs != 1 || fmt.Sprint(hinted.fetched) != fmt.Sprint(map[string]int{"store.blockReq": 1}) {
+		t.Fatalf("hinted fetch %d msgs %v: want its one block request and nothing else", hinted.cost.Msgs, hinted.fetched)
 	}
-	if fmt.Sprint(hinted.announcedOn) != fmt.Sprint(plain.announcedOn) || len(plain.announcedOn) != dht.DefaultConfig().K {
-		t.Fatalf("announced on %v after a hinted fetch, on %v after an unhinted one", hinted.announcedOn, plain.announcedOn)
+	if hinted.cost != transfer || hinted.cost.Latency >= plain.cost.Latency {
+		t.Fatalf("hinted content for %+v, want the block transfer alone (%+v), sooner than the unhinted %v", hinted.cost, transfer, plain.cost.Latency)
+	}
+	if plain.announce.Msgs != k || fmt.Sprint(plain.waved) != fmt.Sprint(map[string]int{"dht.addProviderReq": k}) {
+		t.Fatalf("unhinted announce %d msgs %v: want one %d-wide ADD_PROVIDER wave", plain.announce.Msgs, plain.waved, k)
+	}
+	if hinted.announce != provide || fmt.Sprint(hinted.waved) != fmt.Sprint(map[string]int{"dht.addProviderReq": provide.Msgs}) {
+		t.Fatalf("hinted announce %+v %v: want the walked ADD_PROVIDER of a Provide, %+v", hinted.announce, hinted.waved, provide)
+	}
+	for addr := range plain.announcedOn {
+		if hinted.announcedOn[addr] == 0 {
+			t.Fatalf("the unhinted announce landed on %s, the hinted one did not reach it", addr)
+		}
+	}
+	if fmt.Sprint(hinted.holders) != fmt.Sprint(plain.holders) || len(plain.holders) != k {
+		t.Fatalf("records held on %v after a hinted fetch, on %v after an unhinted one", hinted.holders, plain.holders)
 	}
 	if fmt.Sprint(hinted.providers) != fmt.Sprint(plain.providers) || len(plain.providers) != 2 {
 		t.Fatalf("providers after a hinted fetch %v, after an unhinted one %v", hinted.providers, plain.providers)
 	}
-	if transfer := plain.cost.Latency - found.FirstCost.Latency; hinted.cost.Latency != transfer {
-		t.Fatalf("hinted content after %v, want the block transfer alone (%v)", hinted.cost.Latency, transfer)
+	hintedAll, plainAll := hinted.cost.Msgs+hinted.announce.Msgs, plain.cost.Msgs+plain.announce.Msgs
+	if hintedAll >= plainAll {
+		t.Fatalf("hinted fetch and announce %d msgs, unhinted %d: the announce walk must replace the discovery walk and the wave", hintedAll, plainAll)
 	}
-	hintedDone, plainDone := hinted.cost.Latency+hinted.announce.Latency, plain.cost.Latency+plain.announce.Latency
-	if hintedDone-convWalk.Latency != plainDone-walk.Latency || hintedDone >= plainDone {
-		t.Fatalf("announce done at %v hinted (walk converged at %v), %v unhinted (at %v): each leaves when its walk converges",
-			hintedDone, convWalk.Latency, plainDone, walk.Latency)
-	}
+	t.Logf("fetch and announce: hinted %d msgs, done at %v; unhinted %d msgs, done at %v",
+		hintedAll, hinted.cost.Latency+hinted.announce.Latency, plainAll, plain.cost.Latency+plain.announce.Latency)
 }
 
 // TestFetchHintedDeadHint: the named provider is down, a cache replica
-// is on record. The fetch asks the hint once, then the providers the walk
-// found other than the hint — only once the walk is over — and reports
-// the miss.
+// is on record. The fetch asks the hint once, then fetches as an unhinted
+// fetch does, after the failed attempt: the discovery walk, and one block
+// request to the sole provider other than the hint, the replica. It
+// reports the miss.
 func TestFetchHintedDeadHint(t *testing.T) {
 	doc := bytes.Repeat([]byte("publisher gone "), 30) // one block
 	boot := func() ([]*Peer, CID) {
@@ -775,10 +823,20 @@ func TestFetchHintedDeadHint(t *testing.T) {
 		net.SetDown(peers[3].Addr(), true)
 		return peers, root
 	}
+	// What the hint and the walk cost apart: same seed, same calls.
 	peers, root := boot()
+	hint := dht.Contact{ID: dht.KeyOfString(string(peers[3].Addr())), Addr: peers[3].Addr()}
+	_, hinted, err := peers[9].fetchFromNearest([]dht.Contact{hint}, root)
+	if err == nil || hinted.Msgs != 1 {
+		t.Fatalf("fixture: the dead hint answered for %+v, err=%v", hinted, err)
+	}
 	found, walk, err := peers[9].DHT().FindProviders(root.Key(), maxProviders)
 	if err != nil || len(found.All) != 2 {
 		t.Fatalf("fixture: providers %v, err=%v", found.All, err)
+	}
+	known := walk.Latency // when the walk names the replica
+	if len(without(found.First, []dht.Contact{hint})) > 0 {
+		known = found.FirstCost.Latency
 	}
 
 	peers, root = boot()
@@ -792,19 +850,20 @@ func TestFetchHintedDeadHint(t *testing.T) {
 		t.Fatalf("the cache replica served %d blocks", peers[5].BlocksServed()-served)
 	}
 	// A down node never sees a request, so count on the caller's side: the
-	// walk, one block request to the hint, one to the sole other provider
+	// hint once, the walk, one block request to the sole other provider
 	// (no ping).
-	if cost.Msgs != walk.Msgs+2 {
-		t.Fatalf("fetch cost %d msgs, want the walk's %d, the hint once and the replica once", cost.Msgs, walk.Msgs)
+	if cost.Msgs != hinted.Msgs+walk.Msgs+1 {
+		t.Fatalf("fetch cost %d msgs, want the hint once, the walk's %d and the replica once", cost.Msgs, walk.Msgs)
 	}
-	if cost.Latency <= walk.Latency {
-		t.Fatalf("content after %v, but the replica was only known when the walk converged at %v", cost.Latency, walk.Latency)
+	if cost.Latency <= hinted.Latency+known {
+		t.Fatalf("content after %v, but the hint failed at %v and the walk named the replica %v later", cost.Latency, hinted.Latency, known)
 	}
 }
 
 // TestFetchHintedTamperedHint: the named provider serves forged bytes.
-// The hash check rejects them and the walk's other provider serves; when
-// its copy is forged too, the fetch fails as every tampered fetch does.
+// The hash check rejects them, and the fallback's discovery finds the
+// other provider, which serves; the hint is not asked again. When the
+// other copy is forged too, the fetch fails as every tampered fetch does.
 func TestFetchHintedTamperedHint(t *testing.T) {
 	doc := []byte("the named provider lies")
 	for _, forgeReplica := range []bool{false, true} {
@@ -821,7 +880,11 @@ func TestFetchHintedTamperedHint(t *testing.T) {
 			peers[5].Blocks().Corrupt(root, EncodeLeaf([]byte("forged")))
 		}
 		fetcher := peers[9]
+		asked := peers[3].BlocksServed()
 		got, _, missed, ann, err := fetcher.FetchHinted(root, peers[3].Addr())
+		if peers[3].BlocksServed() != asked+1 {
+			t.Fatalf("forged replica %v: the hint served %d blocks, want one: the fallback must not ask it again", forgeReplica, peers[3].BlocksServed()-asked)
+		}
 		if !missed || (ann == nil) != (err != nil) {
 			t.Fatalf("forged replica %v: missed=%v, announcement %v, err=%v", forgeReplica, missed, ann, err)
 		}
