@@ -56,19 +56,40 @@ func runChurnSoak(t *testing.T) string {
 	// lossy for two rounds (churn in the wild is departures plus the
 	// congestion they cause). The crash alone cannot blind the index —
 	// K=8 replication plus retry and lookup widening keep every record
-	// reachable with half the swarm gone — so the lossy episode is what
-	// degrades round-0 completeness; the maintenance loops then rebuild
-	// full replication, and the final rounds must be back at 100%. The
-	// loss rate is the least that still does on this seed: which lossy
-	// draws hit a read depends on every message sent before it, and 85 %
-	// stopped biting once hinted fetches stopped walking (7/10 → 10/10).
+	// reachable with half the swarm gone — and which lossy draws hit a
+	// read depends on every message sent before it, so the loss alone
+	// makes round 0's dip a matter of luck. What makes it certain is a
+	// partition for the lossy episode: take the first marker whose shard
+	// pointer the round-0 frontend's bee does not hold itself, and cut
+	// every node that does hold it off from the rest, so the markers on
+	// that shard cannot be found whatever the draws. The maintenance
+	// loops then rebuild full replication, and the final rounds must be
+	// back at 100%.
+	blind := make(map[netsim.NodeID]int)
+	for _, m := range markers {
+		key := pointerKey(index.ShardOf(m, cfg.NumShards))
+		if _, own := c.Bees[0].Peer.DHT().Local(key); own {
+			continue
+		}
+		for _, n := range dhtNodes(c) {
+			if _, ok := n.Local(key); ok {
+				blind[n.Self().Addr] = 1
+			}
+		}
+		break
+	}
+	if len(blind) == 0 {
+		t.Fatal("fixture: no marker's pointer can be cut off from the round-0 frontend")
+	}
 	plan := &netsim.FaultPlan{
 		Seed:  cfg.Seed,
 		Scope: scope,
 		Events: []netsim.FaultEvent{
 			{At: 0, Kind: netsim.FaultCrash, Fraction: 0.5},
 			{At: 0, Kind: netsim.FaultDropRate, Rate: 0.87},
+			{At: 0, Kind: netsim.FaultPartition, Groups: blind},
 			{At: 3 * BlockInterval, Kind: netsim.FaultDropRate, Rate: 0},
+			{At: 3 * BlockInterval, Kind: netsim.FaultHeal},
 		},
 	}
 	c.SetFaultPlan(plan)

@@ -37,8 +37,8 @@ type Frontend struct {
 	// mu guards the caches and ptrHolder, never across an RPC, so
 	// CacheStatsSnapshot does not wait behind a cold load.
 	mu         sync.Mutex
-	segCache   *lruCache[string, *index.Segment] // digest → segment (immutable)
-	chainCache *lruCache[int, chainEntry]        // shard → merged view of its segment chain
+	segCache   *store.LRU[string, *index.Segment] // digest → segment (immutable)
+	chainCache *store.LRU[int, chainEntry]        // shard → merged view of its segment chain
 
 	// ptrHolder remembers, per shard, the replica that last served a
 	// pointer the chain vouched for and what the last verified read cost
@@ -64,8 +64,8 @@ func NewFrontend(c *Cluster, peer *store.Peer) *Frontend {
 	return &Frontend{
 		cluster:    c,
 		peer:       peer,
-		segCache:   newLRUCache[string, *index.Segment](c.cfg.SegCacheBytes),
-		chainCache: newLRUCache[int, chainEntry](c.cfg.ChainCacheBytes),
+		segCache:   store.NewLRU[string, *index.Segment](c.cfg.SegCacheBytes),
+		chainCache: store.NewLRU[int, chainEntry](c.cfg.ChainCacheBytes),
 		ptrHolder:  make(map[int]ptrMemo),
 	}
 }
@@ -234,7 +234,7 @@ func (f *Frontend) scoreAndCompose(bud reqBudget, resp *SearchResponse, terms []
 // is a plain cache hit. A cancelled fetch caches nothing.
 func (f *Frontend) fetchSegmentCtx(ctx context.Context, digest string) (*index.Segment, netsim.Cost, error) {
 	f.mu.Lock()
-	seg, ok := f.segCache.get(digest)
+	seg, ok := f.segCache.Get(digest)
 	f.mu.Unlock()
 	if ok {
 		return seg, netsim.Cost{}, nil
@@ -245,7 +245,7 @@ func (f *Frontend) fetchSegmentCtx(ctx context.Context, digest string) (*index.S
 	}
 	size := seg.SizeBytes()
 	f.mu.Lock()
-	f.segCache.add(digest, seg, size)
+	f.segCache.Add(digest, seg, size)
 	f.mu.Unlock()
 	return seg, cost, nil
 }
@@ -404,7 +404,7 @@ func (f *Frontend) fetchLeg(bud reqBudget, e0 time.Duration, shard int) shardLeg
 	seg = index.Merge(chain)
 	size := seg.SizeBytes()
 	f.mu.Lock()
-	f.chainCache.add(shard, chainEntry{key: key, seg: seg}, size)
+	f.chainCache.Add(shard, chainEntry{key: key, seg: seg}, size)
 	f.mu.Unlock()
 	return shardLeg{seg: seg, cost: cost}
 }
@@ -415,14 +415,14 @@ func (f *Frontend) fetchLeg(bud reqBudget, e0 time.Duration, shard int) shardLeg
 func (f *Frontend) cachedChain(shard int, key string, counted bool) (*index.Segment, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if ce, ok := f.chainCache.peek(shard); ok && ce.key == key {
-		f.chainCache.hits++
-		f.chainCache.promote(shard)
+	if ce, ok := f.chainCache.Peek(shard); ok && ce.key == key {
+		f.chainCache.Hits++
+		f.chainCache.Promote(shard)
 		return ce.seg, true
 	}
 	if counted {
-		f.chainCache.misses++
-		f.chainCache.drop(shard)
+		f.chainCache.Misses++
+		f.chainCache.Drop(shard)
 	}
 	return nil, false
 }
@@ -602,16 +602,16 @@ func (f *Frontend) CacheStatsSnapshot() CacheStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return CacheStats{
-		SegBytes:     f.segCache.bytes(),
-		SegBudget:    f.segCache.budget,
-		SegEntries:   f.segCache.len(),
-		SegHits:      f.segCache.hits,
-		SegMisses:    f.segCache.misses,
-		ChainBytes:   f.chainCache.bytes(),
-		ChainBudget:  f.chainCache.budget,
-		ChainEntries: f.chainCache.len(),
-		ChainHits:    f.chainCache.hits,
-		ChainMisses:  f.chainCache.misses,
+		SegBytes:     f.segCache.Bytes(),
+		SegBudget:    f.segCache.Budget(),
+		SegEntries:   f.segCache.Len(),
+		SegHits:      f.segCache.Hits,
+		SegMisses:    f.segCache.Misses,
+		ChainBytes:   f.chainCache.Bytes(),
+		ChainBudget:  f.chainCache.Budget(),
+		ChainEntries: f.chainCache.Len(),
+		ChainHits:    f.chainCache.Hits,
+		ChainMisses:  f.chainCache.Misses,
 		PtrVerified:  f.ptrVerified.Load(),
 		PtrWalks:     f.ptrWalks.Load(),
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"slices"
@@ -24,8 +25,8 @@ type RepairStats struct {
 	// closest nodes.
 	Republished int
 	// Reseeded counts immutable segments re-materialized from a surviving
-	// genuine replica after their replication dropped below K or the
-	// walk's copy failed its digest; ReseededBytes is
+	// genuine replica after their replication dropped below K or this
+	// node's own copy failed its digest; ReseededBytes is
 	// the segment bytes those re-puts rewrote — maintenance's share of
 	// the write-amplification ledger next to compaction's CompactedBytes.
 	Reseeded      int
@@ -77,8 +78,8 @@ func (c *Cluster) maintenanceNode() *dht.Node {
 //     read by quorum, and the read is the probe: its walk reports how
 //     many of the k closest hold the record. A record replicated below K
 //     is re-Put at the version read onto that walk's closest set; a
-//     segment only with bytes that hash to its digest, and also when a
-//     copy the walk read failed that check. A segment no replica
+//     segment only with bytes that hash to its digest, and also when
+//     this node's own copy failed that check. A segment no replica
 //     answered for is counted lost (nothing to re-materialize from).
 //  2. Reprovide: every live peer pings the nodes its provider records
 //     landed on, once each, and re-announces the records whose replica
@@ -101,14 +102,16 @@ func (c *Cluster) RunMaintenance() RepairStats {
 	// health check, and a record held by fewer than K of them is re-Put
 	// at the version read onto that same walk. A segment (digest set) is
 	// read with its digest as the check, so a copy that fails it, this
-	// node's own included, is not held and never wins: the segment is
-	// re-Put with genuine bytes onto the walk, which overwrites the bad
-	// copies in its closest set, even at K holders when a bad copy was
-	// seen. When the walk reached no genuine copy but a bad one, a
-	// self-certifying read goes past them to a genuine copy. heal returns
-	// the record it read and how many of the closest held it; ok is false
-	// when no usable record was read (never written, wholly lost, or no
-	// copy passing its digest), and nothing was re-Put.
+	// node's own included, is not held and never wins. A bad copy in the
+	// closest set leaves fewer than K holders, and the re-Put of genuine
+	// bytes onto the walk overwrites it. A bad copy of this node's own is
+	// re-Put over even at K holders (PutAt rewrites the local copy). A
+	// bad copy on a node the walk displaced is out of the re-Put's reach
+	// and no reason for one. When the walk reached no genuine copy but a
+	// bad one, a self-certifying read goes past them to a genuine copy.
+	// heal returns the record it read and how many of the closest held
+	// it; ok is false when no usable record was read (never written,
+	// wholly lost, or no copy passing its digest), and nothing was re-Put.
 	heal := func(key dht.Key, digest string) (val []byte, held int, ok bool) {
 		var valid func([]byte) bool
 		tampered := new(int)
@@ -125,7 +128,8 @@ func (c *Cluster) RunMaintenance() RepairStats {
 		if err != nil {
 			return nil, held, false
 		}
-		if held < k || *tampered > 0 {
+		own, mine := d.Local(key)
+		if held < k || mine && digest != "" && !bytes.Equal(own, val) {
 			_, cost, err := d.PutAt(loc.Walk, val, loc.Seq)
 			pass.Cost = pass.Cost.Seq(cost)
 			switch {

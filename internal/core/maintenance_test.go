@@ -151,3 +151,56 @@ func TestMaintenanceSeesEveryTamperedHolder(t *testing.T) {
 		}
 	}
 }
+
+// TestMaintenanceLeavesDisplacedCopies: a tampered copy on a node the
+// maintenance walk asks but displaces from its closest set is out of a
+// re-Put's reach, so it is no reason to re-seed. On one shard with one
+// segment, after the passes that heal the round's own under-replication,
+// every node outside the walk's closest set but the maintenance node gets
+// a tampered copy; the next two passes re-seed nothing and lose nothing,
+// and the closest set still holds the genuine bytes.
+func TestMaintenanceLeavesDisplacedCopies(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumShards = 1
+	c := NewCluster(cfg)
+	owner := c.NewAccount("writer", 1<<40)
+	c.Seal()
+	if rr, err := c.IndexBatch(owner, corpusBatches(cfg.Seed, 1, 8)[0]); err != nil || len(rr.Errors) > 0 {
+		t.Fatalf("round: err=%v round errors=%v", err, rr.Errors)
+	}
+	d := c.maintenanceNode()
+	ptr, _, err := readShardPointer(d, 0)
+	if err != nil || len(ptr.Digests) != 1 {
+		t.Fatalf("pointer %+v err=%v, want one segment", ptr, err)
+	}
+	key := dht.KeyOfString(index.SegmentKey(ptr.Digests[0]))
+	c.RunMaintenance()
+	if pass := c.RunMaintenance(); pass.Reseeded != 0 {
+		t.Fatalf("nothing tampered: %+v, want nothing re-seeded", pass)
+	}
+	loc, _, err := d.Locate(context.Background(), key, nil)
+	if err != nil || index.DigestOf(loc.Value) != ptr.Digests[0] {
+		t.Fatalf("segment read: err=%v", err)
+	}
+	closest := make(map[netsim.NodeID]bool)
+	for _, r := range loc.Closest {
+		closest[r.Addr] = true
+	}
+	tampered := slices.Clone(loc.Value)
+	tampered[len(tampered)/2] ^= 0xff
+	for _, n := range dhtNodes(c) {
+		if !closest[n.Self().Addr] && n != d {
+			n.StoreLocal(key, tampered, 0)
+		}
+	}
+	for i := 1; i <= 2; i++ {
+		if pass := c.RunMaintenance(); pass.Reseeded != 0 || pass.SegmentsLost != 0 {
+			t.Fatalf("pass %d: %+v, want nothing re-seeded and nothing lost", i, pass)
+		}
+	}
+	for _, n := range dhtNodes(c) {
+		if raw, ok := n.Local(key); closest[n.Self().Addr] && (!ok || !bytes.Equal(raw, loc.Value)) {
+			t.Fatalf("%s, in the walk's closest set, holds other bytes", n.Self().Addr)
+		}
+	}
+}

@@ -558,9 +558,10 @@ var pinnedTampered = struct {
 // TestWriteTamperedLocalCopyBuildsAlone: a build is shared by the bytes
 // each bee fetched, not by the CIDs it asked for. One assignee holds a
 // cached copy of a page whose block was overwritten in its store; it
-// reads that copy without re-verifying it (Peer.assembleLocal), so it
-// must build alone from the bytes it holds, commit its own digest and
-// lose the vote to the two honest assignees.
+// reads that copy without re-verifying it (Peer.assemble verifies only
+// the blocks it fetches), so it must build alone from the bytes it
+// holds, commit its own digest and lose the vote to the two honest
+// assignees.
 func TestWriteTamperedLocalCopyBuildsAlone(t *testing.T) {
 	cfg := DefaultConfig()
 	c := NewCluster(cfg)

@@ -1,9 +1,6 @@
 package store
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 // BlockStore holds content blocks on one peer. Pinned blocks (content the
 // peer published) are kept forever; cached blocks (content the peer
@@ -12,29 +9,17 @@ import (
 type BlockStore struct {
 	mu sync.Mutex
 
-	pinned map[CID][]byte
-
-	cacheCap   int64
-	cacheUsed  int64
-	cache      map[CID]*list.Element
-	cacheOrder *list.List // front = most recently used
-
-	hits, misses int64
-}
-
-type cacheEntry struct {
-	cid  CID
-	data []byte
+	pinned     map[CID][]byte
+	pinnedHits int64
+	cache      *LRU[CID, []byte]
 }
 
 // NewBlockStore creates a store with the given cache capacity in bytes.
 // Capacity 0 disables caching (pins still work).
 func NewBlockStore(cacheCapacity int64) *BlockStore {
 	return &BlockStore{
-		pinned:     make(map[CID][]byte),
-		cacheCap:   cacheCapacity,
-		cache:      make(map[CID]*list.Element),
-		cacheOrder: list.New(),
+		pinned: make(map[CID][]byte),
+		cache:  NewLRU[CID, []byte](cacheCapacity),
 	}
 }
 
@@ -48,9 +33,7 @@ func (bs *BlockStore) Pin(data []byte) CID {
 		bs.pinned[cid] = append([]byte(nil), data...)
 	}
 	// A pinned block no longer needs a cache slot.
-	if el, ok := bs.cache[cid]; ok {
-		bs.removeCacheLocked(el)
-	}
+	bs.cache.Drop(cid)
 	return cid
 }
 
@@ -67,38 +50,15 @@ func (bs *BlockStore) Unpin(cid CID) bool {
 }
 
 // PutCached inserts a fetched block into the LRU cache, evicting least
-// recently used blocks as needed. Blocks larger than the whole cache are
-// ignored.
+// recently used blocks as needed. A block already cached keeps its bytes
+// and is only refreshed; blocks larger than the whole cache are ignored.
 func (bs *BlockStore) PutCached(cid CID, data []byte) {
-	if bs.cacheCap <= 0 || int64(len(data)) > bs.cacheCap {
-		return
-	}
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
-	if _, ok := bs.pinned[cid]; ok {
+	if _, ok := bs.pinned[cid]; ok || bs.cache.Promote(cid) {
 		return
 	}
-	if el, ok := bs.cache[cid]; ok {
-		bs.cacheOrder.MoveToFront(el)
-		return
-	}
-	for bs.cacheUsed+int64(len(data)) > bs.cacheCap {
-		oldest := bs.cacheOrder.Back()
-		if oldest == nil {
-			break
-		}
-		bs.removeCacheLocked(oldest)
-	}
-	el := bs.cacheOrder.PushFront(cacheEntry{cid: cid, data: append([]byte(nil), data...)})
-	bs.cache[cid] = el
-	bs.cacheUsed += int64(len(data))
-}
-
-func (bs *BlockStore) removeCacheLocked(el *list.Element) {
-	ent := el.Value.(cacheEntry)
-	bs.cacheOrder.Remove(el)
-	delete(bs.cache, ent.cid)
-	bs.cacheUsed -= int64(len(ent.data))
+	bs.cache.Add(cid, append([]byte(nil), data...), int64(len(data)))
 }
 
 // Get returns the block bytes if present (pinned or cached). Cached reads
@@ -107,16 +67,10 @@ func (bs *BlockStore) Get(cid CID) ([]byte, bool) {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
 	if data, ok := bs.pinned[cid]; ok {
-		bs.hits++
+		bs.pinnedHits++
 		return data, true
 	}
-	if el, ok := bs.cache[cid]; ok {
-		bs.cacheOrder.MoveToFront(el)
-		bs.hits++
-		return el.Value.(cacheEntry).data, true
-	}
-	bs.misses++
-	return nil, false
+	return bs.cache.Get(cid)
 }
 
 // Has reports block presence without affecting recency or stats.
@@ -126,13 +80,13 @@ func (bs *BlockStore) Has(cid CID) bool {
 	if _, ok := bs.pinned[cid]; ok {
 		return true
 	}
-	_, ok := bs.cache[cid]
+	_, ok := bs.cache.Peek(cid)
 	return ok
 }
 
-// Corrupt overwrites the stored bytes of a block without changing its key,
-// simulating a tampering peer for experiment E6. It reports whether the
-// block existed.
+// Corrupt overwrites the stored bytes of a block without changing its key
+// or its recency, simulating a tampering peer for experiment E6. It
+// reports whether the block existed.
 func (bs *BlockStore) Corrupt(cid CID, garbage []byte) bool {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
@@ -140,13 +94,7 @@ func (bs *BlockStore) Corrupt(cid CID, garbage []byte) bool {
 		bs.pinned[cid] = append([]byte(nil), garbage...)
 		return true
 	}
-	if el, ok := bs.cache[cid]; ok {
-		ent := el.Value.(cacheEntry)
-		ent.data = append([]byte(nil), garbage...)
-		el.Value = ent
-		return true
-	}
-	return false
+	return bs.cache.Replace(cid, append([]byte(nil), garbage...), int64(len(garbage)))
 }
 
 // Stats reports hit/miss counters and occupancy.
@@ -162,10 +110,10 @@ func (bs *BlockStore) StatsSnapshot() Stats {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
 	return Stats{
-		Hits:       bs.hits,
-		Misses:     bs.misses,
+		Hits:       bs.pinnedHits + bs.cache.Hits,
+		Misses:     bs.cache.Misses,
 		Pinned:     len(bs.pinned),
-		Cached:     len(bs.cache),
-		CacheBytes: bs.cacheUsed,
+		Cached:     bs.cache.Len(),
+		CacheBytes: bs.cache.Bytes(),
 	}
 }

@@ -289,8 +289,8 @@ func (p *Peer) Fetch(root CID) ([]byte, netsim.Cost, error) {
 // does, once the hint has failed, never asking the hint again; missed
 // reports that. An empty hint, or this peer's own address, is no hint.
 func (p *Peer) FetchHinted(root CID, hint netsim.NodeID) (data []byte, total netsim.Cost, missed bool, ann *Announcement, err error) {
-	if data, ok, err := p.assembleLocal(root); ok || err != nil {
-		return data, netsim.Cost{}, false, nil, err
+	if data, cost, err := p.assemble(root, nil, false); err == nil {
+		return data, cost, false, nil, nil
 	}
 
 	var tried []dht.Contact
@@ -359,7 +359,8 @@ func without(all, drop []dht.Contact) []dht.Contact {
 // time — with more cache replicas the nearest one gets closer, which is
 // where the DWeb latency advantage comes from. A sole candidate is not
 // pinged: there is nothing to choose, and the block request finds out
-// whether it is alive just as well.
+// whether it is alive just as well. A swarming peer facing more than one
+// candidate stripes each attempt across every candidate not yet tried.
 func (p *Peer) fetchFromNearest(provs []dht.Contact, root CID) ([]byte, netsim.Cost, error) {
 	type candidate struct {
 		addr netsim.NodeID
@@ -391,24 +392,15 @@ func (p *Peer) fetchFromNearest(provs []dht.Contact, root CID) ([]byte, netsim.C
 		}
 		return candidates[i].addr < candidates[j].addr
 	})
+	addrs := make([]netsim.NodeID, len(candidates))
+	for i, c := range candidates {
+		addrs[i] = c.addr
+	}
 
+	stripe := p.cfg.Swarming && len(addrs) > 1
 	sawTamper := false
-	for i, prov := range candidates {
-		var data []byte
-		var cost netsim.Cost
-		var err error
-		if p.cfg.Swarming && len(candidates) > 1 {
-			// Stripe chunk downloads across all remaining providers in
-			// parallel (BitTorrent/Bitswap-style swarming) — the paper's
-			// "higher throughput" mechanism for hot content.
-			others := make([]netsim.NodeID, 0, len(candidates)-i)
-			for _, c := range candidates[i:] {
-				others = append(others, c.addr)
-			}
-			data, cost, err = p.fetchSwarming(others, root)
-		} else {
-			data, cost, err = p.fetchFrom(prov.addr, root)
-		}
+	for i := range addrs {
+		data, cost, err := p.assemble(root, addrs[i:], stripe)
 		total = total.Seq(cost)
 		if err == nil {
 			return data, total, nil
@@ -423,14 +415,26 @@ func (p *Peer) fetchFromNearest(provs []dht.Contact, root CID) ([]byte, netsim.C
 	return nil, total, fmt.Errorf("%w: %s unreachable", ErrNoProviders, root.Short())
 }
 
-// fetchSwarming downloads the root from the nearest provider, then
-// stripes the child chunks round-robin across every provider; chunk
-// costs combine in parallel (the wall-clock win). A chunk that fails or
-// verifies badly falls back to the other providers sequentially.
-func (p *Peer) fetchSwarming(providers []netsim.NodeID, root CID) ([]byte, netsim.Cost, error) {
+// assemble reads the document under root block by block and caches the
+// blocks it fetched once the document is whole. The root comes from
+// provs[0] alone, or from this peer's own store when provs is empty; a
+// child comes from this peer's store when it holds one, and otherwise
+// from provs[0], the child costs folding in sequence. With stripe set,
+// child i is asked of provs[i mod n] first and then of each other
+// provider in turn, and the stripes' costs fold in parallel
+// (BitTorrent/Bitswap-style swarming, the paper's "higher throughput"
+// mechanism for hot content). Every fetched block is verified by CID.
+func (p *Peer) assemble(root CID, provs []netsim.NodeID, stripe bool) ([]byte, netsim.Cost, error) {
+	var rootBlock []byte
 	var total netsim.Cost
-	rootBlock, cost, err := p.fetchBlock(providers[0], root)
-	total = total.Seq(cost)
+	var err error
+	if len(provs) > 0 {
+		rootBlock, total, err = p.fetchBlock(provs[0], root)
+	} else if b, ok := p.blocks.Get(root); ok {
+		rootBlock = b
+	} else {
+		err = fmt.Errorf("%w: %s not held", ErrNoProviders, root.Short())
+	}
 	if err != nil {
 		return nil, total, err
 	}
@@ -438,146 +442,61 @@ func (p *Peer) fetchSwarming(providers []netsim.NodeID, root CID) ([]byte, netsi
 	if err != nil {
 		return nil, total, err
 	}
-	if children == nil {
-		p.blocks.PutCached(root, rootBlock)
-		return leaf, total, nil
+	if !stripe && len(provs) > 1 {
+		provs = provs[:1]
 	}
 
-	chunks := make([][]byte, len(children))
-	blocks := make([][]byte, len(children))
-	var stripeCost netsim.Cost
+	out := leaf
+	fetched := make([][]byte, len(children))
+	var kids netsim.Cost
 	for i, c := range children {
-		if local, ok := p.blocks.Get(c); ok {
-			l, _, _, err := DecodeBlock(local)
-			if err != nil || l == nil {
-				return nil, total, errCorruptManifest
+		cb, ok := p.blocks.Get(c)
+		var cost netsim.Cost
+		if !ok {
+			if cb, cost, err = p.fetchAny(provs, i, c); err != nil {
+				return nil, total.Seq(kids).Seq(cost), err
 			}
-			chunks[i] = l
-			continue
+			fetched[i] = cb
 		}
-		var chunkCost netsim.Cost
-		var got []byte
-		fetched := false
-		cause := ErrNoProviders // ErrAllTampered once any copy fails verification
-		for attempt := 0; attempt < len(providers); attempt++ {
-			prov := providers[(i+attempt)%len(providers)]
-			cb, cost, err := p.fetchBlock(prov, c)
-			chunkCost = chunkCost.Seq(cost)
-			if err != nil {
-				if errors.Is(err, ErrAllTampered) {
-					cause = ErrAllTampered
-				}
-				continue
-			}
-			l, _, _, derr := DecodeBlock(cb)
-			if derr != nil || l == nil {
-				return nil, total.Seq(chunkCost), errCorruptManifest
-			}
-			got = l
-			blocks[i] = cb
-			fetched = true
-			break
+		l, _, _, err := DecodeBlock(cb)
+		if err != nil || l == nil {
+			return nil, total.Seq(kids).Seq(cost), errCorruptManifest
 		}
-		if !fetched {
-			return nil, total.Seq(stripeCost).Seq(chunkCost), fmt.Errorf(
-				"%w: chunk %s of %s", cause, c.Short(), root.Short())
+		out = append(out, l...)
+		if stripe {
+			kids = kids.Par(cost)
+		} else {
+			kids = kids.Seq(cost)
 		}
-		chunks[i] = got
-		// Different stripes run on different providers concurrently.
-		stripeCost = stripeCost.Par(chunkCost)
 	}
-	total = total.Seq(stripeCost)
 
-	var out []byte
-	for _, ch := range chunks {
-		out = append(out, ch...)
+	if len(provs) > 0 {
+		p.blocks.PutCached(root, rootBlock)
 	}
-	p.blocks.PutCached(root, rootBlock)
-	for i, cb := range blocks {
+	for i, cb := range fetched {
 		if cb != nil {
 			p.blocks.PutCached(children[i], cb)
 		}
 	}
-	return out, total, nil
+	return out, total.Seq(kids), nil
 }
 
-// assembleLocal rebuilds a document entirely from local blocks.
-func (p *Peer) assembleLocal(root CID) ([]byte, bool, error) {
-	block, ok := p.blocks.Get(root)
-	if !ok {
-		return nil, false, nil
-	}
-	leaf, children, _, err := DecodeBlock(block)
-	if err != nil {
-		return nil, false, nil
-	}
-	if children == nil {
-		return leaf, true, nil
-	}
-	var out []byte
-	for _, c := range children {
-		cb, ok := p.blocks.Get(c)
-		if !ok {
-			return nil, false, nil
-		}
-		l, _, _, err := DecodeBlock(cb)
-		if err != nil || l == nil {
-			return nil, false, nil
-		}
-		out = append(out, l...)
-	}
-	return out, true, nil
-}
-
-// fetchFrom pulls the root and all children from one provider, verifying
-// every block hash.
-func (p *Peer) fetchFrom(provider netsim.NodeID, root CID) ([]byte, netsim.Cost, error) {
+// fetchAny retrieves and verifies block c from the first of provs that
+// serves it, asking provs[from mod n] first and the others in turn.
+func (p *Peer) fetchAny(provs []netsim.NodeID, from int, c CID) ([]byte, netsim.Cost, error) {
 	var total netsim.Cost
-
-	rootBlock, cost, err := p.fetchBlock(provider, root)
-	total = total.Seq(cost)
-	if err != nil {
-		return nil, total, err
-	}
-	leaf, children, _, err := DecodeBlock(rootBlock)
-	if err != nil {
-		return nil, total, err
-	}
-	if children == nil {
-		p.blocks.PutCached(root, rootBlock)
-		return leaf, total, nil
-	}
-
-	out := make([]byte, 0)
-	fetched := [][2][]byte{} // cid bytes + block, cached only on full success
-	for _, c := range children {
-		if local, ok := p.blocks.Get(c); ok {
-			l, _, _, err := DecodeBlock(local)
-			if err != nil || l == nil {
-				return nil, total, errCorruptManifest
-			}
-			out = append(out, l...)
-			continue
-		}
-		cb, cost, err := p.fetchBlock(provider, c)
+	cause := ErrNoProviders // ErrAllTampered once any copy fails verification
+	for a := range provs {
+		cb, cost, err := p.fetchBlock(provs[(from+a)%len(provs)], c)
 		total = total.Seq(cost)
-		if err != nil {
-			return nil, total, err
+		if err == nil {
+			return cb, total, nil
 		}
-		l, _, _, err := DecodeBlock(cb)
-		if err != nil || l == nil {
-			return nil, total, errCorruptManifest
+		if errors.Is(err, ErrAllTampered) {
+			cause = ErrAllTampered
 		}
-		out = append(out, l...)
-		fetched = append(fetched, [2][]byte{c[:], cb})
 	}
-	p.blocks.PutCached(root, rootBlock)
-	for _, f := range fetched {
-		var cid CID
-		copy(cid[:], f[0])
-		p.blocks.PutCached(cid, f[1])
-	}
-	return out, total, nil
+	return nil, total, fmt.Errorf("%w: block %s", cause, c.Short())
 }
 
 // fetchBlock retrieves and verifies one block from one provider.

@@ -210,6 +210,30 @@ func TestBlockStoreCorrupt(t *testing.T) {
 	}
 }
 
+// TestBlockStoreRecencyKeepers: caching a CID already cached refreshes it
+// and keeps its bytes, and corrupting a cached block rewrites its bytes
+// and its share of CacheBytes but not its recency.
+func TestBlockStoreRecencyKeepers(t *testing.T) {
+	bs := NewBlockStore(100)
+	d1, d2, d3 := bytes.Repeat([]byte{1}, 40), bytes.Repeat([]byte{2}, 40), bytes.Repeat([]byte{3}, 40)
+	c1, c2, c3 := CIDOf(d1), CIDOf(d2), CIDOf(d3)
+	bs.PutCached(c1, d1)
+	bs.PutCached(c2, d2)
+	bs.PutCached(c1, []byte("other bytes")) // c1 is now the most recent
+	bs.Corrupt(c2, []byte("short"))         // c2 stays the least recent
+	if got, _ := bs.Get(c1); !bytes.Equal(got, d1) {
+		t.Fatalf("re-cached block reads %q, want its first bytes", got)
+	}
+	if st := bs.StatsSnapshot(); st.CacheBytes != 45 {
+		t.Fatalf("CacheBytes = %d after corrupting a 40-byte block to 5, want 45", st.CacheBytes)
+	}
+	bs.PutCached(c3, d3)
+	bs.PutCached(CIDOf(d3[:20]), d3[:20]) // over budget: evicts c2 alone
+	if bs.Has(c2) || !bs.Has(c1) || !bs.Has(c3) {
+		t.Fatalf("after eviction c1 %v c2 %v c3 %v, want c2 alone gone", bs.Has(c1), bs.Has(c2), bs.Has(c3))
+	}
+}
+
 // buildPeerSwarm creates n DWeb peers on a bootstrapped DHT.
 func buildPeerSwarm(t testing.TB, n int, cfg PeerConfig) (*netsim.Network, []*Peer) {
 	t.Helper()
@@ -726,7 +750,7 @@ func TestFetchHintedSameTraffic(t *testing.T) {
 	}
 	// What the block transfer alone costs.
 	_, peers, root = boot()
-	_, transfer, err := peers[9].fetchFrom(peers[3].Addr(), root)
+	_, transfer, err := peers[9].assemble(root, []netsim.NodeID{peers[3].Addr()}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
