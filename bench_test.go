@@ -507,31 +507,68 @@ func BenchmarkSearchScaling(b *testing.B) {
 	}
 }
 
-// crawlEngine boots queenbeed's -crawl deployment with maintenance off: a
-// pages-page corpus crawled into a hedged pool of four frontends that
-// serve degraded reads, indexed and ranked. Extra options append after
-// that shape.
-func crawlEngine(tb testing.TB, pages int, extra ...Option) (*Engine, *corpus.Corpus) {
-	tb.Helper()
-	e := New(append([]Option{WithSeed(1), WithPeers(16), WithBees(4), WithFrontendPool(4),
+// crawlDeployment boots queenbeed's -crawl deployment with maintenance
+// off: a hedged pool of four frontends that serve degraded reads. Extra
+// options append after that shape.
+func crawlDeployment(extra ...Option) *Engine {
+	return New(append([]Option{WithSeed(1), WithPeers(16), WithBees(4), WithFrontendPool(4),
 		WithHedgedReads(true), WithDegradedReads(true)}, extra...)...)
+}
+
+// crawlWeb is a pages-page corpus (seed 1) as a crawlable web, every
+// page a seed.
+func crawlWeb(pages int) (corp *corpus.Corpus, web []Page, seeds []string) {
 	cfg := corpus.DefaultConfig()
 	cfg.Seed = 1
 	cfg.NumDocs = pages
-	corp := corpus.Generate(cfg)
-	crawled := make([]Page, 0, len(corp.Docs))
-	seeds := make([]string, 0, len(corp.Docs))
+	corp = corpus.Generate(cfg)
+	web = make([]Page, 0, len(corp.Docs))
+	seeds = make([]string, 0, len(corp.Docs))
 	for _, d := range corp.Docs {
-		crawled = append(crawled, Page{URL: d.URL, Text: d.Text, Links: d.Links})
+		web = append(web, Page{URL: d.URL, Text: d.Text, Links: d.Links})
 		seeds = append(seeds, d.URL)
 	}
+	return corp, web, seeds
+}
+
+// crawlEngine is a crawlDeployment that has crawled a pages-page
+// crawlWeb, indexed and ranked it.
+func crawlEngine(tb testing.TB, pages int, extra ...Option) (*Engine, *corpus.Corpus) {
+	tb.Helper()
+	e := crawlDeployment(extra...)
+	corp, web, seeds := crawlWeb(pages)
 	owner := e.NewAccount("creator", 1_000_000)
-	if _, err := e.Crawl(context.Background(), seeds, CrawlOptions{Owner: owner, Pages: crawled}); err != nil {
+	if _, err := e.Crawl(context.Background(), seeds, CrawlOptions{Owner: owner, Pages: web}); err != nil {
 		tb.Fatal(err)
 	}
 	e.RunUntilIdle()
 	e.ComputeRanks(4)
 	return e, corp
+}
+
+// BenchmarkCrawlBoot is the in-process, low-noise twin of qbbench's
+// crawl_cold/setup_s: Engine.Crawl over a 2 000-page crawlWeb into a
+// fresh crawlDeployment (queenbeed's boot options, maintenance off).
+// ns/op and allocs/op are one crawl's — extraction, dedup and every
+// publish round — without the deployment's own boot; pages/s is pages
+// published a wall-clock second.
+func BenchmarkCrawlBoot(b *testing.B) {
+	_, web, seeds := crawlWeb(2_000)
+	published := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := crawlDeployment()
+		owner := e.NewAccount("creator", 1_000_000)
+		b.StartTimer()
+		st, err := e.Crawl(context.Background(), seeds, CrawlOptions{Owner: owner, Pages: web})
+		if err != nil {
+			b.Fatal(err)
+		}
+		published += st.Published
+	}
+	b.ReportMetric(float64(published)/b.Elapsed().Seconds(), "pages/s")
 }
 
 // loadEveryFrontend runs each query once on every frontend of e's pool

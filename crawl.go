@@ -26,7 +26,8 @@ type CrawlOptions struct {
 }
 
 // Crawl runs the streaming ingest loop against this deployment, on the
-// caller's goroutine: it walks the link graph from seeds, extracts pages
+// caller's goroutine (only page extraction, which is pure, runs ahead of
+// it on other CPUs): it walks the link graph from seeds, extracts pages
 // and demotes near-duplicates, and indexes accepted pages through real
 // publish rounds in ingest.DefaultBatchSize batches. Fetcher
 // parallelism, the bounded queue and batch N+1's commit overlapping

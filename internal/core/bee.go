@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/contracts"
+	"repro/internal/fanout"
 	"repro/internal/index"
 	"repro/internal/netsim"
 	"repro/internal/rank"
@@ -55,9 +56,9 @@ type pendingResult struct {
 // its build, which it may share with the other assignees (buildSet).
 type commitJob struct {
 	taskID string
-	out    *pendingBuild     // nil when err is set
-	layer  func(built) built // what this bee commits in place of out, if anything
-	err    error             // reading the task's inputs failed
+	out    *fanout.Job[built] // nil when err is set
+	layer  func(built) built  // what this bee commits in place of out, if anything
+	err    error              // reading the task's inputs failed
 }
 
 // fetchCommits is the network leg of this bee's commit: for every newly
@@ -111,7 +112,7 @@ func (b *WorkerBee) submitCommits(jobs []commitJob, r *RoundReceipt) {
 			r.Errors = append(r.Errors, e)
 			continue
 		}
-		out := *j.out.wait()
+		out := *j.out.Wait()
 		if j.layer != nil {
 			out = j.layer(out)
 		}

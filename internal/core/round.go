@@ -5,10 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
-	"runtime"
 	"sort"
-	"sync"
 
+	"repro/internal/fanout"
 	"repro/internal/index"
 	"repro/internal/netsim"
 	"repro/internal/store"
@@ -222,64 +221,35 @@ type built struct {
 }
 
 // buildSet is a round's pure builds by key. The first job with a new key
-// starts its build on a goroutine of its own, as soon as one of the
-// set's slots is free, and returns, so the build runs beside the RPCs
-// the caller's goroutine sends next; every later job with that key
-// shares the output. A reader waits for the one build it reads
-// (pendingBuild.wait); wait blocks until every started build has
+// starts its build on the fan-out (fanout.Start) and returns, so the
+// build runs beside the RPCs the caller's goroutine sends next; every
+// later job with that key shares the output. A reader waits for the one
+// build it reads (Job.Wait); wait blocks until every started build has
 // returned. The round engine hands it only pure work — segment and rank
 // builds, compaction merges — and keeps every simulated RPC on the
 // caller's goroutine, in a fixed order, as the query side's shard waves
 // do (Frontend.loadShardsCtx).
 type buildSet struct {
-	wg    sync.WaitGroup
-	slots chan struct{} // one a CPU: a round may hold any number of builds
-	byKey map[buildKey]*pendingBuild
-}
-
-// pendingBuild is one started build; its output is valid once done is
-// closed.
-type pendingBuild struct {
-	done chan struct{}
-	out  built
-}
-
-// wait blocks until the build has returned and gives its output.
-func (p *pendingBuild) wait() *built {
-	<-p.done
-	return &p.out
+	jobs  *fanout.Group
+	byKey map[buildKey]*fanout.Job[built]
 }
 
 func newBuildSet() *buildSet {
-	return &buildSet{
-		slots: make(chan struct{}, runtime.GOMAXPROCS(0)),
-		byKey: make(map[buildKey]*pendingBuild),
-	}
+	return &buildSet{jobs: fanout.New(), byKey: make(map[buildKey]*fanout.Job[built])}
 }
 
 // share returns the build named key, starting build if no job of the
 // round has yet.
-func (s *buildSet) share(key buildKey, build func() built) *pendingBuild {
+func (s *buildSet) share(key buildKey, build func() built) *fanout.Job[built] {
 	if p, ok := s.byKey[key]; ok {
 		return p
 	}
-	p := &pendingBuild{done: make(chan struct{})}
+	p := fanout.Start(s.jobs, build)
 	s.byKey[key] = p
-	s.slots <- struct{}{}
-	s.wg.Add(1)
-	//detlint:ignore goroutine the one fan-out in simulation code: a build reads only its own inputs, immutable once it starts, and writes only its own output
-	go func() {
-		defer func() {
-			<-s.slots
-			close(p.done)
-			s.wg.Done()
-		}()
-		p.out = build()
-	}()
 	return p
 }
 
-func (s *buildSet) wait() { s.wg.Wait() }
+func (s *buildSet) wait() { s.jobs.Wait() }
 
 // keyHash accumulates a build key: the kind of build, then every input
 // it reads, each length-prefixed so that no two input lists collide.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/dht"
+	"repro/internal/fanout"
 	"repro/internal/index"
 	"repro/internal/netsim"
 )
@@ -402,7 +403,7 @@ func mergeFullTier(d *dht.Node, shard int, ptr *ShardPointer, runs *runTable) (r
 	}
 	var run mergedRun
 	if prepared != nil {
-		run = prepared.wait().merged[shard]
+		run = prepared.Wait().merged[shard]
 	} else {
 		run = mergeRuns(segs, runs.numShards, []int{shard})[shard]
 	}
@@ -444,8 +445,8 @@ func mergeFullTier(d *dht.Node, shard int, ptr *ShardPointer, runs *runTable) (r
 // Only the round's goroutine touches the table.
 type runTable struct {
 	numShards int
-	open      map[string]*index.Segment     // by digest
-	prepared  map[preparedKey]*pendingBuild // a merge build that writes the shard's run
+	open      map[string]*index.Segment          // by digest
+	prepared  map[preparedKey]*fanout.Job[built] // a merge build that writes the shard's run
 }
 
 // preparedKey names one shard's merge of one bucket (bucketKey).
@@ -466,7 +467,7 @@ func newRunTable(numShards int) *runTable {
 	return &runTable{
 		numShards: numShards,
 		open:      make(map[string]*index.Segment),
-		prepared:  make(map[preparedKey]*pendingBuild),
+		prepared:  make(map[preparedKey]*fanout.Job[built]),
 	}
 }
 

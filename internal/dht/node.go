@@ -360,13 +360,24 @@ func (s shortlist) search(d Key) (int, bool) {
 }
 
 // insert adds c at its rank unless listed, reporting whether it did.
+// Nearly every contact a reply names is listed already, so it looks c up
+// by its distance's top word and its ID first; only a new contact pays
+// for the full distance and the insert.
 func (s *shortlist) insert(c Contact, target Key) bool {
-	d := c.ID.XOR(target)
-	i, found := s.search(d)
-	if !found {
-		*s = slices.Insert(*s, i, candidate{Contact: c, dist: d})
+	h := c.ID.hi() ^ target.hi()
+	l := *s
+	i := sort.Search(len(l), func(i int) bool { return l[i].dist.hi() >= h })
+	for j := i; j < len(l) && l[j].dist.hi() == h; j++ {
+		if l[j].ID == c.ID {
+			return false
+		}
 	}
-	return !found
+	d := c.ID.XOR(target)
+	for i < len(l) && l[i].dist.hi() == h && l[i].dist.Less(d) {
+		i++
+	}
+	*s = slices.Insert(l, i, candidate{Contact: c, dist: d})
+	return true
 }
 
 // lookup is one iterative walk in progress.

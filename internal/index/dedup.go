@@ -2,7 +2,6 @@ package index
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 )
 
@@ -27,23 +26,31 @@ func shingleTokens(toks []Token, k int) map[uint64]bool {
 	if k <= 0 {
 		k = DefaultShingleSize
 	}
-	out := make(map[uint64]bool)
-	if len(toks) < k {
-		if len(toks) == 0 {
-			return out
-		}
-		k = len(toks)
+	k = min(k, len(toks))
+	if k == 0 {
+		return make(map[uint64]bool)
 	}
+	out := make(map[uint64]bool, len(toks)-k+1)
 	for i := 0; i+k <= len(toks); i++ {
-		h := fnv.New64a()
-		for j := i; j < i+k; j++ {
-			h.Write([]byte(toks[j].Term))
-			h.Write([]byte{0x1f})
+		h := uint64(fnvOffset64)
+		for _, t := range toks[i : i+k] {
+			for j := 0; j < len(t.Term); j++ {
+				h = (h ^ uint64(t.Term[j])) * fnvPrime64
+			}
+			h = (h ^ 0x1f) * fnvPrime64
 		}
-		out[h.Sum64()] = true
+		out[h] = true
 	}
 	return out
 }
+
+// FNV-1a, 64-bit, as hash/fnv's New64a computes it, inlined over the
+// term bytes: no hasher and no []byte conversion a shingle. Each term is
+// followed by a 0x1f separator byte.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
 // MinHashSig is a fixed-length similarity signature.
 type MinHashSig []uint64

@@ -2,9 +2,12 @@ package index
 
 import (
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/xrand"
 )
 
 // mirrorOf simulates the paper's scraper attack: the mirror copies the
@@ -24,6 +27,50 @@ func corpusText(seed, words int) string {
 		fmt.Fprintf(&b, "worda%d wordb%d ", (seed+i*7)%53, (seed+i*13)%31)
 	}
 	return b.String()
+}
+
+// fnvShingles is shingleTokens as it was written with hash/fnv: a fresh
+// FNV-1a hasher a shingle, each term followed by a 0x1f byte.
+func fnvShingles(toks []Token, k int) map[uint64]bool {
+	out := make(map[uint64]bool)
+	k = min(k, len(toks))
+	for i := 0; k > 0 && i+k <= len(toks); i++ {
+		h := fnv.New64a()
+		for j := i; j < i+k; j++ {
+			h.Write([]byte(toks[j].Term))
+			h.Write([]byte{0x1f})
+		}
+		out[h.Sum64()] = true
+	}
+	return out
+}
+
+// TestShingleHashesMatchFNV: the inlined shingle hash is hash/fnv's
+// 64-bit FNV-1a, byte for byte, on random token streams — empty, shorter
+// than the shingle, and of multi-byte runes and empty terms — so every
+// signature, and with it every dedup decision, is what it was.
+func TestShingleHashesMatchFNV(t *testing.T) {
+	alphabet := []string{"a", "z", "0", "é", "ß", "日本", "\x1f", "\xff", "🐝", ""}
+	rng := xrand.New(1)
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(12)
+		if trial == 0 {
+			n = 0
+		}
+		toks := make([]Token, n)
+		for i := range toks {
+			var b strings.Builder
+			for l := rng.Intn(6); l > 0; l-- {
+				b.WriteString(alphabet[rng.Intn(len(alphabet))])
+			}
+			toks[i] = Token{Term: b.String(), Pos: uint32(i)}
+		}
+		for _, k := range []int{1, 2, DefaultShingleSize, 9} {
+			if got, want := shingleTokens(toks, k), fnvShingles(toks, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, %d tokens %q, k=%d: shingles %v, hash/fnv gives %v", trial, n, toks, k, got, want)
+			}
+		}
+	}
 }
 
 func TestSignatureSimilarity(t *testing.T) {

@@ -3,16 +3,17 @@
 // signature), near-duplicate demotion against already-accepted pages,
 // and a batch publisher driving commit/reveal rounds through a Sink.
 //
-// A crawl is one loop on the caller's goroutine — fetch, extract, dedup,
-// discover links, batch, flush — so the sink sees the call sequence a
-// sequential PublishBatch loop would issue and leaves the cluster
-// byte-identical to one. The fetcher pool, the bounded fetcher→indexer
-// queue and the overlap of one round's reveal with the next one's commit
-// exist in simulated virtual time only: every fetch gets a seeded
-// latency and a place on a virtual worker pool, and computeSchedule
-// replays queue and rounds over those times to produce the throughput
-// numbers in Stats. docs/ingest.md has the full design and the
-// determinism rules.
+// A crawl is one loop on the caller's goroutine — fetch, dedup, discover
+// links, batch, flush — so the sink sees the call sequence a sequential
+// PublishBatch loop would issue and leaves the cluster byte-identical to
+// one. Only extraction, which is pure, runs ahead of the loop on the
+// fan-out (internal/fanout), and the loop reads it back in frontier
+// order. The fetcher pool, the bounded fetcher→indexer queue and the
+// overlap of one round's reveal with the next one's commit exist in
+// simulated virtual time only: every fetch gets a seeded latency and a
+// place on a virtual worker pool, and computeSchedule replays queue and
+// rounds over those times to produce the throughput numbers in Stats.
+// docs/ingest.md has the full design and the determinism rules.
 package ingest
 
 import (
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fanout"
 	"repro/internal/index"
 	"repro/internal/xrand"
 )
@@ -164,19 +166,33 @@ func (s *Stats) Merge(o Stats) {
 	s.SerialMakespan += o.SerialMakespan
 }
 
+// extractAhead is how many frontier entries ahead of the one the loop
+// handles a resolved page's extraction may start. Extraction is pure, so
+// how far ahead it runs changes no result, only how much of it overlaps
+// the rounds the loop drives.
+const extractAhead = 64
+
 // fetchResult is what fetching one frontier URL yields.
 type fetchResult struct {
 	page     Page
 	dangling bool
 	failed   bool
-	latency  time.Duration // simulated fetch + extract time
-	sig      index.MinHashSig
+	latency  time.Duration // simulated fetch time; read adds extraction
+	extract  *fanout.Job[extraction]
 }
 
-// fetch simulates retrieving one URL and really extracts its content.
-// All randomness is drawn from a per-URL named stream, so the result is
-// a pure function of (seed, url).
-func fetch(src Source, opts Options, url string) fetchResult {
+// extraction is the pure part of a fetch: the page's analysis and its
+// MinHash signature.
+type extraction struct {
+	tokens int
+	sig    index.MinHashSig
+}
+
+// fetch simulates retrieving one URL and starts extracting its content
+// on ex. All randomness is drawn from a per-URL named stream, so the
+// result is a pure function of (seed, url). A page that fails is never
+// extracted.
+func fetch(src Source, opts Options, ex *fanout.Group, url string) fetchResult {
 	rng := xrand.NewNamed(opts.Seed, "ingest:fetch:"+url)
 	r := fetchResult{
 		latency: time.Duration((0.5 + rng.Float64()) * float64(opts.MeanFetchLatency)),
@@ -191,10 +207,22 @@ func fetch(src Source, opts Options, url string) fetchResult {
 		return r
 	}
 	r.page = page
-	toks := index.Analyze(page.Text)
-	r.latency += time.Duration(len(page.Text))*fetchPerByte + time.Duration(len(toks))*extractPerToken
-	r.sig = index.SignatureOfTokens(toks)
+	r.extract = fanout.Start(ex, func() extraction {
+		toks := index.Analyze(page.Text)
+		return extraction{tokens: len(toks), sig: index.SignatureOfTokens(toks)}
+	})
 	return r
+}
+
+// read waits for r's extraction, if it has one, and gives the page's
+// signature, adding the extraction's simulated cost to r's latency.
+func (r *fetchResult) read() index.MinHashSig {
+	if r.extract == nil {
+		return nil
+	}
+	x := r.extract.Wait()
+	r.latency += time.Duration(len(r.page.Text))*fetchPerByte + time.Duration(x.tokens)*extractPerToken
+	return x.sig
 }
 
 // batchCost is one driven round's phase costs.
@@ -204,12 +232,16 @@ type batchCost struct {
 }
 
 // Crawl walks the frontier from seeds over src's link graph, extracts
-// and dedups pages, and indexes them through sink in BatchSize batches,
-// all on the caller's goroutine. It returns when the frontier is
+// and dedups pages, and indexes them through sink in BatchSize batches.
+// Everything but extraction runs on the caller's goroutine: resolving
+// and drawing each URL, link discovery, dedup, batching and every sink
+// call. Each resolved page's extraction starts on the fan-out up to
+// extractAhead frontier entries ahead of the loop, which reads the
+// results back in frontier order. It returns when the frontier is
 // exhausted, when ctx is found cancelled before a page is fetched
 // (ctx's error; pages of the unfinished batch are not published), or
 // when the sink fails (its error). Either way Stats describes exactly
-// the pages handled up to that point.
+// the pages handled up to that point, and no extraction is left running.
 func Crawl(ctx context.Context, src Source, sink Sink, seeds []string, opts Options) (Stats, error) {
 	opts = opts.withDefaults()
 	var st Stats
@@ -272,12 +304,20 @@ func Crawl(ctx context.Context, src Source, sink Sink, seeds []string, opts Opti
 		return nil
 	}
 
+	ex := fanout.New()
+	defer ex.Wait()
+	var ahead []fetchResult // fetches of frontier[i:i+len(ahead)]
 	var err error
 	for i := 0; i < len(frontier); i++ {
 		if err = ctx.Err(); err != nil {
 			break
 		}
-		r := fetch(src, opts, frontier[i])
+		for len(ahead) <= extractAhead && i+len(ahead) < len(frontier) {
+			ahead = append(ahead, fetch(src, opts, ex, frontier[i+len(ahead)]))
+		}
+		r := ahead[0]
+		ahead = ahead[1:]
+		sig := r.read()
 
 		// Virtual fetch schedule: the least-loaded simulated worker
 		// picks the URL up no earlier than its discovery time.
@@ -301,11 +341,11 @@ func Crawl(ctx context.Context, src Source, sink Sink, seeds []string, opts Opti
 		st.Fetched++
 		discover(r.page.Links, at)
 		if sigs != nil {
-			if key, sim := sigs.Nearest(r.sig); key != "" && sim >= opts.DedupThreshold {
+			if key, sim := sigs.Nearest(sig); key != "" && sim >= opts.DedupThreshold {
 				st.Deduped++
 				continue // links still crawl; only the content is demoted
 			}
-			sigs.Add(r.page.URL, r.sig)
+			sigs.Add(r.page.URL, sig)
 		}
 		done = append(done, at)
 		batch = append(batch, r.page)

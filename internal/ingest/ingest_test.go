@@ -2,6 +2,8 @@ package ingest
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/netsim"
 )
 
@@ -344,5 +347,129 @@ func TestStatsMerge(t *testing.T) {
 	}
 	if a.Speedup() != 1.5 {
 		t.Fatalf("speedup %v", a.Speedup())
+	}
+}
+
+// receiptSink is a cluster sink that prints every receipt it returns.
+type receiptSink struct {
+	Sink
+	receipts strings.Builder
+}
+
+func (s *receiptSink) IndexBatch(pages []core.BatchPage) (core.RoundReceipt, error) {
+	rr, err := s.Sink.IndexBatch(pages)
+	fmt.Fprintf(&s.receipts, "%+v %v\n", rr, err)
+	return rr, err
+}
+
+func (s *receiptSink) RankEpoch(partitions int) { s.Sink.(RankDriver).RankEpoch(partitions) }
+
+// extracting reports whether any goroutine is inside a page's
+// extraction (the job fetch starts on the fan-out).
+func extracting() bool {
+	buf := make([]byte, 1<<20)
+	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "repro/internal/ingest.fetch.func")
+}
+
+// TestCrawlDeterminismAcrossGOMAXPROCS: a crawl extracts pages on the
+// fan-out, ahead of the loop, but keeps every draw, dedup decision, sink
+// call and simulated RPC on the caller's goroutine in frontier order, so
+// the CPU count may reach nothing it reports or leaves behind. Two boots
+// at each of GOMAXPROCS 1, 2 and 8 crawl 160 corpus pages and twelve
+// scraper mirrors from eight seeds — failed fetches, dangling links and
+// rank epochs included — and must agree on Stats, every receipt and every
+// node's Digest. A crawl cancelled with extractions started ahead must
+// return with none of them still running.
+func TestCrawlDeterminismAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	ccfg := corpus.DefaultConfig()
+	ccfg.Seed = 1
+	ccfg.NumDocs = 160
+	var web []Page
+	for _, d := range corpus.Generate(ccfg).Docs {
+		web = append(web, Page{URL: d.URL, Text: d.Text, Links: d.Links})
+	}
+	var seeds []string
+	for i := 0; i < 12; i++ {
+		mirror := Page{
+			URL:   fmt.Sprintf("dweb://scraper/%d", i),
+			Text:  web[i*13].Text + " sponsored mirror",
+			Links: []string{"dweb://scraper/gone"},
+		}
+		web = append(web, mirror)
+		seeds = append(seeds, mirror.URL)
+	}
+	for _, p := range web[120:160] { // corpus pages link to earlier ones
+		seeds = append(seeds, p.URL)
+	}
+	opts := Options{Seed: 1, FetchFailRate: 0.05, RankEvery: 4}
+
+	boot := func() (Stats, string, string) {
+		cfg := core.DefaultConfig()
+		c := core.NewCluster(cfg)
+		owner := c.NewAccount("crawler", 1<<40)
+		c.Seal()
+		sink := &receiptSink{Sink: NewClusterSink(c, owner)}
+		st, err := Crawl(context.Background(), MapSource(web), sink, seeds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, p := range c.Peers {
+			d := p.DHT().Digest()
+			h.Write(d[:])
+		}
+		for _, b := range c.Bees {
+			d := b.Peer.DHT().Digest()
+			h.Write(d[:])
+		}
+		return st, sink.receipts.String(), hex.EncodeToString(h.Sum(nil))
+	}
+	var want Stats
+	var wantReceipts, wantDigest string
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for run := 0; run < 2; run++ {
+			st, receipts, digest := boot()
+			if wantReceipts == "" {
+				want, wantReceipts, wantDigest = st, receipts, digest
+				if st.Published < 100 || st.Deduped == 0 || st.FetchFailed == 0 || st.Dangling == 0 || st.RankEpochs == 0 {
+					t.Fatalf("the crawl misses a path it must cover: %+v", st)
+				}
+				continue
+			}
+			if st != want {
+				t.Fatalf("GOMAXPROCS=%d run %d: stats %+v, want %+v", procs, run, st, want)
+			}
+			if receipts != wantReceipts {
+				t.Fatalf("GOMAXPROCS=%d run %d: receipts diverged:\n got %s\nwant %s", procs, run, receipts, wantReceipts)
+			}
+			if digest != wantDigest {
+				t.Fatalf("GOMAXPROCS=%d run %d: DHT state diverged: %s, want %s", procs, run, digest, wantDigest)
+			}
+		}
+	}
+
+	// Long pages keep the extractions started ahead of the loop busy
+	// when the cancel lands inside the first flush.
+	long := chainPages(2 * extractAhead)
+	for i := range long {
+		long[i].Text = testText(i, 4000)
+	}
+	var longSeeds []string
+	for _, p := range long {
+		longSeeds = append(longSeeds, p.URL)
+	}
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		ctx, cancel := context.WithCancel(context.Background())
+		sink := &fakeSink{onBatch: func(int) { cancel() }}
+		st, err := Crawl(ctx, MapSource(long), sink, longSeeds, Options{Seed: 1, BatchSize: 4, DedupThreshold: -1})
+		if !errors.Is(err, context.Canceled) || st.Published != 4 {
+			t.Fatalf("GOMAXPROCS=%d: err = %v, stats %+v, want cancelled after one batch", procs, err, st)
+		}
+		if extracting() {
+			t.Fatalf("GOMAXPROCS=%d: the cancelled crawl returned with an extraction still running", procs)
+		}
 	}
 }
