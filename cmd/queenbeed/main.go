@@ -15,10 +15,16 @@
 //
 // The default mode speaks the full structured query language (uppercase
 // OR/AND, '-' exclusions, "quoted phrases", site: URL-prefix filters,
-// parentheses — docs/query-language.md). Per-request limits (query
-// length, page size, body size, batch size, handler timeout) keep one
-// abusive client from monopolizing the shared engine; see
-// docs/serving.md.
+// parentheses — docs/query-language.md). Per-request limits, constants
+// here (a 1024-byte query, 100 results a page, 64 pages and 1 MiB a
+// publish, a 5 s handler timeout), keep one abusive client from
+// monopolizing the shared engine; see docs/serving.md.
+//
+// Bodies are the engine's own types wherever one fits — results, ads,
+// the degraded warning, readiness, repair counters, rank freshness —
+// and every simulated cost is netsim.Cost's one JSON form. Only blocks
+// that compute a value (µs figures, ratios, a round's wave, error
+// strings) have a type of their own here.
 //
 // Queries are served by a pool of per-peer frontends behind a
 // deterministic least-loaded balancer (-pool, -hedged); each request's
@@ -60,24 +66,14 @@ import (
 	"repro/internal/corpus"
 )
 
-// limits are the per-request guardrails of the shared engine.
-type limits struct {
-	maxQueryBytes int
-	maxPageSize   int
-	maxBatchPages int
-	maxBodyBytes  int64
-	timeout       time.Duration
-}
-
-func defaultLimits() limits {
-	return limits{
-		maxQueryBytes: 1024,
-		maxPageSize:   100,
-		maxBatchPages: 64,
-		maxBodyBytes:  1 << 20,
-		timeout:       5 * time.Second,
-	}
-}
+// The per-request guardrails of the shared engine (docs/serving.md).
+const (
+	maxQueryBytes  = 1024            // longest q= accepted
+	maxPageSize    = 100             // largest size= accepted
+	maxBatchPages  = 64              // largest page batch POST /publish accepts
+	maxBodyBytes   = 1 << 20         // largest request body POST /publish accepts
+	requestTimeout = 5 * time.Second // per-request handler timeout
+)
 
 // server answers HTTP requests against one shared engine. Queries are
 // concurrency-safe and share the read lock; POST /publish mutates the
@@ -87,7 +83,6 @@ func defaultLimits() limits {
 type server struct {
 	engine    *queenbee.Engine
 	publisher *queenbee.Account // owns API-published pages
-	lim       limits
 	start     time.Time
 
 	mu sync.RWMutex // read: queries; write: publish rounds
@@ -99,8 +94,8 @@ type server struct {
 // would otherwise be content-sniffed to text/plain on this all-JSON
 // API); handlers overwrite the header with the same value on the normal
 // path.
-func newHandler(e *queenbee.Engine, publisher *queenbee.Account, lim limits) http.Handler {
-	s := &server{engine: e, publisher: publisher, lim: lim, start: time.Now()}
+func newHandler(e *queenbee.Engine, publisher *queenbee.Account) http.Handler {
+	s := &server{engine: e, publisher: publisher, start: time.Now()}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /search", s.handleSearch)
 	mux.HandleFunc("GET /explain", s.handleExplain)
@@ -108,60 +103,33 @@ func newHandler(e *queenbee.Engine, publisher *queenbee.Account, lim limits) htt
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("POST /publish", s.handlePublish)
-	inner := http.TimeoutHandler(mux, lim.timeout, `{"error":"request timed out"}`)
+	inner := http.TimeoutHandler(mux, requestTimeout, `{"error":"request timed out"}`)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		inner.ServeHTTP(w, r)
 	})
 }
 
-// costJSON renders a simulated cost for API consumers.
-type costJSON struct {
-	Latency   string `json:"latency"`
-	LatencyUS int64  `json:"latency_us"`
-	Bytes     int64  `json:"bytes"`
-	Msgs      int    `json:"msgs"`
-}
-
-func costOf(c queenbee.Cost) costJSON {
-	return costJSON{
-		Latency:   c.Latency.String(),
-		LatencyUS: c.Latency.Microseconds(),
-		Bytes:     c.Bytes,
-		Msgs:      c.Msgs,
-	}
-}
-
-type resultJSON struct {
-	URL     string  `json:"url"`
-	Score   float64 `json:"score"`
-	Rank    float64 `json:"rank"`
-	Snippet string  `json:"snippet,omitempty"`
-}
-
-type adJSON struct {
-	ID          uint64   `json:"id"`
-	Keywords    []string `json:"keywords"`
-	BidPerClick uint64   `json:"bid_per_click"`
-}
-
-// degradedJSON flags a partial answer served under -degraded: the wave
-// legs that failed and how complete the answer is.
-type degradedJSON struct {
-	FailedShards []int   `json:"failed_shards"`
-	Completeness float64 `json:"completeness"`
-	Cause        string  `json:"cause"`
-}
-
+// searchJSON is the GET /search body. Degraded flags a partial answer
+// served under -degraded: the wave legs that failed and how complete the
+// answer is.
 type searchJSON struct {
-	Query    string        `json:"query"`
-	Page     int           `json:"page"`
-	Size     int           `json:"size"`
-	Total    int           `json:"total"`
-	Results  []resultJSON  `json:"results"`
-	Ads      []adJSON      `json:"ads"`
-	Cost     costJSON      `json:"cost"`
-	Degraded *degradedJSON `json:"degraded,omitempty"`
+	Query    string             `json:"query"`
+	Page     int                `json:"page"`
+	Size     int                `json:"size"`
+	Total    int                `json:"total"`
+	Results  []queenbee.Result  `json:"results"`
+	Ads      []queenbee.Ad      `json:"ads"`
+	Cost     queenbee.Cost      `json:"cost"`
+	Degraded *queenbee.Degraded `json:"degraded,omitempty"`
+}
+
+// orEmpty keeps an empty list encoding as [] rather than null.
+func orEmpty[T any](s []T) []T {
+	if s == nil {
+		return []T{}
+	}
+	return s
 }
 
 // buildQuery validates the request parameters and assembles the builder,
@@ -175,15 +143,15 @@ func (s *server) buildQuery(w http.ResponseWriter, r *http.Request) (*queenbee.Q
 		writeErr(w, http.StatusBadRequest, "missing q parameter")
 		return nil, 0, 0
 	}
-	if len(q) > s.lim.maxQueryBytes {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("query exceeds %d bytes", s.lim.maxQueryBytes))
+	if len(q) > maxQueryBytes {
+		writeErr(w, http.StatusBadRequest, fmt.Sprintf("query exceeds %d bytes", maxQueryBytes))
 		return nil, 0, 0
 	}
 	page, ok := intParam(w, r, "page", 1, 1, 1<<20)
 	if !ok {
 		return nil, 0, 0
 	}
-	size, ok := intParam(w, r, "size", 10, 1, s.lim.maxPageSize)
+	size, ok := intParam(w, r, "size", 10, 1, maxPageSize)
 	if !ok {
 		return nil, 0, 0
 	}
@@ -226,37 +194,28 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeQueryErr(w, resp, err)
 		return
 	}
-	out := searchJSON{
-		Query:   r.URL.Query().Get("q"),
-		Page:    page,
-		Size:    size,
-		Total:   resp.Total,
-		Results: make([]resultJSON, 0, len(resp.Results)),
-		Ads:     make([]adJSON, 0, len(resp.Ads)),
-		Cost:    costOf(resp.Cost),
-	}
-	if d := resp.Degraded; d != nil {
-		out.Degraded = &degradedJSON{FailedShards: d.FailedShards, Completeness: d.Completeness, Cause: d.Cause}
-	}
-	for _, res := range resp.Results {
-		out.Results = append(out.Results, resultJSON{URL: res.URL, Score: res.Score, Rank: res.Rank, Snippet: res.Snippet})
-	}
-	for _, ad := range resp.Ads {
-		out.Ads = append(out.Ads, adJSON{ID: ad.ID, Keywords: ad.Keywords, BidPerClick: ad.BidPerClick})
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, searchJSON{
+		Query:    r.URL.Query().Get("q"),
+		Page:     page,
+		Size:     size,
+		Total:    resp.Total,
+		Results:  orEmpty(resp.Results),
+		Ads:      orEmpty(resp.Ads),
+		Cost:     resp.Cost,
+		Degraded: resp.Degraded,
+	})
 }
 
 type explainJSON struct {
-	Query      string                `json:"query"`
-	Mode       string                `json:"mode"`
-	Terms      []string              `json:"terms"`
-	Shards     []int                 `json:"shards"`
-	Plan       *queenbee.ExplainNode `json:"plan"`
-	Candidates int                   `json:"candidates"`
-	Returned   int                   `json:"returned"`
-	Costs      map[string]costJSON   `json:"costs"`
-	Rendered   string                `json:"rendered"`
+	Query      string                   `json:"query"`
+	Mode       string                   `json:"mode"`
+	Terms      []string                 `json:"terms"`
+	Shards     []int                    `json:"shards"`
+	Plan       *queenbee.ExplainNode    `json:"plan"`
+	Candidates int                      `json:"candidates"`
+	Returned   int                      `json:"returned"`
+	Costs      map[string]queenbee.Cost `json:"costs"`
+	Rendered   string                   `json:"rendered"`
 }
 
 func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -280,10 +239,10 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Plan:       ex.Plan,
 		Candidates: ex.Candidates,
 		Returned:   ex.Returned,
-		Costs: map[string]costJSON{
-			"load":    costOf(ex.LoadCost),
-			"snippet": costOf(ex.SnippetCost),
-			"total":   costOf(ex.TotalCost),
+		Costs: map[string]queenbee.Cost{
+			"load":    ex.LoadCost,
+			"snippet": ex.SnippetCost,
+			"total":   ex.TotalCost,
 		},
 		Rendered: ex.String(),
 	})
@@ -318,11 +277,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // index reachability, plus the self-healing counters so an operator
 // watching a degraded deployment can see repair progressing.
 type readyJSON struct {
-	Ready        bool       `json:"ready"`
-	ShardsTotal  int        `json:"shards_total"`
-	ShardsOK     int        `json:"shards_ok"`
-	FailedShards []int      `json:"failed_shards,omitempty"`
-	Repair       repairJSON `json:"repair"`
+	queenbee.Readiness
+	Repair queenbee.RepairStats `json:"repair"`
 }
 
 // handleReadyz answers readiness, distinct from /healthz liveness: the
@@ -338,38 +294,7 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !ready.Ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, readyJSON{
-		Ready:        ready.Ready,
-		ShardsTotal:  ready.ShardsTotal,
-		ShardsOK:     ready.ShardsOK,
-		FailedShards: ready.Failed,
-		Repair:       repairOf(repair),
-	})
-}
-
-// repairJSON renders the self-healing counters for /readyz and /stats.
-type repairJSON struct {
-	Runs          int      `json:"runs"`
-	ProbedKeys    int      `json:"probed_keys"`
-	Republished   int      `json:"republished"`
-	Reseeded      int      `json:"reseeded"`
-	ReseededBytes int64    `json:"reseeded_bytes"`
-	SegmentsLost  int      `json:"segments_lost"`
-	Reprovided    int      `json:"reprovided"`
-	Cost          costJSON `json:"cost"`
-}
-
-func repairOf(rs queenbee.RepairStats) repairJSON {
-	return repairJSON{
-		Runs:          rs.Runs,
-		ProbedKeys:    rs.ProbedKeys,
-		Republished:   rs.Republished,
-		Reseeded:      rs.Reseeded,
-		ReseededBytes: rs.ReseededBytes,
-		SegmentsLost:  rs.SegmentsLost,
-		Reprovided:    rs.Reprovided,
-		Cost:          costOf(rs.Cost),
-	}
+	writeJSON(w, status, readyJSON{Readiness: ready, Repair: repair})
 }
 
 // frontendJSON is one pool frontend's load in GET /stats.
@@ -444,40 +369,23 @@ func writeOf(ws queenbee.WriteStats) writeJSONBlock {
 	}
 }
 
-// rankJSON renders rank freshness: the latest finalized epoch, the
-// last exact (full) epoch, the delta epochs since, and the pages
-// dirtied but not yet covered by any epoch.
-type rankJSON struct {
-	Epoch           uint64 `json:"epoch"`
-	LastFull        uint64 `json:"last_full_epoch"`
-	DeltasSinceFull int    `json:"deltas_since_full"`
-	DirtyPages      int    `json:"dirty_pages"`
-}
-
-func rankOf(rs queenbee.RankStatus) rankJSON {
-	return rankJSON{
-		Epoch:           rs.Epoch,
-		LastFull:        rs.LastFull,
-		DeltasSinceFull: rs.DeltasSinceFull,
-		DirtyPages:      rs.DirtyPages,
-	}
-}
-
 // statsJSON is the GET /stats body: the serving tier's per-frontend
 // load counters, aggregate cache occupancy, deadline misses, the
 // self-healing loops' repair counters, the ingest pipeline's
-// accumulated crawl counters, and the write path's compaction/rank
-// freshness ledger.
+// accumulated crawl counters, the write path's compaction ledger and
+// rank freshness: the latest finalized epoch, the last exact (full)
+// epoch, the delta epochs since, and the pages dirtied but not yet
+// covered by any epoch.
 type statsJSON struct {
-	PoolSize       int                 `json:"pool_size"`
-	Hedged         bool                `json:"hedged"`
-	DeadlineMisses int64               `json:"deadline_misses"`
-	Frontends      []frontendJSON      `json:"frontends"`
-	Cache          queenbee.CacheStats `json:"cache"` // aggregated across the pool
-	Repair         repairJSON          `json:"repair"`
-	Ingest         ingestJSON          `json:"ingest"`
-	Write          writeJSONBlock      `json:"write"`
-	Rank           rankJSON            `json:"rank"`
+	PoolSize       int                  `json:"pool_size"`
+	Hedged         bool                 `json:"hedged"`
+	DeadlineMisses int64                `json:"deadline_misses"`
+	Frontends      []frontendJSON       `json:"frontends"`
+	Cache          queenbee.CacheStats  `json:"cache"` // aggregated across the pool
+	Repair         queenbee.RepairStats `json:"repair"`
+	Ingest         ingestJSON           `json:"ingest"`
+	Write          writeJSONBlock       `json:"write"`
+	Rank           queenbee.RankStatus  `json:"rank"`
 }
 
 // handleStats takes no server lock: every block below is guarded by its
@@ -489,12 +397,12 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Hedged:         ps.Hedged,
 		DeadlineMisses: ps.DeadlineMisses,
 		Frontends:      make([]frontendJSON, 0, len(ps.Frontends)),
-		Repair:         repairOf(s.engine.RepairStats()),
+		Repair:         s.engine.RepairStats(),
 		Ingest:         ingestOf(s.engine.IngestStats()),
 		// Both served from in-memory accumulators — no DHT reads, so
 		// polling /stats never consumes simulation RNG draws.
 		Write: writeOf(s.engine.WriteStats()),
-		Rank:  rankOf(s.engine.RankStatus()),
+		Rank:  s.engine.RankStatus(),
 	}
 	for _, fl := range ps.Frontends {
 		out.Frontends = append(out.Frontends, frontendJSON{
@@ -528,14 +436,14 @@ type pageJSON struct {
 // breakdown, not to be added to it. Speedup is the serial/wave latency
 // ratio the concurrent round engine achieved.
 type roundJSON struct {
-	Materialized  int      `json:"materialized"`
-	StoreCost     costJSON `json:"store_cost"`
-	WaveCost      costJSON `json:"wave_cost"`
-	SerialCost    costJSON `json:"serial_cost"`
-	Speedup       float64  `json:"speedup"`
-	SegmentWrites int      `json:"segment_writes"`
-	PointerWrites int      `json:"pointer_writes"`
-	Compactions   int      `json:"compactions"`
+	Materialized  int           `json:"materialized"`
+	StoreCost     queenbee.Cost `json:"store_cost"`
+	WaveCost      queenbee.Cost `json:"wave_cost"`
+	SerialCost    queenbee.Cost `json:"serial_cost"`
+	Speedup       float64       `json:"speedup"`
+	SegmentWrites int           `json:"segment_writes"`
+	PointerWrites int           `json:"pointer_writes"`
+	Compactions   int           `json:"compactions"`
 	// Partial flags a round that succeeded overall but recorded per-bee
 	// write-path errors — some contributions may be missing from the
 	// materialized segments. Clients that treat 200 as "fully indexed"
@@ -547,9 +455,9 @@ type roundJSON struct {
 func roundOf(rr queenbee.RoundReceipt) roundJSON {
 	out := roundJSON{
 		Materialized:  rr.Materialized,
-		StoreCost:     costOf(rr.StoreCost),
-		WaveCost:      costOf(rr.Wave()),
-		SerialCost:    costOf(rr.Serial()),
+		StoreCost:     rr.StoreCost,
+		WaveCost:      rr.Wave(),
+		SerialCost:    rr.Serial(),
 		SegmentWrites: rr.SegmentWrites,
 		PointerWrites: rr.PointerWrites,
 		Compactions:   rr.Compactions,
@@ -575,7 +483,7 @@ type publishRespJSON struct {
 // server's write lock (mutations are a single deterministic driver).
 func (s *server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	var req publishJSON
-	body := http.MaxBytesReader(w, r.Body, s.lim.maxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
@@ -584,8 +492,8 @@ func (s *server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "no pages in batch")
 		return
 	}
-	if len(req.Pages) > s.lim.maxBatchPages {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("batch exceeds %d pages", s.lim.maxBatchPages))
+	if len(req.Pages) > maxBatchPages {
+		writeErr(w, http.StatusBadRequest, fmt.Sprintf("batch exceeds %d pages", maxBatchPages))
 		return
 	}
 	pages := make([]queenbee.Page, 0, len(req.Pages))
@@ -641,15 +549,15 @@ func intParam(w http.ResponseWriter, r *http.Request, name string, def, min, max
 // the deadline and what it cost.
 type deadlineJSON struct {
 	Error string             `json:"error"`
-	Cost  costJSON           `json:"cost"`
+	Cost  queenbee.Cost      `json:"cost"`
 	Trace *deadlineTraceJSON `json:"trace,omitempty"`
 }
 
 type deadlineTraceJSON struct {
-	Partial bool                `json:"partial"`
-	Terms   []string            `json:"terms"`
-	Shards  []int               `json:"shards"`
-	Costs   map[string]costJSON `json:"costs"`
+	Partial bool                     `json:"partial"`
+	Terms   []string                 `json:"terms"`
+	Shards  []int                    `json:"shards"`
+	Costs   map[string]queenbee.Cost `json:"costs"`
 }
 
 // writeQueryErr maps query-surface errors onto HTTP statuses: malformed
@@ -663,15 +571,15 @@ func writeQueryErr(w http.ResponseWriter, resp *queenbee.Response, err error) {
 	case errors.Is(err, queenbee.ErrDeadlineExceeded):
 		out := deadlineJSON{Error: err.Error()}
 		if resp != nil {
-			out.Cost = costOf(resp.Cost)
+			out.Cost = resp.Cost
 			if ex := resp.Explain; ex != nil {
 				out.Trace = &deadlineTraceJSON{
 					Partial: ex.Partial,
 					Terms:   ex.Terms,
 					Shards:  ex.Shards,
-					Costs: map[string]costJSON{
-						"load":  costOf(ex.LoadCost),
-						"total": costOf(ex.TotalCost),
+					Costs: map[string]queenbee.Cost{
+						"load":  ex.LoadCost,
+						"total": ex.TotalCost,
 					},
 				}
 			}
@@ -757,11 +665,6 @@ func main() {
 	maintenance := flag.Bool("maintenance", true, "run a self-healing pass (republish/re-seed/reprovide) after every protocol round")
 	degraded := flag.Bool("degraded", true, "serve partial answers with a degraded warning when some shards are unreachable")
 	crawl := flag.Bool("crawl", false, "ingest the boot corpus through the streaming crawler (one publish round per batch) instead of one monolithic batch")
-	maxQuery := flag.Int("max-query-bytes", 1024, "reject queries longer than this")
-	maxPage := flag.Int("max-page-size", 100, "largest size= a request may ask for")
-	maxBatch := flag.Int("max-batch-pages", 64, "largest page batch POST /publish accepts")
-	maxBody := flag.Int64("max-body-bytes", 1<<20, "largest request body POST /publish accepts")
-	timeout := flag.Duration("timeout", 5*time.Second, "per-request handler timeout")
 	flag.Parse()
 
 	log.Printf("booting QueenBee swarm: %d peers, %d bees, %d docs (seed %d)…", *peers, *bees, *docs, *seed)
@@ -770,15 +673,8 @@ func main() {
 	log.Printf("index ready: %d pages, chain height %d, %d active bees, %d frontends (hedged=%v)",
 		sum.Pages, sum.Height, sum.Workers, engine.PoolStats().Size, engine.PoolStats().Hedged)
 
-	lim := limits{
-		maxQueryBytes: *maxQuery,
-		maxPageSize:   *maxPage,
-		maxBatchPages: *maxBatch,
-		maxBodyBytes:  *maxBody,
-		timeout:       *timeout,
-	}
 	log.Printf("queenbeed listening on %s", *addr)
-	if err := http.ListenAndServe(*addr, newHandler(engine, publisher, lim)); err != nil {
+	if err := http.ListenAndServe(*addr, newHandler(engine, publisher)); err != nil {
 		log.Fatal(err)
 	}
 }

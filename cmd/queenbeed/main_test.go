@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -30,13 +31,23 @@ func serverHandler(t *testing.T) http.Handler {
 	t.Helper()
 	handlerOnce.Do(func() {
 		engine, publisher := buildEngine(1, 10, 3, 12, 2, true, true, true, false)
-		testH = newHandler(engine, publisher, defaultLimits())
+		testH = newHandler(engine, publisher)
 		ccfg := corpus.DefaultConfig()
 		ccfg.Seed = 1
 		ccfg.NumDocs = 12
 		testTerm = corpus.Generate(ccfg).Vocab(0)
 	})
 	return testH
+}
+
+// latencyField matches a served Cost's latency string. Cost has no
+// UnmarshalJSON, so decode drops the string first: a decoded Cost keeps
+// its bytes and messages and reads a zero latency.
+var latencyField = regexp.MustCompile(`"latency":"[^"]*",`)
+
+// decode reads a served JSON body into the type it was served from.
+func decode(body []byte, into any) error {
+	return json.Unmarshal(latencyField.ReplaceAll(body, nil), into)
 }
 
 func getJSON(t *testing.T, h http.Handler, url string, wantStatus int, into any) {
@@ -51,7 +62,7 @@ func getJSON(t *testing.T, h http.Handler, url string, wantStatus int, into any)
 		t.Fatalf("GET %s content-type = %q", url, ct)
 	}
 	if into != nil {
-		if err := json.Unmarshal(rec.Body.Bytes(), into); err != nil {
+		if err := decode(rec.Body.Bytes(), into); err != nil {
 			t.Fatalf("GET %s: bad JSON %q: %v", url, rec.Body.String(), err)
 		}
 	}
@@ -87,7 +98,7 @@ func TestSearchPaginationTiles(t *testing.T) {
 	var p1, p2 searchJSON
 	getJSON(t, h, "/search?q="+testTerm+"&page=1&size=2", http.StatusOK, &p1)
 	getJSON(t, h, "/search?q="+testTerm+"&page=2&size=2", http.StatusOK, &p2)
-	got := append(append([]resultJSON{}, p1.Results...), p2.Results...)
+	got := append(append([]queenbee.Result{}, p1.Results...), p2.Results...)
 	for i, r := range got {
 		if r.URL != full.Results[i].URL {
 			t.Fatalf("page tiling broke at %d: %q vs %q", i, r.URL, full.Results[i].URL)
@@ -113,7 +124,7 @@ func TestSearchRejectsBadRequests(t *testing.T) {
 		"/search",                                // missing q
 		"/search?q=" + strings.Repeat("x", 2000), // too long
 		"/search?q=" + testTerm + "&size=0",      // below min
-		"/search?q=" + testTerm + "&size=1000",   // above max-page-size
+		"/search?q=" + testTerm + "&size=1000",   // above maxPageSize
 		"/search?q=" + testTerm + "&page=zero",   // not an integer
 		"/search?q=" + testTerm + "&mode=fuzzy",  // unknown mode
 		"/search?q=-only",                        // exclusion-only: bad syntax
@@ -162,7 +173,7 @@ func TestReadyzEndpoint(t *testing.T) {
 	h := serverHandler(t)
 	var out readyJSON
 	getJSON(t, h, "/readyz", http.StatusOK, &out)
-	if !out.Ready || out.ShardsOK != out.ShardsTotal || len(out.FailedShards) != 0 {
+	if !out.Ready || out.ShardsOK != out.ShardsTotal || len(out.Failed) != 0 {
 		t.Fatalf("readyz = %+v, want fully ready", out)
 	}
 	if out.ShardsTotal == 0 {
@@ -262,7 +273,7 @@ func checkGoroutineLeak(t *testing.T) {
 func TestStatsAnswersUnderWriteLock(t *testing.T) {
 	checkGoroutineLeak(t)
 	engine, publisher := buildEngine(1, 6, 2, 4, 2, true, true, true, false)
-	s := &server{engine: engine, publisher: publisher, lim: defaultLimits()}
+	s := &server{engine: engine, publisher: publisher}
 	unlocked := map[string]http.HandlerFunc{"/stats": s.handleStats, "/healthz": s.handleHealthz}
 
 	s.mu.Lock() // a publish round in progress
@@ -279,7 +290,7 @@ func TestStatsAnswersUnderWriteLock(t *testing.T) {
 	s.mu.Unlock()
 
 	var out statsJSON
-	if err := json.Unmarshal(bodies["/stats"], &out); err != nil || out.Write.Rounds == 0 {
+	if err := decode(bodies["/stats"], &out); err != nil || out.Write.Rounds == 0 {
 		t.Fatalf("stats body %q: %v", bodies["/stats"], err)
 	}
 	var health healthJSON
@@ -351,7 +362,7 @@ func postJSON(t *testing.T, h http.Handler, url, body string, wantStatus int, in
 		t.Fatalf("POST %s = %d (%s), want %d", url, rec.Code, rec.Body.String(), wantStatus)
 	}
 	if into != nil {
-		if err := json.Unmarshal(rec.Body.Bytes(), into); err != nil {
+		if err := decode(rec.Body.Bytes(), into); err != nil {
 			t.Fatalf("POST %s: bad JSON %q: %v", url, rec.Body.String(), err)
 		}
 	}
@@ -413,7 +424,7 @@ func TestPublishRejectsBadBatches(t *testing.T) {
 	}
 	// Oversized batches are refused before touching the engine.
 	var pages []string
-	for i := 0; i < defaultLimits().maxBatchPages+1; i++ {
+	for i := 0; i < maxBatchPages+1; i++ {
 		pages = append(pages, `{"url":"dweb://big/`+strconv.Itoa(i)+`","text":"w"}`)
 	}
 	postJSON(t, h, "/publish", `{"pages":[`+strings.Join(pages, ",")+`]}`,
@@ -462,7 +473,7 @@ func TestPublishPartialFailureSurfaced(t *testing.T) {
 // counters surface in GET /stats and the index still serves.
 func TestCrawlBootServesIngestStats(t *testing.T) {
 	engine, publisher := buildEngine(2, 10, 3, 24, 2, true, true, true, true)
-	h := newHandler(engine, publisher, defaultLimits())
+	h := newHandler(engine, publisher)
 
 	var st statsJSON
 	getJSON(t, h, "/stats", http.StatusOK, &st)
@@ -491,17 +502,17 @@ func TestCrawlBootServesIngestStats(t *testing.T) {
 	}
 }
 
-// canonicalSearch re-encodes a /search body with its cost zeroed:
-// per-message jitter advances the link streams, so the simulated cost of
-// a repeat query legitimately differs call to call — the *results* may
-// not.
+// canonicalSearch re-encodes a /search body without its cost: per-message
+// jitter advances the link streams, so the simulated cost of a repeat
+// query legitimately differs call to call — the *results* may not. Every
+// other field keeps its served bytes.
 func canonicalSearch(t *testing.T, body []byte) string {
 	t.Helper()
-	var out searchJSON
+	var out map[string]json.RawMessage
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatalf("bad search JSON %q: %v", body, err)
 	}
-	out.Cost = costJSON{}
+	delete(out, "cost")
 	enc, err := json.Marshal(out)
 	if err != nil {
 		t.Fatal(err)
@@ -564,7 +575,7 @@ func TestConcurrentRequestsConsistent(t *testing.T) {
 func TestPointerReadCounters(t *testing.T) {
 	const poolSize = 2
 	engine, publisher := buildEngine(1, 10, 3, 12, poolSize, true, true, true, false)
-	h := newHandler(engine, publisher, defaultLimits())
+	h := newHandler(engine, publisher)
 	ccfg := corpus.DefaultConfig()
 	ccfg.Seed = 1
 	ccfg.NumDocs = 12

@@ -44,7 +44,7 @@ var uptime = regexp.MustCompile(`"uptime":"[^"]*"`)
 // -update`, only when a change is meant to move what the daemon answers.
 func TestDaemonTranscript(t *testing.T) {
 	engine, publisher := buildEngine(1, 10, 3, 12, 2, true, true, true, false)
-	h := newHandler(engine, publisher, defaultLimits())
+	h := newHandler(engine, publisher)
 	ccfg := corpus.DefaultConfig()
 	ccfg.Seed = 1
 	ccfg.NumDocs = 12
@@ -142,9 +142,6 @@ func TestDaemonTranscript(t *testing.T) {
 
 	path := filepath.Join("testdata", "transcript.golden")
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -66,16 +66,22 @@ func soakEngine(tb testing.TB, seed uint64, docs int, extra ...Option) (*Engine,
 }
 
 // canonical serializes the parts of a response the determinism contract
-// covers: results, ads and totals. Simulated costs are excluded — every
-// message advances its link's jitter stream, so repeat queries observe
-// different (still seed-deterministic) costs.
+// covers: results with their CIDs (which a Result's JSON leaves out),
+// ads and totals. Simulated costs are excluded — every message advances
+// its link's jitter stream, so repeat queries observe different (still
+// seed-deterministic) costs.
 func canonical(tb testing.TB, resp *Response) string {
 	tb.Helper()
+	cids := make([]string, len(resp.Results))
+	for i, r := range resp.Results {
+		cids[i] = r.CID
+	}
 	b, err := json.Marshal(struct {
 		Results []Result
+		CIDs    []string
 		Ads     []Ad
 		Total   int
-	}{resp.Results, resp.Ads, resp.Total})
+	}{resp.Results, cids, resp.Ads, resp.Total})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -142,10 +142,10 @@ func (q *QueenBee) onRankTaskFinalizedLocked(ctx *chain.TxContext, t *Task) {
 // dirtied since the last epoch snapshot (i.e. are not yet covered by
 // any epoch).
 type RankStaleness struct {
-	Epoch           uint64
-	LastFull        uint64
-	DeltasSinceFull int
-	DirtyPages      int
+	Epoch           uint64 `json:"epoch"`
+	LastFull        uint64 `json:"last_full_epoch"`
+	DeltasSinceFull int    `json:"deltas_since_full"`
+	DirtyPages      int    `json:"dirty_pages"`
 }
 
 // RankStaleness returns the current freshness summary. Safe for

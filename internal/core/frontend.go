@@ -90,20 +90,21 @@ type chainEntry struct {
 	seg *index.Segment
 }
 
-// Result is one ranked search hit.
+// Result is one ranked search hit. Its JSON form is what queenbeed
+// serves; the content CID stays in-process.
 type Result struct {
-	URL     string
-	CID     string
-	Score   float64
-	Rank    float64 // page rank component
-	Snippet string  // populated when Query.Snippets is set
+	URL     string  `json:"url"`
+	CID     string  `json:"-"`
+	Score   float64 `json:"score"`
+	Rank    float64 `json:"rank"`              // page rank component
+	Snippet string  `json:"snippet,omitempty"` // populated when Query.Snippets is set
 }
 
 // Ad is one displayed advertisement.
 type Ad struct {
-	ID          uint64
-	Keywords    []string
-	BidPerClick uint64
+	ID          uint64   `json:"id"`
+	Keywords    []string `json:"keywords"`
+	BidPerClick uint64   `json:"bid_per_click"`
 }
 
 // ScoreStats counts the ranking stage's work: postings decoded or
@@ -136,10 +137,10 @@ type SearchResponse struct {
 // shards stayed unreachable after retries, the fraction of the wave
 // that did load, and the error that failed the first missing shard.
 type Degraded struct {
-	FailedShards []int
+	FailedShards []int `json:"failed_shards"`
 	// Completeness is loaded shards / wave shards, in (0, 1).
-	Completeness float64
-	Cause        string
+	Completeness float64 `json:"completeness"`
+	Cause        string  `json:"cause"`
 }
 
 // Search runs the full frontend pipeline for a flat conjunctive (AND)

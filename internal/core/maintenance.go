@@ -17,32 +17,32 @@ import (
 // total simulated traffic the maintenance spent doing it.
 type RepairStats struct {
 	// Runs counts completed maintenance passes.
-	Runs int
+	Runs int `json:"runs"`
 	// ProbedKeys counts records probed (pointers and segments): each
 	// one Locate walk, the read and the replica count at once.
-	ProbedKeys int
+	ProbedKeys int `json:"probed_keys"`
 	// Republished counts shard pointers pushed back to the current k
 	// closest nodes.
-	Republished int
+	Republished int `json:"republished"`
 	// Reseeded counts immutable segments re-materialized from a surviving
 	// genuine replica after their replication dropped below K or this
 	// node's own copy failed its digest; ReseededBytes is
 	// the segment bytes those re-puts rewrote — maintenance's share of
 	// the write-amplification ledger next to compaction's CompactedBytes.
-	Reseeded      int
-	ReseededBytes int64
+	Reseeded      int   `json:"reseeded"`
+	ReseededBytes int64 `json:"reseeded_bytes"`
 	// SegmentsLost gauges segments referenced by a pointer chain with no
 	// reachable replica as of the most recent pass — data repair cannot
 	// currently recover. A gauge, not a cumulative counter: a segment
 	// invisible during a network storm stops counting once a later pass
 	// reaches it again.
-	SegmentsLost int
+	SegmentsLost int `json:"segments_lost"`
 	// Reprovided counts provider records live peers had to re-announce:
 	// those whose replica set lost a member to churn or never reached K
 	// (store.Peer.Reprovide). A pass over healthy records counts none.
-	Reprovided int
+	Reprovided int `json:"reprovided"`
 	// Cost is the total simulated traffic maintenance has spent.
-	Cost netsim.Cost
+	Cost netsim.Cost `json:"cost"`
 }
 
 // RepairStats returns a snapshot of the accumulated maintenance
@@ -197,13 +197,13 @@ func (c *Cluster) RunMaintenance() RepairStats {
 // Readiness is the health summary /readyz serves: per-shard pointer
 // reachability through a live DHT node.
 type Readiness struct {
-	Ready       bool
-	ShardsTotal int
-	ShardsOK    int
+	Ready       bool `json:"ready"`
+	ShardsTotal int  `json:"shards_total"`
+	ShardsOK    int  `json:"shards_ok"`
 	// Failed lists the shards whose pointer record is unreachable.
-	Failed []int
+	Failed []int `json:"failed_shards,omitempty"`
 	// Cost is the DHT probe traffic the readiness check itself paid.
-	Cost netsim.Cost
+	Cost netsim.Cost `json:"-"`
 }
 
 // Readiness probes every shard pointer and reports which are currently

@@ -1047,13 +1047,6 @@ func (n *Node) RefreshBuckets(rounds int) netsim.Cost {
 	return total
 }
 
-// LocalValues returns the number of values held locally.
-func (n *Node) LocalValues() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.values)
-}
-
 // Digest hashes the node's simulated state: the routing table in bucket
 // order with failed flags, every value (key, sequence, SHA-256 of the
 // bytes) and every provider set, keys and providers sorted. Two runs

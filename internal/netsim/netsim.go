@@ -22,6 +22,7 @@ package netsim
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -54,6 +55,17 @@ type Cost struct {
 	Latency time.Duration // simulated wall time
 	Bytes   int64         // bytes moved on the wire
 	Msgs    int           // message count (requests, incl. responses implied)
+}
+
+// MarshalJSON is the one JSON form of a simulated cost: the latency as a
+// duration string and in whole microseconds, then bytes and messages.
+func (c Cost) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Latency   string `json:"latency"`
+		LatencyUS int64  `json:"latency_us"`
+		Bytes     int64  `json:"bytes"`
+		Msgs      int    `json:"msgs"`
+	}{c.Latency.String(), c.Latency.Microseconds(), c.Bytes, c.Msgs})
 }
 
 // Seq returns the cost of performing c then d sequentially.
