@@ -3,7 +3,8 @@ package queenbee
 // The benchmark harness: micro-benchmarks for the ablations (A1
 // intersection kernels, A3 replication, A4 segment merge policy) and the
 // hot inner loops. The experiments themselves (E1–E19) run under
-// internal/experiments' TestAllExperimentsProduceTables.
+// internal/experiments' TestAllExperimentsProduceTables, which compares
+// each one's tables at seed 1 with its golden.
 //
 // Run with:
 //

@@ -46,32 +46,6 @@ func TestByID(t *testing.T) {
 	}
 }
 
-// Each experiment must run and produce at least one non-empty table.
-// Heavier experiments are exercised here with the default seed; this is
-// the integration test for the whole reproduction harness.
-func TestAllExperimentsProduceTables(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments are heavyweight; skipped with -short")
-	}
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			tables := e.Run(1)
-			if len(tables) == 0 {
-				t.Fatalf("%s produced no tables", e.ID)
-			}
-			for _, table := range tables {
-				if table.Rows() == 0 {
-					t.Fatalf("%s produced empty table %q", e.ID, table.Title)
-				}
-				if !strings.Contains(table.String(), "\n") {
-					t.Fatalf("%s table %q renders empty", e.ID, table.Title)
-				}
-			}
-		})
-	}
-}
-
 // Key shape assertions on experiment outputs: these encode the expected
 // qualitative results (who wins) that EXPERIMENTS.md reports.
 func TestE5CrawlSlowerThanPublish(t *testing.T) {

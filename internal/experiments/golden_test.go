@@ -5,31 +5,44 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current code")
 
-// TestStorePathGoldens runs the experiments that drive the content store
-// and the DHT (E2, E3, E4, E6, E7) at seed 1 and compares their tables
-// byte for byte with testdata/<ID>.golden. None of these tables prints a
-// wall-clock figure, so they move only when a simulated cost, a message
-// count or an answer does. Regenerate with
-// `go test ./internal/experiments -run TestStorePathGoldens -update`,
-// only when a change is meant to move them.
-func TestStorePathGoldens(t *testing.T) {
-	for _, id := range []string{"E2", "E3", "E4", "E6", "E7"} {
-		t.Run(id, func(t *testing.T) {
-			e, ok := ByID(id)
-			if !ok {
-				t.Fatalf("%s not registered", id)
+// storePath lists the experiments that drive the content store and the
+// DHT. They are cheap, so -short still checks their goldens.
+var storePath = []string{"E2", "E3", "E4", "E6", "E7"}
+
+// hostTimed names the columns that read the host's clock, per
+// experiment. The goldens record them as "~"; everything else an
+// experiment prints is a function of the seed.
+var hostTimed = map[string][]string{
+	"E9": {"merge ns/op", "gallop ns/op", "speedup"},
+}
+
+// TestAllExperimentsProduceTables runs every registered experiment at
+// seed 1 and compares its tables byte for byte with
+// testdata/<ID>.golden, host-timed columns masked. A table moves only
+// when a simulated cost, a message count or an answer does. Under
+// -short only the store-path experiments run. Regenerate with
+// `go test ./internal/experiments -run TestAllExperimentsProduceTables -update`,
+// only when a change is meant to move a table.
+func TestAllExperimentsProduceTables(t *testing.T) {
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			if testing.Short() && !slices.Contains(storePath, e.ID) {
+				t.Skip("heavyweight; -short checks the store-path goldens only")
 			}
 			var out bytes.Buffer
 			for _, table := range e.Run(1) {
-				out.WriteString(table.String())
+				out.WriteString(mask(table, hostTimed[e.ID]).String())
 				out.WriteByte('\n')
 			}
-			path := filepath.Join("testdata", id+".golden")
+			path := filepath.Join("testdata", e.ID+".golden")
 			if *update {
 				if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
 					t.Fatal(err)
@@ -41,8 +54,28 @@ func TestStorePathGoldens(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(out.Bytes(), want) {
-				t.Fatalf("%s tables differ from %s:\n%s", id, path, out.String())
+				t.Fatalf("%s tables differ from %s:\n%s", e.ID, path, out.String())
 			}
 		})
 	}
+}
+
+// mask returns a copy of table with every cell of the named columns
+// replaced by "~", or table itself when no column is named.
+func mask(table *metrics.Table, columns []string) *metrics.Table {
+	if len(columns) == 0 {
+		return table
+	}
+	out := metrics.NewTable(table.Title, table.Columns...)
+	for r := 0; r < table.Rows(); r++ {
+		row := make([]any, len(table.Columns))
+		for c, name := range table.Columns {
+			row[c] = table.Cell(r, c)
+			if slices.Contains(columns, name) {
+				row[c] = "~"
+			}
+		}
+		out.AddRow(row...)
+	}
+	return out
 }
