@@ -49,14 +49,10 @@ func runE16(seed uint64) []*metrics.Table {
 
 	for _, frac := range []float64{0.10, 0.20} {
 		for _, maint := range []bool{false, true} {
-			cfg := core.DefaultConfig()
-			cfg.Seed = seed
-			cfg.NumPeers = peers
-			cfg.NumBees = bees
-			cfg.DHT.K = replication
-			c := core.NewCluster(cfg)
-			pub := c.NewAccount("publisher", 1_000_000)
-			c.Seal()
+			c, accts := newCluster(seed, peers, bees, func(cfg *core.Config) {
+				cfg.DHT.K = replication
+			}, 1_000_000, "publisher")
+			pub := accts[0]
 			terms := make([]string, 0, markers)
 			for i := 0; i < markers; i++ {
 				term := fmt.Sprintf("churnsixteen%02d", i)

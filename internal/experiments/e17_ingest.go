@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/ingest"
 	"repro/internal/metrics"
@@ -23,13 +22,7 @@ func init() {
 // cluster rounds and returns the pipeline's stats. Every URL is seeded,
 // so the crawl covers the whole corpus regardless of link shape.
 func e17Crawl(seed uint64, pages, bees, depth, batch int) ingest.Stats {
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	cfg.NumPeers = 16
-	cfg.NumBees = bees
-	c := core.NewCluster(cfg)
-	owner := c.NewAccount("crawler", 1<<40)
-	c.Seal()
+	c, accts := newCluster(seed, 16, bees, nil, 1<<40, "crawler")
 
 	corp := corpus.Generate(corpus.Config{
 		Seed:       seed,
@@ -44,7 +37,7 @@ func e17Crawl(seed uint64, pages, bees, depth, batch int) ingest.Stats {
 		seeds[i] = corp.Docs[i].URL
 	}
 	st, err := ingest.Crawl(context.Background(),
-		ingest.CorpusSource(corp), ingest.NewClusterSink(c, owner), seeds,
+		ingest.CorpusSource(corp), ingest.NewClusterSink(c, accts[0]), seeds,
 		ingest.Options{
 			Seed:         seed,
 			FetchWorkers: 8,

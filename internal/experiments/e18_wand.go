@@ -34,13 +34,7 @@ type e18Scale struct {
 // shard), replays a top-10 single-term workload through one frontend,
 // and checks every response against the oracle over the same pages.
 func e18Run(seed uint64, ndocs int) e18Scale {
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	cfg.NumPeers = 12
-	cfg.NumBees = 3
-	c := core.NewCluster(cfg)
-	owner := c.NewAccount("e18-owner", 1<<40)
-	c.Seal()
+	c, accts := newCluster(seed, 12, 3, nil, 1<<40, "e18-owner")
 
 	corp := corpus.Generate(corpus.Config{
 		Seed:       seed,
@@ -50,13 +44,13 @@ func e18Run(seed uint64, ndocs int) e18Scale {
 		MeanDocLen: 40,
 		MeanLinks:  3,
 	})
-	orc := oracle.New(cfg.RankWeight)
+	orc := oracle.New(c.Config().RankWeight)
 	pages := make([]core.BatchPage, len(corp.Docs))
 	for i, d := range corp.Docs {
 		pages[i] = core.BatchPage{URL: d.URL, Text: d.Text, Links: d.Links}
 		orc.Publish(d.URL, d.Text)
 	}
-	if _, err := c.IndexBatch(owner, pages); err != nil {
+	if _, err := c.IndexBatch(accts[0], pages); err != nil {
 		panic(fmt.Sprintf("E18 index (%d docs): %v", ndocs, err))
 	}
 	c.RunUntilIdle(50)

@@ -31,14 +31,7 @@ type e19IngestOutcome struct {
 // e19Ingest publishes `rounds` uniform batches through real protocol
 // rounds and reads the per-round bytes straight off the round receipts.
 func e19Ingest(seed uint64, rounds, docsPerRound int) e19IngestOutcome {
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	cfg.NumPeers = 10
-	cfg.NumBees = 3
-	cfg.NumShards = 4
-	c := core.NewCluster(cfg)
-	owner := c.NewAccount("writer", 1<<40)
-	c.Seal()
+	c, accts := newCluster(seed, 10, 3, func(cfg *core.Config) { cfg.NumShards = 4 }, 1<<40, "writer")
 
 	var ingested, compacted []float64
 	doc := 0
@@ -57,7 +50,7 @@ func e19Ingest(seed uint64, rounds, docsPerRound int) e19IngestOutcome {
 			}
 			doc++
 		}
-		rr, err := c.IndexBatch(owner, pages)
+		rr, err := c.IndexBatch(accts[0], pages)
 		if err != nil {
 			panic(fmt.Sprintf("E19 ingest round %d: %v", r, err))
 		}

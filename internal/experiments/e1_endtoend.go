@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/chain"
 	"repro/internal/contracts"
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -18,16 +19,34 @@ func init() {
 	})
 }
 
-// buildWorkloadCluster publishes a corpus into a fresh cluster and drives
-// the bees until the index is complete.
-func buildWorkloadCluster(seed uint64, peers, bees, docs int) (*core.Cluster, *corpus.Corpus) {
+// newCluster boots a deployment of the given size at seed, with tune
+// (if not nil) adjusting the rest of its configuration, then funds one
+// account per name with funds honey each, in order, and seals them into
+// the first block. Account names reach addresses and the configuration
+// reaches RNG draws, so every table passes the ones it was recorded
+// with.
+func newCluster(seed uint64, peers, bees int, tune func(*core.Config), funds uint64, names ...string) (*core.Cluster, []*chain.Account) {
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
 	cfg.NumPeers = peers
 	cfg.NumBees = bees
+	if tune != nil {
+		tune(&cfg)
+	}
 	c := core.NewCluster(cfg)
-	pub := c.NewAccount("publisher", 1_000_000)
+	accts := make([]*chain.Account, len(names))
+	for i, name := range names {
+		accts[i] = c.NewAccount(name, funds)
+	}
 	c.Seal()
+	return c, accts
+}
+
+// buildWorkloadCluster publishes a corpus into a fresh cluster and drives
+// the bees until the index is complete.
+func buildWorkloadCluster(seed uint64, peers, bees, docs int) (*core.Cluster, *corpus.Corpus) {
+	c, accts := newCluster(seed, peers, bees, nil, 1_000_000, "publisher")
+	pub := accts[0]
 
 	ccfg := corpus.DefaultConfig()
 	ccfg.Seed = seed

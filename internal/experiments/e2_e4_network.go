@@ -35,30 +35,60 @@ func init() {
 	})
 }
 
-// buildStoreSwarm creates a bootstrapped content swarm.
-func buildStoreSwarm(seed uint64, n int, k int) (*netsim.Network, []*store.Peer) {
+// buildStoreSwarm creates a content swarm of n peers named
+// <prefix>-000, <prefix>-001, … and bootstraps them off the first in two
+// passes, the second taking in the first itself, so that the early
+// joiners also learn of the later ones.
+func buildStoreSwarm(seed uint64, n int, prefix string, pcfg store.PeerConfig) (*netsim.Network, []*store.Peer) {
 	ncfg := netsim.DefaultConfig()
 	ncfg.Seed = seed
 	net := netsim.New(ncfg)
-	dcfg := dht.DefaultConfig()
-	if k > 0 {
-		dcfg.K = k
-	}
 	peers := make([]*store.Peer, n)
 	for i := range peers {
-		d := dht.NewNode(net, netsim.NodeID(fmt.Sprintf("peer-%03d", i)), dcfg)
-		peers[i] = store.NewPeer(net, d, store.PeerConfig{})
+		d := dht.NewNode(net, netsim.NodeID(fmt.Sprintf("%s-%03d", prefix, i)), dht.DefaultConfig())
+		peers[i] = store.NewPeer(net, d, pcfg)
 	}
 	seedContact := peers[0].DHT().Self()
-	for _, p := range peers[1:] {
-		//detlint:ignore costdrop swarm assembly; experiments measure steady-state traffic, not join cost
-		p.DHT().Bootstrap([]dht.Contact{seedContact})
-	}
-	for _, p := range peers {
-		//detlint:ignore costdrop swarm assembly; experiments measure steady-state traffic, not join cost
-		p.DHT().Bootstrap([]dht.Contact{seedContact})
+	for pass := 0; pass < 2; pass++ {
+		for _, p := range peers[1-pass:] {
+			//detlint:ignore costdrop swarm assembly; experiments measure steady-state traffic, not join cost
+			p.DHT().Bootstrap([]dht.Contact{seedContact})
+		}
 	}
 	return net, peers
+}
+
+// publish adds data at from, then fetches it on each of primers in turn
+// so that each holds a cache replica. It panics on any failure: every
+// table that publishes this way measures what happens after.
+func publish(from *store.Peer, data []byte, primers ...*store.Peer) store.CID {
+	//detlint:ignore costdrop publish is setup; the tables measure what follows it
+	root, _, err := from.Add(data)
+	if err != nil {
+		panic(err)
+	}
+	for _, p := range primers {
+		//detlint:ignore costdrop replica priming is setup; the tables measure what follows it
+		if _, _, err := p.Fetch(root); err != nil {
+			panic(err)
+		}
+	}
+	return root
+}
+
+// fetchEach fetches every root from reader, in order, and returns the
+// bytes of each (nil where the fetch failed) and the number that
+// arrived.
+func fetchEach(reader *store.Peer, roots []store.CID) (got [][]byte, ok int) {
+	got = make([][]byte, len(roots))
+	for i, root := range roots {
+		//detlint:ignore costdrop availability probe; only what arrives feeds the tables
+		if data, _, err := reader.Fetch(root); err == nil {
+			got[i] = data
+			ok++
+		}
+	}
+	return got, ok
 }
 
 // runE2: a 10 KB document is published once; `r` early readers fetch it
@@ -74,19 +104,9 @@ func runE2(seed uint64) []*metrics.Table {
 		"replicas", "p50 ms", "p95 ms", "mean msgs", "providers", "est QPS capacity")
 
 	for _, r := range []int{1, 2, 4, 8, 16} {
-		_, peers := buildStoreSwarm(seed, swarm, 0)
-		//detlint:ignore costdrop publish is setup; the table measures reader fetch costs
-		root, _, err := peers[0].Add(doc)
-		if err != nil {
-			panic(err)
-		}
-		// Prime r-1 cache replicas (the publisher is the first).
-		for i := 1; i < r; i++ {
-			//detlint:ignore costdrop cache priming; the table measures the post-warm fetch wave
-			if _, _, err := peers[i].Fetch(root); err != nil {
-				panic(err)
-			}
-		}
+		_, peers := buildStoreSwarm(seed, swarm, "peer", store.PeerConfig{})
+		// The publisher is the first of r replicas.
+		root := publish(peers[0], doc, peers[1:r]...)
 		var lat, msgs metrics.Histogram
 		readers := 0
 		for i := r; i < r+30 && i < swarm; i++ {
@@ -117,19 +137,12 @@ func runE2(seed uint64) []*metrics.Table {
 	// cached on (or near) the reading device.
 	t2 := metrics.NewTable("E2b — latency reference points", "system", "p50 ms", "p95 ms")
 	{
-		_, peers := buildStoreSwarm(seed, 16, 0)
-		//detlint:ignore costdrop publish is setup; the table measures repeat-fetch latency
-		root, _, err := peers[0].Add(doc)
-		if err != nil {
-			panic(err)
-		}
+		_, peers := buildStoreSwarm(seed, 16, "peer", store.PeerConfig{})
+		// A cold fetch populates each reader's cache; the measured
+		// fetch repeats it.
+		root := publish(peers[0], doc, peers[1:11]...)
 		var lat metrics.Histogram
 		for i := 1; i < 11; i++ {
-			// Cold fetch populates the cache; the measured fetch follows.
-			//detlint:ignore costdrop cache-warming fetch; the table measures the repeat fetch
-			if _, _, err := peers[i].Fetch(root); err != nil {
-				panic(err)
-			}
 			_, cost, err := peers[i].Fetch(root)
 			if err == nil {
 				lat.AddDuration(cost.Latency)
@@ -159,39 +172,11 @@ func runE2(seed uint64) []*metrics.Table {
 	// provider vs chunk-striped across four.
 	t3 := metrics.NewTable("E2c — swarming fetch ablation (200 KB doc, 4 replicas)",
 		"mode", "p50 ms", "p95 ms")
+	big := make([]byte, 200_000)
+	xrand.New(seed + 7).Bytes(big)
 	for _, swarming := range []bool{false, true} {
-		ncfg := netsim.DefaultConfig()
-		ncfg.Seed = seed
-		net := netsim.New(ncfg)
-		pcfg := store.PeerConfig{Swarming: swarming}
-		dcfg := dht.DefaultConfig()
-		peers := make([]*store.Peer, 32)
-		for i := range peers {
-			d := dht.NewNode(net, netsim.NodeID(fmt.Sprintf("sw-%03d", i)), dcfg)
-			peers[i] = store.NewPeer(net, d, pcfg)
-		}
-		seedContact := peers[0].DHT().Self()
-		for _, p := range peers[1:] {
-			//detlint:ignore costdrop swarm assembly; experiments measure steady-state traffic, not join cost
-			p.DHT().Bootstrap([]dht.Contact{seedContact})
-		}
-		for _, p := range peers {
-			//detlint:ignore costdrop swarm assembly; experiments measure steady-state traffic, not join cost
-			p.DHT().Bootstrap([]dht.Contact{seedContact})
-		}
-		big := make([]byte, 200_000)
-		xrand.New(seed + 7).Bytes(big)
-		//detlint:ignore costdrop publish is setup; the table measures the swarming fetch
-		root, _, err := peers[0].Add(big)
-		if err != nil {
-			panic(err)
-		}
-		for i := 1; i <= 3; i++ {
-			//detlint:ignore costdrop replica priming; the table measures the post-warm fetch
-			if _, _, err := peers[i].Fetch(root); err != nil {
-				panic(err)
-			}
-		}
+		_, peers := buildStoreSwarm(seed, 32, "sw", store.PeerConfig{Swarming: swarming})
+		root := publish(peers[0], big, peers[1:4]...)
 		var lat metrics.Histogram
 		for i := 10; i < 25; i++ {
 			_, cost, err := peers[i].Fetch(root)
@@ -223,21 +208,12 @@ func runE3(seed uint64) []*metrics.Table {
 		"failed %", "DWeb success %", "central success %")
 
 	for _, frac := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5} {
-		net, peers := buildStoreSwarm(seed, swarm, 0)
+		net, peers := buildStoreSwarm(seed, swarm, "peer", store.PeerConfig{})
 		roots := make([]store.CID, docs)
-		for i := 0; i < docs; i++ {
+		for i := range roots {
 			data := []byte(fmt.Sprintf("document %d body %d", i, rng.Intn(1000)))
-			//detlint:ignore costdrop corpus population; the table measures availability, not cost
-			root, _, err := peers[i%16].Add(data)
-			if err != nil {
-				panic(err)
-			}
-			roots[i] = root
 			// One cache replica each (pre-failure, so it cannot fail).
-			//detlint:ignore costdrop replica priming; the table measures availability, not cost
-			if _, _, err := peers[(i+16)%32].Fetch(root); err != nil {
-				panic(err)
-			}
+			roots[i] = publish(peers[i%16], data, peers[(i+16)%32])
 		}
 		// Centralized reference on the same network.
 		clock := vclock.New(time.Time{})
@@ -259,14 +235,7 @@ func runE3(seed uint64) []*metrics.Table {
 			net.SetDown(central.Addr(), true)
 		}
 
-		reader := peers[swarm-1]
-		ok := 0
-		for _, root := range roots {
-			//detlint:ignore costdrop availability probe; only success/failure feeds the table
-			if _, _, err := reader.Fetch(root); err == nil {
-				ok++
-			}
-		}
+		_, ok := fetchEach(peers[swarm-1], roots)
 		centralOK := 0
 		for i := 0; i < docs; i++ {
 			//detlint:ignore costdrop availability probe; only success/failure feeds the table
@@ -281,37 +250,19 @@ func runE3(seed uint64) []*metrics.Table {
 	// fetches content published pre-partition.
 	t2 := metrics.NewTable("E3b — 50/50 partition", "scenario", "success %")
 	{
-		net, peers := buildStoreSwarm(seed, swarm, 0)
+		net, peers := buildStoreSwarm(seed, swarm, "peer", store.PeerConfig{})
 		roots := make([]store.CID, docs)
-		for i := 0; i < docs; i++ {
-			//detlint:ignore costdrop corpus population; the table measures availability, not cost
-			root, _, err := peers[i%swarm].Add([]byte(fmt.Sprintf("partition doc %d", i)))
-			if err != nil {
-				panic(err)
-			}
-			roots[i] = root
+		for i := range roots {
 			// Replica in the other half, placed pre-partition.
-			//detlint:ignore costdrop replica priming; the table measures availability, not cost
-			if _, _, err := peers[(i+swarm/2)%swarm].Fetch(root); err != nil {
-				panic(err)
-			}
+			roots[i] = publish(peers[i%swarm], []byte(fmt.Sprintf("partition doc %d", i)), peers[(i+swarm/2)%swarm])
 		}
 		groups := map[netsim.NodeID]int{}
 		for i, p := range peers {
 			groups[p.Addr()] = i % 2
 		}
 		net.SetPartition(groups)
-		okA, okB := 0, 0
-		for _, root := range roots {
-			//detlint:ignore costdrop availability probe; only success/failure feeds the table
-			if _, _, err := peers[0].Fetch(root); err == nil {
-				okA++
-			}
-			//detlint:ignore costdrop availability probe; only success/failure feeds the table
-			if _, _, err := peers[1].Fetch(root); err == nil {
-				okB++
-			}
-		}
+		_, okA := fetchEach(peers[0], roots)
+		_, okB := fetchEach(peers[1], roots)
 		t2.AddRow("DWeb side A", 100*float64(okA)/docs)
 		t2.AddRow("DWeb side B", 100*float64(okB)/docs)
 		t2.AddRow("central (server in other half)", 0.0)
@@ -330,7 +281,7 @@ func runE4(seed uint64) []*metrics.Table {
 		"attack ×capacity", "central success %", "central p95 ms", "DWeb success %", "DWeb p95 ms")
 
 	for _, load := range []float64{0, 1, 4, 16, 64} {
-		net, peers := buildStoreSwarm(seed, swarm, 0)
+		net, peers := buildStoreSwarm(seed, swarm, "peer", store.PeerConfig{})
 		clock := vclock.New(time.Time{})
 		src := baseline.NewMapSource()
 		for i := 0; i < 20; i++ {
@@ -340,19 +291,9 @@ func runE4(seed uint64) []*metrics.Table {
 		net.SetCapacity(central.Addr(), capacity)
 		net.SetOfferedLoad(central.Addr(), load*capacity)
 
-		// DWeb content: one doc replicated a few times.
-		//detlint:ignore costdrop corpus population; the table measures success under attack load
-		root, _, err := peers[0].Add([]byte("resilient searchable content"))
-		if err != nil {
-			panic(err)
-		}
-		for i := 1; i < 4; i++ {
-			// Replicate before the attacker load is applied.
-			//detlint:ignore costdrop replica priming; the table measures success under attack load
-			if _, _, err := peers[i].Fetch(root); err != nil {
-				panic(err)
-			}
-		}
+		// DWeb content: one doc replicated a few times, before the
+		// attacker load is applied.
+		root := publish(peers[0], []byte("resilient searchable content"), peers[1:4]...)
 		// The attacker's identical budget spread across the whole swarm.
 		for _, p := range peers {
 			net.SetCapacity(p.Addr(), capacity)

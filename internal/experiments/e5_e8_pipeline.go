@@ -53,13 +53,8 @@ func runE5(seed uint64) []*metrics.Table {
 	// QueenBee: publish → rounds until the new term is searchable.
 	var qbHist metrics.Histogram
 	{
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed
-		cfg.NumPeers = 12
-		cfg.NumBees = 3
-		c := core.NewCluster(cfg)
-		pub := c.NewAccount("pub", 1_000_000)
-		c.Seal()
+		c, accts := newCluster(seed, 12, 3, nil, 1_000_000, "pub")
+		pub := accts[0]
 		fe := core.NewFrontend(c, c.Peers[2])
 		for i := 0; i < updates; i++ {
 			// Idle time between updates.
@@ -134,25 +129,13 @@ func runE6(seed uint64) []*metrics.Table {
 		"tampered replicas", "fetch success %", "tampered accepted", "detections")
 
 	for _, tamperers := range []int{0, 1, 2, 3} {
-		_, peers := buildStoreSwarm(seed, 24, 0)
+		_, peers := buildStoreSwarm(seed, 24, "peer", store.PeerConfig{})
 		roots := make([]store.CID, docs)
 		originals := make([][]byte, docs)
-		for i := 0; i < docs; i++ {
-			data := []byte(fmt.Sprintf("authentic document %04d with real facts", i))
-			originals[i] = data
-			//detlint:ignore costdrop corpus population; the table measures tamper detection, not cost
-			root, _, err := peers[0].Add(data)
-			if err != nil {
-				panic(err)
-			}
-			roots[i] = root
+		for i := range roots {
+			originals[i] = []byte(fmt.Sprintf("authentic document %04d with real facts", i))
 			// Replicate via caches on peers 1..3 so there are 4 providers.
-			for j := 1; j <= 3; j++ {
-				//detlint:ignore costdrop replica priming; the table measures tamper detection, not cost
-				if _, _, err := peers[j].Fetch(root); err != nil {
-					panic(err)
-				}
-			}
+			roots[i] = publish(peers[0], originals[i], peers[1:4]...)
 		}
 		// Corrupt every block on the first `tamperers` replica peers.
 		for j := 1; j <= tamperers; j++ {
@@ -168,21 +151,15 @@ func runE6(seed uint64) []*metrics.Table {
 				}
 			}
 		}
-		ok, accepted := 0, 0
-		var detections int64
 		reader := peers[20]
-		for i, root := range roots {
-			//detlint:ignore costdrop tamper-detection probe; the table counts successes and detections
-			data, _, err := reader.Fetch(root)
-			if err == nil {
-				ok++
-				if string(data) != string(originals[i]) {
-					accepted++
-				}
+		got, ok := fetchEach(reader, roots)
+		accepted := 0
+		for i, data := range got {
+			if data != nil && !bytes.Equal(data, originals[i]) {
+				accepted++
 			}
 		}
-		detections = reader.TamperDetections()
-		t.AddRow(tamperers, 100*float64(ok)/docs, accepted, detections)
+		t.AddRow(tamperers, 100*float64(ok)/docs, accepted, reader.TamperDetections())
 	}
 	return []*metrics.Table{t}
 }
@@ -195,13 +172,8 @@ func runE7(seed uint64) []*metrics.Table {
 		"bees", "tasks finalized", "total bee msgs", "max bee msgs", "imbalance", "rounds")
 
 	for _, bees := range []int{1, 2, 4, 8, 16} {
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed
-		cfg.NumPeers = 12
-		cfg.NumBees = bees
-		c := core.NewCluster(cfg)
-		pub := c.NewAccount("pub", 1_000_000)
-		c.Seal()
+		c, accts := newCluster(seed, 12, bees, nil, 1_000_000, "pub")
+		pub := accts[0]
 		rounds := 0
 		for i := 0; i < docs; i++ {
 			if _, err := c.Publish(pub, c.Peers[i%len(c.Peers)], urlOf(i), fmt.Sprintf("body of document %04d with assorted content", i), nil); err != nil {
@@ -246,13 +218,8 @@ func runE7b(seed uint64) *metrics.Table {
 		"bees", "serial", "wave", "speedup", "pages/s (sim)", "ptr writes")
 
 	for _, bees := range []int{1, 2, 4, 8} {
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed
-		cfg.NumPeers = 12
-		cfg.NumBees = bees
-		c := core.NewCluster(cfg)
-		pub := c.NewAccount("pub", 1_000_000)
-		c.Seal()
+		c, accts := newCluster(seed, 12, bees, nil, 1_000_000, "pub")
+		pub := accts[0]
 		for i := 0; i < docs; i++ {
 			if _, err := c.Publish(pub, c.Peers[i%len(c.Peers)], urlOf(i),
 				fmt.Sprintf("ingest round workload document %04d with assorted content", i), nil); err != nil {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/metrics"
+	"repro/internal/store"
 	"repro/internal/vclock"
 	"repro/internal/xrand"
 )
@@ -96,14 +97,15 @@ func timePerOp(f func()) int64 {
 	const minRounds = 5
 	//detlint:ignore wallclock host-CPU microbenchmark; measures real compute, no simulated state depends on it
 	start := time.Now()
+	var elapsed time.Duration
 	rounds := 0
-	//detlint:ignore wallclock host-CPU microbenchmark; measures real compute, no simulated state depends on it
-	for time.Since(start) < 2*time.Millisecond || rounds < minRounds {
+	for elapsed < 2*time.Millisecond || rounds < minRounds {
 		f()
 		rounds++
+		//detlint:ignore wallclock host-CPU microbenchmark; measures real compute, no simulated state depends on it
+		elapsed = time.Since(start)
 	}
-	//detlint:ignore wallclock host-CPU microbenchmark; measures real compute, no simulated state depends on it
-	return time.Since(start).Nanoseconds() / int64(rounds)
+	return elapsed.Nanoseconds() / int64(rounds)
 }
 
 // runE10: a skewed-popularity corpus; after rank + popularity payouts +
@@ -111,20 +113,15 @@ func timePerOp(f func()) int64 {
 // distribution meaningfully concentrated (rewarding popularity) without
 // starving the tail?
 func runE10(seed uint64) []*metrics.Table {
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	cfg.NumPeers = 16
-	cfg.NumBees = 4
-	cfg.Contract.PopularityThreshold = 0.005
-	c := core.NewCluster(cfg)
-
 	const publishers = 10
 	const docs = 60
-	owners := make([]*chain.Account, publishers)
-	for i := range owners {
-		owners[i] = c.NewAccount(fmt.Sprintf("creator-%02d", i), 10_000)
+	names := make([]string, publishers)
+	for i := range names {
+		names[i] = fmt.Sprintf("creator-%02d", i)
 	}
-	c.Seal()
+	c, owners := newCluster(seed, 16, 4, func(cfg *core.Config) {
+		cfg.Contract.PopularityThreshold = 0.005
+	}, 10_000, names...)
 
 	// Preferential-attachment links: earlier pages get more in-links.
 	rng := xrand.New(seed)
@@ -232,8 +229,8 @@ func runE11(seed uint64) []*metrics.Table {
 	t2 := metrics.NewTable("E11b — unverified P2P baseline (index poisoning)",
 		"terms attacked", "poisoned", "attacker cost")
 	{
-		_, peers := buildStoreSwarm(seed, 16, 0)
-		u := baselineUnverified()
+		_, peers := buildStoreSwarm(seed, 16, "peer", store.PeerConfig{})
+		u := baseline.NewUnverifiedP2P(8)
 		//detlint:ignore costdrop baseline index population; the table measures poisoning success, not cost
 		u.Publish(peers[0].DHT(), "dweb://legit", "trusted reliable verified facts knowledge")
 		attacked, poisoned := 0, 0
@@ -329,10 +326,6 @@ func sybilSeatShare(seed uint64, ids int, stake uint64) float64 {
 }
 
 // runE12: scraper economics with the defense off and on.
-func baselineUnverified() *baseline.UnverifiedP2P {
-	return baseline.NewUnverifiedP2P(8)
-}
-
 func runE12(seed uint64) []*metrics.Table {
 	t := metrics.NewTable("E12 — scraper-site attack",
 		"defense", "original honey", "scraper honey", "original rank", "mirror rank", "false demotions")
