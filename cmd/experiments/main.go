@@ -1,5 +1,7 @@
-// Command experiments regenerates every table and figure of the
-// reproduction (see DESIGN.md §3 and EXPERIMENTS.md).
+// Command experiments prints every table of the reproduction, each under
+// the paper claim it tests (the registry's Claim field). At seed 1 the
+// tables equal internal/experiments/testdata/<ID>.golden, apart from
+// E9's host-timed columns.
 //
 // Usage:
 //

@@ -16,11 +16,8 @@ import (
 	"repro/internal/netsim"
 )
 
-// Errors returned by DHT operations.
-var (
-	ErrNotFound   = errors.New("dht: value not found")
-	ErrNoContacts = errors.New("dht: routing table is empty")
-)
+// ErrNotFound is returned by a read that reaches no copy of the value.
+var ErrNotFound = errors.New("dht: value not found")
 
 // Network-wide Kademlia constants: every node runs the same values.
 const (

@@ -1,11 +1,12 @@
-// Package experiments regenerates every table and figure of the
-// reproduction (E1–E13 in DESIGN.md). Each experiment is a pure function
-// from a seed to metrics tables, shared by cmd/experiments (which prints
-// them) and the root benchmarks (which time them).
+// Package experiments regenerates every table of the reproduction
+// (E1–E14 and E16–E19; E15 is not registered). Each experiment is a pure
+// function from a seed to metrics tables, printed by cmd/experiments.
 //
 // The paper is a vision paper without numeric tables; each experiment
-// operationalizes one claim the paper commits to. EXPERIMENTS.md records
-// the claim → measurement mapping and the observed results.
+// operationalizes one claim the paper commits to, quoted in its Claim
+// field. The tables each one prints at seed 1 are recorded in
+// testdata/<ID>.golden, which TestAllExperimentsProduceTables checks
+// byte for byte (E9's host-timed columns masked).
 package experiments
 
 import (

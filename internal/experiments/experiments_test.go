@@ -47,7 +47,8 @@ func TestByID(t *testing.T) {
 }
 
 // Key shape assertions on experiment outputs: these encode the expected
-// qualitative results (who wins) that EXPERIMENTS.md reports.
+// qualitative results (who wins) that each experiment's Claim rests on.
+// Unlike the goldens they still hold after a deliberate re-record.
 func TestE5CrawlSlowerThanPublish(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavyweight")

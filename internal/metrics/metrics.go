@@ -146,8 +146,8 @@ func ranks(v []float64) []float64 {
 	return r
 }
 
-// Table renders experiment results as aligned plain text, the format both
-// cmd/experiments and EXPERIMENTS.md use.
+// Table renders experiment results as aligned plain text, the format
+// cmd/experiments prints and the experiment goldens record.
 type Table struct {
 	Title   string
 	Columns []string

@@ -82,15 +82,6 @@ func (c Cost) Par(d Cost) Cost {
 	return Cost{Latency: lat, Bytes: c.Bytes + d.Bytes, Msgs: c.Msgs + d.Msgs}
 }
 
-// ParAll folds Par over a set of costs.
-func ParAll(costs []Cost) Cost {
-	var out Cost
-	for _, c := range costs {
-		out = out.Par(c)
-	}
-	return out
-}
-
 // Sizer lets payload types report their wire size. Payloads that do not
 // implement Sizer are charged DefaultMsgBytes.
 type Sizer interface{ WireSize() int }

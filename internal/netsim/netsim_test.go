@@ -169,10 +169,6 @@ func TestCostSeqPar(t *testing.T) {
 	if par.Latency != 30*time.Millisecond || par.Bytes != 150 || par.Msgs != 3 {
 		t.Fatalf("Par = %+v", par)
 	}
-	all := ParAll([]Cost{a, b, {Latency: 5 * time.Millisecond}})
-	if all.Latency != 30*time.Millisecond {
-		t.Fatalf("ParAll latency = %v", all.Latency)
-	}
 }
 
 type sized struct{ n int }

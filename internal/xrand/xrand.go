@@ -83,37 +83,6 @@ func (r *RNG) Float64() float64 {
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 
-// NormFloat64 returns a standard normal variate (Marsaglia polar method).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
-// Duration returns a uniform duration in [0, max). Units are preserved
-// exactly; max must be positive.
-func (r *RNG) DurationN(max int64) int64 {
-	if max <= 0 {
-		panic("xrand: DurationN with non-positive max")
-	}
-	return int64(r.Uint64() % uint64(max))
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

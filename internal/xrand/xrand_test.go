@@ -180,38 +180,6 @@ func TestBytesFill(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Positive(t *testing.T) {
-	r := New(13)
-	sum := 0.0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("ExpFloat64 = %v < 0", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean = %v, want ~1", mean)
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(14)
-	sum, sumsq := 0.0, 0.0
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.02 || math.Abs(variance-1) > 0.05 {
-		t.Fatalf("normal mean=%v var=%v, want 0/1", mean, variance)
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	parent := New(15)
 	a := parent.Split()

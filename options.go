@@ -22,8 +22,10 @@ func WithBees(n int) Option {
 
 // WithFrontendPool sets the serving tier's size: n stateless frontends,
 // each attached to its own peer with its own byte-budgeted caches,
-// behind a deterministic least-loaded balancer (fewest in-flight, then
-// least accumulated simulated serving time, then round-robin). Results
+// behind a deterministic least-loaded balancer (least projected
+// simulated finish — accumulated serving time plus in-flight queries at
+// the frontend's mean query cost — then fewest in-flight, then
+// round-robin). Results
 // are frontend-independent, so the pool size never changes responses —
 // it divides the serving tier's simulated makespan, which
 // Engine.PoolStats exposes per frontend. Non-positive selects 1.
