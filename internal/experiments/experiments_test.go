@@ -54,15 +54,25 @@ func TestE5CrawlSlowerThanPublish(t *testing.T) {
 		t.Skip("heavyweight")
 	}
 	e, _ := ByID("E5")
-	tables := e.Run(1)
-	tb := tables[0]
-	// Row 0: QueenBee; rows 1..3: crawlers. Compare medians textually is
-	// fragile; re-run is cheap enough — instead assert row count.
+	tb := e.Run(1)[0]
+	// Row 0: QueenBee; rows 1..3: crawlers at growing intervals.
 	if tb.Rows() != 4 {
 		t.Fatalf("E5 rows = %d, want 4", tb.Rows())
 	}
 	if !strings.Contains(tb.Cell(0, 0), "QueenBee") {
 		t.Fatalf("row 0 = %q", tb.Cell(0, 0))
+	}
+	median := func(r int) time.Duration {
+		d, err := time.ParseDuration(tb.Cell(r, 1))
+		if err != nil {
+			t.Fatalf("row %d median %q: %v", r, tb.Cell(r, 1), err)
+		}
+		return d
+	}
+	for r := 1; r < tb.Rows(); r++ {
+		if median(r) <= median(r-1) {
+			t.Fatalf("%s median %v not above %s's %v", tb.Cell(r, 0), median(r), tb.Cell(r-1, 0), median(r-1))
+		}
 	}
 }
 
