@@ -208,13 +208,17 @@ func TestDegradedReadsPartialAnswer(t *testing.T) {
 		}
 		c.Seal()
 		c.RunUntilIdle(8)
-		// Cut off the whole peer swarm, leaving only the bees reachable:
-		// shards whose records kept a replica on a bee still load, shards
-		// whose replicas are all stranded far-side fail their wave leg
-		// (fatal ErrPartitioned, no retries) — a genuinely mixed wave.
+		// Cut off the whole peer swarm and every other bee, leaving the
+		// frontend's own bee alone: shards whose records kept a copy on
+		// it (it wrote them, or is among their closest) still load,
+		// shards whose copies are all stranded far-side fail their wave
+		// leg (fatal ErrPartitioned, no retries) — a genuinely mixed wave.
 		groups := make(map[netsim.NodeID]int)
 		for _, p := range c.Peers {
 			groups[p.Addr()] = 1
+		}
+		for _, b := range c.Bees[1:] {
+			groups[b.Peer.Addr()] = 1
 		}
 		c.Net.SetPartition(groups)
 		return c, markers

@@ -141,12 +141,14 @@ func TestFailPeersDeterministic(t *testing.T) {
 // 1197 msgs of which the stats record was 1 / 1 / 0 and 40 msgs; steady
 // passes 18 / 0 / 0 for 1096 msgs, the stats record 1 / 0 / 0 and 24).
 // Probing each segment with a FIND_NODE walk and then K FIND_VALUEs
-// cost a steady pass 389 msgs.
+// cost a steady pass 389 msgs. Since every write also lands on its
+// writer, the maintenance node's closest set misses fewer copies, and
+// the first pass repairs 1 / 0 where it repaired 3 / 2.
 func TestChurnMaintenanceOneWalkPerRecord(t *testing.T) {
 	c, _ := churnCluster(t)
 	first := c.RunMaintenance()
-	if first.ProbedKeys != 17 || first.Republished != 3 || first.Reseeded != 2 || first.Reprovided != 0 {
-		t.Fatalf("first pass = %+v, want 17 probed / 3 republished / 2 re-seeded / 0 re-announced", first)
+	if first.ProbedKeys != 17 || first.Republished != 1 || first.Reseeded != 0 || first.Reprovided != 0 {
+		t.Fatalf("first pass = %+v, want 17 probed / 1 republished / 0 re-seeded / 0 re-announced", first)
 	}
 	if first.Cost.Msgs >= 1197-40 {
 		t.Fatalf("first pass cost %d msgs, three walks per record cost %d", first.Cost.Msgs, 1197-40)

@@ -370,7 +370,10 @@ func TestLookupMatchesReference(t *testing.T) {
 							return resp.(findNodeResp).Contacts, true, cost
 						}
 					}
-					var got, want trace
+					// The walk asks its walker first, in-process and for
+					// free, and learns from it the K closest the references
+					// start from.
+					got, want := trace{}, trace{asked: []netsim.NodeID{b[w].self.Addr}, clock: []netsim.Cost{{}}}
 					query := ref(a[w], &got)
 					var answered func() bool
 					if s.firstAnswer {

@@ -202,7 +202,14 @@ func (n *Node) call(to Contact, req any) (any, netsim.Cost, error) {
 // charged each failed attempt's wire cost). Structural failures (node
 // down, partition, unknown node) fail fast: retrying cannot help until
 // the world changes, and only then is the contact marked failed.
+//
+// A node answers a call to itself in-process: no message, no cost, and
+// no draw from any link's stream.
 func (n *Node) callCtx(ctx context.Context, to Contact, req any) (any, netsim.Cost, error) {
+	if to.Addr == n.self.Addr {
+		resp, err := n.handle(n.self.Addr, req)
+		return resp, netsim.Cost{}, err
+	}
 	var total netsim.Cost
 	for attempt := 0; ; attempt++ {
 		resp, cost, err := n.net.CallCtx(ctx, n.self.Addr, to.Addr, req)
@@ -420,8 +427,14 @@ func (n *Node) iterativeLookup(ctx context.Context, target Key, hasAnswer func()
 	k := n.cfg.K
 	// Room for twice the K closest; a walk that hears of more doubles it.
 	l := lookup{n: n, ctx: ctx, target: target, hasAnswer: hasAnswer, query: query, heard: heard, progress: progress, list: make(shortlist, 0, 2*k)}
-	for _, c := range n.rt.closest(target, k) {
-		l.list.insert(c, target)
+	// The walker answers first, in-process (callCtx): heard takes its
+	// answer before anyone else's, and the contacts it names, its table's
+	// K closest to target, start the shortlist.
+	l.list.insert(n.self, target)
+	l.issue(0)
+	l.arrive(0)
+	if progress != nil {
+		progress(l.total)
 	}
 	if hasAnswer != nil {
 		l.lockstep()
@@ -473,25 +486,26 @@ func (l *lookup) issue(i int) {
 }
 
 // arrive applies list[i]'s answer: a failure drops the contact, an
-// answer goes to heard, and any reply adds the contacts it names.
+// answer goes to heard, and any reply adds the contacts it names. The
+// walker's own answer is heard like any other, but the walker is never
+// one of the closest: it is dropped as a failed contact is, so it never
+// counts as live or among the K nearest, and no reply lists it again.
 func (l *lookup) arrive(i int) {
 	c := &l.list[i]
-	c.done, c.failed = true, !c.ok
+	c.done, c.failed = true, !c.ok || c.ID == l.n.self.ID
 	from, r, rtt := c.Contact, c.reply, c.rtt
 	c.reply = nil
-	if c.ok {
+	if !c.failed {
 		l.live++
-		if r != nil && l.heard != nil {
-			l.heard(from, r, rtt)
-		}
+	}
+	if c.ok && r != nil && l.heard != nil {
+		l.heard(from, r, rtt)
 	}
 	if r == nil {
 		return
 	}
 	for _, cc := range r.closer() { // inserting moves entries: c is stale now
-		if cc.ID != l.n.self.ID {
-			l.list.insert(cc, l.target)
-		}
+		l.list.insert(cc, l.target)
 	}
 }
 
@@ -664,16 +678,18 @@ func (l *lookup) lockstep() {
 // walking, and reports whether c took it. It returns the contacts of the
 // converged closest set that took it, nearest first.
 //
-// A converged walk gets one wave to its closest set. An unconverged one
-// is walked, and the walk carries the record: it sends it, in place of
-// FIND_NODE, to each contact it asks, so the write is done when the walk
+// Every write lands on its writer first, in-process (callCtx), and then
+// on the closest set, which never holds the writer. A converged walk
+// gets one wave to its closest set. An unconverged one is walked, and the
+// walk carries the record: it sends it, in place of FIND_NODE, to each
+// contact it asks, the writer first, so the write is done when the walk
 // converges. It lands on every contact the walk asked — the converged K,
 // and any it asked before closer ones displaced them. A reused walk can
 // be stale only if a contact died since it ran, so when any RPC of its
 // wave fails the key is walked that way, once — a remembered walk never
-// under-replicates silently. A lone node (a walk that found nobody) keeps
-// the record itself and is its own one replica.
-func (n *Node) writeAt(w Walk, keepLocal func(), send func(c Contact, walking bool) (reply, bool, netsim.Cost, error)) ([]Contact, netsim.Cost) {
+// under-replicates silently. A lone node (a walk that found nobody) is
+// its own one replica.
+func (n *Node) writeAt(w Walk, send func(c Contact, walking bool) (reply, bool, netsim.Cost, error)) ([]Contact, netsim.Cost) {
 	var (
 		total   netsim.Cost
 		taken   []Contact
@@ -681,6 +697,8 @@ func (n *Node) writeAt(w Walk, keepLocal func(), send func(c Contact, walking bo
 		walk    = !w.converged
 	)
 	if w.converged {
+		_, _, cost, err := send(n.self, false)
+		total, walk = cost, err != nil
 		for _, r := range w.Closest {
 			_, ok, cost, err := send(r.Contact, false)
 			total = total.Par(cost)
@@ -707,7 +725,6 @@ func (n *Node) writeAt(w Walk, keepLocal func(), send func(c Contact, walking bo
 		taken = slices.DeleteFunc(closest, func(c Contact) bool { return slices.Contains(refused, c.ID) })
 	}
 	if reached == 0 {
-		keepLocal()
 		return []Contact{n.self}, total
 	}
 	return taken, total
@@ -720,31 +737,18 @@ func (n *Node) Put(key Key, value []byte, seq uint64) (int, netsim.Cost, error) 
 	return n.PutAt(Walk{Key: key}, value, seq)
 }
 
-// PutAt stores a versioned value on the closest set of a walk toward
-// w.Key the caller already ran — the Locate that was the read half of a
-// read-modify-write, or maintenance's health check — issuing only the
-// STORE wave, or walks storing as it goes when w never converged; see
-// writeAt, also for the staleness fallback. The writer also keeps a local replica (when it
-// already holds an older version, or when the swarm is empty) so its own
-// later reads can never regress. A replica holding a
-// newer sequence refuses the record: the count returned is replicas that
-// ACCEPTED it, and none accepting is an error.
+// PutAt stores a versioned value on its writer and on the closest set of
+// a walk toward w.Key the caller already ran — the Locate that was the
+// read half of a read-modify-write, or maintenance's health check —
+// issuing only the STORE wave, or walks storing as it goes when w never
+// converged; see writeAt, also for the staleness fallback. The writer's
+// own copy keeps its later reads from regressing and costs nothing. A
+// replica holding a newer sequence refuses the record: the count
+// returned is replicas of the closest set that ACCEPTED it, and none
+// accepting is an error.
 func (n *Node) PutAt(w Walk, value []byte, seq uint64) (int, netsim.Cost, error) {
 	key := w.Key
-	n.mu.Lock()
-	if cur, ok := n.values[key]; ok && seq >= cur.seq {
-		n.values[key] = storedValue{value: value, seq: seq}
-	}
-	n.mu.Unlock()
-
-	accepted, cost := n.writeAt(w, func() {
-		// A lone node stores locally so single-node setups still work.
-		n.mu.Lock()
-		if cur, ok := n.values[key]; !ok || seq >= cur.seq {
-			n.values[key] = storedValue{value: value, seq: seq}
-		}
-		n.mu.Unlock()
-	}, func(c Contact, walking bool) (reply, bool, netsim.Cost, error) {
+	accepted, cost := n.writeAt(w, func(c Contact, walking bool) (reply, bool, netsim.Cost, error) {
 		resp, cost, err := n.call(c, storeReq{From: n.self, Key: key, Value: value, Seq: seq, Closer: walking})
 		if err != nil {
 			return nil, false, cost, err
@@ -758,16 +762,16 @@ func (n *Node) PutAt(w Walk, value []byte, seq uint64) (int, netsim.Cost, error)
 }
 
 // Located is the outcome of the locating read: the winning record (when
-// any replica or the local copy held one) and the converged walk that
-// found it — the closest set, with the sequence each member held.
+// the walker or any contact it asked held one) and the converged walk
+// that found it — the closest set, with the sequence each member held.
 type Located struct {
 	Walk
 	Value []byte
 	Seq   uint64
 	// Holder is a replica worth asking first next time: the remote
 	// contact that returned the winning record with the lowest RPC
-	// latency (the nearest current holder). The zero Contact means no
-	// remote replica returned it — only this node's own copy did.
+	// latency (the nearest current holder). It is never the walker: the
+	// zero Contact means only this node's own copy returned it.
 	Holder Contact
 }
 
@@ -776,16 +780,17 @@ type Located struct {
 // lists), the lookup does NOT stop at the first replica: it queries
 // through to the k closest nodes, asking each the moment the walk learns
 // of it, and takes the highest sequence among the answers as they arrive
-// — a read that tolerates stale replicas. The local replica (if any) participates as one more vote.
-// What the walk learned on the way is returned with the record, so a
+// — a read that tolerates stale replicas. The walker answers first, so
+// its own copy (if any) is one more vote, at no cost. What the walk
+// learned on the way is returned with the record, so a
 // caller that goes on to write the key (PutAt) or to judge its
 // replication (Walk.Replicas) does not walk again. With ErrNotFound the
 // walk is still valid: the first write of a key reuses it like any
 // other.
 //
 // valid, when set, accepts exactly the copies that are the record (a
-// content hash check, as GetCheckedCtx's). A copy it rejects, the local
-// one included, is not held and never wins; the contact that sent it
+// content hash check, as GetCheckedCtx's). A copy it rejects, the
+// walker's included, is not held and never wins; the contact that sent it
 // keeps its place in the closest set, so a write onto the walk
 // overwrites it. Versioned records pass nil.
 //
@@ -800,13 +805,6 @@ func (n *Node) Locate(ctx context.Context, key Key, valid func([]byte) bool) (Lo
 		anyValue  bool
 		holderLat time.Duration
 	)
-	n.mu.Lock()
-	sv, ok := n.values[key]
-	n.mu.Unlock()
-	if ok && (valid == nil || valid(sv.value)) {
-		loc.Value, loc.Seq, anyValue = sv.value, sv.seq, true
-	}
-
 	answers := make(map[Key]Replica)
 	contacts, cost, err := n.iterativeLookup(ctx, key, nil, n.asking(ctx, findValueReq{From: n.self, Key: key}), func(c Contact, rp reply, rtt time.Duration) {
 		r := rp.(findValueResp)
@@ -815,12 +813,12 @@ func (n *Node) Locate(ctx context.Context, key Key, valid func([]byte) bool) (Lo
 		if !held {
 			return
 		}
-		switch {
-		case !anyValue || r.Seq > loc.Seq:
+		if !anyValue || r.Seq > loc.Seq {
 			loc.Value, loc.Seq, anyValue = r.Value, r.Seq, true
-			loc.Holder, holderLat = c, rtt
-		case r.Seq == loc.Seq && bytes.Equal(r.Value, loc.Value) &&
-			(loc.Holder == Contact{} || rtt < holderLat):
+			loc.Holder = Contact{}
+		}
+		if c != n.self && r.Seq == loc.Seq && bytes.Equal(r.Value, loc.Value) &&
+			(loc.Holder == Contact{} || rtt < holderLat) {
 			loc.Holder, holderLat = c, rtt
 		}
 	}, nil)
@@ -884,19 +882,15 @@ func (n *Node) GetImmutableCtx(ctx context.Context, key Key) ([]byte, netsim.Cos
 // GetCheckedCtx retrieves a self-certifying value: one that valid, when
 // set, accepts exactly when it is the value stored under key (a content
 // hash check). The lookup ends at the first replica found whose value
-// valid accepts. Its product is that first answer, not the closest
-// set, so it asks alpha contacts a round. A value valid rejects is a miss
-// at the contact that sent it: the walk drops that contact as it drops
-// one that failed, and goes on to the next holder. The node's own copy
-// is checked the same way before the walk. Once ctx is done the remaining
-// lookup rounds are abandoned with the partial cost. A replica found
-// before the cancel still wins — the bytes were already on the wire, and
-// valid vouches for them.
+// valid accepts — the walker's own copy, at no cost, when it holds one.
+// Its product is that first answer, not the closest set, so it asks
+// alpha contacts a round. A value valid rejects is a miss at the contact
+// that sent it: the walk drops that contact as it drops one that failed,
+// and goes on to the next holder. Once ctx is done the remaining lookup
+// rounds are abandoned with the partial cost. A replica found before the
+// cancel still wins — the bytes were already on the wire, and valid
+// vouches for them.
 func (n *Node) GetCheckedCtx(ctx context.Context, key Key, valid func([]byte) bool) ([]byte, netsim.Cost, error) {
-	if val, ok := n.Local(key); ok && (valid == nil || valid(val)) {
-		return val, netsim.Cost{}, nil
-	}
-
 	var (
 		val   []byte
 		found bool
@@ -907,14 +901,13 @@ func (n *Node) GetCheckedCtx(ctx context.Context, key Key, valid func([]byte) bo
 			return nil, false, cc
 		}
 		r := resp.(findValueResp)
-		if !r.Found {
-			return resp.(reply), true, cc
+		if r.Found && valid != nil && !valid(r.Value) {
+			return r, false, cc
 		}
-		if valid != nil && !valid(r.Value) {
-			return resp.(reply), false, cc
+		if r.Found {
+			val, found = r.Value, true
 		}
-		val, found = r.Value, true
-		return nil, true, cc
+		return r, true, cc
 	}, nil, nil)
 	if found {
 		return val, cost, nil
@@ -932,21 +925,17 @@ func (n *Node) Provide(key Key) ([]Contact, netsim.Cost, error) {
 	return n.ProvideAt(Walk{Key: key})
 }
 
-// ProvideAt announces this node as a provider for w.Key on the closest
-// set of a walk the caller already ran (FindProviders, when it
-// converged), issuing only the ADD_PROVIDER wave, or walks announcing as
-// it goes when w never converged (Provide); see writeAt, also for the staleness
-// fallback. It returns the converged closest set that took the record,
-// nearest first: provider records never expire, so the
-// record stays findable for as long as they answer, and a caller that
-// remembers them knows when it must announce again.
+// ProvideAt announces this node as a provider for w.Key on itself and on
+// the closest set of a walk the caller already ran (FindProviders, when
+// it converged), issuing only the ADD_PROVIDER wave, or walks announcing
+// as it goes when w never converged (Provide); see writeAt, also for the
+// staleness fallback. It returns the converged closest set that took the
+// record, nearest first: provider records never expire, so the record
+// stays findable for as long as they answer, and a caller that remembers
+// them knows when it must announce again.
 func (n *Node) ProvideAt(w Walk) ([]Contact, netsim.Cost, error) {
 	key := w.Key
-	holders, cost := n.writeAt(w, func() {
-		n.mu.Lock()
-		n.providers[key] = withProvider(n.providers[key], n.self)
-		n.mu.Unlock()
-	}, func(c Contact, walking bool) (reply, bool, netsim.Cost, error) {
+	holders, cost := n.writeAt(w, func(c Contact, walking bool) (reply, bool, netsim.Cost, error) {
 		resp, cost, err := n.call(c, addProviderReq{From: n.self, Key: key, Provider: n.self, Closer: walking})
 		if err != nil {
 			return nil, false, cost, err
@@ -965,17 +954,17 @@ type Providers struct {
 	// order).
 	All []Contact
 	// First is the providers known once the first answer naming any was
-	// applied, at the end of its lock-step round, or before the walk, when
-	// local records already named some, and FirstCost is what the walk
-	// had cost by then. Retrieval can start there: the rest of the walk
-	// converges on the K closest for the sake of whoever announces on it.
+	// applied — the walker's own records, at no cost, or at the end of a
+	// lock-step round — and FirstCost is what the walk had cost by then.
+	// Retrieval can start there: the rest of the walk converges on the K
+	// closest for the sake of whoever announces on it.
 	First     []Contact
 	FirstCost netsim.Cost
 	// Walk is the lookup itself, reusable (a fetcher announcing itself for
 	// the same key hands it to ProvideAt) only when it ran to convergence:
-	// a lookup answered from local provider records, or cut short once
-	// limit providers were known, returns an unconverged walk and the
-	// announce walks for itself.
+	// a lookup cut short once limit providers were known — by the walker's
+	// own records alone, at no cost, or later — returns an unconverged
+	// walk and the announce walks for itself.
 	Walk Walk
 }
 
@@ -987,24 +976,15 @@ type Providers struct {
 // cheaply, as it can.
 func (n *Node) FindProviders(key Key, limit int) (Providers, netsim.Cost, error) {
 	found := Providers{Walk: Walk{Key: key}}
-	// Local provider records answer immediately. seen may be this node's
-	// own set (withProvider never writes it), so known hands out copies.
-	n.mu.Lock()
-	seen := n.providers[key]
-	n.mu.Unlock()
+	// withProvider never writes seen's array, so known hands it out.
+	var seen []Contact
 	known := func() []Contact {
 		if limit > 0 && len(seen) > limit {
-			return slices.Clone(seen[:limit])
+			return seen[:limit:limit]
 		}
-		return slices.Clone(seen)
+		return seen
 	}
 	enough := func() bool { return limit > 0 && len(seen) >= limit }
-	found.First = known()
-	if enough() {
-		found.All = found.First
-		return found, netsim.Cost{}, nil
-	}
-
 	cutShort := false
 	contacts, cost := n.walk(key, func() bool {
 		cutShort = enough()

@@ -347,11 +347,12 @@ func announcedOn(nodes []*Node, key Key, who netsim.NodeID) []netsim.NodeID {
 }
 
 // Property (a write rides its walk; a reused walk gets one wave): on a
-// static network a plain Put or Provide lands on exactly the contacts its
-// walk reached — one message per contact asked, no wave after it — and
-// reports the converged K as its holders. A write that reuses the walk
-// of the read before it lands on exactly that walk's K closest for one
-// K-wide wave, and is what an unrelated node's quorum read returns.
+// static network a plain Put or Provide lands on its writer and on
+// exactly the contacts its walk reached — one message per contact asked,
+// no wave after it — and reports the converged K as its holders. A write
+// that reuses the walk of the read before it lands on its writer and on
+// exactly that walk's K closest for one K-wide wave, and is what an
+// unrelated node's quorum read returns.
 func TestWalkReuseLandsWherePutLands(t *testing.T) {
 	cfg := DefaultConfig()
 	net, nodes := buildSwarm(t, 40, cfg)
@@ -382,10 +383,10 @@ func TestWalkReuseLandsWherePutLands(t *testing.T) {
 			t.Fatalf("key %d: Put cost %d msgs, its walk asked %d contacts", i, putCost.Msgs, len(reached))
 		}
 		plain := holdersAt(nodes, key, 1)
-		if sortedAddrs(plain) != sortedAddrs(reached) {
-			t.Fatalf("key %d: Put landed on %v, its walk reached %v", i, plain, reached)
+		if sortedAddrs(plain) != sortedAddrs(append(reached, writer.self.Addr)) {
+			t.Fatalf("key %d: Put landed on %v, its walk reached %v from %s", i, plain, reached, writer.self.Addr)
 		}
-		if len(plain) > cfg.K {
+		if len(reached) > cfg.K {
 			displaced++
 		}
 		loc, _, err := writer.Locate(ctx, key, nil)
@@ -407,8 +408,8 @@ func TestWalkReuseLandsWherePutLands(t *testing.T) {
 		if writeCost.Msgs != cfg.K {
 			t.Fatalf("key %d: PutAt cost %d msgs, want one %d-wide STORE wave and no walk", i, writeCost.Msgs, cfg.K)
 		}
-		if reused := holdersAt(nodes, key, 2); sortedAddrs(reused) != sortedAddrs(closestOf(loc.Walk)) {
-			t.Fatalf("key %d: PutAt landed on %v, its walk's closest set is %v", i, reused, closestOf(loc.Walk))
+		if reused := holdersAt(nodes, key, 2); sortedAddrs(reused) != sortedAddrs(append(closestOf(loc.Walk), writer.self.Addr)) {
+			t.Fatalf("key %d: PutAt from %s landed on %v, its walk's closest set is %v", i, writer.self.Addr, reused, closestOf(loc.Walk))
 		}
 		if got, seq, _, err := reader.GetCtx(context.Background(), key); err != nil || string(got) != "v2" || seq != 2 {
 			t.Fatalf("key %d: Get from %s = %q seq=%d err=%v", i, reader.self.Addr, got, seq, err)
@@ -429,9 +430,9 @@ func TestWalkReuseLandsWherePutLands(t *testing.T) {
 			t.Fatalf("key %d: ProvideAt announced %d for %d msgs err=%v, want one %d-wide wave", i, len(announced), annCost.Msgs, err, cfg.K)
 		}
 		// The contacts ProvideAt reports are exactly where the record
-		// landed: the discovery walk's closest set.
+		// landed besides the fetcher: the discovery walk's closest set.
 		reported := addrsOf(announced)
-		if reused := announcedOn(nodes, key, fetcher.self.Addr); sortedAddrs(reported) != sortedAddrs(reused) || sortedAddrs(reused) != sortedAddrs(closestOf(found)) {
+		if reused := announcedOn(nodes, key, fetcher.self.Addr); sortedAddrs(append(reported, fetcher.self.Addr)) != sortedAddrs(reused) || sortedAddrs(reported) != sortedAddrs(closestOf(found)) {
 			t.Fatalf("key %d: ProvideAt reported %v, the record is on %v, discovery converged on %v", i, reported, reused, closestOf(found))
 		}
 		for _, nd := range nodes {
@@ -448,8 +449,8 @@ func TestWalkReuseLandsWherePutLands(t *testing.T) {
 		if provCost.Msgs != len(reached) {
 			t.Fatalf("key %d: Provide cost %d msgs, its walk asked %d contacts", i, provCost.Msgs, len(reached))
 		}
-		if walked := announcedOn(nodes, key, fetcher.self.Addr); sortedAddrs(walked) != sortedAddrs(reached) {
-			t.Fatalf("key %d: plain Provide landed on %v, its walk reached %v", i, walked, reached)
+		if walked := announcedOn(nodes, key, fetcher.self.Addr); sortedAddrs(walked) != sortedAddrs(append(reached, fetcher.self.Addr)) {
+			t.Fatalf("key %d: plain Provide landed on %v, its walk reached %v from %s", i, walked, reached, fetcher.self.Addr)
 		}
 		if got := addrsOf(holders); fmt.Sprint(got) != fmt.Sprint(closestOf(found)) {
 			t.Fatalf("key %d: plain Provide reported %v, want the converged closest set %v", i, got, closestOf(found))
@@ -465,8 +466,9 @@ func TestWalkReuseLandsWherePutLands(t *testing.T) {
 // from, a Put or Provide costs exactly what a K-wide walk sending the
 // same record to each contact it asks costs on a twin swarm — the walk
 // and no wave after it — for one message per contact asked. The record
-// is on every contact the walk reached, the K nearest among them, and
-// Provide reports the K nearest as its holders, nearest first.
+// is on the walker and on every contact the walk reached, the K nearest
+// among them, and Provide reports the K nearest as its holders, nearest
+// first.
 func TestWalkedWriteRidesItsWalk(t *testing.T) {
 	cfg := DefaultConfig()
 	net, nodes := buildSwarm(t, 40, cfg)
@@ -508,7 +510,7 @@ func TestWalkedWriteRidesItsWalk(t *testing.T) {
 		}
 		// held lists each node once, so an equal reached asked none twice.
 		held := holdersAt(nodes, key, 1)
-		if sortedAddrs(held) != sortedAddrs(reached) || !isSubset(want, held) {
+		if sortedAddrs(held) != sortedAddrs(append(reached, walker.self.Addr)) || !isSubset(want, held) {
 			t.Fatalf("key %d: the record is on %v; the walk reached %v, the %d nearest are %v", i, held, reached, cfg.K, want)
 		}
 
@@ -524,7 +526,7 @@ func TestWalkedWriteRidesItsWalk(t *testing.T) {
 		if cost.Msgs != len(reached) {
 			t.Fatalf("key %d: Provide sent %d msgs to %d contacts", i, cost.Msgs, len(reached))
 		}
-		if on := announcedOn(nodes, key, walker.self.Addr); sortedAddrs(on) != sortedAddrs(reached) || !isSubset(want, on) {
+		if on := announcedOn(nodes, key, walker.self.Addr); sortedAddrs(on) != sortedAddrs(append(reached, walker.self.Addr)) || !isSubset(want, on) {
 			t.Fatalf("key %d: the provider record is on %v; the walk reached %v, the %d nearest are %v", i, on, reached, cfg.K, want)
 		}
 		if fmt.Sprint(addrsOf(holders)) != fmt.Sprint(want) {
