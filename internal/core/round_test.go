@@ -398,10 +398,11 @@ func TestWriteDeterminismAcrossGOMAXPROCS(t *testing.T) {
 // again when a served hint stopped discovering and its announce began to
 // walk: each time the receipts' costs moved, and so did the cluster, whose
 // walked writes land on the contacts their walks asked (and the routing
-// tables those walks teach).
+// tables those walks teach). Re-recorded again when every write began to
+// land on its writer too.
 var pinnedForget = struct{ receipts, digest string }{
-	receipts: "9eaddef3f0c1093089c8d4610dcad49252141c36df63e2a72cf9faeb33518629",
-	digest:   "c012b885fb273dbcbd491ebd67daedc844a0cef7e9ce2d7385ac5c183a208029",
+	receipts: "51a2883722a2aff572647a5d161bcfb57dbcfd99120ffa94379eae943c891478",
+	digest:   "c806b04c27297faa032ad44933e7c0522ae82dcfd8cc1afe103af1845009d4b9",
 }
 
 // TestWriteBeesForgetResolvedTasks: a bee drops a task's result once the
@@ -473,7 +474,7 @@ func pendingByTask(c *Cluster) map[string][][]byte {
 // receipts, and clusterDigest. Re-recorded as pinnedForget was.
 var pinnedQuorumBuild = struct{ receipts, digest string }{
 	receipts: "981de2603436aa6524d931810b54c4788280d0b4f98c1c143868007ac063c620",
-	digest:   "edfe522cf97cfb9cc5fe8c8e403307e433658c4e47e2a34bddc86af5ed2f701f",
+	digest:   "1a956d95694bfecaaeb23a7e0da9f51913b582693ca7a13de937f8e85d5b79c0",
 }
 
 // TestWriteQuorumBuildsOnce: the assignees of a task whose inputs are
@@ -552,7 +553,7 @@ var pinnedTampered = struct {
 		"bee-003 won=true a35b24d8afa24bbb 2079",
 	},
 	receipt: "1c91472b5ebc045a7012e6f84c0feb6071b8aed2e60b77b493e022163e362b76",
-	digest:  "16870f7b2222f44ec8e7173f34aca68698069504d2ddf0a33aacbf3ab587703c",
+	digest:  "81415a4e7aaf094ba0ca8cee022cdf4cda1a8243e12156fb868694cc29f14a77",
 }
 
 // TestWriteTamperedLocalCopyBuildsAlone: a build is shared by the bytes

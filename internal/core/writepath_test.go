@@ -301,12 +301,13 @@ func TestWriteRefusedStoreSurfaces(t *testing.T) {
 // walk, leaving displaced copies beside each record's K replicas, again
 // when hinted provider discovery became K-wide, and again when a served
 // hint stopped discovering, each time teaching routing tables contacts
-// that move where later walked writes land; the ledger did not move.
+// that move where later walked writes land, and again when every write
+// began to land on its writer too; the ledger did not move.
 var pinnedCompaction = struct {
 	digest string
 	write  WriteStats
 }{
-	digest: "0fa496fda489c3918cf83a109c84f7dae23abf65aca8f6b6b770cdbb2988c888",
+	digest: "4b6a6d47905fcf8c22bc450c7ce51daa0697f03720a326874260864598a1729b",
 	write: WriteStats{
 		Rounds: 66, SegmentWrites: 66, PointerWrites: 528, Compactions: 168,
 		IngestedBytes: 1_232_587, CompactedBytes: 2_351_627,

@@ -583,11 +583,12 @@ func recordQueries(net *netsim.Network, nodes []*Node, from netsim.NodeID) (orde
 // message count and latency — which moves whenever any lookup's schedule
 // or traffic does (the swarm's bootstrap and Provide walks included), so
 // it is the one to re-record, deliberately, when those change. It was
-// last re-recorded when converging walks (the swarm's bootstrap and
-// Provide walks) went to arrival order.
+// last re-recorded when every write began to land on its writer too: a
+// provider's own node answers GET_PROVIDERS with its record, so answers
+// that name it are longer and take longer on the wire.
 const (
 	findProvidersFound = uint64(7364604719937282351)
-	findProvidersCost  = uint64(13029674132287292925)
+	findProvidersCost  = uint64(10085137669610112096)
 )
 
 // Property (retrieval starts at the first provider answer): discovery
