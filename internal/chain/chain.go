@@ -137,13 +137,6 @@ func (c *Chain) Submit(tx *Tx) error {
 	return nil
 }
 
-// PendingCount returns the number of queued transactions.
-func (c *Chain) PendingCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pending)
-}
-
 // Seal orders all pending transactions into a new block, applying each in
 // submission order. Failed transactions are included with a failure
 // receipt but leave no state change. Returns the sealed block.

@@ -471,21 +471,6 @@ func TestReceiptUnknownTx(t *testing.T) {
 	}
 }
 
-func TestPendingCount(t *testing.T) {
-	alice := NewNamedAccount(1, "alice")
-	bob := NewNamedAccount(1, "bob")
-	c, _ := newTestChain(alice, bob)
-	c.Submit(NewTransfer(alice, 0, bob.Address(), 1))
-	c.Submit(NewTransfer(alice, 1, bob.Address(), 1))
-	if c.PendingCount() != 2 {
-		t.Fatalf("pending = %d, want 2", c.PendingCount())
-	}
-	c.Seal()
-	if c.PendingCount() != 0 {
-		t.Fatal("seal should drain the pool")
-	}
-}
-
 func TestTxWireSizePositive(t *testing.T) {
 	alice := NewNamedAccount(1, "alice")
 	tx := NewCall(alice, 0, "queenbee", "publish", map[string]string{"URL": "u"}, 0)

@@ -213,13 +213,6 @@ func (n *Network) Register(id NodeID, h Handler) {
 	}
 }
 
-// Unregister removes a node entirely.
-func (n *Network) Unregister(id NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.nodes, id)
-}
-
 // SetDown marks a node as crashed (true) or recovered (false).
 func (n *Network) SetDown(id NodeID, down bool) {
 	n.mu.Lock()
@@ -285,13 +278,6 @@ func (n *Network) StatsSnapshot() Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.stats
-}
-
-// ResetStats zeroes the global counters.
-func (n *Network) ResetStats() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.stats = Stats{}
 }
 
 // payloadSize estimates the wire size of a payload.

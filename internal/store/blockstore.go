@@ -37,18 +37,6 @@ func (bs *BlockStore) Pin(data []byte) CID {
 	return cid
 }
 
-// Unpin removes a permanent block. It reports whether the block was
-// pinned.
-func (bs *BlockStore) Unpin(cid CID) bool {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	if _, ok := bs.pinned[cid]; !ok {
-		return false
-	}
-	delete(bs.pinned, cid)
-	return true
-}
-
 // PutCached inserts a fetched block into the LRU cache, evicting least
 // recently used blocks as needed. A block already cached keeps its bytes
 // and is only refreshed; blocks larger than the whole cache are ignored.

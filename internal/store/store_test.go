@@ -129,20 +129,6 @@ func TestBlockStorePinGet(t *testing.T) {
 	}
 }
 
-func TestBlockStoreUnpin(t *testing.T) {
-	bs := NewBlockStore(0)
-	cid := bs.Pin([]byte("x"))
-	if !bs.Unpin(cid) {
-		t.Fatal("Unpin should succeed")
-	}
-	if bs.Unpin(cid) {
-		t.Fatal("double Unpin should fail")
-	}
-	if _, ok := bs.Get(cid); ok {
-		t.Fatal("unpinned block should be gone")
-	}
-}
-
 func TestBlockStoreLRUEviction(t *testing.T) {
 	bs := NewBlockStore(100)
 	mk := func(tag byte) (CID, []byte) {
