@@ -111,8 +111,8 @@ func newHandler(e *queenbee.Engine, publisher *queenbee.Account) http.Handler {
 }
 
 // searchJSON is the GET /search body. Degraded flags a partial answer
-// served under -degraded: the wave legs that failed and how complete the
-// answer is.
+// (the daemon always serves one when some shards are unreachable): the
+// wave legs that failed and how complete the answer is.
 type searchJSON struct {
 	Query    string             `json:"query"`
 	Page     int                `json:"page"`
@@ -607,11 +607,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // buildEngine boots the deployment and indexes the demo corpus — the
 // write side runs to completion before the first query is served. The
 // returned account owns the demo corpus and every page later ingested
-// through POST /publish. With crawl set, the corpus arrives through the
+// through POST /publish. A query that loses some shards is answered
+// with what the rest hold and a degraded warning. With crawl set, the
+// corpus arrives through the
 // streaming crawler (fetch → extract → dedup → one publish round per
 // batch, costed as a pipeline in simulated time; GET /stats shows the
 // counters) instead of one monolithic batch.
-func buildEngine(seed uint64, peers, bees, docs, pool int, hedged, maintenance, degraded, crawl bool) (*queenbee.Engine, *queenbee.Account) {
+func buildEngine(seed uint64, peers, bees, docs, pool int, hedged, maintenance, crawl bool) (*queenbee.Engine, *queenbee.Account) {
 	engine := queenbee.New(
 		queenbee.WithSeed(seed),
 		queenbee.WithPeers(peers),
@@ -619,7 +621,7 @@ func buildEngine(seed uint64, peers, bees, docs, pool int, hedged, maintenance, 
 		queenbee.WithFrontendPool(pool),
 		queenbee.WithHedgedReads(hedged),
 		queenbee.WithMaintenance(maintenance),
-		queenbee.WithDegradedReads(degraded),
+		queenbee.WithDegradedReads(true),
 	)
 	creator := engine.NewAccount("creator", 1_000_000)
 	ccfg := corpus.DefaultConfig()
@@ -663,12 +665,11 @@ func main() {
 	pool := flag.Int("pool", 4, "frontends in the serving tier")
 	hedged := flag.Bool("hedged", true, "pair each frontend with a second one: each shard fetch goes to the one with the faster measured pointer read, a failed fetch is retried on the other")
 	maintenance := flag.Bool("maintenance", true, "run a self-healing pass (republish/re-seed/reprovide) after every protocol round")
-	degraded := flag.Bool("degraded", true, "serve partial answers with a degraded warning when some shards are unreachable")
 	crawl := flag.Bool("crawl", false, "ingest the boot corpus through the streaming crawler (one publish round per batch) instead of one monolithic batch")
 	flag.Parse()
 
 	log.Printf("booting QueenBee swarm: %d peers, %d bees, %d docs (seed %d)…", *peers, *bees, *docs, *seed)
-	engine, publisher := buildEngine(*seed, *peers, *bees, *docs, *pool, *hedged, *maintenance, *degraded, *crawl)
+	engine, publisher := buildEngine(*seed, *peers, *bees, *docs, *pool, *hedged, *maintenance, *crawl)
 	sum := engine.Stats()
 	log.Printf("index ready: %d pages, chain height %d, %d active bees, %d frontends (hedged=%v)",
 		sum.Pages, sum.Height, sum.Workers, engine.PoolStats().Size, engine.PoolStats().Hedged)

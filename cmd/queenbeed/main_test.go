@@ -30,7 +30,7 @@ var (
 func serverHandler(t *testing.T) http.Handler {
 	t.Helper()
 	handlerOnce.Do(func() {
-		engine, publisher := buildEngine(1, 10, 3, 12, 2, true, true, true, false)
+		engine, publisher := buildEngine(1, 10, 3, 12, 2, true, true, false)
 		testH = newHandler(engine, publisher)
 		ccfg := corpus.DefaultConfig()
 		ccfg.Seed = 1
@@ -272,7 +272,7 @@ func checkGoroutineLeak(t *testing.T) {
 // both while real publish rounds (maintenance on) run is race-free.
 func TestStatsAnswersUnderWriteLock(t *testing.T) {
 	checkGoroutineLeak(t)
-	engine, publisher := buildEngine(1, 6, 2, 4, 2, true, true, true, false)
+	engine, publisher := buildEngine(1, 6, 2, 4, 2, true, true, false)
 	s := &server{engine: engine, publisher: publisher}
 	unlocked := map[string]http.HandlerFunc{"/stats": s.handleStats, "/healthz": s.handleHealthz}
 
@@ -472,7 +472,7 @@ func TestPublishPartialFailureSurfaced(t *testing.T) {
 // corpus arrives through the streaming pipeline) and checks the crawl's
 // counters surface in GET /stats and the index still serves.
 func TestCrawlBootServesIngestStats(t *testing.T) {
-	engine, publisher := buildEngine(2, 10, 3, 24, 2, true, true, true, true)
+	engine, publisher := buildEngine(2, 10, 3, 24, 2, true, true, true)
 	h := newHandler(engine, publisher)
 
 	var st statsJSON
@@ -574,7 +574,7 @@ func TestConcurrentRequestsConsistent(t *testing.T) {
 // other tests' traffic.
 func TestPointerReadCounters(t *testing.T) {
 	const poolSize = 2
-	engine, publisher := buildEngine(1, 10, 3, 12, poolSize, true, true, true, false)
+	engine, publisher := buildEngine(1, 10, 3, 12, poolSize, true, true, false)
 	h := newHandler(engine, publisher)
 	ccfg := corpus.DefaultConfig()
 	ccfg.Seed = 1

@@ -43,7 +43,7 @@ var uptime = regexp.MustCompile(`"uptime":"[^"]*"`)
 // Regenerate with `go test ./cmd/queenbeed -run TestDaemonTranscript
 // -update`, only when a change is meant to move what the daemon answers.
 func TestDaemonTranscript(t *testing.T) {
-	engine, publisher := buildEngine(1, 10, 3, 12, 2, true, true, true, false)
+	engine, publisher := buildEngine(1, 10, 3, 12, 2, true, true, false)
 	h := newHandler(engine, publisher)
 	ccfg := corpus.DefaultConfig()
 	ccfg.Seed = 1
