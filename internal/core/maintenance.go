@@ -105,7 +105,7 @@ func (c *Cluster) RunMaintenance() RepairStats {
 	// node's own included, is not held and never wins. A bad copy in the
 	// closest set leaves fewer than K holders, and the re-Put of genuine
 	// bytes onto the walk overwrites it. A bad copy of this node's own is
-	// re-Put over even at K holders (PutAt rewrites the local copy). A
+	// re-Put over even at K holders (a write lands on its writer too). A
 	// bad copy on a node the walk displaced is out of the re-Put's reach
 	// and no reason for one. When the walk reached no genuine copy but a
 	// bad one, a self-certifying read goes past them to a genuine copy.

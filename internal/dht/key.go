@@ -4,6 +4,16 @@
 // storage (e.g., IPFS)": 160-bit XOR keyspace, k-buckets, iterative
 // FIND_NODE / FIND_VALUE lookups, k-replicated STORE, and provider records.
 //
+// Every walk is answered first by its walker. A node's call to itself
+// runs in-process: no message, no cost, no draw from a link stream. Its
+// answer is heard like any other — its own copy is a vote, its own
+// provider records are known, a write stores on it — and names the
+// contacts its table knows closest to the key, where the walk goes on.
+// But the walker is never one of the closest set a walk converges on: it
+// is not among the K nearest, not in Walk.Closest, not counted as live
+// and never Located.Holder. So a write lands on its writer and on K
+// other nodes, and there is no other local-copy rule.
+//
 // The iterative walk toward a key is the expensive part of every
 // operation, so an operation walks once: the quorum read of a versioned
 // record (Locate) and provider discovery (FindProviders) return the Walk
@@ -18,7 +28,8 @@
 // order and asks each of the K closest it knows the moment it learns of
 // it. One whose caller takes the first answer — GetCheckedCtx and
 // FindProviders — asks alpha a round, in lock-step, and ends once its
-// caller has what it walked for.
+// caller has what it walked for, which its walker's own answer may
+// already give it.
 package dht
 
 import (

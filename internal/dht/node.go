@@ -267,11 +267,12 @@ type Replica struct {
 }
 
 // Walk is what one iterative lookup toward Key learned: the K closest
-// live contacts it queried, nearest first. A walk that ran to
-// convergence is the replica set a write to Key lands on, so PutAt and
-// ProvideAt accept it in place of walking again; the zero Closest of an
-// unconverged walk (cut short, answered locally, or simply Walk{Key: k})
-// makes them walk, storing as they go (writeAt).
+// live contacts it queried, nearest first, never the walker itself. A
+// walk that ran to convergence is the replica set a write to Key lands on
+// besides its writer, so PutAt and ProvideAt accept it in place of
+// walking again; the zero Closest of an unconverged walk (cut short —
+// by the walker's own answer, too — or simply Walk{Key: k}) makes them
+// walk, storing as they go (writeAt).
 type Walk struct {
 	Key     Key
 	Closest []Replica
@@ -730,7 +731,8 @@ func (n *Node) writeAt(w Walk, send func(c Contact, walking bool) (reply, bool, 
 	return taken, total
 }
 
-// Put stores a versioned value on the k closest nodes to key: PutAt on
+// Put stores a versioned value on its writer and the k closest other
+// nodes to key: PutAt on
 // no walk, so the STORE rides the walk toward key and the write costs
 // that walk alone (writeAt).
 func (n *Node) Put(key Key, value []byte, seq uint64) (int, netsim.Cost, error) {
@@ -918,8 +920,8 @@ func (n *Node) GetCheckedCtx(ctx context.Context, key Key, valid func([]byte) bo
 	return nil, cost, ErrNotFound
 }
 
-// Provide announces this node as a provider for key on the k closest
-// nodes: ProvideAt on no walk, so the ADD_PROVIDER rides the walk toward
+// Provide announces this node as a provider for key on itself and the k
+// closest other nodes: ProvideAt on no walk, so the ADD_PROVIDER rides the walk toward
 // key and the announce costs that walk alone (writeAt).
 func (n *Node) Provide(key Key) ([]Contact, netsim.Cost, error) {
 	return n.ProvideAt(Walk{Key: key})
