@@ -732,9 +732,8 @@ func (n *Node) writeAt(w Walk, send func(c Contact, walking bool) (reply, bool, 
 }
 
 // Put stores a versioned value on its writer and the k closest other
-// nodes to key: PutAt on
-// no walk, so the STORE rides the walk toward key and the write costs
-// that walk alone (writeAt).
+// nodes to key: PutAt on no walk, so the STORE rides the walk toward key
+// and the write costs that walk alone (writeAt).
 func (n *Node) Put(key Key, value []byte, seq uint64) (int, netsim.Cost, error) {
 	return n.PutAt(Walk{Key: key}, value, seq)
 }
@@ -921,8 +920,8 @@ func (n *Node) GetCheckedCtx(ctx context.Context, key Key, valid func([]byte) bo
 }
 
 // Provide announces this node as a provider for key on itself and the k
-// closest other nodes: ProvideAt on no walk, so the ADD_PROVIDER rides the walk toward
-// key and the announce costs that walk alone (writeAt).
+// closest other nodes: ProvideAt on no walk, so the ADD_PROVIDER rides
+// the walk toward key and the announce costs that walk alone (writeAt).
 func (n *Node) Provide(key Key) ([]Contact, netsim.Cost, error) {
 	return n.ProvideAt(Walk{Key: key})
 }
