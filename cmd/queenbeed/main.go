@@ -609,10 +609,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // returned account owns the demo corpus and every page later ingested
 // through POST /publish. A query that loses some shards is answered
 // with what the rest hold and a degraded warning. With crawl set, the
-// corpus arrives through the
-// streaming crawler (fetch → extract → dedup → one publish round per
-// batch, costed as a pipeline in simulated time; GET /stats shows the
-// counters) instead of one monolithic batch.
+// corpus arrives through the streaming crawler (fetch → extract → dedup
+// → one publish round per batch, costed as a pipeline in simulated time;
+// GET /stats shows the counters) instead of one monolithic batch.
 func buildEngine(seed uint64, peers, bees, docs, pool int, hedged, maintenance, crawl bool) (*queenbee.Engine, *queenbee.Account) {
 	engine := queenbee.New(
 		queenbee.WithSeed(seed),
