@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/fanout"
 	"repro/internal/vclock"
 )
 
@@ -73,7 +74,9 @@ func (b *Block) computeHash() [32]byte {
 	return out
 }
 
-// Receipt reports the outcome of one transaction in a sealed block.
+// Receipt reports the outcome of one sealed transaction. Height is the
+// block that holds it, or 0 for one Seal rejected: its signature check
+// failed (ErrTxRejected), and it is in no block.
 type Receipt struct {
 	TxHash [32]byte
 	Height uint64
@@ -91,9 +94,16 @@ type Chain struct {
 	contracts map[string]Contract
 	minters   map[string]bool
 	blocks    []*Block
-	pending   []*Tx
+	pending   []queuedTx
+	checks    *fanout.Group
 	events    []Event
 	receipts  map[[32]byte]*Receipt
+}
+
+// queuedTx is one submitted transaction and its signature check.
+type queuedTx struct {
+	tx    *Tx
+	check *fanout.Job[error]
 }
 
 // New creates a chain with a genesis block and the given initial
@@ -104,6 +114,7 @@ func New(clock *vclock.Clock, genesis map[Address]uint64) *Chain {
 		state:     newState(),
 		contracts: make(map[string]Contract),
 		minters:   make(map[string]bool),
+		checks:    fanout.New(),
 		receipts:  make(map[[32]byte]*Receipt),
 	}
 	for a, amt := range genesis {
@@ -125,21 +136,26 @@ func (c *Chain) RegisterContract(ct Contract, minter bool) {
 	c.minters[ct.Name()] = minter
 }
 
-// Submit queues a transaction after stateless verification (signature and
-// address binding). Nonce and funds are checked at seal time.
-func (c *Chain) Submit(tx *Tx) error {
-	if err := tx.Verify(); err != nil {
-		return fmt.Errorf("%w: %v", ErrTxRejected, err)
-	}
+// Submit queues a transaction for the next Seal and starts its stateless
+// verification (signature and address binding, Tx.Verify) on the fan-out,
+// beside the caller's goroutine, which does not wait for it: Seal does.
+// The transaction must not change once submitted. Nonce and funds are
+// checked when it is applied.
+func (c *Chain) Submit(tx *Tx) {
+	check := fanout.Start(c.checks, tx.Verify)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.pending = append(c.pending, tx)
-	return nil
+	c.pending = append(c.pending, queuedTx{tx, check})
 }
 
-// Seal orders all pending transactions into a new block, applying each in
-// submission order. Failed transactions are included with a failure
-// receipt but leave no state change. Returns the sealed block.
+// Seal orders the pending transactions into a new block, in submission
+// order, and applies each as soon as its signature check is back, while
+// the later ones finish. A transaction whose check failed is left out of
+// the block, and its receipt reports ErrTxRejected at height 0. A
+// transaction that fails when applied is included with a failure receipt
+// but leaves no state change. Returns the sealed block. Seal holds the
+// lock while it waits for a check, so no reader sees half a block; a
+// check takes no lock.
 func (c *Chain) Seal() *Block {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -149,19 +165,23 @@ func (c *Chain) Seal() *Block {
 		Height:   prev.Height + 1,
 		PrevHash: prev.Hash,
 		Time:     c.clock.Now(),
-		Txs:      c.pending,
 	}
-	blk.TxRoot = blk.computeTxRoot()
-	c.pending = nil
-
-	for _, tx := range blk.Txs {
-		err := c.applyLocked(tx, blk.Height)
-		r := &Receipt{TxHash: tx.Hash(), Height: blk.Height, OK: err == nil}
+	for _, q := range c.pending {
+		hash := q.tx.Hash()
+		if err := *q.check.Wait(); err != nil {
+			c.receipts[hash] = &Receipt{TxHash: hash, Err: fmt.Sprintf("%v: %v", ErrTxRejected, err)}
+			continue
+		}
+		blk.Txs = append(blk.Txs, q.tx)
+		err := c.applyLocked(q.tx, blk.Height)
+		r := &Receipt{TxHash: hash, Height: blk.Height, OK: err == nil}
 		if err != nil {
 			r.Err = err.Error()
 		}
-		c.receipts[tx.Hash()] = r
+		c.receipts[hash] = r
 	}
+	c.pending = nil
+	blk.TxRoot = blk.computeTxRoot()
 	blk.Hash = blk.computeHash()
 	c.blocks = append(c.blocks, blk)
 	return blk

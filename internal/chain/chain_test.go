@@ -2,6 +2,8 @@ package chain
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -35,12 +37,14 @@ func TestTransfer(t *testing.T) {
 	bob := NewNamedAccount(1, "bob")
 	c, _ := newTestChain(alice, bob)
 
-	if err := c.Submit(NewTransfer(alice, 0, bob.Address(), 300)); err != nil {
-		t.Fatal(err)
-	}
+	tx := NewTransfer(alice, 0, bob.Address(), 300)
+	c.Submit(tx)
 	blk := c.Seal()
 	if len(blk.Txs) != 1 {
 		t.Fatalf("block txs = %d, want 1", len(blk.Txs))
+	}
+	if r := c.Receipt(tx.Hash()); r == nil || !r.OK || r.Height != blk.Height {
+		t.Fatalf("receipt = %+v, want OK at height %d", r, blk.Height)
 	}
 	if got := c.State().Balance(alice.Address()); got != 700 {
 		t.Fatalf("alice = %d, want 700", got)
@@ -122,8 +126,10 @@ func TestForgedSignatureRejected(t *testing.T) {
 		PubKey: mallory.PublicKey(),
 	}
 	tx.Sig = mallory.Sign(tx.SigHash())
-	if err := c.Submit(tx); !errors.Is(err, ErrTxRejected) {
-		t.Fatalf("Submit = %v, want ErrTxRejected", err)
+	c.Submit(tx)
+	assertRejected(t, c, c.Seal(), tx)
+	if got := c.State().Balance(alice.Address()); got != 1000 {
+		t.Fatalf("alice = %d, want unchanged 1000", got)
 	}
 }
 
@@ -132,8 +138,77 @@ func TestTamperedParamsRejected(t *testing.T) {
 	c, _ := newTestChain(alice)
 	tx := NewTransfer(alice, 0, alice.Address(), 5)
 	tx.Value = 999 // tamper after signing
-	if err := c.Submit(tx); !errors.Is(err, ErrTxRejected) {
-		t.Fatalf("Submit tampered = %v, want ErrTxRejected", err)
+	c.Submit(tx)
+	assertRejected(t, c, c.Seal(), tx)
+}
+
+// assertRejected checks that Seal left tx out of blk, nonce untouched,
+// and told its submitter why: a receipt at height 0 naming ErrTxRejected.
+func assertRejected(t *testing.T, c *Chain, blk *Block, tx *Tx) {
+	t.Helper()
+	for _, in := range blk.Txs {
+		if in.Hash() == tx.Hash() {
+			t.Fatalf("block %d holds a transaction that fails verification", blk.Height)
+		}
+	}
+	r := c.Receipt(tx.Hash())
+	if r == nil || r.OK || r.Height != 0 || !strings.HasPrefix(r.Err, ErrTxRejected.Error()) {
+		t.Fatalf("receipt = %+v, want a rejection (%v) at height 0", r, ErrTxRejected)
+	}
+	if got := c.State().Nonce(tx.From); got != tx.Nonce {
+		t.Fatalf("nonce of %s = %d after a rejected tx at nonce %d", tx.From.Short(), got, tx.Nonce)
+	}
+}
+
+// TestSealLeavesBadSignaturesOut: the signature checks run on the
+// fan-out while transactions keep arriving, and finish in any order, at
+// any GOMAXPROCS. Forged and tampered transactions interleaved with good
+// ones never enter the block and are told so, and the good ones enter in
+// submission order, each at the nonce the rejected one before it left
+// unused.
+func TestSealLeavesBadSignaturesOut(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		alice := NewNamedAccount(1, "alice")
+		mallory := NewNamedAccount(1, "mallory")
+		c, _ := newTestChain(alice, mallory)
+		var good, bad []*Tx
+		for n := uint64(0); n < 16; n++ {
+			forged := &Tx{From: alice.Address(), Nonce: n, To: mallory.Address(), Value: 500, PubKey: mallory.PublicKey()}
+			forged.Sig = mallory.Sign(forged.SigHash())
+			tampered := NewTransfer(alice, n, mallory.Address(), 1)
+			tampered.Value = 900 // after signing
+			ok := NewTransfer(alice, n, mallory.Address(), 1)
+			c.Submit(forged)
+			c.Submit(ok)
+			c.Submit(tampered)
+			good, bad = append(good, ok), append(bad, forged, tampered)
+		}
+		blk := c.Seal()
+		if len(blk.Txs) != len(good) {
+			t.Fatalf("GOMAXPROCS=%d: block holds %d txs, want %d", procs, len(blk.Txs), len(good))
+		}
+		for i, tx := range good {
+			if blk.Txs[i] != tx {
+				t.Fatalf("GOMAXPROCS=%d: block tx %d is not the %d-th good submission", procs, i, i)
+			}
+			if r := c.Receipt(tx.Hash()); r == nil || !r.OK || r.Height != blk.Height {
+				t.Fatalf("GOMAXPROCS=%d: good tx %d receipt = %+v", procs, i, r)
+			}
+		}
+		for _, tx := range bad {
+			r := c.Receipt(tx.Hash())
+			if r == nil || r.OK || r.Height != 0 || !strings.HasPrefix(r.Err, ErrTxRejected.Error()) {
+				t.Fatalf("GOMAXPROCS=%d: bad tx receipt = %+v, want a rejection at height 0", procs, r)
+			}
+		}
+		if got := c.State().Balance(mallory.Address()); got != 1000+uint64(len(good)) {
+			t.Fatalf("GOMAXPROCS=%d: mallory = %d, want %d", procs, got, 1000+len(good))
+		}
+		if err := c.VerifyIntegrity(); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
 	}
 }
 

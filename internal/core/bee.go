@@ -46,6 +46,7 @@ type WorkerBee struct {
 
 type pendingResult struct {
 	seg    *index.Segment // index tasks: the segment result encodes
+	shards []int          // index tasks: the shards seg lands on (shardsOf)
 	result []byte
 	digest string
 	salt   []byte
@@ -86,7 +87,8 @@ func (b *WorkerBee) fetchCommits(builds *buildSet) (jobs []commitJob, anns []sto
 			cost = cost.Seq(fetchCost)
 			misses += missed
 			if b.Colluding {
-				job.layer = func(honest built) built { return indexBuilt(task, corruptSegment(honest.seg)) }
+				numShards := b.cluster.cfg.NumShards
+				job.layer = func(honest built) built { return indexBuilt(task, corruptSegment(honest.seg), numShards) }
 			}
 		case contracts.TaskRank:
 			key, build, fetched, job.err = b.rankBuild(task)
@@ -118,7 +120,7 @@ func (b *WorkerBee) submitCommits(jobs []commitJob, r *RoundReceipt) {
 		}
 		salt := make([]byte, 16)
 		xrand.NewNamed(b.cluster.cfg.Seed, "salt:"+b.Name+":"+j.taskID).Bytes(salt)
-		b.pending[j.taskID] = pendingResult{seg: out.seg, result: out.result, digest: out.digest, salt: salt, tokens: out.tokens}
+		b.pending[j.taskID] = pendingResult{seg: out.seg, shards: out.shards, result: out.result, digest: out.digest, salt: salt, tokens: out.tokens}
 		b.cluster.SubmitCall(b.Account, contracts.MethodCommit, contracts.CommitParams{
 			TaskID:     j.taskID,
 			Commitment: contracts.Commitment(out.digest, salt),
@@ -208,19 +210,19 @@ func (b *WorkerBee) collectWins() (contribs []contribution, count int, cost nets
 			seg:    pr.seg,
 			digest: pr.digest,
 			bytes:  len(pr.result),
-			shards: b.shardsOf(task, pr.seg),
+			shards: pr.shards,
 		})
 	}
 	return contribs, count, cost, errs
 }
 
-// shardsOf lists, ascending, the shards a won task's segment lands on:
-// those its terms hash to, or every shard when the task re-registers a
-// URL. A republished page's old postings sit on the shards its old text
+// shardsOf lists, ascending, the shards an index task's segment lands
+// on: those its terms hash to, or every shard when the task re-registers
+// a URL. A republished page's old postings sit on the shards its old text
 // hashed to, and only a newer run's DocLens entry there tombstones them.
-func (b *WorkerBee) shardsOf(task contracts.Task, seg *index.Segment) []int {
+func shardsOf(task contracts.Task, seg *index.Segment, numShards int) []int {
 	if len(contracts.FirstVersionPages(task)) < len(task.Pages) {
-		all := make([]int, b.cluster.cfg.NumShards)
+		all := make([]int, numShards)
 		for s := range all {
 			all[s] = s
 		}
@@ -228,7 +230,7 @@ func (b *WorkerBee) shardsOf(task contracts.Task, seg *index.Segment) []int {
 	}
 	shards := make(map[int]bool)
 	for _, term := range seg.TermsSorted() {
-		shards[index.ShardOf(term, b.cluster.cfg.NumShards)] = true
+		shards[index.ShardOf(term, numShards)] = true
 	}
 	shardList := make([]int, 0, len(shards))
 	for s := range shards {
@@ -299,16 +301,17 @@ func (b *WorkerBee) fetchIndexTask(task contracts.Task) (key buildKey, build fun
 		k.add(content)
 		docs = append(docs, index.BatchDoc{Doc: doc, Text: string(content)})
 	}
+	numShards := b.cluster.cfg.NumShards
 	return k.sum(), func() built {
-		return indexBuilt(task, index.BuildBatch(task.CreatedAt, docs)) // same gen for every assignee → deterministic
+		return indexBuilt(task, index.BuildBatch(task.CreatedAt, docs), numShards) // same gen for every assignee → deterministic
 	}, anns, cost, misses, nil
 }
 
-// indexBuilt encodes an index task's segment and counts the tokens its
-// reveal carries.
-func indexBuilt(task contracts.Task, seg *index.Segment) built {
+// indexBuilt encodes an index task's segment, counts the tokens its
+// reveal carries and lists the shards it lands on.
+func indexBuilt(task contracts.Task, seg *index.Segment, numShards int) built {
 	result := seg.Encode()
-	return built{seg: seg, result: result, digest: index.DigestOf(result), tokens: firstVersionTokens(task, seg)}
+	return built{seg: seg, shards: shardsOf(task, seg, numShards), result: result, digest: index.DigestOf(result), tokens: firstVersionTokens(task, seg)}
 }
 
 // fetchPage resolves one page version's content from the DWeb store,

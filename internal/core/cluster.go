@@ -248,19 +248,14 @@ func (c *Cluster) NewAccount(name string, funds uint64) *chain.Account {
 
 // Fund transfers honey from the treasury (applied at next Seal).
 func (c *Cluster) Fund(to chain.Address, amount uint64) {
-	tx := chain.NewTransfer(c.treasury, c.nonce(c.treasury.Address()), to, amount)
-	if err := c.Chain.Submit(tx); err != nil {
-		panic(fmt.Sprintf("core: faucet submit: %v", err))
-	}
+	c.Chain.Submit(chain.NewTransfer(c.treasury, c.nonce(c.treasury.Address()), to, amount))
 }
 
 // SubmitCall signs and submits a QueenBee contract call with automatic
 // nonce management. The call executes at the next Seal.
 func (c *Cluster) SubmitCall(from *chain.Account, method string, params any, value uint64) *chain.Tx {
 	tx := chain.NewCall(from, c.nonce(from.Address()), contracts.ContractName, method, params, value)
-	if err := c.Chain.Submit(tx); err != nil {
-		panic(fmt.Sprintf("core: submit %s: %v", method, err))
-	}
+	c.Chain.Submit(tx)
 	return tx
 }
 
@@ -317,9 +312,10 @@ func (c *Cluster) RandomPeer() *store.Peer {
 //     batch: a segment-write wave, then one pointer read-modify-write
 //     per touched shard (see round.go).
 //
-// Compaction merges run beside all of that on build goroutines: from the
-// start of the round for what the last written pointers are due, from the
-// segment-write wave on for the merges the new segments make due.
+// Compaction merges run beside all of that on the fan-out: from the end
+// of the last pass for what the pointers it wrote are due, and from the
+// builds on for the level-0 merges the new segments are predicted to make
+// due (see round.go).
 //
 // It returns the number of tasks materialized during the round.
 func (c *Cluster) ProcessRound() int {
@@ -331,15 +327,15 @@ func (c *Cluster) ProcessRound() int {
 // summary.
 func (c *Cluster) ProcessRoundReceipt() RoundReceipt {
 	var r RoundReceipt
+	c.runs.startRound()
 	builds := newBuildSet()
-	c.runs.startRound(builds, c.written)
 	c.commitWave(&r, builds)
 	c.Seal()
 	for _, bee := range c.Bees {
 		bee.RevealPhase()
 	}
 	c.Seal()
-	c.materializePass(&r, builds)
+	c.materializePass(&r)
 	// Janitor: anyone may finalize a task whose reveal window closed
 	// (slashing non-revealers); the treasury plays that role here so
 	// stuck tasks always resolve to finalized-or-failed.
@@ -348,14 +344,13 @@ func (c *Cluster) ProcessRoundReceipt() RoundReceipt {
 			c.SubmitCall(c.treasury, contracts.MethodFinalize, contracts.FinalizeParams{TaskID: id}, 0)
 		}
 		c.Seal()
-		c.materializePass(&r, builds)
+		c.materializePass(&r)
 	}
 	// Self-healing: with Maintenance on, every round ends with a repair
 	// pass, so churn damage is bounded by one round's exposure.
 	if c.cfg.Maintenance {
 		c.RunMaintenance()
 	}
-	builds.wait()
 	c.noteRoundReceipt(r)
 	return r
 }

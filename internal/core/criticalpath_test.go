@@ -67,7 +67,8 @@ func docsFixture(t *testing.T) (*Cluster, []RoundReceipt) {
 // and still records no error. The fold may reorder time, never traffic:
 // every RPC the network carried during the round is billed exactly once
 // (the segment wave's messages once, not once per leg), so wave, serial
-// and the network's own counters agree.
+// and the network's own counters agree. Wave() already carries the store
+// wave, time and traffic: adding StoreCost to it counts that wave twice.
 func TestWriteCriticalPath(t *testing.T) {
 	cfg := DefaultConfig()
 	c := NewCluster(cfg)
@@ -177,6 +178,11 @@ func TestWriteCriticalPath(t *testing.T) {
 			}
 		} else if want := max(rr.StoreCost.Latency, rr.CommitWave.Latency+beside); rr.Wave().Latency != want {
 			t.Fatalf("round %d: Wave() %v, store ∥ (commit → (materialize ∥ announce)) gives %v", round, rr.Wave().Latency, want)
+		}
+		rest := rr.CommitWave.Seq(rr.MaterializeWave.Par(rr.AnnounceWave))
+		if w := rr.Wave(); rr.StoreCost.Msgs == 0 || w.Msgs != rest.Msgs+rr.StoreCost.Msgs || w.Bytes != rest.Bytes+rr.StoreCost.Bytes {
+			t.Fatalf("round %d: Wave() carries %d msgs / %d B; the round's %d / %d and the store wave's %d / %d",
+				round, w.Msgs, w.Bytes, rest.Msgs, rest.Bytes, rr.StoreCost.Msgs, rr.StoreCost.Bytes)
 		}
 		if fetched := cfg.Contract.Quorum * len(pages); len(announced) != fetched || adds != rr.AnnounceWave.Msgs {
 			t.Fatalf("round %d: announce wave %d msgs, %d ADD_PROVIDER from the bees for %d (bee, page) pairs; want %d pairs and nothing else",

@@ -22,10 +22,11 @@ import (
 //  1. commit: every bee fetches the content of its new tasks, bee by bee;
 //     each pure build (segment build and encode, rank computation) starts
 //     on a goroutine as soon as its inputs are fetched, once per distinct
-//     input bytes, so a quorum of honest bees builds a task once; then,
-//     bee by bee, each bee announces the pages it fetched — the announce
-//     wave, which nothing later in the round consumes — and its
-//     commitments are submitted, so transaction order is stable;
+//     input bytes, so a quorum of honest bees builds a task once; then
+//     every bee, bee by bee, announces the pages it fetched — the announce
+//     wave, which nothing later in the round consumes — while the builds
+//     run; then, bee by bee, each bee's commitments are submitted, so
+//     transaction order is stable;
 //  2. reveal: cheap on-chain calls, sequential;
 //  3. materialize: bees write their winning immutable segments, then the
 //     round's contributions are grouped by shard and every touched shard
@@ -34,15 +35,21 @@ import (
 //     K segments over S shards costs O(S) mutable DHT round trips, not
 //     O(K·S).
 //
-// The same fan-out (buildSet) carries the round's compaction merges
-// (runTable), which are pure functions of their runs' digests, from runs
-// the write side keeps open. Each starts before the pass that reads it:
-// at the start of the round for the merges the last written pointers are
-// due, and once a materialize pass has its segment digests for the
-// level-0 merges they make due. One walk over a bucket writes the run of
-// every shard that merges it, and a compaction takes the run only after
-// fetching and checking every input itself. Only the builds a step reads
-// gate it: the commit wave waits for its own builds, not for a merge.
+// Pure work runs on the fan-out (internal/fanout) and starts before the
+// round's goroutine reads it. The chain checks each transaction's
+// signature there, from its submission to the next seal. The compaction
+// merges (runTable), pure functions of their runs' digests, start from
+// runs the write side keeps open: at the end of each materialize pass for
+// the merges the pointers it wrote are due, which no later append
+// changes; once the builds return for the level-0 merges the round's new
+// segments are predicted to make due (runTable.speculate), beside the
+// announces, the reveal and the segment puts; and at a pass's first
+// pointer read for any due merge neither predicted. One walk over a
+// bucket writes the run of every shard that merges it, and a compaction
+// takes the run only after fetching and checking every input itself.
+// Only what a step reads gates it: the commit wave waits for its own
+// builds, not for a merge, and a reader that finds a job not yet started
+// runs it itself (fanout.Job.Wait).
 //
 // The receipt's makespan (RoundReceipt.Wave) is the round's longest
 // DEPENDENCY chain, not the order the process issues work in: the
@@ -213,20 +220,18 @@ type buildKey [sha256.Size]byte
 // were byte-identical holds the same built, result slice included.
 type built struct {
 	seg    *index.Segment // index builds: the segment result encodes (a colluder's layer builds its own)
+	shards []int          // index builds: the shards seg lands on (shardsOf)
 	result []byte
 	digest string
 	tokens uint64 // index builds: firstVersionTokens of seg
-
-	merged map[int]mergedRun // merge builds: each predicted shard's restricted run (runTable)
 }
 
 // buildSet is a round's pure builds by key. The first job with a new key
 // starts its build on the fan-out (fanout.Start) and returns, so the
 // build runs beside the RPCs the caller's goroutine sends next; every
 // later job with that key shares the output. A reader waits for the one
-// build it reads (Job.Wait); wait blocks until every started build has
-// returned. The round engine hands it only pure work — segment and rank
-// builds, compaction merges — and keeps every simulated RPC on the
+// build it reads (Job.Wait). The round engine hands it only pure work —
+// segment and rank builds — and keeps every simulated RPC on the
 // caller's goroutine, in a fixed order, as the query side's shard waves
 // do (Frontend.loadShardsCtx).
 type buildSet struct {
@@ -248,8 +253,6 @@ func (s *buildSet) share(key buildKey, build func() built) *fanout.Job[built] {
 	s.byKey[key] = p
 	return p
 }
-
-func (s *buildSet) wait() { s.jobs.Wait() }
 
 // keyHash accumulates a build key: the kind of build, then every input
 // it reads, each length-prefixed so that no two input lists collide.
@@ -278,13 +281,16 @@ func (k keyHash) sum() (key buildKey) {
 // commitWave runs the bees' commit: bee by bee, every bee fetches the
 // inputs of its new tasks, and each task's build starts on builds as soon
 // as its inputs are in, unless another assignee fetched byte-identical
-// inputs earlier in the round — then the two share one build. Then, bee
-// by bee, each bee announces the pages it fetched and its commitments are
-// submitted, each once the build it commits has returned, so transaction
-// order is stable. The announces wait until every bee has fetched: no
-// fetch of the round sees a serve-cache record the round made. Nothing
-// here waits for a build it does not read, such as a merge the round
-// started early (runTable.prepare).
+// inputs earlier in the round — then the two share one build. The
+// level-0 merges the round is predicted to make due start next, each
+// after the builds it reads (runTable.speculate). Then every bee, bee by
+// bee, announces the pages it fetched, and only then, bee by bee, are its
+// commitments submitted, each once the build it commits has returned, so
+// transaction order is stable and the builds run beside the announce
+// walks. The announces wait until every bee has fetched: no fetch of the
+// round sees a serve-cache record the round made. They touch only the
+// DHT and the commitments only the chain, so neither moves the other.
+// Nothing here waits for a build it does not read, such as a merge.
 func (c *Cluster) commitWave(r *RoundReceipt, builds *buildSet) {
 	n := len(c.Bees)
 	jobs := make([][]commitJob, n)
@@ -294,6 +300,7 @@ func (c *Cluster) commitWave(r *RoundReceipt, builds *buildSet) {
 	for i, b := range c.Bees {
 		jobs[i], anns[i], costs[i], misses[i] = b.fetchCommits(builds)
 	}
+	c.runs.speculate(c.written, landings(jobs))
 	for i, b := range c.Bees {
 		announce := b.Peer.Announce(anns[i])
 		r.AnnounceWave = r.AnnounceWave.Par(announce)
@@ -302,8 +309,35 @@ func (c *Cluster) commitWave(r *RoundReceipt, builds *buildSet) {
 		r.CommitWave = r.CommitWave.Par(costs[i])
 		r.CommitSerial = r.CommitSerial.Seq(costs[i])
 		r.HintMisses += misses[i]
+	}
+	for i, b := range c.Bees {
 		b.submitCommits(jobs[i], r)
 	}
+}
+
+// landings predicts the segments the round's first materialize pass
+// lands: each new task's build, the first one in bee order, in task-ID
+// order — the order materializePass appends a pass's segments in. It
+// takes the honest build, so a colluding majority that wins the vote
+// voids the prediction.
+func landings(jobs [][]commitJob) []*fanout.Job[built] {
+	byTask := make(map[string]*fanout.Job[built])
+	var ids []string
+	for _, bee := range jobs {
+		for _, j := range bee {
+			if _, seen := byTask[j.taskID]; seen || j.out == nil {
+				continue
+			}
+			byTask[j.taskID] = j.out
+			ids = append(ids, j.taskID)
+		}
+	}
+	sort.Strings(ids)
+	out := make([]*fanout.Job[built], len(ids))
+	for i, id := range ids {
+		out[i] = byTask[id]
+	}
+	return out
 }
 
 // materializePass runs one batched materialize phase: bee by bee, each
@@ -311,10 +345,11 @@ func (c *Cluster) commitWave(r *RoundReceipt, builds *buildSet) {
 // then the contributions are grouped by shard and each touched shard, in
 // ascending order, gets one pointer RMW (and at most one compaction) on
 // the first contributing bee's DHT node. Before the first RMW, the merge
-// each touched shard is predicted to take starts on builds. May run twice
-// per round (the janitor path finalizes stuck tasks mid-round); counters
-// and costs accumulate.
-func (c *Cluster) materializePass(r *RoundReceipt, builds *buildSet) {
+// each touched shard is predicted to take is started, or taken from the
+// round's speculation; after the last, the merges the written pointers
+// are due start. May run twice per round (the janitor path finalizes
+// stuck tasks mid-round); counters and costs accumulate.
+func (c *Cluster) materializePass(r *RoundReceipt) {
 	// The generation this pass materializes: every index task it will
 	// write was finalized by the block just sealed, so stamping it on
 	// each pointer lets readers recognise the record as current.
@@ -356,7 +391,7 @@ func (c *Cluster) materializePass(r *RoundReceipt, builds *buildSet) {
 		}
 	}
 	sort.Ints(shardOrder)
-	c.runs.prepare(builds, c.written, digestsByShard, shardOrder)
+	c.runs.prepare(c.written, digestsByShard, shardOrder)
 
 	pass.Shards = make([]RMWCost, len(shardOrder))
 	shardWrote := make([]bool, len(shardOrder))
@@ -386,6 +421,7 @@ func (c *Cluster) materializePass(r *RoundReceipt, builds *buildSet) {
 	}
 	c.noteWritten(shardOrder, shardWrote, shardPtrs)
 	c.runs.keepNamed(c.written)
+	c.runs.prepareWritten(c.written)
 
 	r.Passes = append(r.Passes, pass)
 	r.MaterializeWave = r.MaterializeWave.Seq(pass.Wave())

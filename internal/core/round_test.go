@@ -444,17 +444,16 @@ func TestWriteBeesForgetResolvedTasks(t *testing.T) {
 	}
 }
 
-// settleRound is ProcessRoundReceipt after its commit wave on builds, for
-// a round that needs no janitor and runs no maintenance: seal, reveal,
-// seal, materialize, and wait for the round's builds.
-func settleRound(c *Cluster, r *RoundReceipt, builds *buildSet) {
+// settleRound is ProcessRoundReceipt after its commit wave, for a round
+// that needs no janitor and runs no maintenance: seal, reveal, seal,
+// materialize.
+func settleRound(c *Cluster, r *RoundReceipt) {
 	c.Seal()
 	for _, b := range c.Bees {
 		b.RevealPhase()
 	}
 	c.Seal()
-	c.materializePass(r, builds)
-	builds.wait()
+	c.materializePass(r)
 }
 
 // pendingByTask groups every bee's pending results by task, bees in
@@ -501,7 +500,7 @@ func TestWriteQuorumBuildsOnce(t *testing.T) {
 		}
 		var r RoundReceipt
 		builds := newBuildSet()
-		c.runs.startRound(builds, c.written)
+		c.runs.startRound()
 		c.commitWave(&r, builds)
 		byTask := pendingByTask(c)
 		if len(byTask) != tasks {
@@ -520,7 +519,7 @@ func TestWriteQuorumBuildsOnce(t *testing.T) {
 				shared = results[0]
 			}
 		}
-		settleRound(c, &r, builds)
+		settleRound(c, &r)
 		if len(r.Errors) > 0 || r.Materialized != tasks {
 			t.Fatalf("round %d: materialized %d, errors %v", round, r.Materialized, r.Errors)
 		}

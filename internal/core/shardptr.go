@@ -5,8 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"slices"
-	"strconv"
 	"time"
 
 	"repro/internal/dht"
@@ -403,7 +403,7 @@ func mergeFullTier(d *dht.Node, shard int, ptr *ShardPointer, runs *runTable) (r
 	}
 	var run mergedRun
 	if prepared != nil {
-		run = prepared.Wait().merged[shard]
+		run = (*prepared.Wait())[shard]
 	} else {
 		run = mergeRuns(segs, runs.numShards, []int{shard})[shard]
 	}
@@ -435,18 +435,23 @@ func mergeFullTier(d *dht.Node, shard int, ptr *ShardPointer, runs *runTable) (r
 // bytes its own process encoded.
 //
 // A merge is a pure function of its bucket's run digests, so it is
-// computed once, before a compaction reads it, on the round's build
-// goroutines (buildSet): from the pointers the last pass wrote, at the
-// start of a round (tier ≥ 1 merges, which no append changes), and with
-// a pass's appended digests, before its first pointer read (the level-0
-// merges the new segments make due). Every shard predicted to merge one
-// bucket gets its restricted run from one k-way walk (mergeRuns), so a
-// level-0 bucket that every shard holds is walked once, not once a shard.
-// Only the round's goroutine touches the table.
+// computed once, before a compaction reads it, on the table's fan-out
+// (jobs), which outlives a round: from the pointers a pass wrote, at the
+// end of that pass (prepareWritten: tier ≥ 1 merges, which no append
+// changes); from the round's builds, once they return (the level-0
+// merges the new segments are predicted to make due, speculate); and with
+// a pass's appended digests, before its first pointer read, for every
+// merge the pass makes due that neither predicted. Every shard predicted
+// to merge one bucket gets its restricted run from one k-way walk
+// (mergeRuns), so a level-0 bucket that every shard holds is walked once,
+// not once a shard. Only the round's goroutine touches the table.
 type runTable struct {
 	numShards int
-	open      map[string]*index.Segment          // by digest
-	prepared  map[preparedKey]*fanout.Job[built] // a merge build that writes the shard's run
+	jobs      *fanout.Group
+	open      map[string]*index.Segment                      // by digest
+	prepared  map[preparedKey]*fanout.Job[map[int]mergedRun] // a merge that writes the shard's run
+	due       map[preparedKey]bool                           // the merges the written pointers are predicted to take
+	spec      *speculation                                   // this round's predicted level-0 merges, if any
 }
 
 // preparedKey names one shard's merge of one bucket (bucketKey).
@@ -463,11 +468,28 @@ type mergedRun struct {
 	digest string
 }
 
+// mergeGroup is the shards predicted to merge one bucket: the bucket's
+// level and its runs, open, in chain order.
+type mergeGroup struct {
+	bucket buildKey
+	level  int
+	segs   []*index.Segment
+	shards []int
+}
+
+// speculation is a round's level-0 merges started from its builds: plan
+// predicts them once the builds return, and merged writes their runs.
+type speculation struct {
+	plan   *fanout.Job[[]mergeGroup]
+	merged *fanout.Job[map[int]mergedRun]
+}
+
 func newRunTable(numShards int) *runTable {
 	return &runTable{
 		numShards: numShards,
+		jobs:      fanout.New(),
 		open:      make(map[string]*index.Segment),
-		prepared:  make(map[preparedKey]*fanout.Job[built]),
+		prepared:  make(map[preparedKey]*fanout.Job[map[int]mergedRun]),
 	}
 }
 
@@ -476,43 +498,91 @@ func bucketKey(digests []string) buildKey {
 	return newKeyHash(append([]string{"merge"}, digests...)...).sum()
 }
 
-// startRound starts the merges the written pointers are due as they
-// stand, and drops every prepared merge no pointer is still predicted to
-// take. A prepared merge no pass took yet (a round that appended nothing
-// to its shard) carries over.
-func (t *runTable) startRound(builds *buildSet, written []ShardPointer) {
+// prepareWritten starts the merges the written pointers are due as they
+// stand and keeps what it predicted for startRound. It runs at the end of
+// every materialize pass, so a merge of tier ≥ 1, which no later append
+// changes, runs beside everything the next round does before it reads it.
+func (t *runTable) prepareWritten(written []ShardPointer) {
 	shards := make([]int, 0, len(written))
 	for s, ptr := range written {
 		if ptr.Version > 0 {
 			shards = append(shards, s)
 		}
 	}
-	predicted := t.prepare(builds, written, nil, shards)
+	t.due = t.prepare(written, nil, shards)
+}
+
+// startRound drops every prepared merge the written pointers are not
+// predicted to take (prepareWritten). A prepared merge no pass took yet
+// (a round that appended nothing to its shard) carries over.
+func (t *runTable) startRound() {
 	for k := range t.prepared {
-		if !predicted[k] {
+		if !t.due[k] {
 			delete(t.prepared, k)
 		}
 	}
 }
 
-// prepare predicts, for each of shards (ascending), the merge its next
-// compaction takes — the due merge of the pointer the shard's last pass
-// wrote, with appended[shard] appended — and starts it on builds unless
-// it is prepared already. A bucket with a run the table does not hold
-// open is left to the compaction to merge inline. It returns what it
-// predicted.
-func (t *runTable) prepare(builds *buildSet, written []ShardPointer, appended map[int][]string, shards []int) map[preparedKey]bool {
-	type group struct {
-		bucket buildKey
-		segs   []*index.Segment
-		shards []int
+// speculate starts the level-0 merges the round's first materialize pass
+// is predicted to make due: each index build of lands, in order, appends
+// its segment to the shards it lands on. The prediction runs once every
+// build it reads has returned, beside the round's announces, reveals and
+// segment puts, and the merges once it is in. It reads a snapshot of the
+// written pointers and the open runs taken here, never the table.
+// prepare takes a predicted merge only for the bucket the pass reads; a
+// vote that went otherwise leaves it unused.
+func (t *runTable) speculate(written []ShardPointer, lands []*fanout.Job[built]) {
+	t.spec = nil
+	if len(lands) == 0 {
+		return
 	}
-	var groups []*group
-	byBucket := make(map[buildKey]*group)
-	predicted := make(map[preparedKey]bool)
+	written, open, numShards := slices.Clone(written), maps.Clone(t.open), t.numShards
+	after := make([]fanout.Dep, len(lands))
+	for i, l := range lands {
+		after[i] = l
+	}
+	plan := fanout.Start(t.jobs, func() []mergeGroup {
+		appended := make(map[int][]string)
+		for _, l := range lands {
+			b := l.Wait()
+			if b.seg == nil {
+				continue // a rank build lands on no shard
+			}
+			open[b.digest] = b.seg
+			for _, s := range b.shards {
+				appended[s] = append(appended[s], b.digest)
+			}
+		}
+		shards := slices.Sorted(maps.Keys(appended))
+		var level0 []mergeGroup
+		for _, g := range dueGroups(written, appended, shards, open) {
+			if g.level == 0 { // a higher level's bucket no append changes: prepareWritten's
+				level0 = append(level0, g)
+			}
+		}
+		return level0
+	}, after...)
+	merged := fanout.Start(t.jobs, func() map[int]mergedRun {
+		out := make(map[int]mergedRun)
+		for _, g := range *plan.Wait() {
+			maps.Copy(out, mergeRuns(g.segs, numShards, g.shards))
+		}
+		return out
+	}, plan)
+	t.spec = &speculation{plan: plan, merged: merged}
+}
+
+// dueGroups predicts, for each of shards (ascending), the merge its next
+// compaction takes — the due merge of the pointer the shard's last pass
+// wrote, with appended[shard] appended — and groups the shards by
+// bucket, in order of each bucket's first shard. A bucket with a run not
+// in open is left out: the compaction merges it inline. It is pure.
+func dueGroups(written []ShardPointer, appended map[int][]string, shards []int, open map[string]*index.Segment) []mergeGroup {
+	var groups []mergeGroup
+	byBucket := make(map[buildKey]int)
 	for _, s := range shards {
 		ptr := written[s].withAppended(appended[s])
-		_, members := ptr.dueMerge()
+		level, members := ptr.dueMerge()
 		if members == nil {
 			continue
 		}
@@ -520,40 +590,63 @@ func (t *runTable) prepare(builds *buildSet, written []ShardPointer, appended ma
 		segs := make([]*index.Segment, len(members))
 		for i, at := range members {
 			bucket[i] = ptr.Digests[at]
-			segs[i] = t.open[bucket[i]]
+			segs[i] = open[bucket[i]]
 		}
 		if slices.Contains(segs, nil) {
 			continue
 		}
-		key := preparedKey{bucketKey(bucket), s}
-		predicted[key] = true
-		if t.prepared[key] != nil {
+		key := bucketKey(bucket)
+		i, ok := byBucket[key]
+		if !ok {
+			i = len(groups)
+			byBucket[key] = i
+			groups = append(groups, mergeGroup{bucket: key, level: level, segs: segs})
+		}
+		groups[i].shards = append(groups[i].shards, s)
+	}
+	return groups
+}
+
+// prepare predicts, for each of shards (ascending), the merge its next
+// compaction takes (dueGroups) and starts it unless it is prepared
+// already or the round's speculation predicted it (adopt). It returns
+// what it predicted.
+func (t *runTable) prepare(written []ShardPointer, appended map[int][]string, shards []int) map[preparedKey]bool {
+	predicted := make(map[preparedKey]bool)
+	for _, g := range dueGroups(written, appended, shards, t.open) {
+		var fresh []int
+		for _, s := range g.shards {
+			key := preparedKey{g.bucket, s}
+			predicted[key] = true
+			if t.prepared[key] == nil && !t.adopt(key) {
+				fresh = append(fresh, s)
+			}
+		}
+		if len(fresh) == 0 {
 			continue
 		}
-		g := byBucket[key.bucket]
-		if g == nil {
-			g = &group{bucket: key.bucket, segs: segs}
-			byBucket[key.bucket] = g
-			groups = append(groups, g)
-		}
-		g.shards = append(g.shards, s)
-	}
-	for _, g := range groups {
-		// The build's key names its shards too: a bucket may be started
-		// again in a round for shards its first build did not write.
-		name := []string{"merge-shards", string(g.bucket[:])}
-		for _, s := range g.shards {
-			name = append(name, strconv.Itoa(s))
-		}
-		numShards, segs, shards := t.numShards, g.segs, g.shards
-		p := builds.share(newKeyHash(name...).sum(), func() built {
-			return built{merged: mergeRuns(segs, numShards, shards)}
-		})
-		for _, s := range g.shards {
+		numShards, segs := t.numShards, g.segs
+		p := fanout.Start(t.jobs, func() map[int]mergedRun { return mergeRuns(segs, numShards, fresh) })
+		for _, s := range fresh {
 			t.prepared[preparedKey{g.bucket, s}] = p
 		}
 	}
 	return predicted
+}
+
+// adopt prepares key's merge from the round's speculation if that
+// predicted key's bucket for key's shard, and reports whether it did.
+func (t *runTable) adopt(key preparedKey) bool {
+	if t.spec == nil {
+		return false
+	}
+	for _, g := range *t.spec.plan.Wait() {
+		if g.bucket == key.bucket && slices.Contains(g.shards, key.shard) {
+			t.prepared[key] = t.spec.merged
+			return true
+		}
+	}
+	return false
 }
 
 // openRun returns the run digest names, whose fetched bytes val have been

@@ -3,8 +3,11 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -560,5 +563,73 @@ func TestWriteCompactionMispredicted(t *testing.T) {
 	got, _, err := fetchSegmentCtx(context.Background(), c.Peers[2].DHT(), after.Digests[0])
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("shard %d's merged run (%d bytes, err=%v) is not the merge of the runs its read pointer named (%d bytes)", shard, len(got), err, len(want))
+	}
+}
+
+// pinnedOutvoted is what TestWriteSpeculationOutvoted's run produced
+// before any merge started from the round's builds: a digest of every
+// round's receipt, and clusterDigest.
+var pinnedOutvoted = struct{ receipts, digest string }{
+	receipts: "57fbfed316411ac65b3d37a4768deebd1b40b2a982b34e2c1668deec83fd18be",
+	digest:   "521a7e43c391884119c947be0f46be34226968369af5c6a57d7aeaa79518c136",
+}
+
+// TestWriteSpeculationOutvoted: a round predicts its level-0 merges from
+// the honest builds (runTable.speculate), so a colluding majority that
+// wins the vote makes the prediction wrong. Six 16-page rounds fill
+// level 0 on all eight shards by the fourth, whose task three of the four
+// bees collude on: their segment lands on four shards, which merge a
+// bucket no prediction named, and the other four merge one round later,
+// as predicted. The outvoted round takes no predicted merge, the next
+// takes one for every shard it compacts, and at GOMAXPROCS 1, 2 and 8
+// the receipts and every node's state equal the recording.
+func TestWriteSpeculationOutvoted(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		cfg := DefaultConfig()
+		c := NewCluster(cfg)
+		owner := c.NewAccount("writer", 1<<40)
+		c.Seal()
+		h := sha256.New()
+		for round, pages := range corpusBatches(cfg.Seed, 6, 16) {
+			outvoted := round == 3
+			for _, b := range c.Bees[:3] {
+				b.Colluding = outvoted
+			}
+			rr, err := c.IndexBatch(owner, pages)
+			if err != nil || len(rr.Errors) > 0 {
+				t.Fatalf("GOMAXPROCS=%d round %d: err=%v round errors=%v", procs, round, err, rr.Errors)
+			}
+			fmt.Fprintf(h, "%+v\n", rr)
+			predicted := 0
+			for _, g := range *c.runs.spec.plan.Wait() {
+				predicted += len(g.shards)
+			}
+			taken := 0
+			for _, p := range c.runs.prepared {
+				if p == c.runs.spec.merged {
+					taken++
+				}
+			}
+			wantCompactions := 0
+			if round == 3 || round == 4 {
+				wantCompactions = 4
+			}
+			wantTaken := wantCompactions
+			if outvoted {
+				wantTaken = 0
+			}
+			if rr.Compactions != wantCompactions || taken != wantTaken || outvoted && predicted != cfg.NumShards {
+				t.Fatalf("GOMAXPROCS=%d round %d: %d compactions, %d predicted merges taken (want %d) of %d",
+					procs, round, rr.Compactions, taken, wantTaken, predicted)
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != pinnedOutvoted.receipts {
+			t.Errorf("GOMAXPROCS=%d: receipts digest %s, recorded %s", procs, got, pinnedOutvoted.receipts)
+		}
+		if got := clusterDigest(c); got != pinnedOutvoted.digest {
+			t.Errorf("GOMAXPROCS=%d: cluster digest %s, recorded %s", procs, got, pinnedOutvoted.digest)
+		}
 	}
 }

@@ -689,17 +689,18 @@ func (l *lookup) lockstep() {
 // be stale only if a contact died since it ran, so when any RPC of its
 // wave fails the key is walked that way, once — a remembered walk never
 // under-replicates silently. A lone node (a walk that found nobody) is
-// its own one replica.
+// its own one replica if it took the record.
 func (n *Node) writeAt(w Walk, send func(c Contact, walking bool) (reply, bool, netsim.Cost, error)) ([]Contact, netsim.Cost) {
 	var (
-		total   netsim.Cost
-		taken   []Contact
-		reached = len(w.Closest)
-		walk    = !w.converged
+		total    netsim.Cost
+		taken    []Contact
+		reached  = len(w.Closest)
+		walk     = !w.converged
+		selfTook bool
 	)
 	if w.converged {
-		_, _, cost, err := send(n.self, false)
-		total, walk = cost, err != nil
+		_, ok, cost, err := send(n.self, false)
+		total, walk, selfTook = cost, err != nil, ok
 		for _, r := range w.Closest {
 			_, ok, cost, err := send(r.Contact, false)
 			total = total.Par(cost)
@@ -716,7 +717,9 @@ func (n *Node) writeAt(w Walk, send func(c Contact, walking bool) (reply, bool, 
 			if err != nil {
 				return nil, false, cost
 			}
-			if !ok {
+			if c.ID == n.self.ID {
+				selfTook = ok
+			} else if !ok {
 				refused = append(refused, c.ID)
 			}
 			return r, true, cost
@@ -725,7 +728,7 @@ func (n *Node) writeAt(w Walk, send func(c Contact, walking bool) (reply, bool, 
 		reached = len(closest)
 		taken = slices.DeleteFunc(closest, func(c Contact) bool { return slices.Contains(refused, c.ID) })
 	}
-	if reached == 0 {
+	if reached == 0 && selfTook {
 		return []Contact{n.self}, total
 	}
 	return taken, total

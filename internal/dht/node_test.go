@@ -526,4 +526,20 @@ func TestStoreRefusalIsNotAReplica(t *testing.T) {
 	if n, _, err := nodes[1].Put(key, []byte("new"), 5); err != nil || n != cfg.K {
 		t.Fatalf("republish at seq 5 = %d replicas, err=%v", n, err)
 	}
+	// A lone node, whose walk finds nobody, is its own one replica only
+	// when it takes the write.
+	_, lone := buildSwarm(t, 1, cfg)
+	for _, w := range []struct {
+		value    string
+		seq      uint64
+		replicas int
+	}{{"new", 5, 1}, {"old", 3, 0}, {"new", 5, 1}} {
+		n, _, err := lone[0].Put(key, []byte(w.value), w.seq)
+		if n != w.replicas || (err == nil) != (w.replicas > 0) {
+			t.Fatalf("lone node's Put at seq %d = %d replicas, err=%v; want %d", w.seq, n, err, w.replicas)
+		}
+	}
+	if v, ok := lone[0].Local(key); !ok || string(v) != "new" {
+		t.Fatalf("lone node holds %q (%v), want the newer record", v, ok)
+	}
 }

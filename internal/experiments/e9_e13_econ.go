@@ -293,9 +293,7 @@ func sybilSeatShare(seed uint64, ids int, stake uint64) float64 {
 	call := func(from *chain.Account, method string, params any, value uint64) {
 		n := nonces[from.Address()]
 		nonces[from.Address()]++
-		if err := ch.Submit(chain.NewCall(from, n, contracts.ContractName, method, params, value)); err != nil {
-			panic(err)
-		}
+		ch.Submit(chain.NewCall(from, n, contracts.ContractName, method, params, value))
 	}
 	call(honest, contracts.MethodRegisterWorker, nil, 5000)
 	for _, s := range sybilAccts {
