@@ -312,10 +312,8 @@ func (c *Cluster) RandomPeer() *store.Peer {
 //     batch: a segment-write wave, then one pointer read-modify-write
 //     per touched shard (see round.go).
 //
-// Compaction merges run beside all of that on the fan-out: from the end
-// of the last pass for what the pointers it wrote are due, and from the
-// builds on for the level-0 merges the new segments are predicted to make
-// due (see round.go).
+// Compaction merges run beside all of that on the fan-out, prepared by
+// one rule from the end of the commit wave on (see round.go).
 //
 // It returns the number of tasks materialized during the round.
 func (c *Cluster) ProcessRound() int {
@@ -327,7 +325,6 @@ func (c *Cluster) ProcessRound() int {
 // summary.
 func (c *Cluster) ProcessRoundReceipt() RoundReceipt {
 	var r RoundReceipt
-	c.runs.startRound()
 	builds := newBuildSet()
 	c.commitWave(&r, builds)
 	c.Seal()

@@ -39,14 +39,16 @@ import (
 // round's goroutine reads it. The chain checks each transaction's
 // signature there, from its submission to the next seal. The compaction
 // merges (runTable), pure functions of their runs' digests, start from
-// runs the write side keeps open: at the end of each materialize pass for
-// the merges the pointers it wrote are due, which no later append
-// changes; once the builds return for the level-0 merges the round's new
-// segments are predicted to make due (runTable.speculate), beside the
-// announces, the reveal and the segment puts; and at a pass's first
-// pointer read for any due merge neither predicted. One walk over a
-// bucket writes the run of every shard that merges it, and a compaction
-// takes the run only after fetching and checking every input itself.
+// runs the write side keeps open, by one rule (runTable.prepare): the
+// merges the written pointers are due once a pass's appends land. The
+// round's goroutine applies it at three fixed points: at the end of the
+// commit wave, with the segments its builds predict the first pass lands,
+// so those merges run beside the reveal and the segment puts; at the
+// start of each materialize pass, with the segments it lands; and at its
+// end, with none, which drops the merges the pass took and starts those
+// of tier ≥ 1 it left due. One walk over a bucket writes the run of every
+// shard that merges it, and a compaction takes the run only after
+// fetching and checking every input itself.
 // Only what a step reads gates it: the commit wave waits for its own
 // builds, not for a merge, and a reader that finds a job not yet started
 // runs it itself (fanout.Job.Wait).
@@ -281,16 +283,16 @@ func (k keyHash) sum() (key buildKey) {
 // commitWave runs the bees' commit: bee by bee, every bee fetches the
 // inputs of its new tasks, and each task's build starts on builds as soon
 // as its inputs are in, unless another assignee fetched byte-identical
-// inputs earlier in the round — then the two share one build. The
-// level-0 merges the round is predicted to make due start next, each
-// after the builds it reads (runTable.speculate). Then every bee, bee by
-// bee, announces the pages it fetched, and only then, bee by bee, are its
-// commitments submitted, each once the build it commits has returned, so
-// transaction order is stable and the builds run beside the announce
-// walks. The announces wait until every bee has fetched: no fetch of the
-// round sees a serve-cache record the round made. They touch only the
-// DHT and the commitments only the chain, so neither moves the other.
-// Nothing here waits for a build it does not read, such as a merge.
+// inputs earlier in the round — then the two share one build. Then every
+// bee, bee by bee, announces the pages it fetched, and only then, bee by
+// bee, are its commitments submitted, each once the build it commits has
+// returned, so transaction order is stable and the builds run beside the
+// announce walks. The announces wait until every bee has fetched: no
+// fetch of the round sees a serve-cache record the round made. They touch
+// only the DHT and the commitments only the chain, so neither moves the
+// other. Last, with every build read, the merges the round's first pass
+// is predicted to make due are prepared (landings). Nothing here waits
+// for a build it does not read, such as a merge.
 func (c *Cluster) commitWave(r *RoundReceipt, builds *buildSet) {
 	n := len(c.Bees)
 	jobs := make([][]commitJob, n)
@@ -300,7 +302,6 @@ func (c *Cluster) commitWave(r *RoundReceipt, builds *buildSet) {
 	for i, b := range c.Bees {
 		jobs[i], anns[i], costs[i], misses[i] = b.fetchCommits(builds)
 	}
-	c.runs.speculate(c.written, landings(jobs))
 	for i, b := range c.Bees {
 		announce := b.Peer.Announce(anns[i])
 		r.AnnounceWave = r.AnnounceWave.Par(announce)
@@ -313,41 +314,49 @@ func (c *Cluster) commitWave(r *RoundReceipt, builds *buildSet) {
 	for i, b := range c.Bees {
 		b.submitCommits(jobs[i], r)
 	}
+	c.runs.prepare(c.written, landings(jobs, c.runs.open))
 }
 
-// landings predicts the segments the round's first materialize pass
-// lands: each new task's build, the first one in bee order, in task-ID
-// order — the order materializePass appends a pass's segments in. It
-// takes the honest build, so a colluding majority that wins the vote
-// voids the prediction.
-func landings(jobs [][]commitJob) []*fanout.Job[built] {
-	byTask := make(map[string]*fanout.Job[built])
+// landings predicts the appends of the round's first materialize pass:
+// each new task's build, the first one in bee order, in task-ID order —
+// the order materializePass appends a pass's segments in — on the shards
+// it lands on. It opens each predicted segment in open. It takes the
+// honest build, so a colluding majority that wins the vote voids the
+// prediction, and runTable.keepNamed closes the segment again.
+func landings(jobs [][]commitJob, open map[string]*index.Segment) map[int][]string {
+	byTask := make(map[string]*built)
 	var ids []string
 	for _, bee := range jobs {
 		for _, j := range bee {
 			if _, seen := byTask[j.taskID]; seen || j.out == nil {
 				continue
 			}
-			byTask[j.taskID] = j.out
+			byTask[j.taskID] = j.out.Wait()
 			ids = append(ids, j.taskID)
 		}
 	}
 	sort.Strings(ids)
-	out := make([]*fanout.Job[built], len(ids))
-	for i, id := range ids {
-		out[i] = byTask[id]
+	appended := make(map[int][]string)
+	for _, id := range ids {
+		b := byTask[id]
+		if b.seg == nil {
+			continue // a rank build lands on no shard
+		}
+		open[b.digest] = b.seg
+		for _, s := range b.shards {
+			appended[s] = append(appended[s], b.digest)
+		}
 	}
-	return out
+	return appended
 }
 
 // materializePass runs one batched materialize phase: bee by bee, each
 // bee writes its winning immutable segments and collects contributions;
 // then the contributions are grouped by shard and each touched shard, in
 // ascending order, gets one pointer RMW (and at most one compaction) on
-// the first contributing bee's DHT node. Before the first RMW, the merge
-// each touched shard is predicted to take is started, or taken from the
-// round's speculation; after the last, the merges the written pointers
-// are due start. May run twice per round (the janitor path finalizes
+// the first contributing bee's DHT node. Before the first RMW the merges
+// are prepared with the pass's appends, and after the last with none
+// (runTable.prepare). May run twice per round (the janitor path finalizes
 // stuck tasks mid-round); counters and costs accumulate.
 func (c *Cluster) materializePass(r *RoundReceipt) {
 	// The generation this pass materializes: every index task it will
@@ -391,7 +400,7 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 		}
 	}
 	sort.Ints(shardOrder)
-	c.runs.prepare(c.written, digestsByShard, shardOrder)
+	c.runs.prepare(c.written, digestsByShard)
 
 	pass.Shards = make([]RMWCost, len(shardOrder))
 	shardWrote := make([]bool, len(shardOrder))
@@ -421,7 +430,7 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 	}
 	c.noteWritten(shardOrder, shardWrote, shardPtrs)
 	c.runs.keepNamed(c.written)
-	c.runs.prepareWritten(c.written)
+	c.runs.prepare(c.written, nil)
 
 	r.Passes = append(r.Passes, pass)
 	r.MaterializeWave = r.MaterializeWave.Seq(pass.Wave())

@@ -500,7 +500,6 @@ func TestWriteQuorumBuildsOnce(t *testing.T) {
 		}
 		var r RoundReceipt
 		builds := newBuildSet()
-		c.runs.startRound()
 		c.commitWave(&r, builds)
 		byTask := pendingByTask(c)
 		if len(byTask) != tasks {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"maps"
 	"slices"
 	"time"
 
@@ -436,22 +435,18 @@ func mergeFullTier(d *dht.Node, shard int, ptr *ShardPointer, runs *runTable) (r
 //
 // A merge is a pure function of its bucket's run digests, so it is
 // computed once, before a compaction reads it, on the table's fan-out
-// (jobs), which outlives a round: from the pointers a pass wrote, at the
-// end of that pass (prepareWritten: tier ≥ 1 merges, which no append
-// changes); from the round's builds, once they return (the level-0
-// merges the new segments are predicted to make due, speculate); and with
-// a pass's appended digests, before its first pointer read, for every
-// merge the pass makes due that neither predicted. Every shard predicted
-// to merge one bucket gets its restricted run from one k-way walk
-// (mergeRuns), so a level-0 bucket that every shard holds is walked once,
-// not once a shard. Only the round's goroutine touches the table.
+// (jobs), which outlives a round. One rule (prepare) decides which merges
+// are prepared: those the written pointers are due once a pass's appends
+// land. The round engine applies it at three fixed points (see round.go).
+// Every shard predicted to merge one bucket gets its restricted run from
+// one k-way walk (mergeRuns), so a level-0 bucket that every shard holds
+// is walked once, not once a shard. Only the round's goroutine touches
+// the table.
 type runTable struct {
 	numShards int
 	jobs      *fanout.Group
 	open      map[string]*index.Segment                      // by digest
 	prepared  map[preparedKey]*fanout.Job[map[int]mergedRun] // a merge that writes the shard's run
-	due       map[preparedKey]bool                           // the merges the written pointers are predicted to take
-	spec      *speculation                                   // this round's predicted level-0 merges, if any
 }
 
 // preparedKey names one shard's merge of one bucket (bucketKey).
@@ -468,20 +463,12 @@ type mergedRun struct {
 	digest string
 }
 
-// mergeGroup is the shards predicted to merge one bucket: the bucket's
-// level and its runs, open, in chain order.
+// mergeGroup is the shards predicted to merge one bucket, and the
+// bucket's runs, open, in chain order.
 type mergeGroup struct {
 	bucket buildKey
-	level  int
 	segs   []*index.Segment
 	shards []int
-}
-
-// speculation is a round's level-0 merges started from its builds: plan
-// predicts them once the builds return, and merged writes their runs.
-type speculation struct {
-	plan   *fanout.Job[[]mergeGroup]
-	merged *fanout.Job[map[int]mergedRun]
 }
 
 func newRunTable(numShards int) *runTable {
@@ -498,91 +485,18 @@ func bucketKey(digests []string) buildKey {
 	return newKeyHash(append([]string{"merge"}, digests...)...).sum()
 }
 
-// prepareWritten starts the merges the written pointers are due as they
-// stand and keeps what it predicted for startRound. It runs at the end of
-// every materialize pass, so a merge of tier ≥ 1, which no later append
-// changes, runs beside everything the next round does before it reads it.
-func (t *runTable) prepareWritten(written []ShardPointer) {
-	shards := make([]int, 0, len(written))
+// prepare makes the prepared merges exactly those the shards' next
+// compactions are predicted to take: for every shard, the due merge
+// (dueMerge) of the pointer written last with appended[shard] added. It
+// keeps a merge already prepared, starts one walk per bucket for the
+// shards whose merge is not, and drops every other. A bucket with a run
+// not open is left out: the compaction merges it inline.
+func (t *runTable) prepare(written []ShardPointer, appended map[int][]string) {
+	next := make(map[preparedKey]*fanout.Job[map[int]mergedRun])
+	var fresh []mergeGroup
 	for s, ptr := range written {
-		if ptr.Version > 0 {
-			shards = append(shards, s)
-		}
-	}
-	t.due = t.prepare(written, nil, shards)
-}
-
-// startRound drops every prepared merge the written pointers are not
-// predicted to take (prepareWritten). A prepared merge no pass took yet
-// (a round that appended nothing to its shard) carries over.
-func (t *runTable) startRound() {
-	for k := range t.prepared {
-		if !t.due[k] {
-			delete(t.prepared, k)
-		}
-	}
-}
-
-// speculate starts the level-0 merges the round's first materialize pass
-// is predicted to make due: each index build of lands, in order, appends
-// its segment to the shards it lands on. The prediction runs once every
-// build it reads has returned, beside the round's announces, reveals and
-// segment puts, and the merges once it is in. It reads a snapshot of the
-// written pointers and the open runs taken here, never the table.
-// prepare takes a predicted merge only for the bucket the pass reads; a
-// vote that went otherwise leaves it unused.
-func (t *runTable) speculate(written []ShardPointer, lands []*fanout.Job[built]) {
-	t.spec = nil
-	if len(lands) == 0 {
-		return
-	}
-	written, open, numShards := slices.Clone(written), maps.Clone(t.open), t.numShards
-	after := make([]fanout.Dep, len(lands))
-	for i, l := range lands {
-		after[i] = l
-	}
-	plan := fanout.Start(t.jobs, func() []mergeGroup {
-		appended := make(map[int][]string)
-		for _, l := range lands {
-			b := l.Wait()
-			if b.seg == nil {
-				continue // a rank build lands on no shard
-			}
-			open[b.digest] = b.seg
-			for _, s := range b.shards {
-				appended[s] = append(appended[s], b.digest)
-			}
-		}
-		shards := slices.Sorted(maps.Keys(appended))
-		var level0 []mergeGroup
-		for _, g := range dueGroups(written, appended, shards, open) {
-			if g.level == 0 { // a higher level's bucket no append changes: prepareWritten's
-				level0 = append(level0, g)
-			}
-		}
-		return level0
-	}, after...)
-	merged := fanout.Start(t.jobs, func() map[int]mergedRun {
-		out := make(map[int]mergedRun)
-		for _, g := range *plan.Wait() {
-			maps.Copy(out, mergeRuns(g.segs, numShards, g.shards))
-		}
-		return out
-	}, plan)
-	t.spec = &speculation{plan: plan, merged: merged}
-}
-
-// dueGroups predicts, for each of shards (ascending), the merge its next
-// compaction takes — the due merge of the pointer the shard's last pass
-// wrote, with appended[shard] appended — and groups the shards by
-// bucket, in order of each bucket's first shard. A bucket with a run not
-// in open is left out: the compaction merges it inline. It is pure.
-func dueGroups(written []ShardPointer, appended map[int][]string, shards []int, open map[string]*index.Segment) []mergeGroup {
-	var groups []mergeGroup
-	byBucket := make(map[buildKey]int)
-	for _, s := range shards {
-		ptr := written[s].withAppended(appended[s])
-		level, members := ptr.dueMerge()
+		ptr = ptr.withAppended(appended[s])
+		_, members := ptr.dueMerge()
 		if members == nil {
 			continue
 		}
@@ -590,63 +504,30 @@ func dueGroups(written []ShardPointer, appended map[int][]string, shards []int, 
 		segs := make([]*index.Segment, len(members))
 		for i, at := range members {
 			bucket[i] = ptr.Digests[at]
-			segs[i] = open[bucket[i]]
+			segs[i] = t.open[bucket[i]]
 		}
 		if slices.Contains(segs, nil) {
 			continue
 		}
-		key := bucketKey(bucket)
-		i, ok := byBucket[key]
-		if !ok {
-			i = len(groups)
-			byBucket[key] = i
-			groups = append(groups, mergeGroup{bucket: key, level: level, segs: segs})
-		}
-		groups[i].shards = append(groups[i].shards, s)
-	}
-	return groups
-}
-
-// prepare predicts, for each of shards (ascending), the merge its next
-// compaction takes (dueGroups) and starts it unless it is prepared
-// already or the round's speculation predicted it (adopt). It returns
-// what it predicted.
-func (t *runTable) prepare(written []ShardPointer, appended map[int][]string, shards []int) map[preparedKey]bool {
-	predicted := make(map[preparedKey]bool)
-	for _, g := range dueGroups(written, appended, shards, t.open) {
-		var fresh []int
-		for _, s := range g.shards {
-			key := preparedKey{g.bucket, s}
-			predicted[key] = true
-			if t.prepared[key] == nil && !t.adopt(key) {
-				fresh = append(fresh, s)
-			}
-		}
-		if len(fresh) == 0 {
+		key := preparedKey{bucketKey(bucket), s}
+		if p := t.prepared[key]; p != nil {
+			next[key] = p
 			continue
 		}
-		numShards, segs := t.numShards, g.segs
-		p := fanout.Start(t.jobs, func() map[int]mergedRun { return mergeRuns(segs, numShards, fresh) })
-		for _, s := range fresh {
-			t.prepared[preparedKey{g.bucket, s}] = p
+		if i := slices.IndexFunc(fresh, func(g mergeGroup) bool { return g.bucket == key.bucket }); i >= 0 {
+			fresh[i].shards = append(fresh[i].shards, s)
+		} else {
+			fresh = append(fresh, mergeGroup{bucket: key.bucket, segs: segs, shards: []int{s}})
 		}
 	}
-	return predicted
-}
-
-// adopt prepares key's merge from the round's speculation if that
-// predicted key's bucket for key's shard, and reports whether it did.
-func (t *runTable) adopt(key preparedKey) bool {
-	if t.spec == nil {
-		return false
-	}
-	for _, g := range *t.spec.plan.Wait() {
-		if g.bucket == key.bucket && slices.Contains(g.shards, key.shard) {
-			t.prepared[key] = t.spec.merged
-			return true
+	numShards := t.numShards
+	for _, g := range fresh {
+		p := fanout.Start(t.jobs, func() map[int]mergedRun { return mergeRuns(g.segs, numShards, g.shards) })
+		for _, s := range g.shards {
+			next[preparedKey{g.bucket, s}] = p
 		}
 	}
-	return false
+	t.prepared = next
 }
 
 // openRun returns the run digest names, whose fetched bytes val have been

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"reflect"
 	"runtime"
 	"slices"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/contracts"
 	"repro/internal/dht"
+	"repro/internal/fanout"
 	"repro/internal/index"
 	"repro/internal/netsim"
 	"repro/internal/oracle"
@@ -487,8 +489,9 @@ func TestWriteCompactionReadsPastForgedRun(t *testing.T) {
 // The pointer one shard held after the third round — three level-0 runs,
 // merged away since — is then hand-stored on every node under a newer
 // sequence, so the eighth round's read of that shard disagrees with what
-// its writer last wrote, and the merge prepared for that shard is of
-// another bucket. The shard must still compact, inline: its merged run
+// its writer last wrote: by the end of that round's commit wave the
+// merge prepared for that shard is of the written chain's bucket, not
+// the read one's. The shard must still compact, inline: its merged run
 // is the restricted merge of the runs the read pointer names plus the
 // round's segment. Every other shard compacts too.
 func TestWriteCompactionMispredicted(t *testing.T) {
@@ -530,17 +533,20 @@ func TestWriteCompactionMispredicted(t *testing.T) {
 			taskID = task.ID
 		}
 	}
-	rr := c.ProcessRoundReceipt()
+	var rr RoundReceipt
+	builds := newBuildSet()
+	c.commitWave(&rr, builds)
+	predicted := append(slices.Clone(written.Digests[1:]), soleIndexBuild(t, builds).digest)
+	if c.runs.prepared[preparedKey{bucketKey(predicted), shard}] == nil {
+		t.Fatalf("no merge was prepared for shard %d's written chain before the pass", shard)
+	}
+	settleRound(c, &rr)
 	if len(rr.Errors) > 0 || rr.Compactions != cfg.NumShards {
 		t.Fatalf("%d compactions, errors %v; want every shard's", rr.Compactions, rr.Errors)
 	}
 	task, ok := c.QB.TaskInfo(taskID)
-	if !ok || task.WinningDigest == "" {
-		t.Fatalf("task %q: no winning segment", taskID)
-	}
-	predicted := append(slices.Clone(written.Digests[1:]), task.WinningDigest)
-	if c.runs.prepared[preparedKey{bucketKey(predicted), shard}] == nil {
-		t.Fatalf("no merge was prepared for shard %d's written chain", shard)
+	if !ok || task.WinningDigest != predicted[len(predicted)-1] {
+		t.Fatalf("task %q: winning segment %q, want the build's", taskID, task.WinningDigest)
 	}
 
 	after, _, err := readShardPointer(c.Peers[2].DHT(), shard)
@@ -566,7 +572,7 @@ func TestWriteCompactionMispredicted(t *testing.T) {
 	}
 }
 
-// pinnedOutvoted is what TestWriteSpeculationOutvoted's run produced
+// pinnedOutvoted is what TestWritePredictionOutvoted's run produced
 // before any merge started from the round's builds: a digest of every
 // round's receipt, and clusterDigest.
 var pinnedOutvoted = struct{ receipts, digest string }{
@@ -574,16 +580,19 @@ var pinnedOutvoted = struct{ receipts, digest string }{
 	digest:   "521a7e43c391884119c947be0f46be34226968369af5c6a57d7aeaa79518c136",
 }
 
-// TestWriteSpeculationOutvoted: a round predicts its level-0 merges from
-// the honest builds (runTable.speculate), so a colluding majority that
-// wins the vote makes the prediction wrong. Six 16-page rounds fill
-// level 0 on all eight shards by the fourth, whose task three of the four
-// bees collude on: their segment lands on four shards, which merge a
-// bucket no prediction named, and the other four merge one round later,
-// as predicted. The outvoted round takes no predicted merge, the next
-// takes one for every shard it compacts, and at GOMAXPROCS 1, 2 and 8
-// the receipts and every node's state equal the recording.
-func TestWriteSpeculationOutvoted(t *testing.T) {
+// TestWritePredictionOutvoted: the merges prepared at the end of a
+// round's commit wave are predicted from the honest builds (landings), so
+// a colluding majority that wins the vote makes the prediction wrong. Six
+// 16-page rounds fill level 0 on all eight shards by the fourth, whose
+// task three of the four bees collude on. Before that round's pass all
+// eight shards hold a merge of the honest bucket; the colluders' segment
+// lands on four shards, whose pass-start prepare replaces those merges
+// with fresh ones of the bucket the pass writes, and the other four merge
+// one round later, as predicted. So the outvoted round's compactions take
+// no merge prepared before its pass, the next round's take one each, and
+// at GOMAXPROCS 1, 2 and 8 the receipts and every node's state equal the
+// recording.
+func TestWritePredictionOutvoted(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
@@ -597,20 +606,19 @@ func TestWriteSpeculationOutvoted(t *testing.T) {
 			for _, b := range c.Bees[:3] {
 				b.Colluding = outvoted
 			}
-			rr, err := c.IndexBatch(owner, pages)
-			if err != nil || len(rr.Errors) > 0 {
-				t.Fatalf("GOMAXPROCS=%d round %d: err=%v round errors=%v", procs, round, err, rr.Errors)
+			var honest *built
+			var before map[preparedKey]*fanout.Job[map[int]mergedRun]
+			var written []ShardPointer
+			rr := indexRound(t, c, owner, pages, func(builds *buildSet) *WorkerBee {
+				honest, before, written = soleIndexBuild(t, builds), maps.Clone(c.runs.prepared), slices.Clone(c.written)
+				return nil
+			}, func(int, *RoundReceipt) {})
+			if len(rr.Errors) > 0 {
+				t.Fatalf("GOMAXPROCS=%d round %d: round errors=%v", procs, round, rr.Errors)
 			}
 			fmt.Fprintf(h, "%+v\n", rr)
-			predicted := 0
-			for _, g := range *c.runs.spec.plan.Wait() {
-				predicted += len(g.shards)
-			}
-			taken := 0
-			for _, p := range c.runs.prepared {
-				if p == c.runs.spec.merged {
-					taken++
-				}
+			if want := dueKeys(written, appendsOf(honest)); !maps.Equal(keysOf(before), want) || outvoted && len(want) != cfg.NumShards {
+				t.Fatalf("GOMAXPROCS=%d round %d: %d merges prepared before the pass, want the %d of the honest buckets", procs, round, len(before), len(want))
 			}
 			wantCompactions := 0
 			if round == 3 || round == 4 {
@@ -620,9 +628,12 @@ func TestWriteSpeculationOutvoted(t *testing.T) {
 			if outvoted {
 				wantTaken = 0
 			}
-			if rr.Compactions != wantCompactions || taken != wantTaken || outvoted && predicted != cfg.NumShards {
-				t.Fatalf("GOMAXPROCS=%d round %d: %d compactions, %d predicted merges taken (want %d) of %d",
-					procs, round, rr.Compactions, taken, wantTaken, predicted)
+			if taken := takenFrom(c, before); rr.Compactions != wantCompactions || taken != wantTaken {
+				t.Fatalf("GOMAXPROCS=%d round %d: %d compactions, %d merges prepared before the pass taken (want %d) of %d",
+					procs, round, rr.Compactions, taken, wantTaken, len(before))
+			}
+			if want := dueKeys(c.written, nil); !maps.Equal(keysOf(c.runs.prepared), want) {
+				t.Fatalf("GOMAXPROCS=%d round %d: %d merges prepared after the pass, want %d", procs, round, len(c.runs.prepared), len(want))
 			}
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != pinnedOutvoted.receipts {
@@ -632,4 +643,195 @@ func TestWriteSpeculationOutvoted(t *testing.T) {
 			t.Errorf("GOMAXPROCS=%d: cluster digest %s, recorded %s", procs, got, pinnedOutvoted.digest)
 		}
 	}
+}
+
+// TestWritePrepareRule: one rule decides every merge. After each of the
+// round engine's prepares a test can see — the commit wave's, with the
+// round's build as the first pass's appends, and each pass's last, with
+// none — the prepared merges are exactly the due merges of the written
+// pointers plus those appends, so no merge a pass took outlives it. Nine
+// 16-page rounds run at GOMAXPROCS 1, 2 and 8, among them an outvoted
+// round and a round whose task one assignee never reveals, which the
+// next round's janitor pass finalizes; both that pass and the first pass
+// before it compact. Every run a written pointer names stays open, so a
+// pass's own prepare covers every merge it makes due; and every
+// compaction of a first pass the builds predicted takes a merge prepared
+// before the pass.
+func TestWritePrepareRule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const outvotedRound, silentRound = 3, 6
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		cfg := DefaultConfig()
+		c := NewCluster(cfg)
+		owner := c.NewAccount("writer", 1<<40)
+		c.Seal()
+		predicted, janitor := 0, 0 // compactions of predicted first passes, of janitor passes
+		for round, pages := range corpusBatches(cfg.Seed, 9, 16) {
+			for _, b := range c.Bees[:3] {
+				b.Colluding = round == outvotedRound
+			}
+			var before map[preparedKey]*fanout.Job[map[int]mergedRun]
+			compacted := 0 // by the passes before
+			rr := indexRound(t, c, owner, pages, func(builds *buildSet) *WorkerBee {
+				if want := dueKeys(c.written, appendsOf(soleIndexBuild(t, builds))); !maps.Equal(keysOf(c.runs.prepared), want) {
+					t.Fatalf("GOMAXPROCS=%d round %d: %d merges prepared after the commit wave, want %d", procs, round, len(c.runs.prepared), len(want))
+				}
+				before = maps.Clone(c.runs.prepared)
+				if round == silentRound {
+					return assigneeOf(t, c)
+				}
+				return nil
+			}, func(pass int, r *RoundReceipt) {
+				if want := dueKeys(c.written, nil); !maps.Equal(keysOf(c.runs.prepared), want) {
+					t.Fatalf("GOMAXPROCS=%d round %d pass %d: %d merges prepared after the pass, want %d", procs, round, pass, len(c.runs.prepared), len(want))
+				}
+				for s, ptr := range c.written {
+					for _, dg := range ptr.Digests {
+						if c.runs.open[dg] == nil {
+							t.Fatalf("GOMAXPROCS=%d round %d pass %d: shard %d's written run %.8s is not open", procs, round, pass, s, dg)
+						}
+					}
+				}
+				n := r.Compactions - compacted
+				compacted = r.Compactions
+				switch taken := takenFrom(c, before); {
+				case pass == 1:
+					janitor += n
+				case round == outvotedRound:
+				case taken != n:
+					t.Fatalf("GOMAXPROCS=%d round %d: %d compactions, %d of them took a merge prepared before the pass", procs, round, n, taken)
+				default:
+					predicted += n
+				}
+				before = maps.Clone(c.runs.prepared)
+			})
+			if len(rr.Errors) > 0 {
+				t.Fatalf("GOMAXPROCS=%d round %d: round errors=%v", procs, round, rr.Errors)
+			}
+		}
+		if predicted == 0 || janitor == 0 {
+			t.Fatalf("GOMAXPROCS=%d: %d compactions in predicted first passes, %d in janitor passes; want both", procs, predicted, janitor)
+		}
+	}
+}
+
+// indexRound is IndexBatch, publishing on a random peer, driven step by
+// step for a cluster that runs no maintenance. atCommit sees the cluster
+// once the commit wave has returned, with the round's builds, and names a
+// bee that reveals nothing this round, if any; atPass sees it once each
+// materialize pass has returned, with the receipt so far.
+func indexRound(t *testing.T, c *Cluster, owner *chain.Account, pages []BatchPage, atCommit func(*buildSet) *WorkerBee, atPass func(pass int, r *RoundReceipt)) RoundReceipt {
+	t.Helper()
+	if c.cfg.Maintenance {
+		t.Fatal("indexRound runs no maintenance pass")
+	}
+	br, err := c.PublishBatch(owner, c.RandomPeer(), pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Seal()
+	var r RoundReceipt
+	builds := newBuildSet()
+	c.commitWave(&r, builds)
+	silent := atCommit(builds)
+	c.Seal()
+	for _, b := range c.Bees {
+		if b != silent {
+			b.RevealPhase()
+		}
+	}
+	c.Seal()
+	c.materializePass(&r)
+	atPass(0, &r)
+	if stuck := c.QB.OpenTasksPastDeadline(c.Chain.Height()); len(stuck) > 0 {
+		for _, id := range stuck {
+			c.SubmitCall(c.treasury, contracts.MethodFinalize, contracts.FinalizeParams{TaskID: id}, 0)
+		}
+		c.Seal()
+		c.materializePass(&r)
+		atPass(1, &r)
+	}
+	c.noteRoundReceipt(r)
+	r.StoreCost = br.StoreCost
+	return r
+}
+
+// soleIndexBuild is the round's one index build.
+func soleIndexBuild(t *testing.T, builds *buildSet) *built {
+	t.Helper()
+	var out *built
+	for _, p := range builds.byKey {
+		if b := p.Wait(); b.seg != nil {
+			if out != nil {
+				t.Fatal("the round ran more than one index build")
+			}
+			out = b
+		}
+	}
+	if out == nil {
+		t.Fatal("the round ran no index build")
+	}
+	return out
+}
+
+// assigneeOf is a bee assigned to the one task open on chain.
+func assigneeOf(t *testing.T, c *Cluster) *WorkerBee {
+	t.Helper()
+	for _, b := range c.Bees {
+		if len(c.QB.OpenTasksFor(b.Account.Address())) > 0 {
+			return b
+		}
+	}
+	t.Fatal("no bee holds an open task")
+	return nil
+}
+
+// appendsOf is b's segment appended to every shard it lands on.
+func appendsOf(b *built) map[int][]string {
+	out := make(map[int][]string)
+	for _, s := range b.shards {
+		out[s] = []string{b.digest}
+	}
+	return out
+}
+
+// dueKeys is what runTable.prepare keeps when every run is open: each
+// shard's due merge of its written pointer with appended added.
+func dueKeys(written []ShardPointer, appended map[int][]string) map[preparedKey]bool {
+	out := make(map[preparedKey]bool)
+	for s, ptr := range written {
+		ptr = ptr.withAppended(appended[s])
+		_, members := ptr.dueMerge()
+		if members == nil {
+			continue
+		}
+		bucket := make([]string, len(members))
+		for i, at := range members {
+			bucket[i] = ptr.Digests[at]
+		}
+		out[preparedKey{bucketKey(bucket), s}] = true
+	}
+	return out
+}
+
+// keysOf is the set of merges prepared.
+func keysOf(prepared map[preparedKey]*fanout.Job[map[int]mergedRun]) map[preparedKey]bool {
+	out := make(map[preparedKey]bool, len(prepared))
+	for k := range prepared {
+		out[k] = true
+	}
+	return out
+}
+
+// takenFrom counts the merges in prepared a compaction took: those whose
+// view for their shard is the one the table holds open.
+func takenFrom(c *Cluster, prepared map[preparedKey]*fanout.Job[map[int]mergedRun]) int {
+	taken := 0
+	for k, p := range prepared {
+		if run := (*p.Wait())[k.shard]; c.runs.open[run.digest] == run.seg {
+			taken++
+		}
+	}
+	return taken
 }

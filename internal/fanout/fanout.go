@@ -1,17 +1,16 @@
 // Package fanout is the one place simulation code starts a goroutine.
 // It runs pure work beside the caller's goroutine: a job reads only
-// inputs that are immutable once it starts — the outputs of the jobs it
-// was started after among them — and writes only its own output, so what
-// it returns cannot depend on the schedule, nor on which goroutine runs
-// it: its own, or a reader that needs it before it was scheduled.
-// Everything with a side effect — a simulated RPC, a seeded draw, a
-// cache or routing-table write — stays on the caller's goroutine, in a
-// fixed order, and reads a job's output only through Job.Wait.
+// inputs that are immutable once it starts and writes only its own
+// output, so what it returns cannot depend on the schedule, nor on which
+// goroutine runs it: its own, or a reader that needs it before it was
+// scheduled. No job waits for another job. Everything with a side
+// effect — a simulated RPC, a seeded draw, a cache or routing-table
+// write — stays on the caller's goroutine, in a fixed order, and reads a
+// job's output only through Job.Wait.
 //
 // Its users are the write round's builds (core.buildSet) and compaction
-// merges (core.runTable), among them the level-0 merges a round predicts
-// from its builds; the chain's signature checks (chain.Chain.Submit);
-// and the crawler's page extraction (ingest.Crawl).
+// merges (core.runTable), the chain's signature checks
+// (chain.Chain.Submit) and the crawler's page extraction (ingest.Crawl).
 package fanout
 
 import (
@@ -38,37 +37,20 @@ func New() *Group {
 type Job[T any] struct {
 	g     *Group
 	run   func() T
-	after []Dep
 	taken atomic.Bool
 	done  chan struct{}
 	out   T
 }
 
-// Dep is a started job of any output type, as Start's after takes it.
-type Dep interface {
-	finished() <-chan struct{}
-	await()
-}
-
-func (j *Job[T]) finished() <-chan struct{} { return j.done }
-func (j *Job[T]) await()                    { j.Wait() }
-
-// Start runs job on a goroutine of its own and returns at once: the
-// caller never waits for a slot, only for the outputs it reads. The
-// goroutine first waits for every job in after to return and only then
-// for one of g's slots, so a job waiting for another never holds a slot:
-// a job may be started before the jobs it reads, on any number of
-// slots. job may read the outputs of after (Job.Wait), and no other
-// job's.
-func Start[T any](g *Group, job func() T, after ...Dep) *Job[T] {
-	j := &Job[T]{g: g, run: job, after: after, done: make(chan struct{})}
+// Start runs job on a goroutine of its own, once one of g's slots is
+// free, and returns at once: the caller never waits for a slot, only for
+// the outputs it reads.
+func Start[T any](g *Group, job func() T) *Job[T] {
+	j := &Job[T]{g: g, run: job, done: make(chan struct{})}
 	g.wg.Add(1)
 	//detlint:ignore goroutine the one fan-out in simulation code: a job reads only its own inputs, immutable once it starts, and writes only its own output
 	go func() {
 		defer g.wg.Done()
-		for _, d := range after {
-			<-d.finished()
-		}
 		if !j.taken.Load() {
 			g.slots <- struct{}{}
 			j.finish()
@@ -89,14 +71,10 @@ func (j *Job[T]) finish() {
 
 // Wait gives the job's output, blocking until the job has returned. A
 // reader that finds the job not yet taken and a slot free runs the job
-// itself, once the jobs it was started after have returned, so it does
-// not wait for the job's goroutine to be scheduled. Every caller of one
-// job gets the same output.
+// itself, so it does not wait for the job's goroutine to be scheduled.
+// Every caller of one job gets the same output.
 func (j *Job[T]) Wait() *T {
 	if !j.taken.Load() {
-		for _, d := range j.after {
-			d.await()
-		}
 		select {
 		case j.g.slots <- struct{}{}:
 			j.finish()

@@ -46,47 +46,3 @@ func TestStartRunsOneJobACPU(t *testing.T) {
 		}
 	}
 }
-
-// TestStartAfterWaitsWithoutASlot: at GOMAXPROCS=1, jobs started after
-// a job that has not returned yet — one of them two levels deep — wait
-// for it without taking a slot: on two slots, the running job holds one
-// and the other stays free for a job on no dependency. Once the running
-// job returns, each dependent reads its dependency's output.
-func TestStartAfterWaitsWithoutASlot(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	g := &Group{slots: make(chan struct{}, 2)} // a waiting job could take the free slot
-	running, release := make(chan struct{}), make(chan struct{})
-	first := Start(g, func() int {
-		close(running)
-		<-release
-		return 10
-	})
-	<-running
-	deps := make([]*Job[int], 4)
-	for i := range deps {
-		deps[i] = Start(g, func() int { return *first.Wait() + i }, first)
-	}
-	last := Start(g, func() int { return *deps[0].Wait() * 2 }, deps[0], first)
-	for k := 0; k < 100; k++ {
-		runtime.Gosched() // let every started goroutine park
-	}
-	if n := len(g.slots); n != 1 {
-		t.Fatalf("%d slots held while one job runs and the rest wait for it", n)
-	}
-	if got := *Start(g, func() int { return 7 }).Wait(); got != 7 {
-		t.Fatalf("a job on no dependency gave %d", got)
-	}
-	close(release)
-	for i, d := range deps {
-		if got := *d.Wait(); got != 10+i {
-			t.Fatalf("dependent %d gave %d, want %d", i, got, 10+i)
-		}
-	}
-	if got := *last.Wait(); got != 20 {
-		t.Fatalf("second-level dependent gave %d, want 20", got)
-	}
-	g.Wait()
-	if n := len(g.slots); n != 0 {
-		t.Fatalf("%d slots held once every job returned", n)
-	}
-}
