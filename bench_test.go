@@ -384,50 +384,62 @@ func BenchmarkIngestPipeline(b *testing.B) {
 }
 
 // BenchmarkCompaction measures the write path's steady-state compaction
-// cost: 32 uniform publish rounds against a 4-shard index, reporting
-// bytes rewritten per round and the run's cumulative write
-// amplification. Tiered compaction must hold compacted_B/round flat —
-// each ingested byte is rewritten about once per tier promotion, i.e.
-// O(log rounds) (E19 sweeps it across run lengths).
+// cost: 32 publish rounds against a 4-shard index, reporting bytes
+// rewritten per round and the run's cumulative write amplification.
+// Tiered compaction must hold compacted_B/round flat — each ingested
+// byte is rewritten about once per tier, i.e. O(log rounds) (E19 sweeps
+// it across run lengths). In uniform every round publishes 16 pages; in
+// big-first the first publishes 32× that, as a deployment's boot batch
+// does, and the size rule moves its run up the tiers unrewritten.
 func BenchmarkCompaction(b *testing.B) {
 	const rounds, docsPerRound = 32, 16
-	b.ReportAllocs()
-	var ingested, compacted, compactions int64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		e := New(WithSeed(1), WithPeers(10), WithBees(3), func(c *core.Config) { c.NumShards = 4 })
-		owner := e.NewAccount("compact-owner", 1<<40)
-		b.StartTimer()
-		doc := 0
-		for r := 0; r < rounds; r++ {
-			pages := make([]Page, docsPerRound)
-			for j := range pages {
-				var links []string
-				if doc > 0 {
-					links = []string{fmt.Sprintf("dweb://compact/%05d", doc-1)}
+	for _, bc := range []struct {
+		name      string
+		firstDocs int
+	}{{"uniform", docsPerRound}, {"big-first", 32 * docsPerRound}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var ingested, compacted, compactions int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e := New(WithSeed(1), WithPeers(10), WithBees(3), func(c *core.Config) { c.NumShards = 4 })
+				owner := e.NewAccount("compact-owner", 1<<40)
+				b.StartTimer()
+				doc := 0
+				for r := 0; r < rounds; r++ {
+					pages := make([]Page, docsPerRound)
+					if r == 0 {
+						pages = make([]Page, bc.firstDocs)
+					}
+					for j := range pages {
+						var links []string
+						if doc > 0 {
+							links = []string{fmt.Sprintf("dweb://compact/%05d", doc-1)}
+						}
+						pages[j] = Page{
+							URL:   fmt.Sprintf("dweb://compact/%05d", doc),
+							Text:  fmt.Sprintf("compaction benchmark corpus document %05d round %03d", doc, r),
+							Links: links,
+						}
+						doc++
+					}
+					if _, err := e.PublishBatch(owner, pages); err != nil {
+						b.Fatal(err)
+					}
 				}
-				pages[j] = Page{
-					URL:   fmt.Sprintf("dweb://compact/%05d", doc),
-					Text:  fmt.Sprintf("compaction benchmark corpus document %05d round %03d", doc, r),
-					Links: links,
-				}
-				doc++
+				ws := e.WriteStats()
+				ingested += ws.IngestedBytes
+				compacted += ws.CompactedBytes
+				compactions += int64(ws.Compactions)
 			}
-			if _, err := e.PublishBatch(owner, pages); err != nil {
-				b.Fatal(err)
+			b.StopTimer()
+			b.ReportMetric(float64(compacted)/float64(int64(b.N)*rounds), "compacted_B/round")
+			if ingested > 0 {
+				b.ReportMetric(float64(ingested+compacted)/float64(ingested), "write_amp")
 			}
-		}
-		ws := e.WriteStats()
-		ingested += ws.IngestedBytes
-		compacted += ws.CompactedBytes
-		compactions += int64(ws.Compactions)
+			b.ReportMetric(float64(compactions)/float64(b.N), "compactions/run")
+		})
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(compacted)/float64(int64(b.N)*rounds), "compacted_B/round")
-	if ingested > 0 {
-		b.ReportMetric(float64(ingested+compacted)/float64(ingested), "write_amp")
-	}
-	b.ReportMetric(float64(compactions)/float64(b.N), "compactions/run")
 }
 
 // BenchmarkSearch measures frontend query cost on a standing index.

@@ -716,11 +716,20 @@ func pointerSoak(t *testing.T, maintenance bool) {
 
 // FuzzShardPointerDecode: pointer bytes come from whichever replica
 // answered. Decoding never panics, and whatever it accepts is safe to
-// hand to the segment reader and survives a re-encode unchanged.
+// hand to the segment reader and to a compaction — one level and one
+// size per digest or none, levels never rising along the chain, no
+// negative size — and survives a re-encode unchanged. A replica serving
+// levels [0 0 1 0 0] would have a merge of runs 0, 1, 3 and 4 spliced
+// ahead of run 2, whose older postings would then shadow runs 3 and 4.
 func FuzzShardPointerDecode(f *testing.F) {
 	dg := index.DigestOf([]byte("seed"))
+	five := []string{dg, dg, dg, dg, dg}
 	f.Add(encodeJSON(ShardPointer{Digests: []string{dg, dg}, Levels: []int{1, 0}, Version: 3, Gen: 2}))
+	f.Add(encodeJSON(ShardPointer{Digests: []string{dg, dg}, Levels: []int{1, 0}, Sizes: []int{600_000, 0}, Version: 3, Gen: 2}))
 	f.Add(encodeJSON(ShardPointer{Digests: []string{dg}, Version: 1}))
+	f.Add(encodeJSON(ShardPointer{Digests: five, Levels: []int{0, 0, 1, 0, 0}, Version: 5}))
+	f.Add(encodeJSON(ShardPointer{Digests: five, Levels: []int{2, 1, 1, 0, 0}, Sizes: []int{9, 8, 7, 6}, Version: 5}))
+	f.Add(encodeJSON(ShardPointer{Digests: []string{dg, dg}, Sizes: []int{1, -1}, Version: 2}))
 	f.Add([]byte(`{"Digests":["x"],"Version":999}`))
 	f.Add([]byte(`{"Digests":["` + dg + `"],"Levels":[-1]}`))
 	f.Add([]byte(`{"Digests":["` + dg + `"],"Levels":[0,0]}`))
@@ -735,12 +744,18 @@ func FuzzShardPointerDecode(f *testing.F) {
 			}
 			return
 		}
+		if len(ptr.Levels) != 0 && len(ptr.Levels) != len(ptr.Digests) || len(ptr.Sizes) != 0 && len(ptr.Sizes) != len(ptr.Digests) {
+			t.Fatalf("accepted %d levels and %d sizes for %d digests", len(ptr.Levels), len(ptr.Sizes), len(ptr.Digests))
+		}
 		for i, d := range ptr.Digests {
 			if !index.IsDigest(d) || fmt.Sprintf("%.8s", d) != d[:8] {
 				t.Fatalf("accepted digest %q", d)
 			}
-			if ptr.levelOf(i) < 0 {
-				t.Fatalf("accepted level %d", ptr.levelOf(i))
+			if ptr.levelOf(i) < 0 || i > 0 && ptr.levelOf(i) > ptr.levelOf(i-1) {
+				t.Fatalf("accepted levels %v", ptr.Levels)
+			}
+			if ptr.sizeOf(i) < 0 {
+				t.Fatalf("accepted size %d", ptr.sizeOf(i))
 			}
 		}
 		enc := encodeJSON(ptr)

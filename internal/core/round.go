@@ -319,11 +319,12 @@ func (c *Cluster) commitWave(r *RoundReceipt, builds *buildSet) {
 
 // landings predicts the appends of the round's first materialize pass:
 // each new task's build, the first one in bee order, in task-ID order —
-// the order materializePass appends a pass's segments in — on the shards
-// it lands on. It opens each predicted segment in open. It takes the
+// the order materializePass appends a pass's segments in — with its
+// encoded size, on the shards it lands on. It opens each predicted
+// segment in open. It takes the
 // honest build, so a colluding majority that wins the vote voids the
 // prediction, and runTable.keepNamed closes the segment again.
-func landings(jobs [][]commitJob, open map[string]*index.Segment) map[int][]string {
+func landings(jobs [][]commitJob, open map[string]*index.Segment) map[int][]landedRun {
 	byTask := make(map[string]*built)
 	var ids []string
 	for _, bee := range jobs {
@@ -336,7 +337,7 @@ func landings(jobs [][]commitJob, open map[string]*index.Segment) map[int][]stri
 		}
 	}
 	sort.Strings(ids)
-	appended := make(map[int][]string)
+	appended := make(map[int][]landedRun)
 	for _, id := range ids {
 		b := byTask[id]
 		if b.seg == nil {
@@ -344,7 +345,7 @@ func landings(jobs [][]commitJob, open map[string]*index.Segment) map[int][]stri
 		}
 		open[b.digest] = b.seg
 		for _, s := range b.shards {
-			appended[s] = append(appended[s], b.digest)
+			appended[s] = append(appended[s], landedRun{b.digest, len(b.result)})
 		}
 	}
 	return appended
@@ -387,7 +388,7 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 	// ascending. The digest order within a shard pointer follows from
 	// this, not from map iteration.
 	sort.Slice(all, func(i, j int) bool { return all[i].taskID < all[j].taskID })
-	digestsByShard := make(map[int][]string)
+	landedByShard := make(map[int][]landedRun)
 	writerByShard := make(map[int]*WorkerBee)
 	var shardOrder []int
 	for _, ctr := range all {
@@ -396,18 +397,18 @@ func (c *Cluster) materializePass(r *RoundReceipt) {
 				writerByShard[s] = ctr.bee
 				shardOrder = append(shardOrder, s)
 			}
-			digestsByShard[s] = append(digestsByShard[s], ctr.digest)
+			landedByShard[s] = append(landedByShard[s], landedRun{ctr.digest, ctr.bytes})
 		}
 	}
 	sort.Ints(shardOrder)
-	c.runs.prepare(c.written, digestsByShard)
+	c.runs.prepare(c.written, landedByShard)
 
 	pass.Shards = make([]RMWCost, len(shardOrder))
 	shardWrote := make([]bool, len(shardOrder))
 	shardPtrs := make([]ShardPointer, len(shardOrder))
 	for j, s := range shardOrder {
 		w := writerByShard[s]
-		ptr, cost, wrote, res, err := materializeShardTiered(w.Peer.DHT(), s, gen, digestsByShard[s], c.runs)
+		ptr, cost, wrote, res, err := materializeShardTiered(w.Peer.DHT(), s, gen, landedByShard[s], c.runs)
 		pass.Shards[j], shardWrote[j], shardPtrs[j] = cost, wrote, ptr
 		var errs []RoundError
 		if err != nil {

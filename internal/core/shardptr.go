@@ -20,14 +20,21 @@ import (
 // updates win.
 //
 // Levels records each run's compaction tier: Levels[i] is the tier of
-// Digests[i] (0 = a raw round segment, k = the product of k merges). A
-// nil Levels — a pre-tiered pointer — means every run is level 0. The
-// writer maintains the invariant that levels are non-increasing
-// along the chain (appends land level-0 runs at the end; a merge
-// replaces a level's contiguous run block with one higher-level run at
-// the block's start), which is what makes every merge a contiguous,
-// precedence-preserving splice under index.Merge's oldest-first
-// semantics.
+// Digests[i] (0 = a raw round segment; a merge or a promotion moves a run
+// one tier up). A nil Levels — a pre-tiered pointer — means every run is
+// level 0. Levels are non-increasing along the chain (appends land
+// level-0 runs at the end; a promotion relabels a level's leading runs
+// one tier up; a merge replaces the level's remaining contiguous block
+// with one higher-level run at the block's start), which is what makes
+// every merge a contiguous, precedence-preserving splice under
+// index.Merge's oldest-first semantics. decodeShardPointer rejects a
+// record that breaks the invariant.
+//
+// Sizes records each run's encoded bytes, parallel to Digests: set from
+// the segment's bytes when it is appended and from the merged run's
+// bytes when a merge writes one. Nil or 0 means unknown (a pointer
+// written before sizes were kept), and an unknown run is never
+// promoted, so such a chain compacts by run count alone.
 //
 // Gen is the chain's index generation (contracts.QueenBee.IndexGen) the
 // writing materialize pass ran at. Pointers only move in the pass that
@@ -40,6 +47,7 @@ import (
 type ShardPointer struct {
 	Digests []string // segment digests, oldest first
 	Levels  []int    `json:",omitempty"` // compaction tier per digest (nil = all level 0)
+	Sizes   []int    `json:",omitempty"` // encoded bytes per digest (nil or 0 = unknown)
 	Version uint64
 	Gen     uint64 `json:",omitempty"` // index generation of the writing pass (0 = unstamped)
 }
@@ -60,6 +68,15 @@ func (p ShardPointer) levelOf(i int) int {
 	return 0
 }
 
+// sizeOf returns the encoded bytes of run i, 0 (unknown) past a nil/short
+// Sizes slice.
+func (p ShardPointer) sizeOf(i int) int {
+	if i < len(p.Sizes) {
+		return p.Sizes[i]
+	}
+	return 0
+}
+
 func encodeJSON(v any) []byte {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -71,8 +88,10 @@ func encodeJSON(v any) []byte {
 // decodeShardPointer parses and validates a pointer record. The bytes
 // come from outside the process — whichever replica answered — so every
 // reader decodes through here: each digest must have the form
-// index.DigestOf prints, and Levels is either absent or one
-// non-negative tier per digest.
+// index.DigestOf prints; Levels is either absent or one non-negative
+// tier per digest, never rising along the chain (a rising level would
+// make a merge splice a newer run ahead of an older one it skipped); and
+// Sizes is either absent or one non-negative size per digest.
 func decodeShardPointer(val []byte) (ShardPointer, error) {
 	var ptr ShardPointer
 	if err := json.Unmarshal(val, &ptr); err != nil {
@@ -81,9 +100,20 @@ func decodeShardPointer(val []byte) (ShardPointer, error) {
 	if len(ptr.Levels) != 0 && len(ptr.Levels) != len(ptr.Digests) {
 		return ShardPointer{}, fmt.Errorf("%d levels for %d digests", len(ptr.Levels), len(ptr.Digests))
 	}
-	for _, l := range ptr.Levels {
+	if len(ptr.Sizes) != 0 && len(ptr.Sizes) != len(ptr.Digests) {
+		return ShardPointer{}, fmt.Errorf("%d sizes for %d digests", len(ptr.Sizes), len(ptr.Digests))
+	}
+	for i, l := range ptr.Levels {
 		if l < 0 {
 			return ShardPointer{}, fmt.Errorf("negative level %d", l)
+		}
+		if i > 0 && l > ptr.Levels[i-1] {
+			return ShardPointer{}, fmt.Errorf("level %d of run %d rises above %d", l, i, ptr.Levels[i-1])
+		}
+	}
+	for _, n := range ptr.Sizes {
+		if n < 0 {
+			return ShardPointer{}, fmt.Errorf("negative size %d", n)
 		}
 	}
 	for i, dg := range ptr.Digests {
@@ -181,44 +211,65 @@ func decodeCurrentPointer(shard int, cur []byte) (ShardPointer, error) {
 	return ptr, nil
 }
 
-// appendDigests appends, at level 0, every digest not already in the
-// chain, preserving the given order, and reports whether any was new.
-// The same padding normalizes a legacy pointer, so Levels tracks Digests
+// landedRun is one segment a pass appends to a shard pointer: its digest
+// and its encoded bytes.
+type landedRun struct {
+	digest string
+	size   int
+}
+
+// appendRuns appends, at level 0, every run not already in the chain,
+// preserving the given order, and reports whether any was new. The same
+// padding normalizes a legacy pointer, so Levels and Sizes track Digests
 // 1:1 from here on.
-func (p *ShardPointer) appendDigests(digests []string) bool {
+func (p *ShardPointer) appendRuns(runs []landedRun) bool {
+	for len(p.Levels) < len(p.Digests) {
+		p.Levels = append(p.Levels, 0)
+	}
+	for len(p.Sizes) < len(p.Digests) {
+		p.Sizes = append(p.Sizes, 0)
+	}
 	existing := make(map[string]bool, len(p.Digests))
 	for _, dg := range p.Digests {
 		existing[dg] = true
 	}
 	appended := false
-	for _, dg := range digests {
-		if existing[dg] {
+	for _, r := range runs {
+		if existing[r.digest] {
 			continue
 		}
-		existing[dg] = true
-		p.Digests = append(p.Digests, dg)
-		appended = true
-	}
-	for len(p.Levels) < len(p.Digests) {
+		existing[r.digest] = true
+		p.Digests = append(p.Digests, r.digest)
 		p.Levels = append(p.Levels, 0)
+		p.Sizes = append(p.Sizes, r.size)
+		appended = true
 	}
 	return appended
 }
 
-// withAppended is a copy of p, sharing no slice with it, with digests
-// appended (appendDigests).
-func (p ShardPointer) withAppended(digests []string) ShardPointer {
+// withAppended is a copy of p, sharing no slice with it, with runs
+// appended (appendRuns).
+func (p ShardPointer) withAppended(runs []landedRun) ShardPointer {
 	next := p
-	next.Digests, next.Levels = slices.Clone(p.Digests), slices.Clone(p.Levels)
-	next.appendDigests(digests)
+	next.Digests, next.Levels, next.Sizes = slices.Clone(p.Digests), slices.Clone(p.Levels), slices.Clone(p.Sizes)
+	next.appendRuns(runs)
 	return next
 }
 
-// dueMerge names the merge the pointer's compaction takes: every run of
-// the lowest level holding at least tieredFanout runs, by position in
-// chain order, and that level; no runs when no level is full. It is a
-// pure function of the pointer, never of map order or scheduling.
-func (p ShardPointer) dueMerge() (level int, runs []int) {
+// dueMerge names what the pointer's compaction does at the lowest level
+// holding at least tieredFanout runs: it promotes each leading run of
+// that level whose size exceeds the level's later runs combined, one
+// level up, where it already sits in the chain and unrewritten; and it
+// merges the runs left, by position in chain order, if tieredFanout of
+// them are left. promoted and runs are both nil when no level is full. It
+// is a pure function of the pointer, never of map order or scheduling.
+//
+// A run is promoted only when it outweighs the rest of its level, so a
+// merge never rewrites a run that would dominate its output: a big batch
+// moves up the tiers at no cost until runs of like size catch up with
+// it. Uniform rounds never promote — a run would have to outweigh three
+// of its peers together — and neither does a run of unknown size.
+func (p ShardPointer) dueMerge() (level int, promoted, runs []int) {
 	var counts []int
 	for i := range p.Digests {
 		l := p.levelOf(i)
@@ -231,14 +282,26 @@ func (p ShardPointer) dueMerge() (level int, runs []int) {
 		if n < tieredFanout {
 			continue
 		}
+		rest := 0
 		for i := range p.Digests {
 			if p.levelOf(i) == l {
 				runs = append(runs, i)
+				rest += p.sizeOf(i)
 			}
 		}
-		return l, runs
+		for len(runs) > 0 {
+			size := p.sizeOf(runs[0])
+			if rest -= size; size <= rest {
+				break
+			}
+			promoted, runs = append(promoted, runs[0]), runs[1:]
+		}
+		if len(runs) < tieredFanout {
+			runs = nil
+		}
+		return l, promoted, runs
 	}
-	return 0, nil
+	return 0, nil, nil
 }
 
 // writeSegment stores an immutable segment record under its digest key.
@@ -295,10 +358,13 @@ func readSegmentCtx(ctx context.Context, d *dht.Node, digestHex string) (*index.
 	return seg, cost, nil
 }
 
-// tieredFanout is the size-tiered compaction fan-out: once a level holds
-// this many runs, all of them merge into one run at the next level. With
-// one round segment landing per round, each ingested byte is rewritten
-// once per level promotion, so steady-state bytes rewritten per round is
+// tieredFanout is the tiered compaction fan-out: once a level holds this
+// many runs, the leading runs that outweigh the rest of the level move
+// up unrewritten and the others, if this many are left, merge into one
+// run at the next level (dueMerge). Levels count merges, and the size
+// rule keeps a merge to runs of like size, so with one round segment
+// landing per round each ingested byte is rewritten about once per
+// level, and steady-state bytes rewritten per round is
 // O(round bytes · log_fanout(shard bytes)), where merging a shard's
 // whole chain would rewrite O(shard bytes).
 const tieredFanout = 4
@@ -308,6 +374,8 @@ const tieredFanout = 4
 type tieredResult struct {
 	// Compacted reports whether a merge happened.
 	Compacted bool
+	// Promoted counts the runs moved one level up without a rewrite.
+	Promoted int
 	// CompactedBytes is the size of the merged segment written — the
 	// write-amplification numerator next to the round's ingested bytes.
 	CompactedBytes int64
@@ -319,12 +387,14 @@ type tieredResult struct {
 
 // materializeShardTiered is the tiered write path: ONE pointer
 // read-modify-write that both appends the round's level-0 segments and
-// applies at most one merge. After the append, the lowest level holding
-// at least tieredFanout runs (if any) has ALL its runs merged into one
-// run at the next level — merging the whole bucket is what absorbs
-// bursty rounds that land many segments on one shard at once. Tier
-// selection, merge membership and the spliced chain order are pure
-// functions of the pointer just read, never of map order or scheduling.
+// applies at most one compaction. After the append, the lowest level
+// holding at least tieredFanout runs (if any) moves the leading runs
+// that outweigh the rest of it up a level, and merges ALL the runs left
+// into one run at the next level if tieredFanout of them are left —
+// merging the whole bucket is what absorbs bursty rounds that land many
+// segments on one shard at once. Tier selection, promotion, merge
+// membership and the spliced chain order are pure functions of the
+// pointer just read, never of map order or scheduling.
 //
 // Merged runs are restricted to the shard's own terms: a round's level-0
 // segment covers the whole batch and lands on every shard its terms hash
@@ -341,16 +411,16 @@ type tieredResult struct {
 // block and replacing the block with its index.Merge (oldest-first,
 // newer-shadows-older) preserves document precedence exactly
 // (TestWriteTieredMatchesOracle checks the answers).
-func materializeShardTiered(d *dht.Node, shard int, gen uint64, digests []string, runs *runTable) (ptr ShardPointer, cost RMWCost, wrote bool, res tieredResult, err error) {
+func materializeShardTiered(d *dht.Node, shard int, gen uint64, landed []landedRun, runs *runTable) (ptr ShardPointer, cost RMWCost, wrote bool, res tieredResult, err error) {
 	cost, wrote, err = rmw(d, pointerKey(shard), func(cur []byte) ([]byte, uint64, netsim.Cost, error) {
 		var mcost netsim.Cost
 		var derr error
 		if ptr, derr = decodeCurrentPointer(shard, cur); derr != nil {
 			return nil, 0, mcost, derr
 		}
-		appended := ptr.appendDigests(digests)
+		appended := ptr.appendRuns(landed)
 		res, mcost = mergeFullTier(d, shard, &ptr, runs)
-		if !appended && !res.Compacted {
+		if !appended && !res.Compacted && res.Promoted == 0 {
 			return nil, 0, mcost, nil
 		}
 		ptr.Version++
@@ -360,12 +430,13 @@ func materializeShardTiered(d *dht.Node, shard int, gen uint64, digests []string
 	return ptr, cost, wrote, res, err
 }
 
-// mergeFullTier applies at most one tiered merge to ptr in place: the
-// pointer's due merge (dueMerge) has all its runs fetched, merged
-// restricted to the shard's terms, written as one segment and spliced in
-// as a single run at the next level, where the bucket's first run was. On
-// any failure ptr is left untouched and the result carries the reason
-// (MergeErr).
+// mergeFullTier applies at most one tiered compaction to ptr in place:
+// the pointer's due merge (dueMerge) relabels its promoted runs one
+// level up, and has all the runs it merges fetched, merged restricted to
+// the shard's terms, written as one segment and spliced in as a single
+// run at the next level, where the bucket's first run was. A promoted
+// run is neither fetched nor rewritten. On any failure ptr is left
+// untouched and the result carries the reason (MergeErr).
 //
 // Every compactor fetches each run itself and checks its digest, as one
 // wave: a forged replica fails this shard's merge. The merge is a pure
@@ -375,14 +446,47 @@ func materializeShardTiered(d *dht.Node, shard int, gen uint64, digests []string
 // it merges inline, from the runs the table holds open or, failing that,
 // from the fetched bytes, decoded.
 func mergeFullTier(d *dht.Node, shard int, ptr *ShardPointer, runs *runTable) (res tieredResult, cost netsim.Cost) {
-	level, members := ptr.dueMerge()
-	if members == nil {
+	level, promoted, members := ptr.dueMerge()
+	if promoted == nil && members == nil {
 		return res, cost
 	}
-	bucket := make([]string, len(members))
-	for i, at := range members {
-		bucket[i] = ptr.Digests[at]
+	var run mergedRun
+	if members != nil {
+		bucket := make([]string, len(members))
+		for i, at := range members {
+			bucket[i] = ptr.Digests[at]
+		}
+		var err error
+		if run, cost, err = mergeBucket(d, shard, bucket, runs); err != nil {
+			return tieredResult{MergeErr: err}, cost
+		}
+		res.Compacted, res.CompactedBytes = true, int64(len(run.data))
 	}
+	res.Promoted = len(promoted)
+
+	var digests []string
+	var levels, sizes []int
+	for i, dg := range ptr.Digests {
+		l, size := ptr.levelOf(i), ptr.sizeOf(i)
+		switch {
+		case slices.Contains(promoted, i):
+			l++
+		case members == nil || l != level:
+		case i == members[0]:
+			dg, l, size = run.digest, level+1, len(run.data)
+		default:
+			continue // merged into the run at members[0]
+		}
+		digests, levels, sizes = append(digests, dg), append(levels, l), append(sizes, size)
+	}
+	ptr.Digests, ptr.Levels, ptr.Sizes = digests, levels, sizes
+	return res, cost
+}
+
+// mergeBucket fetches every run of bucket, checks each, and writes the
+// shard's merged run: the one prepared for this shard and bucket, if
+// any, else one merged inline.
+func mergeBucket(d *dht.Node, shard int, bucket []string, runs *runTable) (run mergedRun, cost netsim.Cost, err error) {
 	prepared := runs.prepared[preparedKey{bucketKey(bucket), shard}]
 	var segs []*index.Segment
 	for _, dg := range bucket {
@@ -390,17 +494,16 @@ func mergeFullTier(d *dht.Node, shard int, ptr *ShardPointer, runs *runTable) (r
 		val, c2, err := fetchSegmentCtx(context.Background(), d, dg)
 		cost = cost.Par(c2)
 		if err != nil {
-			return tieredResult{MergeErr: err}, cost
+			return run, cost, err
 		}
 		if prepared == nil {
 			seg, err := runs.openRun(dg, val)
 			if err != nil {
-				return tieredResult{MergeErr: err}, cost
+				return run, cost, err
 			}
 			segs = append(segs, seg)
 		}
 	}
-	var run mergedRun
 	if prepared != nil {
 		run = (*prepared.Wait())[shard]
 	} else {
@@ -409,22 +512,10 @@ func mergeFullTier(d *dht.Node, shard int, ptr *ShardPointer, runs *runTable) (r
 	wcost, err := writeSegment(d, run.digest, run.data)
 	cost = cost.Seq(wcost)
 	if err != nil {
-		return tieredResult{MergeErr: err}, cost
+		return run, cost, err
 	}
 	runs.open[run.digest] = run.seg
-
-	var digests []string
-	var levels []int
-	for i, dg := range ptr.Digests {
-		switch {
-		case ptr.levelOf(i) != level:
-			digests, levels = append(digests, dg), append(levels, ptr.levelOf(i))
-		case i == members[0]:
-			digests, levels = append(digests, run.digest), append(levels, level+1)
-		}
-	}
-	ptr.Digests, ptr.Levels = digests, levels
-	return tieredResult{Compacted: true, CompactedBytes: int64(len(run.data))}, cost
+	return run, cost, nil
 }
 
 // runTable is the write side's runs, held open, and the merges prepared
@@ -487,16 +578,18 @@ func bucketKey(digests []string) buildKey {
 
 // prepare makes the prepared merges exactly those the shards' next
 // compactions are predicted to take: for every shard, the due merge
-// (dueMerge) of the pointer written last with appended[shard] added. It
+// (dueMerge) of the pointer written last with appended[shard] added —
+// sizes included, since they decide which runs a promotion leaves out
+// of the bucket. It
 // keeps a merge already prepared, starts one walk per bucket for the
 // shards whose merge is not, and drops every other. A bucket with a run
 // not open is left out: the compaction merges it inline.
-func (t *runTable) prepare(written []ShardPointer, appended map[int][]string) {
+func (t *runTable) prepare(written []ShardPointer, appended map[int][]landedRun) {
 	next := make(map[preparedKey]*fanout.Job[map[int]mergedRun])
 	var fresh []mergeGroup
 	for s, ptr := range written {
 		ptr = ptr.withAppended(appended[s])
-		_, members := ptr.dueMerge()
+		_, _, members := ptr.dueMerge()
 		if members == nil {
 			continue
 		}

@@ -349,6 +349,205 @@ func TestWriteCompactionPinned(t *testing.T) {
 	}
 }
 
+// TestWriteBigBatchMovesUp is the size rule's gain: a 1 000-page batch,
+// then twenty-four 32-page rounds on the default cluster. The batch's run
+// is many times a round's, so at each level it outweighs the rest and
+// moves up unrewritten (dueMerge). Count tiers rewrote it at the first
+// level-0 merge and again at the first level-1 merge, for a write
+// amplification of 2.53; here it stays at most 1.75. No merge rewrites
+// the batch's run while every other run of its level is under a third of
+// its size, every round's answers equal internal/oracle's, and at
+// GOMAXPROCS 1, 2 and 8 the receipts and every node's state agree.
+func TestWriteBigBatchMovesUp(t *testing.T) {
+	const bootPages, rounds, roundPages = 1000, 24, 32
+	cfg := DefaultConfig()
+	pages := corpusBatches(cfg.Seed, 1, bootPages+rounds*roundPages)[0]
+	batches := [][]BatchPage{pages[:bootPages]}
+	for at := bootPages; at < len(pages); at += roundPages {
+		batches = append(batches, pages[at:at+roundPages])
+	}
+	first, mid, last := strings.Fields(pages[0].Text), strings.Fields(pages[bootPages/2].Text), strings.Fields(pages[len(pages)-1].Text)
+	queries := []string{first[0], mid[0] + " " + mid[1], last[0] + " " + last[1]}
+	boot := func() (receipts, digest string) {
+		c := NewCluster(cfg)
+		owner := c.NewAccount("writer", 1<<40)
+		c.Seal()
+		fe := NewFrontend(c, c.Peers[2])
+		orc := oracle.New(cfg.RankWeight)
+		var rs strings.Builder
+		var batch string // the first batch's run
+		promoted := false
+		for round, pages := range batches {
+			before := slices.Clone(c.written)
+			rr, err := c.IndexBatch(owner, pages)
+			if err != nil || len(rr.Errors) > 0 || rr.SegmentWrites != 1 {
+				t.Fatalf("round %d: err=%v round errors=%v segment writes %d", round, err, rr.Errors, rr.SegmentWrites)
+			}
+			fmt.Fprintf(&rs, "%+v\n", rr)
+			if round == 0 {
+				batch = c.written[0].Digests[0]
+			}
+			for s, ptr := range before {
+				at := slices.Index(ptr.Digests, batch)
+				if at < 0 {
+					continue
+				}
+				if after := slices.Index(c.written[s].Digests, batch); after >= 0 {
+					promoted = promoted || c.written[s].levelOf(after) > 0
+					continue
+				}
+				// The batch's run was merged this round: some run of its
+				// level, this round's own if the level is 0, was at least
+				// a third of its size.
+				level, size := ptr.levelOf(at), ptr.sizeOf(at)
+				big := level == 0 && 3*rr.IngestedBytes >= int64(size)
+				for i := range ptr.Digests {
+					big = big || i != at && ptr.levelOf(i) == level && 3*ptr.sizeOf(i) >= size
+				}
+				if !big {
+					t.Fatalf("round %d: shard %d merged the batch's %d-byte level-%d run with runs under a third its size: %v", round, s, size, level, ptr.Sizes)
+				}
+			}
+			for _, p := range pages {
+				orc.Publish(p.URL, p.Text)
+			}
+			for _, q := range queries {
+				resp, err := fe.Search(q, 10)
+				if err != nil {
+					t.Fatalf("round %d query %q: %v", round, q, err)
+				}
+				root, err := oracle.Flat(q, query.KindAnd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff := oracleDiff(resp, orc.Search(root, c.QB.PageRanks(), 0, 10)); diff != "" {
+					t.Fatalf("round %d query %q: %s", round, q, diff)
+				}
+			}
+		}
+		if !promoted {
+			t.Fatal("the batch's run never moved up a level; the rule was not exercised")
+		}
+		if amp := c.WriteStats().Amplification(); amp > 1.75 {
+			t.Fatalf("write amplification %.3f, want at most 1.75 (count tiers: 2.53)", amp)
+		}
+		return rs.String(), clusterDigest(c)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var wantReceipts, wantDigest string
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		receipts, digest := boot()
+		if wantReceipts == "" {
+			wantReceipts, wantDigest = receipts, digest
+			continue
+		}
+		if receipts != wantReceipts || digest != wantDigest {
+			t.Fatalf("GOMAXPROCS=%d: receipts or DHT state diverged from GOMAXPROCS=1", procs)
+		}
+	}
+}
+
+// TestWriteDueMergeSizeRule: at the lowest full level, each leading run
+// that outweighs the level's later runs together moves up, and the rest
+// merge only if tieredFanout of them are left. Runs of like size, and
+// runs of unknown size (a pointer written before sizes were kept), merge
+// by count as before.
+func TestWriteDueMergeSizeRule(t *testing.T) {
+	dg := index.DigestOf([]byte("run"))
+	cases := []struct {
+		levels, sizes     []int
+		level             int
+		promoted, members []int
+	}{
+		{[]int{0, 0, 0, 0}, []int{30, 32, 35, 31}, 0, nil, []int{0, 1, 2, 3}},
+		{[]int{0, 0, 0, 0}, nil, 0, nil, []int{0, 1, 2, 3}},
+		{[]int{0, 0, 0, 0}, []int{0, 32, 35, 31}, 0, nil, []int{0, 1, 2, 3}},
+		{[]int{0, 0, 0}, []int{600, 32, 35}, 0, nil, nil},
+		{[]int{0, 0, 0, 0}, []int{600, 32, 35, 31}, 0, []int{0}, nil},
+		{[]int{0, 0, 0, 0}, []int{98, 32, 35, 31}, 0, nil, []int{0, 1, 2, 3}},
+		{[]int{0, 0, 0, 0, 0}, []int{600, 32, 35, 31, 30}, 0, []int{0}, []int{1, 2, 3, 4}},
+		{[]int{0, 0, 0, 0}, []int{200, 100, 20, 20}, 0, []int{0, 1}, nil},
+		{[]int{2, 1, 1, 1, 1, 0}, []int{600, 600, 30, 30, 30, 30}, 1, []int{1}, nil},
+		{[]int{2, 1, 1, 1, 0, 0, 0, 0}, []int{600, 100, 100, 100, 9, 9, 9, 9}, 0, nil, []int{4, 5, 6, 7}},
+	}
+	for _, c := range cases {
+		p := ShardPointer{Digests: slices.Repeat([]string{dg}, len(c.levels)), Levels: c.levels, Sizes: c.sizes}
+		level, promoted, members := p.dueMerge()
+		if level != c.level || !slices.Equal(promoted, c.promoted) || !slices.Equal(members, c.members) {
+			t.Errorf("levels %v sizes %v: level %d, promoted %v, merged %v; want %d, %v, %v",
+				c.levels, c.sizes, level, promoted, members, c.level, c.promoted, c.members)
+		}
+	}
+}
+
+// TestWritePromoteAndMergeInOnePass: a 256-page batch, then rounds of two
+// 8-page tasks each. The second such round leaves five level-0 runs on a
+// shard the tasks all reach, so its one compaction both moves the batch's
+// run up and merges the other four behind it: the chain reads [batch,
+// merged], both at level 1. After every round the answers equal
+// internal/oracle's.
+func TestWritePromoteAndMergeInOnePass(t *testing.T) {
+	cfg := DefaultConfig()
+	c := NewCluster(cfg)
+	owner := c.NewAccount("writer", 1<<40)
+	c.Seal()
+	fe := NewFrontend(c, c.Peers[2])
+	orc := oracle.New(cfg.RankWeight)
+	pages := corpusBatches(cfg.Seed, 1, 256+4*8)[0]
+	check := func(round int) {
+		t.Helper()
+		for _, at := range []int{0, 255, len(pages) - 1} {
+			words := strings.Fields(pages[at].Text)
+			q := words[0] + " " + words[1]
+			resp, err := fe.Search(q, 10)
+			if err != nil {
+				t.Fatalf("round %d query %q: %v", round, q, err)
+			}
+			root, err := oracle.Flat(q, query.KindAnd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := oracleDiff(resp, orc.Search(root, c.QB.PageRanks(), 0, 10)); diff != "" {
+				t.Fatalf("round %d query %q: %s", round, q, diff)
+			}
+		}
+	}
+	if rr, err := c.IndexBatch(owner, pages[:256]); err != nil || len(rr.Errors) > 0 {
+		t.Fatalf("batch: err=%v round errors=%v", err, rr.Errors)
+	}
+	for _, p := range pages[:256] {
+		orc.Publish(p.URL, p.Text)
+	}
+	check(0)
+	batch := c.written[0].Digests[0]
+	for round, at := 1, 256; round <= 2; round, at = round+1, at+16 {
+		for _, task := range [][]BatchPage{pages[at : at+8], pages[at+8 : at+16]} {
+			if _, err := c.PublishBatch(owner, c.Peers[0], task); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range task {
+				orc.Publish(p.URL, p.Text)
+			}
+		}
+		c.Seal()
+		if rr := c.ProcessRoundReceipt(); len(rr.Errors) > 0 || rr.SegmentWrites != 2 {
+			t.Fatalf("round %d: %d segment writes, round errors=%v", round, rr.SegmentWrites, rr.Errors)
+		}
+		check(round)
+	}
+	both := 0
+	for _, ptr := range c.written {
+		if len(ptr.Digests) == 2 && ptr.Digests[0] == batch && slices.Equal(ptr.Levels, []int{1, 1}) {
+			both++
+		}
+	}
+	t.Logf("%d of %d shards promoted and merged in one pass", both, cfg.NumShards)
+	if both == 0 {
+		t.Fatal("no shard promoted and merged in one pass; the splice was not exercised")
+	}
+}
+
 // TestWriteCompactionReadsPastForgedRun: a pass decodes a run it has
 // already decoded only once, but every compactor still fetches the run
 // itself and checks its digest, and a copy that fails the check is a miss
@@ -788,21 +987,21 @@ func assigneeOf(t *testing.T, c *Cluster) *WorkerBee {
 }
 
 // appendsOf is b's segment appended to every shard it lands on.
-func appendsOf(b *built) map[int][]string {
-	out := make(map[int][]string)
+func appendsOf(b *built) map[int][]landedRun {
+	out := make(map[int][]landedRun)
 	for _, s := range b.shards {
-		out[s] = []string{b.digest}
+		out[s] = []landedRun{{b.digest, len(b.result)}}
 	}
 	return out
 }
 
 // dueKeys is what runTable.prepare keeps when every run is open: each
 // shard's due merge of its written pointer with appended added.
-func dueKeys(written []ShardPointer, appended map[int][]string) map[preparedKey]bool {
+func dueKeys(written []ShardPointer, appended map[int][]landedRun) map[preparedKey]bool {
 	out := make(map[preparedKey]bool)
 	for s, ptr := range written {
 		ptr = ptr.withAppended(appended[s])
-		_, members := ptr.dueMerge()
+		_, _, members := ptr.dueMerge()
 		if members == nil {
 			continue
 		}
