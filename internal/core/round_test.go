@@ -399,10 +399,11 @@ func TestWriteDeterminismAcrossGOMAXPROCS(t *testing.T) {
 // walk: each time the receipts' costs moved, and so did the cluster, whose
 // walked writes land on the contacts their walks asked (and the routing
 // tables those walks teach). Re-recorded again when every write began to
-// land on its writer too.
+// land on its writer too, and again when shard pointers began to carry
+// each run's size: more pointer bytes, so the write costs moved.
 var pinnedForget = struct{ receipts, digest string }{
-	receipts: "51a2883722a2aff572647a5d161bcfb57dbcfd99120ffa94379eae943c891478",
-	digest:   "c806b04c27297faa032ad44933e7c0522ae82dcfd8cc1afe103af1845009d4b9",
+	receipts: "3d72d2030aa02647d40f8dbae5a11341a4725a929033301628b425f20346b373",
+	digest:   "dd9cc74fb431f5899086894c33247be584f49d6f06d495ca8481d9a8a2bc4b82",
 }
 
 // TestWriteBeesForgetResolvedTasks: a bee drops a task's result once the
@@ -472,8 +473,8 @@ func pendingByTask(c *Cluster) map[string][][]byte {
 // produced when every assignee built its own result: a digest of both
 // receipts, and clusterDigest. Re-recorded as pinnedForget was.
 var pinnedQuorumBuild = struct{ receipts, digest string }{
-	receipts: "981de2603436aa6524d931810b54c4788280d0b4f98c1c143868007ac063c620",
-	digest:   "1a956d95694bfecaaeb23a7e0da9f51913b582693ca7a13de937f8e85d5b79c0",
+	receipts: "7694d6d81e8bc58206fa04d1d741daf1b66867aa43309405c29bee2657068a42",
+	digest:   "3273d1c9113ab56c8ca1701599754bc255c0e6ec730db85436d9f2dedf3caa92",
 }
 
 // TestWriteQuorumBuildsOnce: the assignees of a task whose inputs are
@@ -550,8 +551,8 @@ var pinnedTampered = struct {
 		"bee-002 won=true a35b24d8afa24bbb 2079",
 		"bee-003 won=true a35b24d8afa24bbb 2079",
 	},
-	receipt: "1c91472b5ebc045a7012e6f84c0feb6071b8aed2e60b77b493e022163e362b76",
-	digest:  "81415a4e7aaf094ba0ca8cee022cdf4cda1a8243e12156fb868694cc29f14a77",
+	receipt: "1dc9d7eb9ed0a06065279636112dbff6db95c0a1a71cfaeaddcf4de368f91491",
+	digest:  "e58a8d94b31275e33d83d446e87490441e033ced3e868fac99473c2ae06cecb3",
 }
 
 // TestWriteTamperedLocalCopyBuildsAlone: a build is shared by the bytes

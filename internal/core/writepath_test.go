@@ -306,13 +306,14 @@ func TestWriteRefusedStoreSurfaces(t *testing.T) {
 // walk, leaving displaced copies beside each record's K replicas, again
 // when hinted provider discovery became K-wide, and again when a served
 // hint stopped discovering, each time teaching routing tables contacts
-// that move where later walked writes land, and again when every write
-// began to land on its writer too; the ledger did not move.
+// that move where later walked writes land, again when every write
+// began to land on its writer too, and again when shard pointers began
+// to carry each run's size; the ledger did not move.
 var pinnedCompaction = struct {
 	digest string
 	write  WriteStats
 }{
-	digest: "4b6a6d47905fcf8c22bc450c7ce51daa0697f03720a326874260864598a1729b",
+	digest: "74dc588e5e8ca8216559cbd25be95e98c0908a3b9c96ababf6347f337bf5ae77",
 	write: WriteStats{
 		Rounds: 66, SegmentWrites: 66, PointerWrites: 528, Compactions: 168,
 		IngestedBytes: 1_232_587, CompactedBytes: 2_351_627,
@@ -773,10 +774,11 @@ func TestWriteCompactionMispredicted(t *testing.T) {
 
 // pinnedOutvoted is what TestWritePredictionOutvoted's run produced
 // before any merge started from the round's builds: a digest of every
-// round's receipt, and clusterDigest.
+// round's receipt, and clusterDigest. Re-recorded when shard pointers
+// began to carry each run's size.
 var pinnedOutvoted = struct{ receipts, digest string }{
-	receipts: "57fbfed316411ac65b3d37a4768deebd1b40b2a982b34e2c1668deec83fd18be",
-	digest:   "521a7e43c391884119c947be0f46be34226968369af5c6a57d7aeaa79518c136",
+	receipts: "5c98183b905cd00c1f472a5eda85a3b16c588c4712d63a3bd24103d001b5f87d",
+	digest:   "52acb0855ebe836d6e95679eb14428a12e3d5d4b730f1428416ba498f04869a5",
 }
 
 // TestWritePredictionOutvoted: the merges prepared at the end of a
