@@ -176,14 +176,16 @@
 // # Write-path scaling: tiered compaction and rank epochs
 //
 // The write side stays affordable as the corpus grows (docs/indexing.md
-// has the full policy). Each shard pointer runs size-tiered compaction:
-// fresh batch segments enter tier 0, any tier reaching 4 runs merges —
-// whole bucket, at most one merge per shard per round — into the next
-// tier, and merged runs are restricted to the terms that hash to their
-// shard (full doc-length tombstones retained, so shadowing survives the
-// restriction). Write amplification is therefore bounded by the tier
-// count — each ingested byte is rewritten about once per tier
-// promotion, O(log rounds) tiers — instead of growing with history;
+// has the full policy). Each shard pointer runs tiered compaction:
+// fresh batch segments enter tier 0; once a tier holds 4 runs, its
+// leading runs that outweigh the rest of the tier move up unrewritten
+// (the pointer records each run's size) and the others, if 4 are left,
+// merge — whole bucket, at most one merge per shard per round — into the
+// next tier, and merged runs are restricted to the terms that hash to
+// their shard (full doc-length tombstones retained, so shadowing
+// survives the restriction). Write amplification is therefore bounded by
+// the tier count — each ingested byte is rewritten about once per tier,
+// O(log rounds) tiers — instead of growing with history;
 // Engine.WriteStats ledgers ingested vs compacted bytes and
 // RoundReceipt carries the per-round figure. A segment that
 // re-registers a URL lands on every shard, so the page's new doc length

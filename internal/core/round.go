@@ -321,9 +321,9 @@ func (c *Cluster) commitWave(r *RoundReceipt, builds *buildSet) {
 // each new task's build, the first one in bee order, in task-ID order —
 // the order materializePass appends a pass's segments in — with its
 // encoded size, on the shards it lands on. It opens each predicted
-// segment in open. It takes the
-// honest build, so a colluding majority that wins the vote voids the
-// prediction, and runTable.keepNamed closes the segment again.
+// segment in open. It takes the honest build, so a colluding majority
+// that wins the vote voids the prediction, and runTable.keepNamed closes
+// the segment again.
 func landings(jobs [][]commitJob, open map[string]*index.Segment) map[int][]landedRun {
 	byTask := make(map[string]*built)
 	var ids []string

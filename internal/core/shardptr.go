@@ -291,7 +291,8 @@ func (p ShardPointer) dueMerge() (level int, promoted, runs []int) {
 		}
 		for len(runs) > 0 {
 			size := p.sizeOf(runs[0])
-			if rest -= size; size <= rest {
+			rest -= size // the level's later runs
+			if size <= rest {
 				break
 			}
 			promoted, runs = append(promoted, runs[0]), runs[1:]
@@ -471,7 +472,7 @@ func mergeFullTier(d *dht.Node, shard int, ptr *ShardPointer, runs *runTable) (r
 		switch {
 		case slices.Contains(promoted, i):
 			l++
-		case members == nil || l != level:
+		case members == nil || l != level: // kept as it is
 		case i == members[0]:
 			dg, l, size = run.digest, level+1, len(run.data)
 		default:
@@ -580,10 +581,10 @@ func bucketKey(digests []string) buildKey {
 // compactions are predicted to take: for every shard, the due merge
 // (dueMerge) of the pointer written last with appended[shard] added —
 // sizes included, since they decide which runs a promotion leaves out
-// of the bucket. It
-// keeps a merge already prepared, starts one walk per bucket for the
-// shards whose merge is not, and drops every other. A bucket with a run
-// not open is left out: the compaction merges it inline.
+// of the bucket. It keeps a merge already prepared, starts one walk per
+// bucket for the shards whose merge is not, and drops every other. A
+// bucket with a run not open is left out: the compaction merges it
+// inline.
 func (t *runTable) prepare(written []ShardPointer, appended map[int][]landedRun) {
 	next := make(map[preparedKey]*fanout.Job[map[int]mergedRun])
 	var fresh []mergeGroup

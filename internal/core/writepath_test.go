@@ -357,8 +357,9 @@ func TestWriteCompactionPinned(t *testing.T) {
 // level-0 merge and again at the first level-1 merge, for a write
 // amplification of 2.53; here it stays at most 1.75. No merge rewrites
 // the batch's run while every other run of its level is under a third of
-// its size, every round's answers equal internal/oracle's, and at
-// GOMAXPROCS 1, 2 and 8 the receipts and every node's state agree.
+// its size, a pass still writes each pointer at most once, every round's
+// answers equal internal/oracle's, and at GOMAXPROCS 1, 2 and 8 the
+// receipts and every node's state agree.
 func TestWriteBigBatchMovesUp(t *testing.T) {
 	const bootPages, rounds, roundPages = 1000, 24, 32
 	cfg := DefaultConfig()
@@ -381,8 +382,8 @@ func TestWriteBigBatchMovesUp(t *testing.T) {
 		for round, pages := range batches {
 			before := slices.Clone(c.written)
 			rr, err := c.IndexBatch(owner, pages)
-			if err != nil || len(rr.Errors) > 0 || rr.SegmentWrites != 1 {
-				t.Fatalf("round %d: err=%v round errors=%v segment writes %d", round, err, rr.Errors, rr.SegmentWrites)
+			if err != nil || len(rr.Errors) > 0 || rr.SegmentWrites != 1 || rr.PointerWrites > cfg.NumShards {
+				t.Fatalf("round %d: err=%v round errors=%v, %d segment writes, %d pointer writes", round, err, rr.Errors, rr.SegmentWrites, rr.PointerWrites)
 			}
 			fmt.Fprintf(&rs, "%+v\n", rr)
 			if round == 0 {
