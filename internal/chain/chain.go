@@ -29,8 +29,8 @@ type Contract interface {
 	Execute(ctx *TxContext, method string, params []byte) error
 }
 
-// Event is one log entry a contract emitted. Worker bees and frontends
-// poll events to learn about publishes, task assignments and payouts.
+// Event is one log entry a contract emitted: a publish, task assignment
+// or payout, read back through the emitting transaction (EventsFor).
 type Event struct {
 	Height uint64
 	// Tx is the hash of the transaction that emitted the event — the
@@ -266,20 +266,6 @@ func (c *Chain) State() *State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.state
-}
-
-// EventsSince returns all events from blocks with height > h, plus the
-// current height. Pollers pass their last seen height.
-func (c *Chain) EventsSince(h uint64) ([]Event, uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []Event
-	for _, e := range c.events {
-		if e.Height > h {
-			out = append(out, e)
-		}
-	}
-	return out, c.blocks[len(c.blocks)-1].Height
 }
 
 // EventsFor returns the events one transaction emitted, in emission

@@ -303,7 +303,7 @@ func TestEventsEmittedOnlyOnSuccess(t *testing.T) {
 	c.Submit(NewCall(alice, 1, "test", "fail-after-pay", nil, 10))
 	c.Seal()
 
-	events, height := c.EventsSince(0)
+	events, height := c.Events(), c.Height()
 	if len(events) != 1 {
 		t.Fatalf("events = %d, want 1", len(events))
 	}
@@ -515,29 +515,6 @@ func TestTransferConservationProperty(t *testing.T) {
 	}
 }
 
-func TestEventsSinceFiltersByHeight(t *testing.T) {
-	alice := NewNamedAccount(1, "alice")
-	c, _ := newTestChain(alice)
-	c.RegisterContract(&testContract{}, false)
-	c.Submit(NewCall(alice, 0, "test", "emit", nil, 0))
-	c.Seal() // height 1
-	c.Submit(NewCall(alice, 1, "test", "emit", nil, 0))
-	c.Seal() // height 2
-
-	all, h := c.EventsSince(0)
-	if len(all) != 2 || h != 2 {
-		t.Fatalf("events = %d height = %d", len(all), h)
-	}
-	later, _ := c.EventsSince(1)
-	if len(later) != 1 || later[0].Height != 2 {
-		t.Fatalf("filtered events = %+v", later)
-	}
-	none, _ := c.EventsSince(2)
-	if len(none) != 0 {
-		t.Fatalf("expected no events past height 2: %v", none)
-	}
-}
-
 func TestReceiptUnknownTx(t *testing.T) {
 	alice := NewNamedAccount(1, "alice")
 	c, _ := newTestChain(alice)
@@ -551,18 +528,5 @@ func TestTxWireSizePositive(t *testing.T) {
 	tx := NewCall(alice, 0, "queenbee", "publish", map[string]string{"URL": "u"}, 0)
 	if tx.WireSize() < 100 {
 		t.Fatalf("wire size = %d, implausibly small", tx.WireSize())
-	}
-}
-
-func TestAccountsSorted(t *testing.T) {
-	alice := NewNamedAccount(1, "alice")
-	bob := NewNamedAccount(1, "bob")
-	c, _ := newTestChain(alice, bob)
-	accts := c.State().Accounts()
-	if len(accts) != 2 {
-		t.Fatalf("accounts = %d, want 2", len(accts))
-	}
-	if !(accts[0].String() < accts[1].String()) {
-		t.Fatal("accounts not sorted")
 	}
 }

@@ -1,18 +1,11 @@
 package chain
 
-import (
-	"crypto/sha256"
-	"errors"
-)
+import "crypto/sha256"
 
 // Merkle transaction commitments: every block commits to its transaction
-// set with a binary Merkle root, and the chain can produce compact
-// inclusion proofs. This is what lets a thin QueenBee frontend verify
-// that a publish or payout really happened without replaying the chain —
-// the "autonomously and securely governed" property made checkable.
-
-// ErrProofFailed indicates an inclusion proof that does not verify.
-var ErrProofFailed = errors.New("chain: merkle proof failed")
+// set with a binary Merkle root (Block.TxRoot), which the block hash
+// covers, so no transaction of a sealed block can be changed, dropped or
+// reordered without breaking the hash chain VerifyIntegrity checks.
 
 // merkleLeaf domain-separates leaves from interior nodes (second-preimage
 // hardening, as in RFC 6962).
@@ -50,86 +43,4 @@ func MerkleRoot(txHashes [][32]byte) [32]byte {
 		level = next
 	}
 	return level[0]
-}
-
-// ProofStep is one sibling on the audit path.
-type ProofStep struct {
-	Hash  [32]byte
-	Right bool // sibling sits to the right of the running hash
-}
-
-// MerkleProof is the audit path from a transaction to a block's TxRoot.
-type MerkleProof struct {
-	TxHash [32]byte
-	Steps  []ProofStep
-}
-
-// buildProof returns the audit path for index i of the hash set.
-func buildProof(txHashes [][32]byte, i int) MerkleProof {
-	proof := MerkleProof{TxHash: txHashes[i]}
-	level := make([][32]byte, len(txHashes))
-	for j, h := range txHashes {
-		level[j] = merkleLeaf(h)
-	}
-	idx := i
-	for len(level) > 1 {
-		next := make([][32]byte, 0, (len(level)+1)/2)
-		for j := 0; j < len(level); j += 2 {
-			if j+1 < len(level) {
-				if j == idx || j+1 == idx {
-					if j == idx {
-						proof.Steps = append(proof.Steps, ProofStep{Hash: level[j+1], Right: true})
-					} else {
-						proof.Steps = append(proof.Steps, ProofStep{Hash: level[j], Right: false})
-					}
-				}
-				next = append(next, merkleNode(level[j], level[j+1]))
-			} else {
-				next = append(next, level[j])
-			}
-		}
-		idx /= 2
-		level = next
-	}
-	return proof
-}
-
-// Verify checks the proof against a root.
-func (p MerkleProof) Verify(root [32]byte) error {
-	h := merkleLeaf(p.TxHash)
-	for _, s := range p.Steps {
-		if s.Right {
-			h = merkleNode(h, s.Hash)
-		} else {
-			h = merkleNode(s.Hash, h)
-		}
-	}
-	if h != root {
-		return ErrProofFailed
-	}
-	return nil
-}
-
-// TxProof produces an inclusion proof for a transaction in a sealed
-// block, or an error if the transaction is unknown.
-func (c *Chain) TxProof(txHash [32]byte) (MerkleProof, uint64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.receipts[txHash]
-	if !ok {
-		return MerkleProof{}, 0, errors.New("chain: unknown transaction")
-	}
-	blk := c.blocks[r.Height]
-	hashes := make([][32]byte, len(blk.Txs))
-	idx := -1
-	for i, tx := range blk.Txs {
-		hashes[i] = tx.Hash()
-		if hashes[i] == txHash {
-			idx = i
-		}
-	}
-	if idx < 0 {
-		return MerkleProof{}, 0, errors.New("chain: transaction not in its block")
-	}
-	return buildProof(hashes, idx), r.Height, nil
 }

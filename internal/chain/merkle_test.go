@@ -1,9 +1,7 @@
 package chain
 
 import (
-	"errors"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/xrand"
 )
@@ -51,85 +49,6 @@ func TestMerkleRootOrderMatters(t *testing.T) {
 	hashes[0], hashes[1] = hashes[1], hashes[0]
 	if MerkleRoot(hashes) == root {
 		t.Fatal("reordering txs must change the root")
-	}
-}
-
-func TestProofRoundTripAllIndexes(t *testing.T) {
-	rng := xrand.New(4)
-	for _, n := range []int{1, 2, 3, 4, 5, 8, 13} {
-		hashes := randomHashes(rng, n)
-		root := MerkleRoot(hashes)
-		for i := 0; i < n; i++ {
-			proof := buildProof(hashes, i)
-			if err := proof.Verify(root); err != nil {
-				t.Fatalf("n=%d i=%d: %v", n, i, err)
-			}
-		}
-	}
-}
-
-func TestProofRejectsWrongRoot(t *testing.T) {
-	rng := xrand.New(5)
-	hashes := randomHashes(rng, 6)
-	proof := buildProof(hashes, 2)
-	var wrong [32]byte
-	wrong[0] = 1
-	if err := proof.Verify(wrong); !errors.Is(err, ErrProofFailed) {
-		t.Fatalf("err = %v, want ErrProofFailed", err)
-	}
-}
-
-func TestProofRejectsTamperedTx(t *testing.T) {
-	rng := xrand.New(6)
-	hashes := randomHashes(rng, 6)
-	root := MerkleRoot(hashes)
-	proof := buildProof(hashes, 3)
-	proof.TxHash[0] ^= 0x01
-	if err := proof.Verify(root); err == nil {
-		t.Fatal("tampered tx hash should fail the proof")
-	}
-}
-
-func TestProofProperty(t *testing.T) {
-	f := func(seed uint64, nRaw uint8, idxRaw uint8) bool {
-		n := int(nRaw%20) + 1
-		i := int(idxRaw) % n
-		hashes := randomHashes(xrand.New(seed), n)
-		root := MerkleRoot(hashes)
-		return buildProof(hashes, i).Verify(root) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestChainTxProof(t *testing.T) {
-	alice := NewNamedAccount(1, "alice")
-	bob := NewNamedAccount(1, "bob")
-	c, _ := newTestChain(alice, bob)
-	var txs []*Tx
-	for i := uint64(0); i < 5; i++ {
-		tx := NewTransfer(alice, i, bob.Address(), 10+i)
-		txs = append(txs, tx)
-		c.Submit(tx)
-	}
-	blk := c.Seal()
-
-	for _, tx := range txs {
-		proof, height, err := c.TxProof(tx.Hash())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if height != blk.Height {
-			t.Fatalf("height = %d, want %d", height, blk.Height)
-		}
-		if err := proof.Verify(blk.TxRoot); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Unknown tx.
-	if _, _, err := c.TxProof([32]byte{9}); err == nil {
-		t.Fatal("unknown tx should error")
 	}
 }
 

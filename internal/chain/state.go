@@ -3,7 +3,6 @@ package chain
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Ledger errors.
@@ -49,25 +48,6 @@ func (s *State) SumBalances() uint64 {
 		sum += b
 	}
 	return sum
-}
-
-// Accounts returns every address with a non-zero balance, sorted.
-func (s *State) Accounts() []Address {
-	out := make([]Address, 0, len(s.balances))
-	for a, b := range s.balances {
-		if b > 0 {
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		for k := range out[i] {
-			if out[i][k] != out[j][k] {
-				return out[i][k] < out[j][k]
-			}
-		}
-		return false
-	})
-	return out
 }
 
 // ledgerOp is one buffered mutation produced during contract execution.

@@ -127,55 +127,19 @@ func (q *QueenBee) execClick(ctx *chain.TxContext, params []byte) error {
 	if !ok {
 		return fmt.Errorf("queenbee: click on unregistered page %q", p.URL)
 	}
-	charge := ad.BidPerClick
-	if q.cfg.SecondPriceClicks {
-		charge = q.secondPriceLocked(ad)
-	}
-	if err := q.payRevenueSplitLocked(ctx, page.Owner, charge); err != nil {
+	if err := q.payRevenueSplitLocked(ctx, page.Owner, ad.BidPerClick); err != nil {
 		return err
 	}
-	ad.Budget -= charge
+	ad.Budget -= ad.BidPerClick
 	ad.Clicks++
 	q.deactivateIfExhaustedLocked(ctx, ad)
 	ctx.Emit(EventAdClick, map[string]string{
 		"ad":      strconv.FormatUint(ad.ID, 10),
 		"url":     p.URL,
 		"creator": page.Owner.String(),
-		"amount":  strconv.FormatUint(charge, 10),
+		"amount":  strconv.FormatUint(ad.BidPerClick, 10),
 	})
 	return nil
-}
-
-// secondPriceLocked returns the GSP charge for a click on ad: one more
-// than the highest competing bid among active ads sharing a keyword,
-// capped at the ad's own bid. With no competitor the reserve is 1.
-func (q *QueenBee) secondPriceLocked(ad *Ad) uint64 {
-	kws := make(map[string]bool, len(ad.Keywords))
-	for _, k := range ad.Keywords {
-		kws[k] = true
-	}
-	var best uint64
-	for _, other := range q.ads {
-		if other.ID == ad.ID || !other.Active || other.BidPerClick == 0 {
-			continue
-		}
-		shares := false
-		for _, k := range other.Keywords {
-			if kws[k] {
-				shares = true
-				break
-			}
-		}
-		if shares && other.BidPerClick > best {
-			//detlint:ignore maprange pure max over uint64 bids; the reduced value is iteration-order independent
-			best = other.BidPerClick
-		}
-	}
-	charge := best + 1
-	if charge > ad.BidPerClick {
-		charge = ad.BidPerClick
-	}
-	return charge
 }
 
 // ImpressionParams records one paid ad display (CPM component).

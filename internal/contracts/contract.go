@@ -78,11 +78,6 @@ type Config struct {
 	// cost capital: an attacker splitting one stake across many Sybil
 	// identities gains no extra seats.
 	StakeWeightedQuorum bool
-	// SecondPriceClicks charges a clicked ad the highest competing bid
-	// among active ads sharing a keyword (plus one), capped at its own
-	// bid — a generalized-second-price auction, one answer to the
-	// paper's "fair scheme to charge [advertisers]".
-	SecondPriceClicks bool
 }
 
 // DefaultConfig returns the simulation defaults.

@@ -204,64 +204,3 @@ func TestMinPositiveAndMaxU64(t *testing.T) {
 		t.Fatal("maxU64 wrong")
 	}
 }
-
-func TestSecondPriceClickCharging(t *testing.T) {
-	a1 := chain.NewNamedAccount(8, "a1")
-	a2 := chain.NewNamedAccount(8, "a2")
-	alice := chain.NewNamedAccount(8, "alice")
-	cfg := DefaultConfig()
-	cfg.SecondPriceClicks = true
-	h := newHarness(t, cfg, a1, a2, alice)
-	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
-	// Competing campaigns on the same keyword: bids 100 and 40.
-	h.call(a1, MethodRegisterAd, RegisterAdParams{Keywords: []string{"k"}, BidPerClick: 100}, 1000)
-	h.call(a2, MethodRegisterAd, RegisterAdParams{Keywords: []string{"k"}, BidPerClick: 40}, 1000)
-	h.seal()
-
-	// Click the winner: charged second price 40+1=41, not 100.
-	click := h.call(alice, MethodClick, ClickParams{AdID: 1, URL: "dweb://p"}, 0)
-	h.seal()
-	h.mustOK(click)
-	ad, _ := h.qb.AdInfo(1)
-	if ad.Budget != 1000-41 {
-		t.Fatalf("budget = %d, want %d (second-price charge 41)", ad.Budget, 1000-41)
-	}
-	h.checkEscrowInvariant()
-}
-
-func TestSecondPriceNoCompetitorReserve(t *testing.T) {
-	a1 := chain.NewNamedAccount(9, "a1")
-	alice := chain.NewNamedAccount(9, "alice")
-	cfg := DefaultConfig()
-	cfg.SecondPriceClicks = true
-	h := newHarness(t, cfg, a1, alice)
-	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
-	h.call(a1, MethodRegisterAd, RegisterAdParams{Keywords: []string{"k"}, BidPerClick: 100}, 1000)
-	h.seal()
-	click := h.call(alice, MethodClick, ClickParams{AdID: 1, URL: "dweb://p"}, 0)
-	h.seal()
-	h.mustOK(click)
-	ad, _ := h.qb.AdInfo(1)
-	if ad.Budget != 999 { // reserve price 1
-		t.Fatalf("budget = %d, want 999", ad.Budget)
-	}
-}
-
-func TestSecondPriceDisjointKeywordsNoEffect(t *testing.T) {
-	a1 := chain.NewNamedAccount(10, "a1")
-	a2 := chain.NewNamedAccount(10, "a2")
-	alice := chain.NewNamedAccount(10, "alice")
-	cfg := DefaultConfig()
-	cfg.SecondPriceClicks = true
-	h := newHarness(t, cfg, a1, a2, alice)
-	h.publish(alice, PublishParams{URL: "dweb://p", CID: "c"})
-	h.call(a1, MethodRegisterAd, RegisterAdParams{Keywords: []string{"k"}, BidPerClick: 100}, 1000)
-	h.call(a2, MethodRegisterAd, RegisterAdParams{Keywords: []string{"other"}, BidPerClick: 90}, 1000)
-	h.seal()
-	h.call(alice, MethodClick, ClickParams{AdID: 1, URL: "dweb://p"}, 0)
-	h.seal()
-	ad, _ := h.qb.AdInfo(1)
-	if ad.Budget != 999 { // a2 bids on a different keyword: reserve applies
-		t.Fatalf("budget = %d, want 999", ad.Budget)
-	}
-}
