@@ -81,10 +81,11 @@ type ptrMemo struct {
 	measured bool
 }
 
-// chainEntry caches the merged view of one shard's segment chain, keyed by
-// the exact digest chain it was built from. The entry stays valid until
-// the shard pointer lists a different chain (a new head digest), so warm
-// queries skip both the segment fetches and the re-merge.
+// chainEntry caches the merged view of one shard's segment chain, its
+// terms restricted to the shard's, keyed by the exact digest chain it was
+// built from. The entry stays valid until the shard pointer lists a
+// different chain (a new head digest), so warm queries skip both the
+// segment fetches and the re-merge.
 type chainEntry struct {
 	key string // "," joined segment digests, oldest first
 	seg *index.Segment
@@ -402,7 +403,14 @@ func (f *Frontend) fetchLeg(bud reqBudget, e0 time.Duration, shard int) shardLeg
 		}
 		chain = append(chain, seg)
 	}
-	seg = index.Merge(chain)
+	// A run of a chain may carry every shard's terms (a level-0 run is a
+	// whole task segment), so a merged view keeps only this shard's, as
+	// compaction writes it. A one-run chain is its own view.
+	if len(chain) == 1 {
+		seg = chain[0]
+	} else {
+		seg = index.MergeShards(chain, f.cluster.cfg.NumShards, []int{shard})[0]
+	}
 	size := seg.SizeBytes()
 	f.mu.Lock()
 	f.chainCache.Add(shard, chainEntry{key: key, seg: seg}, size)

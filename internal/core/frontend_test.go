@@ -11,6 +11,8 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/index"
 	"repro/internal/netsim"
+	"repro/internal/oracle"
+	"repro/internal/query"
 )
 
 // TestFetchSegmentSingleflight pins the frontend's dedup contract under
@@ -301,6 +303,71 @@ func firstDiff(got, want string) string {
 		}
 	}
 	return fmt.Sprintf("%d lines, want %d", len(g), len(w))
+}
+
+// TestQueryChainViewHoldsOnlyItsShard: a level-0 run is a whole task
+// segment, appended to every shard its terms reach, so after two publish
+// rounds each shard's chain holds runs carrying every shard's terms. The
+// frontend's cached view of a chain of two or more runs keeps only the
+// terms that route to its shard, and a query per shard still answers as
+// the oracle does.
+func TestQueryChainViewHoldsOnlyItsShard(t *testing.T) {
+	cfg := DefaultConfig()
+	c := NewCluster(cfg)
+	owner := c.NewAccount("writer", 1<<40)
+	c.Seal()
+	orc := oracle.New(cfg.RankWeight)
+	first := make([]string, cfg.NumShards) // each shard's smallest term
+	for round, pages := range corpusBatches(cfg.Seed, 2, 16) {
+		if rr, err := c.IndexBatch(owner, pages); err != nil || len(rr.Errors) > 0 {
+			t.Fatalf("round %d: err=%v round errors=%v", round, err, rr.Errors)
+		}
+		for _, p := range pages {
+			orc.Publish(p.URL, p.Text)
+			for _, tok := range index.Analyze(p.Text) {
+				s := index.ShardOf(tok.Term, cfg.NumShards)
+				if first[s] == "" || tok.Term < first[s] {
+					first[s] = tok.Term
+				}
+			}
+		}
+	}
+
+	fe := NewFrontend(c, c.Peers[2])
+	multiRun := 0
+	for shard, term := range first {
+		if term == "" {
+			t.Fatalf("no published term routes to shard %d", shard)
+		}
+		resp, err := fe.Search(term, 50)
+		if err != nil {
+			t.Fatalf("query %q: %v", term, err)
+		}
+		root, err := oracle.Flat(term, query.KindAnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := oracleDiff(resp, orc.Search(root, c.QB.PageRanks(), 0, 50)); diff != "" {
+			t.Fatalf("shard %d query %q: %s", shard, term, diff)
+		}
+		ce, ok := fe.chainCache.Peek(shard)
+		if !ok {
+			t.Fatalf("shard %d: no cached view after a query", shard)
+		}
+		if !strings.Contains(ce.key, ",") {
+			continue // a one-run chain is its own view
+		}
+		multiRun++
+		for _, held := range ce.seg.TermsSorted() {
+			if got := index.ShardOf(held, cfg.NumShards); got != shard {
+				t.Fatalf("shard %d's view of a %d-run chain holds %q, which routes to shard %d",
+					shard, strings.Count(ce.key, ",")+1, held, got)
+			}
+		}
+	}
+	if multiRun == 0 {
+		t.Fatal("no shard holds a chain of two or more runs; the view restriction went unexercised")
+	}
 }
 
 // TestFrontendCachesStayWithinBudget drives publish churn — every wave
