@@ -52,18 +52,13 @@ func runE16(seed uint64) []*metrics.Table {
 			c, accts := newCluster(seed, peers, bees, func(cfg *core.Config) {
 				cfg.DHT.K = replication
 			}, 1_000_000, "publisher")
-			pub := accts[0]
-			terms := make([]string, 0, markers)
-			for i := 0; i < markers; i++ {
-				term := fmt.Sprintf("churnsixteen%02d", i)
-				terms = append(terms, term)
-				if _, err := c.Publish(pub, c.Peers[i%len(c.Peers)],
-					fmt.Sprintf("dweb://e16/%d", i), "self healing churn marker "+term, nil); err != nil {
-					panic(fmt.Sprintf("E16 publish %d: %v", i, err))
-				}
+			terms := make([]string, markers)
+			pages := make([]core.BatchPage, markers)
+			for i := range pages {
+				terms[i] = fmt.Sprintf("churnsixteen%02d", i)
+				pages[i] = core.BatchPage{URL: fmt.Sprintf("dweb://e16/%d", i), Text: "self healing churn marker " + terms[i]}
 			}
-			c.Seal()
-			c.RunUntilIdle(8)
+			publishPages(c, accts, pages, 0, 0, 8)
 
 			// The plan is installed only after the index is built, so the
 			// waves hit a complete deployment. One crash wave per round;

@@ -42,28 +42,39 @@ func newCluster(seed uint64, peers, bees int, tune func(*core.Config), funds uin
 	return c, accts
 }
 
+// publishPages publishes pages, page i signed by owners[i mod
+// len(owners)] and stored on peer i mod the peer count. After every batch
+// pages (never, if batch is 0) it seals and runs the bees for up to idle
+// rounds, so commit deadlines stay satisfiable; it ends with a seal and
+// up to final rounds. It returns the rounds run.
+func publishPages(c *core.Cluster, owners []*chain.Account, pages []core.BatchPage, batch, idle, final int) int {
+	rounds := 0
+	for i, p := range pages {
+		if _, err := c.Publish(owners[i%len(owners)], c.Peers[i%len(c.Peers)], p.URL, p.Text, p.Links); err != nil {
+			panic(err)
+		}
+		if batch > 0 && i%batch == batch-1 {
+			c.Seal()
+			rounds += c.RunUntilIdle(idle)
+		}
+	}
+	c.Seal()
+	return rounds + c.RunUntilIdle(final)
+}
+
 // buildWorkloadCluster publishes a corpus into a fresh cluster and drives
 // the bees until the index is complete.
 func buildWorkloadCluster(seed uint64, peers, bees, docs int) (*core.Cluster, *corpus.Corpus) {
 	c, accts := newCluster(seed, peers, bees, nil, 1_000_000, "publisher")
-	pub := accts[0]
-
 	ccfg := corpus.DefaultConfig()
 	ccfg.Seed = seed
 	ccfg.NumDocs = docs
 	corp := corpus.Generate(ccfg)
+	pages := make([]core.BatchPage, len(corp.Docs))
 	for i, d := range corp.Docs {
-		if _, err := c.Publish(pub, c.Peers[i%len(c.Peers)], d.URL, d.Text, d.Links); err != nil {
-			panic(err)
-		}
-		// Seal in batches so commit deadlines stay satisfiable.
-		if i%50 == 49 {
-			c.Seal()
-			c.RunUntilIdle(4)
-		}
+		pages[i] = core.BatchPage{URL: d.URL, Text: d.Text, Links: d.Links}
 	}
-	c.Seal()
-	c.RunUntilIdle(8)
+	publishPages(c, accts, pages, 50, 4, 8)
 	return c, corp
 }
 
@@ -140,3 +151,13 @@ func boolStr(b bool) string {
 
 // urlOf is a tiny helper used by several experiments.
 func urlOf(i int) string { return fmt.Sprintf("dweb://site/%04d", i) }
+
+// numberedPages returns n unlinked pages, page i at urlOf(i) with text
+// format filled in with i.
+func numberedPages(n int, format string) []core.BatchPage {
+	pages := make([]core.BatchPage, n)
+	for i := range pages {
+		pages[i] = core.BatchPage{URL: urlOf(i), Text: fmt.Sprintf(format, i)}
+	}
+	return pages
+}

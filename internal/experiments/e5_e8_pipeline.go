@@ -173,19 +173,7 @@ func runE7(seed uint64) []*metrics.Table {
 
 	for _, bees := range []int{1, 2, 4, 8, 16} {
 		c, accts := newCluster(seed, 12, bees, nil, 1_000_000, "pub")
-		pub := accts[0]
-		rounds := 0
-		for i := 0; i < docs; i++ {
-			if _, err := c.Publish(pub, c.Peers[i%len(c.Peers)], urlOf(i), fmt.Sprintf("body of document %04d with assorted content", i), nil); err != nil {
-				panic(err)
-			}
-			if i%20 == 19 {
-				c.Seal()
-				rounds += c.RunUntilIdle(4)
-			}
-		}
-		c.Seal()
-		rounds += c.RunUntilIdle(6)
+		rounds := publishPages(c, accts, numberedPages(docs, "body of document %04d with assorted content"), 20, 4, 6)
 
 		_, finalized, _ := c.QB.TaskCounts()
 		total, maxMsgs := 0, 0
@@ -219,14 +207,7 @@ func runE7b(seed uint64) *metrics.Table {
 
 	for _, bees := range []int{1, 2, 4, 8} {
 		c, accts := newCluster(seed, 12, bees, nil, 1_000_000, "pub")
-		pub := accts[0]
-		for i := 0; i < docs; i++ {
-			if _, err := c.Publish(pub, c.Peers[i%len(c.Peers)], urlOf(i),
-				fmt.Sprintf("ingest round workload document %04d with assorted content", i), nil); err != nil {
-				panic(err)
-			}
-		}
-		c.Seal()
+		publishPages(c, accts, numberedPages(docs, "ingest round workload document %04d with assorted content"), 0, 0, 0)
 
 		var serial, wave time.Duration
 		ptrWrites := 0

@@ -126,29 +126,21 @@ func runE10(seed uint64) []*metrics.Table {
 	// Preferential-attachment links: earlier pages get more in-links.
 	rng := xrand.New(seed)
 	weights := make([]float64, 0, docs)
-	for i := 0; i < docs; i++ {
+	pages := make([]core.BatchPage, docs)
+	for i := range pages {
 		var links []string
 		for j := 0; j < 3 && i > 0; j++ {
 			links = append(links, urlOf(rng.Weighted(weights)))
 		}
-		owner := owners[i%publishers]
-		if _, err := c.Publish(owner, c.Peers[i%len(c.Peers)], urlOf(i),
-			fmt.Sprintf("article %04d with body text about subject %d", i, i%7), links); err != nil {
-			panic(err)
-		}
+		pages[i] = core.BatchPage{URL: urlOf(i), Text: fmt.Sprintf("article %04d with body text about subject %d", i, i%7), Links: links}
 		weights = append(weights, 1)
 		for _, l := range links {
 			var idx int
 			fmt.Sscanf(l, "dweb://site/%04d", &idx)
 			weights[idx] += 2
 		}
-		if i%20 == 19 {
-			c.Seal()
-			c.RunUntilIdle(4)
-		}
 	}
-	c.Seal()
-	c.RunUntilIdle(8)
+	publishPages(c, owners, pages, 20, 4, 8)
 
 	epoch := c.StartRankEpoch(4)
 	c.RunUntilIdle(8)
@@ -341,20 +333,11 @@ func runE12(seed uint64) []*metrics.Table {
 // runE13: a full ad campaign: escrow, clicks, exhaustion, and the
 // creator/worker split, with exact conservation accounting.
 func runE13(seed uint64) []*metrics.Table {
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	cfg.NumPeers = 10
-	cfg.NumBees = 4
-	c := core.NewCluster(cfg)
-	creator := c.NewAccount("creator", 1_000)
+	c, accts := newCluster(seed, 10, 4, nil, 1_000, "creator")
+	creator := accts[0]
 	adv := c.NewAccount("advertiser", 100_000)
 	user := c.NewAccount("user", 100)
-	c.Seal()
-	if _, err := c.Publish(creator, c.Peers[0], "dweb://content", "premium searchable content about products", nil); err != nil {
-		panic(err)
-	}
-	c.Seal()
-	c.RunUntilIdle(5)
+	publishPages(c, accts, []core.BatchPage{{URL: "dweb://content", Text: "premium searchable content about products"}}, 0, 0, 5)
 
 	const bid = 100
 	const budget = 1000
