@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 	"repro/internal/store"
 	"repro/internal/vclock"
 	"repro/internal/xrand"
@@ -219,21 +220,25 @@ func runE11(seed uint64) []*metrics.Table {
 	// or a security incentive"). One attacker, zero stake, poisons every
 	// term it targets.
 	t2 := metrics.NewTable("E11b — unverified P2P baseline (index poisoning)",
-		"terms attacked", "poisoned", "attacker cost")
+		"terms attacked", "poisoned", "attacker stake", "publish msgs", "attacker msgs", "probe msgs")
 	{
 		_, peers := buildStoreSwarm(seed, 16, "peer", store.PeerConfig{})
 		u := baseline.NewUnverifiedP2P(8)
-		//detlint:ignore costdrop baseline index population; the table measures poisoning success, not cost
-		u.Publish(peers[0].DHT(), "dweb://legit", "trusted reliable verified facts knowledge")
+		pub, err := u.Publish(peers[0].DHT(), "dweb://legit", "trusted reliable verified facts knowledge")
+		if err != nil {
+			panic(fmt.Sprintf("E11b publish: %v", err))
+		}
+		var attack, probe netsim.Cost
 		attacked, poisoned := 0, 0
 		for _, term := range []string{"trusted", "reliable", "verified", "facts", "knowledge"} {
 			attacked++
-			//detlint:ignore costdrop attacker traffic; the table's cost column is stake (zero), not messages
-			if _, err := u.Poison(peers[7].DHT(), term, "dweb://spam"); err != nil {
+			cost, err := u.Poison(peers[7].DHT(), term, "dweb://spam")
+			attack = attack.Seq(cost)
+			if err != nil {
 				continue
 			}
-			//detlint:ignore costdrop poisoning probe; only the returned URLs feed the table
-			urls, _, _ := u.Search(peers[3].DHT(), term)
+			urls, cost, _ := u.Search(peers[3].DHT(), term)
+			probe = probe.Seq(cost)
 			for _, url := range urls {
 				if url == "dweb://spam" {
 					poisoned++
@@ -241,7 +246,7 @@ func runE11(seed uint64) []*metrics.Table {
 				}
 			}
 		}
-		t2.AddRow(attacked, poisoned, 0)
+		t2.AddRow(attacked, poisoned, 0, pub.Msgs, attack.Msgs, probe.Msgs)
 	}
 
 	// Sybil resistance: under stake-weighted assignment, splitting one
