@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,6 +12,31 @@ import (
 	"repro/internal/index"
 	"repro/internal/netsim"
 )
+
+// TestConfigCensus is the knob ratchet for the two configurations every
+// deployment, soak and experiment is built from: each settable field is
+// a setting they would have to cover, so a bound moves only in a
+// reviewed change to this test.
+func TestConfigCensus(t *testing.T) {
+	for _, c := range []struct {
+		cfg any
+		max int
+	}{
+		{contracts.Config{}, 3},
+		{Config{}, 13},
+	} {
+		typ := reflect.TypeOf(c.cfg)
+		settable := 0
+		for i := 0; i < typ.NumField(); i++ {
+			if typ.Field(i).IsExported() {
+				settable++
+			}
+		}
+		if settable > c.max {
+			t.Errorf("%s has %d settable fields, the census allows %d", typ, settable, c.max)
+		}
+	}
+}
 
 func smallCluster(t testing.TB) *Cluster {
 	t.Helper()
